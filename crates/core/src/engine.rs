@@ -2,16 +2,22 @@
 //! 4 (summaries), and 5 (Byzantine checks) as one sans-IO state machine.
 //!
 //! The runtime owns transport, CTBcast instances, registers, the clock, and
-//! the application; the engine owns protocol state. Crypto runs inline (the
-//! simulation's key ring is cheap) but every operation is metered in
-//! [`CryptoOps`] so the runtime charges the paper-calibrated virtual time
-//! (sign ≈ 17 µs, verify ≈ 45 µs) before the resulting effects act.
+//! the application; the engine owns protocol state. Crypto comes in two
+//! kinds. Checkpoint, commit-certificate and view-change crypto runs inline
+//! (the simulation's key ring is cheap) and is metered in [`CryptoOps`], so
+//! the runtime charges the paper-calibrated virtual time (sign ≈ 17 µs,
+//! verify ≈ 45 µs) before the call's effects act — their order is a
+//! protocol invariant. CTBcast-summary crypto (Algorithm 4) has no such
+//! invariant and must stay off the request path: it leaves the engine as
+//! [`CryptoJob`]s ([`Engine::take_crypto_jobs`]) and its results come back
+//! as ordinary inputs ([`Engine::on_crypto_done`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
-use ubft_crypto::{Certificate, Digest, KeyRing, Signer};
+use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::{ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
 
+pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork};
 use crate::msg::{
     summary_sign_bytes, vc_sign_bytes, Batch, CheckpointCert, CheckpointData, CommitCert, CtbMsg,
     DirectMsg, JoinStream, Prepare, Request, StateSummary, TbMsg, VcCert,
@@ -415,6 +421,29 @@ impl std::fmt::Display for EngineDiag {
     }
 }
 
+/// One replica's share over a summary of our own stream (Algorithm 4).
+#[derive(Clone, Copy, Debug)]
+struct SummaryShare {
+    digest: Digest,
+    sig: Signature,
+    state: ShareState,
+}
+
+/// Where a [`SummaryShare`]'s signature check stands. Only `Verified`
+/// shares count toward the certificate; a `Rejected` one stays held, so
+/// its signer cannot buy a second verification.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ShareState {
+    /// Held unverified: enough other shares are verified or being checked.
+    Parked,
+    /// A [`CryptoTag::SummaryShareCheck`] job is in flight.
+    Checking,
+    /// The signature checked out (our own share is born here).
+    Verified,
+    /// The signature was forged.
+    Rejected,
+}
+
 /// One peer's [`DirectMsg::JoinAck`], parked until `f + 1` acks arrive.
 #[derive(Clone, Debug)]
 struct JoinAckData {
@@ -483,8 +512,16 @@ pub struct Engine {
     my_ctb_sent: u64,
     summary_done_upto: u64,
     queued_ctb: VecDeque<CtbMsg>,
-    /// Summary shares collected (as broadcaster): upto -> digest -> cert.
-    summary_shares: BTreeMap<u64, HashMap<Digest, Certificate>>,
+    /// Summary shares collected (as broadcaster): upto -> signer -> share.
+    /// Bounded: only boundaries in `(summary_done_upto, my_ctb_sent]` are
+    /// admitted (at most `tail / summary_half` of them, by the gate) and
+    /// each holds one share per replica.
+    summary_shares: BTreeMap<u64, BTreeMap<ReplicaId, SummaryShare>>,
+    /// Gap-filling summaries parked while their certificate is verified,
+    /// keyed like the [`CryptoTag::SummaryCert`] that will release them.
+    summary_checks: BTreeMap<(ReplicaId, SeqId), StateSummary>,
+    /// Crypto jobs queued for the driver ([`Engine::take_crypto_jobs`]).
+    crypto_jobs: Vec<CryptoJob>,
     /// View-change shares collected (as incoming leader), keyed by
     /// `(view, about)` — shares signed in different views cover different
     /// bytes and must never be merged into one certificate.
@@ -567,6 +604,8 @@ impl Engine {
             summary_done_upto: 0,
             queued_ctb: VecDeque::new(),
             summary_shares: BTreeMap::new(),
+            summary_checks: BTreeMap::new(),
+            crypto_jobs: Vec::new(),
             vc_shares: HashMap::new(),
             sealing: None,
             new_view_broadcast: None,
@@ -654,6 +693,31 @@ impl Engine {
     /// Drains the crypto-operation meter accumulated since the last call.
     pub fn take_crypto_ops(&mut self) -> CryptoOps {
         std::mem::take(&mut self.ops)
+    }
+
+    /// Drains the crypto jobs queued since the last call. A driver with a
+    /// crypto worker calls this after *every* engine call, runs each job
+    /// there ([`CryptoJob::run`]) and reports back through
+    /// [`Engine::on_crypto_done`]; the request path never waits for them.
+    pub fn take_crypto_jobs(&mut self) -> Vec<CryptoJob> {
+        std::mem::take(&mut self.crypto_jobs)
+    }
+
+    /// Jobs no driver collected by the time the next input arrives are run
+    /// here with this replica's own keys, so a harness with no crypto
+    /// worker (a perfect fabric that only routes [`Effect`]s) still
+    /// completes its summaries. Both runtimes collect after every call and
+    /// never reach the loop body.
+    fn run_unclaimed_jobs(&mut self) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        while !self.crypto_jobs.is_empty() {
+            for job in std::mem::take(&mut self.crypto_jobs) {
+                self.ops.add(job.ops());
+                let result = job.run(&self.signer, &self.ring);
+                fx.extend(self.on_crypto_done(job.tag, result));
+            }
+        }
+        fx
     }
 
     /// Drains the decision records accumulated since the last call (always
@@ -777,7 +841,7 @@ impl Engine {
 
     /// A client request arrived directly at this replica.
     pub fn on_client_request(&mut self, req: Request) -> Vec<Effect> {
-        let mut fx = Vec::new();
+        let mut fx = self.run_unclaimed_jobs();
         if self.already_executed(&req.id) {
             // Executed requests are re-answered by the runtime's last-reply
             // cache; nothing to order again.
@@ -927,7 +991,7 @@ impl Engine {
 
     /// A CTBcast message `(k, msg)` was delivered from `stream`.
     pub fn on_ctb_deliver(&mut self, stream: ReplicaId, k: SeqId, msg: CtbMsg) -> Vec<Effect> {
-        let mut fx = Vec::new();
+        let mut fx = self.run_unclaimed_jobs();
         if self.byzantine.contains(&stream) {
             return fx;
         }
@@ -1005,21 +1069,16 @@ impl Engine {
             CtbMsg::SealView { view } => self.handle_seal_view(stream, view, fx),
             CtbMsg::NewView { view, certs } => self.handle_new_view(stream, view, certs, fx),
         }
-        // Algorithm 4 line 1: summary shares at every boundary.
+        // Algorithm 4 line 1: a summary share at every boundary. Signing is
+        // a job: the share leaves (or, on our own stream, starts the
+        // collection) when its completion arrives, and the message that
+        // crossed the boundary is not held up by it.
         if k.0.is_multiple_of(self.cfg.summary_half) {
-            let ps = self.state.get(&stream).expect("known");
-            let summary = ps.summary();
-            let digest = summary.digest();
-            let sig = self.sign(&summary_sign_bytes(stream, k, &digest));
-            if stream == self.me {
-                // Self-share: start collecting.
-                fx.extend(self.accept_summary_share(self.me, k, digest, sig));
-            } else {
-                fx.push(Effect::SendReplica {
-                    to: stream,
-                    msg: DirectMsg::CertifySummary { stream, upto: k, digest, sig },
-                });
-            }
+            let digest = self.state.get(&stream).expect("known").summary().digest();
+            self.crypto_jobs.push(CryptoJob {
+                tag: CryptoTag::SummaryShare { stream, upto: k, digest },
+                work: CryptoWork::Sign { bytes: summary_sign_bytes(stream, k, &digest) },
+            });
         }
     }
 
@@ -1235,7 +1294,7 @@ impl Engine {
 
     /// A consensus TBcast message arrived from `from`.
     pub fn on_tb_deliver(&mut self, from: ReplicaId, msg: TbMsg) -> Vec<Effect> {
-        let mut fx = Vec::new();
+        let mut fx = self.run_unclaimed_jobs();
         if self.byzantine.contains(&from) {
             return fx;
         }
@@ -1286,7 +1345,7 @@ impl Engine {
                 fx.extend(self.handle_checkpoint_share(from, data, sig));
             }
             TbMsg::Summary { upto, summary, cert } => {
-                fx.extend(self.handle_summary(from, upto, summary, cert));
+                self.handle_summary(from, upto, summary, cert);
             }
         }
         fx
@@ -1640,38 +1699,137 @@ impl Engine {
     // Summaries (Algorithm 4)
     // ------------------------------------------------------------------
 
-    /// A `CERTIFY_SUMMARY` share about our own stream arrived.
-    pub fn on_certify_summary(
+    /// A `CERTIFY_SUMMARY` share about our own stream arrived: reject what
+    /// is cheap to reject, then hand the signature to the crypto worker.
+    /// The share counts only once [`CryptoTag::SummaryShareCheck`] comes
+    /// back `true`.
+    fn on_certify_summary(
         &mut self,
         from: ReplicaId,
         stream: ReplicaId,
         upto: SeqId,
         digest: Digest,
-        sig: ubft_crypto::Signature,
-    ) -> Vec<Effect> {
-        if stream != self.me || upto.0 <= self.summary_done_upto {
-            return Vec::new();
+        sig: Signature,
+    ) {
+        // Our own share arrives as a sign completion, never as a message.
+        if stream != self.me || from == self.me {
+            return;
         }
-        if from != self.me && !self.verify(from, &summary_sign_bytes(stream, upto, &digest), &sig) {
-            return Vec::new();
+        // Only a boundary we crossed and have not certified yet. Together
+        // with one share per signer this bounds `summary_shares` and the
+        // verifications a Byzantine peer can make us pay for.
+        if upto.0 <= self.summary_done_upto
+            || upto.0 > self.my_ctb_sent
+            || !upto.0.is_multiple_of(self.cfg.summary_half)
+        {
+            return;
         }
-        self.accept_summary_share(from, upto, digest, sig)
+        let shares = self.summary_shares.entry(upto.0).or_default();
+        if shares.contains_key(&from) {
+            return;
+        }
+        shares.insert(from, SummaryShare { digest, sig, state: ShareState::Parked });
+        self.check_parked_shares(upto);
     }
 
-    fn accept_summary_share(
-        &mut self,
-        from: ReplicaId,
-        upto: SeqId,
-        digest: Digest,
-        sig: ubft_crypto::Signature,
-    ) -> Vec<Effect> {
+    /// Starts verifying parked shares of boundary `upto` — but only as many
+    /// as could still complete a certificate. While `f + 1` shares for a
+    /// digest are verified or being checked, a further one stays parked and
+    /// is looked at again only if one of those checks fails.
+    fn check_parked_shares(&mut self, upto: SeqId) {
+        let (me, quorum) = (self.me, self.quorum());
+        let Some(shares) = self.summary_shares.get_mut(&upto.0) else {
+            return;
+        };
+        let parked: Vec<ReplicaId> = shares
+            .iter()
+            .filter(|(_, s)| s.state == ShareState::Parked)
+            .map(|(from, _)| *from)
+            .collect();
+        for from in parked {
+            let SummaryShare { digest, sig, .. } = shares[&from];
+            let live = shares
+                .values()
+                .filter(|s| s.digest == digest)
+                .filter(|s| matches!(s.state, ShareState::Checking | ShareState::Verified))
+                .count();
+            if live >= quorum {
+                continue;
+            }
+            shares.get_mut(&from).expect("listed above").state = ShareState::Checking;
+            self.crypto_jobs.push(CryptoJob {
+                tag: CryptoTag::SummaryShareCheck { from, upto },
+                work: CryptoWork::Verify {
+                    who: from,
+                    bytes: summary_sign_bytes(me, upto, &digest),
+                    sig,
+                },
+            });
+        }
+    }
+
+    /// A crypto job finished: continue the protocol step its tag names.
+    /// Completions may arrive in any order and arbitrarily late; one whose
+    /// step has been overtaken (boundary already certified, gap already
+    /// filled) is a no-op.
+    pub fn on_crypto_done(&mut self, tag: CryptoTag, result: CryptoResult) -> Vec<Effect> {
+        match (tag, result) {
+            (CryptoTag::SummaryShare { stream, upto, digest }, CryptoResult::Signed(sig)) => {
+                if stream != self.me {
+                    return vec![Effect::SendReplica {
+                        to: stream,
+                        msg: DirectMsg::CertifySummary { stream, upto, digest, sig },
+                    }];
+                }
+                if upto.0 <= self.summary_done_upto {
+                    return Vec::new();
+                }
+                // Self-share: signed by us, nothing to verify.
+                self.summary_shares
+                    .entry(upto.0)
+                    .or_default()
+                    .insert(self.me, SummaryShare { digest, sig, state: ShareState::Verified });
+                self.try_certify_summary(upto, digest)
+            }
+            (CryptoTag::SummaryShareCheck { from, upto }, CryptoResult::Verified(ok)) => {
+                // The boundary's shares are dropped once it is certified.
+                let Some(share) =
+                    self.summary_shares.get_mut(&upto.0).and_then(|s| s.get_mut(&from))
+                else {
+                    return Vec::new();
+                };
+                if !ok {
+                    share.state = ShareState::Rejected;
+                    self.check_parked_shares(upto);
+                    return Vec::new();
+                }
+                share.state = ShareState::Verified;
+                let digest = share.digest;
+                self.try_certify_summary(upto, digest)
+            }
+            (CryptoTag::SummaryCert { stream, upto }, CryptoResult::Verified(ok)) => {
+                match self.summary_checks.remove(&(stream, upto)) {
+                    Some(summary) if ok => self.fill_gap_from_summary(stream, upto, &summary),
+                    _ => Vec::new(),
+                }
+            }
+            // A result of the wrong kind for its tag can only be a driver
+            // bug; there is no step to continue.
+            _ => Vec::new(),
+        }
+    }
+
+    /// Completes the summary at `upto` once `f + 1` verified shares agree
+    /// on `digest`: broadcast it and reopen the CTBcast gate.
+    fn try_certify_summary(&mut self, upto: SeqId, digest: Digest) -> Vec<Effect> {
         let mut fx = Vec::new();
-        let quorum = self.quorum();
-        let per_digest = self.summary_shares.entry(upto.0).or_default();
-        let cert = per_digest.entry(digest).or_default();
-        cert.add(ProcessId::Replica(from), sig);
-        if cert.count() >= quorum && upto.0 > self.summary_done_upto {
-            let cert = cert.clone();
+        let mut cert = Certificate::new();
+        for (who, share) in self.summary_shares.get(&upto.0).into_iter().flatten() {
+            if share.state == ShareState::Verified && share.digest == digest {
+                cert.add(ProcessId::Replica(*who), share.sig);
+            }
+        }
+        if cert.count() >= self.quorum() {
             self.summary_done_upto = upto.0;
             self.summary_shares.retain(|k, _| *k > upto.0);
             let summary = self.state.get(&self.me).expect("self").summary();
@@ -1681,30 +1839,64 @@ impl Engine {
         fx
     }
 
+    /// Most gap-filling summaries of one stream verified at a time. Beyond
+    /// it the oldest parked one is forgotten (its completion becomes a
+    /// no-op; a newer summary covers it), so a flooding Byzantine
+    /// broadcaster cannot grow `summary_checks`.
+    const SUMMARY_CHECK_CAP: usize = 4;
+
+    /// A broadcaster announced the certified summary of its stream up to
+    /// `upto`. Only a replica with a FIFO gap at or before `upto` needs it
+    /// — on a fault-free run nobody does, and then nothing is verified.
     fn handle_summary(
         &mut self,
         from: ReplicaId,
         upto: SeqId,
         summary: StateSummary,
         cert: Certificate,
+    ) {
+        if self.state.get(&from).expect("known").fifo_next > upto {
+            return; // no gap to fill
+        }
+        if self.summary_checks.contains_key(&(from, upto)) {
+            return; // already verifying one for this boundary
+        }
+        let of_stream = (from, SeqId(0))..=(from, SeqId(u64::MAX));
+        if self.summary_checks.range(of_stream.clone()).count() >= Self::SUMMARY_CHECK_CAP {
+            let oldest = *self.summary_checks.range(of_stream).next().expect("counted").0;
+            self.summary_checks.remove(&oldest);
+        }
+        let bytes = summary_sign_bytes(from, upto, &summary.digest());
+        self.summary_checks.insert((from, upto), summary);
+        self.crypto_jobs.push(CryptoJob {
+            tag: CryptoTag::SummaryCert { stream: from, upto },
+            work: CryptoWork::VerifyCert { cert, bytes, quorum: self.quorum() },
+        });
+    }
+
+    /// The certificate of a gap-filling summary checked out: adopt the
+    /// certified state and resume FIFO interpretation after `upto`
+    /// (Algorithm 4 lines 11–15).
+    fn fill_gap_from_summary(
+        &mut self,
+        stream: ReplicaId,
+        upto: SeqId,
+        summary: &StateSummary,
     ) -> Vec<Effect> {
         let mut fx = Vec::new();
-        let digest = summary.digest();
-        if !self.verify_cert(&cert, &summary_sign_bytes(from, upto, &digest), self.quorum()) {
+        if self.byzantine.contains(&stream) {
             return fx;
         }
-        let ps = self.state.get_mut(&from).expect("known");
+        let ps = self.state.get_mut(&stream).expect("known");
         if ps.fifo_next > upto {
-            return fx; // no gap to fill
+            return fx; // the gap closed while the certificate was checked
         }
-        // Fill the gap: adopt the certified state and resume FIFO
-        // interpretation after `upto` (Algorithm 4 lines 11–15).
-        ps.apply_summary(&summary);
+        ps.apply_summary(summary);
         ps.fifo_next = upto.next();
         ps.pending.retain(|k, _| *k > upto);
         let cp = ps.checkpoint.clone();
         fx.extend(self.adopt_checkpoint(cp));
-        self.drain_pending(from, &mut fx);
+        self.drain_pending(stream, &mut fx);
         fx
     }
 
@@ -1744,29 +1936,30 @@ impl Engine {
         if from == self.me || self.join.is_some() {
             return Vec::new();
         }
+        // Our own stream is reported as *emitted*, not as self-delivered
+        // (self-delivery lags emission while an effect batch waits for its
+        // crypto): the next id we will send, and the checkpoint announced
+        // below it. An ack whose `fifo_next` covers a CHECKPOINT that its
+        // `checkpoint` misses would make the joiner brand our next
+        // proposal out-of-window.
+        let own_cp_emitted = !self.queued_ctb.iter().any(|m| matches!(m, CtbMsg::Checkpoint(_)));
         let streams: Vec<JoinStream> = self
             .state
             .iter()
-            .map(|(stream, ps)| JoinStream {
-                stream: *stream,
-                // For our own stream, report the next id we will *send*
-                // (self-delivery may lag emission by a queued message).
-                fifo_next: if *stream == self.me {
-                    SeqId(self.my_ctb_sent + 1)
-                } else {
-                    ps.fifo_next
-                },
-                view: if *stream == self.me { self.view } else { ps.view },
-                next_free: if *stream == self.me {
-                    self.next_slot
-                } else {
-                    ps.prepares.keys().max().map_or(Slot(0), |s| s.next())
-                },
-                checkpoint: if ps.checkpoint.data.base > Slot(0) {
-                    Some(ps.checkpoint.clone())
-                } else {
-                    None
-                },
+            .map(|(stream, ps)| {
+                let own = *stream == self.me;
+                let cp = if own && own_cp_emitted { &self.checkpoint } else { &ps.checkpoint };
+                JoinStream {
+                    stream: *stream,
+                    fifo_next: if own { SeqId(self.my_ctb_sent + 1) } else { ps.fifo_next },
+                    view: if own { self.view } else { ps.view },
+                    next_free: if own {
+                        self.next_slot
+                    } else {
+                        ps.prepares.keys().max().map_or(Slot(0), |s| s.next())
+                    },
+                    checkpoint: (cp.data.base > Slot(0)).then(|| cp.clone()),
+                }
             })
             .collect();
         // Most recent decided slots at or above our stable base, with the
@@ -2274,22 +2467,25 @@ impl Engine {
 
     /// A direct message arrived.
     pub fn on_direct(&mut self, from: ReplicaId, msg: DirectMsg) -> Vec<Effect> {
+        let mut fx = self.run_unclaimed_jobs();
         if self.byzantine.contains(&from) {
-            return Vec::new();
+            return fx;
         }
-        match msg {
+        fx.extend(match msg {
             DirectMsg::Echo { req } => self.on_echo(from, req),
             DirectMsg::CertifyVc { view, about, summary, sig } => {
                 self.on_certify_vc(from, view, about, summary, sig)
             }
             DirectMsg::CertifySummary { stream, upto, digest, sig } => {
-                self.on_certify_summary(from, stream, upto, digest, sig)
+                self.on_certify_summary(from, stream, upto, digest, sig);
+                Vec::new()
             }
             DirectMsg::Join { .. } => self.on_join(from),
             DirectMsg::JoinAck { view, streams, commits } => {
                 self.on_join_ack(from, view, streams, commits)
             }
-        }
+        });
+        fx
     }
 
     /// Initialization effects: the progress watchdog.

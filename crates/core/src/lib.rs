@@ -21,18 +21,22 @@
 //!   in FIFO order; a detectably Byzantine stream is blocked forever.
 //!
 //! The [`engine::Engine`] is a sans-IO state machine: the runtime feeds it
-//! deliveries/timers and executes its [`engine::Effect`]s. Crypto runs
-//! inline but is *metered* ([`engine::CryptoOps`]) so the runtime charges
-//! virtual time for every signature and verification.
+//! deliveries/timers and executes its [`engine::Effect`]s. Checkpoint and
+//! view-change crypto runs inline but is *metered* ([`engine::CryptoOps`])
+//! so the runtime charges virtual time for every signature and
+//! verification; summary crypto leaves as [`crypto_job::CryptoJob`]s for
+//! the driver's crypto worker and re-enters as an input.
 
 pub mod app;
 pub mod client;
+pub mod crypto_job;
 pub mod engine;
 pub mod lru;
 pub mod msg;
 
 pub use app::App;
 pub use client::{Client, ClientEffect};
+pub use crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork};
 pub use engine::{CryptoOps, Effect, Engine, EngineConfig, PathMode, TimerKind};
 pub use lru::LruMap;
 pub use msg::{CheckpointCert, CommitCert, CtbMsg, DirectMsg, Prepare, Reply, Request, TbMsg};

@@ -8,9 +8,13 @@
 use std::collections::VecDeque;
 
 use ubft_core::app::{App, NoopApp};
-use ubft_core::engine::{Effect, Engine, EngineConfig, PathMode, TimerKind};
-use ubft_core::msg::{CtbMsg, Request};
-use ubft_crypto::KeyRing;
+use ubft_core::engine::{
+    CryptoJob, CryptoOps, CryptoTag, CryptoWork, Effect, Engine, EngineConfig, PathMode, TimerKind,
+};
+use ubft_core::msg::{
+    summary_sign_bytes, Batch, CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
+};
+use ubft_crypto::{Certificate, Digest, KeyRing, Signature};
 use ubft_types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
 
 struct Net {
@@ -82,9 +86,18 @@ impl Net {
         self.engines.len()
     }
 
+    /// Queues the effects of one call on engine `who`. The harness has no
+    /// crypto worker, so the call's crypto jobs run on the spot and their
+    /// completions are fed straight back.
     fn enqueue(&mut self, who: usize, fx: Vec<Effect>) {
         for e in fx {
             self.queue.push_back((who, e));
+        }
+        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
+        for job in self.engines[who].take_crypto_jobs() {
+            let result = job.run(&signer, &self.ring);
+            let fx = self.engines[who].on_crypto_done(job.tag, result);
+            self.enqueue(who, fx);
         }
     }
 
@@ -990,4 +1003,255 @@ fn equivocation_sequence_recorded_in_diag() {
     let fx = net.engines[1].on_ctb_equivocation(ReplicaId(0), SeqId(9));
     assert!(fx.is_empty());
     assert_eq!(net.engines[1].diag().equivocations, vec![(ReplicaId(0), SeqId(7))]);
+}
+
+// ----------------------------------------------------------------------
+// Summary crypto jobs (Algorithm 4 off the request path)
+// ----------------------------------------------------------------------
+
+/// Lone engines driven by hand, so a test decides when each crypto job
+/// completes. `t = 4`: a summary share every 2 messages of a stream.
+struct Lone {
+    ring: KeyRing,
+    cfg: EngineConfig,
+}
+
+impl Lone {
+    fn new() -> Self {
+        let mut cfg =
+            EngineConfig::new(ClusterParams::paper_default().with_tail(4), PathMode::FastOnly);
+        cfg.echo_round = false;
+        let ring = KeyRing::generate(5, (0..3).map(|i| ProcessId::Replica(ReplicaId(i))));
+        Lone { ring, cfg }
+    }
+
+    fn engine(&self, me: u32) -> Engine {
+        let mut e = Engine::new(ReplicaId(me), self.cfg.clone(), self.ring.clone());
+        let _ = e.start();
+        e
+    }
+
+    /// Runs `job` as replica `me`'s crypto worker would and feeds the
+    /// result back.
+    fn complete(&self, e: &mut Engine, job: &CryptoJob) -> Vec<Effect> {
+        let signer = self.ring.signer(ProcessId::Replica(e.id())).unwrap();
+        e.on_crypto_done(job.tag, job.run(&signer, &self.ring))
+    }
+
+    /// Leader r0 proposes two requests and self-delivers both prepares,
+    /// crossing its `k = 2` boundary. Returns the own-share sign job.
+    fn cross_own_boundary(&self, e: &mut Engine) -> CryptoJob {
+        for seq in 0..2 {
+            let req = Request { id: RequestId::new(ClientId(1), seq), payload: vec![seq as u8] };
+            let fx = e.on_client_request(req);
+            let prepare = fx
+                .into_iter()
+                .find_map(|e| if let Effect::CtbBroadcast(m) = e { Some(m) } else { None })
+                .expect("the leader proposes");
+            let fx = e.on_ctb_deliver(ReplicaId(0), SeqId(seq + 1), prepare);
+            assert!(
+                !fx.iter().any(|e| matches!(e, Effect::SendReplica { .. })),
+                "the boundary call itself must not wait for a signature"
+            );
+        }
+        let mut jobs = e.take_crypto_jobs();
+        assert_eq!(jobs.len(), 1, "one sign job at the boundary");
+        assert!(matches!(jobs[0].work, CryptoWork::Sign { .. }));
+        jobs.remove(0)
+    }
+
+    /// Leader r0's `k`-th CTBcast message: a prepare for slot `k - 1`.
+    fn prepare(k: u64) -> CtbMsg {
+        let req = Request { id: RequestId::new(ClientId(1), k), payload: vec![k as u8] };
+        CtbMsg::Prepare(Prepare { view: View(0), slot: Slot(k - 1), batch: Batch::single(req) })
+    }
+
+    /// `from`'s CERTIFY_SUMMARY share over r0's boundary `upto`; a forged
+    /// one carries a signature that never verifies.
+    fn share(&self, from: u32, upto: u64, digest: Digest, forged: bool) -> DirectMsg {
+        let stream = ReplicaId(0);
+        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(from))).unwrap();
+        let sig = if forged {
+            Signature::garbage()
+        } else {
+            signer.sign(&summary_sign_bytes(stream, SeqId(upto), &digest))
+        };
+        DirectMsg::CertifySummary { stream, upto: SeqId(upto), digest, sig }
+    }
+}
+
+fn share_digest(job: &CryptoJob) -> Digest {
+    match job.tag {
+        CryptoTag::SummaryShare { digest, .. } => digest,
+        other => panic!("not a share sign job: {other:?}"),
+    }
+}
+
+fn summary_broadcasts(fx: &[Effect]) -> usize {
+    fx.iter().filter(|e| matches!(e, Effect::TbBroadcast(TbMsg::Summary { .. }))).count()
+}
+
+#[test]
+fn summary_that_fills_no_gap_emits_no_crypto_job() {
+    let lone = Lone::new();
+    let mut e = lone.engine(1);
+    for k in 1..=2u64 {
+        let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(k), Lone::prepare(k));
+    }
+    let _ = e.take_crypto_jobs(); // r1's own share for the boundary
+    assert_eq!(e.fifo_position(ReplicaId(0)), SeqId(3));
+    // Not even a certificate that could never verify costs anything.
+    let summary = TbMsg::Summary {
+        upto: SeqId(2),
+        summary: StateSummary::default(),
+        cert: Certificate::new(),
+    };
+    let fx = e.on_tb_deliver(ReplicaId(0), summary);
+    assert!(fx.is_empty());
+    assert!(e.take_crypto_jobs().is_empty(), "no gap, no verification");
+    assert_eq!(e.take_crypto_ops(), CryptoOps::default());
+}
+
+#[test]
+fn gap_filling_summary_waits_for_its_certificate_and_rejects_a_forged_one() {
+    let lone = Lone::new();
+    let mut e = lone.engine(1);
+    let summary = StateSummary::default();
+    let bytes = summary_sign_bytes(ReplicaId(0), SeqId(2), &summary.digest());
+    let cert_by = |signers: &[u32]| {
+        let mut cert = Certificate::new();
+        for r in signers {
+            let id = ProcessId::Replica(ReplicaId(*r));
+            cert.add(id, lone.ring.signer(id).unwrap().sign(&bytes));
+        }
+        cert
+    };
+    let mut forged = cert_by(&[0]);
+    forged.add(ProcessId::Replica(ReplicaId(2)), Signature::garbage());
+
+    for (cert, moves) in [(forged, false), (cert_by(&[0, 2]), true)] {
+        let msg = TbMsg::Summary { upto: SeqId(2), summary: summary.clone(), cert };
+        let fx = e.on_tb_deliver(ReplicaId(0), msg);
+        assert!(fx.is_empty());
+        assert_eq!(e.fifo_position(ReplicaId(0)), SeqId(1), "nothing adopted before the check");
+        let jobs = e.take_crypto_jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].tag, CryptoTag::SummaryCert { stream: ReplicaId(0), upto: SeqId(2) });
+        assert_eq!(jobs[0].ops(), CryptoOps { signs: 0, verifies: 2 });
+        let _ = lone.complete(&mut e, &jobs[0]);
+        let expect = if moves { SeqId(3) } else { SeqId(1) };
+        assert_eq!(e.fifo_position(ReplicaId(0)), expect);
+    }
+}
+
+#[test]
+fn forged_share_never_counts_and_a_parked_one_takes_its_place() {
+    let lone = Lone::new();
+    let mut e = lone.engine(0);
+    let own = lone.cross_own_boundary(&mut e);
+    let digest = share_digest(&own);
+    assert!(lone.complete(&mut e, &own).is_empty(), "one share is no certificate");
+
+    // r1 forges. Its share is checked because own + r1 could certify.
+    assert!(e.on_direct(ReplicaId(1), lone.share(1, 2, digest, true)).is_empty());
+    let check_r1 = e.take_crypto_jobs();
+    assert_eq!(check_r1.len(), 1);
+    // r2's honest share is parked: two shares are already verified or in
+    // flight, so a third verification would be wasted if r1's holds.
+    assert!(e.on_direct(ReplicaId(2), lone.share(2, 2, digest, false)).is_empty());
+    assert!(e.take_crypto_jobs().is_empty(), "r2's share waits for r1's verdict");
+
+    // r1's check fails: it never counts, and r2's share is checked now.
+    let fx = lone.complete(&mut e, &check_r1[0]);
+    assert!(fx.is_empty());
+    assert_eq!(e.ctb_summarized_upto(), 0);
+    let check_r2 = e.take_crypto_jobs();
+    assert_eq!(check_r2.len(), 1);
+    assert_eq!(
+        check_r2[0].tag,
+        CryptoTag::SummaryShareCheck { from: ReplicaId(2), upto: SeqId(2) }
+    );
+    // r1 cannot buy a second verification for the same boundary.
+    assert!(e.on_direct(ReplicaId(1), lone.share(1, 2, digest, false)).is_empty());
+    assert!(e.take_crypto_jobs().is_empty());
+
+    let fx = lone.complete(&mut e, &check_r2[0]);
+    assert_eq!(summary_broadcasts(&fx), 1);
+    assert_eq!(e.ctb_summarized_upto(), 2);
+    let Some(Effect::TbBroadcast(TbMsg::Summary { cert, .. })) = fx.first() else {
+        panic!("summary broadcast first, got {fx:?}");
+    };
+    let signers: Vec<ProcessId> = cert.signers().collect();
+    assert_eq!(signers, vec![ProcessId::Replica(ReplicaId(0)), ProcessId::Replica(ReplicaId(2))]);
+}
+
+#[test]
+fn completion_after_the_boundary_was_certified_is_a_noop() {
+    let lone = Lone::new();
+    let mut e = lone.engine(0);
+    let own = lone.cross_own_boundary(&mut e);
+    let digest = share_digest(&own);
+    // Both peers' shares arrive before our own signature is back, so both
+    // are checked (neither could be skipped yet).
+    let mut checks = Vec::new();
+    for from in [1, 2] {
+        let _ = e.on_direct(ReplicaId(from), lone.share(from, 2, digest, false));
+        checks.extend(e.take_crypto_jobs());
+    }
+    assert_eq!(checks.len(), 2);
+    assert!(lone.complete(&mut e, &own).is_empty());
+    // r2's check returns first and completes the certificate with ours.
+    assert_eq!(summary_broadcasts(&lone.complete(&mut e, &checks[1])), 1);
+    assert_eq!(e.ctb_summarized_upto(), 2);
+    // r1's straggler — and a replay of our own signature — change nothing.
+    assert!(lone.complete(&mut e, &checks[0]).is_empty());
+    assert!(lone.complete(&mut e, &own).is_empty());
+    assert_eq!(e.ctb_summarized_upto(), 2);
+    assert!(e.take_crypto_jobs().is_empty());
+}
+
+#[test]
+fn shares_outside_the_open_boundaries_cost_nothing() {
+    let lone = Lone::new();
+    let mut e = lone.engine(0);
+    let own = lone.cross_own_boundary(&mut e);
+    let digest = share_digest(&own);
+    // Off-boundary, beyond anything broadcast, about someone else's
+    // stream: all dropped before a verification is spent.
+    for upto in [1u64, 3, 4, 64, 1 << 40] {
+        assert!(e.on_direct(ReplicaId(1), lone.share(1, upto, digest, false)).is_empty());
+    }
+    let foreign = DirectMsg::CertifySummary {
+        stream: ReplicaId(2),
+        upto: SeqId(2),
+        digest,
+        sig: Signature::garbage(),
+    };
+    assert!(e.on_direct(ReplicaId(1), foreign).is_empty());
+    assert!(e.take_crypto_jobs().is_empty());
+    assert_eq!(e.take_crypto_ops(), CryptoOps::default());
+}
+
+#[test]
+fn jobs_no_driver_collects_run_at_the_next_message() {
+    // A harness that only routes `Effect`s (no crypto worker) must still
+    // see shares flow: the engine runs leftover jobs itself.
+    let lone = Lone::new();
+    let mut e = lone.engine(1);
+    let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(1), Lone::prepare(1));
+    let fx = e.on_ctb_deliver(ReplicaId(0), SeqId(2), Lone::prepare(2));
+    assert!(!fx.iter().any(|e| matches!(e, Effect::SendReplica { .. })));
+    let fx = e.on_ctb_deliver(ReplicaId(0), SeqId(3), Lone::prepare(3));
+    assert!(
+        matches!(
+            fx.first(),
+            Some(Effect::SendReplica {
+                to: ReplicaId(0),
+                msg: DirectMsg::CertifySummary { upto: SeqId(2), .. }
+            })
+        ),
+        "the share signed late leads the next call's effects, got {fx:?}"
+    );
+    assert_eq!(e.take_crypto_ops().signs, 1, "self-run jobs are still metered");
+    assert!(e.take_crypto_jobs().is_empty());
 }

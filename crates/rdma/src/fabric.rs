@@ -235,34 +235,36 @@ impl Fabric {
         Ok(ReadTicket { completion: sample_at + resp, data })
     }
 
-    /// Reads a region that lives on the issuer's own host: no network hops,
-    /// the bytes are sampled as they appear at `now`. This is how a receiver
-    /// polls its RDMA-exposed circular buffer (§6.2) — local RAM access, with
-    /// any CPU cost charged by the caller's cost model.
+    /// Reads a region that lives on the issuer's own host into `out`
+    /// (`out.len()` bytes at `offset`): no network hops, no allocation, the
+    /// bytes are sampled as they appear at `now`. This is how a receiver
+    /// polls its RDMA-exposed circular buffer (§6.2) — local RAM access,
+    /// with any CPU cost charged by the caller's cost model.
     ///
     /// # Errors
     ///
     /// Returns an [`RdmaError`] if the region is unknown, not local to
     /// `issuer`, out of bounds, or the host has crashed.
-    pub fn local_read(
+    pub fn local_read_into(
         &mut self,
         issuer: HostId,
         region: RegionId,
         offset: usize,
-        len: usize,
+        out: &mut [u8],
         now: Time,
-    ) -> Result<Vec<u8>, RdmaError> {
+    ) -> Result<(), RdmaError> {
         let entry = self.regions.get_mut(&region).ok_or(RdmaError::UnknownRegion)?;
         if entry.host != issuer {
             return Err(RdmaError::PermissionDenied);
         }
-        if offset + len > entry.region.len() {
+        if offset + out.len() > entry.region.len() {
             return Err(RdmaError::OutOfBounds);
         }
         if self.net.is_crashed(issuer, now) {
             return Err(RdmaError::IssuerUnavailable);
         }
-        Ok(entry.region.sample(offset, len, now))
+        entry.region.sample_into(offset, out, now);
+        Ok(())
     }
 
     /// Test helper: the settled contents of a region (all writes applied).

@@ -44,17 +44,25 @@ impl InflightWrite {
 /// A byte region of host memory exposed over the fabric.
 #[derive(Clone, Debug)]
 pub(crate) struct Region {
+    size: usize,
+    /// The settled image. Empty — reading as zeros — until the first write
+    /// begins: a deployment registers tens of MiB of channel buffers, and
+    /// zeroing them all up front was most of its construction time.
     committed: Vec<u8>,
     inflight: Vec<InflightWrite>,
 }
 
 impl Region {
     pub(crate) fn new(size: usize) -> Self {
-        Region { committed: vec![0u8; size], inflight: Vec::new() }
+        Region { size, committed: Vec::new(), inflight: Vec::new() }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.committed.len()
+        self.size
+    }
+
+    fn materialize(&mut self) {
+        self.committed.resize(self.size, 0);
     }
 
     /// Begins applying `data` at `offset` starting at time `start`, taking
@@ -66,7 +74,8 @@ impl Region {
         start: Time,
         spread: Duration,
     ) {
-        debug_assert!(offset + data.len() <= self.committed.len());
+        debug_assert!(offset + data.len() <= self.size);
+        self.materialize();
         self.compact(start);
         let n_words = data.len().div_ceil(8).max(1) as u64;
         let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
@@ -96,8 +105,21 @@ impl Region {
     /// Samples `len` bytes at `offset` as they appear at time `t`, applying
     /// the torn-word model for any in-flight writes.
     pub(crate) fn sample(&mut self, offset: usize, len: usize, t: Time) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.sample_into(offset, &mut out, t);
+        out
+    }
+
+    /// [`Region::sample`] into a caller-provided buffer (`out.len()` bytes
+    /// at `offset`), so a reader that only wants a header allocates nothing.
+    pub(crate) fn sample_into(&mut self, offset: usize, out: &mut [u8], t: Time) {
+        if self.committed.is_empty() {
+            out.fill(0); // never written
+            return;
+        }
         self.compact(t);
-        let mut out = self.committed[offset..offset + len].to_vec();
+        let len = out.len();
+        out.copy_from_slice(&self.committed[offset..offset + len]);
         for w in self.inflight.iter() {
             let visible_words = w.words_visible(t);
             let visible_bytes = (visible_words * 8).min(w.data.len());
@@ -113,12 +135,12 @@ impl Region {
                     .copy_from_slice(&w.data[lo - w_start..hi - w_start]);
             }
         }
-        out
     }
 
     /// The final contents once every in-flight write has landed (test/debug
     /// helper; equivalent to sampling at `Time::MAX`).
     pub(crate) fn settled(&mut self) -> &[u8] {
+        self.materialize();
         self.compact(Time::MAX);
         // A write with word_gap 0 folds immediately; Time::MAX folds the rest.
         debug_assert!(self.inflight.is_empty());
@@ -162,6 +184,26 @@ mod tests {
         let mut r = Region::new(8);
         r.begin_write(0, vec![9u8; 8], t(50), Duration::from_nanos(8));
         assert_eq!(r.sample(0, 8, t(49)), vec![0u8; 8]);
+    }
+
+    #[test]
+    fn unwritten_region_reads_as_zeros() {
+        let mut r = Region::new(24);
+        assert_eq!(r.len(), 24);
+        assert_eq!(r.sample(4, 12, t(7)), vec![0u8; 12]);
+        assert_eq!(r.settled(), &[0u8; 24][..]);
+    }
+
+    #[test]
+    fn sample_into_matches_sample_mid_write() {
+        let mut r = Region::new(32);
+        r.begin_write(0, vec![0x11u8; 32], t(0), Duration::ZERO);
+        r.begin_write(8, vec![0x22u8; 16], t(100), Duration::from_nanos(20));
+        let mut header = [0u8; 12];
+        r.sample_into(4, &mut header, t(110));
+        assert_eq!(header.to_vec(), r.sample(4, 12, t(110)));
+        assert_eq!(&header[..4], &[0x11u8; 4][..]);
+        assert_eq!(&header[4..], &[0x22u8; 8][..]);
     }
 
     #[test]

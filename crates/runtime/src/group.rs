@@ -14,7 +14,9 @@
 
 use ubft_core::app::App;
 use ubft_core::client::{Client, ClientEffect};
-use ubft_core::engine::{CryptoOps, Effect, Engine, EngineConfig, PathMode, TimerKind};
+use ubft_core::engine::{
+    CryptoOps, CryptoResult, CryptoTag, Effect, Engine, EngineConfig, PathMode, TimerKind,
+};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
 use ubft_crypto::{KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
@@ -149,6 +151,15 @@ pub(crate) enum Ev {
         /// to its successor.
         epoch: u32,
         fx: Vec<Effect>,
+    },
+    /// Replica `r`'s crypto worker finished an engine crypto job; the
+    /// result re-enters the engine as an input of its own.
+    EngineCrypto {
+        r: usize,
+        /// As for `EngineFx`: a dead incarnation's jobs die with it.
+        epoch: u32,
+        tag: CryptoTag,
+        result: CryptoResult,
     },
 }
 
@@ -478,8 +489,7 @@ impl GroupRuntime {
         // Engine start-up (progress watchdogs).
         for r in 0..n {
             let fx = group.nodes[r].engine.start();
-            let ops = group.nodes[r].engine.take_crypto_ops();
-            group.apply_engine_effects(sh, r, Time::ZERO, fx, ops);
+            group.apply_engine_effects(sh, r, Time::ZERO, fx);
         }
         // TBcast retransmission ticks, staggered so replicas do not burst
         // in lockstep.
@@ -788,8 +798,7 @@ impl GroupRuntime {
 
         // Step 2: the Join/JoinAck handshake (engine-driven from here).
         let fx = self.nodes[r].engine.begin_join(reg_floor);
-        let ops = self.nodes[r].engine.take_crypto_ops();
-        self.apply_engine_effects(sh, r, done, fx, ops);
+        self.apply_engine_effects(sh, r, done, fx);
     }
 
     // ------------------------------------------------------------------
@@ -926,18 +935,26 @@ impl GroupRuntime {
             return;
         }
         let fx = f(&mut self.nodes[r].engine);
-        let ops = self.nodes[r].engine.take_crypto_ops();
-        self.apply_engine_effects(sh, r, at, fx, ops);
+        self.apply_engine_effects(sh, r, at, fx);
     }
 
-    fn apply_engine_effects(
-        &mut self,
-        sh: &mut Shared<'_>,
-        r: usize,
-        at: Time,
-        fx: Vec<Effect>,
-        ops: CryptoOps,
-    ) {
+    fn count_engine_crypto(&mut self, ops: CryptoOps) {
+        self.counters.engine_signs += ops.signs as u64;
+        self.counters.engine_verifies += ops.verifies as u64;
+    }
+
+    /// Occupies replica `r`'s crypto worker for `cost`, starting no earlier
+    /// than `from`; returns when the work finishes.
+    fn crypto_worker_run(&mut self, r: usize, from: Time, cost: Duration) -> Time {
+        let node = &mut self.nodes[r];
+        let fin = from.max(node.crypto_busy) + cost;
+        node.crypto_busy = fin;
+        fin
+    }
+
+    /// Interprets what one engine call produced: its effects, the ordered
+    /// crypto it metered, and the crypto jobs it queued.
+    fn apply_engine_effects(&mut self, sh: &mut Shared<'_>, r: usize, at: Time, fx: Vec<Effect>) {
         // Hand freshly recorded decisions to the auditor *before* their
         // Execute effects run, so coverage lookups find the evidence. The
         // engine records nothing unless auditing is on.
@@ -946,13 +963,32 @@ impl GroupRuntime {
                 aud.on_decision(self.gid as usize, r, rec);
             }
         }
-        self.counters.engine_signs += ops.signs as u64;
-        self.counters.engine_verifies += ops.verifies as u64;
-        // The event-loop dispatch runs on the replica's main core; crypto is
-        // handed to the replica's crypto worker (§5.4 keeps bookkeeping
-        // signatures off the critical path), so it delays this call's
-        // *effects* without blocking subsequent message processing.
+        let ops = self.nodes[r].engine.take_crypto_ops();
+        let jobs = self.nodes[r].engine.take_crypto_jobs();
+        // The event-loop dispatch runs on the replica's main core; all
+        // crypto runs on the replica's crypto worker (§5.4).
         let done = self.charge(r, at, Duration::ZERO);
+        self.count_engine_crypto(ops);
+        let effect_at = if ops.is_zero() {
+            done
+        } else {
+            self.crypto_worker_run(r, done, self.crypto_cost(ops))
+        };
+        // Crypto jobs are work nothing in this call's effects depends on
+        // (summary bookkeeping, §5.2 fn. 3): each occupies the crypto
+        // worker and comes back as an input of its own, delaying neither
+        // these effects nor any later batch.
+        if !jobs.is_empty() {
+            let me = ProcessId::Replica(ReplicaId(r as u32));
+            let signer = self.ring.signer(me).expect("replica key");
+            let epoch = self.nodes[r].epoch;
+            for job in jobs {
+                self.count_engine_crypto(job.ops());
+                let fin = self.crypto_worker_run(r, done, self.crypto_cost(job.ops()));
+                let result = job.run(&signer, &self.ring);
+                self.push(sh, fin, Ev::EngineCrypto { r, epoch, tag: job.tag, result });
+            }
+        }
         if ops.is_zero() && self.nodes[r].deferred_fx == 0 {
             // The common (crypto-free) path applies effects inline — the
             // historical behaviour, bit-for-bit.
@@ -961,24 +997,15 @@ impl GroupRuntime {
             }
             return;
         }
-        // Crypto pushes this batch's effects into the future; route them
-        // through the event queue so the fabric only ever sees monotone
-        // timestamps per host pair (applying early would stall every later
-        // message behind the future arrival in the FIFO network). While any
-        // batch is pending, later batches — crypto-free or not — queue
-        // strictly behind it: the engine's emission order is a protocol
-        // invariant (e.g. a checkpoint must precede proposals into the
-        // window it opens).
-        let effect_at = if ops.is_zero() {
-            done
-        } else {
-            let cost = self.crypto_cost(ops);
-            let node = &mut self.nodes[r];
-            let start = if done > node.crypto_busy { done } else { node.crypto_busy };
-            let fin = start + cost;
-            node.crypto_busy = fin;
-            fin
-        };
+        // Ordered crypto (checkpoint, commit-certificate and view-change
+        // signatures) is crypto this call's effects *do* depend on: they
+        // act only once it has finished. Route them through the event queue
+        // so the fabric only ever sees monotone timestamps per host pair
+        // (applying early would stall every later message behind the future
+        // arrival in the FIFO network). While any batch is pending, later
+        // batches — crypto-free or not — queue strictly behind it: the
+        // engine's emission order is a protocol invariant (e.g. a
+        // checkpoint must precede proposals into the window it opens).
         let node = &mut self.nodes[r];
         let at_eff = if effect_at > node.deferred_until {
             effect_at
@@ -1720,6 +1747,11 @@ impl GroupRuntime {
             Ev::Retransmit { r } => self.on_retransmit_tick(sh, r, t),
             Ev::Replace { r, host } => self.replace_replica(sh, r, host, t),
             Ev::EngineFx { r, epoch, fx } => self.on_engine_fx(sh, r, epoch, fx, t),
+            Ev::EngineCrypto { r, epoch, tag, result } => {
+                if epoch == self.nodes[r].epoch {
+                    self.engine_call(sh, r, t, |e| e.on_crypto_done(tag, result));
+                }
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The wall-clock deployment backend ([`Backend::Threads`]): every replica,
 //! client driver, and memory node of a deployment runs on its own OS
 //! thread, connected by the lock-free in-process channel transport
-//! ([`InProcEndpoint`]), with CTBcast signature/digest work offloaded to a
-//! sized crypto worker pool.
+//! ([`InProcEndpoint`]), with CTBcast signature/digest work and the
+//! engine's crypto jobs offloaded to a sized crypto worker pool.
 //!
 //! The protocol stack is untouched: the same sans-IO state machines the
 //! discrete-event simulator drives — [`Engine`], [`Ctb`],
@@ -24,8 +24,8 @@
 //!   pinned (`tests/pinned_sim.rs`).
 //! * **Calibrated costs.** Real time is the cost model. The engine's
 //!   metered [`CryptoOps`](ubft_core::engine::CryptoOps) accounting is
-//!   discarded; CTBcast slow-path signatures and verifications run on the
-//!   worker pool for real.
+//!   discarded; CTBcast slow-path signatures and verifications, and the
+//!   engine's summary crypto jobs, run on the worker pool for real.
 //! * **Torn register reads.** The SWMR register banks become memory-node
 //!   threads holding a `(group, stream, owner, slot) → (ts, bytes)` store
 //!   behind typed control-frame RPCs, with real `f_m + 1` write/read
@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use ubft_core::app::App;
 use ubft_core::client::{Client, ClientEffect};
-use ubft_core::engine::{Effect, Engine, TimerKind};
+use ubft_core::engine::{CryptoJob, CryptoResult, CryptoTag, Effect, Engine, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
@@ -177,6 +177,8 @@ enum CtlMsg {
     SignDone { k: SeqId, sig: Signature },
     /// Crypto pool: a requested verification finished.
     VerifyDone { stream: usize, tag: VerifyTag, ok: bool },
+    /// Crypto pool: an engine crypto job finished.
+    EngineCryptoDone { tag: CryptoTag, result: CryptoResult },
     /// Replica → memory node: store `bytes` under
     /// `(group, stream, owner, slot)` with register timestamp `ts`.
     WriteSlot {
@@ -204,7 +206,7 @@ enum CtlMsg {
 // Crypto worker pool
 // ----------------------------------------------------------------------
 
-enum CryptoJob {
+enum PoolJob {
     Sign {
         node: u32,
         group: usize,
@@ -221,12 +223,19 @@ enum CryptoJob {
         fp: Digest,
         sig: Signature,
     },
+    /// An engine crypto job of replica `replica` of `group`.
+    Engine {
+        node: u32,
+        group: usize,
+        replica: u32,
+        job: CryptoJob,
+    },
     Stop,
 }
 
 /// A plain condvar-signalled job queue shared by the sized worker pool.
 struct CryptoPool {
-    q: Mutex<VecDeque<CryptoJob>>,
+    q: Mutex<VecDeque<PoolJob>>,
     cv: Condvar,
 }
 
@@ -235,12 +244,12 @@ impl CryptoPool {
         CryptoPool { q: Mutex::new(VecDeque::new()), cv: Condvar::new() }
     }
 
-    fn push(&self, job: CryptoJob) {
+    fn push(&self, job: PoolJob) {
         self.q.lock().expect("crypto queue").push_back(job);
         self.cv.notify_one();
     }
 
-    fn pop(&self) -> CryptoJob {
+    fn pop(&self) -> PoolJob {
         let mut q = self.q.lock().expect("crypto queue");
         loop {
             if let Some(j) = q.pop_front() {
@@ -264,14 +273,14 @@ fn spawn_crypto_workers(
             let router = router.clone();
             std::thread::spawn(move || loop {
                 match pool.pop() {
-                    CryptoJob::Stop => break,
-                    CryptoJob::Sign { node, group, stream, k, fp } => {
+                    PoolJob::Stop => break,
+                    PoolJob::Sign { node, group, stream, k, fp } => {
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let signer = rings[group].signer(id).expect("replica key");
                         let sig = signer.sign(&signed_bytes(ReplicaId(stream), k, &fp));
                         let _ = router.send_ctl(node, CtlMsg::SignDone { k, sig });
                     }
-                    CryptoJob::Verify { node, group, stream, tag, k, fp, sig } => {
+                    PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let msg = signed_bytes(ReplicaId(stream), k, &fp);
                         let ok = rings[group].verify(id, &msg, &sig);
@@ -279,6 +288,13 @@ fn spawn_crypto_workers(
                             node,
                             CtlMsg::VerifyDone { stream: stream as usize, tag, ok },
                         );
+                    }
+                    PoolJob::Engine { node, group, replica, job } => {
+                        let id = ProcessId::Replica(ReplicaId(replica));
+                        let signer = rings[group].signer(id).expect("replica key");
+                        let result = job.run(&signer, &rings[group]);
+                        let _ = router
+                            .send_ctl(node, CtlMsg::EngineCryptoDone { tag: job.tag, result });
                     }
                 }
             })
@@ -417,9 +433,7 @@ struct ReplicaThread {
 
 impl ReplicaThread {
     fn run(mut self) -> WallReplicaReport {
-        let fx = self.engine.start();
-        let _ = self.engine.take_crypto_ops();
-        self.apply_engine_fx(fx);
+        self.engine_call(|e| e.start());
         self.timers.arm(wall(self.retransmit_period, self.scale), ReplicaTimer::Retransmit);
 
         'main: loop {
@@ -575,6 +589,9 @@ impl ReplicaThread {
             CtlMsg::VerifyDone { stream, tag, ok } => {
                 self.ctb_call(stream, |c| c.on_verify_done(tag, ok));
             }
+            CtlMsg::EngineCryptoDone { tag, result } => {
+                self.engine_call(|e| e.on_crypto_done(tag, result));
+            }
             CtlMsg::WriteAck { token } => {
                 let finished = match self.pending_writes.get_mut(&token) {
                     Some(w) => {
@@ -626,10 +643,16 @@ impl ReplicaThread {
         // Metered crypto accounting is the simulator's cost model; here
         // real time is the cost.
         let _ = self.engine.take_crypto_ops();
-        self.apply_engine_fx(fx);
-    }
-
-    fn apply_engine_fx(&mut self, fx: Vec<Effect>) {
+        // Crypto jobs go to the pool; their results come back as control
+        // frames, and nothing below waits for them.
+        for job in self.engine.take_crypto_jobs() {
+            self.crypto.push(PoolJob::Engine {
+                node: self.node_idx,
+                group: self.g,
+                replica: self.r as u32,
+                job,
+            });
+        }
         for e in fx {
             self.engine_effect(e);
         }
@@ -717,7 +740,7 @@ impl ReplicaThread {
                 self.handle_tb_effects(Lane::CtbTb { stream }, tfx);
             }
             CtbEffect::Sign { k, fp } => {
-                self.crypto.push(CryptoJob::Sign {
+                self.crypto.push(PoolJob::Sign {
                     node: self.node_idx,
                     group: self.g,
                     stream: stream as u32,
@@ -726,7 +749,7 @@ impl ReplicaThread {
                 });
             }
             CtbEffect::Verify { tag, k, fp, sig } => {
-                self.crypto.push(CryptoJob::Verify {
+                self.crypto.push(PoolJob::Verify {
                     node: self.node_idx,
                     group: self.g,
                     stream: stream as u32,
@@ -1238,7 +1261,7 @@ pub fn run_wallclock(
         let _ = router.send_ctl(node, CtlMsg::Shutdown);
     }
     for _ in 0..workers {
-        pool.push(CryptoJob::Stop);
+        pool.push(PoolJob::Stop);
     }
 
     let mut latency = LatencyStats::new();

@@ -265,13 +265,14 @@ impl ChannelReceiver {
             let slot = (self.expected_seq % self.spec.slots as u64) as usize;
             let expected_inc = (self.expected_seq / self.spec.slots as u64 + 1) as u32;
             let offset = slot * self.spec.slot_size();
-            let frame =
-                match fabric.local_read(self.host, self.region, offset, self.spec.slot_size(), now)
-                {
-                    Ok(f) => f,
-                    Err(_) => return out, // crashed host: nothing deliverable
-                };
-            let inc = u32::from_le_bytes(frame[8..12].try_into().expect("header"));
+            // Read the 16-byte header onto the stack first: most polls end
+            // at a slot that is not written yet, and a slot is sized for the
+            // largest message (KiBs) while the message is usually tiny.
+            let mut header = [0u8; SLOT_HEADER];
+            if fabric.local_read_into(self.host, self.region, offset, &mut header, now).is_err() {
+                return out; // crashed host: nothing deliverable
+            }
+            let inc = u32::from_le_bytes(header[8..12].try_into().expect("header"));
             if inc < expected_inc {
                 // Not written yet.
                 return out;
@@ -287,21 +288,26 @@ impl ChannelReceiver {
                 self.expected_seq = oldest_live;
                 continue;
             }
-            // Incarnation matches: copy out and validate (the copy guards
-            // against in-place interference; the checksum catches tearing).
-            let mut c = [0u8; 8];
-            c.copy_from_slice(&frame[..8]);
-            let stored = u64::from_le_bytes(c);
-            let size = u32::from_le_bytes(frame[12..16].try_into().expect("header")) as usize;
-            if size > self.spec.slot_payload
-                || checksum64(CHECKSUM_SEED, &frame[8..SLOT_HEADER + size]) != stored
-            {
+            // Incarnation matches: copy out exactly the message and validate
+            // (the copy guards against in-place interference; the checksum
+            // catches tearing). Both reads sample the same instant.
+            let stored = u64::from_le_bytes(header[..8].try_into().expect("header"));
+            let size = u32::from_le_bytes(header[12..16].try_into().expect("header")) as usize;
+            if size > self.spec.slot_payload {
+                out.repoll = true;
+                return out;
+            }
+            let mut frame = vec![0u8; SLOT_HEADER + size];
+            if fabric.local_read_into(self.host, self.region, offset, &mut frame, now).is_err() {
+                return out;
+            }
+            if checksum64(CHECKSUM_SEED, &frame[8..]) != stored {
                 // Mid-write or corrupt: retry shortly.
                 out.repoll = true;
                 return out;
             }
-            out.delivered
-                .push((self.expected_seq, frame[SLOT_HEADER..SLOT_HEADER + size].to_vec()));
+            frame.drain(..SLOT_HEADER);
+            out.delivered.push((self.expected_seq, frame));
             self.expected_seq += 1;
         }
     }

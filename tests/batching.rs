@@ -26,6 +26,7 @@ struct Net {
     executed: Vec<Vec<Vec<u8>>>,
     timers: Vec<Vec<TimerKind>>,
     crashed: Vec<bool>,
+    ring: KeyRing,
     queue: VecDeque<(usize, Effect)>,
 }
 
@@ -47,6 +48,7 @@ impl Net {
             executed: vec![Vec::new(); n],
             timers: vec![Vec::new(); n],
             crashed: vec![false; n],
+            ring,
             queue: VecDeque::new(),
         };
         for i in 0..n {
@@ -61,9 +63,18 @@ impl Net {
         self.engines.len()
     }
 
+    /// Queues the effects of one call on engine `who`. The harness has no
+    /// crypto worker, so the call's crypto jobs run on the spot and their
+    /// completions are fed straight back.
     fn enqueue(&mut self, who: usize, fx: Vec<Effect>) {
         for e in fx {
             self.queue.push_back((who, e));
+        }
+        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
+        for job in self.engines[who].take_crypto_jobs() {
+            let result = job.run(&signer, &self.ring);
+            let fx = self.engines[who].on_crypto_done(job.tag, result);
+            self.enqueue(who, fx);
         }
     }
 

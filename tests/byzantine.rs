@@ -280,3 +280,83 @@ fn equivocation_sequence_is_recorded_in_diagnostics() {
     assert!(engine.on_ctb_equivocation(ReplicaId(0), SeqId(43)).is_empty());
     assert_eq!(engine.diag().equivocations, vec![(ReplicaId(0), SeqId(42))]);
 }
+
+#[test]
+fn share_flooding_peer_buys_one_verification_per_open_boundary() {
+    // Regression: any validly signed CERTIFY_SUMMARY share used to be
+    // verified (45.5 µs each) and filed under `summary_shares[upto][digest]`
+    // for arbitrary future `upto` and arbitrary `digest`, so one Byzantine
+    // peer could grow the table without limit. Now only boundaries the
+    // broadcaster crossed and has not certified are admitted, one share per
+    // signer — and the flood cannot keep an honest share from certifying.
+    use ubft_core::engine::{CryptoJob, CryptoTag, Effect, Engine, EngineConfig, PathMode};
+    use ubft_core::msg::{summary_sign_bytes, DirectMsg, Request, TbMsg};
+    use ubft_crypto::{sha256, KeyRing};
+    use ubft_types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId};
+
+    let ring = KeyRing::generate(7, (0..3u32).map(|i| ProcessId::Replica(ReplicaId(i))));
+    let signer = |r: u32| ring.signer(ProcessId::Replica(ReplicaId(r))).unwrap();
+    let mut cfg = EngineConfig::new(ClusterParams::paper_default(), PathMode::FastOnly);
+    cfg.echo_round = false;
+    let mut engine = Engine::new(ReplicaId(0), cfg, ring.clone());
+    let _ = engine.start();
+    let complete = |engine: &mut Engine, job: &CryptoJob| {
+        engine.on_crypto_done(job.tag, job.run(&signer(0), &ring))
+    };
+
+    // The leader broadcasts 70 prepares: boundary 64 is open, 128 is not
+    // reached. Its own share is signed by the one job the boundary queues.
+    let mut own_share = Vec::new();
+    for seq in 0..70u64 {
+        let req = Request { id: RequestId::new(ClientId(1), seq), payload: vec![1; 32] };
+        for e in engine.on_client_request(req) {
+            if let Effect::CtbBroadcast(msg) = e {
+                let _ = engine.on_ctb_deliver(ReplicaId(0), SeqId(seq + 1), msg);
+            }
+        }
+        own_share.extend(engine.take_crypto_jobs());
+    }
+    assert_eq!(own_share.len(), 1);
+    let CryptoTag::SummaryShare { digest: honest, .. } = own_share[0].tag else {
+        panic!("boundary job is the own share");
+    };
+    assert!(complete(&mut engine, &own_share[0]).is_empty());
+
+    // r1 floods validly signed shares: every `upto` up to far beyond
+    // anything broadcast, a fresh digest each, many repeats.
+    let share = |from: u32, upto: u64, digest: Digest| DirectMsg::CertifySummary {
+        stream: ReplicaId(0),
+        upto: SeqId(upto),
+        digest,
+        sig: signer(from).sign(&summary_sign_bytes(ReplicaId(0), SeqId(upto), &digest)),
+    };
+    let mut bought = Vec::new();
+    for i in 0..4_000u64 {
+        let upto = match i % 4 {
+            0 => 64,
+            1 => 64 * (1 + i % 1_000),
+            2 => i,
+            _ => 1 << 40,
+        };
+        let fx = engine.on_direct(ReplicaId(1), share(1, upto, sha256(&i.to_le_bytes())));
+        assert!(fx.is_empty());
+        bought.extend(engine.take_crypto_jobs());
+    }
+    assert_eq!(bought.len(), 1, "4 000 messages bought {} verifications", bought.len());
+    assert_eq!(engine.take_crypto_ops().verifies, 0, "nothing is verified on the engine's thread");
+    // Its one (validly signed, wrong-digest) share checks out and still
+    // certifies nothing.
+    assert!(complete(&mut engine, &bought[0]).is_empty());
+    assert_eq!(engine.ctb_summarized_upto(), 0);
+
+    // The honest follower's share completes the summary regardless.
+    assert!(engine.on_direct(ReplicaId(2), share(2, 64, honest)).is_empty());
+    let check = engine.take_crypto_jobs();
+    assert_eq!(check.len(), 1);
+    let fx = complete(&mut engine, &check[0]);
+    assert!(matches!(
+        fx.first(),
+        Some(Effect::TbBroadcast(TbMsg::Summary { upto: SeqId(64), .. }))
+    ));
+    assert_eq!(engine.ctb_summarized_upto(), 64);
+}

@@ -1,5 +1,7 @@
 //! Pinned simulator outputs: exact digests, counters, and end times of
-//! representative runs, captured before the `Transport` refactor. The
+//! representative runs, captured before the `Transport` refactor (times
+//! and counters of the three single-client runs re-captured when summary
+//! crypto left the request path; their digests did not move). The
 //! simulator backend is a calibrated instrument — any change to these
 //! values means virtual-time behaviour drifted, which invalidates every
 //! figure the repo reproduces. A deliberate behaviour change must update
@@ -47,19 +49,19 @@ fn fingerprint(cfg: SimConfig, requests: u64, warmup: u64) -> String {
 #[test]
 fn fast_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(42).fast_only(), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=1117417 mean=10287 p50=8743 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 7, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=963682 mean=8750 p50=8745 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn slow_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(43).slow_only(), 50, 5);
-    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=11299424 mean=205578 p50=203906 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 686, cons_msgs: 540, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 660, engine_signs: 168, engine_verifies: 337, reg_writes: 660, reg_reads: 660 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=11215849 mean=203909 p50=203895 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 684, cons_msgs: 536, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 660, engine_signs: 168, engine_verifies: 331, reg_writes: 660, reg_reads: 660 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn default_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(7), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=1113638 mean=10253 p50=8770 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 7, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=966193 mean=8778 p50=8768 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
