@@ -126,9 +126,9 @@ pub fn chaos_explore(plans: u64) -> String {
         stalled.len()
     ));
     if !stalled.is_empty() {
-        let sample: Vec<String> =
-            stalled.iter().take(12).map(|(s, c)| format!("{s} ({c}/{REQUESTS})")).collect();
-        out.push_str(&format!("stalled seeds (completed): {}\n", sample.join(", ")));
+        let seeds: Vec<String> =
+            stalled.iter().map(|(s, c)| format!("{s} ({c}/{REQUESTS})")).collect();
+        out.push_str(&format!("stalled seeds (completed): {}\n", seeds.join(", ")));
     }
     out.push_str(&format!(
         "decisions audited: {decisions}  executions audited: {executions}  wall: {:.1}s\n",

@@ -554,6 +554,12 @@ pub struct Engine {
     join: Option<JoinState>,
     /// Proven CTBcast equivocations, one per branded stream.
     equivocations: Vec<(ReplicaId, SeqId)>,
+    /// Replicas whose WILL_COMMIT was missing when a slot's fast-path
+    /// timeout fired. While anyone is suspected the fast path cannot reach
+    /// unanimity, so a newly accepted prepare starts the slow path at once
+    /// instead of waiting out the timeout again; any consensus frame from
+    /// the replica (a [`TbMsg`], an echo, a join) clears it.
+    suspected: BTreeSet<ReplicaId>,
     /// Decisions recorded for the auditor (only when
     /// [`EngineConfig::record_decisions`] is set).
     decisions: Vec<DecisionRecord>,
@@ -617,6 +623,7 @@ impl Engine {
             vc_streak: 0,
             join: None,
             equivocations: Vec::new(),
+            suspected: BTreeSet::new(),
             decisions: Vec::new(),
             ops: CryptoOps::default(),
         }
@@ -881,6 +888,7 @@ impl Engine {
     /// A follower echoed a client request to us (we may be the leader).
     pub fn on_echo(&mut self, from: ReplicaId, req: Request) -> Vec<Effect> {
         let mut fx = Vec::new();
+        self.suspected.remove(&from);
         if !self.is_leader() {
             return fx;
         }
@@ -1254,7 +1262,13 @@ impl Engine {
                     fx.push(Effect::TbBroadcast(TbMsg::WillCertify { view: prep.view, slot }));
                 }
                 if self.cfg.path == PathMode::FastWithFallback {
-                    fx.push(Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(slot) });
+                    if self.suspected.is_empty() {
+                        fx.push(Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(slot) });
+                    } else {
+                        // A replica is known to be silent: the timeout
+                        // would only re-discover it.
+                        fx.extend(self.start_slow_path(slot));
+                    }
                 }
             }
             PathMode::SlowOnly => {
@@ -1284,17 +1298,23 @@ impl Engine {
         fx
     }
 
-    /// The fast-path timeout fired for `slot`.
+    /// The fast-path timeout fired for `slot`: if it is still undecided,
+    /// start the slow path and suspect every replica whose WILL_COMMIT is
+    /// missing.
     pub fn on_slot_slow_trigger(&mut self, slot: Slot) -> Vec<Effect> {
-        if self.slots.get(&slot).is_some_and(|s| s.decided.is_some()) {
+        let Some(state) = self.slots.get(&slot).filter(|s| s.decided.is_none()) else {
             return Vec::new();
-        }
+        };
+        let silent =
+            self.cfg.params.replicas().filter(|r| *r != self.me && !state.will_commit.contains(r));
+        self.suspected.extend(silent);
         self.start_slow_path(slot)
     }
 
     /// A consensus TBcast message arrived from `from`.
     pub fn on_tb_deliver(&mut self, from: ReplicaId, msg: TbMsg) -> Vec<Effect> {
         let mut fx = self.run_unclaimed_jobs();
+        self.suspected.remove(&from);
         if self.byzantine.contains(&from) {
             return fx;
         }
@@ -1933,6 +1953,7 @@ impl Engine {
     /// A replacement node announced itself: answer with our protocol
     /// coordinates (any replica may serve; the joiner cross-checks).
     pub fn on_join(&mut self, from: ReplicaId) -> Vec<Effect> {
+        self.suspected.remove(&from);
         if from == self.me || self.join.is_some() {
             return Vec::new();
         }

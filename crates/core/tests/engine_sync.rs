@@ -881,6 +881,57 @@ fn decide_degraded(net: &mut Net, seq: u64, payload: &[u8]) {
     net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
 }
 
+fn slot_triggers_armed(net: &Net, r: usize) -> usize {
+    net.timers[r].iter().filter(|k| matches!(k, TimerKind::SlotSlowTrigger(_))).count()
+}
+
+#[test]
+fn slot_trigger_suspects_the_silent_replica_and_its_join_clears_it() {
+    let mut net = Net::new(PathMode::FastWithFallback);
+    net.crashed[2] = true;
+    // The first degraded slot pays the fast-path timeout: that is how the
+    // survivors learn replica 2 is silent.
+    decide_degraded(&mut net, 0, b"detect");
+    for r in 0..2 {
+        assert_eq!(net.executed[r].len(), 1, "replica {r}");
+    }
+    // From then on an accepted prepare starts the slow path at once: the
+    // slot decides with no slow trigger armed, let alone fired. (The echo
+    // round still waits for the dead follower; that wait is out of scope.)
+    net.client_request(1, b"degraded");
+    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    for r in 0..2 {
+        assert_eq!(net.executed[r].len(), 2, "replica {r} waited for a timer");
+        assert_eq!(slot_triggers_armed(&net, r), 0, "replica {r} armed a slow trigger");
+    }
+    // The replacement's Join is its first word: suspicion clears, so the
+    // next slot runs the signature-free fast path and arms the trigger.
+    net.replace(2);
+    for r in 0..3 {
+        let _ = net.engines[r].take_crypto_ops();
+    }
+    net.client_request(2, b"healed");
+    for r in 0..2 {
+        assert_eq!(net.executed[r].len(), 3, "replica {r}");
+        assert_eq!(slot_triggers_armed(&net, r), 1, "replica {r} still suspects the joiner");
+        assert_eq!(net.engines[r].take_crypto_ops(), CryptoOps::default(), "replica {r}");
+    }
+    net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn slot_trigger_on_a_decided_slot_suspects_nobody() {
+    let mut net = Net::new(PathMode::FastWithFallback);
+    net.client_request(0, b"fast");
+    // The fast path won; the trigger armed for the slot fires afterwards.
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    net.client_request(1, b"still fast");
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 2, "replica {r}");
+        assert_eq!(slot_triggers_armed(&net, r), 1, "replica {r} went straight to the slow path");
+    }
+}
+
 #[test]
 fn replacement_node_rejoins_and_converges() {
     // Small window so checkpoints (and therefore state transfer) happen

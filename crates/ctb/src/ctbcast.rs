@@ -235,6 +235,12 @@ pub struct Ctb {
     max_seen: SeqId,
     /// In-flight slow-path deliveries, keyed by ring slot.
     slow: HashMap<usize, SlowPending>,
+    /// Broadcaster only: receivers whose `LOCKED` was missing when a
+    /// fast-path timeout fired. While anyone is suspected the fast path
+    /// cannot reach unanimity, so [`Ctb::broadcast`] signs at once instead
+    /// of waiting out the timeout again; a `LOCKED` from the receiver
+    /// clears it.
+    suspected: BTreeSet<ReplicaId>,
 }
 
 impl Ctb {
@@ -259,6 +265,7 @@ impl Ctb {
             payloads: HashMap::new(),
             max_seen: SeqId(0),
             slow: HashMap::new(),
+            suspected: BTreeSet::new(),
         }
     }
 
@@ -357,18 +364,24 @@ impl Ctb {
             fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
         }
         match self.cfg.slow {
-            SlowMode::Always => {
+            SlowMode::OnTimeout if self.suspected.is_empty() => {
+                fx.push(CtbEffect::ArmSlowTimer { k });
+            }
+            // `OnTimeout` with a receiver known to be silent: the timeout
+            // would only re-discover it, so the slow path starts beside
+            // the fast one.
+            SlowMode::Always | SlowMode::OnTimeout => {
                 self.sign_requested.insert(k.0);
                 fx.push(CtbEffect::Sign { k, fp });
             }
-            SlowMode::OnTimeout => fx.push(CtbEffect::ArmSlowTimer { k }),
             SlowMode::Never => {}
         }
         (k, fx)
     }
 
     /// The runtime's fast-path timeout for `k` fired without delivery:
-    /// trigger the slow path (broadcaster only).
+    /// trigger the slow path (broadcaster only) and suspect every receiver
+    /// whose `LOCKED` for `k` is missing.
     pub fn on_slow_timeout(&mut self, k: SeqId) -> Vec<CtbEffect> {
         if self.me != self.stream || self.sign_requested.contains(&k.0) {
             return Vec::new();
@@ -382,6 +395,11 @@ impl Ctb {
         };
         let fp = fingerprint(m);
         self.sign_requested.insert(k.0);
+        for (q, row) in self.locked.iter().enumerate() {
+            if row[slot] != Some((k, fp)) {
+                self.suspected.insert(self.replicas[q]);
+            }
+        }
         vec![CtbEffect::Sign { k, fp }]
     }
 
@@ -452,6 +470,7 @@ impl Ctb {
         let Some(q) = self.index_of(from) else {
             return Vec::new();
         };
+        self.suspected.remove(&from);
         let fp = fingerprint(&m);
         self.cache_payload(k, fp, &m);
         let slot = self.slot(k);
@@ -1056,6 +1075,59 @@ mod tests {
             h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k: k2, m: m2.clone(), sig: sig2 });
         h.run(out.into_iter().map(|e| (1usize, e)).collect());
         assert_eq!(h.delivered[1], vec![(k2, m2)]);
+    }
+
+    /// One fast-path round on stream 0 with only `responders` alive: each
+    /// gets the broadcaster's LOCK and its LOCKED reaches the broadcaster.
+    /// Returns what the broadcaster emitted on the way.
+    fn lock_round(h: &mut Harness, k: SeqId, m: &[u8], responders: &[usize]) -> Vec<CtbEffect> {
+        let mut out = Vec::new();
+        for &r in responders {
+            let fx = h.ctbs[r].on_tb_deliver(rid(0), CtbWire::Lock { k, m: m.to_vec() });
+            assert_eq!(fx, vec![CtbEffect::Broadcast(CtbWire::Locked { k, m: m.to_vec() })]);
+            let locked = CtbWire::Locked { k, m: m.to_vec() };
+            out.extend(h.ctbs[0].on_tb_deliver(rid(r as u32), locked));
+        }
+        out
+    }
+
+    fn signs(fx: &[CtbEffect]) -> usize {
+        fx.iter().filter(|e| matches!(e, CtbEffect::Sign { .. })).count()
+    }
+
+    fn arms(fx: &[CtbEffect]) -> usize {
+        fx.iter().filter(|e| matches!(e, CtbEffect::ArmSlowTimer { .. })).count()
+    }
+
+    #[test]
+    fn timeout_with_a_silent_receiver_signs_later_broadcasts_at_once() {
+        let mut h = Harness::new(CtbConfig::deployed(N, T));
+        let (k1, fx) = h.ctbs[0].broadcast(b"one".to_vec());
+        assert_eq!((signs(&fx), arms(&fx)), (0, 1));
+        // r2 is silent: no unanimity, the timeout fires and r2 is suspected.
+        assert!(lock_round(&mut h, k1, b"one", &[0, 1]).is_empty());
+        assert_eq!(signs(&h.ctbs[0].on_slow_timeout(k1)), 1);
+        // The next broadcast runs both paths at once and arms nothing.
+        let (k2, fx) = h.ctbs[0].broadcast(b"two".to_vec());
+        assert!(fx.contains(&CtbEffect::Broadcast(CtbWire::Lock { k: k2, m: b"two".to_vec() })));
+        assert_eq!((signs(&fx), arms(&fx)), (1, 0));
+        // A timer left over from before is a no-op: the sign was requested.
+        assert!(h.ctbs[0].on_slow_timeout(k2).is_empty());
+        // r2 speaks again (a LOCKED for anything): back to the timer.
+        lock_round(&mut h, k2, b"two", &[2]);
+        let (_, fx) = h.ctbs[0].broadcast(b"three".to_vec());
+        assert_eq!((signs(&fx), arms(&fx)), (0, 1));
+    }
+
+    #[test]
+    fn timer_firing_after_fast_delivery_suspects_nobody() {
+        let mut h = Harness::new(CtbConfig::deployed(N, T));
+        let (k1, _) = h.ctbs[0].broadcast(b"one".to_vec());
+        let fx = lock_round(&mut h, k1, b"one", &[0, 1, 2]);
+        assert_eq!(fx, vec![CtbEffect::Deliver { k: k1, payload: b"one".to_vec() }]);
+        assert!(h.ctbs[0].on_slow_timeout(k1).is_empty());
+        let (_, fx) = h.ctbs[0].broadcast(b"two".to_vec());
+        assert_eq!((signs(&fx), arms(&fx)), (0, 1));
     }
 
     #[test]

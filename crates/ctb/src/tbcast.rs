@@ -28,7 +28,7 @@ pub enum TbEffect {
     SendAck {
         /// Destination (the broadcaster).
         to: ReplicaId,
-        /// Highest delivered sequence number.
+        /// Cumulative: every id up to here is delivered or out of the tail.
         upto: SeqId,
     },
     /// Deliver a payload locally.
@@ -55,6 +55,11 @@ pub struct TailBroadcaster {
     acked: BTreeMap<ReplicaId, SeqId>,
     /// Retransmission generation: bumped by [`Self::retransmit_stale`].
     gen: u64,
+    /// Peers whose last write the transport refused (a crashed or
+    /// partitioned host — what a broken RC queue pair reports), each with
+    /// the stale ids the last tick held back from it. Such a peer is
+    /// probed with one frame per tick instead of the whole stale tail.
+    unreachable: BTreeMap<ReplicaId, Vec<SeqId>>,
 }
 
 impl TailBroadcaster {
@@ -71,6 +76,7 @@ impl TailBroadcaster {
             buffer: VecDeque::new(),
             acked,
             gen: 0,
+            unreachable: BTreeMap::new(),
         }
     }
 
@@ -105,32 +111,23 @@ impl TailBroadcaster {
         }
     }
 
-    /// Retransmits every buffered message a peer has not acknowledged.
-    /// A no-op when all peers are caught up.
-    pub fn retransmit(&mut self) -> Vec<TbEffect> {
-        let mut effects = Vec::new();
-        for &p in &self.peers {
-            let acked = self.acked.get(&p).copied().unwrap_or(SeqId(0));
-            for (k, payload, _) in &self.buffer {
-                if *k > acked {
-                    effects.push(TbEffect::SendTo {
-                        to: p,
-                        wire: TbWire { k: *k, payload: payload.clone() },
-                    });
-                }
-            }
-        }
-        effects
-    }
-
     /// Retransmits unacknowledged messages that have not been (re)sent for a
     /// full retransmission period. Driven by a periodic runtime timer: a
     /// message is resent only after surviving one complete period without an
     /// acknowledgement, so the common case (prompt delivery, ack in flight)
     /// causes no duplicate traffic.
+    ///
+    /// A peer the transport reported unreachable
+    /// ([`Self::on_send_result`]) gets only the oldest stale frame above its
+    /// ack — a probe; the rest of its stale tail is held back until a write
+    /// to it is accepted again.
     pub fn retransmit_stale(&mut self) -> Vec<TbEffect> {
         self.gen += 1;
+        for held in self.unreachable.values_mut() {
+            held.clear();
+        }
         let min_unacked = self.acked.values().copied().min().unwrap_or(SeqId(0));
+        let mut probed: Vec<ReplicaId> = Vec::new();
         let mut effects = Vec::new();
         for (k, payload, last_gen) in &mut self.buffer {
             if *k <= min_unacked || *last_gen + 1 >= self.gen {
@@ -139,15 +136,48 @@ impl TailBroadcaster {
             *last_gen = self.gen;
             for &p in &self.peers {
                 let acked = self.acked.get(&p).copied().unwrap_or(SeqId(0));
-                if *k > acked {
-                    effects.push(TbEffect::SendTo {
-                        to: p,
-                        wire: TbWire { k: *k, payload: payload.clone() },
-                    });
+                if *k <= acked {
+                    continue;
                 }
+                if let Some(held) = self.unreachable.get_mut(&p) {
+                    if probed.contains(&p) {
+                        held.push(*k);
+                        continue;
+                    }
+                    probed.push(p);
+                }
+                effects.push(TbEffect::SendTo {
+                    to: p,
+                    wire: TbWire { k: *k, payload: payload.clone() },
+                });
             }
         }
         effects
+    }
+
+    /// The transport's verdict on a data frame this broadcaster sent to
+    /// `peer`: the write was `accepted` onto the wire, or refused because
+    /// the host is down or cut off. A refusal makes the peer unreachable;
+    /// the first accepted write makes it reachable again and returns the
+    /// frames the last [`Self::retransmit_stale`] held back from it, so a
+    /// healed link receives its stale tail no later than it would have.
+    pub fn on_send_result(&mut self, peer: ReplicaId, accepted: bool) -> Vec<TbEffect> {
+        if !accepted {
+            self.unreachable.entry(peer).or_default();
+            return Vec::new();
+        }
+        let Some(held) = self.unreachable.remove(&peer) else {
+            return Vec::new();
+        };
+        let acked = self.acked.get(&peer).copied().unwrap_or(SeqId(0));
+        self.buffer
+            .iter()
+            .filter(|(k, _, _)| *k > acked && held.binary_search(k).is_ok())
+            .map(|(k, payload, _)| TbEffect::SendTo {
+                to: peer,
+                wire: TbWire { k: *k, payload: payload.clone() },
+            })
+            .collect()
     }
 
     /// Number of buffered (retained) messages.
@@ -168,6 +198,10 @@ pub struct TailReceiver {
     window: usize,
     /// Highest delivered sequence number.
     hi: SeqId,
+    /// What acks carry: the highest id with every id in `(hi - window, id]`
+    /// delivered. Acking `hi` itself would tell the broadcaster that a
+    /// frame lost *before* a later one arrived needs no retransmission.
+    prefix: SeqId,
     /// Recently delivered ids (for no-duplication under retransmission);
     /// pruned below `hi - window`.
     seen: BTreeSet<SeqId>,
@@ -183,6 +217,7 @@ impl TailReceiver {
             broadcaster,
             window,
             hi: SeqId(0),
+            prefix: SeqId(0),
             seen: BTreeSet::new(),
             ack_every: 16,
             delivered_since_ack: 0,
@@ -209,22 +244,25 @@ impl TailReceiver {
         // (no-duplication bookkeeping for them is gone).
         let floor = SeqId(self.hi.0.saturating_sub(self.window as u64));
         if k <= floor || self.seen.contains(&k) {
-            self.delivered_since_ack = 0;
-            effects.push(TbEffect::SendAck { to: self.broadcaster, upto: self.hi });
+            effects.push(self.ack_now());
             return effects;
         }
         self.seen.insert(k);
         if k > self.hi {
             self.hi = k;
         }
-        // Prune dedup state outside the window.
-        let new_floor = self.hi.0.saturating_sub(self.window as u64);
-        self.seen = self.seen.split_off(&SeqId(new_floor + 1));
+        // Prune dedup state outside the window; ids at or below the new
+        // floor can never be delivered, so the acked prefix covers them.
+        let new_floor = SeqId(self.hi.0.saturating_sub(self.window as u64));
+        self.seen = self.seen.split_off(&new_floor.next());
+        self.prefix = self.prefix.max(new_floor);
+        while self.seen.contains(&self.prefix.next()) {
+            self.prefix = self.prefix.next();
+        }
         effects.push(TbEffect::Deliver { from: self.broadcaster, k, payload: wire.payload });
         self.delivered_since_ack += 1;
         if self.delivered_since_ack >= self.ack_every {
-            self.delivered_since_ack = 0;
-            effects.push(TbEffect::SendAck { to: self.broadcaster, upto: self.hi });
+            effects.push(self.ack_now());
         }
         effects
     }
@@ -233,7 +271,7 @@ impl TailReceiver {
     /// retransmission quiet when traffic is idle).
     pub fn ack_now(&mut self) -> TbEffect {
         self.delivered_since_ack = 0;
-        TbEffect::SendAck { to: self.broadcaster, upto: self.hi }
+        TbEffect::SendAck { to: self.broadcaster, upto: self.prefix }
     }
 
     /// Highest sequence number delivered so far.
@@ -248,6 +286,23 @@ mod tests {
 
     fn payload(i: u8) -> Vec<u8> {
         vec![i]
+    }
+
+    /// `(peer, id)` of every frame `fx` sends.
+    fn sends(fx: &[TbEffect]) -> Vec<(u32, u64)> {
+        fx.iter()
+            .filter_map(|e| match e {
+                TbEffect::SendTo { to, wire } => Some((to.0, wire.k.0)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// What is resent once everything buffered so far has gone a full
+    /// period unacknowledged: two ticks.
+    fn stale_tail(b: &mut TailBroadcaster) -> Vec<(u32, u64)> {
+        assert!(b.retransmit_stale().is_empty());
+        sends(&b.retransmit_stale())
     }
 
     #[test]
@@ -269,16 +324,8 @@ mod tests {
             b.broadcast(payload(i));
         }
         assert_eq!(b.buffered(), 3);
-        // Retransmit covers only the last 3 (k=3,4,5).
-        let fx = b.retransmit();
-        let ks: Vec<u64> = fx
-            .iter()
-            .filter_map(|e| match e {
-                TbEffect::SendTo { wire, .. } => Some(wire.k.0),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ks, vec![3, 4, 5]);
+        // Retransmission covers only the last 3 (k=3,4,5).
+        assert_eq!(stale_tail(&mut b), vec![(1, 3), (1, 4), (1, 5)]);
     }
 
     #[test]
@@ -289,18 +336,8 @@ mod tests {
         }
         b.on_ack(ReplicaId(1), SeqId(4));
         b.on_ack(ReplicaId(2), SeqId(2));
-        let fx = b.retransmit();
         // Only peer 2's missing k=3,4 are resent.
-        assert_eq!(fx.len(), 2);
-        for e in fx {
-            match e {
-                TbEffect::SendTo { to, wire } => {
-                    assert_eq!(to, ReplicaId(2));
-                    assert!(wire.k >= SeqId(3));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
+        assert_eq!(stale_tail(&mut b), vec![(2, 3), (2, 4)]);
     }
 
     #[test]
@@ -309,7 +346,7 @@ mod tests {
         b.broadcast(payload(0));
         b.on_ack(ReplicaId(1), SeqId(1));
         b.on_ack(ReplicaId(1), SeqId(0)); // stale
-        assert!(b.retransmit().is_empty());
+        assert!(stale_tail(&mut b).is_empty());
     }
 
     #[test]
@@ -392,6 +429,77 @@ mod tests {
         b.on_ack(ReplicaId(2), SeqId(2));
         assert!(b.retransmit_stale().is_empty());
         assert!(b.retransmit_stale().is_empty());
+    }
+
+    #[test]
+    fn unreachable_peer_gets_one_probe_per_tick_and_it_is_the_oldest_unacked() {
+        let mut b = TailBroadcaster::new(ReplicaId(0), vec![ReplicaId(1), ReplicaId(2)], 8);
+        for i in 0..4 {
+            b.broadcast(payload(i));
+        }
+        b.on_ack(ReplicaId(1), SeqId(1));
+        b.on_ack(ReplicaId(2), SeqId(1));
+        // The transport refused a write to peer 2.
+        assert!(b.on_send_result(ReplicaId(2), false).is_empty());
+        // Peer 1 gets its whole stale tail, peer 2 only k=2.
+        assert_eq!(stale_tail(&mut b), vec![(1, 2), (2, 2), (1, 3), (1, 4)]);
+        // The probe is refused again: still one frame on the next stale tick.
+        assert!(b.on_send_result(ReplicaId(2), false).is_empty());
+        let again: Vec<_> = stale_tail(&mut b).into_iter().filter(|s| s.0 == 2).collect();
+        assert_eq!(again, vec![(2, 2)]);
+    }
+
+    #[test]
+    fn accepted_probe_releases_the_held_tail_the_same_tick() {
+        let mut b = TailBroadcaster::new(ReplicaId(0), vec![ReplicaId(1), ReplicaId(2)], 8);
+        for i in 0..4 {
+            b.broadcast(payload(i));
+        }
+        b.on_ack(ReplicaId(1), SeqId(4));
+        b.on_send_result(ReplicaId(2), false);
+        assert_eq!(stale_tail(&mut b), vec![(2, 1)]);
+        // An ack that arrives before the verdict trims the release.
+        b.on_ack(ReplicaId(2), SeqId(2));
+        assert_eq!(sends(&b.on_send_result(ReplicaId(2), true)), vec![(2, 3), (2, 4)]);
+        // Reachable again: nothing more is held, and the next stale tick
+        // sends the whole tail as before.
+        assert!(b.on_send_result(ReplicaId(2), true).is_empty());
+        assert_eq!(stale_tail(&mut b), vec![(2, 3), (2, 4)]);
+    }
+
+    #[test]
+    fn ack_is_the_delivered_prefix_so_a_hole_is_retransmitted() {
+        let mut b = TailBroadcaster::new(ReplicaId(0), vec![ReplicaId(1)], 8);
+        let mut r = TailReceiver::new(ReplicaId(0), 8);
+        for i in 0..6 {
+            b.broadcast(payload(i));
+        }
+        // 3, 4 and 5 are lost to a partition; 6 arrives after it heals.
+        for k in [1u64, 2, 6] {
+            r.on_wire(TbWire { k: SeqId(k), payload: payload(k as u8) });
+        }
+        assert_eq!(r.high_watermark(), SeqId(6));
+        let TbEffect::SendAck { upto, .. } = r.ack_now() else { panic!("ack_now acks") };
+        assert_eq!(upto, SeqId(2));
+        b.on_ack(ReplicaId(1), upto);
+        let resent = stale_tail(&mut b);
+        assert_eq!(resent, vec![(1, 3), (1, 4), (1, 5), (1, 6)]);
+        // The hole fills in any order; the ack then covers everything.
+        for (_, k) in resent.into_iter().rev() {
+            r.on_wire(TbWire { k: SeqId(k), payload: payload(k as u8) });
+        }
+        assert_eq!(r.ack_now(), TbEffect::SendAck { to: ReplicaId(0), upto: SeqId(6) });
+    }
+
+    #[test]
+    fn ack_never_waits_for_ids_that_fell_out_of_the_tail() {
+        let mut r = TailReceiver::new(ReplicaId(0), 4);
+        r.on_wire(TbWire { k: SeqId(1), payload: payload(1) });
+        // 2..=9 are lost; 10 moves the window to (6, 10].
+        r.on_wire(TbWire { k: SeqId(10), payload: payload(10) });
+        assert_eq!(r.ack_now(), TbEffect::SendAck { to: ReplicaId(0), upto: SeqId(6) });
+        r.on_wire(TbWire { k: SeqId(7), payload: payload(7) });
+        assert_eq!(r.ack_now(), TbEffect::SendAck { to: ReplicaId(0), upto: SeqId(7) });
     }
 
     #[test]

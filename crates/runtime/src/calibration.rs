@@ -30,7 +30,12 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// Fault schedule.
     pub failures: FailurePlan,
-    /// Fast-path timeout before the slow path starts.
+    /// Fast-path *detection* timeout: how long a CTBcast broadcaster waits
+    /// for every `LOCKED`, and a replica for a slot's WILL_* rounds, before
+    /// starting the slow path. Paid once per silent peer, not per message:
+    /// the timeout that fires marks the peers whose contribution is missing
+    /// as suspected, and while anyone is suspected new broadcasts and slots
+    /// start the slow path at once, until the peer is heard from again.
     pub slow_trigger: Duration,
     /// Leader-progress watchdog period.
     pub progress_timeout: Duration,

@@ -1403,14 +1403,20 @@ impl GroupRuntime {
                         Lane::ConsTb => self.counters.cons_msgs += 1,
                         _ => {}
                     }
-                    self.channel_send(
-                        sh,
-                        lane,
-                        r,
-                        to.0 as usize,
-                        TbFrame::Data(wire).to_bytes(),
-                        at,
-                    );
+                    let bytes = TbFrame::Data(wire).to_bytes();
+                    let verdict = self.channel_send(sh, lane, r, to.0 as usize, bytes, at);
+                    // The broadcaster that caused the send learns whether
+                    // the fabric took the write; an accepted probe releases
+                    // the tail it was holding back from `to`.
+                    if let Some(accepted) = verdict {
+                        let node = &mut self.nodes[r];
+                        let tx = match lane {
+                            Lane::CtbTb { stream } => &mut node.ctb_tx[stream],
+                            _ => &mut node.cons_tx,
+                        };
+                        let released = tx.on_send_result(to, accepted);
+                        self.handle_tb_effects(sh, r, lane, at, released);
+                    }
                 }
                 TbEffect::SendAck { to, upto } => {
                     // Cumulative acks silence the broadcaster's
@@ -1455,6 +1461,11 @@ impl GroupRuntime {
         }
     }
 
+    /// Sends `bytes` on `lane` and schedules what the report asks for.
+    /// Returns the fabric's verdict on the link: `Some(false)` when it
+    /// refused a write (the destination is down or cut off), `Some(true)`
+    /// when it put one on the wire, `None` when nothing was attempted (the
+    /// data staged, or a Byzantine sender withheld it).
     fn channel_send(
         &mut self,
         sh: &mut Shared<'_>,
@@ -1463,13 +1474,13 @@ impl GroupRuntime {
         to: usize,
         bytes: Vec<u8>,
         at: Time,
-    ) {
+    ) -> Option<bool> {
         let mut at = at;
         match self.byz_mode(from, at) {
             // A silent replica stops transmitting entirely; it keeps
             // receiving, which is what distinguishes it from a crash in the
             // logs but not in effect.
-            Some(ByzantineMode::Silent) => return,
+            Some(ByzantineMode::Silent) => return None,
             // A laggard is correct but slow: every outgoing message is
             // delayed (a gray failure; the fast path must absorb or
             // time out past it).
@@ -1477,7 +1488,15 @@ impl GroupRuntime {
             _ => {}
         }
         let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, &bytes, at);
+        let verdict = if rep.refused > 0 {
+            Some(false)
+        } else if rep.arrivals.is_empty() {
+            None
+        } else {
+            Some(true)
+        };
         self.schedule_send_report(sh, lane, from, to, at, rep);
+        verdict
     }
 
     /// Turns a [`SendReport`](ubft_transport::net::SendReport) into

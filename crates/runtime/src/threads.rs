@@ -468,6 +468,8 @@ impl ReplicaThread {
         }
     }
 
+    /// The in-process mesh has no failure model: its report never carries a
+    /// refused write, so no TBcast peer ever turns unreachable here.
     fn send(&mut self, lane: LaneId, to: u32, bytes: Vec<u8>) {
         let me = self.node_idx;
         let _ = self.ep.send(&mut (), lane, me, to, &bytes, Time::ZERO);

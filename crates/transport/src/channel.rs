@@ -76,6 +76,10 @@ pub struct SendOutcome {
     pub issued: Vec<(u64, Time)>,
     /// Messages evicted from the staging queue without ever being sent.
     pub evicted: u64,
+    /// Writes the fabric refused because the target (or this host) is down
+    /// or cut off — what a broken RC queue pair reports. Nothing was put on
+    /// the wire for them.
+    pub refused: u64,
 }
 
 /// Sending endpoint: owns the write token and the local mirror bookkeeping.
@@ -128,8 +132,9 @@ impl ChannelSender {
         self.next_seq += 1;
         let mut outcome = self.flush(fabric, now);
         if self.staging.is_empty() && self.slot_free(seq, now) {
-            if let Some(arrival) = self.transmit(fabric, now, seq, payload) {
-                outcome.issued.push((seq, arrival));
+            match self.transmit(fabric, now, seq, payload) {
+                Some(arrival) => outcome.issued.push((seq, arrival)),
+                None => outcome.refused += 1,
             }
         } else {
             // Stage it; evict the oldest staged message if full. The staging
@@ -154,8 +159,9 @@ impl ChannelSender {
                 break;
             }
             let (_, payload) = self.staging.pop_front().expect("checked front");
-            if let Some(arrival) = self.transmit(fabric, now, seq, &payload) {
-                outcome.issued.push((seq, arrival));
+            match self.transmit(fabric, now, seq, &payload) {
+                Some(arrival) => outcome.issued.push((seq, arrival)),
+                None => outcome.refused += 1,
             }
         }
         outcome
@@ -172,6 +178,7 @@ impl ChannelSender {
         self.slot_busy_until[(seq % self.spec.slots as u64) as usize] <= now
     }
 
+    /// Issues the RDMA write for `seq`; `None` when the fabric refused it.
     fn transmit(
         &mut self,
         fabric: &mut Fabric,
@@ -470,6 +477,29 @@ mod tests {
         f.net_mut().crash_host(HostId(1), Time::ZERO);
         let out = tx.send(&mut f, t(1), b"x");
         assert!(out.issued.is_empty());
+        assert_eq!(out.refused, 1);
+    }
+
+    #[test]
+    fn refused_write_is_counted_and_touches_no_sender_state() {
+        let mut f = fabric();
+        let (mut tx, _rx) = create_channel(&mut f, HostId(1), spec());
+        tx.bind_issuer(HostId(0));
+        assert_eq!(tx.send(&mut f, t(0), b"up").refused, 0);
+        let busy_before = tx.slot_busy_until.clone();
+        f.net_mut().crash_host(HostId(1), t(1));
+        // A burst at one instant: with the host up, the fifth send would
+        // find slot 0 busy and stage. Refused writes leave every slot free.
+        let mut refused = 0;
+        for i in 0..8u8 {
+            let out = tx.send(&mut f, t(10), &[i]);
+            assert!(out.issued.is_empty());
+            refused += out.refused;
+        }
+        assert_eq!(refused, 8);
+        assert_eq!(tx.slot_busy_until, busy_before);
+        assert_eq!(tx.staged_len(), 0);
+        assert_eq!(tx.next_flush_at(), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! uBFT's fast message-passing primitive (§6.2) and the client RPC layer.
+//! uBFT's fast message-passing primitive (§6.2).
 //!
 //! The primitive is a one-way channel from a sender to a receiver where the
 //! receiver is only required to deliver the last `t` messages sent. The
@@ -16,11 +16,9 @@
 pub mod channel;
 pub mod inproc;
 pub mod net;
-pub mod rpc;
 pub mod sim_link;
 
 pub use channel::{ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome};
 pub use inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 pub use net::{Inbound, LaneId, PollReport, SendReport, Transport};
-pub use rpc::{ResponseCollector, RpcRequest, RpcResponse};
 pub use sim_link::SimLinkTransport;

@@ -52,6 +52,10 @@ pub struct SendReport {
     /// Messages evicted unsent by this call (buffer overwrite under
     /// backpressure).
     pub evicted: u64,
+    /// Writes the backend refused because the destination is down or cut
+    /// off (a broken RC queue pair, on the simulated fabric). A backend
+    /// with no failure model reports 0.
+    pub refused: u64,
 }
 
 /// One delivered message.

@@ -15,12 +15,25 @@ use ubft_rdma::Fabric;
 use ubft_sim::HostId;
 use ubft_types::Time;
 
-use crate::channel::{create_channel, ChannelReceiver, ChannelSender, ChannelSpec};
+use crate::channel::{create_channel, ChannelReceiver, ChannelSender, ChannelSpec, SendOutcome};
 use crate::net::{Inbound, LaneId, PollReport, SendReport, Transport};
 
 struct Link {
     tx: ChannelSender,
     rx: ChannelReceiver,
+}
+
+impl Link {
+    /// The transport-level report of one send or flush on this link.
+    fn report(&self, out: SendOutcome) -> SendReport {
+        SendReport {
+            arrivals: out.issued.into_iter().map(|(_seq, at)| at).collect(),
+            // `next_flush_at` is `None` exactly when nothing is staged.
+            flush_at: self.tx.next_flush_at(),
+            evicted: out.evicted,
+            refused: out.refused,
+        }
+    }
 }
 
 /// Keyed collection of simulated circular-buffer links, one per
@@ -90,12 +103,7 @@ impl Transport for SimLinkTransport {
             return SendReport::default();
         };
         let out = link.tx.send(fabric, now, payload);
-        let flush_at = if link.tx.staged_len() > 0 { link.tx.next_flush_at() } else { None };
-        SendReport {
-            arrivals: out.issued.into_iter().map(|(_seq, at)| at).collect(),
-            flush_at,
-            evicted: out.evicted,
-        }
+        link.report(out)
     }
 
     fn flush(
@@ -110,12 +118,7 @@ impl Transport for SimLinkTransport {
             return SendReport::default();
         };
         let out = link.tx.flush(fabric, now);
-        let flush_at = if link.tx.staged_len() > 0 { link.tx.next_flush_at() } else { None };
-        SendReport {
-            arrivals: out.issued.into_iter().map(|(_seq, at)| at).collect(),
-            flush_at,
-            evicted: out.evicted,
-        }
+        link.report(out)
     }
 
     fn recv_poll(

@@ -1,5 +1,6 @@
 //! Leader failover: crash the leader mid-run and watch the view change
-//! elect a new one while every surviving replica stays consistent.
+//! elect a new one while every surviving replica stays consistent — and
+//! keep serving at slow-path speed, not at one fast-path timeout per wait.
 //!
 //! ```sh
 //! cargo run --release --example crash_failover
@@ -22,13 +23,23 @@ fn main() {
         (0..3).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect();
     let workload = Box::new(|i: u64| i.to_le_bytes().to_vec());
     let mut cluster = Cluster::new(cfg, apps, workload);
-    let report = cluster.run(300, 0);
+    // The crash lands about 230 requests in; the last 500 are all served
+    // by the two survivors.
+    let report = cluster.run(500, 500);
     let mut lat = report.latency;
     println!("requests completed across the leader crash: {}", report.completed);
     println!("final views: {:?}", report.views);
-    println!("p50 {:>9}  max (failover blip) {:>9}", lat.median(), lat.max());
+    println!("post-failover p50 {:>9}  p99 {:>9}", lat.median(), lat.percentile(99.0));
     assert!(
         report.views.iter().skip(1).any(|v| v.0 >= 1),
         "surviving replicas should have moved past view 0"
+    );
+    // A slow-path request is ~204 us (EXPERIMENTS.md, Fig. 8). Each of the
+    // three fast-path waits that re-discovers the dead leader adds 200 us.
+    let slow_path = Duration::from_micros(204);
+    assert!(
+        lat.median().as_nanos() * 2 < slow_path.as_nanos() * 3,
+        "degraded requests cost {}, more than 1.5 x a slow-path request",
+        lat.median()
     );
 }
