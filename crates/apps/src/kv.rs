@@ -62,6 +62,12 @@ impl Wire for KvOp {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            KvOp::Get { key } | KvOp::Del { key } => key.encoded_len(),
+            KvOp::Set { key, value } => key.encoded_len() + value.encoded_len(),
+        }
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(KvOp::Get { key: Vec::<u8>::decode(r)? }),

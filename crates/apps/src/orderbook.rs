@@ -46,6 +46,9 @@ impl Wire for OrderOp {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        9
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(OrderOp::Buy { price: u32::decode(r)?, qty: u32::decode(r)? }),
@@ -71,6 +74,9 @@ impl Wire for Fill {
         self.maker_id.encode(buf);
         self.price.encode(buf);
         self.qty.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        16
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Fill { maker_id: u64::decode(r)?, price: u32::decode(r)?, qty: u32::decode(r)? })

@@ -62,7 +62,7 @@ fn bench_channel(c: &mut Criterion) {
             },
             |(mut fabric, mut tx, mut rx)| {
                 let out = tx.send(&mut fabric, Time::ZERO, &[7u8; 128]);
-                let arrival = out.issued[0].1;
+                let arrival = out.issued.last().expect("a free slot").1;
                 let polled = rx.poll(&mut fabric, arrival + Duration::from_nanos(150));
                 assert_eq!(polled.delivered.len(), 1);
             },

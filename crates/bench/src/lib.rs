@@ -7,6 +7,7 @@
 //! fast; every run is deterministic in its seed, so more samples only narrow
 //! the jitter, never move the medians.
 
+pub mod alloc;
 pub mod chaos;
 pub use chaos::chaos_explore;
 

@@ -9,53 +9,28 @@ use ubft_types::{ClientId, ReplicaId, RequestId};
 
 use crate::msg::{Reply, Request};
 
-/// Effects emitted by the client.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClientEffect {
-    /// Send `req` to replica `to`.
-    SendRequest {
-        /// Destination replica.
-        to: ReplicaId,
-        /// The request.
-        req: Request,
-    },
-    /// A result was accepted: `f + 1` matching replies arrived.
-    Complete {
-        /// The request that completed.
-        id: RequestId,
-        /// The agreed response payload.
-        payload: Vec<u8>,
-    },
-}
-
 /// A closed-loop uBFT client: one outstanding request at a time.
+///
+/// The client holds the one copy of its request; the runtime reads it
+/// through [`Client::request`], encodes it once, and sends the same bytes to
+/// every one of [`Client::replicas`] — when the request is issued and again
+/// on each retransmission timeout.
 #[derive(Clone, Debug)]
 pub struct Client {
     id: ClientId,
     replicas: Vec<ReplicaId>,
     quorum: usize,
     next_seq: u64,
-    current: Option<RequestId>,
-    /// The in-flight request, kept for retransmission.
-    current_req: Option<Request>,
+    /// The in-flight request (`None` once it completed).
+    current: Option<Request>,
     votes: Vec<(ReplicaId, Digest)>,
-    done: bool,
 }
 
 impl Client {
     /// Creates a client that needs `quorum` (`f + 1`) matching replies.
     pub fn new(id: ClientId, replicas: Vec<ReplicaId>, quorum: usize) -> Self {
         assert!(quorum >= 1 && quorum <= replicas.len());
-        Client {
-            id,
-            replicas,
-            quorum,
-            next_seq: 0,
-            current: None,
-            current_req: None,
-            votes: Vec::new(),
-            done: true,
-        }
+        Client { id, replicas, quorum, next_seq: 0, current: None, votes: Vec::new() }
     }
 
     /// This client's id.
@@ -63,73 +38,62 @@ impl Client {
         self.id
     }
 
+    /// The replicas every request goes to.
+    pub fn replicas(&self) -> &[ReplicaId] {
+        &self.replicas
+    }
+
     /// Whether the previous request completed (a new one may be issued).
     pub fn is_idle(&self) -> bool {
-        self.done
+        self.current.is_none()
+    }
+
+    /// The request in flight, if any. Clients retransmit it on a timeout: a
+    /// request or reply lost to a partition or crash must not stall the
+    /// closed loop forever — replicas deduplicate, and executed requests
+    /// are answered from their last-reply cache.
+    pub fn request(&self) -> Option<&Request> {
+        self.current.as_ref()
     }
 
     /// The id of the request in flight, if any.
     pub fn in_flight(&self) -> Option<RequestId> {
-        if self.done {
-            None
-        } else {
-            self.current
-        }
+        self.current.as_ref().map(|req| req.id)
     }
 
-    /// Issues the next request with the given payload.
+    /// Issues the next request with the given payload; it is then
+    /// [`Client::request`], to be sent to every replica.
     ///
     /// # Panics
     ///
     /// Panics if a request is still in flight.
-    pub fn issue(&mut self, payload: Vec<u8>) -> (RequestId, Vec<ClientEffect>) {
-        assert!(self.done, "previous request still in flight");
+    pub fn issue(&mut self, payload: Vec<u8>) -> RequestId {
+        assert!(self.is_idle(), "previous request still in flight");
         let id = RequestId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        self.current = Some(id);
         self.votes.clear();
-        self.done = false;
-        let req = Request { id, payload };
-        self.current_req = Some(req.clone());
-        let fx = self
-            .replicas
-            .iter()
-            .map(|&to| ClientEffect::SendRequest { to, req: req.clone() })
-            .collect();
-        (id, fx)
+        self.current = Some(Request { id, payload });
+        id
     }
 
-    /// Re-sends the in-flight request to every replica (no effect when
-    /// idle). Clients retransmit on a timeout: a request or reply lost to
-    /// a partition or crash must not stall the closed loop forever —
-    /// replicas deduplicate, and executed requests are answered from
-    /// their last-reply cache.
-    pub fn retransmit(&mut self) -> Vec<ClientEffect> {
-        if self.done {
-            return Vec::new();
-        }
-        let Some(req) = self.current_req.clone() else {
-            return Vec::new();
-        };
-        self.replicas.iter().map(|&to| ClientEffect::SendRequest { to, req: req.clone() }).collect()
-    }
-
-    /// Feeds a reply from a replica.
-    pub fn on_reply(&mut self, reply: Reply) -> Vec<ClientEffect> {
-        if self.done || self.current != Some(reply.id) {
-            return Vec::new();
+    /// Feeds a reply from a replica. Returns the agreed response payload
+    /// when this reply completes the request: `f + 1` matching replies
+    /// arrived.
+    pub fn on_reply(&mut self, reply: Reply) -> Option<Vec<u8>> {
+        if self.in_flight() != Some(reply.id) {
+            return None;
         }
         if self.votes.iter().any(|(r, _)| *r == reply.replica) {
-            return Vec::new();
+            return None;
         }
         let digest = sha256(&reply.payload);
         self.votes.push((reply.replica, digest));
         let matching = self.votes.iter().filter(|(_, d)| *d == digest).count();
-        if matching >= self.quorum {
-            self.done = true;
-            return vec![ClientEffect::Complete { id: reply.id, payload: reply.payload }];
+        if matching < self.quorum {
+            return None;
         }
-        Vec::new()
+        self.current = None;
+        Some(reply.payload)
     }
 }
 
@@ -148,8 +112,9 @@ mod tests {
     #[test]
     fn issue_sends_to_all_replicas() {
         let mut c = client();
-        let (id, fx) = c.issue(b"hi".to_vec());
-        assert_eq!(fx.len(), 3);
+        let id = c.issue(b"hi".to_vec());
+        assert_eq!(c.replicas().len(), 3);
+        assert_eq!(c.request(), Some(&Request { id, payload: b"hi".to_vec() }));
         assert_eq!(id.seq, 0);
         assert!(!c.is_idle());
     }
@@ -158,34 +123,27 @@ mod tests {
     fn completes_on_quorum() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert!(c.on_reply(reply(&c, 0, b"out")).is_empty());
-        let fx = c.on_reply(reply(&c, 1, b"out"));
-        assert_eq!(
-            fx,
-            vec![ClientEffect::Complete {
-                id: RequestId::new(ClientId(7), 0),
-                payload: b"out".to_vec()
-            }]
-        );
+        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
+        assert_eq!(c.on_reply(reply(&c, 1, b"out")), Some(b"out".to_vec()));
         assert!(c.is_idle());
+        assert_eq!((c.request(), c.in_flight()), (None, None));
     }
 
     #[test]
     fn byzantine_reply_cannot_win() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert!(c.on_reply(reply(&c, 0, b"WRONG")).is_empty());
-        assert!(c.on_reply(reply(&c, 1, b"right")).is_empty());
-        let fx = c.on_reply(reply(&c, 2, b"right"));
-        assert!(matches!(&fx[..], [ClientEffect::Complete { payload, .. }] if payload == b"right"));
+        assert_eq!(c.on_reply(reply(&c, 0, b"WRONG")), None);
+        assert_eq!(c.on_reply(reply(&c, 1, b"right")), None);
+        assert_eq!(c.on_reply(reply(&c, 2, b"right")), Some(b"right".to_vec()));
     }
 
     #[test]
     fn duplicate_replica_replies_ignored() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert!(c.on_reply(reply(&c, 0, b"out")).is_empty());
-        assert!(c.on_reply(reply(&c, 0, b"out")).is_empty());
+        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
+        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
         assert!(!c.is_idle());
     }
 
@@ -198,16 +156,16 @@ mod tests {
             replica: ReplicaId(0),
             payload: b"x".to_vec(),
         };
-        assert!(c.on_reply(stale).is_empty());
+        assert_eq!(c.on_reply(stale), None);
     }
 
     #[test]
     fn sequence_numbers_increase() {
         let mut c = client();
-        let (id0, _) = c.issue(b"a".to_vec());
+        let id0 = c.issue(b"a".to_vec());
         c.on_reply(reply(&c, 0, b"r"));
         c.on_reply(reply(&c, 1, b"r"));
-        let (id1, _) = c.issue(b"b".to_vec());
+        let id1 = c.issue(b"b".to_vec());
         assert_eq!(id0.seq + 1, id1.seq);
     }
 

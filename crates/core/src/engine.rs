@@ -489,8 +489,9 @@ pub struct Engine {
     byzantine: BTreeSet<ReplicaId>,
     /// Requests received directly from clients.
     seen_requests: HashMap<RequestId, Request>,
-    /// Requests seen but not yet executed (liveness tracking).
-    outstanding: BTreeMap<RequestId, Request>,
+    /// Requests seen but not yet executed (liveness tracking); their
+    /// content is in `seen_requests`.
+    outstanding: BTreeSet<RequestId>,
     /// Highest executed client sequence per client (the dedup cache,
     /// like PBFT's last-reply table) — bounded by
     /// [`EngineConfig::client_cache_cap`] with deterministic LRU
@@ -600,7 +601,7 @@ impl Engine {
             slots: BTreeMap::new(),
             byzantine: BTreeSet::new(),
             seen_requests: HashMap::new(),
-            outstanding: BTreeMap::new(),
+            outstanding: BTreeSet::new(),
             last_exec_seq: crate::lru::LruMap::new(client_cache_cap),
             echoes: HashMap::new(),
             propose_queue: VecDeque::new(),
@@ -868,15 +869,18 @@ impl Engine {
             }
             return fx;
         }
-        self.seen_requests.insert(req.id, req.clone());
-        self.outstanding.insert(req.id, req.clone());
+        let id = req.id;
+        self.outstanding.insert(id);
         if self.is_leader() {
-            self.echoes.entry(req.id).or_default();
-            self.maybe_enqueue_proposal(req.id);
-            if !self.proposed.contains(&req.id) {
-                fx.push(Effect::ArmTimer { kind: TimerKind::EchoFallback(req.id) });
+            self.seen_requests.insert(id, req);
+            self.echoes.entry(id).or_default();
+            self.maybe_enqueue_proposal(id);
+            if !self.proposed.contains(&id) {
+                fx.push(Effect::ArmTimer { kind: TimerKind::EchoFallback(id) });
             }
         } else {
+            // The follower's one copy: it keeps the request and echoes it.
+            self.seen_requests.insert(id, req.clone());
             fx.push(Effect::SendReplica { to: self.leader(), msg: DirectMsg::Echo { req } });
         }
         // A held prepare may now be acceptable.
@@ -892,14 +896,15 @@ impl Engine {
         if !self.is_leader() {
             return fx;
         }
-        self.echoes.entry(req.id).or_default().insert(from);
-        if !self.seen_requests.contains_key(&req.id) && !self.already_executed(&req.id) {
+        let id = req.id;
+        self.echoes.entry(id).or_default().insert(from);
+        if !self.seen_requests.contains_key(&id) && !self.already_executed(&id) {
             // We may yet receive it directly; remember the content so an
             // echo-quorum can still propose it.
-            self.seen_requests.insert(req.id, req.clone());
-            self.outstanding.insert(req.id, req.clone());
+            self.seen_requests.insert(id, req);
+            self.outstanding.insert(id);
         }
-        self.maybe_enqueue_proposal(req.id);
+        self.maybe_enqueue_proposal(id);
         self.propose_ready(&mut fx);
         fx
     }
@@ -1510,10 +1515,11 @@ impl Engine {
     }
 
     fn try_execute(&mut self, fx: &mut Vec<Effect>) {
-        // The batch clone releases the `self.slots` borrow; each request is
-        // then *moved* into its Execute effect rather than cloned again.
+        // The batch handle (a reference-count bump) releases the
+        // `self.slots` borrow; a request is copied exactly once, into the
+        // Execute effect that hands it to the application.
         while let Some(batch) = self.slots.get(&self.exec_next).and_then(|s| s.decided.clone()) {
-            for req in batch.into_requests() {
+            for req in batch.requests() {
                 self.outstanding.remove(&req.id);
                 self.propose_solo.remove(&req.id);
                 // A request re-proposed across views may occupy two slots;
@@ -1528,7 +1534,7 @@ impl Engine {
                     // floor in `Engine::new` is what protects in-flight
                     // duplicates instead — deterministically.
                     self.last_exec_seq.insert(req.id.client, hi.max(req.id.seq + 1), |_| false);
-                    fx.push(Effect::Execute { slot: self.exec_next, req });
+                    fx.push(Effect::Execute { slot: self.exec_next, req: req.clone() });
                 }
             }
             self.exec_next = self.exec_next.next();
@@ -1617,8 +1623,7 @@ impl Engine {
         }
         self.seen_requests
             .retain(|id, _| id.seq >= *self.last_exec_seq.get(&id.client).unwrap_or(&0));
-        self.outstanding
-            .retain(|id, _| id.seq >= *self.last_exec_seq.get(&id.client).unwrap_or(&0));
+        self.outstanding.retain(|id| id.seq >= *self.last_exec_seq.get(&id.client).unwrap_or(&0));
         self.propose_queue
             .retain(|req| req.id.seq >= *self.last_exec_seq.get(&req.id.client).unwrap_or(&0));
         self.propose_ready(&mut fx);
@@ -2405,36 +2410,31 @@ impl Engine {
             }
         }
         // Adopt responsibility for every request still outstanding.
-        let pending: Vec<Request> = self.outstanding.values().cloned().collect();
-        for req in pending {
-            if !self.proposed.contains(&req.id) {
-                self.proposed.insert(req.id);
-                self.propose_queue.push_back(req);
-            }
-        }
+        self.enqueue_outstanding();
         self.propose_ready(&mut fx);
         fx
     }
 
+    /// Leader: queues every outstanding request not proposed yet.
+    fn enqueue_outstanding(&mut self) {
+        for id in &self.outstanding {
+            if self.proposed.insert(*id) {
+                self.propose_queue.push_back(self.seen_requests[id].clone());
+            }
+        }
+    }
+
     fn reecho_outstanding(&mut self, fx: &mut Vec<Effect>) {
         if self.is_leader() {
-            let pending: Vec<Request> = self.outstanding.values().cloned().collect();
-            for req in pending {
-                if !self.proposed.contains(&req.id) {
-                    self.proposed.insert(req.id);
-                    self.propose_queue.push_back(req);
-                }
-            }
+            self.enqueue_outstanding();
             let mut more = Vec::new();
             self.propose_ready(&mut more);
             fx.extend(more);
         } else {
             let leader = self.leader();
-            for req in self.outstanding.values() {
-                fx.push(Effect::SendReplica {
-                    to: leader,
-                    msg: DirectMsg::Echo { req: req.clone() },
-                });
+            for id in &self.outstanding {
+                let req = self.seen_requests[id].clone();
+                fx.push(Effect::SendReplica { to: leader, msg: DirectMsg::Echo { req } });
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod lru;
 pub mod msg;
 
 pub use app::App;
-pub use client::{Client, ClientEffect};
+pub use client::Client;
 pub use crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork};
 pub use engine::{CryptoOps, Effect, Engine, EngineConfig, PathMode, TimerKind};
 pub use lru::LruMap;

@@ -5,8 +5,10 @@
 //! * [`TbMsg`] — plain Tail Broadcast (no agreement needed);
 //! * [`DirectMsg`] — point-to-point.
 
+use std::sync::Arc;
 use ubft_crypto::{sha256, Certificate, Digest, Signature};
-use ubft_types::wire::{decode_seq, encode_seq, Wire, WireReader};
+
+use ubft_types::wire::{decode_seq, encode_seq, seq_encoded_len, Wire, WireReader};
 use ubft_types::{ClientId, CodecError, ReplicaId, RequestId, SeqId, Slot, View};
 
 /// A client request as ordered by consensus.
@@ -41,6 +43,9 @@ impl Wire for Request {
         self.id.encode(buf);
         self.payload.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.id.encoded_len() + self.payload.encoded_len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Request { id: RequestId::decode(r)?, payload: Vec::<u8>::decode(r)? })
     }
@@ -58,9 +63,15 @@ impl Wire for Request {
 ///
 /// Invariants: a batch is never empty, and a view-change filler is a batch
 /// holding exactly one [`Request::noop`].
+///
+/// A batch is immutable once built and its requests are shared: cloning a
+/// batch — and so a [`Prepare`] or a [`CommitCert`] — bumps a reference
+/// count instead of copying every request payload. The engine keeps the same
+/// proposal in several places (the leader's stream, the slot, the decision);
+/// they all point at one copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Batch {
-    reqs: Vec<Request>,
+    reqs: Arc<[Request]>,
 }
 
 impl Batch {
@@ -72,13 +83,13 @@ impl Batch {
     /// [`Batch::noop`] for view-change filler slots).
     pub fn new(reqs: Vec<Request>) -> Self {
         assert!(!reqs.is_empty(), "a batch must carry at least one request");
-        Batch { reqs }
+        Batch { reqs: reqs.into() }
     }
 
     /// Wraps a single request (the `max_batch = 1` degenerate case, which
     /// reproduces the unbatched engine exactly).
     pub fn single(req: Request) -> Self {
-        Batch { reqs: vec![req] }
+        Batch { reqs: Arc::new([req]) }
     }
 
     /// The filler batch a new leader proposes for slots it must close but
@@ -107,12 +118,6 @@ impl Batch {
         &self.reqs
     }
 
-    /// Consumes the batch, yielding its requests in execution order (the
-    /// hot execution path moves requests out instead of cloning them).
-    pub fn into_requests(self) -> Vec<Request> {
-        self.reqs
-    }
-
     /// Iterator over the request ids in the batch.
     pub fn ids(&self) -> impl Iterator<Item = RequestId> + '_ {
         self.reqs.iter().map(|r| r.id)
@@ -129,14 +134,43 @@ impl Wire for Batch {
     fn encode(&self, buf: &mut Vec<u8>) {
         encode_seq(&self.reqs, buf);
     }
+    fn encoded_len(&self) -> usize {
+        seq_encoded_len(&self.reqs)
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        let reqs: Vec<Request> = decode_seq(r)?;
-        if reqs.is_empty() {
+        let len = u32::decode(r)? as usize;
+        if len == 0 {
             // An empty batch never appears on an honest stream; reject it at
             // the codec layer so Byzantine senders are branded upstream.
             return Err(CodecError::Invalid { ty: "Batch" });
         }
-        Ok(Batch { reqs })
+        // A request encodes to at least its id and a length prefix, so a
+        // count the input cannot hold is refused before anything is
+        // allocated for it.
+        const MIN_REQUEST: usize = 12 + 4;
+        if len > r.remaining() / MIN_REQUEST {
+            let needed = len.saturating_mul(MIN_REQUEST);
+            return Err(CodecError::Truncated { needed, available: r.remaining() });
+        }
+        // Decoded straight into the shared slice: an iterator of known
+        // length collects into an `Arc<[T]>` with one allocation, where
+        // going through a `Vec` costs two. Such an iterator cannot stop
+        // early, so after a request fails to decode the rest of the slice
+        // is filled with placeholders; the first error is what is returned,
+        // and the slice is dropped.
+        let mut failed = None;
+        let reqs: Arc<[Request]> = (0..len)
+            .map(|_| {
+                Request::decode(r).unwrap_or_else(|e| {
+                    failed.get_or_insert(e);
+                    Request::noop(Slot(0))
+                })
+            })
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Batch { reqs }),
+        }
     }
 }
 
@@ -156,6 +190,9 @@ impl Wire for Reply {
         self.id.encode(buf);
         self.replica.encode(buf);
         self.payload.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.id.encoded_len() + self.replica.encoded_len() + self.payload.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Reply {
@@ -180,9 +217,7 @@ pub struct Prepare {
 impl Prepare {
     /// The bytes replicas sign when certifying this proposal.
     pub fn certify_bytes(&self) -> Vec<u8> {
-        let mut buf = b"ubft-certify\0".to_vec();
-        self.encode(&mut buf);
-        buf
+        domain_bytes(b"ubft-certify\0", self)
     }
 }
 
@@ -191,6 +226,9 @@ impl Wire for Prepare {
         self.view.encode(buf);
         self.slot.encode(buf);
         self.batch.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.view.encoded_len() + self.slot.encoded_len() + self.batch.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Prepare { view: View::decode(r)?, slot: Slot::decode(r)?, batch: Batch::decode(r)? })
@@ -211,6 +249,9 @@ impl Wire for CommitCert {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.prepare.encode(buf);
         self.cert.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.prepare.encoded_len() + self.cert.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(CommitCert { prepare: Prepare::decode(r)?, cert: Certificate::decode(r)? })
@@ -238,16 +279,16 @@ pub struct CheckpointData {
 impl CheckpointData {
     /// Bytes signed in `CERTIFY_CHECKPOINT` shares.
     pub fn sign_bytes(&self) -> Vec<u8> {
-        let mut buf = b"ubft-checkpoint\0".to_vec();
-        self.encode(&mut buf);
-        buf
+        domain_bytes(b"ubft-checkpoint\0", self)
     }
 }
 
 /// Canonical digest of a request-dedup table (sorted highest-executed
 /// sequence per client), as certified by [`CheckpointData::exec_digest`].
 pub fn exec_table_digest(table: &[(ClientId, u64)]) -> Digest {
-    let mut buf = b"ubft-exec-table\0".to_vec();
+    let domain = b"ubft-exec-table\0";
+    let mut buf = Vec::with_capacity(domain.len() + 12 * table.len());
+    buf.extend_from_slice(domain);
     for (client, seq) in table {
         buf.extend_from_slice(&client.0.to_le_bytes());
         buf.extend_from_slice(&seq.to_le_bytes());
@@ -260,6 +301,9 @@ impl Wire for CheckpointData {
         self.base.encode(buf);
         self.app_digest.encode(buf);
         self.exec_digest.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.base.encoded_len() + self.app_digest.encoded_len() + self.exec_digest.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(CheckpointData {
@@ -304,6 +348,9 @@ impl Wire for CheckpointCert {
         self.data.encode(buf);
         self.cert.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.data.encoded_len() + self.cert.encoded_len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(CheckpointCert { data: CheckpointData::decode(r)?, cert: Certificate::decode(r)? })
     }
@@ -330,28 +377,16 @@ impl StateSummary {
 impl Wire for StateSummary {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.checkpoint.encode(buf);
-        encode_seq(
-            &self.commits.iter().map(|(s, c)| SlotCommit(*s, c.clone())).collect::<Vec<_>>(),
-            buf,
-        );
+        encode_seq(&self.commits, buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.checkpoint.encoded_len() + seq_encoded_len(&self.commits)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        let checkpoint = Option::<CheckpointCert>::decode(r)?;
-        let commits: Vec<SlotCommit> = decode_seq(r)?;
-        Ok(StateSummary { checkpoint, commits: commits.into_iter().map(|p| (p.0, p.1)).collect() })
-    }
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SlotCommit(Slot, CommitCert);
-
-impl Wire for SlotCommit {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(SlotCommit(Slot::decode(r)?, CommitCert::decode(r)?))
+        Ok(StateSummary {
+            checkpoint: Option::<CheckpointCert>::decode(r)?,
+            commits: decode_seq(r)?,
+        })
     }
 }
 
@@ -373,6 +408,9 @@ impl Wire for VcCert {
         self.summary.encode(buf);
         self.cert.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.about.encoded_len() + self.summary.encoded_len() + self.cert.encoded_len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(VcCert {
             about: ReplicaId::decode(r)?,
@@ -384,20 +422,21 @@ impl Wire for VcCert {
 
 /// Bytes signed in a `CRTFY_VC` share about replica `about` in `view`.
 pub fn vc_sign_bytes(view: View, about: ReplicaId, summary_digest: &Digest) -> Vec<u8> {
-    let mut buf = b"ubft-crtfy-vc\0".to_vec();
-    view.encode(&mut buf);
-    about.encode(&mut buf);
-    summary_digest.encode(&mut buf);
-    buf
+    domain_bytes(b"ubft-crtfy-vc\0", &((view, about), *summary_digest))
 }
 
 /// Bytes signed in a `CERTIFY_SUMMARY` share: stream `p` has broadcast up to
 /// `upto` and its state digest is `digest` (Algorithm 4 line 2).
 pub fn summary_sign_bytes(stream: ReplicaId, upto: SeqId, digest: &Digest) -> Vec<u8> {
-    let mut buf = b"ubft-summary\0".to_vec();
-    stream.encode(&mut buf);
-    upto.encode(&mut buf);
-    digest.encode(&mut buf);
+    domain_bytes(b"ubft-summary\0", &((stream, upto), *digest))
+}
+
+/// `domain` followed by the encoding of `body`, in a buffer allocated once:
+/// the domain-separated bytes a signature covers.
+fn domain_bytes(domain: &[u8], body: &impl Wire) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(domain.len() + body.encoded_len());
+    buf.extend_from_slice(domain);
+    body.encode(&mut buf);
     buf
 }
 
@@ -448,6 +487,15 @@ impl Wire for CtbMsg {
                 view.encode(buf);
                 encode_seq(certs, buf);
             }
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            CtbMsg::Prepare(p) => p.encoded_len(),
+            CtbMsg::Commit(c) => c.encoded_len(),
+            CtbMsg::Checkpoint(c) => c.encoded_len(),
+            CtbMsg::SealView { view } => view.encoded_len(),
+            CtbMsg::NewView { view, certs } => view.encoded_len() + seq_encoded_len(certs),
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -535,6 +583,18 @@ impl Wire for TbMsg {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            TbMsg::WillCertify { view, slot } | TbMsg::WillCommit { view, slot } => {
+                view.encoded_len() + slot.encoded_len()
+            }
+            TbMsg::Certify { prepare, sig } => prepare.encoded_len() + sig.encoded_len(),
+            TbMsg::CertifyCheckpoint { data, sig } => data.encoded_len() + sig.encoded_len(),
+            TbMsg::Summary { upto, summary, cert } => {
+                upto.encoded_len() + summary.encoded_len() + cert.encoded_len()
+            }
+        }
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(TbMsg::WillCertify { view: View::decode(r)?, slot: Slot::decode(r)? }),
@@ -587,6 +647,13 @@ impl Wire for JoinStream {
         self.view.encode(buf);
         self.next_free.encode(buf);
         self.checkpoint.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.stream.encoded_len()
+            + self.fifo_next.encoded_len()
+            + self.view.encoded_len()
+            + self.next_free.encoded_len()
+            + self.checkpoint.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(JoinStream {
@@ -686,10 +753,22 @@ impl Wire for DirectMsg {
                 4u8.encode(buf);
                 view.encode(buf);
                 encode_seq(streams, buf);
-                encode_seq(
-                    &commits.iter().map(|(s, c)| SlotCommit(*s, c.clone())).collect::<Vec<_>>(),
-                    buf,
-                );
+                encode_seq(commits, buf);
+            }
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            DirectMsg::Echo { req } => req.encoded_len(),
+            DirectMsg::CertifyVc { view, about, summary, sig } => {
+                view.encoded_len() + about.encoded_len() + summary.encoded_len() + sig.encoded_len()
+            }
+            DirectMsg::CertifySummary { stream, upto, digest, sig } => {
+                stream.encoded_len() + upto.encoded_len() + digest.encoded_len() + sig.encoded_len()
+            }
+            DirectMsg::Join { reg_floor } => reg_floor.encoded_len(),
+            DirectMsg::JoinAck { view, streams, commits } => {
+                view.encoded_len() + seq_encoded_len(streams) + seq_encoded_len(commits)
             }
         }
     }
@@ -712,10 +791,7 @@ impl Wire for DirectMsg {
             4 => Ok(DirectMsg::JoinAck {
                 view: View::decode(r)?,
                 streams: decode_seq(r)?,
-                commits: {
-                    let commits: Vec<SlotCommit> = decode_seq(r)?;
-                    commits.into_iter().map(|p| (p.0, p.1)).collect()
-                },
+                commits: decode_seq(r)?,
             }),
             tag => Err(CodecError::BadTag { ty: "DirectMsg", tag }),
         }
@@ -783,6 +859,23 @@ mod tests {
     }
 
     #[test]
+    fn batch_decode_refuses_hostile_counts_and_reports_the_first_error() {
+        // A count the input cannot hold allocates nothing.
+        let mut hostile = u32::MAX.to_bytes();
+        hostile.extend_from_slice(&[0u8; 64]);
+        assert!(matches!(Batch::from_bytes(&hostile), Err(CodecError::Truncated { .. })));
+        // The second of three requests is cut short: that error comes back,
+        // not one from the placeholders that fill the rest of the slice.
+        let mut bytes = Batch::new(reqs(3)).to_bytes();
+        let whole = bytes.len();
+        bytes[4 + 20 + 12..4 + 20 + 16].copy_from_slice(&100u32.to_le_bytes());
+        assert_eq!(
+            Batch::from_bytes(&bytes),
+            Err(CodecError::Truncated { needed: 100, available: whole - (4 + 20 + 16) })
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one request")]
     fn empty_batch_panics() {
         let _ = Batch::new(Vec::new());
@@ -838,6 +931,91 @@ mod tests {
             ],
             commits: vec![(Slot(9), CommitCert { prepare: prepare(), cert: Certificate::new() })],
         });
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The encoded bytes are what the latency model charges for and what
+    /// digests and signatures cover. These strings were produced by the
+    /// field-by-field encoders this module had before `encoded_len` and the
+    /// shared batch existed; a change to any of them is a wire-format change.
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        let commit = || CommitCert { prepare: prepare(), cert: Certificate::new() };
+        let req_hex = "01000000020000000000000003000000010203";
+        let prepare_hex = format!("0100000000000000020000000000000001000000{req_hex}");
+        let commit_hex = format!("{prepare_hex}00000000");
+        let genesis_hex = format!("{}00000000", "00".repeat(8 + 32 + 32));
+        let sig_hex = "ee".repeat(32);
+        assert_eq!(hex(&req().to_bytes()), req_hex);
+        assert_eq!(
+            hex(&Reply { id: req().id, replica: ReplicaId(1), payload: b"out".to_vec() }.to_bytes()),
+            "01000000020000000000000001000000030000006f7574"
+        );
+        assert_eq!(hex(&CtbMsg::Prepare(prepare()).to_bytes()), format!("00{prepare_hex}"));
+        assert_eq!(hex(&CtbMsg::Commit(commit()).to_bytes()), format!("01{commit_hex}"));
+        let summary = StateSummary {
+            checkpoint: Some(CheckpointCert::genesis()),
+            commits: vec![(Slot(1), commit())],
+        };
+        assert_eq!(
+            hex(&summary.to_bytes()),
+            format!("01{genesis_hex}010000000100000000000000{commit_hex}")
+        );
+        assert_eq!(
+            hex(&TbMsg::WillCommit { view: View(0), slot: Slot(9) }.to_bytes()),
+            "0100000000000000000900000000000000"
+        );
+        assert_eq!(
+            hex(&TbMsg::Certify { prepare: prepare(), sig: Signature::garbage() }.to_bytes()),
+            format!("02{prepare_hex}{sig_hex}")
+        );
+        assert_eq!(hex(&DirectMsg::Echo { req: req() }.to_bytes()), format!("00{req_hex}"));
+        let join_ack = DirectMsg::JoinAck {
+            view: View(2),
+            streams: vec![JoinStream {
+                stream: ReplicaId(0),
+                fifo_next: SeqId(41),
+                view: View(2),
+                next_free: Slot(40),
+                checkpoint: Some(CheckpointCert::genesis()),
+            }],
+            commits: vec![(Slot(9), commit())],
+        };
+        assert_eq!(
+            hex(&join_ack.to_bytes()),
+            format!(
+                "04020000000000000001000000000000002900000000000000020000000000000028000000\
+                 0000000001{genesis_hex}010000000900000000000000{commit_hex}"
+            )
+        );
+        assert_eq!(
+            hex(&prepare().certify_bytes()),
+            format!("756266742d6365727469667900{prepare_hex}")
+        );
+    }
+
+    #[test]
+    fn sign_bytes_allocate_once() {
+        let cp =
+            CheckpointData { base: Slot(1), app_digest: Digest::ZERO, exec_digest: Digest::ZERO };
+        for bytes in [
+            prepare().certify_bytes(),
+            cp.sign_bytes(),
+            vc_sign_bytes(View(1), ReplicaId(0), &Digest::ZERO),
+            summary_sign_bytes(ReplicaId(0), SeqId(1), &Digest::ZERO),
+        ] {
+            assert_eq!(bytes.len(), bytes.capacity());
+        }
+    }
+
+    #[test]
+    fn cloning_a_batch_shares_its_requests() {
+        let p = prepare();
+        let q = p.clone();
+        assert!(std::ptr::eq(p.batch.requests(), q.batch.requests()));
     }
 
     #[test]

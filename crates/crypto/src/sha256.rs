@@ -54,6 +54,9 @@ impl Wire for Digest {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.0);
     }
+    fn encoded_len(&self) -> usize {
+        32
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let bytes = r.take(32)?;
         let mut arr = [0u8; 32];

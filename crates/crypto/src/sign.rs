@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ubft_types::wire::{decode_seq, encode_seq, Wire, WireReader};
+use ubft_types::wire::{decode_seq, encode_seq, seq_encoded_len, Wire, WireReader};
 use ubft_types::{CodecError, ProcessId};
 
 use crate::hmac::{digest_eq, hmac_sha256};
@@ -40,6 +40,9 @@ impl Signature {
 impl Wire for Signature {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        32
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Signature(Digest::decode(r)?))
@@ -162,30 +165,13 @@ impl Certificate {
 
 impl Wire for Certificate {
     fn encode(&self, buf: &mut Vec<u8>) {
-        encode_seq(
-            &self.shares.iter().map(|(p, s)| Share { p: *p, s: *s }).collect::<Vec<_>>(),
-            buf,
-        );
+        encode_seq(&self.shares, buf);
+    }
+    fn encoded_len(&self) -> usize {
+        seq_encoded_len(&self.shares)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        let shares: Vec<Share> = decode_seq(r)?;
-        Ok(Certificate { shares: shares.into_iter().map(|sh| (sh.p, sh.s)).collect() })
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Share {
-    p: ProcessId,
-    s: Signature,
-}
-
-impl Wire for Share {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.p.encode(buf);
-        self.s.encode(buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Share { p: ProcessId::decode(r)?, s: Signature::decode(r)? })
+        Ok(Certificate { shares: decode_seq(r)? })
     }
 }
 

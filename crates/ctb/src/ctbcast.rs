@@ -73,8 +73,7 @@ impl RegEntry {
     /// from the codec.
     pub fn encoded_size() -> usize {
         RegEntry { k: SeqId(0), fp: Digest::from_bytes([0; 32]), sig: Signature::garbage() }
-            .to_bytes()
-            .len()
+            .encoded_len()
     }
 }
 
@@ -83,6 +82,9 @@ impl Wire for RegEntry {
         self.k.encode(buf);
         self.fp.encode(buf);
         self.sig.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.k.encoded_len() + self.fp.encoded_len() + self.sig.encoded_len()
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(RegEntry { k: SeqId::decode(r)?, fp: Digest::decode(r)?, sig: Signature::decode(r)? })
@@ -217,9 +219,10 @@ pub struct Ctb {
     replicas: Vec<ReplicaId>,
     /// Broadcaster only: next id to assign.
     next_k: SeqId,
-    /// Broadcaster only: bodies of own recent broadcasts (for `SIGNED`
-    /// emission after async signing), pruned to the last `2t`.
-    my_broadcasts: HashMap<u64, Vec<u8>>,
+    /// Broadcaster only: fingerprints of own recent broadcasts, pruned to
+    /// the last `2t` together with `payloads` — which holds the bodies, for
+    /// `SIGNED` emission after async signing.
+    my_broadcasts: HashMap<u64, Digest>,
     /// Broadcaster only: ids for which a sign was already requested.
     sign_requested: BTreeSet<u64>,
     /// `locks` array (line 9): per ring slot, the `(k, fp)` this replica is
@@ -336,6 +339,12 @@ impl Ctb {
         k.ring_index(self.cfg.tail)
     }
 
+    /// Broadcaster only: the body of own broadcast `k`, while in the tail.
+    fn my_broadcast_body(&self, k: SeqId) -> Option<&Vec<u8>> {
+        let fp = self.my_broadcasts.get(&k.0)?;
+        self.payloads.get(&(k.0, *fp))
+    }
+
     fn cache_payload(&mut self, k: SeqId, fp: Digest, m: &[u8]) {
         if k > self.max_seen {
             self.max_seen = k;
@@ -358,7 +367,7 @@ impl Ctb {
         self.next_k = self.next_k.next();
         let fp = fingerprint(&m);
         self.cache_payload(k, fp, &m);
-        self.my_broadcasts.insert(k.0, m.clone());
+        self.my_broadcasts.insert(k.0, fp);
         let mut fx = Vec::new();
         if self.cfg.fast_enabled {
             fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
@@ -390,10 +399,9 @@ impl Ctb {
         if self.delivered[slot].is_some_and(|d| d >= k) {
             return Vec::new(); // fast path already delivered
         }
-        let Some(m) = self.my_broadcasts.get(&k.0) else {
+        let Some(&fp) = self.my_broadcasts.get(&k.0) else {
             return Vec::new(); // out of tail already
         };
-        let fp = fingerprint(m);
         self.sign_requested.insert(k.0);
         for (q, row) in self.locked.iter().enumerate() {
             if row[slot] != Some((k, fp)) {
@@ -420,17 +428,16 @@ impl Ctb {
         {
             return Vec::new();
         }
-        let Some(m) = self.my_broadcasts.get(&k.0) else {
+        let Some(&fp) = self.my_broadcasts.get(&k.0) else {
             return Vec::new(); // out of tail already
         };
-        let fp = fingerprint(m);
         self.sign_requested.insert(k.0);
         vec![CtbEffect::Sign { k, fp }]
     }
 
     /// The crypto pool finished signing `(stream, k, fp)`.
     pub fn on_sign_done(&mut self, k: SeqId, sig: Signature) -> Vec<CtbEffect> {
-        let Some(m) = self.my_broadcasts.get(&k.0).cloned() else {
+        let Some(m) = self.my_broadcast_body(k).cloned() else {
             return Vec::new();
         };
         vec![CtbEffect::Broadcast(CtbWire::Signed { k, m, sig })]
@@ -693,7 +700,12 @@ impl Ctb {
             + self.locked.len() * self.cfg.tail * lock_entry
             + self.delivered.len() * core::mem::size_of::<Option<SeqId>>()
             + self.payloads.values().map(|p| p.len() + 48).sum::<usize>()
-            + self.my_broadcasts.values().map(|p| p.len() + 16).sum::<usize>()
+            + self
+                .my_broadcasts
+                .keys()
+                .filter_map(|k| self.my_broadcast_body(SeqId(*k)))
+                .map(|p| p.len() + 16)
+                .sum::<usize>()
     }
 }
 

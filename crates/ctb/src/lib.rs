@@ -20,7 +20,7 @@
 //!
 //! Both paths interlock through the `locks` array so whichever commits first
 //! binds the other. This crate is sans-IO: state machines consume inputs and
-//! emit [`CtbEffect`]s/[`TbEffect`]s that the runtime maps onto the RDMA
+//! emit [`CtbEffect`]s and TBcast frames that the runtime maps onto the RDMA
 //! transport, the register layer, and the crypto pool.
 
 pub mod ctbcast;
@@ -28,5 +28,5 @@ pub mod tbcast;
 pub mod wire;
 
 pub use ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-pub use tbcast::{TailBroadcaster, TailReceiver, TbEffect};
+pub use tbcast::{Receipt, TailBroadcaster, TailReceiver};
 pub use wire::{CtbWire, TbWire};

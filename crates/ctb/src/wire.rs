@@ -1,25 +1,53 @@
 //! Wire formats for TBcast and CTBcast messages.
 
+use std::sync::Arc;
+
 use ubft_crypto::{sha256, Digest, Signature};
 use ubft_types::wire::{Wire, WireReader};
 use ubft_types::{CodecError, ReplicaId, SeqId};
 
-/// A Tail Broadcast frame: broadcast sequence number plus opaque payload.
+/// Tag byte of a data frame on a TBcast lane.
+const TAG_DATA: u8 = 0;
+/// Tag byte of an acknowledgement frame on a TBcast lane.
+const TAG_ACK: u8 = 1;
+/// Bytes in front of a data frame's payload: tag, `k`, payload length.
+const DATA_HEADER: usize = 1 + 8 + 4;
+
+/// A Tail Broadcast data frame, encoded once: `[tag 0][k][len][payload]` in
+/// one immutable buffer. The broadcaster's retransmission buffer, the frame
+/// sent to each peer and the self-delivery all hold this same buffer, so
+/// cloning a `TbWire` copies no bytes, and a threaded transport can hand the
+/// handle itself to the receiving thread.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TbWire {
     /// The broadcaster's sequence number for this message.
     pub k: SeqId,
-    /// Opaque payload (an encoded [`CtbWire`] or a consensus message).
-    pub payload: Vec<u8>,
+    frame: Arc<[u8]>,
 }
 
-impl Wire for TbWire {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.k.encode(buf);
-        self.payload.encode(buf);
+impl TbWire {
+    /// Encodes the data frame carrying `payload` under sequence number `k`.
+    /// The bytes are assembled in `scratch` (cleared first; a caller that
+    /// keeps one around pays no allocation for it) and copied once into the
+    /// shared buffer.
+    pub fn encode(k: SeqId, payload: &impl Wire, scratch: &mut Vec<u8>) -> Self {
+        scratch.clear();
+        TAG_DATA.encode(scratch);
+        k.encode(scratch);
+        (payload.encoded_len() as u32).encode(scratch);
+        payload.encode(scratch);
+        debug_assert_eq!(scratch.len(), DATA_HEADER + payload.encoded_len());
+        TbWire { k, frame: Arc::from(&scratch[..]) }
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(TbWire { k: SeqId::decode(r)?, payload: Vec::<u8>::decode(r)? })
+
+    /// The opaque payload (an encoded [`CtbWire`] or a consensus message).
+    pub fn payload(&self) -> &[u8] {
+        &self.frame[DATA_HEADER..]
+    }
+
+    /// The whole encoded frame: what goes on the wire.
+    pub fn frame(&self) -> &Arc<[u8]> {
+        &self.frame
     }
 }
 
@@ -31,43 +59,50 @@ pub struct TbAck {
     pub upto: SeqId,
 }
 
-impl Wire for TbAck {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.upto.encode(buf);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(TbAck { upto: SeqId::decode(r)? })
+impl TbAck {
+    /// The encoded acknowledgement frame, `[tag 1][upto]`: fixed-size, so it
+    /// lives on the stack.
+    pub fn frame(&self) -> [u8; 9] {
+        let mut frame = [TAG_ACK; 9];
+        frame[1..].copy_from_slice(&self.upto.0.to_le_bytes());
+        frame
     }
 }
 
-/// Everything a TBcast lane carries: data frames one way, acks the other.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TbFrame {
+/// Everything a TBcast lane carries — data frames one way, acks the other —
+/// as a view into the buffer it arrived in: the payload is borrowed, not
+/// copied out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TbFrame<'a> {
     /// A broadcast (or retransmitted) message.
-    Data(TbWire),
+    Data {
+        /// The broadcaster's sequence number.
+        k: SeqId,
+        /// The opaque payload.
+        payload: &'a [u8],
+    },
     /// A cumulative acknowledgement.
     Ack(TbAck),
 }
 
-impl Wire for TbFrame {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TbFrame::Data(w) => {
-                0u8.encode(buf);
-                w.encode(buf);
-            }
-            TbFrame::Ack(a) => {
-                1u8.encode(buf);
-                a.encode(buf);
-            }
+impl<'a> TbFrame<'a> {
+    /// Decodes a frame produced by [`TbWire::encode`] or [`TbAck::frame`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncation, an unknown tag, or bytes left
+    /// over after the frame.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = WireReader::new(bytes);
+        let frame = match u8::decode(&mut r)? {
+            TAG_DATA => TbFrame::Data { k: SeqId::decode(&mut r)?, payload: r.take_bytes()? },
+            TAG_ACK => TbFrame::Ack(TbAck { upto: SeqId::decode(&mut r)? }),
+            tag => return Err(CodecError::BadTag { ty: "TbFrame", tag }),
+        };
+        if r.remaining() != 0 {
+            return Err(CodecError::TrailingBytes { remaining: r.remaining() });
         }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(TbFrame::Data(TbWire::decode(r)?)),
-            1 => Ok(TbFrame::Ack(TbAck::decode(r)?)),
-            tag => Err(CodecError::BadTag { ty: "TbFrame", tag }),
-        }
+        Ok(frame)
     }
 }
 
@@ -120,6 +155,12 @@ impl Wire for CtbWire {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            CtbWire::Lock { k, m } | CtbWire::Locked { k, m } => k.encoded_len() + m.encoded_len(),
+            CtbWire::Signed { k, m, sig } => k.encoded_len() + m.encoded_len() + sig.encoded_len(),
+        }
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(CtbWire::Lock { k: SeqId::decode(r)?, m: Vec::<u8>::decode(r)? }),
@@ -143,11 +184,31 @@ pub fn fingerprint(m: &[u8]) -> Digest {
 /// The exact bytes a broadcaster signs for `(stream, k, fp)`; domain-separated
 /// so signatures cannot be replayed across streams or layers.
 pub fn signed_bytes(stream: ReplicaId, k: SeqId, fp: &Digest) -> Vec<u8> {
-    let mut buf = b"ubft-ctb-signed\0".to_vec();
+    let domain = b"ubft-ctb-signed\0";
+    let mut buf = Vec::with_capacity(domain.len() + 4 + 8 + 32);
+    buf.extend_from_slice(domain);
     stream.encode(&mut buf);
     k.encode(&mut buf);
     fp.encode(&mut buf);
     buf
+}
+
+/// Raw bytes as a TBcast payload, for tests (`Vec<u8>` would add its own
+/// length prefix).
+#[cfg(test)]
+pub(crate) struct Raw<'a>(pub &'a [u8]);
+
+#[cfg(test)]
+impl Wire for Raw<'_> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self.0);
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.len()
+    }
+    fn decode(_: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        unreachable!("payloads are decoded as the type they carry")
+    }
 }
 
 #[cfg(test)]
@@ -155,15 +216,74 @@ mod tests {
     use super::*;
     use ubft_types::wire::roundtrip;
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn wires_roundtrip() {
-        roundtrip(&TbWire { k: SeqId(9), payload: vec![1, 2, 3] });
-        roundtrip(&TbAck { upto: SeqId(4) });
-        roundtrip(&TbFrame::Data(TbWire { k: SeqId(9), payload: vec![1, 2, 3] }));
-        roundtrip(&TbFrame::Ack(TbAck { upto: SeqId(4) }));
+        let wire = TbWire::encode(SeqId(9), &Raw(&[1, 2, 3]), &mut Vec::new());
+        assert_eq!((wire.k, wire.payload()), (SeqId(9), &[1u8, 2, 3][..]));
+        assert_eq!(
+            TbFrame::decode(wire.frame()),
+            Ok(TbFrame::Data { k: SeqId(9), payload: &[1, 2, 3] })
+        );
+        let ack = TbAck { upto: SeqId(4) };
+        assert_eq!(TbFrame::decode(&ack.frame()), Ok(TbFrame::Ack(ack)));
         roundtrip(&CtbWire::Lock { k: SeqId(1), m: b"m".to_vec() });
         roundtrip(&CtbWire::Locked { k: SeqId(2), m: b"m".to_vec() });
         roundtrip(&CtbWire::Signed { k: SeqId(3), m: b"m".to_vec(), sig: Signature::garbage() });
+    }
+
+    #[test]
+    fn tb_frames_reject_what_the_owned_codec_rejected() {
+        let wire = TbWire::encode(SeqId(9), &Raw(&[1, 2, 3]), &mut Vec::new());
+        let mut long = wire.frame().to_vec();
+        long.push(0);
+        assert_eq!(TbFrame::decode(&long), Err(CodecError::TrailingBytes { remaining: 1 }));
+        assert!(matches!(TbFrame::decode(&wire.frame()[..14]), Err(CodecError::Truncated { .. })));
+        assert_eq!(TbFrame::decode(&[7]), Err(CodecError::BadTag { ty: "TbFrame", tag: 7 }));
+        assert!(TbFrame::decode(&TbAck { upto: SeqId(4) }.frame()[..8]).is_err());
+    }
+
+    /// The encoded bytes are what the latency model charges for and what
+    /// checksums and signatures cover: these were taken from the encoders
+    /// this module had before frames were shared buffers, and must not move.
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        let scratch = &mut Vec::new();
+        assert_eq!(
+            hex(TbWire::encode(SeqId(9), &Raw(&[1, 2, 3]), scratch).frame()),
+            "00090000000000000003000000010203"
+        );
+        assert_eq!(hex(&TbAck { upto: SeqId(4) }.frame()), "010400000000000000");
+        let lock = CtbWire::Lock { k: SeqId(1), m: b"m".to_vec() };
+        assert_eq!(hex(&lock.to_bytes()), "000100000000000000010000006d");
+        assert_eq!(
+            hex(&CtbWire::Locked { k: SeqId(2), m: b"m".to_vec() }.to_bytes()),
+            "010200000000000000010000006d"
+        );
+        let signed = CtbWire::Signed { k: SeqId(3), m: b"m".to_vec(), sig: Signature::garbage() };
+        assert_eq!(
+            hex(&signed.to_bytes()),
+            format!("020300000000000000010000006d{}", "ee".repeat(32))
+        );
+        // A CTBcast frame nested in a TBcast frame, encoded in one pass.
+        assert_eq!(
+            hex(TbWire::encode(SeqId(7), &lock, scratch).frame()),
+            "0007000000000000000e000000000100000000000000010000006d"
+        );
+        let fp = "62c66a7a5dd70c3146618063c344e531e6d4b59e379808443ce962b3abd63c5a";
+        assert_eq!(
+            hex(&signed_bytes(ReplicaId(2), SeqId(5), &fingerprint(b"m"))),
+            format!("756266742d6374622d7369676e656400020000000500000000000000{fp}")
+        );
+        let entry = crate::ctbcast::RegEntry {
+            k: SeqId(6),
+            fp: fingerprint(b"m"),
+            sig: Signature::garbage(),
+        };
+        assert_eq!(hex(&entry.to_bytes()), format!("0600000000000000{fp}{}", "ee".repeat(32)));
     }
 
     #[test]
@@ -172,8 +292,10 @@ mod tests {
         // requests (the largest proposal the batched engine emits at the
         // paper-default request size) must frame and roundtrip unchanged.
         let batch_bytes: Vec<u8> = (0..64 * 2048u32).map(|i| (i * 31 % 251) as u8).collect();
-        roundtrip(&CtbWire::Lock { k: SeqId(7), m: batch_bytes.clone() });
-        roundtrip(&TbFrame::Data(TbWire { k: SeqId(7), payload: batch_bytes.clone() }));
+        let lock = CtbWire::Lock { k: SeqId(7), m: batch_bytes.clone() };
+        roundtrip(&lock);
+        let wire = TbWire::encode(SeqId(7), &lock, &mut Vec::new());
+        assert_eq!(CtbWire::from_bytes(wire.payload()), Ok(lock));
         assert_eq!(fingerprint(&batch_bytes), fingerprint(&batch_bytes));
     }
 

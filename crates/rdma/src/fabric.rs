@@ -150,9 +150,7 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Returns an [`RdmaError`] if permissions, bounds, or host liveness
-    /// checks fail. A `TargetUnavailable` error means the op will never
-    /// complete; callers model this as a lost completion.
+    /// As for [`Fabric::write_owned`], which this copies `data` for.
     pub fn write(
         &mut self,
         issuer: HostId,
@@ -160,6 +158,28 @@ impl Fabric {
         region: RegionId,
         offset: usize,
         data: &[u8],
+        now: Time,
+    ) -> Result<WriteTicket, RdmaError> {
+        self.write_owned(issuer, token, region, offset, data.to_vec(), now)
+    }
+
+    /// Issues a one-sided WRITE of `data` into `region` at `offset`, taking
+    /// the buffer: it becomes the in-flight image of the write, so a caller
+    /// that built the bytes for this write (a channel's slot frame) pays no
+    /// second copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`RdmaError`] if permissions, bounds, or host liveness
+    /// checks fail. A `TargetUnavailable` error means the op will never
+    /// complete; callers model this as a lost completion.
+    pub fn write_owned(
+        &mut self,
+        issuer: HostId,
+        token: AccessToken,
+        region: RegionId,
+        offset: usize,
+        data: Vec<u8>,
         now: Time,
     ) -> Result<WriteTicket, RdmaError> {
         let entry = self.regions.get(&region).ok_or(RdmaError::UnknownRegion)?;
@@ -183,7 +203,7 @@ impl Fabric {
         let spread =
             Duration::from_nanos((data.len() as u64 * self.net.latency().picos_per_byte) / 1000);
         let entry = self.regions.get_mut(&region).expect("checked above");
-        entry.region.begin_write(offset, data.to_vec(), arrival, spread);
+        entry.region.begin_write(offset, data, arrival, spread);
         // Completion: ack hop back, plus the read-after-write fence RTT the
         // register layer relies on for visibility ordering.
         let ack = match self.net.hop(&mut self.rng, target, issuer, 16, arrival) {
@@ -269,7 +289,7 @@ impl Fabric {
 
     /// Test helper: the settled contents of a region (all writes applied).
     pub fn settled_region(&mut self, region: RegionId) -> Option<Vec<u8>> {
-        self.regions.get_mut(&region).map(|e| e.region.settled().to_vec())
+        self.regions.get_mut(&region).map(|e| e.region.settled())
     }
 }
 

@@ -13,14 +13,14 @@
 //! host-block base.
 
 use ubft_core::app::App;
-use ubft_core::client::{Client, ClientEffect};
+use ubft_core::client::Client;
 use ubft_core::engine::{
     CryptoOps, CryptoResult, CryptoTag, Effect, Engine, EngineConfig, PathMode, TimerKind,
 };
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
 use ubft_crypto::{KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver, TbEffect};
+use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
 use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame, TbWire};
 use ubft_dmem::register::{
     ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
@@ -255,6 +255,13 @@ pub(crate) struct GroupRuntime {
     pending_crashes: usize,
     /// Byzantine detections reported by engines: (detector, culprit, why).
     byz_reports: Vec<(usize, u32, String)>,
+    /// Where outgoing messages are encoded before the bytes are copied
+    /// into a slot frame or a shared TBcast frame — reused for every send,
+    /// so encoding allocates nothing.
+    scratch: Vec<u8>,
+    /// Where a receiver poll copies the messages it finds, to be decoded in
+    /// place — reused for every poll.
+    poll_buf: Vec<u8>,
     pub(crate) counters: OpCounters,
     pub(crate) latency: LatencyStats,
     pub(crate) completed: u64,
@@ -322,28 +329,17 @@ impl GroupRuntime {
             (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect()
         };
         let mut ctb_tx: Vec<Vec<TailBroadcaster>> = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap))
-                    .collect()
-            })
+            .map(|r| (0..n).map(|_s| TailBroadcaster::new(peers_of(r), cap)).collect())
             .collect();
         let mut ctb_rx: Vec<Vec<Vec<TailReceiver>>> = (0..n)
             .map(|_r| {
-                (0..n)
-                    .map(|_s| {
-                        (0..n)
-                            .map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap))
-                            .collect()
-                    })
-                    .collect()
+                (0..n).map(|_s| (0..n).map(|_sender| TailReceiver::new(cap)).collect()).collect()
             })
             .collect();
         let mut cons_tx: Vec<TailBroadcaster> =
-            (0..n).map(|r| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap)).collect();
-        let mut cons_rx: Vec<Vec<TailReceiver>> = (0..n)
-            .map(|_r| (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect())
-            .collect();
+            (0..n).map(|r| TailBroadcaster::new(peers_of(r), cap)).collect();
+        let mut cons_rx: Vec<Vec<TailReceiver>> =
+            (0..n).map(|_r| (0..n).map(|_s| TailReceiver::new(cap)).collect()).collect();
 
         // Links, in the shared fabric, addressed by global host ids.
         let host = |local: usize| HostId(host_base + local as u32);
@@ -481,6 +477,8 @@ impl GroupRuntime {
             crash_times,
             pending_crashes,
             byz_reports: Vec::new(),
+            scratch: Vec::new(),
+            poll_buf: Vec::new(),
             counters: OpCounters::default(),
             latency: LatencyStats::new(),
             completed: 0,
@@ -719,9 +717,9 @@ impl GroupRuntime {
                 continue;
             }
             for s in 0..n {
-                self.nodes[peer].ctb_rx[s][r] = TailReceiver::new(ReplicaId(r as u32), cap);
+                self.nodes[peer].ctb_rx[s][r] = TailReceiver::new(cap);
             }
-            self.nodes[peer].cons_rx[r] = TailReceiver::new(ReplicaId(r as u32), cap);
+            self.nodes[peer].cons_rx[r] = TailReceiver::new(cap);
         }
 
         // The fresh node itself: new engine, new CTBcast stack, new TB
@@ -758,15 +756,11 @@ impl GroupRuntime {
                 )
             })
             .collect();
-        node.ctb_tx =
-            (0..n).map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap)).collect();
-        node.ctb_rx = (0..n)
-            .map(|_s| {
-                (0..n).map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap)).collect()
-            })
-            .collect();
-        node.cons_tx = TailBroadcaster::new(ReplicaId(r as u32), peers_of(r), cap);
-        node.cons_rx = (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect();
+        node.ctb_tx = (0..n).map(|_s| TailBroadcaster::new(peers_of(r), cap)).collect();
+        node.ctb_rx =
+            (0..n).map(|_s| (0..n).map(|_sender| TailReceiver::new(cap)).collect()).collect();
+        node.cons_tx = TailBroadcaster::new(peers_of(r), cap);
+        node.cons_rx = (0..n).map(|_s| TailReceiver::new(cap)).collect();
         node.reg_writers = (0..n).map(|s| self.reg_banks[s][r].rekey_writer()).collect();
         node.app.restore_bytes(&self.genesis_snapshot);
         node.snapshots.clear();
@@ -1049,14 +1043,10 @@ impl GroupRuntime {
                     self.ctb_effect(sh, r, r, at, ce);
                 }
             }
-            Effect::TbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let (_k, tfx) = self.nodes[r].cons_tx.broadcast(bytes);
-                self.handle_tb_effects(sh, r, Lane::ConsTb, at, tfx);
-            }
+            Effect::TbBroadcast(msg) => self.tb_broadcast(sh, r, Lane::ConsTb, &msg, at),
             Effect::SendReplica { to, msg } => {
                 self.counters.direct_msgs += 1;
-                self.channel_send(sh, Lane::Direct, r, to.0 as usize, msg.to_bytes(), at);
+                self.send_msg(sh, Lane::Direct, r, to.0 as usize, &msg, at);
             }
             Effect::Execute { slot, req } => {
                 // Auditor self-test mutations: deliberately corrupt this
@@ -1089,14 +1079,13 @@ impl GroupRuntime {
                 }
                 if !req.is_noop() && (req.id.client.0 as usize) < self.clients.len() {
                     let reply = Reply { id: req.id, replica: ReplicaId(r as u32), payload };
+                    let c_node = self.client_node(req.id.client.0 as usize);
+                    self.counters.rpc_msgs += 1;
+                    self.send_msg(sh, Lane::ClientResp, r, c_node, &reply, done);
                     // Last-reply table (one entry per client, LRU-bounded
                     // when capped), so a retransmitted already-executed
                     // request can be re-answered.
-                    let _ =
-                        self.nodes[r].reply_cache.insert(req.id.client, reply.clone(), |_| false);
-                    let c_node = self.client_node(req.id.client.0 as usize);
-                    self.counters.rpc_msgs += 1;
-                    self.channel_send(sh, Lane::ClientResp, r, c_node, reply.to_bytes(), done);
+                    let _ = self.nodes[r].reply_cache.insert(req.id.client, reply, |_| false);
                 }
             }
             Effect::RequestSnapshot { base } => {
@@ -1190,9 +1179,7 @@ impl GroupRuntime {
                 {
                     return;
                 }
-                let bytes = wire.to_bytes();
-                let (_k, tfx) = self.nodes[r].ctb_tx[stream].broadcast(bytes);
-                self.handle_tb_effects(sh, r, Lane::CtbTb { stream }, at, tfx);
+                self.tb_broadcast(sh, r, Lane::CtbTb { stream }, &wire, at);
             }
             CtbEffect::Sign { k, fp } => {
                 self.counters.ctb_signs += 1;
@@ -1298,9 +1285,10 @@ impl GroupRuntime {
             return false;
         };
         // Register the broadcast with the honest TailBroadcaster (sequence
-        // numbers, retransmission buffer, self-delivery) but discard its
-        // uniform sends; hand-craft a poisoned variant for odd receivers.
-        let (k, tfx) = self.nodes[r].ctb_tx[r].broadcast(wire.to_bytes());
+        // numbers, retransmission buffer, self-delivery) but send odd
+        // receivers a hand-crafted poisoned variant under the same id.
+        let lane = Lane::CtbTb { stream: r };
+        let honest = self.nodes[r].ctb_tx[r].broadcast(wire, &mut self.scratch);
         let mut alt = prep.clone();
         let mut reqs = alt.batch.requests().to_vec();
         if reqs[0].payload.is_empty() {
@@ -1309,31 +1297,14 @@ impl GroupRuntime {
             reqs[0].payload[0] ^= 0xFF;
         }
         alt.batch = ubft_core::msg::Batch::new(reqs);
-        let alt_wire = CtbWire::Lock { k, m: CtbMsg::Prepare(alt).to_bytes() };
-        for e in tfx {
-            match e {
-                TbEffect::SendTo { to, wire: tb } => {
-                    self.counters.ctb_msgs += 1;
-                    let poisoned = to.0 % 2 == 1;
-                    let frame = if poisoned {
-                        TbFrame::Data(TbWire { k: tb.k, payload: alt_wire.to_bytes() })
-                    } else {
-                        TbFrame::Data(tb)
-                    };
-                    self.channel_send(
-                        sh,
-                        Lane::CtbTb { stream: r },
-                        r,
-                        to.0 as usize,
-                        frame.to_bytes(),
-                        at,
-                    );
-                }
-                other => {
-                    self.handle_tb_effects(sh, r, Lane::CtbTb { stream: r }, at, vec![other]);
-                }
-            }
+        let alt_wire = CtbWire::Lock { k: honest.k, m: CtbMsg::Prepare(alt).to_bytes() };
+        let poisoned = TbWire::encode(honest.k, &alt_wire, &mut self.scratch);
+        for to in (0..self.n()).filter(|to| *to != r) {
+            self.counters.ctb_msgs += 1;
+            let tb = if to % 2 == 1 { &poisoned } else { &honest };
+            self.channel_send(sh, lane, r, to, tb.frame(), at);
         }
+        self.deliver_tb_payload(sh, r, lane, ReplicaId(r as u32), honest.payload(), at);
         true
     }
 
@@ -1387,78 +1358,149 @@ impl GroupRuntime {
     // TBcast + channel plumbing
     // ------------------------------------------------------------------
 
-    fn handle_tb_effects(
+    /// Replica `r`'s broadcaster on a TBcast lane.
+    fn tb_tx(&mut self, r: usize, lane: Lane) -> &mut TailBroadcaster {
+        match lane {
+            Lane::CtbTb { stream } => &mut self.nodes[r].ctb_tx[stream],
+            _ => &mut self.nodes[r].cons_tx,
+        }
+    }
+
+    /// TBcast-broadcasts `msg` from replica `r` on `lane`: one encoded
+    /// frame goes to every peer, then its payload is delivered locally.
+    fn tb_broadcast(
+        &mut self,
+        sh: &mut Shared<'_>,
+        r: usize,
+        lane: Lane,
+        msg: &impl Wire,
+        at: Time,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let wire = self.tb_tx(r, lane).broadcast(msg, &mut scratch);
+        self.scratch = scratch;
+        for i in 0..self.tb_tx(r, lane).peers().len() {
+            let to = self.tb_tx(r, lane).peers()[i];
+            self.send_tb_frame(sh, r, lane, to, &wire, at);
+        }
+        self.deliver_tb_payload(sh, r, lane, ReplicaId(r as u32), wire.payload(), at);
+    }
+
+    /// Sends replica `r`'s TBcast frames (a retransmission, or a tail
+    /// released by an accepted probe) to their destinations.
+    fn send_tb_frames(
         &mut self,
         sh: &mut Shared<'_>,
         r: usize,
         lane: Lane,
         at: Time,
-        fx: Vec<TbEffect>,
+        frames: Vec<(ReplicaId, TbWire)>,
     ) {
-        for e in fx {
-            match e {
-                TbEffect::SendTo { to, wire } => {
-                    match lane {
-                        Lane::CtbTb { .. } => self.counters.ctb_msgs += 1,
-                        Lane::ConsTb => self.counters.cons_msgs += 1,
-                        _ => {}
-                    }
-                    let bytes = TbFrame::Data(wire).to_bytes();
-                    let verdict = self.channel_send(sh, lane, r, to.0 as usize, bytes, at);
-                    // The broadcaster that caused the send learns whether
-                    // the fabric took the write; an accepted probe releases
-                    // the tail it was holding back from `to`.
-                    if let Some(accepted) = verdict {
-                        let node = &mut self.nodes[r];
-                        let tx = match lane {
-                            Lane::CtbTb { stream } => &mut node.ctb_tx[stream],
-                            _ => &mut node.cons_tx,
-                        };
-                        let released = tx.on_send_result(to, accepted);
-                        self.handle_tb_effects(sh, r, lane, at, released);
-                    }
-                }
-                TbEffect::SendAck { to, upto } => {
-                    // Cumulative acks silence the broadcaster's
-                    // retransmission of the buffered tail (§4.2).
-                    self.channel_send(
-                        sh,
-                        lane,
-                        r,
-                        to.0 as usize,
-                        TbFrame::Ack(TbAck { upto }).to_bytes(),
-                        at,
-                    );
-                }
-                TbEffect::Deliver { from, k: _, payload } => {
-                    self.deliver_tb_payload(sh, r, lane, from, payload, at);
-                }
-            }
+        for (to, wire) in frames {
+            self.send_tb_frame(sh, r, lane, to, &wire, at);
         }
     }
 
+    fn send_tb_frame(
+        &mut self,
+        sh: &mut Shared<'_>,
+        r: usize,
+        lane: Lane,
+        to: ReplicaId,
+        wire: &TbWire,
+        at: Time,
+    ) {
+        match lane {
+            Lane::CtbTb { .. } => self.counters.ctb_msgs += 1,
+            Lane::ConsTb => self.counters.cons_msgs += 1,
+            _ => {}
+        }
+        let verdict = self.channel_send(sh, lane, r, to.0 as usize, wire.frame(), at);
+        // The broadcaster that caused the send learns whether the fabric
+        // took the write; an accepted probe releases the tail it was
+        // holding back from `to`.
+        if let Some(accepted) = verdict {
+            let released = self.tb_tx(r, lane).on_send_result(to, accepted);
+            self.send_tb_frames(sh, r, lane, at, released);
+        }
+    }
+
+    /// Hands a TBcast payload to the layer the lane carries: decoded here,
+    /// straight out of the buffer it arrived (or was broadcast) in.
     fn deliver_tb_payload(
         &mut self,
         sh: &mut Shared<'_>,
         r: usize,
         lane: Lane,
         from: ReplicaId,
-        payload: Vec<u8>,
+        payload: &[u8],
         at: Time,
     ) {
         match lane {
             Lane::CtbTb { stream } => {
-                if let Ok(wire) = CtbWire::from_bytes(&payload) {
+                if let Ok(wire) = CtbWire::from_bytes(payload) {
                     self.ctb_call(sh, r, stream, at, |c| c.on_tb_deliver(from, wire));
                 }
             }
             Lane::ConsTb => {
-                if let Ok(msg) = TbMsg::from_bytes(&payload) {
+                if let Ok(msg) = TbMsg::from_bytes(payload) {
                     self.engine_call(sh, r, at, |e| e.on_tb_deliver(from, msg));
                 }
             }
             _ => {}
         }
+    }
+
+    /// A TBcast frame arrived at `to` from `from`: an ack goes to the
+    /// lane's broadcaster; a data frame is delivered if the receiver has
+    /// not seen it, then acknowledged if the receiver says so. Cumulative
+    /// acks silence the broadcaster's retransmission of the buffered tail
+    /// (§4.2).
+    fn on_tb_frame(
+        &mut self,
+        sh: &mut Shared<'_>,
+        lane: Lane,
+        from: usize,
+        to: usize,
+        frame: &[u8],
+        at: Time,
+    ) {
+        let node = &mut self.nodes[to];
+        let (tx, rx) = match lane {
+            Lane::CtbTb { stream } => (&mut node.ctb_tx[stream], &mut node.ctb_rx[stream][from]),
+            _ => (&mut node.cons_tx, &mut node.cons_rx[from]),
+        };
+        match TbFrame::decode(frame) {
+            Ok(TbFrame::Data { k, payload }) => {
+                let receipt = rx.on_wire(k);
+                if receipt.deliver {
+                    self.deliver_tb_payload(sh, to, lane, ReplicaId(from as u32), payload, at);
+                }
+                if let Some(upto) = receipt.ack {
+                    self.channel_send(sh, lane, to, from, &TbAck { upto }.frame(), at);
+                }
+            }
+            Ok(TbFrame::Ack(ack)) => tx.on_ack(ReplicaId(from as u32), ack.upto),
+            Err(_) => {}
+        }
+    }
+
+    /// Encodes `msg` and sends it on `lane`; see [`Self::channel_send`].
+    fn send_msg(
+        &mut self,
+        sh: &mut Shared<'_>,
+        lane: Lane,
+        from: usize,
+        to: usize,
+        msg: &impl Wire,
+        at: Time,
+    ) -> Option<bool> {
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.clear();
+        msg.encode(&mut bytes);
+        let verdict = self.channel_send(sh, lane, from, to, &bytes, at);
+        self.scratch = bytes;
+        verdict
     }
 
     /// Sends `bytes` on `lane` and schedules what the report asks for.
@@ -1472,7 +1514,7 @@ impl GroupRuntime {
         lane: Lane,
         from: usize,
         to: usize,
-        bytes: Vec<u8>,
+        bytes: &[u8],
         at: Time,
     ) -> Option<bool> {
         let mut at = at;
@@ -1487,7 +1529,7 @@ impl GroupRuntime {
             Some(ByzantineMode::Laggard) => at += Duration::from_micros(50),
             _ => {}
         }
-        let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, &bytes, at);
+        let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, bytes, at);
         let verdict = if rep.refused > 0 {
             Some(false)
         } else if rep.arrivals.is_empty() {
@@ -1511,7 +1553,7 @@ impl GroupRuntime {
         at: Time,
         rep: ubft_transport::net::SendReport,
     ) {
-        for arrival in rep.arrivals {
+        for (_seq, arrival) in rep.arrivals {
             sh.events.push(arrival + self.cfg.poll_pickup, (self.gid, Ev::Poll { lane, from, to }));
         }
         if let Some(t) = rep.flush_at {
@@ -1526,14 +1568,16 @@ impl GroupRuntime {
     }
 
     fn on_poll(&mut self, sh: &mut Shared<'_>, lane: Lane, from: usize, to: usize, at: Time) {
-        let out =
-            self.transport.recv_poll(sh.fabric, to as u32, Some((lane.id(), from as u32)), at);
+        let mut buf = std::mem::take(&mut self.poll_buf);
+        buf.clear();
+        let out = self.transport.poll(sh.fabric, lane.id(), from as u32, to as u32, at, &mut buf);
         if out.repoll {
             sh.events.push(at + Duration::from_nanos(200), (self.gid, Ev::Poll { lane, from, to }));
         }
-        for inb in out.delivered {
-            self.dispatch_message(sh, lane, from, to, inb.payload, at);
+        for (_seq, payload) in out.delivered {
+            self.dispatch_message(sh, lane, from, to, &buf[payload], at);
         }
+        self.poll_buf = buf;
     }
 
     fn dispatch_message(
@@ -1542,32 +1586,13 @@ impl GroupRuntime {
         lane: Lane,
         from: usize,
         to: usize,
-        payload: Vec<u8>,
+        payload: &[u8],
         at: Time,
     ) {
         match lane {
-            Lane::CtbTb { stream } => match TbFrame::from_bytes(&payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.nodes[to].ctb_rx[stream][from].on_wire(wire);
-                    self.handle_tb_effects(sh, to, lane, at, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.nodes[to].ctb_tx[stream].on_ack(ReplicaId(from as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
-            Lane::ConsTb => match TbFrame::from_bytes(&payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.nodes[to].cons_rx[from].on_wire(wire);
-                    self.handle_tb_effects(sh, to, lane, at, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.nodes[to].cons_tx.on_ack(ReplicaId(from as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
+            Lane::CtbTb { .. } | Lane::ConsTb => self.on_tb_frame(sh, lane, from, to, payload, at),
             Lane::Direct => {
-                if let Ok(msg) = DirectMsg::from_bytes(&payload) {
+                if let Ok(msg) = DirectMsg::from_bytes(payload) {
                     // A censoring leader pretends it never saw the request:
                     // it drops follower echoes (and client requests below)
                     // but participates in everything else.
@@ -1581,7 +1606,7 @@ impl GroupRuntime {
                 }
             }
             Lane::ClientReq => {
-                if let Ok(req) = Request::from_bytes(&payload) {
+                if let Ok(req) = Request::from_bytes(payload) {
                     self.counters.rpc_msgs += 1;
                     if self.byz_mode(to, at) == Some(ByzantineMode::CensorRequests) {
                         return;
@@ -1597,20 +1622,17 @@ impl GroupRuntime {
                     if let Some(reply) = cached {
                         let c_node = self.client_node(req.id.client.0 as usize);
                         self.counters.rpc_msgs += 1;
-                        self.channel_send(sh, Lane::ClientResp, to, c_node, reply.to_bytes(), at);
+                        self.send_msg(sh, Lane::ClientResp, to, c_node, &reply, at);
                         return;
                     }
                     self.engine_call(sh, to, at, |e| e.on_client_request(req));
                 }
             }
             Lane::ClientResp => {
-                if let Ok(reply) = Reply::from_bytes(&payload) {
+                if let Ok(reply) = Reply::from_bytes(payload) {
                     let c = to - self.n();
-                    let fx = self.clients[c].on_reply(reply);
-                    for e in fx {
-                        if let ClientEffect::Complete { .. } = e {
-                            self.on_client_complete(sh, c, at);
-                        }
+                    if self.clients[c].on_reply(reply).is_some() {
+                        self.on_client_complete(sh, c, at);
                     }
                 }
             }
@@ -1637,11 +1659,11 @@ impl GroupRuntime {
     fn on_retransmit_tick(&mut self, sh: &mut Shared<'_>, r: usize, at: Time) {
         if !self.nodes[r].crashed {
             for s in 0..self.n() {
-                let fx = self.nodes[r].ctb_tx[s].retransmit_stale();
-                self.handle_tb_effects(sh, r, Lane::CtbTb { stream: s }, at, fx);
+                let stale = self.nodes[r].ctb_tx[s].retransmit_stale();
+                self.send_tb_frames(sh, r, Lane::CtbTb { stream: s }, at, stale);
             }
-            let fx = self.nodes[r].cons_tx.retransmit_stale();
-            self.handle_tb_effects(sh, r, Lane::ConsTb, at, fx);
+            let stale = self.nodes[r].cons_tx.retransmit_stale();
+            self.send_tb_frames(sh, r, Lane::ConsTb, at, stale);
 
             let sent = self.nodes[r].engine.ctb_sent_count();
             let done = self.nodes[r].engine.ctb_summarized_upto();
@@ -1682,22 +1704,24 @@ impl GroupRuntime {
             return;
         };
         self.idle_backoff[c] = 0;
-        let (id, fx) = self.clients[c].issue(payload);
+        let id = self.clients[c].issue(payload);
         self.issue_times[c] = at;
-        for e in fx {
-            if let ClientEffect::SendRequest { to, req } = e {
-                self.counters.rpc_msgs += 1;
-                self.channel_send(
-                    sh,
-                    Lane::ClientReq,
-                    self.client_node(c),
-                    to.0 as usize,
-                    req.to_bytes(),
-                    at,
-                );
-            }
-        }
+        self.send_client_request(sh, c, at);
         self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
+    }
+
+    /// Sends client `c`'s in-flight request, encoded once, to every replica.
+    fn send_client_request(&mut self, sh: &mut Shared<'_>, c: usize, at: Time) {
+        let Some(req) = self.clients[c].request() else { return };
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.clear();
+        req.encode(&mut bytes);
+        for i in 0..self.clients[c].replicas().len() {
+            let to = self.clients[c].replicas()[i].0 as usize;
+            self.counters.rpc_msgs += 1;
+            self.channel_send(sh, Lane::ClientReq, self.client_node(c), to, &bytes, at);
+        }
+        self.scratch = bytes;
     }
 
     /// The retransmission check for request `id` of client `c` fired.
@@ -1711,19 +1735,7 @@ impl GroupRuntime {
         if self.clients[c].in_flight() != Some(id) {
             return; // completed (or superseded) — nothing to do
         }
-        for e in self.clients[c].retransmit() {
-            if let ClientEffect::SendRequest { to, req } = e {
-                self.counters.rpc_msgs += 1;
-                self.channel_send(
-                    sh,
-                    Lane::ClientReq,
-                    self.client_node(c),
-                    to.0 as usize,
-                    req.to_bytes(),
-                    at,
-                );
-            }
-        }
+        self.send_client_request(sh, c, at);
         self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
     }
 

@@ -46,13 +46,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ubft_core::app::App;
-use ubft_core::client::{Client, ClientEffect};
+use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoResult, CryptoTag, Effect, Engine, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver, TbEffect};
-use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame};
+use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
+use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame, TbWire};
 use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{
@@ -429,6 +429,9 @@ struct ReplicaThread {
     exec_log: Vec<(ClientId, u64)>,
     transfer_misses: u64,
     summary_stall_ticks: u32,
+    /// Where outgoing messages are encoded before the bytes are copied into
+    /// the shared buffer the mesh carries — reused for every send.
+    scratch: Vec<u8>,
 }
 
 impl ReplicaThread {
@@ -468,11 +471,13 @@ impl ReplicaThread {
         }
     }
 
-    /// The in-process mesh has no failure model: its report never carries a
-    /// refused write, so no TBcast peer ever turns unreachable here.
-    fn send(&mut self, lane: LaneId, to: u32, bytes: Vec<u8>) {
-        let me = self.node_idx;
-        let _ = self.ep.send(&mut (), lane, me, to, &bytes, Time::ZERO);
+    /// Encodes `msg` and sends it to node `to`. The in-process mesh has no
+    /// failure model: its report never carries a refused write, so no
+    /// TBcast peer ever turns unreachable here.
+    fn send(&mut self, lane: LaneId, to: u32, msg: &impl Wire) {
+        self.scratch.clear();
+        msg.encode(&mut self.scratch);
+        let _ = self.ep.send(&mut (), lane, self.node_idx, to, &self.scratch, Time::ZERO);
     }
 
     fn peer_node(&self, to: ReplicaId) -> u32 {
@@ -497,11 +502,11 @@ impl ReplicaThread {
     /// CTBcast tail to the signed slow path.
     fn on_retransmit_tick(&mut self) {
         for s in 0..self.n {
-            let fx = self.ctb_tx[s].retransmit_stale();
-            self.handle_tb_effects(Lane::CtbTb { stream: s }, fx);
+            let stale = self.ctb_tx[s].retransmit_stale();
+            self.send_tb_frames(Lane::CtbTb { stream: s }, stale);
         }
-        let fx = self.cons_tx.retransmit_stale();
-        self.handle_tb_effects(Lane::ConsTb, fx);
+        let stale = self.cons_tx.retransmit_stale();
+        self.send_tb_frames(Lane::ConsTb, stale);
 
         let sent = self.engine.ctb_sent_count();
         let done = self.engine.ctb_summarized_upto();
@@ -530,16 +535,7 @@ impl ReplicaThread {
     fn on_net(&mut self, inb: ubft_transport::net::Inbound) {
         let from_r = inb.from as usize % self.n; // group-local sender index
         match inb.lane {
-            LANE_CONS_TB => match TbFrame::from_bytes(&inb.payload) {
-                Ok(TbFrame::Data(wire)) => {
-                    let fx = self.cons_rx[from_r].on_wire(wire);
-                    self.handle_tb_effects(Lane::ConsTb, fx);
-                }
-                Ok(TbFrame::Ack(ack)) => {
-                    self.cons_tx.on_ack(ReplicaId(from_r as u32), ack.upto);
-                }
-                Err(_) => {}
-            },
+            LANE_CONS_TB => self.on_tb_frame(Lane::ConsTb, from_r, &inb.payload),
             LANE_DIRECT => {
                 if let Ok(msg) = DirectMsg::from_bytes(&inb.payload) {
                     let f = ReplicaId(from_r as u32);
@@ -554,8 +550,7 @@ impl ReplicaThread {
                         .filter(|reply| reply.id == req.id)
                         .cloned();
                     if let Some(reply) = cached {
-                        let driver = self.driver_idx;
-                        self.send(LANE_CLIENT_RESP, driver, reply.to_bytes());
+                        self.send(LANE_CLIENT_RESP, self.driver_idx, &reply);
                         return;
                     }
                     self.engine_call(|e| e.on_client_request(req));
@@ -565,20 +560,37 @@ impl ReplicaThread {
                 // Every remaining lane is a CTBcast stream (stream ids sit
                 // far below the reserved high lane ids).
                 let stream = stream_lane as usize;
-                if stream >= self.n {
-                    return;
-                }
-                match TbFrame::from_bytes(&inb.payload) {
-                    Ok(TbFrame::Data(wire)) => {
-                        let fx = self.ctb_rx[stream][from_r].on_wire(wire);
-                        self.handle_tb_effects(Lane::CtbTb { stream }, fx);
-                    }
-                    Ok(TbFrame::Ack(ack)) => {
-                        self.ctb_tx[stream].on_ack(ReplicaId(from_r as u32), ack.upto);
-                    }
-                    Err(_) => {}
+                if stream < self.n {
+                    self.on_tb_frame(Lane::CtbTb { stream }, from_r, &inb.payload);
                 }
             }
+        }
+    }
+
+    /// A TBcast frame arrived from replica `from_r`: an ack goes to the
+    /// lane's broadcaster; a data frame is delivered — decoded in place,
+    /// out of the sender's own buffer — if the receiver has not seen it,
+    /// then acknowledged if the receiver says so.
+    fn on_tb_frame(&mut self, lane: Lane, from_r: usize, frame: &[u8]) {
+        let from = ReplicaId(from_r as u32);
+        let (tx, rx) = match lane {
+            Lane::CtbTb { stream } => (&mut self.ctb_tx[stream], &mut self.ctb_rx[stream][from_r]),
+            Lane::ConsTb => (&mut self.cons_tx, &mut self.cons_rx[from_r]),
+        };
+        match TbFrame::decode(frame) {
+            Ok(TbFrame::Data { k, payload }) => {
+                let receipt = rx.on_wire(k);
+                if receipt.deliver {
+                    self.deliver_tb_payload(lane, from, payload);
+                }
+                if let Some(upto) = receipt.ack {
+                    let (me, node) = (self.node_idx, self.peer_node(from));
+                    let ack = TbAck { upto }.frame();
+                    let _ = self.ep.send(&mut (), lane.id(), me, node, &ack, Time::ZERO);
+                }
+            }
+            Ok(TbFrame::Ack(ack)) => tx.on_ack(from, ack.upto),
+            Err(_) => {}
         }
     }
 
@@ -670,14 +682,10 @@ impl ReplicaThread {
                     self.ctb_effect(r, ce);
                 }
             }
-            Effect::TbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let (_k, tfx) = self.cons_tx.broadcast(bytes);
-                self.handle_tb_effects(Lane::ConsTb, tfx);
-            }
+            Effect::TbBroadcast(msg) => self.tb_broadcast(Lane::ConsTb, &msg),
             Effect::SendReplica { to, msg } => {
                 let node = self.peer_node(to);
-                self.send(LANE_DIRECT, node, msg.to_bytes());
+                self.send(LANE_DIRECT, node, &msg);
             }
             Effect::Execute { slot: _, req } => {
                 let payload = self.app.execute(&req.payload);
@@ -686,9 +694,8 @@ impl ReplicaThread {
                 }
                 if !req.is_noop() && (req.id.client.0 as usize) < self.n_clients {
                     let reply = Reply { id: req.id, replica: ReplicaId(self.r as u32), payload };
-                    let _ = self.reply_cache.insert(req.id.client, reply.clone(), |_| false);
-                    let driver = self.driver_idx;
-                    self.send(LANE_CLIENT_RESP, driver, reply.to_bytes());
+                    self.send(LANE_CLIENT_RESP, self.driver_idx, &reply);
+                    let _ = self.reply_cache.insert(req.id.client, reply, |_| false);
                 }
             }
             Effect::RequestSnapshot { base } => {
@@ -736,11 +743,7 @@ impl ReplicaThread {
 
     fn ctb_effect(&mut self, stream: usize, e: CtbEffect) {
         match e {
-            CtbEffect::Broadcast(wire) => {
-                let bytes = wire.to_bytes();
-                let (_k, tfx) = self.ctb_tx[stream].broadcast(bytes);
-                self.handle_tb_effects(Lane::CtbTb { stream }, tfx);
-            }
+            CtbEffect::Broadcast(wire) => self.tb_broadcast(Lane::CtbTb { stream }, &wire),
             CtbEffect::Sign { k, fp } => {
                 self.crypto.push(PoolJob::Sign {
                     node: self.node_idx,
@@ -830,29 +833,51 @@ impl ReplicaThread {
 
     // ---- TBcast plumbing ---------------------------------------------
 
-    fn handle_tb_effects(&mut self, lane: Lane, fx: Vec<TbEffect>) {
-        for e in fx {
-            match e {
-                TbEffect::SendTo { to, wire } => {
-                    let node = self.peer_node(to);
-                    self.send(lane.id(), node, TbFrame::Data(wire).to_bytes());
+    /// This replica's broadcaster on a TBcast lane.
+    fn tb_tx(&mut self, lane: Lane) -> &mut TailBroadcaster {
+        match lane {
+            Lane::CtbTb { stream } => &mut self.ctb_tx[stream],
+            Lane::ConsTb => &mut self.cons_tx,
+        }
+    }
+
+    /// TBcast-broadcasts `msg` on `lane`: one encoded frame goes to every
+    /// peer, then its payload is delivered locally.
+    fn tb_broadcast(&mut self, lane: Lane, msg: &impl Wire) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let wire = self.tb_tx(lane).broadcast(msg, &mut scratch);
+        self.scratch = scratch;
+        for i in 0..self.tb_tx(lane).peers().len() {
+            let to = self.tb_tx(lane).peers()[i];
+            self.send_tb_frame(lane, to, &wire);
+        }
+        self.deliver_tb_payload(lane, ReplicaId(self.r as u32), wire.payload());
+    }
+
+    /// Sends a TBcast frame to a peer: its thread receives a handle on the
+    /// frame this broadcaster buffered, so no bytes are copied per peer.
+    fn send_tb_frame(&self, lane: Lane, to: ReplicaId, wire: &TbWire) {
+        let (me, node) = (self.node_idx, self.peer_node(to));
+        let _ = self.ep.router().send_net(lane.id(), me, node, wire.frame().clone());
+    }
+
+    fn send_tb_frames(&self, lane: Lane, frames: Vec<(ReplicaId, TbWire)>) {
+        for (to, wire) in frames {
+            self.send_tb_frame(lane, to, &wire);
+        }
+    }
+
+    fn deliver_tb_payload(&mut self, lane: Lane, from: ReplicaId, payload: &[u8]) {
+        match lane {
+            Lane::CtbTb { stream } => {
+                if let Ok(wire) = CtbWire::from_bytes(payload) {
+                    self.ctb_call(stream, |c| c.on_tb_deliver(from, wire));
                 }
-                TbEffect::SendAck { to, upto } => {
-                    let node = self.peer_node(to);
-                    self.send(lane.id(), node, TbFrame::Ack(TbAck { upto }).to_bytes());
+            }
+            Lane::ConsTb => {
+                if let Ok(msg) = TbMsg::from_bytes(payload) {
+                    self.engine_call(|e| e.on_tb_deliver(from, msg));
                 }
-                TbEffect::Deliver { from, k: _, payload } => match lane {
-                    Lane::CtbTb { stream } => {
-                        if let Ok(wire) = CtbWire::from_bytes(&payload) {
-                            self.ctb_call(stream, |c| c.on_tb_deliver(from, wire));
-                        }
-                    }
-                    Lane::ConsTb => {
-                        if let Ok(msg) = TbMsg::from_bytes(&payload) {
-                            self.engine_call(|e| e.on_tb_deliver(from, msg));
-                        }
-                    }
-                },
             }
         }
     }
@@ -939,14 +964,14 @@ impl DriverThread {
         (self.group_completed, self.latency)
     }
 
-    fn send_request(&mut self, fx: Vec<ClientEffect>) {
-        for e in fx {
-            if let ClientEffect::SendRequest { to, req } = e {
-                let node = replica_node(self.g, self.n, to.0 as usize);
-                let me = self.node_idx;
-                let bytes = req.to_bytes();
-                let _ = self.ep.send(&mut (), LANE_CLIENT_REQ, me, node, &bytes, Time::ZERO);
-            }
+    /// Sends client `c`'s in-flight request to every replica: encoded once
+    /// into one shared buffer that each replica's inbox gets a handle on.
+    fn send_request(&mut self, c: usize) {
+        let Some(req) = self.clients[c].request() else { return };
+        let bytes: Arc<[u8]> = req.to_bytes().into();
+        for to in self.clients[c].replicas() {
+            let node = replica_node(self.g, self.n, to.0 as usize);
+            let _ = self.ep.router().send_net(LANE_CLIENT_REQ, self.node_idx, node, bytes.clone());
         }
     }
 
@@ -968,9 +993,9 @@ impl DriverThread {
             return;
         };
         self.idle_backoff[c] = 0;
-        let (id, fx) = self.clients[c].issue(payload);
+        let id = self.clients[c].issue(payload);
         self.issue_at[c] = Instant::now();
-        self.send_request(fx);
+        self.send_request(c);
         self.timers.arm(self.retry_period(), DriverTimer::Retry { c, id });
     }
 
@@ -978,8 +1003,7 @@ impl DriverThread {
         if self.clients[c].in_flight() != Some(id) {
             return;
         }
-        let fx = self.clients[c].retransmit();
-        self.send_request(fx);
+        self.send_request(c);
         self.timers.arm(self.retry_period(), DriverTimer::Retry { c, id });
     }
 
@@ -992,18 +1016,15 @@ impl DriverThread {
         if c >= self.clients.len() {
             return;
         }
-        let fx = self.clients[c].on_reply(reply);
-        for e in fx {
-            if let ClientEffect::Complete { .. } = e {
-                let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-                self.group_completed += 1;
-                if done > self.warmup {
-                    let ns = self.issue_at[c].elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    self.latency.record(ubft_types::Duration::from_nanos(ns));
-                }
-                if done < self.target {
-                    self.try_issue(c);
-                }
+        if self.clients[c].on_reply(reply).is_some() {
+            let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+            self.group_completed += 1;
+            if done > self.warmup {
+                let ns = self.issue_at[c].elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                self.latency.record(ubft_types::Duration::from_nanos(ns));
+            }
+            if done < self.target {
+                self.try_issue(c);
             }
         }
     }
@@ -1166,17 +1187,12 @@ pub fn run_wallclock(
             let cap = 2 * cfg.params.tail;
             let peers: Vec<ReplicaId> =
                 (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect();
-            let ctb_tx: Vec<TailBroadcaster> = (0..n)
-                .map(|_s| TailBroadcaster::new(ReplicaId(r as u32), peers.clone(), cap))
-                .collect();
-            let ctb_rx: Vec<Vec<TailReceiver>> = (0..n)
-                .map(|_s| {
-                    (0..n).map(|sender| TailReceiver::new(ReplicaId(sender as u32), cap)).collect()
-                })
-                .collect();
-            let cons_tx = TailBroadcaster::new(ReplicaId(r as u32), peers.clone(), cap);
-            let cons_rx: Vec<TailReceiver> =
-                (0..n).map(|s| TailReceiver::new(ReplicaId(s as u32), cap)).collect();
+            let ctb_tx: Vec<TailBroadcaster> =
+                (0..n).map(|_s| TailBroadcaster::new(peers.clone(), cap)).collect();
+            let ctb_rx: Vec<Vec<TailReceiver>> =
+                (0..n).map(|_s| (0..n).map(|_sender| TailReceiver::new(cap)).collect()).collect();
+            let cons_tx = TailBroadcaster::new(peers.clone(), cap);
+            let cons_rx: Vec<TailReceiver> = (0..n).map(|_s| TailReceiver::new(cap)).collect();
 
             let t = ReplicaThread {
                 g,
@@ -1213,6 +1229,7 @@ pub fn run_wallclock(
                 exec_log: Vec::new(),
                 transfer_misses: 0,
                 summary_stall_ticks: 0,
+                scratch: Vec::new(),
             };
             replica_handles.push(std::thread::spawn(move || t.run()));
         }

@@ -7,11 +7,12 @@
 //! recover the exact sequence number of whatever it finds.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use ubft_crypto::checksum64;
 use ubft_rdma::{AccessToken, Fabric, RdmaError, RegionId};
 use ubft_sim::HostId;
-use ubft_types::Time;
+use ubft_types::{Few, Time};
 
 /// Domain-separation seed for slot checksums.
 const CHECKSUM_SEED: u64 = 0x4349_5243_4255_4621; // "CIRCBUF!"
@@ -72,8 +73,8 @@ pub fn create_channel(
 /// arrival.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SendOutcome {
-    /// Newly issued writes.
-    pub issued: Vec<(u64, Time)>,
+    /// Newly issued writes: one, except when a flush drains a staged burst.
+    pub issued: Few<(u64, Time)>,
     /// Messages evicted from the staging queue without ever being sent.
     pub evicted: u64,
     /// Writes the fabric refused because the target (or this host) is down
@@ -179,6 +180,8 @@ impl ChannelSender {
     }
 
     /// Issues the RDMA write for `seq`; `None` when the fabric refused it.
+    /// The slot frame built here is the hop's one copy of the payload: the
+    /// fabric takes the buffer itself as the write's in-flight image.
     fn transmit(
         &mut self,
         fabric: &mut Fabric,
@@ -197,11 +200,8 @@ impl ChannelSender {
         frame[..8].copy_from_slice(&csum.to_le_bytes());
 
         let offset = slot * self.spec.slot_size();
-        // The issuer host is wherever the token holder runs; fabric enforces
-        // write permission via the token, and the network model needs the
-        // issuer only for latency/crash checks — the runtime passes it in
-        // through `fabric` state. We derive it from the write call instead.
-        match fabric.write(self.issuer_host(fabric), self.token, self.region, offset, &frame, now) {
+        let issuer = self.issuer.expect("ChannelSender::bind_issuer must be called before sending");
+        match fabric.write_owned(issuer, self.token, self.region, offset, frame, now) {
             Ok(ticket) => {
                 self.slot_busy_until[slot] = ticket.completion;
                 Some(ticket.arrival)
@@ -209,10 +209,6 @@ impl ChannelSender {
             Err(RdmaError::TargetUnavailable | RdmaError::IssuerUnavailable) => None,
             Err(e) => panic!("channel write failed: {e}"),
         }
-    }
-
-    fn issuer_host(&self, _fabric: &Fabric) -> HostId {
-        self.issuer.expect("ChannelSender::bind_issuer must be called before sending")
     }
 
     /// Binds the sender to the host it runs on (used for latency and crash
@@ -228,11 +224,13 @@ impl ChannelSender {
     }
 }
 
-/// What a receiver poll produced.
+/// What a receiver poll produced. The payloads are owned buffers
+/// ([`ChannelReceiver::poll`]) or ranges of the caller's buffer
+/// ([`ChannelReceiver::poll_into`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PollOutcome {
+pub struct PollOutcome<P = Vec<u8>> {
     /// Messages delivered in FIFO order: `(sequence, payload)`.
-    pub delivered: Vec<(u64, Vec<u8>)>,
+    pub delivered: Few<(u64, P)>,
     /// A slot looked mid-write (bad checksum): poll again shortly.
     pub repoll: bool,
 }
@@ -265,8 +263,26 @@ impl ChannelReceiver {
     }
 
     /// Polls the buffer at virtual time `now`, delivering every message that
-    /// is ready, in FIFO order, skipping ahead over overwritten slots.
+    /// is ready, in FIFO order, skipping ahead over overwritten slots. Each
+    /// message comes back in a buffer of its own; a caller that polls all
+    /// the time uses [`Self::poll_into`], which this wraps.
     pub fn poll(&mut self, fabric: &mut Fabric, now: Time) -> PollOutcome {
+        let mut buf = Vec::new();
+        let PollOutcome { delivered, repoll } = self.poll_into(fabric, now, &mut buf);
+        let delivered = delivered.into_iter().map(|(seq, at)| (seq, buf[at].to_vec())).collect();
+        PollOutcome { delivered, repoll }
+    }
+
+    /// [`Self::poll`] into a caller-provided buffer: every ready message is
+    /// copied out of its slot onto the end of `buf` and validated there,
+    /// and comes back as the range of `buf` that holds its payload. A
+    /// caller that reuses `buf` allocates nothing, whatever arrives.
+    pub fn poll_into(
+        &mut self,
+        fabric: &mut Fabric,
+        now: Time,
+        buf: &mut Vec<u8>,
+    ) -> PollOutcome<Range<usize>> {
         let mut out = PollOutcome::default();
         loop {
             let slot = (self.expected_seq % self.spec.slots as u64) as usize;
@@ -304,17 +320,18 @@ impl ChannelReceiver {
                 out.repoll = true;
                 return out;
             }
-            let mut frame = vec![0u8; SLOT_HEADER + size];
-            if fabric.local_read_into(self.host, self.region, offset, &mut frame, now).is_err() {
+            let start = buf.len();
+            buf.resize(start + SLOT_HEADER + size, 0);
+            let frame = &mut buf[start..];
+            let read = fabric.local_read_into(self.host, self.region, offset, frame, now);
+            if read.is_err() || checksum64(CHECKSUM_SEED, &frame[8..]) != stored {
+                // A crashed host delivers nothing more; a bad checksum is a
+                // slot mid-write or corrupt: retry shortly.
+                out.repoll = read.is_ok();
+                buf.truncate(start);
                 return out;
             }
-            if checksum64(CHECKSUM_SEED, &frame[8..]) != stored {
-                // Mid-write or corrupt: retry shortly.
-                out.repoll = true;
-                return out;
-            }
-            frame.drain(..SLOT_HEADER);
-            out.delivered.push((self.expected_seq, frame));
+            out.delivered.push((self.expected_seq, start + SLOT_HEADER..buf.len()));
             self.expected_seq += 1;
         }
     }
@@ -347,11 +364,32 @@ mod tests {
         tx.bind_issuer(HostId(0));
         let out = tx.send(&mut f, t(0), b"hello");
         assert_eq!(out.issued.len(), 1);
-        let (seq, arrival) = out.issued[0];
+        let &(seq, arrival) = out.issued.last().unwrap();
         assert_eq!(seq, 0);
         let polled = rx.poll(&mut f, arrival + Duration::from_nanos(150));
-        assert_eq!(polled.delivered, vec![(0, b"hello".to_vec())]);
+        assert_eq!(polled.delivered, Few::from_iter([(0, b"hello".to_vec())]));
         assert!(!polled.repoll);
+    }
+
+    #[test]
+    fn poll_into_appends_payloads_to_the_callers_buffer() {
+        let mut f = fabric();
+        let (mut tx, mut rx) = create_channel(&mut f, HostId(1), spec());
+        tx.bind_issuer(HostId(0));
+        tx.send(&mut f, t(0), b"one");
+        let arrival = tx.send(&mut f, t(1), b"three").issued.last().unwrap().1;
+        let mut buf = b"kept".to_vec();
+        let polled = rx.poll_into(&mut f, arrival + Duration::from_micros(1), &mut buf);
+        let payloads: Vec<_> = polled.delivered.iter().map(|(_, at)| &buf[at.clone()]).collect();
+        assert_eq!(payloads, vec![&b"one"[..], &b"three"[..]]);
+        assert!(buf.starts_with(b"kept") && !polled.repoll);
+        // Nothing more is ready: the buffer is left as it is.
+        let len = buf.len();
+        assert!(rx
+            .poll_into(&mut f, arrival + Duration::from_micros(2), &mut buf)
+            .delivered
+            .is_empty());
+        assert_eq!(buf.len(), len);
     }
 
     #[test]
@@ -452,7 +490,7 @@ mod tests {
         let (mut tx, mut rx) = create_channel(&mut f, HostId(1), spec());
         tx.bind_issuer(HostId(0));
         let out = tx.send(&mut f, t(0), b"later");
-        let arrival = out.issued[0].1;
+        let arrival = out.issued.last().unwrap().1;
         let early = rx.poll(&mut f, t(0));
         assert!(early.delivered.is_empty());
         assert!(!early.repoll);

@@ -22,10 +22,11 @@
 //! control payload type `X` is deployment-defined.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 
 use ubft_types::Time;
 
-use crate::net::{Inbound, LaneId, PollReport, SendReport, Transport};
+use crate::net::{Inbound, LaneId, SendReport, Transport};
 
 /// One message in a node's inbox: protocol bytes or a typed control frame.
 pub enum InMsg<X> {
@@ -65,8 +66,18 @@ impl<X> InProcRouter<X> {
     }
 
     /// Sends protocol bytes to node `to` (the raw form of
-    /// [`Transport::send`], usable from any thread holding a router).
-    pub fn send_net(&self, lane: LaneId, from: u32, to: u32, payload: Vec<u8>) -> bool {
+    /// [`Transport::send`], usable from any thread holding a router). A
+    /// sender that already holds the bytes in a shared buffer passes a clone
+    /// of its handle and nothing is copied; anything else is copied once
+    /// into a fresh one.
+    pub fn send_net(
+        &self,
+        lane: LaneId,
+        from: u32,
+        to: u32,
+        payload: impl Into<Arc<[u8]>>,
+    ) -> bool {
+        let payload = payload.into();
         self.senders[to as usize].send(InMsg::Net(Inbound { lane, from, payload })).is_ok()
     }
 }
@@ -76,10 +87,6 @@ pub struct InProcEndpoint<X> {
     me: u32,
     rx: Receiver<InMsg<X>>,
     router: InProcRouter<X>,
-    /// Control frames encountered by a [`Transport::recv_poll`] drain;
-    /// handed back through [`InProcEndpoint::take_ctl`] so trait-driven
-    /// consumers never lose them.
-    ctl_backlog: Vec<X>,
 }
 
 /// Builds an `n`-node in-process mesh: a router (for threads that are not
@@ -97,12 +104,7 @@ pub fn inproc_mesh<X>(n: usize) -> (InProcRouter<X>, Vec<InProcEndpoint<X>>) {
     let endpoints = receivers
         .into_iter()
         .enumerate()
-        .map(|(i, rx)| InProcEndpoint {
-            me: i as u32,
-            rx,
-            router: router.clone(),
-            ctl_backlog: Vec::new(),
-        })
+        .map(|(i, rx)| InProcEndpoint { me: i as u32, rx, router: router.clone() })
         .collect();
     (router, endpoints)
 }
@@ -131,11 +133,6 @@ impl<X> InProcEndpoint<X> {
     pub fn try_recv(&self) -> Option<InMsg<X>> {
         self.rx.try_recv().ok()
     }
-
-    /// Control frames a [`Transport::recv_poll`] drain set aside.
-    pub fn take_ctl(&mut self) -> Vec<X> {
-        std::mem::take(&mut self.ctl_backlog)
-    }
 }
 
 impl<X> Transport for InProcEndpoint<X> {
@@ -152,7 +149,7 @@ impl<X> Transport for InProcEndpoint<X> {
     ) -> SendReport {
         // Delivery is eager: the destination thread wakes on its inbox, so
         // there are no arrivals to schedule and nothing ever stages.
-        let _ = self.router.send_net(lane, from, to, payload.to_vec());
+        let _ = self.router.send_net(lane, from, to, payload);
         SendReport::default()
     }
 
@@ -165,32 +162,6 @@ impl<X> Transport for InProcEndpoint<X> {
         _now: Time,
     ) -> SendReport {
         SendReport::default()
-    }
-
-    fn recv_poll(
-        &mut self,
-        _ctx: &mut (),
-        to: u32,
-        from: Option<(LaneId, u32)>,
-        _now: Time,
-    ) -> PollReport {
-        debug_assert_eq!(to, self.me, "an endpoint polls only its own inbox");
-        let mut delivered = Vec::new();
-        while let Ok(msg) = self.rx.try_recv() {
-            match msg {
-                InMsg::Net(inb) => match from {
-                    Some((lane, sender)) if inb.lane != lane || inb.from != sender => {
-                        // A filtered poll must still preserve global inbox
-                        // order for what it does deliver; deliver
-                        // everything and let the caller demultiplex.
-                        delivered.push(inb);
-                    }
-                    _ => delivered.push(inb),
-                },
-                InMsg::Ctl(x) => self.ctl_backlog.push(x),
-            }
-        }
-        PollReport { delivered, repoll: false }
     }
 }
 
@@ -208,7 +179,7 @@ mod tests {
         const MSGS: u64 = 5_000;
         let (router, mut eps) = inproc_mesh::<()>(PRODUCERS + 1);
         let consumer_idx = PRODUCERS as u32;
-        let mut consumer = eps.pop().expect("consumer endpoint");
+        let consumer = eps.pop().expect("consumer endpoint");
 
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(PRODUCERS));
         let handles: Vec<_> = (0..PRODUCERS)
@@ -229,8 +200,7 @@ mod tests {
         let mut next_expected = [0u64; PRODUCERS];
         let mut total = 0u64;
         while total < PRODUCERS as u64 * MSGS {
-            let report = consumer.recv_poll(&mut (), consumer_idx, None, Time::ZERO);
-            for inb in report.delivered {
+            while let Some(InMsg::Net(inb)) = consumer.try_recv() {
                 assert_eq!(inb.lane, 7);
                 let p = u64::from_le_bytes(inb.payload[..8].try_into().unwrap()) as usize;
                 let i = u64::from_le_bytes(inb.payload[8..16].try_into().unwrap());
@@ -251,19 +221,37 @@ mod tests {
         assert!(next_expected.iter().all(|&n| n == MSGS));
     }
 
-    /// Control frames interleaved with protocol traffic are never lost by
-    /// a trait-driven drain, and arrive in per-producer order too.
+    /// Control frames and protocol traffic share the one inbox: a drain
+    /// sees both, each kind in the order its producer sent it.
     #[test]
-    fn ctl_frames_survive_recv_poll_drain() {
+    fn ctl_and_net_frames_share_one_fifo_inbox() {
         let (router, mut eps) = inproc_mesh::<u64>(2);
-        let mut ep = eps.pop().expect("endpoint 1");
+        let ep = eps.pop().expect("endpoint 1");
         for i in 0..100u64 {
             assert!(router.send_net(3, 0, 1, vec![i as u8]));
             assert!(router.send_ctl(1, i));
         }
-        let report = ep.recv_poll(&mut (), 1, None, Time::ZERO);
-        assert_eq!(report.delivered.len(), 100);
-        let ctl = ep.take_ctl();
+        let (mut net, mut ctl) = (Vec::new(), Vec::new());
+        while let Some(msg) = ep.try_recv() {
+            match msg {
+                InMsg::Net(inb) => net.push(inb.payload[0] as u64),
+                InMsg::Ctl(x) => ctl.push(x),
+            }
+        }
+        assert_eq!(net, (0..100).collect::<Vec<_>>());
         assert_eq!(ctl, (0..100).collect::<Vec<_>>());
+    }
+
+    /// A sender that holds its bytes in a shared buffer passes the handle:
+    /// two receivers of one frame read the sender's own allocation.
+    #[test]
+    fn a_shared_buffer_crosses_the_mesh_without_a_copy() {
+        let (router, eps) = inproc_mesh::<()>(3);
+        let frame: Arc<[u8]> = Arc::from(&b"frame"[..]);
+        for to in [1, 2] {
+            assert!(router.send_net(0, 0, to, frame.clone()));
+            let Some(InMsg::Net(inb)) = eps[to as usize].try_recv() else { panic!("just sent") };
+            assert!(Arc::ptr_eq(&inb.payload, &frame));
+        }
     }
 }

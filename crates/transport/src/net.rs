@@ -20,8 +20,18 @@
 //! scheduling hints), and [`InProcEndpoint`](crate::inproc) connects OS
 //! threads through lock-free in-process queues (its `Ctx` is `()` and
 //! delivery is immediate — the receiving thread wakes on its inbox).
+//!
+//! The trait is the *sending* half. How a node learns that bytes arrived
+//! is what the two backends do not share: a simulated node polls one
+//! link's buffer at the virtual instant a write lands
+//! ([`SimLinkTransport::poll`](crate::sim_link::SimLinkTransport::poll),
+//! into the driver's own buffer), a threaded node blocks on its inbox
+//! ([`InProcEndpoint::recv_timeout`](crate::inproc::InProcEndpoint::recv_timeout),
+//! which hands it the sender's buffer).
 
-use ubft_types::Time;
+use std::sync::Arc;
+
+use ubft_types::{Few, Time};
 
 /// Lane identifier. The runtime maps its protocol lanes into this
 /// namespace: CTBcast stream `s` uses lane `s`, and the reserved lanes
@@ -40,11 +50,11 @@ pub const LANE_CLIENT_RESP: LaneId = 0xFFFF_FF03;
 /// What a send (or flush) accomplished, in the transport's own time base.
 #[derive(Clone, Debug, Default)]
 pub struct SendReport {
-    /// Completion times of writes issued to the wire by this call. A
-    /// simulated transport reports virtual arrival times so the driver can
-    /// schedule receiver polls; an in-process transport delivers eagerly
-    /// and reports nothing.
-    pub arrivals: Vec<Time>,
+    /// Link sequence number and completion time of each write issued to
+    /// the wire by this call. A simulated transport reports virtual arrival
+    /// times so the driver can schedule receiver polls; an in-process
+    /// transport delivers eagerly and reports nothing.
+    pub arrivals: Few<(u64, Time)>,
     /// When staged (not yet issued) data will next become flushable;
     /// `None` when nothing is staged. Drivers schedule a
     /// [`Transport::flush`] at this time.
@@ -58,26 +68,17 @@ pub struct SendReport {
     pub refused: u64,
 }
 
-/// One delivered message.
+/// One message in a threaded node's inbox.
 #[derive(Clone, Debug)]
 pub struct Inbound {
     /// Lane the message arrived on.
     pub lane: LaneId,
     /// Sending node.
     pub from: u32,
-    /// The payload bytes, exactly as sent.
-    pub payload: Vec<u8>,
-}
-
-/// The outcome of one receive poll.
-#[derive(Clone, Debug, Default)]
-pub struct PollReport {
-    /// Messages delivered by this poll, in delivery order.
-    pub delivered: Vec<Inbound>,
-    /// Whether the receiver observed in-flight data worth re-polling for
-    /// shortly (a torn slot mid-write). In-process transports never set
-    /// this — their receivers block instead of polling.
-    pub repoll: bool,
+    /// The payload bytes, exactly as sent. A shared buffer: an in-process
+    /// transport hands over the sender's own handle, so a frame broadcast
+    /// to several peers is never copied per peer.
+    pub payload: Arc<[u8]>,
 }
 
 /// A deployment backend's message plane. See the module docs for the
@@ -109,29 +110,4 @@ pub trait Transport {
         to: u32,
         now: Time,
     ) -> SendReport;
-
-    /// Polls node `to`'s receive side. `from = Some((lane, sender))`
-    /// restricts the poll to one link (how the simulated backend walks
-    /// its per-link buffers); `None` drains everything pending (how the
-    /// in-process backend empties its inbox).
-    fn recv_poll(
-        &mut self,
-        ctx: &mut Self::Ctx,
-        to: u32,
-        from: Option<(LaneId, u32)>,
-        now: Time,
-    ) -> PollReport;
-
-    /// Sends `payload` to every node in `to`, reporting per-destination.
-    fn multicast(
-        &mut self,
-        ctx: &mut Self::Ctx,
-        lane: LaneId,
-        from: u32,
-        to: &[u32],
-        payload: &[u8],
-        now: Time,
-    ) -> Vec<(u32, SendReport)> {
-        to.iter().map(|&t| (t, self.send(ctx, lane, from, t, payload, now))).collect()
-    }
 }

@@ -6,17 +6,21 @@
 //! busy-until, incarnation-checked polls) are untouched, so a deployment
 //! driven through this transport is bit-for-bit identical to the
 //! pre-trait code. The driver remains responsible for *scheduling*: it
-//! turns [`SendReport::arrivals`] into receiver-poll events and
-//! [`SendReport::flush_at`] into flush events in its virtual-time queue.
+//! turns [`SendReport::arrivals`] into receiver-poll events (each a
+//! [`SimLinkTransport::poll`]) and [`SendReport::flush_at`] into flush
+//! events in its virtual-time queue.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ubft_rdma::Fabric;
 use ubft_sim::HostId;
 use ubft_types::Time;
 
-use crate::channel::{create_channel, ChannelReceiver, ChannelSender, ChannelSpec, SendOutcome};
-use crate::net::{Inbound, LaneId, PollReport, SendReport, Transport};
+use crate::channel::{
+    create_channel, ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome,
+};
+use crate::net::{LaneId, SendReport, Transport};
 
 struct Link {
     tx: ChannelSender,
@@ -27,7 +31,7 @@ impl Link {
     /// The transport-level report of one send or flush on this link.
     fn report(&self, out: SendOutcome) -> SendReport {
         SendReport {
-            arrivals: out.issued.into_iter().map(|(_seq, at)| at).collect(),
+            arrivals: out.issued,
             // `next_flush_at` is `None` exactly when nothing is staged.
             flush_at: self.tx.next_flush_at(),
             evicted: out.evicted,
@@ -68,6 +72,25 @@ impl SimLinkTransport {
         let (mut tx, rx) = create_channel(fabric, to_host, spec);
         tx.bind_issuer(from_host);
         self.links.insert((lane, from, to), Link { tx, rx });
+    }
+
+    /// Polls the receiving end of link `(lane, from, to)` at virtual time
+    /// `now`: every ready message is appended to `buf` and reported as the
+    /// range holding its payload ([`ChannelReceiver::poll_into`]). A link
+    /// that was never opened delivers nothing.
+    pub fn poll(
+        &mut self,
+        fabric: &mut Fabric,
+        lane: LaneId,
+        from: u32,
+        to: u32,
+        now: Time,
+        buf: &mut Vec<u8>,
+    ) -> PollOutcome<Range<usize>> {
+        match self.links.get_mut(&(lane, from, to)) {
+            Some(link) => link.rx.poll_into(fabric, now, buf),
+            None => PollOutcome::default(),
+        }
     }
 
     /// Buffer bytes attributable to node `r`: receive buffers it hosts
@@ -119,31 +142,5 @@ impl Transport for SimLinkTransport {
         };
         let out = link.tx.flush(fabric, now);
         link.report(out)
-    }
-
-    fn recv_poll(
-        &mut self,
-        fabric: &mut Fabric,
-        to: u32,
-        from: Option<(LaneId, u32)>,
-        now: Time,
-    ) -> PollReport {
-        let Some((lane, sender)) = from else {
-            // The simulated backend is poll-driven per link; a drain-all
-            // poll has no single buffer to walk.
-            return PollReport::default();
-        };
-        let Some(link) = self.links.get_mut(&(lane, sender, to)) else {
-            return PollReport::default();
-        };
-        let out = link.rx.poll(fabric, now);
-        PollReport {
-            delivered: out
-                .delivered
-                .into_iter()
-                .map(|(_seq, payload)| Inbound { lane, from: sender, payload })
-                .collect(),
-            repoll: out.repoll,
-        }
     }
 }

@@ -187,6 +187,9 @@ macro_rules! impl_wire_newtype_u32 {
             fn encode(&self, buf: &mut Vec<u8>) {
                 self.0.encode(buf);
             }
+            fn encoded_len(&self) -> usize {
+                4
+            }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
                 Ok(Self(u32::decode(r)?))
             }
@@ -199,6 +202,9 @@ macro_rules! impl_wire_newtype_u64 {
         impl Wire for $t {
             fn encode(&self, buf: &mut Vec<u8>) {
                 self.0.encode(buf);
+            }
+            fn encoded_len(&self) -> usize {
+                8
             }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
                 Ok(Self(u64::decode(r)?))
@@ -228,6 +234,10 @@ impl Wire for ProcessId {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        5
+    }
+
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(ProcessId::Replica(ReplicaId::decode(r)?)),
@@ -241,6 +251,10 @@ impl Wire for RequestId {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.client.encode(buf);
         self.seq.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        12
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {

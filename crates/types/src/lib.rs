@@ -20,12 +20,14 @@
 
 pub mod config;
 pub mod error;
+pub mod few;
 pub mod ids;
 pub mod time;
 pub mod wire;
 
 pub use config::ClusterParams;
 pub use error::{CodecError, ProtocolError};
+pub use few::Few;
 pub use ids::{ClientId, MemNodeId, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
 pub use time::{Duration, Time};
 pub use wire::{Wire, WireReader};

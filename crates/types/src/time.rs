@@ -163,6 +163,9 @@ impl Wire for Time {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Time(u64::decode(r)?))
     }
@@ -171,6 +174,9 @@ impl Wire for Time {
 impl Wire for Duration {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(Duration(u64::decode(r)?))

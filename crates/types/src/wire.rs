@@ -25,6 +25,10 @@ pub trait Wire: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
+    /// Exactly how many bytes [`Wire::encode`] appends. Lets every encoder
+    /// size its buffer once instead of growing it field by field.
+    fn encoded_len(&self) -> usize;
+
     /// Decodes a value from the reader.
     ///
     /// # Errors
@@ -34,10 +38,12 @@ pub trait Wire: Sized {
     /// total and never panics.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError>;
 
-    /// Convenience: encodes `self` into a fresh buffer.
+    /// Encodes `self` into a fresh buffer of exactly the encoded size: one
+    /// allocation, no growth.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
+        debug_assert_eq!(buf.len(), self.encoded_len(), "encoded_len disagrees with encode");
         buf
     }
 
@@ -88,6 +94,18 @@ impl<'a> WireReader<'a> {
         self.pos += n;
         Ok(s)
     }
+
+    /// Takes a length-prefixed byte string (what `Vec<u8>` encodes to)
+    /// without copying it out of the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Truncated`] if the prefix or the bytes it
+    /// announces are missing.
+    pub fn take_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = u32::decode(self)? as usize;
+        self.take(len)
+    }
 }
 
 macro_rules! impl_wire_int {
@@ -95,6 +113,9 @@ macro_rules! impl_wire_int {
         impl Wire for $t {
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn encoded_len(&self) -> usize {
+                core::mem::size_of::<$t>()
             }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
                 let n = core::mem::size_of::<$t>();
@@ -113,6 +134,9 @@ impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
         (*self as u8).encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        1
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(false),
@@ -127,9 +151,11 @@ impl Wire for Vec<u8> {
         (self.len() as u32).encode(buf);
         buf.extend_from_slice(self);
     }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        let len = u32::decode(r)? as usize;
-        Ok(r.take(len)?.to_vec())
+        Ok(r.take_bytes()?.to_vec())
     }
 }
 
@@ -143,12 +169,30 @@ impl<T: Wire> Wire for Option<T> {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
+    }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         match u8::decode(r)? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
             tag => Err(CodecError::BadTag { ty: "Option", tag }),
         }
+    }
+}
+
+/// A pair encodes as its two halves back to back, so keyed lists go through
+/// [`encode_seq`] / [`decode_seq`] without a wrapper type.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -166,6 +210,11 @@ pub fn encode_seq<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
     for it in items {
         it.encode(buf);
     }
+}
+
+/// Exactly how many bytes [`encode_seq`] appends for `items`.
+pub fn seq_encoded_len<T: Wire>(items: &[T]) -> usize {
+    4 + items.iter().map(Wire::encoded_len).sum::<usize>()
 }
 
 /// Decodes a sequence written by [`encode_seq`].
@@ -193,6 +242,8 @@ pub fn decode_seq<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>, CodecError>
 /// Panics if the roundtrip fails or is lossy.
 pub fn roundtrip<T: Wire + PartialEq + core::fmt::Debug>(v: &T) {
     let bytes = v.to_bytes();
+    assert_eq!(bytes.len(), v.encoded_len(), "encoded_len disagrees with encode");
+    assert_eq!(bytes.len(), bytes.capacity(), "to_bytes must allocate exactly once");
     let back = T::from_bytes(&bytes).expect("decode");
     assert_eq!(&back, v, "wire roundtrip lossy");
 }
@@ -231,10 +282,28 @@ mod tests {
     }
 
     #[test]
+    fn pair_is_its_halves_back_to_back() {
+        roundtrip(&(7u32, vec![1u8, 2]));
+        let mut halves = 7u32.to_bytes();
+        vec![1u8, 2].encode(&mut halves);
+        assert_eq!((7u32, vec![1u8, 2]).to_bytes(), halves);
+    }
+
+    #[test]
+    fn take_bytes_borrows_what_vec_decodes() {
+        let buf = vec![9u8, 8, 7].to_bytes();
+        let mut r = WireReader::new(&buf);
+        assert_eq!(r.take_bytes().unwrap(), &[9u8, 8, 7][..]);
+        assert_eq!(r.remaining(), 0);
+        assert!(WireReader::new(&buf[..5]).take_bytes().is_err());
+    }
+
+    #[test]
     fn seq_roundtrip() {
         let items = vec![1u64, 2, 3];
         let mut buf = Vec::new();
         encode_seq(&items, &mut buf);
+        assert_eq!(buf.len(), seq_encoded_len(&items));
         let mut r = WireReader::new(&buf);
         let back: Vec<u64> = decode_seq(&mut r).unwrap();
         assert_eq!(back, items);

@@ -127,7 +127,7 @@ proptest! {
         let _ = ubft_core::msg::TbMsg::from_bytes(&data);
         let _ = ubft_core::msg::DirectMsg::from_bytes(&data);
         let _ = ubft_ctb::wire::CtbWire::from_bytes(&data);
-        let _ = ubft_ctb::wire::TbWire::from_bytes(&data);
+        let _ = ubft_ctb::wire::TbFrame::decode(&data);
     }
 
     /// Checksums are deterministic and sensitive to any single-byte change.
@@ -205,15 +205,11 @@ proptest! {
     /// arbitrary reordered/duplicated frames.
     #[test]
     fn tbcast_no_duplication(ks in proptest::collection::vec(1u64..64, 1..256)) {
-        use ubft_ctb::tbcast::{TailReceiver, TbEffect};
-        use ubft_ctb::wire::TbWire;
-        let mut rx = TailReceiver::new(ReplicaId(0), 128);
+        let mut rx = ubft_ctb::tbcast::TailReceiver::new(128);
         let mut delivered = std::collections::HashSet::new();
         for k in ks {
-            for e in rx.on_wire(TbWire { k: SeqId(k), payload: vec![] }) {
-                if let TbEffect::Deliver { k, .. } = e {
-                    prop_assert!(delivered.insert(k), "duplicate delivery of {:?}", k);
-                }
+            if rx.on_wire(SeqId(k)).deliver {
+                prop_assert!(delivered.insert(k), "duplicate delivery of {:?}", k);
             }
         }
     }
