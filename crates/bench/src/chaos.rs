@@ -70,11 +70,20 @@ fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
     (audit, report.aggregate.completed)
 }
 
+/// What one exploration found.
+pub struct ChaosOutcome {
+    /// The exploration record (EXPERIMENTS.md keeps a sample).
+    pub record: String,
+    /// Plans that gave up at the deadline: liveness, not safety.
+    pub stalled: u64,
+    /// Plans with an audit violation.
+    pub violating: u64,
+}
+
 /// Drives `plans` seeded chaos plans, audits each, and shrinks + prints
-/// any violator. The returned text is the exploration record
-/// (EXPERIMENTS.md keeps a sample); a non-zero violation count is the
-/// explorer's way of failing CI.
-pub fn chaos_explore(plans: u64) -> String {
+/// any violator. A non-zero violation count — or more stalled plans than
+/// the caller's budget — is the explorer's way of failing CI.
+pub fn chaos_explore(plans: u64) -> ChaosOutcome {
     let mut out = String::from("# Chaos exploration: seeded fault plans + omniscient audit\n");
     let started = std::time::Instant::now();
     let mut distinct = std::collections::BTreeSet::new();
@@ -134,7 +143,7 @@ pub fn chaos_explore(plans: u64) -> String {
         "decisions audited: {decisions}  executions audited: {executions}  wall: {:.1}s\n",
         started.elapsed().as_secs_f64()
     ));
-    out
+    ChaosOutcome { record: out, stalled: stalled.len() as u64, violating }
 }
 
 #[cfg(test)]
@@ -144,7 +153,7 @@ mod tests {
     #[test]
     fn chaos_explore_smoke_is_clean() {
         let out = chaos_explore(8);
-        assert!(out.contains("violating: 0"), "{out}");
-        assert!(out.contains("plans tried: 8"), "{out}");
+        assert_eq!(out.violating, 0, "{}", out.record);
+        assert!(out.record.contains("plans tried: 8"), "{}", out.record);
     }
 }

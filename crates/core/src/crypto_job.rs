@@ -9,13 +9,14 @@
 //! feeds the result back through
 //! [`Engine::on_crypto_done`](crate::engine::Engine::on_crypto_done) as an
 //! ordinary input. Effects of an engine call therefore wait only for crypto
-//! they depend on: a request crossing a summary boundary is not delayed by
-//! the boundary's bookkeeping signature.
+//! they depend on: a request crossing a summary boundary or a checkpoint is
+//! not delayed by the boundary's bookkeeping signatures.
 
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
-use ubft_types::{ProcessId, ReplicaId, SeqId};
+use ubft_types::{ProcessId, ReplicaId, SeqId, Slot};
 
 use crate::engine::CryptoOps;
+use crate::msg::CheckpointData;
 
 /// What a job's result is for: names the protocol step that
 /// [`Engine::on_crypto_done`](crate::engine::Engine::on_crypto_done)
@@ -46,6 +47,27 @@ pub enum CryptoTag {
         stream: ReplicaId,
         /// The boundary id.
         upto: SeqId,
+    },
+    /// Sign this replica's `CERTIFY_CHECKPOINT` share over the snapshot it
+    /// just took (Algorithm 2 line 44).
+    CheckpointShare {
+        /// The snapshotted state.
+        data: CheckpointData,
+    },
+    /// Verify `from`'s share toward the checkpoint at `base`.
+    CheckpointShareCheck {
+        /// The share's signer.
+        from: ReplicaId,
+        /// The checkpoint's first open slot.
+        base: Slot,
+    },
+    /// Verify the `f + 1` certificate of the `CHECKPOINT` parked at the head
+    /// of `stream`.
+    CheckpointCert {
+        /// The CTBcast stream the message arrived on.
+        stream: ReplicaId,
+        /// The parked message's id.
+        k: SeqId,
     },
 }
 

@@ -3,14 +3,17 @@
 //!
 //! The runtime owns transport, CTBcast instances, registers, the clock, and
 //! the application; the engine owns protocol state. Crypto comes in two
-//! kinds. Checkpoint, commit-certificate and view-change crypto runs inline
-//! (the simulation's key ring is cheap) and is metered in [`CryptoOps`], so
-//! the runtime charges the paper-calibrated virtual time (sign ≈ 17 µs,
+//! kinds. Commit-certificate and view-change crypto runs inline (the
+//! simulation's key ring is cheap) and is metered in [`CryptoOps`], so the
+//! runtime charges the paper-calibrated virtual time (sign ≈ 17 µs,
 //! verify ≈ 45 µs) before the call's effects act — their order is a
-//! protocol invariant. CTBcast-summary crypto (Algorithm 4) has no such
-//! invariant and must stay off the request path: it leaves the engine as
-//! [`CryptoJob`]s ([`Engine::take_crypto_jobs`]) and its results come back
-//! as ordinary inputs ([`Engine::on_crypto_done`]).
+//! protocol invariant. The two periodic certifications that bound memory —
+//! CTBcast summaries (Algorithm 4) and consensus checkpoints (Algorithm 2
+//! line 44) — have no such invariant and must stay off the request path:
+//! their crypto leaves the engine as [`CryptoJob`]s
+//! ([`Engine::take_crypto_jobs`]) and its results come back as ordinary
+//! inputs ([`Engine::on_crypto_done`]). A replacement node's join still
+//! verifies the checkpoints it adopts inline: nothing runs beside it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -274,6 +277,19 @@ struct PeerState {
     fifo_next: SeqId,
     /// Out-of-order CTBcast deliveries awaiting their predecessors.
     pending: BTreeMap<SeqId, CtbMsg>,
+    /// Set while the message at `fifo_next` — kept in `pending` — is a
+    /// `CHECKPOINT` whose certificate is not proven yet. Interpretation of
+    /// this stream, and of this stream only, waits for the proof.
+    parked: Option<AwaitedProof>,
+}
+
+/// What will prove the certificate of a parked `CHECKPOINT`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AwaitedProof {
+    /// Our own certification of the same data, which is under way.
+    OwnCertification,
+    /// A [`CryptoTag::CheckpointCert`] job.
+    Job,
 }
 
 impl PeerState {
@@ -287,12 +303,15 @@ impl PeerState {
             checkpoint: CheckpointCert::genesis(),
             fifo_next: SeqId(1),
             pending: BTreeMap::new(),
+            parked: None,
         }
     }
 
+    /// The slots this peer may prepare and commit: those the checkpoint
+    /// last seen on its stream opens ([`open_end`]).
     fn open_window(&self, window: usize) -> (Slot, Slot) {
         let base = self.checkpoint.data.base;
-        (base, Slot(base.0 + window as u64))
+        (base, open_end(base, window))
     }
 
     fn in_window(&self, slot: Slot, window: usize) -> bool {
@@ -324,6 +343,15 @@ impl PeerState {
             self.commits.insert(*slot, c.clone());
         }
     }
+}
+
+/// First slot a checkpoint at `base` does *not* open: two windows are open
+/// past a stable checkpoint (PBFT's `h` / `H = h + 2K`), so that the
+/// checkpoint between them certifies while the second one fills and no
+/// request waits for a certification. Per-slot state stays bounded by two
+/// windows, which is what the auditor checks.
+fn open_end(base: Slot, window: usize) -> Slot {
+    Slot(base.0 + 2 * window as u64)
 }
 
 /// Per-slot consensus state.
@@ -368,8 +396,20 @@ pub struct EngineDiag {
     pub in_flight: u64,
     /// Stable checkpoint base.
     pub checkpoint_base: Slot,
+    /// A snapshot requested and not yet answered: execution is paused at
+    /// this slot.
+    pub snapshot_pending: Option<Slot>,
+    /// Streams whose head is a `CHECKPOINT` still waiting for the proof of
+    /// its certificate.
+    pub parked_streams: usize,
+    /// `CERTIFY_CHECKPOINT` shares held (at most two bases of `n` each).
+    pub checkpoint_shares: usize,
     /// Requests seen but not yet executed.
     pub outstanding: usize,
+    /// Entries in the largest of the three per-request maps (payloads seen,
+    /// echoes counted, ids proposed). Checkpoints reclaim executed ones, so
+    /// this stays within two windows of batches.
+    pub request_entries: usize,
     /// Leader: requests queued for proposal.
     pub propose_queue: usize,
     /// Undecided slots with an accepted prepare.
@@ -394,7 +434,8 @@ impl std::fmt::Display for EngineDiag {
         write!(
             f,
             "r{} view={} sealing={:?} decided={} exec_next={} next_slot={} in_flight={} cp={} \
-             outstanding={} queue={} open_prepares={} ctb sent/summarized/queued={}/{}/{} byz={}",
+             outstanding={} tracked={} queue={} open_prepares={} \
+             ctb sent/summarized/queued={}/{}/{} byz={}",
             self.me.0,
             self.view.0,
             self.sealing.map(|v| v.0),
@@ -404,6 +445,7 @@ impl std::fmt::Display for EngineDiag {
             self.in_flight,
             self.checkpoint_base.0,
             self.outstanding,
+            self.request_entries,
             self.propose_queue,
             self.open_prepares,
             self.ctb_sent,
@@ -414,6 +456,12 @@ impl std::fmt::Display for EngineDiag {
         for (stream, k) in &self.equivocations {
             write!(f, " equiv=r{}@k{}", stream.0, k.0)?;
         }
+        if let Some(base) = self.snapshot_pending {
+            write!(f, " snapshot-pending={}", base.0)?;
+        }
+        if self.parked_streams > 0 {
+            write!(f, " parked-streams={}", self.parked_streams)?;
+        }
         if self.joining {
             write!(f, " joining")?;
         }
@@ -421,27 +469,118 @@ impl std::fmt::Display for EngineDiag {
     }
 }
 
-/// One replica's share over a summary of our own stream (Algorithm 4).
+/// One replica's signature share over `about`.
 #[derive(Clone, Copy, Debug)]
-struct SummaryShare {
-    digest: Digest,
+struct Share<K> {
+    about: K,
     sig: Signature,
     state: ShareState,
 }
 
-/// Where a [`SummaryShare`]'s signature check stands. Only `Verified`
-/// shares count toward the certificate; a `Rejected` one stays held, so
-/// its signer cannot buy a second verification.
+/// Where a [`Share`]'s signature check stands. Only `Verified` shares count
+/// toward the certificate; a `Rejected` one stays held, so its signer
+/// cannot buy a second verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ShareState {
     /// Held unverified: enough other shares are verified or being checked.
     Parked,
-    /// A [`CryptoTag::SummaryShareCheck`] job is in flight.
+    /// A verification job is in flight.
     Checking,
     /// The signature checked out (our own share is born here).
     Verified,
     /// The signature was forged.
     Rejected,
+}
+
+/// The shares collected toward one `f + 1` certificate — over the digest of
+/// a summary of our own stream (Algorithm 4) or the data of a checkpoint
+/// (Algorithm 2 line 44) — one per signer, each verified by a crypto job
+/// and only if it could still complete the certificate.
+#[derive(Clone, Debug)]
+struct ShareSet<K> {
+    /// What our own share will attest, while the crypto worker signs it:
+    /// as good as verified. Without it a worker that runs late checks one
+    /// peer share more per certificate, which makes it run later still.
+    signing: Option<K>,
+    by_signer: BTreeMap<ReplicaId, Share<K>>,
+}
+
+impl<K> Default for ShareSet<K> {
+    fn default() -> Self {
+        ShareSet { signing: None, by_signer: BTreeMap::new() }
+    }
+}
+
+impl<K: Copy + PartialEq> ShareSet<K> {
+    /// Parks `from`'s share unverified; `false` if it already has one here.
+    fn admit(&mut self, from: ReplicaId, about: K, sig: Signature) -> bool {
+        if self.by_signer.contains_key(&from) {
+            return false;
+        }
+        self.by_signer.insert(from, Share { about, sig, state: ShareState::Parked });
+        true
+    }
+
+    /// Our own share is signed: nothing to verify.
+    fn add_own(&mut self, me: ReplicaId, about: K, sig: Signature) {
+        self.signing = None;
+        self.by_signer.insert(me, Share { about, sig, state: ShareState::Verified });
+    }
+
+    /// What our own share attests, signed or being signed.
+    fn ours(&self, me: ReplicaId) -> Option<K> {
+        self.signing.or(self.by_signer.get(&me).map(|s| s.about))
+    }
+
+    /// Picks the parked shares to verify now, marking them `Checking` — but
+    /// only as many as could still complete a certificate. While `quorum`
+    /// shares over the same thing are verified or being checked, a further
+    /// one stays parked and is looked at again only if one of those checks
+    /// fails.
+    fn take_to_check(&mut self, quorum: usize) -> Vec<(ReplicaId, K, Signature)> {
+        let parked: Vec<ReplicaId> = self
+            .by_signer
+            .iter()
+            .filter(|(_, s)| s.state == ShareState::Parked)
+            .map(|(from, _)| *from)
+            .collect();
+        let mut check = Vec::new();
+        for from in parked {
+            let Share { about, sig, .. } = self.by_signer[&from];
+            let live = self
+                .by_signer
+                .values()
+                .filter(|s| s.about == about)
+                .filter(|s| matches!(s.state, ShareState::Checking | ShareState::Verified))
+                .count()
+                + usize::from(self.signing == Some(about));
+            if live < quorum {
+                self.by_signer.get_mut(&from).expect("listed above").state = ShareState::Checking;
+                check.push((from, about, sig));
+            }
+        }
+        check
+    }
+
+    /// Records the verdict on `from`'s share; returns what it attests if
+    /// the signature held.
+    fn settle(&mut self, from: ReplicaId, ok: bool) -> Option<K> {
+        let share = self.by_signer.get_mut(&from)?;
+        share.state = if ok { ShareState::Verified } else { ShareState::Rejected };
+        ok.then_some(share.about)
+    }
+
+    /// The certificate the verified shares over `about` make, once there
+    /// are `quorum` of them.
+    fn certificate(&self, about: &K, quorum: usize) -> Option<Certificate> {
+        let mut cert = Certificate::new();
+        for (who, share) in &self.by_signer {
+            if share.state == ShareState::Verified && share.about == *about {
+                cert.add(ProcessId::Replica(*who), share.sig);
+            }
+        }
+        (cert.count() >= quorum).then_some(cert)
+    }
 }
 
 /// One peer's [`DirectMsg::JoinAck`], parked until `f + 1` acks arrive.
@@ -474,7 +613,7 @@ pub struct Engine {
     /// Highest checkpoint base already broadcast on our own CTBcast stream.
     /// Peers validate our proposals against the checkpoint they saw on our
     /// stream, so every adoption must be announced there exactly once, and
-    /// *before* any proposal into the new window.
+    /// *before* any proposal into the window it opens.
     cp_broadcast_base: Slot,
     /// Highest view for which we broadcast SEAL_VIEW on our own stream.
     /// Peers accept our NEW_VIEW only after seeing our seal, so entering a
@@ -482,7 +621,12 @@ pub struct Engine {
     seal_emitted: View,
     /// Next slot to hand to the application.
     exec_next: Slot,
-    /// Outstanding snapshot request base (avoid duplicates).
+    /// Base of the last snapshot taken (a checkpoint adopted by state
+    /// transfer counts): execution pauses `window` slots past it for the
+    /// next one.
+    snapshot_base: Slot,
+    /// The base of a snapshot requested and not yet answered: execution is
+    /// paused there until [`Engine::on_snapshot`].
     snapshot_pending: Option<Slot>,
     state: BTreeMap<ReplicaId, PeerState>,
     slots: BTreeMap<Slot, SlotState>,
@@ -517,7 +661,7 @@ pub struct Engine {
     /// Bounded: only boundaries in `(summary_done_upto, my_ctb_sent]` are
     /// admitted (at most `tail / summary_half` of them, by the gate) and
     /// each holds one share per replica.
-    summary_shares: BTreeMap<u64, BTreeMap<ReplicaId, SummaryShare>>,
+    summary_shares: BTreeMap<u64, ShareSet<Digest>>,
     /// Gap-filling summaries parked while their certificate is verified,
     /// keyed like the [`CryptoTag::SummaryCert`] that will release them.
     summary_checks: BTreeMap<(ReplicaId, SeqId), StateSummary>,
@@ -533,18 +677,23 @@ pub struct Engine {
     new_view_broadcast: Option<View>,
     /// Certificates already verified (content digest), to avoid re-metering.
     verified_certs: HashSet<Digest>,
-    /// Checkpoint certification shares keyed by (base, app digest).
-    /// Keyed by the *full* signed data (base, app digest, exec digest):
-    /// shares over different exec tables must never mix into one
-    /// certificate.
-    cp_shares: BTreeMap<(Slot, Digest, Digest), Certificate>,
+    /// Checkpoint shares collected: base -> signer -> share. Each share
+    /// carries the *full* signed data (base, app digest, exec digest), so
+    /// shares over different exec tables never mix into one certificate.
+    /// Bounded: only the two bases execution can reach before the stable
+    /// checkpoint moves are admitted ([`Engine::handle_checkpoint_share`])
+    /// and each holds one share per replica.
+    cp_shares: BTreeMap<Slot, ShareSet<CheckpointData>>,
     /// Checkpoint *data* already proven: assembling our own certificate
-    /// from individually verified shares, or verifying any peer's
-    /// certificate, proves `(base, app_digest)` once and for all — a
-    /// different certificate over the same data adds nothing, so checkpoint
-    /// boundaries stop costing every replica two redundant certificate
-    /// verifications (the crypto burst that stretched checkpoint gaps).
-    verified_cp_data: HashSet<(Slot, Digest, Digest)>,
+    /// from individually verified shares, or a
+    /// [`CryptoTag::CheckpointCert`] job on any peer's certificate, proves
+    /// the data once and for all — a different certificate over the same
+    /// data adds nothing. A `CHECKPOINT` is interpreted only once its data
+    /// is in here; until then it parks its stream ([`AwaitedProof`]). Kept down
+    /// to one window below the stable base: a leader whose proposals we
+    /// can still use is at most that far behind, and its crypto worker —
+    /// the busiest — is the one that announces a checkpoint last.
+    verified_cp_data: HashSet<CheckpointData>,
     /// Decide counter for the progress watchdog.
     decide_count: u64,
     armed_marker: u64,
@@ -596,6 +745,7 @@ impl Engine {
             cp_broadcast_base: Slot(0),
             seal_emitted: View(0),
             exec_next: Slot(0),
+            snapshot_base: Slot(0),
             snapshot_pending: None,
             state,
             slots: BTreeMap::new(),
@@ -682,7 +832,15 @@ impl Engine {
             next_slot: self.next_slot,
             in_flight: self.in_flight_slots(),
             checkpoint_base: self.checkpoint.data.base,
+            snapshot_pending: self.snapshot_pending,
+            parked_streams: self.state.values().filter(|ps| ps.parked.is_some()).count(),
+            checkpoint_shares: self.cp_shares.values().map(|s| s.by_signer.len()).sum(),
             outstanding: self.outstanding.len(),
+            request_entries: self
+                .seen_requests
+                .len()
+                .max(self.echoes.len())
+                .max(self.proposed.len()),
             propose_queue: self.propose_queue.len(),
             open_prepares: self
                 .slots
@@ -961,14 +1119,12 @@ impl Engine {
         }
         // Algorithm 2 line 15: only into open slots; NEW_VIEW must have been
         // broadcast first in views > 0 (ensured by `enter_view_as_leader`).
-        let (lo, hi) =
-            (self.checkpoint.data.base, Slot(self.checkpoint.data.base.0 + self.window() as u64));
-        if self.next_slot < lo {
-            self.next_slot = lo;
+        if self.next_slot < self.checkpoint.data.base {
+            self.next_slot = self.checkpoint.data.base;
         }
         let depth = self.cfg.pipeline_depth.max(1) as u64;
         let max_batch = self.cfg.max_batch.max(1);
-        while self.next_slot < hi
+        while self.in_open_window(self.next_slot)
             && !self.propose_queue.is_empty()
             && self.in_flight_slots() < depth
         {
@@ -1013,9 +1169,12 @@ impl Engine {
             if k < ps.fifo_next {
                 return fx; // duplicate
             }
-            if k > ps.fifo_next {
+            if k > ps.fifo_next || ps.parked.is_some() {
+                // A gap (wait for predecessors or a summary), or the head
+                // of the stream is parked: FIFO interpretation is strict,
+                // so everything behind it waits too.
                 ps.pending.insert(k, msg);
-                return fx; // gap: wait for predecessors or a summary
+                return fx;
             }
         }
         self.process_ctb_in_order(stream, k, msg, &mut fx);
@@ -1048,6 +1207,9 @@ impl Engine {
             }
             let next = {
                 let ps = self.state.get_mut(&stream).expect("known");
+                if ps.parked.is_some() {
+                    return;
+                }
                 let k = ps.fifo_next;
                 match ps.pending.remove(&k) {
                     Some(m) => (k, m),
@@ -1065,6 +1227,19 @@ impl Engine {
         msg: CtbMsg,
         fx: &mut Vec<Effect>,
     ) {
+        // A CHECKPOINT whose certificate is not proven yet waits at the
+        // head of its stream, and only this stream waits with it: its
+        // cursor stays put and later ids pile up in `pending`.
+        if let CtbMsg::Checkpoint(c) = &msg {
+            let fresh = c.supersedes(&self.state.get(&stream).expect("known").checkpoint);
+            if fresh && !self.verified_cp_data.contains(&c.data) {
+                let proof = self.seek_checkpoint_proof(stream, k, c);
+                let ps = self.state.get_mut(&stream).expect("known");
+                ps.parked = Some(proof);
+                ps.pending.insert(k, msg);
+                return;
+            }
+        }
         {
             let ps = self.state.get_mut(&stream).expect("known");
             debug_assert_eq!(ps.fifo_next, k);
@@ -1088,6 +1263,9 @@ impl Engine {
         // crossed the boundary is not held up by it.
         if k.0.is_multiple_of(self.cfg.summary_half) {
             let digest = self.state.get(&stream).expect("known").summary().digest();
+            if stream == self.me && k.0 > self.summary_done_upto {
+                self.summary_shares.entry(k.0).or_default().signing = Some(digest);
+            }
             self.crypto_jobs.push(CryptoJob {
                 tag: CryptoTag::SummaryShare { stream, upto: k, digest },
                 work: CryptoWork::Sign { bytes: summary_sign_bytes(stream, k, &digest) },
@@ -1153,17 +1331,9 @@ impl Engine {
                 if !c.supersedes(&ps.checkpoint) {
                     return Err("stale checkpoint".into());
                 }
-                let proven = self.verified_cp_data.contains(&(
-                    c.data.base,
-                    c.data.app_digest,
-                    c.data.exec_digest,
-                ));
-                if !proven
-                    && !self.verify_cert(&c.cert.clone(), &c.data.sign_bytes(), self.quorum())
-                {
-                    return Err("checkpoint with invalid certificate".into());
-                }
-                self.verified_cp_data.insert((c.data.base, c.data.app_digest, c.data.exec_digest));
+                // Its certificate was proven before it got here
+                // (`process_ctb_in_order` parks an unproven one).
+                debug_assert!(self.verified_cp_data.contains(&c.data));
                 Ok(())
             }
             CtbMsg::SealView { view } => {
@@ -1214,7 +1384,7 @@ impl Engine {
     fn handle_prepare(&mut self, stream: ReplicaId, prep: Prepare, fx: &mut Vec<Effect>) {
         let ps = self.state.get_mut(&stream).expect("known");
         ps.prepares.insert(prep.slot, prep.clone());
-        if prep.view != self.view || !self.in_accept_window(prep.slot) {
+        if prep.view != self.view || !self.in_open_window(prep.slot) {
             return;
         }
         // §5.4: endorse only requests received directly from the client
@@ -1325,7 +1495,7 @@ impl Engine {
         }
         match msg {
             TbMsg::WillCertify { view, slot } => {
-                if view != self.view || !self.in_accept_window(slot) {
+                if view != self.view || !self.in_open_window(slot) {
                     return fx;
                 }
                 let n = self.n();
@@ -1338,7 +1508,7 @@ impl Engine {
                 }
             }
             TbMsg::WillCommit { view, slot } => {
-                if view != self.view || !self.in_accept_window(slot) {
+                if view != self.view || !self.in_open_window(slot) {
                     return fx;
                 }
                 let entry = self.slots.entry(slot).or_default();
@@ -1367,7 +1537,7 @@ impl Engine {
                 fx.extend(self.handle_certify_share(from, prepare, sig));
             }
             TbMsg::CertifyCheckpoint { data, sig } => {
-                fx.extend(self.handle_checkpoint_share(from, data, sig));
+                self.handle_checkpoint_share(from, data, sig);
             }
             TbMsg::Summary { upto, summary, cert } => {
                 self.handle_summary(from, upto, summary, cert);
@@ -1384,7 +1554,7 @@ impl Engine {
     ) -> Vec<Effect> {
         let mut fx = Vec::new();
         let slot = prepare.slot;
-        if prepare.view != self.view || !self.in_accept_window(slot) {
+        if prepare.view != self.view || !self.in_open_window(slot) {
             return fx;
         }
         // Only collect shares matching our accepted prepare.
@@ -1462,7 +1632,7 @@ impl Engine {
             let ps = self.state.get_mut(&stream).expect("known");
             ps.commits.insert(slot, c.clone());
         }
-        if c.prepare.view != self.view || !self.in_accept_window(slot) {
+        if c.prepare.view != self.view || !self.in_open_window(slot) {
             return;
         }
         // Count COMMITs whose prepare matches; f+1 of them decide the slot
@@ -1515,10 +1685,30 @@ impl Engine {
     }
 
     fn try_execute(&mut self, fx: &mut Vec<Effect>) {
-        // The batch handle (a reference-count bump) releases the
-        // `self.slots` borrow; a request is copied exactly once, into the
-        // Execute effect that hands it to the application.
-        while let Some(batch) = self.slots.get(&self.exec_next).and_then(|s| s.decided.clone()) {
+        loop {
+            // Checkpoint every `window` executed slots (Algorithm 2 line
+            // 44). The snapshot is taken at exactly the boundary: execution
+            // pauses there, the driver answers `RequestSnapshot` in effect
+            // order, and `on_snapshot` resumes — so the certified dedup
+            // table is the one after slot `base - 1` on every replica,
+            // however many decided slots one call finds beyond it.
+            if self.snapshot_pending.is_some() {
+                return;
+            }
+            let boundary = Slot(self.snapshot_base.0 + self.window() as u64);
+            debug_assert!(self.exec_next <= boundary);
+            if self.exec_next == boundary {
+                self.snapshot_pending = Some(boundary);
+                fx.push(Effect::RequestSnapshot { base: boundary });
+                return;
+            }
+            // The batch handle (a reference-count bump) releases the
+            // `self.slots` borrow; a request is copied exactly once, into
+            // the Execute effect that hands it to the application.
+            let Some(batch) = self.slots.get(&self.exec_next).and_then(|s| s.decided.clone())
+            else {
+                return;
+            };
             for req in batch.requests() {
                 self.outstanding.remove(&req.id);
                 self.propose_solo.remove(&req.id);
@@ -1539,29 +1729,21 @@ impl Engine {
             }
             self.exec_next = self.exec_next.next();
         }
-        // Checkpoint when the whole window is executed (Algorithm 2 line 44).
-        let window_end = Slot(self.checkpoint.data.base.0 + self.window() as u64);
-        if self.exec_next >= window_end && self.snapshot_pending != Some(window_end) {
-            self.snapshot_pending = Some(window_end);
-            fx.push(Effect::RequestSnapshot { base: window_end });
-        }
     }
 
-    /// The *acceptance* window: one full window beyond the open one.
+    /// The open slots ([`open_end`]), for proposing and for accepting alike.
     ///
-    /// A leader proposes into the window its own (already certified)
-    /// checkpoint opens, so right after a checkpoint its proposals for the
-    /// new window race every peer's adoption of that checkpoint. A peer
-    /// whose adoption lags — most visibly a replacement node paying
-    /// certificate-verification time — would drop those proposals and the
-    /// WILL rounds for them with no way to recover until the *next*
-    /// checkpoint. Accepting consensus messages up to `2 × window` ahead
-    /// of the local base closes the race for any lag under a full window
-    /// while keeping per-slot state bounded (at most two windows of open
-    /// slots). Proposing remains confined to the open window.
-    fn in_accept_window(&self, slot: Slot) -> bool {
+    /// A peer drops consensus messages for slots it has not opened, and
+    /// the leader proposes slot `base + window` one window's worth of
+    /// slots after it took the snapshot at `base` — that long, minus the
+    /// certification time, after it adopted the checkpoint. A peer whose
+    /// adoption of the same checkpoint lags by less (a busy crypto worker,
+    /// a replacement node paying certificate verifications) has opened the
+    /// slot by then and loses nothing; a longer lag is healed by the next
+    /// checkpoint's state transfer.
+    fn in_open_window(&self, slot: Slot) -> bool {
         let base = self.checkpoint.data.base;
-        slot >= base && slot < Slot(base.0 + 2 * self.window() as u64)
+        slot >= base && slot < open_end(base, self.window())
     }
 
     // ------------------------------------------------------------------
@@ -1579,7 +1761,9 @@ impl Engine {
 
     /// The runtime reports the application digest after applying every slot
     /// `< base`, together with the digest of the dedup table captured at
-    /// the same instant ([`crate::msg::exec_table_digest`]).
+    /// the same instant ([`crate::msg::exec_table_digest`]). Execution,
+    /// paused at `base` since [`Effect::RequestSnapshot`], resumes; our
+    /// share over the snapshot is signed by a crypto job.
     pub fn on_snapshot(
         &mut self,
         base: Slot,
@@ -1591,11 +1775,17 @@ impl Engine {
             return fx;
         }
         self.snapshot_pending = None;
+        self.snapshot_base = base;
         let data = CheckpointData { base, app_digest, exec_digest };
-        let sig = self.sign(&data.sign_bytes());
-        fx.push(Effect::TbBroadcast(TbMsg::CertifyCheckpoint { data, sig }));
-        // Our own share participates too.
-        fx.extend(self.handle_checkpoint_share(self.me, data, sig));
+        if base > self.checkpoint.data.base {
+            self.cp_shares.entry(base).or_default().signing = Some(data);
+        }
+        self.crypto_jobs.push(CryptoJob {
+            tag: CryptoTag::CheckpointShare { data },
+            work: CryptoWork::Sign { bytes: data.sign_bytes() },
+        });
+        self.try_execute(&mut fx);
+        self.propose_ready(&mut fx);
         fx
     }
 
@@ -1621,41 +1811,154 @@ impl Engine {
             let hi = self.last_exec_seq.get(&client).copied().unwrap_or(0);
             self.last_exec_seq.insert(client, hi.max(seq), |_| false);
         }
-        self.seen_requests
-            .retain(|id, _| id.seq >= *self.last_exec_seq.get(&id.client).unwrap_or(&0));
         self.outstanding.retain(|id| id.seq >= *self.last_exec_seq.get(&id.client).unwrap_or(&0));
         self.propose_queue
             .retain(|req| req.id.seq >= *self.last_exec_seq.get(&req.id.client).unwrap_or(&0));
+        self.reclaim_request_state();
         self.propose_ready(&mut fx);
         fx
     }
 
-    fn handle_checkpoint_share(
-        &mut self,
-        from: ReplicaId,
-        data: CheckpointData,
-        sig: ubft_crypto::Signature,
-    ) -> Vec<Effect> {
-        let mut fx = Vec::new();
-        if data.base <= self.checkpoint.data.base {
-            return fx;
+    /// Drops what is kept about requests that are no longer outstanding.
+    /// A request enters `outstanding` together with its first entry in any
+    /// of the three maps and leaves it when it executes, so whatever is not
+    /// outstanding is executed: a retransmission is answered from the reply
+    /// cache and never consults these again. `outstanding ⊆ seen_requests`
+    /// (which `enqueue_outstanding` and `reecho_outstanding` index) holds
+    /// by construction.
+    fn reclaim_request_state(&mut self) {
+        let live = &self.outstanding;
+        self.seen_requests.retain(|id, _| live.contains(id));
+        self.echoes.retain(|id, _| live.contains(id));
+        self.proposed.retain(|id| live.contains(id));
+    }
+
+    /// A `CERTIFY_CHECKPOINT` share arrived: reject what is cheap to reject,
+    /// then hand the signature to the crypto worker. The share counts only
+    /// once [`CryptoTag::CheckpointShareCheck`] comes back `true`.
+    fn handle_checkpoint_share(&mut self, from: ReplicaId, data: CheckpointData, sig: Signature) {
+        // Our own share arrives as a sign completion, never as a message.
+        if from == self.me {
+            return;
         }
-        if from != self.me && !self.verify(from, &data.sign_bytes(), &sig) {
-            return fx;
+        // Only the two boundaries execution can reach before the stable
+        // checkpoint moves. Together with one share per signer per base
+        // this bounds `cp_shares` and the verifications a Byzantine peer
+        // can make us pay for.
+        let stable = self.checkpoint.data.base;
+        if data.base <= stable
+            || data.base > open_end(stable, self.window())
+            || !data.base.0.is_multiple_of(self.window() as u64)
+        {
+            return;
         }
+        if self.cp_shares.entry(data.base).or_default().admit(from, data, sig) {
+            self.check_parked_cp_shares(data.base);
+        }
+    }
+
+    /// Starts verifying the parked shares of the checkpoint at `base` that
+    /// could still complete a certificate ([`ShareSet::take_to_check`]).
+    fn check_parked_cp_shares(&mut self, base: Slot) {
         let quorum = self.quorum();
-        let entry =
-            self.cp_shares.entry((data.base, data.app_digest, data.exec_digest)).or_default();
-        entry.add(ProcessId::Replica(from), sig);
-        if entry.count() >= quorum {
-            let cert = entry.clone();
-            self.note_own_cert(&cert, &data.sign_bytes());
-            self.verified_cp_data.insert((data.base, data.app_digest, data.exec_digest));
-            let cp = CheckpointCert { data, cert };
-            // adopt_checkpoint announces the adoption on our stream before
-            // any proposal into the freshly opened window.
-            fx.extend(self.adopt_checkpoint(cp));
+        let Some(shares) = self.cp_shares.get_mut(&base) else {
+            return;
+        };
+        for (from, data, sig) in shares.take_to_check(quorum) {
+            self.crypto_jobs.push(CryptoJob {
+                tag: CryptoTag::CheckpointShareCheck { from, base },
+                work: CryptoWork::Verify { who: from, bytes: data.sign_bytes(), sig },
+            });
         }
+    }
+
+    /// Adopts the checkpoint over `data` once `f + 1` verified shares agree
+    /// on it. `adopt_checkpoint` announces it on our stream and releases
+    /// the streams that were parked on this proof.
+    fn try_certify_checkpoint(&mut self, data: CheckpointData) -> Vec<Effect> {
+        let quorum = self.quorum();
+        let Some(cert) = self.cp_shares.get(&data.base).and_then(|s| s.certificate(&data, quorum))
+        else {
+            return Vec::new();
+        };
+        self.note_own_cert(&cert, &data.sign_bytes());
+        self.verified_cp_data.insert(data);
+        self.adopt_checkpoint(CheckpointCert { data, cert })
+    }
+
+    /// Whether our own certification of exactly `data` is under way: we
+    /// took that snapshot and its checkpoint is not stable yet.
+    fn certifying(&self, data: &CheckpointData) -> bool {
+        self.cp_shares.get(&data.base).and_then(|s| s.ours(self.me)) == Some(*data)
+    }
+
+    /// Finds what will prove the certificate of `c`, the unproven
+    /// `CHECKPOINT` at the head of `stream`: our own certification if it is
+    /// collecting shares over the same data (the common case — it costs
+    /// nothing more), otherwise a job on the certificate itself.
+    fn seek_checkpoint_proof(
+        &mut self,
+        stream: ReplicaId,
+        k: SeqId,
+        c: &CheckpointCert,
+    ) -> AwaitedProof {
+        if self.certifying(&c.data) {
+            return AwaitedProof::OwnCertification;
+        }
+        self.crypto_jobs.push(CryptoJob {
+            tag: CryptoTag::CheckpointCert { stream, k },
+            work: CryptoWork::VerifyCert {
+                cert: c.cert.clone(),
+                bytes: c.data.sign_bytes(),
+                quorum: self.quorum(),
+            },
+        });
+        AwaitedProof::Job
+    }
+
+    /// Looks at every parked stream again after the proofs changed (a
+    /// checkpoint was adopted, a certificate job came back): a stream whose
+    /// `CHECKPOINT` is proven resumes, and one that waited for our own
+    /// certification falls back to a job if that ended on other data — no
+    /// stream stays parked on a proof that cannot come.
+    fn recheck_parked_streams(&mut self, fx: &mut Vec<Effect>) {
+        for stream in self.cfg.params.replicas().collect::<Vec<_>>() {
+            let ps = self.state.get(&stream).expect("known");
+            let (Some(proof), Some(CtbMsg::Checkpoint(c))) =
+                (ps.parked, ps.pending.get(&ps.fifo_next))
+            else {
+                continue;
+            };
+            if self.verified_cp_data.contains(&c.data) {
+                self.state.get_mut(&stream).expect("known").parked = None;
+                self.drain_pending(stream, fx);
+            } else if proof == AwaitedProof::OwnCertification && !self.certifying(&c.data) {
+                let (k, c) = (ps.fifo_next, c.clone());
+                let proof = self.seek_checkpoint_proof(stream, k, &c);
+                self.state.get_mut(&stream).expect("known").parked = Some(proof);
+            }
+        }
+    }
+
+    /// The certificate job of the `CHECKPOINT` parked at `stream`'s id `k`
+    /// came back: proven data releases every stream parked on it, a forged
+    /// certificate brands the broadcaster.
+    fn on_checkpoint_cert_checked(&mut self, stream: ReplicaId, k: SeqId, ok: bool) -> Vec<Effect> {
+        let ps = self.state.get_mut(&stream).expect("known");
+        if ps.parked != Some(AwaitedProof::Job) || ps.fifo_next != k {
+            return Vec::new(); // released by another proof, or skipped by a summary
+        }
+        let Some(CtbMsg::Checkpoint(c)) = ps.pending.get(&k) else {
+            return Vec::new();
+        };
+        if !ok {
+            ps.parked = None;
+            ps.pending.remove(&k);
+            return self.brand_byzantine(stream, "checkpoint with invalid certificate".into());
+        }
+        self.verified_cp_data.insert(c.data);
+        let mut fx = Vec::new();
+        self.recheck_parked_streams(&mut fx);
         fx
     }
 
@@ -1685,21 +1988,25 @@ impl Engine {
         let base = c.data.base;
         // Forget decided state below the checkpoint (finite memory!).
         self.slots.retain(|s, _| *s >= base);
-        self.cp_shares.retain(|(b, _, _), _| *b > base);
-        self.verified_cp_data.retain(|(b, _, _)| *b >= base);
-        // Drop request bookkeeping for requests decided below the base.
+        self.cp_shares.retain(|b, _| *b > base);
+        let window = self.window() as u64;
+        self.verified_cp_data.retain(|d| d.base.0 + window >= base.0);
+        self.reclaim_request_state();
         if self.exec_next < base {
             // We missed decided slots below the certified base (a
             // replacement node, or a replica that lost a whole window):
             // local replay cannot reach this state, so ask the runtime for
             // a snapshot transfer — verified against the certified digests,
             // so the serving peer is not trusted — then resume from `base`.
+            // The transferred state stands in for the snapshot we never
+            // took: the next one is due a window later.
             fx.push(Effect::StateTransfer {
                 base,
                 app_digest: c.data.app_digest,
                 exec_digest: c.data.exec_digest,
             });
             self.exec_next = base;
+            self.snapshot_base = base;
             self.snapshot_pending = None;
         }
         if self.next_slot < base {
@@ -1707,16 +2014,16 @@ impl Engine {
         }
         fx.push(Effect::CheckpointAdopted { base });
         // Announce the adoption on our own stream before proposing into the
-        // new window: peers validate PREPAREs against the checkpoint most
-        // recently seen *on our stream* (Algorithm 5), so a PREPARE emitted
-        // ahead of the CHECKPOINT would be branded out-of-window.
+        // window it opens: peers validate PREPAREs against the checkpoint
+        // most recently seen *on our stream* (Algorithm 5), so a PREPARE
+        // emitted ahead of the CHECKPOINT would be branded out-of-window.
         if base > self.cp_broadcast_base {
             self.cp_broadcast_base = base;
             self.emit_ctb(&mut fx, CtbMsg::Checkpoint(c));
         }
-        let mut more = Vec::new();
-        self.propose_ready(&mut more);
-        fx.extend(more);
+        self.propose_ready(&mut fx);
+        // Our own certifications at or below `base` are over.
+        self.recheck_parked_streams(&mut fx);
         fx
     }
 
@@ -1749,39 +2056,19 @@ impl Engine {
         {
             return;
         }
-        let shares = self.summary_shares.entry(upto.0).or_default();
-        if shares.contains_key(&from) {
-            return;
+        if self.summary_shares.entry(upto.0).or_default().admit(from, digest, sig) {
+            self.check_parked_shares(upto);
         }
-        shares.insert(from, SummaryShare { digest, sig, state: ShareState::Parked });
-        self.check_parked_shares(upto);
     }
 
-    /// Starts verifying parked shares of boundary `upto` — but only as many
-    /// as could still complete a certificate. While `f + 1` shares for a
-    /// digest are verified or being checked, a further one stays parked and
-    /// is looked at again only if one of those checks fails.
+    /// Starts verifying the parked shares of boundary `upto` that could
+    /// still complete a certificate ([`ShareSet::take_to_check`]).
     fn check_parked_shares(&mut self, upto: SeqId) {
         let (me, quorum) = (self.me, self.quorum());
         let Some(shares) = self.summary_shares.get_mut(&upto.0) else {
             return;
         };
-        let parked: Vec<ReplicaId> = shares
-            .iter()
-            .filter(|(_, s)| s.state == ShareState::Parked)
-            .map(|(from, _)| *from)
-            .collect();
-        for from in parked {
-            let SummaryShare { digest, sig, .. } = shares[&from];
-            let live = shares
-                .values()
-                .filter(|s| s.digest == digest)
-                .filter(|s| matches!(s.state, ShareState::Checking | ShareState::Verified))
-                .count();
-            if live >= quorum {
-                continue;
-            }
-            shares.get_mut(&from).expect("listed above").state = ShareState::Checking;
+        for (from, digest, sig) in shares.take_to_check(quorum) {
             self.crypto_jobs.push(CryptoJob {
                 tag: CryptoTag::SummaryShareCheck { from, upto },
                 work: CryptoWork::Verify {
@@ -1809,34 +2096,51 @@ impl Engine {
                 if upto.0 <= self.summary_done_upto {
                     return Vec::new();
                 }
-                // Self-share: signed by us, nothing to verify.
-                self.summary_shares
-                    .entry(upto.0)
-                    .or_default()
-                    .insert(self.me, SummaryShare { digest, sig, state: ShareState::Verified });
+                self.summary_shares.entry(upto.0).or_default().add_own(self.me, digest, sig);
                 self.try_certify_summary(upto, digest)
             }
             (CryptoTag::SummaryShareCheck { from, upto }, CryptoResult::Verified(ok)) => {
                 // The boundary's shares are dropped once it is certified.
-                let Some(share) =
-                    self.summary_shares.get_mut(&upto.0).and_then(|s| s.get_mut(&from))
-                else {
+                let Some(shares) = self.summary_shares.get_mut(&upto.0) else {
                     return Vec::new();
                 };
-                if !ok {
-                    share.state = ShareState::Rejected;
-                    self.check_parked_shares(upto);
-                    return Vec::new();
+                match shares.settle(from, ok) {
+                    Some(digest) => self.try_certify_summary(upto, digest),
+                    None => {
+                        self.check_parked_shares(upto);
+                        Vec::new()
+                    }
                 }
-                share.state = ShareState::Verified;
-                let digest = share.digest;
-                self.try_certify_summary(upto, digest)
             }
             (CryptoTag::SummaryCert { stream, upto }, CryptoResult::Verified(ok)) => {
                 match self.summary_checks.remove(&(stream, upto)) {
                     Some(summary) if ok => self.fill_gap_from_summary(stream, upto, &summary),
                     _ => Vec::new(),
                 }
+            }
+            (CryptoTag::CheckpointShare { data }, CryptoResult::Signed(sig)) => {
+                let mut fx = vec![Effect::TbBroadcast(TbMsg::CertifyCheckpoint { data, sig })];
+                if data.base > self.checkpoint.data.base {
+                    self.cp_shares.entry(data.base).or_default().add_own(self.me, data, sig);
+                    fx.extend(self.try_certify_checkpoint(data));
+                }
+                fx
+            }
+            (CryptoTag::CheckpointShareCheck { from, base }, CryptoResult::Verified(ok)) => {
+                // The base's shares are dropped once its checkpoint is stable.
+                let Some(shares) = self.cp_shares.get_mut(&base) else {
+                    return Vec::new();
+                };
+                match shares.settle(from, ok) {
+                    Some(data) => self.try_certify_checkpoint(data),
+                    None => {
+                        self.check_parked_cp_shares(base);
+                        Vec::new()
+                    }
+                }
+            }
+            (CryptoTag::CheckpointCert { stream, k }, CryptoResult::Verified(ok)) => {
+                self.on_checkpoint_cert_checked(stream, k, ok)
             }
             // A result of the wrong kind for its tag can only be a driver
             // bug; there is no step to continue.
@@ -1848,13 +2152,9 @@ impl Engine {
     /// on `digest`: broadcast it and reopen the CTBcast gate.
     fn try_certify_summary(&mut self, upto: SeqId, digest: Digest) -> Vec<Effect> {
         let mut fx = Vec::new();
-        let mut cert = Certificate::new();
-        for (who, share) in self.summary_shares.get(&upto.0).into_iter().flatten() {
-            if share.state == ShareState::Verified && share.digest == digest {
-                cert.add(ProcessId::Replica(*who), share.sig);
-            }
-        }
-        if cert.count() >= self.quorum() {
+        let quorum = self.quorum();
+        let cert = self.summary_shares.get(&upto.0).and_then(|s| s.certificate(&digest, quorum));
+        if let Some(cert) = cert {
             self.summary_done_upto = upto.0;
             self.summary_shares.retain(|k, _| *k > upto.0);
             let summary = self.state.get(&self.me).expect("self").summary();
@@ -1880,8 +2180,11 @@ impl Engine {
         summary: StateSummary,
         cert: Certificate,
     ) {
-        if self.state.get(&from).expect("known").fifo_next > upto {
-            return; // no gap to fill
+        let ps = self.state.get(&from).expect("known");
+        if ps.fifo_next > upto || ps.parked.is_some() {
+            // No gap to fill — a parked head is held, not missing, and
+            // skipping it would throw away the messages queued behind it.
+            return;
         }
         if self.summary_checks.contains_key(&(from, upto)) {
             return; // already verifying one for this boundary
@@ -1919,6 +2222,7 @@ impl Engine {
         ps.apply_summary(summary);
         ps.fifo_next = upto.next();
         ps.pending.retain(|k, _| *k > upto);
+        ps.parked = None; // a head parked since the check began is covered
         let cp = ps.checkpoint.clone();
         fx.extend(self.adopt_checkpoint(cp));
         self.drain_pending(stream, &mut fx);
@@ -2071,14 +2375,11 @@ impl Engine {
             // membership), so verify their certificates before trusting
             // (once per distinct checkpoint data).
             let cp = cp.filter(|c| {
-                self.verified_cp_data.contains(&(
-                    c.data.base,
-                    c.data.app_digest,
-                    c.data.exec_digest,
-                )) || self.verify_cert(&c.cert.clone(), &c.data.sign_bytes(), self.quorum())
+                self.verified_cp_data.contains(&c.data)
+                    || self.verify_cert(&c.cert.clone(), &c.data.sign_bytes(), self.quorum())
             });
             if let Some(c) = &cp {
-                self.verified_cp_data.insert((c.data.base, c.data.app_digest, c.data.exec_digest));
+                self.verified_cp_data.insert(c.data);
             }
             if stream == self.me {
                 // Our own broadcast cursor: past everything any peer
@@ -2092,7 +2393,10 @@ impl Engine {
             }
             let n = self.cfg.params.n();
             let ps = self.state.get_mut(&stream).expect("known replica");
-            ps.fifo_next = ps.fifo_next.max(fifo);
+            if fifo > ps.fifo_next {
+                ps.fifo_next = fifo;
+                ps.parked = None;
+            }
             ps.view = ps.view.max(sview);
             // The NEW_VIEW that installed an already-established view was
             // broadcast before we existed and is out of the tail. Accept

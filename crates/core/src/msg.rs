@@ -259,9 +259,11 @@ impl Wire for CommitCert {
 }
 
 /// The content of an application checkpoint: every slot below `base` has
-/// been applied, yielding application state `app_digest`. Open slots are
-/// `[base, base + window)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// been applied, yielding application state `app_digest`. A checkpoint is
+/// taken every `window` slots; open slots are `[base, base + 2·window)`, so
+/// the next checkpoint certifies while the second window fills (PBFT's
+/// `h` / `H = h + 2K`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CheckpointData {
     /// First open (un-checkpointed) slot.
     pub base: Slot,

@@ -12,7 +12,8 @@ use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoTag, CryptoWork, Effect, Engine, EngineConfig, PathMode, TimerKind,
 };
 use ubft_core::msg::{
-    summary_sign_bytes, Batch, CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
+    exec_table_digest, summary_sign_bytes, Batch, CheckpointCert, CheckpointData, CtbMsg,
+    DirectMsg, Prepare, Request, StateSummary, TbMsg,
 };
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature};
 use ubft_types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
@@ -42,6 +43,20 @@ struct Net {
     snapshots: Vec<Option<(Slot, ubft_crypto::Digest, Vec<u8>, Vec<(ClientId, u64)>)>>,
     /// Pending effect queue: (origin replica, effect).
     queue: VecDeque<(usize, Effect)>,
+    /// While set, checkpoint-certification jobs are held back in
+    /// `held_jobs` instead of run: a crypto worker that has not got to
+    /// them yet.
+    hold_checkpoint_jobs: bool,
+    held_jobs: Vec<(usize, CryptoJob)>,
+}
+
+fn is_checkpoint_job(job: &CryptoJob) -> bool {
+    matches!(
+        job.tag,
+        CryptoTag::CheckpointShare { .. }
+            | CryptoTag::CheckpointShareCheck { .. }
+            | CryptoTag::CheckpointCert { .. }
+    )
 }
 
 impl Net {
@@ -73,6 +88,8 @@ impl Net {
             brands: Vec::new(),
             snapshots: vec![None; n],
             queue: VecDeque::new(),
+            hold_checkpoint_jobs: false,
+            held_jobs: Vec::new(),
         };
         for i in 0..n {
             let fx = net.engines[i].start();
@@ -93,12 +110,29 @@ impl Net {
         for e in fx {
             self.queue.push_back((who, e));
         }
-        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
         for job in self.engines[who].take_crypto_jobs() {
-            let result = job.run(&signer, &self.ring);
-            let fx = self.engines[who].on_crypto_done(job.tag, result);
-            self.enqueue(who, fx);
+            if self.hold_checkpoint_jobs && is_checkpoint_job(&job) {
+                self.held_jobs.push((who, job));
+            } else {
+                self.complete(who, &job);
+            }
         }
+    }
+
+    fn complete(&mut self, who: usize, job: &CryptoJob) {
+        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
+        let result = job.run(&signer, &self.ring);
+        let fx = self.engines[who].on_crypto_done(job.tag, result);
+        self.enqueue(who, fx);
+    }
+
+    /// The crypto workers catch up: every held job completes, in order.
+    fn release_held_jobs(&mut self) {
+        self.hold_checkpoint_jobs = false;
+        for (who, job) in std::mem::take(&mut self.held_jobs) {
+            self.complete(who, &job);
+        }
+        self.drain();
     }
 
     fn drain(&mut self) {
@@ -511,39 +545,80 @@ fn crypto_ops_metered_on_slow_path() {
     assert!(total > 0, "slow path must meter crypto work");
 }
 
+/// The messages of the leader's CTBcast stream, in emission order.
+fn leader_stream(net: &Net) -> Vec<&CtbMsg> {
+    net.ctb_log.iter().filter(|(s, _)| *s == 0).map(|(_, m)| m).collect()
+}
+
 #[test]
 fn checkpoint_announced_before_proposals_into_new_window() {
-    // Pile a backlog larger than the window onto the leader, then process
-    // it in one burst: when the checkpoint at slot 256 is adopted, pending
-    // proposals for slots ≥ 256 must be emitted on the leader's stream
-    // *after* the CHECKPOINT message (peers validate PREPAREs against the
-    // checkpoint most recently seen on the stream — Algorithm 5).
+    // Peers validate PREPAREs against the checkpoint most recently seen on
+    // the leader's stream (Algorithm 5), which opens two windows: no
+    // PREPARE for a slot >= b + 2 * window may precede CHECKPOINT(b +
+    // window) there. Within the two windows the leader does not wait: pile
+    // a backlog of 600 onto it while no crypto worker gets to a checkpoint
+    // job, and it fills [0, 512) — the PREPAREs for [256, 512) precede
+    // CHECKPOINT(256) — and stops there.
+    let mut net = Net::new(PathMode::FastOnly);
+    net.hold_checkpoint_jobs = true;
+    for i in 0..600u64 {
+        net.client_request_no_drain(i, &i.to_le_bytes());
+    }
+    net.drain();
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 512, "replica {r} fills both open windows");
+    }
+    let stream = leader_stream(&net);
+    assert!(!stream.iter().any(|m| matches!(m, CtbMsg::Checkpoint(_))));
+    assert_eq!(stream.iter().filter(|m| matches!(m, CtbMsg::Prepare(_))).count(), 512);
+
+    // The certifications complete: the window slides and the rest follows.
+    net.release_held_jobs();
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 600, "replica {r}");
+    }
+    let stream = leader_stream(&net);
+    let mut announced = Slot(0);
+    for m in &stream {
+        match m {
+            CtbMsg::Checkpoint(c) => announced = c.data.base,
+            CtbMsg::Prepare(p) => assert!(
+                p.slot.0 < announced.0 + 512,
+                "PREPARE for {} emitted while the stream's checkpoint was {announced}",
+                p.slot
+            ),
+            _ => {}
+        }
+    }
+    assert_eq!(announced, Slot(512), "both checkpoints announced");
+    net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn burst_across_a_boundary_snapshots_the_same_state_everywhere() {
+    // A 300-request backlog processed in one burst: the snapshot for base
+    // 256 is taken at the boundary — not wherever the burst happened to
+    // leave each replica — so all three certify identical data and the
+    // dedup table in it is the one after slot 255.
     let mut net = Net::new(PathMode::FastOnly);
     for i in 0..300u64 {
         net.client_request_no_drain(i, &i.to_le_bytes());
     }
     net.drain();
-    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+    let data: Vec<CheckpointData> = (0..3)
+        .map(|r| {
+            let (base, app_digest, _, table) = net.snapshots[r].clone().expect("a snapshot");
+            assert_eq!(table, vec![(ClientId(1), 256)], "replica {r}");
+            CheckpointData { base, app_digest, exec_digest: exec_table_digest(&table) }
+        })
+        .collect();
+    assert_eq!(data[0].base, Slot(256));
+    assert!(data.iter().all(|d| *d == data[0]), "snapshots differ: {data:?}");
     for r in 0..3 {
+        assert_eq!(net.engines[r].diag().checkpoint_base, Slot(256), "replica {r}");
         assert_eq!(net.executed[r].len(), 300, "replica {r}");
     }
-    // Check the emission order on the leader's stream directly.
-    let leader_stream: Vec<&CtbMsg> =
-        net.ctb_log.iter().filter(|(s, _)| *s == 0).map(|(_, m)| m).collect();
-    let cp_pos = leader_stream
-        .iter()
-        .position(|m| matches!(m, CtbMsg::Checkpoint(c) if c.data.base == Slot(256)))
-        .expect("leader announced the slot-256 checkpoint");
-    let first_new_window_prepare = leader_stream
-        .iter()
-        .position(|m| matches!(m, CtbMsg::Prepare(p) if p.slot >= Slot(256)))
-        .expect("leader proposed into the new window");
-    assert!(
-        cp_pos < first_new_window_prepare,
-        "PREPARE for the new window emitted before its CHECKPOINT \
-         (checkpoint at {cp_pos}, prepare at {first_new_window_prepare})"
-    );
-    net.assert_executed_prefix_agreement();
 }
 
 #[test]
@@ -1242,11 +1317,13 @@ fn completion_after_the_boundary_was_certified_is_a_noop() {
     let mut e = lone.engine(0);
     let own = lone.cross_own_boundary(&mut e);
     let digest = share_digest(&own);
-    // Both peers' shares arrive before our own signature is back, so both
-    // are checked (neither could be skipped yet).
+    // Both peers' shares arrive before our own signature is back. Ours is
+    // as good as verified already, so r2's — over the same digest — is the
+    // one check the certificate needs; r1 summarized something else, which
+    // nothing vouches for yet, so its share is checked too.
     let mut checks = Vec::new();
-    for from in [1, 2] {
-        let _ = e.on_direct(ReplicaId(from), lone.share(from, 2, digest, false));
+    for (from, about) in [(1, ubft_crypto::sha256(b"another state")), (2, digest)] {
+        let _ = e.on_direct(ReplicaId(from), lone.share(from, 2, about, false));
         checks.extend(e.take_crypto_jobs());
     }
     assert_eq!(checks.len(), 2);
@@ -1259,6 +1336,26 @@ fn completion_after_the_boundary_was_certified_is_a_noop() {
     assert!(lone.complete(&mut e, &own).is_empty());
     assert_eq!(e.ctb_summarized_upto(), 2);
     assert!(e.take_crypto_jobs().is_empty());
+}
+
+#[test]
+fn a_late_own_signature_does_not_buy_a_second_share_check() {
+    // A crypto worker running late returns our own signature after the
+    // peers' shares arrive. Checking both of theirs for that reason would
+    // add 45 us to a worker that is already behind — at `t = 16` it never
+    // caught up again.
+    let lone = Lone::new();
+    let mut e = lone.engine(0);
+    let own = lone.cross_own_boundary(&mut e);
+    let digest = share_digest(&own);
+    let _ = e.on_direct(ReplicaId(1), lone.share(1, 2, digest, false));
+    let check_r1 = e.take_crypto_jobs();
+    assert_eq!(check_r1.len(), 1);
+    let _ = e.on_direct(ReplicaId(2), lone.share(2, 2, digest, false));
+    assert!(e.take_crypto_jobs().is_empty(), "ours + r1's make f + 1: r2's is parked");
+    assert!(lone.complete(&mut e, &check_r1[0]).is_empty(), "ours is not signed yet");
+    assert_eq!(summary_broadcasts(&lone.complete(&mut e, &own)), 1);
+    assert_eq!(e.ctb_summarized_upto(), 2);
 }
 
 #[test]
@@ -1305,4 +1402,418 @@ fn jobs_no_driver_collects_run_at_the_next_message() {
     );
     assert_eq!(e.take_crypto_ops().signs, 1, "self-run jobs are still metered");
     assert!(e.take_crypto_jobs().is_empty());
+}
+
+// ----------------------------------------------------------------------
+// Checkpoint certification off the request path
+// ----------------------------------------------------------------------
+
+/// One engine of a `window = 4` group driven by hand: replica 0 leads, and
+/// the test plays the other two replicas, the clients and the crypto worker.
+/// `t = 64` keeps summaries out of these short runs.
+struct Cp {
+    lone: Lone,
+    e: Engine,
+    /// Next CTBcast id of the leader's stream.
+    k: u64,
+}
+
+impl Cp {
+    fn new(me: u32) -> Self {
+        let mut lone = Lone::new();
+        let params = ClusterParams::paper_default().with_tail(64).with_window(4);
+        lone.cfg =
+            EngineConfig { echo_round: false, ..EngineConfig::new(params, PathMode::FastOnly) };
+        let e = lone.engine(me);
+        Cp { lone, e, k: 1 }
+    }
+
+    /// The next message of the leader's stream is delivered.
+    fn leader_sends(&mut self, msg: CtbMsg) -> Vec<Effect> {
+        self.k += 1;
+        self.e.on_ctb_deliver(ReplicaId(0), SeqId(self.k - 1), msg)
+    }
+
+    fn request(slot: u64) -> Request {
+        Request { id: RequestId::new(ClientId(1), slot), payload: vec![slot as u8] }
+    }
+
+    /// The request for `slot` arrives from its client and the leader's
+    /// PREPARE for it is delivered (to the leader: by itself).
+    fn prepare(&mut self, slot: u64) -> Vec<Effect> {
+        let mut fx = self.e.on_client_request(Cp::request(slot));
+        let prepare =
+            Prepare { view: View(0), slot: Slot(slot), batch: Batch::single(Cp::request(slot)) };
+        fx.extend(self.leader_sends(CtbMsg::Prepare(prepare)));
+        fx
+    }
+
+    /// Both fast-path rounds of `slot` arrive from all three replicas.
+    fn decide(&mut self, slot: u64) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        for r in 0..3 {
+            let m = TbMsg::WillCertify { view: View(0), slot: Slot(slot) };
+            fx.extend(self.e.on_tb_deliver(ReplicaId(r), m));
+        }
+        for r in 0..3 {
+            let m = TbMsg::WillCommit { view: View(0), slot: Slot(slot) };
+            fx.extend(self.e.on_tb_deliver(ReplicaId(r), m));
+        }
+        fx
+    }
+
+    /// Answers a `RequestSnapshot` the way a driver does: the digest names
+    /// the executed prefix, the table is read at this moment.
+    fn snapshot(&mut self, base: u64) -> (CheckpointData, Vec<Effect>) {
+        let data = CheckpointData {
+            base: Slot(base),
+            app_digest: ubft_crypto::sha256(&base.to_le_bytes()),
+            exec_digest: exec_table_digest(&self.e.exec_table()),
+        };
+        let fx = self.e.on_snapshot(data.base, data.app_digest, data.exec_digest);
+        (data, fx)
+    }
+
+    /// Executes slots `0..4` and takes the snapshot at the boundary; our
+    /// share's sign job is left with the (test's) crypto worker.
+    fn reach_first_boundary(&mut self) -> (CheckpointData, CryptoJob) {
+        for slot in 0..4 {
+            let _ = self.prepare(slot);
+            let _ = self.decide(slot);
+        }
+        let (data, _) = self.snapshot(4);
+        (data, self.checkpoint_jobs().remove(0))
+    }
+
+    /// The crypto jobs queued since the last call: all checkpoint jobs.
+    fn checkpoint_jobs(&mut self) -> Vec<CryptoJob> {
+        let jobs = self.e.take_crypto_jobs();
+        assert!(jobs.iter().all(is_checkpoint_job), "{jobs:?}");
+        jobs
+    }
+
+    fn complete(&mut self, job: &CryptoJob) -> Vec<Effect> {
+        self.lone.complete(&mut self.e, job)
+    }
+
+    /// `from`'s CERTIFY_CHECKPOINT share over `data`.
+    fn share(&self, from: u32, data: CheckpointData, forged: bool) -> TbMsg {
+        let signer = self.lone.ring.signer(ProcessId::Replica(ReplicaId(from))).unwrap();
+        let sig = if forged { Signature::garbage() } else { signer.sign(&data.sign_bytes()) };
+        TbMsg::CertifyCheckpoint { data, sig }
+    }
+
+    /// A CHECKPOINT over `data` signed by `signers`; a forged one swaps
+    /// the last signature for one that never verifies.
+    fn checkpoint(&self, data: CheckpointData, signers: [u32; 2], forged: bool) -> CtbMsg {
+        let mut cert = Certificate::new();
+        for (i, r) in signers.iter().enumerate() {
+            let id = ProcessId::Replica(ReplicaId(*r));
+            let sig = if forged && i == 1 {
+                Signature::garbage()
+            } else {
+                self.lone.ring.signer(id).unwrap().sign(&data.sign_bytes())
+            };
+            cert.add(id, sig);
+        }
+        CtbMsg::Checkpoint(CheckpointCert { data, cert })
+    }
+}
+
+/// Some state at `base` that no engine under test computed itself.
+fn foreign_data(base: u64, tag: u8) -> CheckpointData {
+    CheckpointData {
+        base: Slot(base),
+        app_digest: ubft_crypto::sha256(&[tag]),
+        exec_digest: exec_table_digest(&[(ClientId(1), base)]),
+    }
+}
+
+fn executed_slots(fx: &[Effect]) -> Vec<u64> {
+    fx.iter()
+        .filter_map(|e| if let Effect::Execute { slot, .. } = e { Some(slot.0) } else { None })
+        .collect()
+}
+
+fn adopted(fx: &[Effect]) -> Vec<u64> {
+    fx.iter()
+        .filter_map(
+            |e| if let Effect::CheckpointAdopted { base } = e { Some(base.0) } else { None },
+        )
+        .collect()
+}
+
+#[test]
+fn execution_pauses_at_the_boundary_until_the_snapshot_is_answered() {
+    let mut cp = Cp::new(1);
+    for slot in 0..7 {
+        let _ = cp.prepare(slot);
+    }
+    for slot in [0, 1, 2, 4, 5] {
+        let _ = cp.decide(slot);
+    }
+    assert_eq!(cp.e.exec_next(), Slot(3));
+    // Slot 3 decides last: one call finds 3, 4 and 5 executable, and stops
+    // at the boundary.
+    let fx = cp.decide(3);
+    assert_eq!(executed_slots(&fx), vec![3]);
+    assert_eq!(fx.last(), Some(&Effect::RequestSnapshot { base: Slot(4) }));
+    assert_eq!(cp.e.exec_table(), vec![(ClientId(1), 4)], "the table after slot 3");
+    // Further decisions while the driver has not answered do not execute.
+    assert!(executed_slots(&cp.decide(6)).is_empty());
+    assert_eq!(cp.e.diag().snapshot_pending, Some(Slot(4)));
+    // The answer resumes execution, and only signs: nothing waits for it.
+    let _ = cp.e.take_crypto_jobs();
+    let (data, fx) = cp.snapshot(4);
+    assert_eq!(executed_slots(&fx), vec![4, 5, 6]);
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default());
+    let jobs = cp.checkpoint_jobs();
+    assert_eq!(jobs.len(), 1);
+    assert_eq!(jobs[0].tag, CryptoTag::CheckpointShare { data });
+    assert!(matches!(jobs[0].work, CryptoWork::Sign { .. }));
+}
+
+#[test]
+fn forged_checkpoint_share_is_rejected_by_its_job_and_cannot_be_resubmitted() {
+    let mut cp = Cp::new(0);
+    let (data, own) = cp.reach_first_boundary();
+    let fx = cp.complete(&own);
+    assert!(
+        matches!(&fx[..], [Effect::TbBroadcast(TbMsg::CertifyCheckpoint { data: d, .. })] if *d == data),
+        "our share goes out and certifies nothing alone, got {fx:?}"
+    );
+    // r1 forges. Its share is checked because own + r1 could certify; r2's
+    // honest one is parked behind it.
+    assert!(cp.e.on_tb_deliver(ReplicaId(1), cp.share(1, data, true)).is_empty());
+    let check_r1 = cp.checkpoint_jobs();
+    assert_eq!(check_r1.len(), 1);
+    assert!(cp.e.on_tb_deliver(ReplicaId(2), cp.share(2, data, false)).is_empty());
+    assert!(cp.checkpoint_jobs().is_empty(), "r2's share waits for r1's verdict");
+
+    // The forged share counts for nothing; r2's is looked at now.
+    assert!(cp.complete(&check_r1[0]).is_empty());
+    assert_eq!(cp.e.diag().checkpoint_base, Slot(0));
+    let check_r2 = cp.checkpoint_jobs();
+    assert_eq!(check_r2.len(), 1);
+    assert_eq!(
+        check_r2[0].tag,
+        CryptoTag::CheckpointShareCheck { from: ReplicaId(2), base: Slot(4) }
+    );
+    // r1 cannot buy a second verification for the same base.
+    assert!(cp.e.on_tb_deliver(ReplicaId(1), cp.share(1, data, false)).is_empty());
+    assert!(cp.checkpoint_jobs().is_empty());
+
+    let fx = cp.complete(&check_r2[0]);
+    assert_eq!(adopted(&fx), vec![4]);
+    let announced = fx.iter().find_map(|e| match e {
+        Effect::CtbBroadcast(CtbMsg::Checkpoint(c)) => Some(c.clone()),
+        _ => None,
+    });
+    let c = announced.expect("the adoption is announced on our stream");
+    assert_eq!(c.data, data);
+    let signers: Vec<ProcessId> = c.cert.signers().collect();
+    assert_eq!(signers, vec![ProcessId::Replica(ReplicaId(0)), ProcessId::Replica(ReplicaId(2))]);
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default(), "no inline checkpoint crypto");
+}
+
+#[test]
+fn checkpoint_share_flood_buys_two_verifications_and_two_entries() {
+    // A Byzantine r1 signs whatever it likes. Only the two boundaries
+    // execution can reach before the stable checkpoint moves are admitted,
+    // one share per signer each: everything else costs a comparison.
+    let mut cp = Cp::new(0);
+    let mut jobs = Vec::new();
+    for i in 1..=500u64 {
+        // Forged and validly signed, far-future and off-boundary, distinct data every time.
+        for (base, forged) in [(4 * i, true), (4 * i, false), (4 * i + 1, false), (1 << 40, false)]
+        {
+            let share = cp.share(1, foreign_data(base, i as u8), forged);
+            assert!(cp.e.on_tb_deliver(ReplicaId(1), share).is_empty());
+            jobs.extend(cp.checkpoint_jobs());
+        }
+    }
+    assert_eq!(jobs.len(), 2, "one verification for base 4, one for base 8");
+    assert_eq!(cp.e.diag().checkpoint_shares, 2);
+    // The verdicts (forged for base 4, bogus but signed for base 8) change
+    // neither: a rejected share stays held, a verified one is no quorum.
+    for job in &jobs {
+        assert!(cp.complete(job).is_empty());
+    }
+    for i in 1..=500u64 {
+        let share = cp.share(1, foreign_data(4 * (i % 3), 200), false);
+        assert!(cp.e.on_tb_deliver(ReplicaId(1), share).is_empty());
+    }
+    assert!(cp.checkpoint_jobs().is_empty());
+    assert_eq!(cp.e.diag().checkpoint_shares, 2);
+    assert_eq!(cp.e.diag().checkpoint_base, Slot(0));
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default());
+}
+
+#[test]
+fn forged_checkpoint_certificate_parks_only_its_stream_and_brands_once() {
+    let mut cp = Cp::new(1);
+    // r2's first message is a CHECKPOINT nobody here can vouch for yet.
+    let forged = cp.checkpoint(foreign_data(4, 1), [2, 0], true);
+    assert!(cp.e.on_ctb_deliver(ReplicaId(2), SeqId(1), forged.clone()).is_empty());
+    let jobs = cp.checkpoint_jobs();
+    assert_eq!(jobs.len(), 1);
+    assert_eq!(jobs[0].tag, CryptoTag::CheckpointCert { stream: ReplicaId(2), k: SeqId(1) });
+    assert_eq!(jobs[0].ops(), CryptoOps { signs: 0, verifies: 2 });
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default(), "nothing is verified inline");
+    // Its stream waits — later ids queue behind the parked head — ...
+    let later = CtbMsg::SealView { view: View(1) };
+    assert!(cp.e.on_ctb_deliver(ReplicaId(2), SeqId(2), later).is_empty());
+    assert!(cp.e.on_ctb_deliver(ReplicaId(2), SeqId(1), forged.clone()).is_empty());
+    assert_eq!(cp.e.fifo_position(ReplicaId(2)), SeqId(1));
+    assert_eq!(cp.e.diag().parked_streams, 1);
+    assert!(cp.checkpoint_jobs().is_empty(), "one job per parked head");
+    // ... and the leader's stream keeps deciding meanwhile.
+    let _ = cp.prepare(0);
+    assert_eq!(executed_slots(&cp.decide(0)), vec![0]);
+    // The verdict brands the broadcaster, once.
+    let fx = cp.complete(&jobs[0]);
+    assert!(
+        matches!(&fx[..], [Effect::ByzantineDetected { replica: ReplicaId(2), .. }]),
+        "got {fx:?}"
+    );
+    assert!(cp.complete(&jobs[0]).is_empty());
+    assert!(cp.e.on_ctb_deliver(ReplicaId(2), SeqId(1), forged).is_empty());
+    assert_eq!(cp.e.diag().parked_streams, 0);
+    assert_eq!(cp.e.diag().checkpoint_base, Slot(0));
+}
+
+#[test]
+fn lagging_replica_adopts_from_peer_shares() {
+    // r1 never reached the boundary; r0 and r2 did and say so.
+    let mut cp = Cp::new(1);
+    let data = foreign_data(4, 1);
+    let mut checks = Vec::new();
+    for from in [0, 2] {
+        assert!(cp.e.on_tb_deliver(ReplicaId(from), cp.share(from, data, false)).is_empty());
+        checks.extend(cp.checkpoint_jobs());
+    }
+    assert_eq!(checks.len(), 2, "f + 1 peer shares are all it has: both are checked");
+    assert!(cp.complete(&checks[0]).is_empty());
+    let fx = cp.complete(&checks[1]);
+    assert!(
+        matches!(fx.first(), Some(Effect::StateTransfer { base: Slot(4), .. })),
+        "the state below the base comes by transfer, got {fx:?}"
+    );
+    assert_eq!(adopted(&fx), vec![4]);
+    assert_eq!(cp.e.exec_next(), Slot(4));
+}
+
+#[test]
+fn lagging_replica_adopts_from_a_peers_checkpoint_via_the_certificate_job() {
+    let mut cp = Cp::new(1);
+    let data = foreign_data(4, 1);
+    // The leader's stream: CHECKPOINT(4), then a PREPARE into the window
+    // it opens for us.
+    let msg = cp.checkpoint(data, [0, 2], false);
+    assert!(cp.leader_sends(msg).is_empty());
+    let jobs = cp.checkpoint_jobs();
+    assert_eq!(jobs.len(), 1);
+    assert!(matches!(jobs[0].work, CryptoWork::VerifyCert { .. }));
+    let fx = cp.prepare(8);
+    assert!(
+        !fx.iter().any(|e| matches!(e, Effect::TbBroadcast(_))),
+        "queued behind the parked CHECKPOINT, got {fx:?}"
+    );
+    assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(1));
+
+    let fx = cp.complete(&jobs[0]);
+    assert_eq!(adopted(&fx), vec![4]);
+    assert!(fx.iter().any(|e| matches!(e, Effect::StateTransfer { base: Slot(4), .. })));
+    assert!(
+        fx.iter()
+            .any(|e| matches!(e, Effect::TbBroadcast(TbMsg::WillCertify { slot: Slot(8), .. }))),
+        "the PREPARE behind it is interpreted against the new window, got {fx:?}"
+    );
+    assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(3));
+    assert!(cp.e.byzantine_peers().next().is_none());
+}
+
+#[test]
+fn parked_stream_falls_back_to_the_job_when_our_certification_ends_elsewhere() {
+    let mut cp = Cp::new(1);
+    let (mine, own) = cp.reach_first_boundary();
+    let _ = cp.complete(&own);
+    // The leader announces a checkpoint over the data we are certifying
+    // ourselves: that certification will prove it, no job needed.
+    let msg = cp.checkpoint(mine, [0, 2], false);
+    assert!(cp.leader_sends(msg).is_empty());
+    assert!(cp.checkpoint_jobs().is_empty());
+    assert_eq!(cp.e.diag().parked_streams, 1);
+    // But f + 1 peers certify *other* data for the same base (more faults
+    // than the model allows; the engine must still not wedge): our
+    // certification is over, and the proof it promised will never come.
+    let other = foreign_data(4, 9);
+    let mut checks = Vec::new();
+    for from in [0, 2] {
+        let _ = cp.e.on_tb_deliver(ReplicaId(from), cp.share(from, other, false));
+        checks.extend(cp.checkpoint_jobs());
+    }
+    assert_eq!(checks.len(), 2);
+    let _ = cp.complete(&checks[0]);
+    let fx = cp.complete(&checks[1]);
+    assert_eq!(adopted(&fx), vec![4]);
+    let jobs = cp.checkpoint_jobs();
+    assert_eq!(jobs.len(), 1, "the parked CHECKPOINT falls back to its certificate");
+    assert_eq!(jobs[0].tag, CryptoTag::CheckpointCert { stream: ReplicaId(0), k: SeqId(5) });
+    assert_eq!(cp.e.diag().parked_streams, 1);
+    // The job releases the stream.
+    let _ = cp.complete(&jobs[0]);
+    assert_eq!(cp.e.diag().parked_streams, 0);
+    assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(6));
+    assert!(cp.e.byzantine_peers().next().is_none());
+}
+
+#[test]
+fn our_own_certification_releases_a_stream_parked_on_the_same_data() {
+    let mut cp = Cp::new(1);
+    let (data, own) = cp.reach_first_boundary();
+    // The leader's CHECKPOINT overtakes even our own signature.
+    let msg = cp.checkpoint(data, [0, 2], false);
+    assert!(cp.leader_sends(msg).is_empty());
+    let _ = cp.prepare(4);
+    assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(5));
+    assert!(cp.checkpoint_jobs().is_empty(), "proven by the certification under way");
+    let _ = cp.complete(&own);
+    // r2's share arrives and is the one verification this checkpoint costs.
+    let _ = cp.e.on_tb_deliver(ReplicaId(2), cp.share(2, data, false));
+    let check = cp.checkpoint_jobs();
+    assert_eq!(check.len(), 1);
+    let fx = cp.complete(&check[0]);
+    assert_eq!(adopted(&fx), vec![4]);
+    assert_eq!(cp.e.diag().parked_streams, 0);
+    assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(cp.k));
+    assert!(cp.checkpoint_jobs().is_empty());
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default());
+}
+
+#[test]
+fn checkpoints_reclaim_request_bookkeeping() {
+    // Five windows of requests: what is kept per request (payloads seen,
+    // echoes counted, ids proposed) is dropped once executed and stays
+    // within two windows of batches instead of growing with the run.
+    let params = ClusterParams::paper_default().with_window(16);
+    let mut net = Net::with_params(PathMode::FastOnly, params);
+    let bound = 2 * 16;
+    for i in 0..80u64 {
+        net.client_request(i, &i.to_le_bytes());
+        for r in 0..3 {
+            let held = net.engines[r].diag().request_entries;
+            assert!(held < bound, "replica {r} tracks {held} requests after {i}");
+        }
+    }
+    assert_eq!(net.engines[0].diag().checkpoint_base, Slot(80));
+    // A retransmission of a long-executed request is not ordered again
+    // (the driver answers it from its reply cache).
+    let prepares = net.ctb_log.len();
+    net.client_request(3, &3u64.to_le_bytes());
+    assert_eq!(net.ctb_log.len(), prepares);
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 80, "replica {r}");
+        assert_eq!(net.engines[r].diag().request_entries, 0, "replica {r}");
+    }
 }

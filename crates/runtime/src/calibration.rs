@@ -136,12 +136,12 @@ impl SimConfig {
             cost: CostModel::paper_testbed(),
             failures: FailurePlan::none(),
             slow_trigger: Duration::from_micros(200),
-            // Far above common-case latency *including* the checkpoint
-            // boundary's crypto burst (certificate signing/verification
-            // serializes on the background crypto worker for a few hundred
-            // microseconds every window), so the watchdog never fires in a
-            // failure-free run and never mistakes a checkpoint for a dead
-            // leader.
+            // An order of magnitude above a slow-path slot (≈ 204 µs), the
+            // longest a failure-free run goes without a decision: summary
+            // and checkpoint certifications run beside the request path and
+            // stall nobody. The degraded-mode numbers (`leader_crash`: one
+            // watchdog period to detect the crash, doubled per fruitless
+            // view change) are calibrated against this value.
             progress_timeout: Duration::from_micros(2_500),
             echo_fallback: Duration::from_micros(100),
             poll_pickup: Duration::from_nanos(150),

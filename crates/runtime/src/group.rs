@@ -969,9 +969,9 @@ impl GroupRuntime {
             self.crypto_worker_run(r, done, self.crypto_cost(ops))
         };
         // Crypto jobs are work nothing in this call's effects depends on
-        // (summary bookkeeping, §5.2 fn. 3): each occupies the crypto
-        // worker and comes back as an input of its own, delaying neither
-        // these effects nor any later batch.
+        // (summary and checkpoint certification, §5.2 fn. 3): each occupies
+        // the crypto worker and comes back as an input of its own, delaying
+        // neither these effects nor any later batch.
         if !jobs.is_empty() {
             let me = ProcessId::Replica(ReplicaId(r as u32));
             let signer = self.ring.signer(me).expect("replica key");
@@ -991,15 +991,15 @@ impl GroupRuntime {
             }
             return;
         }
-        // Ordered crypto (checkpoint, commit-certificate and view-change
-        // signatures) is crypto this call's effects *do* depend on: they
-        // act only once it has finished. Route them through the event queue
-        // so the fabric only ever sees monotone timestamps per host pair
-        // (applying early would stall every later message behind the future
-        // arrival in the FIFO network). While any batch is pending, later
-        // batches — crypto-free or not — queue strictly behind it: the
-        // engine's emission order is a protocol invariant (e.g. a
-        // checkpoint must precede proposals into the window it opens).
+        // Ordered crypto (slow-path CERTIFY shares, commit-certificate and
+        // view-change signatures) is crypto this call's effects *do* depend
+        // on: they act only once it has finished. Route them through the
+        // event queue so the fabric only ever sees monotone timestamps per
+        // host pair (applying early would stall every later message behind
+        // the future arrival in the FIFO network). While any batch is
+        // pending, later batches — crypto-free or not — queue strictly
+        // behind it: the engine's emission order is a protocol invariant
+        // (e.g. a NEW_VIEW must precede proposals into its view).
         let node = &mut self.nodes[r];
         let at_eff = if effect_at > node.deferred_until {
             effect_at
@@ -1095,7 +1095,10 @@ impl GroupRuntime {
                 }
                 // The dedup table is captured at the same instant as the
                 // application digest, so the certified checkpoint covers
-                // the *whole* decision-relevant state.
+                // the *whole* decision-relevant state. The engine paused
+                // execution at `base` for this and resumes inside the
+                // `on_snapshot` call below: both are the state after slot
+                // `base - 1` exactly, and the pause costs no virtual time.
                 let table = self.nodes[r].engine.exec_table();
                 let exec_digest = ubft_core::msg::exec_table_digest(&table);
                 if self.keep_snapshots {

@@ -699,6 +699,8 @@ impl ReplicaThread {
                 }
             }
             Effect::RequestSnapshot { base } => {
+                // Answered on the spot: the engine paused execution at
+                // `base` and resumes inside `on_snapshot`.
                 let digest = self.app.snapshot_digest();
                 let table = self.engine.exec_table();
                 let exec_digest = ubft_core::msg::exec_table_digest(&table);

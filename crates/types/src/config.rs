@@ -8,7 +8,7 @@ use crate::time::Duration;
 /// A deployment has `2f + 1` compute replicas of which up to `f` may be
 /// Byzantine, and `2f_m + 1` passive memory nodes of which up to `f_m` may
 /// crash. `tail` is CTBcast's `t` parameter and `window` is the consensus
-/// sliding window (the paper uses `t = 128`, `window = 256`).
+/// checkpoint interval (the paper uses `t = 128`, `window = 256`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterParams {
     /// Maximum number of Byzantine compute replicas tolerated.
@@ -18,7 +18,11 @@ pub struct ClusterParams {
     /// CTBcast tail parameter `t`: only the last `t` broadcasts are
     /// guaranteed to be delivered.
     pub tail: usize,
-    /// Consensus sliding-window size (open slots beyond the last checkpoint).
+    /// Consensus checkpoint interval: a checkpoint is taken every `window`
+    /// executed slots, and slots `[base, base + 2·window)` past the last
+    /// stable one are open — the leader fills the second window while the
+    /// checkpoint between the two certifies, so at most two windows of
+    /// slot state are ever held.
     pub window: usize,
     /// Known post-GST communication bound `δ`, used by the SWMR register
     /// write cooldown and read-retry logic.

@@ -6,6 +6,12 @@
 //! values means virtual-time behaviour drifted, which invalidates every
 //! figure the repo reproduces. A deliberate behaviour change must update
 //! the pins in the same commit and say why.
+//!
+//! The five short runs stop at 55–220 requests and never reach slot 256,
+//! so they say nothing about checkpoints. The two `across_checkpoints`
+//! runs (600 requests, boundaries at 256 and 512) were captured when
+//! checkpoint certification left the request path, so that the next change
+//! to checkpoint timing is visible here.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::sharded::ShardedCluster;
@@ -62,6 +68,18 @@ fn slow_path_run_is_pinned() {
 fn default_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(7), 100, 10);
     assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=966193 mean=8778 p50=8768 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+}
+
+#[test]
+fn fast_path_run_across_checkpoints_is_pinned() {
+    let got = fingerprint(SimConfig::paper_default(44).fast_only(), 600, 60);
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=5779290 mean=8756 p50=8759 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 5360, cons_msgs: 7952, direct_msgs: 1340, ctb_signs: 0, ctb_verifies: 0, engine_signs: 36, engine_verifies: 16, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+}
+
+#[test]
+fn slow_path_run_across_checkpoints_is_pinned() {
+    let got = fingerprint(SimConfig::paper_default(45).slow_only(), 600, 60);
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=134906195 mean=204451 p50=203884 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 8296, cons_msgs: 6616, direct_msgs: 1400, ctb_signs: 2646, ctb_verifies: 7938, engine_signs: 2106, engine_verifies: 4006, reg_writes: 7938, reg_reads: 7938 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
