@@ -88,7 +88,13 @@ impl Region {
 
     /// Begins applying `data` at `offset` starting at time `start`, taking
     /// `spread` of virtual time to stream in word by word. The region keeps
-    /// `data` itself until the write has landed.
+    /// `data` itself until a read finds that the write has landed.
+    ///
+    /// Nothing is folded here: `start` is the write's *arrival*, a hop in
+    /// the future of whoever posts it, and folding up to it would show
+    /// every earlier write that lands before then to a reader that samples
+    /// the region in the meantime — a message picked up before it arrived.
+    /// Only a read knows what time it is ([`Region::sample_into`]).
     pub(crate) fn begin_write(
         &mut self,
         offset: usize,
@@ -97,7 +103,6 @@ impl Region {
         spread: Duration,
     ) {
         debug_assert!(offset + data.len() <= self.size);
-        self.compact(start);
         let n_words = data.len().div_ceil(8).max(1) as u64;
         let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
         self.inflight.push_back(InflightWrite { offset, data, start, word_gap });
@@ -254,6 +259,20 @@ mod tests {
         assert_eq!(r.sample(0, 8, t(10_000)), vec![2u8; 8]);
     }
 
+    #[test]
+    fn a_later_write_does_not_land_an_earlier_one_early() {
+        // Two messages posted back to back into neighbouring slots, arriving
+        // at t=900 and t=1000. Posting the second must not fold the first:
+        // a poll at t=500 — scheduled for some older message — sees neither.
+        let mut r = Region::new(16);
+        r.begin_write(0, vec![1u8; 8], t(900), Duration::ZERO);
+        r.begin_write(8, vec![2u8; 8], t(1_000), Duration::ZERO);
+        assert_eq!(r.sample(0, 16, t(500)), vec![0u8; 16]);
+        let first_only = r.sample(0, 16, t(950));
+        assert_eq!((&first_only[..8], &first_only[8..]), (&[1u8; 8][..], &[0u8; 8][..]));
+        assert_eq!(r.sample(8, 8, t(1_000)), vec![2u8; 8]);
+    }
+
     /// The region as it was before its settled image was paged: one dense
     /// buffer, and an in-flight list rebuilt on every compaction. Kept as
     /// the reference the paged region is checked against.
@@ -268,7 +287,6 @@ mod tests {
         }
 
         fn begin_write(&mut self, offset: usize, data: Vec<u8>, start: Time, spread: Duration) {
-            self.compact(start);
             let n_words = data.len().div_ceil(8).max(1) as u64;
             let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
             self.inflight.push(InflightWrite { offset, data, start, word_gap });

@@ -101,8 +101,10 @@ pub struct SimConfig {
     pub backend: Backend,
     /// Threaded backend only: size of the shared crypto worker pool that
     /// signature/digest work is offloaded to (the paper's background
-    /// crypto cores, §5.4). Ignored by the simulator, which models one
-    /// crypto core per replica as a virtual-time cursor.
+    /// crypto cores, §5.4). Ignored by the simulator, which models the pool
+    /// as two virtual-time cursors per replica: the engine's ordered crypto
+    /// on one, its crypto jobs behind it on the other (CTBcast's own
+    /// signatures are charged per message and occupy neither).
     pub crypto_workers: usize,
     /// Threaded backend only: multiplier stretching virtual-time timer
     /// durations (progress watchdog, slow-path trigger, retransmit tick)

@@ -40,8 +40,9 @@ pub(crate) struct Snapshot {
 /// instance, one CTBcast instance per stream (its own stream as
 /// broadcaster, every peer's as receiver), the TBcast endpoints those
 /// streams and the consensus lane ride on, the SWMR register writers for
-/// its own slots of every stream's bank, and its two virtual-time cost
-/// cursors (main event-loop core and background crypto worker, §5.4).
+/// its own slots of every stream's bank, and its virtual-time cost cursors
+/// (main event-loop core; ordered crypto and crypto jobs on the background
+/// crypto pool, §5.4).
 pub(crate) struct ReplicaNode {
     /// The consensus state machine (Algorithms 2–5).
     pub engine: Engine,
@@ -62,10 +63,17 @@ pub(crate) struct ReplicaNode {
     pub reg_writers: Vec<RegisterWriter>,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     pub busy: Time,
-    /// Crypto-worker busy-until cursor: engine signatures/verifications
-    /// serialize here instead of on the main cursor (the paper's
-    /// background crypto pool, §5.4).
+    /// Crypto-worker busy-until cursor: the engine's *ordered* signatures
+    /// and verifications — the ones its effects wait for — serialize here
+    /// instead of on the main cursor (the paper's background crypto pool,
+    /// §5.4).
     pub crypto_busy: Time,
+    /// Busy-until cursor of the engine's crypto *jobs* (summary and
+    /// checkpoint certification) on the same pool. A job starts behind
+    /// earlier jobs and behind the ordered crypto already queued, but
+    /// ordered crypto never waits for a job: certification that is off the
+    /// request path must not take the request path's worker either.
+    pub job_busy: Time,
     /// Whether a scheduled crash has taken effect.
     pub crashed: bool,
     /// Recent checkpoint snapshots, oldest first, retained to serve

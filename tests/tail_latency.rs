@@ -12,6 +12,13 @@
 //! closed-loop client gained only 1.6×; when the checkpoint's did, every
 //! 256th took 112 µs and 64 batched clients all waited at once (p99
 //! 2.6 × p50).
+//!
+//! Two rules of the simulator are gated here as well, because this is
+//! where breaking them shows: a message is never polled before it arrives
+//! (two clients then ran *more* than twice as fast as one, by an amount
+//! that differed from seed to seed), and a crypto job never holds up
+//! ordered crypto (a slow-path request that crossed a summary boundary
+//! then took a signature longer than the others).
 
 use ubft::apps::FlipApp;
 use ubft::core::app::App;
@@ -36,7 +43,11 @@ fn run(cfg: SimConfig, requests: u64) -> RunReport {
 }
 
 fn run_fast_path(clients: usize) -> RunReport {
-    run(SimConfig::paper_default(0x7A11).fast_only().with_clients(clients), REQUESTS)
+    run_fast_path_seeded(0x7A11, clients)
+}
+
+fn run_fast_path_seeded(seed: u64, clients: usize) -> RunReport {
+    run(SimConfig::paper_default(seed).fast_only().with_clients(clients), REQUESTS)
 }
 
 fn kreq_per_s(report: &RunReport) -> f64 {
@@ -67,6 +78,35 @@ fn a_second_client_nearly_doubles_fast_path_throughput() {
     // trims that (to 1.6x when every 64th request signed a summary).
     let (one, two) = (kreq_per_s(&run_fast_path(1)), kreq_per_s(&run_fast_path(2)));
     assert!(two >= 1.95 * one, "two clients reach {two:.1} kreq/s, one reaches {one:.1}");
+    // Two interleaved requests share three main cores: each is a little
+    // slower than one alone, never faster.
+    assert!(two <= 2.0 * one, "two clients reach {two:.1} kreq/s, one reaches {one:.1}");
+}
+
+#[test]
+fn two_client_throughput_does_not_depend_on_the_seed() {
+    // Only jitter differs between seeds. When a message posted right
+    // behind another could be polled a hop early, two clients a few hundred
+    // nanoseconds apart ran at 8.55 us per request until jitter separated
+    // them — at request 50 on one seed, never on another: 228.6 to 233.7
+    // kreq/s. Half a cycle apart they run at 227.7 on every seed.
+    let kreq: Vec<f64> = (1..=4).map(|seed| kreq_per_s(&run_fast_path_seeded(seed, 2))).collect();
+    let (min, max) = kreq.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    assert!(max <= 1.003 * min, "two-client kreq/s by seed: {kreq:.1?}");
+}
+
+#[test]
+fn summary_boundaries_leave_no_mark_on_the_slow_path_either() {
+    // 600 slow-path requests cross 18 summary boundaries and 2 checkpoints.
+    // The shares are crypto jobs; the slot's own CERTIFY signature and the
+    // verification of the peer's are ordered crypto 17 us apart, and a job
+    // that got in between cost that request a whole signature (220 us).
+    let mut lat = run(SimConfig::paper_default(0x7A11).slow_only(), 600).latency;
+    let (p50, max) = (lat.median(), lat.max());
+    assert!(
+        max <= p50 + Duration::from_micros(1),
+        "max {max} is more than 1 us above p50 {p50}: a crypto job held up ordered crypto"
+    );
 }
 
 #[test]
