@@ -3,8 +3,7 @@
 //! CTBcast summary double-buffering.
 
 fn main() {
-    let cli = ubft_bench::cli();
-    let samples = cli.samples;
+    let samples = ubft_bench::cli().samples;
     print!("{}", ubft_bench::ablation_path(samples));
     println!();
     print!("{}", ubft_bench::ablation_echo(samples));
@@ -12,7 +11,4 @@ fn main() {
     print!("{}", ubft_bench::ablation_dmem(samples));
     println!();
     print!("{}", ubft_bench::ablation_summary(samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("ablations", samples);
-    }
 }

@@ -1,8 +1,4 @@
 //! Regenerates the request-batching throughput sweep (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::batch_sweep(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("batch_sweep", cli.samples);
-    }
+    print!("{}", ubft_bench::batch_sweep(ubft_bench::cli().samples));
 }

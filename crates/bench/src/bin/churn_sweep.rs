@@ -1,8 +1,4 @@
 //! Regenerates the replica-replacement churn sweep (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::churn_sweep(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("churn_sweep", cli.samples);
-    }
+    print!("{}", ubft_bench::churn_sweep(ubft_bench::cli().samples));
 }

@@ -1,8 +1,4 @@
 //! Regenerates the paper's Fig8 (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::fig8(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("fig8", cli.samples);
-    }
+    print!("{}", ubft_bench::fig8(ubft_bench::cli().samples));
 }

@@ -1,8 +1,4 @@
 //! Regenerates the paper's Fig9 (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::fig9(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("fig9", cli.samples);
-    }
+    print!("{}", ubft_bench::fig9(ubft_bench::cli().samples));
 }

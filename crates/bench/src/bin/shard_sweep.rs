@@ -1,8 +1,4 @@
 //! Regenerates the multi-group shard-scaling sweep (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::shard_sweep(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("shard_sweep", cli.samples);
-    }
+    print!("{}", ubft_bench::shard_sweep(ubft_bench::cli().samples));
 }

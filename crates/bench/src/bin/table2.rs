@@ -1,8 +1,4 @@
 //! Regenerates the paper's Table 2 (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
     print!("{}", ubft_bench::table2());
-    if cli.json {
-        ubft_bench::emit_standard_json("table2", cli.samples);
-    }
 }

@@ -1,8 +1,4 @@
 //! Regenerates the §9 throughput figure (see EXPERIMENTS.md).
 fn main() {
-    let cli = ubft_bench::cli();
-    print!("{}", ubft_bench::throughput(cli.samples));
-    if cli.json {
-        ubft_bench::emit_standard_json("throughput", cli.samples);
-    }
+    print!("{}", ubft_bench::throughput(ubft_bench::cli().samples));
 }

@@ -40,15 +40,16 @@ pub struct BenchCli {
     pub samples: u64,
     /// `--smoke`: tiny-sample liveness mode for CI.
     pub smoke: bool,
-    /// `--json`: additionally write a machine-readable
-    /// `BENCH_<name>.json` summary next to the working directory.
+    /// `--json` (`wallclock_sweep` only): additionally write the sweep's
+    /// machine-readable `BENCH_wallclock_sweep.json` into the working
+    /// directory.
     pub json: bool,
 }
 
 /// Parses a figure binary's CLI: an optional positional per-data-point
 /// sample count, `--smoke` (caps samples at [`SMOKE_SAMPLES`] so CI can
 /// prove the binary still runs without paying for real statistics), and
-/// `--json` (emit a `BENCH_<name>.json` summary). Unknown flags are
+/// `--json` (which only `wallclock_sweep` acts on). Unknown flags are
 /// ignored.
 pub fn cli() -> BenchCli {
     let mut samples = SAMPLES;
@@ -69,13 +70,8 @@ pub fn cli() -> BenchCli {
     BenchCli { samples, smoke, json }
 }
 
-/// Back-compat shorthand for binaries that only need the sample count.
-pub fn cli_samples() -> u64 {
-    cli().samples
-}
-
-/// The machine-readable summary every bench binary can emit: closed-loop
-/// throughput plus the p50/p99 of the same distribution the figures print.
+/// One point of `wallclock_sweep`'s machine-readable grid: closed-loop
+/// throughput plus the p50/p99 of the same distribution its table prints.
 pub struct JsonPoint {
     /// Thousands of requests per second.
     pub kreq_per_s: f64,
@@ -101,31 +97,6 @@ pub fn write_bench_json(name: &str, body: &str) {
     let path = format!("BENCH_{name}.json");
     std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("# wrote {path}");
-}
-
-/// The shared `--json` path for the simulator-driven figure binaries: one
-/// representative run (uBFT fast path, 32 B Flip requests — the headline
-/// configuration every figure varies around), summarized as
-/// `BENCH_<name>.json`. Figures stay the human-readable artifact; the
-/// JSON gives CI and dashboards one comparable number per binary.
-pub fn emit_standard_json(name: &str, samples: u64) {
-    let cfg = SimConfig::paper_default(SEED).fast_only();
-    let n = cfg.params.n();
-    let mut cluster = Cluster::new(cfg, make_apps("flip", n), make_workload("flip", 32));
-    let report = cluster.run(samples, WARMUP);
-    let kreq = report.completed as f64 / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
-        * 1_000.0;
-    let mut lat = report.latency;
-    let point = JsonPoint {
-        kreq_per_s: kreq,
-        p50_us: us(lat.percentile(50.0)),
-        p99_us: us(lat.percentile(99.0)),
-    };
-    let body = format!(
-        "{{\n  \"bench\": \"{name}\",\n  \"backend\": \"sim\",\n  \"samples\": {samples},\n  {}\n}}\n",
-        point.fields()
-    );
-    write_bench_json(name, &body);
 }
 
 fn us(d: Duration) -> f64 {

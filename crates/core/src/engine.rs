@@ -15,10 +15,12 @@
 //! inputs ([`Engine::on_crypto_done`]). A replacement node's join still
 //! verifies the checkpoints it adopts inline: nothing runs beside it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
-use ubft_types::{ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
+use ubft_types::{
+    ClusterParams, FixedMap, FixedSet, ProcessId, ReplicaId, RequestId, SeqId, Slot, View,
+};
 
 pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork};
 use crate::msg::{
@@ -112,7 +114,7 @@ impl EngineConfig {
 }
 
 /// Timers the engine asks the runtime to arm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Leader-progress watchdog; fires a view change when stuck.
     Progress,
@@ -632,7 +634,7 @@ pub struct Engine {
     slots: BTreeMap<Slot, SlotState>,
     byzantine: BTreeSet<ReplicaId>,
     /// Requests received directly from clients.
-    seen_requests: HashMap<RequestId, Request>,
+    seen_requests: FixedMap<RequestId, Request>,
     /// Requests seen but not yet executed (liveness tracking); their
     /// content is in `seen_requests`.
     outstanding: BTreeSet<RequestId>,
@@ -643,16 +645,16 @@ pub struct Engine {
     /// checkpoint-certified [`Engine::exec_table`]) stays identical.
     last_exec_seq: crate::lru::LruMap<ubft_types::ClientId, u64>,
     /// Leader: echo counts per request.
-    echoes: HashMap<RequestId, BTreeSet<ReplicaId>>,
+    echoes: FixedMap<RequestId, BTreeSet<ReplicaId>>,
     /// Leader: requests ready to propose.
     propose_queue: VecDeque<Request>,
     /// Leader: queued requests that must be proposed in a slot of their own
     /// because the echo round never completed for them (§5.4). Co-batching
     /// one with fully-echoed requests would make followers hold the whole
     /// prepare and knock every request in the batch off the fast path.
-    propose_solo: HashSet<RequestId>,
+    propose_solo: FixedSet<RequestId>,
     /// Requests already proposed/decided (dedup).
-    proposed: HashSet<RequestId>,
+    proposed: FixedSet<RequestId>,
     /// Summary gating (Algorithm 4).
     my_ctb_sent: u64,
     summary_done_upto: u64,
@@ -676,7 +678,7 @@ pub struct Engine {
     /// The view for which we (as leader) have broadcast NEW_VIEW.
     new_view_broadcast: Option<View>,
     /// Certificates already verified (content digest), to avoid re-metering.
-    verified_certs: HashSet<Digest>,
+    verified_certs: FixedSet<Digest>,
     /// Checkpoint shares collected: base -> signer -> share. Each share
     /// carries the *full* signed data (base, app digest, exec digest), so
     /// shares over different exec tables never mix into one certificate.
@@ -693,7 +695,7 @@ pub struct Engine {
     /// to one window below the stable base: a leader whose proposals we
     /// can still use is at most that far behind, and its crypto worker —
     /// the busiest — is the one that announces a checkpoint last.
-    verified_cp_data: HashSet<CheckpointData>,
+    verified_cp_data: FixedSet<CheckpointData>,
     /// Decide counter for the progress watchdog.
     decide_count: u64,
     armed_marker: u64,
@@ -725,6 +727,10 @@ impl Engine {
     pub fn new(me: ReplicaId, cfg: EngineConfig, ring: KeyRing) -> Self {
         let signer = ring.signer(ProcessId::Replica(me)).expect("key for me");
         let state = cfg.params.replicas().map(|r| (r, PeerState::new())).collect();
+        // The hash maps below whose keys clients or peers choose hash the
+        // same in every run of a seed (`ubft_types::hash`), under a key only
+        // this replica holds.
+        let hash_state = signer.hash_state();
         // A request re-proposed across a view change may occupy a second
         // slot, and that slot must land inside the acceptance window —
         // within 2 windows of the first. At most `2 · window · max_batch`
@@ -750,13 +756,13 @@ impl Engine {
             state,
             slots: BTreeMap::new(),
             byzantine: BTreeSet::new(),
-            seen_requests: HashMap::new(),
+            seen_requests: FixedMap::with_hasher(hash_state),
             outstanding: BTreeSet::new(),
-            last_exec_seq: crate::lru::LruMap::new(client_cache_cap),
-            echoes: HashMap::new(),
+            last_exec_seq: crate::lru::LruMap::new(client_cache_cap, hash_state),
+            echoes: FixedMap::with_hasher(hash_state),
             propose_queue: VecDeque::new(),
-            propose_solo: HashSet::new(),
-            proposed: HashSet::new(),
+            propose_solo: FixedSet::with_hasher(hash_state),
+            proposed: FixedSet::with_hasher(hash_state),
             my_ctb_sent: 0,
             summary_done_upto: 0,
             queued_ctb: VecDeque::new(),
@@ -766,9 +772,9 @@ impl Engine {
             vc_shares: HashMap::new(),
             sealing: None,
             new_view_broadcast: None,
-            verified_certs: HashSet::new(),
+            verified_certs: FixedSet::with_hasher(hash_state),
             cp_shares: BTreeMap::new(),
-            verified_cp_data: HashSet::new(),
+            verified_cp_data: FixedSet::with_hasher(hash_state),
             decide_count: 0,
             armed_marker: 0,
             vc_streak: 0,
@@ -2831,7 +2837,7 @@ impl Prepare {
 /// release (in `retry_held_prepares`) sides so they can never diverge: every
 /// non-noop request in the batch must have been received directly from its
 /// client.
-fn batch_endorsed(batch: &Batch, seen: &HashMap<RequestId, Request>) -> bool {
+fn batch_endorsed(batch: &Batch, seen: &FixedMap<RequestId, Request>) -> bool {
     batch.requests().iter().all(|r| r.is_noop() || seen.contains_key(&r.id))
 }
 

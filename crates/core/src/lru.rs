@@ -23,23 +23,26 @@
 //! consensus). Pins stretch the capacity — the map grows past `cap`
 //! rather than evict a pinned entry, and shrinks back as pins clear.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use ubft_types::{FixedMap, FixedState};
 
 /// Bounded map with deterministic least-recently-written eviction.
 /// See the module docs for the eviction contract.
 #[derive(Clone, Debug)]
 pub struct LruMap<K, V> {
-    map: HashMap<K, (V, u64)>,
+    map: FixedMap<K, (V, u64)>,
     cap: Option<usize>,
     clock: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// An empty map. `cap = None` never evicts (today's unbounded
-    /// behavior); `Some(c)` holds at most `c` unpinned entries.
-    pub fn new(cap: Option<usize>) -> Self {
-        LruMap { map: HashMap::new(), cap, clock: 0 }
+    /// behavior); `Some(c)` holds at most `c` unpinned entries. The keys
+    /// are clients' to choose, so `hasher` should be keyed
+    /// ([`FixedState::keyed`]).
+    pub fn new(cap: Option<usize>, hasher: FixedState) -> Self {
+        LruMap { map: FixedMap::with_hasher(hasher), cap, clock: 0 }
     }
 
     /// Number of resident entries.
@@ -101,7 +104,7 @@ mod tests {
 
     #[test]
     fn uncapped_never_evicts() {
-        let mut m = LruMap::new(None);
+        let mut m = LruMap::new(None, FixedState::default());
         for i in 0..10_000u32 {
             assert!(m.insert(i, i, no_pin).is_none());
         }
@@ -111,7 +114,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_written_first() {
-        let mut m = LruMap::new(Some(3));
+        let mut m = LruMap::new(Some(3), FixedState::default());
         for i in 0..3u32 {
             assert!(m.insert(i, i * 10, no_pin).is_none());
         }
@@ -126,7 +129,7 @@ mod tests {
 
     #[test]
     fn get_does_not_touch() {
-        let mut m = LruMap::new(Some(2));
+        let mut m = LruMap::new(Some(2), FixedState::default());
         m.insert(1, 1, no_pin);
         m.insert(2, 2, no_pin);
         // Reading 1 must not save it: it is still the oldest write.
@@ -136,7 +139,7 @@ mod tests {
 
     #[test]
     fn pinned_entries_survive_and_stretch_capacity() {
-        let mut m = LruMap::new(Some(2));
+        let mut m = LruMap::new(Some(2), FixedState::default());
         m.insert(1, 1, no_pin);
         m.insert(2, 2, no_pin);
         // 1 is oldest but pinned: 2 goes instead.
@@ -153,7 +156,7 @@ mod tests {
         // Two maps fed the same insert sequence evict identically, entry
         // for entry, regardless of internal hash ordering.
         let run = || {
-            let mut m = LruMap::new(Some(16));
+            let mut m = LruMap::new(Some(16), FixedState::default());
             let mut evictions = Vec::new();
             for i in 0..1000u32 {
                 let k = (i * 7) % 97;

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ubft_types::wire::{decode_seq, encode_seq, seq_encoded_len, Wire, WireReader};
-use ubft_types::{CodecError, ProcessId};
+use ubft_types::{CodecError, FixedState, ProcessId};
 
 use crate::hmac::{digest_eq, hmac_sha256};
 use crate::sha256::Digest;
@@ -65,6 +65,14 @@ impl Signer {
     /// Signs `msg`.
     pub fn sign(&self, msg: &[u8]) -> Signature {
         Signature(hmac_sha256(&self.secret, msg))
+    }
+
+    /// A hasher state keyed from this signer's secret: the same in every
+    /// run of a seeded deployment, and not computable by anyone who does not
+    /// hold the key. For the owner's maps keyed by what clients choose.
+    pub fn hash_state(&self) -> FixedState {
+        let tag = hmac_sha256(&self.secret, b"ubft map hasher key");
+        FixedState::keyed(u64::from_le_bytes(tag.as_bytes()[..8].try_into().expect("8 bytes")))
     }
 }
 

@@ -10,11 +10,11 @@
 //! slot → (verify any conflicting entries) → deliver. Each stage is resumed
 //! through an `on_*` input carrying the results the runtime collected.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use ubft_crypto::{Digest, Signature};
 use ubft_types::wire::{Wire, WireReader};
-use ubft_types::{CodecError, ReplicaId, SeqId};
+use ubft_types::{CodecError, FixedMap, FixedState, ReplicaId, SeqId};
 
 use crate::wire::{fingerprint, CtbWire};
 
@@ -222,7 +222,7 @@ pub struct Ctb {
     /// Broadcaster only: fingerprints of own recent broadcasts, pruned to
     /// the last `2t` together with `payloads` — which holds the bodies, for
     /// `SIGNED` emission after async signing.
-    my_broadcasts: HashMap<u64, Digest>,
+    my_broadcasts: FixedMap<u64, Digest>,
     /// Broadcaster only: ids for which a sign was already requested.
     sign_requested: BTreeSet<u64>,
     /// `locks` array (line 9): per ring slot, the `(k, fp)` this replica is
@@ -233,11 +233,11 @@ pub struct Ctb {
     /// `delivered` array (line 8).
     delivered: Vec<Option<SeqId>>,
     /// Payload cache keyed by `(k, fp)`, pruned to the tail window.
-    payloads: HashMap<(u64, Digest), Vec<u8>>,
+    payloads: FixedMap<(u64, Digest), Vec<u8>>,
     /// Highest id seen on the stream (drives cache pruning).
     max_seen: SeqId,
     /// In-flight slow-path deliveries, keyed by ring slot.
-    slow: HashMap<usize, SlowPending>,
+    slow: FixedMap<usize, SlowPending>,
     /// Broadcaster only: receivers whose `LOCKED` was missing when a
     /// fast-path timeout fired. While anyone is suspected the fast path
     /// cannot reach unanimity, so [`Ctb::broadcast`] signs at once instead
@@ -254,20 +254,28 @@ impl Ctb {
         assert_eq!(replicas.len(), cfg.n);
         assert!(replicas.contains(&me) && replicas.contains(&stream));
         assert!(cfg.tail >= 2);
+        // One hash function per instance, the same in every run
+        // (`ubft_types::hash`). Per instance, because the receivers of a
+        // stream all hold the same `(k, fp)`s: under one shared function
+        // their tables would regrow in lockstep, and a seed would cost
+        // either none or all of those allocations. Not secret: each map is
+        // pruned to `2t` entries or fewer, so a broadcaster that picked
+        // colliding ids would gain nothing.
+        let hash_state = FixedState::keyed(u64::from(me.0) << 32 | u64::from(stream.0));
         Ctb {
             me,
             stream,
             cfg,
             replicas,
             next_k: SeqId(1),
-            my_broadcasts: HashMap::new(),
+            my_broadcasts: FixedMap::with_hasher(hash_state),
             sign_requested: BTreeSet::new(),
             locks: vec![None; cfg.tail],
             locked: vec![vec![None; cfg.tail]; cfg.n],
             delivered: vec![None; cfg.tail],
-            payloads: HashMap::new(),
+            payloads: FixedMap::with_hasher(hash_state),
             max_seen: SeqId(0),
-            slow: HashMap::new(),
+            slow: FixedMap::with_hasher(hash_state),
             suspected: BTreeSet::new(),
         }
     }

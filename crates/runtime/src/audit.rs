@@ -46,8 +46,7 @@ use ubft_crypto::{sha256, Digest};
 use ubft_sim::failure::Fault;
 use ubft_types::{RequestId, Slot};
 
-use crate::group::GroupRuntime;
-use crate::node::SNAPSHOT_RETAIN;
+use crate::group::{GroupRuntime, SNAPSHOT_RETAIN};
 
 /// A deliberately injected bug for auditor self-tests: an auditor that
 /// cannot fail is untested, so these mutations break one safety mechanism
@@ -216,11 +215,11 @@ impl Auditor {
         let audits = groups
             .iter()
             .map(|g| {
-                let n = g.cfg.params.n();
+                let n = g.env.cfg.params.n();
                 let genesis: Vec<Digest> = vec![g.nodes[0].app.snapshot_digest()];
                 let mut replicas: Vec<ReplicaAudit> =
                     (0..n).map(|_| ReplicaAudit::default()).collect();
-                for f in g.cfg.failures.faults() {
+                for f in g.env.cfg.failures.faults() {
                     if let Fault::Byzantine { index, .. } = f {
                         if *index < n {
                             replicas[*index].byzantine = true;
@@ -229,8 +228,8 @@ impl Auditor {
                 }
                 GroupAudit {
                     n,
-                    quorum: g.cfg.params.quorum(),
-                    window: g.cfg.params.window,
+                    quorum: g.env.cfg.params.quorum(),
+                    window: g.env.cfg.params.window,
                     model: g.nodes[0].app.sequential_model(),
                     model_digests: genesis,
                     canon: BTreeMap::new(),
@@ -540,8 +539,8 @@ impl Auditor {
                 // deferred crypto batch, so its application legally sits a
                 // few slots behind `exec_next` — but never off the
                 // canonical sequence.
-                let frontier = gr.exec_next(r).0 as usize;
-                let got = gr.app_digest(r);
+                let frontier = gr.nodes[r].engine.exec_next().0 as usize;
+                let got = gr.nodes[r].app.snapshot_digest();
                 let replayed = ga.model_digests.len() - 1;
                 let upto = frontier.min(replayed);
                 let on_prefix = ga.model_digests[..=upto].iter().rev().any(|d| *d == got);

@@ -7,9 +7,9 @@
 //! `ubft-dmem`, and all CPU/crypto time is charged against per-replica
 //! busy-until cursors using the calibrated [`CostModel`](ubft_sim::cost::CostModel).
 //!
-//! [`Cluster`] is a thin facade: the per-replica protocol state lives in
-//! the private `node::ReplicaNode`, and the event loop, lanes, and
-//! clients live in the private `group::GroupRuntime` — the same machinery
+//! [`Cluster`] is a thin facade: a replica's protocol stack and its driver
+//! are the private `node::ReplicaNode`, and the event loop, lanes, costs
+//! and clients live in the private `group::GroupRuntime` — the same machinery
 //! that [`ShardedCluster`](crate::sharded::ShardedCluster) instantiates
 //! `G` times over one shared fabric.
 
@@ -112,23 +112,23 @@ impl Cluster {
     /// The application state digest of replica `r` (safety assertions in
     /// tests: correct replicas that executed the same prefix must agree).
     pub fn app_digest(&self, r: usize) -> ubft_crypto::Digest {
-        self.dep.groups[0].app_digest(r)
+        self.dep.groups[0].nodes[r].app.snapshot_digest()
     }
 
     /// First slot replica `r` has not executed.
     pub fn exec_next(&self, r: usize) -> ubft_types::Slot {
-        self.dep.groups[0].exec_next(r)
+        self.dep.groups[0].nodes[r].engine.exec_next()
     }
 
     /// The view replica `r` is in.
     pub fn view_of(&self, r: usize) -> View {
-        self.dep.groups[0].view_of(r)
+        self.dep.groups[0].nodes[r].engine.view()
     }
 
     /// Individual requests replica `r` has decided (batches count their
     /// contents, so this is comparable across batch sizes).
     pub fn decided_of(&self, r: usize) -> u64 {
-        self.dep.groups[0].decided_of(r)
+        self.dep.groups[0].nodes[r].engine.decided_count()
     }
 
     /// Resident entries in replica `r`'s request-dedup table. Unbounded
@@ -136,7 +136,7 @@ impl Cluster {
     /// [`SimConfig::with_client_cache_cap`] stay at the (floored) cap —
     /// tests use this to prove eviction actually occurred.
     pub fn dedup_entries(&self, r: usize) -> usize {
-        self.dep.groups[0].dedup_entries(r)
+        self.dep.groups[0].nodes[r].engine.exec_table().len()
     }
 
     /// Total disaggregated-memory bytes occupied on one memory node by the
@@ -164,7 +164,7 @@ impl Cluster {
     /// requested number of operations (the panic message carries per-replica
     /// protocol diagnostics).
     pub fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
-        let deadline = self.dep.groups[0].cfg.stall_deadline(requests + warmup);
+        let deadline = self.dep.groups[0].env.cfg.stall_deadline(requests + warmup);
         let report = self.run_until(requests, warmup, deadline);
         assert!(
             report.completed >= requests + warmup,

@@ -6,11 +6,13 @@
 //!   replica engines with per-stream CTBcast instances, TBcast lanes over
 //!   circular-buffer channels, SWMR register banks on `2f_m + 1` memory
 //!   nodes, a crypto-pool model, timers, and closed-loop clients. A thin
-//!   facade over the private `node` (per-replica state) and `group` (event
-//!   loop and lanes) modules.
+//!   facade over the private `node` (a replica's protocol stack and its one
+//!   driver) and `group` (the simulator's `Substrate` for it) modules.
 //! * [`sharded::ShardedCluster`] — `G` such groups sharing one fabric,
 //!   one event queue, and one set of memory nodes, with requests routed
 //!   per key by [`ubft_apps::ShardRouter`].
+//! * [`threads`] — the same `node` driver on OS threads
+//!   ([`Backend::Threads`]): wall-clock time instead of virtual time.
 //! * [`baselines`] — the comparison systems measured the same way:
 //!   unreplicated execution, Mu, and MinBFT (vanilla + HMAC).
 //! * [`calibration`] — every latency/cost constant in one place (simulated
@@ -37,3 +39,6 @@ pub use threads::{
     run_backend, run_wallclock, ThreadWorkload, WallGroupReport, WallOptions, WallReplicaReport,
     WallReport,
 };
+
+#[cfg(test)]
+mod fake;

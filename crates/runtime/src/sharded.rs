@@ -144,17 +144,17 @@ impl ShardedCluster {
 
     /// The application state digest of replica `r` of shard `g`.
     pub fn app_digest(&self, g: usize, r: usize) -> ubft_crypto::Digest {
-        self.dep.groups[g].app_digest(r)
+        self.dep.groups[g].nodes[r].app.snapshot_digest()
     }
 
     /// The view replica `r` of shard `g` is in.
     pub fn view_of(&self, g: usize, r: usize) -> View {
-        self.dep.groups[g].view_of(r)
+        self.dep.groups[g].nodes[r].engine.view()
     }
 
     /// Individual requests replica `r` of shard `g` has decided.
     pub fn decided_of(&self, g: usize, r: usize) -> u64 {
-        self.dep.groups[g].decided_of(r)
+        self.dep.groups[g].nodes[r].engine.decided_count()
     }
 
     /// Disaggregated bytes shard `g`'s register banks occupy on one
@@ -191,7 +191,7 @@ impl ShardedCluster {
     /// Panics if the deployment stops making progress before completing
     /// the requested number of operations.
     pub fn run(&mut self, requests: u64, warmup: u64) -> ShardReport {
-        let deadline = self.dep.groups[0].cfg.stall_deadline(requests + warmup);
+        let deadline = self.dep.groups[0].env.cfg.stall_deadline(requests + warmup);
         let report = self.run_until(requests, warmup, deadline);
         assert!(
             report.aggregate.completed >= requests + warmup,

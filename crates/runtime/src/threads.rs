@@ -4,15 +4,16 @@
 //! ([`InProcEndpoint`]), with CTBcast signature/digest work and the
 //! engine's crypto jobs offloaded to a sized crypto worker pool.
 //!
-//! The protocol stack is untouched: the same sans-IO state machines the
-//! discrete-event simulator drives — [`Engine`], [`Ctb`],
-//! [`TailBroadcaster`]/[`TailReceiver`] — emit the same effect enums here;
-//! only the interpreter differs. Where the simulator turns effects into
-//! virtual-time events on a shared queue, this backend turns them into
-//! real sends on the in-process mesh, real `Instant`-based timers, jobs on
-//! the crypto pool, and quorum RPCs to memory-node threads. That is the
-//! whole point of the effect-based design: one protocol implementation,
-//! two execution substrates.
+//! The protocol stack *and its driver* are the simulator's: a replica
+//! thread owns a `ReplicaNode` (`node.rs`) — the same sans-IO state
+//! machines, the same interpretation of their effects — and only the
+//! `Substrate` beneath it differs. Where the simulator's turns a node's
+//! requests into virtual-time events on a shared queue, `ReplicaThread`
+//! here turns them into real sends on the in-process mesh, real
+//! `Instant`-based timers, jobs on the crypto pool, and quorum RPCs to
+//! memory-node threads. That is the whole point of the effect-based
+//! design: one protocol implementation, one driver, two execution
+//! substrates.
 //!
 //! What this backend deliberately does **not** model:
 //!
@@ -23,9 +24,9 @@
 //!   deterministically by the simulator backend, which remains bit-for-bit
 //!   pinned (`tests/pinned_sim.rs`).
 //! * **Calibrated costs.** Real time is the cost model. The engine's
-//!   metered [`CryptoOps`](ubft_core::engine::CryptoOps) accounting is
-//!   discarded; CTBcast slow-path signatures and verifications, and the
-//!   engine's summary crypto jobs, run on the worker pool for real.
+//!   metered [`CryptoOps`] accounting is discarded; CTBcast slow-path
+//!   signatures and verifications, and the engine's summary crypto jobs,
+//!   run on the worker pool for real.
 //! * **Torn register reads.** The SWMR register banks become memory-node
 //!   threads holding a `(group, stream, owner, slot) → (ts, bytes)` store
 //!   behind typed control-frame RPCs, with real `f_m + 1` write/read
@@ -40,6 +41,7 @@
 //! (not message latency) by a constant factor so scheduling jitter
 //! disappears into the slack.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,22 +49,20 @@ use std::time::Instant;
 
 use ubft_core::app::App;
 use ubft_core::client::Client;
-use ubft_core::engine::{CryptoJob, CryptoResult, CryptoTag, Effect, Engine, TimerKind};
-use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request, TbMsg};
+use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
+use ubft_core::msg::Reply;
 use ubft_crypto::{Digest, KeyRing, Signature};
-use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
-use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
-use ubft_ctb::wire::{signed_bytes, CtbWire, TbAck, TbFrame, TbWire};
+use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
+use ubft_ctb::wire::{signed_bytes, TbWire};
 use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
-use ubft_transport::net::{
-    LaneId, Transport, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT,
-};
+use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, ProcessId, ReplicaId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig};
-use crate::group::{engine_config, group_seed};
+use crate::group::{client_retry_period, group_seed, workload_retry};
+use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -109,10 +109,27 @@ pub struct WallReplicaReport {
     pub executed: Vec<(ClientId, u64)>,
     /// The view the replica ended in (0 = no view change ever fired).
     pub final_view: u64,
-    /// Certified state transfers the engine requested that this backend
-    /// could not serve (it keeps no snapshots); nonzero means the run was
-    /// overloaded enough for a replica to fall a whole window behind.
+    /// Certified state transfers the engine requested that found no
+    /// snapshot to restore (the threaded backend keeps none, so there
+    /// nonzero means the run was overloaded enough for a replica to fall a
+    /// whole window behind).
     pub transfer_misses: u64,
+    /// Peers this replica branded Byzantine: (culprit, why).
+    pub branded: Vec<(u32, String)>,
+}
+
+impl WallReplicaReport {
+    /// What `node` has to report at the end of a run; takes its logs.
+    pub(crate) fn of<A: App + ?Sized>(node: &mut ReplicaNode<A>) -> Self {
+        WallReplicaReport {
+            decided: node.engine.decided_count(),
+            app_digest: node.app.snapshot_digest(),
+            executed: std::mem::take(&mut node.exec_log),
+            final_view: node.engine.view().0,
+            transfer_misses: node.transfer_misses,
+            branded: std::mem::take(&mut node.branded),
+        }
+    }
 }
 
 /// One consensus group's end-of-run state.
@@ -171,33 +188,27 @@ fn mem_node(shards: usize, n: usize, m: usize) -> u32 {
     (shards * n + shards + m) as u32
 }
 
+/// A register slot per owner, each entry `(ts, bytes)`: one memory node's
+/// view, or a reader's merge of several.
+type SlotEntries = Vec<Option<(u64, Vec<u8>)>>;
+
 /// Typed control frames riding each node's inbox next to protocol bytes.
 enum CtlMsg {
-    /// Crypto pool: a requested signature is ready.
-    SignDone { k: SeqId, sig: Signature },
-    /// Crypto pool: a requested verification finished.
-    VerifyDone { stream: usize, tag: VerifyTag, ok: bool },
+    /// Crypto pool: a signature or verification `stream`'s CTBcast instance
+    /// asked for finished.
+    CtbDone { stream: usize, done: CtbDone },
     /// Crypto pool: an engine crypto job finished.
     EngineCryptoDone { tag: CryptoTag, result: CryptoResult },
-    /// Replica → memory node: store `bytes` under
-    /// `(group, stream, owner, slot)` with register timestamp `ts`.
-    WriteSlot {
-        group: u32,
-        stream: u32,
-        owner: u32,
-        slot: u32,
-        ts: u64,
-        bytes: Vec<u8>,
-        token: u64,
-        reply_to: u32,
-    },
+    /// Replica → memory node: store `bytes` under `key` with register
+    /// timestamp `ts`.
+    WriteSlot { key: SlotKey, ts: u64, bytes: Vec<u8>, token: u64, reply_to: u32 },
     /// Memory node → replica: one write replica acknowledged.
     WriteAck { token: u64 },
     /// Replica → memory node: return all `owners` entries of
     /// `(group, stream, ·, slot)`.
     ReadSlot { group: u32, stream: u32, slot: u32, owners: u32, token: u64, reply_to: u32 },
     /// Memory node → replica: one node's view of a slot, per owner.
-    ReadResp { token: u64, entries: Vec<Option<(u64, Vec<u8>)>> },
+    ReadResp { token: u64, entries: SlotEntries },
     /// Exit the thread's loop and report.
     Shutdown,
 }
@@ -272,31 +283,30 @@ fn spawn_crypto_workers(
             let rings = Arc::clone(rings);
             let router = router.clone();
             std::thread::spawn(move || loop {
-                match pool.pop() {
+                let (node, done) = match pool.pop() {
                     PoolJob::Stop => break,
                     PoolJob::Sign { node, group, stream, k, fp } => {
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let signer = rings[group].signer(id).expect("replica key");
                         let sig = signer.sign(&signed_bytes(ReplicaId(stream), k, &fp));
-                        let _ = router.send_ctl(node, CtlMsg::SignDone { k, sig });
+                        let stream = stream as usize;
+                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Signed(k, sig) })
                     }
                     PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
                         let id = ProcessId::Replica(ReplicaId(stream));
                         let msg = signed_bytes(ReplicaId(stream), k, &fp);
                         let ok = rings[group].verify(id, &msg, &sig);
-                        let _ = router.send_ctl(
-                            node,
-                            CtlMsg::VerifyDone { stream: stream as usize, tag, ok },
-                        );
+                        let stream = stream as usize;
+                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Verified(tag, ok) })
                     }
                     PoolJob::Engine { node, group, replica, job } => {
                         let id = ProcessId::Replica(ReplicaId(replica));
                         let signer = rings[group].signer(id).expect("replica key");
                         let result = job.run(&signer, &rings[group]);
-                        let _ = router
-                            .send_ctl(node, CtlMsg::EngineCryptoDone { tag: job.tag, result });
+                        (node, CtlMsg::EngineCryptoDone { tag: job.tag, result })
                     }
-                }
+                };
+                let _ = router.send_ctl(node, done);
             })
         })
         .collect()
@@ -306,56 +316,33 @@ fn spawn_crypto_workers(
 // Timers
 // ----------------------------------------------------------------------
 
-/// A due-time-ordered timer entry; `seq` breaks ties deterministically so
-/// the heap never compares payloads.
-struct TimerEntry<E> {
-    at: Instant,
-    seq: u64,
-    ev: E,
-}
-
-impl<E> PartialEq for TimerEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for TimerEntry<E> {}
-impl<E> PartialOrd for TimerEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for TimerEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
+/// Armed timers, earliest first: a min-heap of `(due, seq, event)`. `seq`
+/// is unique, so it breaks every tie and two events are never compared.
 struct TimerWheel<E> {
-    heap: BinaryHeap<TimerEntry<E>>,
+    heap: BinaryHeap<Reverse<(Instant, u64, E)>>,
     seq: u64,
 }
 
-impl<E> TimerWheel<E> {
+impl<E: Ord> TimerWheel<E> {
     fn new() -> Self {
         TimerWheel { heap: BinaryHeap::new(), seq: 0 }
     }
 
     fn arm(&mut self, after: std::time::Duration, ev: E) {
         self.seq += 1;
-        self.heap.push(TimerEntry { at: Instant::now() + after, seq: self.seq, ev });
+        self.heap.push(Reverse((Instant::now() + after, self.seq, ev)));
     }
 
     fn pop_due(&mut self, now: Instant) -> Option<E> {
-        if self.heap.peek().is_some_and(|e| e.at <= now) {
-            return self.heap.pop().map(|e| e.ev);
+        if self.heap.peek().is_some_and(|Reverse((at, ..))| *at <= now) {
+            return self.heap.pop().map(|Reverse((.., ev))| ev);
         }
         None
     }
 
     fn next_wait(&self, now: Instant, cap: std::time::Duration) -> std::time::Duration {
-        self.heap.peek().map(|e| e.at.saturating_duration_since(now)).unwrap_or(cap).min(cap)
+        let next = self.heap.peek().map(|Reverse((at, ..))| at.saturating_duration_since(now));
+        next.unwrap_or(cap).min(cap)
     }
 }
 
@@ -372,81 +359,49 @@ const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 // Replica threads
 // ----------------------------------------------------------------------
 
-enum ReplicaTimer {
-    Engine(TimerKind),
-    CtbSlow(SeqId),
-    Retransmit,
-}
-
-struct PendingWrite {
+/// A register RPC fanned out to every memory node, complete at
+/// `mem_quorum` answers.
+struct PendingRpc {
     stream: usize,
     k: SeqId,
-    acks: usize,
-    needed: usize,
+    answers: usize,
+    /// A read's per-owner best (max-timestamp) raw entry seen so far;
+    /// `None` for a write.
+    best: Option<SlotEntries>,
 }
 
-struct PendingRead {
-    stream: usize,
-    k: SeqId,
-    responses: usize,
-    needed: usize,
-    /// Per-owner best (max-timestamp) raw entry seen so far.
-    best: Vec<Option<(u64, Vec<u8>)>>,
-}
-
-/// See `GroupRuntime::SUMMARY_STALL_TICKS` — same watchdog, same value.
-const SUMMARY_STALL_TICKS: u32 = 4;
-
+/// One replica thread's side of its [`ReplicaNode`]: the mesh endpoint, the
+/// crypto pool, an `Instant` timer heap and the quorum RPCs to memory-node
+/// threads. Everything happens now, so `At` is `()`.
 struct ReplicaThread {
     g: usize,
     r: usize,
     n: usize,
-    n_mem: usize,
     mem_quorum: usize,
     node_idx: u32,
     driver_idx: u32,
-    mem_base: u32,
-    n_clients: usize,
+    /// Mesh indices of the memory nodes.
+    mem_nodes: std::ops::Range<u32>,
     scale: u64,
-    retransmit_period: ubft_types::Duration,
-    slow_trigger: ubft_types::Duration,
-    echo_fallback: ubft_types::Duration,
-    progress_timeout: ubft_types::Duration,
     ep: InProcEndpoint<CtlMsg>,
-    engine: Engine,
-    app: Box<dyn App + Send>,
-    ctbs: Vec<Ctb>,
-    ctb_tx: Vec<TailBroadcaster>,
-    ctb_rx: Vec<Vec<TailReceiver>>,
-    cons_tx: TailBroadcaster,
-    cons_rx: Vec<TailReceiver>,
-    reply_cache: ubft_core::lru::LruMap<ClientId, Reply>,
     crypto: Arc<CryptoPool>,
-    timers: TimerWheel<ReplicaTimer>,
-    pending_writes: HashMap<u64, PendingWrite>,
-    pending_reads: HashMap<u64, PendingRead>,
+    timers: TimerWheel<NodeTimer>,
+    pending: HashMap<u64, PendingRpc>,
     next_token: u64,
-    exec_log: Vec<(ClientId, u64)>,
-    transfer_misses: u64,
-    summary_stall_ticks: u32,
-    /// Where outgoing messages are encoded before the bytes are copied into
-    /// the shared buffer the mesh carries — reused for every send.
-    scratch: Vec<u8>,
 }
 
 impl ReplicaThread {
-    fn run(mut self) -> WallReplicaReport {
-        self.engine_call(|e| e.start());
-        self.timers.arm(wall(self.retransmit_period, self.scale), ReplicaTimer::Retransmit);
+    /// The replica thread's loop: runs `node` until shutdown.
+    fn run(mut self, mut node: ReplicaNode<dyn App + Send>) -> WallReplicaReport {
+        node.engine_call(&mut self, (), |e| e.start());
 
         'main: loop {
             let now = Instant::now();
-            while let Some(ev) = self.timers.pop_due(now) {
-                self.on_timer(ev);
+            while let Some(timer) = self.timers.pop_due(now) {
+                node.on_timer(&mut self, timer, ());
             }
             let wait = self.timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
-            let first = self.ep.recv_timeout(wait);
-            let Some(first) = first else { continue };
+            let Some(first) = self.ep.recv_timeout(wait) else { continue };
             let mut batch = vec![first];
             // Drain without blocking: amortize the wakeup over everything
             // already queued.
@@ -455,211 +410,179 @@ impl ReplicaThread {
             }
             for m in batch {
                 match m {
-                    InMsg::Net(inb) => self.on_net(inb),
-                    InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
-                    InMsg::Ctl(c) => self.on_ctl(c),
-                }
-            }
-        }
-
-        WallReplicaReport {
-            decided: self.engine.decided_count(),
-            app_digest: self.app.snapshot_digest(),
-            executed: self.exec_log,
-            final_view: self.engine.view().0,
-            transfer_misses: self.transfer_misses,
-        }
-    }
-
-    /// Encodes `msg` and sends it to node `to`. The in-process mesh has no
-    /// failure model: its report never carries a refused write, so no
-    /// TBcast peer ever turns unreachable here.
-    fn send(&mut self, lane: LaneId, to: u32, msg: &impl Wire) {
-        self.scratch.clear();
-        msg.encode(&mut self.scratch);
-        let _ = self.ep.send(&mut (), lane, self.node_idx, to, &self.scratch, Time::ZERO);
-    }
-
-    fn peer_node(&self, to: ReplicaId) -> u32 {
-        replica_node(self.g, self.n, to.0 as usize)
-    }
-
-    // ---- timers ------------------------------------------------------
-
-    fn on_timer(&mut self, ev: ReplicaTimer) {
-        match ev {
-            ReplicaTimer::Engine(kind) => self.engine_call(|e| e.on_timer(kind)),
-            ReplicaTimer::CtbSlow(k) => {
-                let r = self.r;
-                self.ctb_call(r, |c| c.on_slow_timeout(k));
-            }
-            ReplicaTimer::Retransmit => self.on_retransmit_tick(),
-        }
-    }
-
-    /// Mirror of the simulator's retransmission tick, including the
-    /// summary-stall watchdog that force-converts a stuck unsummarized
-    /// CTBcast tail to the signed slow path.
-    fn on_retransmit_tick(&mut self) {
-        for s in 0..self.n {
-            let stale = self.ctb_tx[s].retransmit_stale();
-            self.send_tb_frames(Lane::CtbTb { stream: s }, stale);
-        }
-        let stale = self.cons_tx.retransmit_stale();
-        self.send_tb_frames(Lane::ConsTb, stale);
-
-        let sent = self.engine.ctb_sent_count();
-        let done = self.engine.ctb_summarized_upto();
-        let half = self.engine.summary_half();
-        if sent >= done + half {
-            self.summary_stall_ticks += 1;
-            if self.summary_stall_ticks >= SUMMARY_STALL_TICKS {
-                self.summary_stall_ticks = 0;
-                let mut fx = Vec::new();
-                for k in done + 1..=sent {
-                    fx.extend(self.ctbs[self.r].force_slow(SeqId(k)));
-                }
-                let r = self.r;
-                for e in fx {
-                    self.ctb_effect(r, e);
-                }
-            }
-        } else {
-            self.summary_stall_ticks = 0;
-        }
-        self.timers.arm(wall(self.retransmit_period, self.scale), ReplicaTimer::Retransmit);
-    }
-
-    // ---- inbound -----------------------------------------------------
-
-    fn on_net(&mut self, inb: ubft_transport::net::Inbound) {
-        let from_r = inb.from as usize % self.n; // group-local sender index
-        match inb.lane {
-            LANE_CONS_TB => self.on_tb_frame(Lane::ConsTb, from_r, &inb.payload),
-            LANE_DIRECT => {
-                if let Ok(msg) = DirectMsg::from_bytes(&inb.payload) {
-                    let f = ReplicaId(from_r as u32);
-                    self.engine_call(|e| e.on_direct(f, msg));
-                }
-            }
-            LANE_CLIENT_REQ => {
-                if let Ok(req) = Request::from_bytes(&inb.payload) {
-                    let cached = self
-                        .reply_cache
-                        .get(&req.id.client)
-                        .filter(|reply| reply.id == req.id)
-                        .cloned();
-                    if let Some(reply) = cached {
-                        self.send(LANE_CLIENT_RESP, self.driver_idx, &reply);
-                        return;
-                    }
-                    self.engine_call(|e| e.on_client_request(req));
-                }
-            }
-            stream_lane => {
-                // Every remaining lane is a CTBcast stream (stream ids sit
-                // far below the reserved high lane ids).
-                let stream = stream_lane as usize;
-                if stream < self.n {
-                    self.on_tb_frame(Lane::CtbTb { stream }, from_r, &inb.payload);
-                }
-            }
-        }
-    }
-
-    /// A TBcast frame arrived from replica `from_r`: an ack goes to the
-    /// lane's broadcaster; a data frame is delivered — decoded in place,
-    /// out of the sender's own buffer — if the receiver has not seen it,
-    /// then acknowledged if the receiver says so.
-    fn on_tb_frame(&mut self, lane: Lane, from_r: usize, frame: &[u8]) {
-        let from = ReplicaId(from_r as u32);
-        let (tx, rx) = match lane {
-            Lane::CtbTb { stream } => (&mut self.ctb_tx[stream], &mut self.ctb_rx[stream][from_r]),
-            Lane::ConsTb => (&mut self.cons_tx, &mut self.cons_rx[from_r]),
-        };
-        match TbFrame::decode(frame) {
-            Ok(TbFrame::Data { k, payload }) => {
-                let receipt = rx.on_wire(k);
-                if receipt.deliver {
-                    self.deliver_tb_payload(lane, from, payload);
-                }
-                if let Some(upto) = receipt.ack {
-                    let (me, node) = (self.node_idx, self.peer_node(from));
-                    let ack = TbAck { upto }.frame();
-                    let _ = self.ep.send(&mut (), lane.id(), me, node, &ack, Time::ZERO);
-                }
-            }
-            Ok(TbFrame::Ack(ack)) => tx.on_ack(from, ack.upto),
-            Err(_) => {}
-        }
-    }
-
-    fn on_ctl(&mut self, c: CtlMsg) {
-        match c {
-            CtlMsg::SignDone { k, sig } => {
-                let r = self.r;
-                self.ctb_call(r, |c| c.on_sign_done(k, sig));
-            }
-            CtlMsg::VerifyDone { stream, tag, ok } => {
-                self.ctb_call(stream, |c| c.on_verify_done(tag, ok));
-            }
-            CtlMsg::EngineCryptoDone { tag, result } => {
-                self.engine_call(|e| e.on_crypto_done(tag, result));
-            }
-            CtlMsg::WriteAck { token } => {
-                let finished = match self.pending_writes.get_mut(&token) {
-                    Some(w) => {
-                        w.acks += 1;
-                        w.acks >= w.needed
-                    }
-                    None => false, // surplus ack past the quorum
-                };
-                if finished {
-                    let w = self.pending_writes.remove(&token).expect("pending write");
-                    self.ctb_call(w.stream, |c| c.on_register_written(w.k));
-                }
-            }
-            CtlMsg::ReadResp { token, entries } => {
-                let finished = match self.pending_reads.get_mut(&token) {
-                    Some(rd) => {
-                        rd.responses += 1;
-                        for (best, got) in rd.best.iter_mut().zip(entries) {
-                            if let Some((ts, bytes)) = got {
-                                if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
-                                    *best = Some((ts, bytes));
-                                }
-                            }
+                    InMsg::Net(inb) => {
+                        // Group-local sender index (meaningful for replica
+                        // lanes; the driver's requests name their client).
+                        let from = inb.from as usize % self.n;
+                        if let Some(lane) = Lane::from_id(inb.lane, self.n) {
+                            node.on_inbound(&mut self, lane, from, &inb.payload, ());
                         }
-                        rd.responses >= rd.needed
                     }
-                    None => false,
-                };
-                if finished {
-                    let rd = self.pending_reads.remove(&token).expect("pending read");
-                    let parsed: Vec<Option<RegEntry>> = rd
-                        .best
-                        .into_iter()
-                        .map(|e| e.and_then(|(_, bytes)| RegEntry::from_bytes(&bytes).ok()))
-                        .collect();
-                    self.ctb_call(rd.stream, |c| c.on_registers_read(rd.k, parsed));
+                    InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
+                    InMsg::Ctl(c) => self.on_ctl(&mut node, c),
                 }
             }
+        }
+        WallReplicaReport::of(&mut node)
+    }
+
+    /// A completion arrived: from the crypto pool, or one more
+    /// memory-node's answer to a register RPC.
+    fn on_ctl(&mut self, node: &mut ReplicaNode<dyn App + Send>, c: CtlMsg) {
+        match c {
+            CtlMsg::CtbDone { stream, done } => node.on_ctb_done(self, stream, done, ()),
+            CtlMsg::EngineCryptoDone { tag, result } => {
+                node.engine_call(self, (), |e| e.on_crypto_done(tag, result));
+            }
+            CtlMsg::WriteAck { token } => self.on_rpc_answer(node, token, Vec::new()),
+            CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
             // Register RPCs target memory nodes; shutdown is handled by
             // the main loop before this dispatch.
             CtlMsg::WriteSlot { .. } | CtlMsg::ReadSlot { .. } | CtlMsg::Shutdown => {}
         }
     }
 
-    // ---- engine plumbing ---------------------------------------------
+    /// Mesh index of group-local node `to`: a replica's own thread, or —
+    /// for every client — the group's driver thread.
+    fn mesh_node(&self, to: usize) -> u32 {
+        if to < self.n {
+            replica_node(self.g, self.n, to)
+        } else {
+            self.driver_idx
+        }
+    }
 
-    fn engine_call(&mut self, f: impl FnOnce(&mut Engine) -> Vec<Effect>) {
-        let fx = f(&mut self.engine);
-        // Metered crypto accounting is the simulator's cost model; here
-        // real time is the cost.
-        let _ = self.engine.take_crypto_ops();
-        // Crypto jobs go to the pool; their results come back as control
-        // frames, and nothing below waits for them.
-        for job in self.engine.take_crypto_jobs() {
+    /// Fans a register RPC out to every memory node; `msg(token)` is one
+    /// node's copy of the request.
+    fn quorum_rpc(
+        &mut self,
+        stream: usize,
+        k: SeqId,
+        best: Option<SlotEntries>,
+        msg: impl Fn(u64) -> CtlMsg,
+    ) {
+        self.next_token += 1;
+        let token = self.next_token;
+        self.pending.insert(token, PendingRpc { stream, k, answers: 0, best });
+        for to in self.mem_nodes.clone() {
+            let _ = self.ep.router().send_ctl(to, msg(token));
+        }
+    }
+
+    /// One more memory node answered register RPC `token`; a read's answer
+    /// carries that node's `entries`, per owner. At the quorum the RPC
+    /// completes into its CTBcast instance; a surplus answer past it finds
+    /// nothing pending.
+    fn on_rpc_answer(
+        &mut self,
+        node: &mut ReplicaNode<dyn App + Send>,
+        token: u64,
+        entries: SlotEntries,
+    ) {
+        let Some(rpc) = self.pending.get_mut(&token) else { return };
+        rpc.answers += 1;
+        for (best, got) in rpc.best.iter_mut().flatten().zip(entries) {
+            if let Some((ts, bytes)) = got {
+                if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
+                    *best = Some((ts, bytes));
+                }
+            }
+        }
+        if rpc.answers < self.mem_quorum {
+            return;
+        }
+        let rpc = self.pending.remove(&token).expect("pending rpc");
+        let done = match rpc.best {
+            None => CtbDone::Written(rpc.k),
+            Some(best) => {
+                let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
+                CtbDone::Read(rpc.k, best.into_iter().map(parse).collect())
+            }
+        };
+        node.on_ctb_done(self, rpc.stream, done, ());
+    }
+}
+
+/// The in-process mesh has no failure model: a send never reports a
+/// refused write (`None`), so no TBcast peer ever turns unreachable here.
+/// Nothing is charged, injected or observed, and no snapshots are retained:
+/// a replica that lagged a whole window cannot be healed — its node counts
+/// the missed transfer, which flags the run as overloaded, and it keeps
+/// participating.
+impl Substrate for ReplicaThread {
+    type At = ();
+
+    fn send(&mut self, lane: Lane, to: usize, bytes: &[u8], _: ()) -> Option<bool> {
+        let _ = self.ep.router().send_net(lane.id(), self.node_idx, self.mesh_node(to), bytes);
+        None
+    }
+
+    /// The peer's thread receives a handle on the frame the broadcaster
+    /// buffered, so no bytes are copied per peer.
+    fn send_frame(&mut self, lane: Lane, to: usize, wire: &TbWire, _: ()) -> Option<bool> {
+        let (me, node) = (self.node_idx, self.mesh_node(to));
+        let _ = self.ep.router().send_net(lane.id(), me, node, wire.frame().clone());
+        None
+    }
+
+    fn arm(&mut self, timer: NodeTimer, after: ubft_types::Duration, _: ()) {
+        self.timers.arm(wall(after, self.scale), timer);
+    }
+
+    fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
+        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
+        self.crypto.push(PoolJob::Sign { node, group, stream, k, fp });
+    }
+
+    fn ctb_verify(
+        &mut self,
+        stream: usize,
+        tag: VerifyTag,
+        k: SeqId,
+        fp: Digest,
+        sig: Signature,
+        _: (),
+    ) {
+        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
+        self.crypto.push(PoolJob::Verify { node, group, stream, tag, k, fp, sig });
+    }
+
+    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, entry: RegEntry, _: ()) {
+        let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
+        let (bytes, reply_to) = (entry.to_bytes(), self.node_idx);
+        self.quorum_rpc(stream, k, None, |token| CtlMsg::WriteSlot {
+            key,
+            ts: k.0,
+            bytes: bytes.clone(),
+            token,
+            reply_to,
+        });
+    }
+
+    fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, _: ()) {
+        let (group, owners, reply_to) = (self.g as u32, self.n as u32, self.node_idx);
+        let (stream32, slot) = (stream as u32, slot as u32);
+        self.quorum_rpc(stream, k, Some(vec![None; self.n]), |token| CtlMsg::ReadSlot {
+            group,
+            stream: stream32,
+            slot,
+            owners,
+            token,
+            reply_to,
+        });
+    }
+
+    /// Metered crypto accounting is the simulator's cost model; here real
+    /// time is the cost. Crypto jobs go to the pool, their results come
+    /// back as control frames, and nothing waits for them.
+    fn engine_call_done(
+        &mut self,
+        _: (),
+        _ops: CryptoOps,
+        jobs: Vec<CryptoJob>,
+        fx: Vec<Effect>,
+    ) -> Option<((), Vec<Effect>)> {
+        for job in jobs {
             self.crypto.push(PoolJob::Engine {
                 node: self.node_idx,
                 group: self.g,
@@ -667,238 +590,7 @@ impl ReplicaThread {
                 job,
             });
         }
-        for e in fx {
-            self.engine_effect(e);
-        }
-    }
-
-    fn engine_effect(&mut self, e: Effect) {
-        match e {
-            Effect::CtbBroadcast(msg) => {
-                let bytes = msg.to_bytes();
-                let r = self.r;
-                let (_k, cfx) = self.ctbs[r].broadcast(bytes);
-                for ce in cfx {
-                    self.ctb_effect(r, ce);
-                }
-            }
-            Effect::TbBroadcast(msg) => self.tb_broadcast(Lane::ConsTb, &msg),
-            Effect::SendReplica { to, msg } => {
-                let node = self.peer_node(to);
-                self.send(LANE_DIRECT, node, &msg);
-            }
-            Effect::Execute { slot: _, req } => {
-                let payload = self.app.execute(&req.payload);
-                if !req.is_noop() {
-                    self.exec_log.push((req.id.client, req.id.seq));
-                }
-                if !req.is_noop() && (req.id.client.0 as usize) < self.n_clients {
-                    let reply = Reply { id: req.id, replica: ReplicaId(self.r as u32), payload };
-                    self.send(LANE_CLIENT_RESP, self.driver_idx, &reply);
-                    let _ = self.reply_cache.insert(req.id.client, reply, |_| false);
-                }
-            }
-            Effect::RequestSnapshot { base } => {
-                // Answered on the spot: the engine paused execution at
-                // `base` and resumes inside `on_snapshot`.
-                let digest = self.app.snapshot_digest();
-                let table = self.engine.exec_table();
-                let exec_digest = ubft_core::msg::exec_table_digest(&table);
-                self.engine_call(|e| e.on_snapshot(base, digest, exec_digest));
-            }
-            Effect::StateTransfer { .. } => {
-                // Failure-free backend: no snapshots are retained, so a
-                // replica that lagged a whole window cannot be healed.
-                // Count it — a nonzero count in the report flags the run
-                // as overloaded — and let it keep participating.
-                self.transfer_misses += 1;
-            }
-            Effect::AdoptStreams { tails } => {
-                for (stream, next) in tails {
-                    self.ctbs[stream.0 as usize].adopt_tail(next);
-                }
-            }
-            Effect::ArmTimer { kind } => {
-                let after = match kind {
-                    TimerKind::Progress => {
-                        self.progress_timeout * u64::from(self.engine.progress_backoff())
-                    }
-                    TimerKind::SlotSlowTrigger(_) => self.slow_trigger,
-                    TimerKind::EchoFallback(_) => self.echo_fallback,
-                };
-                self.timers.arm(wall(after, self.scale), ReplicaTimer::Engine(kind));
-            }
-            Effect::CheckpointAdopted { .. } => {}
-            Effect::ViewChanged { .. } => {}
-            Effect::ByzantineDetected { .. } => {}
-        }
-    }
-
-    // ---- CTBcast plumbing --------------------------------------------
-
-    fn ctb_call(&mut self, stream: usize, f: impl FnOnce(&mut Ctb) -> Vec<CtbEffect>) {
-        let fx = f(&mut self.ctbs[stream]);
-        for e in fx {
-            self.ctb_effect(stream, e);
-        }
-    }
-
-    fn ctb_effect(&mut self, stream: usize, e: CtbEffect) {
-        match e {
-            CtbEffect::Broadcast(wire) => self.tb_broadcast(Lane::CtbTb { stream }, &wire),
-            CtbEffect::Sign { k, fp } => {
-                self.crypto.push(PoolJob::Sign {
-                    node: self.node_idx,
-                    group: self.g,
-                    stream: stream as u32,
-                    k,
-                    fp,
-                });
-            }
-            CtbEffect::Verify { tag, k, fp, sig } => {
-                self.crypto.push(PoolJob::Verify {
-                    node: self.node_idx,
-                    group: self.g,
-                    stream: stream as u32,
-                    tag,
-                    k,
-                    fp,
-                    sig,
-                });
-            }
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                self.next_token += 1;
-                let token = self.next_token;
-                self.pending_writes
-                    .insert(token, PendingWrite { stream, k, acks: 0, needed: self.mem_quorum });
-                let bytes = entry.to_bytes();
-                for m in 0..self.n_mem {
-                    let to = self.mem_base + m as u32;
-                    let msg = CtlMsg::WriteSlot {
-                        group: self.g as u32,
-                        stream: stream as u32,
-                        owner: self.r as u32,
-                        slot: slot as u32,
-                        ts: k.0,
-                        bytes: bytes.clone(),
-                        token,
-                        reply_to: self.node_idx,
-                    };
-                    let _ = self.ep.router().send_ctl(to, msg);
-                }
-            }
-            CtbEffect::ReadSlot { slot, k } => {
-                self.next_token += 1;
-                let token = self.next_token;
-                self.pending_reads.insert(
-                    token,
-                    PendingRead {
-                        stream,
-                        k,
-                        responses: 0,
-                        needed: self.mem_quorum,
-                        best: vec![None; self.n],
-                    },
-                );
-                for m in 0..self.n_mem {
-                    let to = self.mem_base + m as u32;
-                    let msg = CtlMsg::ReadSlot {
-                        group: self.g as u32,
-                        stream: stream as u32,
-                        slot: slot as u32,
-                        owners: self.n as u32,
-                        token,
-                        reply_to: self.node_idx,
-                    };
-                    let _ = self.ep.router().send_ctl(to, msg);
-                }
-            }
-            CtbEffect::Deliver { k, payload } => match CtbMsg::from_bytes(&payload) {
-                Ok(msg) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(|e| e.on_ctb_deliver(s, k, msg));
-                }
-                Err(_) => {
-                    let s = ReplicaId(stream as u32);
-                    self.engine_call(|e| e.on_ctb_equivocation(s, k));
-                }
-            },
-            CtbEffect::Equivocation { k } => {
-                let s = ReplicaId(stream as u32);
-                self.engine_call(|e| e.on_ctb_equivocation(s, k));
-            }
-            CtbEffect::ArmSlowTimer { k } => {
-                self.timers.arm(wall(self.slow_trigger, self.scale), ReplicaTimer::CtbSlow(k));
-            }
-        }
-    }
-
-    // ---- TBcast plumbing ---------------------------------------------
-
-    /// This replica's broadcaster on a TBcast lane.
-    fn tb_tx(&mut self, lane: Lane) -> &mut TailBroadcaster {
-        match lane {
-            Lane::CtbTb { stream } => &mut self.ctb_tx[stream],
-            Lane::ConsTb => &mut self.cons_tx,
-        }
-    }
-
-    /// TBcast-broadcasts `msg` on `lane`: one encoded frame goes to every
-    /// peer, then its payload is delivered locally.
-    fn tb_broadcast(&mut self, lane: Lane, msg: &impl Wire) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let wire = self.tb_tx(lane).broadcast(msg, &mut scratch);
-        self.scratch = scratch;
-        for i in 0..self.tb_tx(lane).peers().len() {
-            let to = self.tb_tx(lane).peers()[i];
-            self.send_tb_frame(lane, to, &wire);
-        }
-        self.deliver_tb_payload(lane, ReplicaId(self.r as u32), wire.payload());
-    }
-
-    /// Sends a TBcast frame to a peer: its thread receives a handle on the
-    /// frame this broadcaster buffered, so no bytes are copied per peer.
-    fn send_tb_frame(&self, lane: Lane, to: ReplicaId, wire: &TbWire) {
-        let (me, node) = (self.node_idx, self.peer_node(to));
-        let _ = self.ep.router().send_net(lane.id(), me, node, wire.frame().clone());
-    }
-
-    fn send_tb_frames(&self, lane: Lane, frames: Vec<(ReplicaId, TbWire)>) {
-        for (to, wire) in frames {
-            self.send_tb_frame(lane, to, &wire);
-        }
-    }
-
-    fn deliver_tb_payload(&mut self, lane: Lane, from: ReplicaId, payload: &[u8]) {
-        match lane {
-            Lane::CtbTb { stream } => {
-                if let Ok(wire) = CtbWire::from_bytes(payload) {
-                    self.ctb_call(stream, |c| c.on_tb_deliver(from, wire));
-                }
-            }
-            Lane::ConsTb => {
-                if let Ok(msg) = TbMsg::from_bytes(payload) {
-                    self.engine_call(|e| e.on_tb_deliver(from, msg));
-                }
-            }
-        }
-    }
-}
-
-/// The two TBcast lane families a replica thread routes (clients and
-/// direct messages address lanes directly).
-#[derive(Clone, Copy)]
-enum Lane {
-    CtbTb { stream: usize },
-    ConsTb,
-}
-
-impl Lane {
-    fn id(self) -> LaneId {
-        match self {
-            Lane::CtbTb { stream } => stream as LaneId,
-            Lane::ConsTb => LANE_CONS_TB,
-        }
+        Some(((), fx))
     }
 }
 
@@ -906,6 +598,7 @@ impl Lane {
 // Client driver threads
 // ----------------------------------------------------------------------
 
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum DriverTimer {
     /// Retransmission check for request `id` of client `c`.
     Retry { c: usize, id: ubft_types::RequestId },
@@ -932,9 +625,9 @@ struct DriverThread {
 }
 
 impl DriverThread {
-    /// Mirror of the simulator's client retransmission timeout.
+    /// The simulator's client retransmission timeout, stretched.
     fn retry_period(&self) -> std::time::Duration {
-        wall(ubft_types::Duration::from_micros(1_500), self.scale)
+        wall(client_retry_period(), self.scale)
     }
 
     fn run(mut self) -> (u64, LatencyStats) {
@@ -990,7 +683,7 @@ impl DriverThread {
             // starved-shard path.
             let shift = self.idle_backoff[c].min(8);
             self.idle_backoff[c] = self.idle_backoff[c].saturating_add(1);
-            let base = wall(ubft_types::Duration::from_micros(5), self.scale);
+            let base = wall(workload_retry(), self.scale);
             self.timers.arm(base * (1u32 << shift), DriverTimer::Issue { c });
             return;
         };
@@ -1057,17 +750,7 @@ impl MemThread {
             };
             match msg {
                 InMsg::Ctl(CtlMsg::Shutdown) => break,
-                InMsg::Ctl(CtlMsg::WriteSlot {
-                    group,
-                    stream,
-                    owner,
-                    slot,
-                    ts,
-                    bytes,
-                    token,
-                    reply_to,
-                }) => {
-                    let key = (group, stream, owner, slot);
+                InMsg::Ctl(CtlMsg::WriteSlot { key, ts, bytes, token, reply_to }) => {
                     let newer = self.store.get(&key).is_none_or(|(old, _)| ts >= *old);
                     if newer {
                         self.store.insert(key, (ts, bytes));
@@ -1075,7 +758,7 @@ impl MemThread {
                     let _ = self.ep.router().send_ctl(reply_to, CtlMsg::WriteAck { token });
                 }
                 InMsg::Ctl(CtlMsg::ReadSlot { group, stream, slot, owners, token, reply_to }) => {
-                    let entries: Vec<Option<(u64, Vec<u8>)>> = (0..owners)
+                    let entries: SlotEntries = (0..owners)
                         .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
                         .collect();
                     let _ =
@@ -1153,87 +836,28 @@ pub fn run_wallclock(
 
     let mut replica_handles = Vec::with_capacity(shards * n);
     for g in 0..shards {
-        let gcfg = {
-            let mut c = cfg.clone();
-            c.seed = group_seed(cfg.seed, g);
-            c
-        };
-        let mut apps = make_apps(g);
+        let apps = make_apps(g);
         assert_eq!(apps.len(), n, "one app instance per replica");
-        let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
-        for r in 0..n {
-            let engine =
-                Engine::new(ReplicaId(r as u32), engine_config(&gcfg, r), rings[g].clone());
-            let ctb_cfg = match cfg.path {
-                ubft_core::engine::PathMode::FastOnly => CtbConfig {
-                    n,
-                    tail: cfg.params.tail,
-                    fast_enabled: true,
-                    slow: SlowMode::Never,
-                },
-                ubft_core::engine::PathMode::SlowOnly => CtbConfig {
-                    n,
-                    tail: cfg.params.tail,
-                    fast_enabled: false,
-                    slow: SlowMode::Always,
-                },
-                ubft_core::engine::PathMode::FastWithFallback => {
-                    CtbConfig::deployed(n, cfg.params.tail)
-                }
-            };
-            let ctbs: Vec<Ctb> = (0..n)
-                .map(|s| {
-                    Ctb::new(ReplicaId(r as u32), ReplicaId(s as u32), replica_ids.clone(), ctb_cfg)
-                })
-                .collect();
-            let cap = 2 * cfg.params.tail;
-            let peers: Vec<ReplicaId> =
-                (0..n as u32).map(ReplicaId).filter(|x| x.0 as usize != r).collect();
-            let ctb_tx: Vec<TailBroadcaster> =
-                (0..n).map(|_s| TailBroadcaster::new(peers.clone(), cap)).collect();
-            let ctb_rx: Vec<Vec<TailReceiver>> =
-                (0..n).map(|_s| (0..n).map(|_sender| TailReceiver::new(cap)).collect()).collect();
-            let cons_tx = TailBroadcaster::new(peers.clone(), cap);
-            let cons_rx: Vec<TailReceiver> = (0..n).map(|_s| TailReceiver::new(cap)).collect();
-
-            let t = ReplicaThread {
+        for (r, app) in apps.into_iter().enumerate() {
+            let mut timers = TimerWheel::new();
+            timers.arm(wall(cfg.retransmit_period, scale), NodeTimer::Retransmit);
+            let node = ReplicaNode::new(r, cfg, rings[g].clone(), app);
+            let thread = ReplicaThread {
                 g,
                 r,
                 n,
-                n_mem,
                 mem_quorum: cfg.params.mem_quorum(),
                 node_idx: replica_node(g, n, r),
                 driver_idx: driver_node(shards, n, g),
-                mem_base,
-                n_clients,
+                mem_nodes: mem_base..mem_base + n_mem as u32,
                 scale,
-                retransmit_period: cfg.retransmit_period,
-                slow_trigger: cfg.slow_trigger,
-                echo_fallback: cfg.echo_fallback,
-                progress_timeout: cfg.progress_timeout,
                 ep: take_ep(replica_node(g, n, r)),
-                engine,
-                app: apps.remove(0),
-                ctbs,
-                ctb_tx,
-                ctb_rx,
-                cons_tx,
-                cons_rx,
-                reply_cache: ubft_core::lru::LruMap::new(
-                    cfg.client_cache_cap
-                        .map(|c| c.max(2 * cfg.params.window * cfg.max_batch.max(1))),
-                ),
                 crypto: Arc::clone(&pool),
-                timers: TimerWheel::new(),
-                pending_writes: HashMap::new(),
-                pending_reads: HashMap::new(),
+                timers,
+                pending: HashMap::new(),
                 next_token: 0,
-                exec_log: Vec::new(),
-                transfer_misses: 0,
-                summary_stall_ticks: 0,
-                scratch: Vec::new(),
             };
-            replica_handles.push(std::thread::spawn(move || t.run()));
+            replica_handles.push(std::thread::spawn(move || thread.run(node)));
         }
     }
 
@@ -1342,11 +966,7 @@ pub fn run_backend(
             let mut dep = crate::group::Deployment::build(
                 &cfg,
                 |g| make_apps(g).into_iter().map(|a| a as Box<dyn App>).collect(),
-                |g| {
-                    let wl: ThreadWorkload = make_workload(g);
-                    let boxed: crate::group::GroupWorkload = Box::new(wl);
-                    boxed
-                },
+                |g| Box::new(make_workload(g)),
             );
             dep.run_loop(opts.requests, opts.warmup, deadline);
             // Converge every replica before reading digests; mirrors the
@@ -1354,21 +974,12 @@ pub fn run_backend(
             dep.settle(ubft_types::Duration::from_millis(5));
             let end = dep.now;
             let report = dep.aggregate_report(None);
-            let n = cfg.params.n();
             let groups = dep
                 .groups
-                .iter()
+                .iter_mut()
                 .map(|gr| WallGroupReport {
-                    completed: gr.completed,
-                    replicas: (0..n)
-                        .map(|r| WallReplicaReport {
-                            decided: gr.decided_of(r),
-                            app_digest: gr.app_digest(r),
-                            executed: gr.exec_log(r).to_vec(),
-                            final_view: gr.view_of(r).0,
-                            transfer_misses: 0,
-                        })
-                        .collect(),
+                    completed: gr.env.completed,
+                    replicas: gr.nodes.iter_mut().map(WallReplicaReport::of).collect(),
                 })
                 .collect();
             WallReport {

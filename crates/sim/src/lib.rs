@@ -30,10 +30,8 @@ pub mod failure;
 pub mod net;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 pub use event::EventQueue;
 pub use net::{HostId, LatencyModel, NetworkModel};
 pub use rng::SimRng;
 pub use stats::LatencyStats;
-pub use trace::{Span, Tracer};

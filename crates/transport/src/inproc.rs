@@ -1,4 +1,4 @@
-//! The wall-clock [`Transport`]: one inbox queue per node, connected by
+//! The wall-clock message plane: one inbox queue per node, connected by
 //! lock-free in-process channels.
 //!
 //! Every node of a threaded deployment owns an [`InProcEndpoint`] — the
@@ -12,7 +12,7 @@
 //! its sends to a given peer are issued from one thread through one
 //! `Sender` clone — `std::sync::mpsc` preserves that per-producer order,
 //! which is exactly the per-`(lane, from, to)` FIFO contract of
-//! [`Transport`] (stronger, in fact: FIFO per `(from, to)` across all
+//! [`crate::net`] (stronger, in fact: FIFO per `(from, to)` across all
 //! lanes, and nothing is ever dropped). `tests` in this module stress the
 //! guarantee under cross-thread contention.
 //!
@@ -24,13 +24,11 @@
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 
-use ubft_types::Time;
-
-use crate::net::{Inbound, LaneId, SendReport, Transport};
+use crate::net::{Inbound, LaneId};
 
 /// One message in a node's inbox: protocol bytes or a typed control frame.
 pub enum InMsg<X> {
-    /// Transport-level protocol traffic (what [`Transport::send`] emits).
+    /// Protocol traffic (what [`InProcRouter::send_net`] emits).
     Net(Inbound),
     /// Deployment-defined control traffic (crypto completions, register
     /// RPCs, shutdown).
@@ -65,8 +63,9 @@ impl<X> InProcRouter<X> {
         self.senders[to as usize].send(InMsg::Ctl(msg)).is_ok()
     }
 
-    /// Sends protocol bytes to node `to` (the raw form of
-    /// [`Transport::send`], usable from any thread holding a router). A
+    /// Sends protocol bytes to node `to` on `lane`, from any thread holding
+    /// a router. Delivery is eager — the destination thread wakes on its
+    /// inbox — so there is nothing to schedule and nothing ever stages. A
     /// sender that already holds the bytes in a shared buffer passes a clone
     /// of its handle and nothing is copied; anything else is copied once
     /// into a fresh one.
@@ -132,36 +131,6 @@ impl<X> InProcEndpoint<X> {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<InMsg<X>> {
         self.rx.try_recv().ok()
-    }
-}
-
-impl<X> Transport for InProcEndpoint<X> {
-    type Ctx = ();
-
-    fn send(
-        &mut self,
-        _ctx: &mut (),
-        lane: LaneId,
-        from: u32,
-        to: u32,
-        payload: &[u8],
-        _now: Time,
-    ) -> SendReport {
-        // Delivery is eager: the destination thread wakes on its inbox, so
-        // there are no arrivals to schedule and nothing ever stages.
-        let _ = self.router.send_net(lane, from, to, payload);
-        SendReport::default()
-    }
-
-    fn flush(
-        &mut self,
-        _ctx: &mut (),
-        _lane: LaneId,
-        _from: u32,
-        _to: u32,
-        _now: Time,
-    ) -> SendReport {
-        SendReport::default()
     }
 }
 

@@ -1,6 +1,6 @@
-//! The pluggable transport abstraction every deployment backend speaks.
+//! The vocabulary the two message planes share.
 //!
-//! A [`Transport`] carries opaque byte payloads between *nodes* (dense
+//! A message plane carries opaque byte payloads between *nodes* (dense
 //! `u32` indices assigned by the deployment) over *lanes* (a [`LaneId`]
 //! namespace the runtime defines: one lane per CTBcast stream plus fixed
 //! lanes for consensus TBcast, direct messages, and client RPC). The
@@ -14,20 +14,19 @@
 //! * **Send never blocks**: a send either stages or overwrites; the
 //!   sender learns about completions through the [`SendReport`].
 //!
-//! Two implementations exist: [`SimLinkTransport`](crate::sim_link) wraps
-//! the discrete-event fabric's channels (its `Ctx` is the shared
-//! [`Fabric`](ubft_rdma::Fabric), and reports carry *virtual-time*
-//! scheduling hints), and [`InProcEndpoint`](crate::inproc) connects OS
-//! threads through lock-free in-process queues (its `Ctx` is `()` and
-//! delivery is immediate — the receiving thread wakes on its inbox).
-//!
-//! The trait is the *sending* half. How a node learns that bytes arrived
-//! is what the two backends do not share: a simulated node polls one
-//! link's buffer at the virtual instant a write lands
-//! ([`SimLinkTransport::poll`](crate::sim_link::SimLinkTransport::poll),
-//! into the driver's own buffer), a threaded node blocks on its inbox
-//! ([`InProcEndpoint::recv_timeout`](crate::inproc::InProcEndpoint::recv_timeout),
-//! which hands it the sender's buffer).
+//! There are two, and the runtime calls each by its own type from its
+//! backend's `Substrate` (`ubft_runtime`'s node driver is generic over
+//! that, not over a transport trait — the two planes share neither how
+//! bytes leave nor how a node learns that bytes arrived):
+//! [`SimLinkTransport`](crate::sim_link::SimLinkTransport) wraps the
+//! discrete-event fabric's channels — `send` / `flush` report
+//! *virtual-time* scheduling hints, and a node polls one link's buffer at
+//! the virtual instant a write lands — and
+//! [`InProcRouter`](crate::inproc::InProcRouter) /
+//! [`InProcEndpoint`](crate::inproc::InProcEndpoint) connect OS threads
+//! through lock-free in-process queues: delivery is immediate, and the
+//! receiving thread blocks on its inbox, which hands it the sender's
+//! buffer.
 
 use std::sync::Arc;
 
@@ -57,7 +56,8 @@ pub struct SendReport {
     pub arrivals: Few<(u64, Time)>,
     /// When staged (not yet issued) data will next become flushable;
     /// `None` when nothing is staged. Drivers schedule a
-    /// [`Transport::flush`] at this time.
+    /// [`SimLinkTransport::flush`](crate::sim_link::SimLinkTransport::flush)
+    /// at this time.
     pub flush_at: Option<Time>,
     /// Messages evicted unsent by this call (buffer overwrite under
     /// backpressure).
@@ -79,35 +79,4 @@ pub struct Inbound {
     /// transport hands over the sender's own handle, so a frame broadcast
     /// to several peers is never copied per peer.
     pub payload: Arc<[u8]>,
-}
-
-/// A deployment backend's message plane. See the module docs for the
-/// delivery contract.
-pub trait Transport {
-    /// Backend context threaded through every call: the shared simulated
-    /// fabric for the discrete-event backend, `()` for in-process queues.
-    type Ctx: ?Sized;
-
-    /// Sends `payload` from node `from` to node `to` on `lane`. Never
-    /// blocks; per-pair FIFO order is `send` call order.
-    fn send(
-        &mut self,
-        ctx: &mut Self::Ctx,
-        lane: LaneId,
-        from: u32,
-        to: u32,
-        payload: &[u8],
-        now: Time,
-    ) -> SendReport;
-
-    /// Retries staged data on one link (backends whose sends can stage;
-    /// a no-op elsewhere).
-    fn flush(
-        &mut self,
-        ctx: &mut Self::Ctx,
-        lane: LaneId,
-        from: u32,
-        to: u32,
-        now: Time,
-    ) -> SendReport;
 }

@@ -1,26 +1,23 @@
-//! The discrete-event [`Transport`]: every link is one of the RDMA
+//! The discrete-event message plane: every link is one of the RDMA
 //! circular-buffer [`channel`](crate::channel)s living in fabric memory.
 //!
-//! This is a mechanical re-homing of the link map the simulator's group
-//! runtime used to own inline: the channel mechanics (staging, slot
-//! busy-until, incarnation-checked polls) are untouched, so a deployment
-//! driven through this transport is bit-for-bit identical to the
-//! pre-trait code. The driver remains responsible for *scheduling*: it
-//! turns [`SendReport::arrivals`] into receiver-poll events (each a
+//! The channel mechanics (staging, slot busy-until, incarnation-checked
+//! polls) are the channels' own; this is the map from `(lane, from, to)`
+//! to a link. The driver remains responsible for *scheduling*: it turns
+//! [`SendReport::arrivals`] into receiver-poll events (each a
 //! [`SimLinkTransport::poll`]) and [`SendReport::flush_at`] into flush
 //! events in its virtual-time queue.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use ubft_rdma::Fabric;
 use ubft_sim::HostId;
-use ubft_types::Time;
+use ubft_types::{FixedMap, Time};
 
 use crate::channel::{
     create_channel, ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome,
 };
-use crate::net::{LaneId, SendReport, Transport};
+use crate::net::{LaneId, SendReport};
 
 struct Link {
     tx: ChannelSender,
@@ -44,7 +41,7 @@ impl Link {
 /// `(lane, from, to)` triple the deployment opened.
 #[derive(Default)]
 pub struct SimLinkTransport {
-    links: HashMap<(LaneId, u32, u32), Link>,
+    links: FixedMap<(LaneId, u32, u32), Link>,
 }
 
 impl SimLinkTransport {
@@ -93,27 +90,10 @@ impl SimLinkTransport {
         }
     }
 
-    /// Buffer bytes attributable to node `r`: receive buffers it hosts
-    /// plus sender mirrors/staging of its outgoing links (Table 2's
-    /// replica-local accounting).
-    pub fn resident_bytes_touching(&self, r: u32) -> usize {
-        let mut total = 0usize;
-        for ((_lane, from, to), link) in &self.links {
-            if *to == r {
-                total += link.tx.buffer_bytes(); // receiver-side buffer
-            }
-            if *from == r {
-                total += link.tx.buffer_bytes(); // sender mirror + staging
-            }
-        }
-        total
-    }
-}
-
-impl Transport for SimLinkTransport {
-    type Ctx = Fabric;
-
-    fn send(
+    /// Sends `payload` from node `from` to node `to` on `lane` at virtual
+    /// time `now`. Never blocks; per-pair FIFO order is `send` call order.
+    /// A link that was never opened takes nothing.
+    pub fn send(
         &mut self,
         fabric: &mut Fabric,
         lane: LaneId,
@@ -129,7 +109,8 @@ impl Transport for SimLinkTransport {
         link.report(out)
     }
 
-    fn flush(
+    /// Retries the data staged on one link.
+    pub fn flush(
         &mut self,
         fabric: &mut Fabric,
         lane: LaneId,
@@ -142,5 +123,21 @@ impl Transport for SimLinkTransport {
         };
         let out = link.tx.flush(fabric, now);
         link.report(out)
+    }
+
+    /// Buffer bytes attributable to node `r`: receive buffers it hosts
+    /// plus sender mirrors/staging of its outgoing links (Table 2's
+    /// replica-local accounting).
+    pub fn resident_bytes_touching(&self, r: u32) -> usize {
+        let mut total = 0usize;
+        for ((_lane, from, to), link) in &self.links {
+            if *to == r {
+                total += link.tx.buffer_bytes(); // receiver-side buffer
+            }
+            if *from == r {
+                total += link.tx.buffer_bytes(); // sender mirror + staging
+            }
+        }
+        total
     }
 }

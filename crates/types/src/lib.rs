@@ -21,6 +21,7 @@
 pub mod config;
 pub mod error;
 pub mod few;
+pub mod hash;
 pub mod ids;
 pub mod time;
 pub mod wire;
@@ -28,6 +29,7 @@ pub mod wire;
 pub use config::ClusterParams;
 pub use error::{CodecError, ProtocolError};
 pub use few::Few;
+pub use hash::{FixedMap, FixedSet, FixedState};
 pub use ids::{ClientId, MemNodeId, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
 pub use time::{Duration, Time};
 pub use wire::{Wire, WireReader};

@@ -2,10 +2,11 @@
 //! deterministic simulator must agree on *what* was decided and executed,
 //! even though they disagree on *when*.
 //!
-//! Both backends drive the identical sans-IO protocol stack; the only
-//! difference is the effect interpreter (virtual-time event queue vs OS
-//! threads + real timers + the in-process channel mesh + a real crypto
-//! worker pool). So for a failure-free run with the same finite workload,
+//! Both backends run the identical sans-IO protocol stack under the
+//! identical driver (`ReplicaNode`); the only difference is the substrate
+//! beneath it (virtual-time event queue vs OS threads + real timers + the
+//! in-process channel mesh + a real crypto worker pool). So for a
+//! failure-free run with the same finite workload,
 //! every replica must end with the same application digest and the same
 //! non-noop execution log, request for request. `FlipApp`'s digest chains
 //! execution order, so a single reordered, dropped, or double-executed
@@ -85,6 +86,15 @@ fn run_both(cfg: &SimConfig, per_group: u64, groups: usize) -> (WallReport, Wall
     (sim, thr)
 }
 
+/// What the shared driver counts on either backend and a failure-free run
+/// must leave at zero: a missed state transfer (a replica fell a whole
+/// window behind — on threads, the run was overloaded) and a branded peer.
+fn assert_healthy(report: &WallReport, g: usize, r: usize) {
+    let (backend, rep) = (report.backend, &report.groups[g].replicas[r]);
+    assert_eq!(rep.transfer_misses, 0, "{backend:?} group {g} replica {r}: missed transfer");
+    assert!(rep.branded.is_empty(), "{backend:?} group {g} replica {r} branded {:?}", rep.branded);
+}
+
 /// Every replica of every group: same digest, same execution log, and the
 /// threaded run actually finished its closed loop.
 fn assert_equivalent(sim: &WallReport, thr: &WallReport, total: u64) {
@@ -97,10 +107,8 @@ fn assert_equivalent(sim: &WallReport, thr: &WallReport, total: u64) {
         assert_eq!(gs.completed, gt.completed, "group {g}: per-group completion split differs");
         assert_eq!(gs.replicas.len(), gt.replicas.len());
         for (r, (rs, rt)) in gs.replicas.iter().zip(&gt.replicas).enumerate() {
-            assert_eq!(
-                rt.transfer_misses, 0,
-                "group {g} replica {r}: threaded run was overloaded (state-transfer miss)"
-            );
+            assert_healthy(sim, g, r);
+            assert_healthy(thr, g, r);
             assert_eq!(rs.executed, rt.executed, "group {g} replica {r}: execution logs diverge");
             assert_eq!(
                 rs.app_digest, rt.app_digest,
@@ -158,8 +166,9 @@ fn threaded_exec_logs_are_per_client_monotone() {
         &opts,
     );
     assert_eq!(thr.completed, 80);
-    for gr in &thr.groups {
-        for rep in &gr.replicas {
+    for (g, gr) in thr.groups.iter().enumerate() {
+        for (r, rep) in gr.replicas.iter().enumerate() {
+            assert_healthy(&thr, g, r);
             let mut last: std::collections::HashMap<ClientId, u64> = Default::default();
             for &(client, seq) in &rep.executed {
                 if let Some(prev) = last.insert(client, seq) {
