@@ -113,9 +113,12 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 
 /// Allocator calls per completed request a debug or release build may
 /// spend on the named configuration over 500 + 50 requests: 10 % above
-/// what the tree measures (`flip_fast` 128.6, `flip_slow` 763.2). Before
-/// messages were encoded once into shared buffers they cost 570 and 1 500.
-pub const BUDGETS: [(&str, f64); 2] = [("flip_fast", 141.0), ("flip_slow", 840.0)];
+/// what the tree measures (`flip_fast` 128.6, `flip_slow` 498.5,
+/// `leader_crash` 376.5). Before messages were encoded once into shared
+/// buffers they cost 570, 1 500 and 1 270; before a register read stopped
+/// copying every sub-register of every memory node the slow path cost 763.
+pub const BUDGETS: [(&str, f64); 3] =
+    [("flip_fast", 141.0), ("flip_slow", 550.0), ("leader_crash", 415.0)];
 
 fn config(name: &str) -> Option<SimConfig> {
     let base = SimConfig::paper_default(SEED);

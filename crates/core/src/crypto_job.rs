@@ -10,10 +10,12 @@
 //! [`Engine::on_crypto_done`](crate::engine::Engine::on_crypto_done) as an
 //! ordinary input. Effects of an engine call therefore wait only for crypto
 //! they depend on: a request crossing a summary boundary or a checkpoint is
-//! not delayed by the boundary's bookkeeping signatures.
+//! not delayed by the boundary's bookkeeping signatures, and a slow-path
+//! slot's CERTIFY share is checked while the replica gets on with the slot
+//! ([`CryptoTag::on_request_path`] tells the two kinds apart).
 
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
-use ubft_types::{ProcessId, ReplicaId, SeqId, Slot};
+use ubft_types::{ProcessId, ReplicaId, SeqId, Slot, View};
 
 use crate::engine::CryptoOps;
 use crate::msg::CheckpointData;
@@ -69,6 +71,26 @@ pub enum CryptoTag {
         /// The parked message's id.
         k: SeqId,
     },
+    /// Verify `from`'s `CERTIFY` share over a proposal for `slot` in `view`
+    /// (Algorithm 2 line 33).
+    CertifyShareCheck {
+        /// The share's signer.
+        from: ReplicaId,
+        /// The slot being certified.
+        slot: Slot,
+        /// The view the share was admitted in.
+        view: View,
+    },
+}
+
+impl CryptoTag {
+    /// Whether a request may be waiting for this job's result. Summary and
+    /// checkpoint certification are bookkeeping a driver runs behind
+    /// everything else; a slot's share check is on the slow path of a
+    /// request and competes with the engine's ordered crypto on equal terms.
+    pub fn on_request_path(&self) -> bool {
+        matches!(self, CryptoTag::CertifyShareCheck { .. })
+    }
 }
 
 /// The operation a job performs.

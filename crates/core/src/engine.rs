@@ -3,17 +3,20 @@
 //!
 //! The runtime owns transport, CTBcast instances, registers, the clock, and
 //! the application; the engine owns protocol state. Crypto comes in two
-//! kinds. Commit-certificate and view-change crypto runs inline (the
-//! simulation's key ring is cheap) and is metered in [`CryptoOps`], so the
-//! runtime charges the paper-calibrated virtual time (sign ≈ 17 µs,
-//! verify ≈ 45 µs) before the call's effects act — their order is a
-//! protocol invariant. The two periodic certifications that bound memory —
-//! CTBcast summaries (Algorithm 4) and consensus checkpoints (Algorithm 2
-//! line 44) — have no such invariant and must stay off the request path:
-//! their crypto leaves the engine as [`CryptoJob`]s
-//! ([`Engine::take_crypto_jobs`]) and its results come back as ordinary
-//! inputs ([`Engine::on_crypto_done`]). A replacement node's join still
-//! verifies the checkpoints it adopts inline: nothing runs beside it.
+//! kinds. A slot's own CERTIFY signature, the verification of a foreign
+//! commit certificate and view-change crypto run inline (the simulation's
+//! key ring is cheap) and are metered in [`CryptoOps`], so the runtime
+//! charges the paper-calibrated virtual time (sign ≈ 17 µs, verify ≈ 45 µs)
+//! before the call's effects act — their order is a protocol invariant.
+//! Everything that collects `f + 1` shares toward a certificate has no
+//! such invariant: the shares of a slot (Algorithm 2 line 33), of a CTBcast
+//! summary (Algorithm 4) and of a consensus checkpoint (Algorithm 2 line
+//! 44) are parked in a `ShareSet` and checked by [`CryptoJob`]s
+//! ([`Engine::take_crypto_jobs`]) whose results come back as ordinary
+//! inputs ([`Engine::on_crypto_done`]), as do the two periodic
+//! certifications' own signatures — those bound memory and must stay off
+//! the request path altogether. A replacement node's join still verifies
+//! the checkpoints it adopts inline: nothing runs beside it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -369,13 +372,31 @@ struct SlotState {
     sent_will_commit: bool,
     /// View in which this replica promised WILL_COMMIT (view-change duty).
     promised_in: Option<View>,
-    /// CERTIFY shares collected over our accepted prepare.
-    cert: Certificate,
+    /// This view's CERTIFY shares, each over the proposal it arrived with
+    /// — which may be ahead of ours ([`Engine::handle_certify_share`]).
+    shares: ShareSet<Prepare>,
     sent_certify: bool,
     sent_commit: bool,
     /// Replicas whose COMMIT (with matching prepare) we delivered.
     commit_from: BTreeSet<ReplicaId>,
     decided: Option<Batch>,
+}
+
+impl SlotState {
+    /// Forgets what an undecided slot did in the view that just ended.
+    fn enter_view(&mut self) {
+        if self.decided.is_none() {
+            self.will_certify.clear();
+            self.will_commit.clear();
+            self.sent_will_certify = false;
+            self.sent_will_commit = false;
+            self.sent_certify = false;
+            self.sent_commit = false;
+            self.shares = ShareSet::default();
+            self.commit_from.clear();
+            self.prepare = None;
+        }
+    }
 }
 
 /// A point-in-time snapshot of an engine's protocol state, for operator
@@ -472,7 +493,7 @@ impl std::fmt::Display for EngineDiag {
 }
 
 /// One replica's signature share over `about`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct Share<K> {
     about: K,
     sig: Signature,
@@ -484,6 +505,11 @@ struct Share<K> {
 /// cannot buy a second verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ShareState {
+    /// Our own share while the crypto worker signs it — there is no
+    /// signature yet, but it is as good as verified. Without it a worker
+    /// that runs late checks one peer share more per certificate, which
+    /// makes it run later still.
+    Signing,
     /// Held unverified: enough other shares are verified or being checked.
     Parked,
     /// A verification job is in flight.
@@ -495,25 +521,22 @@ enum ShareState {
 }
 
 /// The shares collected toward one `f + 1` certificate — over the digest of
-/// a summary of our own stream (Algorithm 4) or the data of a checkpoint
-/// (Algorithm 2 line 44) — one per signer, each verified by a crypto job
-/// and only if it could still complete the certificate.
+/// a summary of our own stream (Algorithm 4), the data of a checkpoint
+/// (Algorithm 2 line 44) or the proposal of a slot (line 33) — one per
+/// signer, each verified by a crypto job and only if it could still
+/// complete the certificate.
 #[derive(Clone, Debug)]
 struct ShareSet<K> {
-    /// What our own share will attest, while the crypto worker signs it:
-    /// as good as verified. Without it a worker that runs late checks one
-    /// peer share more per certificate, which makes it run later still.
-    signing: Option<K>,
     by_signer: BTreeMap<ReplicaId, Share<K>>,
 }
 
 impl<K> Default for ShareSet<K> {
     fn default() -> Self {
-        ShareSet { signing: None, by_signer: BTreeMap::new() }
+        ShareSet { by_signer: BTreeMap::new() }
     }
 }
 
-impl<K: Copy + PartialEq> ShareSet<K> {
+impl<K: Clone + PartialEq> ShareSet<K> {
     /// Parks `from`'s share unverified; `false` if it already has one here.
     fn admit(&mut self, from: ReplicaId, about: K, sig: Signature) -> bool {
         if self.by_signer.contains_key(&from) {
@@ -523,15 +546,20 @@ impl<K: Copy + PartialEq> ShareSet<K> {
         true
     }
 
+    /// Our own share over `about` went to the crypto worker.
+    fn begin_own(&mut self, me: ReplicaId, about: K) {
+        let share = Share { about, sig: Signature::garbage(), state: ShareState::Signing };
+        self.by_signer.insert(me, share);
+    }
+
     /// Our own share is signed: nothing to verify.
     fn add_own(&mut self, me: ReplicaId, about: K, sig: Signature) {
-        self.signing = None;
         self.by_signer.insert(me, Share { about, sig, state: ShareState::Verified });
     }
 
     /// What our own share attests, signed or being signed.
-    fn ours(&self, me: ReplicaId) -> Option<K> {
-        self.signing.or(self.by_signer.get(&me).map(|s| s.about))
+    fn ours(&self, me: ReplicaId) -> Option<&K> {
+        self.by_signer.get(&me).map(|s| &s.about)
     }
 
     /// Picks the parked shares to verify now, marking them `Checking` — but
@@ -548,14 +576,13 @@ impl<K: Copy + PartialEq> ShareSet<K> {
             .collect();
         let mut check = Vec::new();
         for from in parked {
-            let Share { about, sig, .. } = self.by_signer[&from];
+            let Share { about, sig, .. } = self.by_signer[&from].clone();
             let live = self
                 .by_signer
                 .values()
                 .filter(|s| s.about == about)
-                .filter(|s| matches!(s.state, ShareState::Checking | ShareState::Verified))
-                .count()
-                + usize::from(self.signing == Some(about));
+                .filter(|s| !matches!(s.state, ShareState::Parked | ShareState::Rejected))
+                .count();
             if live < quorum {
                 self.by_signer.get_mut(&from).expect("listed above").state = ShareState::Checking;
                 check.push((from, about, sig));
@@ -564,22 +591,45 @@ impl<K: Copy + PartialEq> ShareSet<K> {
         check
     }
 
-    /// Records the verdict on `from`'s share; returns what it attests if
-    /// the signature held.
+    /// Records the verdict on `from`'s share, if it is being checked;
+    /// returns what it attests if the signature held.
     fn settle(&mut self, from: ReplicaId, ok: bool) -> Option<K> {
-        let share = self.by_signer.get_mut(&from)?;
+        let share = self.by_signer.get_mut(&from).filter(|s| s.state == ShareState::Checking)?;
         share.state = if ok { ShareState::Verified } else { ShareState::Rejected };
-        ok.then_some(share.about)
+        ok.then(|| share.about.clone())
+    }
+
+    /// Only shares over `about` can count from now on: the others stay
+    /// held — their signers have had their one share — as rejected, and
+    /// the rest let go of their own copy of it for the caller's. Returns
+    /// whether any share over `about` is held.
+    fn keep_only(&mut self, about: &K) -> bool {
+        let mut held = false;
+        for share in self.by_signer.values_mut() {
+            if share.about == *about {
+                share.about = about.clone();
+                held = true;
+            } else {
+                share.state = ShareState::Rejected;
+            }
+        }
+        held
+    }
+
+    /// The verified shares over `about`.
+    fn verified<'a>(&'a self, about: &'a K) -> impl Iterator<Item = (ReplicaId, Signature)> + 'a {
+        self.by_signer
+            .iter()
+            .filter(move |(_, s)| s.state == ShareState::Verified && s.about == *about)
+            .map(|(who, s)| (*who, s.sig))
     }
 
     /// The certificate the verified shares over `about` make, once there
     /// are `quorum` of them.
     fn certificate(&self, about: &K, quorum: usize) -> Option<Certificate> {
         let mut cert = Certificate::new();
-        for (who, share) in &self.by_signer {
-            if share.state == ShareState::Verified && share.about == *about {
-                cert.add(ProcessId::Replica(*who), share.sig);
-            }
+        for (who, sig) in self.verified(about) {
+            cert.add(ProcessId::Replica(who), sig);
         }
         (cert.count() >= quorum).then_some(cert)
     }
@@ -871,8 +921,8 @@ impl Engine {
     /// crypto worker calls this after *every* engine call, runs each job
     /// there ([`CryptoJob::run`]) and reports back through
     /// [`Engine::on_crypto_done`]; the request path never waits for them.
-    pub fn take_crypto_jobs(&mut self) -> Vec<CryptoJob> {
-        std::mem::take(&mut self.crypto_jobs)
+    pub fn take_crypto_jobs(&mut self) -> std::vec::Drain<'_, CryptoJob> {
+        self.crypto_jobs.drain(..)
     }
 
     /// Jobs no driver collected by the time the next input arrives are run
@@ -1270,7 +1320,7 @@ impl Engine {
         if k.0.is_multiple_of(self.cfg.summary_half) {
             let digest = self.state.get(&stream).expect("known").summary().digest();
             if stream == self.me && k.0 > self.summary_done_upto {
-                self.summary_shares.entry(k.0).or_default().signing = Some(digest);
+                self.summary_shares.entry(k.0).or_default().begin_own(self.me, digest);
             }
             self.crypto_jobs.push(CryptoJob {
                 tag: CryptoTag::SummaryShare { stream, upto: k, digest },
@@ -1321,12 +1371,13 @@ impl Engine {
                     return Err(format!("commit in stale {}", c.prepare.view));
                 }
                 // The certificate itself: f+1 valid signatures over the
-                // prepare. Verified lazily unless we certified it ourselves.
+                // prepare. Verified lazily unless we certified it ourselves
+                // — checked f+1 shares over this very proposal one by one.
                 let bytes = c.prepare.certify_bytes();
-                let own =
-                    self.slots.get(&c.prepare.slot).and_then(|s| s.prepare.as_ref()).is_some_and(
-                        |pp| pp.digest_eq(&c.prepare) && self.slot_cert_complete(c.prepare.slot),
-                    );
+                let own = self
+                    .slots
+                    .get(&c.prepare.slot)
+                    .is_some_and(|s| s.shares.verified(&c.prepare).count() >= self.quorum());
                 if !own && !self.verify_cert(&c.cert.clone(), &bytes, self.quorum()) {
                     return Err("commit with invalid certificate".into());
                 }
@@ -1379,10 +1430,6 @@ impl Engine {
         }
     }
 
-    fn slot_cert_complete(&self, slot: Slot) -> bool {
-        self.slots.get(&slot).is_some_and(|s| s.cert.count() >= self.quorum())
-    }
-
     // ------------------------------------------------------------------
     // Common case (Algorithm 2)
     // ------------------------------------------------------------------
@@ -1428,13 +1475,15 @@ impl Engine {
 
     fn accept_prepare(&mut self, prep: Prepare, fx: &mut Vec<Effect>) {
         let slot = prep.slot;
-        {
-            let entry = self.slots.entry(slot).or_default();
-            if entry.prepare.is_some() {
-                return;
-            }
-            entry.prepare = Some(prep.clone());
+        let entry = self.slots.entry(slot).or_default();
+        if entry.prepare.is_some() {
+            return;
         }
+        entry.prepare = Some(prep.clone());
+        // Shares that got here ahead of the PREPARE: one over anything else
+        // can never count, and one over this very proposal means a peer is
+        // on the slow path already and waits for our share.
+        let solicited = entry.shares.keep_only(&prep);
         match self.cfg.path {
             PathMode::FastOnly | PathMode::FastWithFallback => {
                 let entry = self.slots.entry(slot).or_default();
@@ -1443,7 +1492,7 @@ impl Engine {
                     fx.push(Effect::TbBroadcast(TbMsg::WillCertify { view: prep.view, slot }));
                 }
                 if self.cfg.path == PathMode::FastWithFallback {
-                    if self.suspected.is_empty() {
+                    if self.suspected.is_empty() && !solicited {
                         fx.push(Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(slot) });
                     } else {
                         // A replica is known to be silent: the timeout
@@ -1462,18 +1511,15 @@ impl Engine {
     /// CERTIFY share.
     fn start_slow_path(&mut self, slot: Slot) -> Vec<Effect> {
         let mut fx = Vec::new();
-        let Some(prep) = self.slots.get(&slot).and_then(|s| s.prepare.clone()) else {
+        let unsent = self.slots.get(&slot).filter(|s| !s.sent_certify);
+        let Some(prep) = unsent.and_then(|s| s.prepare.clone()) else {
             return fx;
         };
-        let entry = self.slots.entry(slot).or_default();
-        if entry.sent_certify {
-            return fx;
-        }
-        entry.sent_certify = true;
         let sig = self.sign(&prep.certify_bytes());
+        let entry = self.slots.get_mut(&slot).expect("just read");
+        entry.sent_certify = true;
         // Our own share counts immediately.
-        let entry = self.slots.entry(slot).or_default();
-        entry.cert.add(ProcessId::Replica(self.me), sig);
+        entry.shares.add_own(self.me, prep.clone(), sig);
         fx.push(Effect::TbBroadcast(TbMsg::Certify { prepare: prep, sig }));
         fx.extend(self.maybe_commit(slot));
         fx
@@ -1552,80 +1598,89 @@ impl Engine {
         fx
     }
 
+    /// A CERTIFY share arrived. It is admitted — one per signer per slot per
+    /// view — whether or not its PREPARE has finished CTBcast here: the
+    /// leader delivers its own proposal a verification ahead of everybody
+    /// else, so its share is early at every follower, and checking it while
+    /// the PREPARE is still on its way takes that check off the request's
+    /// blocking chain. The signature goes to the crypto worker only while it
+    /// could still complete a certificate, and counts once
+    /// [`CryptoTag::CertifyShareCheck`] comes back `true` and the proposal
+    /// it signs is the one we accepted.
     fn handle_certify_share(
         &mut self,
         from: ReplicaId,
         prepare: Prepare,
-        sig: ubft_crypto::Signature,
+        sig: Signature,
     ) -> Vec<Effect> {
         let mut fx = Vec::new();
         let slot = prepare.slot;
-        if prepare.view != self.view || !self.in_open_window(slot) {
+        // Our own share is added where it is signed.
+        if from == self.me || prepare.view != self.view || !self.in_open_window(slot) {
             return fx;
         }
-        // Only collect shares matching our accepted prepare.
-        let matches = self
-            .slots
-            .get(&slot)
-            .and_then(|s| s.prepare.as_ref())
-            .is_some_and(|p| p.digest_eq(&prepare));
-        if !matches {
-            // We may not have accepted a prepare yet (slow path initiated by
-            // a peer); accept it now if valid in the leader's stream.
-            if self.slots.get(&slot).and_then(|s| s.prepare.as_ref()).is_none() {
-                let in_leader_stream = self
-                    .state
-                    .get(&prepare.view.leader(self.n()))
-                    .and_then(|ps| ps.prepares.get(&slot))
-                    .is_some_and(|p| p.digest_eq(&prepare));
-                if in_leader_stream {
-                    self.accept_prepare(prepare.clone(), &mut fx);
-                } else {
-                    return fx;
-                }
-            } else {
-                return fx;
+        if self.slots.get(&slot).is_none_or(|s| s.prepare.is_none()) {
+            // A peer started the slow path for a proposal we hold back:
+            // accept it now if it is the one on the leader's stream.
+            let leader = self.state.get(&prepare.view.leader(self.n())).expect("known");
+            if leader.prepares.get(&slot) == Some(&prepare) {
+                self.accept_prepare(prepare.clone(), &mut fx);
             }
         }
-        if from != self.me && !self.verify(from, &prepare.certify_bytes(), &sig) {
+        let entry = self.slots.entry(slot).or_default();
+        let accepted = entry.prepare.is_some();
+        let about = match &entry.prepare {
+            // A share over anything but what we accepted can never count.
+            Some(ours) if *ours != prepare => return fx,
+            // One copy of the proposal per slot, not one per share.
+            Some(ours) => ours.clone(),
+            None => prepare,
+        };
+        if !entry.shares.admit(from, about, sig) {
             return fx;
         }
-        // A peer soliciting the slow path recruits us into it, even for a
-        // slot we already decided on the fast path: a fast-path decider
-        // holds no certificate and its slow trigger skips decided slots,
-        // so without this share the peer could be one signature short of
-        // `f + 1` forever (the chaos explorer found exactly that — a
-        // crashed third replica left a view-changing peer stuck
-        // discharging its WILL_COMMIT promise, while the decided replica
-        // idled).
-        if self.cfg.path != PathMode::FastOnly {
+        // A peer soliciting the slow path recruits us as soon as its share
+        // is admitted, even for a slot we decided on the fast path: such a
+        // decider holds no certificate and its slow trigger skips decided
+        // slots, so without our share a peer discharging a WILL_COMMIT
+        // promise could stay one signature short of `f + 1` forever (the
+        // chaos explorer found that). Waiting for the verdict would buy
+        // nothing — we sign only what we accepted, which a silent peer can
+        // force too — and put the check back on the blocking chain
+        // whenever one replica is down.
+        if accepted && self.cfg.path != PathMode::FastOnly {
             fx.extend(self.start_slow_path(slot));
         }
-        let q = self.quorum();
-        let entry = self.slots.entry(slot).or_default();
-        entry.cert.add(ProcessId::Replica(from), sig);
-        if entry.cert.count() >= q {
-            fx.extend(self.maybe_commit(slot));
-        }
+        self.check_parked_certify_shares(slot);
         fx
+    }
+
+    /// Starts verifying the parked CERTIFY shares of `slot` that could
+    /// still complete a certificate ([`ShareSet::take_to_check`]).
+    fn check_parked_certify_shares(&mut self, slot: Slot) {
+        let (view, quorum) = (self.view, self.quorum());
+        let Some(entry) = self.slots.get_mut(&slot) else {
+            return;
+        };
+        for (from, prepare, sig) in entry.shares.take_to_check(quorum) {
+            self.crypto_jobs.push(CryptoJob {
+                tag: CryptoTag::CertifyShareCheck { from, slot, view },
+                work: CryptoWork::Verify { who: from, bytes: prepare.certify_bytes(), sig },
+            });
+        }
     }
 
     /// Once we hold an `f + 1` certificate for our prepare, broadcast COMMIT
     /// via CTBcast (Algorithm 2 line 36).
     fn maybe_commit(&mut self, slot: Slot) -> Vec<Effect> {
         let mut fx = Vec::new();
-        let q = self.quorum();
-        let ready = {
-            let Some(entry) = self.slots.get(&slot) else { return fx };
-            entry.cert.count() >= q && !entry.sent_commit && entry.prepare.is_some()
-        };
-        if !ready {
+        let quorum = self.quorum();
+        let Some(entry) = self.slots.get_mut(&slot).filter(|s| !s.sent_commit) else {
             return fx;
-        }
-        let entry = self.slots.get_mut(&slot).expect("ready");
+        };
+        let Some(prepare) = entry.prepare.clone() else { return fx };
+        let Some(cert) = entry.shares.certificate(&prepare, quorum) else { return fx };
         entry.sent_commit = true;
-        let prepare = entry.prepare.clone().expect("ready");
-        let cert = entry.cert.clone();
         self.note_own_cert(&cert, &prepare.certify_bytes());
         self.emit_ctb(&mut fx, CtbMsg::Commit(CommitCert { prepare, cert }));
         fx.extend(self.check_seal_ready());
@@ -1784,7 +1839,7 @@ impl Engine {
         self.snapshot_base = base;
         let data = CheckpointData { base, app_digest, exec_digest };
         if base > self.checkpoint.data.base {
-            self.cp_shares.entry(base).or_default().signing = Some(data);
+            self.cp_shares.entry(base).or_default().begin_own(self.me, data);
         }
         self.crypto_jobs.push(CryptoJob {
             tag: CryptoTag::CheckpointShare { data },
@@ -1895,7 +1950,7 @@ impl Engine {
     /// Whether our own certification of exactly `data` is under way: we
     /// took that snapshot and its checkpoint is not stable yet.
     fn certifying(&self, data: &CheckpointData) -> bool {
-        self.cp_shares.get(&data.base).and_then(|s| s.ours(self.me)) == Some(*data)
+        self.cp_shares.get(&data.base).and_then(|s| s.ours(self.me)) == Some(data)
     }
 
     /// Finds what will prove the certificate of `c`, the unproven
@@ -2147,6 +2202,19 @@ impl Engine {
             }
             (CryptoTag::CheckpointCert { stream, k }, CryptoResult::Verified(ok)) => {
                 self.on_checkpoint_cert_checked(stream, k, ok)
+            }
+            (CryptoTag::CertifyShareCheck { from, slot, view }, CryptoResult::Verified(ok)) => {
+                // A view's shares end with it (and with the slot).
+                let Some(entry) = self.slots.get_mut(&slot).filter(|_| view == self.view) else {
+                    return Vec::new();
+                };
+                match entry.shares.settle(from, ok) {
+                    Some(_) => self.maybe_commit(slot),
+                    None => {
+                        self.check_parked_certify_shares(slot);
+                        Vec::new()
+                    }
+                }
             }
             // A result of the wrong kind for its tag can only be a driver
             // bug; there is no step to continue.
@@ -2568,20 +2636,7 @@ impl Engine {
             self.emit_ctb(&mut fx, CtbMsg::SealView { view: next });
         }
         self.reecho_outstanding(&mut fx);
-        // Reset per-slot fast-path state for the new view.
-        for s in self.slots.values_mut() {
-            if s.decided.is_none() {
-                s.will_certify.clear();
-                s.will_commit.clear();
-                s.sent_will_certify = false;
-                s.sent_will_commit = false;
-                s.sent_certify = false;
-                s.sent_commit = false;
-                s.cert = Certificate::new();
-                s.commit_from.clear();
-                s.prepare = None;
-            }
-        }
+        self.slots.values_mut().for_each(SlotState::enter_view);
         fx
     }
 
@@ -2765,19 +2820,7 @@ impl Engine {
             self.view = view;
             self.sealing = None;
             fx.push(Effect::ViewChanged { view });
-            for s in self.slots.values_mut() {
-                if s.decided.is_none() {
-                    s.will_certify.clear();
-                    s.will_commit.clear();
-                    s.sent_will_certify = false;
-                    s.sent_will_commit = false;
-                    s.sent_certify = false;
-                    s.sent_commit = false;
-                    s.cert = Certificate::new();
-                    s.commit_from.clear();
-                    s.prepare = None;
-                }
-            }
+            self.slots.values_mut().for_each(SlotState::enter_view);
         }
         let highest =
             certs.iter().filter_map(|c| c.summary.checkpoint.clone()).max_by_key(|cp| cp.data.base);

@@ -50,6 +50,11 @@ struct Net {
     held_jobs: Vec<(usize, CryptoJob)>,
 }
 
+/// The crypto jobs `e` queued since the last call.
+fn queued_jobs(e: &mut Engine) -> Vec<CryptoJob> {
+    e.take_crypto_jobs().collect()
+}
+
 fn is_checkpoint_job(job: &CryptoJob) -> bool {
     matches!(
         job.tag,
@@ -110,7 +115,7 @@ impl Net {
         for e in fx {
             self.queue.push_back((who, e));
         }
-        for job in self.engines[who].take_crypto_jobs() {
+        for job in queued_jobs(&mut self.engines[who]) {
             if self.hold_checkpoint_jobs && is_checkpoint_job(&job) {
                 self.held_jobs.push((who, job));
             } else {
@@ -1180,7 +1185,7 @@ impl Lone {
                 "the boundary call itself must not wait for a signature"
             );
         }
-        let mut jobs = e.take_crypto_jobs();
+        let mut jobs = queued_jobs(e);
         assert_eq!(jobs.len(), 1, "one sign job at the boundary");
         assert!(matches!(jobs[0].work, CryptoWork::Sign { .. }));
         jobs.remove(0)
@@ -1224,7 +1229,7 @@ fn summary_that_fills_no_gap_emits_no_crypto_job() {
     for k in 1..=2u64 {
         let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(k), Lone::prepare(k));
     }
-    let _ = e.take_crypto_jobs(); // r1's own share for the boundary
+    let _ = queued_jobs(&mut e); // r1's own share for the boundary
     assert_eq!(e.fifo_position(ReplicaId(0)), SeqId(3));
     // Not even a certificate that could never verify costs anything.
     let summary = TbMsg::Summary {
@@ -1234,7 +1239,7 @@ fn summary_that_fills_no_gap_emits_no_crypto_job() {
     };
     let fx = e.on_tb_deliver(ReplicaId(0), summary);
     assert!(fx.is_empty());
-    assert!(e.take_crypto_jobs().is_empty(), "no gap, no verification");
+    assert!(queued_jobs(&mut e).is_empty(), "no gap, no verification");
     assert_eq!(e.take_crypto_ops(), CryptoOps::default());
 }
 
@@ -1260,7 +1265,7 @@ fn gap_filling_summary_waits_for_its_certificate_and_rejects_a_forged_one() {
         let fx = e.on_tb_deliver(ReplicaId(0), msg);
         assert!(fx.is_empty());
         assert_eq!(e.fifo_position(ReplicaId(0)), SeqId(1), "nothing adopted before the check");
-        let jobs = e.take_crypto_jobs();
+        let jobs = queued_jobs(&mut e);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].tag, CryptoTag::SummaryCert { stream: ReplicaId(0), upto: SeqId(2) });
         assert_eq!(jobs[0].ops(), CryptoOps { signs: 0, verifies: 2 });
@@ -1280,18 +1285,18 @@ fn forged_share_never_counts_and_a_parked_one_takes_its_place() {
 
     // r1 forges. Its share is checked because own + r1 could certify.
     assert!(e.on_direct(ReplicaId(1), lone.share(1, 2, digest, true)).is_empty());
-    let check_r1 = e.take_crypto_jobs();
+    let check_r1 = queued_jobs(&mut e);
     assert_eq!(check_r1.len(), 1);
     // r2's honest share is parked: two shares are already verified or in
     // flight, so a third verification would be wasted if r1's holds.
     assert!(e.on_direct(ReplicaId(2), lone.share(2, 2, digest, false)).is_empty());
-    assert!(e.take_crypto_jobs().is_empty(), "r2's share waits for r1's verdict");
+    assert!(queued_jobs(&mut e).is_empty(), "r2's share waits for r1's verdict");
 
     // r1's check fails: it never counts, and r2's share is checked now.
     let fx = lone.complete(&mut e, &check_r1[0]);
     assert!(fx.is_empty());
     assert_eq!(e.ctb_summarized_upto(), 0);
-    let check_r2 = e.take_crypto_jobs();
+    let check_r2 = queued_jobs(&mut e);
     assert_eq!(check_r2.len(), 1);
     assert_eq!(
         check_r2[0].tag,
@@ -1299,7 +1304,7 @@ fn forged_share_never_counts_and_a_parked_one_takes_its_place() {
     );
     // r1 cannot buy a second verification for the same boundary.
     assert!(e.on_direct(ReplicaId(1), lone.share(1, 2, digest, false)).is_empty());
-    assert!(e.take_crypto_jobs().is_empty());
+    assert!(queued_jobs(&mut e).is_empty());
 
     let fx = lone.complete(&mut e, &check_r2[0]);
     assert_eq!(summary_broadcasts(&fx), 1);
@@ -1324,7 +1329,7 @@ fn completion_after_the_boundary_was_certified_is_a_noop() {
     let mut checks = Vec::new();
     for (from, about) in [(1, ubft_crypto::sha256(b"another state")), (2, digest)] {
         let _ = e.on_direct(ReplicaId(from), lone.share(from, 2, about, false));
-        checks.extend(e.take_crypto_jobs());
+        checks.extend(queued_jobs(&mut e));
     }
     assert_eq!(checks.len(), 2);
     assert!(lone.complete(&mut e, &own).is_empty());
@@ -1335,7 +1340,7 @@ fn completion_after_the_boundary_was_certified_is_a_noop() {
     assert!(lone.complete(&mut e, &checks[0]).is_empty());
     assert!(lone.complete(&mut e, &own).is_empty());
     assert_eq!(e.ctb_summarized_upto(), 2);
-    assert!(e.take_crypto_jobs().is_empty());
+    assert!(queued_jobs(&mut e).is_empty());
 }
 
 #[test]
@@ -1349,10 +1354,10 @@ fn a_late_own_signature_does_not_buy_a_second_share_check() {
     let own = lone.cross_own_boundary(&mut e);
     let digest = share_digest(&own);
     let _ = e.on_direct(ReplicaId(1), lone.share(1, 2, digest, false));
-    let check_r1 = e.take_crypto_jobs();
+    let check_r1 = queued_jobs(&mut e);
     assert_eq!(check_r1.len(), 1);
     let _ = e.on_direct(ReplicaId(2), lone.share(2, 2, digest, false));
-    assert!(e.take_crypto_jobs().is_empty(), "ours + r1's make f + 1: r2's is parked");
+    assert!(queued_jobs(&mut e).is_empty(), "ours + r1's make f + 1: r2's is parked");
     assert!(lone.complete(&mut e, &check_r1[0]).is_empty(), "ours is not signed yet");
     assert_eq!(summary_broadcasts(&lone.complete(&mut e, &own)), 1);
     assert_eq!(e.ctb_summarized_upto(), 2);
@@ -1376,7 +1381,7 @@ fn shares_outside_the_open_boundaries_cost_nothing() {
         sig: Signature::garbage(),
     };
     assert!(e.on_direct(ReplicaId(1), foreign).is_empty());
-    assert!(e.take_crypto_jobs().is_empty());
+    assert!(queued_jobs(&mut e).is_empty());
     assert_eq!(e.take_crypto_ops(), CryptoOps::default());
 }
 
@@ -1401,7 +1406,7 @@ fn jobs_no_driver_collects_run_at_the_next_message() {
         "the share signed late leads the next call's effects, got {fx:?}"
     );
     assert_eq!(e.take_crypto_ops().signs, 1, "self-run jobs are still metered");
-    assert!(e.take_crypto_jobs().is_empty());
+    assert!(queued_jobs(&mut e).is_empty());
 }
 
 // ----------------------------------------------------------------------
@@ -1487,7 +1492,7 @@ impl Cp {
 
     /// The crypto jobs queued since the last call: all checkpoint jobs.
     fn checkpoint_jobs(&mut self) -> Vec<CryptoJob> {
-        let jobs = self.e.take_crypto_jobs();
+        let jobs = queued_jobs(&mut self.e);
         assert!(jobs.iter().all(is_checkpoint_job), "{jobs:?}");
         jobs
     }
@@ -1563,7 +1568,7 @@ fn execution_pauses_at_the_boundary_until_the_snapshot_is_answered() {
     assert!(executed_slots(&cp.decide(6)).is_empty());
     assert_eq!(cp.e.diag().snapshot_pending, Some(Slot(4)));
     // The answer resumes execution, and only signs: nothing waits for it.
-    let _ = cp.e.take_crypto_jobs();
+    let _ = queued_jobs(&mut cp.e);
     let (data, fx) = cp.snapshot(4);
     assert_eq!(executed_slots(&fx), vec![4, 5, 6]);
     assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default());
@@ -1816,4 +1821,276 @@ fn checkpoints_reclaim_request_bookkeeping() {
         assert_eq!(net.executed[r].len(), 80, "replica {r}");
         assert_eq!(net.engines[r].diag().request_entries, 0, "replica {r}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Slot certification: CERTIFY shares are parked and checked by crypto jobs
+// ----------------------------------------------------------------------
+
+/// Follower r1 driven by hand: the test plays leader r0, follower r2, the
+/// clients and the crypto worker. `t = 128` keeps summaries out.
+struct Certify {
+    ring: KeyRing,
+    e: Engine,
+}
+
+impl Certify {
+    fn new(path: PathMode) -> Self {
+        let mut cfg = EngineConfig::new(ClusterParams::paper_default(), path);
+        cfg.echo_round = false;
+        let ring = KeyRing::generate(5, (0..3).map(|i| ProcessId::Replica(ReplicaId(i))));
+        let mut e = Engine::new(ReplicaId(1), cfg, ring.clone());
+        let _ = e.start();
+        Certify { ring, e }
+    }
+
+    fn request(seq: u64) -> Request {
+        Request { id: RequestId::new(ClientId(1), seq), payload: vec![seq as u8] }
+    }
+
+    /// The leader's view-0 proposal of request `seq` for `slot`.
+    fn prepare(slot: u64, seq: u64) -> Prepare {
+        Prepare { view: View(0), slot: Slot(slot), batch: Batch::single(Self::request(seq)) }
+    }
+
+    /// `from`'s CERTIFY share over `prepare`; a forged one carries a
+    /// signature that never verifies.
+    fn share(&self, from: u32, prepare: &Prepare, forged: bool) -> TbMsg {
+        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(from))).unwrap();
+        let sig = if forged { Signature::garbage() } else { signer.sign(&prepare.certify_bytes()) };
+        TbMsg::Certify { prepare: prepare.clone(), sig }
+    }
+
+    /// The client's request reaches us, then the leader's PREPARE for it —
+    /// its `slot + 1`-th CTBcast message — finishes CTBcast here.
+    fn deliver_prepare(&mut self, slot: u64) -> Vec<Effect> {
+        let _ = self.e.on_client_request(Self::request(slot));
+        let msg = CtbMsg::Prepare(Self::prepare(slot, slot));
+        self.e.on_ctb_deliver(ReplicaId(0), SeqId(slot + 1), msg)
+    }
+
+    /// The share checks queued since the last call.
+    fn checks(&mut self) -> Vec<CryptoJob> {
+        let jobs = queued_jobs(&mut self.e);
+        assert!(
+            jobs.iter().all(|j| matches!(j.tag, CryptoTag::CertifyShareCheck { .. })
+                && matches!(j.work, CryptoWork::Verify { .. })),
+            "{jobs:?}"
+        );
+        jobs
+    }
+
+    fn complete(&mut self, job: &CryptoJob) -> Vec<Effect> {
+        let signer = self.ring.signer(ProcessId::Replica(self.e.id())).unwrap();
+        self.e.on_crypto_done(job.tag, job.run(&signer, &self.ring))
+    }
+
+    /// Decides `slot` on the signature-less fast path.
+    fn decide_fast(&mut self, slot: u64) {
+        let _ = self.deliver_prepare(slot);
+        let mut executed = 0;
+        for msg in [
+            TbMsg::WillCertify { view: View(0), slot: Slot(slot) },
+            TbMsg::WillCommit { view: View(0), slot: Slot(slot) },
+        ] {
+            for from in 0..3 {
+                let fx = self.e.on_tb_deliver(ReplicaId(from), msg.clone());
+                executed += fx.iter().filter(|e| matches!(e, Effect::Execute { .. })).count();
+            }
+        }
+        assert_eq!(executed, 1, "slot {slot} decides on unanimous WILL_COMMITs");
+    }
+}
+
+/// The CERTIFY shares `fx` broadcasts.
+fn certifies(fx: &[Effect]) -> usize {
+    fx.iter().filter(|e| matches!(e, Effect::TbBroadcast(TbMsg::Certify { .. }))).count()
+}
+
+/// The signers of the COMMITs `fx` broadcasts, each checked against the
+/// proposal it certifies.
+fn commit_signers(c: &Certify, fx: &[Effect]) -> Vec<Vec<ProcessId>> {
+    let commits = fx.iter().filter_map(|e| match e {
+        Effect::CtbBroadcast(CtbMsg::Commit(commit)) => Some(commit),
+        _ => None,
+    });
+    commits
+        .map(|commit| {
+            assert!(commit.cert.verify(&c.ring, &commit.prepare.certify_bytes(), 2), "{commit:?}");
+            commit.cert.signers().collect()
+        })
+        .collect()
+}
+
+fn replicas(ids: &[u32]) -> Vec<ProcessId> {
+    ids.iter().map(|r| ProcessId::Replica(ReplicaId(*r))).collect()
+}
+
+#[test]
+fn a_share_that_arrives_before_its_prepare_counts_once_the_prepare_is_accepted() {
+    // The leader delivers its own PREPARE a verification ahead of every
+    // follower, so its share is here before ours can be signed. It used to
+    // be dropped; now it is checked while the PREPARE is still in CTBcast.
+    for verdict_first in [true, false] {
+        let mut c = Certify::new(PathMode::SlowOnly);
+        let p = Certify::prepare(0, 0);
+        assert!(c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false)).is_empty());
+        let checks = c.checks();
+        assert_eq!(checks.len(), 1);
+        let tag = CryptoTag::CertifyShareCheck { from: ReplicaId(0), slot: Slot(0), view: View(0) };
+        assert_eq!(checks[0].tag, tag);
+        if verdict_first {
+            // Nothing to commit yet; the share waits for its PREPARE.
+            assert!(c.complete(&checks[0]).is_empty());
+        }
+        // Accepting the PREPARE signs our share — and with the verdict in,
+        // own + early make f + 1: the COMMIT leaves in the accepting call.
+        let fx = c.deliver_prepare(0);
+        assert_eq!(certifies(&fx), 1);
+        let fx = if verdict_first {
+            fx
+        } else {
+            assert!(commit_signers(&c, &fx).is_empty(), "the early share is not verified yet");
+            c.complete(&checks[0])
+        };
+        assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
+        assert_eq!(
+            c.e.take_crypto_ops(),
+            CryptoOps { signs: 1, verifies: 0 },
+            "shares are verified by the crypto worker, not on the engine's thread"
+        );
+        assert!(c.checks().is_empty());
+    }
+}
+
+#[test]
+fn a_forged_early_share_never_counts_and_buys_its_signer_nothing_more() {
+    let mut c = Certify::new(PathMode::SlowOnly);
+    let p = Certify::prepare(0, 0);
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, true));
+    let forged = c.checks();
+    assert_eq!(forged.len(), 1);
+    assert!(c.complete(&forged[0]).is_empty());
+    // r0 has had its one share of this slot and view: an honest one does
+    // not get a second verification, before the PREPARE or after it.
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
+    assert!(c.checks().is_empty());
+    let fx = c.deliver_prepare(0);
+    assert_eq!((certifies(&fx), commit_signers(&c, &fx).len()), (1, 0));
+    let fx = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
+    assert!(fx.is_empty() && c.checks().is_empty());
+    // r2's share completes the certificate without it.
+    assert!(c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false)).is_empty());
+    let honest = c.checks();
+    assert_eq!(honest.len(), 1);
+    let fx = c.complete(&honest[0]);
+    assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
+}
+
+#[test]
+fn three_honest_shares_cost_one_verification_per_slot() {
+    // Own + one peer's make f + 1: whichever peer's share comes second is
+    // parked, whether the first came before the PREPARE or after it.
+    for (slot, leader_is_early) in [(0, true), (1, false)] {
+        let mut c = Certify::new(PathMode::SlowOnly);
+        if slot == 1 {
+            let _ = c.deliver_prepare(0);
+        }
+        let p = Certify::prepare(slot, slot);
+        // Collected after every input, as a driver does.
+        let mut checks = Vec::new();
+        if leader_is_early {
+            let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
+            checks.extend(c.checks());
+        }
+        let fx = c.deliver_prepare(slot);
+        assert_eq!(certifies(&fx), 1);
+        // r0's share if it is not here yet, r2's, and our own, which comes
+        // back to us as every TBcast does.
+        for from in [0, 2, 1].into_iter().skip(usize::from(leader_is_early)) {
+            let _ = c.e.on_tb_deliver(ReplicaId(from), c.share(from, &p, false));
+            checks.extend(c.checks());
+        }
+        assert_eq!(checks.len(), 1, "slot {slot}: {checks:?}");
+        let fx = c.complete(&checks[0]);
+        assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
+        assert_eq!(c.e.take_crypto_ops().verifies, 0);
+        assert!(c.checks().is_empty());
+    }
+}
+
+#[test]
+fn a_verdict_that_arrives_after_a_view_change_is_a_noop() {
+    for view_changes in [false, true] {
+        let mut c = Certify::new(PathMode::SlowOnly);
+        let p = Certify::prepare(0, 0);
+        let _ = c.deliver_prepare(0);
+        let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
+        let checks = c.checks();
+        assert_eq!(checks.len(), 1);
+        if view_changes {
+            // The slot is undecided when the watchdog fires: view 1.
+            let fx = c.e.on_timer(TimerKind::Progress);
+            assert!(fx.contains(&Effect::ViewChanged { view: View(1) }), "{fx:?}");
+        }
+        // In its view the verdict completes the certificate; a view later
+        // the slot has started over and there is nothing it could complete.
+        let fx = c.complete(&checks[0]);
+        assert_eq!(commit_signers(&c, &fx).len(), usize::from(!view_changes), "{fx:?}");
+        assert!(!view_changes || fx.is_empty());
+        assert!(c.checks().is_empty());
+    }
+}
+
+#[test]
+fn a_share_over_another_proposal_is_dropped_at_acceptance() {
+    let mut c = Certify::new(PathMode::SlowOnly);
+    let (p, other) = (Certify::prepare(0, 0), Certify::prepare(0, 7));
+    // r2 certifies — validly — something the leader never proposed to us.
+    let _ = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &other, false));
+    let check = c.checks();
+    assert_eq!(check.len(), 1);
+    assert!(c.complete(&check[0]).is_empty());
+    // Our own share and r2's verified one are two, but not over one thing.
+    let fx = c.deliver_prepare(0);
+    assert_eq!((certifies(&fx), commit_signers(&c, &fx).len()), (1, 0));
+    // r2 has had its share of this slot and view.
+    let fx = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
+    assert!(fx.is_empty() && c.checks().is_empty());
+    // After acceptance a share over anything else is not even held.
+    let fx = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &other, false));
+    assert!(fx.is_empty() && c.checks().is_empty());
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
+    let check = c.checks();
+    assert_eq!(check.len(), 1);
+    let fx = c.complete(&check[0]);
+    assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
+}
+
+#[test]
+fn a_decided_fast_path_slot_still_hands_a_soliciting_peer_our_share() {
+    // A fast-path decider holds no certificate and its slow trigger skips
+    // decided slots. A peer that missed the decision (its third replica
+    // crashed) solicits the slow path; without our share it stays one
+    // signature short of f + 1 forever. We join when its share is admitted
+    // — not a verification later, and not only if the check succeeds.
+    let mut c = Certify::new(PathMode::FastWithFallback);
+    c.decide_fast(0);
+    let p = Certify::prepare(0, 0);
+    let fx = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
+    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    assert_eq!(c.e.take_crypto_ops(), CryptoOps { signs: 1, verifies: 0 });
+    let check = c.checks();
+    assert_eq!(check.len(), 1);
+    // The certificate lets us back the peer's COMMIT with our own.
+    let fx = c.complete(&check[0]);
+    assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
+    // A share that arrives ahead of a PREPARE recruits too, at acceptance:
+    // slot 1 starts its slow path beside the fast one, with no timer armed.
+    let p1 = Certify::prepare(1, 1);
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p1, false));
+    let fx = c.deliver_prepare(1);
+    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    let trigger = Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(Slot(1)) };
+    assert!(!fx.contains(&trigger), "{fx:?}");
 }

@@ -223,8 +223,9 @@ pub struct Ctb {
     /// the last `2t` together with `payloads` — which holds the bodies, for
     /// `SIGNED` emission after async signing.
     my_broadcasts: FixedMap<u64, Digest>,
-    /// Broadcaster only: ids for which a sign was already requested.
-    sign_requested: BTreeSet<u64>,
+    /// Broadcaster only: ids for which a sign was already requested, each
+    /// with the signature once the signer returned it.
+    sign_requested: FixedMap<u64, Option<Signature>>,
     /// `locks` array (line 9): per ring slot, the `(k, fp)` this replica is
     /// committed to.
     locks: Vec<Option<(SeqId, Digest)>>,
@@ -269,7 +270,7 @@ impl Ctb {
             replicas,
             next_k: SeqId(1),
             my_broadcasts: FixedMap::with_hasher(hash_state),
-            sign_requested: BTreeSet::new(),
+            sign_requested: FixedMap::with_hasher(hash_state),
             locks: vec![None; cfg.tail],
             locked: vec![vec![None; cfg.tail]; cfg.n],
             delivered: vec![None; cfg.tail],
@@ -312,7 +313,7 @@ impl Ctb {
             let prune = self.max_seen.0.saturating_sub(2 * self.cfg.tail as u64);
             self.payloads.retain(|(pk, _), _| *pk > prune);
             self.my_broadcasts.retain(|pk, _| *pk > prune);
-            self.sign_requested.retain(|pk| *pk > prune);
+            self.sign_requested.retain(|pk, _| *pk > prune);
         }
         // Per-ring-slot delivery floors: the highest id below `next` that
         // aliases each slot.
@@ -359,7 +360,7 @@ impl Ctb {
             let floor = self.max_seen.0.saturating_sub(2 * self.cfg.tail as u64);
             self.payloads.retain(|(pk, _), _| *pk > floor);
             self.my_broadcasts.retain(|pk, _| *pk > floor);
-            self.sign_requested.retain(|pk| *pk > floor);
+            self.sign_requested.retain(|pk, _| *pk > floor);
         }
         self.payloads.entry((k.0, fp)).or_insert_with(|| m.to_vec());
     }
@@ -388,7 +389,7 @@ impl Ctb {
             // would only re-discover it, so the slow path starts beside
             // the fast one.
             SlowMode::Always | SlowMode::OnTimeout => {
-                self.sign_requested.insert(k.0);
+                self.sign_requested.insert(k.0, None);
                 fx.push(CtbEffect::Sign { k, fp });
             }
             SlowMode::Never => {}
@@ -400,7 +401,7 @@ impl Ctb {
     /// trigger the slow path (broadcaster only) and suspect every receiver
     /// whose `LOCKED` for `k` is missing.
     pub fn on_slow_timeout(&mut self, k: SeqId) -> Vec<CtbEffect> {
-        if self.me != self.stream || self.sign_requested.contains(&k.0) {
+        if self.me != self.stream || self.sign_requested.contains_key(&k.0) {
             return Vec::new();
         }
         let slot = self.slot(k);
@@ -410,7 +411,7 @@ impl Ctb {
         let Some(&fp) = self.my_broadcasts.get(&k.0) else {
             return Vec::new(); // out of tail already
         };
-        self.sign_requested.insert(k.0);
+        self.sign_requested.insert(k.0, None);
         for (q, row) in self.locked.iter().enumerate() {
             if row[slot] != Some((k, fp)) {
                 self.suspected.insert(self.replicas[q]);
@@ -432,22 +433,25 @@ impl Ctb {
     pub fn force_slow(&mut self, k: SeqId) -> Vec<CtbEffect> {
         if self.me != self.stream
             || self.cfg.slow == SlowMode::Never
-            || self.sign_requested.contains(&k.0)
+            || self.sign_requested.contains_key(&k.0)
         {
             return Vec::new();
         }
         let Some(&fp) = self.my_broadcasts.get(&k.0) else {
             return Vec::new(); // out of tail already
         };
-        self.sign_requested.insert(k.0);
+        self.sign_requested.insert(k.0, None);
         vec![CtbEffect::Sign { k, fp }]
     }
 
-    /// The crypto pool finished signing `(stream, k, fp)`.
+    /// The crypto pool finished signing `(stream, k, fp)`. The signature is
+    /// remembered: when the `SIGNED` below comes back to us as a receiver of
+    /// our own stream, what our own signer produced needs no verification.
     pub fn on_sign_done(&mut self, k: SeqId, sig: Signature) -> Vec<CtbEffect> {
         let Some(m) = self.my_broadcast_body(k).cloned() else {
             return Vec::new();
         };
+        self.sign_requested.insert(k.0, Some(sig));
         vec![CtbEffect::Broadcast(CtbWire::Signed { k, m, sig })]
     }
 
@@ -503,7 +507,11 @@ impl Ctb {
         }
     }
 
-    /// Lines 25–26: stage the signed message for async verification.
+    /// Lines 25–26: stage the signed message for async verification. The
+    /// broadcaster is a receiver of its own stream like any other — it locks,
+    /// writes its register and reads everyone's — but line 26 asks whether
+    /// the broadcaster signed `(k, m)`, and of the very signature its own
+    /// signer returned for that message it knows. Anything else is verified.
     fn on_signed(
         &mut self,
         from: ReplicaId,
@@ -537,6 +545,11 @@ impl Ctb {
                 out_of_tail: false,
             },
         );
+        let ours = self.sign_requested.get(&k.0) == Some(&Some(sig))
+            && self.my_broadcasts.get(&k.0) == Some(&fp);
+        if ours {
+            return self.on_signed_verified(k, true);
+        }
         vec![CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig }]
     }
 
@@ -984,6 +997,74 @@ mod tests {
         );
         h.run(out.into_iter().map(|e| (1usize, e)).collect());
         assert!(h.delivered[1].is_empty());
+    }
+
+    /// The broadcaster's own `SIGNED`, carrying what `on_sign_done` was
+    /// given, goes straight to the register write; every other receiver
+    /// verifies the same frame as before.
+    #[test]
+    fn broadcaster_does_not_verify_the_signature_its_signer_produced() {
+        let mut h = Harness::new(cfg_slow());
+        let m = b"mine".to_vec();
+        let (k, fx) = h.ctbs[0].broadcast(m.clone());
+        let fp = fingerprint(&m);
+        assert_eq!(fx, vec![CtbEffect::Sign { k, fp }]);
+        let sig =
+            ring().signer(ProcessId::Replica(rid(0))).unwrap().sign(&signed_bytes(rid(0), k, &fp));
+        let signed = CtbWire::Signed { k, m: m.clone(), sig };
+        assert_eq!(h.ctbs[0].on_sign_done(k, sig), vec![CtbEffect::Broadcast(signed.clone())]);
+
+        let entry = RegEntry { k, fp, sig };
+        assert_eq!(
+            h.ctbs[0].on_tb_deliver(rid(0), signed.clone()),
+            vec![CtbEffect::WriteRegister { slot: k.ring_index(T), k, entry }],
+            "still a receiver of its own message: it writes and reads, but verifies nothing"
+        );
+        assert_eq!(
+            h.ctbs[1].on_tb_deliver(rid(0), signed),
+            vec![CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig }]
+        );
+    }
+
+    /// Only the exact signature of the exact message is exempt: anything
+    /// else that claims to be on our own stream is verified, and dropped
+    /// when the check fails.
+    #[test]
+    fn own_stream_signed_with_any_other_signature_is_never_trusted() {
+        let signer = ring().signer(ProcessId::Replica(rid(0))).unwrap();
+        let verify_of = |fx: &[CtbEffect]| match fx {
+            [CtbEffect::Verify { tag: VerifyTag::Signed { .. }, sig, .. }] => *sig,
+            other => panic!("expected one verification, got {other:?}"),
+        };
+        let m = b"mine".to_vec();
+        let fp = fingerprint(&m);
+
+        // Before the signer has answered nothing is known to be ours.
+        let mut h = Harness::new(cfg_slow());
+        let (k, _) = h.ctbs[0].broadcast(m.clone());
+        let sig = signer.sign(&signed_bytes(rid(0), k, &fp));
+        let early = h.ctbs[0].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m.clone(), sig });
+        assert_eq!(verify_of(&early), sig);
+
+        // Another signature over our message: verified, fails, dropped.
+        let mut h = Harness::new(cfg_slow());
+        let (k, _) = h.ctbs[0].broadcast(m.clone());
+        let _ = h.ctbs[0].on_sign_done(k, sig);
+        let forged = CtbWire::Signed { k, m: m.clone(), sig: Signature::garbage() };
+        let fx = h.ctbs[0].on_tb_deliver(rid(0), forged);
+        assert_eq!(verify_of(&fx), Signature::garbage());
+        h.run(fx.into_iter().map(|e| (0usize, e)).collect());
+        assert!(h.delivered[0].is_empty());
+
+        // Our signature under another message: verified too.
+        let mut h = Harness::new(cfg_slow());
+        let (k, _) = h.ctbs[0].broadcast(m);
+        let _ = h.ctbs[0].on_sign_done(k, sig);
+        let other = CtbWire::Signed { k, m: b"not mine".to_vec(), sig };
+        let fx = h.ctbs[0].on_tb_deliver(rid(0), other);
+        assert_eq!(verify_of(&fx), sig);
+        h.run(fx.into_iter().map(|e| (0usize, e)).collect());
+        assert!(h.delivered[0].is_empty());
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! A register is two sub-registers (double buffering); a *replicated*
 //! register is one such pair on each of the `2f_m + 1` memory nodes.
 
+use std::cell::RefCell;
+
 use ubft_crypto::checksum64;
 use ubft_rdma::{AccessToken, Fabric, RdmaError, RegionId};
 use ubft_sim::HostId;
@@ -88,7 +90,11 @@ impl RegisterBank {
 
     /// A reader handle (any replica may hold one).
     pub fn reader(&self) -> RegisterReader {
-        RegisterReader { replicas: self.replicas.clone(), delta: self.delta }
+        RegisterReader {
+            replicas: self.replicas.clone(),
+            delta: self.delta,
+            scratch: RefCell::default(),
+        }
     }
 
     /// Re-keys the bank to a *replacement* writer: a fresh node taking
@@ -354,6 +360,19 @@ pub struct TailScan {
 pub struct RegisterReader {
     replicas: Vec<Replicas>,
     delta: Duration,
+    /// Where [`RegisterReader::read`] puts what the memory nodes answer,
+    /// kept from one read to the next.
+    scratch: RefCell<ReadScratch>,
+}
+
+/// One quorum read's working memory.
+#[derive(Clone, Debug, Default)]
+struct ReadScratch {
+    /// The memory nodes' register images, back to back in node order.
+    images: Vec<u8>,
+    /// When each answering node's image reached the issuer, and which
+    /// node's it is.
+    answers: Vec<(Time, usize)>,
 }
 
 impl RegisterReader {
@@ -388,10 +407,13 @@ impl RegisterReader {
         if fabric.net().is_crashed(issuer, now) {
             return ReadOutcome::IssuerCrashed;
         }
-        let mut node_reads: Vec<(Time, Vec<u8>)> = Vec::new();
-        for region in &r.regions {
-            match fabric.read(issuer, *region, 0, r.reg_size(), now) {
-                Ok(ticket) => node_reads.push((ticket.completion, ticket.data)),
+        let mut scratch = self.scratch.borrow_mut();
+        let ReadScratch { images, answers } = &mut *scratch;
+        images.resize(r.regions.len() * r.reg_size(), 0);
+        answers.clear();
+        for (node, image) in images.chunks_exact_mut(r.reg_size()).enumerate() {
+            match fabric.read_into(issuer, r.regions[node], 0, image, now) {
+                Ok(completion) => answers.push((completion, node)),
                 Err(RdmaError::TargetUnavailable) => {}
                 // Issuer liveness at `now` was established above, and the
                 // fabric checks the same instant for every node.
@@ -402,19 +424,19 @@ impl RegisterReader {
             }
         }
         let quorum = r.regions.len() / 2 + 1;
-        if node_reads.len() < quorum {
+        if answers.len() < quorum {
             return ReadOutcome::NoQuorum;
         }
         // Wait for the fastest majority.
-        node_reads.sort_by_key(|(t, _)| *t);
-        node_reads.truncate(quorum);
-        let completion = node_reads.last().expect("quorum >= 1").0;
+        answers.sort_by_key(|(t, _)| *t);
+        answers.truncate(quorum);
+        let completion = answers.last().expect("quorum >= 1").0;
         let elapsed = completion.since(now);
 
-        let mut best: Option<(u64, Vec<u8>)> = None;
+        let mut best: Option<(u64, &[u8])> = None;
         let mut byzantine_evidence = false;
-        for (_, data) in &node_reads {
-            let (a, b) = data.split_at(r.sub_size());
+        for (_, node) in answers.iter() {
+            let (a, b) = images[node * r.reg_size()..][..r.reg_size()].split_at(r.sub_size());
             let va = Self::validate(a);
             let vb = Self::validate(b);
             if let (Some((ta, _)), Some((tb, _))) = (&va, &vb) {
@@ -425,7 +447,7 @@ impl RegisterReader {
                 }
             }
             for v in [va, vb].into_iter().flatten() {
-                if best.as_ref().is_none_or(|(bt, _)| v.0 > *bt) {
+                if best.is_none_or(|(bt, _)| v.0 > bt) {
                     best = Some(v);
                 }
             }
@@ -435,7 +457,10 @@ impl RegisterReader {
             return ReadOutcome::WriterByzantine { completion };
         }
         match best {
-            Some((ts, value)) if ts != 0 => ReadOutcome::Value { ts, value, completion },
+            // The one copy: the winning value, which the outcome owns.
+            Some((ts, value)) if ts != 0 => {
+                ReadOutcome::Value { ts, value: value.to_vec(), completion }
+            }
             _ => {
                 // Nothing valid anywhere. Fast read => Byzantine writer;
                 // slow read => possibly overlapped a write, retry.
@@ -490,7 +515,7 @@ impl RegisterReader {
 
     /// Validates one sub-register frame; returns `(ts, value)` when the
     /// checksum matches. Timestamp 0 (never written) is treated as invalid.
-    fn validate(frame: &[u8]) -> Option<(u64, Vec<u8>)> {
+    fn validate(frame: &[u8]) -> Option<(u64, &[u8])> {
         let mut c = [0u8; 8];
         c.copy_from_slice(&frame[..8]);
         let stored = u64::from_le_bytes(c);
@@ -503,7 +528,7 @@ impl RegisterReader {
         if ts == 0 {
             return None;
         }
-        Some((ts, frame[16..].to_vec()))
+        Some((ts, &frame[16..]))
     }
 }
 

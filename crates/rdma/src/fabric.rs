@@ -232,6 +232,26 @@ impl Fabric {
         len: usize,
         now: Time,
     ) -> Result<ReadTicket, RdmaError> {
+        let mut data = vec![0u8; len];
+        let completion = self.read_into(issuer, region, offset, &mut data, now)?;
+        Ok(ReadTicket { completion, data })
+    }
+
+    /// [`Fabric::read`] of `out.len()` bytes into a buffer the caller
+    /// keeps; returns when the issuer receives the data.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Fabric::read`].
+    pub fn read_into(
+        &mut self,
+        issuer: HostId,
+        region: RegionId,
+        offset: usize,
+        out: &mut [u8],
+        now: Time,
+    ) -> Result<Time, RdmaError> {
+        let len = out.len();
         let entry = self.regions.get(&region).ok_or(RdmaError::UnknownRegion)?;
         if offset + len > entry.region.len() {
             return Err(RdmaError::OutOfBounds);
@@ -247,12 +267,12 @@ impl Fabric {
         };
         let sample_at = self.fifo_arrival(issuer, target, now + req);
         let entry = self.regions.get_mut(&region).expect("checked above");
-        let data = entry.region.sample(offset, len, sample_at);
+        entry.region.sample_into(offset, out, sample_at);
         let resp = match self.net.hop(&mut self.rng, target, issuer, len, sample_at) {
             HopOutcome::Delivered(d) => d,
             HopOutcome::Dropped => return Err(RdmaError::TargetUnavailable),
         };
-        Ok(ReadTicket { completion: sample_at + resp, data })
+        Ok(sample_at + resp)
     }
 
     /// Reads a region that lives on the issuer's own host into `out`

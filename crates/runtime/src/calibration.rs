@@ -102,9 +102,13 @@ pub struct SimConfig {
     /// Threaded backend only: size of the shared crypto worker pool that
     /// signature/digest work is offloaded to (the paper's background
     /// crypto cores, §5.4). Ignored by the simulator, which models the pool
-    /// as two virtual-time cursors per replica: the engine's ordered crypto
-    /// on one, its crypto jobs behind it on the other (CTBcast's own
-    /// signatures are charged per message and occupy neither).
+    /// as two workers per replica, a virtual-time cursor each: the crypto a
+    /// request waits for — the engine's ordered signatures and
+    /// verifications, and a slow-path slot's share checks — takes
+    /// whichever worker frees first, while summary and checkpoint
+    /// certification is confined to the second and starts behind the
+    /// ordered crypto queued so far (CTBcast's own signatures are charged
+    /// per message and occupy neither).
     pub crypto_workers: usize,
     /// Threaded backend only: multiplier stretching virtual-time timer
     /// durations (progress watchdog, slow-path trigger, retransmit tick)

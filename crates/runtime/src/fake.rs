@@ -54,6 +54,8 @@ struct FakeNet {
     equivocator: Option<usize>,
     /// `(to, k)` → the payload the equivocator's `LOCK` told `to`.
     told: HashMap<(usize, SeqId), Vec<u8>>,
+    /// Signatures verified so far: `[for CTBcast, by engine crypto jobs]`.
+    verifies: [u32; 2],
 }
 
 impl FakeNet {
@@ -128,6 +130,7 @@ impl Substrate for FakeSubstrate<'_> {
         _: (),
     ) {
         let id = ReplicaId(stream as u32);
+        self.net.verifies[0] += 1;
         let ok = self.net.ring.verify(ProcessId::Replica(id), &signed_bytes(id, k, &fp), &sig);
         let done = CtbDone::Verified(tag, ok);
         self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
@@ -151,12 +154,13 @@ impl Substrate for FakeSubstrate<'_> {
         &mut self,
         _: (),
         _ops: CryptoOps,
-        jobs: Vec<CryptoJob>,
+        jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<((), Vec<Effect>)> {
         let me = ProcessId::Replica(ReplicaId(self.r as u32));
         let signer = self.net.ring.signer(me).expect("replica key");
         for job in jobs {
+            self.net.verifies[1] += job.ops().verifies;
             let result = job.run(&signer, &self.net.ring);
             self.net.completions[self.r].push_back(Completion::Crypto { tag: job.tag, result });
         }
@@ -197,6 +201,7 @@ impl FakeCluster {
             drop_next: None,
             equivocator: None,
             told: HashMap::new(),
+            verifies: [0; 2],
         };
         let client = Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum());
         let mut cluster = FakeCluster { nodes, net, client };
@@ -303,6 +308,13 @@ fn three_nodes_decide_on_the_fast_and_the_forced_slow_path() {
         cluster.assert_replicas_agree(requests as usize);
         let slow_path_ran = !cluster.net.registers.is_empty();
         assert_eq!(slow_path_ran, cfg.path == ubft_core::engine::PathMode::SlowOnly);
+        // What a slow-path slot verifies: each of its four signed
+        // broadcasts (PREPARE, three COMMITs) at the two receivers that did
+        // not sign it, and at each replica the one peer share that
+        // completes its certificate. (20 slots reach no summary boundary.)
+        if slow_path_ran {
+            assert_eq!(cluster.net.verifies, [4 * 2, 3].map(|v| v * requests as u32));
+        }
     }
 }
 

@@ -183,16 +183,20 @@ struct Machine {
     host: HostId,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     busy: Time,
-    /// Crypto-worker busy-until cursor: the engine's *ordered* signatures
-    /// and verifications — the ones its effects wait for — serialize here
-    /// instead of on the main cursor (the paper's background crypto pool,
-    /// §5.4).
+    /// Busy-until cursor of the first of the replica's two crypto workers
+    /// (the paper's background crypto pool, §5.4). Crypto a request waits
+    /// for — the engine's *ordered* signatures and verifications, whose
+    /// effects act only once they finish, and the share checks of a slot on
+    /// the slow path ([`CryptoTag::on_request_path`]) — serializes on
+    /// whichever worker frees first ([`Machine::free_worker`]) instead of
+    /// on the main cursor.
     crypto_busy: Time,
-    /// Busy-until cursor of the engine's crypto *jobs* (summary and
-    /// checkpoint certification) on the same pool. A job starts behind
-    /// earlier jobs and behind the ordered crypto already queued, but
-    /// ordered crypto never waits for a job: certification that is off the
-    /// request path must not take the request path's worker either.
+    /// The second worker's cursor, and the only one background
+    /// certification (summary and checkpoint jobs) runs on: such a job
+    /// starts behind earlier work here and once the ordered crypto queued
+    /// so far has been served (`deferred_until`), so the pool serves
+    /// requests first — at a boundary a request finds one worker free of
+    /// bookkeeping, and at worst waits one operation for the other.
     job_busy: Time,
     /// Whether a scheduled crash has taken effect.
     crashed: bool,
@@ -218,6 +222,15 @@ struct Machine {
 }
 
 impl Machine {
+    /// The crypto worker that frees first: where request-path crypto goes.
+    fn free_worker(&mut self) -> &mut Time {
+        if self.job_busy < self.crypto_busy {
+            &mut self.job_busy
+        } else {
+            &mut self.crypto_busy
+        }
+    }
+
     /// Incarnation `epoch` of a replica's machine, on `host`, idle as of
     /// `at`; its bank writers are keyed in by the caller.
     fn boot(host: HostId, at: Time, epoch: u32) -> Self {
@@ -665,33 +678,41 @@ impl Substrate for SimSubstrate<'_, '_> {
         &mut self,
         at: Time,
         ops: CryptoOps,
-        jobs: Vec<CryptoJob>,
+        jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<(Time, Vec<Effect>)> {
         let (env, r) = (&mut *self.env, self.r);
         // The event-loop dispatch runs on the replica's main core; crypto
-        // runs on the replica's crypto pool (§5.4): ordered crypto on one
-        // worker, jobs on another.
+        // runs on the replica's crypto pool (§5.4), two workers: what a
+        // request waits for takes whichever frees first.
         let done = env.charge(r, at, Duration::ZERO);
         env.count_engine_crypto(ops);
         let effect_at = if ops.is_zero() {
             done
         } else {
             let cost = env.crypto_cost(ops);
-            worker_run(&mut env.machines[r].crypto_busy, done, cost)
+            worker_run(env.machines[r].free_worker(), done, cost)
         };
-        // Crypto jobs are work nothing in this call's effects depends on
-        // (summary and checkpoint certification, §5.2 fn. 3): each comes
-        // back as an input of its own, delaying neither these effects nor
-        // any later batch. The pool serves the request path first: a job
-        // starts once the ordered crypto queued so far has been served (so
-        // its result still follows this call's effects) and behind earlier
-        // jobs, but ordered crypto never waits for a job. When both shared
-        // one cursor, the share signed at a summary boundary sat between a
-        // slow-path slot's CERTIFY signature and the verification of the
-        // peer's, 17 µs on that request — on whichever boundaries a PREPARE
-        // happened to cross, which differs from seed to seed.
-        if !jobs.is_empty() {
+        // Crypto jobs are work nothing in this call's effects depends on:
+        // each comes back as an input of its own, delaying neither these
+        // effects nor any later batch. A slot's share check is as much on a
+        // request's path as ordered crypto is and takes a worker the same
+        // way. Summary and checkpoint certification (§5.2 fn. 3) is not,
+        // and the pool serves the request path first: such a job is
+        // confined to the second worker, where it starts behind earlier
+        // work and once the ordered crypto queued so far — this call's
+        // included — has been served (so its result still follows this
+        // call's effects). It does not wait for a share check running on
+        // the other worker: a cursor cannot give back the gap that leaves,
+        // and the own-share signature that needs a worker 27 µs into a
+        // 45 µs check would queue behind bookkeeping that has not started
+        // (1 % of slow-path requests, so p99 sat on an edge: 158.7 µs on 22
+        // seeds, 167.0 on one). When everything shared one cursor, the
+        // share signed at a summary boundary sat between a slot's CERTIFY
+        // signature and the verification of the peer's, 17 µs on that
+        // request — on whichever boundaries a PREPARE happened to cross,
+        // which differs from seed to seed.
+        if jobs.len() > 0 {
             let me = ProcessId::Replica(ReplicaId(r as u32));
             let signer = env.ring.signer(me).expect("replica key");
             let epoch = env.machines[r].epoch;
@@ -699,8 +720,12 @@ impl Substrate for SimSubstrate<'_, '_> {
                 env.count_engine_crypto(job.ops());
                 let cost = env.crypto_cost(job.ops());
                 let m = &mut env.machines[r];
-                let from = done.max(m.crypto_busy);
-                let fin = worker_run(&mut m.job_busy, from, cost);
+                let fin = if job.tag.on_request_path() {
+                    worker_run(m.free_worker(), done, cost)
+                } else {
+                    let from = effect_at.max(m.deferred_until);
+                    worker_run(&mut m.job_busy, from, cost)
+                };
                 let result = job.run(&signer, &env.ring);
                 env.push(self.sh, fin, Ev::EngineCrypto { r, epoch, tag: job.tag, result });
             }

@@ -166,12 +166,13 @@ pub(crate) trait Substrate {
     /// back through [`Engine::on_crypto_done`] — and says when the effects
     /// apply: `Some((at, fx))` for now, as of `at`; `None` when it keeps
     /// them until the crypto they wait for has finished and then hands
-    /// them to [`ReplicaNode::apply_effects`].
+    /// them to [`ReplicaNode::apply_effects`]. The jobs are drained out of
+    /// the engine's own queue, which keeps its buffer.
     fn engine_call_done(
         &mut self,
         at: Self::At,
         ops: CryptoOps,
-        jobs: Vec<CryptoJob>,
+        jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<(Self::At, Vec<Effect>)>;
 
@@ -544,8 +545,8 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             sub.on_decision(rec);
         }
         let ops = self.engine.take_crypto_ops();
-        let jobs = self.engine.take_crypto_jobs();
-        if let Some((at, fx)) = sub.engine_call_done(at, ops, jobs, fx) {
+        let applied = sub.engine_call_done(at, ops, self.engine.take_crypto_jobs(), fx);
+        if let Some((at, fx)) = applied {
             self.apply_effects(sub, at, fx);
         }
     }

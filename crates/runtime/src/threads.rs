@@ -579,7 +579,7 @@ impl Substrate for ReplicaThread {
         &mut self,
         _: (),
         _ops: CryptoOps,
-        jobs: Vec<CryptoJob>,
+        jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<((), Vec<Effect>)> {
         for job in jobs {

@@ -34,12 +34,15 @@ fn main() {
         report.views.iter().skip(1).any(|v| v.0 >= 1),
         "surviving replicas should have moved past view 0"
     );
-    // A slow-path request is ~204 us (EXPERIMENTS.md, Fig. 8). Each of the
-    // three fast-path waits that re-discovers the dead leader adds 200 us.
-    let slow_path = Duration::from_micros(204);
+    // With one replica down a request is ~204 us: the 3-of-3 slow path
+    // (~158 us, EXPERIMENTS.md, Fig. 8) plus the one verification 2-of-3
+    // cannot hide — the survivor's decision waits for the new leader's
+    // COMMIT, which waits for the survivor's own share. Each of the three
+    // fast-path waits that re-discovers the dead leader would add 200 us.
+    let degraded = Duration::from_micros(158) + Duration::from_nanos(45_500);
     assert!(
-        lat.median().as_nanos() * 2 < slow_path.as_nanos() * 3,
-        "degraded requests cost {}, more than 1.5 x a slow-path request",
+        lat.median() < degraded + Duration::from_micros(5),
+        "degraded requests cost {}, more than a slow-path request and one verification",
         lat.median()
     );
 }

@@ -71,7 +71,8 @@ impl Net {
             self.queue.push_back((who, e));
         }
         let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
-        for job in self.engines[who].take_crypto_jobs() {
+        let jobs: Vec<_> = self.engines[who].take_crypto_jobs().collect();
+        for job in jobs {
             let result = job.run(&signer, &self.ring);
             let fx = self.engines[who].on_crypto_done(job.tag, result);
             self.enqueue(who, fx);

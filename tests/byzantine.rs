@@ -351,7 +351,7 @@ fn share_flooding_peer_buys_one_verification_per_open_boundary() {
 
     // The honest follower's share completes the summary regardless.
     assert!(engine.on_direct(ReplicaId(2), share(2, 64, honest)).is_empty());
-    let check = engine.take_crypto_jobs();
+    let check: Vec<CryptoJob> = engine.take_crypto_jobs().collect();
     assert_eq!(check.len(), 1);
     let fx = complete(&mut engine, &check[0]);
     assert!(matches!(

@@ -48,16 +48,28 @@ fn crash(cfg: SimConfig, replica: usize) -> SimConfig {
 
 #[test]
 fn after_a_leader_crash_requests_cost_one_slow_path_and_no_dead_letters() {
-    let mut slow = run_flip(SimConfig::paper_default(SEED).slow_only(), REQUESTS);
-    let mut degraded = run_flip(crash(SimConfig::paper_default(SEED), 0), REQUESTS);
+    let cfg = SimConfig::paper_default(SEED);
+    let verify = cfg.cost.verify_total();
+    let mut slow = run_flip(cfg.clone().slow_only(), REQUESTS);
+    let mut degraded = run_flip(crash(cfg, 0), REQUESTS);
     assert!(degraded.views.iter().skip(1).all(|v| v.0 >= 1), "no view change happened");
     // The crash lands about 230 requests in, so the median request is a
-    // degraded one.
+    // degraded one. The floor is the 3-of-3 slow path plus one
+    // verification, not (as until PR 20) 1.1 x the slow path: with every
+    // replica up a follower has its certificate — its own share and the
+    // leader's early one, checked while the PREPARE was still on its way —
+    // as soon as it has signed, and decides on its own COMMIT and the other
+    // follower's; five public-key operations block. With one replica down
+    // the follower's decision needs the leader's COMMIT, whose certificate
+    // needs the follower's share, which the leader can only verify after
+    // the follower signed it: that sixth step is inherent to 2-of-3. A
+    // fast-path timeout per request (200 us) still fails this by 150 us.
     let (floor, p50) = (slow.latency.median(), degraded.latency.median());
+    let bound = floor + verify + Duration::from_micros(2);
     assert!(
-        p50.as_nanos() * 10 <= floor.as_nanos() * 11,
-        "degraded p50 {p50} is more than 1.1 x the slow-path p50 {floor}: a fast-path timeout \
-         is paid per request again"
+        p50 <= bound,
+        "degraded p50 {p50} is more than one verification above the slow-path p50 {floor}: a \
+         fast-path timeout is paid per request again"
     );
     let c = degraded.counters;
     let per_req = (c.ctb_msgs + c.cons_msgs) / degraded.completed;
@@ -65,13 +77,31 @@ fn after_a_leader_crash_requests_cost_one_slow_path_and_no_dead_letters() {
 }
 
 #[test]
+fn degraded_latency_does_not_depend_on_the_seed() {
+    // A follower used to join a slot's slow path only once the leader's
+    // share had *verified*, unless it suspected the dead replica — which it
+    // did only if its own fast-path timer had once fired on an undecided
+    // slot. Where the first degraded slot happened to decide inside the
+    // 200 us it never did, and every later request paid the check before
+    // the signature: 221 us on one seed, 204 on the next. Joining when the
+    // share is admitted makes the order of those two events irrelevant.
+    // 600 requests: about 230 before the crash, so the median is degraded.
+    let p50s: Vec<Duration> = (1..=8)
+        .map(|seed| run_flip(crash(SimConfig::paper_default(seed), 0), 600).latency.median())
+        .collect();
+    let (min, max) = (p50s.iter().min().expect("8 runs"), p50s.iter().max().expect("8 runs"));
+    assert!(*max <= *min + Duration::from_micros(1), "degraded p50 by seed: {p50s:?}");
+}
+
+#[test]
 fn after_a_follower_crash_only_the_echo_round_still_waits() {
     let mut degraded = run_flip(crash(SimConfig::paper_default(SEED), 2), REQUESTS);
     assert!(degraded.views.iter().take(2).all(|v| v.0 == 0), "a follower crash changed view");
-    // One slow path (~204 us) plus the leader's `echo_fallback` (100 us):
-    // the view stays 0, where the leader waits for every follower's echo
-    // before it proposes. Suspecting the dead follower in the echo round
-    // too is a separate change (it interacts with held prepares).
+    // One 2-of-3 slow path (~204 us) plus the leader's `echo_fallback`
+    // (100 us): the view stays 0, where the leader waits for every
+    // follower's echo before it proposes. Suspecting the dead follower in
+    // the echo round too is a separate change (it interacts with held
+    // prepares).
     let p50 = degraded.latency.median();
     assert!(p50 <= Duration::from_micros(320), "degraded p50 {p50}");
 }

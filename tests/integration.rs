@@ -40,6 +40,16 @@ fn slow_path_crypto_bound_but_correct() {
     assert!(lat.median() > Duration::from_micros(100));
     assert!(report.counters.reg_writes > 0, "slow path must touch registers");
     assert!(report.counters.reg_reads > 0);
+    // What a slot verifies: each of its four signed broadcasts (the PREPARE
+    // and three COMMITs) at the two receivers that did not sign it, and at
+    // each replica the one peer CERTIFY share that completes its
+    // certificate — plus a summary share now and then. A broadcaster
+    // checking its own signature (4 per slot) or a replica checking the
+    // share it does not need (3) is waste that used to be paid.
+    let c = report.counters;
+    assert_eq!(c.ctb_verifies, 8 * report.completed, "CTBcast verifications");
+    let shares = c.engine_verifies as f64 / report.completed as f64;
+    assert!((3.0..3.1).contains(&shares), "{shares:.2} engine verifications per request");
 }
 
 #[test]

@@ -28,6 +28,18 @@
 //!   `slow_path_run_across_checkpoints` loses the 17 µs every summary
 //!   boundary used to cost the slow path (mean 204 451 → 203 884 ns; 20 ns
 //!   of its end time are the first correction's).
+//!
+//! The two slow-path pins were re-captured when one verification left the
+//! slow path's blocking chain (PR 20): a broadcaster no longer verifies the
+//! signature its own signer produced (`ctb_verifies` 660 → 440, one per
+//! signed broadcast), a replica checks one peer's CERTIFY share per slot
+//! instead of two (`engine_verifies` 331 → 166), and a follower checks the
+//! leader's while its own copy of the PREPARE is still in CTBcast (p50
+//! 203 895 → 158 397 ns). Digests, completions, signatures and views did
+//! not move. `ctb_msgs` / `cons_msgs` fall because TBcast retransmission
+//! is driven by a 150 µs tick and the run is 22 % shorter; the two register
+//! operations are the last slot's, cut off by the earlier end. The five
+//! fast-path pins passed untouched.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::sharded::ShardedCluster;
@@ -77,7 +89,7 @@ fn fast_path_run_is_pinned() {
 #[test]
 fn slow_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(43).slow_only(), 50, 5);
-    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=11215849 mean=203909 p50=203895 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 684, cons_msgs: 536, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 660, engine_signs: 168, engine_verifies: 331, reg_writes: 660, reg_reads: 660 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=8713521 mean=158401 p50=158397 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 656, cons_msgs: 496, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 440, engine_signs: 168, engine_verifies: 166, reg_writes: 658, reg_reads: 658 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -95,7 +107,7 @@ fn fast_path_run_across_checkpoints_is_pinned() {
 #[test]
 fn slow_path_run_across_checkpoints_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(45).slow_only(), 600, 60);
-    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=134565854 mean=203884 p50=203886 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 8296, cons_msgs: 6632, direct_msgs: 1400, ctb_signs: 2646, ctb_verifies: 7938, engine_signs: 2106, engine_verifies: 4006, reg_writes: 7938, reg_reads: 7938 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=104587357 mean=158470 p50=158394 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 7938, cons_msgs: 6098, direct_msgs: 1400, ctb_signs: 2646, ctb_verifies: 5292, engine_signs: 2106, engine_verifies: 2026, reg_writes: 7936, reg_reads: 7936 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
