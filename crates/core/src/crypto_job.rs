@@ -36,13 +36,6 @@ pub enum CryptoTag {
         /// Digest of the attested summary.
         digest: Digest,
     },
-    /// Verify `from`'s share over our own stream's summary at `upto`.
-    SummaryShareCheck {
-        /// The share's signer.
-        from: ReplicaId,
-        /// The boundary id.
-        upto: SeqId,
-    },
     /// Verify the `f + 1` certificate of a gap-filling summary of `stream`.
     SummaryCert {
         /// The summarized CTBcast stream.
@@ -56,13 +49,6 @@ pub enum CryptoTag {
         /// The snapshotted state.
         data: CheckpointData,
     },
-    /// Verify `from`'s share toward the checkpoint at `base`.
-    CheckpointShareCheck {
-        /// The share's signer.
-        from: ReplicaId,
-        /// The checkpoint's first open slot.
-        base: Slot,
-    },
     /// Verify the `f + 1` certificate of the `CHECKPOINT` parked at the head
     /// of `stream`.
     CheckpointCert {
@@ -71,15 +57,37 @@ pub enum CryptoTag {
         /// The parked message's id.
         k: SeqId,
     },
-    /// Verify `from`'s `CERTIFY` share over a proposal for `slot` in `view`
-    /// (Algorithm 2 line 33).
-    CertifyShareCheck {
+    /// Verify `from`'s share toward the `f + 1` certificate `of` names.
+    ShareCheck {
+        /// The certificate the share counts toward.
+        of: ShareOf,
         /// The share's signer.
         from: ReplicaId,
+    },
+}
+
+/// Which `f + 1` certificate a share is collected toward.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShareOf {
+    /// The commit certificate of a proposal for `slot` in `view`, made of
+    /// `CERTIFY` shares (Algorithm 2 line 33).
+    Slot {
         /// The slot being certified.
         slot: Slot,
         /// The view the share was admitted in.
         view: View,
+    },
+    /// The checkpoint at `base`, made of `CERTIFY_CHECKPOINT` shares
+    /// (Algorithm 2 line 44).
+    Checkpoint {
+        /// The checkpoint's first open slot.
+        base: Slot,
+    },
+    /// The summary of our own stream at `upto`, made of `CERTIFY_SUMMARY`
+    /// shares (Algorithm 4).
+    Summary {
+        /// The boundary id.
+        upto: SeqId,
     },
 }
 
@@ -89,7 +97,7 @@ impl CryptoTag {
     /// everything else; a slot's share check is on the slow path of a
     /// request and competes with the engine's ordered crypto on equal terms.
     pub fn on_request_path(&self) -> bool {
-        matches!(self, CryptoTag::CertifyShareCheck { .. })
+        matches!(self, CryptoTag::ShareCheck { of: ShareOf::Slot { .. }, .. })
     }
 }
 

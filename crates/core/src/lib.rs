@@ -21,11 +21,16 @@
 //!   in FIFO order; a detectably Byzantine stream is blocked forever.
 //!
 //! The [`engine::Engine`] is a sans-IO state machine: the runtime feeds it
-//! deliveries/timers and executes its [`engine::Effect`]s. Checkpoint and
-//! view-change crypto runs inline but is *metered* ([`engine::CryptoOps`])
-//! so the runtime charges virtual time for every signature and
-//! verification; summary crypto leaves as [`crypto_job::CryptoJob`]s for
-//! the driver's crypto worker and re-enters as an input.
+//! deliveries/timers and executes its [`engine::Effect`]s. Its crypto comes
+//! in two kinds. *Ordered* crypto — a slot's own CERTIFY signature, the
+//! verification of a foreign commit certificate, view-change signatures
+//! and verifications, a joining node's checkpoint certificates — runs
+//! inline and is *metered* ([`engine::CryptoOps`]), so the runtime charges
+//! virtual time for it before the call's effects act. Everything that
+//! collects `f + 1` shares toward a certificate — a slot's CERTIFY shares,
+//! checkpoint certification, summary certification — leaves as
+//! [`crypto_job::CryptoJob`]s for the driver's crypto worker and re-enters
+//! as an input, as do the two periodic certifications' own signatures.
 
 pub mod app;
 pub mod client;

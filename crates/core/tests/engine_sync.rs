@@ -9,11 +9,12 @@ use std::collections::VecDeque;
 
 use ubft_core::app::{App, NoopApp};
 use ubft_core::engine::{
-    CryptoJob, CryptoOps, CryptoTag, CryptoWork, Effect, Engine, EngineConfig, PathMode, TimerKind,
+    CryptoJob, CryptoOps, CryptoTag, CryptoWork, Effect, Engine, EngineConfig, PathMode, ShareOf,
+    TimerKind,
 };
 use ubft_core::msg::{
-    exec_table_digest, summary_sign_bytes, Batch, CheckpointCert, CheckpointData, CtbMsg,
-    DirectMsg, Prepare, Request, StateSummary, TbMsg,
+    exec_table_digest, summary_sign_bytes, vc_sign_bytes, Batch, CheckpointCert, CheckpointData,
+    CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
 };
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature};
 use ubft_types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
@@ -59,7 +60,7 @@ fn is_checkpoint_job(job: &CryptoJob) -> bool {
     matches!(
         job.tag,
         CryptoTag::CheckpointShare { .. }
-            | CryptoTag::CheckpointShareCheck { .. }
+            | CryptoTag::ShareCheck { of: ShareOf::Checkpoint { .. }, .. }
             | CryptoTag::CheckpointCert { .. }
     )
 }
@@ -1300,7 +1301,7 @@ fn forged_share_never_counts_and_a_parked_one_takes_its_place() {
     assert_eq!(check_r2.len(), 1);
     assert_eq!(
         check_r2[0].tag,
-        CryptoTag::SummaryShareCheck { from: ReplicaId(2), upto: SeqId(2) }
+        CryptoTag::ShareCheck { of: ShareOf::Summary { upto: SeqId(2) }, from: ReplicaId(2) }
     );
     // r1 cannot buy a second verification for the same boundary.
     assert!(e.on_direct(ReplicaId(1), lone.share(1, 2, digest, false)).is_empty());
@@ -1602,7 +1603,7 @@ fn forged_checkpoint_share_is_rejected_by_its_job_and_cannot_be_resubmitted() {
     assert_eq!(check_r2.len(), 1);
     assert_eq!(
         check_r2[0].tag,
-        CryptoTag::CheckpointShareCheck { from: ReplicaId(2), base: Slot(4) }
+        CryptoTag::ShareCheck { of: ShareOf::Checkpoint { base: Slot(4) }, from: ReplicaId(2) }
     );
     // r1 cannot buy a second verification for the same base.
     assert!(cp.e.on_tb_deliver(ReplicaId(1), cp.share(1, data, false)).is_empty());
@@ -1873,8 +1874,9 @@ impl Certify {
     fn checks(&mut self) -> Vec<CryptoJob> {
         let jobs = queued_jobs(&mut self.e);
         assert!(
-            jobs.iter().all(|j| matches!(j.tag, CryptoTag::CertifyShareCheck { .. })
-                && matches!(j.work, CryptoWork::Verify { .. })),
+            jobs.iter()
+                .all(|j| matches!(j.tag, CryptoTag::ShareCheck { of: ShareOf::Slot { .. }, .. })
+                    && matches!(j.work, CryptoWork::Verify { .. })),
             "{jobs:?}"
         );
         jobs
@@ -1937,7 +1939,8 @@ fn a_share_that_arrives_before_its_prepare_counts_once_the_prepare_is_accepted()
         assert!(c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false)).is_empty());
         let checks = c.checks();
         assert_eq!(checks.len(), 1);
-        let tag = CryptoTag::CertifyShareCheck { from: ReplicaId(0), slot: Slot(0), view: View(0) };
+        let of = ShareOf::Slot { slot: Slot(0), view: View(0) };
+        let tag = CryptoTag::ShareCheck { of, from: ReplicaId(0) };
         assert_eq!(checks[0].tag, tag);
         if verdict_first {
             // Nothing to commit yet; the share waits for its PREPARE.
@@ -2093,4 +2096,128 @@ fn a_decided_fast_path_slot_still_hands_a_soliciting_peer_our_share() {
     assert_eq!(certifies(&fx), 1, "{fx:?}");
     let trigger = Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(Slot(1)) };
     assert!(!fx.contains(&trigger), "{fx:?}");
+}
+
+// ---- The view change and the held PREPARE -------------------------------
+
+/// Requests reach only the replicas in `to`; `Net::client_request` reaches
+/// every live one.
+fn request_to(net: &mut Net, to: &[usize], seq: u64, payload: &[u8]) {
+    let req = Request { id: RequestId::new(ClientId(1), seq), payload: payload.to_vec() };
+    for &r in to {
+        let fx = net.engines[r].on_client_request(req.clone());
+        net.enqueue(r, fx);
+    }
+    net.drain();
+}
+
+/// Fires the progress watchdog of every live replica until one of them
+/// changes view (the first firing after progress only re-arms).
+fn progress_until_view(net: &mut Net, view: View) {
+    for _ in 0..3 {
+        if net.live_replicas().all(|r| net.engines[r].view() >= view) {
+            return;
+        }
+        net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    }
+    let views: Vec<View> = net.engines.iter().map(Engine::view).collect();
+    panic!("no view change to {view:?}: {views:?}");
+}
+
+/// Fires the progress watchdog of replica `r` alone.
+fn fire_progress(net: &mut Net, r: usize) {
+    net.timers[r].retain(|k| *k != TimerKind::Progress);
+    let fx = net.engines[r].on_timer(TimerKind::Progress);
+    net.enqueue(r, fx);
+    net.drain();
+}
+
+#[test]
+fn view_change_share_flood_buys_one_verification_per_subject() {
+    let mut net = Net::new(PathMode::FastWithFallback);
+    let byz = net.ring.signer(ProcessId::Replica(ReplicaId(2))).unwrap();
+    // r2 sends r1, the leader of view 1, validly signed CRTFY_VC shares over
+    // 50 different made-up states of each replica.
+    let flood = |view: View, about: ReplicaId, i: u64| {
+        let cp = CheckpointCert { data: foreign_data(4 * i, i as u8), cert: Certificate::new() };
+        let summary = StateSummary { checkpoint: Some(cp), commits: Vec::new() };
+        let sig = byz.sign(&vc_sign_bytes(view, about, &summary.digest()));
+        DirectMsg::CertifyVc { view, about, summary, sig }
+    };
+    net.engines[1].take_crypto_ops();
+    for about in (0..3).map(ReplicaId) {
+        for i in 0..50 {
+            assert!(net.engines[1].on_direct(ReplicaId(2), flood(View(1), about, i)).is_empty());
+        }
+        // The first share takes r2's place for this subject and is verified;
+        // the other 49 are refused before any crypto.
+        let ops = net.engines[1].take_crypto_ops();
+        assert_eq!(ops, CryptoOps { signs: 0, verifies: 1 }, "shares about {about:?}");
+    }
+
+    // r0 and r1 are honest and enough: a request r0 missed stalls, r1 and r2
+    // seal view 1, and r1 assembles NEW_VIEW from r0's shares and its own —
+    // r2 has spent its one share per subject on the flood.
+    net.crashed[0] = true; // partitioned away while the request arrives
+    net.client_request(0, b"stalled");
+    net.crashed[0] = false;
+    progress_until_view(&mut net, View(1));
+    let new_views = |net: &Net, stream: usize, v: View| {
+        let of_stream = net.ctb_log.iter().filter(|(s, _)| *s == stream);
+        of_stream.filter(|(_, m)| matches!(m, CtbMsg::NewView { view, .. } if *view == v)).count()
+    };
+    assert_eq!(new_views(&net, 1, View(1)), 1, "r1 announces view 1");
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    for r in 0..3 {
+        assert_eq!(net.engines[r].view(), View(1), "replica {r}");
+        assert_eq!(net.executed[r].len(), 1, "replica {r}");
+    }
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+
+    // On to view 2 the same way, this time leaving r1 out. Shares for view
+    // 1, which r1 led, are below its view now: dropped, and nothing paid.
+    net.crashed[1] = true;
+    net.client_request(1, b"stalled again");
+    net.crashed[1] = false;
+    progress_until_view(&mut net, View(2));
+    assert_eq!(new_views(&net, 2, View(2)), 1, "r2 announces view 2");
+    net.engines[1].take_crypto_ops();
+    assert!(net.engines[1].on_direct(ReplicaId(2), flood(View(1), ReplicaId(0), 99)).is_empty());
+    assert!(net.engines[1].take_crypto_ops().is_zero());
+}
+
+#[test]
+fn a_held_prepare_does_not_outlive_its_view() {
+    let mut net = Net::new(PathMode::FastWithFallback);
+    // X reaches r0 and r1 only; the echo round times out and r0 proposes it
+    // anyway. r2 has not seen X and holds PREPARE(view 0, slot 0) (§5.4).
+    request_to(&mut net, &[0, 1], 0, b"X");
+    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    assert!(matches!(net.ctb_log.last(), Some((0, CtbMsg::Prepare(p))) if p.slot == Slot(0)));
+    // r0 crashes, Y reaches the survivors, and r2 — alone so far — times out
+    // and seals view 1.
+    net.crashed[0] = true;
+    net.client_request(1, b"Y");
+    fire_progress(&mut net, 2);
+    assert_eq!((net.engines[1].view(), net.engines[2].view()), (View(0), View(1)));
+
+    // X's retransmission reaches r2 in view 1: the proposal it held belongs
+    // to a view that is over and must stay where it is.
+    let x = Request { id: RequestId::new(ClientId(1), 0), payload: b"X".to_vec() };
+    let fx = net.engines[2].on_client_request(x);
+    let stale = |e: &Effect| matches!(e, Effect::TbBroadcast(TbMsg::WillCertify { view, .. }) if *view == View(0));
+    assert!(!fx.iter().any(stale), "view-0 proposal released in view 1: {fx:?}");
+    net.enqueue(2, fx);
+    net.drain();
+
+    // r1 times out too and leads view 1: slot 0 is free at r2 for its
+    // PREPARE, and both requests execute without another view change.
+    fire_progress(&mut net, 1);
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    for r in 1..3 {
+        assert_eq!(net.engines[r].view(), View(1), "replica {r}");
+        let payloads: Vec<&[u8]> = net.executed[r].iter().map(|(_, q)| &q.payload[..]).collect();
+        assert_eq!(payloads, [b"X", b"Y"], "replica {r}");
+    }
+    net.assert_executed_prefix_agreement();
 }
