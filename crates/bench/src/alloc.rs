@@ -267,8 +267,8 @@ mod tests {
         let text = "   0: ubft_bench::alloc::record::h0123456789abcdef\n\
                     \x20  1: grow_one<ubft_core::engine::Effect, alloc::alloc::Global>\n\
                     \x20            at /rustc/59807616/library/alloc/src/raw_vec/mod.rs:340:13\n\
-                    \x20  2: on_tb_deliver\n\
-                    \x20            at ./crates/core/src/engine.rs:1332:24\n\
+                    \x20  2: on_ctb_deliver\n\
+                    \x20            at ./crates/core/src/engine/stream.rs:74:24\n\
                     \x20  3: <alloc::vec::Vec<ubft_core::msg::Request> as core::clone::Clone>::clone\n\
                     \x20  4: <u64 as ubft_types::wire::Wire>::encode::h00000000deadbeef\n";
         let ours: Vec<String> =
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(
             ours,
             vec![
-                "on_tb_deliver @ crates/core/src/engine.rs:1332",
+                "on_ctb_deliver @ crates/core/src/engine/stream.rs:74",
                 "<u64 as ubft_types::wire::Wire>::encode",
             ]
         );

@@ -741,10 +741,8 @@ pub fn churn_sweep(samples: u64) -> String {
 ///
 /// Returns `(text_table, json_body)`. Numbers are **wall-clock** and
 /// therefore host-dependent — unlike every simulator figure they are not
-/// deterministic in the seed. On a host with at least 8 cores the sweep
-/// asserts the headline scaling claim (≥ 4× single-worker single-shard
-/// throughput at `G = 8`); on smaller hosts the threads time-slice one
-/// core, so the assertion is skipped and the JSON says so.
+/// deterministic in the seed. Nothing is asserted about them; the JSON
+/// records the host's core count beside them.
 pub fn wallclock_sweep(samples: u64, smoke: bool) -> (String, String) {
     use ubft_runtime::threads::{run_wallclock, ThreadWorkload, WallOptions};
     use ubft_runtime::Backend;
@@ -760,7 +758,6 @@ pub fn wallclock_sweep(samples: u64, smoke: bool) -> (String, String) {
          # workers shards   kreq_s   p50_us    p99_us  completed\n"
     );
     let mut points = Vec::new();
-    let mut grid = std::collections::HashMap::new();
     for &w in workers {
         for &g in shards {
             let cfg = SimConfig::paper_default(SEED)
@@ -798,7 +795,6 @@ pub fn wallclock_sweep(samples: u64, smoke: bool) -> (String, String) {
                 p99 = point.p99_us,
                 done = report.completed,
             ));
-            grid.insert((w, g), point.kreq_per_s);
             points.push(format!(
                 "    {{\"crypto_workers\": {w}, \"shards\": {g}, {}}}",
                 point.fields()
@@ -806,40 +802,11 @@ pub fn wallclock_sweep(samples: u64, smoke: bool) -> (String, String) {
         }
     }
 
-    // The headline claim — G = 8 beats a single-worker single-shard
-    // deployment ≥ 4× — only means "parallel speedup" when the host can
-    // actually run the threads in parallel. On fewer cores the same grid
-    // still runs (liveness + honest numbers), but asserting a speedup
-    // would be measuring the OS scheduler, not the runtime.
-    let can_assert = cores >= 8 && !smoke;
-    if can_assert {
-        let base = grid[&(1, 1)];
-        let best8 = workers.iter().map(|w| grid[&(*w, 8)]).fold(f64::MIN, f64::max);
-        assert!(
-            best8 >= 4.0 * base,
-            "G=8 throughput {best8:.1} kreq/s is below 4x the single-worker \
-             single-shard baseline {base:.1} kreq/s"
-        );
-        text.push_str(&format!(
-            "# scaling check PASSED: best G=8 = {best8:.1} kreq/s >= 4x baseline {base:.1}\n"
-        ));
-    } else {
-        text.push_str(&format!(
-            "# scaling check SKIPPED: needs >= 8 cores and a full (non-smoke) grid; \
-             host has {cores}\n"
-        ));
-    }
-
-    let note = if cores >= 8 {
-        "wall-clock numbers; host-dependent"
-    } else {
-        "host has fewer than 8 cores: threads time-slice, numbers show contention, not parallel speedup"
-    };
+    let note = "wall-clock, host-dependent: with fewer cores than threads, contention, not speedup";
     let json = format!(
         "{{\n  \"bench\": \"wallclock_sweep\",\n  \"backend\": \"threads\",\n  \
          \"samples_per_shard\": {samples},\n  \"cores\": {cores},\n  \
-         \"scaling_asserted\": {can_assert},\n  \"note\": \"{note}\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
+         \"note\": \"{note}\",\n  \"points\": [\n{}\n  ]\n}}\n",
         points.join(",\n")
     );
     (text, json)

@@ -36,6 +36,7 @@ pub mod app;
 pub mod client;
 pub mod crypto_job;
 pub mod engine;
+pub mod harness;
 pub mod lru;
 pub mod msg;
 

@@ -733,19 +733,14 @@ impl Ctb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::signed_bytes;
-    use ubft_crypto::KeyRing;
-    use ubft_types::ProcessId;
+    use crate::harness::CtbNet;
+    use crate::wire::sign_broadcast;
 
     const N: usize = 3;
     const T: usize = 4;
 
     fn rid(i: u32) -> ReplicaId {
         ReplicaId(i)
-    }
-
-    fn ring() -> KeyRing {
-        KeyRing::generate(99, (0..N as u32).map(|i| ProcessId::Replica(rid(i))))
     }
 
     /// Pins the register-slot sizing the runtime derives from the codec:
@@ -764,93 +759,16 @@ mod tests {
         assert_eq!(e.to_bytes().len(), RegEntry::encoded_size());
     }
 
-    /// A tiny synchronous harness: perfect TBcast, synchronous crypto, and
-    /// in-memory registers, driving n Ctb instances to quiescence.
-    struct Harness {
-        ctbs: Vec<Ctb>,
-        ring: KeyRing,
-        stream: ReplicaId,
-        /// registers[receiver][slot]
-        registers: Vec<Vec<Option<RegEntry>>>,
-        delivered: Vec<Vec<(SeqId, Vec<u8>)>>,
-        equivocations: Vec<Vec<SeqId>>,
+    /// Replica 0's broadcaster signature over `(k, m)`.
+    fn sign(h: &CtbNet, k: SeqId, m: &[u8]) -> Signature {
+        sign_broadcast(&h.ring, rid(0), k, &fingerprint(m))
     }
 
-    impl Harness {
-        fn new(cfg: CtbConfig) -> Self {
-            let replicas: Vec<ReplicaId> = (0..N as u32).map(rid).collect();
-            let stream = rid(0);
-            let ctbs =
-                replicas.iter().map(|&me| Ctb::new(me, stream, replicas.clone(), cfg)).collect();
-            Harness {
-                ctbs,
-                ring: ring(),
-                stream,
-                registers: vec![vec![None; T]; N],
-                delivered: vec![Vec::new(); N],
-                equivocations: vec![Vec::new(); N],
-            }
-        }
-
-        fn run(&mut self, start: Vec<(usize, CtbEffect)>) {
-            let mut queue: std::collections::VecDeque<(usize, CtbEffect)> = start.into();
-            let mut steps = 0;
-            while let Some((who, fx)) = queue.pop_front() {
-                steps += 1;
-                assert!(steps < 100_000, "harness diverged");
-                match fx {
-                    CtbEffect::Broadcast(wire) => {
-                        // Perfect TBcast: every replica (incl. sender)
-                        // delivers from `who`.
-                        for r in 0..N {
-                            let out = self.ctbs[r].on_tb_deliver(rid(who as u32), wire.clone());
-                            queue.extend(out.into_iter().map(|e| (r, e)));
-                        }
-                    }
-                    CtbEffect::Sign { k, fp } => {
-                        let signer = self.ring.signer(ProcessId::Replica(rid(who as u32))).unwrap();
-                        let sig = signer.sign(&signed_bytes(self.stream, k, &fp));
-                        let out = self.ctbs[who].on_sign_done(k, sig);
-                        queue.extend(out.into_iter().map(|e| (who, e)));
-                    }
-                    CtbEffect::Verify { tag, k, fp, sig } => {
-                        let ok = self.ring.verify(
-                            ProcessId::Replica(self.stream),
-                            &signed_bytes(self.stream, k, &fp),
-                            &sig,
-                        );
-                        let out = self.ctbs[who].on_verify_done(tag, ok);
-                        queue.extend(out.into_iter().map(|e| (who, e)));
-                    }
-                    CtbEffect::WriteRegister { slot, k, entry } => {
-                        self.registers[who][slot] = Some(entry);
-                        let out = self.ctbs[who].on_register_written(k);
-                        queue.extend(out.into_iter().map(|e| (who, e)));
-                    }
-                    CtbEffect::ReadSlot { slot, k } => {
-                        let entries: Vec<Option<RegEntry>> =
-                            (0..N).map(|r| self.registers[r][slot].clone()).collect();
-                        let out = self.ctbs[who].on_registers_read(k, entries);
-                        queue.extend(out.into_iter().map(|e| (who, e)));
-                    }
-                    CtbEffect::Deliver { k, payload } => {
-                        self.delivered[who].push((k, payload));
-                    }
-                    CtbEffect::Equivocation { k } => {
-                        self.equivocations[who].push(k);
-                    }
-                    CtbEffect::ArmSlowTimer { .. } => {
-                        // Timeout never fires in the synchronous harness.
-                    }
-                }
-            }
-        }
-
-        fn broadcast(&mut self, m: &[u8]) -> SeqId {
-            let (k, fx) = self.ctbs[0].broadcast(m.to_vec());
-            self.run(fx.into_iter().map(|e| (0usize, e)).collect());
-            k
-        }
+    /// Replica 0's frame `wire` reaches `to`; the run goes on to quiescence.
+    fn deliver(h: &mut CtbNet, to: usize, wire: CtbWire) {
+        let out = h.ctbs[to].on_tb_deliver(rid(0), wire);
+        h.emit(to, out);
+        h.run();
     }
 
     fn cfg_fast() -> CtbConfig {
@@ -863,7 +781,7 @@ mod tests {
 
     #[test]
     fn fast_path_delivers_to_all() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         let k = h.broadcast(b"hello");
         for r in 0..N {
             assert_eq!(h.delivered[r], vec![(k, b"hello".to_vec())], "replica {r}");
@@ -872,7 +790,7 @@ mod tests {
 
     #[test]
     fn slow_path_delivers_to_all() {
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let k = h.broadcast(b"slowly");
         for r in 0..N {
             assert_eq!(h.delivered[r], vec![(k, b"slowly".to_vec())], "replica {r}");
@@ -882,7 +800,7 @@ mod tests {
     #[test]
     fn both_paths_deliver_exactly_once() {
         let cfg = CtbConfig { n: N, tail: T, fast_enabled: true, slow: SlowMode::Always };
-        let mut h = Harness::new(cfg);
+        let mut h = CtbNet::new(cfg);
         let k = h.broadcast(b"once");
         for r in 0..N {
             assert_eq!(h.delivered[r], vec![(k, b"once".to_vec())], "replica {r}");
@@ -891,7 +809,7 @@ mod tests {
 
     #[test]
     fn sequential_broadcasts_all_delivered_in_tail() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         for i in 0..10u8 {
             h.broadcast(&[i]);
         }
@@ -905,14 +823,13 @@ mod tests {
     #[test]
     fn fast_equivocation_never_delivers_conflicting() {
         // Byzantine broadcaster: LOCK m1 to r1, LOCK m2 to r2 under k=1.
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         let k = SeqId(1);
-        let mut queue = Vec::new();
         let out1 = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Lock { k, m: b"m1".to_vec() });
-        queue.extend(out1.into_iter().map(|e| (1usize, e)));
+        h.emit(1, out1);
         let out2 = h.ctbs[2].on_tb_deliver(rid(0), CtbWire::Lock { k, m: b"m2".to_vec() });
-        queue.extend(out2.into_iter().map(|e| (2usize, e)));
-        h.run(queue);
+        h.emit(2, out2);
+        h.run();
         // Unanimity is impossible: nobody delivers anything.
         for r in 0..N {
             assert!(h.delivered[r].is_empty(), "replica {r} delivered during equivocation");
@@ -924,20 +841,16 @@ mod tests {
         // Byzantine broadcaster signs two different messages for k=1 and
         // sends one to each receiver. Registers must prevent conflicting
         // deliveries.
-        let h_ring = ring();
-        let signer = h_ring.signer(ProcessId::Replica(rid(0))).unwrap();
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let k = SeqId(1);
         let m1 = b"m1".to_vec();
         let m2 = b"m2".to_vec();
-        let s1 = signer.sign(&signed_bytes(rid(0), k, &fingerprint(&m1)));
-        let s2 = signer.sign(&signed_bytes(rid(0), k, &fingerprint(&m2)));
+        let s1 = sign(&h, k, &m1);
+        let s2 = sign(&h, k, &m2);
         // r1 processes m1 fully first, then r2 receives m2.
-        let out = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m1.clone(), sig: s1 });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        deliver(&mut h, 1, CtbWire::Signed { k, m: m1.clone(), sig: s1 });
         assert_eq!(h.delivered[1], vec![(k, m1.clone())]);
-        let out = h.ctbs[2].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m2, sig: s2 });
-        h.run(out.into_iter().map(|e| (2usize, e)).collect());
+        deliver(&mut h, 2, CtbWire::Signed { k, m: m2, sig: s2 });
         // r2 found r1's conflicting valid entry: no delivery, equivocation
         // reported. Agreement holds.
         assert!(h.delivered[2].is_empty());
@@ -949,18 +862,14 @@ mod tests {
         // A Byzantine *receiver* (r2) plants a garbage entry in its own
         // register for slot k%t. r1's slow delivery must verify it, find the
         // signature invalid, and still deliver.
-        let h_ring = ring();
-        let signer = h_ring.signer(ProcessId::Replica(rid(0))).unwrap();
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let k = SeqId(1);
         let m = b"legit".to_vec();
-        let fp = fingerprint(&m);
-        let sig = signer.sign(&signed_bytes(rid(0), k, &fp));
+        let sig = sign(&h, k, &m);
         // r2 plants a forged conflicting entry.
         h.registers[2][k.ring_index(T)] =
             Some(RegEntry { k, fp: fingerprint(b"fake"), sig: Signature::garbage() });
-        let out = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m.clone(), sig });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        deliver(&mut h, 1, CtbWire::Signed { k, m: m.clone(), sig });
         assert_eq!(h.delivered[1], vec![(k, m)]);
         assert!(h.equivocations[1].is_empty());
     }
@@ -970,32 +879,25 @@ mod tests {
         // r1 holds back processing of k=1 while the broadcaster moves on to
         // k = 1 + T (same ring slot). When r1 finally reads the registers it
         // finds the newer entry and must drop k=1.
-        let h_ring = ring();
-        let signer = h_ring.signer(ProcessId::Replica(rid(0))).unwrap();
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let old_k = SeqId(1);
         let new_k = SeqId(1 + T as u64);
         let m_old = b"old".to_vec();
         let m_new = b"new".to_vec();
         let fp_new = fingerprint(&m_new);
-        let sig_new = signer.sign(&signed_bytes(rid(0), new_k, &fp_new));
+        let sig_new = sign(&h, new_k, &m_new);
         // r2 already processed new_k: its register holds the newer entry.
         h.registers[2][new_k.ring_index(T)] = Some(RegEntry { k: new_k, fp: fp_new, sig: sig_new });
-        let sig_old = signer.sign(&signed_bytes(rid(0), old_k, &fingerprint(&m_old)));
-        let out =
-            h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k: old_k, m: m_old, sig: sig_old });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        let sig_old = sign(&h, old_k, &m_old);
+        deliver(&mut h, 1, CtbWire::Signed { k: old_k, m: m_old, sig: sig_old });
         assert!(h.delivered[1].is_empty(), "out-of-tail message must not deliver");
     }
 
     #[test]
     fn invalid_signature_rejected() {
-        let mut h = Harness::new(cfg_slow());
-        let out = h.ctbs[1].on_tb_deliver(
-            rid(0),
-            CtbWire::Signed { k: SeqId(1), m: b"bad".to_vec(), sig: Signature::garbage() },
-        );
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        let mut h = CtbNet::new(cfg_slow());
+        let bad = CtbWire::Signed { k: SeqId(1), m: b"bad".to_vec(), sig: Signature::garbage() };
+        deliver(&mut h, 1, bad);
         assert!(h.delivered[1].is_empty());
     }
 
@@ -1004,13 +906,12 @@ mod tests {
     /// verifies the same frame as before.
     #[test]
     fn broadcaster_does_not_verify_the_signature_its_signer_produced() {
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let m = b"mine".to_vec();
         let (k, fx) = h.ctbs[0].broadcast(m.clone());
         let fp = fingerprint(&m);
         assert_eq!(fx, vec![CtbEffect::Sign { k, fp }]);
-        let sig =
-            ring().signer(ProcessId::Replica(rid(0))).unwrap().sign(&signed_bytes(rid(0), k, &fp));
+        let sig = sign(&h, k, &m);
         let signed = CtbWire::Signed { k, m: m.clone(), sig };
         assert_eq!(h.ctbs[0].on_sign_done(k, sig), vec![CtbEffect::Broadcast(signed.clone())]);
 
@@ -1031,45 +932,45 @@ mod tests {
     /// when the check fails.
     #[test]
     fn own_stream_signed_with_any_other_signature_is_never_trusted() {
-        let signer = ring().signer(ProcessId::Replica(rid(0))).unwrap();
         let verify_of = |fx: &[CtbEffect]| match fx {
             [CtbEffect::Verify { tag: VerifyTag::Signed { .. }, sig, .. }] => *sig,
             other => panic!("expected one verification, got {other:?}"),
         };
         let m = b"mine".to_vec();
-        let fp = fingerprint(&m);
 
         // Before the signer has answered nothing is known to be ours.
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let (k, _) = h.ctbs[0].broadcast(m.clone());
-        let sig = signer.sign(&signed_bytes(rid(0), k, &fp));
+        let sig = sign(&h, k, &m);
         let early = h.ctbs[0].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m.clone(), sig });
         assert_eq!(verify_of(&early), sig);
 
         // Another signature over our message: verified, fails, dropped.
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let (k, _) = h.ctbs[0].broadcast(m.clone());
         let _ = h.ctbs[0].on_sign_done(k, sig);
         let forged = CtbWire::Signed { k, m: m.clone(), sig: Signature::garbage() };
         let fx = h.ctbs[0].on_tb_deliver(rid(0), forged);
         assert_eq!(verify_of(&fx), Signature::garbage());
-        h.run(fx.into_iter().map(|e| (0usize, e)).collect());
+        h.emit(0, fx);
+        h.run();
         assert!(h.delivered[0].is_empty());
 
         // Our signature under another message: verified too.
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         let (k, _) = h.ctbs[0].broadcast(m);
         let _ = h.ctbs[0].on_sign_done(k, sig);
         let other = CtbWire::Signed { k, m: b"not mine".to_vec(), sig };
         let fx = h.ctbs[0].on_tb_deliver(rid(0), other);
         assert_eq!(verify_of(&fx), sig);
-        h.run(fx.into_iter().map(|e| (0usize, e)).collect());
+        h.emit(0, fx);
+        h.run();
         assert!(h.delivered[0].is_empty());
     }
 
     #[test]
     fn lock_from_non_broadcaster_ignored() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         let out =
             h.ctbs[1].on_tb_deliver(rid(2), CtbWire::Lock { k: SeqId(1), m: b"fake".to_vec() });
         assert!(out.is_empty());
@@ -1077,7 +978,7 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded_over_many_broadcasts() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         let mut peak = 0usize;
         for i in 0..200u32 {
             h.broadcast(&i.to_le_bytes());
@@ -1095,18 +996,15 @@ mod tests {
     fn fast_lock_forces_slow_path_value() {
         // r1 locked (k, m1) via the fast path; a signed (k, m2) must not
         // pass the line-28 check.
-        let h_ring = ring();
-        let signer = h_ring.signer(ProcessId::Replica(rid(0))).unwrap();
         let cfg = CtbConfig { n: N, tail: T, fast_enabled: true, slow: SlowMode::Never };
-        let mut h = Harness::new(cfg);
+        let mut h = CtbNet::new(cfg);
         let k = SeqId(1);
         let out = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Lock { k, m: b"m1".to_vec() });
         // Swallow the LOCKED broadcast: we only care about the lock.
         drop(out);
         let m2 = b"m2".to_vec();
-        let sig = signer.sign(&signed_bytes(rid(0), k, &fingerprint(&m2)));
-        let out = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m2, sig });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        let sig = sign(&h, k, &m2);
+        deliver(&mut h, 1, CtbWire::Signed { k, m: m2, sig });
         assert!(h.delivered[1].is_empty(), "conflicting slow value must be refused");
     }
 
@@ -1114,20 +1012,19 @@ mod tests {
     fn adopt_tail_mid_wraparound_refuses_stale_and_accepts_fresh() {
         // T = 4, adoption at k = 7: mid-ring (7 % 4 = 3), so the floors
         // straddle a wraparound — slots hold floors 6, 5, 4, 3.
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         for r in 0..N {
             h.ctbs[r].adopt_tail(SeqId(7));
         }
         assert_eq!(h.ctbs[0].next_seq(), SeqId(7));
         // A stale retransmission from before the adoption point (k = 5)
         // must never deliver, even with full unanimity.
-        let mut queue = Vec::new();
         for r in 0..N {
             let out = h.ctbs[r]
                 .on_tb_deliver(rid(0), CtbWire::Lock { k: SeqId(5), m: b"stale".to_vec() });
-            queue.extend(out.into_iter().map(|e| (r, e)));
+            h.emit(r, out);
         }
-        h.run(queue);
+        h.run();
         for r in 0..N {
             assert!(h.delivered[r].is_empty(), "replica {r} delivered a pre-adoption id");
         }
@@ -1141,7 +1038,7 @@ mod tests {
 
     #[test]
     fn adopt_tail_never_moves_backwards() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         for _ in 0..6 {
             h.broadcast(b"x");
         }
@@ -1157,31 +1054,26 @@ mod tests {
         // A joiner that adopted at k = 6 receives a valid *signed* message
         // for k = 5 (a pre-crash retransmission): the whole slow path runs
         // — verify, write, read — but delivery is refused at the floor.
-        let h_ring = ring();
-        let signer = h_ring.signer(ProcessId::Replica(rid(0))).unwrap();
-        let mut h = Harness::new(cfg_slow());
+        let mut h = CtbNet::new(cfg_slow());
         h.ctbs[1].adopt_tail(SeqId(6));
         let k = SeqId(5);
         let m = b"pre-crash".to_vec();
-        let sig = signer.sign(&signed_bytes(rid(0), k, &fingerprint(&m)));
-        let out = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k, m, sig });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        let sig = sign(&h, k, &m);
+        deliver(&mut h, 1, CtbWire::Signed { k, m, sig });
         assert!(h.delivered[1].is_empty(), "pre-adoption signed message must not deliver");
         // A post-adoption id on the same ring slot (5 % 4 == 1 == 9 % 4)
         // still delivers.
         let k2 = SeqId(9);
         let m2 = b"post-join".to_vec();
-        let sig2 = signer.sign(&signed_bytes(rid(0), k2, &fingerprint(&m2)));
-        let out =
-            h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k: k2, m: m2.clone(), sig: sig2 });
-        h.run(out.into_iter().map(|e| (1usize, e)).collect());
+        let sig2 = sign(&h, k2, &m2);
+        deliver(&mut h, 1, CtbWire::Signed { k: k2, m: m2.clone(), sig: sig2 });
         assert_eq!(h.delivered[1], vec![(k2, m2)]);
     }
 
     /// One fast-path round on stream 0 with only `responders` alive: each
     /// gets the broadcaster's LOCK and its LOCKED reaches the broadcaster.
     /// Returns what the broadcaster emitted on the way.
-    fn lock_round(h: &mut Harness, k: SeqId, m: &[u8], responders: &[usize]) -> Vec<CtbEffect> {
+    fn lock_round(h: &mut CtbNet, k: SeqId, m: &[u8], responders: &[usize]) -> Vec<CtbEffect> {
         let mut out = Vec::new();
         for &r in responders {
             let fx = h.ctbs[r].on_tb_deliver(rid(0), CtbWire::Lock { k, m: m.to_vec() });
@@ -1202,7 +1094,7 @@ mod tests {
 
     #[test]
     fn timeout_with_a_silent_receiver_signs_later_broadcasts_at_once() {
-        let mut h = Harness::new(CtbConfig::deployed(N, T));
+        let mut h = CtbNet::new(CtbConfig::deployed(N, T));
         let (k1, fx) = h.ctbs[0].broadcast(b"one".to_vec());
         assert_eq!((signs(&fx), arms(&fx)), (0, 1));
         // r2 is silent: no unanimity, the timeout fires and r2 is suspected.
@@ -1222,7 +1114,7 @@ mod tests {
 
     #[test]
     fn timer_firing_after_fast_delivery_suspects_nobody() {
-        let mut h = Harness::new(CtbConfig::deployed(N, T));
+        let mut h = CtbNet::new(CtbConfig::deployed(N, T));
         let (k1, _) = h.ctbs[0].broadcast(b"one".to_vec());
         let fx = lock_round(&mut h, k1, b"one", &[0, 1, 2]);
         assert_eq!(fx, vec![CtbEffect::Deliver { k: k1, payload: b"one".to_vec() }]);
@@ -1233,7 +1125,7 @@ mod tests {
 
     #[test]
     fn next_seq_and_accessors() {
-        let h = Harness::new(cfg_fast());
+        let h = CtbNet::new(cfg_fast());
         assert_eq!(h.ctbs[0].next_seq(), SeqId(1));
         assert_eq!(h.ctbs[0].stream(), rid(0));
         assert_eq!(h.ctbs[0].max_delivered(), SeqId(0));
@@ -1242,7 +1134,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "only the broadcaster")]
     fn non_broadcaster_cannot_broadcast() {
-        let mut h = Harness::new(cfg_fast());
+        let mut h = CtbNet::new(cfg_fast());
         let _ = h.ctbs[1].broadcast(b"nope".to_vec());
     }
 }

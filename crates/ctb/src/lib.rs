@@ -24,6 +24,7 @@
 //! transport, the register layer, and the crypto pool.
 
 pub mod ctbcast;
+pub mod harness;
 pub mod tbcast;
 pub mod wire;
 

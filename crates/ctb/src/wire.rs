@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use ubft_crypto::{sha256, Digest, Signature};
+use ubft_crypto::{sha256, Digest, KeyRing, Signature};
 use ubft_types::wire::{Wire, WireReader};
-use ubft_types::{CodecError, ReplicaId, SeqId};
+use ubft_types::{CodecError, ProcessId, ReplicaId, SeqId};
 
 /// Tag byte of a data frame on a TBcast lane.
 const TAG_DATA: u8 = 0;
@@ -191,6 +191,23 @@ pub fn signed_bytes(stream: ReplicaId, k: SeqId, fp: &Digest) -> Vec<u8> {
     k.encode(&mut buf);
     fp.encode(&mut buf);
     buf
+}
+
+/// `stream`'s broadcaster signature over [`signed_bytes`]`(stream, k, fp)`.
+pub fn sign_broadcast(ring: &KeyRing, stream: ReplicaId, k: SeqId, fp: &Digest) -> Signature {
+    let signer = ring.signer(ProcessId::Replica(stream)).expect("replica key");
+    signer.sign(&signed_bytes(stream, k, fp))
+}
+
+/// Whether `sig` is [`sign_broadcast`]`(ring, stream, k, fp)`.
+pub fn verify_broadcast(
+    ring: &KeyRing,
+    stream: ReplicaId,
+    k: SeqId,
+    fp: &Digest,
+    sig: &Signature,
+) -> bool {
+    ring.verify(ProcessId::Replica(stream), &signed_bytes(stream, k, fp), sig)
 }
 
 /// Raw bytes as a TBcast payload, for tests (`Vec<u8>` would add its own

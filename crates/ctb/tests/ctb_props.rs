@@ -4,84 +4,28 @@
 //! receivers never deliver different messages for the same identifier.
 
 use proptest::prelude::*;
-use ubft_crypto::KeyRing;
-use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode};
-use ubft_ctb::wire::{fingerprint, signed_bytes, CtbWire};
-use ubft_types::{ProcessId, ReplicaId, SeqId};
+use ubft_ctb::ctbcast::{CtbConfig, SlowMode};
+use ubft_ctb::harness::CtbNet;
+use ubft_ctb::wire::{fingerprint, sign_broadcast, CtbWire};
+use ubft_types::{ReplicaId, SeqId};
 
 const N: usize = 3;
-const T: usize = 4;
 
-struct World {
-    ctbs: Vec<Ctb>,
-    registers: Vec<Vec<Option<RegEntry>>>,
-    ring: KeyRing,
-    delivered: Vec<Vec<(SeqId, Vec<u8>)>>,
-    /// Pending effects per replica, executed in a fuzzed order.
-    pending: Vec<(usize, CtbEffect)>,
+/// Three receivers on the slow path only.
+fn world() -> CtbNet {
+    CtbNet::new(CtbConfig { n: N, tail: 4, fast_enabled: false, slow: SlowMode::Always })
 }
 
-impl World {
-    fn new() -> Self {
-        let replicas: Vec<ReplicaId> = (0..N as u32).map(ReplicaId).collect();
-        let cfg = CtbConfig { n: N, tail: T, fast_enabled: false, slow: SlowMode::Always };
-        World {
-            ctbs: replicas
-                .iter()
-                .map(|&me| Ctb::new(me, ReplicaId(0), replicas.clone(), cfg))
-                .collect(),
-            registers: vec![vec![None; T]; N],
-            ring: KeyRing::generate(3, (0..N as u32).map(|i| ProcessId::Replica(ReplicaId(i)))),
-            delivered: vec![Vec::new(); N],
-            pending: Vec::new(),
+/// Applies the pending move each entry of `schedule` picks (wrapped), then
+/// whatever is left in emission order.
+fn fuzz(w: &mut CtbNet, schedule: Vec<usize>) {
+    for idx in schedule {
+        if w.pending.is_empty() {
+            break;
         }
+        w.apply(idx % w.pending.len());
     }
-
-    fn push(&mut self, who: usize, fx: Vec<CtbEffect>) {
-        for e in fx {
-            self.pending.push((who, e));
-        }
-    }
-
-    /// Executes pending effect `idx` (wrapped); returns false when empty.
-    fn step(&mut self, idx: usize) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        let (who, e) = self.pending.remove(idx % self.pending.len());
-        match e {
-            CtbEffect::Broadcast(wire) => {
-                for r in 0..N {
-                    let out = self.ctbs[r].on_tb_deliver(ReplicaId(who as u32), wire.clone());
-                    self.push(r, out);
-                }
-            }
-            CtbEffect::Sign { .. } => {} // broadcaster signing handled by the test
-            CtbEffect::Verify { tag, k, fp, sig } => {
-                let ok = self.ring.verify(
-                    ProcessId::Replica(ReplicaId(0)),
-                    &signed_bytes(ReplicaId(0), k, &fp),
-                    &sig,
-                );
-                let out = self.ctbs[who].on_verify_done(tag, ok);
-                self.push(who, out);
-            }
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                self.registers[who][slot] = Some(entry);
-                let out = self.ctbs[who].on_register_written(k);
-                self.push(who, out);
-            }
-            CtbEffect::ReadSlot { slot, k } => {
-                let entries: Vec<Option<RegEntry>> =
-                    (0..N).map(|r| self.registers[r][slot].clone()).collect();
-                let out = self.ctbs[who].on_registers_read(k, entries);
-                self.push(who, out);
-            }
-            CtbEffect::Deliver { k, payload } => self.delivered[who].push((k, payload)),
-            CtbEffect::Equivocation { .. } | CtbEffect::ArmSlowTimer { .. } => {}
-        }
-        true
-    }
+    w.run();
 }
 
 proptest! {
@@ -92,25 +36,19 @@ proptest! {
     /// must hold for every schedule.
     #[test]
     fn agreement_under_equivocation(schedule in proptest::collection::vec(any::<usize>(), 1..200)) {
-        let mut w = World::new();
-        let signer = w.ring.signer(ProcessId::Replica(ReplicaId(0))).unwrap();
+        let mut w = world();
         let k = SeqId(1);
         let m1 = b"message-one".to_vec();
         let m2 = b"message-two".to_vec();
-        let s1 = signer.sign(&signed_bytes(ReplicaId(0), k, &fingerprint(&m1)));
-        let s2 = signer.sign(&signed_bytes(ReplicaId(0), k, &fingerprint(&m2)));
+        let s1 = sign_broadcast(&w.ring, ReplicaId(0), k, &fingerprint(&m1));
+        let s2 = sign_broadcast(&w.ring, ReplicaId(0), k, &fingerprint(&m2));
         // Receiver 1 gets m1, receiver 2 gets m2 (the equivocation).
         let out = w.ctbs[1].on_tb_deliver(ReplicaId(0), CtbWire::Signed { k, m: m1, sig: s1 });
-        w.push(1, out);
+        w.emit(1, out);
         let out = w.ctbs[2].on_tb_deliver(ReplicaId(0), CtbWire::Signed { k, m: m2, sig: s2 });
-        w.push(2, out);
+        w.emit(2, out);
         // Fuzzed interleaving, then drain deterministically.
-        for idx in schedule {
-            if !w.step(idx) {
-                break;
-            }
-        }
-        while w.step(0) {}
+        fuzz(&mut w, schedule);
         // Agreement: no two correct receivers deliver different payloads
         // for k.
         let payloads: Vec<&Vec<u8>> = w
@@ -129,22 +67,16 @@ proptest! {
     fn honest_broadcast_delivers_once_everywhere(
         schedule in proptest::collection::vec(any::<usize>(), 1..300),
     ) {
-        let mut w = World::new();
-        let signer = w.ring.signer(ProcessId::Replica(ReplicaId(0))).unwrap();
+        let mut w = world();
         let k = SeqId(1);
         let m = b"honest".to_vec();
-        let sig = signer.sign(&signed_bytes(ReplicaId(0), k, &fingerprint(&m)));
+        let sig = sign_broadcast(&w.ring, ReplicaId(0), k, &fingerprint(&m));
         for r in 0..N {
             let out =
                 w.ctbs[r].on_tb_deliver(ReplicaId(0), CtbWire::Signed { k, m: m.clone(), sig });
-            w.push(r, out);
+            w.emit(r, out);
         }
-        for idx in schedule {
-            if !w.step(idx) {
-                break;
-            }
-        }
-        while w.step(0) {}
+        fuzz(&mut w, schedule);
         for r in 0..N {
             prop_assert_eq!(
                 w.delivered[r].len(),

@@ -4,6 +4,13 @@
 //! are), timers collected and fired only when a test asks. No clock, no
 //! fabric, no threads — what is left is the driver, which is the code both
 //! real backends run.
+//!
+//! This is the move vocabulary of `ubft::harness` one layer up, and not
+//! built on it: `EngineNet` / `CtbNet` interpret effects in place of a
+//! driver, while here the driver under test does and the net sees only what
+//! leaves it through [`Substrate`] — no `match` over an effect anywhere.
+//! `pump` visits pairs round-robin, not in emission order, and the exact
+//! verification counts below (`[4 * 2, 3]` per request) assume that order.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -14,7 +21,7 @@ use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
 use ubft_core::msg::Reply;
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::{fingerprint, signed_bytes, CtbWire, TbFrame, TbWire};
+use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId};
@@ -59,12 +66,6 @@ struct FakeNet {
 }
 
 impl FakeNet {
-    fn sign(&self, stream: usize, k: SeqId, fp: &Digest) -> Signature {
-        let id = ReplicaId(stream as u32);
-        let signer = self.ring.signer(ProcessId::Replica(id)).expect("replica key");
-        signer.sign(&signed_bytes(id, k, fp))
-    }
-
     /// The equivocator's frame to `to`, as a Byzantine broadcaster that
     /// signs both versions would send it: a `SIGNED` carries what `to`'s
     /// `LOCK` said, under a valid signature.
@@ -77,7 +78,8 @@ impl FakeNet {
             }
             CtbWire::Signed { k, m, .. } => {
                 let told = self.told.get(&(to, k)).filter(|told| **told != m)?.clone();
-                let sig = self.sign(from, k, &fingerprint(&told));
+                let sig =
+                    sign_broadcast(&self.ring, ReplicaId(from as u32), k, &fingerprint(&told));
                 let forged = CtbWire::Signed { k, m: told, sig };
                 Some(TbWire::encode(seq, &forged, &mut Vec::new()).frame().to_vec())
             }
@@ -116,7 +118,8 @@ impl Substrate for FakeSubstrate<'_> {
     }
 
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
-        let done = CtbDone::Signed(k, self.net.sign(stream, k, &fp));
+        let sig = sign_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp);
+        let done = CtbDone::Signed(k, sig);
         self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
     }
 
@@ -129,9 +132,8 @@ impl Substrate for FakeSubstrate<'_> {
         sig: Signature,
         _: (),
     ) {
-        let id = ReplicaId(stream as u32);
         self.net.verifies[0] += 1;
-        let ok = self.net.ring.verify(ProcessId::Replica(id), &signed_bytes(id, k, &fp), &sig);
+        let ok = verify_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp, &sig);
         let done = CtbDone::Verified(tag, ok);
         self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
     }

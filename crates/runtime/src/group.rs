@@ -22,7 +22,7 @@ use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionR
 use ubft_core::msg::{exec_table_digest, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::signed_bytes;
+use ubft_ctb::wire::{sign_broadcast, verify_broadcast};
 use ubft_dmem::register::{
     ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
@@ -567,9 +567,7 @@ impl Substrate for SimSubstrate<'_, '_> {
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.ctb_signs += 1;
-        let signer =
-            env.ring.signer(ProcessId::Replica(ReplicaId(stream as u32))).expect("replica key");
-        let sig = signer.sign(&signed_bytes(ReplicaId(stream as u32), k, &fp));
+        let sig = sign_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp);
         env.push(
             self.sh,
             at + env.cfg.cost.sign_total(),
@@ -588,11 +586,7 @@ impl Substrate for SimSubstrate<'_, '_> {
     ) {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.ctb_verifies += 1;
-        let ok = env.ring.verify(
-            ProcessId::Replica(ReplicaId(stream as u32)),
-            &signed_bytes(ReplicaId(stream as u32), k, &fp),
-            &sig,
-        );
+        let ok = verify_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp, &sig);
         let done = at + env.cfg.cost.verify_total();
         env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Verified(tag, ok) });
     }

@@ -53,7 +53,7 @@ use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
 use ubft_core::msg::Reply;
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::{signed_bytes, TbWire};
+use ubft_ctb::wire::{sign_broadcast, verify_broadcast, TbWire};
 use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
@@ -286,16 +286,12 @@ fn spawn_crypto_workers(
                 let (node, done) = match pool.pop() {
                     PoolJob::Stop => break,
                     PoolJob::Sign { node, group, stream, k, fp } => {
-                        let id = ProcessId::Replica(ReplicaId(stream));
-                        let signer = rings[group].signer(id).expect("replica key");
-                        let sig = signer.sign(&signed_bytes(ReplicaId(stream), k, &fp));
+                        let sig = sign_broadcast(&rings[group], ReplicaId(stream), k, &fp);
                         let stream = stream as usize;
                         (node, CtlMsg::CtbDone { stream, done: CtbDone::Signed(k, sig) })
                     }
                     PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
-                        let id = ProcessId::Replica(ReplicaId(stream));
-                        let msg = signed_bytes(ReplicaId(stream), k, &fp);
-                        let ok = rings[group].verify(id, &msg, &sig);
+                        let ok = verify_broadcast(&rings[group], ReplicaId(stream), k, &fp, &sig);
                         let stream = stream as usize;
                         (node, CtlMsg::CtbDone { stream, done: CtbDone::Verified(tag, ok) })
                     }

@@ -169,3 +169,10 @@ pub use ubft_runtime as runtime;
 pub use ubft_sim as sim;
 pub use ubft_transport as transport;
 pub use ubft_types as types;
+
+/// The scripted harness: `n` engines ([`harness::EngineNet`]) or `n` CTBcast
+/// receivers ([`harness::CtbNet`]), every step a pending move somebody picks.
+pub mod harness {
+    pub use ubft_core::harness::*;
+    pub use ubft_ctb::harness::*;
+}

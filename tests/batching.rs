@@ -5,177 +5,23 @@
 //! change. Batching may only change *how many slots* carry the requests,
 //! never *what* the replicated application sees.
 
-use std::collections::VecDeque;
-
 use proptest::prelude::*;
 use ubft::apps::FlipApp;
 use ubft::core::app::App;
-use ubft::core::engine::{Effect, Engine, EngineConfig, PathMode, TimerKind};
-use ubft::core::msg::{CtbMsg, Request};
-use ubft::crypto::{Digest, KeyRing};
-use ubft::types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId};
+use ubft::core::engine::{EngineConfig, PathMode, TimerKind};
+use ubft::core::msg::CtbMsg;
+use ubft::crypto::Digest;
+use ubft::harness::EngineNet;
+use ubft::types::ClusterParams;
 
-/// A perfect-network synchronous harness (CTBcast ids in order, instant
-/// delivery), small enough to rerun hundreds of times under proptest.
-struct Net {
-    engines: Vec<Engine>,
-    apps: Vec<FlipApp>,
-    ctb_next: Vec<u64>,
-    /// Batch sizes of every PREPARE on the leader-of-view-0 stream.
-    proposed_batches: Vec<usize>,
-    executed: Vec<Vec<Vec<u8>>>,
-    timers: Vec<Vec<TimerKind>>,
-    crashed: Vec<bool>,
-    ring: KeyRing,
-    queue: VecDeque<(usize, Effect)>,
-}
+/// Perfect network, small enough to rerun hundreds of times under proptest.
+type Net = EngineNet<FlipApp>;
 
-impl Net {
-    fn new(max_batch: usize, pipeline_depth: usize) -> Self {
-        let params = ClusterParams::paper_default();
-        let n = params.n();
-        let ring = KeyRing::generate(5, (0..n as u32).map(|i| ProcessId::Replica(ReplicaId(i))));
-        let mut cfg = EngineConfig::new(params, PathMode::FastWithFallback);
-        cfg.max_batch = max_batch;
-        cfg.pipeline_depth = pipeline_depth;
-        let engines: Vec<Engine> =
-            (0..n as u32).map(|i| Engine::new(ReplicaId(i), cfg.clone(), ring.clone())).collect();
-        let mut net = Net {
-            engines,
-            apps: (0..n).map(|_| FlipApp::new()).collect(),
-            ctb_next: vec![1; n],
-            proposed_batches: Vec::new(),
-            executed: vec![Vec::new(); n],
-            timers: vec![Vec::new(); n],
-            crashed: vec![false; n],
-            ring,
-            queue: VecDeque::new(),
-        };
-        for i in 0..n {
-            let fx = net.engines[i].start();
-            net.enqueue(i, fx);
-        }
-        net.drain();
-        net
-    }
-
-    fn n(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Queues the effects of one call on engine `who`. The harness has no
-    /// crypto worker, so the call's crypto jobs run on the spot and their
-    /// completions are fed straight back.
-    fn enqueue(&mut self, who: usize, fx: Vec<Effect>) {
-        for e in fx {
-            self.queue.push_back((who, e));
-        }
-        let signer = self.ring.signer(ProcessId::Replica(ReplicaId(who as u32))).unwrap();
-        let jobs: Vec<_> = self.engines[who].take_crypto_jobs().collect();
-        for job in jobs {
-            let result = job.run(&signer, &self.ring);
-            let fx = self.engines[who].on_crypto_done(job.tag, result);
-            self.enqueue(who, fx);
-        }
-    }
-
-    fn drain(&mut self) {
-        let mut steps = 0;
-        while let Some((who, effect)) = self.queue.pop_front() {
-            steps += 1;
-            assert!(steps < 1_000_000, "effect loop diverged");
-            if self.crashed[who] {
-                continue;
-            }
-            match effect {
-                Effect::CtbBroadcast(msg) => {
-                    let k = SeqId(self.ctb_next[who]);
-                    self.ctb_next[who] += 1;
-                    if who == 0 {
-                        if let CtbMsg::Prepare(p) = &msg {
-                            self.proposed_batches.push(p.batch.len());
-                        }
-                    }
-                    for r in 0..self.n() {
-                        if self.crashed[r] {
-                            continue;
-                        }
-                        let fx =
-                            self.engines[r].on_ctb_deliver(ReplicaId(who as u32), k, msg.clone());
-                        self.enqueue(r, fx);
-                    }
-                }
-                Effect::TbBroadcast(msg) => {
-                    for r in 0..self.n() {
-                        if self.crashed[r] {
-                            continue;
-                        }
-                        let fx = self.engines[r].on_tb_deliver(ReplicaId(who as u32), msg.clone());
-                        self.enqueue(r, fx);
-                    }
-                }
-                Effect::SendReplica { to, msg } => {
-                    let r = to.0 as usize;
-                    if !self.crashed[r] {
-                        let fx = self.engines[r].on_direct(ReplicaId(who as u32), msg);
-                        self.enqueue(r, fx);
-                    }
-                }
-                Effect::Execute { slot: _, req } => {
-                    self.apps[who].execute(&req.payload);
-                    self.executed[who].push(req.payload);
-                }
-                Effect::RequestSnapshot { base } => {
-                    let digest = self.apps[who].snapshot_digest();
-                    let table = self.engines[who].exec_table();
-                    let exec_digest = ubft_core::msg::exec_table_digest(&table);
-                    let fx = self.engines[who].on_snapshot(base, digest, exec_digest);
-                    self.enqueue(who, fx);
-                }
-                Effect::ArmTimer { kind } => {
-                    self.timers[who].push(kind);
-                }
-                Effect::CheckpointAdopted { .. }
-                | Effect::ViewChanged { .. }
-                | Effect::ByzantineDetected { .. } => {}
-                // No crashes in the batching harness: state transfers and
-                // stream adoption never fire.
-                Effect::StateTransfer { .. } | Effect::AdoptStreams { .. } => {
-                    unreachable!("no replacements in the batching harness")
-                }
-            }
-        }
-    }
-
-    fn client_request_no_drain(&mut self, seq: u64, payload: Vec<u8>) {
-        let req = Request { id: RequestId::new(ClientId(1), seq), payload };
-        for r in 0..self.n() {
-            if self.crashed[r] {
-                continue;
-            }
-            let fx = self.engines[r].on_client_request(req.clone());
-            self.enqueue(r, fx);
-        }
-    }
-
-    /// Fires every armed timer matching `filter`; returns how many fired.
-    fn fire_timers(&mut self, filter: impl Fn(&TimerKind) -> bool) -> usize {
-        let mut fired = 0;
-        for r in 0..self.n() {
-            let kinds: Vec<TimerKind> = self.timers[r].drain(..).collect();
-            for k in kinds {
-                if filter(&k) {
-                    fired += 1;
-                    let fx = self.engines[r].on_timer(k);
-                    self.enqueue(r, fx);
-                } else {
-                    self.timers[r].push(k);
-                }
-            }
-        }
-        self.drain();
-        fired
-    }
+fn new_net(max_batch: usize, pipeline_depth: usize) -> Net {
+    let mut cfg = EngineConfig::new(ClusterParams::paper_default(), PathMode::FastWithFallback);
+    cfg.max_batch = max_batch;
+    cfg.pipeline_depth = pipeline_depth;
+    Net::new(cfg)
 }
 
 fn payload_for(i: u64) -> Vec<u8> {
@@ -196,35 +42,46 @@ struct Observed {
     slots_used: usize,
 }
 
-fn run_failure_free(n_requests: u64, max_batch: usize, pipeline_depth: usize) -> Observed {
-    let mut net = Net::new(max_batch, pipeline_depth);
-    for i in 0..n_requests {
-        net.client_request_no_drain(i, payload_for(i));
-    }
-    net.drain();
+/// What replicas `live` show of a finished run; batches are view 0's leader's.
+fn observe(net: &Net, live: std::ops::Range<usize>) -> Observed {
+    let size = |(stream, m): &(usize, CtbMsg)| match m {
+        CtbMsg::Prepare(p) if *stream == 0 => Some(p.batch.len()),
+        _ => None,
+    };
+    let batches: Vec<usize> = net.ctb_log.iter().filter_map(size).collect();
+    let payloads = |r: usize| net.executed[r].iter().map(|(_, req)| req.payload.clone()).collect();
     Observed {
-        executed: net.executed.clone(),
-        digests: net.apps.iter().map(|a| a.snapshot_digest()).collect(),
-        decided: net.engines.iter().map(|e| e.decided_count()).collect(),
-        max_batch_seen: net.proposed_batches.iter().copied().max().unwrap_or(0),
-        slots_used: net.proposed_batches.len(),
+        executed: live.clone().map(payloads).collect(),
+        digests: live.clone().map(|r| net.apps[r].snapshot_digest()).collect(),
+        decided: live.map(|r| net.engines[r].decided_count()).collect(),
+        max_batch_seen: batches.iter().copied().max().unwrap_or(0),
+        slots_used: batches.len(),
     }
 }
 
+fn run_failure_free(n_requests: u64, max_batch: usize, pipeline_depth: usize) -> Observed {
+    let mut net = new_net(max_batch, pipeline_depth);
+    for i in 0..n_requests {
+        net.client_request_no_drain(i, &payload_for(i));
+    }
+    net.run();
+    observe(&net, 0..3)
+}
+
 fn run_with_view_change(n_requests: u64, max_batch: usize, pipeline_depth: usize) -> Observed {
-    let mut net = Net::new(max_batch, pipeline_depth);
+    let mut net = new_net(max_batch, pipeline_depth);
     let half = n_requests / 2;
     for i in 0..half {
-        net.client_request_no_drain(i, payload_for(i));
+        net.client_request_no_drain(i, &payload_for(i));
     }
-    net.drain();
+    net.run();
     // Crash the leader of view 0 and push the rest of the load through the
     // view change; survivors decide via the slow path.
     net.crashed[0] = true;
     for i in half..n_requests {
-        net.client_request_no_drain(i, payload_for(i));
+        net.client_request_no_drain(i, &payload_for(i));
     }
-    net.drain();
+    net.run();
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     // Each decided slot lets the bounded pipeline propose the next batch,
@@ -234,14 +91,7 @@ fn run_with_view_change(n_requests: u64, max_batch: usize, pipeline_depth: usize
             break;
         }
     }
-    let live: Vec<usize> = (1..net.n()).collect();
-    Observed {
-        executed: live.iter().map(|&r| net.executed[r].clone()).collect(),
-        digests: live.iter().map(|&r| net.apps[r].snapshot_digest()).collect(),
-        decided: live.iter().map(|&r| net.engines[r].decided_count()).collect(),
-        max_batch_seen: net.proposed_batches.iter().copied().max().unwrap_or(0),
-        slots_used: net.proposed_batches.len(),
-    }
+    observe(&net, 1..3)
 }
 
 proptest! {

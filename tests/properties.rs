@@ -3,14 +3,15 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use ubft::harness::CtbNet;
 use ubft_crypto::checksum64;
-use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode};
-use ubft_ctb::wire::signed_bytes;
+use ubft_ctb::ctbcast::{CtbConfig, CtbEffect, SlowMode};
+use ubft_ctb::wire::CtbWire;
 use ubft_types::wire::{decode_seq, encode_seq, Wire, WireReader};
-use ubft_types::{ProcessId, ReplicaId, SeqId, Slot, View};
+use ubft_types::{ReplicaId, SeqId, Slot, View};
 
 /// Drives `N` CTBcast receivers through an adversarially scheduled run:
-/// the pending effect pool is processed in an order chosen by `choices`,
+/// the pending moves are applied in an order chosen by `choices`,
 /// fast-path `LOCKED` echoes may be dropped per `drops`, and the slow path
 /// (always-signed) shares one mutable register array — modelling concurrent
 /// register access between receivers in different stages.
@@ -23,79 +24,36 @@ fn adversarial_ctb_run(
     drops: &[bool],
 ) -> Vec<HashMap<u64, Vec<u8>>> {
     const N: usize = 3;
-    let replicas: Vec<ReplicaId> = (0..N as u32).map(ReplicaId).collect();
-    let ring =
-        ubft_crypto::KeyRing::generate(7, (0..N as u32).map(|i| ProcessId::Replica(ReplicaId(i))));
     let cfg = CtbConfig { n: N, tail, fast_enabled: true, slow: SlowMode::Always };
-    let mut ctbs: Vec<Ctb> =
-        replicas.iter().map(|&me| Ctb::new(me, ReplicaId(0), replicas.clone(), cfg)).collect();
-    let mut registers: Vec<Vec<Option<RegEntry>>> = vec![vec![None; tail]; N];
-    let mut delivered: Vec<HashMap<u64, Vec<u8>>> = vec![HashMap::new(); N];
-
-    // Pending effect pool: (acting replica, effect).
-    let mut pending: Vec<(usize, CtbEffect)> = Vec::new();
+    let mut net = CtbNet::new(cfg);
     for i in 0..n_msgs {
-        let (_, fx) = ctbs[0].broadcast(vec![i as u8; 3]);
-        pending.extend(fx.into_iter().map(|e| (0usize, e)));
+        let (_, fx) = net.ctbs[0].broadcast(vec![i as u8; 3]);
+        net.emit(0, fx);
     }
     let mut step = 0usize;
-    while !pending.is_empty() {
-        let pick =
-            choices.get(step % choices.len().max(1)).copied().unwrap_or(0) as usize % pending.len();
+    while !net.pending.is_empty() {
+        let choice = choices.get(step % choices.len().max(1)).copied().unwrap_or(0);
+        let pick = choice as usize % net.pending.len();
         step += 1;
         assert!(step < 200_000, "adversarial schedule diverged");
-        let (who, effect) = pending.swap_remove(pick);
-        match effect {
-            CtbEffect::Broadcast(wire) => {
-                let is_locked = matches!(wire, ubft_ctb::wire::CtbWire::Locked { .. });
-                for (r, ctb) in ctbs.iter_mut().enumerate() {
-                    // The adversary may drop fast-path LOCKED echoes (the
-                    // network owes nothing to the fast path); LOCK and
-                    // SIGNED frames arrive eventually per TBcast.
-                    let dropped = is_locked
-                        && r != who
-                        && drops.get((step + r) % drops.len().max(1)).copied().unwrap_or(false);
-                    if dropped {
-                        continue;
-                    }
-                    let fx = ctb.on_tb_deliver(ReplicaId(who as u32), wire.clone());
-                    pending.extend(fx.into_iter().map(|e| (r, e)));
-                }
-            }
-            CtbEffect::Sign { k, fp } => {
-                let signer = ring.signer(ProcessId::Replica(ReplicaId(0))).expect("key");
-                let sig = signer.sign(&signed_bytes(ReplicaId(0), k, &fp));
-                let fx = ctbs[who].on_sign_done(k, sig);
-                pending.extend(fx.into_iter().map(|e| (who, e)));
-            }
-            CtbEffect::Verify { tag, k, fp, sig } => {
-                let ok = ring.verify(
-                    ProcessId::Replica(ReplicaId(0)),
-                    &signed_bytes(ReplicaId(0), k, &fp),
-                    &sig,
-                );
-                let fx = ctbs[who].on_verify_done(tag, ok);
-                pending.extend(fx.into_iter().map(|e| (who, e)));
-            }
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                registers[who][slot] = Some(entry);
-                let fx = ctbs[who].on_register_written(k);
-                pending.extend(fx.into_iter().map(|e| (who, e)));
-            }
-            CtbEffect::ReadSlot { slot, k } => {
-                let entries: Vec<Option<RegEntry>> =
-                    (0..N).map(|r| registers[r][slot].clone()).collect();
-                let fx = ctbs[who].on_registers_read(k, entries);
-                pending.extend(fx.into_iter().map(|e| (who, e)));
-            }
-            CtbEffect::Deliver { k, payload } => {
-                let prev = delivered[who].insert(k.0, payload);
-                assert!(prev.is_none(), "duplicate delivery of {k:?} at {who}");
-            }
-            CtbEffect::Equivocation { .. } => {
-                panic!("honest broadcaster reported as equivocating");
-            }
-            CtbEffect::ArmSlowTimer { .. } => {}
+        // The adversary may drop fast-path LOCKED echoes (the network owes
+        // nothing to the fast path); LOCK and SIGNED frames arrive
+        // eventually per TBcast.
+        let m = &net.pending[pick];
+        let echo =
+            matches!(m.effect, CtbEffect::Broadcast(CtbWire::Locked { .. })) && m.to != m.from;
+        if echo && drops.get((step + m.to) % drops.len().max(1)).copied().unwrap_or(false) {
+            net.drop_move(pick);
+        } else {
+            net.apply(pick);
+        }
+    }
+    assert!(net.equivocations.iter().all(Vec::is_empty), "honest broadcaster reported");
+    let mut delivered: Vec<HashMap<u64, Vec<u8>>> = vec![HashMap::new(); N];
+    for (r, log) in net.delivered.into_iter().enumerate() {
+        for (k, payload) in log {
+            let prev = delivered[r].insert(k.0, payload);
+            assert!(prev.is_none(), "duplicate delivery of {k:?} at {r}");
         }
     }
     delivered
