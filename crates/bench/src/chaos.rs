@@ -67,7 +67,7 @@ fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
     let report = cluster.run_until(REQUESTS, 0, run_deadline());
     cluster.settle(Duration::from_millis(3));
     let audit = cluster.audit_report().expect("audited run");
-    (audit, report.aggregate.completed)
+    (audit, report.completed)
 }
 
 /// What one exploration found.

@@ -638,12 +638,12 @@ pub fn shard_sweep(samples: u64) -> String {
             ShardedCluster::new(cfg, |_| make_apps("redis", n), make_workload("redis", 32));
         let report = sharded.run(samples * g as u64, WARMUP);
         let mem = MemoryReport::measure_sharded(&sharded);
-        let kreq = report.aggregate.completed as f64
-            / report.aggregate.end.since(ubft_types::Time::ZERO).as_micros_f64()
+        let kreq = report.completed as f64
+            / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
             * 1_000.0;
-        let mut agg = report.aggregate.latency;
+        let mut agg = report.latency;
         let (mut p50s, mut p99s) = (Vec::new(), Vec::new());
-        for shard in report.shards {
+        for shard in report.groups {
             let mut lat = shard.latency;
             if !lat.is_empty() {
                 p50s.push(us(lat.percentile(50.0)));

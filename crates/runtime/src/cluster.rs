@@ -14,11 +14,14 @@
 //! `G` times over one shared fabric.
 
 use ubft_core::app::App;
+use ubft_crypto::Digest;
 use ubft_sim::stats::LatencyStats;
-use ubft_types::{Time, View};
+use ubft_types::{ClientId, Time, View};
 
-use crate::calibration::SimConfig;
+use crate::audit::AuditReport;
+use crate::calibration::{Backend, SimConfig};
 use crate::group::Deployment;
+use crate::node::ReplicaNode;
 
 /// Counts of primitive operations during a run (drives the Figure 9
 /// breakdown and sanity assertions like "the fast path signs nothing").
@@ -62,23 +65,131 @@ impl OpCounters {
     }
 }
 
-/// The outcome of a run.
+/// One replica's end-of-run state.
+#[derive(Clone, Debug)]
+pub struct ReplicaReport {
+    /// Individual requests decided (batch contents counted).
+    pub decided: u64,
+    /// Application state digest when the report was taken.
+    pub app_digest: Digest,
+    /// Every non-noop request executed since the previous report, in
+    /// execution order — compared between the backends by the
+    /// backend-equivalence suite.
+    pub executed: Vec<(ClientId, u64)>,
+    /// The view the replica ended in (0 = no view change ever fired).
+    pub final_view: u64,
+    /// Certified state transfers the engine requested that found no
+    /// snapshot to restore (the threaded backend keeps none, so there
+    /// nonzero means the run was overloaded enough for a replica to fall a
+    /// whole window behind).
+    pub transfer_misses: u64,
+    /// Peers this replica branded Byzantine: (culprit, why).
+    pub branded: Vec<(u32, String)>,
+}
+
+impl ReplicaReport {
+    /// What `node` has to report; takes its execution log.
+    pub(crate) fn of<A: App + ?Sized>(node: &mut ReplicaNode<A>) -> Self {
+        ReplicaReport {
+            decided: node.engine.decided_count(),
+            app_digest: node.app.snapshot_digest(),
+            executed: std::mem::take(&mut node.exec_log),
+            final_view: node.engine.view().0,
+            transfer_misses: node.transfer_misses,
+            branded: node.branded.clone(),
+        }
+    }
+}
+
+/// One consensus group's share of a run.
+#[derive(Clone, Debug, Default)]
+pub struct GroupReport {
+    /// Completions this group's clients contributed (including warmup).
+    pub completed: u64,
+    /// Latency samples of this group's measured completions.
+    pub latency: LatencyStats,
+    /// Primitive operation counts (all zero on [`Backend::Threads`], which
+    /// meters nothing).
+    pub counters: OpCounters,
+    /// Final view of each replica: `replicas[r].final_view` as a [`View`],
+    /// under the name `bench/` reads ([`RunReport`]'s constructor fills it
+    /// in).
+    pub views: Vec<View>,
+    /// The deployment's audit verdict restricted to this group's
+    /// violations ([`AuditReport::for_group`]).
+    pub audit: Option<AuditReport>,
+    /// Per-replica state, in replica order.
+    pub replicas: Vec<ReplicaReport>,
+}
+
+/// The outcome of a run, on either backend.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Per-request end-to-end latency samples (post-warmup).
-    pub latency: LatencyStats,
-    /// Primitive operation counts.
-    pub counters: OpCounters,
-    /// Requests completed (including warmup).
+    /// Requests completed across all groups (including warmup).
     pub completed: u64,
-    /// Virtual time at the end of the run.
+    /// Per-request end-to-end latency samples (post-warmup), pooled across
+    /// groups: virtual time on [`Backend::Sim`], wall time on
+    /// [`Backend::Threads`].
+    pub latency: LatencyStats,
+    /// Primitive operation counts, summed across groups.
+    pub counters: OpCounters,
+    /// When the run ended, on the clock `latency` is measured on: virtual
+    /// time in the simulator, wall time since launch on threads.
     pub end: Time,
-    /// Final view of each replica.
+    /// `end` since [`Time::ZERO`], as the host's duration type.
+    pub elapsed: std::time::Duration,
+    /// Final view of each replica, every group's in group order.
     pub views: Vec<View>,
     /// The safety auditor's verdict, when the run was configured with
     /// [`SimConfig::with_audit`]; `None` otherwise. Violations are data,
     /// not panics — tests assert `is_clean()`, the chaos explorer shrinks.
-    pub audit: Option<crate::audit::AuditReport>,
+    pub audit: Option<AuditReport>,
+    /// Which backend produced this report.
+    pub backend: Backend,
+    /// Per-group breakdown; with one group it repeats the fields above.
+    pub groups: Vec<GroupReport>,
+}
+
+impl RunReport {
+    /// The whole-deployment report over `groups`, whose `views` it derives:
+    /// completions and counters summed, views concatenated, each group's
+    /// samples copied once.
+    pub(crate) fn of_groups(
+        mut groups: Vec<GroupReport>,
+        end: Time,
+        audit: Option<AuditReport>,
+        backend: Backend,
+    ) -> Self {
+        let mut latency = LatencyStats::new();
+        let mut counters = OpCounters::default();
+        let mut views = Vec::new();
+        for g in &mut groups {
+            g.views = g.replicas.iter().map(|r| View(r.final_view)).collect();
+            latency.absorb(g.latency.clone());
+            counters.merge(&g.counters);
+            views.extend(&g.views);
+        }
+        RunReport {
+            completed: groups.iter().map(|g| g.completed).sum(),
+            latency,
+            counters,
+            end,
+            elapsed: std::time::Duration::from_nanos(end.as_nanos()),
+            views,
+            audit,
+            backend,
+            groups,
+        }
+    }
+
+    /// Throughput in thousands of requests per second over `elapsed`.
+    pub fn kreq_per_sec(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs <= 0.0 {
+            return 0.0;
+        }
+        self.completed as f64 / secs / 1_000.0
+    }
 }
 
 /// A full single-group uBFT cluster simulation.
@@ -111,7 +222,7 @@ impl Cluster {
 
     /// The application state digest of replica `r` (safety assertions in
     /// tests: correct replicas that executed the same prefix must agree).
-    pub fn app_digest(&self, r: usize) -> ubft_crypto::Digest {
+    pub fn app_digest(&self, r: usize) -> Digest {
         self.dep.groups[0].nodes[r].app.snapshot_digest()
     }
 
@@ -164,17 +275,7 @@ impl Cluster {
     /// requested number of operations (the panic message carries per-replica
     /// protocol diagnostics).
     pub fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
-        let deadline = self.dep.groups[0].env.cfg.stall_deadline(requests + warmup);
-        let report = self.run_until(requests, warmup, deadline);
-        assert!(
-            report.completed >= requests + warmup,
-            "run stalled at {}/{} completed requests (t = {})\n{}",
-            report.completed,
-            requests + warmup,
-            self.dep.now,
-            self.diag_lines(),
-        );
-        report
+        self.dep.run(requests, warmup)
     }
 
     /// Per-replica protocol diagnostics, one line each.
@@ -186,8 +287,7 @@ impl Cluster {
     /// time exceeds `deadline`, so stalls are observable instead of fatal.
     pub fn run_until(&mut self, requests: u64, warmup: u64, deadline: Time) -> RunReport {
         self.dep.run_loop(requests, warmup, deadline);
-        let audit = self.dep.audit_report();
-        self.dep.aggregate_report(audit)
+        self.dep.report()
     }
 
     /// Drains in-flight work for `extra` more virtual time after a run:
@@ -195,7 +295,9 @@ impl Cluster {
     /// lands, at which point lagging replicas (most notably a freshly
     /// replaced one) may still hold undelivered messages. Settling lets
     /// them catch up so post-run state assertions (digests, `exec_next`)
-    /// compare fully converged replicas. No new requests are issued.
+    /// compare fully converged replicas. No client issues once the run's
+    /// target is met; a request still in flight (another client's, when
+    /// there are several) is retransmitted, and counted if it completes.
     pub fn settle(&mut self, extra: ubft_types::Duration) {
         self.dep.settle(extra);
     }
@@ -211,7 +313,7 @@ impl Cluster {
     /// (`None` unless the run was configured with
     /// [`SimConfig::with_audit`]). Idempotent; call again after
     /// [`Cluster::settle`] to audit the drained tail too.
-    pub fn audit_report(&mut self) -> Option<crate::audit::AuditReport> {
+    pub fn audit_report(&mut self) -> Option<AuditReport> {
         self.dep.audit_report()
     }
 }
@@ -318,13 +420,12 @@ mod tests {
             Cluster::new(cfg, flip_apps(3), payload32()).run(200, 20)
         };
         assert_eq!(two.completed, 220);
-        let tput = |r: &RunReport| r.completed as f64 / r.end.since(Time::ZERO).as_nanos() as f64;
         // Two in-flight slots must yield clearly more than one slot's
         // throughput (the paper reports ~2x, §9).
         assert!(
-            tput(&two) > 1.5 * tput(&one),
+            two.kreq_per_sec() > 1.5 * one.kreq_per_sec(),
             "interleaving gained only {:.2}x",
-            tput(&two) / tput(&one)
+            two.kreq_per_sec() / one.kreq_per_sec()
         );
     }
 
@@ -351,11 +452,10 @@ mod tests {
         // Safety first: correct replicas agree among themselves in each run.
         assert!(d1.windows(2).all(|w| w[0] == w[1]));
         assert!(d16.windows(2).all(|w| w[0] == w[1]));
-        let tput = |r: &RunReport| r.completed as f64 / r.end.since(Time::ZERO).as_nanos() as f64;
         assert!(
-            tput(&batched) > 1.3 * tput(&unbatched),
+            batched.kreq_per_sec() > 1.3 * unbatched.kreq_per_sec(),
             "batching gained only {:.2}x",
-            tput(&batched) / tput(&unbatched)
+            batched.kreq_per_sec() / unbatched.kreq_per_sec()
         );
     }
 

@@ -3,7 +3,8 @@
 //! registers completed on the spot (their results queued as the inputs they
 //! are), timers collected and fired only when a test asks. No clock, no
 //! fabric, no threads — what is left is the driver, which is the code both
-//! real backends run.
+//! real backends run. Below it, the other thing both backends run — a
+//! group's `ClientLoop` — on a scripted `ClientPort` of its own.
 //!
 //! This is the move vocabulary of `ubft::harness` one layer up, and not
 //! built on it: `EngineNet` / `CtbNet` interpret effects in place of a
@@ -12,21 +13,24 @@
 //! `pump` visits pairs round-robin, not in emission order, and the exact
 //! verification counts below (`[4 * 2, 3]` per request) assume that order.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
-use ubft_core::msg::Reply;
+use ubft_core::msg::{Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Time};
 
 use crate::calibration::SimConfig;
+use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// A completion waiting to re-enter the node that started the work.
@@ -356,4 +360,213 @@ fn an_equivocating_lock_is_branded() {
         assert!(why.contains("equivocation"), "branded for {why}");
     }
     assert!(cluster.nodes[1..].iter().all(|nd| nd.exec_log.is_empty()));
+}
+
+// ----------------------------------------------------------------------
+// The client loop alone, on a scripted port
+// ----------------------------------------------------------------------
+
+/// A scripted [`ClientPort`]: records what the loop sends and arms, and
+/// holds the clock and the deployment-wide completion count for a test to
+/// move.
+#[derive(Default)]
+struct FakePort {
+    /// `(client, request, replicas addressed)` per send.
+    sent: Vec<(usize, RequestId, usize)>,
+    /// `(client, timer, after)` per armed timer.
+    armed: Vec<(usize, ClientTimer, Duration)>,
+    now: Time,
+    completed: u64,
+}
+
+impl ClientPort for FakePort {
+    fn send(&mut self, c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
+        let req = Request::from_bytes(bytes).expect("an encoded request");
+        self.sent.push((c, req.id, replicas.len()));
+    }
+
+    fn arm(&mut self, c: usize, timer: ClientTimer, after: Duration) {
+        self.armed.push((c, timer, after));
+    }
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    fn complete(&mut self) -> u64 {
+        self.completed += 1;
+        self.completed
+    }
+}
+
+/// Two clients of a three-replica group on a [`FakePort`], fed by a source
+/// that counts its pulls and runs dry while `dry` is set.
+struct LoopRig {
+    clients: ClientLoop,
+    port: FakePort,
+    pulls: Rc<Cell<u64>>,
+    dry: Rc<Cell<bool>>,
+}
+
+impl LoopRig {
+    fn new(requests: u64, warmup: u64) -> Self {
+        let (pulls, dry) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(false)));
+        let (pulled, is_dry) = (Rc::clone(&pulls), Rc::clone(&dry));
+        let source = move |_| {
+            pulled.set(pulled.get() + 1);
+            (!is_dry.get()).then(|| payload(pulled.get()))
+        };
+        let cfg = SimConfig::paper_default(1).with_clients(2);
+        let (_ring, mut clients) = ClientLoop::bootstrap(&cfg, 0, Box::new(source) as Box<_>);
+        clients.begin(requests, warmup);
+        LoopRig { clients, port: FakePort::default(), pulls, dry }
+    }
+
+    fn fire(&mut self, c: usize, timer: ClientTimer) {
+        self.clients.on_timer(&mut self.port, c, timer);
+    }
+
+    /// The request the loop sent last.
+    fn in_flight(&self) -> RequestId {
+        self.port.sent.last().expect("a request was sent").1
+    }
+
+    fn reply(&mut self, id: RequestId, replica: u32) {
+        let reply = Reply { id, replica: ReplicaId(replica), payload: vec![1] };
+        self.clients.on_reply(&mut self.port, &reply.to_bytes());
+    }
+
+    /// `f + 1` matching replies to `id`.
+    fn complete(&mut self, id: RequestId) {
+        self.reply(id, 0);
+        self.reply(id, 1);
+    }
+
+    /// What was armed since the last call.
+    fn armed(&mut self) -> Vec<(usize, ClientTimer, Duration)> {
+        std::mem::take(&mut self.port.armed)
+    }
+}
+
+/// An empty source is re-asked after 5, 10, … µs, never more than × 256
+/// apart, and from 5 µs again once it has yielded a request.
+#[test]
+fn an_idle_client_backs_off_to_a_ceiling_and_resets_on_a_request() {
+    let mut rig = LoopRig::new(10, 0);
+    rig.dry.set(true);
+    for step in 0..11 {
+        rig.fire(0, ClientTimer::Issue);
+        let after = Duration::from_micros(5 << step.min(8));
+        assert_eq!(rig.armed(), [(0, ClientTimer::Issue, after)], "empty pull {step}");
+    }
+    assert_eq!((rig.pulls.get(), rig.port.sent.len()), (11, 0));
+
+    rig.dry.set(false);
+    rig.fire(0, ClientTimer::Issue);
+    let id = rig.in_flight();
+    assert_eq!(rig.port.sent, [(0, id, 3)], "one request, to all three replicas");
+    assert!(matches!(rig.armed()[..], [(0, ClientTimer::Retry(armed), _)] if armed == id));
+
+    rig.dry.set(true);
+    rig.complete(id);
+    assert_eq!(rig.armed(), [(0, ClientTimer::Issue, Duration::ZERO)], "re-issue at once");
+    rig.fire(0, ClientTimer::Issue);
+    assert_eq!(rig.armed(), [(0, ClientTimer::Issue, Duration::from_micros(5))]);
+}
+
+/// A retransmission check re-sends and re-arms while its request is in
+/// flight, and does neither once the request completed.
+#[test]
+fn a_retry_resends_only_while_its_request_is_in_flight() {
+    let mut rig = LoopRig::new(10, 0);
+    rig.fire(1, ClientTimer::Issue);
+    let id = rig.in_flight();
+    let [(1, retry, period)] = rig.armed()[..] else { panic!("one retry timer per issue") };
+    assert_eq!(retry, ClientTimer::Retry(id));
+
+    rig.fire(1, retry);
+    assert_eq!(rig.port.sent, [(1, id, 3), (1, id, 3)], "the same request again");
+    assert_eq!(rig.armed(), [(1, retry, period)]);
+
+    rig.complete(id);
+    rig.armed();
+    rig.fire(1, retry);
+    assert_eq!(rig.port.sent.len(), 2, "a completed request was retransmitted");
+    assert!(rig.armed().is_empty(), "a completed request's retry re-armed");
+    // Nor does the stale check touch the client's next request.
+    rig.fire(1, ClientTimer::Issue);
+    rig.armed();
+    rig.fire(1, retry);
+    assert_eq!(rig.port.sent.len(), 3);
+    assert!(rig.armed().is_empty());
+}
+
+/// The first `warmup` completions, counted deployment-wide, are not
+/// measured; later ones record the time since their issue.
+#[test]
+fn warmup_completions_leave_the_latency_distribution_empty() {
+    let mut rig = LoopRig::new(2, 2);
+    // Another group's client completed one of the warm-up requests.
+    rig.port.completed = 1;
+    for (measured, took) in [(0, 7), (1, 9), (2, 11)] {
+        rig.fire(0, ClientTimer::Issue);
+        rig.port.now += Duration::from_micros(took);
+        rig.complete(rig.in_flight());
+        assert_eq!(rig.clients.latency.len(), measured);
+    }
+    assert_eq!(rig.clients.completed, 3);
+    assert_eq!(rig.port.completed, 4);
+    assert_eq!(rig.clients.latency.sorted_samples(), [9, 11].map(Duration::from_micros));
+}
+
+/// Once the deployment has completed what the run is after, a client's
+/// `Issue` timer — a starved shard's back-off poll — neither pulls the
+/// source nor sends, and the last completion arms nothing.
+#[test]
+fn nothing_is_pulled_or_issued_at_the_target() {
+    let mut rig = LoopRig::new(1, 0);
+    rig.dry.set(true);
+    rig.fire(1, ClientTimer::Issue);
+    rig.dry.set(false);
+    rig.fire(0, ClientTimer::Issue);
+    rig.armed();
+    rig.complete(rig.in_flight());
+    assert!(rig.armed().is_empty(), "the completion that met the target re-issued");
+
+    let pulls = rig.pulls.get();
+    for c in [0, 1] {
+        rig.fire(c, ClientTimer::Issue);
+    }
+    assert_eq!(rig.pulls.get(), pulls, "the source was pulled past the target");
+    assert_eq!(rig.port.sent.len(), 1);
+    assert!(rig.armed().is_empty());
+}
+
+/// One rule for whose reply it is — the client the reply names: a client
+/// the group does not have, an id no longer (or not yet) in flight and a
+/// replica's second vote complete nothing.
+#[test]
+fn stray_replies_complete_nothing() {
+    let mut rig = LoopRig::new(10, 0);
+    rig.fire(0, ClientTimer::Issue);
+    let id = rig.in_flight();
+    rig.armed();
+
+    rig.reply(RequestId::new(ClientId(2), id.seq), 0);
+    rig.reply(RequestId::new(ClientId(1), id.seq), 0);
+    rig.reply(RequestId::new(id.client, id.seq + 1), 0);
+    rig.clients.on_reply(&mut rig.port, b"not a reply");
+    rig.reply(id, 0);
+    rig.reply(id, 0);
+    assert_eq!((rig.clients.completed, rig.port.completed), (0, 0));
+    assert!(rig.armed().is_empty());
+
+    rig.reply(id, 2);
+    assert_eq!((rig.clients.completed, rig.port.completed), (1, 1));
+    rig.reply(id, 1);
+    assert_eq!(rig.clients.completed, 1, "a reply to a completed request counted");
 }

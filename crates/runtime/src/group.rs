@@ -7,9 +7,10 @@
 //! their effects, shared with the threaded backend — and the [`SimEnv`]
 //! they run in: the simulated machines (cost cursors, crash flags,
 //! retained snapshots), the channel lanes between them, the group's
-//! partition of the SWMR register banks, fault injection, and its
-//! closed-loop clients. [`SimSubstrate`] is the [`Substrate`] a node sees
-//! while one event is handled. The fabric and the event queue are *not*
+//! partition of the SWMR register banks and fault injection — beside the
+//! group's [`ClientLoop`], the closed-loop clients both backends share.
+//! [`SimSubstrate`] is the [`Substrate`] a node sees while one event is
+//! handled, [`SimClientPort`] the [`ClientPort`] the clients see. The fabric and the event queue are *not*
 //! the group's: those are shared deployment-wide so that many groups can
 //! ride one RDMA network and one set of passive memory nodes (the paper's
 //! scale-out story). Every event in the shared queue is tagged with the
@@ -17,9 +18,8 @@
 //! mapped into the global `HostId` space via each group's host-block base.
 
 use ubft_core::app::App;
-use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect};
-use ubft_core::msg::{exec_table_digest, Reply, Request};
+use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast};
@@ -29,17 +29,17 @@ use ubft_dmem::register::{
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
 use ubft_sim::net::NetworkModel;
-use ubft_sim::stats::LatencyStats;
 use ubft_sim::{EventQueue, HostId, SimRng};
 use ubft_transport::channel::ChannelSpec;
 use ubft_transport::net::SendReport;
 use ubft_transport::sim_link::SimLinkTransport;
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time, View};
+use ubft_types::{Duration, ProcessId, ReplicaId, SeqId, Slot, Time};
 
 use crate::audit::{AuditMutation, AuditReport, Auditor};
-use crate::calibration::SimConfig;
-use crate::cluster::{OpCounters, RunReport};
+use crate::calibration::{Backend, SimConfig};
+use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
+use crate::cluster::{GroupReport, OpCounters, ReplicaReport, RunReport};
 use crate::node::{CtbDone, ExecTable, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// Simulation events. All indices are group-local; the queue tags each
@@ -66,17 +66,10 @@ pub(crate) enum Ev {
         stream: usize,
         done: CtbDone,
     },
-    ClientIssue {
+    /// A timer client `c` armed fired.
+    Client {
         c: usize,
-    },
-    /// Client retransmission check: if request `id` is still in flight at
-    /// client `c`, re-send it to every replica and re-arm. A request or
-    /// reply lost to a partition/crash must not stall the closed loop —
-    /// replicas deduplicate, and executed requests are re-answered from
-    /// the per-replica last-reply cache.
-    ClientRetry {
-        c: usize,
-        id: RequestId,
+        timer: ClientTimer,
     },
     /// Boot the replacement node for crashed replica `r` on `host` (the
     /// fresh host id pre-allocated by the deployment).
@@ -116,38 +109,18 @@ pub(crate) type GroupEv = (u32, Ev);
 /// elsewhere); the client retries shortly instead of stalling forever.
 pub(crate) type GroupWorkload = Box<dyn FnMut(u64) -> Option<Vec<u8>>>;
 
-/// How long an idle client waits before re-asking an empty workload
-/// source. Never fires for single-group deployments (their sources are
-/// total functions).
-pub(crate) fn workload_retry() -> Duration {
-    Duration::from_micros(5)
-}
-
-/// Client retransmission timeout: far above every healthy completion (fast
-/// path ~11 µs, forced slow path hundreds of µs), so failure-free runs
-/// never retransmit; short enough that a lost message costs milliseconds,
-/// not the run.
-pub(crate) fn client_retry_period() -> Duration {
-    Duration::from_micros(1_500)
-}
-
-/// Deployment-global run control: the closed loop stops on the *total*
-/// completed count, and warmup discarding is likewise global, so a
-/// single-group run behaves exactly like the pre-sharding `Cluster`.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RunCtl {
-    pub completed: u64,
-    pub target: u64,
-    pub warmup: u64,
-}
-
 /// The deployment-wide mutable context a group borrows while handling one
 /// event: the shared fabric, the shared (group-tagged) event queue, the
-/// global run control, and (when enabled) the omniscient safety auditor.
+/// deployment-wide completion count, and (when enabled) the omniscient
+/// safety auditor.
 pub(crate) struct Shared<'a> {
     pub fabric: &'a mut Fabric,
     pub events: &'a mut EventQueue<GroupEv>,
-    pub ctl: &'a mut RunCtl,
+    /// Requests completed by every group's clients together: the closed
+    /// loop stops on the *total*, and warmup discarding is likewise global,
+    /// so a single-group run behaves exactly like the pre-sharding
+    /// `Cluster`.
+    pub completed: &'a mut u64,
     /// `None` when auditing is off — the hooks below are then no-ops, so
     /// unaudited runs stay bit-for-bit identical to historical behaviour.
     pub audit: &'a mut Option<Auditor>,
@@ -271,12 +244,6 @@ pub(crate) struct SimEnv {
     /// the serialized genesis application state a replacement node's app
     /// is reset to before its state transfer.
     genesis_snapshot: Option<Vec<u8>>,
-    clients: Vec<Client>,
-    issue_times: Vec<Time>,
-    /// Consecutive empty workload pulls per client, driving exponential
-    /// retry backoff so starved shards cannot flood the event queue.
-    idle_backoff: Vec<u32>,
-    workload: GroupWorkload,
     ring: KeyRing,
     /// Not-yet-applied scheduled crash times, one slot per replica
     /// (precomputed from the fault plan so the hot event loop never
@@ -284,20 +251,17 @@ pub(crate) struct SimEnv {
     crash_times: Vec<Option<Time>>,
     /// How many entries of `crash_times` are still pending.
     pending_crashes: usize,
-    /// Where a client's request is encoded, once for all replicas.
-    scratch: Vec<u8>,
     /// Where a receiver poll copies the messages it finds, to be decoded in
     /// place — reused for every poll.
     poll_buf: Vec<u8>,
     pub(crate) counters: OpCounters,
-    pub(crate) latency: LatencyStats,
-    pub(crate) completed: u64,
 }
 
-/// One consensus group: `2f + 1` [`ReplicaNode`]s and the simulated
-/// environment they run in.
+/// One consensus group: `2f + 1` [`ReplicaNode`]s, its closed-loop clients,
+/// and the simulated environment both run in.
 pub(crate) struct GroupRuntime {
     pub(crate) nodes: Vec<ReplicaNode>,
+    pub(crate) clients: ClientLoop,
     pub(crate) env: SimEnv,
 }
 
@@ -461,71 +425,44 @@ impl SimEnv {
             self.push(sh, t, Ev::Flush { lane, from, to });
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Clients
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// The simulator's side of the client loop
+// ----------------------------------------------------------------------
 
-    fn on_client_issue(&mut self, sh: &mut Shared<'_>, c: usize, at: Time) {
-        if !self.clients[c].is_idle() {
-            return;
+/// What a group's [`ClientLoop`] sees of the simulator while the event at
+/// virtual time `at` is handled.
+struct SimClientPort<'a, 'b> {
+    env: &'a mut SimEnv,
+    sh: &'a mut Shared<'b>,
+    at: Time,
+}
+
+impl ClientPort for SimClientPort<'_, '_> {
+    fn send(&mut self, c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
+        let env = &mut *self.env;
+        env.counters.rpc_msgs += replicas.len() as u64;
+        for to in replicas {
+            env.channel_send(self.sh, Lane::ClientReq, env.n() + c, to.0 as usize, bytes, self.at);
         }
-        let seq = sh.ctl.completed;
-        let Some(payload) = (self.workload)(seq) else {
-            // Nothing routed to this group yet; poll the source again with
-            // exponential backoff (5 µs doubling to a ~1.3 ms ceiling) so
-            // a starved shard's idle clients cannot flood the event queue
-            // over a long run.
-            let shift = self.idle_backoff[c].min(8);
-            self.idle_backoff[c] = self.idle_backoff[c].saturating_add(1);
-            self.push(sh, at + workload_retry() * (1u64 << shift), Ev::ClientIssue { c });
-            return;
-        };
-        self.idle_backoff[c] = 0;
-        let id = self.clients[c].issue(payload);
-        self.issue_times[c] = at;
-        self.send_client_request(sh, c, at);
-        self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
     }
 
-    /// Sends client `c`'s in-flight request, encoded once, to every replica.
-    fn send_client_request(&mut self, sh: &mut Shared<'_>, c: usize, at: Time) {
-        let Some(req) = self.clients[c].request() else { return };
-        let mut bytes = std::mem::take(&mut self.scratch);
-        bytes.clear();
-        req.encode(&mut bytes);
-        for i in 0..self.clients[c].replicas().len() {
-            let to = self.clients[c].replicas()[i].0 as usize;
-            self.counters.rpc_msgs += 1;
-            self.channel_send(sh, Lane::ClientReq, self.n() + c, to, &bytes, at);
-        }
-        self.scratch = bytes;
+    fn arm(&mut self, c: usize, timer: ClientTimer, after: Duration) {
+        self.env.push(self.sh, self.at + after, Ev::Client { c, timer });
     }
 
-    /// The retransmission check for request `id` of client `c` fired.
-    fn on_client_retry(&mut self, sh: &mut Shared<'_>, c: usize, id: RequestId, at: Time) {
-        if self.clients[c].in_flight() != Some(id) {
-            return; // completed (or superseded) — nothing to do
-        }
-        self.send_client_request(sh, c, at);
-        self.push(sh, at + client_retry_period(), Ev::ClientRetry { c, id });
+    fn now(&self) -> Time {
+        self.at
     }
 
-    /// A reply reached client node `to`.
-    fn on_client_reply(&mut self, sh: &mut Shared<'_>, to: usize, payload: &[u8], at: Time) {
-        let Ok(reply) = Reply::from_bytes(payload) else { return };
-        let c = to - self.n();
-        if self.clients[c].on_reply(reply).is_none() {
-            return;
-        }
-        sh.ctl.completed += 1;
-        self.completed += 1;
-        if sh.ctl.completed > sh.ctl.warmup {
-            self.latency.record(at.since(self.issue_times[c]));
-        }
-        if sh.ctl.completed < sh.ctl.target {
-            self.push(sh, at, Ev::ClientIssue { c });
-        }
+    fn completed(&self) -> u64 {
+        *self.sh.completed
+    }
+
+    fn complete(&mut self) -> u64 {
+        *self.sh.completed += 1;
+        *self.sh.completed
     }
 }
 
@@ -568,11 +505,10 @@ impl Substrate for SimSubstrate<'_, '_> {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.ctb_signs += 1;
         let sig = sign_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp);
-        env.push(
-            self.sh,
-            at + env.cfg.cost.sign_total(),
-            Ev::CtbDone { r, stream: r, done: CtbDone::Signed(k, sig) },
-        );
+        // Only a stream's broadcaster signs for it.
+        debug_assert_eq!(stream, r);
+        let done = at + env.cfg.cost.sign_total();
+        env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Signed(k, sig) });
     }
 
     fn ctb_verify(
@@ -869,7 +805,8 @@ impl Substrate for SimSubstrate<'_, '_> {
 }
 
 impl GroupRuntime {
-    /// Builds one group inside an existing deployment: creates the
+    /// Builds one group inside an existing deployment, around the key ring
+    /// and clients [`ClientLoop::bootstrap`] made for it: creates the
     /// replicas' protocol stacks, channels, and register banks on the
     /// shared fabric, and pushes the group's start-up events (engine
     /// watchdogs, TBcast retransmission ticks) onto the shared queue.
@@ -879,23 +816,11 @@ impl GroupRuntime {
         host_base: u32,
         mem_hosts: &[HostId],
         apps: Vec<Box<dyn App>>,
-        workload: GroupWorkload,
+        (ring, clients): (KeyRing, ClientLoop),
         sh: &mut Shared<'_>,
     ) -> Self {
         let n = cfg.params.n();
         assert_eq!(apps.len(), n, "one app instance per replica");
-        let n_clients = cfg.n_clients.max(1);
-
-        let ring = KeyRing::generate(
-            cfg.seed ^ 0x5EED,
-            (0..n as u32)
-                .map(|i| ProcessId::Replica(ReplicaId(i)))
-                .chain((0..n_clients as u32).map(|i| ProcessId::Client(ClientId(i)))),
-        );
-        let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
-        let clients: Vec<Client> = (0..n_clients as u32)
-            .map(|i| Client::new(ClientId(i), replica_ids.clone(), cfg.params.quorum()))
-            .collect();
 
         // Checkpoint snapshots are retained whenever the plan schedules
         // *any* fault or an asynchronous prefix — not just replacements: a
@@ -924,18 +849,11 @@ impl GroupRuntime {
             reg_banks: Vec::with_capacity(n),
             reg_readers: Vec::with_capacity(n),
             genesis_snapshot,
-            clients,
-            issue_times: vec![Time::ZERO; n_clients],
-            idle_backoff: vec![0; n_clients],
-            workload,
             ring,
             pending_crashes: crash_times.iter().filter(|t| t.is_some()).count(),
             crash_times,
-            scratch: Vec::new(),
             poll_buf: Vec::new(),
             counters: OpCounters::default(),
-            latency: LatencyStats::new(),
-            completed: 0,
             cfg,
         };
 
@@ -945,7 +863,7 @@ impl GroupRuntime {
                 env.open_peer_links(sh.fabric, from, to);
             }
         }
-        for c in 0..n_clients {
+        for c in 0..clients.len() {
             for r in 0..n {
                 env.open_client_links(sh.fabric, c, r);
             }
@@ -978,7 +896,7 @@ impl GroupRuntime {
             m.reg_writers = env.reg_banks.iter().map(|banks| banks[owner].writer()).collect();
         }
 
-        let mut group = GroupRuntime { nodes, env };
+        let mut group = GroupRuntime { nodes, clients, env };
         // Engine start-up (progress watchdogs).
         for r in 0..n {
             group.on_node(sh, r, |nd, sub| nd.engine_call(sub, Time::ZERO, |e| e.start()));
@@ -1063,7 +981,7 @@ impl GroupRuntime {
             env.open_peer_links(sh.fabric, peer, r);
             self.nodes[peer].reset_receivers_from(r);
         }
-        for c in 0..env.clients.len() {
+        for c in 0..self.clients.len() {
             env.open_client_links(sh.fabric, c, r);
         }
 
@@ -1096,11 +1014,6 @@ impl GroupRuntime {
     // ------------------------------------------------------------------
     // Observers
     // ------------------------------------------------------------------
-
-    /// Final views of every replica, in replica order.
-    pub(crate) fn views(&self) -> Vec<View> {
-        self.nodes.iter().map(|nd| nd.engine.view()).collect()
-    }
 
     /// Disaggregated bytes this group's register banks occupy on one
     /// memory node.
@@ -1178,7 +1091,7 @@ impl GroupRuntime {
         for (_seq, payload) in out.delivered {
             let payload = &buf[payload];
             if lane == Lane::ClientResp {
-                self.env.on_client_reply(sh, to, payload, at);
+                self.clients.on_reply(&mut SimClientPort { env: &mut self.env, sh, at }, payload);
             } else {
                 // (A crashed host's memory delivers nothing to poll.)
                 self.on_node(sh, to, |nd, sub| nd.on_inbound(sub, lane, from, payload, at));
@@ -1213,8 +1126,10 @@ impl GroupRuntime {
             Ev::CtbDone { r, stream, done } => {
                 self.on_node(sh, r, |nd, sub| nd.on_ctb_done(sub, stream, done, t));
             }
-            Ev::ClientIssue { c } => self.env.on_client_issue(sh, c, t),
-            Ev::ClientRetry { c, id } => self.env.on_client_retry(sh, c, id, t),
+            Ev::Client { c, timer } => {
+                let port = &mut SimClientPort { env: &mut self.env, sh, at: t };
+                self.clients.on_timer(port, c, timer);
+            }
             Ev::Replace { r, host } => self.replace_replica(sh, r, host, t),
             // A deferred engine-effect batch's crypto completed: apply it
             // now, unless a dead incarnation scheduled it or the node died
@@ -1242,7 +1157,7 @@ impl GroupRuntime {
 // ----------------------------------------------------------------------
 
 /// A whole deployment: one shared fabric, one shared (group-tagged) event
-/// queue, one global run control, and `G ≥ 1` consensus groups.
+/// queue, one completion count, and `G ≥ 1` consensus groups.
 ///
 /// Host-ID layout: group `g` occupies the contiguous block
 /// `[g·(n + n_clients), (g+1)·(n + n_clients))` — replicas first, then
@@ -1254,7 +1169,8 @@ pub(crate) struct Deployment {
     pub now: Time,
     pub fabric: Fabric,
     pub events: EventQueue<GroupEv>,
-    pub ctl: RunCtl,
+    /// Requests completed by every group's clients together.
+    pub completed: u64,
     pub groups: Vec<GroupRuntime>,
     /// The omniscient safety auditor ([`SimConfig::with_audit`]); `None`
     /// keeps the run observation-free and bit-for-bit historical.
@@ -1280,7 +1196,6 @@ impl Deployment {
         let cfgs: Vec<SimConfig> = (0..shards)
             .map(|g| {
                 let mut cfg = base.clone();
-                cfg.seed = group_seed(base.seed, g);
                 // The group's own plan; `shards` keeps the deployment-wide
                 // count (the facades read it for stall deadlines), while
                 // the per-shard extras are folded into `failures`.
@@ -1353,7 +1268,7 @@ impl Deployment {
         }
         let mut fabric = Fabric::new(net, rng.fork(1));
         let mut events = EventQueue::new();
-        let mut ctl = RunCtl::default();
+        let mut completed = 0;
         let mem_hosts: Vec<HostId> =
             (0..n_mem).map(|i| HostId((shards * block + i) as u32)).collect();
 
@@ -1366,7 +1281,7 @@ impl Deployment {
             let mut sh = Shared {
                 fabric: &mut fabric,
                 events: &mut events,
-                ctl: &mut ctl,
+                completed: &mut completed,
                 audit: &mut audit,
             };
             groups.push(GroupRuntime::new(
@@ -1375,7 +1290,7 @@ impl Deployment {
                 (g * block) as u32,
                 &mem_hosts,
                 make_apps(g),
-                make_workload(g),
+                ClientLoop::bootstrap(base, g, make_workload(g)),
                 &mut sh,
             ));
         }
@@ -1386,26 +1301,26 @@ impl Deployment {
             events.push(rejoin_at, (g, Ev::Replace { r, host }));
         }
 
-        Deployment { now: Time::ZERO, fabric, events, ctl, groups, audit }
+        Deployment { now: Time::ZERO, fabric, events, completed, groups, audit }
     }
 
     /// Drives the closed loop until `requests + warmup` total completions
     /// or virtual time passes `deadline`.
     pub(crate) fn run_loop(&mut self, requests: u64, warmup: u64, deadline: Time) {
-        self.ctl.target = requests + warmup;
-        self.ctl.warmup = warmup;
-        for g in 0..self.groups.len() {
-            for c in 0..self.groups[g].env.clients.len() {
-                self.events.push(
-                    Time::ZERO + Duration::from_micros(1 + c as u64),
-                    (g as u32, Ev::ClientIssue { c }),
-                );
+        for (g, gr) in self.groups.iter_mut().enumerate() {
+            gr.clients.begin(requests, warmup);
+            // Clients start 1 µs apart, so their first requests do not
+            // share an instant.
+            for c in 0..gr.clients.len() {
+                let timer = ClientTimer::Issue;
+                let at = Time::ZERO + Duration::from_micros(1 + c as u64);
+                self.events.push(at, (g as u32, Ev::Client { c, timer }));
             }
         }
         let max_events = 200_000_000u64;
         while let Some((t, (gid, ev))) = self.events.pop() {
             self.now = t;
-            if self.ctl.completed >= self.ctl.target || t > deadline {
+            if self.completed >= requests + warmup || t > deadline {
                 break;
             }
             assert!(self.events.total_pushed() < max_events, "simulation diverged (event flood)");
@@ -1413,18 +1328,40 @@ impl Deployment {
         }
     }
 
+    /// [`Deployment::run_loop`] under the deadline the configuration
+    /// derives for that many requests, then the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with per-replica protocol diagnostics, if the deployment
+    /// stopped making progress before completing them.
+    pub(crate) fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
+        let total = requests + warmup;
+        self.run_loop(requests, warmup, self.groups[0].env.cfg.stall_deadline(total));
+        let report = self.report();
+        assert!(
+            report.completed >= total,
+            "run stalled at {}/{total} completed requests (t = {})\n{}",
+            report.completed,
+            self.now,
+            self.diag_lines(),
+        );
+        report
+    }
+
     /// Hands one popped event to its group.
     fn dispatch(&mut self, gid: u32, ev: Ev, t: Time) {
-        let Deployment { fabric, events, ctl, groups, audit, .. } = self;
-        let mut sh = Shared { fabric, events, ctl, audit };
+        let Deployment { fabric, events, completed, groups, audit, .. } = self;
+        let mut sh = Shared { fabric, events, completed, audit };
         groups[gid as usize].handle(&mut sh, ev, t);
     }
 
     /// Keeps processing events for `extra` more virtual time *without* a
     /// completion target: in-flight deliveries drain, stragglers (and
-    /// replacement nodes) finish catching up. The closed loop stops
-    /// issuing once the target is met, so this converges instead of
-    /// generating new work.
+    /// replacement nodes) finish catching up. No client issues once the
+    /// run's target is met — requests already in flight are still
+    /// retransmitted, completed and counted — so this converges instead
+    /// of generating new work.
     pub(crate) fn settle(&mut self, extra: Duration) {
         let deadline = self.now + extra;
         while let Some(t) = self.events.peek_time() {
@@ -1437,22 +1374,6 @@ impl Deployment {
         }
     }
 
-    /// One group's report: its own latency distribution (cloned), its
-    /// counters, completions, and views, stamped with the global end time.
-    /// The audit verdict is deployment-wide; callers wanting per-shard
-    /// slices attach them ([`AuditReport::for_group`]).
-    pub(crate) fn shard_report(&self, g: usize) -> RunReport {
-        let gr = &self.groups[g];
-        RunReport {
-            latency: gr.env.latency.clone(),
-            counters: gr.env.counters,
-            completed: gr.env.completed,
-            end: self.now,
-            views: gr.views(),
-            audit: None,
-        }
-    }
-
     /// The auditor's verdict over everything observed so far (`None` when
     /// auditing is off). Idempotent — the model replays incrementally, so
     /// asking again after [`Deployment::settle`] audits the drained tail.
@@ -1461,21 +1382,21 @@ impl Deployment {
         audit.as_mut().map(|a| a.report(groups))
     }
 
-    /// The merged whole-deployment report; takes each group's latency
-    /// samples (call [`Deployment::shard_report`] first if per-shard
-    /// distributions are wanted). `audit` is the verdict to attach —
-    /// callers that already produced one pass it in instead of paying the
-    /// model-comparison work twice.
-    pub(crate) fn aggregate_report(&mut self, audit: Option<AuditReport>) -> RunReport {
-        let mut latency = LatencyStats::new();
-        let mut counters = OpCounters::default();
-        let mut views = Vec::new();
-        for gr in &mut self.groups {
-            latency.absorb(std::mem::take(&mut gr.env.latency));
-            counters.merge(&gr.env.counters);
-            views.extend(gr.views());
-        }
-        RunReport { latency, counters, completed: self.ctl.completed, end: self.now, views, audit }
+    /// The report of everything run so far, stamped with the current
+    /// virtual time and the audit verdict; takes each group's latency
+    /// samples and each replica's execution log.
+    pub(crate) fn report(&mut self) -> RunReport {
+        let audit = self.audit_report();
+        let group = |(g, gr): (usize, &mut GroupRuntime)| GroupReport {
+            completed: gr.clients.completed,
+            latency: std::mem::take(&mut gr.clients.latency),
+            counters: gr.env.counters,
+            views: Vec::new(),
+            audit: audit.as_ref().map(|a| a.for_group(g)),
+            replicas: gr.nodes.iter_mut().map(ReplicaReport::of).collect(),
+        };
+        let groups = self.groups.iter_mut().enumerate().map(group).collect();
+        RunReport::of_groups(groups, self.now, audit, Backend::Sim)
     }
 
     /// Per-replica diagnostics for every group.
@@ -1489,10 +1410,4 @@ impl Deployment {
             .map(|(g, gr)| format!(" shard {g}:\n{}", gr.diag_lines()))
             .collect()
     }
-}
-
-/// Per-group seed derivation: group 0 keeps the base seed (the facade's
-/// bit-for-bit guarantee), later groups fold in a golden-ratio multiple.
-pub(crate) fn group_seed(base: u64, g: usize) -> u64 {
-    base ^ (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

@@ -7,7 +7,8 @@
 //!   circular-buffer channels, SWMR register banks on `2f_m + 1` memory
 //!   nodes, a crypto-pool model, timers, and closed-loop clients. A thin
 //!   facade over the private `node` (a replica's protocol stack and its one
-//!   driver) and `group` (the simulator's `Substrate` for it) modules.
+//!   driver), `client_loop` (a group's closed-loop clients) and `group`
+//!   (the simulator's `Substrate` and `ClientPort` for the two) modules.
 //! * [`sharded::ShardedCluster`] — `G` such groups sharing one fabric,
 //!   one event queue, and one set of memory nodes, with requests routed
 //!   per key by [`ubft_apps::ShardRouter`].
@@ -28,17 +29,15 @@ pub mod memory;
 pub mod sharded;
 pub mod threads;
 
+mod client_loop;
 mod group;
 mod node;
 
 pub use audit::{AuditMutation, AuditReport, AuditViolation, Auditor, ViolationKind};
 pub use calibration::{Backend, SimConfig};
-pub use cluster::{Cluster, OpCounters, RunReport};
-pub use sharded::{ShardReport, ShardedCluster};
-pub use threads::{
-    run_backend, run_wallclock, ThreadWorkload, WallGroupReport, WallOptions, WallReplicaReport,
-    WallReport,
-};
+pub use cluster::{Cluster, GroupReport, OpCounters, ReplicaReport, RunReport};
+pub use sharded::ShardedCluster;
+pub use threads::{run_backend, run_wallclock, ThreadWorkload, WallOptions};
 
 #[cfg(test)]
 mod fake;

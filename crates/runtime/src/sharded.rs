@@ -28,21 +28,6 @@ use crate::calibration::SimConfig;
 use crate::cluster::RunReport;
 use crate::group::Deployment;
 
-/// The outcome of a sharded run: per-shard breakdowns plus the merged
-/// whole-deployment view.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// The merged report: latencies pooled across shards, counters summed,
-    /// `views` the concatenation of every shard's replica views in shard
-    /// order. With one shard this is exactly the [`Cluster`] report.
-    ///
-    /// [`Cluster`]: crate::cluster::Cluster
-    pub aggregate: RunReport,
-    /// One report per shard: its own latency distribution, counters,
-    /// completion count, and replica views.
-    pub shards: Vec<RunReport>,
-}
-
 /// Most requests the source keeps parked per group, on average: once the
 /// total parked backlog reaches `PARK_CAP_PER_GROUP × G`, generation
 /// pauses until consumers drain it, so a skewed key stream bounds memory
@@ -180,7 +165,8 @@ impl ShardedCluster {
     }
 
     /// Runs `warmup + requests` *total* closed-loop requests across all
-    /// shards and reports per-shard and aggregate statistics. The stall
+    /// shards and reports aggregate statistics, with the per-shard
+    /// breakdown in [`RunReport::groups`]. The stall
     /// deadline derives from the request count and batch size
     /// ([`SimConfig::stall_deadline`]; the shard count deliberately does
     /// not tighten it — a fully key-skewed stream may legally route
@@ -190,23 +176,15 @@ impl ShardedCluster {
     ///
     /// Panics if the deployment stops making progress before completing
     /// the requested number of operations.
-    pub fn run(&mut self, requests: u64, warmup: u64) -> ShardReport {
-        let deadline = self.dep.groups[0].env.cfg.stall_deadline(requests + warmup);
-        let report = self.run_until(requests, warmup, deadline);
-        assert!(
-            report.aggregate.completed >= requests + warmup,
-            "sharded run stalled at {}/{} completed requests (t = {})\n{}",
-            report.aggregate.completed,
-            requests + warmup,
-            self.dep.now,
-            self.diag_lines(),
-        );
-        report
+    pub fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
+        self.dep.run(requests, warmup)
     }
 
     /// Drains in-flight work for `extra` more virtual time after a run, so
     /// lagging replicas — most notably freshly replaced ones — converge
-    /// before post-run state assertions. No new requests are issued.
+    /// before post-run state assertions. No client issues once the run's
+    /// target is met, a starved shard's idle ones included; a request
+    /// still in flight is retransmitted, and counted if it completes.
     pub fn settle(&mut self, extra: ubft_types::Duration) {
         self.dep.settle(extra);
     }
@@ -228,17 +206,8 @@ impl ShardedCluster {
     /// Like [`ShardedCluster::run`] but gives up (without panicking) when
     /// virtual time exceeds `deadline`, so stalls are observable instead of
     /// fatal.
-    pub fn run_until(&mut self, requests: u64, warmup: u64, deadline: Time) -> ShardReport {
+    pub fn run_until(&mut self, requests: u64, warmup: u64, deadline: Time) -> RunReport {
         self.dep.run_loop(requests, warmup, deadline);
-        let audit = self.dep.audit_report();
-        let shards: Vec<RunReport> = (0..self.dep.groups.len())
-            .map(|g| {
-                let mut r = self.dep.shard_report(g);
-                r.audit = audit.as_ref().map(|a| a.for_group(g));
-                r
-            })
-            .collect();
-        let aggregate = self.dep.aggregate_report(audit);
-        ShardReport { aggregate, shards }
+        self.dep.report()
     }
 }

@@ -48,9 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ubft_core::app::App;
-use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
-use ubft_core::msg::Reply;
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast, TbWire};
@@ -58,10 +56,12 @@ use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, ProcessId, ReplicaId, SeqId, Time};
+use ubft_types::{ProcessId, ReplicaId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig};
-use crate::group::{client_retry_period, group_seed, workload_retry};
+use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
+use crate::cluster::{GroupReport, ReplicaReport, RunReport};
+use crate::group::Deployment;
 use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
@@ -94,78 +94,6 @@ impl Default for WallOptions {
             deadline: std::time::Duration::from_secs(120),
             settle: std::time::Duration::from_millis(300),
         }
-    }
-}
-
-/// One replica's end-of-run state.
-#[derive(Clone, Debug)]
-pub struct WallReplicaReport {
-    /// Individual requests decided (batch contents counted).
-    pub decided: u64,
-    /// Application state digest at shutdown.
-    pub app_digest: Digest,
-    /// Every non-noop request executed, in execution order — compared
-    /// against the simulator's log by the backend-equivalence suite.
-    pub executed: Vec<(ClientId, u64)>,
-    /// The view the replica ended in (0 = no view change ever fired).
-    pub final_view: u64,
-    /// Certified state transfers the engine requested that found no
-    /// snapshot to restore (the threaded backend keeps none, so there
-    /// nonzero means the run was overloaded enough for a replica to fall a
-    /// whole window behind).
-    pub transfer_misses: u64,
-    /// Peers this replica branded Byzantine: (culprit, why).
-    pub branded: Vec<(u32, String)>,
-}
-
-impl WallReplicaReport {
-    /// What `node` has to report at the end of a run; takes its logs.
-    pub(crate) fn of<A: App + ?Sized>(node: &mut ReplicaNode<A>) -> Self {
-        WallReplicaReport {
-            decided: node.engine.decided_count(),
-            app_digest: node.app.snapshot_digest(),
-            executed: std::mem::take(&mut node.exec_log),
-            final_view: node.engine.view().0,
-            transfer_misses: node.transfer_misses,
-            branded: std::mem::take(&mut node.branded),
-        }
-    }
-}
-
-/// One consensus group's end-of-run state.
-#[derive(Clone, Debug)]
-pub struct WallGroupReport {
-    /// Completions this group's clients contributed.
-    pub completed: u64,
-    /// Per-replica state, in replica order.
-    pub replicas: Vec<WallReplicaReport>,
-}
-
-/// The result of a wall-clock (or, via [`run_backend`], simulated) run.
-#[derive(Clone, Debug)]
-pub struct WallReport {
-    /// Total completions across all groups.
-    pub completed: u64,
-    /// Wall time from launch to the target completion (threaded backend),
-    /// or the virtual end time (simulator backend via [`run_backend`]).
-    pub elapsed: std::time::Duration,
-    /// Request latency distribution (wall time for the threaded backend,
-    /// virtual time for the simulator), warmup excluded.
-    pub latency: LatencyStats,
-    /// Per-group state.
-    pub groups: Vec<WallGroupReport>,
-    /// Which backend produced this report.
-    pub backend: Backend,
-}
-
-impl WallReport {
-    /// Throughput in thousands of requests per second over `elapsed`.
-    pub fn kreq_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.completed as f64 / secs / 1_000.0
     }
 }
 
@@ -351,6 +279,39 @@ fn wall(d: ubft_types::Duration, scale: u64) -> std::time::Duration {
 /// Longest a thread blocks on its inbox with no timer pending.
 const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 
+/// The loop every replica, driver and memory-node thread lives in: fire the
+/// timers that are due, wait on the inbox no longer than the next one,
+/// handle what is queued, until a [`CtlMsg::Shutdown`] arrives. `inbox`
+/// finds the thread's endpoint and timer heap in its state `s`.
+fn run_mailbox<S, T: Ord>(
+    s: &mut S,
+    inbox: fn(&mut S) -> (&InProcEndpoint<CtlMsg>, &mut TimerWheel<T>),
+    mut on_timer: impl FnMut(&mut S, T),
+    mut on_msg: impl FnMut(&mut S, InMsg<CtlMsg>),
+) {
+    loop {
+        let now = Instant::now();
+        while let Some(timer) = inbox(s).1.pop_due(now) {
+            on_timer(s, timer);
+        }
+        let (ep, timers) = inbox(s);
+        let wait = timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
+        let Some(first) = ep.recv_timeout(wait) else { continue };
+        let mut batch = vec![first];
+        // Drain without blocking: amortize the wakeup over everything
+        // already queued.
+        while let Some(m) = ep.try_recv() {
+            batch.push(m);
+        }
+        for m in batch {
+            if matches!(m, InMsg::Ctl(CtlMsg::Shutdown)) {
+                return;
+            }
+            on_msg(s, m);
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Replica threads
 // ----------------------------------------------------------------------
@@ -388,38 +349,25 @@ struct ReplicaThread {
 
 impl ReplicaThread {
     /// The replica thread's loop: runs `node` until shutdown.
-    fn run(mut self, mut node: ReplicaNode<dyn App + Send>) -> WallReplicaReport {
+    fn run(mut self, mut node: ReplicaNode<dyn App + Send>) -> ReplicaReport {
         node.engine_call(&mut self, (), |e| e.start());
-
-        'main: loop {
-            let now = Instant::now();
-            while let Some(timer) = self.timers.pop_due(now) {
-                node.on_timer(&mut self, timer, ());
-            }
-            let wait = self.timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
-            let Some(first) = self.ep.recv_timeout(wait) else { continue };
-            let mut batch = vec![first];
-            // Drain without blocking: amortize the wakeup over everything
-            // already queued.
-            while let Some(m) = self.ep.try_recv() {
-                batch.push(m);
-            }
-            for m in batch {
-                match m {
-                    InMsg::Net(inb) => {
-                        // Group-local sender index (meaningful for replica
-                        // lanes; the driver's requests name their client).
-                        let from = inb.from as usize % self.n;
-                        if let Some(lane) = Lane::from_id(inb.lane, self.n) {
-                            node.on_inbound(&mut self, lane, from, &inb.payload, ());
-                        }
+        run_mailbox(
+            &mut (self, &mut node),
+            |(th, _)| (&th.ep, &mut th.timers),
+            |(th, node), timer| node.on_timer(th, timer, ()),
+            |(th, node), m| match m {
+                InMsg::Net(inb) => {
+                    // Group-local sender index (meaningful for replica
+                    // lanes; the driver's requests name their client).
+                    let from = inb.from as usize % th.n;
+                    if let Some(lane) = Lane::from_id(inb.lane, th.n) {
+                        node.on_inbound(th, lane, from, &inb.payload, ());
                     }
-                    InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
-                    InMsg::Ctl(c) => self.on_ctl(&mut node, c),
                 }
-            }
-        }
-        WallReplicaReport::of(&mut node)
+                InMsg::Ctl(c) => th.on_ctl(node, c),
+            },
+        );
+        ReplicaReport::of(&mut node)
     }
 
     /// A completion arrived: from the crypto pool, or one more
@@ -432,8 +380,8 @@ impl ReplicaThread {
             }
             CtlMsg::WriteAck { token } => self.on_rpc_answer(node, token, Vec::new()),
             CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
-            // Register RPCs target memory nodes; shutdown is handled by
-            // the main loop before this dispatch.
+            // Register RPCs target memory nodes; shutdown ends the mailbox
+            // loop before this dispatch.
             CtlMsg::WriteSlot { .. } | CtlMsg::ReadSlot { .. } | CtlMsg::Shutdown => {}
         }
     }
@@ -594,130 +542,70 @@ impl Substrate for ReplicaThread {
 // Client driver threads
 // ----------------------------------------------------------------------
 
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum DriverTimer {
-    /// Retransmission check for request `id` of client `c`.
-    Retry { c: usize, id: ubft_types::RequestId },
-    /// Re-ask an empty workload source for client `c`.
-    Issue { c: usize },
-}
+/// The group's workload source on the driver thread.
+type DriverLoop = ClientLoop<dyn FnMut(u64) -> Option<Vec<u8>> + Send>;
 
+/// One group's client-driver thread's side of its [`ClientLoop`]: the mesh
+/// endpoint, an `Instant` timer heap, the wall clock and the completion
+/// count all driver threads share.
 struct DriverThread {
-    g: usize,
-    n: usize,
+    /// Mesh index of the group's replica 0; the others follow it.
+    replicas: u32,
     node_idx: u32,
     scale: u64,
     ep: InProcEndpoint<CtlMsg>,
-    clients: Vec<Client>,
-    workload: ThreadWorkload,
+    timers: TimerWheel<(usize, ClientTimer)>,
+    started: Instant,
     completed: Arc<AtomicU64>,
-    target: u64,
-    warmup: u64,
-    issue_at: Vec<Instant>,
-    idle_backoff: Vec<u32>,
-    timers: TimerWheel<DriverTimer>,
-    latency: LatencyStats,
-    group_completed: u64,
 }
 
 impl DriverThread {
-    /// The simulator's client retransmission timeout, stretched.
-    fn retry_period(&self) -> std::time::Duration {
-        wall(client_retry_period(), self.scale)
-    }
-
-    fn run(mut self) -> (u64, LatencyStats) {
-        for c in 0..self.clients.len() {
-            self.try_issue(c);
+    /// The driver thread's loop: every client asks for its first request,
+    /// then `clients` runs on replies and timers until shutdown.
+    fn run(mut self, mut clients: DriverLoop) -> (u64, LatencyStats) {
+        for c in 0..clients.len() {
+            clients.on_timer(&mut self, c, ClientTimer::Issue);
         }
-        'main: loop {
-            let now = Instant::now();
-            while let Some(ev) = self.timers.pop_due(now) {
-                match ev {
-                    DriverTimer::Retry { c, id } => self.on_retry(c, id),
-                    DriverTimer::Issue { c } => self.try_issue(c),
+        run_mailbox(
+            &mut (self, &mut clients),
+            |(th, _)| (&th.ep, &mut th.timers),
+            |(th, clients), (c, timer)| clients.on_timer(th, c, timer),
+            |(th, clients), m| match m {
+                InMsg::Net(inb) if inb.lane == LANE_CLIENT_RESP => {
+                    clients.on_reply(th, &inb.payload)
                 }
-            }
-            let wait = self.timers.next_wait(Instant::now(), MAX_IDLE_WAIT);
-            let Some(first) = self.ep.recv_timeout(wait) else { continue };
-            let mut batch = vec![first];
-            while let Some(m) = self.ep.try_recv() {
-                batch.push(m);
-            }
-            for m in batch {
-                match m {
-                    InMsg::Net(inb) => self.on_net(inb),
-                    InMsg::Ctl(CtlMsg::Shutdown) => break 'main,
-                    InMsg::Ctl(_) => {}
-                }
-            }
-        }
-        (self.group_completed, self.latency)
+                _ => {}
+            },
+        );
+        (clients.completed, clients.latency)
     }
+}
 
-    /// Sends client `c`'s in-flight request to every replica: encoded once
-    /// into one shared buffer that each replica's inbox gets a handle on.
-    fn send_request(&mut self, c: usize) {
-        let Some(req) = self.clients[c].request() else { return };
-        let bytes: Arc<[u8]> = req.to_bytes().into();
-        for to in self.clients[c].replicas() {
-            let node = replica_node(self.g, self.n, to.0 as usize);
+impl ClientPort for DriverThread {
+    /// Copied once into one shared buffer that each replica's inbox gets
+    /// a handle on.
+    fn send(&mut self, _c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
+        let bytes: Arc<[u8]> = bytes.into();
+        for to in replicas {
+            let node = self.replicas + to.0;
             let _ = self.ep.router().send_net(LANE_CLIENT_REQ, self.node_idx, node, bytes.clone());
         }
     }
 
-    fn try_issue(&mut self, c: usize) {
-        if !self.clients[c].is_idle() {
-            return;
-        }
-        if self.completed.load(Ordering::Relaxed) >= self.target {
-            return;
-        }
-        let seq = self.completed.load(Ordering::Relaxed);
-        let Some(payload) = (self.workload)(seq) else {
-            // Empty source: exponential backoff, like the simulator's
-            // starved-shard path.
-            let shift = self.idle_backoff[c].min(8);
-            self.idle_backoff[c] = self.idle_backoff[c].saturating_add(1);
-            let base = wall(workload_retry(), self.scale);
-            self.timers.arm(base * (1u32 << shift), DriverTimer::Issue { c });
-            return;
-        };
-        self.idle_backoff[c] = 0;
-        let id = self.clients[c].issue(payload);
-        self.issue_at[c] = Instant::now();
-        self.send_request(c);
-        self.timers.arm(self.retry_period(), DriverTimer::Retry { c, id });
+    fn arm(&mut self, c: usize, timer: ClientTimer, after: ubft_types::Duration) {
+        self.timers.arm(wall(after, self.scale), (c, timer));
     }
 
-    fn on_retry(&mut self, c: usize, id: ubft_types::RequestId) {
-        if self.clients[c].in_flight() != Some(id) {
-            return;
-        }
-        self.send_request(c);
-        self.timers.arm(self.retry_period(), DriverTimer::Retry { c, id });
+    fn now(&self) -> Time {
+        Time::from_nanos(self.started.elapsed().as_nanos() as u64)
     }
 
-    fn on_net(&mut self, inb: ubft_transport::net::Inbound) {
-        if inb.lane != LANE_CLIENT_RESP {
-            return;
-        }
-        let Ok(reply) = Reply::from_bytes(&inb.payload) else { return };
-        let c = reply.id.client.0 as usize;
-        if c >= self.clients.len() {
-            return;
-        }
-        if self.clients[c].on_reply(reply).is_some() {
-            let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-            self.group_completed += 1;
-            if done > self.warmup {
-                let ns = self.issue_at[c].elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.latency.record(ubft_types::Duration::from_nanos(ns));
-            }
-            if done < self.target {
-                self.try_issue(c);
-            }
-        }
+    fn completed(&self) -> u64 {
+        self.completed.load(Ordering::Relaxed)
+    }
+
+    fn complete(&mut self) -> u64 {
+        self.completed.fetch_add(1, Ordering::SeqCst) + 1
     }
 }
 
@@ -725,43 +613,45 @@ impl DriverThread {
 // Memory-node threads
 // ----------------------------------------------------------------------
 
+/// Store key: `(group, stream, owner, slot)`.
+type SlotKey = (u32, u32, u32, u32);
+
 /// One passive memory node: a `(group, stream, owner, slot) → (ts, bytes)`
 /// store answering write/read RPCs. Replicas take `f_m + 1` of `2f_m + 1`
 /// such nodes as a quorum, exactly like the simulated register banks;
 /// message atomicity stands in for the regular register's checksummed
 /// sub-registers.
-/// Store key: `(group, stream, owner, slot)`.
-type SlotKey = (u32, u32, u32, u32);
-
 struct MemThread {
     ep: InProcEndpoint<CtlMsg>,
     store: HashMap<SlotKey, (u64, Vec<u8>)>,
 }
 
 impl MemThread {
-    fn run(mut self) {
-        loop {
-            let Some(msg) = self.ep.recv_timeout(std::time::Duration::from_millis(50)) else {
-                continue;
-            };
-            match msg {
-                InMsg::Ctl(CtlMsg::Shutdown) => break,
-                InMsg::Ctl(CtlMsg::WriteSlot { key, ts, bytes, token, reply_to }) => {
-                    let newer = self.store.get(&key).is_none_or(|(old, _)| ts >= *old);
-                    if newer {
-                        self.store.insert(key, (ts, bytes));
-                    }
-                    let _ = self.ep.router().send_ctl(reply_to, CtlMsg::WriteAck { token });
+    fn run(self) {
+        run_mailbox(
+            &mut (self, TimerWheel::<()>::new()),
+            |(th, no_timers)| (&th.ep, no_timers),
+            |_, ()| {},
+            |(th, _), m| th.on_msg(m),
+        );
+    }
+
+    fn on_msg(&mut self, msg: InMsg<CtlMsg>) {
+        match msg {
+            InMsg::Ctl(CtlMsg::WriteSlot { key, ts, bytes, token, reply_to }) => {
+                let newer = self.store.get(&key).is_none_or(|(old, _)| ts >= *old);
+                if newer {
+                    self.store.insert(key, (ts, bytes));
                 }
-                InMsg::Ctl(CtlMsg::ReadSlot { group, stream, slot, owners, token, reply_to }) => {
-                    let entries: SlotEntries = (0..owners)
-                        .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
-                        .collect();
-                    let _ =
-                        self.ep.router().send_ctl(reply_to, CtlMsg::ReadResp { token, entries });
-                }
-                _ => {}
+                let _ = self.ep.router().send_ctl(reply_to, CtlMsg::WriteAck { token });
             }
+            InMsg::Ctl(CtlMsg::ReadSlot { group, stream, slot, owners, token, reply_to }) => {
+                let entries: SlotEntries = (0..owners)
+                    .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
+                    .collect();
+                let _ = self.ep.router().send_ctl(reply_to, CtlMsg::ReadResp { token, entries });
+            }
+            _ => {}
         }
     }
 }
@@ -786,7 +676,7 @@ pub fn run_wallclock(
     mut make_apps: impl FnMut(usize) -> Vec<Box<dyn App + Send>>,
     mut make_workload: impl FnMut(usize) -> ThreadWorkload,
     opts: &WallOptions,
-) -> WallReport {
+) -> RunReport {
     assert!(
         cfg.failures.faults().is_empty() && cfg.failures.gst == Time::ZERO,
         "the threaded backend is failure-free; use Backend::Sim for fault schedules"
@@ -797,27 +687,17 @@ pub fn run_wallclock(
     let shards = cfg.shards.max(1);
     let n = cfg.params.n();
     let n_mem = cfg.params.n_mem();
-    let n_clients = cfg.n_clients.max(1);
     let scale = cfg.time_scale.max(1) as u64;
     let workers = cfg.crypto_workers.max(1);
     let total_nodes = shards * n + shards + n_mem;
-    let mem_base = mem_node(shards, n, 0);
 
     let (router, eps) = inproc_mesh::<CtlMsg>(total_nodes);
     let mut eps: Vec<Option<InProcEndpoint<CtlMsg>>> = eps.into_iter().map(Some).collect();
     let mut take_ep = |idx: u32| eps[idx as usize].take().expect("endpoint taken once");
 
-    // Per-group key rings, derived exactly as the simulator derives them.
-    let rings: Vec<KeyRing> = (0..shards)
-        .map(|g| {
-            KeyRing::generate(
-                group_seed(cfg.seed, g) ^ 0x5EED,
-                (0..n as u32)
-                    .map(|i| ProcessId::Replica(ReplicaId(i)))
-                    .chain((0..n_clients as u32).map(|i| ProcessId::Client(ClientId(i)))),
-            )
-        })
-        .collect();
+    // Per-group key rings and clients, the simulator's.
+    let (rings, clients): (Vec<KeyRing>, Vec<DriverLoop>) =
+        (0..shards).map(|g| ClientLoop::bootstrap(cfg, g, make_workload(g))).unzip();
     let rings = Arc::new(rings);
 
     let pool = Arc::new(CryptoPool::new());
@@ -845,7 +725,7 @@ pub fn run_wallclock(
                 mem_quorum: cfg.params.mem_quorum(),
                 node_idx: replica_node(g, n, r),
                 driver_idx: driver_node(shards, n, g),
-                mem_nodes: mem_base..mem_base + n_mem as u32,
+                mem_nodes: mem_node(shards, n, 0)..mem_node(shards, n, n_mem),
                 scale,
                 ep: take_ep(replica_node(g, n, r)),
                 crypto: Arc::clone(&pool),
@@ -859,39 +739,25 @@ pub fn run_wallclock(
 
     let completed = Arc::new(AtomicU64::new(0));
     let target = opts.requests + opts.warmup;
-    let driver_handles: Vec<_> = (0..shards)
-        .map(|g| {
-            let replica_ids: Vec<ReplicaId> = cfg.params.replicas().collect();
-            let clients: Vec<Client> = (0..n_clients as u32)
-                .map(|i| Client::new(ClientId(i), replica_ids.clone(), cfg.params.quorum()))
-                .collect();
+    let driver_handles: Vec<_> = (clients.into_iter().enumerate())
+        .map(|(g, mut clients)| {
+            clients.begin(opts.requests, opts.warmup);
             let t = DriverThread {
-                g,
-                n,
+                replicas: replica_node(g, n, 0),
                 node_idx: driver_node(shards, n, g),
                 scale,
                 ep: take_ep(driver_node(shards, n, g)),
-                clients,
-                workload: make_workload(g),
-                completed: Arc::clone(&completed),
-                target,
-                warmup: opts.warmup,
-                issue_at: vec![Instant::now(); n_clients],
-                idle_backoff: vec![0; n_clients],
                 timers: TimerWheel::new(),
-                latency: LatencyStats::new(),
-                group_completed: 0,
+                started: Instant::now(),
+                completed: Arc::clone(&completed),
             };
-            std::thread::spawn(move || t.run())
+            std::thread::spawn(move || t.run(clients))
         })
         .collect();
 
     // Wait for the closed loop to hit its target (or the wall deadline).
     let start = Instant::now();
-    loop {
-        if completed.load(Ordering::SeqCst) >= target || start.elapsed() >= opts.deadline {
-            break;
-        }
+    while completed.load(Ordering::SeqCst) < target && start.elapsed() < opts.deadline {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     let elapsed = start.elapsed();
@@ -905,86 +771,52 @@ pub fn run_wallclock(
         pool.push(PoolJob::Stop);
     }
 
-    let mut latency = LatencyStats::new();
-    let mut group_completed = vec![0u64; shards];
-    for (g, h) in driver_handles.into_iter().enumerate() {
-        let (done, stats) = h.join().expect("driver thread");
-        group_completed[g] = done;
-        latency.absorb(stats);
-    }
-    let mut replica_reports: Vec<WallReplicaReport> =
+    let drivers: Vec<(u64, LatencyStats)> =
+        driver_handles.into_iter().map(|h| h.join().expect("driver thread")).collect();
+    let mut replicas: Vec<ReplicaReport> =
         replica_handles.into_iter().map(|h| h.join().expect("replica thread")).collect();
-    for h in mem_handles {
-        h.join().expect("memory thread");
-    }
-    for h in crypto_handles {
-        h.join().expect("crypto worker");
+    for h in mem_handles.into_iter().chain(crypto_handles) {
+        h.join().expect("memory or crypto thread");
     }
 
-    let groups = (0..shards)
-        .map(|g| WallGroupReport {
-            completed: group_completed[g],
-            replicas: replica_reports.drain(..n).collect(),
+    let groups = (drivers.into_iter())
+        .map(|(completed, latency)| GroupReport {
+            completed,
+            latency,
+            replicas: replicas.drain(..n).collect(),
+            ..GroupReport::default()
         })
         .collect();
-
-    WallReport {
-        completed: completed.load(Ordering::SeqCst),
-        elapsed,
-        latency,
-        groups,
-        backend: Backend::Threads,
-    }
+    let end = Time::from_nanos(elapsed.as_nanos() as u64);
+    RunReport::of_groups(groups, end, None, Backend::Threads)
 }
 
-/// Runs a deployment on whichever backend [`SimConfig::backend`] selects
-/// and reports both through the same [`WallReport`] shape, which is what
-/// lets the backend-equivalence suite compare them field by field.
+/// Runs a deployment on whichever backend [`SimConfig::backend`] selects;
+/// both report through the same [`RunReport`], which is what lets the
+/// backend-equivalence suite compare them field by field.
 ///
 /// The simulator path drives the exact same `Deployment` the
 /// [`Cluster`](crate::cluster::Cluster)/[`ShardedCluster`](crate::sharded::ShardedCluster)
-/// facades drive (then settles briefly so every replica converges);
-/// `elapsed` and `latency` are virtual time there, wall time on the
-/// threaded path.
+/// facades drive, then settles briefly so every replica converges before
+/// the report reads digests (mirroring the threaded path's settle).
 pub fn run_backend(
     cfg: &SimConfig,
     mut make_apps: impl FnMut(usize) -> Vec<Box<dyn App + Send>>,
     mut make_workload: impl FnMut(usize) -> ThreadWorkload,
     opts: &WallOptions,
-) -> WallReport {
+) -> RunReport {
     match cfg.backend {
         Backend::Threads => run_wallclock(cfg, make_apps, make_workload, opts),
         Backend::Sim => {
-            let mut cfg = cfg.clone();
-            cfg.shards = cfg.shards.max(1);
-            let total = opts.requests + opts.warmup;
-            let deadline = cfg.stall_deadline(total);
-            let mut dep = crate::group::Deployment::build(
-                &cfg,
+            let mut dep = Deployment::build(
+                cfg,
                 |g| make_apps(g).into_iter().map(|a| a as Box<dyn App>).collect(),
                 |g| Box::new(make_workload(g)),
             );
+            let deadline = cfg.stall_deadline(opts.requests + opts.warmup);
             dep.run_loop(opts.requests, opts.warmup, deadline);
-            // Converge every replica before reading digests; mirrors the
-            // threaded path's settle.
             dep.settle(ubft_types::Duration::from_millis(5));
-            let end = dep.now;
-            let report = dep.aggregate_report(None);
-            let groups = dep
-                .groups
-                .iter_mut()
-                .map(|gr| WallGroupReport {
-                    completed: gr.env.completed,
-                    replicas: gr.nodes.iter_mut().map(WallReplicaReport::of).collect(),
-                })
-                .collect();
-            WallReport {
-                completed: report.completed,
-                elapsed: std::time::Duration::from_nanos(end.since(Time::ZERO).as_nanos()),
-                latency: report.latency,
-                groups,
-                backend: Backend::Sim,
-            }
+            dep.report()
         }
     }
 }

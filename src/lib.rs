@@ -107,10 +107,10 @@
 //!     Box::new(|i: u64| i.to_le_bytes().to_vec()),
 //! );
 //! let report = sharded.run(60, 6);
-//! assert_eq!(report.aggregate.completed, 66);
-//! assert_eq!(report.shards.len(), 2);
+//! assert_eq!(report.completed, 66);
+//! assert_eq!(report.groups.len(), 2);
 //! // Both groups served a slice of the key space.
-//! assert!(report.shards.iter().all(|s| s.completed > 0));
+//! assert!(report.groups.iter().all(|s| s.completed > 0));
 //! ```
 //!
 //! With a single shard, `ShardedCluster` reproduces [`runtime::Cluster`]

@@ -24,10 +24,10 @@
 //! app on both backends, so a threaded-only view change would diverge
 //! digests for a reason that has nothing to do with protocol equivalence.
 
-use ubft::runtime::threads::{run_backend, ThreadWorkload, WallOptions, WallReport};
-use ubft::runtime::{Backend, SimConfig};
+use ubft::runtime::threads::{run_backend, ThreadWorkload, WallOptions};
+use ubft::runtime::{Backend, RunReport, SimConfig};
 use ubft_core::app::App;
-use ubft_types::ClientId;
+use ubft_types::{ClientId, View};
 
 /// Stretch factor making a 1 ms progress timeout ≈ 2 s of wall time.
 /// Generous on purpose: `cargo test` runs many test binaries concurrently,
@@ -59,7 +59,7 @@ fn finite_workload(g: usize, per_group: u64) -> ThreadWorkload {
     })
 }
 
-fn run_both(cfg: &SimConfig, per_group: u64, groups: usize) -> (WallReport, WallReport) {
+fn run_both(cfg: &SimConfig, per_group: u64, groups: usize) -> (RunReport, RunReport) {
     let opts = WallOptions {
         requests: per_group * groups as u64,
         warmup: 0,
@@ -89,7 +89,7 @@ fn run_both(cfg: &SimConfig, per_group: u64, groups: usize) -> (WallReport, Wall
 /// What the shared driver counts on either backend and a failure-free run
 /// must leave at zero: a missed state transfer (a replica fell a whole
 /// window behind — on threads, the run was overloaded) and a branded peer.
-fn assert_healthy(report: &WallReport, g: usize, r: usize) {
+fn assert_healthy(report: &RunReport, g: usize, r: usize) {
     let (backend, rep) = (report.backend, &report.groups[g].replicas[r]);
     assert_eq!(rep.transfer_misses, 0, "{backend:?} group {g} replica {r}: missed transfer");
     assert!(rep.branded.is_empty(), "{backend:?} group {g} replica {r} branded {:?}", rep.branded);
@@ -97,14 +97,19 @@ fn assert_healthy(report: &WallReport, g: usize, r: usize) {
 
 /// Every replica of every group: same digest, same execution log, and the
 /// threaded run actually finished its closed loop.
-fn assert_equivalent(sim: &WallReport, thr: &WallReport, total: u64) {
+fn assert_equivalent(sim: &RunReport, thr: &RunReport, total: u64) {
     assert_eq!(sim.backend, Backend::Sim);
     assert_eq!(thr.backend, Backend::Threads);
     assert_eq!(sim.completed, total, "simulator did not complete the workload");
     assert_eq!(thr.completed, total, "threaded backend did not complete the workload");
     assert_eq!(sim.groups.len(), thr.groups.len());
+    // One report shape: the views compare directly, and no failure-free
+    // run leaves view 0 on either backend.
+    assert_eq!(sim.views, thr.views);
+    assert!(sim.views.iter().all(|v| *v == View(0)), "views {:?}", sim.views);
     for (g, (gs, gt)) in sim.groups.iter().zip(&thr.groups).enumerate() {
         assert_eq!(gs.completed, gt.completed, "group {g}: per-group completion split differs");
+        assert_eq!(gs.views, gt.views, "group {g}: final views differ");
         assert_eq!(gs.replicas.len(), gt.replicas.len());
         for (r, (rs, rt)) in gs.replicas.iter().zip(&gt.replicas).enumerate() {
             assert_healthy(sim, g, r);

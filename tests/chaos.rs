@@ -291,13 +291,13 @@ fn corpus_sharded_byzantine_is_contained_and_clean() {
     let n = cfg.params.n();
     let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(n), kv_workload());
     let report = sharded.run(REQUESTS, 0);
-    assert_eq!(report.aggregate.completed, REQUESTS);
+    assert_eq!(report.completed, REQUESTS);
     sharded.settle(Duration::from_millis(4));
     let audit = sharded.audit_report().expect("audited");
     assert!(audit.is_clean(), "violations: {:#?}", audit.violations);
     // Both shards really executed (keyed traffic spreads), so containment
     // was exercised, not vacuous.
-    assert!(report.shards.iter().all(|s| s.completed > 0));
+    assert!(report.groups.iter().all(|s| s.completed > 0));
 }
 
 // ----------------------------------------------------------------------

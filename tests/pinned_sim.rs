@@ -130,9 +130,9 @@ fn sharded_run_is_pinned() {
     let got = format!(
         "digests={:?} completed={} end={} counters={:?}",
         digests,
-        report.aggregate.completed,
-        report.aggregate.end.since(Time::ZERO).as_nanos(),
-        report.aggregate.counters,
+        report.completed,
+        report.end.since(Time::ZERO).as_nanos(),
+        report.counters,
     );
     assert_eq!(got, "digests=[\"0f0e7d028dcdd24b217a9584c805799e694c1fbf5387a29a7b13b9cf6ad6a358\", \"8efaf11b7774fe29158960b9b050881a33f5ca12d5606b8042afff3d9075ec21\", \"8d9cde770fc930b8c9e4ed4e1493f5df4e19f683a1dc77f23880e708126d0276\", \"3d811869f014b4ffb870318609363503337e4a29dd93ec35f5c871e11f368f1b\"] completed=220 end=483524 counters=OpCounters { rpc_msgs: 1994, ctb_msgs: 1760, cons_msgs: 2640, direct_msgs: 443, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 }");
 }

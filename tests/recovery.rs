@@ -201,20 +201,20 @@ fn replacement_run_matches_fault_free_digest_g4_sharded() {
     let mut clean =
         ShardedCluster::new(recovery_cfg(SEED).with_shards(G), |_| kv_apps(3), shard1_workload());
     let clean_report = clean.run(400, 0);
-    assert_eq!(clean_report.aggregate.completed, 400);
+    assert_eq!(clean_report.completed, 400);
     clean.settle(Duration::from_millis(3));
 
     let plan = FailurePlan::none().replace_replica(2, us(300), us(700));
     let cfg = recovery_cfg(SEED).with_shards(G).with_shard_failures(TARGET_SHARD, plan);
     let mut faulty = ShardedCluster::new(cfg, |_| kv_apps(3), shard1_workload());
     let report = faulty.run(400, 0);
-    assert_eq!(report.aggregate.completed, 400, "requests lost across the replacement");
+    assert_eq!(report.completed, 400, "requests lost across the replacement");
     faulty.settle(Duration::from_millis(3));
 
     assert_eq!(digests(&faulty), digests(&clean), "sharded digests diverged");
     // The fault was real: only shard 1 served traffic, and it really did
     // lose and replace a replica (snapshots were retained there).
-    assert_eq!(report.shards[TARGET_SHARD].completed, 400);
+    assert_eq!(report.groups[TARGET_SHARD].completed, 400);
     assert!(faulty.replica_snapshot_bytes(TARGET_SHARD, 0) > 0);
 }
 
@@ -225,24 +225,23 @@ fn replacement_run_matches_fault_free_digest_g4_sharded() {
 /// are independent).
 #[test]
 fn replacement_is_contained_to_its_shard() {
-    let fingerprint =
-        |report: &ubft::runtime::sharded::ShardReport, sc: &ShardedCluster, g: usize| {
-            let shard = &report.shards[g];
-            let mut lat = shard.latency.clone();
-            let lat_print = if lat.is_empty() {
-                (0, Duration::ZERO, Duration::ZERO)
-            } else {
-                (lat.len(), lat.mean(), lat.percentile(99.0))
-            };
-            (
-                shard.completed,
-                shard.counters,
-                shard.views.clone(),
-                lat_print,
-                (0..3).map(|r| sc.app_digest(g, r)).collect::<Vec<_>>(),
-                (0..3).map(|r| sc.decided_of(g, r)).collect::<Vec<_>>(),
-            )
+    let fingerprint = |report: &ubft::runtime::RunReport, sc: &ShardedCluster, g: usize| {
+        let shard = &report.groups[g];
+        let mut lat = shard.latency.clone();
+        let lat_print = if lat.is_empty() {
+            (0, Duration::ZERO, Duration::ZERO)
+        } else {
+            (lat.len(), lat.mean(), lat.percentile(99.0))
         };
+        (
+            shard.completed,
+            shard.counters,
+            shard.views.clone(),
+            lat_print,
+            (0..3).map(|r| sc.app_digest(g, r)).collect::<Vec<_>>(),
+            (0..3).map(|r| sc.decided_of(g, r)).collect::<Vec<_>>(),
+        )
+    };
     let run = |shard1_plan: Option<FailurePlan>| {
         let mut cfg = SimConfig::paper_default(47).with_tail(16).with_window(32).with_shards(3);
         if let Some(plan) = shard1_plan {
@@ -270,7 +269,7 @@ fn replacement_is_contained_to_its_shard() {
         );
     }
     // The replacement was real and the shard kept serving afterwards.
-    assert!(faulty.shards[1].completed > 0);
+    assert!(faulty.groups[1].completed > 0);
     // Within shard 1, the live replicas agree among themselves.
     assert_eq!(faulty_sc.app_digest(1, 1), faulty_sc.app_digest(1, 2));
 }
@@ -323,7 +322,7 @@ proptest! {
         let cfg = recovery_cfg(31).with_shards(3).with_shard_failures(shard, plan);
         let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(0xCAFE));
         let report = sharded.run(900, 0);
-        prop_assert_eq!(report.aggregate.completed, 900);
+        prop_assert_eq!(report.completed, 900);
         sharded.settle(Duration::from_millis(4));
         for g in 0..3 {
             let d: Vec<Digest> = (0..3).map(|r| sharded.app_digest(g, r)).collect();

@@ -8,11 +8,14 @@
 //! trajectory. A fault injected into shard 1 must therefore leave shard
 //! 0's entire report bit-for-bit unchanged.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::memory::MemoryReport;
-use ubft::runtime::sharded::{ShardReport, ShardedCluster};
-use ubft::runtime::SimConfig;
+use ubft::runtime::sharded::ShardedCluster;
+use ubft::runtime::{RunReport, SimConfig};
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{KvApp, KvFrontend, KvOp, ShardRouter};
 use ubft_core::app::App;
@@ -43,8 +46,8 @@ type ShardFingerprint = (
     Vec<u64>,
 );
 
-fn shard_fingerprint(report: &ShardReport, cluster: &ShardedCluster, g: usize) -> ShardFingerprint {
-    let shard = &report.shards[g];
+fn shard_fingerprint(report: &RunReport, cluster: &ShardedCluster, g: usize) -> ShardFingerprint {
+    let shard = &report.groups[g];
     let mut lat = shard.latency.clone();
     let lat_print = if lat.is_empty() {
         (0, Duration::ZERO, Duration::ZERO)
@@ -73,9 +76,9 @@ fn sharded_g1_reproduces_cluster_bit_for_bit() {
     let single_report = single.run(300, 30);
 
     let mut sharded = ShardedCluster::new(cfg().with_shards(1), |_| kv_apps(3), kv_workload(77));
-    let ShardReport { aggregate, shards } = sharded.run(300, 30);
+    let aggregate = sharded.run(300, 30);
 
-    assert_eq!(shards.len(), 1);
+    assert_eq!(aggregate.groups.len(), 1);
     assert_eq!(aggregate.completed, single_report.completed);
     assert_eq!(aggregate.counters, single_report.counters);
     assert_eq!(aggregate.end, single_report.end);
@@ -84,13 +87,19 @@ fn sharded_g1_reproduces_cluster_bit_for_bit() {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.mean(), b.mean());
     assert_eq!(a.percentile(99.0), b.percentile(99.0));
+    let (group, single_group) = (&aggregate.groups[0], &single_report.groups[0]);
     for r in 0..3 {
         assert_eq!(sharded.app_digest(0, r), single.app_digest(r), "digest of replica {r}");
         assert_eq!(sharded.decided_of(0, r), single.decided_of(r), "decided of replica {r}");
+        // The two facades' reports say the same of every replica.
+        let (rep, single_rep) = (&group.replicas[r], &single_group.replicas[r]);
+        assert_eq!(rep.app_digest, single_rep.app_digest, "reported digest of replica {r}");
+        assert_eq!(rep.decided, single_rep.decided, "reported decided of replica {r}");
+        assert_eq!(rep.final_view, single_rep.final_view, "reported view of replica {r}");
     }
     // The per-shard breakdown of a single-shard run is the aggregate.
-    assert_eq!(shards[0].completed, aggregate.completed);
-    assert_eq!(shards[0].counters, aggregate.counters);
+    assert_eq!(group.completed, aggregate.completed);
+    assert_eq!(group.counters, aggregate.counters);
 }
 
 /// Sharded runs complete their total target and spread keys over groups.
@@ -99,17 +108,17 @@ fn sharded_run_distributes_work_across_groups() {
     let cfg = SimConfig::paper_default(12).fast_only().with_shards(4);
     let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(9));
     let report = sharded.run(400, 40);
-    assert_eq!(report.aggregate.completed, 440);
-    assert_eq!(report.shards.len(), 4);
+    assert_eq!(report.completed, 440);
+    assert_eq!(report.groups.len(), 4);
     // FNV spreads the key space: every group did real work.
-    for (g, shard) in report.shards.iter().enumerate() {
+    for (g, shard) in report.groups.iter().enumerate() {
         assert!(shard.completed > 0, "shard {g} idle");
         // Within a shard, correct replicas agree.
         let d: Vec<_> = (0..3).map(|r| sharded.app_digest(g, r)).collect();
         assert!(d.windows(2).all(|w| w[0] == w[1]), "shard {g} diverged");
     }
-    let sum: u64 = report.shards.iter().map(|s| s.completed).sum();
-    assert_eq!(sum, report.aggregate.completed);
+    let sum: u64 = report.groups.iter().map(|s| s.completed).sum();
+    assert_eq!(sum, report.completed);
 }
 
 /// Register banks are partitioned per group on the shared memory nodes:
@@ -141,7 +150,7 @@ fn shard_memory_is_partitioned_on_shared_nodes() {
 /// Runs a 3-shard deployment for a fixed slice of virtual time under a
 /// zero-jitter network and returns the shard-0 fingerprint. `plan`
 /// addresses shard 1.
-fn run_fixed_window(seed: u64, shard1_plan: Option<FailurePlan>) -> (ShardReport, ShardedCluster) {
+fn run_fixed_window(seed: u64, shard1_plan: Option<FailurePlan>) -> (RunReport, ShardedCluster) {
     let mut cfg = SimConfig::paper_default(seed).with_shards(3);
     if let Some(plan) = shard1_plan {
         cfg = cfg.with_shard_failures(1, plan);
@@ -175,16 +184,16 @@ fn replica_crash_is_contained_to_its_shard() {
             shard_fingerprint(&faulty, &faulty_sc, g),
             "shard {g} was perturbed by shard 1's crash"
         );
-        assert!(clean.shards[g].views.iter().all(|v| *v == View(0)));
+        assert!(clean.groups[g].views.iter().all(|v| *v == View(0)));
     }
     // The fault was real: shard 1's leader crashed, so it either rode a
     // view change or lost throughput inside the window.
-    let views_moved = faulty.shards[1].views.iter().any(|v| v.0 >= 1);
+    let views_moved = faulty.groups[1].views.iter().any(|v| v.0 >= 1);
     assert!(
-        views_moved || faulty.shards[1].completed < clean.shards[1].completed,
+        views_moved || faulty.groups[1].completed < clean.groups[1].completed,
         "shard 1 shows no effect of its leader crash"
     );
-    assert!(faulty.shards[1].completed < clean.shards[1].completed);
+    assert!(faulty.groups[1].completed < clean.groups[1].completed);
 }
 
 /// Same containment for a Byzantine fault: a censoring leader in shard 1
@@ -208,7 +217,43 @@ fn byzantine_fault_is_contained_to_its_shard() {
     }
     // Censorship must have cost shard 1 throughput (it needs a view
     // change to make progress again).
-    assert!(faulty.shards[1].completed < clean.shards[1].completed);
+    assert!(faulty.groups[1].completed < clean.groups[1].completed);
+}
+
+/// The closed loop stops at its target on every shard. Keys route to
+/// group 0 for the first 1 500 stream indices, so group 1's client is
+/// starved for the whole run and is still polling the source, with
+/// back-off, when group 0 completes the 100th request. A poll that fires
+/// during `settle` must neither pull the source nor issue: before the
+/// client loop was shared, the simulator's did both (the source was called
+/// 348 more times, and group 1 decided a request the run never owed it).
+#[test]
+fn a_starved_shard_issues_nothing_once_the_target_is_met() {
+    let router = ShardRouter::new(2);
+    // A 16-byte key of stream index `i`, salted until it routes to `g`.
+    let key_for = move |i: u64, g: usize| {
+        let salted = |salt: u64| [i.to_le_bytes(), salt.to_le_bytes()].concat();
+        (0..).map(salted).find(|key| router.route_key(key) == g).expect("a key per group")
+    };
+    let pulls = Rc::new(Cell::new(0u64));
+    let counted = Rc::clone(&pulls);
+    let workload = Box::new(move |i: u64| {
+        counted.set(counted.get() + 1);
+        KvOp::Set { key: key_for(i, usize::from(i >= 1_500)), value: vec![7; 8] }.to_bytes()
+    });
+    let cfg = SimConfig::paper_default(5).fast_only().with_shards(2);
+    let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), workload);
+
+    let report = sharded.run(100, 0);
+    assert_eq!(report.groups[0].completed, 100);
+    let pulled_by_the_run = pulls.get();
+    assert!(pulled_by_the_run < 1_500, "group 1 was meant to starve ({pulled_by_the_run} pulls)");
+
+    sharded.settle(Duration::from_millis(5));
+    assert_eq!(pulls.get(), pulled_by_the_run, "the source was pulled after the run ended");
+    for r in 0..3 {
+        assert_eq!(sharded.decided_of(1, r), 0, "group 1 replica {r} decided a request");
+    }
 }
 
 proptest! {
