@@ -39,9 +39,7 @@ impl Engine {
     /// canonical (sorted) order — identical on every correct replica at a
     /// given execution frontier, which is what lets checkpoints certify it.
     pub fn exec_table(&self) -> Vec<(ClientId, u64)> {
-        let mut table: Vec<_> = self.last_exec_seq.iter().map(|(c, s)| (*c, *s)).collect();
-        table.sort_unstable_by_key(|(c, _)| c.0);
-        table
+        self.requests.exec_table()
     }
 
     /// The runtime reports the application digest after applying every slot
@@ -72,39 +70,17 @@ impl Engine {
     /// A state transfer delivered the donor's request-dedup table for the
     /// checkpoint at `base`. Adopted only when it hashes to the *certified*
     /// [`CheckpointData::exec_digest`] (the donor is untrusted). Adoption
-    /// also prunes request bookkeeping the table proves executed — without
-    /// this, a replacement node keeps long-completed requests `outstanding`
+    /// also lets go of every request the table proves executed — without
+    /// this, a replacement node keeps long-completed requests outstanding
     /// forever, its progress watchdog spirals through views, and it ends
     /// up isolated (a cascade the chaos explorer found).
     pub fn on_exec_table(&mut self, base: Slot, table: Vec<(ClientId, u64)>) -> Vec<Effect> {
         let certified = &self.checkpoint.data;
         if certified.base == base && exec_table_digest(&table) == certified.exec_digest {
-            for (client, seq) in table {
-                let hi = self.last_exec_seq.get(&client).copied().unwrap_or(0);
-                self.last_exec_seq.insert(client, hi.max(seq), |_| false);
-            }
-            let executed = &self.last_exec_seq;
-            self.outstanding.retain(|id| id.seq >= *executed.get(&id.client).unwrap_or(&0));
-            self.propose_queue
-                .retain(|req| req.id.seq >= *executed.get(&req.id.client).unwrap_or(&0));
-            self.reclaim_request_state();
+            self.requests.adopt_exec_table(table);
             self.propose_ready();
         }
         std::mem::take(&mut self.out)
-    }
-
-    /// Drops what is kept about requests that are no longer outstanding.
-    /// A request enters `outstanding` together with its first entry in any
-    /// of the three maps and leaves it when it executes, so whatever is not
-    /// outstanding is executed: a retransmission is answered from the reply
-    /// cache and never consults these again. `outstanding ⊆ seen_requests`
-    /// (which `enqueue_outstanding` and `reecho_outstanding` index) holds
-    /// by construction.
-    fn reclaim_request_state(&mut self) {
-        let live = &self.outstanding;
-        self.seen_requests.retain(|id, _| live.contains(id));
-        self.echoes.retain(|id, _| live.contains(id));
-        self.proposed.retain(|id| live.contains(id));
     }
 
     /// A `CERTIFY_CHECKPOINT` share arrived: reject what is cheap to reject,
@@ -187,7 +163,7 @@ impl Engine {
         self.cp_shares.retain(|b, _| *b > base);
         let window = self.window() as u64;
         self.verified_cp_data.retain(|d| d.base.0 + window >= base.0);
-        self.reclaim_request_state();
+        self.requests.reclaim();
         if self.exec_next < base {
             // We missed decided slots below the certified base (a
             // replacement node, or a replica that lost a whole window):

@@ -6,6 +6,7 @@
 //! |---|---|
 //! | `stream` | Algorithm 5: FIFO interpretation of every CTBcast stream, the validity checks, the parked head |
 //! | `normal` | Algorithm 2: request intake, echo round, proposal, fast and slow path, decide, execute |
+//! | `requests` | §5.4: one record per client request — seen → queued (alone or batchable) → in a slot → executed → reclaimed; the stage diagram and the handler behind each transition are in its module comment —, the proposal queue, the dedup table |
 //! | `checkpoint` | Algorithm 2 lines 44–47: snapshots, checkpoint certification, the window of open slots |
 //! | `summary` | Algorithm 4: the CTBcast gate, summary certification, gap filling |
 //! | `view_change` | Algorithm 3: watchdog, seal, `CRTFY_VC`, `NEW_VIEW`, constrained re-proposals |
@@ -39,6 +40,7 @@ mod certify;
 mod checkpoint;
 mod join;
 mod normal;
+mod requests;
 mod stream;
 mod summary;
 mod types;
@@ -48,13 +50,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::wire::Wire;
-use ubft_types::{
-    ClientId, FixedMap, FixedSet, ProcessId, ReplicaId, RequestId, SeqId, Slot, View,
-};
+use ubft_types::{FixedSet, ProcessId, ReplicaId, SeqId, Slot, View};
 
 use self::certify::ShareSet;
 use self::join::JoinState;
 use self::normal::SlotState;
+use self::requests::Requests;
 use self::stream::PeerState;
 pub use self::types::{
     CryptoOps, DecisionEvidence, DecisionRecord, Effect, EngineConfig, EngineDiag, PathMode,
@@ -62,8 +63,7 @@ pub use self::types::{
 };
 pub use self::view_change::must_propose;
 pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork, ShareOf};
-use crate::lru::LruMap;
-use crate::msg::{CheckpointCert, CheckpointData, CtbMsg, DirectMsg, Request, StateSummary};
+use crate::msg::{CheckpointCert, CheckpointData, CtbMsg, DirectMsg, StateSummary};
 
 /// The uBFT replica state machine.
 pub struct Engine {
@@ -97,28 +97,8 @@ pub struct Engine {
     state: BTreeMap<ReplicaId, PeerState>,
     slots: BTreeMap<Slot, SlotState>,
     byzantine: BTreeSet<ReplicaId>,
-    /// Requests received directly from clients.
-    seen_requests: FixedMap<RequestId, Request>,
-    /// Requests seen but not yet executed (liveness tracking); their
-    /// content is in `seen_requests`.
-    outstanding: BTreeSet<RequestId>,
-    /// Highest executed client sequence per client (the dedup cache,
-    /// like PBFT's last-reply table) — bounded by
-    /// [`EngineConfig::client_cache_cap`] with deterministic LRU
-    /// eviction, so every correct replica's table (and hence the
-    /// checkpoint-certified [`Engine::exec_table`]) stays identical.
-    last_exec_seq: LruMap<ClientId, u64>,
-    /// Leader: echo counts per request.
-    echoes: FixedMap<RequestId, BTreeSet<ReplicaId>>,
-    /// Leader: requests ready to propose.
-    propose_queue: VecDeque<Request>,
-    /// Leader: queued requests that must be proposed in a slot of their own
-    /// because the echo round never completed for them (§5.4). Co-batching
-    /// one with fully-echoed requests would make followers hold the whole
-    /// prepare and knock every request in the batch off the fast path.
-    propose_solo: FixedSet<RequestId>,
-    /// Requests already proposed/decided (dedup).
-    proposed: FixedSet<RequestId>,
+    /// Client requests, from receipt to reclaim (§5.4).
+    requests: Requests,
     /// Slots whose PREPARE on the current leader's stream we hold back until
     /// its requests arrive directly (§5.4). The PREPARE itself lives in
     /// that stream's [`PeerState::prepares`] and nowhere else; this only
@@ -205,15 +185,7 @@ impl Engine {
         // same in every run of a seed (`ubft_types::hash`), under a key only
         // this replica holds.
         let hash_state = signer.hash_state();
-        // A request re-proposed across a view change may occupy a second
-        // slot, and that slot must land inside the acceptance window —
-        // within 2 windows of the first. At most `2 · window · max_batch`
-        // distinct clients execute in that span, so flooring the dedup
-        // capacity there guarantees an in-flight request's entry is never
-        // evicted before its duplicate executes: eviction can only forget
-        // clients whose requests are fully settled.
-        let dedup_floor = 2 * cfg.params.window * cfg.max_batch.max(1);
-        let client_cache_cap = cfg.client_cache_cap.map(|c| c.max(dedup_floor));
+        let requests = Requests::new(cfg.client_table_cap(), hash_state);
         Engine {
             me,
             cfg,
@@ -230,13 +202,7 @@ impl Engine {
             state,
             slots: BTreeMap::new(),
             byzantine: BTreeSet::new(),
-            seen_requests: FixedMap::with_hasher(hash_state),
-            outstanding: BTreeSet::new(),
-            last_exec_seq: LruMap::new(client_cache_cap, hash_state),
-            echoes: FixedMap::with_hasher(hash_state),
-            propose_queue: VecDeque::new(),
-            propose_solo: FixedSet::with_hasher(hash_state),
-            proposed: FixedSet::with_hasher(hash_state),
+            requests,
             held: BTreeSet::new(),
             my_ctb_sent: 0,
             summary_done_upto: 0,
@@ -305,6 +271,7 @@ impl Engine {
 
     /// Snapshots the protocol state for diagnostics.
     pub fn diag(&self) -> EngineDiag {
+        let (outstanding, request_entries, propose_queue) = self.requests.counts();
         EngineDiag {
             me: self.me,
             view: self.view,
@@ -317,13 +284,9 @@ impl Engine {
             snapshot_pending: self.snapshot_pending,
             parked_streams: self.state.values().filter(|ps| ps.parked.is_some()).count(),
             checkpoint_shares: self.cp_shares.values().map(ShareSet::len).sum(),
-            outstanding: self.outstanding.len(),
-            request_entries: self
-                .seen_requests
-                .len()
-                .max(self.echoes.len())
-                .max(self.proposed.len()),
-            propose_queue: self.propose_queue.len(),
+            outstanding,
+            request_entries,
+            propose_queue,
             open_prepares: self
                 .slots
                 .values()

@@ -5,9 +5,10 @@
 use std::collections::BTreeSet;
 
 use ubft_crypto::Signature;
-use ubft_types::{FixedMap, ReplicaId, RequestId, Slot, View};
+use ubft_types::{ReplicaId, RequestId, Slot, View};
 
 use super::certify::ShareSet;
+use super::requests::Stage;
 use super::{DecisionEvidence, DecisionRecord, Effect, Engine, PathMode, ShareOf, TimerKind};
 use crate::msg::{Batch, CommitCert, CtbMsg, DirectMsg, Prepare, Request, TbMsg};
 
@@ -46,103 +47,63 @@ impl Engine {
     // Client requests and the echo round (§5.4)
     // ------------------------------------------------------------------
 
-    fn already_executed(&self, id: &RequestId) -> bool {
-        self.last_exec_seq.get(&id.client).is_some_and(|hi| *hi > id.seq)
-    }
-
     /// A client request arrived directly at this replica.
     pub fn on_client_request(&mut self, req: Request) -> Vec<Effect> {
         self.run_unclaimed_jobs();
-        if self.already_executed(&req.id) {
-            // Executed requests are re-answered by the runtime's last-reply
-            // cache; nothing to order again.
-            return std::mem::take(&mut self.out);
-        }
-        if self.seen_requests.contains_key(&req.id) {
-            // A duplicate receipt means the client timed out and is
-            // retransmitting: our original echo (or the proposal path) may
-            // have been lost to a partition or crash — re-drive it instead
-            // of swallowing the request.
-            if self.is_leader() {
-                self.maybe_enqueue_proposal(req.id);
-                self.propose_ready();
-            } else {
-                let req = self.seen_requests[&req.id].clone();
-                self.out
-                    .push(Effect::SendReplica { to: self.leader(), msg: DirectMsg::Echo { req } });
-            }
-            return std::mem::take(&mut self.out);
-        }
         let id = req.id;
-        self.outstanding.insert(id);
-        if self.is_leader() {
-            self.seen_requests.insert(id, req);
-            self.echoes.entry(id).or_default();
-            self.maybe_enqueue_proposal(id);
-            if !self.proposed.contains(&id) {
+        let before = self.requests.receive(req);
+        // An executed request is re-answered by the runtime's last-reply
+        // cache: nothing to order again. One that was held already means the
+        // client timed out and is retransmitting — our original echo (or the
+        // proposal path) may have been lost to a partition or crash, so it
+        // is driven again, not swallowed.
+        if before != Some(Stage::Executed) {
+            if !self.is_leader() {
+                let req = self.requests.get(id).expect("just received");
+                let msg = DirectMsg::Echo { req };
+                self.out.push(Effect::SendReplica { to: self.leader(), msg });
+            } else if !self.queue_if_echoed(id) && before.is_none() {
                 self.out.push(Effect::ArmTimer { kind: TimerKind::EchoFallback(id) });
             }
-        } else {
-            // The follower's one copy: it keeps the request and echoes it.
-            self.seen_requests.insert(id, req.clone());
-            self.out.push(Effect::SendReplica { to: self.leader(), msg: DirectMsg::Echo { req } });
+            if before.is_none() {
+                // A held prepare may now be acceptable.
+                self.release_held();
+            }
+            self.propose_ready();
         }
-        // A held prepare may now be acceptable.
-        self.release_held();
-        self.propose_ready();
         std::mem::take(&mut self.out)
     }
 
     /// A follower echoed a client request to us (we may be the leader).
     pub fn on_echo(&mut self, from: ReplicaId, req: Request) -> Vec<Effect> {
         self.suspected.remove(&from);
-        if !self.is_leader() {
-            return std::mem::take(&mut self.out);
+        if self.is_leader() {
+            let id = req.id;
+            if self.requests.echo(from, req) {
+                self.queue_if_echoed(id);
+            }
+            self.propose_ready();
         }
-        let id = req.id;
-        self.echoes.entry(id).or_default().insert(from);
-        if !self.seen_requests.contains_key(&id) && !self.already_executed(&id) {
-            // We may yet receive it directly; remember the content so an
-            // echo-quorum can still propose it.
-            self.seen_requests.insert(id, req);
-            self.outstanding.insert(id);
-        }
-        self.maybe_enqueue_proposal(id);
-        self.propose_ready();
         std::mem::take(&mut self.out)
     }
 
     /// The echo-fallback timer for `id` fired: propose without full echoes.
+    /// Some follower may never have seen the request (that is why the timer
+    /// fired), so it goes into a slot of its own.
     pub(super) fn echo_timeout(&mut self, id: RequestId) {
-        if self.is_leader() && !self.proposed.contains(&id) {
-            if let Some(req) = self.seen_requests.get(&id).cloned() {
-                self.proposed.insert(id);
-                // Some follower may never have seen this request (that is
-                // why the timer fired); keep it out of shared batches so
-                // only its own slot is held under §5.4.
-                self.propose_solo.insert(id);
-                self.propose_queue.push_back(req);
-            }
+        if self.is_leader() {
+            self.requests.queue(id, true, 0);
         }
         self.propose_ready();
     }
 
-    fn maybe_enqueue_proposal(&mut self, id: RequestId) {
-        if self.proposed.contains(&id) {
-            return;
-        }
-        let echoes = self.echoes.get(&id).map_or(0, |s| s.len());
-        let have_direct = self.seen_requests.contains_key(&id);
-        // Echo round: all followers must have echoed (they hold the request)
-        // before the leader proposes; the EchoFallback timer covers
-        // Byzantine silence. After a view change the echo requirement is
-        // dropped (followers accept re-proposals without direct receipt).
-        let enough_echoes = !self.cfg.echo_round || echoes >= self.n() - 1 || self.view > View(0);
-        if have_direct && enough_echoes {
-            self.proposed.insert(id);
-            let req = self.seen_requests.get(&id).cloned().expect("have_direct");
-            self.propose_queue.push_back(req);
-        }
+    /// Echo round: all followers must have echoed (they hold the request)
+    /// before the leader proposes; the EchoFallback timer covers Byzantine
+    /// silence. After a view change the echo requirement is dropped
+    /// (followers accept re-proposals without direct receipt).
+    fn queue_if_echoed(&mut self, id: RequestId) -> bool {
+        let waived = !self.cfg.echo_round || self.view > View(0);
+        self.requests.queue(id, false, if waived { 0 } else { self.n() - 1 })
     }
 
     /// Slots this leader has proposed but not yet executed — the pipeline
@@ -167,32 +128,14 @@ impl Engine {
         }
         let depth = self.cfg.pipeline_depth.max(1) as u64;
         let max_batch = self.cfg.max_batch.max(1);
-        while self.in_open_window(self.next_slot)
-            && !self.propose_queue.is_empty()
-            && self.in_flight_slots() < depth
-        {
-            // Flush up to `max_batch` queued requests into one slot. While
-            // the pipeline is full the queue keeps growing, so under load
-            // batches widen toward `max_batch` on their own. Requests whose
-            // echo round timed out go alone: the flush stops at (or takes
-            // exactly) the first solo request.
-            let mut take = 0;
-            for req in self.propose_queue.iter().take(max_batch) {
-                if self.propose_solo.contains(&req.id) {
-                    if take == 0 {
-                        take = 1;
-                    }
-                    break;
-                }
-                take += 1;
-            }
-            let reqs: Vec<Request> = self.propose_queue.drain(..take).collect();
-            for req in &reqs {
-                self.propose_solo.remove(&req.id);
-            }
+        // Flush up to `max_batch` queued requests into one slot. While the
+        // pipeline is full the queue keeps growing, so under load batches
+        // widen toward `max_batch` on their own.
+        while self.in_open_window(self.next_slot) && self.in_flight_slots() < depth {
+            let Some(batch) = self.requests.next_batch(max_batch) else { break };
             let slot = self.next_slot;
             self.next_slot = self.next_slot.next();
-            let prepare = Prepare { view: self.view, slot, batch: Batch::new(reqs) };
+            let prepare = Prepare { view: self.view, slot, batch };
             self.emit_ctb(CtbMsg::Prepare(prepare));
         }
     }
@@ -212,7 +155,7 @@ impl Engine {
         // back has no second home: it is the entry just filed under the
         // leader's stream, and `held` only remembers which slots to look
         // at again when a request arrives.
-        if prep.view == View(0) && !batch_endorsed(&prep.batch, &self.seen_requests) {
+        if prep.view == View(0) && !self.requests.endorsed(&prep.batch) {
             self.held.insert(prep.slot);
             return;
         }
@@ -232,7 +175,7 @@ impl Engine {
             .held
             .iter()
             .filter_map(|slot| leader.prepares.get(slot))
-            .filter(|p| p.view == self.view && batch_endorsed(&p.batch, &self.seen_requests))
+            .filter(|p| p.view == self.view && self.requests.endorsed(&p.batch))
             .cloned()
             .collect();
         for p in ready {
@@ -502,32 +445,14 @@ impl Engine {
                 return;
             };
             for req in batch.requests() {
-                self.outstanding.remove(&req.id);
-                self.propose_solo.remove(&req.id);
                 // A request re-proposed across views may occupy two slots;
                 // only its first occurrence executes (PBFT-style last-reply
                 // dedup).
-                if !self.already_executed(&req.id) {
-                    let hi = self.last_exec_seq.get(&req.id.client).copied().unwrap_or(0);
-                    // No pin predicate here: a pin keyed on local state
-                    // (e.g. `outstanding`, which reflects receipt timing)
-                    // would make eviction differ across replicas and
-                    // break the checkpoint-certified table. The capacity
-                    // floor in `Engine::new` is what protects in-flight
-                    // duplicates instead — deterministically.
-                    self.last_exec_seq.insert(req.id.client, hi.max(req.id.seq + 1), |_| false);
+                if self.requests.execute(req.id) {
                     self.out.push(Effect::Execute { slot: self.exec_next, req: req.clone() });
                 }
             }
             self.exec_next = self.exec_next.next();
         }
     }
-}
-
-/// §5.4 endorsement predicate, shared by the hold (in `handle_prepare`) and
-/// release (in `release_held`) sides so they can never diverge: every
-/// non-noop request in the batch must have been received directly from its
-/// client.
-fn batch_endorsed(batch: &Batch, seen: &FixedMap<RequestId, Request>) -> bool {
-    batch.requests().iter().all(|r| r.is_noop() || seen.contains_key(&r.id))
 }

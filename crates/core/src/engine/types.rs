@@ -63,12 +63,12 @@ pub struct EngineConfig {
     /// the runtime, the last-reply cache). `None` — the default — keeps
     /// one entry per client forever, the paper prototype's unbounded
     /// behavior. `Some(c)` bounds the table to `c` clients with
-    /// deterministic least-recently-executed eviction ([`crate::lru`]);
-    /// clients with a request still in flight through consensus are
-    /// pinned and never evicted. Like PBFT's bounded last-reply table,
-    /// a capped table trades memory for exactly-once coverage: a client
-    /// must retransmit before `c` *other* clients execute, or its
-    /// retransmission is ordered (and executed) anew.
+    /// deterministic least-recently-executed eviction ([`crate::lru`]),
+    /// never below [`EngineConfig::client_table_cap`]'s floor. Like
+    /// PBFT's bounded last-reply table, a capped table trades memory for
+    /// exactly-once coverage: a client must retransmit before `c` *other*
+    /// clients execute, or its retransmission is ordered (and executed)
+    /// anew.
     pub client_cache_cap: Option<usize>,
 }
 
@@ -90,6 +90,21 @@ impl EngineConfig {
             test_decide_early: false,
             client_cache_cap: None,
         }
+    }
+
+    /// The capacity the per-client tables (the engine's dedup table, the
+    /// runtime's last-reply cache) actually run with:
+    /// [`EngineConfig::client_cache_cap`], floored. A request re-proposed
+    /// across a view change may occupy a second slot, and that slot must
+    /// land inside the acceptance window — within 2 windows of the first.
+    /// At most `2 · window · max_batch` distinct clients execute in that
+    /// span, so a table that large never evicts an in-flight request's
+    /// entry before its duplicate executes (nor a reply before its client
+    /// could need it again): eviction only forgets clients whose requests
+    /// are fully settled.
+    pub fn client_table_cap(&self) -> Option<usize> {
+        let floor = 2 * self.params.window * self.max_batch.max(1);
+        self.client_cache_cap.map(|c| c.max(floor))
     }
 }
 
@@ -275,9 +290,8 @@ pub struct EngineDiag {
     pub checkpoint_shares: usize,
     /// Requests seen but not yet executed.
     pub outstanding: usize,
-    /// Entries in the largest of the three per-request maps (payloads seen,
-    /// echoes counted, ids proposed). Checkpoints reclaim executed ones, so
-    /// this stays within two windows of batches.
+    /// Requests held, executed ones awaiting reclaim included. Checkpoints
+    /// reclaim those, so this stays within two windows of batches.
     pub request_entries: usize,
     /// Leader: requests queued for proposal.
     pub propose_queue: usize,

@@ -28,8 +28,7 @@ impl Engine {
     }
 
     fn has_pending_work(&self) -> bool {
-        !self.outstanding.is_empty()
-            || !self.propose_queue.is_empty()
+        self.requests.has_pending()
             || self.slots.values().any(|s| s.prepare.is_some() && s.decided.is_none())
     }
 
@@ -213,7 +212,7 @@ impl Engine {
             }
         }
         // Adopt responsibility for every request still outstanding.
-        self.enqueue_outstanding();
+        self.requests.queue_outstanding();
         self.propose_ready();
     }
 
@@ -227,24 +226,17 @@ impl Engine {
         }
     }
 
-    /// Leader: queues every outstanding request not proposed yet.
-    fn enqueue_outstanding(&mut self) {
-        for id in &self.outstanding {
-            if self.proposed.insert(*id) {
-                self.propose_queue.push_back(self.seen_requests[id].clone());
-            }
-        }
-    }
-
+    /// In a new view every outstanding request is the new leader's to
+    /// propose: the leader queues its own, a follower echoes its own again.
     fn reecho_outstanding(&mut self) {
         if self.is_leader() {
-            self.enqueue_outstanding();
+            self.requests.queue_outstanding();
             self.propose_ready();
         } else {
-            let leader = self.leader();
-            for id in &self.outstanding {
-                let req = self.seen_requests[id].clone();
-                self.out.push(Effect::SendReplica { to: leader, msg: DirectMsg::Echo { req } });
+            let to = self.leader();
+            for id in self.requests.outstanding() {
+                let req = self.requests.get(id).expect("outstanding requests are held");
+                self.out.push(Effect::SendReplica { to, msg: DirectMsg::Echo { req } });
             }
         }
     }

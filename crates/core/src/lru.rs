@@ -6,8 +6,8 @@
 //! a capacity knob while preserving the property the rest of the stack
 //! depends on: **eviction is a deterministic function of the insert
 //! sequence**. Every insert gets a unique monotone stamp; when the map
-//! exceeds its capacity the entry with the *smallest* stamp among the
-//! unpinned ones is evicted. Stamps are unique, so there are no ties —
+//! exceeds its capacity the entry with the *smallest* stamp is evicted.
+//! Stamps are unique, so there are no ties —
 //! two replicas that perform the same inserts in the same order evict the
 //! same keys, regardless of hash-map iteration order. That is what keeps
 //! the checkpoint-certified dedup table identical across correct replicas
@@ -17,11 +17,6 @@
 //! stamp): a dedup lookup on a retransmitted request must not perturb the
 //! eviction order, because retransmission timing is not part of the
 //! replicated state.
-//!
-//! Pinning: [`LruMap::insert`] takes a predicate naming keys that must
-//! not be evicted (e.g. clients with a request still in flight through
-//! consensus). Pins stretch the capacity — the map grows past `cap`
-//! rather than evict a pinned entry, and shrinks back as pins clear.
 
 use std::hash::Hash;
 
@@ -38,7 +33,7 @@ pub struct LruMap<K, V> {
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// An empty map. `cap = None` never evicts (today's unbounded
-    /// behavior); `Some(c)` holds at most `c` unpinned entries. The keys
+    /// behavior); `Some(c)` holds at most `c` entries. The keys
     /// are clients' to choose, so `hasher` should be keyed
     /// ([`FixedState::keyed`]).
     pub fn new(cap: Option<usize>, hasher: FixedState) -> Self {
@@ -71,10 +66,10 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 
     /// Inserts (or overwrites) `k`, stamping it most recent, then evicts
-    /// the least-recently-written entry for which `pinned` is false if the
-    /// map exceeds capacity. Returns the evicted pair, if any. The freshly
-    /// inserted key is never the eviction victim.
-    pub fn insert(&mut self, k: K, v: V, pinned: impl Fn(&K) -> bool) -> Option<(K, V)> {
+    /// the least-recently-written entry if the map exceeds capacity.
+    /// Returns the evicted pair, if any. The freshly inserted key is never
+    /// the eviction victim.
+    pub fn insert(&mut self, k: K, v: V) -> Option<(K, V)> {
         self.clock += 1;
         let stamp = self.clock;
         self.map.insert(k.clone(), (v, stamp));
@@ -87,7 +82,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         let victim = self
             .map
             .iter()
-            .filter(|(key, (_, s))| *s != stamp && !pinned(key))
+            .filter(|(_, (_, s))| *s != stamp)
             .min_by_key(|(_, (_, s))| *s)
             .map(|(key, _)| key.clone())?;
         self.map.remove(&victim).map(|(v, _)| (victim, v))
@@ -98,15 +93,11 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 mod tests {
     use super::*;
 
-    fn no_pin(_: &u32) -> bool {
-        false
-    }
-
     #[test]
     fn uncapped_never_evicts() {
         let mut m = LruMap::new(None, FixedState::default());
         for i in 0..10_000u32 {
-            assert!(m.insert(i, i, no_pin).is_none());
+            assert!(m.insert(i, i).is_none());
         }
         assert_eq!(m.len(), 10_000);
         assert_eq!(m.get(&0), Some(&0));
@@ -116,11 +107,11 @@ mod tests {
     fn evicts_least_recently_written_first() {
         let mut m = LruMap::new(Some(3), FixedState::default());
         for i in 0..3u32 {
-            assert!(m.insert(i, i * 10, no_pin).is_none());
+            assert!(m.insert(i, i * 10).is_none());
         }
         // Re-writing 0 refreshes it; 1 is now the oldest write.
-        assert!(m.insert(0, 100, no_pin).is_none());
-        let evicted = m.insert(3, 30, no_pin);
+        assert!(m.insert(0, 100).is_none());
+        let evicted = m.insert(3, 30);
         assert_eq!(evicted, Some((1, 10)));
         assert_eq!(m.get(&0), Some(&100));
         assert_eq!(m.get(&2), Some(&20));
@@ -130,25 +121,11 @@ mod tests {
     #[test]
     fn get_does_not_touch() {
         let mut m = LruMap::new(Some(2), FixedState::default());
-        m.insert(1, 1, no_pin);
-        m.insert(2, 2, no_pin);
+        m.insert(1, 1);
+        m.insert(2, 2);
         // Reading 1 must not save it: it is still the oldest write.
         assert_eq!(m.get(&1), Some(&1));
-        assert_eq!(m.insert(3, 3, no_pin), Some((1, 1)));
-    }
-
-    #[test]
-    fn pinned_entries_survive_and_stretch_capacity() {
-        let mut m = LruMap::new(Some(2), FixedState::default());
-        m.insert(1, 1, no_pin);
-        m.insert(2, 2, no_pin);
-        // 1 is oldest but pinned: 2 goes instead.
-        assert_eq!(m.insert(3, 3, |k| *k == 1), Some((2, 2)));
-        // Everything resident pinned: the map stretches past its cap.
-        assert_eq!(m.insert(4, 4, |k| *k == 1 || *k == 3), None);
-        assert_eq!(m.len(), 3);
-        // Pins cleared: the stretched map drains back one per insert.
-        assert_eq!(m.insert(5, 5, no_pin), Some((1, 1)));
+        assert_eq!(m.insert(3, 3), Some((1, 1)));
     }
 
     #[test]
@@ -160,7 +137,7 @@ mod tests {
             let mut evictions = Vec::new();
             for i in 0..1000u32 {
                 let k = (i * 7) % 97;
-                if let Some((k, _)) = m.insert(k, i, no_pin) {
+                if let Some((k, _)) = m.insert(k, i) {
                     evictions.push(k);
                 }
             }

@@ -14,7 +14,7 @@ use ubft_core::engine::{
     Effect::{self, RequestSnapshot},
     Engine, EngineConfig, PathMode, ShareOf, TimerKind,
 };
-use ubft_core::harness::EngineNet;
+use ubft_core::harness::{EngineNet, Move};
 use ubft_core::msg::{
     exec_table_digest, summary_sign_bytes, vc_sign_bytes, Batch, CheckpointCert, CheckpointData,
     CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
@@ -1958,6 +1958,126 @@ fn a_held_prepare_does_not_outlive_its_view() {
         assert_eq!(payloads, [b"X", b"Y"], "replica {r}");
     }
     net.assert_executed_prefix_agreement();
+}
+
+// ---- The view change and the proposal queue ------------------------------
+
+/// Applies the oldest pending move that `held` does not keep back, until
+/// only kept-back ones are left: a cut that delays and loses nothing, so
+/// [`Net::run`] heals it.
+fn run_except(net: &mut Net, held: impl Fn(&Move) -> bool) {
+    while let Some(i) = net.pending.iter().position(|m| !held(m)) {
+        net.apply(i);
+    }
+}
+
+/// Fires, at each of `replicas`, the armed timers `filter` accepts; applies
+/// nothing.
+fn fire_at(net: &mut Net, replicas: &[usize], filter: impl Fn(&TimerKind) -> bool) {
+    for &r in replicas {
+        let (fire, keep): (Vec<_>, Vec<_>) = net.timers[r].drain(..).partition(&filter);
+        net.timers[r] = keep;
+        for kind in fire {
+            let fx = net.engines[r].on_timer(kind);
+            net.emit(r, fx);
+        }
+    }
+}
+
+fn payloads(log: &[(Slot, Request)]) -> Vec<&[u8]> {
+    log.iter().map(|(_, q)| &q.payload[..]).collect()
+}
+
+/// One slot in flight, one request per slot. r0 proposes A, holds B queued
+/// behind it, and nothing r0 sends arrives; r1 and r2 depose it, and r1
+/// decides both in view 1 — r0, which still hears everybody, included.
+/// Then the cut heals.
+fn deposed_leader_with_a_queued_request() -> Net {
+    let mut net = Net::new(batched_config(PathMode::FastWithFallback, 1, 1));
+    let r0_is_mute = |m: &Move| m.from == 0 && m.to != 0;
+    net.client_request_no_drain(0, b"A");
+    net.client_request_no_drain(1, b"B");
+    run_except(&mut net, r0_is_mute);
+    assert_eq!(net.engines[0].diag().in_flight, 1);
+    assert_eq!(net.engines[0].diag().propose_queue, 1);
+
+    fire_at(&mut net, &[1, 2], |k| matches!(k, TimerKind::Progress));
+    run_except(&mut net, r0_is_mute);
+    // Unanimity is out of reach without r0's votes: one slow trigger per slot.
+    for _ in 0..2 {
+        fire_at(&mut net, &[1, 2], |k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+        run_except(&mut net, r0_is_mute);
+    }
+    net.run();
+    for r in 0..3 {
+        assert_eq!(net.engines[r].view(), View(1), "replica {r}");
+        assert_eq!(payloads(&net.executed[r]), [b"A", b"B"], "replica {r}");
+    }
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+    net
+}
+
+#[test]
+fn a_deposed_leader_keeps_no_queue_and_does_not_seal_on_it() {
+    let mut net = deposed_leader_with_a_queued_request();
+    // B executed under r1: it is queued nowhere and pending nowhere.
+    let diag = net.engines[0].diag();
+    assert_eq!((diag.propose_queue, diag.outstanding), (0, 0), "{diag}");
+    let seals = |net: &Net| {
+        net.ctb_log.iter().filter(|(_, m)| matches!(m, CtbMsg::SealView { .. })).count()
+    };
+    let before = seals(&net);
+    // The first firing after progress only re-arms; the second is the one
+    // that would seal.
+    for _ in 0..2 {
+        fire_progress(&mut net, 0);
+    }
+    assert_eq!(seals(&net), before, "an idle follower sealed a view");
+    assert_eq!(net.engines[0].view(), View(1));
+}
+
+#[test]
+fn a_deposed_leader_that_leads_again_proposes_nothing_that_executed() {
+    let mut net = deposed_leader_with_a_queued_request();
+    // Each watchdog fires until its replica has left the views it is stuck
+    // in (a firing that finds progress since the last one only re-arms).
+    let time_out = |net: &mut Net, replicas: [usize; 2], mute: &[usize], view: View| {
+        let held = |m: &Move| mute.contains(&m.from) && m.to != m.from;
+        run_except(net, held);
+        for r in replicas {
+            for _ in 0..4 {
+                if net.engines[r].view() < view {
+                    fire_at(net, &[r], |k| matches!(k, TimerKind::Progress));
+                    run_except(net, held);
+                }
+            }
+            assert_eq!(net.engines[r].view(), view, "replica {r}");
+        }
+    };
+    // C arrives and neither r1, which leads, nor r2, which would lead next,
+    // is heard by anybody: r0 and r2 time out into view 2, where r2 cannot
+    // gather a NEW_VIEW. Then r1 is back, r0 and r1 time out on C once more
+    // and r0 leads view 3.
+    net.client_request_no_drain(2, b"C");
+    time_out(&mut net, [0, 2], &[1, 2], View(2));
+    time_out(&mut net, [0, 1], &[2], View(3));
+    assert!(net.engines[0].is_leader());
+    fire_at(&mut net, &[0, 1], |k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    net.run();
+    // What r0 had queued in view 0 executed long ago; view 3 carries C and
+    // nothing else.
+    let of_r0_in_view_3 = net.ctb_log.iter().filter_map(|(stream, m)| match m {
+        CtbMsg::Prepare(p) if *stream == 0 && p.view == View(3) => Some(&p.batch),
+        _ => None,
+    });
+    let proposed: Vec<&[u8]> = of_r0_in_view_3
+        .flat_map(|b| b.requests().iter().filter(|q| !q.is_noop()).map(|q| &q.payload[..]))
+        .collect();
+    assert_eq!(proposed, [b"C"]);
+    for r in 0..3 {
+        assert_eq!(payloads(&net.executed[r]), [b"A", b"B", b"C"], "replica {r}");
+    }
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
 }
 
 // ---- The engine under arbitrary interleavings ---------------------------

@@ -210,6 +210,22 @@ enum SlowStage {
     VerifyingEntries,
 }
 
+/// What the broadcaster keeps about one of its own broadcasts.
+#[derive(Clone, Copy, Debug)]
+struct OwnBroadcast {
+    fp: Digest,
+    sign: SignState,
+}
+
+/// How far the slow path's signature of an own broadcast has got.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SignState {
+    NotAsked,
+    Asked,
+    /// What the signer returned.
+    Done(Signature),
+}
+
 /// One replica's state machine for one CTBcast stream (Algorithm 1).
 #[derive(Clone, Debug)]
 pub struct Ctb {
@@ -219,13 +235,10 @@ pub struct Ctb {
     replicas: Vec<ReplicaId>,
     /// Broadcaster only: next id to assign.
     next_k: SeqId,
-    /// Broadcaster only: fingerprints of own recent broadcasts, pruned to
-    /// the last `2t` together with `payloads` — which holds the bodies, for
-    /// `SIGNED` emission after async signing.
-    my_broadcasts: FixedMap<u64, Digest>,
-    /// Broadcaster only: ids for which a sign was already requested, each
-    /// with the signature once the signer returned it.
-    sign_requested: FixedMap<u64, Option<Signature>>,
+    /// Broadcaster only: own recent broadcasts, pruned to the last `2t`
+    /// together with `payloads` — which holds the bodies, for `SIGNED`
+    /// emission after async signing.
+    my_broadcasts: FixedMap<u64, OwnBroadcast>,
     /// `locks` array (line 9): per ring slot, the `(k, fp)` this replica is
     /// committed to.
     locks: Vec<Option<(SeqId, Digest)>>,
@@ -270,7 +283,6 @@ impl Ctb {
             replicas,
             next_k: SeqId(1),
             my_broadcasts: FixedMap::with_hasher(hash_state),
-            sign_requested: FixedMap::with_hasher(hash_state),
             locks: vec![None; cfg.tail],
             locked: vec![vec![None; cfg.tail]; cfg.n],
             delivered: vec![None; cfg.tail],
@@ -309,11 +321,7 @@ impl Ctb {
         }
         let floor = SeqId(next.0.saturating_sub(1));
         if floor > self.max_seen {
-            self.max_seen = floor;
-            let prune = self.max_seen.0.saturating_sub(2 * self.cfg.tail as u64);
-            self.payloads.retain(|(pk, _), _| *pk > prune);
-            self.my_broadcasts.retain(|pk, _| *pk > prune);
-            self.sign_requested.retain(|pk, _| *pk > prune);
+            self.saw(floor);
         }
         // Per-ring-slot delivery floors: the highest id below `next` that
         // aliases each slot.
@@ -350,19 +358,32 @@ impl Ctb {
 
     /// Broadcaster only: the body of own broadcast `k`, while in the tail.
     fn my_broadcast_body(&self, k: SeqId) -> Option<&Vec<u8>> {
-        let fp = self.my_broadcasts.get(&k.0)?;
-        self.payloads.get(&(k.0, *fp))
+        let own = self.my_broadcasts.get(&k.0)?;
+        self.payloads.get(&(k.0, own.fp))
+    }
+
+    /// `k`, higher than any id seen so far, is on the stream: whatever is
+    /// `2t` or more below it goes.
+    fn saw(&mut self, k: SeqId) {
+        self.max_seen = k;
+        let floor = k.0.saturating_sub(2 * self.cfg.tail as u64);
+        self.payloads.retain(|(pk, _), _| *pk > floor);
+        self.my_broadcasts.retain(|pk, _| *pk > floor);
     }
 
     fn cache_payload(&mut self, k: SeqId, fp: Digest, m: &[u8]) {
         if k > self.max_seen {
-            self.max_seen = k;
-            let floor = self.max_seen.0.saturating_sub(2 * self.cfg.tail as u64);
-            self.payloads.retain(|(pk, _), _| *pk > floor);
-            self.my_broadcasts.retain(|pk, _| *pk > floor);
-            self.sign_requested.retain(|pk, _| *pk > floor);
+            self.saw(k);
         }
         self.payloads.entry((k.0, fp)).or_insert_with(|| m.to_vec());
+    }
+
+    /// Broadcaster only: asks for the signature of own broadcast `k` unless
+    /// it was asked for already or `k` fell out of the tail.
+    fn request_sign(&mut self, k: SeqId) -> Option<CtbEffect> {
+        let own = self.my_broadcasts.get_mut(&k.0).filter(|own| own.sign == SignState::NotAsked)?;
+        own.sign = SignState::Asked;
+        Some(CtbEffect::Sign { k, fp: own.fp })
     }
 
     /// Broadcasts `m` on this stream (Algorithm 1, lines 2–4).
@@ -376,7 +397,7 @@ impl Ctb {
         self.next_k = self.next_k.next();
         let fp = fingerprint(&m);
         self.cache_payload(k, fp, &m);
-        self.my_broadcasts.insert(k.0, fp);
+        self.my_broadcasts.insert(k.0, OwnBroadcast { fp, sign: SignState::NotAsked });
         let mut fx = Vec::new();
         if self.cfg.fast_enabled {
             fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
@@ -388,10 +409,7 @@ impl Ctb {
             // `OnTimeout` with a receiver known to be silent: the timeout
             // would only re-discover it, so the slow path starts beside
             // the fast one.
-            SlowMode::Always | SlowMode::OnTimeout => {
-                self.sign_requested.insert(k.0, None);
-                fx.push(CtbEffect::Sign { k, fp });
-            }
+            SlowMode::Always | SlowMode::OnTimeout => fx.extend(self.request_sign(k)),
             SlowMode::Never => {}
         }
         (k, fx)
@@ -401,23 +419,19 @@ impl Ctb {
     /// trigger the slow path (broadcaster only) and suspect every receiver
     /// whose `LOCKED` for `k` is missing.
     pub fn on_slow_timeout(&mut self, k: SeqId) -> Vec<CtbEffect> {
-        if self.me != self.stream || self.sign_requested.contains_key(&k.0) {
-            return Vec::new();
-        }
         let slot = self.slot(k);
-        if self.delivered[slot].is_some_and(|d| d >= k) {
-            return Vec::new(); // fast path already delivered
+        if self.me != self.stream || self.delivered[slot].is_some_and(|d| d >= k) {
+            return Vec::new(); // not ours to sign, or fast path already delivered
         }
-        let Some(&fp) = self.my_broadcasts.get(&k.0) else {
-            return Vec::new(); // out of tail already
-        };
-        self.sign_requested.insert(k.0, None);
-        for (q, row) in self.locked.iter().enumerate() {
-            if row[slot] != Some((k, fp)) {
-                self.suspected.insert(self.replicas[q]);
+        let sign = self.request_sign(k);
+        if let Some(CtbEffect::Sign { fp, .. }) = &sign {
+            for (q, row) in self.locked.iter().enumerate() {
+                if row[slot] != Some((k, *fp)) {
+                    self.suspected.insert(self.replicas[q]);
+                }
             }
         }
-        vec![CtbEffect::Sign { k, fp }]
+        sign.into_iter().collect()
     }
 
     /// Forces the slow path for `k` *even if we fast-delivered it
@@ -431,17 +445,10 @@ impl Ctb {
     /// calls this for the unsummarized tail when a summary boundary stays
     /// uncertified suspiciously long.
     pub fn force_slow(&mut self, k: SeqId) -> Vec<CtbEffect> {
-        if self.me != self.stream
-            || self.cfg.slow == SlowMode::Never
-            || self.sign_requested.contains_key(&k.0)
-        {
+        if self.me != self.stream || self.cfg.slow == SlowMode::Never {
             return Vec::new();
         }
-        let Some(&fp) = self.my_broadcasts.get(&k.0) else {
-            return Vec::new(); // out of tail already
-        };
-        self.sign_requested.insert(k.0, None);
-        vec![CtbEffect::Sign { k, fp }]
+        self.request_sign(k).into_iter().collect()
     }
 
     /// The crypto pool finished signing `(stream, k, fp)`. The signature is
@@ -451,7 +458,8 @@ impl Ctb {
         let Some(m) = self.my_broadcast_body(k).cloned() else {
             return Vec::new();
         };
-        self.sign_requested.insert(k.0, Some(sig));
+        let own = self.my_broadcasts.get_mut(&k.0).expect("its body is held");
+        own.sign = SignState::Done(sig);
         vec![CtbEffect::Broadcast(CtbWire::Signed { k, m, sig })]
     }
 
@@ -545,9 +553,8 @@ impl Ctb {
                 out_of_tail: false,
             },
         );
-        let ours = self.sign_requested.get(&k.0) == Some(&Some(sig))
-            && self.my_broadcasts.get(&k.0) == Some(&fp);
-        if ours {
+        let own = self.my_broadcasts.get(&k.0);
+        if own.is_some_and(|own| own.fp == fp && own.sign == SignState::Done(sig)) {
             return self.on_signed_verified(k, true);
         }
         vec![CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig }]

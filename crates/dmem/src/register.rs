@@ -151,7 +151,7 @@ impl RegisterWriter {
         value: &[u8],
         now: Time,
     ) -> WriteOutcome {
-        self.write_internal(fabric, issuer, reg, ts, value, now, true, true)
+        self.write_internal(fabric, issuer, reg, ts, value, now, true)
     }
 
     /// Byzantine variant: writes a bogus checksum (a writer "writing bogus
@@ -165,22 +165,7 @@ impl RegisterWriter {
         value: &[u8],
         now: Time,
     ) -> WriteOutcome {
-        self.write_internal(fabric, issuer, reg, ts, value, now, false, true)
-    }
-
-    /// Byzantine variant: ignores the `δ` cooldown, racing both
-    /// sub-registers. Readers observing two concurrent writes must either
-    /// find a valid value or brand the writer Byzantine — never hang.
-    pub fn write_ignoring_cooldown(
-        &mut self,
-        fabric: &mut Fabric,
-        issuer: HostId,
-        reg: RegisterId,
-        ts: u64,
-        value: &[u8],
-        now: Time,
-    ) -> WriteOutcome {
-        self.write_internal(fabric, issuer, reg, ts, value, now, true, false)
+        self.write_internal(fabric, issuer, reg, ts, value, now, false)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -193,13 +178,11 @@ impl RegisterWriter {
         value: &[u8],
         now: Time,
         honest_checksum: bool,
-        honor_cooldown: bool,
     ) -> WriteOutcome {
         let r = &self.replicas[reg.0];
         assert!(value.len() <= r.value_size, "value exceeds register size");
 
-        let start =
-            if honor_cooldown && now < self.ready_at[reg.0] { self.ready_at[reg.0] } else { now };
+        let start = now.max(self.ready_at[reg.0]);
 
         // A δ-cooldown-deferred write can *start* after the issuer's own
         // scheduled crash. That used to surface as per-region

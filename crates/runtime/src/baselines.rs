@@ -17,7 +17,7 @@ use ubft_minbft::{ClientAuth, MinbftEffect, MinbftReplica, Usig};
 use ubft_mu::{MuEffect, MuFollower, MuLeader};
 use ubft_sim::stats::LatencyStats;
 use ubft_sim::SimRng;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, Slot, Time};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, Slot};
 
 use crate::calibration::SimConfig;
 
@@ -340,11 +340,6 @@ pub fn run_sgx_nonequivocation(
         stats.record(t);
     }
     stats
-}
-
-/// Virtual time origin helper for baseline tests.
-pub fn t0() -> Time {
-    Time::ZERO
 }
 
 #[cfg(test)]

@@ -344,6 +344,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         let cap = 2 * tail;
         let receivers = || (0..n).map(|_sender| TailReceiver::new(cap)).collect::<Vec<_>>();
         let hash_state = ring.signer(ProcessId::Replica(me)).expect("replica key").hash_state();
+        let reply_cache_cap = ecfg.client_table_cap();
         ReplicaNode {
             r,
             n_clients: cfg.n_clients.max(1),
@@ -360,13 +361,10 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             echo_fallback: cfg.echo_fallback,
             retransmit_period: cfg.retransmit_period,
             summary_stall_ticks: 0,
-            // Mirrors the engine's in-flight floor: an entry evicted
-            // before its client could possibly need a re-reply would
-            // stall that client forever.
-            reply_cache: LruMap::new(
-                cfg.client_cache_cap.map(|c| c.max(2 * cfg.params.window * cfg.max_batch.max(1))),
-                hash_state,
-            ),
+            // The engine's in-flight floor: an entry evicted before its
+            // client could possibly need a re-reply would stall that
+            // client forever.
+            reply_cache: LruMap::new(reply_cache_cap, hash_state),
             exec_log: Vec::new(),
             transfer_misses: 0,
             branded: Vec::new(),
@@ -583,7 +581,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                     // Last-reply table (one entry per client, LRU-bounded
                     // when capped), so a retransmitted already-executed
                     // request can be re-answered.
-                    let _ = self.reply_cache.insert(req.id.client, reply, |_| false);
+                    let _ = self.reply_cache.insert(req.id.client, reply);
                 }
             }
             Effect::RequestSnapshot { base } => {

@@ -209,6 +209,34 @@ fn partition_heals_and_straggler_catches_up() {
 }
 
 #[test]
+fn a_deposed_leader_does_not_seal_on_requests_that_executed() {
+    // r0 leads with a pipeline of one, so of eight clients' requests seven
+    // wait in its proposal queue when it is cut off from both peers; they
+    // depose it, decide those requests in view 1, and r0 rejoins as a
+    // follower. Whatever r0 still had queued has executed by then and is
+    // pending nowhere: once the clients stop, nobody's watchdog may fire.
+    let mut cfg = SimConfig::paper_default(1).with_clients(8).with_pipeline_depth(1);
+    cfg.failures = FailurePlan::none().partition(0, 1, us(1_000), us(4_000)).partition(
+        0,
+        2,
+        us(1_000),
+        us(4_000),
+    );
+    let apps = (0..3).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect();
+    let mut cluster = Cluster::new(cfg, apps, payload(32));
+    let report = cluster.run_until(3_000, 0, us(400_000));
+    assert!(report.completed >= 3_000, "stalled:\n{}", cluster.diag_lines());
+    let replicas = &report.groups[0].replicas;
+    assert!(replicas.iter().all(|r| r.branded.is_empty()), "{}", cluster.diag_lines());
+    let views = |c: &Cluster| [c.view_of(0), c.view_of(1), c.view_of(2)];
+    let before = views(&cluster);
+    cluster.settle(Duration::from_millis(60));
+    assert_eq!(cluster.decided_of(0), cluster.decided_of(1));
+    assert_eq!(cluster.decided_of(1), cluster.decided_of(2));
+    assert_eq!(views(&cluster), before, "an idle replica changed view:\n{}", cluster.diag_lines());
+}
+
+#[test]
 fn pre_gst_asynchrony_does_not_violate_safety() {
     let mut cfg = SimConfig::paper_default(28);
     cfg.path = PathMode::FastWithFallback;
