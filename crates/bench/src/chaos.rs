@@ -15,7 +15,7 @@
 //! violation found in CI reproduces on a laptop from two numbers.
 
 use ubft_runtime::audit::AuditReport;
-use ubft_runtime::{ShardedCluster, SimConfig};
+use ubft_runtime::{Cluster, SimConfig};
 use ubft_sim::chaos::{shrink, ChaosPlan, ChaosSpace};
 use ubft_types::{Duration, Time};
 
@@ -62,8 +62,8 @@ fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
         .with_shards(groups)
         .with_audit()
         .with_chaos(plan);
-    let n = cfg.params.n();
-    let mut cluster = ShardedCluster::new(cfg, |_| make_apps(app, n), make_workload(app, 32));
+    let apps = make_apps(app, cfg.params.n() * cfg.shards);
+    let mut cluster = Cluster::new(cfg, apps, make_workload(app, 32));
     let report = cluster.run_until(REQUESTS, 0, run_deadline());
     cluster.settle(Duration::from_millis(3));
     let audit = cluster.audit_report().expect("audited run");
@@ -94,7 +94,7 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
         let space = space_for(seed);
         let plan = ChaosPlan::generate(seed, &space);
         distinct.insert(format!("{plan:?}"));
-        faults_total += plan.faults.len() as u64;
+        faults_total += plan.failures.faults().len() as u64;
         let (audit, completed) = run_plan(&plan, seed);
         decisions += audit.decisions_checked;
         executions += audit.executions_checked;
@@ -102,7 +102,7 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
             violating += 1;
             out.push_str(&format!(
                 "\nVIOLATION under seed {seed} ({} fault(s), app {}):\n",
-                plan.faults.len(),
+                plan.failures.faults().len(),
                 app_for(seed)
             ));
             for v in audit.violations.iter().take(4) {
@@ -113,7 +113,7 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
             let shrunk = shrink(&plan, &space, |cand| !run_plan(cand, seed).0.is_clean());
             out.push_str(&format!(
                 "shrunk to {} fault(s); repro:\n{}",
-                shrunk.faults.len(),
+                shrunk.failures.faults().len(),
                 shrunk.repro_string()
             ));
         } else if completed < REQUESTS {

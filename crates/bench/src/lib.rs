@@ -18,7 +18,6 @@ use ubft_minbft::ClientAuth;
 use ubft_runtime::baselines;
 use ubft_runtime::cluster::Cluster;
 use ubft_runtime::memory::MemoryReport;
-use ubft_runtime::sharded::ShardedCluster;
 use ubft_runtime::SimConfig;
 use ubft_sim::stats::LatencyStats;
 use ubft_types::Duration;
@@ -633,11 +632,10 @@ pub fn shard_sweep(samples: u64) -> String {
             .with_pipeline_depth(2)
             .with_batch(8)
             .with_shards(g);
-        let n = cfg.params.n();
-        let mut sharded =
-            ShardedCluster::new(cfg, |_| make_apps("redis", n), make_workload("redis", 32));
-        let report = sharded.run(samples * g as u64, WARMUP);
-        let mem = MemoryReport::measure_sharded(&sharded);
+        let apps = make_apps("redis", cfg.params.n() * g);
+        let mut cluster = Cluster::new(cfg, apps, make_workload("redis", 32));
+        let report = cluster.run(samples * g as u64, WARMUP);
+        let mem = MemoryReport::measure(&cluster);
         let kreq = report.completed as f64
             / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
             * 1_000.0;

@@ -30,11 +30,6 @@ impl Signature {
     pub fn garbage() -> Signature {
         Signature(Digest::from_bytes([0xEE; 32]))
     }
-
-    /// The raw tag bytes.
-    pub fn as_digest(&self) -> &Digest {
-        &self.0
-    }
 }
 
 impl Wire for Signature {

@@ -117,11 +117,6 @@ impl Fabric {
         (id, token)
     }
 
-    /// The host a region lives on.
-    pub fn region_host(&self, region: RegionId) -> Option<HostId> {
-        self.regions.get(&region).map(|e| e.host)
-    }
-
     /// Total registered region bytes on `host` (disaggregated-memory
     /// accounting for Table 2).
     pub fn host_bytes(&self, host: HostId) -> usize {

@@ -219,7 +219,7 @@ impl Auditor {
                 let genesis: Vec<Digest> = vec![g.nodes[0].app.snapshot_digest()];
                 let mut replicas: Vec<ReplicaAudit> =
                     (0..n).map(|_| ReplicaAudit::default()).collect();
-                for f in g.env.cfg.failures.faults() {
+                for (_, f) in g.env.cfg.failures.faults() {
                     if let Fault::Byzantine { index, .. } = f {
                         if *index < n {
                             replicas[*index].byzantine = true;

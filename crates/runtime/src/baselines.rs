@@ -19,14 +19,14 @@ use ubft_sim::stats::LatencyStats;
 use ubft_sim::SimRng;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, Slot};
 
-use crate::calibration::SimConfig;
+use crate::calibration::{SimConfig, POLL_PICKUP};
 
 /// Per-hop software-stack overhead of the MinBFT implementation over VMA
 /// (message marshalling, socket emulation, thread handoffs), in nanoseconds.
 const MINBFT_STACK_OVERHEAD_NS: u64 = 22_000;
 
 fn hop(cfg: &SimConfig, rng: &mut SimRng, bytes: usize) -> Duration {
-    cfg.latency.sample(rng, bytes) + cfg.poll_pickup + cfg.cost.dispatch
+    cfg.latency.sample(rng, bytes) + POLL_PICKUP + cfg.cost.dispatch
 }
 
 /// Unreplicated execution: request to the server, execute, reply.

@@ -15,6 +15,33 @@ use ubft_types::{ClusterParams, Duration, Time};
 
 use crate::audit::AuditMutation;
 
+/// Fast-path *detection* timeout: how long a CTBcast broadcaster waits for
+/// every `LOCKED`, and a replica for a slot's WILL_* rounds, before starting
+/// the slow path. Paid once per silent peer, not per message: the timeout
+/// that fires marks the peers whose contribution is missing as suspected,
+/// and while anyone is suspected new broadcasts and slots start the slow
+/// path at once, until the peer is heard from again.
+pub const SLOW_TRIGGER: Duration = Duration::from_micros(200);
+
+/// Leader-progress watchdog period. An order of magnitude above a slow-path
+/// slot (≈ 204 µs), the longest a failure-free run goes without a decision:
+/// summary and checkpoint certifications run beside the request path and
+/// stall nobody. The degraded-mode numbers (`leader_crash`: one watchdog
+/// period to detect the crash, doubled per fruitless view change) are
+/// calibrated against this value.
+pub const PROGRESS_TIMEOUT: Duration = Duration::from_micros(2_500);
+
+/// Echo-round fallback timeout.
+pub const ECHO_FALLBACK: Duration = Duration::from_micros(100);
+
+/// Receiver poll pickup delay (buffer scan granularity).
+pub const POLL_PICKUP: Duration = Duration::from_nanos(150);
+
+/// TBcast retransmission tick: unacknowledged buffered messages older than
+/// one full period are resent (§4.2). Recovery from message loss
+/// (partitions, buffer overwrite) takes between one and two periods.
+pub const RETRANSMIT_PERIOD: Duration = Duration::from_micros(150);
+
 /// Full configuration of one simulated experiment.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -28,25 +55,10 @@ pub struct SimConfig {
     pub latency: LatencyModel,
     /// CPU/crypto cost model.
     pub cost: CostModel,
-    /// Fault schedule.
+    /// The deployment's fault schedule: every fault names its group
+    /// ([`FailurePlan::in_group`]), and a deployment refuses a plan that
+    /// names a group it does not have.
     pub failures: FailurePlan,
-    /// Fast-path *detection* timeout: how long a CTBcast broadcaster waits
-    /// for every `LOCKED`, and a replica for a slot's WILL_* rounds, before
-    /// starting the slow path. Paid once per silent peer, not per message:
-    /// the timeout that fires marks the peers whose contribution is missing
-    /// as suspected, and while anyone is suspected new broadcasts and slots
-    /// start the slow path at once, until the peer is heard from again.
-    pub slow_trigger: Duration,
-    /// Leader-progress watchdog period.
-    pub progress_timeout: Duration,
-    /// Echo-round fallback timeout.
-    pub echo_fallback: Duration,
-    /// Receiver poll pickup delay (buffer scan granularity).
-    pub poll_pickup: Duration,
-    /// TBcast retransmission tick: unacknowledged buffered messages older
-    /// than one full period are resent (§4.2). Recovery from message loss
-    /// (partitions, buffer overwrite) takes between one and two periods.
-    pub retransmit_period: Duration,
     /// Whether the leader runs the §5.4 echo round before proposing
     /// (disabled in the echo ablation).
     pub echo_round: bool,
@@ -68,16 +80,10 @@ pub struct SimConfig {
     /// queue up so batches actually form under load.
     pub pipeline_depth: Option<usize>,
     /// Number of independent consensus groups a
-    /// [`ShardedCluster`](crate::sharded::ShardedCluster) instantiates over
-    /// one shared fabric and memory-node set. `1` — the default — is the
-    /// classic single-group deployment; [`Cluster`](crate::cluster::Cluster)
-    /// always runs one group regardless of this knob.
+    /// [`Cluster`](crate::cluster::Cluster) deploys over one shared fabric
+    /// and memory-node set, from `n · shards` applications in group order.
+    /// `1` — the default — is the classic single-group deployment.
     pub shards: usize,
-    /// Additional fault schedules addressed to individual shards:
-    /// `(shard, plan)` pairs whose replica/memory-node indices are
-    /// group-local. The scalar [`SimConfig::failures`] plan addresses
-    /// shard 0 (so single-group configurations behave unchanged).
-    pub shard_failures: Vec<(usize, FailurePlan)>,
     /// Whether the omniscient safety [`Auditor`](crate::audit::Auditor)
     /// observes the run ([`SimConfig::with_audit`]). Off by default: an
     /// unaudited run records nothing and stays bit-for-bit historical.
@@ -111,9 +117,10 @@ pub struct SimConfig {
     /// per message and occupy neither).
     pub crypto_workers: usize,
     /// Threaded backend only: multiplier stretching virtual-time timer
-    /// durations (progress watchdog, slow-path trigger, retransmit tick)
-    /// into wall-clock time. The simulator's timers are calibrated to
-    /// RDMA microseconds; OS scheduling jitter is orders of magnitude
+    /// durations ([`PROGRESS_TIMEOUT`], [`SLOW_TRIGGER`],
+    /// [`RETRANSMIT_PERIOD`], ...) into wall-clock time. The simulator's
+    /// timers are calibrated to RDMA microseconds; OS scheduling jitter is
+    /// orders of magnitude
     /// coarser, so un-stretched timers fire spuriously and derail runs
     /// into view changes. Ignored by the simulator.
     pub time_scale: u32,
@@ -141,24 +148,12 @@ impl SimConfig {
             latency: LatencyModel::paper_testbed(),
             cost: CostModel::paper_testbed(),
             failures: FailurePlan::none(),
-            slow_trigger: Duration::from_micros(200),
-            // An order of magnitude above a slow-path slot (≈ 204 µs), the
-            // longest a failure-free run goes without a decision: summary
-            // and checkpoint certifications run beside the request path and
-            // stall nobody. The degraded-mode numbers (`leader_crash`: one
-            // watchdog period to detect the crash, doubled per fruitless
-            // view change) are calibrated against this value.
-            progress_timeout: Duration::from_micros(2_500),
-            echo_fallback: Duration::from_micros(100),
-            poll_pickup: Duration::from_nanos(150),
-            retransmit_period: Duration::from_micros(150),
             echo_round: true,
             n_clients: 1,
             summary_every: None,
             max_batch: 1,
             pipeline_depth: None,
             shards: 1,
-            shard_failures: Vec::new(),
             audit: false,
             audit_mutation: None,
             client_cache_cap: None,
@@ -276,8 +271,8 @@ impl SimConfig {
     }
 
     /// Sets the number of consensus groups a
-    /// [`ShardedCluster`](crate::sharded::ShardedCluster) deploys over the
-    /// shared fabric (clamped to at least one).
+    /// [`Cluster`](crate::cluster::Cluster) deploys over the shared fabric
+    /// (clamped to at least one).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -298,20 +293,6 @@ impl SimConfig {
         rejoin_delay: Duration,
     ) -> Self {
         self.failures = self.failures.replace_replica(victim, crash_at, crash_at + rejoin_delay);
-        self
-    }
-
-    /// Addresses a fault schedule to one shard: `plan`'s *replica* indices
-    /// are local to that group. Memory nodes are shared by every shard, so
-    /// a memory-node crash in any shard's plan crashes that global node
-    /// for the whole deployment (register banks are replicated across all
-    /// of them, which is what makes the crash survivable). Composes with
-    /// the scalar [`SimConfig::failures`] plan, which addresses shard 0.
-    /// The asynchrony phase (GST) remains a deployment-global property of
-    /// the base plan.
-    #[must_use]
-    pub fn with_shard_failures(mut self, shard: usize, plan: FailurePlan) -> Self {
-        self.shard_failures.push((shard, plan));
         self
     }
 
@@ -337,38 +318,16 @@ impl SimConfig {
         self
     }
 
-    /// Applies a generated [`ChaosPlan`]: group 0's faults (and the
-    /// deployment-global asynchrony phase) become [`SimConfig::failures`],
-    /// every other group's faults become [`SimConfig::with_shard_failures`]
-    /// entries, and the shard count is raised to cover every addressed
-    /// group. Chaos runs are exactly the fault plans a hand-written test
-    /// would build — a printed plan reproduces byte for byte.
+    /// Applies a generated [`ChaosPlan`]: its plan becomes
+    /// [`SimConfig::failures`], and the group count is raised to cover
+    /// every group it addresses. Chaos runs are exactly the fault plans a
+    /// hand-written test would build — a printed plan reproduces byte for
+    /// byte.
     #[must_use]
     pub fn with_chaos(mut self, plan: &ChaosPlan) -> Self {
-        self.shards = self.shards.max(plan.max_group() + 1);
-        self.failures = plan.group_plan(0);
-        for g in 1..self.shards {
-            let gp = plan.group_plan(g);
-            if !gp.faults().is_empty() {
-                self.shard_failures.push((g, gp));
-            }
-        }
+        self.shards = self.shards.max(plan.failures.groups());
+        self.failures = plan.failures.clone();
         self
-    }
-
-    /// The effective fault plan of one shard: the base [`SimConfig::failures`]
-    /// plan for shard 0, plus every [`SimConfig::with_shard_failures`] entry
-    /// addressed to `shard`.
-    pub fn shard_plan(&self, shard: usize) -> FailurePlan {
-        let mut plan = if shard == 0 { self.failures.clone() } else { FailurePlan::none() };
-        for (s, extra) in &self.shard_failures {
-            if *s == shard {
-                for f in extra.faults() {
-                    plan = plan.with_fault(*f);
-                }
-            }
-        }
-        plan
     }
 
     /// The virtual-time deadline after which a closed-loop run of `total`
@@ -430,7 +389,7 @@ mod tests {
         let c = SimConfig::paper_default(1);
         assert_eq!(c.params.n(), 3);
         assert_eq!(c.params.tail, 128);
-        assert!(c.slow_trigger > Duration::from_micros(50));
+        assert!(SLOW_TRIGGER > Duration::from_micros(50));
         assert!(c.slot_payload() >= 2048);
     }
 

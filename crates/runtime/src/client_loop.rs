@@ -101,8 +101,9 @@ impl<W: FnMut(u64) -> Option<Vec<u8>> + ?Sized> ClientLoop<W> {
         let n_clients = cfg.n_clients.max(1);
         let replicas: Vec<ReplicaId> = cfg.params.replicas().collect();
         let clients = (0..n_clients as u32).map(ClientId);
-        // Group 0 keeps the base seed (the single-group facade's bit-for-bit
-        // guarantee); later groups fold in a golden-ratio multiple.
+        // Group 0 keeps the base seed (a one-group deployment keys exactly
+        // as the single-group cluster always has); later groups fold in a
+        // golden-ratio multiple.
         let ring = KeyRing::generate(
             cfg.seed ^ (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED,
             (replicas.iter().copied().map(ProcessId::Replica))

@@ -1,26 +1,39 @@
-//! A complete simulated uBFT deployment with a single consensus group.
+//! A complete simulated uBFT deployment: one or more consensus groups.
 //!
-//! Topology: hosts `0..n` are replicas, `n..n+c` are clients, and the last
-//! `2f_m + 1` hosts are passive memory nodes. Every protocol byte flows
+//! Topology: each group's replicas and clients take a contiguous block of
+//! host ids, and `2f_m + 1` passive memory nodes after them are shared by
+//! every group (the layout is on [`Cluster`]). Every protocol byte flows
 //! through the circular-buffer channels of `ubft-transport` (which live in
 //! fabric memory), every slow-path register access goes through
 //! `ubft-dmem`, and all CPU/crypto time is charged against per-replica
-//! busy-until cursors using the calibrated [`CostModel`](ubft_sim::cost::CostModel).
+//! busy-until cursors using the calibrated
+//! [`CostModel`](ubft_sim::cost::CostModel).
 //!
-//! [`Cluster`] is a thin facade: a replica's protocol stack and its driver
-//! are the private `node::ReplicaNode`, and the event loop, lanes, costs
-//! and clients live in the private `group::GroupRuntime` — the same machinery
-//! that [`ShardedCluster`](crate::sharded::ShardedCluster) instantiates
-//! `G` times over one shared fabric.
+//! [`Cluster`] owns what the groups share — the fabric, the event queue,
+//! the completion count and the auditor — and drives them; a group's
+//! event handling, lanes, costs and clients live in the private
+//! `group::GroupRuntime`, and a replica's protocol stack and its driver
+//! are the private `node::ReplicaNode`. With several groups the key space
+//! shards across them: a key's whole history lives in one group, so
+//! cross-group coordination is never needed.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+use ubft_apps::ShardRouter;
 use ubft_core::app::App;
 use ubft_crypto::Digest;
+use ubft_rdma::Fabric;
+use ubft_sim::net::NetworkModel;
 use ubft_sim::stats::LatencyStats;
-use ubft_types::{ClientId, Time, View};
+use ubft_sim::{EventQueue, HostId, SimRng};
+use ubft_types::{ClientId, Duration, Time, View};
 
-use crate::audit::AuditReport;
+use crate::audit::{AuditReport, Auditor};
 use crate::calibration::{Backend, SimConfig};
-use crate::group::Deployment;
+use crate::client_loop::{ClientLoop, ClientTimer};
+use crate::group::{Ev, GroupEv, GroupRuntime, GroupWorkload, Shared};
 use crate::node::ReplicaNode;
 
 /// Counts of primitive operations during a run (drives the Figure 9
@@ -192,82 +205,327 @@ impl RunReport {
     }
 }
 
-/// A full single-group uBFT cluster simulation.
+/// Most requests the source keeps parked per group, on average: once the
+/// total parked backlog reaches `PARK_CAP_PER_GROUP × G`, generation
+/// pauses until consumers drain it, so a skewed key stream bounds memory
+/// instead of growing a hot group's queue without limit.
+const PARK_CAP_PER_GROUP: usize = 1024;
+
+/// The shared request source: one global workload stream fanned out to
+/// per-group closed-loop clients by key hash.
+///
+/// When a group's client goes idle it pulls the next request *destined for
+/// that group*: first from the group's pending queue (requests generated
+/// earlier that routed here), then by generating fresh requests — parking
+/// any that route elsewhere on their owners' queues. Each generated
+/// request gets the next index of the global stream as its `u64` argument
+/// (monotone, never repeated), so a workload that is a pure function of
+/// that index still yields distinct requests across routing retries.
+/// Generation is bounded per call *and* by the total parked backlog
+/// ([`PARK_CAP_PER_GROUP`]); a group that comes up empty retries shortly,
+/// and parked requests are never lost.
+struct RoutedSource {
+    workload: Box<dyn FnMut(u64) -> Vec<u8>>,
+    router: ShardRouter,
+    pending: Vec<VecDeque<Vec<u8>>>,
+    /// Requests generated so far (the `u64` stream index).
+    issued: u64,
+    /// Requests currently parked across all pending queues.
+    parked: usize,
+}
+
+impl RoutedSource {
+    fn new(workload: Box<dyn FnMut(u64) -> Vec<u8>>, groups: usize) -> Self {
+        RoutedSource {
+            workload,
+            router: ShardRouter::new(groups),
+            pending: (0..groups.max(1)).map(|_| VecDeque::new()).collect(),
+            issued: 0,
+            parked: 0,
+        }
+    }
+
+    fn next_for(&mut self, g: usize) -> Option<Vec<u8>> {
+        if let Some(p) = self.pending[g].pop_front() {
+            self.parked -= 1;
+            return Some(p);
+        }
+        if self.parked >= PARK_CAP_PER_GROUP * self.pending.len() {
+            return None;
+        }
+        let bound = 64 * self.pending.len();
+        for _ in 0..bound {
+            let p = (self.workload)(self.issued);
+            self.issued += 1;
+            let tg = self.router.route(&p);
+            if tg == g {
+                return Some(p);
+            }
+            self.pending[tg].push_back(p);
+            self.parked += 1;
+        }
+        None
+    }
+}
+
+/// A simulated uBFT deployment: [`SimConfig::shards`] consensus groups of
+/// `n` replicas over one fabric, one shared (group-tagged) event queue, one
+/// completion count and one set of `2f_m + 1` passive memory nodes.
+///
+/// Host-ID layout: group `g` occupies the contiguous block
+/// `[g·(n + n_clients), (g+1)·(n + n_clients))` — replicas first, then
+/// clients — and the shared memory nodes occupy the next `n_mem` ids;
+/// replacement nodes get fresh ids past them. Every per-replica accessor
+/// takes the deployment-wide index `g·n + r` of replica `r` of group `g`,
+/// the order [`RunReport::views`] lists replicas in.
 pub struct Cluster {
-    dep: Deployment,
+    now: Time,
+    fabric: Fabric,
+    events: EventQueue<GroupEv>,
+    /// Requests completed by every group's clients together.
+    completed: u64,
+    pub(crate) groups: Vec<GroupRuntime>,
+    /// The omniscient safety auditor ([`SimConfig::with_audit`]); `None`
+    /// keeps the run observation-free and bit-for-bit historical.
+    audit: Option<Auditor>,
 }
 
 impl Cluster {
-    /// Builds a cluster with one application instance per replica and one
-    /// closed-loop client driving `workload`.
+    /// Builds [`SimConfig::shards`] groups from `n · shards` application
+    /// instances, group 0's `n` first, and one closed-loop request stream.
+    /// One group takes the stream as it is, called with the deployment's
+    /// completion count; several share it through a [`ShardRouter`] (FNV
+    /// over the KV key, round-robin for keyless payloads), and the
+    /// argument is then the request's index in the generated stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is not `n · shards` long, or if the fault plan
+    /// addresses a group the deployment does not have.
     pub fn new(
         cfg: SimConfig,
         apps: Vec<Box<dyn App>>,
         workload: Box<dyn FnMut(u64) -> Vec<u8>>,
     ) -> Self {
-        let mut cfg = cfg;
-        cfg.shards = 1;
-        let mut apps = Some(apps);
-        let mut workload = Some(workload);
-        let dep = Deployment::build(
-            &cfg,
-            |_| apps.take().expect("single group"),
-            |_| {
-                let mut wl = workload.take().expect("single group");
-                Box::new(move |seq| Some(wl(seq)))
-            },
+        let (n, shards) = (cfg.params.n(), cfg.shards.max(1));
+        assert!(
+            apps.len() == n * shards,
+            "Cluster::new got {} application instances; {shards} group(s) of {n} replicas need {}",
+            apps.len(),
+            n * shards
         );
-        Cluster { dep }
+        let mut apps = apps.into_iter();
+        let mut workload = Some(workload);
+        let routed = (shards > 1).then(|| {
+            Rc::new(RefCell::new(RoutedSource::new(workload.take().expect("a stream"), shards)))
+        });
+        let make_workload = |g| -> GroupWorkload {
+            match &routed {
+                Some(source) => {
+                    let source = Rc::clone(source);
+                    Box::new(move |_| source.borrow_mut().next_for(g))
+                }
+                None => {
+                    let mut workload = workload.take().expect("one group");
+                    Box::new(move |seq| Some(workload(seq)))
+                }
+            }
+        };
+        Cluster::build(&cfg, |_| apps.by_ref().take(n).collect(), make_workload)
     }
 
-    /// The application state digest of replica `r` (safety assertions in
+    /// Builds `base.shards` groups over one fabric. `make_apps(g)` yields
+    /// group `g`'s `n` application instances; `make_workload(g)` yields its
+    /// request source.
+    pub(crate) fn build(
+        base: &SimConfig,
+        mut make_apps: impl FnMut(usize) -> Vec<Box<dyn App>>,
+        mut make_workload: impl FnMut(usize) -> GroupWorkload,
+    ) -> Self {
+        let shards = base.shards.max(1);
+        let n = base.params.n();
+        let n_clients = base.n_clients.max(1);
+        let n_mem = base.params.n_mem();
+        let block = n + n_clients;
+        assert!(
+            base.failures.groups() <= shards,
+            "the fault plan addresses group {}, but the deployment has {shards} group(s)",
+            base.failures.groups() - 1
+        );
+
+        // Per-group configurations: the group's own plan, which carries
+        // the deployment-wide asynchrony phase (the network delays *every*
+        // group's traffic pre-GST, snapshot retention reads it, and a
+        // group that lags a window behind pre-GST delays needs donor
+        // snapshots to heal). `shards` keeps the deployment-wide count.
+        let cfgs: Vec<SimConfig> = (0..shards)
+            .map(|g| SimConfig { failures: base.failures.group(g), ..base.clone() })
+            .collect();
+
+        // Replacement nodes get brand-new host ids past the memory nodes,
+        // pre-allocated so the host count (and thus the deterministic
+        // event schedule) is fixed at build time.
+        let mut n_hosts = shards * block + n_mem;
+        let mut replacements: Vec<(Time, u32, usize, HostId)> = Vec::new();
+        for (g, cfg) in cfgs.iter().enumerate() {
+            for (r, _crash_at, rejoin_at) in cfg.failures.replacements() {
+                assert!(r < n, "group {g}: replacement victim {r} out of range");
+                let host = HostId(n_hosts as u32);
+                n_hosts += 1;
+                replacements.push((rejoin_at, g as u32, r, host));
+            }
+        }
+
+        let rng = SimRng::new(base.seed);
+        let mut net = NetworkModel::synchronous(base.latency.clone(), n_hosts)
+            .with_gst(base.failures.gst, base.failures.pre_gst_extra);
+        // Apply crash schedules, mapped into the global host space.
+        for (g, cfg) in cfgs.iter().enumerate() {
+            let host_base = (g * block) as u32;
+            for i in 0..n {
+                if let Some(t) = cfg.failures.replica_crash_time(i) {
+                    net.crash_host(HostId(host_base + i as u32), t);
+                }
+            }
+        }
+        // Memory nodes are shared; a crash scheduled by any group's plan
+        // takes the earliest scheduled time.
+        for i in 0..n_mem {
+            if let Some(t) = base.failures.mem_node_crash_time(i) {
+                net.crash_host(HostId((shards * block + i) as u32), t);
+            }
+        }
+        for (g, cfg) in cfgs.iter().enumerate() {
+            let host_base = (g * block) as u32;
+            for (a, b, from, until) in cfg.failures.partitions() {
+                // Partition endpoints are replica indices by contract
+                // (`FailurePlan::partition`). In a multi-group deployment
+                // an index beyond the group's host block would silently
+                // land inside the *next* group's block, so reject it
+                // loudly; single-group deployments keep the historical
+                // raw-host-id behavior.
+                assert!(
+                    shards == 1 || (a < block && b < block),
+                    "group {g}: partition endpoints ({a}, {b}) must be group-local (< {block})"
+                );
+                net.add_partition(
+                    HostId(host_base + a as u32),
+                    HostId(host_base + b as u32),
+                    from,
+                    until,
+                );
+            }
+        }
+        let mut fabric = Fabric::new(net, rng.fork(1));
+        let mut events = EventQueue::new();
+        let mut completed = 0;
+        let mem_hosts: Vec<HostId> =
+            (0..n_mem).map(|i| HostId((shards * block + i) as u32)).collect();
+
+        let mut groups = Vec::with_capacity(shards);
+        // Groups are built unaudited (nothing decision-relevant happens at
+        // construction — engine start-up arms watchdogs only); the auditor
+        // reads their shape and sequential models once they exist.
+        let mut audit: Option<Auditor> = None;
+        for (g, cfg) in cfgs.into_iter().enumerate() {
+            let mut sh = Shared {
+                fabric: &mut fabric,
+                events: &mut events,
+                completed: &mut completed,
+                audit: &mut audit,
+            };
+            groups.push(GroupRuntime::new(
+                g as u32,
+                cfg,
+                (g * block) as u32,
+                &mem_hosts,
+                make_apps(g),
+                ClientLoop::bootstrap(base, g, make_workload(g)),
+                &mut sh,
+            ));
+        }
+        if base.audit {
+            audit = Some(Auditor::new(&groups));
+        }
+        for (rejoin_at, g, r, host) in replacements {
+            events.push(rejoin_at, (g, Ev::Replace { r, host }));
+        }
+
+        Cluster { now: Time::ZERO, fabric, events, completed, groups, audit }
+    }
+
+    /// Replica `i`'s group and its index there.
+    fn locate(&self, i: usize) -> (&GroupRuntime, usize) {
+        let n = self.groups[0].nodes.len();
+        (&self.groups[i / n], i % n)
+    }
+
+    /// The application state digest of replica `i` (safety assertions in
     /// tests: correct replicas that executed the same prefix must agree).
-    pub fn app_digest(&self, r: usize) -> Digest {
-        self.dep.groups[0].nodes[r].app.snapshot_digest()
+    pub fn app_digest(&self, i: usize) -> Digest {
+        let (g, r) = self.locate(i);
+        g.nodes[r].app.snapshot_digest()
     }
 
-    /// First slot replica `r` has not executed.
-    pub fn exec_next(&self, r: usize) -> ubft_types::Slot {
-        self.dep.groups[0].nodes[r].engine.exec_next()
+    /// First slot replica `i` has not executed.
+    pub fn exec_next(&self, i: usize) -> ubft_types::Slot {
+        let (g, r) = self.locate(i);
+        g.nodes[r].engine.exec_next()
     }
 
-    /// The view replica `r` is in.
-    pub fn view_of(&self, r: usize) -> View {
-        self.dep.groups[0].nodes[r].engine.view()
+    /// The view replica `i` is in.
+    pub fn view_of(&self, i: usize) -> View {
+        let (g, r) = self.locate(i);
+        g.nodes[r].engine.view()
     }
 
-    /// Individual requests replica `r` has decided (batches count their
+    /// Individual requests replica `i` has decided (batches count their
     /// contents, so this is comparable across batch sizes).
-    pub fn decided_of(&self, r: usize) -> u64 {
-        self.dep.groups[0].nodes[r].engine.decided_count()
+    pub fn decided_of(&self, i: usize) -> u64 {
+        let (g, r) = self.locate(i);
+        g.nodes[r].engine.decided_count()
     }
 
-    /// Resident entries in replica `r`'s request-dedup table. Unbounded
+    /// Resident entries in replica `i`'s request-dedup table. Unbounded
     /// runs grow one entry per client; runs with
     /// [`SimConfig::with_client_cache_cap`] stay at the (floored) cap —
     /// tests use this to prove eviction actually occurred.
-    pub fn dedup_entries(&self, r: usize) -> usize {
-        self.dep.groups[0].nodes[r].engine.exec_table().len()
+    pub fn dedup_entries(&self, i: usize) -> usize {
+        let (g, r) = self.locate(i);
+        g.nodes[r].engine.exec_table().len()
     }
 
     /// Total disaggregated-memory bytes occupied on one memory node by the
-    /// register banks (Table 2). Every memory node holds a full copy of
-    /// every register, so this is independent of the replication factor.
+    /// register banks of every group (Table 2). Every memory node holds a
+    /// full copy of every register, so this is independent of the
+    /// replication factor; each group owns a partition of the space.
     pub fn disagg_bytes_per_node(&self) -> usize {
-        self.dep.groups[0].disagg_bytes_per_node()
+        self.groups.iter().map(GroupRuntime::disagg_bytes_per_node).sum()
     }
 
-    /// Approximate replica-local resident bytes: channel buffers this
-    /// replica hosts, sender mirrors/staging, TB retransmission buffers, and
+    /// Approximate replica-local resident bytes: channel buffers replica
+    /// `i` hosts, sender mirrors/staging, TB retransmission buffers, and
     /// CTBcast bookkeeping (Table 2).
-    pub fn replica_local_bytes(&self, r: usize) -> usize {
-        self.dep.groups[0].replica_local_bytes(r)
+    pub fn replica_local_bytes(&self, i: usize) -> usize {
+        let (g, r) = self.locate(i);
+        g.replica_local_bytes(r)
     }
 
-    /// Runs `warmup + requests` closed-loop requests and reports post-warmup
-    /// latency statistics. The stall deadline is derived from the request
-    /// count and batch size via [`SimConfig::stall_deadline`], so large runs
-    /// cannot false-positive as stalls.
+    /// Bytes replica `i` retains in checkpoint snapshots for serving
+    /// replacement-node state transfers (Table 2 accounting; zero unless
+    /// the fault plan schedules faults).
+    pub fn replica_snapshot_bytes(&self, i: usize) -> usize {
+        let (g, r) = self.locate(i);
+        g.replica_snapshot_bytes(r)
+    }
+
+    /// Runs `warmup + requests` closed-loop requests across all groups and
+    /// reports post-warmup latency statistics, with the per-group breakdown
+    /// in [`RunReport::groups`]. The stall deadline is derived from the
+    /// request count and batch size via [`SimConfig::stall_deadline`], so
+    /// large runs cannot false-positive as stalls (the group count
+    /// deliberately does not tighten it — a fully key-skewed stream may
+    /// legally route everything to one group).
     ///
     /// # Panics
     ///
@@ -275,19 +533,55 @@ impl Cluster {
     /// requested number of operations (the panic message carries per-replica
     /// protocol diagnostics).
     pub fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
-        self.dep.run(requests, warmup)
-    }
-
-    /// Per-replica protocol diagnostics, one line each.
-    pub fn diag_lines(&self) -> String {
-        self.dep.diag_lines()
+        let total = requests + warmup;
+        self.run_loop(requests, warmup, self.groups[0].env.cfg.stall_deadline(total));
+        let report = self.report();
+        assert!(
+            report.completed >= total,
+            "run stalled at {}/{total} completed requests (t = {})\n{}",
+            report.completed,
+            self.now,
+            self.diag_lines(),
+        );
+        report
     }
 
     /// Like [`Cluster::run`] but gives up (without panicking) when virtual
     /// time exceeds `deadline`, so stalls are observable instead of fatal.
     pub fn run_until(&mut self, requests: u64, warmup: u64, deadline: Time) -> RunReport {
-        self.dep.run_loop(requests, warmup, deadline);
-        self.dep.report()
+        self.run_loop(requests, warmup, deadline);
+        self.report()
+    }
+
+    /// Drives the closed loop until `requests + warmup` total completions
+    /// or virtual time passes `deadline`.
+    pub(crate) fn run_loop(&mut self, requests: u64, warmup: u64, deadline: Time) {
+        for (g, gr) in self.groups.iter_mut().enumerate() {
+            gr.clients.begin(requests, warmup);
+            // Clients start 1 µs apart, so their first requests do not
+            // share an instant.
+            for c in 0..gr.clients.len() {
+                let timer = ClientTimer::Issue;
+                let at = Time::ZERO + Duration::from_micros(1 + c as u64);
+                self.events.push(at, (g as u32, Ev::Client { c, timer }));
+            }
+        }
+        let max_events = 200_000_000u64;
+        while let Some((t, (gid, ev))) = self.events.pop() {
+            self.now = t;
+            if self.completed >= requests + warmup || t > deadline {
+                break;
+            }
+            assert!(self.events.total_pushed() < max_events, "simulation diverged (event flood)");
+            self.dispatch(gid, ev, t);
+        }
+    }
+
+    /// Hands one popped event to its group.
+    fn dispatch(&mut self, gid: u32, ev: Ev, t: Time) {
+        let Cluster { fabric, events, completed, groups, audit, .. } = self;
+        let mut sh = Shared { fabric, events, completed, audit };
+        groups[gid as usize].handle(&mut sh, ev, t);
     }
 
     /// Drains in-flight work for `extra` more virtual time after a run:
@@ -296,25 +590,59 @@ impl Cluster {
     /// replaced one) may still hold undelivered messages. Settling lets
     /// them catch up so post-run state assertions (digests, `exec_next`)
     /// compare fully converged replicas. No client issues once the run's
-    /// target is met; a request still in flight (another client's, when
-    /// there are several) is retransmitted, and counted if it completes.
-    pub fn settle(&mut self, extra: ubft_types::Duration) {
-        self.dep.settle(extra);
-    }
-
-    /// Bytes replica `r` retains in checkpoint snapshots for serving
-    /// replacement-node state transfers (Table 2 accounting; zero unless
-    /// the fault plan schedules replacements).
-    pub fn replica_snapshot_bytes(&self, r: usize) -> usize {
-        self.dep.groups[0].replica_snapshot_bytes(r)
+    /// target is met, a starved group's idle ones included; a request
+    /// still in flight (another client's, when there are several) is
+    /// retransmitted, and counted if it completes.
+    pub fn settle(&mut self, extra: Duration) {
+        let deadline = self.now + extra;
+        while let Some(t) = self.events.peek_time() {
+            if t > deadline {
+                break;
+            }
+            let Some((t, (gid, ev))) = self.events.pop() else { break };
+            self.now = t;
+            self.dispatch(gid, ev, t);
+        }
     }
 
     /// The safety auditor's verdict over everything observed so far
     /// (`None` unless the run was configured with
-    /// [`SimConfig::with_audit`]). Idempotent; call again after
-    /// [`Cluster::settle`] to audit the drained tail too.
+    /// [`SimConfig::with_audit`]). Idempotent — the model replays
+    /// incrementally, so asking again after [`Cluster::settle`] audits the
+    /// drained tail too.
     pub fn audit_report(&mut self) -> Option<AuditReport> {
-        self.dep.audit_report()
+        let Cluster { audit, groups, .. } = self;
+        audit.as_mut().map(|a| a.report(groups))
+    }
+
+    /// The report of everything run so far, stamped with the current
+    /// virtual time and the audit verdict; takes each group's latency
+    /// samples and each replica's execution log.
+    pub(crate) fn report(&mut self) -> RunReport {
+        let audit = self.audit_report();
+        let group = |(g, gr): (usize, &mut GroupRuntime)| GroupReport {
+            completed: gr.clients.completed,
+            latency: std::mem::take(&mut gr.clients.latency),
+            counters: gr.env.counters,
+            views: Vec::new(),
+            audit: audit.as_ref().map(|a| a.for_group(g)),
+            replicas: gr.nodes.iter_mut().map(ReplicaReport::of).collect(),
+        };
+        let groups = self.groups.iter_mut().enumerate().map(group).collect();
+        RunReport::of_groups(groups, self.now, audit, Backend::Sim)
+    }
+
+    /// Per-replica protocol diagnostics, one line each, grouped by group
+    /// when there are several.
+    pub fn diag_lines(&self) -> String {
+        if self.groups.len() == 1 {
+            return self.groups[0].diag_lines();
+        }
+        self.groups
+            .iter()
+            .enumerate()
+            .map(|(g, gr)| format!(" group {g}:\n{}", gr.diag_lines()))
+            .collect()
     }
 }
 
@@ -322,7 +650,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use ubft_apps::FlipApp;
-    use ubft_types::Duration;
 
     fn flip_apps(n: usize) -> Vec<Box<dyn App>> {
         (0..n).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect()
@@ -342,6 +669,18 @@ mod tests {
         let mut cluster = Cluster::new(cfg, flip_apps(3), payload32());
         let report = cluster.run(100, 10);
         assert_eq!(report.completed, 110);
+        // A one-group report's `groups[0]` is its totals, and says of every
+        // replica what the accessors say.
+        let group = &report.groups[0];
+        assert_eq!(report.groups.len(), 1);
+        assert_eq!((group.completed, group.counters), (report.completed, report.counters));
+        assert_eq!(group.views, report.views);
+        assert_eq!(group.latency.len(), report.latency.len());
+        for (r, rep) in group.replicas.iter().enumerate() {
+            assert_eq!(rep.app_digest, cluster.app_digest(r), "digest of replica {r}");
+            assert_eq!(rep.decided, cluster.decided_of(r), "decided of replica {r}");
+            assert_eq!(View(rep.final_view), cluster.view_of(r), "view of replica {r}");
+        }
         let mut lat = report.latency;
         let p50 = lat.median();
         // Microsecond scale: the paper's fast path is ~11 µs end to end.

@@ -1,6 +1,5 @@
-//! One consensus group's runtime, and the deployment driver shared by the
-//! single-group [`Cluster`](crate::cluster::Cluster) facade and the
-//! multi-group [`ShardedCluster`](crate::sharded::ShardedCluster).
+//! One consensus group's runtime inside a
+//! [`Cluster`](crate::cluster::Cluster).
 //!
 //! A [`GroupRuntime`] is one `2f + 1` group in the simulator: its
 //! [`ReplicaNode`]s — the protocol stacks and the driver that interprets
@@ -28,18 +27,17 @@ use ubft_dmem::register::{
 };
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
-use ubft_sim::net::NetworkModel;
-use ubft_sim::{EventQueue, HostId, SimRng};
+use ubft_sim::{EventQueue, HostId};
 use ubft_transport::channel::ChannelSpec;
 use ubft_transport::net::SendReport;
 use ubft_transport::sim_link::SimLinkTransport;
 use ubft_types::wire::Wire;
 use ubft_types::{Duration, ProcessId, ReplicaId, SeqId, Slot, Time};
 
-use crate::audit::{AuditMutation, AuditReport, Auditor};
-use crate::calibration::{Backend, SimConfig};
+use crate::audit::{AuditMutation, Auditor};
+use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{GroupReport, OpCounters, ReplicaReport, RunReport};
+use crate::cluster::OpCounters;
 use crate::node::{CtbDone, ExecTable, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// Simulation events. All indices are group-local; the queue tags each
@@ -117,9 +115,7 @@ pub(crate) struct Shared<'a> {
     pub fabric: &'a mut Fabric,
     pub events: &'a mut EventQueue<GroupEv>,
     /// Requests completed by every group's clients together: the closed
-    /// loop stops on the *total*, and warmup discarding is likewise global,
-    /// so a single-group run behaves exactly like the pre-sharding
-    /// `Cluster`.
+    /// loop stops on the *total*, and warmup discarding is likewise global.
     pub completed: &'a mut u64,
     /// `None` when auditing is off — the hooks below are then no-ops, so
     /// unaudited runs stay bit-for-bit identical to historical behaviour.
@@ -418,7 +414,7 @@ impl SimEnv {
         rep: SendReport,
     ) {
         for (_seq, arrival) in rep.arrivals {
-            self.push(sh, arrival + self.cfg.poll_pickup, Ev::Poll { lane, from, to });
+            self.push(sh, arrival + POLL_PICKUP, Ev::Poll { lane, from, to });
         }
         if let Some(t) = rep.flush_at {
             let t = if t > at { t } else { at + Duration::from_nanos(1) };
@@ -905,7 +901,7 @@ impl GroupRuntime {
         // in lockstep.
         for r in 0..n {
             let offset = Duration::from_nanos(1_000 * (r as u64 + 1));
-            let first = Time::ZERO + group.env.cfg.retransmit_period + offset;
+            let first = Time::ZERO + RETRANSMIT_PERIOD + offset;
             group.env.push(sh, first, Ev::Timer { r, timer: NodeTimer::Retransmit });
         }
         group
@@ -1118,7 +1114,7 @@ impl GroupRuntime {
                 // The retransmission tick outlives a crash: the replacement
                 // inherits it.
                 if self.env.machines[r].crashed && matches!(timer, NodeTimer::Retransmit) {
-                    let next = t + self.env.cfg.retransmit_period;
+                    let next = t + RETRANSMIT_PERIOD;
                     self.env.push(sh, next, Ev::Timer { r, timer });
                 }
                 self.on_node(sh, r, |nd, sub| nd.on_timer(sub, timer, t));
@@ -1149,265 +1145,5 @@ impl GroupRuntime {
                 }
             }
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// The shared deployment driver
-// ----------------------------------------------------------------------
-
-/// A whole deployment: one shared fabric, one shared (group-tagged) event
-/// queue, one completion count, and `G ≥ 1` consensus groups.
-///
-/// Host-ID layout: group `g` occupies the contiguous block
-/// `[g·(n + n_clients), (g+1)·(n + n_clients))` — replicas first, then
-/// clients — and the `2f_m + 1` shared memory nodes occupy the final
-/// `n_mem` ids. With `G = 1` this is exactly the pre-sharding `Cluster`
-/// layout, which is what makes the single-group facade bit-for-bit
-/// compatible.
-pub(crate) struct Deployment {
-    pub now: Time,
-    pub fabric: Fabric,
-    pub events: EventQueue<GroupEv>,
-    /// Requests completed by every group's clients together.
-    pub completed: u64,
-    pub groups: Vec<GroupRuntime>,
-    /// The omniscient safety auditor ([`SimConfig::with_audit`]); `None`
-    /// keeps the run observation-free and bit-for-bit historical.
-    pub audit: Option<Auditor>,
-}
-
-impl Deployment {
-    /// Builds `shards` groups over one fabric. `make_apps(g)` yields group
-    /// `g`'s `n` application instances; `make_workload(g)` yields its
-    /// request source.
-    pub(crate) fn build(
-        base: &SimConfig,
-        mut make_apps: impl FnMut(usize) -> Vec<Box<dyn App>>,
-        mut make_workload: impl FnMut(usize) -> GroupWorkload,
-    ) -> Self {
-        let shards = base.shards.max(1);
-        let n = base.params.n();
-        let n_clients = base.n_clients.max(1);
-        let n_mem = base.params.n_mem();
-        let block = n + n_clients;
-
-        // Per-group configurations: group-local seed and fault plan.
-        let cfgs: Vec<SimConfig> = (0..shards)
-            .map(|g| {
-                let mut cfg = base.clone();
-                // The group's own plan; `shards` keeps the deployment-wide
-                // count (the facades read it for stall deadlines), while
-                // the per-shard extras are folded into `failures`.
-                cfg.failures = base.shard_plan(g);
-                // The asynchrony phase is deployment-global (the network
-                // delays *every* group's traffic pre-GST), so every
-                // group's plan must carry it — snapshot retention reads
-                // it, and a shard that lags a window behind pre-GST
-                // delays needs donor snapshots to heal.
-                cfg.failures.gst = base.failures.gst;
-                cfg.failures.pre_gst_extra = base.failures.pre_gst_extra;
-                cfg.shard_failures = Vec::new();
-                cfg
-            })
-            .collect();
-
-        // Replacement nodes get brand-new host ids past the memory nodes,
-        // pre-allocated so the host count (and thus the deterministic
-        // event schedule) is fixed at build time.
-        let mut n_hosts = shards * block + n_mem;
-        let mut replacements: Vec<(Time, u32, usize, HostId)> = Vec::new();
-        for (g, cfg) in cfgs.iter().enumerate() {
-            for (r, _crash_at, rejoin_at) in cfg.failures.replacements() {
-                assert!(r < n, "shard {g}: replacement victim {r} out of range");
-                let host = HostId(n_hosts as u32);
-                n_hosts += 1;
-                replacements.push((rejoin_at, g as u32, r, host));
-            }
-        }
-
-        let rng = SimRng::new(base.seed);
-        let mut net = NetworkModel::synchronous(base.latency.clone(), n_hosts)
-            .with_gst(base.failures.gst, base.failures.pre_gst_extra);
-        // Apply crash schedules, mapped into the global host space.
-        for (g, cfg) in cfgs.iter().enumerate() {
-            let host_base = (g * block) as u32;
-            for i in 0..n {
-                if let Some(t) = cfg.failures.replica_crash_time(i) {
-                    net.crash_host(HostId(host_base + i as u32), t);
-                }
-            }
-        }
-        // Memory nodes are shared; a crash scheduled by any group's plan
-        // takes the earliest scheduled time.
-        for i in 0..n_mem {
-            if let Some(t) = cfgs.iter().filter_map(|c| c.failures.mem_node_crash_time(i)).min() {
-                net.crash_host(HostId((shards * block + i) as u32), t);
-            }
-        }
-        for (g, cfg) in cfgs.iter().enumerate() {
-            let host_base = (g * block) as u32;
-            for (a, b, from, until) in cfg.failures.partitions() {
-                // Partition endpoints are replica indices by contract
-                // (`FailurePlan::partition`). In a multi-shard deployment
-                // an index beyond the group's host block would silently
-                // land inside the *next* group's block, so reject it
-                // loudly; single-group deployments keep the historical
-                // raw-host-id behavior.
-                assert!(
-                    shards == 1 || (a < block && b < block),
-                    "shard {g}: partition endpoints ({a}, {b}) must be group-local (< {block})"
-                );
-                net.add_partition(
-                    HostId(host_base + a as u32),
-                    HostId(host_base + b as u32),
-                    from,
-                    until,
-                );
-            }
-        }
-        let mut fabric = Fabric::new(net, rng.fork(1));
-        let mut events = EventQueue::new();
-        let mut completed = 0;
-        let mem_hosts: Vec<HostId> =
-            (0..n_mem).map(|i| HostId((shards * block + i) as u32)).collect();
-
-        let mut groups = Vec::with_capacity(shards);
-        // Groups are built unaudited (nothing decision-relevant happens at
-        // construction — engine start-up arms watchdogs only); the auditor
-        // reads their shape and sequential models once they exist.
-        let mut audit: Option<Auditor> = None;
-        for (g, cfg) in cfgs.into_iter().enumerate() {
-            let mut sh = Shared {
-                fabric: &mut fabric,
-                events: &mut events,
-                completed: &mut completed,
-                audit: &mut audit,
-            };
-            groups.push(GroupRuntime::new(
-                g as u32,
-                cfg,
-                (g * block) as u32,
-                &mem_hosts,
-                make_apps(g),
-                ClientLoop::bootstrap(base, g, make_workload(g)),
-                &mut sh,
-            ));
-        }
-        if base.audit {
-            audit = Some(Auditor::new(&groups));
-        }
-        for (rejoin_at, g, r, host) in replacements {
-            events.push(rejoin_at, (g, Ev::Replace { r, host }));
-        }
-
-        Deployment { now: Time::ZERO, fabric, events, completed, groups, audit }
-    }
-
-    /// Drives the closed loop until `requests + warmup` total completions
-    /// or virtual time passes `deadline`.
-    pub(crate) fn run_loop(&mut self, requests: u64, warmup: u64, deadline: Time) {
-        for (g, gr) in self.groups.iter_mut().enumerate() {
-            gr.clients.begin(requests, warmup);
-            // Clients start 1 µs apart, so their first requests do not
-            // share an instant.
-            for c in 0..gr.clients.len() {
-                let timer = ClientTimer::Issue;
-                let at = Time::ZERO + Duration::from_micros(1 + c as u64);
-                self.events.push(at, (g as u32, Ev::Client { c, timer }));
-            }
-        }
-        let max_events = 200_000_000u64;
-        while let Some((t, (gid, ev))) = self.events.pop() {
-            self.now = t;
-            if self.completed >= requests + warmup || t > deadline {
-                break;
-            }
-            assert!(self.events.total_pushed() < max_events, "simulation diverged (event flood)");
-            self.dispatch(gid, ev, t);
-        }
-    }
-
-    /// [`Deployment::run_loop`] under the deadline the configuration
-    /// derives for that many requests, then the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics, with per-replica protocol diagnostics, if the deployment
-    /// stopped making progress before completing them.
-    pub(crate) fn run(&mut self, requests: u64, warmup: u64) -> RunReport {
-        let total = requests + warmup;
-        self.run_loop(requests, warmup, self.groups[0].env.cfg.stall_deadline(total));
-        let report = self.report();
-        assert!(
-            report.completed >= total,
-            "run stalled at {}/{total} completed requests (t = {})\n{}",
-            report.completed,
-            self.now,
-            self.diag_lines(),
-        );
-        report
-    }
-
-    /// Hands one popped event to its group.
-    fn dispatch(&mut self, gid: u32, ev: Ev, t: Time) {
-        let Deployment { fabric, events, completed, groups, audit, .. } = self;
-        let mut sh = Shared { fabric, events, completed, audit };
-        groups[gid as usize].handle(&mut sh, ev, t);
-    }
-
-    /// Keeps processing events for `extra` more virtual time *without* a
-    /// completion target: in-flight deliveries drain, stragglers (and
-    /// replacement nodes) finish catching up. No client issues once the
-    /// run's target is met — requests already in flight are still
-    /// retransmitted, completed and counted — so this converges instead
-    /// of generating new work.
-    pub(crate) fn settle(&mut self, extra: Duration) {
-        let deadline = self.now + extra;
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let Some((t, (gid, ev))) = self.events.pop() else { break };
-            self.now = t;
-            self.dispatch(gid, ev, t);
-        }
-    }
-
-    /// The auditor's verdict over everything observed so far (`None` when
-    /// auditing is off). Idempotent — the model replays incrementally, so
-    /// asking again after [`Deployment::settle`] audits the drained tail.
-    pub(crate) fn audit_report(&mut self) -> Option<AuditReport> {
-        let Deployment { audit, groups, .. } = self;
-        audit.as_mut().map(|a| a.report(groups))
-    }
-
-    /// The report of everything run so far, stamped with the current
-    /// virtual time and the audit verdict; takes each group's latency
-    /// samples and each replica's execution log.
-    pub(crate) fn report(&mut self) -> RunReport {
-        let audit = self.audit_report();
-        let group = |(g, gr): (usize, &mut GroupRuntime)| GroupReport {
-            completed: gr.clients.completed,
-            latency: std::mem::take(&mut gr.clients.latency),
-            counters: gr.env.counters,
-            views: Vec::new(),
-            audit: audit.as_ref().map(|a| a.for_group(g)),
-            replicas: gr.nodes.iter_mut().map(ReplicaReport::of).collect(),
-        };
-        let groups = self.groups.iter_mut().enumerate().map(group).collect();
-        RunReport::of_groups(groups, self.now, audit, Backend::Sim)
-    }
-
-    /// Per-replica diagnostics for every group.
-    pub(crate) fn diag_lines(&self) -> String {
-        if self.groups.len() == 1 {
-            return self.groups[0].diag_lines();
-        }
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(g, gr)| format!(" shard {g}:\n{}", gr.diag_lines()))
-            .collect()
     }
 }

@@ -1,7 +1,6 @@
 //! Memory accounting for Table 2, now shard-aware.
 
 use crate::cluster::Cluster;
-use crate::sharded::ShardedCluster;
 
 /// A Table 2 row: memory consumption for one configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -9,11 +8,11 @@ pub struct MemoryReport {
     /// Replica-local resident bytes (channel buffers, mirrors, staging, TB
     /// retransmission buffers, CTBcast bookkeeping) of the measured leader.
     pub replica_local_bytes: usize,
-    /// Total disaggregated bytes on one memory node — for a sharded
-    /// deployment, the sum over every shard's register banks (the memory
-    /// nodes are shared; each shard owns a partition of their space).
+    /// Total disaggregated bytes on one memory node: the sum over every
+    /// group's register banks (the memory nodes are shared; each group owns
+    /// a partition of their space).
     pub disagg_bytes_per_node: usize,
-    /// The per-shard breakdown of [`MemoryReport::disagg_bytes_per_node`].
+    /// The per-group breakdown of [`MemoryReport::disagg_bytes_per_node`].
     /// A single-group cluster reports one entry.
     pub disagg_bytes_per_shard: Vec<usize>,
     /// Bytes the measured replica retains in checkpoint snapshots for
@@ -27,26 +26,19 @@ pub struct MemoryReport {
 }
 
 impl MemoryReport {
-    /// Measures the given cluster (leader replica 0).
+    /// Measures `cluster`: replica 0 (group 0's leader; every group is
+    /// symmetric by construction) for the replica-local figures, every
+    /// group's register banks for the disaggregated ones.
     pub fn measure(cluster: &Cluster) -> Self {
         MemoryReport {
             replica_local_bytes: cluster.replica_local_bytes(0),
             disagg_bytes_per_node: cluster.disagg_bytes_per_node(),
-            disagg_bytes_per_shard: vec![cluster.disagg_bytes_per_node()],
-            replica_snapshot_bytes: cluster.replica_snapshot_bytes(0),
-        }
-    }
-
-    /// Measures a sharded deployment (leader replica 0 of shard 0 for the
-    /// replica-local figure; every shard is symmetric by construction).
-    pub fn measure_sharded(cluster: &ShardedCluster) -> Self {
-        MemoryReport {
-            replica_local_bytes: cluster.replica_local_bytes(0, 0),
-            disagg_bytes_per_node: cluster.disagg_bytes_per_node(),
-            disagg_bytes_per_shard: (0..cluster.shards())
-                .map(|g| cluster.shard_disagg_bytes_per_node(g))
+            disagg_bytes_per_shard: cluster
+                .groups
+                .iter()
+                .map(|g| g.disagg_bytes_per_node())
                 .collect(),
-            replica_snapshot_bytes: cluster.replica_snapshot_bytes(0, 0),
+            replica_snapshot_bytes: cluster.replica_snapshot_bytes(0),
         }
     }
 }

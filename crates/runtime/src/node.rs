@@ -27,7 +27,9 @@ use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
 
 use crate::audit::AuditMutation;
-use crate::calibration::SimConfig;
+use crate::calibration::{
+    SimConfig, ECHO_FALLBACK, PROGRESS_TIMEOUT, RETRANSMIT_PERIOD, SLOW_TRIGGER,
+};
 
 /// Message lanes between nodes of one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -243,7 +245,7 @@ pub(crate) trait Substrate {
 
 /// Consecutive stalled retransmission ticks before the broadcaster
 /// force-converts its unsummarized CTBcast tail to the signed slow
-/// path (≈ 600 µs at the default 150 µs period — far above a healthy
+/// path (≈ 600 µs at the 150 µs [`RETRANSMIT_PERIOD`] — far above a healthy
 /// summary round trip, so failure-free runs never pay a signature).
 const SUMMARY_STALL_TICKS: u32 = 4;
 
@@ -276,10 +278,6 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     cons_rx: Vec<TailReceiver>,
     /// `2t`: what every TBcast endpoint above buffers (Algorithm 1).
     tb_window: usize,
-    progress_timeout: Duration,
-    slow_trigger: Duration,
-    echo_fallback: Duration,
-    retransmit_period: Duration,
     /// Consecutive retransmission ticks during which this node's own
     /// CTBcast summary stayed stalled (a boundary crossed but not
     /// certified); past a threshold the tick force-converts the
@@ -356,10 +354,6 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             cons_tx: TailBroadcaster::new(peers, cap),
             cons_rx: receivers(),
             tb_window: cap,
-            progress_timeout: cfg.progress_timeout,
-            slow_trigger: cfg.slow_trigger,
-            echo_fallback: cfg.echo_fallback,
-            retransmit_period: cfg.retransmit_period,
             summary_stall_ticks: 0,
             // The engine's in-flight floor: an entry evicted before its
             // client could possibly need a re-reply would stall that
@@ -522,7 +516,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         } else {
             self.summary_stall_ticks = 0;
         }
-        sub.arm(NodeTimer::Retransmit, self.retransmit_period, at);
+        sub.arm(NodeTimer::Retransmit, RETRANSMIT_PERIOD, at);
     }
 
     // ------------------------------------------------------------------
@@ -610,10 +604,10 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                     // PBFT-style backoff: fruitless view changes double
                     // the watchdog period so slow view changes complete.
                     TimerKind::Progress => {
-                        self.progress_timeout * u64::from(self.engine.progress_backoff())
+                        PROGRESS_TIMEOUT * u64::from(self.engine.progress_backoff())
                     }
-                    TimerKind::SlotSlowTrigger(_) => self.slow_trigger,
-                    TimerKind::EchoFallback(_) => self.echo_fallback,
+                    TimerKind::SlotSlowTrigger(_) => SLOW_TRIGGER,
+                    TimerKind::EchoFallback(_) => ECHO_FALLBACK,
                 };
                 sub.arm(NodeTimer::Engine(kind), after, at);
             }
@@ -708,7 +702,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 let s = ReplicaId(stream as u32);
                 self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k));
             }
-            CtbEffect::ArmSlowTimer { k } => sub.arm(NodeTimer::CtbSlow(k), self.slow_trigger, at),
+            CtbEffect::ArmSlowTimer { k } => sub.arm(NodeTimer::CtbSlow(k), SLOW_TRIGGER, at),
         }
     }
 

@@ -58,10 +58,9 @@ use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
 use ubft_types::{ProcessId, ReplicaId, SeqId, Time};
 
-use crate::calibration::{Backend, SimConfig};
+use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{GroupReport, ReplicaReport, RunReport};
-use crate::group::Deployment;
+use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
 use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
@@ -681,7 +680,6 @@ pub fn run_wallclock(
         cfg.failures.faults().is_empty() && cfg.failures.gst == Time::ZERO,
         "the threaded backend is failure-free; use Backend::Sim for fault schedules"
     );
-    assert!(cfg.shard_failures.is_empty(), "the threaded backend is failure-free");
     assert!(!cfg.audit && cfg.audit_mutation.is_none(), "auditing requires Backend::Sim");
 
     let shards = cfg.shards.max(1);
@@ -716,7 +714,7 @@ pub fn run_wallclock(
         assert_eq!(apps.len(), n, "one app instance per replica");
         for (r, app) in apps.into_iter().enumerate() {
             let mut timers = TimerWheel::new();
-            timers.arm(wall(cfg.retransmit_period, scale), NodeTimer::Retransmit);
+            timers.arm(wall(RETRANSMIT_PERIOD, scale), NodeTimer::Retransmit);
             let node = ReplicaNode::new(r, cfg, rings[g].clone(), app);
             let thread = ReplicaThread {
                 g,
@@ -795,10 +793,9 @@ pub fn run_wallclock(
 /// both report through the same [`RunReport`], which is what lets the
 /// backend-equivalence suite compare them field by field.
 ///
-/// The simulator path drives the exact same `Deployment` the
-/// [`Cluster`](crate::cluster::Cluster)/[`ShardedCluster`](crate::sharded::ShardedCluster)
-/// facades drive, then settles briefly so every replica converges before
-/// the report reads digests (mirroring the threaded path's settle).
+/// The simulator path builds a [`Cluster`] through the constructor
+/// [`Cluster::new`] uses, then settles briefly so every replica converges
+/// before the report reads digests (mirroring the threaded path's settle).
 pub fn run_backend(
     cfg: &SimConfig,
     mut make_apps: impl FnMut(usize) -> Vec<Box<dyn App + Send>>,
@@ -808,15 +805,15 @@ pub fn run_backend(
     match cfg.backend {
         Backend::Threads => run_wallclock(cfg, make_apps, make_workload, opts),
         Backend::Sim => {
-            let mut dep = Deployment::build(
+            let mut cluster = Cluster::build(
                 cfg,
                 |g| make_apps(g).into_iter().map(|a| a as Box<dyn App>).collect(),
                 |g| Box::new(make_workload(g)),
             );
             let deadline = cfg.stall_deadline(opts.requests + opts.warmup);
-            dep.run_loop(opts.requests, opts.warmup, deadline);
-            dep.settle(ubft_types::Duration::from_millis(5));
-            dep.report()
+            cluster.run_loop(opts.requests, opts.warmup, deadline);
+            cluster.settle(ubft_types::Duration::from_millis(5));
+            cluster.report()
         }
     }
 }

@@ -87,27 +87,16 @@ impl ChaosSpace {
     }
 }
 
-/// One scheduled fault, addressed to a consensus group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosFault {
-    /// The group (shard) the fault lands in. Memory-node crashes are
-    /// deployment-global regardless (the nodes are shared); the group only
-    /// records which shard's plan scheduled it.
-    pub group: usize,
-    /// The fault itself, with group-local replica indices.
-    pub fault: Fault,
-}
-
-/// A generated composition of faults plus an optional pre-GST asynchrony
-/// phase. Convert to runnable [`FailurePlan`]s via [`ChaosPlan::group_plan`].
+/// A generated fault schedule: the seed it was drawn from and the
+/// [`FailurePlan`] it drew — every fault addressed to its group, plus an
+/// optional pre-GST asynchrony phase. A run takes the plan as it is
+/// (`SimConfig::with_chaos`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// The seed this plan was drawn from (0 for hand-written plans).
     pub seed: u64,
-    /// The scheduled faults, in generation order.
-    pub faults: Vec<ChaosFault>,
-    /// Deployment-global asynchronous prefix: `(gst, extra per-hop delay)`.
-    pub asynchrony: Option<(Time, Duration)>,
+    /// The schedule, faults in generation order.
+    pub failures: FailurePlan,
 }
 
 fn at_us(us: u64) -> Time {
@@ -118,10 +107,30 @@ fn micros(t: Time) -> u64 {
     t.since(Time::ZERO).as_nanos() / 1_000
 }
 
+/// The index of the replica whose lifecycle `f` is part of, if it is one.
+fn lifecycle_index(f: &Fault) -> Option<usize> {
+    match f {
+        Fault::ReplicaCrash { index, .. }
+        | Fault::Byzantine { index, .. }
+        | Fault::Replace { index, .. } => Some(*index),
+        Fault::MemNodeCrash { .. } | Fault::Partition { .. } => None,
+    }
+}
+
+/// When the replica lifecycle `f` is part of turns faulty, if it is one.
+fn lifecycle_start(f: &Fault) -> Option<Time> {
+    match f {
+        Fault::ReplicaCrash { at, .. } => Some(*at),
+        Fault::Byzantine { from, .. } => Some(*from),
+        Fault::Replace { crash_at, .. } => Some(*crash_at),
+        Fault::MemNodeCrash { .. } | Fault::Partition { .. } => None,
+    }
+}
+
 impl ChaosPlan {
     /// A plan with no faults and no asynchrony (the fault-free reference).
     pub fn none() -> Self {
-        ChaosPlan { seed: 0, faults: Vec::new(), asynchrony: None }
+        ChaosPlan { seed: 0, failures: FailurePlan::none() }
     }
 
     /// Draws a valid plan from `seed`. Deterministic: the same
@@ -131,33 +140,36 @@ impl ChaosPlan {
     /// [`ChaosPlan::is_valid`].
     pub fn generate(seed: u64, space: &ChaosSpace) -> ChaosPlan {
         let mut rng = SimRng::new(seed ^ CHAOS_SALT);
-        let mut plan = ChaosPlan { seed, faults: Vec::new(), asynchrony: None };
+        let mut plan = ChaosPlan { seed, failures: FailurePlan::none() };
         let horizon_us = (space.horizon.as_nanos() / 1_000).max(200);
         // One plan in three opens with an asynchronous prefix: timeouts
         // misfire, the slow path and spurious view changes kick in.
         if rng.chance(1, 3) {
-            let gst = at_us(rng.gen_range_inclusive(100, horizon_us));
-            let extra = Duration::from_micros(rng.gen_range_inclusive(20, 200));
-            plan.asynchrony = Some((gst, extra));
+            plan.failures.gst = at_us(rng.gen_range_inclusive(100, horizon_us));
+            plan.failures.pre_gst_extra = Duration::from_micros(rng.gen_range_inclusive(20, 200));
         }
         let target = 1 + rng.gen_range(space.max_faults.max(1) as u64) as usize;
         let mut attempts = 0;
-        while plan.faults.len() < target && attempts < 96 {
+        while plan.failures.faults.len() < target && attempts < 96 {
             attempts += 1;
             let cand = draw_fault(&mut rng, space, horizon_us);
             if plan.admits(space, &cand) {
-                plan.faults.push(cand);
+                plan.failures.faults.push(cand);
             }
         }
         plan
     }
 
-    /// Whether adding `cand` keeps this plan inside the validity rules.
-    pub fn admits(&self, space: &ChaosSpace, cand: &ChaosFault) -> bool {
-        if cand.group >= space.groups {
+    /// Whether adding `fault` to group `group` keeps this plan inside the
+    /// validity rules.
+    pub fn admits(&self, space: &ChaosSpace, &(group, fault): &(usize, Fault)) -> bool {
+        if group >= space.groups {
             return false;
         }
-        match cand.fault {
+        // The group's plan as it would be with the candidate.
+        let local = self.failures.group(group).with_fault(fault);
+        let before = &local.faults()[..local.faults().len() - 1];
+        match fault {
             Fault::ReplicaCrash { index, .. }
             | Fault::Byzantine { index, .. }
             | Fault::Replace { index, .. } => {
@@ -167,19 +179,10 @@ impl ChaosPlan {
                 // One lifecycle (and one behaviour) per replica per plan:
                 // compositions stay readable and a Byzantine mode never
                 // outlives a replacement of the same identity.
-                let taken = self.faults.iter().any(|f| {
-                    f.group == cand.group
-                        && matches!(
-                            f.fault,
-                            Fault::ReplicaCrash { index: i, .. }
-                            | Fault::Byzantine { index: i, .. }
-                            | Fault::Replace { index: i, .. } if i == index
-                        )
-                });
-                if taken {
+                if before.iter().any(|(_, f)| lifecycle_index(f) == Some(index)) {
                     return false;
                 }
-                if let Fault::Replace { crash_at, rejoin_at, .. } = cand.fault {
+                if let Fault::Replace { crash_at, rejoin_at, .. } = fault {
                     if rejoin_at <= crash_at {
                         return false;
                     }
@@ -197,22 +200,9 @@ impl ChaosPlan {
                 // amnesiac fresh nodes certify view-change noop fillers
                 // for slots the surviving replica had decided); closing it
                 // protocol-side is a ROADMAP item.
-                let lifecycle_start = |f: &Fault| match f {
-                    Fault::ReplicaCrash { at, .. } => Some(*at),
-                    Fault::Byzantine { from, .. } => Some(*from),
-                    Fault::Replace { crash_at, .. } => Some(*crash_at),
-                    _ => None,
-                };
-                let group_faults: Vec<Fault> = self
-                    .faults
-                    .iter()
-                    .filter(|f| f.group == cand.group)
-                    .map(|f| f.fault)
-                    .chain(std::iter::once(cand.fault))
-                    .collect();
-                for f in &group_faults {
+                for (_, f) in local.faults() {
                     if let Fault::Replace { crash_at, .. } = f {
-                        let later = group_faults.iter().any(|other| {
+                        let later = local.faults().iter().any(|(_, other)| {
                             other != f && lifecycle_start(other).is_some_and(|t| t >= *crash_at)
                         });
                         if later {
@@ -222,25 +212,14 @@ impl ChaosPlan {
                 }
                 // The budget: at most f *concurrently* faulty replicas in
                 // the group, counting a replacement's recovery margin.
-                let mut plan = self.group_plan(cand.group);
-                plan = plan.with_fault(cand.fault);
-                plan.peak_concurrent_faulty(space.recovery_margin) <= space.f
+                local.peak_concurrent_faulty(space.recovery_margin) <= space.f
             }
+            // Memory nodes are shared by every group: the f_m budget and
+            // the one-crash-per-node rule are deployment-global.
             Fault::MemNodeCrash { index, .. } => {
-                if index >= space.mem_nodes {
-                    return false;
-                }
-                // Memory nodes are shared by every group: the f_m budget
-                // and the one-crash-per-node rule are deployment-global.
-                let crashed: std::collections::BTreeSet<usize> = self
-                    .faults
-                    .iter()
-                    .filter_map(|f| match f.fault {
-                        Fault::MemNodeCrash { index, .. } => Some(index),
-                        _ => None,
-                    })
-                    .collect();
-                !crashed.contains(&index) && crashed.len() < space.f_m
+                index < space.mem_nodes
+                    && self.failures.mem_node_crash_time(index).is_none()
+                    && self.failures.faulty_mem_node_count() < space.f_m
             }
             Fault::Partition { a, b, from, until } => {
                 if a >= space.replicas || b >= space.replicas || a == b || from >= until {
@@ -252,13 +231,8 @@ impl ChaosPlan {
                 // At most one severed pair at a time per group: a second
                 // concurrent cut can fully isolate a replica, which spends
                 // the f budget without being accounted as a replica fault.
-                !self.faults.iter().any(|f| {
-                    f.group == cand.group
-                        && matches!(
-                            f.fault,
-                            Fault::Partition { from: f2, until: u2, .. }
-                                if from < u2 && f2 < until
-                        )
+                !before.iter().any(|(_, f)| {
+                    matches!(*f, Fault::Partition { from: f2, until: u2, .. } if from < u2 && f2 < until)
                 })
             }
         }
@@ -268,107 +242,93 @@ impl ChaosPlan {
     /// i.e. the plan could have been built fault-by-fault without breaking
     /// a validity rule. Generated and shrunk plans always are.
     pub fn is_valid(&self, space: &ChaosSpace) -> bool {
-        let mut acc =
-            ChaosPlan { seed: self.seed, faults: Vec::new(), asynchrony: self.asynchrony };
-        for f in &self.faults {
+        let mut acc = ChaosPlan::none();
+        for f in self.failures.faults() {
             if !acc.admits(space, f) {
                 return false;
             }
-            acc.faults.push(*f);
+            acc.failures.faults.push(*f);
         }
         true
-    }
-
-    /// The runnable [`FailurePlan`] of one group: its faults, plus (for
-    /// group 0) the deployment-global asynchrony phase, mirroring how the
-    /// runtime reads GST off the base plan.
-    pub fn group_plan(&self, group: usize) -> FailurePlan {
-        let mut plan = FailurePlan::none();
-        for cf in self.faults.iter().filter(|c| c.group == group) {
-            plan = plan.with_fault(cf.fault);
-        }
-        if group == 0 {
-            if let Some((gst, extra)) = self.asynchrony {
-                plan = plan.with_asynchrony(gst, extra);
-            }
-        }
-        plan
-    }
-
-    /// Highest group index any fault addresses (0 for an empty plan).
-    pub fn max_group(&self) -> usize {
-        self.faults.iter().map(|f| f.group).max().unwrap_or(0)
     }
 
     /// Whether `self`'s faults are a sub-multiset of `other`'s and the
     /// asynchrony phase did not appear from nowhere — the monotonicity
     /// [`shrink`] guarantees.
     pub fn is_subset_of(&self, other: &ChaosPlan) -> bool {
-        let mut pool: Vec<&ChaosFault> = other.faults.iter().collect();
-        for f in &self.faults {
-            match pool.iter().position(|p| **p == *f) {
+        let mut pool: Vec<&(usize, Fault)> = other.failures.faults().iter().collect();
+        for f in self.failures.faults() {
+            match pool.iter().position(|p| *p == f) {
                 Some(i) => {
                     pool.swap_remove(i);
                 }
                 None => return false,
             }
         }
-        self.asynchrony.is_none() || self.asynchrony == other.asynchrony
+        let asynchrony = |p: &FailurePlan| (p.gst, p.pre_gst_extra);
+        self.failures.gst == Time::ZERO || asynchrony(&self.failures) == asynchrony(&other.failures)
     }
 
-    /// The plan as copy-pasteable Rust: one [`FailurePlan`] builder chain
-    /// per group (exactly what `SimConfig::with_chaos` would construct),
-    /// ready to drop into a regression test.
+    /// The plan as copy-pasteable Rust: the one [`FailurePlan`] builder
+    /// chain `SimConfig::with_chaos` runs — a stretch of faults in group
+    /// `g > 0` inside one `.in_group(g, ..)` — ready to drop into a
+    /// regression test.
     pub fn repro_string(&self) -> String {
-        let mut s = format!("// ChaosPlan seed {} ({} fault(s))\n", self.seed, self.faults.len());
-        for g in 0..=self.max_group() {
-            let faults: Vec<&ChaosFault> = self.faults.iter().filter(|f| f.group == g).collect();
-            if faults.is_empty() && !(g == 0 && self.asynchrony.is_some()) {
-                continue;
-            }
-            s.push_str(&format!("// group {g}:\nFailurePlan::none()\n"));
-            for cf in faults {
-                let line = match cf.fault {
-                    Fault::ReplicaCrash { index, at } => {
-                        format!("    .crash_replica({index}, us({}))\n", micros(at))
+        let faults = self.failures.faults();
+        let mut s = format!(
+            "// ChaosPlan seed {} ({} fault(s))\nFailurePlan::none()\n",
+            self.seed,
+            faults.len()
+        );
+        for stretch in faults.chunk_by(|a, b| a.0 == b.0) {
+            let calls: Vec<String> = stretch.iter().map(|(_, f)| builder_call(f)).collect();
+            match stretch[0].0 {
+                0 => {
+                    for c in calls {
+                        s.push_str(&format!("    {c}\n"));
                     }
-                    Fault::MemNodeCrash { index, at } => {
-                        format!("    .crash_mem_node({index}, us({}))\n", micros(at))
-                    }
-                    Fault::Byzantine { index, mode, from } => format!(
-                        "    .byzantine({index}, ByzantineMode::{mode:?}, us({}))\n",
-                        micros(from)
-                    ),
-                    Fault::Replace { index, crash_at, rejoin_at } => format!(
-                        "    .replace_replica({index}, us({}), us({}))\n",
-                        micros(crash_at),
-                        micros(rejoin_at)
-                    ),
-                    Fault::Partition { a, b, from, until } => format!(
-                        "    .partition({a}, {b}, us({}), us({}))\n",
-                        micros(from),
-                        micros(until)
-                    ),
-                };
-                s.push_str(&line);
-            }
-            if g == 0 {
-                if let Some((gst, extra)) = self.asynchrony {
-                    s.push_str(&format!(
-                        "    .with_asynchrony(us({}), Duration::from_micros({}))\n",
-                        micros(gst),
-                        extra.as_nanos() / 1_000
-                    ));
                 }
+                g => s.push_str(&format!(
+                    "    .in_group({g}, FailurePlan::none(){})\n",
+                    calls.concat()
+                )),
             }
+        }
+        if self.failures.gst > Time::ZERO {
+            s.push_str(&format!(
+                "    .with_asynchrony(us({}), Duration::from_micros({}))\n",
+                micros(self.failures.gst),
+                self.failures.pre_gst_extra.as_nanos() / 1_000
+            ));
         }
         s
     }
 }
 
+/// The [`FailurePlan`] builder call that schedules `f`.
+fn builder_call(f: &Fault) -> String {
+    match *f {
+        Fault::ReplicaCrash { index, at } => format!(".crash_replica({index}, us({}))", micros(at)),
+        Fault::MemNodeCrash { index, at } => {
+            format!(".crash_mem_node({index}, us({}))", micros(at))
+        }
+        Fault::Byzantine { index, mode, from } => {
+            format!(".byzantine({index}, ByzantineMode::{mode:?}, us({}))", micros(from))
+        }
+        Fault::Replace { index, crash_at, rejoin_at } => format!(
+            ".replace_replica({index}, us({}), us({}))",
+            micros(crash_at),
+            micros(rejoin_at)
+        ),
+        Fault::Partition { a, b, from, until } => {
+            format!(".partition({a}, {b}, us({}), us({}))", micros(from), micros(until))
+        }
+    }
+}
+
 /// Draws one candidate fault; validity is the caller's problem
 /// ([`ChaosPlan::admits`] filters).
-fn draw_fault(rng: &mut SimRng, space: &ChaosSpace, horizon_us: u64) -> ChaosFault {
+fn draw_fault(rng: &mut SimRng, space: &ChaosSpace, horizon_us: u64) -> (usize, Fault) {
     let group = rng.gen_range(space.groups as u64) as usize;
     let t = |rng: &mut SimRng| at_us(rng.gen_range_inclusive(50, horizon_us));
     let fault = match rng.gen_range(6) {
@@ -410,7 +370,7 @@ fn draw_fault(rng: &mut SimRng, space: &ChaosSpace, horizon_us: u64) -> ChaosFau
             Fault::Partition { a, b, from: at_us(from_us), until: at_us(until_us) }
         }
     };
-    ChaosFault { group, fault }
+    (group, fault)
 }
 
 /// Greedily minimizes a failing plan: repeatedly drops single faults (and
@@ -426,18 +386,18 @@ pub fn shrink(
     let mut cur = plan.clone();
     loop {
         let mut reduced = false;
-        if cur.asynchrony.is_some() {
+        if cur.failures.gst > Time::ZERO {
             let mut cand = cur.clone();
-            cand.asynchrony = None;
+            (cand.failures.gst, cand.failures.pre_gst_extra) = (Time::ZERO, Duration::ZERO);
             if still_fails(&cand) {
                 cur = cand;
                 reduced = true;
             }
         }
         let mut i = 0;
-        while i < cur.faults.len() {
+        while i < cur.failures.faults.len() {
             let mut cand = cur.clone();
-            cand.faults.remove(i);
+            cand.failures.faults.remove(i);
             if still_fails(&cand) {
                 cur = cand;
                 reduced = true;
@@ -476,32 +436,26 @@ mod tests {
             let plan = ChaosPlan::generate(seed, &space);
             assert!(plan.is_valid(&space), "seed {seed} generated an invalid plan: {plan:?}");
             assert!(
-                !plan.faults.is_empty() || plan.asynchrony.is_some(),
+                !plan.failures.faults().is_empty() || plan.failures.gst > Time::ZERO,
                 "seed {seed} generated an empty plan"
             );
+            assert!(plan.failures.groups() <= space.groups);
             for g in 0..space.groups {
-                assert!(plan.group_plan(g).faulty_replica_count() <= space.f);
+                assert!(plan.failures.group(g).faulty_replica_count() <= space.f);
             }
-            assert!(plan.group_plan(0).faulty_mem_node_count() <= space.f_m);
+            assert!(plan.failures.faulty_mem_node_count() <= space.f_m);
         }
     }
 
     #[test]
     fn replacement_must_be_the_last_lifecycle_fault() {
         let space = ChaosSpace::paper_default().with_horizon(Duration::from_micros(5_000));
-        let replace = ChaosFault {
-            group: 0,
-            fault: Fault::Replace { index: 0, crash_at: at_us(100), rejoin_at: at_us(300) },
-        };
-        let late_crash =
-            ChaosFault { group: 0, fault: Fault::ReplicaCrash { index: 1, at: at_us(2_000) } };
-        let partition = ChaosFault {
-            group: 0,
-            fault: Fault::Partition { a: 0, b: 1, from: at_us(400), until: at_us(900) },
-        };
+        let replace = (0, Fault::Replace { index: 0, crash_at: at_us(100), rejoin_at: at_us(300) });
+        let late_crash = (0, Fault::ReplicaCrash { index: 1, at: at_us(2_000) });
+        let partition = (0, Fault::Partition { a: 0, b: 1, from: at_us(400), until: at_us(900) });
         let mut plan = ChaosPlan::none();
         assert!(plan.admits(&space, &replace));
-        plan.faults.push(replace);
+        plan.failures.faults.push(replace);
         // No replica-lifecycle fault may start after a replacement's crash:
         // the replacement is only fully re-armed at the next stable
         // checkpoint, whose formation time is unbounded under faults.
@@ -511,7 +465,7 @@ mod tests {
         assert!(plan.admits(&space, &partition));
         // And the same crash is rejected the other way around too.
         let mut crash_first = ChaosPlan::none();
-        crash_first.faults.push(late_crash);
+        crash_first.failures.faults.push(late_crash);
         assert!(!crash_first.admits(&space, &replace));
     }
 
@@ -519,10 +473,10 @@ mod tests {
     fn mem_node_budget_is_deployment_global() {
         let space = ChaosSpace::paper_default().with_groups(2);
         let mut plan = ChaosPlan::none();
-        let m0 = ChaosFault { group: 0, fault: Fault::MemNodeCrash { index: 0, at: at_us(100) } };
-        let m1 = ChaosFault { group: 1, fault: Fault::MemNodeCrash { index: 1, at: at_us(100) } };
+        let m0 = (0, Fault::MemNodeCrash { index: 0, at: at_us(100) });
+        let m1 = (1, Fault::MemNodeCrash { index: 1, at: at_us(100) });
         assert!(plan.admits(&space, &m0));
-        plan.faults.push(m0);
+        plan.failures.faults.push(m0);
         // f_m = 1: a second node may not crash even from another shard's
         // plan (the nodes are shared).
         assert!(!plan.admits(&space, &m1));
@@ -531,53 +485,39 @@ mod tests {
     #[test]
     fn shrink_is_greedy_minimal_and_monotone() {
         let space = ChaosSpace::paper_default().with_horizon(Duration::from_micros(8_000));
-        let culprit =
-            ChaosFault { group: 0, fault: Fault::ReplicaCrash { index: 2, at: at_us(700) } };
-        let plan = ChaosPlan {
-            seed: 7,
-            faults: vec![
-                ChaosFault {
-                    group: 0,
-                    fault: Fault::Partition { a: 0, b: 1, from: at_us(100), until: at_us(400) },
-                },
-                culprit,
-                ChaosFault { group: 0, fault: Fault::MemNodeCrash { index: 1, at: at_us(900) } },
-            ],
-            asynchrony: Some((at_us(500), Duration::from_micros(80))),
-        };
+        let culprit = (0, Fault::ReplicaCrash { index: 2, at: at_us(700) });
+        let failures = FailurePlan::none()
+            .partition(0, 1, at_us(100), at_us(400))
+            .crash_replica(2, at_us(700))
+            .crash_mem_node(1, at_us(900))
+            .with_asynchrony(at_us(500), Duration::from_micros(80));
+        let plan = ChaosPlan { seed: 7, failures };
         assert!(plan.is_valid(&space));
         // "Fails" iff the culprit crash is present.
-        let shrunk = shrink(&plan, &space, |p| p.faults.contains(&culprit));
-        assert_eq!(shrunk.faults, vec![culprit]);
-        assert_eq!(shrunk.asynchrony, None);
+        let shrunk = shrink(&plan, &space, |p| p.failures.faults().contains(&culprit));
+        assert_eq!(shrunk.failures.faults(), [culprit]);
+        assert_eq!(shrunk.failures.gst, Time::ZERO);
         assert!(shrunk.is_subset_of(&plan));
         assert!(shrunk.is_valid(&space));
     }
 
     #[test]
     fn repro_string_names_every_fault() {
-        let plan = ChaosPlan {
-            seed: 3,
-            faults: vec![
-                ChaosFault {
-                    group: 0,
-                    fault: Fault::Replace { index: 1, crash_at: at_us(200), rejoin_at: at_us(500) },
-                },
-                ChaosFault {
-                    group: 1,
-                    fault: Fault::Byzantine {
-                        index: 0,
-                        mode: ByzantineMode::CensorRequests,
-                        from: at_us(50),
-                    },
-                },
-            ],
-            asynchrony: Some((at_us(300), Duration::from_micros(40))),
-        };
-        let s = plan.repro_string();
-        assert!(s.contains(".replace_replica(1, us(200), us(500))"), "{s}");
-        assert!(s.contains(".byzantine(0, ByzantineMode::CensorRequests, us(50))"), "{s}");
-        assert!(s.contains(".with_asynchrony(us(300), Duration::from_micros(40))"), "{s}");
-        assert!(s.contains("// group 1:"), "{s}");
+        let failures = FailurePlan::none()
+            .replace_replica(1, at_us(200), at_us(500))
+            .in_group(1, FailurePlan::none().byzantine(0, ByzantineMode::CensorRequests, at_us(50)))
+            .crash_mem_node(2, at_us(900))
+            .with_asynchrony(at_us(300), Duration::from_micros(40));
+        let s = ChaosPlan { seed: 3, failures }.repro_string();
+        // One builder chain, in schedule order.
+        assert_eq!(
+            s,
+            "// ChaosPlan seed 3 (3 fault(s))\n\
+             FailurePlan::none()\n    \
+             .replace_replica(1, us(200), us(500))\n    \
+             .in_group(1, FailurePlan::none().byzantine(0, ByzantineMode::CensorRequests, us(50)))\n    \
+             .crash_mem_node(2, us(900))\n    \
+             .with_asynchrony(us(300), Duration::from_micros(40))\n"
+        );
     }
 }

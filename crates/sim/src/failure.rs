@@ -2,9 +2,11 @@
 //!
 //! A [`FailurePlan`] is a declarative schedule of faults — replica crashes,
 //! memory-node crashes, Byzantine behaviour activations, and asynchrony
-//! phases — that the runtime applies when building a cluster. Keeping plans
-//! declarative means an experiment's fault schedule is part of its
-//! reproducible configuration.
+//! phases — that the runtime applies when building a deployment. Every
+//! fault names the consensus group it lands in, so one plan describes a
+//! whole deployment, and the deployment refuses a plan that names a group
+//! it does not have. Keeping plans declarative means an experiment's fault
+//! schedule is part of its reproducible configuration.
 
 use ubft_types::{Duration, Time};
 
@@ -79,10 +81,14 @@ pub enum Fault {
     },
 }
 
-/// A declarative fault schedule.
-#[derive(Clone, Debug, Default)]
+/// A declarative fault schedule for a deployment of one or more consensus
+/// groups. The builders address group 0 — all a one-group deployment has
+/// — and [`FailurePlan::in_group`] addresses any other; the asynchrony
+/// phase is the whole deployment's.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FailurePlan {
-    faults: Vec<Fault>,
+    /// `(group, fault)` pairs, in schedule order.
+    pub(crate) faults: Vec<(usize, Fault)>,
     /// Global stabilization time (network is asynchronous before this).
     pub gst: Time,
     /// Extra per-hop delay bound before GST.
@@ -97,23 +103,21 @@ impl FailurePlan {
 
     /// Adds a replica crash.
     #[must_use]
-    pub fn crash_replica(mut self, index: usize, at: Time) -> Self {
-        self.faults.push(Fault::ReplicaCrash { index, at });
-        self
+    pub fn crash_replica(self, index: usize, at: Time) -> Self {
+        self.with_fault(Fault::ReplicaCrash { index, at })
     }
 
-    /// Adds a memory-node crash.
+    /// Adds a memory-node crash. Memory nodes are shared by every group, so
+    /// the node crashes for the whole deployment whichever group names it.
     #[must_use]
-    pub fn crash_mem_node(mut self, index: usize, at: Time) -> Self {
-        self.faults.push(Fault::MemNodeCrash { index, at });
-        self
+    pub fn crash_mem_node(self, index: usize, at: Time) -> Self {
+        self.with_fault(Fault::MemNodeCrash { index, at })
     }
 
     /// Makes a replica Byzantine.
     #[must_use]
-    pub fn byzantine(mut self, index: usize, mode: ByzantineMode, from: Time) -> Self {
-        self.faults.push(Fault::Byzantine { index, mode, from });
-        self
+    pub fn byzantine(self, index: usize, mode: ByzantineMode, from: Time) -> Self {
+        self.with_fault(Fault::Byzantine { index, mode, from })
     }
 
     /// Crashes replica `index` at `crash_at` and boots a fresh replacement
@@ -125,14 +129,13 @@ impl FailurePlan {
     /// follow the crash) or if the plan already schedules a crash or
     /// replacement for `index` (one lifecycle per replica per plan).
     #[must_use]
-    pub fn replace_replica(mut self, index: usize, crash_at: Time, rejoin_at: Time) -> Self {
+    pub fn replace_replica(self, index: usize, crash_at: Time, rejoin_at: Time) -> Self {
         assert!(rejoin_at > crash_at, "replacement must boot after the crash");
         assert!(
             self.replica_crash_time(index).is_none(),
             "replica {index} already has a scheduled crash or replacement"
         );
-        self.faults.push(Fault::Replace { index, crash_at, rejoin_at });
-        self
+        self.with_fault(Fault::Replace { index, crash_at, rejoin_at })
     }
 
     /// Sets an initial asynchronous period ending at `gst`.
@@ -145,71 +148,104 @@ impl FailurePlan {
 
     /// Severs replicas `a` and `b` during `[from, until)`.
     #[must_use]
-    pub fn partition(mut self, a: usize, b: usize, from: Time, until: Time) -> Self {
-        self.faults.push(Fault::Partition { a, b, from, until });
-        self
+    pub fn partition(self, a: usize, b: usize, from: Time, until: Time) -> Self {
+        self.with_fault(Fault::Partition { a, b, from, until })
     }
 
-    /// Adds an already-constructed fault — the escape hatch that lets plans
-    /// be merged (the sharded runtime folds per-shard plans into one
-    /// group-local schedule this way).
+    /// Adds an already-constructed fault to group 0.
     #[must_use]
     pub fn with_fault(mut self, fault: Fault) -> Self {
-        self.faults.push(fault);
+        self.faults.push((0, fault));
         self
     }
 
-    /// All scheduled partitions as `(a, b, from, until)` tuples.
+    /// Adds every fault of `plan` to group `g` instead of group 0 — the one
+    /// builder that reaches past the first group. `plan`'s own asynchrony
+    /// phase is not read: a deployment has one, and it is this plan's.
+    #[must_use]
+    pub fn in_group(mut self, g: usize, plan: FailurePlan) -> Self {
+        self.faults.extend(plan.faults.into_iter().map(|(_, f)| (g, f)));
+        self
+    }
+
+    /// Group `g`'s share of the schedule as a plan of its own: its faults,
+    /// addressed to group 0, and the deployment-wide asynchrony phase. Each
+    /// group's runtime and the auditor read this plan, and the replica
+    /// queries below read group 0 of whatever plan they are asked.
+    pub fn group(&self, g: usize) -> FailurePlan {
+        FailurePlan {
+            faults: self.faults.iter().filter(|(fg, _)| *fg == g).map(|(_, f)| (0, *f)).collect(),
+            gst: self.gst,
+            pre_gst_extra: self.pre_gst_extra,
+        }
+    }
+
+    /// How many groups the plan reaches: one past the highest group a fault
+    /// names, and 1 when none does.
+    pub fn groups(&self) -> usize {
+        self.faults.iter().map(|(g, _)| g + 1).max().unwrap_or(1)
+    }
+
+    /// Every scheduled fault with the group it lands in, in schedule order.
+    pub fn faults(&self) -> &[(usize, Fault)] {
+        &self.faults
+    }
+
+    /// Group 0's faults, in schedule order.
+    fn local(&self) -> impl DoubleEndedIterator<Item = &Fault> {
+        self.faults.iter().filter(|(g, _)| *g == 0).map(|(_, f)| f)
+    }
+
+    /// Group 0's partitions as `(a, b, from, until)` tuples.
     pub fn partitions(&self) -> impl Iterator<Item = (usize, usize, Time, Time)> + '_ {
-        self.faults.iter().filter_map(|f| match f {
+        self.local().filter_map(|f| match f {
             Fault::Partition { a, b, from, until } => Some((*a, *b, *from, *until)),
             _ => None,
         })
     }
 
-    /// All scheduled faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// The Byzantine mode of replica `index` active at time `t`, if any.
+    /// The Byzantine mode of group 0's replica `index` active at time `t`,
+    /// if any.
     pub fn byzantine_mode(&self, index: usize, t: Time) -> Option<ByzantineMode> {
-        self.faults.iter().rev().find_map(|f| match f {
+        self.local().rev().find_map(|f| match f {
             Fault::Byzantine { index: i, mode, from } if *i == index && t >= *from => Some(*mode),
             _ => None,
         })
     }
 
-    /// Crash time of replica `index`, if scheduled — a [`Fault::Replace`]
-    /// schedules a crash exactly like [`Fault::ReplicaCrash`] does (the
-    /// rejoin is a separate, later event).
+    /// Crash time of group 0's replica `index`, if scheduled — a
+    /// [`Fault::Replace`] schedules a crash exactly like
+    /// [`Fault::ReplicaCrash`] does (the rejoin is a separate, later event).
     pub fn replica_crash_time(&self, index: usize) -> Option<Time> {
-        self.faults.iter().find_map(|f| match f {
+        self.local().find_map(|f| match f {
             Fault::ReplicaCrash { index: i, at } if *i == index => Some(*at),
             Fault::Replace { index: i, crash_at, .. } if *i == index => Some(*crash_at),
             _ => None,
         })
     }
 
-    /// All scheduled replacements as `(index, crash_at, rejoin_at)` tuples,
-    /// in schedule order.
+    /// Group 0's replacements as `(index, crash_at, rejoin_at)` tuples, in
+    /// schedule order.
     pub fn replacements(&self) -> impl Iterator<Item = (usize, Time, Time)> + '_ {
-        self.faults.iter().filter_map(|f| match f {
+        self.local().filter_map(|f| match f {
             Fault::Replace { index, crash_at, rejoin_at } => Some((*index, *crash_at, *rejoin_at)),
             _ => None,
         })
     }
 
-    /// Crash time of memory node `index`, if scheduled.
+    /// The earliest crash of memory node `index` any group schedules.
     pub fn mem_node_crash_time(&self, index: usize) -> Option<Time> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::MemNodeCrash { index: i, at } if *i == index => Some(*at),
-            _ => None,
-        })
+        (self.faults.iter())
+            .filter_map(|(_, f)| match f {
+                Fault::MemNodeCrash { index: i, at } if *i == index => Some(*at),
+                _ => None,
+            })
+            .min()
     }
 
-    /// Number of replicas that are *concurrently* faulty at the worst
-    /// instant of this plan, for sanity-checking against the cluster's `f`.
+    /// Number of group 0's replicas that are *concurrently* faulty at the
+    /// worst instant of this plan, for sanity-checking against the group's
+    /// `f`.
     ///
     /// A plain crash or a Byzantine activation makes its replica faulty
     /// from its scheduled time onward. A [`Fault::Replace`] makes its
@@ -233,7 +269,7 @@ impl FailurePlan {
         // `None` ends mean "forever".
         let mut per_index: std::collections::BTreeMap<usize, Vec<(Time, Option<Time>)>> =
             std::collections::BTreeMap::new();
-        for f in &self.faults {
+        for f in self.local() {
             match f {
                 Fault::ReplicaCrash { index, at } => {
                     per_index.entry(*index).or_default().push((*at, None));
@@ -295,13 +331,13 @@ impl FailurePlan {
         peak
     }
 
-    /// Number of distinct memory nodes this plan crashes, for
-    /// sanity-checking against the cluster's `f_m`.
+    /// Number of distinct memory nodes this plan crashes, whichever groups
+    /// name them, for sanity-checking against the deployment's `f_m`.
     pub fn faulty_mem_node_count(&self) -> usize {
         let mut idx: Vec<usize> = self
             .faults
             .iter()
-            .filter_map(|f| match f {
+            .filter_map(|(_, f)| match f {
                 Fault::MemNodeCrash { index, .. } => Some(*index),
                 _ => None,
             })
@@ -437,6 +473,28 @@ mod tests {
         // Crashing the same node twice is one faulty node.
         let q = FailurePlan::none().crash_mem_node(1, t(5)).crash_mem_node(1, t(9));
         assert_eq!(q.faulty_mem_node_count(), 1);
+    }
+
+    #[test]
+    fn in_group_addresses_another_group() {
+        let p = FailurePlan::none()
+            .crash_replica(0, t(5))
+            .in_group(2, FailurePlan::none().crash_replica(1, t(7)).crash_mem_node(0, t(3)))
+            .crash_mem_node(0, t(9))
+            .with_asynchrony(t(100), Duration::from_micros(10));
+        assert_eq!(p.groups(), 3);
+        assert_eq!(FailurePlan::none().groups(), 1);
+        // Replica queries read group 0; `group(g)` is group g's own plan,
+        // asynchrony included.
+        assert_eq!(p.replica_crash_time(1), None);
+        let g2 = p.group(2);
+        assert_eq!(g2.replica_crash_time(1), Some(t(7)));
+        assert_eq!(g2.replica_crash_time(0), None);
+        assert_eq!((g2.gst, g2.pre_gst_extra), (t(100), Duration::from_micros(10)));
+        assert!(p.group(1).faults().is_empty());
+        // Memory nodes are shared: the earliest crash any group names.
+        assert_eq!(p.mem_node_crash_time(0), Some(t(3)));
+        assert_eq!(p.faulty_mem_node_count(), 1);
     }
 
     #[test]

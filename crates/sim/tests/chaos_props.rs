@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use ubft_sim::chaos::{shrink, ChaosPlan, ChaosSpace};
 use ubft_sim::failure::Fault;
-use ubft_types::Duration;
+use ubft_types::{Duration, Time};
 
 fn space_for(groups: usize) -> ChaosSpace {
     ChaosSpace::paper_default().with_groups(groups)
@@ -34,14 +34,16 @@ proptest! {
         let space = space_for(groups);
         let plan = ChaosPlan::generate(seed, &space);
         prop_assert!(plan.is_valid(&space), "seed {} invalid: {:?}", seed, plan);
+        prop_assert!(plan.failures.groups() <= space.groups);
         for g in 0..space.groups {
-            prop_assert!(plan.group_plan(g).faulty_replica_count() <= space.f);
+            prop_assert!(plan.failures.group(g).faulty_replica_count() <= space.f);
         }
         let mem_crashed: std::collections::BTreeSet<usize> = plan
-            .faults
+            .failures
+            .faults()
             .iter()
-            .filter_map(|f| match f.fault {
-                Fault::MemNodeCrash { index, .. } => Some(index),
+            .filter_map(|(_, f)| match f {
+                Fault::MemNodeCrash { index, .. } => Some(*index),
                 _ => None,
             })
             .collect();
@@ -59,20 +61,20 @@ proptest! {
     ) {
         let space = space_for(1).with_max_faults(6).with_horizon(Duration::from_micros(4_000));
         let plan = ChaosPlan::generate(seed, &space);
-        if plan.faults.is_empty() {
+        let faults = plan.failures.faults();
+        if faults.is_empty() {
             return; // asynchrony-only plan: nothing to shrink against
         }
         // The "bug" triggers on one specific fault of the plan (what a
         // real violation caused by a single fault looks like).
-        let culprit = plan.faults[pick % plan.faults.len()];
-        let fails = |p: &ChaosPlan| p.faults.contains(&culprit);
+        let culprit = faults[pick % faults.len()];
+        let fails = |p: &ChaosPlan| p.failures.faults().contains(&culprit);
         let shrunk = shrink(&plan, &space, fails);
         prop_assert!(shrunk.is_subset_of(&plan));
         prop_assert!(shrunk.is_valid(&space));
         prop_assert!(fails(&shrunk));
-        prop_assert_eq!(shrunk.faults.len(), 1);
-        prop_assert_eq!(shrunk.faults[0], culprit);
-        prop_assert_eq!(shrunk.asynchrony, None);
+        prop_assert_eq!(shrunk.failures.faults(), &[culprit]);
+        prop_assert_eq!(shrunk.failures.gst, Time::ZERO);
     }
 
     /// Shrinking against a conjunction keeps exactly the conjuncts: the
@@ -81,14 +83,17 @@ proptest! {
     fn shrinking_keeps_every_necessary_fault(seed in 0u64..100_000) {
         let space = space_for(1).with_max_faults(6).with_horizon(Duration::from_micros(4_000));
         let plan = ChaosPlan::generate(seed, &space);
-        if plan.faults.len() < 2 {
+        let faults = plan.failures.faults();
+        if faults.len() < 2 {
             return; // nothing to strip between the two conjuncts
         }
-        let (a, b) = (plan.faults[0], plan.faults[plan.faults.len() - 1]);
-        let fails = |p: &ChaosPlan| p.faults.contains(&a) && p.faults.contains(&b);
+        let (a, b) = (faults[0], faults[faults.len() - 1]);
+        let fails = |p: &ChaosPlan| {
+            p.failures.faults().contains(&a) && p.failures.faults().contains(&b)
+        };
         let shrunk = shrink(&plan, &space, fails);
         prop_assert!(shrunk.is_subset_of(&plan));
         prop_assert!(fails(&shrunk));
-        prop_assert_eq!(shrunk.faults.len(), 2);
+        prop_assert_eq!(shrunk.failures.faults().len(), 2);
     }
 }

@@ -246,11 +246,6 @@ pub struct ChannelReceiver {
 }
 
 impl ChannelReceiver {
-    /// The next sequence number the receiver expects to deliver.
-    pub fn expected_seq(&self) -> u64 {
-        self.expected_seq
-    }
-
     /// Total messages skipped due to overwrites (diagnostics; these are the
     /// messages the tail guarantee allows to be lost).
     pub fn skipped_total(&self) -> u64 {

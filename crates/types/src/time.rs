@@ -63,22 +63,22 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Creates a duration from nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         Duration(ns)
     }
 
     /// Creates a duration from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         Duration(us * 1_000)
     }
 
     /// Creates a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000_000)
     }
 
     /// Creates a duration from seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000_000)
     }
 

@@ -85,46 +85,50 @@
 //!
 //! uBFT keeps each consensus group small (`2f + 1` replicas, bounded
 //! memory) precisely so many groups can share one pool of disaggregated
-//! memory. [`runtime::ShardedCluster`] deploys
-//! [`runtime::SimConfig::with_shards`] independent groups over one
-//! fabric and one set of passive memory nodes, routing every request by
-//! key hash through [`apps::ShardRouter`] (FNV over the KV key;
-//! round-robin for keyless payloads). Aggregate throughput scales nearly
-//! linearly with the group count while per-request latency stays flat —
-//! see the `shard_sweep` table in `EXPERIMENTS.md`.
+//! memory. A [`runtime::Cluster`] is that deployment:
+//! [`runtime::SimConfig::with_shards`] independent groups over one fabric
+//! and one set of passive memory nodes, built from `n` applications per
+//! group and one request stream routed by key hash through
+//! [`apps::ShardRouter`] (FNV over the KV key; round-robin for keyless
+//! payloads). Aggregate throughput scales nearly linearly with the group
+//! count while per-request latency stays flat — see the `shard_sweep`
+//! table in `EXPERIMENTS.md`.
 //!
 //! ```
-//! use ubft::runtime::{ShardedCluster, SimConfig};
+//! use ubft::runtime::{Cluster, SimConfig};
+//! use ubft::sim::failure::FailurePlan;
 //! use ubft_apps::FlipApp;
 //! use ubft_core::app::App;
+//! use ubft_types::{Duration, Time};
 //!
-//! // Two consensus groups on one fabric; keyless Flip requests
-//! // round-robin across them.
-//! let cfg = SimConfig::paper_default(3).fast_only().with_shards(2);
-//! let mut sharded = ShardedCluster::new(
-//!     cfg,
-//!     |_group| (0..3).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect(),
-//!     Box::new(|i: u64| i.to_le_bytes().to_vec()),
-//! );
-//! let report = sharded.run(60, 6);
-//! assert_eq!(report.completed, 66);
+//! // Two consensus groups on one fabric, three replicas each; keyless Flip
+//! // requests round-robin across them. Group 1's leader crashes.
+//! let mut cfg = SimConfig::paper_default(3).fast_only().with_shards(2);
+//! let crash = FailurePlan::none().crash_replica(0, Time::ZERO + Duration::from_micros(200));
+//! cfg.failures = FailurePlan::none().in_group(1, crash);
+//! let apps = (0..6).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect();
+//! let mut cluster = Cluster::new(cfg, apps, Box::new(|i: u64| i.to_le_bytes().to_vec()));
+//! let report = cluster.run(100, 10);
+//! assert_eq!(report.completed, 110);
 //! assert_eq!(report.groups.len(), 2);
 //! // Both groups served a slice of the key space.
 //! assert!(report.groups.iter().all(|s| s.completed > 0));
+//! // Replica r of group g is replica 3·g + r: once the watchdog fires,
+//! // group 1's survivors, 4 and 5, move to a new view; group 0 stays put.
+//! cluster.settle(Duration::from_millis(10));
+//! assert!(cluster.view_of(4).0 >= 1 && cluster.view_of(5).0 >= 1);
+//! assert!((0..3).all(|i| cluster.view_of(i).0 == 0));
 //! ```
 //!
-//! With a single shard, `ShardedCluster` reproduces [`runtime::Cluster`]
-//! bit-for-bit — same seeds, same host layout, same event order — for
-//! workloads that derive requests from internal state, like every stock
-//! §7.1 generator. (The one observable difference: `ShardedCluster`
-//! passes the global generation index as the workload's `u64` argument,
-//! while `Cluster` passes the completed count, so a workload that is a
-//! pure function of that argument sees different values when several
-//! clients race.) The equivalence is pinned by `tests/sharding.rs`,
-//! which also proves fault *containment*: a crash or Byzantine fault
-//! injected into one shard (via
-//! [`runtime::SimConfig::with_shard_failures`]) leaves every other
-//! shard's report untouched.
+//! With one group the deployment is the classic single-group cluster, on
+//! the same code path: the stream is handed over as it is, called with the
+//! completed count, while several groups call it with the request's index
+//! in the generated stream. `tests/sharding.rs` proves fault
+//! *containment*: a crash or Byzantine fault injected into one group (a
+//! [`sim::failure::FailurePlan`] names the group of every fault, through
+//! [`sim::failure::FailurePlan::in_group`]) leaves every other group's
+//! report untouched, and a fault addressed to a group the deployment does
+//! not have is refused when it is built.
 //!
 //! # Failure injection
 //!

@@ -16,7 +16,7 @@
 //! double-executed request would diverge it.
 
 use ubft::runtime::cluster::Cluster;
-use ubft::runtime::SimConfig;
+use ubft::runtime::{AuditReport, SimConfig};
 use ubft_core::app::App;
 use ubft_crypto::Digest;
 use ubft_sim::failure::FailurePlan;
@@ -48,6 +48,7 @@ struct Outcome {
     digests: Vec<Digest>,
     dedup_entries: Vec<usize>,
     views: Vec<u64>,
+    audit: Option<AuditReport>,
 }
 
 fn run(cfg: SimConfig, requests: u64) -> Outcome {
@@ -58,7 +59,12 @@ fn run(cfg: SimConfig, requests: u64) -> Outcome {
         digests: (0..3).map(|r| cluster.app_digest(r)).collect(),
         dedup_entries: (0..3).map(|r| cluster.dedup_entries(r)).collect(),
         views: report.views.iter().map(|v| v.0).collect(),
+        audit: report.audit,
     }
+}
+
+fn us(n: u64) -> Time {
+    Time::ZERO + Duration::from_micros(n)
 }
 
 /// Healthy flood: 48 clients against an effective cap of 16. Eviction
@@ -85,13 +91,14 @@ fn capped_flood_is_behaviourally_identical_to_unbounded() {
 /// into a second slot by the new leader. If eviction could forget such a
 /// request's dedup entry before its duplicate slot executed, the request
 /// would execute twice and the digest would diverge from the unbounded
-/// run. It must not.
+/// run. It must not — nor when r1 is replaced during the flood instead,
+/// and its successor adopts a capped dedup table through a certified
+/// state transfer.
 #[test]
 fn eviction_never_reexecutes_an_inflight_request_across_a_view_change() {
     let crash = |seed| {
         let mut cfg = small_window_cfg(seed);
-        cfg.failures =
-            FailurePlan::none().crash_replica(0, Time::ZERO + Duration::from_micros(400));
+        cfg.failures = FailurePlan::none().crash_replica(0, us(400));
         cfg
     };
     for seed in [13, 14, 15] {
@@ -112,6 +119,19 @@ fn eviction_never_reexecutes_an_inflight_request_across_a_view_change() {
             );
             assert!(capped_cfg_run.dedup_entries[r] <= FLOOR, "seed {seed}: cap not enforced");
         }
+    }
+
+    let replaced = small_window_cfg(13).with_replacement(1, us(400), Duration::from_micros(400));
+    let unbounded = run(replaced.clone().with_audit(), 200);
+    let capped = run(replaced.with_client_cache_cap(1).with_audit(), 200);
+    assert_eq!(capped.completed, unbounded.completed);
+    for out in [&unbounded, &capped] {
+        let audit = out.audit.as_ref().expect("audited");
+        assert!(audit.is_clean(), "violations: {:#?}", audit.violations);
+    }
+    for r in [0, 2] {
+        assert_eq!(capped.digests[r], unbounded.digests[r], "replacement: replica {r} diverged");
+        assert!(capped.dedup_entries[r] <= FLOOR, "replacement: cap not enforced");
     }
 }
 

@@ -22,14 +22,13 @@ use std::sync::OnceLock;
 
 use ubft::runtime::audit::{AuditMutation, ViolationKind};
 use ubft::runtime::cluster::Cluster;
-use ubft::runtime::sharded::ShardedCluster;
 use ubft::runtime::SimConfig;
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{FlipApp, KvApp, KvFrontend};
 use ubft_core::app::App;
 use ubft_crypto::Digest;
-use ubft_sim::chaos::{shrink, ChaosFault, ChaosPlan, ChaosSpace};
-use ubft_sim::failure::{ByzantineMode, Fault};
+use ubft_sim::chaos::{shrink, ChaosPlan, ChaosSpace};
+use ubft_sim::failure::{ByzantineMode, FailurePlan, Fault};
 use ubft_types::{Duration, Time};
 
 const SEED: u64 = 0xC4A0_2026;
@@ -91,8 +90,8 @@ fn fault_free_reference() -> &'static Digest {
 fn comparable_replicas(plan: &ChaosPlan) -> Vec<usize> {
     (0..3usize)
         .filter(|r| {
-            !plan.faults.iter().any(|f| {
-                matches!(f.fault,
+            !plan.failures.faults().iter().any(|(_, f)| {
+                matches!(*f,
                     Fault::Byzantine { index, .. } | Fault::ReplicaCrash { index, .. }
                     if index == *r)
             })
@@ -100,8 +99,9 @@ fn comparable_replicas(plan: &ChaosPlan) -> Vec<usize> {
         .collect()
 }
 
-fn g0(fault: Fault) -> ChaosFault {
-    ChaosFault { group: 0, fault }
+/// A hand-written plan.
+fn hand_written(failures: FailurePlan) -> ChaosPlan {
+    ChaosPlan { seed: 0, failures }
 }
 
 /// Runs one corpus plan: completes every request, audits clean, and every
@@ -137,67 +137,56 @@ fn corpus_partition_racing_a_replacement() {
     // The replacement boots *inside* the partition window: its Join must
     // survive message loss (the chaos explorer caught the one-shot Join
     // stalling forever; this pins the re-announce fix).
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Replace { index: 1, crash_at: us(300), rejoin_at: us(900) }),
-            g0(Fault::Partition { a: 1, b: 2, from: us(400), until: us(1_400) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(FailurePlan::none().replace_replica(1, us(300), us(900)).partition(
+        1,
+        2,
+        us(400),
+        us(1_400),
+    ));
     run_corpus_plan("partition+replacement", &plan);
 }
 
 #[test]
 fn corpus_byzantine_leader_equivocation_under_asynchrony() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![g0(Fault::Byzantine {
-            index: 0,
-            mode: ByzantineMode::EquivocateProposals,
-            from: Time::ZERO,
-        })],
-        asynchrony: Some((us(1_000), Duration::from_micros(100))),
-    };
+    let plan = hand_written(
+        FailurePlan::none()
+            .byzantine(0, ByzantineMode::EquivocateProposals, Time::ZERO)
+            .with_asynchrony(us(1_000), Duration::from_micros(100)),
+    );
     run_corpus_plan("equivocating-leader+asynchrony", &plan);
 }
 
 #[test]
 fn corpus_censoring_leader_behind_partition() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Byzantine { index: 0, mode: ByzantineMode::CensorRequests, from: us(200) }),
-            g0(Fault::Partition { a: 1, b: 2, from: us(300), until: us(900) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(
+        FailurePlan::none().byzantine(0, ByzantineMode::CensorRequests, us(200)).partition(
+            1,
+            2,
+            us(300),
+            us(900),
+        ),
+    );
     run_corpus_plan("censoring-leader+partition", &plan);
 }
 
 #[test]
 fn corpus_silent_replica_with_mem_node_crash() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Byzantine { index: 2, mode: ByzantineMode::Silent, from: us(150) }),
-            g0(Fault::MemNodeCrash { index: 1, at: us(400) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(
+        FailurePlan::none().byzantine(2, ByzantineMode::Silent, us(150)).crash_mem_node(1, us(400)),
+    );
     run_corpus_plan("silent+mem-crash", &plan);
 }
 
 #[test]
 fn corpus_laggard_with_partition() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Byzantine { index: 1, mode: ByzantineMode::Laggard, from: Time::ZERO }),
-            g0(Fault::Partition { a: 0, b: 2, from: us(500), until: us(1_300) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(
+        FailurePlan::none().byzantine(1, ByzantineMode::Laggard, Time::ZERO).partition(
+            0,
+            2,
+            us(500),
+            us(1_300),
+        ),
+    );
     run_corpus_plan("laggard+partition", &plan);
 }
 
@@ -205,28 +194,21 @@ fn corpus_laggard_with_partition() {
 fn corpus_corrupt_registers_with_mem_node_crash() {
     // Garbled SWMR entries *and* a crashed memory node: the slow path must
     // still deliver off the surviving quorum.
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Byzantine {
-                index: 1,
-                mode: ByzantineMode::CorruptRegisters,
-                from: Time::ZERO,
-            }),
-            g0(Fault::MemNodeCrash { index: 2, at: us(600) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(
+        FailurePlan::none()
+            .byzantine(1, ByzantineMode::CorruptRegisters, Time::ZERO)
+            .crash_mem_node(2, us(600)),
+    );
     run_corpus_plan("corrupt-registers+mem-crash", &plan);
 }
 
 #[test]
 fn corpus_follower_crash_under_asynchrony() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![g0(Fault::ReplicaCrash { index: 2, at: us(700) })],
-        asynchrony: Some((us(800), Duration::from_micros(150))),
-    };
+    let plan = hand_written(
+        FailurePlan::none()
+            .crash_replica(2, us(700))
+            .with_asynchrony(us(800), Duration::from_micros(150)),
+    );
     run_corpus_plan("crash+asynchrony", &plan);
 }
 
@@ -234,28 +216,22 @@ fn corpus_follower_crash_under_asynchrony() {
 fn corpus_replacement_with_mem_node_crash() {
     // The joiner scans its predecessor's register banks while one memory
     // node is already gone: the scan must settle for the surviving quorum.
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::MemNodeCrash { index: 0, at: us(300) }),
-            g0(Fault::Replace { index: 0, crash_at: us(500), rejoin_at: us(1_100) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(FailurePlan::none().crash_mem_node(0, us(300)).replace_replica(
+        0,
+        us(500),
+        us(1_100),
+    ));
     run_corpus_plan("replacement+mem-crash", &plan);
 }
 
 #[test]
 fn corpus_sequential_partitions_sweep_every_pair() {
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Partition { a: 0, b: 1, from: us(100), until: us(500) }),
-            g0(Fault::Partition { a: 1, b: 2, from: us(600), until: us(1_000) }),
-            g0(Fault::Partition { a: 0, b: 2, from: us(1_100), until: us(1_400) }),
-        ],
-        asynchrony: None,
-    };
+    let plan = hand_written(
+        FailurePlan::none()
+            .partition(0, 1, us(100), us(500))
+            .partition(1, 2, us(600), us(1_000))
+            .partition(0, 2, us(1_100), us(1_400)),
+    );
     run_corpus_plan("sequential-partitions", &plan);
 }
 
@@ -265,7 +241,7 @@ fn corpus_generated_plan_is_pinned_end_to_end() {
     // runner compose (if generation ever changes, this test names it).
     let space = ChaosSpace::paper_default();
     let plan = ChaosPlan::generate(0xC0FFEE, &space);
-    assert!(!plan.faults.is_empty());
+    assert!(!plan.failures.faults().is_empty());
     run_corpus_plan("generated(0xC0FFEE)", &plan);
 }
 
@@ -274,26 +250,17 @@ fn corpus_sharded_byzantine_is_contained_and_clean() {
     // Two groups over one fabric and shared memory nodes; group 1's leader
     // censors. The auditor checks cross-shard containment for every keyed
     // request, and both shards audit clean.
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![ChaosFault {
-            group: 1,
-            fault: Fault::Byzantine {
-                index: 0,
-                mode: ByzantineMode::CensorRequests,
-                from: us(200),
-            },
-        }],
-        asynchrony: None,
-    };
+    let censor = FailurePlan::none().byzantine(0, ByzantineMode::CensorRequests, us(200));
+    let plan = hand_written(FailurePlan::none().in_group(1, censor));
     assert!(plan.is_valid(&ChaosSpace::paper_default().with_groups(2)));
-    let cfg = chaos_cfg().with_shards(2).with_chaos(&plan);
-    let n = cfg.params.n();
-    let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(n), kv_workload());
-    let report = sharded.run(REQUESTS, 0);
+    // The plan alone raises the deployment to the two groups it names.
+    let cfg = chaos_cfg().with_chaos(&plan);
+    assert_eq!(cfg.shards, 2);
+    let mut cluster = Cluster::new(cfg, kv_apps(6), kv_workload());
+    let report = cluster.run(REQUESTS, 0);
     assert_eq!(report.completed, REQUESTS);
-    sharded.settle(Duration::from_millis(4));
-    let audit = sharded.audit_report().expect("audited");
+    cluster.settle(Duration::from_millis(4));
+    let audit = cluster.audit_report().expect("audited");
     assert!(audit.is_clean(), "violations: {:#?}", audit.violations);
     // Both shards really executed (keyed traffic spreads), so containment
     // was exercised, not vacuous.
@@ -383,17 +350,15 @@ fn auditor_does_not_cry_wolf() {
 #[test]
 fn hand_broken_plan_shrinks_to_its_core() {
     let space = ChaosSpace::paper_default().with_horizon(Duration::from_micros(4_000));
-    let culprit = g0(Fault::ReplicaCrash { index: 2, at: us(600) });
-    let plan = ChaosPlan {
-        seed: 0,
-        faults: vec![
-            g0(Fault::Partition { a: 0, b: 1, from: us(100), until: us(400) }),
-            g0(Fault::MemNodeCrash { index: 1, at: us(300) }),
-            culprit,
-            g0(Fault::MemNodeCrash { index: 0, at: us(900) }),
-        ],
-        asynchrony: Some((us(250), Duration::from_micros(40))),
-    };
+    let culprit = (0, Fault::ReplicaCrash { index: 2, at: us(600) });
+    let plan = hand_written(
+        FailurePlan::none()
+            .partition(0, 1, us(100), us(400))
+            .crash_mem_node(1, us(300))
+            .crash_replica(2, us(600))
+            .crash_mem_node(0, us(900))
+            .with_asynchrony(us(250), Duration::from_micros(40)),
+    );
     // f_m = 1 admits one memory-node crash; hand-written plans may exceed
     // the generator's budget, but this one must not (two mem crashes of
     // three nodes is legal only for f_m = 2) — use a wider space for
@@ -418,12 +383,12 @@ fn hand_broken_plan_shrinks_to_its_core() {
     let shrunk = shrink(&plan, &wide, fails);
     println!(
         "shrunk {} faults -> {}; repro:\n{}",
-        plan.faults.len() + 1,
-        shrunk.faults.len(),
+        plan.failures.faults().len() + 1,
+        shrunk.failures.faults().len(),
         shrunk.repro_string()
     );
     assert!(shrunk.is_subset_of(&plan));
-    assert!(shrunk.faults.len() <= 3, "core too large: {}", shrunk.repro_string());
-    assert!(shrunk.faults.contains(&culprit), "core lost the culprit");
+    assert!(shrunk.failures.faults().len() <= 3, "core too large: {}", shrunk.repro_string());
+    assert!(shrunk.failures.faults().contains(&culprit), "core lost the culprit");
     assert!(fails(&shrunk));
 }

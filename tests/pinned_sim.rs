@@ -42,7 +42,6 @@
 //! fast-path pins passed untouched.
 
 use ubft::runtime::cluster::Cluster;
-use ubft::runtime::sharded::ShardedCluster;
 use ubft::runtime::SimConfig;
 use ubft_core::app::App;
 use ubft_types::Time;
@@ -124,9 +123,9 @@ fn batched_multiclient_run_is_pinned() {
 #[test]
 fn sharded_run_is_pinned() {
     let cfg = SimConfig::paper_default(9).fast_only().with_shards(4);
-    let mut cluster = ShardedCluster::new(cfg, |_| flip_apps(3), payload32());
+    let mut cluster = Cluster::new(cfg, flip_apps(12), payload32());
     let report = cluster.run(200, 20);
-    let digests: Vec<String> = (0..4).map(|g| hex(&cluster.app_digest(g, 0))).collect();
+    let digests: Vec<String> = (0..4).map(|g| hex(&cluster.app_digest(g * 3))).collect();
     let got = format!(
         "digests={:?} completed={} end={} counters={:?}",
         digests,

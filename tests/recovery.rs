@@ -20,7 +20,6 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ubft::runtime::cluster::Cluster;
-use ubft::runtime::sharded::ShardedCluster;
 use ubft::runtime::SimConfig;
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{KvApp, KvFrontend, KvOp, ShardRouter};
@@ -191,22 +190,19 @@ fn replacement_run_matches_fault_free_digest_g4_sharded() {
             }
         }) as Box<dyn FnMut(u64) -> Vec<u8>>
     };
-    let digests = |sharded: &ShardedCluster| -> Vec<Digest> {
-        (0..G)
-            .flat_map(|g| (0..3).map(move |r| (g, r)))
-            .map(|(g, r)| sharded.app_digest(g, r))
-            .collect()
-    };
+    let digests =
+        |cluster: &Cluster| -> Vec<Digest> { (0..G * 3).map(|i| cluster.app_digest(i)).collect() };
 
     let mut clean =
-        ShardedCluster::new(recovery_cfg(SEED).with_shards(G), |_| kv_apps(3), shard1_workload());
+        Cluster::new(recovery_cfg(SEED).with_shards(G), kv_apps(G * 3), shard1_workload());
     let clean_report = clean.run(400, 0);
     assert_eq!(clean_report.completed, 400);
     clean.settle(Duration::from_millis(3));
 
-    let plan = FailurePlan::none().replace_replica(2, us(300), us(700));
-    let cfg = recovery_cfg(SEED).with_shards(G).with_shard_failures(TARGET_SHARD, plan);
-    let mut faulty = ShardedCluster::new(cfg, |_| kv_apps(3), shard1_workload());
+    let mut cfg = recovery_cfg(SEED).with_shards(G);
+    let replace = FailurePlan::none().replace_replica(2, us(300), us(700));
+    cfg.failures = FailurePlan::none().in_group(TARGET_SHARD, replace);
+    let mut faulty = Cluster::new(cfg, kv_apps(G * 3), shard1_workload());
     let report = faulty.run(400, 0);
     assert_eq!(report.completed, 400, "requests lost across the replacement");
     faulty.settle(Duration::from_millis(3));
@@ -215,7 +211,7 @@ fn replacement_run_matches_fault_free_digest_g4_sharded() {
     // The fault was real: only shard 1 served traffic, and it really did
     // lose and replace a replica (snapshots were retained there).
     assert_eq!(report.groups[TARGET_SHARD].completed, 400);
-    assert!(faulty.replica_snapshot_bytes(TARGET_SHARD, 0) > 0);
+    assert!(faulty.replica_snapshot_bytes(TARGET_SHARD * 3) > 0);
 }
 
 /// A replacement inside one shard must leave the other shards' entire
@@ -225,7 +221,7 @@ fn replacement_run_matches_fault_free_digest_g4_sharded() {
 /// are independent).
 #[test]
 fn replacement_is_contained_to_its_shard() {
-    let fingerprint = |report: &ubft::runtime::RunReport, sc: &ShardedCluster, g: usize| {
+    let fingerprint = |report: &ubft::runtime::RunReport, sc: &Cluster, g: usize| {
         let shard = &report.groups[g];
         let mut lat = shard.latency.clone();
         let lat_print = if lat.is_empty() {
@@ -238,28 +234,26 @@ fn replacement_is_contained_to_its_shard() {
             shard.counters,
             shard.views.clone(),
             lat_print,
-            (0..3).map(|r| sc.app_digest(g, r)).collect::<Vec<_>>(),
-            (0..3).map(|r| sc.decided_of(g, r)).collect::<Vec<_>>(),
+            (0..3).map(|r| sc.app_digest(g * 3 + r)).collect::<Vec<_>>(),
+            (0..3).map(|r| sc.decided_of(g * 3 + r)).collect::<Vec<_>>(),
         )
     };
-    let run = |shard1_plan: Option<FailurePlan>| {
+    let run = |failures: FailurePlan| {
         let mut cfg = SimConfig::paper_default(47).with_tail(16).with_window(32).with_shards(3);
-        if let Some(plan) = shard1_plan {
-            cfg = cfg.with_shard_failures(1, plan);
-        }
+        cfg.failures = failures;
         cfg.latency = LatencyModel {
             base: Duration::from_nanos(850),
             picos_per_byte: 80,
             jitter: Duration::ZERO,
         };
-        let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(0xD15C));
-        let report = sharded.run_until(1_000_000, 0, Time::ZERO + Duration::from_millis(4));
-        (report, sharded)
+        let mut cluster = Cluster::new(cfg, kv_apps(9), kv_workload(0xD15C));
+        let report = cluster.run_until(1_000_000, 0, Time::ZERO + Duration::from_millis(4));
+        (report, cluster)
     };
 
-    let (clean, clean_sc) = run(None);
-    let plan = FailurePlan::none().replace_replica(0, us(200), us(600));
-    let (faulty, faulty_sc) = run(Some(plan));
+    let (clean, clean_sc) = run(FailurePlan::none());
+    let replace = FailurePlan::none().replace_replica(0, us(200), us(600));
+    let (faulty, faulty_sc) = run(FailurePlan::none().in_group(1, replace));
 
     for g in [0usize, 2] {
         assert_eq!(
@@ -271,7 +265,7 @@ fn replacement_is_contained_to_its_shard() {
     // The replacement was real and the shard kept serving afterwards.
     assert!(faulty.groups[1].completed > 0);
     // Within shard 1, the live replicas agree among themselves.
-    assert_eq!(faulty_sc.app_digest(1, 1), faulty_sc.app_digest(1, 2));
+    assert_eq!(faulty_sc.app_digest(4), faulty_sc.app_digest(5));
 }
 
 proptest! {
@@ -317,15 +311,16 @@ proptest! {
         crash_us in 150u64..900,
         delay_us in 100u64..700,
     ) {
-        let plan = FailurePlan::none()
+        let replace = FailurePlan::none()
             .replace_replica(victim, us(crash_us), us(crash_us + delay_us));
-        let cfg = recovery_cfg(31).with_shards(3).with_shard_failures(shard, plan);
-        let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(0xCAFE));
-        let report = sharded.run(900, 0);
+        let mut cfg = recovery_cfg(31).with_shards(3);
+        cfg.failures = FailurePlan::none().in_group(shard, replace);
+        let mut cluster = Cluster::new(cfg, kv_apps(9), kv_workload(0xCAFE));
+        let report = cluster.run(900, 0);
         prop_assert_eq!(report.completed, 900);
-        sharded.settle(Duration::from_millis(4));
+        cluster.settle(Duration::from_millis(4));
         for g in 0..3 {
-            let d: Vec<Digest> = (0..3).map(|r| sharded.app_digest(g, r)).collect();
+            let d: Vec<Digest> = (0..3).map(|r| cluster.app_digest(g * 3 + r)).collect();
             prop_assert!(
                 d.windows(2).all(|w| w[0] == w[1]),
                 "shard {} (replacement in shard {}, victim {}): replicas diverged",

@@ -1,5 +1,6 @@
-//! Sharded-deployment tests: the `ShardedCluster` facade equivalence, key
-//! routing, and fault isolation between consensus groups.
+//! Multi-group deployment tests: key routing, fault isolation between
+//! consensus groups, and a `Cluster` that refuses a fault plan or an
+//! application list that does not fit its groups.
 //!
 //! The isolation tests exploit a deliberate property of the simulator:
 //! with a zero-jitter latency model the shared fabric never consumes
@@ -14,7 +15,6 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::memory::MemoryReport;
-use ubft::runtime::sharded::ShardedCluster;
 use ubft::runtime::{RunReport, SimConfig};
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{KvApp, KvFrontend, KvOp, ShardRouter};
@@ -46,7 +46,7 @@ type ShardFingerprint = (
     Vec<u64>,
 );
 
-fn shard_fingerprint(report: &RunReport, cluster: &ShardedCluster, g: usize) -> ShardFingerprint {
+fn shard_fingerprint(report: &RunReport, cluster: &Cluster, g: usize) -> ShardFingerprint {
     let shard = &report.groups[g];
     let mut lat = shard.latency.clone();
     let lat_print = if lat.is_empty() {
@@ -59,63 +59,32 @@ fn shard_fingerprint(report: &RunReport, cluster: &ShardedCluster, g: usize) -> 
         shard.counters,
         shard.views.clone(),
         lat_print,
-        (0..3).map(|r| cluster.app_digest(g, r)).collect(),
-        (0..3).map(|r| cluster.decided_of(g, r)).collect(),
+        (0..3).map(|r| cluster.app_digest(g * 3 + r)).collect(),
+        (0..3).map(|r| cluster.decided_of(g * 3 + r)).collect(),
     )
-}
-
-/// The tentpole equivalence: one shard is *exactly* the classic cluster.
-/// Same seed, same workload stream, same knobs — the sharded runtime must
-/// reproduce `Cluster`'s report, app digests, and decided counts
-/// bit-for-bit (mirroring the batching PR's degenerate-knob guarantee).
-#[test]
-fn sharded_g1_reproduces_cluster_bit_for_bit() {
-    let cfg = || SimConfig::paper_default(33).fast_only().with_clients(2);
-
-    let mut single = Cluster::new(cfg(), kv_apps(3), kv_workload(77));
-    let single_report = single.run(300, 30);
-
-    let mut sharded = ShardedCluster::new(cfg().with_shards(1), |_| kv_apps(3), kv_workload(77));
-    let aggregate = sharded.run(300, 30);
-
-    assert_eq!(aggregate.groups.len(), 1);
-    assert_eq!(aggregate.completed, single_report.completed);
-    assert_eq!(aggregate.counters, single_report.counters);
-    assert_eq!(aggregate.end, single_report.end);
-    assert_eq!(aggregate.views, single_report.views);
-    let (mut a, mut b) = (aggregate.latency, single_report.latency);
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.mean(), b.mean());
-    assert_eq!(a.percentile(99.0), b.percentile(99.0));
-    let (group, single_group) = (&aggregate.groups[0], &single_report.groups[0]);
-    for r in 0..3 {
-        assert_eq!(sharded.app_digest(0, r), single.app_digest(r), "digest of replica {r}");
-        assert_eq!(sharded.decided_of(0, r), single.decided_of(r), "decided of replica {r}");
-        // The two facades' reports say the same of every replica.
-        let (rep, single_rep) = (&group.replicas[r], &single_group.replicas[r]);
-        assert_eq!(rep.app_digest, single_rep.app_digest, "reported digest of replica {r}");
-        assert_eq!(rep.decided, single_rep.decided, "reported decided of replica {r}");
-        assert_eq!(rep.final_view, single_rep.final_view, "reported view of replica {r}");
-    }
-    // The per-shard breakdown of a single-shard run is the aggregate.
-    assert_eq!(group.completed, aggregate.completed);
-    assert_eq!(group.counters, aggregate.counters);
 }
 
 /// Sharded runs complete their total target and spread keys over groups.
 #[test]
 fn sharded_run_distributes_work_across_groups() {
     let cfg = SimConfig::paper_default(12).fast_only().with_shards(4);
-    let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(9));
-    let report = sharded.run(400, 40);
+    let mut cluster = Cluster::new(cfg, kv_apps(12), kv_workload(9));
+    let report = cluster.run(400, 40);
     assert_eq!(report.completed, 440);
     assert_eq!(report.groups.len(), 4);
     // FNV spreads the key space: every group did real work.
     for (g, shard) in report.groups.iter().enumerate() {
         assert!(shard.completed > 0, "shard {g} idle");
         // Within a shard, correct replicas agree.
-        let d: Vec<_> = (0..3).map(|r| sharded.app_digest(g, r)).collect();
+        let d: Vec<_> = (0..3).map(|r| cluster.app_digest(g * 3 + r)).collect();
         assert!(d.windows(2).all(|w| w[0] == w[1]), "shard {g} diverged");
+        // Replica `r` of group `g` is replica `g·3 + r` to every accessor,
+        // the order of the report's views.
+        for (r, rep) in shard.replicas.iter().enumerate() {
+            assert_eq!(rep.app_digest, d[r], "reported digest of group {g} replica {r}");
+            assert_eq!(rep.decided, cluster.decided_of(g * 3 + r));
+            assert_eq!(report.views[g * 3 + r], View(rep.final_view));
+        }
     }
     let sum: u64 = report.groups.iter().map(|s| s.completed).sum();
     assert_eq!(sum, report.completed);
@@ -126,18 +95,11 @@ fn sharded_run_distributes_work_across_groups() {
 /// with the shard count while each shard's slice stays constant.
 #[test]
 fn shard_memory_is_partitioned_on_shared_nodes() {
-    let one = ShardedCluster::new(
-        SimConfig::paper_default(1).with_shards(1),
-        |_| kv_apps(3),
-        kv_workload(1),
-    );
-    let four = ShardedCluster::new(
-        SimConfig::paper_default(1).with_shards(4),
-        |_| kv_apps(3),
-        kv_workload(1),
-    );
-    let m1 = MemoryReport::measure_sharded(&one);
-    let m4 = MemoryReport::measure_sharded(&four);
+    let one = Cluster::new(SimConfig::paper_default(1), kv_apps(3), kv_workload(1));
+    let four =
+        Cluster::new(SimConfig::paper_default(1).with_shards(4), kv_apps(12), kv_workload(1));
+    let m1 = MemoryReport::measure(&one);
+    let m4 = MemoryReport::measure(&four);
     assert_eq!(m1.disagg_bytes_per_shard.len(), 1);
     assert_eq!(m4.disagg_bytes_per_shard.len(), 4);
     assert_eq!(m4.disagg_bytes_per_node, 4 * m1.disagg_bytes_per_node);
@@ -147,14 +109,15 @@ fn shard_memory_is_partitioned_on_shared_nodes() {
     assert_eq!(m4.replica_local_bytes, m1.replica_local_bytes);
 }
 
-/// Runs a 3-shard deployment for a fixed slice of virtual time under a
-/// zero-jitter network and returns the shard-0 fingerprint. `plan`
-/// addresses shard 1.
-fn run_fixed_window(seed: u64, shard1_plan: Option<FailurePlan>) -> (RunReport, ShardedCluster) {
-    let mut cfg = SimConfig::paper_default(seed).with_shards(3);
-    if let Some(plan) = shard1_plan {
-        cfg = cfg.with_shard_failures(1, plan);
-    }
+fn us(n: u64) -> Time {
+    Time::ZERO + Duration::from_micros(n)
+}
+
+/// Runs a `shards`-group deployment under `failures` for a fixed slice of
+/// virtual time on a zero-jitter network.
+fn run_fixed_window(seed: u64, shards: usize, failures: FailurePlan) -> (RunReport, Cluster) {
+    let mut cfg = SimConfig::paper_default(seed).with_shards(shards);
+    cfg.failures = failures;
     // Zero jitter: the fabric consumes no randomness, so shard
     // trajectories are fully independent (see module docs).
     cfg.latency = LatencyModel {
@@ -162,51 +125,51 @@ fn run_fixed_window(seed: u64, shard1_plan: Option<FailurePlan>) -> (RunReport, 
         picos_per_byte: 80,
         jitter: Duration::ZERO,
     };
-    let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), kv_workload(seed ^ 0xF00D));
+    let mut cluster = Cluster::new(cfg, kv_apps(3 * shards), kv_workload(seed ^ 0xF00D));
     // Huge target + fixed deadline: every shard issues continuously for
     // the same virtual window in every run.
-    let report = sharded.run_until(1_000_000, 0, Time::ZERO + Duration::from_millis(3));
-    (report, sharded)
+    let report = cluster.run_until(1_000_000, 0, Time::ZERO + Duration::from_millis(3));
+    (report, cluster)
 }
 
-/// A replica crash inside shard 1 must leave shard 0's and shard 2's
-/// entire reports — completions, counters, views, latency samples, app
-/// digests, decided counts — bit-for-bit unchanged.
+/// A replica crash inside group 1 must leave every other group's entire
+/// report — completions, counters, views, latency samples, app digests,
+/// decided counts — bit-for-bit unchanged, and must land in group 1: it
+/// loses throughput, and its survivors change view. Before faults named their
+/// group, a `Cluster` ran one group whatever `shards` said and a crash
+/// addressed to group 1 was dropped without a word (views `[0, 0, 0]`).
 #[test]
 fn replica_crash_is_contained_to_its_shard() {
-    let (clean, clean_sc) = run_fixed_window(41, None);
-    let plan = FailurePlan::none().crash_replica(0, Time::ZERO + Duration::from_micros(200));
-    let (faulty, faulty_sc) = run_fixed_window(41, Some(plan));
+    let crash = FailurePlan::none().crash_replica(0, us(200));
+    for (shards, seed) in [(3, 41), (2, 3)] {
+        let (clean, clean_sc) = run_fixed_window(seed, shards, FailurePlan::none());
+        let failures = FailurePlan::none().in_group(1, crash.clone());
+        let (faulty, mut faulty_sc) = run_fixed_window(seed, shards, failures);
 
-    for g in [0usize, 2] {
-        assert_eq!(
-            shard_fingerprint(&clean, &clean_sc, g),
-            shard_fingerprint(&faulty, &faulty_sc, g),
-            "shard {g} was perturbed by shard 1's crash"
-        );
-        assert!(clean.groups[g].views.iter().all(|v| *v == View(0)));
+        for g in (0..shards).filter(|g| *g != 1) {
+            assert_eq!(
+                shard_fingerprint(&clean, &clean_sc, g),
+                shard_fingerprint(&faulty, &faulty_sc, g),
+                "{shards} groups: group {g} was perturbed by group 1's crash"
+            );
+            assert!(clean.groups[g].views.iter().all(|v| *v == View(0)));
+        }
+        assert!(faulty.groups[1].completed < clean.groups[1].completed);
+        // Once the progress watchdog fires, group 1's survivors (replicas 4
+        // and 5) move to a new view.
+        faulty_sc.settle(Duration::from_millis(10));
+        let survivors: Vec<View> = (4..6).map(|i| faulty_sc.view_of(i)).collect();
+        assert!(survivors.iter().all(|v| v.0 >= 1), "{shards} groups: views {survivors:?}");
     }
-    // The fault was real: shard 1's leader crashed, so it either rode a
-    // view change or lost throughput inside the window.
-    let views_moved = faulty.groups[1].views.iter().any(|v| v.0 >= 1);
-    assert!(
-        views_moved || faulty.groups[1].completed < clean.groups[1].completed,
-        "shard 1 shows no effect of its leader crash"
-    );
-    assert!(faulty.groups[1].completed < clean.groups[1].completed);
 }
 
 /// Same containment for a Byzantine fault: a censoring leader in shard 1
 /// cannot move a single bit of the other shards' reports.
 #[test]
 fn byzantine_fault_is_contained_to_its_shard() {
-    let (clean, clean_sc) = run_fixed_window(43, None);
-    let plan = FailurePlan::none().byzantine(
-        0,
-        ByzantineMode::CensorRequests,
-        Time::ZERO + Duration::from_micros(150),
-    );
-    let (faulty, faulty_sc) = run_fixed_window(43, Some(plan));
+    let (clean, clean_sc) = run_fixed_window(43, 3, FailurePlan::none());
+    let censor = FailurePlan::none().byzantine(0, ByzantineMode::CensorRequests, us(150));
+    let (faulty, faulty_sc) = run_fixed_window(43, 3, FailurePlan::none().in_group(1, censor));
 
     for g in [0usize, 2] {
         assert_eq!(
@@ -218,6 +181,24 @@ fn byzantine_fault_is_contained_to_its_shard() {
     // Censorship must have cost shard 1 throughput (it needs a view
     // change to make progress again).
     assert!(faulty.groups[1].completed < clean.groups[1].completed);
+}
+
+/// A fault addressed to a group the deployment does not have is refused at
+/// build. Before, a 3-group deployment ran a crash addressed to group 5 as
+/// if it had never been scheduled.
+#[test]
+#[should_panic(expected = "the fault plan addresses group 5, but the deployment has 2 group(s)")]
+fn a_fault_in_a_missing_group_is_refused() {
+    let mut cfg = SimConfig::paper_default(3).with_shards(2);
+    cfg.failures = FailurePlan::none().in_group(5, FailurePlan::none().crash_replica(0, us(200)));
+    let _ = Cluster::new(cfg, kv_apps(6), kv_workload(3));
+}
+
+/// `Cluster::new` takes `n` applications per group, group 0's first.
+#[test]
+#[should_panic(expected = "got 3 application instances; 2 group(s) of 3 replicas need 6")]
+fn the_wrong_number_of_apps_is_refused() {
+    let _ = Cluster::new(SimConfig::paper_default(3).with_shards(2), kv_apps(3), kv_workload(3));
 }
 
 /// The closed loop stops at its target on every shard. Keys route to
@@ -242,17 +223,17 @@ fn a_starved_shard_issues_nothing_once_the_target_is_met() {
         KvOp::Set { key: key_for(i, usize::from(i >= 1_500)), value: vec![7; 8] }.to_bytes()
     });
     let cfg = SimConfig::paper_default(5).fast_only().with_shards(2);
-    let mut sharded = ShardedCluster::new(cfg, |_| kv_apps(3), workload);
+    let mut cluster = Cluster::new(cfg, kv_apps(6), workload);
 
-    let report = sharded.run(100, 0);
+    let report = cluster.run(100, 0);
     assert_eq!(report.groups[0].completed, 100);
     let pulled_by_the_run = pulls.get();
     assert!(pulled_by_the_run < 1_500, "group 1 was meant to starve ({pulled_by_the_run} pulls)");
 
-    sharded.settle(Duration::from_millis(5));
+    cluster.settle(Duration::from_millis(5));
     assert_eq!(pulls.get(), pulled_by_the_run, "the source was pulled after the run ended");
     for r in 0..3 {
-        assert_eq!(sharded.decided_of(1, r), 0, "group 1 replica {r} decided a request");
+        assert_eq!(cluster.decided_of(3 + r), 0, "group 1 replica {r} decided a request");
     }
 }
 

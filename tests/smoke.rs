@@ -65,7 +65,7 @@ fn paper_default_round_trips() {
     assert_eq!(tweaked.seed, 42);
     // Un-tweaked fields keep the paper defaults.
     let base = SimConfig::paper_default(42);
-    assert_eq!(tweaked.slow_trigger, base.slow_trigger);
+    assert_eq!(tweaked.failures, base.failures);
     assert_eq!(tweaked.n_clients, base.n_clients);
     assert_eq!(format!("{:?}", tweaked.latency), format!("{:?}", base.latency));
 }
