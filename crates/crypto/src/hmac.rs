@@ -28,14 +28,12 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
     }
 
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ IPAD).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ IPAD));
     inner.update(msg);
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ OPAD).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ OPAD));
     outer.update(inner_digest.as_bytes());
     outer.finalize()
 }

@@ -182,14 +182,14 @@ pub fn fingerprint(m: &[u8]) -> Digest {
 }
 
 /// The exact bytes a broadcaster signs for `(stream, k, fp)`; domain-separated
-/// so signatures cannot be replayed across streams or layers.
-pub fn signed_bytes(stream: ReplicaId, k: SeqId, fp: &Digest) -> Vec<u8> {
-    let domain = b"ubft-ctb-signed\0";
-    let mut buf = Vec::with_capacity(domain.len() + 4 + 8 + 32);
-    buf.extend_from_slice(domain);
-    stream.encode(&mut buf);
-    k.encode(&mut buf);
-    fp.encode(&mut buf);
+/// so signatures cannot be replayed across streams or layers. Laid out as
+/// the wire encodes the three fields, behind a 16-byte domain tag.
+pub fn signed_bytes(stream: ReplicaId, k: SeqId, fp: &Digest) -> [u8; 60] {
+    let mut buf = [0u8; 60];
+    buf[..16].copy_from_slice(b"ubft-ctb-signed\0");
+    buf[16..20].copy_from_slice(&stream.0.to_le_bytes());
+    buf[20..28].copy_from_slice(&k.0.to_le_bytes());
+    buf[28..].copy_from_slice(fp.as_bytes());
     buf
 }
 

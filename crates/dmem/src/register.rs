@@ -85,6 +85,8 @@ impl RegisterBank {
             delta: self.delta,
             next_sub: vec![0; self.replicas.len()],
             ready_at: vec![Time::ZERO; self.replicas.len()],
+            frame: Vec::new(),
+            completions: Vec::new(),
         }
     }
 
@@ -125,6 +127,12 @@ pub struct RegisterWriter {
     delta: Duration,
     next_sub: Vec<usize>,
     ready_at: Vec<Time>,
+    /// Where a write builds its sub-register frame, kept from one write to
+    /// the next.
+    frame: Vec<u8>,
+    /// A write's completion time at each memory node that took it, kept
+    /// likewise.
+    completions: Vec<Time>,
 }
 
 impl RegisterWriter {
@@ -194,8 +202,11 @@ impl RegisterWriter {
             return WriteOutcome::IssuerCrashed;
         }
 
-        // Frame: checksum(ts || value) | ts | value (zero-padded).
-        let mut frame = vec![0u8; r.sub_size()];
+        // Frame: checksum(ts || value) | ts | value (zero-padded). The
+        // buffer held the previous write's frame: zero all of it.
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(r.sub_size(), 0);
         frame[8..16].copy_from_slice(&ts.to_le_bytes());
         frame[16..16 + value.len()].copy_from_slice(value);
         let csum = if honest_checksum {
@@ -209,9 +220,10 @@ impl RegisterWriter {
         self.next_sub[reg.0] = (sub + 1) % 2;
         let offset = sub * r.sub_size();
 
-        let mut completions: Vec<Time> = Vec::new();
+        let completions = &mut self.completions;
+        completions.clear();
         for (region, tok) in r.regions.iter().zip(&self.tokens[reg.0]) {
-            match fabric.write(issuer, *tok, *region, offset, &frame, start) {
+            match fabric.write(issuer, *tok, *region, offset, frame, start) {
                 Ok(ticket) => completions.push(ticket.completion),
                 Err(RdmaError::TargetUnavailable) => {} // crashed node: no completion
                 // Issuer liveness at `start` was established above, and
@@ -713,6 +725,42 @@ mod tests {
                 assert_eq!(&value[..3], b"one");
             }
             other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+
+    /// The writer builds every frame in one buffer. A 40-byte value, then
+    /// two writes later (the same sub-register, past δ) a 3-byte one: the
+    /// read returns the short value and zeros, whether the long frames
+    /// before it were honest or corrupt — stale padding under a valid
+    /// checksum would read back as part of the value.
+    #[test]
+    fn a_short_value_after_a_long_one_reads_back_zero_padded() {
+        type Write = fn(
+            &mut RegisterWriter,
+            &mut Fabric,
+            HostId,
+            RegisterId,
+            u64,
+            &[u8],
+            Time,
+        ) -> WriteOutcome;
+        let long = [0xA5u8; 40];
+        for long_write in [RegisterWriter::write as Write, RegisterWriter::write_corrupt] {
+            let (mut f, bank) = setup();
+            let mut w = bank.writer();
+            let reg = RegisterId(0);
+            for ts in 1..=2 {
+                let at = w.ready_at(reg);
+                long_write(&mut w, &mut f, HostId(0), reg, ts, &long, at).unwrap();
+            }
+            let done = w.write(&mut f, HostId(0), reg, 3, b"abc", w.ready_at(reg)).unwrap();
+            match bank.reader().read(&mut f, HostId(1), reg, done + delta()) {
+                ReadOutcome::Value { ts, value, .. } => {
+                    assert_eq!(ts, 3);
+                    assert_eq!((&value[..3], &value[3..]), (&b"abc"[..], &[0u8; 37][..]));
+                }
+                other => panic!("unexpected outcome: {other:?}"),
+            }
         }
     }
 

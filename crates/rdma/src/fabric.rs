@@ -89,6 +89,11 @@ pub struct Fabric {
     last_arrival: BTreeMap<(HostId, HostId), Time>,
     /// Total region bytes registered per host (Table 2 accounting).
     bytes_per_host: BTreeMap<HostId, usize>,
+    /// Spent in-flight write images, handed back by the regions as they
+    /// fold writes in, for the next [`Fabric::write`] to copy into. Every
+    /// buffer is in flight or here, and one is only made when this is
+    /// empty, so it never holds more than the most writes ever in flight.
+    spare: Vec<Vec<u8>>,
 }
 
 impl Fabric {
@@ -102,6 +107,7 @@ impl Fabric {
             next_token: 0xF00D,
             last_arrival: BTreeMap::new(),
             bytes_per_host: BTreeMap::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -141,11 +147,16 @@ impl Fabric {
         arrival
     }
 
-    /// Issues a one-sided WRITE of `data` into `region` at `offset`.
+    /// Issues a one-sided WRITE of `data` into `region` at `offset`. The
+    /// bytes are copied once, into a spent in-flight image the fabric keeps
+    /// for reuse, so the caller keeps its buffer and a steady stream of
+    /// writes allocates nothing.
     ///
     /// # Errors
     ///
-    /// As for [`Fabric::write_owned`], which this copies `data` for.
+    /// Returns an [`RdmaError`] if permissions, bounds, or host liveness
+    /// checks fail. A `TargetUnavailable` error means the op will never
+    /// complete; callers model this as a lost completion.
     pub fn write(
         &mut self,
         issuer: HostId,
@@ -153,28 +164,6 @@ impl Fabric {
         region: RegionId,
         offset: usize,
         data: &[u8],
-        now: Time,
-    ) -> Result<WriteTicket, RdmaError> {
-        self.write_owned(issuer, token, region, offset, data.to_vec(), now)
-    }
-
-    /// Issues a one-sided WRITE of `data` into `region` at `offset`, taking
-    /// the buffer: it becomes the in-flight image of the write, so a caller
-    /// that built the bytes for this write (a channel's slot frame) pays no
-    /// second copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RdmaError`] if permissions, bounds, or host liveness
-    /// checks fail. A `TargetUnavailable` error means the op will never
-    /// complete; callers model this as a lost completion.
-    pub fn write_owned(
-        &mut self,
-        issuer: HostId,
-        token: AccessToken,
-        region: RegionId,
-        offset: usize,
-        data: Vec<u8>,
         now: Time,
     ) -> Result<WriteTicket, RdmaError> {
         let entry = self.regions.get(&region).ok_or(RdmaError::UnknownRegion)?;
@@ -197,8 +186,11 @@ impl Fabric {
         // Data streams into memory at wire rate; this is the torn window.
         let spread =
             Duration::from_nanos((data.len() as u64 * self.net.latency().picos_per_byte) / 1000);
+        let mut image = self.spare.pop().unwrap_or_default();
+        image.clear();
+        image.extend_from_slice(data);
         let entry = self.regions.get_mut(&region).expect("checked above");
-        entry.region.begin_write(offset, data, arrival, spread);
+        entry.region.begin_write(offset, image, arrival, spread);
         // Completion: ack hop back, plus the read-after-write fence RTT the
         // register layer relies on for visibility ordering.
         let ack = match self.net.hop(&mut self.rng, target, issuer, 16, arrival) {
@@ -262,7 +254,7 @@ impl Fabric {
         };
         let sample_at = self.fifo_arrival(issuer, target, now + req);
         let entry = self.regions.get_mut(&region).expect("checked above");
-        entry.region.sample_into(offset, out, sample_at);
+        entry.region.sample_into(offset, out, sample_at, &mut self.spare);
         let resp = match self.net.hop(&mut self.rng, target, issuer, len, sample_at) {
             HopOutcome::Delivered(d) => d,
             HopOutcome::Dropped => return Err(RdmaError::TargetUnavailable),
@@ -298,7 +290,7 @@ impl Fabric {
         if self.net.is_crashed(issuer, now) {
             return Err(RdmaError::IssuerUnavailable);
         }
-        entry.region.sample_into(offset, out, now);
+        entry.region.sample_into(offset, out, now, &mut self.spare);
         Ok(())
     }
 
@@ -434,6 +426,54 @@ mod tests {
             assert!(rd.data[first_old..].iter().all(|&b| b == 0x11));
             assert!(rd.data[..first_old].iter().all(|&b| b == 0x22));
         }
+    }
+
+    /// The region's seeded schedules, written and read through the fabric
+    /// so that in-flight images come from the pool and go back to it: every
+    /// read equals the dense model fed the same writes at the same
+    /// arrivals, a pooled buffer longer than the next write is reused for
+    /// it, and the pool never holds more buffers than the most writes ever
+    /// in flight at once.
+    #[test]
+    fn pooled_write_images_read_like_the_dense_model() {
+        use crate::region::tests::{schedule, DenseRegion, SCHEDULE_SIZE};
+        let (writer, home, reader) = (HostId(0), HostId(1), HostId(2));
+        let mut longer_reused = 0;
+        for seed in 0..64 {
+            let mut f = fabric();
+            let (r, tok) = f.create_region(home, SCHEDULE_SIZE);
+            let mut dense = DenseRegion::new(SCHEDULE_SIZE);
+            let picos_per_byte = f.net().latency().picos_per_byte;
+            // Buffers made because the pool was empty, and the most writes
+            // in flight at once.
+            let (mut made, mut peak) = (0, 0);
+            for a in schedule(seed) {
+                match a.write {
+                    Some((fill, _)) => {
+                        match f.spare.last() {
+                            None => made += 1,
+                            Some(b) if b.len() > a.len => longer_reused += 1,
+                            Some(_) => {}
+                        }
+                        let data = vec![fill; a.len];
+                        let w = f.write(writer, tok, r, a.offset, &data, t(a.at)).unwrap();
+                        let spread = Duration::from_nanos(a.len as u64 * picos_per_byte / 1000);
+                        dense.begin_write(a.offset, data, w.arrival, spread);
+                    }
+                    None => {
+                        let mut out = vec![0u8; a.len];
+                        f.read_into(reader, r, a.offset, &mut out, t(a.at)).unwrap();
+                        let sampled_at = f.last_arrival[&(reader, home)];
+                        assert_eq!(out, dense.sample(a.offset, a.len, sampled_at), "{a:?}");
+                    }
+                }
+                let inflight = f.regions[&r].region.inflight_len();
+                peak = peak.max(inflight);
+                assert_eq!(f.spare.len() + inflight, made, "seed {seed}: a buffer leaked");
+                assert!(f.spare.len() <= peak, "seed {seed}: {} pooled", f.spare.len());
+            }
+        }
+        assert!(longer_reused > 0, "no write reused a longer pooled image");
     }
 
     #[test]

@@ -88,7 +88,8 @@ impl Region {
 
     /// Begins applying `data` at `offset` starting at time `start`, taking
     /// `spread` of virtual time to stream in word by word. The region keeps
-    /// `data` itself until a read finds that the write has landed.
+    /// `data` itself until a read finds that the write has landed, and then
+    /// hands the buffer back ([`Region::sample_into`]).
     ///
     /// Nothing is folded here: `start` is the write's *arrival*, a hop in
     /// the future of whoever posts it, and folding up to it would show
@@ -108,13 +109,15 @@ impl Region {
         self.inflight.push_back(InflightWrite { offset, data, start, word_gap });
     }
 
-    /// Folds fully-applied writes into the settled image. Writes fold in
-    /// arrival order to preserve last-writer-wins: once one is still
-    /// pending, every later write stays in flight too.
-    fn compact(&mut self, now: Time) {
+    /// Folds fully-applied writes into the settled image, pushing each
+    /// folded write's buffer onto `spent`. Writes fold in arrival order to
+    /// preserve last-writer-wins: once one is still pending, every later
+    /// write stays in flight too.
+    fn compact(&mut self, now: Time, spent: &mut Vec<Vec<u8>>) {
         while self.inflight.front().is_some_and(|w| w.fully_applied_at() <= now) {
             let w = self.inflight.pop_front().expect("front was just checked");
             self.settle(w.offset, &w.data);
+            spent.push(w.data);
         }
     }
 
@@ -131,17 +134,25 @@ impl Region {
     }
 
     /// Samples `len` bytes at `offset` as they appear at time `t`, applying
-    /// the torn-word model for any in-flight writes.
+    /// the torn-word model for any in-flight writes (test/debug helper: the
+    /// buffers of the writes it folds are dropped).
     pub(crate) fn sample(&mut self, offset: usize, len: usize, t: Time) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        self.sample_into(offset, &mut out, t);
+        self.sample_into(offset, &mut out, t, &mut Vec::new());
         out
     }
 
     /// [`Region::sample`] into a caller-provided buffer (`out.len()` bytes
     /// at `offset`), so a reader that only wants a header allocates nothing.
-    pub(crate) fn sample_into(&mut self, offset: usize, out: &mut [u8], t: Time) {
-        self.compact(t);
+    /// The buffers of the writes that have landed by `t` go onto `spent`.
+    pub(crate) fn sample_into(
+        &mut self,
+        offset: usize,
+        out: &mut [u8],
+        t: Time,
+        spent: &mut Vec<Vec<u8>>,
+    ) {
+        self.compact(t, spent);
         let len = out.len();
         for (page, at, span) in page_spans(offset, len) {
             match self.pages.get(page) {
@@ -166,6 +177,12 @@ impl Region {
         }
     }
 
+    /// Number of writes not yet folded into the settled image.
+    #[cfg(test)]
+    pub(crate) fn inflight_len(&self) -> usize {
+        self.inflight.len()
+    }
+
     /// The final contents once every in-flight write has landed (test/debug
     /// helper; equivalent to sampling the whole region at `Time::MAX`).
     pub(crate) fn settled(&mut self) -> Vec<u8> {
@@ -174,7 +191,7 @@ impl Region {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn t(ns: u64) -> Time {
@@ -225,7 +242,7 @@ mod tests {
         r.begin_write(0, vec![0x11u8; 32], t(0), Duration::ZERO);
         r.begin_write(8, vec![0x22u8; 16], t(100), Duration::from_nanos(20));
         let mut header = [0u8; 12];
-        r.sample_into(4, &mut header, t(110));
+        r.sample_into(4, &mut header, t(110), &mut Vec::new());
         assert_eq!(header.to_vec(), r.sample(4, 12, t(110)));
         assert_eq!(&header[..4], &[0x11u8; 4][..]);
         assert_eq!(&header[4..], &[0x22u8; 8][..]);
@@ -275,18 +292,25 @@ mod tests {
 
     /// The region as it was before its settled image was paged: one dense
     /// buffer, and an in-flight list rebuilt on every compaction. Kept as
-    /// the reference the paged region is checked against.
-    struct DenseRegion {
+    /// the reference the paged region (and the fabric's pooled write
+    /// images) are checked against.
+    pub(crate) struct DenseRegion {
         committed: Vec<u8>,
         inflight: Vec<InflightWrite>,
     }
 
     impl DenseRegion {
-        fn new(size: usize) -> Self {
+        pub(crate) fn new(size: usize) -> Self {
             DenseRegion { committed: vec![0; size], inflight: Vec::new() }
         }
 
-        fn begin_write(&mut self, offset: usize, data: Vec<u8>, start: Time, spread: Duration) {
+        pub(crate) fn begin_write(
+            &mut self,
+            offset: usize,
+            data: Vec<u8>,
+            start: Time,
+            spread: Duration,
+        ) {
             let n_words = data.len().div_ceil(8).max(1) as u64;
             let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
             self.inflight.push(InflightWrite { offset, data, start, word_gap });
@@ -306,7 +330,7 @@ mod tests {
             self.inflight = remaining;
         }
 
-        fn sample(&mut self, offset: usize, len: usize, t: Time) -> Vec<u8> {
+        pub(crate) fn sample(&mut self, offset: usize, len: usize, t: Time) -> Vec<u8> {
             self.compact(t);
             let mut out = self.committed[offset..offset + len].to_vec();
             for w in &self.inflight {
@@ -403,7 +427,7 @@ mod tests {
         // Twelve bytes from four before the second write: its first word is
         // visible at t=110, and is the last word of the first page.
         let mut header = [0u8; 12];
-        r.paged.sample_into(EDGE + 4, &mut header, t(110));
+        r.paged.sample_into(EDGE + 4, &mut header, t(110), &mut Vec::new());
         assert_eq!(header.to_vec(), r.sample(EDGE + 4, 12, t(110)));
         assert_eq!(&header[..4], &[0x11u8; 4][..]);
         assert_eq!(&header[4..], &[0x22u8; 8][..]);
@@ -413,33 +437,60 @@ mod tests {
         assert_eq!(r.sample(PAGE, 8, t(120)), vec![0x22u8; 8]);
     }
 
-    /// Seeded random schedules of overlapping slow and instant writes and
-    /// reads of every alignment, at non-decreasing times: the paged region
-    /// reads exactly what the dense one does.
+    /// Bytes of the region a [`schedule`] runs on.
+    pub(crate) const SCHEDULE_SIZE: usize = 4 * PAGE + 40;
+
+    /// One access of a [`schedule`]: `len` bytes at `offset` at `at` ns, a
+    /// read, or a write of `len` copies of `fill` streaming in over
+    /// `spread` ns.
+    #[derive(Debug)]
+    pub(crate) struct Access {
+        pub(crate) at: u64,
+        pub(crate) offset: usize,
+        pub(crate) len: usize,
+        pub(crate) write: Option<(u8, u64)>,
+    }
+
+    /// A seeded random schedule of 200 overlapping slow and instant writes
+    /// and reads of every alignment, clustered around page edges, at
+    /// non-decreasing times; one write in nine is up to two pages long.
+    pub(crate) fn schedule(seed: u64) -> impl Iterator<Item = Access> {
+        let mut rng = ubft_sim::SimRng::new(seed);
+        let mut now = 0u64;
+        (0..200u64).map(move |step| {
+            now += rng.gen_range(40);
+            let len = 1 + rng.gen_range(if step % 9 == 0 { 2 * PAGE as u64 } else { 48 });
+            let len = (len as usize).min(SCHEDULE_SIZE);
+            let near = (1 + rng.gen_range(4)) as usize * PAGE;
+            let offset = (near + rng.gen_range(64) as usize).saturating_sub(32 + len / 2);
+            let offset = offset.min(SCHEDULE_SIZE - len);
+            let write = (rng.gen_range(3) != 0)
+                .then(|| (step as u8 + 1, [0, 0, 30, 400][rng.gen_range(4) as usize]));
+            Access { at: now, offset, len, write }
+        })
+    }
+
+    /// The seeded schedules: the paged region reads exactly what the dense
+    /// one does.
     #[test]
     fn paged_region_matches_the_dense_model() {
         for seed in 0..64 {
-            let mut rng = ubft_sim::SimRng::new(seed);
-            let size = 4 * PAGE + 40;
-            let mut r = Both::new(size);
-            let mut now = 0u64;
-            for step in 0..200u64 {
-                now += rng.gen_range(40);
-                let len = 1 + rng.gen_range(if step % 9 == 0 { 2 * PAGE as u64 } else { 48 });
-                let len = (len as usize).min(size);
-                // Cluster the accesses around the page edges.
-                let near = (1 + rng.gen_range(4)) as usize * PAGE;
-                let offset = (near + rng.gen_range(64) as usize).saturating_sub(32 + len / 2);
-                let offset = offset.min(size - len);
-                if rng.gen_range(3) == 0 {
-                    r.sample(offset, len, t(now));
-                } else {
-                    let spread = [0, 0, 30, 400][rng.gen_range(4) as usize];
-                    let data = vec![step as u8 + 1; len];
-                    r.begin_write(offset, data, t(now), Duration::from_nanos(spread));
+            let mut r = Both::new(SCHEDULE_SIZE);
+            for a in schedule(seed) {
+                match a.write {
+                    None => {
+                        r.sample(a.offset, a.len, t(a.at));
+                    }
+                    Some((fill, spread)) => r.begin_write(
+                        a.offset,
+                        vec![fill; a.len],
+                        t(a.at),
+                        Duration::from_nanos(spread),
+                    ),
                 }
             }
-            assert_eq!(r.paged.settled(), r.dense.sample(0, size, Time::MAX), "seed {seed}");
+            let dense = r.dense.sample(0, SCHEDULE_SIZE, Time::MAX);
+            assert_eq!(r.paged.settled(), dense, "seed {seed}");
         }
     }
 

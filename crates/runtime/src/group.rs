@@ -250,6 +250,8 @@ pub(crate) struct SimEnv {
     /// Where a receiver poll copies the messages it finds, to be decoded in
     /// place — reused for every poll.
     poll_buf: Vec<u8>,
+    /// Where a register write encodes its [`RegEntry`] — reused likewise.
+    reg_buf: Vec<u8>,
     pub(crate) counters: OpCounters,
 }
 
@@ -538,9 +540,10 @@ impl Substrate for SimSubstrate<'_, '_> {
             fp[31] ^= 0xFF;
             entry.fp = Digest::from_bytes(fp);
         }
-        let bytes = entry.to_bytes();
+        env.reg_buf.clear();
+        entry.encode(&mut env.reg_buf);
         let writer = &mut env.machines[r].reg_writers[stream];
-        match writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &bytes, at) {
+        match writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &env.reg_buf, at) {
             WriteOutcome::Done(at) => {
                 env.push(self.sh, at, Ev::CtbDone { r, stream, done: CtbDone::Written(k) });
             }
@@ -849,6 +852,7 @@ impl GroupRuntime {
             pending_crashes: crash_times.iter().filter(|t| t.is_some()).count(),
             crash_times,
             poll_buf: Vec::new(),
+            reg_buf: Vec::new(),
             counters: OpCounters::default(),
             cfg,
         };

@@ -62,6 +62,7 @@ pub fn create_channel(
         staging: VecDeque::new(),
         staged_dropped: 0,
         issuer: None,
+        frame: Vec::new(),
     };
     let receiver =
         ChannelReceiver { spec, region, host: receiver_host, expected_seq: 0, skipped: 0 };
@@ -98,6 +99,9 @@ pub struct ChannelSender {
     staged_dropped: u64,
     /// The host this sender runs on (late-bound by the runtime).
     issuer: Option<HostId>,
+    /// Where [`ChannelSender::transmit`] builds each slot frame, kept from
+    /// one message to the next.
+    frame: Vec<u8>,
 }
 
 impl ChannelSender {
@@ -180,8 +184,8 @@ impl ChannelSender {
     }
 
     /// Issues the RDMA write for `seq`; `None` when the fabric refused it.
-    /// The slot frame built here is the hop's one copy of the payload: the
-    /// fabric takes the buffer itself as the write's in-flight image.
+    /// The slot frame is built in the sender's own buffer; the fabric copies
+    /// it into the write's in-flight image.
     fn transmit(
         &mut self,
         fabric: &mut Fabric,
@@ -191,7 +195,8 @@ impl ChannelSender {
     ) -> Option<Time> {
         let slot = (seq % self.spec.slots as u64) as usize;
         let inc = (seq / self.spec.slots as u64 + 1) as u32;
-        let mut frame = Vec::with_capacity(SLOT_HEADER + payload.len());
+        let frame = &mut self.frame;
+        frame.clear();
         frame.extend_from_slice(&[0u8; 8]); // checksum placeholder
         frame.extend_from_slice(&inc.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -201,7 +206,7 @@ impl ChannelSender {
 
         let offset = slot * self.spec.slot_size();
         let issuer = self.issuer.expect("ChannelSender::bind_issuer must be called before sending");
-        match fabric.write_owned(issuer, self.token, self.region, offset, frame, now) {
+        match fabric.write(issuer, self.token, self.region, offset, frame, now) {
             Ok(ticket) => {
                 self.slot_busy_until[slot] = ticket.completion;
                 Some(ticket.arrival)
