@@ -2,11 +2,53 @@
 //! real requests/sec and p50/p99 vs crypto-pool size and shard count
 //! (see EXPERIMENTS.md). Unlike the simulator figures, these numbers are
 //! host-dependent, and recorded rather than asserted.
-fn main() {
-    let cli = ubft_bench::cli();
-    let (text, json) = ubft_bench::wallclock_sweep(cli.samples, cli.smoke);
-    print!("{text}");
-    if cli.json {
-        ubft_bench::write_bench_json("wallclock_sweep", &json);
+//!
+//! `wallclock_sweep [SAMPLES] [--smoke]`: `SAMPLES` requests *per shard*
+//! (default `ubft_bench::SAMPLES`), so every group does the same work at
+//! every `G` and the throughput column shows scale-out; `--smoke` runs a
+//! smaller grid at 60 requests per shard at most. The table prints like the
+//! `experiments` tables, with the host's core count in its title.
+use ubft_apps::{workload, FlipApp};
+use ubft_bench::{one_count, parse_args, Table, SAMPLES, SEED, WARMUP};
+use ubft_core::app::App;
+use ubft_runtime::threads::{run_wallclock, ThreadWorkload, WallOptions};
+use ubft_runtime::{Backend, SimConfig};
+
+fn main() -> Result<(), String> {
+    let (words, flags) = parse_args(std::env::args().skip(1), &["--smoke"], &[])?;
+    let smoke = flags.contains_key("--smoke");
+    let samples = one_count(&words, SAMPLES)?.min(if smoke { 60 } else { u64::MAX });
+    let (workers, shards): (&[usize], &[usize]) =
+        if smoke { (&[1, 2], &[1, 2]) } else { (&[1, 2, 4], &[1, 2, 4, 8]) };
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut t = Table::new(
+        format!(
+            "Wall-clock sweep: Backend::Threads, fast path, 32 B Flip, 2 clients/shard, {samples} \
+             requests/shard; host cores: {cores} (host-dependent, not seed-deterministic)"
+        ),
+        "crypto workers | shards | kreq/s:1 | p50 µs:1 | p99 µs:1 | completed:0",
+    );
+    for &w in workers {
+        for &g in shards {
+            let cfg = SimConfig::paper_default(SEED).fast_only().with_backend(Backend::Threads);
+            let cfg =
+                cfg.with_crypto_workers(w).with_time_scale(200).with_clients(2).with_shards(g);
+            let n = cfg.params.n();
+            let warmup = (samples / 10).min(WARMUP) * g as u64;
+            let opts = WallOptions { requests: samples * g as u64, warmup, ..Default::default() };
+            let mut report = run_wallclock(
+                &cfg,
+                |_| (0..n).map(|_| Box::new(FlipApp::new()) as Box<dyn App + Send>).collect(),
+                |gi| -> ThreadWorkload {
+                    let mut rng = workload::WorkloadRng::new(SEED ^ 0x77 ^ gi as u64);
+                    Box::new(move |_| Some(workload::flip_request(&mut rng, 32)))
+                },
+                &opts,
+            );
+            let [p50, p99] = [50.0, 99.0].map(|q| report.latency.percentile(q).as_micros_f64());
+            t.push(&[&w, &g], &[report.kreq_per_sec(), p50, p99, report.completed as f64]);
+        }
     }
+    print!("{t}");
+    Ok(())
 }

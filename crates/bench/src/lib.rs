@@ -1,26 +1,32 @@
-//! Experiment harness: one function per paper table/figure.
+//! The paper's evaluation as a list of named experiments.
 //!
-//! Each function runs the corresponding simulated experiment and returns the
-//! rows/series the paper reports, as formatted text. The `fig*`/`table2`
-//! binaries print them; `EXPERIMENTS.md` records paper-vs-measured values.
-//! Sample counts are reduced from the paper's ≥10,000 to keep regeneration
-//! fast; every run is deterministic in its seed, so more samples only narrow
-//! the jitter, never move the medians.
+//! [`EXPERIMENTS`] names one function per figure, table and sweep of
+//! EXPERIMENTS.md. Each runs its data points through one measuring helper
+//! (a `System` — uBFT or one of §7.2's baselines — under a
+//! [`SimConfig`]) and returns a [`Table`], which prints as the markdown
+//! EXPERIMENTS.md keeps between `<!-- experiment:NAME -->` markers: the
+//! `experiments` binary prints the tables, and with `--update` rewrites
+//! those blocks. Sample counts are reduced from the paper's ≥10,000 to keep
+//! regeneration fast; every run is deterministic in its seed, so a table
+//! repeats to the last digit.
 
 pub mod alloc;
 pub mod chaos;
 pub use chaos::chaos_explore;
+
+use std::collections::BTreeMap;
+use std::fmt;
 
 use ubft_apps::workload::{self, WorkloadRng};
 use ubft_apps::{FlipApp, KvApp, KvFrontend, OrderBookApp};
 use ubft_core::app::{App, NoopApp};
 use ubft_minbft::ClientAuth;
 use ubft_runtime::baselines;
-use ubft_runtime::cluster::Cluster;
+use ubft_runtime::cluster::{Cluster, RunReport};
 use ubft_runtime::memory::MemoryReport;
 use ubft_runtime::SimConfig;
 use ubft_sim::stats::LatencyStats;
-use ubft_types::Duration;
+use ubft_types::{Duration, Time};
 
 /// Default request count per data point.
 pub const SAMPLES: u64 = 1_500;
@@ -28,79 +34,29 @@ pub const SAMPLES: u64 = 1_500;
 pub const WARMUP: u64 = 100;
 /// Experiment seed (change to re-draw jitter; medians are stable).
 pub const SEED: u64 = 0xA5F0_2023;
-/// Per-point sample cap applied by the `--smoke` flag: enough requests to
-/// exercise every code path of a figure binary, few enough that CI can run
-/// the whole suite in seconds. Smoke output is for liveness, not numbers.
-pub const SMOKE_SAMPLES: u64 = 60;
+/// The document whose marked blocks `experiments --update` rewrites.
+pub const DOC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
 
-/// Parsed figure-binary command line.
-pub struct BenchCli {
-    /// Requests per data point (positional; capped by `--smoke`).
-    pub samples: u64,
-    /// `--smoke`: tiny-sample liveness mode for CI.
-    pub smoke: bool,
-    /// `--json` (`wallclock_sweep` only): additionally write the sweep's
-    /// machine-readable `BENCH_wallclock_sweep.json` into the working
-    /// directory.
-    pub json: bool,
-}
+/// A named experiment: it takes the request count per data point.
+pub type Experiment = (&'static str, fn(u64) -> Table);
 
-/// Parses a figure binary's CLI: an optional positional per-data-point
-/// sample count, `--smoke` (caps samples at [`SMOKE_SAMPLES`] so CI can
-/// prove the binary still runs without paying for real statistics), and
-/// `--json` (which only `wallclock_sweep` acts on). Unknown flags are
-/// ignored.
-pub fn cli() -> BenchCli {
-    let mut samples = SAMPLES;
-    let mut smoke = false;
-    let mut json = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else if arg == "--json" {
-            json = true;
-        } else if let Ok(v) = arg.parse::<u64>() {
-            samples = v;
-        }
-    }
-    if smoke {
-        samples = samples.min(SMOKE_SAMPLES);
-    }
-    BenchCli { samples, smoke, json }
-}
-
-/// One point of `wallclock_sweep`'s machine-readable grid: closed-loop
-/// throughput plus the p50/p99 of the same distribution its table prints.
-pub struct JsonPoint {
-    /// Thousands of requests per second.
-    pub kreq_per_s: f64,
-    /// Median latency in µs.
-    pub p50_us: f64,
-    /// 99th-percentile latency in µs.
-    pub p99_us: f64,
-}
-
-impl JsonPoint {
-    /// The point's fields as a JSON object fragment (no trailing comma).
-    pub fn fields(&self) -> String {
-        format!(
-            "\"kreq_per_s\": {:.3}, \"p50_us\": {:.3}, \"p99_us\": {:.3}",
-            self.kreq_per_s, self.p50_us, self.p99_us
-        )
-    }
-}
-
-/// Writes `body` to `BENCH_<name>.json` in the working directory and
-/// confirms on stdout, so CI logs show where the artifact landed.
-pub fn write_bench_json(name: &str, body: &str) {
-    let path = format!("BENCH_{name}.json");
-    std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("# wrote {path}");
-}
-
-fn us(d: Duration) -> f64 {
-    d.as_micros_f64()
-}
+/// The experiments, in EXPERIMENTS.md's order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("table2", table2),
+    ("throughput", throughput),
+    ("ablation_path", ablation_path),
+    ("ablation_echo", ablation_echo),
+    ("ablation_dmem", ablation_dmem),
+    ("ablation_summary", ablation_summary),
+    ("batch_sweep", batch_sweep),
+    ("shard_sweep", shard_sweep),
+    ("churn_sweep", churn_sweep),
+];
 
 /// Builds `n` fresh instances of an app by name.
 pub fn make_apps(name: &str, n: usize) -> Vec<Box<dyn App>> {
@@ -132,233 +88,230 @@ pub fn make_workload(name: &str, size: usize) -> Box<dyn FnMut(u64) -> Vec<u8>> 
     }
 }
 
-/// One measured distribution for a (system, app) cell.
-pub struct Cell {
-    /// System label.
-    pub system: String,
-    /// p50 in µs.
-    pub p50: f64,
-    /// p90 in µs.
-    pub p90: f64,
-    /// p95 in µs.
-    pub p95: f64,
+/// One experiment's result: a table under a title.
+pub struct Table {
+    /// What the table shows, printed above it.
+    title: String,
+    /// The head row, columns separated by `" | "`: first those that name a
+    /// row, then the measured ones, each as `head:decimals`.
+    head: &'static str,
+    /// Each row's naming cells and its values, one per measured column;
+    /// `NAN` prints as an empty cell.
+    rows: Vec<(Vec<String>, Vec<f64>)>,
+    /// Printed under the table unless empty.
+    footnote: &'static str,
 }
 
-fn cell(system: &str, stats: &mut LatencyStats) -> Cell {
-    Cell {
-        system: system.to_string(),
-        p50: us(stats.percentile(50.0)),
-        p90: us(stats.percentile(90.0)),
-        p95: us(stats.percentile(95.0)),
+impl Table {
+    /// A table with no rows yet.
+    pub fn new(title: impl Into<String>, head: &'static str) -> Self {
+        Table { title: title.into(), head, rows: Vec::new(), footnote: "" }
+    }
+
+    /// Adds a row: its naming cells, then one value per measured column.
+    pub fn push(&mut self, keys: &[&dyn fmt::Display], values: &[f64]) {
+        self.rows.push((keys.iter().map(|k| k.to_string()).collect(), values.to_vec()));
+    }
+
+    /// The column heads, each with the decimals it prints (`None` for a
+    /// column that names a row).
+    fn columns(&self) -> impl Iterator<Item = (&'static str, Option<usize>)> {
+        self.head.split(" | ").map(|c| match c.rsplit_once(':') {
+            Some((head, decimals)) => (head, Some(decimals.parse().expect("a decimal count"))),
+            None => (c, None),
+        })
     }
 }
 
-/// Runs the uBFT cluster for an app and returns its latency distribution.
-pub fn run_ubft(app: &str, size: usize, samples: u64, cfg: SimConfig) -> LatencyStats {
-    let n = cfg.params.n();
-    let mut cluster = Cluster::new(cfg, make_apps(app, n), make_workload(app, size));
-    cluster.run(samples, WARMUP).latency
-}
-
-/// Figure 7: end-to-end application latency (p50/p90/p95) for Flip,
-/// Memcached, Liquibook, Redis under Unreplicated / Mu / uBFT fast path.
-pub fn fig7(samples: u64) -> String {
-    let mut out = String::from(
-        "# Figure 7: end-to-end app latency (us), printed value = p90; whiskers p50/p95\n\
-         # app        system        p50      p90      p95\n",
-    );
-    for app in ["flip", "memcached", "liquibook", "redis"] {
-        let size = 32;
-        let cfg = SimConfig::paper_default(SEED);
-        let mut cells = Vec::new();
-
-        let mut a = make_apps(app, 1).pop().expect("one app");
-        let mut s = baselines::run_unreplicated(
-            &cfg,
-            a.as_mut(),
-            make_workload(app, size),
-            samples,
-            WARMUP,
-        );
-        cells.push(cell("unreplicated", &mut s));
-
-        let mut a = make_apps(app, 1).pop().expect("one app");
-        let mut s = baselines::run_mu(&cfg, a.as_mut(), make_workload(app, size), samples, WARMUP);
-        cells.push(cell("mu", &mut s));
-
-        let mut s = run_ubft(app, size, samples, SimConfig::paper_default(SEED).fast_only());
-        cells.push(cell("ubft-fast", &mut s));
-
-        for c in cells {
-            out.push_str(&format!(
-                "{:<12} {:<12} {:>8.2} {:>8.2} {:>8.2}\n",
-                app, c.system, c.p50, c.p90, c.p95
-            ));
+/// The one printer: a markdown table under its title, then the footnote.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let heads: Vec<&str> = self.columns().map(|c| c.0).collect();
+        let decimals: Vec<usize> = self.columns().filter_map(|c| c.1).collect();
+        let rule = "---|".repeat(heads.len());
+        writeln!(f, "{}\n\n| {} |\n|{rule}", self.title, heads.join(" | "))?;
+        for (keys, values) in &self.rows {
+            let values = values.iter().zip(&decimals).map(|(v, d)| format!("{v:.d$}"));
+            let cells: Vec<String> = keys.iter().cloned().chain(values).collect();
+            writeln!(f, "| {} |", cells.join(" | ").replace("NaN", ""))?;
+        }
+        match self.footnote {
+            "" => Ok(()),
+            note => writeln!(f, "\n{note}"),
         }
     }
-    out
 }
 
-/// Figure 8: median end-to-end latency vs request size for the no-op app
-/// under every system.
-pub fn fig8(samples: u64) -> String {
-    let sizes = [4usize, 16, 64, 256, 1024, 4096];
-    let mut out = String::from(
-        "# Figure 8: median E2E latency (us) vs request size (B), no-op app\n\
-         # size   unrepl       mu  ubft-fast  ubft-slow  minbft-hmac  minbft-vanilla\n",
-    );
-    for &size in &sizes {
-        let cfg = SimConfig::paper_default(SEED).with_max_request(size.max(64));
-        let mut a = NoopApp::new();
-        let unrepl = us(baselines::run_unreplicated(
-            &cfg,
-            &mut a,
-            make_workload("noop", size),
-            samples,
-            WARMUP,
-        )
-        .median());
-        let mut a = NoopApp::new();
-        let mu =
-            us(baselines::run_mu(&cfg, &mut a, make_workload("noop", size), samples, WARMUP)
-                .median());
-        let fast = us(run_ubft(
-            "noop",
-            size,
-            samples,
-            SimConfig::paper_default(SEED).fast_only().with_max_request(size.max(64)),
-        )
-        .median());
-        // The slow path is crypto-bound; fewer samples keep it quick.
-        let slow_samples = (samples / 4).max(100);
-        let slow = us(run_ubft(
-            "noop",
-            size,
-            slow_samples,
-            SimConfig::paper_default(SEED).slow_only().with_max_request(size.max(64)),
-        )
-        .median());
-        let mut a = NoopApp::new();
-        let hmac = us(baselines::run_minbft(
-            &cfg,
-            ClientAuth::EnclaveHmac,
-            &mut a,
-            make_workload("noop", size),
-            samples,
-            WARMUP,
-        )
-        .median());
-        let mut a = NoopApp::new();
-        let vanilla = us(baselines::run_minbft(
-            &cfg,
-            ClientAuth::Signatures,
-            &mut a,
-            make_workload("noop", size),
-            samples,
-            WARMUP,
-        )
-        .median());
-        out.push_str(&format!(
-            "{:>6} {:>8.2} {:>8.2} {:>10.2} {:>10.2} {:>12.2} {:>15.2}\n",
-            size, unrepl, mu, fast, slow, hmac, vanilla
-        ));
-    }
-    out
+/// What a data point runs on: uBFT, or one of §7.2's baselines.
+#[derive(Clone, Copy)]
+enum System {
+    /// The application alone, one client RPC away.
+    Unreplicated,
+    /// Mu, the crash-tolerant RDMA replication baseline.
+    Mu,
+    /// Mu with this many requests per consensus slot; samples (and 50
+    /// warm-up rounds) count batches.
+    MuBatched(usize),
+    /// MinBFT on an SGX counter, clients authenticated as given.
+    MinBft(ClientAuth),
+    /// The SGX trusted counter alone, as a non-equivocation primitive.
+    Sgx,
+    /// The uBFT deployment the configuration describes.
+    Ubft,
 }
 
-/// Figure 9: recursive latency decomposition of an 8 B Flip request on the
-/// fast and slow paths, from primitive operation counts × calibrated costs.
-pub fn fig9(samples: u64) -> String {
-    let mut out = String::from(
-        "# Figure 9: latency decomposition of 8 B Flip requests (us/request)\n\
-         # path  e2e_p50    p2p_msgs/req  crypto_us/req  swmr_us/req\n",
-    );
-    for (label, cfg) in [
-        ("fast", SimConfig::paper_default(SEED).fast_only().with_max_request(64)),
-        ("slow", SimConfig::paper_default(SEED).slow_only().with_max_request(64)),
-    ] {
-        let n = cfg.params.n();
-        let cost = cfg.cost.clone();
-        let slow_samples = if label == "slow" { (samples / 4).max(100) } else { samples };
-        let mut cluster = Cluster::new(cfg, make_apps("flip", n), make_workload("flip", 8));
-        let report = cluster.run(slow_samples, WARMUP);
-        let reqs = report.completed as f64;
-        let msgs = (report.counters.ctb_msgs
-            + report.counters.cons_msgs
-            + report.counters.direct_msgs
-            + report.counters.rpc_msgs) as f64
-            / reqs;
-        let crypto_us = ((report.counters.ctb_signs + report.counters.engine_signs) as f64
-            * us(cost.sign_total())
-            + (report.counters.ctb_verifies + report.counters.engine_verifies) as f64
-                * us(cost.verify_total()))
-            / reqs;
-        let swmr_us = (report.counters.reg_writes + report.counters.reg_reads) as f64 * 2.2 / reqs;
-        let mut lat = report.latency;
-        out.push_str(&format!(
-            "{:<6} {:>8.2} {:>13.2} {:>14.2} {:>12.2}\n",
-            label,
-            us(lat.median()),
-            msgs,
-            crypto_us,
-            swmr_us
-        ));
+/// What one data point measured: its latency samples and, on uBFT, the
+/// deployment after the run and the run's report.
+struct Point(LatencyStats, Option<(Cluster, RunReport)>);
+
+impl Point {
+    /// The `q`-th percentiles in µs.
+    fn pcts(&mut self, qs: &[f64]) -> Vec<f64> {
+        qs.iter().map(|&q| self.0.percentile(q).as_micros_f64()).collect()
     }
-    out
+
+    fn p50(&mut self) -> f64 {
+        self.pcts(&[50.0])[0]
+    }
+
+    fn ubft(&mut self) -> &mut (Cluster, RunReport) {
+        self.1.as_mut().expect("a uBFT data point")
+    }
 }
 
-/// Figure 10: non-equivocation mechanisms — CTBcast fast, CTBcast slow, and
-/// the SGX trusted counter — median latency vs message size.
-pub fn fig10(samples: u64) -> String {
-    let sizes = [4usize, 16, 64, 256, 1024, 4096];
-    let mut out = String::from(
-        "# Figure 10: non-equivocation median latency (us) vs message size (B)\n\
-         # size   ctb-fast   ctb-slow        sgx\n",
+/// A uBFT deployment of `cfg` with `app` on every replica of every group,
+/// fed `size`-byte requests.
+fn deploy(cfg: SimConfig, app: &str, size: usize) -> Cluster {
+    let apps = make_apps(app, cfg.params.n() * cfg.shards);
+    Cluster::new(cfg, apps, make_workload(app, size))
+}
+
+/// Runs `samples` requests of `app` at `size` bytes (after [`WARMUP`]) on
+/// `system` under `cfg`.
+fn measure(system: System, cfg: SimConfig, app: &str, size: usize, samples: u64) -> Point {
+    let (w, mut a) = (make_workload(app, size), make_apps(app, 1).pop().expect("one app"));
+    let latency = match system {
+        System::Unreplicated => baselines::run_unreplicated(&cfg, a.as_mut(), w, samples, WARMUP),
+        System::Mu => baselines::run_mu(&cfg, a.as_mut(), w, samples, WARMUP),
+        System::MuBatched(b) => baselines::run_mu_batched(&cfg, a.as_mut(), w, samples, 50, b),
+        System::MinBft(auth) => baselines::run_minbft(&cfg, auth, a.as_mut(), w, samples, WARMUP),
+        System::Sgx => baselines::run_sgx_nonequivocation(&cfg, size, samples, SEED),
+        System::Ubft => {
+            let mut cluster = deploy(cfg, app, size);
+            let mut report = cluster.run(samples, WARMUP);
+            return Point(std::mem::take(&mut report.latency), Some((cluster, report)));
+        }
+    };
+    Point(latency, None)
+}
+
+fn paper() -> SimConfig {
+    SimConfig::paper_default(SEED)
+}
+
+/// The slow path is crypto-bound: a quarter of the samples (at least 100)
+/// keeps its points quick.
+fn slow(samples: u64) -> u64 {
+    (samples / 4).max(100)
+}
+
+fn kib(bytes: usize) -> f64 {
+    bytes as f64 / 1024.0
+}
+
+const SIZES: [usize; 6] = [4, 16, 64, 256, 1024, 4096];
+
+/// Figure 7: end-to-end application latency under unreplicated, Mu and the
+/// uBFT fast path.
+fn fig7(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Figure 7: end-to-end app latency (µs); the paper plots p90 with p50 / p95 whiskers",
+        "app | system | p50:2 | p90:2 | p95:2",
     );
-    for &size in &sizes {
-        // CTBcast latency ≈ uBFT prepare-phase latency: measure e2e and
-        // subtract the measured RPC+app baseline? The paper measures the
-        // primitive directly; we approximate it as the e2e latency of a
-        // one-broadcast no-op round minus client RPC (one hop each way).
-        let cfg = SimConfig::paper_default(SEED).with_max_request(size.max(64));
-        let rpc = {
-            let mut a = NoopApp::new();
-            let mut s = baselines::run_unreplicated(
-                &cfg,
-                &mut a,
-                make_workload("noop", size),
-                samples,
-                WARMUP,
-            );
-            us(s.median())
-        };
-        let fast_e2e = us(run_ubft(
-            "noop",
-            size,
-            samples,
-            SimConfig::paper_default(SEED).fast_only().with_max_request(size.max(64)),
-        )
-        .median());
-        let slow_e2e = us(run_ubft(
-            "noop",
-            size,
-            (samples / 4).max(100),
-            SimConfig::paper_default(SEED).slow_only().with_max_request(size.max(64)),
-        )
-        .median());
-        // The prepare CTBcast is roughly half the replication rounds.
-        let ctb_fast = (fast_e2e - rpc).max(0.1) * 0.5;
-        let ctb_slow = (slow_e2e - rpc).max(0.1) * 0.35;
-        let mut sgx = baselines::run_sgx_nonequivocation(&cfg, size, samples, SEED);
-        out.push_str(&format!(
-            "{:>6} {:>10.2} {:>10.2} {:>10.2}\n",
-            size,
-            ctb_fast,
-            ctb_slow,
-            us(sgx.median())
-        ));
+    for app in ["flip", "memcached", "liquibook", "redis"] {
+        for (system, label, cfg) in [
+            (System::Unreplicated, "unreplicated", paper()),
+            (System::Mu, "mu", paper()),
+            (System::Ubft, "ubft-fast", paper().fast_only()),
+        ] {
+            let mut p = measure(system, cfg, app, 32, samples);
+            t.push(&[&app, &label], &p.pcts(&[50.0, 90.0, 95.0]));
+        }
     }
-    out
+    t
+}
+
+/// Figure 8: median end-to-end latency vs request size, no-op app, every
+/// system.
+fn fig8(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Figure 8: median end-to-end latency (µs) vs request size, no-op app",
+        "size B | unreplicated:2 | mu:2 | ubft-fast:2 | ubft-slow:2 | minbft-hmac:2 | \
+         minbft-vanilla:2",
+    );
+    for size in SIZES {
+        let cfg = || paper().with_max_request(size.max(64));
+        let points = [
+            (System::Unreplicated, cfg(), samples),
+            (System::Mu, cfg(), samples),
+            (System::Ubft, cfg().fast_only(), samples),
+            (System::Ubft, cfg().slow_only(), slow(samples)),
+            (System::MinBft(ClientAuth::EnclaveHmac), cfg(), samples),
+            (System::MinBft(ClientAuth::Signatures), cfg(), samples),
+        ];
+        t.push(&[&size], &points.map(|(s, cfg, n)| measure(s, cfg, "noop", size, n).p50()));
+    }
+    t
+}
+
+/// Figure 9: latency decomposition of an 8 B Flip request on the fast and
+/// slow paths, from primitive operation counts × the cost model's
+/// constants.
+fn fig9(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Figure 9: latency decomposition of 8 B Flip requests: operation counts × cost constants \
+         (SWMR: 2.2 µs per register operation)",
+        "path | e2e p50 µs:2 | p2p msgs/req:2 | crypto µs/req:2 | SWMR µs/req:2",
+    );
+    let cost = paper().cost;
+    let (sign, verify) = (cost.sign_total().as_micros_f64(), cost.verify_total().as_micros_f64());
+    for (label, cfg, n) in
+        [("fast", paper().fast_only(), samples), ("slow", paper().slow_only(), slow(samples))]
+    {
+        let mut p = measure(System::Ubft, cfg.with_max_request(64), "flip", 8, n);
+        let p50 = p.p50();
+        let report = &p.ubft().1;
+        let (c, reqs) = (&report.counters, report.completed as f64);
+        let msgs = (c.ctb_msgs + c.cons_msgs + c.direct_msgs + c.rpc_msgs) as f64 / reqs;
+        let signs = (c.ctb_signs + c.engine_signs) as f64 * sign;
+        let crypto = (signs + (c.ctb_verifies + c.engine_verifies) as f64 * verify) / reqs;
+        let swmr = (c.reg_writes + c.reg_reads) as f64 * 2.2 / reqs;
+        t.push(&[&label], &[p50, msgs, crypto, swmr]);
+    }
+    t
+}
+
+/// Figure 10: non-equivocation — CTBcast fast, CTBcast slow and the SGX
+/// trusted counter — median latency vs message size. The paper measures
+/// CTBcast directly; here it is the share of a no-op round's replication
+/// time (end to end minus the client RPC) that the PREPARE broadcast takes.
+fn fig10(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Figure 10: non-equivocation median latency (µs) vs message size. The CTBcast columns \
+         are derived, not measured: (e2e − unreplicated) × 0.5 (fast) and × 0.35 (slow); SGX \
+         is measured",
+        "size B | ctb-fast:2 | ctb-slow:2 | sgx:2",
+    );
+    for size in SIZES {
+        let cfg = || paper().with_max_request(size.max(64));
+        let rpc = measure(System::Unreplicated, cfg(), "noop", size, samples).p50();
+        let fast = measure(System::Ubft, cfg().fast_only(), "noop", size, samples).p50();
+        let n_slow = slow(samples);
+        let slow_e2e = measure(System::Ubft, cfg().slow_only(), "noop", size, n_slow).p50();
+        let sgx = measure(System::Sgx, cfg(), "noop", size, samples).p50();
+        t.push(&[&size], &[(fast - rpc).max(0.1) * 0.5, (slow_e2e - rpc).max(0.1) * 0.35, sgx]);
+    }
+    t
 }
 
 /// Figure 11: fast-path tail latency vs CTBcast tail `t`, for 64 B and
@@ -366,540 +319,403 @@ pub fn fig10(samples: u64) -> String {
 /// messages of slack double buffering leaves; `t = 8` (one step below the
 /// paper's smallest tail) is where that slack runs out and the broadcaster
 /// thrashes on its summary gate.
-pub fn fig11(samples: u64) -> String {
-    let mut out = String::from(
-        "# Figure 11: uBFT fast-path latency (us) at high percentiles vs CTBcast tail t\n\
-         # size  t     p80      p90      p95      p99    p99.9\n",
+fn fig11(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Figure 11: uBFT fast-path latency (µs) at high percentiles vs CTBcast tail t",
+        "size B | t | p80:2 | p90:2 | p95:2 | p99:2 | p99.9:2",
     );
-    for &size in &[64usize, 2048] {
-        for &t in &[8usize, 16, 32, 64, 128] {
-            let cfg =
-                SimConfig::paper_default(SEED).fast_only().with_tail(t).with_max_request(size);
-            let mut stats = run_ubft("noop", size, samples, cfg);
-            out.push_str(&format!(
-                "{:>5} {:>3} {:>7.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
-                size,
-                t,
-                us(stats.percentile(80.0)),
-                us(stats.percentile(90.0)),
-                us(stats.percentile(95.0)),
-                us(stats.percentile(99.0)),
-                us(stats.percentile(99.9)),
-            ));
+    for size in [64usize, 2048] {
+        for tail in [8usize, 16, 32, 64, 128] {
+            let cfg = paper().fast_only().with_tail(tail).with_max_request(size);
+            let mut p = measure(System::Ubft, cfg, "noop", size, samples);
+            t.push(&[&size, &tail], &p.pcts(&[80.0, 90.0, 95.0, 99.0, 99.9]));
         }
     }
-    out
+    t
 }
 
-/// Table 2: replica-local and disaggregated memory for tail/request sweeps.
-pub fn table2() -> String {
-    let mut out = String::from(
-        "# Table 2: memory consumption vs CTBcast tail t and request size\n\
-         # size    t    replica_local_KiB    disagg_per_node_KiB\n",
+/// Table 2: replica-local and disaggregated memory for tail and request-size
+/// sweeps, of a deployment that has run nothing: memory is sized up front.
+fn table2(_samples: u64) -> Table {
+    let mut t = Table::new(
+        "Table 2: memory consumption vs CTBcast tail t and request size",
+        "size B | t | replica-local KiB:1 | disaggregated KiB/node:1",
     );
-    for &size in &[64usize, 2048] {
-        for &t in &[16usize, 32, 64, 128] {
-            let cfg =
-                SimConfig::paper_default(SEED).fast_only().with_tail(t).with_max_request(size);
-            let n = cfg.params.n();
-            let cluster = Cluster::new(cfg, make_apps("noop", n), make_workload("noop", size));
-            let mem = MemoryReport::measure(&cluster);
-            out.push_str(&format!(
-                "{:>6} {:>4} {:>20.1} {:>22.1}\n",
-                size,
-                t,
-                mem.replica_local_bytes as f64 / 1024.0,
-                mem.disagg_bytes_per_node as f64 / 1024.0
-            ));
+    for size in [64usize, 2048] {
+        for tail in [16usize, 32, 64, 128] {
+            let cfg = paper().fast_only().with_tail(tail).with_max_request(size);
+            let mem = MemoryReport::measure(&deploy(cfg, "noop", size));
+            t.push(&[&size, &tail], &[mem.replica_local_bytes, mem.disagg_bytes_per_node].map(kib));
         }
     }
-    out
+    t
 }
 
-/// Ablation 1 (DESIGN.md §5): path selection. The deployed fast+fallback
-/// configuration must match fast-only when the network is healthy (the
-/// armed fallback timers are free), while forcing the slow path shows what
-/// the signature-less fast path buys.
-pub fn ablation_path(samples: u64) -> String {
-    let mut out = String::from(
-        "# Ablation: path selection (32 B Flip requests, healthy network)\n\
-         # config          p50      p99   signs/req\n",
-    );
-    for (label, cfg, n_samples) in [
-        ("fast-only", SimConfig::paper_default(SEED).fast_only(), samples),
-        ("fast+fallback", SimConfig::paper_default(SEED), samples),
-        ("slow-only", SimConfig::paper_default(SEED).slow_only(), (samples / 4).max(100)),
-    ] {
-        let n = cfg.params.n();
-        let mut cluster = Cluster::new(cfg, make_apps("flip", n), make_workload("flip", 32));
-        let report = cluster.run(n_samples, WARMUP);
-        let signs = (report.counters.ctb_signs + report.counters.engine_signs) as f64
-            / report.completed as f64;
-        let mut lat = report.latency;
-        out.push_str(&format!(
-            "{:<14} {:>8.2} {:>8.2} {:>10.2}\n",
-            label,
-            us(lat.percentile(50.0)),
-            us(lat.percentile(99.0)),
-            signs,
-        ));
+/// §9 throughput: closed-loop 32 B requests with one and two clients. Two
+/// clients keep two consensus slots in flight — the paper's interleaving,
+/// which roughly doubles throughput by using the slack between one slot's
+/// protocol events.
+fn throughput(samples: u64) -> Table {
+    let mut t =
+        Table::new("§9 throughput: closed loop, 32 B requests", "clients | p50 µs:2 | kops:1");
+    t.footnote = "The paper reports ~91 kops single-slot and ~2× with interleaving (§9).";
+    for clients in [1usize, 2] {
+        let cfg = paper().fast_only().with_max_request(64).with_clients(clients);
+        let mut p = measure(System::Ubft, cfg, "noop", 32, samples);
+        t.push(&[&format!("{clients} client(s)")], &[p.p50(), p.ubft().1.kreq_per_sec()]);
     }
-    out
+    t
 }
 
-/// Ablation 2 (DESIGN.md §5): the §5.4 echo round. Removing it saves one
-/// communication round of latency but lets a Byzantine client stall slots;
-/// the table quantifies the cost side.
-pub fn ablation_echo(samples: u64) -> String {
-    let mut out = String::from(
-        "# Ablation: client-request echo round (32 B Flip requests, fast path)\n\
-         # config        p50      p90      p99\n",
+/// Ablation: path selection. The deployed fast+fallback configuration must
+/// match fast-only when the network is healthy (the armed fallback timers
+/// are free), while forcing the slow path shows what the signature-less
+/// fast path buys.
+fn ablation_path(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Ablation: path selection (32 B Flip requests, healthy network; latency in µs)",
+        "config | p50:2 | p99:2 | signs/req:2",
     );
-    for (label, cfg) in [
-        ("echo-on", SimConfig::paper_default(SEED).fast_only()),
-        ("echo-off", SimConfig::paper_default(SEED).fast_only().without_echo()),
+    for (label, cfg, n) in [
+        ("fast-only", paper().fast_only(), samples),
+        ("fast+fallback", paper(), samples),
+        ("slow-only", paper().slow_only(), slow(samples)),
     ] {
-        let mut stats = run_ubft("flip", 32, samples, cfg);
-        out.push_str(&format!(
-            "{:<12} {:>7.2} {:>8.2} {:>8.2}\n",
-            label,
-            us(stats.percentile(50.0)),
-            us(stats.percentile(90.0)),
-            us(stats.percentile(99.0)),
-        ));
+        let mut p = measure(System::Ubft, cfg, "flip", 32, n);
+        let mut row = p.pcts(&[50.0, 99.0]);
+        let report = &p.ubft().1;
+        let (c, reqs) = (&report.counters, report.completed as f64);
+        row.push((c.ctb_signs + c.engine_signs) as f64 / reqs);
+        t.push(&[&label], &row);
     }
-    out
+    t
 }
 
-/// Ablation 3 (DESIGN.md §5): SWMR register replication factor. `f_m = 0`
-/// is a single memory node (no fault tolerance, fastest quorum); each
-/// additional pair adds nodes and disaggregated memory but barely moves
-/// latency because reads/writes complete at the fastest majority.
-pub fn ablation_dmem(samples: u64) -> String {
-    let mut out = String::from(
-        "# Ablation: memory-node replication f_m (slow path, 32 B requests)\n\
-         # f_m  mem_nodes     p50      p99   disagg_KiB/node\n",
+/// Ablation: the §5.4 echo round. Removing it saves one communication round
+/// of latency but lets a Byzantine client stall slots; the table quantifies
+/// the cost side.
+fn ablation_echo(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Ablation: client-request echo round (32 B Flip requests, fast path; latency in µs)",
+        "config | p50:2 | p90:2 | p99:2",
+    );
+    for (label, cfg) in
+        [("echo-on", paper().fast_only()), ("echo-off", paper().fast_only().without_echo())]
+    {
+        let mut p = measure(System::Ubft, cfg, "flip", 32, samples);
+        t.push(&[&label], &p.pcts(&[50.0, 90.0, 99.0]));
+    }
+    t
+}
+
+/// Ablation: SWMR register replication factor. `f_m = 0` is a single
+/// memory node (no fault tolerance, fastest quorum); each additional pair
+/// adds nodes and disaggregated memory but barely moves latency because
+/// reads and writes complete at the fastest majority.
+fn ablation_dmem(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Ablation: memory-node replication f_m (slow path, 32 B requests; latency in µs)",
+        "f_m | memory nodes:0 | p50:2 | p99:2 | disaggregated KiB/node:1",
     );
     for f_m in 0..=2usize {
-        let mut cfg = SimConfig::paper_default(SEED).slow_only();
+        let mut cfg = paper().slow_only();
         cfg.params = cfg.params.with_f_m(f_m);
-        let n = cfg.params.n();
-        let n_mem = cfg.params.n_mem();
-        let mut cluster = Cluster::new(cfg, make_apps("flip", n), make_workload("flip", 32));
-        let report = cluster.run((samples / 4).max(100), WARMUP);
-        let disagg = cluster.disagg_bytes_per_node() as f64 / 1024.0;
-        let mut lat = report.latency;
-        out.push_str(&format!(
-            "{:>4} {:>10} {:>8.2} {:>8.2} {:>17.1}\n",
-            f_m,
-            n_mem,
-            us(lat.percentile(50.0)),
-            us(lat.percentile(99.0)),
-            disagg,
-        ));
+        let mut row = vec![cfg.params.n_mem() as f64];
+        let mut p = measure(System::Ubft, cfg, "flip", 32, slow(samples));
+        row.extend(p.pcts(&[50.0, 99.0]));
+        row.push(kib(p.ubft().0.disagg_bytes_per_node()));
+        t.push(&[&f_m], &row);
     }
-    out
+    t
 }
 
-/// Ablation 4 (DESIGN.md §5): CTBcast summary double-buffering. The paper
-/// (footnote 3) generates summaries every `t/2` so broadcasting continues
-/// while a summary is collected. The comparison is tail-size dependent:
-/// once half a tail of emission time covers the summary round-trip
-/// (t ≥ 32 here), double-buffering removes the stall entirely, while the
-/// single-buffered variant stops at every boundary; at a very small tail
-/// (t = 16) summaries are crypto-bound and the halved trigger interval
-/// saturates the crypto worker instead, so double-buffering only pays once
-/// `t` is large enough — which is why the paper pairs it with `t = 128`.
-pub fn ablation_summary(samples: u64) -> String {
-    let mut out = String::from(
-        "# Ablation: summary trigger interval (64 B requests, fast path)\n\
-         # t   trigger          p80      p90      p99\n",
+/// Ablation: CTBcast summary double-buffering. The paper (footnote 3)
+/// generates summaries every `t/2` so broadcasting continues while a
+/// summary is collected; triggering every `t` instead puts one
+/// certification round trip back into the tail at every `t`.
+fn ablation_summary(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Ablation: summary trigger interval (64 B requests, fast path; latency in µs)",
+        "t | trigger | p80:2 | p90:2 | p99:2",
     );
-    for t in [16usize, 32, 64] {
-        for (label, every) in [("t/2 (paper)", (t / 2) as u64), ("t (single)", t as u64)] {
-            let cfg = SimConfig::paper_default(SEED)
-                .fast_only()
-                .with_tail(t)
-                .with_max_request(64)
-                .with_summary_every(every);
-            let mut stats = run_ubft("noop", 64, samples, cfg);
-            out.push_str(&format!(
-                "{:>3}   {:<12} {:>8.2} {:>8.2} {:>8.2}\n",
-                t,
-                label,
-                us(stats.percentile(80.0)),
-                us(stats.percentile(90.0)),
-                us(stats.percentile(99.0)),
-            ));
+    for tail in [16usize, 32, 64] {
+        for (label, every) in [("t/2 (paper)", tail / 2), ("t (single)", tail)] {
+            let cfg = paper().fast_only().with_tail(tail).with_max_request(64);
+            let cfg = cfg.with_summary_every(every as u64);
+            let mut p = measure(System::Ubft, cfg, "noop", 64, samples);
+            t.push(&[&tail, &label], &p.pcts(&[80.0, 90.0, 99.0]));
         }
     }
-    out
+    t
 }
 
-/// §9 throughput: closed-loop inverse latency for 32 B requests, with one
-/// and two concurrent clients. Two clients keep two consensus slots in
-/// flight — the paper's interleaving, which roughly doubles throughput by
-/// using the slack between one slot's protocol events.
-pub fn throughput(samples: u64) -> String {
-    let mut out = String::from("# Throughput (closed loop, 32 B requests)\n");
-    for n_clients in [1usize, 2] {
-        let cfg =
-            SimConfig::paper_default(SEED).fast_only().with_max_request(64).with_clients(n_clients);
-        let n = cfg.params.n();
-        let mut cluster = Cluster::new(cfg, make_apps("noop", n), make_workload("noop", 32));
-        let report = cluster.run(samples, WARMUP);
-        let kops = report.completed as f64
-            / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
-            * 1_000.0;
-        let mut lat = report.latency;
-        out.push_str(&format!(
-            "{} client(s): median latency {:.2} us -> {:.1} kops\n",
-            n_clients,
-            us(lat.median()),
-            kops
-        ));
-    }
-    out.push_str("(the paper reports ~91 kops single-slot and ~2x with interleaving, §9)\n");
-    out
-}
-
-/// Request-batching sweep: simulated requests/sec and median latency of the
-/// batched fast path as `max_batch` grows from 1 to 64, under 64 closed-loop
-/// clients and a 2-slot proposal pipeline (the backlog that makes batches
-/// form). The eager unbatched engine (the pre-batching default: one request
-/// per slot, window-wide pipeline) and batched Mu anchor the comparison.
-pub fn batch_sweep(samples: u64) -> String {
-    let mut out = String::from("# Batch sweep (fast path, 32 B requests, 64 clients)\n");
-    out.push_str("batch  p50_us   p99_us   kreq_s\n");
-    let run = |cfg: SimConfig| {
-        let n = cfg.params.n();
-        let mut cluster = Cluster::new(cfg, make_apps("noop", n), make_workload("noop", 32));
-        let report = cluster.run(samples, WARMUP);
-        let kreq = report.completed as f64
-            / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
-            * 1_000.0;
-        let mut lat = report.latency;
-        (us(lat.percentile(50.0)), us(lat.percentile(99.0)), kreq)
-    };
-    let base = || SimConfig::paper_default(SEED).fast_only().with_max_request(64).with_clients(64);
-    let (p50, p99, kreq) = run(base());
-    out.push_str(&format!("eager  {p50:>7.2} {p99:>8.2} {kreq:>8.1}\n"));
-    for batch in [1usize, 4, 16, 64] {
-        let (p50, p99, kreq) = run(base().with_pipeline_depth(2).with_batch(batch));
-        out.push_str(&format!("{batch:<6} {p50:>7.2} {p99:>8.2} {kreq:>8.1}\n"));
-    }
-    // Batched Mu: same amortization on the crash-only baseline.
-    let cfg = SimConfig::paper_default(SEED).with_max_request(64);
-    let mut app = NoopApp::new();
-    for batch in [1usize, 16] {
-        let s = ubft_runtime::baselines::run_mu_batched(
-            &cfg,
-            &mut app,
-            make_workload("noop", 32),
-            samples.min(500),
-            WARMUP.min(50),
-            batch,
-        );
-        let kreq = batch as f64 / s.mean().as_micros_f64() * 1_000.0;
-        out.push_str(&format!(
-            "mu/{batch:<4} batch_lat {:.2} us -> {kreq:.1} kreq/s\n",
-            us(s.mean())
-        ));
-    }
-    out.push_str("(one slot amortizes its PREPARE + WILL_* rounds over the whole batch)\n");
-    out
-}
-
-/// Shard sweep: aggregate requests/sec and latency as the key space shards
-/// over `G ∈ {1, 2, 4, 8}` consensus groups sharing one fabric and memory
-/// nodes. The workload is the §7.1 Redis-style KV mix, routed per key by
-/// FNV, with `samples` requests *per shard* (so each group does the same
-/// work at every G and the throughput column shows pure scale-out). Each
-/// shard runs 16 closed-loop clients with a 2-slot pipeline and batch 8 —
-/// the post-batching-PR sweet spot — plus the per-shard p50/p99 spread and
-/// the disaggregated memory each extra group adds.
-pub fn shard_sweep(samples: u64) -> String {
-    let mut out =
-        String::from("# Shard sweep (fast path, KV mix, 16 clients/shard, batch 8, pipeline 2)\n");
-    out.push_str(
-        "shards   kreq_s   p50_us   p99_us   shard_p50_us      shard_p99_us      disagg_KiB/node\n",
+/// Request batching: requests/sec and latency of the batched fast path as
+/// `max_batch` grows, under 64 closed-loop clients and a 2-slot proposal
+/// pipeline (the backlog that makes batches form). The eager unbatched
+/// engine (one request per slot, window-wide pipeline) and batched Mu
+/// anchor the comparison.
+fn batch_sweep(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Batch sweep: fast path, 32 B requests, 64 clients; batched Mu (≤ 500 batches) alongside",
+        "batch | p50 µs:2 | p99 µs:2 | Mu batch µs:2 | kreq/s:1",
     );
+    t.footnote = "One slot amortizes its PREPARE + WILL_* rounds over the whole batch.";
+    for batch in [None, Some(1), Some(4), Some(16), Some(64)] {
+        let mut cfg = paper().fast_only().with_max_request(64).with_clients(64);
+        if let Some(b) = batch {
+            cfg = cfg.with_pipeline_depth(2).with_batch(b);
+        }
+        let mut p = measure(System::Ubft, cfg, "noop", 32, samples);
+        let mut row = p.pcts(&[50.0, 99.0]);
+        row.extend([f64::NAN, p.ubft().1.kreq_per_sec()]);
+        t.push(&[&batch.map_or("eager".to_string(), |b| b.to_string())], &row);
+    }
+    for b in [1, 16] {
+        let cfg = paper().with_max_request(64);
+        let mean = measure(System::MuBatched(b), cfg, "noop", 32, samples.min(500)).0.mean();
+        let mean = mean.as_micros_f64();
+        t.push(&[&format!("mu/{b}")], &[f64::NAN, f64::NAN, mean, b as f64 / mean * 1_000.0]);
+    }
+    t
+}
+
+/// Sharding: aggregate requests/sec and latency as the key space shards
+/// over `G ∈ {1, 2, 4, 8}` groups sharing one fabric and memory nodes. The
+/// Redis-style KV mix is routed per key by FNV, `samples` requests *per
+/// shard*, so every group does the same work at every G and the throughput
+/// column shows pure scale-out.
+fn shard_sweep(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Shard sweep: fast path, KV mix, 16 clients/shard, batch 8, pipeline 2; latency in µs, \
+         the lowest and highest of the shards beside the aggregate",
+        "shards | kreq/s:1 | p50:2 | p99:2 | lowest shard p50:1 | highest shard p50:1 | \
+         lowest shard p99:1 | highest shard p99:1 | disaggregated KiB/node:1",
+    );
+    t.footnote = "Each group is an independent 2f+1 uBFT instance; the shared memory nodes hold \
+                  one register-bank partition per group.";
     for g in [1usize, 2, 4, 8] {
-        let cfg = SimConfig::paper_default(SEED)
-            .fast_only()
-            .with_max_request(64)
-            .with_clients(16)
-            .with_pipeline_depth(2)
-            .with_batch(8)
-            .with_shards(g);
-        let apps = make_apps("redis", cfg.params.n() * g);
-        let mut cluster = Cluster::new(cfg, apps, make_workload("redis", 32));
-        let report = cluster.run(samples * g as u64, WARMUP);
-        let mem = MemoryReport::measure(&cluster);
-        let kreq = report.completed as f64
-            / report.end.since(ubft_types::Time::ZERO).as_micros_f64()
-            * 1_000.0;
-        let mut agg = report.latency;
-        let (mut p50s, mut p99s) = (Vec::new(), Vec::new());
-        for shard in report.groups {
-            let mut lat = shard.latency;
-            if !lat.is_empty() {
-                p50s.push(us(lat.percentile(50.0)));
-                p99s.push(us(lat.percentile(99.0)));
-            }
+        let cfg = paper().fast_only().with_max_request(64).with_clients(16);
+        let cfg = cfg.with_pipeline_depth(2).with_batch(8).with_shards(g);
+        let mut p = measure(System::Ubft, cfg, "redis", 32, samples * g as u64);
+        let mut row = p.pcts(&[50.0, 99.0]);
+        let (cluster, report) = p.ubft();
+        row.insert(0, report.kreq_per_sec());
+        for q in [50.0, 99.0] {
+            let shards = report.groups.iter_mut().filter(|s| !s.latency.is_empty());
+            let per_shard: Vec<f64> =
+                shards.map(|s| s.latency.percentile(q).as_micros_f64()).collect();
+            row.push(per_shard.iter().copied().fold(f64::INFINITY, f64::min));
+            row.push(per_shard.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         }
-        let range = |v: &[f64]| {
-            let (lo, hi) = v.iter().fold((f64::MAX, f64::MIN), |(l, h), &x| (l.min(x), h.max(x)));
-            format!("{lo:.1}-{hi:.1}")
-        };
-        out.push_str(&format!(
-            "{g:<6} {kreq:>8.1} {p50:>8.2} {p99:>8.2}   {r50:<17} {r99:<17} {mem:>10.1}\n",
-            p50 = us(agg.percentile(50.0)),
-            p99 = us(agg.percentile(99.0)),
-            r50 = range(&p50s),
-            r99 = range(&p99s),
-            mem = mem.disagg_bytes_per_node as f64 / 1024.0,
-        ));
+        row.push(kib(MemoryReport::measure(cluster).disagg_bytes_per_node));
+        t.push(&[&g], &row);
     }
-    out.push_str(
-        "(each group is an independent 2f+1 uBFT instance; the shared memory\n nodes hold one register-bank partition per group)\n",
-    );
-    out
+    t
 }
 
-/// Churn sweep: the cost of losing and *replacing* a replica mid-run, as a
-/// function of the replacement delay. Each row crashes replica 1 a quarter
-/// of the way into a `samples`-request KV run and boots its replacement
-/// after the given delay (the first row never crashes anything — the
-/// baseline). Reported per row: requests/sec across the whole incident
-/// (the throughput dip), p50/p99, how much extra virtual time the run took
-/// versus the baseline, and how long after the last client completion the
-/// replaced replica needed to converge to the live replicas' digest
-/// (`recover_us`; 0 means it finished the run fully caught up). A small
-/// window (32) keeps checkpoints — the replacement's state-transfer
+/// Churn: the cost of losing and *replacing* a replica mid-run, against the
+/// replacement delay. Each row crashes replica 1 a quarter of the way into
+/// a `samples`-request KV run and boots its replacement after the delay
+/// (the first row crashes nothing). Per row: requests/sec across the whole
+/// incident, p50/p99, the extra virtual time the run took over the
+/// baseline, and how long after the last completion the replaced replica
+/// needed to reach the live replicas' digest (0: it finished caught up).
+/// A small window (32) keeps checkpoints — the replacement's state-transfer
 /// anchor — frequent relative to the run length.
-pub fn churn_sweep(samples: u64) -> String {
-    use ubft_sim::failure::FailurePlan;
-    use ubft_types::{Duration, Time};
-
-    let mut out = String::from("# Churn sweep (KV mix, crash replica 1 at 25% of the run)\n");
-    out.push_str("rejoin_delay_us   kreq_s   p50_us    p99_us   slowdown_us   recover_us\n");
-    let cfg_base =
-        || SimConfig::paper_default(SEED).with_tail(16).with_window(32).with_max_request(64);
-    // Crash a quarter of the way in: at the baseline pace, request
-    // `samples / 4` completes after roughly this much virtual time.
-    let probe = {
-        let mut c = Cluster::new(cfg_base(), make_apps("redis", 3), make_workload("redis", 32));
-        let r = c.run(samples / 4, 0);
-        r.end
-    };
-    let mut baseline_end = Time::ZERO;
-    for delay_us in [None, Some(100u64), Some(400), Some(1_600), Some(6_400)] {
-        let mut cfg = cfg_base();
-        if let Some(d) = delay_us {
-            cfg.failures =
-                FailurePlan::none().replace_replica(1, probe, probe + Duration::from_micros(d));
-        }
-        let mut cluster = Cluster::new(cfg, make_apps("redis", 3), make_workload("redis", 32));
-        let report = cluster.run(samples, WARMUP);
-        if delay_us.is_none() {
-            baseline_end = report.end;
-        }
-        // Recovery time: settle in 100 µs steps until the replaced replica
-        // reaches the live replicas' digest.
-        let mut recover = 0u64;
+fn churn_sweep(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Churn sweep: KV mix, replica 1 crashed at 25% of the run and replaced after a delay",
+        "rejoin delay µs | kreq/s:1 | p50 µs:2 | p99 µs:2 | slowdown µs:1 | recover µs:0",
+    );
+    t.footnote = "The replacement scans its predecessor's register banks, joins via f+1 acks, \
+                  restores a certified checkpoint snapshot, and replays the certified tail; 2f+1 \
+                  deployments survive churn because of exactly this.";
+    let base = || paper().with_tail(16).with_window(32).with_max_request(64);
+    // Request `samples / 4` completes at about this virtual time.
+    let crash_at = deploy(base(), "redis", 32).run(samples / 4, 0).end;
+    let mut baseline_end = None;
+    for delay in [None, Some(100), Some(400), Some(1_600), Some(6_400)] {
+        let replace = |d| base().with_replacement(1, crash_at, Duration::from_micros(d));
+        let mut p = measure(System::Ubft, delay.map_or(base(), replace), "redis", 32, samples);
+        let mut row = p.pcts(&[50.0, 99.0]);
+        let (cluster, report) = p.ubft();
+        let end = report.end.since(Time::ZERO).as_micros_f64();
+        let slowdown = end - *baseline_end.get_or_insert(end);
+        // Settle in 100 µs steps until the replaced replica reaches the live
+        // replicas' digest.
         let converged = |c: &Cluster| c.app_digest(1) == c.app_digest(0);
-        while delay_us.is_some() && !converged(&cluster) && recover < 20_000 {
+        let mut recover = 0;
+        while delay.is_some() && !converged(cluster) && recover < 20_000 {
             cluster.settle(Duration::from_micros(100));
             recover += 100;
         }
-        let kreq = report.completed as f64 / report.end.since(Time::ZERO).as_micros_f64() * 1_000.0;
-        let mut lat = report.latency;
-        let slowdown = report.end.since(Time::ZERO).as_micros_f64()
-            - baseline_end.since(Time::ZERO).as_micros_f64();
-        out.push_str(&format!(
-            "{label:<15} {kreq:>8.1} {p50:>8.2} {p99:>9.2} {slowdown:>13.1} {recover:>12}\n",
-            label = delay_us.map_or("none (baseline)".into(), |d| d.to_string()),
-            p50 = us(lat.percentile(50.0)),
-            p99 = us(lat.percentile(99.0)),
-        ));
+        row.insert(0, report.kreq_per_sec());
+        row.extend([slowdown, recover as f64]);
+        t.push(&[&delay.map_or("none (baseline)".to_string(), |d| d.to_string())], &row);
     }
-    out.push_str(
-        "(the replacement scans its predecessor's register banks, joins via\n f+1 acks, restores a certified checkpoint snapshot, and replays the\n certified tail; 2f+1 deployments survive churn because of exactly this)\n",
-    );
-    out
+    t
 }
 
-/// Wall-clock thread-scaling sweep: real requests/sec and p50/p99 of the
-/// threaded deployment backend (`Backend::Threads` — OS threads + the
-/// in-process channel mesh + a real crypto worker pool) as the crypto
-/// pool and the shard count grow. `samples` is requests *per shard*, like
-/// [`shard_sweep`], so every group does the same work at every `G` and
-/// the throughput column shows scale-out.
-///
-/// Returns `(text_table, json_body)`. Numbers are **wall-clock** and
-/// therefore host-dependent — unlike every simulator figure they are not
-/// deterministic in the seed. Nothing is asserted about them; the JSON
-/// records the host's core count beside them.
-pub fn wallclock_sweep(samples: u64, smoke: bool) -> (String, String) {
-    use ubft_runtime::threads::{run_wallclock, ThreadWorkload, WallOptions};
-    use ubft_runtime::Backend;
+/// The experiments `names` picks, in the order given; every one when
+/// `names` is empty.
+pub fn select(names: &[String]) -> Result<Vec<Experiment>, String> {
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    let find = |n: &String| EXPERIMENTS.iter().find(|e| e.0 == n.as_str()).copied();
+    let found =
+        |n| find(n).ok_or_else(|| format!("no experiment {n}; one of: {}", known.join(" ")));
+    if names.is_empty() {
+        Ok(EXPERIMENTS.to_vec())
+    } else {
+        names.iter().map(found).collect()
+    }
+}
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let workers: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
-    let shards: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let warmup_per_shard = (samples / 10).min(WARMUP);
+/// The names of `doc`'s `<!-- experiment:NAME -->` … `<!-- /experiment:NAME -->`
+/// blocks, in order.
+pub fn blocks(doc: &str) -> Vec<&str> {
+    let names =
+        doc.lines().filter_map(|l| l.strip_prefix("<!-- experiment:")?.strip_suffix(" -->"));
+    names.filter(|name| splice(doc, name, "").is_ok()).collect()
+}
 
-    let mut text = format!(
-        "# Wall-clock sweep (Backend::Threads, fast path, 32 B Flip, 2 clients/shard)\n\
-         # host cores: {cores} (wall numbers are host-dependent, not seed-deterministic)\n\
-         # workers shards   kreq_s   p50_us    p99_us  completed\n"
-    );
-    let mut points = Vec::new();
-    for &w in workers {
-        for &g in shards {
-            let cfg = SimConfig::paper_default(SEED)
-                .fast_only()
-                .with_backend(Backend::Threads)
-                .with_crypto_workers(w)
-                .with_time_scale(200)
-                .with_clients(2)
-                .with_shards(g);
-            let n = cfg.params.n();
-            let opts = WallOptions {
-                requests: samples * g as u64,
-                warmup: warmup_per_shard * g as u64,
-                ..WallOptions::default()
-            };
-            let report = run_wallclock(
-                &cfg,
-                |_| (0..n).map(|_| Box::new(FlipApp::new()) as Box<dyn App + Send>).collect(),
-                |gi| -> ThreadWorkload {
-                    let mut rng = WorkloadRng::new(SEED ^ 0x77 ^ gi as u64);
-                    Box::new(move |_| Some(workload::flip_request(&mut rng, 32)))
-                },
-                &opts,
-            );
-            let mut lat = report.latency.clone();
-            let point = JsonPoint {
-                kreq_per_s: report.kreq_per_sec(),
-                p50_us: us(lat.percentile(50.0)),
-                p99_us: us(lat.percentile(99.0)),
-            };
-            text.push_str(&format!(
-                "{w:>9} {g:>6} {kreq:>8.1} {p50:>8.1} {p99:>9.1} {done:>10}\n",
-                kreq = point.kreq_per_s,
-                p50 = point.p50_us,
-                p99 = point.p99_us,
-                done = report.completed,
-            ));
-            points.push(format!(
-                "    {{\"crypto_workers\": {w}, \"shards\": {g}, {}}}",
-                point.fields()
-            ));
+/// `doc` with the block named `name` holding `table`, then a blank line.
+pub fn splice(doc: &str, name: &str, table: &str) -> Result<String, String> {
+    let open = format!("<!-- experiment:{name} -->\n");
+    let start = doc.find(&open).ok_or_else(|| format!("no block {name}"))? + open.len();
+    let close = format!("<!-- /experiment:{name} -->");
+    let len = doc[start..].find(&close).ok_or_else(|| format!("block {name} is not closed"))?;
+    Ok(format!("{}{table}\n{}", &doc[..start], &doc[start + len..]))
+}
+
+/// Reads a tool's command line: the words that are not flags, and each
+/// flag given, with the number after it for a flag in `counted` (0 for one
+/// of the `switches`). Any other flag, and a counted flag without its
+/// number, is refused.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    switches: &[&str],
+    counted: &[&str],
+) -> Result<(Vec<String>, BTreeMap<String, u64>), String> {
+    let (mut words, mut flags) = (Vec::new(), BTreeMap::new());
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if counted.contains(&arg.as_str()) {
+            let n = count(&args.next().ok_or_else(|| format!("{arg} takes a number"))?)?;
+            flags.insert(arg, n);
+        } else if switches.contains(&arg.as_str()) {
+            flags.insert(arg, 0);
+        } else if arg.starts_with('-') {
+            let known = [switches, counted].concat().join(" ");
+            return Err(format!("no flag {arg}; known: {known}"));
+        } else {
+            words.push(arg);
         }
     }
+    Ok((words, flags))
+}
 
-    let note = "wall-clock, host-dependent: with fewer cores than threads, contention, not speedup";
-    let json = format!(
-        "{{\n  \"bench\": \"wallclock_sweep\",\n  \"backend\": \"threads\",\n  \
-         \"samples_per_shard\": {samples},\n  \"cores\": {cores},\n  \
-         \"note\": \"{note}\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        points.join(",\n")
-    );
-    (text, json)
+/// `words` read as one count; `default` when there are none.
+pub fn one_count(words: &[String], default: u64) -> Result<u64, String> {
+    match words {
+        [] => Ok(default),
+        [n] => count(n),
+        more => Err(format!("one count expected, got: {}", more.join(" "))),
+    }
+}
+
+fn count(word: &str) -> Result<u64, String> {
+    word.parse().map_err(|_| format!("{word} is not a count"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run(name: &str, samples: u64) -> Table {
+        select(&[name.to_string()]).expect("a listed experiment")[0].1(samples)
+    }
+
+    fn kreq(t: &Table, key: &str) -> f64 {
+        let column = t.columns().filter(|c| c.1.is_some()).position(|c| c.0 == "kreq/s");
+        t.rows.iter().find(|r| r.0[0] == key).expect("a row").1[column.expect("a kreq/s column")]
+    }
+
+    fn keys(t: &Table) -> Vec<String> {
+        t.rows.iter().map(|r| r.0.join(" ")).collect()
+    }
+
     #[test]
     fn fig7_smoke() {
-        let out = fig7(60);
-        assert!(out.contains("flip"));
-        assert!(out.contains("ubft-fast"));
-        assert_eq!(out.lines().count(), 2 + 12);
+        let t = run("fig7", 60);
+        assert_eq!(t.rows.len(), 12);
+        assert!(keys(&t).iter().any(|k| k == "flip ubft-fast"));
     }
 
     #[test]
     fn table2_rows_scale_with_tail() {
-        let out = table2();
-        assert_eq!(out.lines().count(), 2 + 8);
+        assert_eq!(run("table2", 0).rows.len(), 8);
     }
 
     #[test]
     fn batch_sweep_shows_amortization() {
-        let out = batch_sweep(300);
-        // Header + eager row + 4 sweep rows + 2 Mu rows + footnote.
-        assert_eq!(out.lines().count(), 2 + 1 + 4 + 2 + 1);
-        let kreq = |prefix: &str| -> f64 {
-            out.lines()
-                .find(|l| l.starts_with(prefix))
-                .and_then(|l| l.split_whitespace().last())
-                .and_then(|v| v.parse().ok())
-                .expect("sweep row")
-        };
+        let t = run("batch_sweep", 300);
+        assert_eq!(keys(&t), ["eager", "1", "4", "16", "64", "mu/1", "mu/16"]);
         // The acceptance bar: batch >= 16 clearly beats one request per slot.
-        assert!(
-            kreq("16 ") > 1.5 * kreq("1 "),
-            "batch=16 ({}) should beat batch=1 ({})",
-            kreq("16 "),
-            kreq("1 ")
-        );
+        let (b16, b1) = (kreq(&t, "16"), kreq(&t, "1"));
+        assert!(b16 > 1.5 * b1, "batch=16 ({b16}) should beat batch=1 ({b1})");
     }
 
     #[test]
     fn shard_sweep_shows_scale_out() {
-        let out = shard_sweep(250);
-        // Header (2) + 4 sweep rows + 2 footnote lines.
-        assert_eq!(out.lines().count(), 2 + 4 + 2);
-        let kreq = |prefix: &str| -> f64 {
-            out.lines()
-                .find(|l| l.starts_with(prefix))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .expect("sweep row")
-        };
+        let t = run("shard_sweep", 250);
+        assert_eq!(keys(&t), ["1", "2", "4", "8"]);
         // The acceptance bar: 4 groups deliver >= 3x the aggregate
         // requests/sec of one group on the same per-group load.
-        assert!(
-            kreq("4 ") > 3.0 * kreq("1 "),
-            "G=4 ({}) should be >= 3x G=1 ({})",
-            kreq("4 "),
-            kreq("1 ")
-        );
+        let (g4, g1) = (kreq(&t, "4"), kreq(&t, "1"));
+        assert!(g4 > 3.0 * g1, "G=4 ({g4}) should be >= 3x G=1 ({g1})");
     }
 
     #[test]
     fn churn_sweep_survives_replacement() {
-        let out = churn_sweep(240);
-        // Header (2) + baseline row + 4 delay rows + 3 footnote lines.
-        assert_eq!(out.lines().count(), 2 + 1 + 4 + 3);
-        // Every faulty row still reports real throughput: the run
-        // completed all requests despite the crash + replacement.
-        for prefix in ["100 ", "400 ", "1600 ", "6400 "] {
-            let kreq: f64 = out
-                .lines()
-                .find(|l| l.starts_with(prefix))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .expect("sweep row");
-            assert!(kreq > 0.0, "row {prefix} shows no throughput");
+        let t = run("churn_sweep", 240);
+        assert_eq!(keys(&t), ["none (baseline)", "100", "400", "1600", "6400"]);
+        // Every run completed its requests, crash and replacement or not.
+        for key in keys(&t) {
+            assert!(kreq(&t, &key) > 0.0, "row {key} shows no throughput");
         }
     }
 
     #[test]
     fn ablation_echo_smoke() {
-        let out = ablation_echo(60);
-        assert_eq!(out.lines().count(), 2 + 2);
-        assert!(out.contains("echo-off"));
+        assert_eq!(keys(&run("ablation_echo", 60)), ["echo-on", "echo-off"]);
     }
 
     #[test]
     fn ablation_dmem_covers_unreplicated_memory() {
-        let out = ablation_dmem(60);
-        assert_eq!(out.lines().count(), 2 + 3);
-        assert!(out.lines().nth(2).expect("f_m=0 row").trim_start().starts_with('0'));
+        assert_eq!(keys(&run("ablation_dmem", 60)), ["0", "1", "2"], "f_m = 0 comes first");
+    }
+
+    /// Runs nothing: EXPERIMENTS.md has one closed block per experiment, in
+    /// the list's order, so `experiments --update` regenerates every table.
+    #[test]
+    fn experiments_md_holds_one_block_per_experiment_in_order() {
+        let doc = std::fs::read_to_string(DOC).expect("EXPERIMENTS.md");
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(blocks(&doc), names);
+    }
+
+    #[test]
+    fn the_command_line_refuses_what_a_tool_does_not_know() {
+        let words = |line: &str| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let parse = |line| parse_args(words(line), &["--smoke"], &["--max-stalled"]);
+        let ok = parse("200 --max-stalled 5 --smoke").expect("a valid line");
+        assert_eq!(ok, (words("200"), [("--max-stalled".into(), 5), ("--smoke".into(), 0)].into()));
+        for bad in ["200 --max-staled 5", "--max-stalled", "--max-stalled five", "--smok"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        let counts = ["", "200", "2OO", "1 2"].map(|line| one_count(&words(line), 7).ok());
+        assert_eq!(counts, [Some(7), Some(200), None, None]);
+        let unknown = select(&words("fig7 fig12")).expect_err("fig12 is refused");
+        assert!(unknown.contains("fig12") && unknown.contains("churn_sweep"), "{unknown}");
     }
 }

@@ -31,7 +31,8 @@ pub trait App {
     /// The modelled per-request CPU cost charged in virtual time. Real
     /// applications in the paper (Memcached, Redis, Liquibook) have heavier
     /// stacks than our in-process reimplementations, so each app carries a
-    /// calibration constant (DESIGN.md §1).
+    /// calibration constant (`crates/runtime/src/calibration.rs`;
+    /// EXPERIMENTS.md, "Calibration").
     fn execute_cost(&self, request: &[u8]) -> Duration {
         let _ = request;
         Duration::from_nanos(200)

@@ -16,8 +16,8 @@ impl PeerState {
         // A bounded synopsis: the latest commits are the only ones that can
         // still matter (older open slots are decided/checkpointed before the
         // window advances); bounding them keeps summaries and view-change
-        // certificates within one transport slot. DESIGN.md §7 records this
-        // as a deviation from the unbounded pseudocode.
+        // certificates within one transport slot. Algorithm 4's synopsis is
+        // unbounded; the cap is a deviation from that pseudocode.
         const SUMMARY_COMMIT_CAP: usize = 4;
         let skip = self.commits.len().saturating_sub(SUMMARY_COMMIT_CAP);
         StateSummary {

@@ -34,7 +34,8 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The calibrated paper model (DESIGN.md §4).
+    /// The calibrated paper model (`crates/runtime/src/calibration.rs`;
+    /// EXPERIMENTS.md, "Calibration").
     pub fn paper_testbed() -> Self {
         CostModel {
             sign: Duration::from_micros(17),

@@ -35,7 +35,8 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// The calibrated testbed model: 850 ns base + 100 Gbps wire + 200 ns
-    /// jitter (DESIGN.md §4).
+    /// jitter (`crates/runtime/src/calibration.rs`; EXPERIMENTS.md,
+    /// "Calibration").
     pub fn paper_testbed() -> Self {
         LatencyModel {
             base: Duration::from_nanos(850),

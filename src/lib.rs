@@ -92,7 +92,7 @@
 //! [`apps::ShardRouter`] (FNV over the KV key; round-robin for keyless
 //! payloads). Aggregate throughput scales nearly linearly with the group
 //! count while per-request latency stays flat — see the `shard_sweep`
-//! table in `EXPERIMENTS.md`.
+//! experiment in `EXPERIMENTS.md`.
 //!
 //! ```
 //! use ubft::runtime::{Cluster, SimConfig};
