@@ -3,6 +3,14 @@
 //! what moves the window of open slots and lets per-slot and per-request
 //! state go — finite memory. Certification runs in the background, one
 //! window behind the slots being filled ([`open_end`]).
+//!
+//! A view change takes one more checkpoint, off the cadence: a sealer whose
+//! WILL_COMMIT promises include slots it executed snapshots at `exec_next`
+//! and certifies that instead of running the slow path once per promised
+//! slot (Algorithm 3 lines 4–5). A promise below the stable base needs no
+//! COMMIT: the CHECKPOINT leaves on the sealer's stream before its SEAL, so
+//! the incoming leader adopts it (line 16), and its `f + 1` shares include a
+//! correct replica that executed exactly the decided slots below it.
 
 use ubft_crypto::{Digest, Signature};
 use ubft_types::{ClientId, ReplicaId, Slot};
@@ -33,6 +41,35 @@ impl Engine {
     pub(super) fn in_open_window(&self, slot: Slot) -> bool {
         let base = self.checkpoint.data.base;
         slot >= base && slot < open_end(base, self.window())
+    }
+
+    /// Where execution pauses next for a snapshot: at the next multiple of
+    /// `window` past the last one — a seal checkpoint leaves the cadence
+    /// where it was — or, while sealing, first at every base ahead of us
+    /// that a peer's seal share names ([`Engine::handle_checkpoint_share`]
+    /// admits only those). Every slot a peer decided on the fast path
+    /// carries our WILL_COMMIT, which we discharge by the slow path, so a
+    /// sealer behind a peer's frontier gets there and snapshots it too:
+    /// sealers converge on the highest.
+    pub(super) fn next_snapshot(&self) -> Slot {
+        let window = self.window() as u64;
+        let aligned = Slot((self.snapshot_base.0 / window + 1) * window);
+        if self.sealing.is_none() {
+            return aligned;
+        }
+        let ahead = self.exec_next.max(self.snapshot_base.next());
+        self.cp_shares.range(ahead..).next().map_or(aligned, |(base, _)| (*base).min(aligned))
+    }
+
+    /// Sealing with promises on slots we executed: snapshot at `exec_next`
+    /// now — unless execution is paused here for one already or took one
+    /// here — so that the checkpoint certified over it discharges them.
+    pub(super) fn snapshot_for_seal(&mut self) {
+        let base = self.exec_next;
+        if self.snapshot_pending.is_none() && self.snapshot_base < base {
+            self.snapshot_pending = Some(base);
+            self.out.push(Effect::RequestSnapshot { base });
+        }
     }
 
     /// The request-dedup table (highest executed sequence per client) in
@@ -101,14 +138,25 @@ impl Engine {
         // this bounds `cp_shares` and the verifications a Byzantine peer
         // can make us pay for.
         let stable = self.checkpoint.data.base;
-        if data.base <= stable
-            || data.base > open_end(stable, self.window())
-            || !data.base.0.is_multiple_of(self.window() as u64)
-        {
+        if data.base <= stable || data.base > open_end(stable, self.window()) {
             return;
+        }
+        let seal = !data.base.0.is_multiple_of(self.window() as u64);
+        if seal {
+            // A seal checkpoint: it counts only while we seal too, and only
+            // where our own share can join it — at or above our `exec_next`,
+            // or where we took our last snapshot.
+            let joinable = data.base >= self.exec_next || data.base == self.snapshot_base;
+            if self.sealing.is_none() || !joinable {
+                return;
+            }
         }
         if self.cp_shares.entry(data.base).or_default().admit(from, data, sig) {
             self.check_parked(ShareOf::Checkpoint { base: data.base });
+        }
+        if seal {
+            // Its base may be where execution stands ([`Engine::next_snapshot`]).
+            self.try_execute();
         }
     }
 
@@ -196,5 +244,7 @@ impl Engine {
         self.propose_ready();
         // Our own certifications at or below `base` are over.
         self.recheck_parked_streams();
+        // The promises below `base` are discharged.
+        self.check_seal_ready();
     }
 }

@@ -7,7 +7,7 @@
 //! | `stream` | Algorithm 5: FIFO interpretation of every CTBcast stream, the validity checks, the parked head |
 //! | `normal` | Algorithm 2: request intake, echo round, proposal, fast and slow path, decide, execute |
 //! | `requests` | §5.4: one record per client request — seen → queued (alone or batchable) → in a slot → executed → reclaimed; the stage diagram and the handler behind each transition are in its module comment —, the proposal queue, the dedup table |
-//! | `checkpoint` | Algorithm 2 lines 44–47: snapshots, checkpoint certification, the window of open slots |
+//! | `checkpoint` | Algorithm 2 lines 44–47: snapshots, checkpoint certification, the window of open slots; the seal checkpoint that discharges a sealer's promises on executed slots |
 //! | `summary` | Algorithm 4: the CTBcast gate, summary certification, gap filling |
 //! | `view_change` | Algorithm 3: watchdog, seal, `CRTFY_VC`, `NEW_VIEW`, constrained re-proposals |
 //! | `join` | a replacement node's join (extended version) |
@@ -88,8 +88,8 @@ pub struct Engine {
     /// Next slot to hand to the application.
     exec_next: Slot,
     /// Base of the last snapshot taken (a checkpoint adopted by state
-    /// transfer counts): execution pauses `window` slots past it for the
-    /// next one.
+    /// transfer counts): execution pauses at the next multiple of `window`
+    /// past it for the next one.
     snapshot_base: Slot,
     /// The base of a snapshot requested and not yet answered: execution is
     /// paused there until [`Engine::on_snapshot`].

@@ -368,7 +368,19 @@ impl Engine {
     pub(super) fn handle_commit(&mut self, stream: ReplicaId, c: CommitCert) {
         let slot = c.prepare.slot;
         self.state.get_mut(&stream).expect("known").commits.insert(slot, c.clone());
-        if c.prepare.view != self.view || !self.in_open_window(slot) {
+        if !self.in_open_window(slot) {
+            return;
+        }
+        if c.prepare.view != self.view {
+            // A decided proposal stays decided after we left its view: f+1
+            // streams carrying a COMMIT for it decide it as they would have
+            // in its view — a stream's valid COMMITs of a view precede its
+            // SEAL of the next.
+            let carried = self.state.values().map(|ps| ps.commits.get(&slot));
+            let commits = carried.filter(|o| o.is_some_and(|o| o.prepare == c.prepare)).count();
+            if commits >= self.quorum() {
+                self.decide(slot, c.prepare.batch, DecisionEvidence::CommitQuorum { commits });
+            }
             return;
         }
         // Count COMMITs whose prepare matches; f+1 of them decide the slot
@@ -422,15 +434,16 @@ impl Engine {
     pub(super) fn try_execute(&mut self) {
         loop {
             // Checkpoint every `window` executed slots (Algorithm 2 line
-            // 44). The snapshot is taken at exactly the boundary: execution
-            // pauses there, the driver answers `RequestSnapshot` in effect
-            // order, and `on_snapshot` resumes — so the certified dedup
-            // table is the one after slot `base - 1` on every replica,
-            // however many decided slots one call finds beyond it.
+            // 44), and where a seal needs one. The snapshot is taken at
+            // exactly the boundary: execution pauses there, the driver
+            // answers `RequestSnapshot` in effect order, and `on_snapshot`
+            // resumes — so the certified dedup table is the one after slot
+            // `base - 1` on every replica, however many decided slots one
+            // call finds beyond it.
             if self.snapshot_pending.is_some() {
                 return;
             }
-            let boundary = Slot(self.snapshot_base.0 + self.window() as u64);
+            let boundary = self.next_snapshot();
             debug_assert!(self.exec_next <= boundary);
             if self.exec_next == boundary {
                 self.snapshot_pending = Some(boundary);

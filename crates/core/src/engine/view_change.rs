@@ -41,14 +41,26 @@ impl Engine {
 
     fn change_view(&mut self) {
         if self.sealing.is_some() {
-            return;
+            // Still sealing a watchdog period later: the seal checkpoint has
+            // not come (no peer seals beside us, or all executed past it).
+            // The promises it was to discharge take the slow path after all.
+            return self.discharge_by_slow_path(Slot(0));
         }
         self.vc_streak = self.vc_streak.saturating_add(1);
-        let next = self.view.next();
-        self.sealing = Some(next);
-        // Algorithm 3 lines 4–5: discharge WILL_COMMIT promises by running
-        // the slow path for those slots before sealing.
-        for slot in self.undischarged_promises().collect::<Vec<_>>() {
+        self.sealing = Some(self.view.next());
+        // Algorithm 3 lines 4–5: discharge WILL_COMMIT promises before
+        // sealing — those on slots we executed all at once, by a checkpoint
+        // at `exec_next` (`checkpoint.rs`), the rest by the slow path.
+        let exec_next = self.exec_next;
+        if self.undischarged_promises().any(|slot| slot < exec_next) {
+            self.snapshot_for_seal();
+        }
+        self.discharge_by_slow_path(exec_next);
+    }
+
+    /// Runs the slow path for every undischarged promise at or above `from`.
+    fn discharge_by_slow_path(&mut self, from: Slot) {
+        for slot in self.undischarged_promises().filter(|s| *s >= from).collect::<Vec<_>>() {
             self.start_slow_path(slot);
         }
         self.check_seal_ready();
@@ -72,12 +84,19 @@ impl Engine {
         self.view = next;
         self.sealing = None;
         self.out.push(Effect::ViewChanged { view: self.view });
-        if self.seal_emitted < next {
-            self.seal_emitted = next;
-            self.emit_ctb(CtbMsg::SealView { view: next });
-        }
+        self.announce_seal(next);
         self.reecho_outstanding();
         self.slots_enter_view();
+    }
+
+    /// Announces `view` on our own stream, once, however we entered it:
+    /// peers accept our NEW_VIEW, and our COMMITs in `view`, only after our
+    /// stream carried its seal.
+    fn announce_seal(&mut self, view: View) {
+        if self.seal_emitted < view {
+            self.seal_emitted = view;
+            self.emit_ctb(CtbMsg::SealView { view });
+        }
     }
 
     pub(super) fn handle_seal_view(&mut self, stream: ReplicaId, view: View) {
@@ -166,12 +185,8 @@ impl Engine {
         }
         // A leader may reach this point on collected certificates alone,
         // without having sealed the view itself (its own watchdog never
-        // fired). Peers accept a NEW_VIEW only after our stream carried the
-        // matching seal, so announce it first.
-        if self.seal_emitted < view {
-            self.seal_emitted = view;
-            self.emit_ctb(CtbMsg::SealView { view });
-        }
+        // fired): the seal goes out before the NEW_VIEW.
+        self.announce_seal(view);
         self.emit_ctb(CtbMsg::NewView { view, certs: certs.clone() });
         // Line 16: adopt the highest checkpoint in the certificates.
         self.adopt_highest_checkpoint(&certs);
@@ -250,6 +265,9 @@ impl Engine {
             self.out.push(Effect::ViewChanged { view });
             self.slots_enter_view();
         }
+        // A replica that adopted the view from here announces it too, or
+        // its peers brand its first COMMIT in it `commit in stale`.
+        self.announce_seal(view);
         self.adopt_highest_checkpoint(&certs);
         self.reecho_outstanding();
     }

@@ -1563,6 +1563,191 @@ fn checkpoints_reclaim_request_bookkeeping() {
 }
 
 // ----------------------------------------------------------------------
+// The seal checkpoint: a sealer discharges its promises on executed slots
+// with one certified snapshot at `exec_next`
+// ----------------------------------------------------------------------
+
+impl Cp {
+    /// Slots `0..n` are proposed and decided on the fast path: we promised
+    /// each of them. A request nobody proposed keeps the watchdog armed.
+    fn promise_and_execute(&mut self, n: u64) {
+        for slot in 0..n {
+            let _ = self.prepare(slot);
+            let _ = self.decide(slot);
+        }
+        let _ = self.e.on_client_request(Cp::request(99));
+    }
+
+    /// The watchdog fires twice — the first firing finds progress since it
+    /// was armed and only re-arms — and the second one starts the seal.
+    fn seal(&mut self) -> Vec<Effect> {
+        let _ = self.e.on_timer(TimerKind::Progress);
+        let fx = self.e.on_timer(TimerKind::Progress);
+        assert_eq!(self.e.diag().sealing, Some(View(1)), "{fx:?}");
+        fx
+    }
+
+    /// The state a correct replica snapshots at `base` after executing the
+    /// requests of slots `0..base`, as [`Cp::snapshot`] answers for us.
+    fn state_at(base: u64) -> CheckpointData {
+        CheckpointData {
+            base: Slot(base),
+            app_digest: ubft_crypto::sha256(&base.to_le_bytes()),
+            exec_digest: exec_table_digest(&[(ClientId(1), base)]),
+        }
+    }
+
+    /// A COMMIT for the leader's proposal of `slot`, certified by `signers`.
+    fn commit(&self, slot: u64, signers: [u32; 2]) -> CtbMsg {
+        let prepare =
+            Prepare { view: View(0), slot: Slot(slot), batch: Batch::single(Cp::request(slot)) };
+        let mut cert = Certificate::new();
+        for r in signers {
+            let id = ProcessId::Replica(ReplicaId(r));
+            cert.add(id, self.lone.ring.signer(id).unwrap().sign(&prepare.certify_bytes()));
+        }
+        CtbMsg::Commit(ubft_core::msg::CommitCert { prepare, cert })
+    }
+}
+
+fn seals(fx: &[Effect]) -> Vec<&CtbMsg> {
+    let own =
+        fx.iter().filter_map(|e| if let Effect::CtbBroadcast(m) = e { Some(m) } else { None });
+    own.filter(|m| matches!(m, CtbMsg::Checkpoint(_) | CtbMsg::SealView { .. })).collect()
+}
+
+#[test]
+fn a_seal_discharges_promises_on_executed_slots_with_one_checkpoint() {
+    let mut cp = Cp::new(1);
+    cp.promise_and_execute(2);
+    // Both promised slots executed: the seal asks for a snapshot where
+    // execution stands, and runs no slow path for either of them.
+    let fx = cp.seal();
+    assert!(fx.contains(&RequestSnapshot { base: Slot(2) }), "{fx:?}");
+    assert_eq!(certifies(&fx), 0, "{fx:?}");
+    assert!(seals(&fx).is_empty(), "sealed with its promises undischarged: {fx:?}");
+    // The snapshot is certified the usual way: our share is a sign job,
+    // r2's — the same state — one check.
+    let (data, _) = cp.snapshot(2);
+    assert_eq!(data, Cp::state_at(2));
+    let mut jobs = cp.checkpoint_jobs();
+    let _ = cp.e.on_tb_deliver(ReplicaId(2), cp.share(2, data, false));
+    jobs.extend(cp.checkpoint_jobs());
+    assert_eq!(jobs.len(), 2, "{jobs:?}");
+    let fx: Vec<Effect> = jobs.iter().flat_map(|job| cp.complete(job)).collect();
+    assert_eq!(adopted(&fx), vec![2]);
+    // The promises lie below the stable base now and block nothing: the
+    // CHECKPOINT leaves on our stream, then the SEAL.
+    let announced = seals(&fx);
+    assert!(
+        matches!(&announced[..], [CtbMsg::Checkpoint(c), CtbMsg::SealView { view: View(1) }] if c.data == data),
+        "{fx:?}"
+    );
+    assert_eq!(cp.e.view(), View(1));
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default(), "no inline crypto");
+}
+
+#[test]
+fn a_sealer_behind_a_peers_seal_base_snapshots_at_it() {
+    let mut cp = Cp::new(1);
+    cp.promise_and_execute(2);
+    // Everybody promises slot 2; r0's WILL_COMMIT reaches r2 and not us.
+    let _ = cp.prepare(2);
+    for r in 0..3 {
+        let _ =
+            cp.e.on_tb_deliver(ReplicaId(r), TbMsg::WillCertify { view: View(0), slot: Slot(2) });
+    }
+    for r in [1, 2] {
+        let _ =
+            cp.e.on_tb_deliver(ReplicaId(r), TbMsg::WillCommit { view: View(0), slot: Slot(2) });
+    }
+    // Slots 0 and 1 go into the snapshot at 2, the promise on slot 2 — not
+    // executed — takes the slow path.
+    let fx = cp.seal();
+    assert!(fx.contains(&RequestSnapshot { base: Slot(2) }), "{fx:?}");
+    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    let _ = cp.snapshot(2);
+    let mut jobs = cp.checkpoint_jobs();
+    // r2 decided slot 2 and sealed on a snapshot at 3: that is where we
+    // pause next, though our own cadence would run on to 4.
+    let theirs = Cp::state_at(3);
+    let _ = cp.e.on_tb_deliver(ReplicaId(2), cp.share(2, theirs, false));
+    jobs.extend(cp.checkpoint_jobs());
+    // A share at a base nobody reached — any replica can sign anything —
+    // adds a pause there, and does not move the one at 3 past it.
+    let _ = cp.e.on_tb_deliver(ReplicaId(0), cp.share(0, Cp::state_at(5), false));
+    jobs.extend(cp.checkpoint_jobs());
+    assert_eq!(jobs.len(), 3, "{jobs:?}");
+    let mut fx = cp.leader_sends(cp.commit(2, [0, 2]));
+    fx.extend(cp.e.on_ctb_deliver(ReplicaId(2), SeqId(1), cp.commit(2, [0, 2])));
+    assert_eq!(executed_slots(&fx), vec![2]);
+    assert_eq!(fx.last(), Some(&RequestSnapshot { base: Slot(3) }));
+    let (ours, _) = cp.snapshot(3);
+    assert_eq!(ours, theirs);
+    jobs.extend(cp.checkpoint_jobs());
+    let fx: Vec<Effect> = jobs.iter().flat_map(|job| cp.complete(job)).collect();
+    assert_eq!(adopted(&fx), vec![3]);
+    assert_eq!(cp.e.view(), View(1), "{fx:?}");
+}
+
+#[test]
+fn a_leader_crash_seals_on_one_checkpoint_and_the_cadence_stays_on_the_window() {
+    let params = ClusterParams::paper_default().with_window(16);
+    let mut net = Net::new(EngineConfig::new(params, PathMode::FastWithFallback));
+    for i in 0..5u64 {
+        net.client_request(i, &i.to_le_bytes());
+    }
+    net.crashed[0] = true;
+    net.client_request(5, b"stalled");
+    net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    // Both survivors sealed on the checkpoint at 5: no promised slot took
+    // the slow path, and the new leader carried it into view 1.
+    for r in 1..3 {
+        assert_eq!(net.engines[r].view(), View(1), "replica {r}");
+        assert_eq!(net.engines[r].diag().checkpoint_base, Slot(5), "replica {r}");
+    }
+    assert!(!net.ctb_log.iter().any(|(_, m)| matches!(m, CtbMsg::Commit(_))), "a slow path ran");
+    // The next snapshot is due at 16, not at 5 + 16.
+    for i in 5..20u64 {
+        decide_degraded(&mut net, i, &i.to_le_bytes());
+    }
+    for r in 1..3 {
+        assert_eq!(net.executed[r].len(), 20, "replica {r}");
+        assert_eq!(net.snapshots[r].as_ref().map(|s| s.0), Some(Slot(16)), "replica {r}");
+    }
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+    net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn a_seal_share_counts_only_while_sealing_and_only_where_ours_can_join_it() {
+    let mut cp = Cp::new(1);
+    cp.promise_and_execute(2);
+    // Not sealing: a share off the window cadence costs neither an entry
+    // nor a verification, wherever it lies.
+    for base in [1, 2, 3, 5] {
+        let share = cp.share(2, Cp::state_at(base), false);
+        assert!(cp.e.on_tb_deliver(ReplicaId(2), share).is_empty());
+    }
+    assert!(cp.checkpoint_jobs().is_empty());
+    assert_eq!(cp.e.diag().checkpoint_shares, 0);
+    // Sealing: below our `exec_next` and not where we snapshotted, still
+    // nothing; at our snapshot, one entry and one check.
+    let _ = cp.seal();
+    let _ = cp.snapshot(2);
+    let own = cp.checkpoint_jobs();
+    let _ = cp.e.on_tb_deliver(ReplicaId(0), cp.share(0, Cp::state_at(1), false));
+    assert!(cp.checkpoint_jobs().is_empty());
+    assert_eq!(cp.e.diag().checkpoint_shares, 1, "our own share at 2");
+    let _ = cp.e.on_tb_deliver(ReplicaId(0), cp.share(0, Cp::state_at(2), false));
+    assert_eq!(cp.checkpoint_jobs().len(), 1);
+    assert_eq!(cp.e.diag().checkpoint_shares, 2);
+    assert_eq!(own.len(), 1);
+    assert_eq!(cp.e.take_crypto_ops(), CryptoOps::default());
+}
+
+// ----------------------------------------------------------------------
 // Slot certification: CERTIFY shares are parked and checked by crypto jobs
 // ----------------------------------------------------------------------
 

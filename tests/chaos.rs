@@ -236,6 +236,22 @@ fn corpus_sequential_partitions_sweep_every_pair() {
 }
 
 #[test]
+fn corpus_a_commit_that_lands_after_the_seal_still_decides() {
+    // Chaos seed 37's plan. r0 seals its view and only then delivers r1's
+    // COMMIT of the old view for a slot both promised; f + 1 COMMITs for one
+    // proposal decide it in whichever view they land, or r0 drops it and
+    // moves through views alone while r2 is down.
+    let plan = hand_written(
+        FailurePlan::none()
+            .crash_replica(2, us(665))
+            .crash_mem_node(2, us(479))
+            .partition(2, 0, us(404), us(1_303))
+            .partition(1, 0, us(1_364), us(1_442)),
+    );
+    run_corpus_plan("seal-before-old-view-commit", &plan);
+}
+
+#[test]
 fn corpus_generated_plan_is_pinned_end_to_end() {
     // One generated plan pinned by seed: generation determinism and the
     // runner compose (if generation ever changes, this test names it).

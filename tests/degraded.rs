@@ -14,6 +14,7 @@
 
 use ubft::apps::FlipApp;
 use ubft::core::app::App;
+use ubft::runtime::calibration::PROGRESS_TIMEOUT;
 use ubft::runtime::cluster::{Cluster, RunReport};
 use ubft::runtime::SimConfig;
 use ubft_apps::workload::{kv_request, WorkloadRng};
@@ -91,6 +92,69 @@ fn degraded_latency_does_not_depend_on_the_seed() {
         .collect();
     let (min, max) = (p50s.iter().min().expect("8 runs"), p50s.iter().max().expect("8 runs"));
     assert!(*max <= *min + Duration::from_micros(1), "degraded p50 by seed: {p50s:?}");
+}
+
+#[test]
+fn a_leader_crash_costs_one_watchdog_and_one_checkpoint_wherever_it_lands() {
+    // The sealers used to discharge their WILL_COMMIT promises on every
+    // fast-path slot since the last checkpoint by slow path, two slots per
+    // verification, so the outage grew with where in the window the leader
+    // died: 6.6 / 9.1 / 14.9 / 7.9 / 12.2 ms for the crashes below. One
+    // checkpoint at the execution frontier discharges them all at once: the
+    // watchdog (up to twice its period, as it may just have re-armed), one
+    // share signed and one checked, SEAL, CRTFY_VC, NEW_VIEW.
+    let bound = PROGRESS_TIMEOUT * 2 + Duration::from_millis(1);
+    for at in [300, 1_000, 2_000, 3_000, 4_000] {
+        let mut cfg = SimConfig::paper_default(1);
+        cfg.failures = FailurePlan::none().crash_replica(0, us(at));
+        let mut report = run_flip(cfg, REQUESTS);
+        assert!(report.views.iter().skip(1).all(|v| v.0 >= 1), "crash at {at} us: no view change");
+        let outage = report.latency.max();
+        println!("leader crash at {at} us: longest request {outage}");
+        assert!(outage <= bound, "crash at {at} us: a request waited {outage} (bound {bound})");
+    }
+}
+
+/// r0, the leader of view 0, is cut off from both peers during
+/// `[from, until)`: one client, 3 000 requests, 400 ms to do them in.
+fn run_with_leader_cut_off(from: u64, until: u64) -> RunReport {
+    let mut cfg = SimConfig::paper_default(1);
+    cfg.failures = FailurePlan::none().partition(0, 1, us(from), us(until)).partition(
+        0,
+        2,
+        us(from),
+        us(until),
+    );
+    let apps = (0..3).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect();
+    let workload = Box::new(|i: u64| {
+        let mut p = vec![0u8; 32];
+        p[..8].copy_from_slice(&i.to_le_bytes());
+        p
+    });
+    let report = Cluster::new(cfg, apps, workload).run_until(3_000, 0, us(400_000));
+    let brands: Vec<_> = report.groups[0].replicas.iter().map(|r| &r.branded).collect();
+    assert!(brands.iter().all(|b| b.is_empty()), "honest replicas branded: {brands:?}");
+    assert_eq!(report.completed, 3_000, "stalled");
+    println!("r0 cut off during [{from}, {until}) us: 3 000 requests done at {}", report.end);
+    report
+}
+
+#[test]
+fn a_leader_cut_off_for_300_us_follows_its_peers_into_the_new_view() {
+    // r1 and r2 depose r0 while it is cut off; r0 adopts view 1 from the
+    // NEW_VIEW and must announce it on its own stream before its first
+    // COMMIT in it, or its peers brand it `commit in stale v1` and the
+    // group runs 2-of-3 for good (1 560 of 3 000 in 400 ms).
+    let report = run_with_leader_cut_off(1_000, 1_300);
+    assert!(report.end <= us(50_000), "3 000 requests took until {}", report.end);
+}
+
+#[test]
+fn a_leader_cut_off_for_11_ms_rejoins_without_a_view_spiral() {
+    // r0 used to end alone in view 7 after branding r1 `prepare in v1 but
+    // peer is in v0`, with 2 482 of 3 000 done in 400 ms.
+    let report = run_with_leader_cut_off(1_000, 12_000);
+    assert!(report.end <= us(50_000), "3 000 requests took until {}", report.end);
 }
 
 #[test]
