@@ -254,6 +254,17 @@ mod tests {
         assert_eq!(kv.execute(&[0xFF, 0x01]), vec![STATUS_BAD_REQUEST]);
     }
 
+    /// Clients encode these bytes and replicas decode them: a workload's
+    /// requests, and so every KV run, depend on them.
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        let hex = |bytes: Vec<u8>| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(get(b"k")), "00010000006b");
+        assert_eq!(hex(set(b"k", b"vv")), "01010000006b020000007676");
+        assert_eq!(hex(del(b"k")), "02010000006b");
+        assert_eq!(KvOp::from_bytes(&[0xff]), Err(CodecError::BadTag { ty: "KvOp", tag: 0xff }));
+    }
+
     #[test]
     fn snapshot_is_order_independent_but_content_sensitive() {
         let mut a = KvApp::new(KvFrontend::Memcached);

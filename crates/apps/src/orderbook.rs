@@ -459,4 +459,17 @@ mod tests {
         let mut book = OrderBookApp::new();
         assert_eq!(book.execute(&[9, 9]), vec![0xFF]);
     }
+
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        let hex = |bytes: Vec<u8>| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(buy(100, 5)), "006400000005000000");
+        assert_eq!(hex(sell(101, 7)), "016500000007000000");
+        let fill = Fill { maker_id: 9, price: 100, qty: 3 };
+        assert_eq!(hex(fill.to_bytes()), "09000000000000006400000003000000");
+        assert_eq!(
+            OrderOp::from_bytes(&[0xff]),
+            Err(CodecError::BadTag { ty: "OrderOp", tag: 0xff })
+        );
+    }
 }

@@ -999,6 +999,86 @@ mod tests {
         );
     }
 
+    /// The variants the test above leaves out, pinned before the codecs
+    /// became one field list per type.
+    #[test]
+    fn every_variant_matches_the_pinned_bytes() {
+        let genesis_hex = format!("{}00000000", "00".repeat(8 + 32 + 32));
+        let sig_hex = "ee".repeat(32);
+        let zeros = "00".repeat(32);
+        // An empty summary: no checkpoint, no commits.
+        let empty_hex = "0000000000";
+        let vc = VcCert {
+            about: ReplicaId(1),
+            summary: StateSummary::default(),
+            cert: Certificate::new(),
+        };
+        let cp =
+            CheckpointData { base: Slot(1), app_digest: Digest::ZERO, exec_digest: Digest::ZERO };
+        let cases: [(Vec<u8>, String); 9] = [
+            (CtbMsg::Checkpoint(CheckpointCert::genesis()).to_bytes(), format!("02{genesis_hex}")),
+            (CtbMsg::SealView { view: View(3) }.to_bytes(), "030300000000000000".into()),
+            (
+                CtbMsg::NewView { view: View(3), certs: vec![vc] }.to_bytes(),
+                format!("0403000000000000000100000001000000{empty_hex}00000000"),
+            ),
+            (
+                TbMsg::WillCertify { view: View(0), slot: Slot(9) }.to_bytes(),
+                "0000000000000000000900000000000000".into(),
+            ),
+            (
+                TbMsg::CertifyCheckpoint { data: cp, sig: Signature::garbage() }.to_bytes(),
+                format!("030100000000000000{zeros}{zeros}{sig_hex}"),
+            ),
+            (
+                TbMsg::Summary {
+                    upto: SeqId(64),
+                    summary: StateSummary::default(),
+                    cert: Certificate::new(),
+                }
+                .to_bytes(),
+                format!("044000000000000000{empty_hex}00000000"),
+            ),
+            (
+                DirectMsg::CertifyVc {
+                    view: View(2),
+                    about: ReplicaId(1),
+                    summary: StateSummary::default(),
+                    sig: Signature::garbage(),
+                }
+                .to_bytes(),
+                format!("01020000000000000001000000{empty_hex}{sig_hex}"),
+            ),
+            (
+                DirectMsg::CertifySummary {
+                    stream: ReplicaId(2),
+                    upto: SeqId(5),
+                    digest: Digest::ZERO,
+                    sig: Signature::garbage(),
+                }
+                .to_bytes(),
+                format!("02020000000500000000000000{zeros}{sig_hex}"),
+            ),
+            (DirectMsg::Join { reg_floor: SeqId(17) }.to_bytes(), "031100000000000000".into()),
+        ];
+        for (bytes, pinned) in cases {
+            assert_eq!(hex(&bytes), pinned);
+        }
+    }
+
+    #[test]
+    fn unknown_tags_are_refused_by_name() {
+        assert_eq!(
+            CtbMsg::from_bytes(&[0xff]),
+            Err(CodecError::BadTag { ty: "CtbMsg", tag: 0xff })
+        );
+        assert_eq!(TbMsg::from_bytes(&[0xff]), Err(CodecError::BadTag { ty: "TbMsg", tag: 0xff }));
+        assert_eq!(
+            DirectMsg::from_bytes(&[0xff]),
+            Err(CodecError::BadTag { ty: "DirectMsg", tag: 0xff })
+        );
+    }
+
     #[test]
     fn sign_bytes_allocate_once() {
         let cp =

@@ -300,4 +300,14 @@ mod tests {
         }
         ubft_types::wire::roundtrip(&cert);
     }
+
+    #[test]
+    fn certificate_encoding_matches_the_pinned_bytes() {
+        let mut cert = Certificate::new();
+        cert.add(ProcessId::Replica(ReplicaId(0)), Signature::garbage());
+        cert.add(ProcessId::Client(ClientId(3)), Signature::garbage());
+        let hex: String = cert.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        let sig = "ee".repeat(32);
+        assert_eq!(hex, format!("020000000000000000{sig}0103000000{sig}"));
+    }
 }

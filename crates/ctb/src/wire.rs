@@ -304,6 +304,14 @@ mod tests {
     }
 
     #[test]
+    fn unknown_tags_are_refused_by_name() {
+        assert_eq!(
+            CtbWire::from_bytes(&[0xff]),
+            Err(CodecError::BadTag { ty: "CtbWire", tag: 0xff })
+        );
+    }
+
+    #[test]
     fn batch_sized_payloads_roundtrip() {
         // CTBcast payloads are opaque, so a 64-request batch of 2 KiB
         // requests (the largest proposal the batched engine emits at the

@@ -324,4 +324,18 @@ mod tests {
         roundtrip(&ProcessId::Client(ClientId(44)));
         roundtrip(&RequestId::new(ClientId(3), 77));
     }
+
+    /// A `ProcessId`'s bytes are also the key material `KeyRing::generate`
+    /// derives its keys from: moving them changes every signature.
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        let hex = |bytes: Vec<u8>| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(ProcessId::Replica(ReplicaId(1)).to_bytes()), "0001000000");
+        assert_eq!(hex(ProcessId::Client(ClientId(44)).to_bytes()), "012c000000");
+        assert_eq!(hex(RequestId::new(ClientId(3), 77).to_bytes()), "030000004d00000000000000");
+        assert_eq!(
+            ProcessId::from_bytes(&[0xff]),
+            Err(CodecError::BadTag { ty: "ProcessId", tag: 0xff })
+        );
+    }
 }

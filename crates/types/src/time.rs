@@ -226,4 +226,10 @@ mod tests {
     fn duration_sub_saturates() {
         assert_eq!(Duration::from_nanos(5) - Duration::from_nanos(10), Duration::ZERO);
     }
+
+    #[test]
+    fn encodings_match_the_pinned_bytes() {
+        assert_eq!(Time::from_nanos(1_500).to_bytes(), [0xdc, 0x05, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(Duration::from_micros(2).to_bytes(), [0xd0, 0x07, 0, 0, 0, 0, 0, 0]);
+    }
 }

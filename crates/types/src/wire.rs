@@ -330,4 +330,17 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert!(decode_seq::<u64>(&mut r).is_err());
     }
+
+    /// The element cap guards sequences of values, not byte strings: a
+    /// payload longer than [`MAX_WIRE_ELEMS`] bytes is still one value.
+    #[test]
+    fn the_element_cap_binds_sequences_not_bytes() {
+        roundtrip(&vec![7u8; MAX_WIRE_ELEMS + 1]);
+        let announced = ((MAX_WIRE_ELEMS + 1) as u32).to_bytes();
+        let mut r = WireReader::new(&announced);
+        assert_eq!(
+            decode_seq::<u64>(&mut r),
+            Err(CodecError::LengthOverflow { len: MAX_WIRE_ELEMS + 1 })
+        );
+    }
 }

@@ -86,6 +86,12 @@ proptest! {
         let _ = ubft_core::msg::DirectMsg::from_bytes(&data);
         let _ = ubft_ctb::wire::CtbWire::from_bytes(&data);
         let _ = ubft_ctb::wire::TbFrame::decode(&data);
+        let _ = ubft_ctb::ctbcast::RegEntry::from_bytes(&data);
+        let _ = ubft_core::msg::StateSummary::from_bytes(&data);
+        let _ = ubft_core::msg::JoinStream::from_bytes(&data);
+        // The apps decode their operations from client payloads.
+        let _ = ubft_apps::kv::KvOp::from_bytes(&data);
+        let _ = ubft_apps::orderbook::OrderOp::from_bytes(&data);
     }
 
     /// Checksums are deterministic and sensitive to any single-byte change.
