@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use ubft_core::App;
 use ubft_crypto::{checksum64, sha256, Digest};
 use ubft_types::wire::{Wire, WireReader};
-use ubft_types::{CodecError, Duration};
+use ubft_types::Duration;
 
 /// Which production system the frontend emulates (calibration only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,39 +44,7 @@ pub enum KvOp {
     },
 }
 
-impl Wire for KvOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            KvOp::Get { key } => {
-                0u8.encode(buf);
-                key.encode(buf);
-            }
-            KvOp::Set { key, value } => {
-                1u8.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-            }
-            KvOp::Del { key } => {
-                2u8.encode(buf);
-                key.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            KvOp::Get { key } | KvOp::Del { key } => key.encoded_len(),
-            KvOp::Set { key, value } => key.encoded_len() + value.encoded_len(),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(KvOp::Get { key: Vec::<u8>::decode(r)? }),
-            1 => Ok(KvOp::Set { key: Vec::<u8>::decode(r)?, value: Vec::<u8>::decode(r)? }),
-            2 => Ok(KvOp::Del { key: Vec::<u8>::decode(r)? }),
-            tag => Err(CodecError::BadTag { ty: "KvOp", tag }),
-        }
-    }
-}
+ubft_types::wire!(KvOp { 0 => Get { key }, 1 => Set { key, value }, 2 => Del { key } });
 
 /// Seed for the incremental state fingerprint.
 const KV_HASH_SEED: u64 = 0x4B56_5354_4F52_4521; // "KVSTORE!"
@@ -218,6 +186,7 @@ impl App for KvApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ubft_types::CodecError;
 
     fn set(k: &[u8], v: &[u8]) -> Vec<u8> {
         KvOp::Set { key: k.to_vec(), value: v.to_vec() }.to_bytes()

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 use ubft_core::App;
 use ubft_crypto::{checksum64, sha256, Digest};
 use ubft_types::wire::{Wire, WireReader};
-use ubft_types::{CodecError, Duration};
+use ubft_types::Duration;
 
 /// An order submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,32 +31,7 @@ pub enum OrderOp {
     },
 }
 
-impl Wire for OrderOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OrderOp::Buy { price, qty } => {
-                0u8.encode(buf);
-                price.encode(buf);
-                qty.encode(buf);
-            }
-            OrderOp::Sell { price, qty } => {
-                1u8.encode(buf);
-                price.encode(buf);
-                qty.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        9
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(OrderOp::Buy { price: u32::decode(r)?, qty: u32::decode(r)? }),
-            1 => Ok(OrderOp::Sell { price: u32::decode(r)?, qty: u32::decode(r)? }),
-            tag => Err(CodecError::BadTag { ty: "OrderOp", tag }),
-        }
-    }
-}
+ubft_types::wire!(OrderOp { 0 => Buy { price, qty }, 1 => Sell { price, qty } });
 
 /// One execution resulting from a match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,19 +44,7 @@ pub struct Fill {
     pub qty: u32,
 }
 
-impl Wire for Fill {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.maker_id.encode(buf);
-        self.price.encode(buf);
-        self.qty.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        16
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Fill { maker_id: u64::decode(r)?, price: u32::decode(r)?, qty: u32::decode(r)? })
-    }
-}
+ubft_types::wire!(Fill { maker_id, price, qty });
 
 #[derive(Clone, Debug)]
 struct Resting {
@@ -209,7 +172,7 @@ impl App for OrderBookApp {
             self.note(f.maker_id, f.price, f.qty, false);
         }
         let mut out = vec![0u8];
-        ubft_types::wire::encode_seq(&fills, &mut out);
+        fills.encode(&mut out);
         out
     }
 
@@ -284,6 +247,7 @@ impl App for OrderBookApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ubft_types::CodecError;
 
     fn buy(price: u32, qty: u32) -> Vec<u8> {
         OrderOp::Buy { price, qty }.to_bytes()
@@ -294,8 +258,7 @@ mod tests {
 
     fn fills(resp: &[u8]) -> Vec<Fill> {
         assert_eq!(resp[0], 0);
-        let mut r = WireReader::new(&resp[1..]);
-        ubft_types::wire::decode_seq(&mut r).unwrap()
+        Vec::from_bytes(&resp[1..]).unwrap()
     }
 
     #[test]

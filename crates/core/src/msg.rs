@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use ubft_crypto::{sha256, Certificate, Digest, Signature};
 
-use ubft_types::wire::{decode_seq, encode_seq, seq_encoded_len, Wire, WireReader};
+use ubft_types::wire::{Wire, WireReader};
 use ubft_types::{ClientId, CodecError, ReplicaId, RequestId, SeqId, Slot, View};
 
 /// A client request as ordered by consensus.
@@ -38,18 +38,7 @@ impl Request {
     }
 }
 
-impl Wire for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.payload.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.payload.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Request { id: RequestId::decode(r)?, payload: Vec::<u8>::decode(r)? })
-    }
-}
+ubft_types::wire!(Request { id, payload });
 
 /// An ordered, non-empty group of client requests decided by *one* consensus
 /// slot.
@@ -130,12 +119,14 @@ impl Batch {
     }
 }
 
+/// Encoded as a `Vec<Request>`; decoded by hand, see `decode`.
 impl Wire for Batch {
     fn encode(&self, buf: &mut Vec<u8>) {
-        encode_seq(&self.reqs, buf);
+        (self.reqs.len() as u32).encode(buf);
+        Request::encode_elems(&self.reqs, buf);
     }
     fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.reqs)
+        4 + Request::elems_len(&self.reqs)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let len = u32::decode(r)? as usize;
@@ -185,23 +176,7 @@ pub struct Reply {
     pub payload: Vec<u8>,
 }
 
-impl Wire for Reply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.replica.encode(buf);
-        self.payload.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.replica.encoded_len() + self.payload.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Reply {
-            id: RequestId::decode(r)?,
-            replica: ReplicaId::decode(r)?,
-            payload: Vec::<u8>::decode(r)?,
-        })
-    }
-}
+ubft_types::wire!(Reply { id, replica, payload });
 
 /// A leader's proposal binding an ordered request batch to `slot` in `view`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -221,19 +196,7 @@ impl Prepare {
     }
 }
 
-impl Wire for Prepare {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.slot.encode(buf);
-        self.batch.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len() + self.slot.encoded_len() + self.batch.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Prepare { view: View::decode(r)?, slot: Slot::decode(r)?, batch: Batch::decode(r)? })
-    }
-}
+ubft_types::wire!(Prepare { view, slot, batch });
 
 /// An unforgeable proof that the leader proposed `prepare`: `f + 1`
 /// signatures over [`Prepare::certify_bytes`].
@@ -245,18 +208,7 @@ pub struct CommitCert {
     pub cert: Certificate,
 }
 
-impl Wire for CommitCert {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.prepare.encode(buf);
-        self.cert.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.prepare.encoded_len() + self.cert.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(CommitCert { prepare: Prepare::decode(r)?, cert: Certificate::decode(r)? })
-    }
-}
+ubft_types::wire!(CommitCert { prepare, cert });
 
 /// The content of an application checkpoint: every slot below `base` has
 /// been applied, yielding application state `app_digest`. A checkpoint is
@@ -298,23 +250,7 @@ pub fn exec_table_digest(table: &[(ClientId, u64)]) -> Digest {
     sha256(&buf)
 }
 
-impl Wire for CheckpointData {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.base.encode(buf);
-        self.app_digest.encode(buf);
-        self.exec_digest.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.base.encoded_len() + self.app_digest.encoded_len() + self.exec_digest.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(CheckpointData {
-            base: Slot::decode(r)?,
-            app_digest: Digest::decode(r)?,
-            exec_digest: Digest::decode(r)?,
-        })
-    }
-}
+ubft_types::wire!(CheckpointData { base, app_digest, exec_digest });
 
 /// An `f + 1`-signed application checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -345,18 +281,7 @@ impl CheckpointCert {
     }
 }
 
-impl Wire for CheckpointCert {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.data.encode(buf);
-        self.cert.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.data.encoded_len() + self.cert.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(CheckpointCert { data: CheckpointData::decode(r)?, cert: Certificate::decode(r)? })
-    }
-}
+ubft_types::wire!(CheckpointCert { data, cert });
 
 /// A compact, signable snapshot of one replica's consensus-relevant state:
 /// its latest checkpoint and its most recent COMMIT per open slot. Used by
@@ -376,21 +301,7 @@ impl StateSummary {
     }
 }
 
-impl Wire for StateSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.checkpoint.encode(buf);
-        encode_seq(&self.commits, buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.checkpoint.encoded_len() + seq_encoded_len(&self.commits)
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(StateSummary {
-            checkpoint: Option::<CheckpointCert>::decode(r)?,
-            commits: decode_seq(r)?,
-        })
-    }
-}
+ubft_types::wire!(StateSummary { checkpoint, commits });
 
 /// One view-change certificate: `f + 1` replicas attest that replica
 /// `about`'s sealed state is `summary`.
@@ -404,23 +315,7 @@ pub struct VcCert {
     pub cert: Certificate,
 }
 
-impl Wire for VcCert {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.about.encode(buf);
-        self.summary.encode(buf);
-        self.cert.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.about.encoded_len() + self.summary.encoded_len() + self.cert.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(VcCert {
-            about: ReplicaId::decode(r)?,
-            summary: StateSummary::decode(r)?,
-            cert: Certificate::decode(r)?,
-        })
-    }
-}
+ubft_types::wire!(VcCert { about, summary, cert });
 
 /// Bytes signed in a `CRTFY_VC` share about replica `about` in `view`.
 pub fn vc_sign_bytes(view: View, about: ReplicaId, summary_digest: &Digest) -> Vec<u8> {
@@ -465,52 +360,13 @@ pub enum CtbMsg {
     },
 }
 
-impl Wire for CtbMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            CtbMsg::Prepare(p) => {
-                0u8.encode(buf);
-                p.encode(buf);
-            }
-            CtbMsg::Commit(c) => {
-                1u8.encode(buf);
-                c.encode(buf);
-            }
-            CtbMsg::Checkpoint(c) => {
-                2u8.encode(buf);
-                c.encode(buf);
-            }
-            CtbMsg::SealView { view } => {
-                3u8.encode(buf);
-                view.encode(buf);
-            }
-            CtbMsg::NewView { view, certs } => {
-                4u8.encode(buf);
-                view.encode(buf);
-                encode_seq(certs, buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtbMsg::Prepare(p) => p.encoded_len(),
-            CtbMsg::Commit(c) => c.encoded_len(),
-            CtbMsg::Checkpoint(c) => c.encoded_len(),
-            CtbMsg::SealView { view } => view.encoded_len(),
-            CtbMsg::NewView { view, certs } => view.encoded_len() + seq_encoded_len(certs),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(CtbMsg::Prepare(Prepare::decode(r)?)),
-            1 => Ok(CtbMsg::Commit(CommitCert::decode(r)?)),
-            2 => Ok(CtbMsg::Checkpoint(CheckpointCert::decode(r)?)),
-            3 => Ok(CtbMsg::SealView { view: View::decode(r)? }),
-            4 => Ok(CtbMsg::NewView { view: View::decode(r)?, certs: decode_seq(r)? }),
-            tag => Err(CodecError::BadTag { ty: "CtbMsg", tag }),
-        }
-    }
-}
+ubft_types::wire!(CtbMsg {
+    0 => Prepare(p),
+    1 => Commit(c),
+    2 => Checkpoint(c),
+    3 => SealView { view },
+    4 => NewView { view, certs },
+});
 
 /// Messages carried on a replica's consensus Tail Broadcast stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -554,67 +410,13 @@ pub enum TbMsg {
     },
 }
 
-impl Wire for TbMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TbMsg::WillCertify { view, slot } => {
-                0u8.encode(buf);
-                view.encode(buf);
-                slot.encode(buf);
-            }
-            TbMsg::WillCommit { view, slot } => {
-                1u8.encode(buf);
-                view.encode(buf);
-                slot.encode(buf);
-            }
-            TbMsg::Certify { prepare, sig } => {
-                2u8.encode(buf);
-                prepare.encode(buf);
-                sig.encode(buf);
-            }
-            TbMsg::CertifyCheckpoint { data, sig } => {
-                3u8.encode(buf);
-                data.encode(buf);
-                sig.encode(buf);
-            }
-            TbMsg::Summary { upto, summary, cert } => {
-                4u8.encode(buf);
-                upto.encode(buf);
-                summary.encode(buf);
-                cert.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            TbMsg::WillCertify { view, slot } | TbMsg::WillCommit { view, slot } => {
-                view.encoded_len() + slot.encoded_len()
-            }
-            TbMsg::Certify { prepare, sig } => prepare.encoded_len() + sig.encoded_len(),
-            TbMsg::CertifyCheckpoint { data, sig } => data.encoded_len() + sig.encoded_len(),
-            TbMsg::Summary { upto, summary, cert } => {
-                upto.encoded_len() + summary.encoded_len() + cert.encoded_len()
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(TbMsg::WillCertify { view: View::decode(r)?, slot: Slot::decode(r)? }),
-            1 => Ok(TbMsg::WillCommit { view: View::decode(r)?, slot: Slot::decode(r)? }),
-            2 => Ok(TbMsg::Certify { prepare: Prepare::decode(r)?, sig: Signature::decode(r)? }),
-            3 => Ok(TbMsg::CertifyCheckpoint {
-                data: CheckpointData::decode(r)?,
-                sig: Signature::decode(r)?,
-            }),
-            4 => Ok(TbMsg::Summary {
-                upto: SeqId::decode(r)?,
-                summary: StateSummary::decode(r)?,
-                cert: Certificate::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag { ty: "TbMsg", tag }),
-        }
-    }
-}
+ubft_types::wire!(TbMsg {
+    0 => WillCertify { view, slot },
+    1 => WillCommit { view, slot },
+    2 => Certify { prepare, sig },
+    3 => CertifyCheckpoint { data, sig },
+    4 => Summary { upto, summary, cert },
+});
 
 /// One stream's state as reported in a [`DirectMsg::JoinAck`]: where the
 /// responder's FIFO interpretation of the stream stands, which view it last
@@ -642,31 +444,7 @@ pub struct JoinStream {
     pub checkpoint: Option<CheckpointCert>,
 }
 
-impl Wire for JoinStream {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.stream.encode(buf);
-        self.fifo_next.encode(buf);
-        self.view.encode(buf);
-        self.next_free.encode(buf);
-        self.checkpoint.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.stream.encoded_len()
-            + self.fifo_next.encoded_len()
-            + self.view.encoded_len()
-            + self.next_free.encoded_len()
-            + self.checkpoint.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(JoinStream {
-            stream: ReplicaId::decode(r)?,
-            fifo_next: SeqId::decode(r)?,
-            view: View::decode(r)?,
-            next_free: Slot::decode(r)?,
-            checkpoint: Option::<CheckpointCert>::decode(r)?,
-        })
-    }
-}
+ubft_types::wire!(JoinStream { stream, fifo_next, view, next_free, checkpoint });
 
 /// Point-to-point messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -726,79 +504,14 @@ pub enum DirectMsg {
     },
 }
 
-impl Wire for DirectMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DirectMsg::Echo { req } => {
-                0u8.encode(buf);
-                req.encode(buf);
-            }
-            DirectMsg::CertifyVc { view, about, summary, sig } => {
-                1u8.encode(buf);
-                view.encode(buf);
-                about.encode(buf);
-                summary.encode(buf);
-                sig.encode(buf);
-            }
-            DirectMsg::CertifySummary { stream, upto, digest, sig } => {
-                2u8.encode(buf);
-                stream.encode(buf);
-                upto.encode(buf);
-                digest.encode(buf);
-                sig.encode(buf);
-            }
-            DirectMsg::Join { reg_floor } => {
-                3u8.encode(buf);
-                reg_floor.encode(buf);
-            }
-            DirectMsg::JoinAck { view, streams, commits } => {
-                4u8.encode(buf);
-                view.encode(buf);
-                encode_seq(streams, buf);
-                encode_seq(commits, buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            DirectMsg::Echo { req } => req.encoded_len(),
-            DirectMsg::CertifyVc { view, about, summary, sig } => {
-                view.encoded_len() + about.encoded_len() + summary.encoded_len() + sig.encoded_len()
-            }
-            DirectMsg::CertifySummary { stream, upto, digest, sig } => {
-                stream.encoded_len() + upto.encoded_len() + digest.encoded_len() + sig.encoded_len()
-            }
-            DirectMsg::Join { reg_floor } => reg_floor.encoded_len(),
-            DirectMsg::JoinAck { view, streams, commits } => {
-                view.encoded_len() + seq_encoded_len(streams) + seq_encoded_len(commits)
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(DirectMsg::Echo { req: Request::decode(r)? }),
-            1 => Ok(DirectMsg::CertifyVc {
-                view: View::decode(r)?,
-                about: ReplicaId::decode(r)?,
-                summary: StateSummary::decode(r)?,
-                sig: Signature::decode(r)?,
-            }),
-            2 => Ok(DirectMsg::CertifySummary {
-                stream: ReplicaId::decode(r)?,
-                upto: SeqId::decode(r)?,
-                digest: Digest::decode(r)?,
-                sig: Signature::decode(r)?,
-            }),
-            3 => Ok(DirectMsg::Join { reg_floor: SeqId::decode(r)? }),
-            4 => Ok(DirectMsg::JoinAck {
-                view: View::decode(r)?,
-                streams: decode_seq(r)?,
-                commits: decode_seq(r)?,
-            }),
-            tag => Err(CodecError::BadTag { ty: "DirectMsg", tag }),
-        }
-    }
-}
+// `CertifySummary` is declared last but tagged 2.
+ubft_types::wire!(DirectMsg {
+    0 => Echo { req },
+    1 => CertifyVc { view, about, summary, sig },
+    2 => CertifySummary { stream, upto, digest, sig },
+    3 => Join { reg_floor },
+    4 => JoinAck { view, streams, commits },
+});
 
 #[cfg(test)]
 mod tests {
@@ -854,10 +567,8 @@ mod tests {
     fn batch_roundtrips_and_rejects_empty() {
         roundtrip(&Batch::single(req()));
         roundtrip(&Batch::new(reqs(17)));
-        let empty: Vec<Request> = Vec::new();
-        let mut buf = Vec::new();
-        encode_seq(&empty, &mut buf);
-        assert!(Batch::from_bytes(&buf).is_err(), "empty batch must not decode");
+        let empty = Vec::<Request>::new().to_bytes();
+        assert!(Batch::from_bytes(&empty).is_err(), "empty batch must not decode");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ubft_types::wire::{decode_seq, encode_seq, seq_encoded_len, Wire, WireReader};
-use ubft_types::{CodecError, FixedState, ProcessId};
+use ubft_types::wire::Wire;
+use ubft_types::{FixedState, ProcessId};
 
 use crate::hmac::{digest_eq, hmac_sha256};
 use crate::sha256::Digest;
@@ -32,17 +32,7 @@ impl Signature {
     }
 }
 
-impl Wire for Signature {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        32
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Signature(Digest::decode(r)?))
-    }
-}
+ubft_types::wire!(Signature(0));
 
 /// The signing half of a key pair, held only by its owner.
 #[derive(Clone, Debug)]
@@ -166,17 +156,7 @@ impl Certificate {
     }
 }
 
-impl Wire for Certificate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_seq(&self.shares, buf);
-    }
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.shares)
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Certificate { shares: decode_seq(r)? })
-    }
-}
+ubft_types::wire!(Certificate { shares });
 
 #[cfg(test)]
 mod tests {

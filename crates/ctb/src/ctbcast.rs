@@ -13,8 +13,8 @@
 use std::collections::BTreeSet;
 
 use ubft_crypto::{Digest, Signature};
-use ubft_types::wire::{Wire, WireReader};
-use ubft_types::{CodecError, FixedMap, FixedState, ReplicaId, SeqId};
+use ubft_types::wire::Wire;
+use ubft_types::{FixedMap, FixedState, ReplicaId, SeqId};
 
 use crate::wire::{fingerprint, CtbWire};
 
@@ -77,19 +77,7 @@ impl RegEntry {
     }
 }
 
-impl Wire for RegEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.k.encode(buf);
-        self.fp.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.k.encoded_len() + self.fp.encoded_len() + self.sig.encoded_len()
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(RegEntry { k: SeqId::decode(r)?, fp: Digest::decode(r)?, sig: Signature::decode(r)? })
-    }
-}
+ubft_types::wire!(RegEntry { k, fp, sig });
 
 /// Correlates an asynchronous signature verification with the state machine
 /// stage that requested it.

@@ -134,46 +134,7 @@ pub enum CtbWire {
     },
 }
 
-impl Wire for CtbWire {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            CtbWire::Lock { k, m } => {
-                0u8.encode(buf);
-                k.encode(buf);
-                m.encode(buf);
-            }
-            CtbWire::Locked { k, m } => {
-                1u8.encode(buf);
-                k.encode(buf);
-                m.encode(buf);
-            }
-            CtbWire::Signed { k, m, sig } => {
-                2u8.encode(buf);
-                k.encode(buf);
-                m.encode(buf);
-                sig.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            CtbWire::Lock { k, m } | CtbWire::Locked { k, m } => k.encoded_len() + m.encoded_len(),
-            CtbWire::Signed { k, m, sig } => k.encoded_len() + m.encoded_len() + sig.encoded_len(),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(CtbWire::Lock { k: SeqId::decode(r)?, m: Vec::<u8>::decode(r)? }),
-            1 => Ok(CtbWire::Locked { k: SeqId::decode(r)?, m: Vec::<u8>::decode(r)? }),
-            2 => Ok(CtbWire::Signed {
-                k: SeqId::decode(r)?,
-                m: Vec::<u8>::decode(r)?,
-                sig: Signature::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag { ty: "CtbWire", tag }),
-        }
-    }
-}
+ubft_types::wire!(CtbWire { 0 => Lock { k, m }, 1 => Locked { k, m }, 2 => Signed { k, m, sig } });
 
 /// The fingerprint of a CTBcast message body (what gets signed and what the
 /// SWMR registers store, §7.6).

@@ -6,9 +6,6 @@
 
 use core::fmt;
 
-use crate::wire::{Wire, WireReader};
-use crate::CodecError;
-
 /// Identifier of a compute replica (one of the `2f + 1` consensus members).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(pub u32);
@@ -181,91 +178,20 @@ impl fmt::Display for RequestId {
     }
 }
 
-macro_rules! impl_wire_newtype_u32 {
-    ($t:ty) => {
-        impl Wire for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                self.0.encode(buf);
-            }
-            fn encoded_len(&self) -> usize {
-                4
-            }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-                Ok(Self(u32::decode(r)?))
-            }
-        }
-    };
-}
-
-macro_rules! impl_wire_newtype_u64 {
-    ($t:ty) => {
-        impl Wire for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                self.0.encode(buf);
-            }
-            fn encoded_len(&self) -> usize {
-                8
-            }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-                Ok(Self(u64::decode(r)?))
-            }
-        }
-    };
-}
-
-impl_wire_newtype_u32!(ReplicaId);
-impl_wire_newtype_u32!(ClientId);
-impl_wire_newtype_u32!(MemNodeId);
-impl_wire_newtype_u64!(Slot);
-impl_wire_newtype_u64!(View);
-impl_wire_newtype_u64!(SeqId);
-
-impl Wire for ProcessId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProcessId::Replica(r) => {
-                0u8.encode(buf);
-                r.encode(buf);
-            }
-            ProcessId::Client(c) => {
-                1u8.encode(buf);
-                c.encode(buf);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        5
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(ProcessId::Replica(ReplicaId::decode(r)?)),
-            1 => Ok(ProcessId::Client(ClientId::decode(r)?)),
-            tag => Err(CodecError::BadTag { ty: "ProcessId", tag }),
-        }
-    }
-}
-
-impl Wire for RequestId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.client.encode(buf);
-        self.seq.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        12
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(RequestId { client: ClientId::decode(r)?, seq: u64::decode(r)? })
-    }
-}
+crate::wire!(ReplicaId(0));
+crate::wire!(ClientId(0));
+crate::wire!(MemNodeId(0));
+crate::wire!(Slot(0));
+crate::wire!(View(0));
+crate::wire!(SeqId(0));
+crate::wire!(ProcessId { 0 => Replica(r), 1 => Client(c) });
+crate::wire!(RequestId { client, seq });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::roundtrip;
+    use crate::wire::{roundtrip, Wire};
+    use crate::CodecError;
 
     #[test]
     fn view_leader_round_robin() {

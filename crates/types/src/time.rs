@@ -7,9 +7,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use crate::wire::{Wire, WireReader};
-use crate::CodecError;
-
 /// An instant on the virtual clock, in nanoseconds since simulation start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Time(u64);
@@ -159,33 +156,13 @@ impl fmt::Display for Duration {
     }
 }
 
-impl Wire for Time {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Time(u64::decode(r)?))
-    }
-}
-
-impl Wire for Duration {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Duration(u64::decode(r)?))
-    }
-}
+crate::wire!(Time(0));
+crate::wire!(Duration(0));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn arithmetic() {

@@ -1,10 +1,13 @@
-//! A small, deterministic, hand-rolled binary codec.
+//! A small, deterministic binary codec.
 //!
 //! The RDMA transport checksums raw bytes and the signature layer signs them,
 //! so the encoding must be byte-stable across runs and platforms. We use
 //! fixed-width little-endian integers and length-prefixed containers; there is
 //! deliberately no self-description or versioning, matching the fixed-format
 //! buffers a real RDMA prototype would use.
+//!
+//! A message type states its layout once, with [`wire!`](crate::wire!):
+//! its fields in wire order, and for an enum the tag of each variant.
 
 use crate::CodecError;
 
@@ -61,6 +64,139 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+
+    /// The elements of a `Vec<Self>`, after its count. `u8` copies them as
+    /// one slice.
+    #[doc(hidden)]
+    fn encode_elems(items: &[Self], buf: &mut Vec<u8>) {
+        for it in items {
+            it.encode(buf);
+        }
+    }
+
+    /// What [`Wire::encode_elems`] appends for `items`.
+    #[doc(hidden)]
+    fn elems_len(items: &[Self]) -> usize {
+        items.iter().map(Wire::encoded_len).sum()
+    }
+
+    /// Decodes the `len` elements of a `Vec<Self>`, refusing a count above
+    /// [`MAX_WIRE_ELEMS`] before allocating for it. A byte string (`u8`)
+    /// has no such cap: its length is checked against the input instead.
+    #[doc(hidden)]
+    fn decode_elems(r: &mut WireReader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        if len > MAX_WIRE_ELEMS {
+            return Err(CodecError::LengthOverflow { len });
+        }
+        let mut out = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Implements [`Wire`] for a type from its fields, listed once and in wire
+/// order:
+///
+/// * `wire!(Point { x, y })` — a struct: its fields back to back;
+/// * `wire!(Meters(0))` — a newtype: its one field;
+/// * `wire!(Shape { 0 => Dot(p), 1 => Line { from, to } })` — an enum: a
+///   tag byte, then the variant's fields. Tags are written out, so the
+///   declaration order of the variants does not matter; an unknown tag
+///   decodes to [`CodecError::BadTag`] naming the enum.
+///
+/// # Example
+///
+/// ```
+/// use ubft_types::wire::Wire;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: u32, y: u64 }
+/// ubft_types::wire!(Point { x, y });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Meters(u32);
+/// ubft_types::wire!(Meters(0));
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot(Point), Line { from: Point, to: Point } }
+/// ubft_types::wire!(Shape { 0 => Dot(p), 1 => Line { from, to } });
+///
+/// let line = Shape::Line { from: Point { x: 1, y: 2 }, to: Point { x: 3, y: 4 } };
+/// assert_eq!(line.to_bytes().len(), 1 + 2 * (4 + 8));
+/// assert_eq!(Shape::from_bytes(&line.to_bytes()), Ok(line));
+/// assert_eq!(Meters(7).to_bytes(), 7u32.to_bytes());
+/// assert!(Shape::from_bytes(&[2]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, buf);)+
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::Wire::encoded_len(&self.$field))+
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::CodecError> {
+                $(let $field = $crate::wire::Wire::decode(r)?;)+
+                Ok($ty { $($field),+ })
+            }
+        }
+    };
+    ($ty:ident(0)) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                $crate::wire::Wire::encode(&self.0, buf);
+            }
+            fn encoded_len(&self) -> usize {
+                $crate::wire::Wire::encoded_len(&self.0)
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::CodecError> {
+                Ok($ty($crate::wire::Wire::decode(r)?))
+            }
+        }
+    };
+    ($ty:ident {
+        $($tag:literal => $variant:ident $(($($pos:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($pos),+))? $({ $($field),+ })? => {
+                        buf.push($tag);
+                        $($($crate::wire::Wire::encode($pos, buf);)+)?
+                        $($($crate::wire::Wire::encode($field, buf);)+)?
+                    })+
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $($ty::$variant $(($($pos),+))? $({ $($field),+ })? => {
+                        1 $($(+ $crate::wire::Wire::encoded_len($pos))+)?
+                            $($(+ $crate::wire::Wire::encoded_len($field))+)?
+                    })+
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::CodecError> {
+                match <u8 as $crate::wire::Wire>::decode(r)? {
+                    $($tag => {
+                        $($(let $pos = $crate::wire::Wire::decode(r)?;)+)?
+                        $($(let $field = $crate::wire::Wire::decode(r)?;)+)?
+                        Ok($ty::$variant $(($($pos),+))? $({ $($field),+ })?)
+                    })+
+                    tag => Err($crate::CodecError::BadTag { ty: stringify!($ty), tag }),
+                }
+            }
+        }
+    };
 }
 
 /// A bounds-checked cursor over a byte slice.
@@ -128,7 +264,29 @@ macro_rules! impl_wire_int {
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i64);
+impl_wire_int!(u16, u32, u64, i64);
+
+/// A byte string (`Vec<u8>`) is its length and the bytes as one slice.
+impl Wire for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        Ok(r.take(1)?[0])
+    }
+    fn encode_elems(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+    fn elems_len(items: &[u8]) -> usize {
+        items.len()
+    }
+    fn decode_elems(r: &mut WireReader<'_>, len: usize) -> Result<Vec<u8>, CodecError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -146,16 +304,18 @@ impl Wire for bool {
     }
 }
 
-impl Wire for Vec<u8> {
+/// A sequence is its element count (`u32`) and then its elements.
+impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
-        buf.extend_from_slice(self);
+        T::encode_elems(self, buf);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.len()
+        4 + T::elems_len(self)
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(r.take_bytes()?.to_vec())
+        let len = u32::decode(r)? as usize;
+        T::decode_elems(r, len)
     }
 }
 
@@ -181,8 +341,8 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// A pair encodes as its two halves back to back, so keyed lists go through
-/// [`encode_seq`] / [`decode_seq`] without a wrapper type.
+/// A pair encodes as its two halves back to back, so a keyed list is a
+/// `Vec<(K, V)>` without a wrapper type.
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
@@ -196,44 +356,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-/// Maximum element count accepted when decoding a container, as a defence
-/// against Byzantine length fields causing huge allocations.
+/// Maximum element count accepted when decoding a sequence of values, as a
+/// defence against Byzantine length fields causing huge allocations.
 pub const MAX_WIRE_ELEMS: usize = 1 << 20;
-
-/// A length-prefixed sequence of wire values.
-///
-/// `Vec<u8>` already has a compact byte-string encoding, so generic sequences
-/// are encoded via this helper instead of a blanket `Vec<T>` impl (Rust's
-/// coherence rules forbid both).
-pub fn encode_seq<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
-    (items.len() as u32).encode(buf);
-    for it in items {
-        it.encode(buf);
-    }
-}
-
-/// Exactly how many bytes [`encode_seq`] appends for `items`.
-pub fn seq_encoded_len<T: Wire>(items: &[T]) -> usize {
-    4 + items.iter().map(Wire::encoded_len).sum::<usize>()
-}
-
-/// Decodes a sequence written by [`encode_seq`].
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] on truncation, bad tags, or an element count
-/// exceeding [`MAX_WIRE_ELEMS`].
-pub fn decode_seq<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>, CodecError> {
-    let len = u32::decode(r)? as usize;
-    if len > MAX_WIRE_ELEMS {
-        return Err(CodecError::LengthOverflow { len });
-    }
-    let mut out = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        out.push(T::decode(r)?);
-    }
-    Ok(out)
-}
 
 /// Test helper: asserts that a value encodes and decodes to itself.
 ///
@@ -301,13 +426,10 @@ mod tests {
     #[test]
     fn seq_roundtrip() {
         let items = vec![1u64, 2, 3];
-        let mut buf = Vec::new();
-        encode_seq(&items, &mut buf);
-        assert_eq!(buf.len(), seq_encoded_len(&items));
-        let mut r = WireReader::new(&buf);
-        let back: Vec<u64> = decode_seq(&mut r).unwrap();
-        assert_eq!(back, items);
-        assert_eq!(r.remaining(), 0);
+        roundtrip(&items);
+        // A byte string and a sequence of bytes are one encoding.
+        assert_eq!(vec![1u8, 2].to_bytes(), [2, 0, 0, 0, 1, 2]);
+        assert_eq!(items.to_bytes()[..4], [3, 0, 0, 0]);
     }
 
     #[test]
@@ -327,8 +449,8 @@ mod tests {
     fn hostile_length_rejected() {
         // A length field of u32::MAX must not allocate.
         let buf = (u32::MAX).to_bytes();
-        let mut r = WireReader::new(&buf);
-        assert!(decode_seq::<u64>(&mut r).is_err());
+        assert!(Vec::<u64>::from_bytes(&buf).is_err());
+        assert!(Vec::<u8>::from_bytes(&buf).is_err());
     }
 
     /// The element cap guards sequences of values, not byte strings: a
@@ -337,9 +459,8 @@ mod tests {
     fn the_element_cap_binds_sequences_not_bytes() {
         roundtrip(&vec![7u8; MAX_WIRE_ELEMS + 1]);
         let announced = ((MAX_WIRE_ELEMS + 1) as u32).to_bytes();
-        let mut r = WireReader::new(&announced);
         assert_eq!(
-            decode_seq::<u64>(&mut r),
+            Vec::<u64>::from_bytes(&announced),
             Err(CodecError::LengthOverflow { len: MAX_WIRE_ELEMS + 1 })
         );
     }
