@@ -119,7 +119,7 @@ impl Batch {
     }
 }
 
-/// Encoded as a `Vec<Request>`; decoded by hand, see `decode`.
+/// Encodes as a `Vec<Request>` would; `decode` is by hand.
 impl Wire for Batch {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.reqs.len() as u32).encode(buf);

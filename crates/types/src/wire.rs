@@ -129,43 +129,38 @@ pub trait Wire: Sized {
 /// assert_eq!(Meters(7).to_bytes(), 7u32.to_bytes());
 /// assert!(Shape::from_bytes(&[2]).is_err());
 /// ```
+// What this generates is `#[inline]`, like the primitives below: the
+// functions are small, mostly called from other crates, and a message
+// encodes and decodes through dozens of them.
 #[macro_export]
 macro_rules! wire {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:tt),+ }) => {
         impl $crate::wire::Wire for $ty {
+            #[inline]
             fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
                 $($crate::wire::Wire::encode(&self.$field, buf);)+
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 0 $(+ $crate::wire::Wire::encoded_len(&self.$field))+
             }
+            #[inline]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> ::core::result::Result<Self, $crate::CodecError> {
-                $(let $field = $crate::wire::Wire::decode(r)?;)+
-                Ok($ty { $($field),+ })
+                // Field initialisers run in the order written: wire order.
+                Ok($ty { $($field: $crate::wire::Wire::decode(r)?),+ })
             }
         }
     };
     ($ty:ident(0)) => {
-        impl $crate::wire::Wire for $ty {
-            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
-                $crate::wire::Wire::encode(&self.0, buf);
-            }
-            fn encoded_len(&self) -> usize {
-                $crate::wire::Wire::encoded_len(&self.0)
-            }
-            fn decode(
-                r: &mut $crate::wire::WireReader<'_>,
-            ) -> ::core::result::Result<Self, $crate::CodecError> {
-                Ok($ty($crate::wire::Wire::decode(r)?))
-            }
-        }
+        $crate::wire!($ty { 0 });
     };
     ($ty:ident {
         $($tag:literal => $variant:ident $(($($pos:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
     }) => {
         impl $crate::wire::Wire for $ty {
+            #[inline]
             fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
                 match self {
                     $($ty::$variant $(($($pos),+))? $({ $($field),+ })? => {
@@ -175,6 +170,7 @@ macro_rules! wire {
                     })+
                 }
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 match self {
                     $($ty::$variant $(($($pos),+))? $({ $($field),+ })? => {
@@ -183,6 +179,7 @@ macro_rules! wire {
                     })+
                 }
             }
+            #[inline]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> ::core::result::Result<Self, $crate::CodecError> {
@@ -208,11 +205,13 @@ pub struct WireReader<'a> {
 
 impl<'a> WireReader<'a> {
     /// Creates a reader over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         WireReader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -222,6 +221,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] if fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated { needed: n, available: self.remaining() });
@@ -238,6 +238,7 @@ impl<'a> WireReader<'a> {
     ///
     /// Returns [`CodecError::Truncated`] if the prefix or the bytes it
     /// announces are missing.
+    #[inline]
     pub fn take_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = u32::decode(self)? as usize;
         self.take(len)
@@ -247,12 +248,15 @@ impl<'a> WireReader<'a> {
 macro_rules! impl_wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
+            #[inline]
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 core::mem::size_of::<$t>()
             }
+            #[inline]
             fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
                 let n = core::mem::size_of::<$t>();
                 let bytes = r.take(n)?;
@@ -268,21 +272,27 @@ impl_wire_int!(u16, u32, u64, i64);
 
 /// A byte string (`Vec<u8>`) is its length and the bytes as one slice.
 impl Wire for u8 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self);
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         Ok(r.take(1)?[0])
     }
+    #[inline]
     fn encode_elems(items: &[u8], buf: &mut Vec<u8>) {
         buf.extend_from_slice(items);
     }
+    #[inline]
     fn elems_len(items: &[u8]) -> usize {
         items.len()
     }
+    #[inline]
     fn decode_elems(r: &mut WireReader<'_>, len: usize) -> Result<Vec<u8>, CodecError> {
         Ok(r.take(len)?.to_vec())
     }
