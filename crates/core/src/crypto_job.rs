@@ -11,7 +11,8 @@
 //! ordinary input. Effects of an engine call therefore wait only for crypto
 //! they depend on: a request crossing a summary boundary or a checkpoint is
 //! not delayed by the boundary's bookkeeping signatures, and a slow-path
-//! slot's CERTIFY share is checked while the replica gets on with the slot
+//! slot's CERTIFY shares — a peer's checked, our own signed — are handled
+//! while the PREPARE they certify is still being verified
 //! ([`CryptoTag::on_request_path`] tells the two kinds apart).
 
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
@@ -57,6 +58,15 @@ pub enum CryptoTag {
         /// The parked message's id.
         k: SeqId,
     },
+    /// Sign this replica's CERTIFY share over the proposal for `slot` in
+    /// `view` (Algorithm 2 line 33). The proposal is parked in the slot's
+    /// share set; the share leaves once that proposal is accepted.
+    SlotShare {
+        /// The slot being certified.
+        slot: Slot,
+        /// The view of the proposal.
+        view: View,
+    },
     /// Verify `from`'s share toward the `f + 1` certificate `of` names.
     ShareCheck {
         /// The certificate the share counts toward.
@@ -94,10 +104,14 @@ pub enum ShareOf {
 impl CryptoTag {
     /// Whether a request may be waiting for this job's result. Summary and
     /// checkpoint certification are bookkeeping a driver runs behind
-    /// everything else; a slot's share check is on the slow path of a
-    /// request and competes with the engine's ordered crypto on equal terms.
+    /// everything else; a slot's share check and our own share's signature
+    /// are on the slow path of a request and compete with the engine's
+    /// ordered crypto on equal terms.
     pub fn on_request_path(&self) -> bool {
-        matches!(self, CryptoTag::ShareCheck { of: ShareOf::Slot { .. }, .. })
+        matches!(
+            self,
+            CryptoTag::SlotShare { .. } | CryptoTag::ShareCheck { of: ShareOf::Slot { .. }, .. }
+        )
     }
 }
 

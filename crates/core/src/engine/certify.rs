@@ -82,9 +82,11 @@ impl<K: Clone + PartialEq> ShareSet<K> {
         self.by_signer.insert(me, Share { about, sig, state: ShareState::Verified });
     }
 
-    /// What our own share attests, signed or being signed.
-    pub(super) fn ours(&self, me: ReplicaId) -> Option<&K> {
-        self.by_signer.get(&me).map(|s| &s.about)
+    /// What our own share attests, with its signature once signed — `None`
+    /// while the crypto worker signs it.
+    pub(super) fn ours(&self, me: ReplicaId) -> Option<(&K, Option<Signature>)> {
+        let signed = |s: &Share<K>| (s.state != ShareState::Signing).then_some(s.sig);
+        self.by_signer.get(&me).map(|s| (&s.about, signed(s)))
     }
 
     /// Shares held, whatever their state.
@@ -143,15 +145,16 @@ impl<K: Clone + PartialEq> ShareSet<K> {
 
     /// Only shares over `about` can count from now on: the others stay
     /// held — their signers have had their one share — as rejected, and
-    /// the rest let go of their own copy of it for the caller's. Returns
-    /// whether any share over `about` is held.
+    /// the rest let go of their own copy of it for the caller's. Our own
+    /// share, while it is being signed, is left for its signature to
+    /// settle. Returns whether any share over `about` is held.
     pub(super) fn keep_only(&mut self, about: &K) -> bool {
         let mut held = false;
         for share in self.by_signer.values_mut() {
             if share.about == *about {
                 share.about = about.clone();
                 held = true;
-            } else {
+            } else if share.state != ShareState::Signing {
                 share.state = ShareState::Rejected;
             }
         }

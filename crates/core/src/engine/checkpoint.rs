@@ -186,7 +186,7 @@ impl Engine {
     /// Whether our own certification of exactly `data` is under way: we
     /// took that snapshot and its checkpoint is not stable yet.
     pub(super) fn certifying(&self, data: &CheckpointData) -> bool {
-        self.cp_shares.get(&data.base).and_then(|s| s.ours(self.me)) == Some(data)
+        self.cp_shares.get(&data.base).and_then(|s| s.ours(self.me)).is_some_and(|(d, _)| d == data)
     }
 
     pub(super) fn handle_checkpoint_msg(&mut self, stream: ReplicaId, c: CheckpointCert) {

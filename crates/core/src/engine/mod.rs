@@ -21,19 +21,21 @@
 //! it over, the way crypto jobs leave through [`Engine::take_crypto_jobs`].
 //!
 //! Crypto comes in two
-//! kinds. A slot's own CERTIFY signature, the verification of a foreign
-//! commit certificate and view-change crypto run inline (the simulation's
-//! key ring is cheap) and are metered in [`CryptoOps`], so the runtime
-//! charges the paper-calibrated virtual time (sign ≈ 17 µs, verify ≈ 45 µs)
-//! before the call's effects act — their order is a protocol invariant.
-//! Everything that collects `f + 1` shares toward a certificate has no
-//! such invariant: the shares of a slot (Algorithm 2 line 33), of a CTBcast
-//! summary (Algorithm 4) and of a consensus checkpoint (Algorithm 2 line
-//! 44) are parked in a `ShareSet` and checked by [`CryptoJob`]s
-//! ([`Engine::take_crypto_jobs`]) whose results come back as ordinary
-//! inputs ([`Engine::on_crypto_done`]), as do the two periodic
-//! certifications' own signatures — those bound memory and must stay off
-//! the request path altogether. A replacement node's join still verifies
+//! kinds. The verification of a foreign commit certificate and view-change
+//! crypto run inline (the simulation's key ring is cheap) and are metered
+//! in [`CryptoOps`], so the runtime charges the paper-calibrated virtual
+//! time (sign ≈ 17 µs, verify ≈ 45 µs) before the call's effects act —
+//! their order is a protocol invariant. Everything that collects `f + 1`
+//! shares toward a certificate has no such invariant: the shares of a slot
+//! (Algorithm 2 line 33), of a CTBcast summary (Algorithm 4) and of a
+//! consensus checkpoint (Algorithm 2 line 44) are parked in a `ShareSet`
+//! and checked by [`CryptoJob`]s ([`Engine::take_crypto_jobs`]) whose
+//! results come back as ordinary inputs ([`Engine::on_crypto_done`]), as
+//! do our own shares' signatures. A slot's is requested as soon as we know
+//! the proposal it certifies — the leader's as it proposes, a follower's
+//! as it admits the leader's early share — and leaves once we accepted
+//! that proposal; the two periodic certifications' bound memory and must
+//! stay off the request path altogether. A replacement node's join still verifies
 //! the checkpoints it adopts inline: nothing runs beside it.
 
 mod certify;
@@ -365,6 +367,7 @@ impl Engine {
         self.cfg.params.window
     }
 
+    /// Signs inline, as ordered crypto: the view change's `CRTFY_VC` only.
     fn sign(&mut self, bytes: &[u8]) -> Signature {
         self.ops.signs += 1;
         self.signer.sign(bytes)
@@ -464,6 +467,9 @@ impl Engine {
             }
             (CryptoTag::CheckpointCert { stream, k }, CryptoResult::Verified(ok)) => {
                 self.checkpoint_cert_checked(stream, k, ok)
+            }
+            (CryptoTag::SlotShare { slot, view }, CryptoResult::Signed(sig)) => {
+                self.slot_share_signed(slot, view, sig)
             }
             (CryptoTag::ShareCheck { of, from }, CryptoResult::Verified(ok)) => {
                 self.share_checked(of, from, ok)

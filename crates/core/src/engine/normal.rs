@@ -9,7 +9,9 @@ use ubft_types::{ReplicaId, RequestId, Slot, View};
 
 use super::certify::ShareSet;
 use super::requests::Stage;
-use super::{DecisionEvidence, DecisionRecord, Effect, Engine, PathMode, ShareOf, TimerKind};
+use super::{
+    CryptoTag, DecisionEvidence, DecisionRecord, Effect, Engine, PathMode, ShareOf, TimerKind,
+};
 use crate::msg::{Batch, CommitCert, CtbMsg, DirectMsg, Prepare, Request, TbMsg};
 
 /// Per-slot consensus state.
@@ -136,6 +138,12 @@ impl Engine {
             let slot = self.next_slot;
             self.next_slot = self.next_slot.next();
             let prepare = Prepare { view: self.view, slot, batch };
+            // Accepting it will start the slow path: our share is signed
+            // beside the PREPARE's own signature and leaves at its delivery.
+            let fallback = self.cfg.path == PathMode::FastWithFallback;
+            if self.cfg.path == PathMode::SlowOnly || (fallback && !self.suspected.is_empty()) {
+                self.sign_share(prepare.clone());
+            }
             self.emit_ctb(CtbMsg::Prepare(prepare));
         }
     }
@@ -219,20 +227,42 @@ impl Engine {
         }
     }
 
-    /// Starts (or resumes) the slow path for `slot`: sign and broadcast our
-    /// CERTIFY share.
+    /// Starts (or resumes) the slow path for `slot`: our CERTIFY share over
+    /// the accepted proposal is broadcast once it is signed, so a share
+    /// still means "I accepted this PREPARE".
     pub(super) fn start_slow_path(&mut self, slot: Slot) {
-        let unsent = self.slots.get(&slot).filter(|s| !s.sent_certify);
-        let Some(prep) = unsent.and_then(|s| s.prepare.clone()) else {
-            return;
-        };
-        let sig = self.sign(&prep.certify_bytes());
-        let entry = self.slots.get_mut(&slot).expect("just read");
-        entry.sent_certify = true;
-        // Our own share counts immediately.
-        entry.shares.add_own(self.me, prep.clone(), sig);
-        self.out.push(Effect::TbBroadcast(TbMsg::Certify { prepare: prep, sig }));
-        self.maybe_commit(slot);
+        let Some(entry) = self.slots.get_mut(&slot).filter(|s| !s.sent_certify) else { return };
+        let Some(prep) = entry.prepare.clone() else { return };
+        match entry.shares.ours(self.me) {
+            // Being signed: the signature comes back here.
+            Some((_, None)) => {}
+            Some((about, Some(sig))) if *about == prep => {
+                entry.sent_certify = true;
+                self.out.push(Effect::TbBroadcast(TbMsg::Certify { prepare: prep, sig }));
+                self.maybe_commit(slot);
+            }
+            // None yet, or one over a proposal CTBcast did not deliver here.
+            _ => self.sign_share(prep),
+        }
+    }
+
+    /// Has the crypto worker sign our CERTIFY share over `prep`; it counts
+    /// toward the certificate from now on ([`ShareSet::begin_own`]).
+    fn sign_share(&mut self, prep: Prepare) {
+        let tag = CryptoTag::SlotShare { slot: prep.slot, view: prep.view };
+        let bytes = prep.certify_bytes();
+        self.slots.entry(prep.slot).or_default().shares.begin_own(self.me, prep);
+        self.sign_job(tag, bytes);
+    }
+
+    /// Our CERTIFY share for `slot` in `view` is signed. It leaves if we
+    /// accepted what it signs by then — or once we do; a share from a view
+    /// that ended, or over what we did not accept, never leaves.
+    pub(super) fn slot_share_signed(&mut self, slot: Slot, view: View, sig: Signature) {
+        let Some(entry) = self.slots.get_mut(&slot).filter(|_| view == self.view) else { return };
+        let Some(about) = entry.shares.ours(self.me).map(|(p, _)| p.clone()) else { return };
+        entry.shares.add_own(self.me, about, sig);
+        self.start_slow_path(slot);
     }
 
     /// The fast-path timeout fired for `slot`: if it is still undecided,
@@ -307,8 +337,8 @@ impl Engine {
     /// the PREPARE is still on its way takes that check off the request's
     /// blocking chain. The signature goes to the crypto worker only while it
     /// could still complete a certificate, and counts once its
-    /// [`CryptoTag::ShareCheck`](super::CryptoTag::ShareCheck) comes back
-    /// `true` and the proposal it signs is the one we accepted.
+    /// [`CryptoTag::ShareCheck`] comes back `true` and the proposal it signs
+    /// is the one we accepted.
     fn handle_certify_share(&mut self, from: ReplicaId, prepare: Prepare, sig: Signature) {
         let slot = prepare.slot;
         // Our own share is added where it is signed.
@@ -323,8 +353,10 @@ impl Engine {
                 self.accept_prepare(prepare.clone());
             }
         }
+        let (slow, leader) = (self.cfg.path != PathMode::FastOnly, self.leader());
         let entry = self.slots.entry(slot).or_default();
         let accepted = entry.prepare.is_some();
+        let early = (slow && !accepted && from == leader).then(|| prepare.clone());
         let about = match &entry.prepare {
             // A share over anything but what we accepted can never count.
             Some(ours) if *ours != prepare => return,
@@ -344,10 +376,16 @@ impl Engine {
         // nothing — we sign only what we accepted, which a silent peer can
         // force too — and put the check back on the blocking chain
         // whenever one replica is down.
-        if accepted && self.cfg.path != PathMode::FastOnly {
+        if accepted && slow {
             self.start_slow_path(slot);
         }
         self.check_parked(ShareOf::Slot { slot, view: self.view });
+        // The leader's share, early here: ours over the proposal it carries
+        // is signed while the PREPARE is still being verified — queued
+        // behind the check, so the longer job takes the free worker first.
+        if let Some(prep) = early {
+            self.sign_share(prep);
+        }
     }
 
     /// Once we hold an `f + 1` certificate for our prepare, broadcast COMMIT

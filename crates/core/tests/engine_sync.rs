@@ -274,15 +274,23 @@ fn duplicate_client_request_not_executed_twice() {
 
 #[test]
 fn crypto_ops_metered_on_slow_path() {
+    // Each replica's CERTIFY share is a sign job, metered by the driver that
+    // runs it: no worker gets to them here until the test completes them.
     let mut net = new_net(PathMode::SlowOnly);
+    net.park = Some(|job| matches!(job.tag, CryptoTag::SlotShare { .. }));
     net.client_request(0, b"metered");
-    let total: u32 = (0..3)
-        .map(|r| {
-            let ops = net.engines[r].take_crypto_ops();
-            ops.signs + ops.verifies
-        })
-        .sum();
-    assert!(total > 0, "slow path must meter crypto work");
+    let shares = std::mem::take(&mut net.parked);
+    let total: u32 = shares.iter().map(|(_, job)| job.ops().signs + job.ops().verifies).sum();
+    assert_eq!(total, 3, "slow path must meter crypto work: {shares:?}");
+    assert!(net.executed.iter().all(Vec::is_empty), "decided without our shares");
+    net.park = None;
+    for (who, job) in shares {
+        net.complete(who, &job);
+    }
+    net.run();
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 1, "replica {r}");
+    }
 }
 
 /// The messages of the leader's CTBcast stream, in emission order.
@@ -1665,7 +1673,10 @@ fn a_sealer_behind_a_peers_seal_base_snapshots_at_it() {
     // executed — takes the slow path.
     let fx = cp.seal();
     assert!(fx.contains(&RequestSnapshot { base: Slot(2) }), "{fx:?}");
-    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    let own = queued_jobs(&mut cp.e);
+    let tag = CryptoTag::SlotShare { slot: Slot(2), view: View(0) };
+    assert!(matches!(&own[..], [job] if job.tag == tag), "{own:?}");
+    assert_eq!(certifies(&cp.complete(&own[0])), 1);
     let _ = cp.snapshot(2);
     let mut jobs = cp.checkpoint_jobs();
     // r2 decided slot 2 and sealed on a snapshot at 3: that is where we
@@ -1756,16 +1767,23 @@ fn a_seal_share_counts_only_while_sealing_and_only_where_ours_can_join_it() {
 struct Certify {
     ring: KeyRing,
     e: Engine,
+    /// The sign jobs of our own shares, queued and not completed yet.
+    own: Vec<CryptoJob>,
 }
 
 impl Certify {
     fn new(path: PathMode) -> Self {
+        Self::replica(1, path)
+    }
+
+    /// Replica `me` driven by hand; the test plays everybody else.
+    fn replica(me: u32, path: PathMode) -> Self {
         let mut cfg = EngineConfig::new(ClusterParams::paper_default(), path);
         cfg.echo_round = false;
         let ring = KeyRing::generate(5, (0..3).map(|i| ProcessId::Replica(ReplicaId(i))));
-        let mut e = Engine::new(ReplicaId(1), cfg, ring.clone());
+        let mut e = Engine::new(ReplicaId(me), cfg, ring.clone());
         let _ = e.start();
-        Certify { ring, e }
+        Certify { ring, e, own: Vec::new() }
     }
 
     fn request(seq: u64) -> Request {
@@ -1793,16 +1811,31 @@ impl Certify {
         self.e.on_ctb_deliver(ReplicaId(0), SeqId(slot + 1), msg)
     }
 
-    /// The share checks queued since the last call.
+    /// The share checks queued since the last call; the sign jobs of our
+    /// own shares are set aside in `own`.
     fn checks(&mut self) -> Vec<CryptoJob> {
-        let jobs = queued_jobs(&mut self.e);
+        let (own, checks): (Vec<_>, Vec<_>) = queued_jobs(&mut self.e)
+            .into_iter()
+            .partition(|j| matches!(j.tag, CryptoTag::SlotShare { .. }));
+        assert!(own.iter().all(|j| matches!(j.work, CryptoWork::Sign { .. })), "{own:?}");
+        self.own.extend(own);
         assert!(
-            jobs.iter()
+            checks
+                .iter()
                 .all(|j| matches!(j.tag, CryptoTag::ShareCheck { of: ShareOf::Slot { .. }, .. })
                     && matches!(j.work, CryptoWork::Verify { .. })),
-            "{jobs:?}"
+            "{checks:?}"
         );
-        jobs
+        checks
+    }
+
+    /// Completes the one sign job of our own share that is queued or set
+    /// aside: a slot's share costs one `SlotShare` job and no inline crypto.
+    fn sign_own(&mut self) -> Vec<Effect> {
+        assert!(self.checks().is_empty(), "a share check was left uncollected");
+        assert_eq!(self.own.len(), 1, "{:?}", self.own);
+        let job = self.own.remove(0);
+        self.complete(&job)
     }
 
     fn complete(&mut self, job: &CryptoJob) -> Vec<Effect> {
@@ -1865,11 +1898,14 @@ fn a_share_that_arrives_before_its_prepare_counts_once_the_prepare_is_accepted()
         let of = ShareOf::Slot { slot: Slot(0), view: View(0) };
         let tag = CryptoTag::ShareCheck { of, from: ReplicaId(0) };
         assert_eq!(checks[0].tag, tag);
+        // Our own share over the same proposal is signed meanwhile; it waits
+        // for the PREPARE too.
+        assert!(c.sign_own().is_empty());
         if verdict_first {
             // Nothing to commit yet; the share waits for its PREPARE.
             assert!(c.complete(&checks[0]).is_empty());
         }
-        // Accepting the PREPARE signs our share — and with the verdict in,
+        // Accepting the PREPARE sends our share — and with the verdict in,
         // own + early make f + 1: the COMMIT leaves in the accepting call.
         let fx = c.deliver_prepare(0);
         assert_eq!(certifies(&fx), 1);
@@ -1882,10 +1918,10 @@ fn a_share_that_arrives_before_its_prepare_counts_once_the_prepare_is_accepted()
         assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
         assert_eq!(
             c.e.take_crypto_ops(),
-            CryptoOps { signs: 1, verifies: 0 },
-            "shares are verified by the crypto worker, not on the engine's thread"
+            CryptoOps::default(),
+            "shares are signed and verified by the crypto worker, not on the engine's thread"
         );
-        assert!(c.checks().is_empty());
+        assert!(c.checks().is_empty() && c.own.is_empty());
     }
 }
 
@@ -1901,6 +1937,7 @@ fn a_forged_early_share_never_counts_and_buys_its_signer_nothing_more() {
     // not get a second verification, before the PREPARE or after it.
     let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
     assert!(c.checks().is_empty());
+    assert!(c.sign_own().is_empty());
     let fx = c.deliver_prepare(0);
     assert_eq!((certifies(&fx), commit_signers(&c, &fx).len()), (1, 0));
     let fx = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
@@ -1921,6 +1958,7 @@ fn three_honest_shares_cost_one_verification_per_slot() {
         let mut c = Certify::new(PathMode::SlowOnly);
         if slot == 1 {
             let _ = c.deliver_prepare(0);
+            let _ = c.sign_own();
         }
         let p = Certify::prepare(slot, slot);
         // Collected after every input, as a driver does.
@@ -1928,8 +1966,12 @@ fn three_honest_shares_cost_one_verification_per_slot() {
         if leader_is_early {
             let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false));
             checks.extend(c.checks());
+            assert!(c.sign_own().is_empty());
         }
-        let fx = c.deliver_prepare(slot);
+        let mut fx = c.deliver_prepare(slot);
+        if !leader_is_early {
+            fx = c.sign_own();
+        }
         assert_eq!(certifies(&fx), 1);
         // r0's share if it is not here yet, r2's, and our own, which comes
         // back to us as every TBcast does.
@@ -1978,7 +2020,8 @@ fn a_share_over_another_proposal_is_dropped_at_acceptance() {
     assert_eq!(check.len(), 1);
     assert!(c.complete(&check[0]).is_empty());
     // Our own share and r2's verified one are two, but not over one thing.
-    let fx = c.deliver_prepare(0);
+    let mut fx = c.deliver_prepare(0);
+    fx.extend(c.sign_own());
     assert_eq!((certifies(&fx), commit_signers(&c, &fx).len()), (1, 0));
     // r2 has had its share of this slot and view.
     let fx = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
@@ -2003,11 +2046,13 @@ fn a_decided_fast_path_slot_still_hands_a_soliciting_peer_our_share() {
     let mut c = Certify::new(PathMode::FastWithFallback);
     c.decide_fast(0);
     let p = Certify::prepare(0, 0);
-    let fx = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
-    assert_eq!(certifies(&fx), 1, "{fx:?}");
-    assert_eq!(c.e.take_crypto_ops(), CryptoOps { signs: 1, verifies: 0 });
+    let _ = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
     let check = c.checks();
     assert_eq!(check.len(), 1);
+    // Our share's sign job was queued in the admitting call; it leaves
+    // when signed.
+    assert_eq!(certifies(&c.sign_own()), 1);
+    assert_eq!(c.e.take_crypto_ops(), CryptoOps::default());
     // The certificate lets us back the peer's COMMIT with our own.
     let fx = c.complete(&check[0]);
     assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
@@ -2015,10 +2060,148 @@ fn a_decided_fast_path_slot_still_hands_a_soliciting_peer_our_share() {
     // slot 1 starts its slow path beside the fast one, with no timer armed.
     let p1 = Certify::prepare(1, 1);
     let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p1, false));
+    assert_eq!(c.checks().len(), 1);
+    assert!(c.sign_own().is_empty());
     let fx = c.deliver_prepare(1);
     assert_eq!(certifies(&fx), 1, "{fx:?}");
     let trigger = Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(Slot(1)) };
     assert!(!fx.contains(&trigger), "{fx:?}");
+}
+
+#[test]
+fn a_slow_path_leader_signs_its_share_in_the_call_that_proposes() {
+    // The leader knows what it certifies as it proposes: the share is
+    // signed beside the PREPARE's own CTBcast signature, and leaves only
+    // when its own PREPARE is delivered — a share still means "accepted".
+    let mut c = Certify::replica(0, PathMode::SlowOnly);
+    let p = Certify::prepare(0, 0);
+    let fx = c.e.on_client_request(Certify::request(0));
+    assert!(fx.contains(&Effect::CtbBroadcast(CtbMsg::Prepare(p.clone()))), "{fx:?}");
+    let jobs = queued_jobs(&mut c.e);
+    let tag = CryptoTag::SlotShare { slot: Slot(0), view: View(0) };
+    assert_eq!(jobs, vec![CryptoJob { tag, work: CryptoWork::Sign { bytes: p.certify_bytes() } }]);
+    assert_eq!(certifies(&c.complete(&jobs[0])), 0, "a share left before its PREPARE");
+    let fx = c.e.on_ctb_deliver(ReplicaId(0), SeqId(1), CtbMsg::Prepare(p));
+    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    assert!(queued_jobs(&mut c.e).is_empty());
+}
+
+#[test]
+fn a_follower_signs_its_share_behind_the_check_of_the_leaders_early_one() {
+    // Both run while the PREPARE is still verified; the 45 us check gets
+    // the free worker first, the 17 us signature the other.
+    let mut c = Certify::new(PathMode::SlowOnly);
+    let p = Certify::prepare(0, 0);
+    assert!(c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false)).is_empty());
+    let jobs = queued_jobs(&mut c.e);
+    let tags: Vec<CryptoTag> = jobs.iter().map(|job| job.tag).collect();
+    let of = ShareOf::Slot { slot: Slot(0), view: View(0) };
+    let own = CryptoTag::SlotShare { slot: Slot(0), view: View(0) };
+    assert_eq!(tags, vec![CryptoTag::ShareCheck { of, from: ReplicaId(0) }, own]);
+    assert!(c.complete(&jobs[1]).is_empty(), "a share left before its PREPARE");
+    let fx = c.deliver_prepare(0);
+    assert_eq!(certifies(&fx), 1, "{fx:?}");
+    let fx = c.complete(&jobs[0]);
+    assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
+}
+
+#[test]
+fn a_share_signed_over_the_leaders_early_proposal_never_leaves_for_another() {
+    // The leader's early share is over X, but CTBcast delivers Y (an
+    // equivocating leader): our signature over X must not leave as our
+    // share, whichever comes first — the signature or the PREPARE.
+    for x_signed_first in [true, false] {
+        let mut c = Certify::new(PathMode::SlowOnly);
+        let (x, y) = (Certify::prepare(0, 7), Certify::prepare(0, 0));
+        let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &x, false));
+        let leaders = c.checks();
+        let over_x = c.own.remove(0);
+        assert_eq!(over_x.work, CryptoWork::Sign { bytes: x.certify_bytes() });
+        let mut fx = Vec::new();
+        if x_signed_first {
+            fx.extend(c.complete(&over_x));
+        }
+        fx.extend(c.deliver_prepare(0));
+        if !x_signed_first {
+            // One sign job per slot at a time: Y's waits for X's.
+            assert!(c.checks().is_empty() && c.own.is_empty(), "{:?}", c.own);
+            fx.extend(c.complete(&over_x));
+        }
+        assert_eq!(certifies(&fx), 0, "the signature over X left: {fx:?}");
+        assert!(c.checks().is_empty());
+        assert_eq!(c.own[0].work, CryptoWork::Sign { bytes: y.certify_bytes() });
+        let fx = c.sign_own();
+        let me = ProcessId::Replica(ReplicaId(1));
+        assert!(
+            matches!(&fx[..], [Effect::TbBroadcast(TbMsg::Certify { prepare, sig })]
+                if *prepare == y && c.ring.verify(me, &y.certify_bytes(), sig)),
+            "{fx:?}"
+        );
+        let _ = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &y, false));
+        let check = c.checks();
+        assert_eq!(check.len(), 1);
+        let fx = c.complete(&check[0]);
+        assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
+        assert!(
+            matches!(&fx[..], [Effect::CtbBroadcast(CtbMsg::Commit(commit))] if commit.prepare == y)
+        );
+        // The leader's share over X counts for nothing, verified or not.
+        assert!(c.complete(&leaders[0]).is_empty());
+    }
+}
+
+#[test]
+fn a_share_signed_in_a_view_that_ended_never_leaves_nor_blocks_the_next_view() {
+    let mut net = new_net(PathMode::SlowOnly);
+    net.client_request(0, b"decided");
+    // No worker gets to the CERTIFY shares of the next slot: it stays
+    // undecided, and the watchdog moves everybody to view 1.
+    net.park = Some(|job| matches!(job.tag, CryptoTag::SlotShare { .. }));
+    net.client_request(1, b"stalled");
+    let ended = std::mem::take(&mut net.parked);
+    assert_eq!(ended.len(), 3, "{ended:?}");
+    progress_until_view(&mut net, View(1));
+    // The request is proposed again in view 1, and signed again.
+    let next = std::mem::take(&mut net.parked);
+    let in_view_1 = |(_, job): &(usize, CryptoJob)| {
+        matches!(job.tag, CryptoTag::SlotShare { view: View(1), .. })
+    };
+    assert!(!next.is_empty() && next.iter().all(in_view_1), "{next:?}");
+    // View 0's signatures come back now, beside view 1's jobs: no-ops.
+    for (who, job) in &ended {
+        let signer = net.ring.signer(ProcessId::Replica(ReplicaId(*who as u32))).unwrap();
+        let fx = net.engines[*who].on_crypto_done(job.tag, job.run(&signer, &net.ring));
+        assert!(fx.is_empty(), "replica {who}: {fx:?}");
+        assert!(queued_jobs(&mut net.engines[*who]).is_empty(), "replica {who}");
+    }
+    net.park = None;
+    for (who, job) in next {
+        net.complete(who, &job);
+    }
+    net.run();
+    // The slot decided in view 0 kept its state across the view change:
+    // executed once, where it was.
+    for r in 0..3 {
+        let log: Vec<&[u8]> = net.executed[r].iter().map(|(_, req)| &req.payload[..]).collect();
+        assert_eq!(log, [&b"decided"[..], b"stalled"], "replica {r}");
+        assert_eq!(net.executed[r][0].0, Slot(0), "replica {r}");
+    }
+    net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn the_fast_path_signs_no_certify_share() {
+    for path in [PathMode::FastOnly, PathMode::FastWithFallback] {
+        let mut net = new_net(path);
+        net.park = Some(|job| matches!(job.tag, CryptoTag::SlotShare { .. }));
+        for i in 0..5u64 {
+            net.client_request(i, &i.to_le_bytes());
+        }
+        assert!(net.parked.is_empty(), "{path:?}: {:?}", net.parked);
+        for r in 0..3 {
+            assert_eq!(net.executed[r].len(), 5, "{path:?}: replica {r}");
+        }
+    }
 }
 
 // ---- The view change and the held PREPARE -------------------------------

@@ -110,8 +110,9 @@ pub struct SimConfig {
     /// crypto cores, §5.4). Ignored by the simulator, which models the pool
     /// as two workers per replica, a virtual-time cursor each: the crypto a
     /// request waits for — the engine's ordered signatures and
-    /// verifications, and a slow-path slot's share checks — takes
-    /// whichever worker frees first, while summary and checkpoint
+    /// verifications, and a slow-path slot's CERTIFY shares, our own signed
+    /// and a peer's checked — takes whichever worker frees first, while
+    /// summary and checkpoint
     /// certification is confined to the second and starts behind the
     /// ordered crypto queued so far (CTBcast's own signatures are charged
     /// per message and occupy neither).

@@ -155,10 +155,10 @@ struct Machine {
     /// Busy-until cursor of the first of the replica's two crypto workers
     /// (the paper's background crypto pool, §5.4). Crypto a request waits
     /// for — the engine's *ordered* signatures and verifications, whose
-    /// effects act only once they finish, and the share checks of a slot on
-    /// the slow path ([`CryptoTag::on_request_path`]) — serializes on
-    /// whichever worker frees first ([`Machine::free_worker`]) instead of
-    /// on the main cursor.
+    /// effects act only once they finish, and a slow-path slot's CERTIFY
+    /// shares, our own signed and a peer's checked
+    /// ([`CryptoTag::on_request_path`]) — serializes on whichever worker
+    /// frees first ([`Machine::free_worker`]) instead of on the main cursor.
     crypto_busy: Time,
     /// The second worker's cursor, and the only one background
     /// certification (summary and checkpoint jobs) runs on: such a job
@@ -624,9 +624,10 @@ impl Substrate for SimSubstrate<'_, '_> {
         };
         // Crypto jobs are work nothing in this call's effects depends on:
         // each comes back as an input of its own, delaying neither these
-        // effects nor any later batch. A slot's share check is as much on a
-        // request's path as ordered crypto is and takes a worker the same
-        // way. Summary and checkpoint certification (§5.2 fn. 3) is not,
+        // effects nor any later batch. A slot's CERTIFY shares — our own
+        // signature, a peer's check — are as much on a request's path as
+        // ordered crypto is and take a worker the same way, in the order
+        // the engine queued them. Summary and checkpoint certification (§5.2 fn. 3) is not,
         // and the pool serves the request path first: such a job is
         // confined to the second worker, where it starts behind earlier
         // work and once the ordered crypto queued so far — this call's
@@ -665,12 +666,12 @@ impl Substrate for SimSubstrate<'_, '_> {
             // historical behaviour, bit-for-bit.
             return Some((done, fx));
         }
-        // Ordered crypto (slow-path CERTIFY shares, commit-certificate and
-        // view-change signatures) is crypto this call's effects *do* depend
-        // on: they act only once it has finished. Route them through the
-        // event queue so the fabric only ever sees monotone timestamps per
-        // host pair (applying early would stall every later message behind
-        // the future arrival in the FIFO network). While any batch is
+        // Ordered crypto (the certificates of COMMITs we did not certify,
+        // view-change signatures and checks) is crypto this call's effects
+        // *do* depend on: they act only once it has finished. Route them
+        // through the event queue so the fabric only ever sees monotone
+        // timestamps per host pair (applying early would stall every later
+        // message behind the future arrival in the FIFO network). While any batch is
         // pending, later batches — crypto-free or not — queue strictly
         // behind it: the engine's emission order is a protocol invariant
         // (e.g. a NEW_VIEW must precede proposals into its view).

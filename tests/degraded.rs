@@ -57,14 +57,16 @@ fn after_a_leader_crash_requests_cost_one_slow_path_and_no_dead_letters() {
     // The crash lands about 230 requests in, so the median request is a
     // degraded one. The floor is the 3-of-3 slow path plus one
     // verification, not (as until PR 20) 1.1 x the slow path: with every
-    // replica up a follower has its certificate — its own share and the
-    // leader's early one, checked while the PREPARE was still on its way —
-    // as soon as it has signed, and decides on its own COMMIT and the other
-    // follower's; five public-key operations block. With one replica down
-    // the follower's decision needs the leader's COMMIT, whose certificate
-    // needs the follower's share, which the leader can only verify after
-    // the follower signed it: that sixth step is inherent to 2-of-3. A
-    // fast-path timeout per request (200 us) still fails this by 150 us.
+    // replica up a follower has its certificate — its own share, signed,
+    // and the leader's early one, checked, both while the PREPARE was still
+    // being verified — as soon as it accepts the PREPARE, and decides on its
+    // own COMMIT and the other follower's; four public-key operations block
+    // (sign PREPARE, verify it, sign COMMIT, verify the other's). With one
+    // replica down the follower's decision needs the leader's COMMIT, whose
+    // certificate needs the follower's share, which leaves only once the
+    // follower accepted the PREPARE and which the leader can only verify
+    // then: that fifth step is inherent to 2-of-3. A fast-path timeout per
+    // request (200 us) still fails this by 150 us.
     let (floor, p50) = (slow.latency.median(), degraded.latency.median());
     let bound = floor + verify + Duration::from_micros(2);
     assert!(
@@ -161,7 +163,7 @@ fn a_leader_cut_off_for_11_ms_rejoins_without_a_view_spiral() {
 fn after_a_follower_crash_only_the_echo_round_still_waits() {
     let mut degraded = run_flip(crash(SimConfig::paper_default(SEED), 2), REQUESTS);
     assert!(degraded.views.iter().take(2).all(|v| v.0 == 0), "a follower crash changed view");
-    // One 2-of-3 slow path (~204 us) plus the leader's `echo_fallback`
+    // One 2-of-3 slow path (~186 us) plus the leader's `echo_fallback`
     // (100 us): the view stays 0, where the leader waits for every
     // follower's echo before it proposes. Suspecting the dead follower in
     // the echo round too is a separate change (it interacts with held

@@ -105,6 +105,16 @@ fn summary_boundaries_leave_no_mark_on_the_slow_path_either() {
     // jobs shared a cursor with them, one that got in between cost the
     // request a whole signature (220 us at a 204 us median).
     //
+    // Re-based again when the own CERTIFY share became a job signed while
+    // the PREPARE is still being verified (was: p99 <= p50 + 1 us). A
+    // follower now needs both workers at once, for the leader's share's
+    // check and its own signature, some 45 us before its PREPARE is
+    // delivered. At every follower-stream summary boundary — one request in
+    // 64, more than 1 % — a 45.5 us summary-share check holds the second
+    // worker, and the request's own signature comes 9.4 us late: 150.4 us
+    // at a 141.0 us median. So p99 sits on those requests on every seed,
+    // not on an edge, and stays below the 158.4 us median this path had.
+    //
     // Re-based in PR 20 (was: max <= p50 + 1 us). Until then the check of
     // the peer's share ran *behind* the own signature on one worker, and a
     // second worker that was busy with bookkeeping did not matter. Now the
@@ -119,8 +129,8 @@ fn summary_boundaries_leave_no_mark_on_the_slow_path_either() {
     let mut lat = run(cfg, 600).latency;
     let (p50, p99, max) = (lat.median(), lat.percentile(99.0), lat.max());
     assert!(
-        p99 <= p50 + Duration::from_micros(1),
-        "p99 {p99} is more than 1 us above p50 {p50}: bookkeeping is on the request path"
+        p99 <= p50 + Duration::from_micros(10),
+        "p99 {p99} is more than 10 us above p50 {p50}: bookkeeping is on the request path"
     );
     assert!(
         max <= p50 + sign + Duration::from_micros(1),
