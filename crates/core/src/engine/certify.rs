@@ -175,9 +175,23 @@ impl<K: Clone + PartialEq> ShareSet<K> {
     /// The certificate the verified shares over `about` make, once there
     /// are `quorum` of them.
     pub(super) fn certificate(&self, about: &K, quorum: usize) -> Option<Certificate> {
+        self.cert_of(about, quorum, &[ShareState::Verified])
+    }
+
+    /// The certificate the shares over `about` that are verified or being
+    /// checked make, once there are `quorum` of them: what
+    /// [`certificate`](Self::certificate) returns if every check under way
+    /// holds.
+    pub(super) fn certificate_ahead(&self, about: &K, quorum: usize) -> Option<Certificate> {
+        self.cert_of(about, quorum, &[ShareState::Verified, ShareState::Checking])
+    }
+
+    fn cert_of(&self, about: &K, quorum: usize, of: &[ShareState]) -> Option<Certificate> {
         let mut cert = Certificate::new();
-        for (who, sig) in self.verified(about) {
-            cert.add(ProcessId::Replica(who), sig);
+        for (who, share) in &self.by_signer {
+            if of.contains(&share.state) && share.about == *about {
+                cert.add(ProcessId::Replica(*who), share.sig);
+            }
         }
         (cert.count() >= quorum).then_some(cert)
     }

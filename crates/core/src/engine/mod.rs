@@ -34,8 +34,10 @@
 //! do our own shares' signatures. A slot's is requested as soon as we know
 //! the proposal it certifies — the leader's as it proposes, a follower's
 //! as it admits the leader's early share — and leaves once we accepted
-//! that proposal; the two periodic certifications' bound memory and must
-//! stay off the request path altogether. A replacement node's join still verifies
+//! that proposal, and the COMMIT it helps certify is signed by CTBcast as
+//! soon as its bytes are known ([`Engine::take_ctb_ahead`]); the two
+//! periodic certifications' bound memory and must stay off the request
+//! path altogether. A replacement node's join still verifies
 //! the checkpoints it adopts inline: nothing runs beside it.
 
 mod certify;
@@ -121,6 +123,9 @@ pub struct Engine {
     summary_checks: BTreeMap<(ReplicaId, SeqId), StateSummary>,
     /// Crypto jobs queued for the driver ([`Engine::take_crypto_jobs`]).
     crypto_jobs: Vec<CryptoJob>,
+    /// The COMMIT CTBcast may sign before it is broadcast, and the id it
+    /// will get ([`Engine::take_ctb_ahead`]).
+    ctb_ahead: Option<(SeqId, CtbMsg)>,
     /// Effects of the input being handled, in emission order; every public
     /// input hands them over on return (`std::mem::take`).
     out: Vec<Effect>,
@@ -212,6 +217,7 @@ impl Engine {
             summary_shares: BTreeMap::new(),
             summary_checks: BTreeMap::new(),
             crypto_jobs: Vec::new(),
+            ctb_ahead: None,
             out: Vec::new(),
             vc_shares: BTreeMap::new(),
             sealing: None,
@@ -314,6 +320,16 @@ impl Engine {
     /// [`Engine::on_crypto_done`]; the request path never waits for them.
     pub fn take_crypto_jobs(&mut self) -> std::vec::Drain<'_, CryptoJob> {
         self.crypto_jobs.drain(..)
+    }
+
+    /// Takes the COMMIT our own stream will carry at the returned id once
+    /// its certificate is verified, known before that: a driver collects it
+    /// after every call beside the crypto jobs and has CTBcast sign it
+    /// meanwhile (`Ctb::sign_ahead`). Only a broadcast of exactly this
+    /// message at that id uses the signature; nothing is lost by ignoring
+    /// it, as a harness does.
+    pub fn take_ctb_ahead(&mut self) -> Option<(SeqId, CtbMsg)> {
+        self.ctb_ahead.take()
     }
 
     /// Jobs no driver collected by the time the next input arrives are run

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use ubft_crypto::Signature;
-use ubft_types::{ReplicaId, RequestId, Slot, View};
+use ubft_types::{ReplicaId, RequestId, SeqId, Slot, View};
 
 use super::certify::ShareSet;
 use super::requests::Stage;
@@ -28,6 +28,8 @@ pub(super) struct SlotState {
     /// — which may be ahead of ours ([`Engine::handle_certify_share`]).
     pub(super) shares: ShareSet<Prepare>,
     sent_certify: bool,
+    /// CTBcast was asked to sign our COMMIT ahead ([`Engine::sign_commit_ahead`]).
+    signed_ahead: bool,
     pub(super) sent_commit: bool,
     /// Replicas whose COMMIT (with matching prepare) we delivered.
     pub(super) commit_from: BTreeSet<ReplicaId>,
@@ -263,6 +265,29 @@ impl Engine {
         let Some(about) = entry.shares.ours(self.me).map(|(p, _)| p.clone()) else { return };
         entry.shares.add_own(self.me, about, sig);
         self.start_slow_path(slot);
+        self.sign_commit_ahead(slot);
+    }
+
+    /// Once our share is signed and `f + 1` shares over the proposal it
+    /// signs are verified or being checked — parked ones do not count —
+    /// the bytes of our COMMIT are known: CTBcast is asked to sign it now,
+    /// beside the checks and the PREPARE's verification, at the id it will
+    /// get. Once per slot per view, and only while what our share signs is
+    /// what we accepted, or nothing is accepted yet. The COMMIT still
+    /// leaves only from [`Engine::maybe_commit`]; a different one, or one
+    /// at another id, is signed afresh.
+    fn sign_commit_ahead(&mut self, slot: Slot) {
+        let quorum = self.quorum();
+        let Some(s) = self.slots.get_mut(&slot) else { return };
+        let Some((about, Some(_))) = s.shares.ours(self.me) else { return };
+        if s.sent_commit || s.signed_ahead || s.prepare.as_ref().is_some_and(|p| p != about) {
+            return;
+        }
+        let Some(cert) = s.shares.certificate_ahead(about, quorum) else { return };
+        let prepare = about.clone();
+        s.signed_ahead = true;
+        let k = SeqId(self.my_ctb_sent + self.queued_ctb.len() as u64 + 1);
+        self.ctb_ahead = Some((k, CtbMsg::Commit(CommitCert { prepare, cert })));
     }
 
     /// The fast-path timeout fired for `slot`: if it is still undecided,
@@ -379,13 +404,15 @@ impl Engine {
         if accepted && slow {
             self.start_slow_path(slot);
         }
-        self.check_parked(ShareOf::Slot { slot, view: self.view });
         // The leader's share, early here: ours over the proposal it carries
         // is signed while the PREPARE is still being verified — queued
-        // behind the check, so the longer job takes the free worker first.
+        // ahead of the check, so that it takes the free worker first: the
+        // COMMIT's signature waits for it, and not for the check.
         if let Some(prep) = early {
             self.sign_share(prep);
         }
+        self.check_parked(ShareOf::Slot { slot, view: self.view });
+        self.sign_commit_ahead(slot);
     }
 
     /// Once we hold an `f + 1` certificate for our prepare, broadcast COMMIT

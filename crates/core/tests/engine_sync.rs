@@ -20,6 +20,7 @@ use ubft_core::msg::{
     CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
 };
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature};
+use ubft_types::wire::Wire;
 use ubft_types::{ClientId, ClusterParams, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
 
 type Net = EngineNet<NoopApp>;
@@ -2087,9 +2088,10 @@ fn a_slow_path_leader_signs_its_share_in_the_call_that_proposes() {
 }
 
 #[test]
-fn a_follower_signs_its_share_behind_the_check_of_the_leaders_early_one() {
-    // Both run while the PREPARE is still verified; the 45 us check gets
-    // the free worker first, the 17 us signature the other.
+fn a_follower_signs_its_share_ahead_of_the_check_of_the_leaders_early_one() {
+    // Both run while the PREPARE is still verified. The COMMIT's CTBcast
+    // signature waits for the 17 us own signature, not for the 45 us check,
+    // so the signature gets the free worker first and the check the other.
     let mut c = Certify::new(PathMode::SlowOnly);
     let p = Certify::prepare(0, 0);
     assert!(c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, false)).is_empty());
@@ -2097,12 +2099,109 @@ fn a_follower_signs_its_share_behind_the_check_of_the_leaders_early_one() {
     let tags: Vec<CryptoTag> = jobs.iter().map(|job| job.tag).collect();
     let of = ShareOf::Slot { slot: Slot(0), view: View(0) };
     let own = CryptoTag::SlotShare { slot: Slot(0), view: View(0) };
-    assert_eq!(tags, vec![CryptoTag::ShareCheck { of, from: ReplicaId(0) }, own]);
-    assert!(c.complete(&jobs[1]).is_empty(), "a share left before its PREPARE");
+    assert_eq!(tags, vec![own, CryptoTag::ShareCheck { of, from: ReplicaId(0) }]);
+    assert!(c.e.take_ctb_ahead().is_none(), "a COMMIT asked for before our share is signed");
+    assert!(c.complete(&jobs[0]).is_empty(), "a share left before its PREPARE");
+    assert!(c.e.take_ctb_ahead().is_some(), "the COMMIT is not signed beside the check");
     let fx = c.deliver_prepare(0);
     assert_eq!(certifies(&fx), 1, "{fx:?}");
-    let fx = c.complete(&jobs[0]);
+    let fx = c.complete(&jobs[1]);
     assert_eq!(commit_signers(&c, &fx), vec![replicas(&[0, 1])]);
+}
+
+/// The COMMIT `fx` broadcasts, if any.
+fn commit_of(fx: &[Effect]) -> Option<CtbMsg> {
+    fx.iter().find_map(|e| match e {
+        Effect::CtbBroadcast(msg @ CtbMsg::Commit(_)) => Some(msg.clone()),
+        _ => None,
+    })
+}
+
+#[test]
+fn a_follower_has_its_commit_signed_ahead_byte_for_byte_at_the_id_it_gets() {
+    // Slot 0 puts one COMMIT on our stream, so slot 1's goes out as id 2.
+    let mut c = Certify::new(PathMode::SlowOnly);
+    let p0 = Certify::prepare(0, 0);
+    let _ = c.deliver_prepare(0);
+    let _ = c.sign_own();
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p0, false));
+    let check = c.checks();
+    assert!(commit_of(&c.complete(&check[0])).is_some());
+    assert_eq!(c.e.diag().ctb_sent, 1);
+    let _ = c.e.take_ctb_ahead();
+    // The leader's early share over slot 1, then our own signature: the
+    // COMMIT they would make is known while both the PREPARE and the
+    // leader's share are still being verified.
+    let p1 = Certify::prepare(1, 1);
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p1, false));
+    let check = c.checks();
+    assert!(c.e.take_ctb_ahead().is_none(), "asked for before our share was signed");
+    assert!(c.sign_own().is_empty());
+    let (k, ahead) = c.e.take_ctb_ahead().expect("the COMMIT is signed ahead");
+    assert_eq!(k, SeqId(2));
+    let fx = c.deliver_prepare(1);
+    assert_eq!((certifies(&fx), commit_of(&fx)), (1, None));
+    let commit = commit_of(&c.complete(&check[0])).expect("the certificate is complete");
+    assert_eq!(commit.to_bytes(), ahead.to_bytes());
+    assert_eq!(c.e.diag().ctb_sent, k.0, "the COMMIT went out at another id");
+    assert!(c.e.take_ctb_ahead().is_none(), "asked for twice");
+}
+
+#[test]
+fn a_leader_has_its_commit_signed_ahead_when_it_admits_a_followers_share() {
+    let mut c = Certify::replica(0, PathMode::SlowOnly);
+    let p = Certify::prepare(0, 0);
+    let _ = c.e.on_client_request(Certify::request(0));
+    let jobs = queued_jobs(&mut c.e);
+    let _ = c.complete(&jobs[0]);
+    let fx = c.e.on_ctb_deliver(ReplicaId(0), SeqId(1), CtbMsg::Prepare(p.clone()));
+    assert_eq!(certifies(&fx), 1);
+    assert!(c.e.take_ctb_ahead().is_none(), "asked for with one share");
+    let _ = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
+    let check = c.checks();
+    let (k, ahead) = c.e.take_ctb_ahead().expect("the COMMIT is signed beside the check");
+    assert_eq!(k, SeqId(2), "the PREPARE took id 1");
+    let commit = commit_of(&c.complete(&check[0])).expect("the certificate is complete");
+    assert_eq!(commit.to_bytes(), ahead.to_bytes());
+    assert_eq!(c.e.diag().ctb_sent, k.0);
+}
+
+#[test]
+fn a_forged_early_share_makes_a_commit_other_than_the_one_signed_ahead() {
+    let mut c = Certify::new(PathMode::SlowOnly);
+    let p = Certify::prepare(0, 0);
+    let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p, true));
+    let forged = c.checks();
+    assert!(c.sign_own().is_empty());
+    // Own + the leader's, being checked: f + 1 — if the check holds.
+    let (k, ahead) = c.e.take_ctb_ahead().expect("the COMMIT is signed ahead");
+    assert!(c.complete(&forged[0]).is_empty());
+    let _ = c.deliver_prepare(0);
+    let _ = c.e.on_tb_deliver(ReplicaId(2), c.share(2, &p, false));
+    let honest = c.checks();
+    let fx = c.complete(&honest[0]);
+    assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
+    let commit = commit_of(&fx).expect("released");
+    assert_eq!(c.e.diag().ctb_sent, k.0, "the same id");
+    assert_ne!(commit.to_bytes(), ahead.to_bytes(), "the early COMMIT carries a forged share");
+    assert!(c.e.take_ctb_ahead().is_none(), "once per slot per view");
+}
+
+#[test]
+fn the_fast_path_asks_for_no_commit_ahead() {
+    let paths = [PathMode::FastOnly, PathMode::FastWithFallback, PathMode::SlowOnly];
+    for path in paths {
+        let mut net = new_net(path);
+        for i in 0..5u64 {
+            net.client_request(i, &i.to_le_bytes());
+        }
+        // The harness never collects the request, so the last one is left.
+        let asked = (0..3).filter(|r| net.engines[*r].take_ctb_ahead().is_some()).count();
+        assert_eq!(asked > 0, path == PathMode::SlowOnly, "{path:?}: {asked}");
+        for r in 0..3 {
+            assert_eq!(net.executed[r].len(), 5, "{path:?}: replica {r}");
+        }
+    }
 }
 
 #[test]

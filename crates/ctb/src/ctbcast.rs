@@ -227,6 +227,9 @@ pub struct Ctb {
     /// together with `payloads` — which holds the bodies, for `SIGNED`
     /// emission after async signing.
     my_broadcasts: FixedMap<u64, OwnBroadcast>,
+    /// Broadcaster only: the one signature asked for ahead of its
+    /// broadcast ([`Ctb::sign_ahead`]), with the id it is for.
+    ahead: Option<(SeqId, OwnBroadcast)>,
     /// `locks` array (line 9): per ring slot, the `(k, fp)` this replica is
     /// committed to.
     locks: Vec<Option<(SeqId, Digest)>>,
@@ -271,6 +274,7 @@ impl Ctb {
             replicas,
             next_k: SeqId(1),
             my_broadcasts: FixedMap::with_hasher(hash_state),
+            ahead: None,
             locks: vec![None; cfg.tail],
             locked: vec![vec![None; cfg.tail]; cfg.n],
             delivered: vec![None; cfg.tail],
@@ -385,12 +389,27 @@ impl Ctb {
         self.next_k = self.next_k.next();
         let fp = fingerprint(&m);
         self.cache_payload(k, fp, &m);
-        self.my_broadcasts.insert(k.0, OwnBroadcast { fp, sign: SignState::NotAsked });
+        // A signature asked for ahead serves this very message at this id
+        // only; one for an id this broadcast reaches is moot otherwise.
+        let sign = match self.ahead.take_if(|(ahead_k, _)| *ahead_k <= k) {
+            Some((ahead_k, own)) if ahead_k == k && own.fp == fp => own.sign,
+            _ => SignState::NotAsked,
+        };
+        self.my_broadcasts.insert(k.0, OwnBroadcast { fp, sign });
         let mut fx = Vec::new();
+        if let SignState::Done(sig) = sign {
+            if self.cfg.fast_enabled {
+                fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() }));
+            }
+            fx.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
+            return (k, fx);
+        }
         if self.cfg.fast_enabled {
             fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
         }
         match self.cfg.slow {
+            // Signed ahead: `SIGNED` leaves when the signer answers.
+            _ if sign == SignState::Asked => {}
             SlowMode::OnTimeout if self.suspected.is_empty() => {
                 fx.push(CtbEffect::ArmSlowTimer { k });
             }
@@ -437,6 +456,42 @@ impl Ctb {
             return Vec::new();
         }
         self.request_sign(k).into_iter().collect()
+    }
+
+    /// Broadcaster only: asks for the signature of `m` at id `k` before
+    /// `m` is broadcast. It is used only if [`Ctb::broadcast`] sends
+    /// exactly `m` as `k`: `SIGNED` goes out with it then, or as soon as
+    /// the signer answers. Any other broadcast at or past `k` drops it, and
+    /// that message is signed afresh; a signature no broadcast used never
+    /// leaves this replica. One is kept at a time. `None` when `k` is taken
+    /// already, the slow path is off, or this very signature is pending.
+    pub fn sign_ahead(&mut self, k: SeqId, m: &[u8]) -> Option<CtbEffect> {
+        if self.me != self.stream || self.cfg.slow == SlowMode::Never || k < self.next_k {
+            return None;
+        }
+        let fp = fingerprint(m);
+        if self.ahead.is_some_and(|(ahead_k, own)| ahead_k == k && own.fp == fp) {
+            return None;
+        }
+        self.ahead = Some((k, OwnBroadcast { fp, sign: SignState::Asked }));
+        Some(CtbEffect::Sign { k, fp })
+    }
+
+    /// [`Ctb::on_sign_done`] for a signature over `(stream, k, fp)`. Two
+    /// signatures for one id can be in flight — one asked for ahead, and
+    /// one for what was broadcast there instead — so a completion over
+    /// anything but what `k` carries, or will carry, is stale and ignored,
+    /// and so is a second one for a message whose `SIGNED` went out.
+    pub fn on_sign_done_over(&mut self, k: SeqId, fp: Digest, sig: Signature) -> Vec<CtbEffect> {
+        let waiting = |own: &OwnBroadcast| own.fp == fp && own.sign == SignState::Asked;
+        match &mut self.ahead {
+            Some((ahead_k, own)) if *ahead_k == k && own.fp == fp => {
+                own.sign = SignState::Done(sig);
+                Vec::new()
+            }
+            _ if self.my_broadcasts.get(&k.0).is_some_and(waiting) => self.on_sign_done(k, sig),
+            _ => Vec::new(),
+        }
     }
 
     /// The crypto pool finished signing `(stream, k, fp)`. The signature is
@@ -961,6 +1016,132 @@ mod tests {
         h.emit(0, fx);
         h.run();
         assert!(h.delivered[0].is_empty());
+    }
+
+    /// A signature asked for ahead and done by the broadcast of exactly
+    /// that message at that id leaves with it: no second signature, and
+    /// the broadcaster's own `SIGNED` needs no verification.
+    #[test]
+    fn a_signature_asked_ahead_leaves_with_the_broadcast_of_that_message() {
+        for cfg in [cfg_slow(), CtbConfig::deployed(N, T)] {
+            let mut h = CtbNet::new(cfg);
+            let m = b"commit".to_vec();
+            let (k, fp) = (SeqId(1), fingerprint(&m));
+            assert_eq!(h.ctbs[0].sign_ahead(k, &m), Some(CtbEffect::Sign { k, fp }));
+            assert_eq!(h.ctbs[0].sign_ahead(k, &m), None, "asked twice");
+            let sig = sign(&h, k, &m);
+            assert!(
+                h.ctbs[0].on_sign_done_over(k, fp, sig).is_empty(),
+                "left before its broadcast"
+            );
+            let (at, fx) = h.ctbs[0].broadcast(m.clone());
+            assert_eq!(at, k);
+            let signed = CtbEffect::Broadcast(CtbWire::Signed { k, m: m.clone(), sig });
+            let lock = CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() });
+            let want = if cfg.fast_enabled { vec![lock, signed] } else { vec![signed] };
+            assert_eq!(fx, want, "{cfg:?}");
+            let entry = RegEntry { k, fp, sig };
+            let own = CtbWire::Signed { k, m: m.clone(), sig };
+            assert_eq!(
+                h.ctbs[0].clone().on_tb_deliver(rid(0), own),
+                vec![CtbEffect::WriteRegister { slot: k.ring_index(T), k, entry }]
+            );
+            h.emit(0, fx);
+            h.run();
+            for r in 0..N {
+                assert_eq!(h.delivered[r], vec![(k, m.clone())], "replica {r}");
+            }
+        }
+    }
+
+    /// Still being signed at its broadcast: `SIGNED` leaves once, when the
+    /// signer answers, and nothing else is asked for meanwhile.
+    #[test]
+    fn a_signature_asked_ahead_and_pending_at_the_broadcast_leaves_when_it_completes() {
+        for cfg in [cfg_slow(), CtbConfig::deployed(N, T)] {
+            let mut h = CtbNet::new(cfg);
+            let m = b"commit".to_vec();
+            let (k, fp) = (SeqId(1), fingerprint(&m));
+            assert!(h.ctbs[0].sign_ahead(k, &m).is_some());
+            let (_, fx) = h.ctbs[0].broadcast(m.clone());
+            let lock = CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() });
+            assert_eq!(fx, if cfg.fast_enabled { vec![lock] } else { vec![] }, "{cfg:?}");
+            assert!(h.ctbs[0].on_slow_timeout(k).is_empty(), "a second signature");
+            let sig = sign(&h, k, &m);
+            let signed = CtbEffect::Broadcast(CtbWire::Signed { k, m, sig });
+            assert_eq!(h.ctbs[0].on_sign_done_over(k, fp, sig), vec![signed]);
+        }
+    }
+
+    /// Another message broadcast at the id drops the early signature: the
+    /// message is signed afresh, and the stale completion — for the same
+    /// id, over other bytes — never reaches the wire.
+    #[test]
+    fn other_bytes_at_the_id_are_signed_afresh_and_the_stale_signature_never_leaves() {
+        for stale_first in [true, false] {
+            let mut h = CtbNet::new(cfg_slow());
+            let (ahead, other) = (b"commit".to_vec(), b"checkpoint".to_vec());
+            let k = SeqId(1);
+            let (fp_ahead, fp_other) = (fingerprint(&ahead), fingerprint(&other));
+            assert!(h.ctbs[0].sign_ahead(k, &ahead).is_some());
+            let stale = sign(&h, k, &ahead);
+            if stale_first {
+                assert!(h.ctbs[0].on_sign_done_over(k, fp_ahead, stale).is_empty());
+            }
+            let (_, fx) = h.ctbs[0].broadcast(other.clone());
+            assert_eq!(fx, vec![CtbEffect::Sign { k, fp: fp_other }]);
+            if !stale_first {
+                assert!(h.ctbs[0].on_sign_done_over(k, fp_ahead, stale).is_empty());
+            }
+            let sig = sign(&h, k, &other);
+            let signed = CtbWire::Signed { k, m: other.clone(), sig };
+            let fx = h.ctbs[0].on_sign_done_over(k, fp_other, sig);
+            assert_eq!(fx, vec![CtbEffect::Broadcast(signed)]);
+            h.emit(0, fx);
+            h.run();
+            // The early message, broadcast next, gets the next id and its
+            // own signature.
+            let (k2, fx) = h.ctbs[0].broadcast(ahead.clone());
+            assert_eq!(fx, vec![CtbEffect::Sign { k: k2, fp: fp_ahead }]);
+            for r in 0..N {
+                assert_eq!(h.delivered[r], vec![(k, other.clone())], "replica {r}");
+            }
+        }
+    }
+
+    /// An early signature replaced by one for a later id still signs the
+    /// same bytes: if it completes after its message was broadcast and
+    /// signed afresh, it is the one `SIGNED` sends, and the fresh one adds
+    /// nothing.
+    #[test]
+    fn a_replaced_early_signature_and_the_fresh_one_send_one_signed() {
+        let mut h = CtbNet::new(cfg_slow());
+        let (m1, m2) = (b"slot 1".to_vec(), b"slot 2".to_vec());
+        let (k1, fp1) = (SeqId(1), fingerprint(&m1));
+        assert!(h.ctbs[0].sign_ahead(k1, &m1).is_some());
+        assert!(h.ctbs[0].sign_ahead(SeqId(2), &m2).is_some());
+        let (_, fx) = h.ctbs[0].broadcast(m1.clone());
+        assert_eq!(fx, vec![CtbEffect::Sign { k: k1, fp: fp1 }]);
+        let sig = sign(&h, k1, &m1);
+        let signed = CtbEffect::Broadcast(CtbWire::Signed { k: k1, m: m1, sig });
+        assert_eq!(h.ctbs[0].on_sign_done_over(k1, fp1, sig), vec![signed]);
+        assert!(h.ctbs[0].on_sign_done_over(k1, fp1, sig).is_empty(), "a second SIGNED");
+    }
+
+    /// An id already taken, a stream that is not ours and a stream without
+    /// a slow path ask for nothing.
+    #[test]
+    fn signing_ahead_asks_for_nothing_it_could_never_use() {
+        let mut h = CtbNet::new(cfg_slow());
+        let m = b"late".to_vec();
+        let _ = h.ctbs[0].broadcast(b"first".to_vec());
+        assert_eq!(h.ctbs[0].sign_ahead(SeqId(1), &m), None, "id 1 is taken");
+        assert_eq!(h.ctbs[1].sign_ahead(SeqId(2), &m), None, "not the broadcaster");
+        assert!(h.ctbs[0].sign_ahead(SeqId(2), &m).is_some());
+        let mut h = CtbNet::new(cfg_fast());
+        assert_eq!(h.ctbs[0].sign_ahead(SeqId(1), &m), None, "SlowMode::Never");
+        let (_, fx) = h.ctbs[0].broadcast(m.clone());
+        assert_eq!(fx, vec![CtbEffect::Broadcast(CtbWire::Lock { k: SeqId(1), m })]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
-use ubft_core::msg::{Reply, Request};
+use ubft_core::msg::{CtbMsg, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
@@ -67,6 +67,11 @@ struct FakeNet {
     told: HashMap<(usize, SeqId), Vec<u8>>,
     /// Signatures verified so far: `[for CTBcast, by engine crypto jobs]`.
     verifies: [u32; 2],
+    /// Whether a node is being handed a CTBcast signature that finished.
+    signing: bool,
+    /// `SIGNED` frames of COMMITs sent so far: `[by the call that
+    /// broadcast the COMMIT, by a signature's completion after it]`.
+    signed_commits: [u32; 2],
 }
 
 impl FakeNet {
@@ -111,6 +116,9 @@ impl Substrate for FakeSubstrate<'_> {
             let lie = (net.equivocator == Some(from) && lane == Lane::CtbTb { stream: from })
                 .then(|| net.keep_lying(from, to, bytes))
                 .flatten();
+            if lane == (Lane::CtbTb { stream: from }) && carries_signed_commit(bytes) {
+                net.signed_commits[usize::from(net.signing)] += 1;
+            }
             let frame = lie.unwrap_or_else(|| bytes.to_vec());
             net.links.entry((from, to)).or_default().push_back((lane, frame));
         }
@@ -123,7 +131,7 @@ impl Substrate for FakeSubstrate<'_> {
 
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
         let sig = sign_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp);
-        let done = CtbDone::Signed(k, sig);
+        let done = CtbDone::Signed(k, fp, sig);
         self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
     }
 
@@ -208,6 +216,8 @@ impl FakeCluster {
             equivocator: None,
             told: HashMap::new(),
             verifies: [0; 2],
+            signing: false,
+            signed_commits: [0; 2],
         };
         let client = Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum());
         let mut cluster = FakeCluster { nodes, net, client };
@@ -231,6 +241,8 @@ impl FakeCluster {
             for r in 0..self.net.n {
                 while let Some(c) = self.net.completions[r].pop_front() {
                     idle = false;
+                    self.net.signing =
+                        matches!(c, Completion::Ctb { done: CtbDone::Signed(..), .. });
                     self.on_node(r, |nd, sub| match c {
                         Completion::Ctb { stream, done } => nd.on_ctb_done(sub, stream, done, ()),
                         Completion::Crypto { tag, result } => {
@@ -293,6 +305,13 @@ impl FakeCluster {
     }
 }
 
+/// Whether `frame` is a TBcast data frame carrying a `SIGNED` COMMIT.
+fn carries_signed_commit(frame: &[u8]) -> bool {
+    let Ok(TbFrame::Data { payload, .. }) = TbFrame::decode(frame) else { return false };
+    let Ok(CtbWire::Signed { m, .. }) = CtbWire::from_bytes(payload) else { return false };
+    matches!(CtbMsg::from_bytes(&m), Ok(CtbMsg::Commit(_)))
+}
+
 fn payload(i: u64) -> Vec<u8> {
     let mut p = vec![0u8; 32];
     p[..8].copy_from_slice(&i.to_le_bytes());
@@ -322,6 +341,21 @@ fn three_nodes_decide_on_the_fast_and_the_forced_slow_path() {
             assert_eq!(cluster.net.verifies, [4 * 2, 3].map(|v| v * requests as u32));
         }
     }
+}
+
+/// Every replica's COMMIT is signed while its certificate is still being
+/// checked, so its `SIGNED` frame leaves in the call that broadcasts it —
+/// none waits for a signature to complete after the COMMIT was released.
+#[test]
+fn a_commit_signed_ahead_leaves_signed_in_the_call_that_releases_it() {
+    let requests = 20;
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5).slow_only());
+    for i in 0..requests {
+        assert!(cluster.request(payload(i)), "request {i} stalled");
+    }
+    cluster.assert_replicas_agree(requests as usize);
+    // Three COMMITs a slot, each to the two replicas that did not send it.
+    assert_eq!(cluster.net.signed_commits, [3 * 2 * requests as u32, 0]);
 }
 
 /// A `LOCK` lost on its way to one follower stalls the unanimous fast path;

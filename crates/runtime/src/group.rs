@@ -506,7 +506,7 @@ impl Substrate for SimSubstrate<'_, '_> {
         // Only a stream's broadcaster signs for it.
         debug_assert_eq!(stream, r);
         let done = at + env.cfg.cost.sign_total();
-        env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Signed(k, sig) });
+        env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Signed(k, fp, sig) });
     }
 
     fn ctb_verify(

@@ -94,8 +94,9 @@ pub(crate) enum NodeTimer {
 /// The completion of work a CTBcast instance asked the [`Substrate`] to
 /// start; comes back through [`ReplicaNode::on_ctb_done`].
 pub(crate) enum CtbDone {
-    /// [`Substrate::ctb_sign`]'s signature over message `k`.
-    Signed(SeqId, Signature),
+    /// [`Substrate::ctb_sign`]'s signature over message `k` with
+    /// fingerprint `fp`.
+    Signed(SeqId, Digest, Signature),
     /// [`Substrate::ctb_verify`]'s verdict.
     Verified(VerifyTag, bool),
     /// [`Substrate::write_register`] reached its quorum for message `k`.
@@ -306,6 +307,10 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     /// into a slot frame or a shared TBcast frame — reused for every send,
     /// so encoding allocates nothing.
     scratch: Vec<u8>,
+    /// The COMMIT our own stream's CTBcast signs ahead
+    /// ([`Engine::take_ctb_ahead`]), encoded once: its broadcast sends
+    /// these bytes.
+    ctb_ahead: Option<(CtbMsg, Vec<u8>)>,
 }
 
 impl<A: App + ?Sized> ReplicaNode<A> {
@@ -363,6 +368,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             transfer_misses: 0,
             branded: Vec::new(),
             scratch: Vec::new(),
+            ctb_ahead: None,
         }
     }
 
@@ -467,7 +473,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         at: S::At,
     ) {
         self.ctb_call(sub, stream, at, |c| match done {
-            CtbDone::Signed(k, sig) => c.on_sign_done(k, sig),
+            CtbDone::Signed(k, fp, sig) => c.on_sign_done_over(k, fp, sig),
             CtbDone::Verified(tag, ok) => c.on_verify_done(tag, ok),
             CtbDone::Written(k) => c.on_register_written(k),
             CtbDone::Read(k, entries) => c.on_registers_read(k, entries),
@@ -531,6 +537,15 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         f: impl FnOnce(&mut Engine) -> Vec<Effect>,
     ) {
         let fx = f(&mut self.engine);
+        // A COMMIT whose bytes are known before its certificate is verified
+        // is signed meanwhile, from the call that learned them.
+        if let Some((k, msg)) = self.engine.take_ctb_ahead() {
+            let (r, bytes) = (self.r, msg.to_bytes());
+            if let Some(sign) = self.ctbs[r].sign_ahead(k, &bytes) {
+                self.ctb_effect(sub, r, at, sign);
+            }
+            self.ctb_ahead = Some((msg, bytes));
+        }
         // Freshly recorded decisions reach the observer *before* their
         // Execute effects run, so its coverage lookups find the evidence.
         for rec in self.engine.take_decisions() {
@@ -554,7 +569,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         match e {
             Effect::CtbBroadcast(msg) => {
                 let r = self.r;
-                let (_k, cfx) = self.ctbs[r].broadcast(msg.to_bytes());
+                let ahead = self.ctb_ahead.take_if(|(ahead, _)| *ahead == msg);
+                let bytes = ahead.map_or_else(|| msg.to_bytes(), |(_, bytes)| bytes);
+                let (_k, cfx) = self.ctbs[r].broadcast(bytes);
                 for ce in cfx {
                     self.ctb_effect(sub, r, at, ce);
                 }

@@ -215,7 +215,7 @@ fn spawn_crypto_workers(
                     PoolJob::Sign { node, group, stream, k, fp } => {
                         let sig = sign_broadcast(&rings[group], ReplicaId(stream), k, &fp);
                         let stream = stream as usize;
-                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Signed(k, sig) })
+                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Signed(k, fp, sig) })
                     }
                     PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
                         let ok = verify_broadcast(&rings[group], ReplicaId(stream), k, &fp, &sig);

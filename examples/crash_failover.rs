@@ -45,7 +45,10 @@ fn main() {
     // same seed, all replicas up, plus the one verification 2-of-3 cannot
     // hide: the survivor's decision waits for the new leader's COMMIT, whose
     // certificate needs the survivor's share, which the leader can check
-    // only once the survivor has accepted the PREPARE and sent it. Each of
+    // only once the survivor has accepted the PREPARE and sent it — four
+    // public-key operations on the blocking chain where 3-of-3 has three
+    // (sign PREPARE, verify it, verify a COMMIT; every COMMIT is signed
+    // while its certificate is still being checked). Each of
     // the three fast-path waits that re-discovers the dead leader would add
     // 200 us.
     let floor = run(SimConfig::paper_default(SEED).slow_only(), 500, 500).latency.median();

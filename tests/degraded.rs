@@ -59,14 +59,15 @@ fn after_a_leader_crash_requests_cost_one_slow_path_and_no_dead_letters() {
     // verification, not (as until PR 20) 1.1 x the slow path: with every
     // replica up a follower has its certificate — its own share, signed,
     // and the leader's early one, checked, both while the PREPARE was still
-    // being verified — as soon as it accepts the PREPARE, and decides on its
-    // own COMMIT and the other follower's; four public-key operations block
-    // (sign PREPARE, verify it, sign COMMIT, verify the other's). With one
-    // replica down the follower's decision needs the leader's COMMIT, whose
-    // certificate needs the follower's share, which leaves only once the
-    // follower accepted the PREPARE and which the leader can only verify
-    // then: that fifth step is inherent to 2-of-3. A fast-path timeout per
-    // request (200 us) still fails this by 150 us.
+    // being verified — as soon as it accepts the PREPARE, and its COMMIT,
+    // signed meanwhile, leaves at once; it decides on its own COMMIT and
+    // the other follower's, and three public-key operations block (sign
+    // PREPARE, verify it, verify the other's COMMIT). With one replica down
+    // the follower's decision needs the leader's COMMIT, whose certificate
+    // needs the follower's share, which leaves only once the follower
+    // accepted the PREPARE and which the leader can only verify then: that
+    // fourth step is inherent to 2-of-3. A fast-path timeout per request
+    // (200 us) still fails this by 150 us.
     let (floor, p50) = (slow.latency.median(), degraded.latency.median());
     let bound = floor + verify + Duration::from_micros(2);
     assert!(
@@ -163,7 +164,7 @@ fn a_leader_cut_off_for_11_ms_rejoins_without_a_view_spiral() {
 fn after_a_follower_crash_only_the_echo_round_still_waits() {
     let mut degraded = run_flip(crash(SimConfig::paper_default(SEED), 2), REQUESTS);
     assert!(degraded.views.iter().take(2).all(|v| v.0 == 0), "a follower crash changed view");
-    // One 2-of-3 slow path (~186 us) plus the leader's `echo_fallback`
+    // One 2-of-3 slow path (~169 us) plus the leader's `echo_fallback`
     // (100 us): the view stays 0, where the leader waits for every
     // follower's echo before it proposes. Suspecting the dead follower in
     // the echo round too is a separate change (it interacts with held

@@ -105,37 +105,49 @@ fn summary_boundaries_leave_no_mark_on_the_slow_path_either() {
     // jobs shared a cursor with them, one that got in between cost the
     // request a whole signature (220 us at a 204 us median).
     //
-    // Re-based again when the own CERTIFY share became a job signed while
-    // the PREPARE is still being verified (was: p99 <= p50 + 1 us). A
-    // follower now needs both workers at once, for the leader's share's
-    // check and its own signature, some 45 us before its PREPARE is
-    // delivered. At every follower-stream summary boundary — one request in
-    // 64, more than 1 % — a 45.5 us summary-share check holds the second
-    // worker, and the request's own signature comes 9.4 us late: 150.4 us
-    // at a 141.0 us median. So p99 sits on those requests on every seed,
-    // not on an edge, and stays below the 158.4 us median this path had.
+    // Re-based when the COMMIT came to be signed while its certificate is
+    // still being checked (was: p99 <= p50 + 10 us, max <= p50 + sign +
+    // 1 us, i.e. 151.0 and 159.5 us at a 141.0 us median). The median fell
+    // by a signature, 17.6 us, to 123.5. A request at a follower-stream
+    // summary boundary — one in 64 — finds the second worker on a summary
+    // share, so its own CERTIFY signature, which the COMMIT's now waits
+    // for, comes late: it fell by 9.5 us only, to 140.8, one signature
+    // above the median. Of the 2 checkpoint requests one reads 141.1 and
+    // the other did not fall at all (158.6 us, two signatures above it).
+    // So the bars are counted in signatures, and on this run they are no
+    // looser in absolute terms than the old ones (142.0 and 159.5 us). The
+    // share bar keeps the test's meaning as the median falls: boundaries
+    // are 1.6 % of the requests, and more than 2 % sitting 10 us above the
+    // median means bookkeeping reached requests that cross no boundary
+    // (0.2 % before the change, 1.7 % after it).
     //
-    // Re-based in PR 20 (was: max <= p50 + 1 us). Until then the check of
-    // the peer's share ran *behind* the own signature on one worker, and a
-    // second worker that was busy with bookkeeping did not matter. Now the
-    // two run side by side, so a request needs both workers at once, and
-    // at a boundary it can find one of them on a summary or checkpoint
-    // share: 3 of the 600 requests — all among the first 260, none in the
-    // next 4 400 — wait for it, one signature at most (167.6, 167.7 and
-    // 175.8 us), and no percentile a user would quote moves (p99.5 is
-    // 158.7). All of it stays far below the 204 us median this path had.
+    // Re-based when the own CERTIFY share became a job signed while the
+    // PREPARE is still being verified (was: p99 <= p50 + 1 us): a follower
+    // then needed both workers at once, for the leader's share's check and
+    // its own signature, and at a summary boundary one was busy. Re-based
+    // before that (was: max <= p50 + 1 us) when the check of the peer's
+    // share and the own signature first ran side by side.
     let cfg = SimConfig::paper_default(0x7A11).slow_only();
     let sign = cfg.cost.sign_total();
     let mut lat = run(cfg, 600).latency;
     let (p50, p99, max) = (lat.median(), lat.percentile(99.0), lat.max());
+    let high =
+        lat.sorted_samples().iter().filter(|d| **d > p50 + Duration::from_micros(10)).count();
     assert!(
-        p99 <= p50 + Duration::from_micros(10),
-        "p99 {p99} is more than 10 us above p50 {p50}: bookkeeping is on the request path"
+        high * 50 <= lat.len(),
+        "{high} of {} requests are more than 10 us above p50 {p50}: bookkeeping is on the \
+         request path beyond the boundaries",
+        lat.len()
     );
     assert!(
-        max <= p50 + sign + Duration::from_micros(1),
-        "max {max} is more than a signature above p50 {p50}: a request waited for more than \
-         one background job"
+        p99 <= p50 + sign + Duration::from_micros(1),
+        "p99 {p99} is more than a signature above p50 {p50}: a boundary request waited for more \
+         than one background job"
+    );
+    assert!(
+        max <= p50 + sign + sign + Duration::from_micros(1),
+        "max {max} is more than two signatures above p50 {p50}: a request waited for more than \
+         a checkpoint's background jobs"
     );
 }
 
