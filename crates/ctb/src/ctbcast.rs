@@ -6,9 +6,19 @@
 //!
 //! Signature verification and register access are asynchronous in the real
 //! system (thread pool, RDMA), so the slow path is staged: `SIGNED` arrives →
-//! verify → check/set lock → write own SWMR register slot → read everyone's
-//! slot → (verify any conflicting entries) → deliver. Each stage is resumed
-//! through an `on_*` input carrying the results the runtime collected.
+//! verify → check/set lock → write own SWMR register slot *and* read
+//! everyone's slot, in one batch → (verify any conflicting entries) →
+//! deliver, once the write has completed too. Each stage is resumed through
+//! an `on_*` input carrying the results the runtime collected.
+//!
+//! The write and the read leave together — one round trip, not two — and
+//! a substrate must post the read behind the write on every memory node's
+//! queue pair, counting only the nodes that took the write. A read on a
+//! queue pair executes only once the writes posted before it there have
+//! landed, so any two receivers' answering majorities share a node where
+//! one's write has landed before the other's read arrives, and at least one
+//! of them reads the other's entry: the guarantee two sequential round
+//! trips gave.
 
 use std::collections::BTreeSet;
 
@@ -139,7 +149,8 @@ pub enum CtbEffect {
         sig: Signature,
     },
     /// Write `entry` to this replica's own SWMR register slot for the
-    /// stream, using `k` as the register timestamp.
+    /// stream, using `k` as the register timestamp. Always emitted with the
+    /// [`CtbEffect::ReadSlot`] that follows it, which is posted behind it.
     WriteRegister {
         /// Ring slot (`k % t`).
         slot: usize,
@@ -148,7 +159,9 @@ pub enum CtbEffect {
         /// The entry to store.
         entry: RegEntry,
     },
-    /// Read every receiver's register for `slot` (quorum-replicated read).
+    /// Read every receiver's register for `slot` (quorum-replicated read),
+    /// behind the [`CtbEffect::WriteRegister`] just before it on every
+    /// memory node's queue pair, from the memory nodes that took that write.
     ReadSlot {
         /// Ring slot.
         slot: usize,
@@ -183,6 +196,8 @@ struct SlowPending {
     fp: Digest,
     sig: Signature,
     stage: SlowStage,
+    /// The register write has completed at a quorum.
+    written: bool,
     outstanding: usize,
     /// A same-id conflicting entry verified: the broadcaster equivocated.
     equivocated: bool,
@@ -193,9 +208,11 @@ struct SlowPending {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlowStage {
     VerifyingSig,
-    Writing,
+    /// The register write and the slot read are in flight together.
     Reading,
     VerifyingEntries,
+    /// Nothing read stands in the way; the write's completion is due.
+    AwaitingWrite,
 }
 
 /// What the broadcaster keeps about one of its own broadcasts.
@@ -591,6 +608,7 @@ impl Ctb {
                 fp,
                 sig,
                 stage: SlowStage::VerifyingSig,
+                written: false,
                 outstanding: 0,
                 equivocated: false,
                 out_of_tail: false,
@@ -638,26 +656,34 @@ impl Ctb {
         }
         self.locks[slot] = Some((k, fp));
         let p = self.slow.get_mut(&slot).expect("just checked");
-        p.stage = SlowStage::Writing;
-        vec![CtbEffect::WriteRegister { slot, k, entry: RegEntry { k, fp, sig } }]
+        p.stage = SlowStage::Reading;
+        vec![
+            CtbEffect::WriteRegister { slot, k, entry: RegEntry { k, fp, sig } },
+            CtbEffect::ReadSlot { slot, k },
+        ]
     }
 
-    /// The register write for `k` completed at a quorum of memory nodes.
+    /// The register write for `k` completed at a quorum of memory nodes —
+    /// before the slot read emitted with it returned, or after.
     pub fn on_register_written(&mut self, k: SeqId) -> Vec<CtbEffect> {
         let slot = self.slot(k);
         let Some(p) = self.slow.get_mut(&slot) else {
             return Vec::new();
         };
-        if p.k != k || p.stage != SlowStage::Writing {
+        if p.k != k || p.stage == SlowStage::VerifyingSig || p.written {
             return Vec::new();
         }
-        p.stage = SlowStage::Reading;
-        vec![CtbEffect::ReadSlot { slot, k }]
+        p.written = true;
+        if p.stage == SlowStage::AwaitingWrite {
+            return self.deliver_when_written(slot);
+        }
+        Vec::new()
     }
 
     /// Lines 31–37: the quorum read of everyone's register slot returned.
     /// `entries[i]` is receiver `replicas[i]`'s register content (`None` when
-    /// never written or detectably invalid).
+    /// never written or detectably invalid). It may come before the write
+    /// emitted with it has completed; delivery then waits for that.
     pub fn on_registers_read(
         &mut self,
         k: SeqId,
@@ -687,8 +713,7 @@ impl Ctb {
             // e.k < k: stale entry, ignore.
         }
         if suspects.is_empty() {
-            self.slow.remove(&slot);
-            return self.deliver_once(k, fp);
+            return self.deliver_when_written(slot);
         }
         let p = self.slow.get_mut(&slot).expect("present");
         p.stage = SlowStage::VerifyingEntries;
@@ -733,19 +758,33 @@ impl Ctb {
             }
         }
         if p.outstanding == 0 {
-            let (equivocated, out_of_tail, fp) = (p.equivocated, p.out_of_tail, p.fp);
-            self.slow.remove(&slot);
-            if equivocated {
+            if p.equivocated {
                 // Deliver nothing; report proven equivocation for the
                 // consensus layer's Byzantine bookkeeping.
+                self.slow.remove(&slot);
                 return vec![CtbEffect::Equivocation { k }];
             }
-            if out_of_tail {
+            if p.out_of_tail {
+                self.slow.remove(&slot);
                 return Vec::new(); // skip delivery; a summary fills the gap
             }
-            return self.deliver_once(k, fp);
+            return self.deliver_when_written(slot);
         }
         Vec::new()
+    }
+
+    /// The read found nothing against delivering the pending message on
+    /// `slot`: it is delivered now if the register write has completed,
+    /// else when it does.
+    fn deliver_when_written(&mut self, slot: usize) -> Vec<CtbEffect> {
+        let p = self.slow.get_mut(&slot).expect("pending");
+        if !p.written {
+            p.stage = SlowStage::AwaitingWrite;
+            return Vec::new();
+        }
+        let (k, fp) = (p.k, p.fp);
+        self.slow.remove(&slot);
+        self.deliver_once(k, fp)
     }
 
     /// Lines 39–42.
@@ -965,16 +1004,51 @@ mod tests {
         let signed = CtbWire::Signed { k, m: m.clone(), sig };
         assert_eq!(h.ctbs[0].on_sign_done(k, sig), vec![CtbEffect::Broadcast(signed.clone())]);
 
-        let entry = RegEntry { k, fp, sig };
+        let (entry, slot) = (RegEntry { k, fp, sig }, k.ring_index(T));
         assert_eq!(
             h.ctbs[0].on_tb_deliver(rid(0), signed.clone()),
-            vec![CtbEffect::WriteRegister { slot: k.ring_index(T), k, entry }],
+            vec![CtbEffect::WriteRegister { slot, k, entry }, CtbEffect::ReadSlot { slot, k }],
             "still a receiver of its own message: it writes and reads, but verifies nothing"
         );
         assert_eq!(
             h.ctbs[1].on_tb_deliver(rid(0), signed),
             vec![CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig }]
         );
+    }
+
+    /// The register write and the slot read leave together, and either
+    /// completion may come first: the message is delivered once both are
+    /// in, and exactly once. A read that returns first has found the
+    /// replica's own write, which it was posted behind.
+    #[test]
+    fn write_and_read_complete_in_either_order_and_deliver_once() {
+        for read_first in [true, false] {
+            let mut h = CtbNet::new(cfg_slow());
+            let (k, m) = (SeqId(1), b"either order".to_vec());
+            let sig = sign(&h, k, &m);
+            let fx = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k, m: m.clone(), sig });
+            h.emit(1, fx);
+            h.apply(0); // the verification
+            let slot = k.ring_index(T);
+            let effects: Vec<_> = h.pending.iter().map(|mv| mv.effect.clone()).collect();
+            let entry = RegEntry { k, fp: fingerprint(&m), sig };
+            let (write, read) = (
+                CtbEffect::WriteRegister { slot, k, entry: entry.clone() },
+                CtbEffect::ReadSlot { slot, k },
+            );
+            assert_eq!(effects, vec![write.clone(), read.clone()], "one batch");
+            let (first, second) = if read_first { (read, write) } else { (write, read) };
+            h.apply(usize::from(read_first));
+            if read_first {
+                assert_eq!(h.registers[1][slot], Some(entry), "the read went behind the write");
+            }
+            let left: Vec<_> = h.pending.iter().map(|mv| &mv.effect).collect();
+            assert_eq!(left, vec![&second], "delivered after {first:?} alone");
+            h.run();
+            assert_eq!(h.delivered[1], vec![(k, m)], "read first: {read_first}");
+            assert!(h.ctbs[1].on_register_written(k).is_empty(), "a second completion");
+            assert!(h.pending.is_empty());
+        }
     }
 
     /// Only the exact signature of the exact message is exempt: anything
@@ -1040,11 +1114,11 @@ mod tests {
             let lock = CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() });
             let want = if cfg.fast_enabled { vec![lock, signed] } else { vec![signed] };
             assert_eq!(fx, want, "{cfg:?}");
-            let entry = RegEntry { k, fp, sig };
+            let (entry, slot) = (RegEntry { k, fp, sig }, k.ring_index(T));
             let own = CtbWire::Signed { k, m: m.clone(), sig };
             assert_eq!(
                 h.ctbs[0].clone().on_tb_deliver(rid(0), own),
-                vec![CtbEffect::WriteRegister { slot: k.ring_index(T), k, entry }]
+                vec![CtbEffect::WriteRegister { slot, k, entry }, CtbEffect::ReadSlot { slot, k }]
             );
             h.emit(0, fx);
             h.run();

@@ -86,6 +86,16 @@ impl CtbNet {
                 ctb.on_register_written(k)
             }
             CtbEffect::ReadSlot { slot, k } => {
+                // The read leaves behind the replica's own write of the slot
+                // on every queue pair: that write's bytes are in, whenever
+                // its completion comes.
+                for m in self.pending.iter().filter(|m| m.to == to) {
+                    if let CtbEffect::WriteRegister { slot: s, k: wk, entry } = &m.effect {
+                        if (*s, *wk) == (slot, k) {
+                            self.registers[to][slot] = Some(entry.clone());
+                        }
+                    }
+                }
                 let entries = self.registers.iter().map(|bank| bank[slot].clone()).collect();
                 ctb.on_registers_read(k, entries)
             }

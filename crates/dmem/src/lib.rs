@@ -20,5 +20,6 @@
 pub mod register;
 
 pub use register::{
-    ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
+    Found, PostedRead, ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter,
+    WriteOutcome, WritePost,
 };

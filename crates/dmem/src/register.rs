@@ -18,7 +18,7 @@ const CHECKSUM_SEED: u64 = 0x5157_4D52_5245_4721; // "SWMRREG!"
 const HEADER: usize = 16; // checksum + timestamp
 
 /// Index of a register within a [`RegisterBank`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegisterId(pub usize);
 
 /// One replica's view of a register replicated across memory nodes: the
@@ -60,6 +60,7 @@ impl RegisterBank {
         value_size: usize,
         delta: Duration,
     ) -> Self {
+        assert!(mem_hosts.len() <= 64, "a node set is one bit per memory node");
         let mut replicas = Vec::with_capacity(count);
         let mut tokens = Vec::with_capacity(count);
         for _ in 0..count {
@@ -85,6 +86,7 @@ impl RegisterBank {
             delta: self.delta,
             next_sub: vec![0; self.replicas.len()],
             ready_at: vec![Time::ZERO; self.replicas.len()],
+            last: vec![WritePost::default(); self.replicas.len()],
             frame: Vec::new(),
             completions: Vec::new(),
         }
@@ -127,6 +129,8 @@ pub struct RegisterWriter {
     delta: Duration,
     next_sub: Vec<usize>,
     ready_at: Vec<Time>,
+    /// Per register, where its last write went.
+    last: Vec<WritePost>,
     /// Where a write builds its sub-register frame, kept from one write to
     /// the next.
     frame: Vec<u8>,
@@ -198,6 +202,7 @@ impl RegisterWriter {
         // outcome indistinguishable from a crashed memory-node majority.
         // The issuer's liveness at the start time is a deterministic fact
         // of the fault schedule — check it once, up front.
+        self.last[reg.0] = WritePost { start, took: 0 };
         if fabric.net().is_crashed(issuer, start) {
             return WriteOutcome::IssuerCrashed;
         }
@@ -222,9 +227,12 @@ impl RegisterWriter {
 
         let completions = &mut self.completions;
         completions.clear();
-        for (region, tok) in r.regions.iter().zip(&self.tokens[reg.0]) {
+        for (node, (region, tok)) in r.regions.iter().zip(&self.tokens[reg.0]).enumerate() {
             match fabric.write(issuer, *tok, *region, offset, frame, start) {
-                Ok(ticket) => completions.push(ticket.completion),
+                Ok(ticket) => {
+                    completions.push(ticket.completion);
+                    self.last[reg.0].took |= 1 << node;
+                }
                 Err(RdmaError::TargetUnavailable) => {} // crashed node: no completion
                 // Issuer liveness at `start` was established above, and
                 // the fabric checks the same instant for every region.
@@ -248,6 +256,23 @@ impl RegisterWriter {
     pub fn ready_at(&self, reg: RegisterId) -> Time {
         self.ready_at[reg.0]
     }
+
+    /// Where the last write to `reg` went: a read that must find it is
+    /// posted at its start, behind it on every queue pair, and counts the
+    /// nodes that took it ([`RegisterReader::post`]).
+    pub fn last_write(&self, reg: RegisterId) -> WritePost {
+        self.last[reg.0]
+    }
+}
+
+/// When a register write started — after any `δ` cooldown — and which
+/// memory nodes took it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WritePost {
+    /// When the write was posted to the memory nodes.
+    pub start: Time,
+    /// The memory nodes it reached, one bit per node in bank order.
+    pub took: u64,
 }
 
 /// The outcome of a quorum register write.
@@ -339,6 +364,52 @@ pub enum ReadOutcome {
     IssuerCrashed,
 }
 
+/// What a quorum read found in the copies its majority returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Found<'a> {
+    /// The highest-timestamped valid value (padded to the register's
+    /// value size).
+    Value {
+        /// The value's logical timestamp.
+        ts: u64,
+        /// The value bytes.
+        value: &'a [u8],
+    },
+    /// As [`ReadOutcome::WriterByzantine`].
+    WriterByzantine,
+    /// As [`ReadOutcome::Retry`]: post again at the read's completion.
+    Retry,
+}
+
+/// A quorum read in flight ([`RegisterReader::post`]): the majority that
+/// answers it, when the read reaches each of those nodes, and the copies
+/// they return. Its buffers are kept from one post to the next.
+#[derive(Clone, Debug, Default)]
+pub struct PostedRead {
+    reg: RegisterId,
+    posted: Time,
+    /// The answering majority, fastest first: when each answer reaches
+    /// the issuer, when the read reaches that node, and which node it is.
+    answers: Vec<(Time, Time, usize)>,
+    /// The answers' register images, in answer order.
+    images: Vec<u8>,
+    /// Answers not sampled yet.
+    unsampled: usize,
+}
+
+impl PostedRead {
+    /// When the read reaches each answering node, by answer index: the
+    /// instants [`RegisterReader::sample`] must run at.
+    pub fn arrivals(&self) -> impl Iterator<Item = Time> + '_ {
+        self.answers.iter().map(|(_, arrival, _)| *arrival)
+    }
+
+    /// When the majority's last answer reaches the issuer.
+    pub fn completion(&self) -> Time {
+        self.answers.last().map_or(self.posted, |(completion, _, _)| *completion)
+    }
+}
+
 /// The result of scanning a whole bank for its highest written timestamp
 /// ([`RegisterReader::scan_tail`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -355,19 +426,9 @@ pub struct TailScan {
 pub struct RegisterReader {
     replicas: Vec<Replicas>,
     delta: Duration,
-    /// Where [`RegisterReader::read`] puts what the memory nodes answer,
-    /// kept from one read to the next.
-    scratch: RefCell<ReadScratch>,
-}
-
-/// One quorum read's working memory.
-#[derive(Clone, Debug, Default)]
-struct ReadScratch {
-    /// The memory nodes' register images, back to back in node order.
-    images: Vec<u8>,
-    /// When each answering node's image reached the issuer, and which
-    /// node's it is.
-    answers: Vec<(Time, usize)>,
+    /// The read [`RegisterReader::read`] posts, kept from one read to the
+    /// next.
+    scratch: RefCell<PostedRead>,
 }
 
 impl RegisterReader {
@@ -383,7 +444,10 @@ impl RegisterReader {
 
     /// Reads register `reg`: both sub-registers from every memory node,
     /// waiting for a majority, returning the highest-timestamped valid value
-    /// (the regular-register semantics of §6.1).
+    /// (the regular-register semantics of §6.1). It is
+    /// [`RegisterReader::post`] to every node, each answer sampled as soon
+    /// as it is posted — so a write posted after this call never shows —
+    /// and [`RegisterReader::found`].
     pub fn read(
         &self,
         fabric: &mut Fabric,
@@ -391,27 +455,63 @@ impl RegisterReader {
         reg: RegisterId,
         now: Time,
     ) -> ReadOutcome {
-        let r = &self.replicas[reg.0];
         // A retry after an overlapping write re-issues at its future
         // completion time, which can land past the issuer's own scheduled
-        // crash. That used to surface as per-node errors silently skipped
-        // below, collapsing into `NoQuorum` — indistinguishable from a
-        // crashed memory-node majority. The issuer's liveness at `now` is
-        // a deterministic fact of the fault schedule: report it as its
-        // own outcome.
+        // crash. That used to surface as per-node errors silently skipped,
+        // collapsing into `NoQuorum` — indistinguishable from a crashed
+        // memory-node majority. The issuer's liveness at `now` is a
+        // deterministic fact of the fault schedule: report it as its own
+        // outcome.
         if fabric.net().is_crashed(issuer, now) {
             return ReadOutcome::IssuerCrashed;
         }
-        let mut scratch = self.scratch.borrow_mut();
-        let ReadScratch { images, answers } = &mut *scratch;
-        images.resize(r.regions.len() * r.reg_size(), 0);
-        answers.clear();
-        for (node, image) in images.chunks_exact_mut(r.reg_size()).enumerate() {
-            match fabric.read_into(issuer, r.regions[node], 0, image, now) {
-                Ok(completion) => answers.push((completion, node)),
+        let mut read = self.scratch.borrow_mut();
+        if !self.post(fabric, issuer, reg, u64::MAX, now, &mut read) {
+            return ReadOutcome::NoQuorum;
+        }
+        for i in 0..read.answers.len() {
+            self.sample(fabric, &mut read, i);
+        }
+        let completion = read.completion();
+        match self.found(&read) {
+            // The one copy: the winning value, which the outcome owns.
+            Found::Value { ts, value } => {
+                ReadOutcome::Value { ts, value: value.to_vec(), completion }
+            }
+            Found::WriterByzantine => ReadOutcome::WriterByzantine { completion },
+            Found::Retry => ReadOutcome::Retry { completion },
+        }
+    }
+
+    /// Posts a quorum read of `reg` at `now` to the memory nodes in `nodes`
+    /// (one bit per node: a read that must find a write counts only the
+    /// nodes that took it, [`WritePost::took`]). Each of those nodes' hops
+    /// are drawn now, in node order, and the fastest of them that make a
+    /// majority of the bank answer. What each of those finds is sampled
+    /// when the read reaches it ([`RegisterReader::sample`], at
+    /// [`PostedRead::arrivals`]), so a write posted after this call that
+    /// lands first is seen. `false` when nothing is in flight: the issuer
+    /// is down or no majority answers.
+    pub fn post(
+        &self,
+        fabric: &mut Fabric,
+        issuer: HostId,
+        reg: RegisterId,
+        nodes: u64,
+        now: Time,
+        read: &mut PostedRead,
+    ) -> bool {
+        let r = &self.replicas[reg.0];
+        read.answers.clear();
+        if fabric.net().is_crashed(issuer, now) {
+            return false;
+        }
+        for (node, region) in
+            r.regions.iter().enumerate().filter(|(node, _)| nodes >> node & 1 == 1)
+        {
+            match fabric.post_read(issuer, *region, 0, r.reg_size(), now) {
+                Ok(post) => read.answers.push((post.completion, post.arrival, node)),
                 Err(RdmaError::TargetUnavailable) => {}
-                // Issuer liveness at `now` was established above, and the
-                // fabric checks the same instant for every node.
                 Err(RdmaError::IssuerUnavailable) => {
                     unreachable!("issuer liveness pre-checked at issue time")
                 }
@@ -419,19 +519,42 @@ impl RegisterReader {
             }
         }
         let quorum = r.regions.len() / 2 + 1;
-        if answers.len() < quorum {
-            return ReadOutcome::NoQuorum;
+        if read.answers.len() < quorum {
+            read.answers.clear();
+            return false;
         }
-        // Wait for the fastest majority.
-        answers.sort_by_key(|(t, _)| *t);
-        answers.truncate(quorum);
-        let completion = answers.last().expect("quorum >= 1").0;
-        let elapsed = completion.since(now);
+        // The fastest majority; between answers that reach the issuer at
+        // once, the lower node.
+        read.answers.sort_unstable_by_key(|&(completion, _, node)| (completion, node));
+        read.answers.truncate(quorum);
+        read.images.resize(quorum * r.reg_size(), 0);
+        (read.reg, read.posted, read.unsampled) = (reg, now, quorum);
+        true
+    }
 
+    /// Samples the copy that answer `i` of `read` ([`PostedRead::arrivals`])
+    /// reads, as its memory node holds it when the read arrives. Call it at
+    /// that instant, once every write that lands before then is posted.
+    /// Whether every answer of the read is in now.
+    pub fn sample(&self, fabric: &mut Fabric, read: &mut PostedRead, i: usize) -> bool {
+        let r = &self.replicas[read.reg.0];
+        let (_, arrival, node) = read.answers[i];
+        let image = &mut read.images[i * r.reg_size()..][..r.reg_size()];
+        fabric.sample_into(r.regions[node], 0, image, arrival).expect("a region of the bank");
+        read.unsampled -= 1;
+        read.unsampled == 0
+    }
+
+    /// What `read` found, once every answer is sampled (§6.1): the
+    /// highest-timestamped valid sub-register of the majority's copies,
+    /// borrowed from the read's buffers — unless a node shows the writer
+    /// broke the round-robin discipline.
+    pub fn found<'a>(&self, read: &'a PostedRead) -> Found<'a> {
+        let r = &self.replicas[read.reg.0];
         let mut best: Option<(u64, &[u8])> = None;
         let mut byzantine_evidence = false;
-        for (_, node) in answers.iter() {
-            let (a, b) = images[node * r.reg_size()..][..r.reg_size()].split_at(r.sub_size());
+        for image in read.images.chunks_exact(r.reg_size()) {
+            let (a, b) = image.split_at(r.sub_size());
             let va = Self::validate(a);
             let vb = Self::validate(b);
             if let (Some((ta, _)), Some((tb, _))) = (&va, &vb) {
@@ -447,24 +570,13 @@ impl RegisterReader {
                 }
             }
         }
-
-        if byzantine_evidence {
-            return ReadOutcome::WriterByzantine { completion };
-        }
         match best {
-            // The one copy: the winning value, which the outcome owns.
-            Some((ts, value)) if ts != 0 => {
-                ReadOutcome::Value { ts, value: value.to_vec(), completion }
-            }
-            _ => {
-                // Nothing valid anywhere. Fast read => Byzantine writer;
-                // slow read => possibly overlapped a write, retry.
-                if elapsed < self.delta {
-                    ReadOutcome::WriterByzantine { completion }
-                } else {
-                    ReadOutcome::Retry { completion }
-                }
-            }
+            _ if byzantine_evidence => Found::WriterByzantine,
+            Some((ts, value)) => Found::Value { ts, value },
+            // Nothing valid anywhere. Fast read => Byzantine writer; slow
+            // read => possibly overlapped a write, retry.
+            None if read.completion().since(read.posted) < self.delta => Found::WriterByzantine,
+            None => Found::Retry,
         }
     }
 
@@ -761,6 +873,106 @@ mod tests {
                 }
                 other => panic!("unexpected outcome: {other:?}"),
             }
+        }
+    }
+
+    /// Two owners, on hosts 0 and 1, each write their register of a bank
+    /// on three memory nodes — the second `apart` after the first — and
+    /// post a read of the other's register behind the write, counting the
+    /// nodes that took it. Each node is sampled when a read arrives there,
+    /// in time order. Whether each read found the other's write.
+    fn write_then_read_each_other(latency: &LatencyModel, seed: u64, apart: Duration) -> [bool; 2] {
+        let (owners, mems) = ([HostId(0), HostId(1)], [HostId(2), HostId(3), HostId(4)]);
+        let reg = RegisterId(0);
+        let mut f = Fabric::new(NetworkModel::synchronous(latency.clone(), 5), SimRng::new(seed));
+        let banks: Vec<_> =
+            owners.iter().map(|_| RegisterBank::create(&mut f, &mems, 1, 40, delta())).collect();
+        let at = |me: usize| t(0) + Duration::from_nanos(apart.as_nanos() * me as u64);
+        let mut reads = [PostedRead::default(), PostedRead::default()];
+        for me in 0..2 {
+            let mut w = banks[me].writer();
+            w.write(&mut f, owners[me], reg, 1 + me as u64, b"mine", at(me)).unwrap();
+            let post = w.last_write(reg);
+            let reader = banks[1 - me].reader();
+            assert!(reader.post(&mut f, owners[me], reg, post.took, post.start, &mut reads[me]));
+        }
+        let mut samples: Vec<(Time, usize, usize)> = (0..2)
+            .flat_map(|me| reads[me].arrivals().enumerate().map(move |(i, a)| (a, me, i)))
+            .collect();
+        samples.sort_unstable();
+        for (_, me, i) in samples {
+            banks[1 - me].reader().sample(&mut f, &mut reads[me], i);
+        }
+        [0, 1].map(|me| {
+            let theirs = 2 - me as u64;
+            matches!(banks[1 - me].reader().found(&reads[me]), Found::Value { ts, .. } if ts == theirs)
+        })
+    }
+
+    /// Two owners each write their register and read the other's, the
+    /// second 0–120 ns after the first, on three memory nodes. Posted
+    /// behind its own write and sampled when it reaches each node, one of
+    /// the two reads finds the other's write: their majorities share a
+    /// node, and there one owner's write lands before the other's read
+    /// arrives. Sampled when posted instead, the first read never sees a
+    /// write posted after it, and in some pairs the second outruns the
+    /// first write as well.
+    #[test]
+    fn a_read_behind_a_write_samples_each_node_when_it_arrives() {
+        const PAIRS: u64 = 2_000;
+        let apart = |seed: u64| Duration::from_nanos(seed % 121);
+        let latency = LatencyModel::paper_testbed();
+        let both_missed = (0..PAIRS)
+            .filter(|&seed| write_then_read_each_other(&latency, seed, apart(seed)) == [false; 2])
+            .count();
+        assert_eq!(both_missed, 0, "pairs of {PAIRS} where both reads missed the other's write");
+
+        // The same pairs with each read sampled as it is posted.
+        let (owners, mems) = ([HostId(0), HostId(1)], [HostId(2), HostId(3), HostId(4)]);
+        let reg = RegisterId(0);
+        let mut both_missed_sampled_at_post = 0;
+        for seed in 0..PAIRS {
+            let mut f =
+                Fabric::new(NetworkModel::synchronous(latency.clone(), 5), SimRng::new(seed));
+            let banks: Vec<_> = owners
+                .iter()
+                .map(|_| RegisterBank::create(&mut f, &mems, 1, 40, delta()))
+                .collect();
+            let mut found = [None; 2];
+            for me in 0..2 {
+                let at = t(0) + Duration::from_nanos(apart(seed).as_nanos() * me as u64);
+                let mut w = banks[me].writer();
+                w.write(&mut f, owners[me], reg, 1 + me as u64, b"mine", at).unwrap();
+                if let ReadOutcome::Value { ts, .. } =
+                    banks[1 - me].reader().read(&mut f, owners[me], reg, at)
+                {
+                    found[me] = Some(ts);
+                }
+            }
+            let missed = |me: usize| found[me] != Some(2 - me as u64);
+            both_missed_sampled_at_post += u32::from(missed(0) && missed(1));
+        }
+        assert!(both_missed_sampled_at_post > 0, "the defect this guards against did not show");
+    }
+
+    /// The same pairs where a register frame takes far longer to land than
+    /// a hop's difference: no jitter, and 8 ns a byte, so each 8-byte word
+    /// of a 56-byte sub-register lands 64 ns after the one before. The
+    /// second write reaches every node 0–500 ns after the first, inside or
+    /// past the first's 448 ns landing window. A read that arrived right
+    /// behind its own write — not once that write had landed — would find
+    /// the other's frame torn on every node, both reads missing it while
+    /// the writes overlap.
+    #[test]
+    fn a_read_behind_a_write_waits_for_it_to_land() {
+        let slow = LatencyModel {
+            picos_per_byte: 8_000,
+            jitter: Duration::ZERO,
+            ..LatencyModel::paper_testbed()
+        };
+        for ns in 0..=500 {
+            let found = write_then_read_each_other(&slow, 0, Duration::from_nanos(ns));
+            assert_ne!(found, [false; 2], "{ns} ns apart: both reads missed the other's write");
         }
     }
 

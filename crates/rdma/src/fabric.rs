@@ -54,9 +54,12 @@ pub struct WriteTicket {
     /// When the data lands in the target's memory (start of the torn
     /// application window).
     pub arrival: Time,
-    /// When the issuer learns of completion. Includes the read-after-write
-    /// PCIe-fence round trip the paper issues to guarantee visibility
-    /// (§6.2 footnote 4).
+    /// When the issuer learns of completion: the target's ack hop back,
+    /// and nothing more. The read-after-write PCIe fence the paper issues
+    /// to guarantee visibility (§6.2 footnote 4) is not a round trip of its
+    /// own here: a register's slot read, posted behind the write on the
+    /// same queue pair ([`Fabric::post_read`]), acts as that fence on each
+    /// pair.
     pub completion: Time,
 }
 
@@ -67,6 +70,16 @@ pub struct ReadTicket {
     pub completion: Time,
     /// The bytes observed (possibly torn if concurrent with a write).
     pub data: Vec<u8>,
+}
+
+/// A READ posted with [`Fabric::post_read`], its hops drawn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadPost {
+    /// When the read reaches the target: the instant whose bytes it
+    /// returns ([`Fabric::sample_into`]).
+    pub arrival: Time,
+    /// When the issuer receives the data.
+    pub completion: Time,
 }
 
 struct RegionEntry {
@@ -87,6 +100,13 @@ pub struct Fabric {
     /// reliable-connection queue pair: ops between the same pair of hosts
     /// arrive in issue order.
     last_arrival: BTreeMap<(HostId, HostId), Time>,
+    /// Per queue pair, when every write posted on it that takes time to
+    /// land word by word has landed: a read on the pair executes no
+    /// earlier, for the responder's PCIe does not let a read pass an
+    /// earlier write. A write that lands at once needs no entry — the FIFO
+    /// already puts the read behind its arrival — and at the testbed's
+    /// 80 ps/B every write does, so the map stays empty there.
+    landed: BTreeMap<(HostId, HostId), Time>,
     /// Total region bytes registered per host (Table 2 accounting).
     bytes_per_host: BTreeMap<HostId, usize>,
     /// Spent in-flight write images, handed back by the regions as they
@@ -106,6 +126,7 @@ impl Fabric {
             next_region: 0,
             next_token: 0xF00D,
             last_arrival: BTreeMap::new(),
+            landed: BTreeMap::new(),
             bytes_per_host: BTreeMap::new(),
             spare: Vec::new(),
         }
@@ -150,7 +171,8 @@ impl Fabric {
     /// Issues a one-sided WRITE of `data` into `region` at `offset`. The
     /// bytes are copied once, into a spent in-flight image the fabric keeps
     /// for reuse, so the caller keeps its buffer and a steady stream of
-    /// writes allocates nothing.
+    /// writes allocates nothing. It completes when the target's ack reaches
+    /// the issuer ([`WriteTicket::completion`]: no fence round trip).
     ///
     /// # Errors
     ///
@@ -190,9 +212,13 @@ impl Fabric {
         image.clear();
         image.extend_from_slice(data);
         let entry = self.regions.get_mut(&region).expect("checked above");
-        entry.region.begin_write(offset, image, arrival, spread);
-        // Completion: ack hop back, plus the read-after-write fence RTT the
-        // register layer relies on for visibility ordering.
+        let landed = entry.region.begin_write(offset, image, arrival, spread);
+        if landed > arrival {
+            let pair = self.landed.entry((issuer, target)).or_insert(landed);
+            *pair = landed.max(*pair);
+        }
+        // Completion: the ack hop back. The visibility fence is the read a
+        // register posts behind the write on this queue pair.
         let ack = match self.net.hop(&mut self.rng, target, issuer, 16, arrival) {
             HopOutcome::Delivered(d) => d,
             // If the issuer crashed mid-flight the completion is lost, but
@@ -205,8 +231,10 @@ impl Fabric {
 
     /// Issues a one-sided READ of `len` bytes from `region` at `offset`.
     ///
-    /// The returned data is sampled when the read arrives at the target, so
-    /// it may be torn with respect to concurrent writes.
+    /// The returned data is sampled as the region is when the read arrives
+    /// at the target, so it may be torn with respect to concurrent writes —
+    /// but it is sampled *now*: a write posted after this call never shows,
+    /// even one that arrives first ([`Fabric::post_read`] has the remedy).
     ///
     /// # Errors
     ///
@@ -238,7 +266,31 @@ impl Fabric {
         out: &mut [u8],
         now: Time,
     ) -> Result<Time, RdmaError> {
-        let len = out.len();
+        let post = self.post_read(issuer, region, offset, out.len(), now)?;
+        self.sample_into(region, offset, out, post.arrival)?;
+        Ok(post.completion)
+    }
+
+    /// Posts a one-sided READ of `len` bytes from `region` at `offset`:
+    /// both hops are drawn now, and the read takes its place on the
+    /// issuer's queue pair to the target, arriving there after every
+    /// operation posted on that pair before it, and not before every
+    /// write posted before it on that pair — to any region — has fully
+    /// landed. What it reads is left to the caller, who samples the region
+    /// at [`ReadPost::arrival`] with [`Fabric::sample_into`], once every
+    /// write that arrives before then has been posted.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`RdmaError`] if bounds or host liveness checks fail.
+    pub fn post_read(
+        &mut self,
+        issuer: HostId,
+        region: RegionId,
+        offset: usize,
+        len: usize,
+        now: Time,
+    ) -> Result<ReadPost, RdmaError> {
         let entry = self.regions.get(&region).ok_or(RdmaError::UnknownRegion)?;
         if offset + len > entry.region.len() {
             return Err(RdmaError::OutOfBounds);
@@ -252,14 +304,36 @@ impl Fabric {
             HopOutcome::Delivered(d) => d,
             HopOutcome::Dropped => return Err(RdmaError::TargetUnavailable),
         };
-        let sample_at = self.fifo_arrival(issuer, target, now + req);
-        let entry = self.regions.get_mut(&region).expect("checked above");
-        entry.region.sample_into(offset, out, sample_at, &mut self.spare);
-        let resp = match self.net.hop(&mut self.rng, target, issuer, len, sample_at) {
+        let landed = self.landed.get(&(issuer, target)).copied().unwrap_or(Time::ZERO);
+        let arrival = self.fifo_arrival(issuer, target, (now + req).max(landed));
+        let resp = match self.net.hop(&mut self.rng, target, issuer, len, arrival) {
             HopOutcome::Delivered(d) => d,
             HopOutcome::Dropped => return Err(RdmaError::TargetUnavailable),
         };
-        Ok(sample_at + resp)
+        Ok(ReadPost { arrival, completion: arrival + resp })
+    }
+
+    /// Copies `out.len()` bytes of `region` at `offset` as they are at `at`
+    /// into `out`: what a read posted with [`Fabric::post_read`] finds when
+    /// it arrives at `at`. No hops and no allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`RdmaError`] if the region is unknown or the bytes are
+    /// out of its bounds.
+    pub fn sample_into(
+        &mut self,
+        region: RegionId,
+        offset: usize,
+        out: &mut [u8],
+        at: Time,
+    ) -> Result<(), RdmaError> {
+        let entry = self.regions.get_mut(&region).ok_or(RdmaError::UnknownRegion)?;
+        if offset + out.len() > entry.region.len() {
+            return Err(RdmaError::OutOfBounds);
+        }
+        entry.region.sample_into(offset, out, at, &mut self.spare);
+        Ok(())
     }
 
     /// Reads a region that lives on the issuer's own host into `out`
@@ -426,6 +500,47 @@ mod tests {
             assert!(rd.data[first_old..].iter().all(|&b| b == 0x11));
             assert!(rd.data[..first_old].iter().all(|&b| b == 0x22));
         }
+    }
+
+    /// A posted read arrives behind a write posted before it on its queue
+    /// pair, and is sampled when it arrives: a write posted after it that
+    /// lands first is seen too, which [`Fabric::read`], sampling as it is
+    /// called, cannot see.
+    #[test]
+    fn a_posted_read_samples_on_arrival() {
+        let mut f = fabric();
+        let (ours, tok) = f.create_region(HostId(1), 8);
+        let (theirs, their_tok) = f.create_region(HostId(1), 8);
+        let w = f.write(HostId(0), tok, ours, 0, &[0x22; 8], t(0)).unwrap();
+        let behind = f.post_read(HostId(0), theirs, 0, 8, t(0)).unwrap();
+        assert!(behind.arrival > w.arrival);
+        let early = f.read(HostId(3), theirs, 0, 8, t(0)).unwrap();
+        let late = f.write(HostId(2), their_tok, theirs, 0, &[0x33; 8], t(1)).unwrap();
+        assert!(late.arrival < behind.arrival, "{late:?} {behind:?}: pick another seed");
+        let mut out = [0u8; 8];
+        f.sample_into(theirs, 0, &mut out, behind.arrival).unwrap();
+        assert_eq!((out, &early.data[..]), ([0x33; 8], &[0u8; 8][..]));
+    }
+
+    /// A read behind a write on its queue pair finds the whole write, even
+    /// when the read's own hop is shorter than the write's landing time;
+    /// sampled mid-landing, the write shows torn. (At the testbed's 80 ps/B
+    /// a word lands in under a nanosecond and a write applies at once; at
+    /// 8 ns/B each 8-byte word takes 64 ns.)
+    #[test]
+    fn a_read_behind_a_write_waits_for_it_to_land() {
+        let slow = LatencyModel { picos_per_byte: 8_000, ..LatencyModel::paper_testbed() };
+        let mut f = Fabric::new(NetworkModel::synchronous(slow, 2), SimRng::new(42));
+        let (r, tok) = f.create_region(HostId(1), 64);
+        let w = f.write(HostId(0), tok, r, 0, &[0x11; 64], t(0)).unwrap();
+        let behind = f.post_read(HostId(0), r, 0, 64, t(0)).unwrap();
+        // 64 B at 8 ns/B: 512 ns to land.
+        assert!(behind.arrival >= w.arrival + Duration::from_nanos(512), "{w:?} {behind:?}");
+        let mut out = [0u8; 64];
+        f.sample_into(r, 0, &mut out, w.arrival + Duration::from_nanos(200)).unwrap();
+        assert!(out.contains(&0x11) && out.contains(&0), "not torn mid-landing: {out:?}");
+        f.sample_into(r, 0, &mut out, behind.arrival).unwrap();
+        assert_eq!(out, [0x11; 64]);
     }
 
     /// The region's seeded schedules, written and read through the fabric

@@ -15,7 +15,8 @@
 //!    `ubft-dmem` exists to detect.
 //! 4. **Microsecond latency** — per-op latency follows the calibrated
 //!    [`ubft_sim::net::LatencyModel`], and same-pair operations arrive in
-//!    FIFO order like a reliable-connection queue pair.
+//!    FIFO order like a reliable-connection queue pair; a read there
+//!    executes only once the writes posted before it have fully landed.
 //!
 //! Host crashes make a host's regions permanently unavailable; ops targeting
 //! them report [`RdmaError::TargetUnavailable`] and *never complete*, which
@@ -24,4 +25,4 @@
 pub mod fabric;
 pub mod region;
 
-pub use fabric::{AccessToken, Fabric, RdmaError, ReadTicket, RegionId, WriteTicket};
+pub use fabric::{AccessToken, Fabric, RdmaError, ReadPost, ReadTicket, RegionId, WriteTicket};

@@ -96,17 +96,23 @@ impl Region {
     /// every earlier write that lands before then to a reader that samples
     /// the region in the meantime — a message picked up before it arrived.
     /// Only a read knows what time it is ([`Region::sample_into`]).
+    ///
+    /// Returns when the write has fully landed: a read from then on shows
+    /// all of it.
     pub(crate) fn begin_write(
         &mut self,
         offset: usize,
         data: Vec<u8>,
         start: Time,
         spread: Duration,
-    ) {
+    ) -> Time {
         debug_assert!(offset + data.len() <= self.size);
         let n_words = data.len().div_ceil(8).max(1) as u64;
         let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
-        self.inflight.push_back(InflightWrite { offset, data, start, word_gap });
+        let write = InflightWrite { offset, data, start, word_gap };
+        let landed = write.fully_applied_at();
+        self.inflight.push_back(write);
+        landed
     }
 
     /// Folds fully-applied writes into the settled image, pushing each

@@ -23,7 +23,7 @@ use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast};
 use ubft_dmem::register::{
-    ReadOutcome, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
+    Found, PostedRead, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
@@ -63,6 +63,13 @@ pub(crate) enum Ev {
         r: usize,
         stream: usize,
         done: CtbDone,
+    },
+    /// Answer `answer` of slot read `read`'s read of `owner`'s register
+    /// reaches its memory node: what the node holds now is what it returns.
+    RegSample {
+        read: usize,
+        owner: usize,
+        answer: usize,
     },
     /// A timer client `c` armed fired.
     Client {
@@ -252,7 +259,33 @@ pub(crate) struct SimEnv {
     poll_buf: Vec<u8>,
     /// Where a register write encodes its [`RegEntry`] — reused likewise.
     reg_buf: Vec<u8>,
+    /// Slot reads, by the index their [`Ev::RegSample`]s carry: the ones in
+    /// flight, and settled ones whose buffers serve the next.
+    slot_reads: Vec<SlotRead>,
     pub(crate) counters: OpCounters,
+}
+
+/// One replica's read of one slot of a stream's bank — every owner's
+/// register — posted behind its own write of that slot.
+#[derive(Default)]
+struct SlotRead {
+    r: usize,
+    /// The reader's host when the read was posted: a retry leaves from it.
+    host: HostId,
+    stream: usize,
+    slot: usize,
+    k: SeqId,
+    /// The memory nodes that took the write: the only ones the read counts.
+    took: u64,
+    /// Per owner, the quorum read of its register, and whether it was
+    /// posted again.
+    owners: Vec<(PostedRead, bool)>,
+    /// What each owner's register holds, as its read settles.
+    entries: Vec<Option<RegEntry>>,
+    /// Owners whose read has not settled.
+    unsettled: usize,
+    /// When the last answer reaches the reader.
+    completion: Time,
 }
 
 /// One consensus group: `2f + 1` [`ReplicaNode`]s, its closed-loop clients,
@@ -295,6 +328,57 @@ impl SimEnv {
             self.cfg.failures.byzantine_mode(r, at)
         } else {
             None
+        }
+    }
+
+    /// Posts slot read `id`'s read of `owner`'s register at `at`, with an
+    /// [`Ev::RegSample`] at each answering node's arrival; a read with
+    /// nothing in flight settles at once, on nothing.
+    fn post_register_read(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, at: Time) {
+        let read = &mut self.slot_reads[id];
+        let (reader, reg) = (&self.reg_readers[read.stream][owner], RegisterId(read.slot));
+        let posted = &mut read.owners[owner].0;
+        if !reader.post(sh.fabric, read.host, reg, read.took, at, posted) {
+            return self.settle_read(sh, id, owner, None);
+        }
+        read.completion = read.completion.max(posted.completion());
+        for (answer, arrival) in posted.arrivals().enumerate() {
+            sh.events.push(arrival, (self.gid, Ev::RegSample { read: id, owner, answer }));
+        }
+    }
+
+    /// [`Ev::RegSample`]: samples one answer of slot read `id`'s read of
+    /// `owner`'s register; with its last answer in, the read settles — or
+    /// is posted again, once, at its completion if it overlapped a write.
+    fn on_register_sample(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, answer: usize) {
+        let read = &mut self.slot_reads[id];
+        let reader = &self.reg_readers[read.stream][owner];
+        let (posted, again) = &mut read.owners[owner];
+        if !reader.sample(sh.fabric, posted, answer) {
+            return;
+        }
+        let entry = match reader.found(posted) {
+            Found::Value { value, .. } => RegEntry::from_bytes(value).ok(),
+            Found::Retry if !*again => {
+                *again = true;
+                let at = posted.completion();
+                return self.post_register_read(sh, id, owner, at);
+            }
+            Found::WriterByzantine | Found::Retry => None,
+        };
+        self.settle_read(sh, id, owner, entry);
+    }
+
+    /// Slot read `id`'s read of `owner`'s register found `entry`; with every
+    /// owner's in, the entries go to the reader's CTBcast instance.
+    fn settle_read(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, e: Option<RegEntry>) {
+        let read = &mut self.slot_reads[id];
+        (read.entries[owner], read.owners[owner].1) = (e, false);
+        read.unsettled -= 1;
+        if read.unsettled == 0 {
+            let done = CtbDone::Read(read.k, std::mem::take(&mut read.entries));
+            let ev = Ev::CtbDone { r: read.r, stream: read.stream, done };
+            sh.events.push(read.completion, (self.gid, ev));
         }
     }
 
@@ -558,45 +642,31 @@ impl Substrate for SimSubstrate<'_, '_> {
         }
     }
 
-    /// Reads every receiver's register for `slot` of `stream`, retrying once
-    /// per owner when a read overlaps a write (§6.1); the entries come back,
-    /// in replica order, at the quorum completion time.
+    /// Reads every receiver's register for `slot` of `stream`, posted at the
+    /// start of this replica's write of the slot — behind it on every
+    /// memory node's queue pair — and counting only the nodes that took it.
+    /// Each node is sampled when the read reaches it ([`Ev::RegSample`]); an
+    /// owner's read that overlapped a write is posted once more (§6.1). The
+    /// entries come back, in replica order, when the last answer does.
     fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.reg_reads += 1;
-        let host = env.host_of(r);
-        let mut entries = Vec::with_capacity(env.n());
-        let mut completion = at;
-        for reader in &env.reg_readers[stream] {
-            let mut attempt_at = at;
-            let mut parsed = None;
-            for _attempt in 0..2 {
-                match reader.read(self.sh.fabric, host, RegisterId(slot), attempt_at) {
-                    ReadOutcome::Value { value, completion: c, .. } => {
-                        completion = completion.max(c);
-                        parsed = RegEntry::from_bytes(&value).ok();
-                        break;
-                    }
-                    ReadOutcome::WriterByzantine { completion: c } => {
-                        completion = completion.max(c);
-                        break;
-                    }
-                    ReadOutcome::Retry { completion: c } => {
-                        completion = completion.max(c);
-                        attempt_at = c;
-                    }
-                    ReadOutcome::NoQuorum => break,
-                    // The reading replica itself hit its crash boundary
-                    // (a retry can re-issue past its own scheduled
-                    // crash); the continuation is dropped by the crash
-                    // checks, so what it "read" is irrelevant.
-                    ReadOutcome::IssuerCrashed => break,
-                }
-            }
-            entries.push(parsed);
+        let write = env.machines[r].reg_writers[stream].last_write(RegisterId(slot));
+        let at = at.max(write.start);
+        let id = env.slot_reads.iter().position(|read| read.unsettled == 0).unwrap_or_else(|| {
+            env.slot_reads.push(SlotRead::default());
+            env.slot_reads.len() - 1
+        });
+        let (n, host) = (env.n(), env.host_of(r));
+        let read = &mut env.slot_reads[id];
+        (read.r, read.host, read.stream, read.slot, read.k) = (r, host, stream, slot, k);
+        read.took = write.took;
+        read.owners.resize_with(n, Default::default);
+        read.entries = vec![None; n];
+        (read.unsettled, read.completion) = (n, at);
+        for owner in 0..n {
+            env.post_register_read(self.sh, id, owner, at);
         }
-        let done = CtbDone::Read(k, entries);
-        env.push(self.sh, completion, Ev::CtbDone { r, stream, done });
     }
 
     fn charge(&mut self, at: Time, extra: Duration) -> Time {
@@ -854,6 +924,7 @@ impl GroupRuntime {
             crash_times,
             poll_buf: Vec::new(),
             reg_buf: Vec::new(),
+            slot_reads: Vec::new(),
             counters: OpCounters::default(),
             cfg,
         };
@@ -1126,6 +1197,9 @@ impl GroupRuntime {
             }
             Ev::CtbDone { r, stream, done } => {
                 self.on_node(sh, r, |nd, sub| nd.on_ctb_done(sub, stream, done, t));
+            }
+            Ev::RegSample { read, owner, answer } => {
+                self.env.on_register_sample(sh, read, owner, answer);
             }
             Ev::Client { c, timer } => {
                 let port = &mut SimClientPort { env: &mut self.env, sh, at: t };

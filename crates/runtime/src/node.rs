@@ -161,7 +161,14 @@ pub(crate) trait Substrate {
     );
 
     /// Starts the read of every replica's register `slot` of `stream`
-    /// ([`CtbDone::Read`]).
+    /// ([`CtbDone::Read`]). It follows the [`Substrate::write_register`] of
+    /// the same slot in the same batch and must leave behind it on every
+    /// memory node's queue pair, counting only the nodes that took the
+    /// write. A read executes only once the writes before it on its queue
+    /// pair have landed, so any two replicas' reads then share a node where
+    /// one's write has landed before the other's read arrives, as two round
+    /// trips one after the other would guarantee. Its completion and the
+    /// write's come back in either order.
     fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, at: Self::At);
 
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and

@@ -502,6 +502,9 @@ impl Substrate for ReplicaThread {
         });
     }
 
+    /// Sent right behind the slot's [`CtlMsg::WriteSlot`]s: each memory
+    /// node's mailbox is FIFO per sender, so every node that answers has
+    /// taken the write first.
     fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, _: ()) {
         let (group, owners, reply_to) = (self.g as u32, self.n as u32, self.node_idx);
         let (stream32, slot) = (stream as u32, slot as u32);

@@ -164,7 +164,7 @@ fn a_leader_cut_off_for_11_ms_rejoins_without_a_view_spiral() {
 fn after_a_follower_crash_only_the_echo_round_still_waits() {
     let mut degraded = run_flip(crash(SimConfig::paper_default(SEED), 2), REQUESTS);
     assert!(degraded.views.iter().take(2).all(|v| v.0 == 0), "a follower crash changed view");
-    // One 2-of-3 slow path (~169 us) plus the leader's `echo_fallback`
+    // One 2-of-3 slow path (~165 us) plus the leader's `echo_fallback`
     // (100 us): the view stays 0, where the leader waits for every
     // follower's echo before it proposes. Suspecting the dead follower in
     // the echo round too is a separate change (it interacts with held

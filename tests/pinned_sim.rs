@@ -66,6 +66,19 @@
 //! copy of the driver that tallies the frames each 150 µs tick resends
 //! (208 → 206 / 158 → 158 and 2 614 → 2 636 / 1 988 → 2 000); the frames
 //! sent first are the same. The five fast-path pins passed untouched.
+//!
+//! They were re-captured again when a slow-path delivery came to cost one
+//! round trip to the memory nodes instead of two: the register write and
+//! the slot read that checks it leave together, the read posted behind
+//! the write on each memory node's queue pair, and a remote read samples
+//! each node when it arrives there, not when it is posted (p50 123 438 →
+//! 119 562 and 123 442 → 119 559 ns, end 3 % sooner). Digests,
+//! completions, every crypto counter, register writes and reads, and
+//! views did not move. The `ctb_msgs` / `cons_msgs` changes (−4 / +6 and
+//! −90 / −30) are TBcast retransmissions alone, counted as before by
+//! tallying the frames each 150 µs tick resends (206 → 202 / 158 → 164
+//! and 2 636 → 2 546 / 2 000 → 1 970); the frames sent first are the
+//! same. The five fast-path pins passed untouched.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
@@ -114,7 +127,7 @@ fn fast_path_run_is_pinned() {
 #[test]
 fn slow_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(43).slow_only(), 50, 5);
-    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=6789360 mean=123418 p50=123438 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 646, cons_msgs: 490, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 440, engine_signs: 168, engine_verifies: 166, reg_writes: 658, reg_reads: 658 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=6577391 mean=119568 p50=119562 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 642, cons_msgs: 496, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 440, engine_signs: 168, engine_verifies: 166, reg_writes: 658, reg_reads: 658 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -132,7 +145,7 @@ fn fast_path_run_across_checkpoints_is_pinned() {
 #[test]
 fn slow_path_run_across_checkpoints_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(45).slow_only(), 600, 60);
-    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=81683496 mean=123791 p50=123442 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 7928, cons_msgs: 6052, direct_msgs: 1400, ctb_signs: 2649, ctb_verifies: 5292, engine_signs: 2106, engine_verifies: 2026, reg_writes: 7936, reg_reads: 7936 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=79114837 mean=119900 p50=119559 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 7838, cons_msgs: 6022, direct_msgs: 1400, ctb_signs: 2649, ctb_verifies: 5292, engine_signs: 2106, engine_verifies: 2026, reg_writes: 7936, reg_reads: 7936 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
