@@ -11,14 +11,14 @@
 //! deliver, once the write has completed too. Each stage is resumed through
 //! an `on_*` input carrying the results the runtime collected.
 //!
-//! The write and the read leave together — one round trip, not two — and
-//! a substrate must post the read behind the write on every memory node's
-//! queue pair, counting only the nodes that took the write. A read on a
-//! queue pair executes only once the writes posted before it there have
-//! landed, so any two receivers' answering majorities share a node where
-//! one's write has landed before the other's read arrives, and at least one
-//! of them reads the other's entry: the guarantee two sequential round
-//! trips gave.
+//! The write and the read leave together — one round trip, not two: the
+//! runtime's substrate serves the pair as one call, which posts the read
+//! behind the write on every memory node's queue pair, counting only the
+//! nodes that took the write. A read on a queue pair executes only once
+//! the writes posted before it there have landed, so any two receivers'
+//! answering majorities share a node where one's write has landed before
+//! the other's read arrives, and at least one of them reads the other's
+//! entry: the guarantee two sequential round trips gave.
 
 use std::collections::BTreeSet;
 
@@ -149,8 +149,9 @@ pub enum CtbEffect {
         sig: Signature,
     },
     /// Write `entry` to this replica's own SWMR register slot for the
-    /// stream, using `k` as the register timestamp. Always emitted with the
-    /// [`CtbEffect::ReadSlot`] that follows it, which is posted behind it.
+    /// stream, using `k` as the register timestamp. Always emitted right
+    /// before the [`CtbEffect::ReadSlot`] of the same slot and id; the
+    /// substrate serves the pair as one call, the read behind the write.
     WriteRegister {
         /// Ring slot (`k % t`).
         slot: usize,
@@ -161,7 +162,8 @@ pub enum CtbEffect {
     },
     /// Read every receiver's register for `slot` (quorum-replicated read),
     /// behind the [`CtbEffect::WriteRegister`] just before it on every
-    /// memory node's queue pair, from the memory nodes that took that write.
+    /// memory node's queue pair, from the memory nodes that took that write:
+    /// the substrate serves the two as one call.
     ReadSlot {
         /// Ring slot.
         slot: usize,
@@ -198,11 +200,6 @@ struct SlowPending {
     stage: SlowStage,
     /// The register write has completed at a quorum.
     written: bool,
-    outstanding: usize,
-    /// A same-id conflicting entry verified: the broadcaster equivocated.
-    equivocated: bool,
-    /// A newer-id entry verified: `k` fell out of the tail; drop silently.
-    out_of_tail: bool,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,7 +207,18 @@ enum SlowStage {
     VerifyingSig,
     /// The register write and the slot read are in flight together.
     Reading,
-    VerifyingEntries,
+    /// The read found conflicting entries; `outstanding` of their
+    /// signature checks are still out (a count of receivers: 32 bits keep
+    /// the stage in 8 bytes).
+    VerifyingEntries {
+        outstanding: u32,
+        /// A same-id conflicting entry verified: the broadcaster
+        /// equivocated.
+        equivocated: bool,
+        /// A newer-id entry verified: `k` fell out of the tail; drop
+        /// silently.
+        out_of_tail: bool,
+    },
     /// Nothing read stands in the way; the write's completion is due.
     AwaitingWrite,
 }
@@ -601,19 +609,8 @@ impl Ctb {
         if self.delivered[slot].is_some_and(|d| d >= k) {
             return Vec::new(); // already delivered (fast path)
         }
-        self.slow.insert(
-            slot,
-            SlowPending {
-                k,
-                fp,
-                sig,
-                stage: SlowStage::VerifyingSig,
-                written: false,
-                outstanding: 0,
-                equivocated: false,
-                out_of_tail: false,
-            },
-        );
+        let stage = SlowStage::VerifyingSig;
+        self.slow.insert(slot, SlowPending { k, fp, sig, stage, written: false });
         let own = self.my_broadcasts.get(&k.0);
         if own.is_some_and(|own| own.fp == fp && own.sign == SignState::Done(sig)) {
             return self.on_signed_verified(k, true);
@@ -716,8 +713,9 @@ impl Ctb {
             return self.deliver_when_written(slot);
         }
         let p = self.slow.get_mut(&slot).expect("present");
-        p.stage = SlowStage::VerifyingEntries;
-        p.outstanding = suspects.len();
+        let outstanding = suspects.len() as u32;
+        p.stage =
+            SlowStage::VerifyingEntries { outstanding, equivocated: false, out_of_tail: false };
         // A forged entry (bad signature) must not block delivery: verify
         // each suspect before honouring it.
         suspects
@@ -739,13 +737,14 @@ impl Ctb {
         ok: bool,
     ) -> Vec<CtbEffect> {
         let slot = self.slot(k);
-        let Some(p) = self.slow.get_mut(&slot) else {
+        let Some(p) = self.slow.get_mut(&slot).filter(|p| p.k == k) else {
             return Vec::new();
         };
-        if p.k != k || p.stage != SlowStage::VerifyingEntries {
+        let SlowStage::VerifyingEntries { outstanding, equivocated, out_of_tail } = &mut p.stage
+        else {
             return Vec::new();
-        }
-        p.outstanding -= 1;
+        };
+        *outstanding -= 1;
         if ok {
             // The entry is genuinely signed by the broadcaster. A same-id
             // conflict proves equivocation (line 33: abort and report); a
@@ -753,24 +752,24 @@ impl Ctb {
             // of the tail (line 35: drop silently — an honest broadcaster
             // does this under load, so it must NOT be branded Byzantine).
             match kind {
-                ConflictKind::SameId => p.equivocated = true,
-                ConflictKind::NewerId => p.out_of_tail = true,
+                ConflictKind::SameId => *equivocated = true,
+                ConflictKind::NewerId => *out_of_tail = true,
             }
         }
-        if p.outstanding == 0 {
-            if p.equivocated {
-                // Deliver nothing; report proven equivocation for the
-                // consensus layer's Byzantine bookkeeping.
-                self.slow.remove(&slot);
-                return vec![CtbEffect::Equivocation { k }];
-            }
-            if p.out_of_tail {
-                self.slow.remove(&slot);
-                return Vec::new(); // skip delivery; a summary fills the gap
-            }
-            return self.deliver_when_written(slot);
+        if *outstanding > 0 {
+            return Vec::new();
         }
-        Vec::new()
+        if *equivocated {
+            // Deliver nothing; report proven equivocation for the
+            // consensus layer's Byzantine bookkeeping.
+            self.slow.remove(&slot);
+            return vec![CtbEffect::Equivocation { k }];
+        }
+        if *out_of_tail {
+            self.slow.remove(&slot);
+            return Vec::new(); // skip delivery; a summary fills the gap
+        }
+        self.deliver_when_written(slot)
     }
 
     /// The read found nothing against delivering the pending message on

@@ -293,14 +293,6 @@ pub enum WriteOutcome {
 }
 
 impl WriteOutcome {
-    /// The quorum completion time, when the write succeeded.
-    pub fn done(self) -> Option<Time> {
-        match self {
-            WriteOutcome::Done(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Unwraps [`WriteOutcome::Done`].
     ///
     /// # Panics

@@ -63,15 +63,6 @@ pub struct WriteTicket {
     pub completion: Time,
 }
 
-/// Completion information for a READ.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadTicket {
-    /// When the issuer receives the data.
-    pub completion: Time,
-    /// The bytes observed (possibly torn if concurrent with a write).
-    pub data: Vec<u8>,
-}
-
 /// A READ posted with [`Fabric::post_read`], its hops drawn.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadPost {
@@ -229,48 +220,6 @@ impl Fabric {
         Ok(WriteTicket { arrival, completion: arrival + ack })
     }
 
-    /// Issues a one-sided READ of `len` bytes from `region` at `offset`.
-    ///
-    /// The returned data is sampled as the region is when the read arrives
-    /// at the target, so it may be torn with respect to concurrent writes —
-    /// but it is sampled *now*: a write posted after this call never shows,
-    /// even one that arrives first ([`Fabric::post_read`] has the remedy).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RdmaError`] if bounds or host liveness checks fail.
-    pub fn read(
-        &mut self,
-        issuer: HostId,
-        region: RegionId,
-        offset: usize,
-        len: usize,
-        now: Time,
-    ) -> Result<ReadTicket, RdmaError> {
-        let mut data = vec![0u8; len];
-        let completion = self.read_into(issuer, region, offset, &mut data, now)?;
-        Ok(ReadTicket { completion, data })
-    }
-
-    /// [`Fabric::read`] of `out.len()` bytes into a buffer the caller
-    /// keeps; returns when the issuer receives the data.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Fabric::read`].
-    pub fn read_into(
-        &mut self,
-        issuer: HostId,
-        region: RegionId,
-        offset: usize,
-        out: &mut [u8],
-        now: Time,
-    ) -> Result<Time, RdmaError> {
-        let post = self.post_read(issuer, region, offset, out.len(), now)?;
-        self.sample_into(region, offset, out, post.arrival)?;
-        Ok(post.completion)
-    }
-
     /// Posts a one-sided READ of `len` bytes from `region` at `offset`:
     /// both hops are drawn now, and the read takes its place on the
     /// issuer's queue pair to the target, arriving there after every
@@ -397,6 +346,21 @@ mod tests {
         Time::from_nanos(ns)
     }
 
+    /// A read of `len` bytes posted at `now` and sampled when it arrives.
+    fn read_at_arrival(
+        f: &mut Fabric,
+        issuer: HostId,
+        region: RegionId,
+        offset: usize,
+        len: usize,
+        now: Time,
+    ) -> Result<(ReadPost, Vec<u8>), RdmaError> {
+        let post = f.post_read(issuer, region, offset, len, now)?;
+        let mut data = vec![0u8; len];
+        f.sample_into(region, offset, &mut data, post.arrival)?;
+        Ok((post, data))
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let mut f = fabric();
@@ -405,8 +369,10 @@ mod tests {
         assert!(w.arrival > t(0));
         assert!(w.completion > w.arrival);
         // Read well after the write settled.
-        let rd = f.read(HostId(2), r, 0, 64, w.completion + Duration::from_micros(1)).unwrap();
-        assert_eq!(rd.data, vec![0xAA; 64]);
+        let (rd, data) =
+            read_at_arrival(&mut f, HostId(2), r, 0, 64, w.completion + Duration::from_micros(1))
+                .unwrap();
+        assert_eq!(data, vec![0xAA; 64]);
         assert!(rd.completion > w.completion);
     }
 
@@ -426,16 +392,15 @@ mod tests {
         let mut f = fabric();
         let (r, tok) = f.create_region(HostId(1), 8);
         assert_eq!(f.write(HostId(0), tok, r, 4, &[0; 8], t(0)), Err(RdmaError::OutOfBounds));
-        assert_eq!(f.read(HostId(0), r, 0, 9, t(0)).unwrap_err(), RdmaError::OutOfBounds);
+        assert_eq!(f.post_read(HostId(0), r, 0, 9, t(0)), Err(RdmaError::OutOfBounds));
+        assert_eq!(f.sample_into(r, 4, &mut [0; 8], t(0)), Err(RdmaError::OutOfBounds));
     }
 
     #[test]
     fn unknown_region_rejected() {
         let mut f = fabric();
-        assert_eq!(
-            f.read(HostId(0), RegionId(99), 0, 1, t(0)).unwrap_err(),
-            RdmaError::UnknownRegion
-        );
+        assert_eq!(f.post_read(HostId(0), RegionId(99), 0, 1, t(0)), Err(RdmaError::UnknownRegion));
+        assert_eq!(f.sample_into(RegionId(99), 0, &mut [0], t(0)), Err(RdmaError::UnknownRegion));
     }
 
     #[test]
@@ -448,7 +413,7 @@ mod tests {
             f.write(HostId(0), tok, r, 0, &[1; 8], t(100)),
             Err(RdmaError::TargetUnavailable)
         );
-        assert_eq!(f.read(HostId(2), r, 0, 8, t(100)).unwrap_err(), RdmaError::TargetUnavailable);
+        assert_eq!(f.post_read(HostId(2), r, 0, 8, t(100)), Err(RdmaError::TargetUnavailable));
     }
 
     #[test]
@@ -489,23 +454,22 @@ mod tests {
         // 4096 B at 80 ps/B ≈ 327 ns application window. A read issued at the
         // same instant from a distinct host arrives ~1 µs later, i.e. in the
         // vicinity of the window; either way the result must be consistent.
-        let rd = f.read(HostId(2), r, 0, 4096, start2).unwrap();
-        let saw_new = rd.data.contains(&0x22);
-        let saw_old = rd.data.contains(&0x11);
+        let (_, data) = read_at_arrival(&mut f, HostId(2), r, 0, 4096, start2).unwrap();
+        let saw_new = data.contains(&0x22);
+        let saw_old = data.contains(&0x11);
         // Timing depends on latency sampling, so just require the read to be
         // *consistent with the model*: all-old, all-new, or a torn mix where
         // new data forms a prefix.
         if saw_new && saw_old {
-            let first_old = rd.data.iter().position(|&b| b == 0x11).unwrap();
-            assert!(rd.data[first_old..].iter().all(|&b| b == 0x11));
-            assert!(rd.data[..first_old].iter().all(|&b| b == 0x22));
+            let first_old = data.iter().position(|&b| b == 0x11).unwrap();
+            assert!(data[first_old..].iter().all(|&b| b == 0x11));
+            assert!(data[..first_old].iter().all(|&b| b == 0x22));
         }
     }
 
     /// A posted read arrives behind a write posted before it on its queue
     /// pair, and is sampled when it arrives: a write posted after it that
-    /// lands first is seen too, which [`Fabric::read`], sampling as it is
-    /// called, cannot see.
+    /// lands first is seen too.
     #[test]
     fn a_posted_read_samples_on_arrival() {
         let mut f = fabric();
@@ -514,12 +478,11 @@ mod tests {
         let w = f.write(HostId(0), tok, ours, 0, &[0x22; 8], t(0)).unwrap();
         let behind = f.post_read(HostId(0), theirs, 0, 8, t(0)).unwrap();
         assert!(behind.arrival > w.arrival);
-        let early = f.read(HostId(3), theirs, 0, 8, t(0)).unwrap();
         let late = f.write(HostId(2), their_tok, theirs, 0, &[0x33; 8], t(1)).unwrap();
         assert!(late.arrival < behind.arrival, "{late:?} {behind:?}: pick another seed");
         let mut out = [0u8; 8];
         f.sample_into(theirs, 0, &mut out, behind.arrival).unwrap();
-        assert_eq!((out, &early.data[..]), ([0x33; 8], &[0u8; 8][..]));
+        assert_eq!(out, [0x33; 8]);
     }
 
     /// A read behind a write on its queue pair finds the whole write, even
@@ -576,10 +539,9 @@ mod tests {
                         dense.begin_write(a.offset, data, w.arrival, spread);
                     }
                     None => {
-                        let mut out = vec![0u8; a.len];
-                        f.read_into(reader, r, a.offset, &mut out, t(a.at)).unwrap();
-                        let sampled_at = f.last_arrival[&(reader, home)];
-                        assert_eq!(out, dense.sample(a.offset, a.len, sampled_at), "{a:?}");
+                        let (rd, out) =
+                            read_at_arrival(&mut f, reader, r, a.offset, a.len, t(a.at)).unwrap();
+                        assert_eq!(out, dense.sample(a.offset, a.len, rd.arrival), "{a:?}");
                     }
                 }
                 let inflight = f.regions[&r].region.inflight_len();

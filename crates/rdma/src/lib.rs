@@ -3,7 +3,7 @@
 //! The paper's prototype exposes memory over RDMA on InfiniBand (§2.3, §6).
 //! This crate reproduces the four properties the protocols rely on:
 //!
-//! 1. **One-sided access** — a [`Fabric::write`]/[`Fabric::read`] completes
+//! 1. **One-sided access** — a [`Fabric::write`]/[`Fabric::post_read`] completes
 //!    without involving the target host's CPU; the target may be a passive
 //!    memory node.
 //! 2. **Access permissions** — each region has a single writer capability
@@ -25,4 +25,4 @@
 pub mod fabric;
 pub mod region;
 
-pub use fabric::{AccessToken, Fabric, RdmaError, ReadPost, ReadTicket, RegionId, WriteTicket};
+pub use fabric::{AccessToken, Fabric, RdmaError, ReadPost, RegionId, WriteTicket};

@@ -26,12 +26,14 @@ use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
+use ubft_transport::inproc::{inproc_mesh, InMsg};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Time};
 
 use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
+use crate::threads::{CtlMsg, MemThread};
 
 /// A completion waiting to re-enter the node that started the work.
 enum Completion {
@@ -67,6 +69,10 @@ struct FakeNet {
     told: HashMap<(usize, SeqId), Vec<u8>>,
     /// Signatures verified so far: `[for CTBcast, by engine crypto jobs]`.
     verifies: [u32; 2],
+    /// Register round trips started so far.
+    round_trips: u32,
+    /// Their completions handed back to the nodes: `[writes, reads]`.
+    round_trip_done: [u32; 2],
     /// Whether a node is being handed a CTBcast signature that finished.
     signing: bool,
     /// `SIGNED` frames of COMMITs sent so far: `[by the call that
@@ -150,18 +156,15 @@ impl Substrate for FakeSubstrate<'_> {
         self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
     }
 
-    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, entry: RegEntry, _: ()) {
-        self.net.registers.insert((stream, self.r, slot), entry);
-        let done = CtbDone::Written(k);
-        self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
-    }
-
-    fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, _: ()) {
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let net = &mut *self.net;
+        net.round_trips += 1;
+        net.registers.insert((stream, self.r, slot), e);
         let entries =
             (0..net.n).map(|owner| net.registers.get(&(stream, owner, slot)).cloned()).collect();
-        let done = CtbDone::Read(k, entries);
-        net.completions[self.r].push_back(Completion::Ctb { stream, done });
+        for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
+            net.completions[self.r].push_back(Completion::Ctb { stream, done });
+        }
     }
 
     fn engine_call_done(
@@ -216,6 +219,8 @@ impl FakeCluster {
             equivocator: None,
             told: HashMap::new(),
             verifies: [0; 2],
+            round_trips: 0,
+            round_trip_done: [0; 2],
             signing: false,
             signed_commits: [0; 2],
         };
@@ -243,6 +248,15 @@ impl FakeCluster {
                     idle = false;
                     self.net.signing =
                         matches!(c, Completion::Ctb { done: CtbDone::Signed(..), .. });
+                    match c {
+                        Completion::Ctb { done: CtbDone::Written(_), .. } => {
+                            self.net.round_trip_done[0] += 1;
+                        }
+                        Completion::Ctb { done: CtbDone::Read(..), .. } => {
+                            self.net.round_trip_done[1] += 1;
+                        }
+                        _ => {}
+                    }
                     self.on_node(r, |nd, sub| match c {
                         Completion::Ctb { stream, done } => nd.on_ctb_done(sub, stream, done, ()),
                         Completion::Crypto { tag, result } => {
@@ -340,6 +354,13 @@ fn three_nodes_decide_on_the_fast_and_the_forced_slow_path() {
         if slow_path_ran {
             assert_eq!(cluster.net.verifies, [4 * 2, 3].map(|v| v * requests as u32));
         }
+        // And its register round trips: one per signed broadcast at each of
+        // the three receivers, its broadcaster included, which writes its
+        // register and reads the slot like any other. None on the fast
+        // path. Each round trip hands back its write and its read.
+        let round_trips = if slow_path_ran { 4 * 3 * requests as u32 } else { 0 };
+        assert_eq!(cluster.net.round_trips, round_trips);
+        assert_eq!(cluster.net.round_trip_done, [round_trips; 2]);
     }
 }
 
@@ -394,6 +415,36 @@ fn an_equivocating_lock_is_branded() {
         assert!(why.contains("equivocation"), "branded for {why}");
     }
     assert!(cluster.nodes[1..].iter().all(|nd| nd.exec_log.is_empty()));
+}
+
+/// The threaded backend's memory node: a `WriteRead` applies its write
+/// unless the register holds a newer timestamp, then answers with the
+/// slot's entry of every owner, in owner order, the write included.
+#[test]
+fn a_memory_node_answers_a_write_with_the_slot_it_reads_back() {
+    let (_router, mut eps) = inproc_mesh::<CtlMsg>(2);
+    let replica = eps.pop().expect("two endpoints");
+    let mut mem = MemThread { ep: eps.pop().expect("two endpoints"), store: HashMap::new() };
+    // Owner `owner` writes `byte`s at `ts` to slot `slot` of group 0's
+    // stream 1; returns the node's answer.
+    let mut write_read = |owner: u32, slot: u32, ts: u64, byte: u8| {
+        let (key, bytes, token) = ((0, 1, owner, slot), vec![byte; 4], ts);
+        let msg = CtlMsg::WriteRead { key, ts, bytes, owners: 3, token, reply_to: 1 };
+        mem.on_msg(InMsg::Ctl(msg));
+        match replica.try_recv() {
+            Some(InMsg::Ctl(CtlMsg::ReadResp { token: t, entries })) if t == token => entries,
+            _ => panic!("no answer to round trip {token}"),
+        }
+    };
+    let entry = |ts: u64, byte: u8| Some((ts, vec![byte; 4]));
+    assert_eq!(write_read(1, 2, 5, 0xB1), [None, entry(5, 0xB1), None]);
+    // An older write leaves the newer entry in place, and is answered.
+    assert_eq!(write_read(1, 2, 3, 0xB0), [None, entry(5, 0xB1), None]);
+    // Another slot is another register.
+    assert_eq!(write_read(0, 3, 9, 0xA9), [entry(9, 0xA9), None, None]);
+    // Written in the order 1, 2, 0; read back in owner order.
+    assert_eq!(write_read(2, 2, 4, 0xC2), [None, entry(5, 0xB1), entry(4, 0xC2)]);
+    assert_eq!(write_read(0, 2, 6, 0xA0), [entry(6, 0xA0), entry(5, 0xB1), entry(4, 0xC2)]);
 }
 
 // ----------------------------------------------------------------------

@@ -609,11 +609,18 @@ impl Substrate for SimSubstrate<'_, '_> {
         env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Verified(tag, ok) });
     }
 
-    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, entry: RegEntry, at: Time) {
+    /// Writes this replica's register `slot` of `stream`, then reads every
+    /// receiver's register `slot`, posted at the start of the write —
+    /// behind it on every memory node's queue pair — and counting only the
+    /// nodes that took it. Each node is sampled when the read reaches it
+    /// ([`Ev::RegSample`]); an owner's read that overlapped a write is
+    /// posted once more (§6.1). The entries come back, in replica order,
+    /// when the last answer does.
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.reg_writes += 1;
         let host = env.host_of(r);
-        let mut entry = entry;
+        let mut entry = e;
         // A register-corrupting replica stores a garbled fingerprint
         // in its own SWMR slot. Readers must treat the entry as a
         // suspect, fail its signature check, and deliver anyway
@@ -640,16 +647,7 @@ impl Substrate for SimSubstrate<'_, '_> {
             // the slow path simply cannot complete.
             WriteOutcome::NoQuorum => {}
         }
-    }
 
-    /// Reads every receiver's register for `slot` of `stream`, posted at the
-    /// start of this replica's write of the slot — behind it on every
-    /// memory node's queue pair — and counting only the nodes that took it.
-    /// Each node is sampled when the read reaches it ([`Ev::RegSample`]); an
-    /// owner's read that overlapped a write is posted once more (§6.1). The
-    /// entries come back, in replica order, when the last answer does.
-    fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, at: Time) {
-        let (env, r) = (&mut *self.env, self.r);
         env.counters.reg_reads += 1;
         let write = env.machines[r].reg_writers[stream].last_write(RegisterId(slot));
         let at = at.max(write.start);
@@ -657,7 +655,7 @@ impl Substrate for SimSubstrate<'_, '_> {
             env.slot_reads.push(SlotRead::default());
             env.slot_reads.len() - 1
         });
-        let (n, host) = (env.n(), env.host_of(r));
+        let n = env.n();
         let read = &mut env.slot_reads[id];
         (read.r, read.host, read.stream, read.slot, read.k) = (r, host, stream, slot, k);
         read.took = write.took;

@@ -99,9 +99,11 @@ pub(crate) enum CtbDone {
     Signed(SeqId, Digest, Signature),
     /// [`Substrate::ctb_verify`]'s verdict.
     Verified(VerifyTag, bool),
-    /// [`Substrate::write_register`] reached its quorum for message `k`.
+    /// [`Substrate::write_and_read_slot`]'s write reached its quorum for
+    /// message `k`.
     Written(SeqId),
-    /// [`Substrate::read_slot`]'s entries for message `k`, in replica order.
+    /// [`Substrate::write_and_read_slot`]'s entries for message `k`, in
+    /// replica order.
     Read(SeqId, Vec<Option<RegEntry>>),
 }
 
@@ -113,7 +115,10 @@ pub(crate) enum CtbDone {
 /// everything happens now. The driver never reads it; it hands the value
 /// each nested step was given on to the next, so the simulator's cost
 /// arithmetic is the substrate's alone. Node addresses are group-local:
-/// replica `r` is node `r`, client `c` is node `n + c`.
+/// replica `r` is node `r`, client `c` is node `n + c`. A register write
+/// and the slot read that checks it are one call
+/// ([`Substrate::write_and_read_slot`]): the driver pairs the two CTBcast
+/// effects, so their order is not a contract between two calls.
 pub(crate) trait Substrate {
     /// When a step happens.
     type At: Copy;
@@ -149,9 +154,18 @@ pub(crate) trait Substrate {
         at: Self::At,
     );
 
-    /// Starts the write of this replica's SWMR register `slot` in
-    /// `stream`'s bank ([`CtbDone::Written`]).
-    fn write_register(
+    /// Writes `entry` to this replica's SWMR register `slot` in `stream`'s
+    /// bank, with register timestamp `k`, and reads every replica's
+    /// register `slot` of `stream` behind it: one round trip. The read
+    /// leaves behind the write on every memory node's queue pair, counting
+    /// only the nodes that took the write, and executes only once the
+    /// writes before it on its queue pair have landed. Any two replicas'
+    /// reads then share a node where one's write has landed before the
+    /// other's read arrives, as two round trips one after the other would
+    /// guarantee. Two completions come back, in either order: the write's
+    /// quorum ([`CtbDone::Written`]) and the entries read
+    /// ([`CtbDone::Read`]).
+    fn write_and_read_slot(
         &mut self,
         stream: usize,
         slot: usize,
@@ -159,17 +173,6 @@ pub(crate) trait Substrate {
         entry: RegEntry,
         at: Self::At,
     );
-
-    /// Starts the read of every replica's register `slot` of `stream`
-    /// ([`CtbDone::Read`]). It follows the [`Substrate::write_register`] of
-    /// the same slot in the same batch and must leave behind it on every
-    /// memory node's queue pair, counting only the nodes that took the
-    /// write. A read executes only once the writes before it on its queue
-    /// pair have landed, so any two replicas' reads then share a node where
-    /// one's write has landed before the other's read arrives, as two round
-    /// trips one after the other would guarantee. Its completion and the
-    /// write's come back in either order.
-    fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, at: Self::At);
 
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and
     /// produced `fx`. The substrate starts the jobs — each result comes
@@ -522,9 +525,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 for k in done + 1..=sent {
                     fx.extend(self.ctbs[r].force_slow(SeqId(k)));
                 }
-                for e in fx {
-                    self.ctb_effect(sub, r, at, e);
-                }
+                self.ctb_effects(sub, r, at, fx);
             }
         } else {
             self.summary_stall_ticks = 0;
@@ -548,9 +549,8 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         // is signed meanwhile, from the call that learned them.
         if let Some((k, msg)) = self.engine.take_ctb_ahead() {
             let (r, bytes) = (self.r, msg.to_bytes());
-            if let Some(sign) = self.ctbs[r].sign_ahead(k, &bytes) {
-                self.ctb_effect(sub, r, at, sign);
-            }
+            let sign = self.ctbs[r].sign_ahead(k, &bytes);
+            self.ctb_effects(sub, r, at, sign);
             self.ctb_ahead = Some((msg, bytes));
         }
         // Freshly recorded decisions reach the observer *before* their
@@ -579,9 +579,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 let ahead = self.ctb_ahead.take_if(|(ahead, _)| *ahead == msg);
                 let bytes = ahead.map_or_else(|| msg.to_bytes(), |(_, bytes)| bytes);
                 let (_k, cfx) = self.ctbs[r].broadcast(bytes);
-                for ce in cfx {
-                    self.ctb_effect(sub, r, at, ce);
-                }
+                self.ctb_effects(sub, r, at, cfx);
             }
             Effect::TbBroadcast(msg) => self.tb_broadcast(sub, Lane::ConsTb, &msg, at),
             Effect::SendReplica { to, msg } => {
@@ -693,40 +691,57 @@ impl<A: App + ?Sized> ReplicaNode<A> {
     ) {
         let fx = f(&mut self.ctbs[stream]);
         let done = sub.charge(at, Duration::ZERO);
-        for e in fx {
-            self.ctb_effect(sub, stream, done, e);
-        }
+        self.ctb_effects(sub, stream, done, fx);
     }
 
-    fn ctb_effect<S: Substrate>(&mut self, sub: &mut S, stream: usize, at: S::At, e: CtbEffect) {
-        match e {
-            CtbEffect::Broadcast(wire) => {
-                if stream == self.r
-                    && sub.byz_mode(at) == Some(ByzantineMode::EquivocateProposals)
-                    && self.equivocate_broadcast(sub, at, &wire)
-                {
-                    return;
+    /// Carries out what `stream`'s CTBcast instance asked for, in order. A
+    /// register write takes the slot read that follows it, and the two
+    /// leave as one substrate call.
+    fn ctb_effects<S: Substrate>(
+        &mut self,
+        sub: &mut S,
+        stream: usize,
+        at: S::At,
+        fx: impl IntoIterator<Item = CtbEffect>,
+    ) {
+        let mut fx = fx.into_iter();
+        while let Some(e) = fx.next() {
+            match e {
+                CtbEffect::Broadcast(wire) => {
+                    if stream == self.r
+                        && sub.byz_mode(at) == Some(ByzantineMode::EquivocateProposals)
+                        && self.equivocate_broadcast(sub, at, &wire)
+                    {
+                        continue;
+                    }
+                    self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at);
                 }
-                self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at);
-            }
-            CtbEffect::Sign { k, fp } => sub.ctb_sign(stream, k, fp, at),
-            CtbEffect::Verify { tag, k, fp, sig } => sub.ctb_verify(stream, tag, k, fp, sig, at),
-            CtbEffect::WriteRegister { slot, k, entry } => {
-                sub.write_register(stream, slot, k, entry, at);
-            }
-            CtbEffect::ReadSlot { slot, k } => sub.read_slot(stream, slot, k, at),
-            CtbEffect::Deliver { k, payload } => {
-                let s = ReplicaId(stream as u32);
-                match CtbMsg::from_bytes(&payload) {
-                    Ok(msg) => self.engine_call(sub, at, |e| e.on_ctb_deliver(s, k, msg)),
-                    Err(_) => self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k)),
+                CtbEffect::Sign { k, fp } => sub.ctb_sign(stream, k, fp, at),
+                CtbEffect::Verify { tag, k, fp, sig } => {
+                    sub.ctb_verify(stream, tag, k, fp, sig, at)
                 }
+                CtbEffect::WriteRegister { slot, k, entry } => match fx.next() {
+                    Some(CtbEffect::ReadSlot { slot: s, k: j }) if (s, j) == (slot, k) => {
+                        sub.write_and_read_slot(stream, slot, k, entry, at);
+                    }
+                    e => panic!("register write {k:?} of slot {slot} is followed by {e:?}"),
+                },
+                CtbEffect::ReadSlot { .. } => {
+                    panic!("a slot read leaves only with its register write")
+                }
+                CtbEffect::Deliver { k, payload } => {
+                    let s = ReplicaId(stream as u32);
+                    match CtbMsg::from_bytes(&payload) {
+                        Ok(msg) => self.engine_call(sub, at, |e| e.on_ctb_deliver(s, k, msg)),
+                        Err(_) => self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k)),
+                    }
+                }
+                CtbEffect::Equivocation { k } => {
+                    let s = ReplicaId(stream as u32);
+                    self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k));
+                }
+                CtbEffect::ArmSlowTimer { k } => sub.arm(NodeTimer::CtbSlow(k), SLOW_TRIGGER, at),
             }
-            CtbEffect::Equivocation { k } => {
-                let s = ReplicaId(stream as u32);
-                self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k));
-            }
-            CtbEffect::ArmSlowTimer { k } => sub.arm(NodeTimer::CtbSlow(k), SLOW_TRIGGER, at),
         }
     }
 

@@ -10,10 +10,10 @@
 //! `Substrate` beneath it differs. Where the simulator's turns a node's
 //! requests into virtual-time events on a shared queue, `ReplicaThread`
 //! here turns them into real sends on the in-process mesh, real
-//! `Instant`-based timers, jobs on the crypto pool, and quorum RPCs to
-//! memory-node threads. That is the whole point of the effect-based
-//! design: one protocol implementation, one driver, two execution
-//! substrates.
+//! `Instant`-based timers, jobs on the crypto pool, and one quorum RPC
+//! per register round trip to memory-node threads. That is the whole
+//! point of the effect-based design: one protocol implementation, one
+//! driver, two execution substrates.
 //!
 //! What this backend deliberately does **not** model:
 //!
@@ -29,10 +29,10 @@
 //!   run on the worker pool for real.
 //! * **Torn register reads.** The SWMR register banks become memory-node
 //!   threads holding a `(group, stream, owner, slot) → (ts, bytes)` store
-//!   behind typed control-frame RPCs, with real `f_m + 1` write/read
-//!   quorums and max-timestamp merge. Message atomicity makes the regular
-//!   register's checksummed sub-register dance unnecessary; quorum
-//!   intersection still provides regularity.
+//!   behind one typed control-frame RPC that writes a slot and reads it
+//!   back, with a real `f_m + 1` quorum and max-timestamp merge. Message
+//!   atomicity makes the regular register's checksummed sub-register
+//!   dance unnecessary; quorum intersection still provides regularity.
 //!
 //! **Timers and `time_scale`.** Protocol timeouts are calibrated in
 //! microseconds of virtual time; a preempted OS thread can easily be late
@@ -117,24 +117,21 @@ fn mem_node(shards: usize, n: usize, m: usize) -> u32 {
 
 /// A register slot per owner, each entry `(ts, bytes)`: one memory node's
 /// view, or a reader's merge of several.
-type SlotEntries = Vec<Option<(u64, Vec<u8>)>>;
+pub(crate) type SlotEntries = Vec<Option<(u64, Vec<u8>)>>;
 
 /// Typed control frames riding each node's inbox next to protocol bytes.
-enum CtlMsg {
+pub(crate) enum CtlMsg {
     /// Crypto pool: a signature or verification `stream`'s CTBcast instance
     /// asked for finished.
     CtbDone { stream: usize, done: CtbDone },
     /// Crypto pool: an engine crypto job finished.
     EngineCryptoDone { tag: CryptoTag, result: CryptoResult },
     /// Replica → memory node: store `bytes` under `key` with register
-    /// timestamp `ts`.
-    WriteSlot { key: SlotKey, ts: u64, bytes: Vec<u8>, token: u64, reply_to: u32 },
-    /// Memory node → replica: one write replica acknowledged.
-    WriteAck { token: u64 },
-    /// Replica → memory node: return all `owners` entries of
-    /// `(group, stream, ·, slot)`.
-    ReadSlot { group: u32, stream: u32, slot: u32, owners: u32, token: u64, reply_to: u32 },
-    /// Memory node → replica: one node's view of a slot, per owner.
+    /// timestamp `ts`, then return the slot's entries of all `owners`
+    /// (`key` with each owner in turn).
+    WriteRead { key: SlotKey, ts: u64, bytes: Vec<u8>, owners: u32, token: u64, reply_to: u32 },
+    /// Memory node → replica: one node's view of a slot, per owner, with
+    /// the write applied.
     ReadResp { token: u64, entries: SlotEntries },
     /// Exit the thread's loop and report.
     Shutdown,
@@ -315,20 +312,19 @@ fn run_mailbox<S, T: Ord>(
 // Replica threads
 // ----------------------------------------------------------------------
 
-/// A register RPC fanned out to every memory node, complete at
+/// A register round trip fanned out to every memory node, complete at
 /// `mem_quorum` answers.
 struct PendingRpc {
     stream: usize,
     k: SeqId,
     answers: usize,
-    /// A read's per-owner best (max-timestamp) raw entry seen so far;
-    /// `None` for a write.
-    best: Option<SlotEntries>,
+    /// The per-owner best (max-timestamp) raw entry seen so far.
+    best: SlotEntries,
 }
 
 /// One replica thread's side of its [`ReplicaNode`]: the mesh endpoint, the
-/// crypto pool, an `Instant` timer heap and the quorum RPCs to memory-node
-/// threads. Everything happens now, so `At` is `()`.
+/// crypto pool, an `Instant` timer heap and the register round trips to
+/// memory-node threads. Everything happens now, so `At` is `()`.
 struct ReplicaThread {
     g: usize,
     r: usize,
@@ -370,18 +366,17 @@ impl ReplicaThread {
     }
 
     /// A completion arrived: from the crypto pool, or one more
-    /// memory-node's answer to a register RPC.
+    /// memory node's answer to a register round trip.
     fn on_ctl(&mut self, node: &mut ReplicaNode<dyn App + Send>, c: CtlMsg) {
         match c {
             CtlMsg::CtbDone { stream, done } => node.on_ctb_done(self, stream, done, ()),
             CtlMsg::EngineCryptoDone { tag, result } => {
                 node.engine_call(self, (), |e| e.on_crypto_done(tag, result));
             }
-            CtlMsg::WriteAck { token } => self.on_rpc_answer(node, token, Vec::new()),
             CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
-            // Register RPCs target memory nodes; shutdown ends the mailbox
-            // loop before this dispatch.
-            CtlMsg::WriteSlot { .. } | CtlMsg::ReadSlot { .. } | CtlMsg::Shutdown => {}
+            // Register round trips target memory nodes; shutdown ends the
+            // mailbox loop before this dispatch.
+            CtlMsg::WriteRead { .. } | CtlMsg::Shutdown => {}
         }
     }
 
@@ -395,27 +390,10 @@ impl ReplicaThread {
         }
     }
 
-    /// Fans a register RPC out to every memory node; `msg(token)` is one
-    /// node's copy of the request.
-    fn quorum_rpc(
-        &mut self,
-        stream: usize,
-        k: SeqId,
-        best: Option<SlotEntries>,
-        msg: impl Fn(u64) -> CtlMsg,
-    ) {
-        self.next_token += 1;
-        let token = self.next_token;
-        self.pending.insert(token, PendingRpc { stream, k, answers: 0, best });
-        for to in self.mem_nodes.clone() {
-            let _ = self.ep.router().send_ctl(to, msg(token));
-        }
-    }
-
-    /// One more memory node answered register RPC `token`; a read's answer
-    /// carries that node's `entries`, per owner. At the quorum the RPC
-    /// completes into its CTBcast instance; a surplus answer past it finds
-    /// nothing pending.
+    /// One more memory node answered register round trip `token` with its
+    /// `entries`, per owner. At the quorum the write has completed and the
+    /// read returned: the round trip completes into its CTBcast instance,
+    /// the write first; a surplus answer past it finds nothing pending.
     fn on_rpc_answer(
         &mut self,
         node: &mut ReplicaNode<dyn App + Send>,
@@ -424,7 +402,7 @@ impl ReplicaThread {
     ) {
         let Some(rpc) = self.pending.get_mut(&token) else { return };
         rpc.answers += 1;
-        for (best, got) in rpc.best.iter_mut().flatten().zip(entries) {
+        for (best, got) in rpc.best.iter_mut().zip(entries) {
             if let Some((ts, bytes)) = got {
                 if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
                     *best = Some((ts, bytes));
@@ -435,14 +413,10 @@ impl ReplicaThread {
             return;
         }
         let rpc = self.pending.remove(&token).expect("pending rpc");
-        let done = match rpc.best {
-            None => CtbDone::Written(rpc.k),
-            Some(best) => {
-                let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
-                CtbDone::Read(rpc.k, best.into_iter().map(parse).collect())
-            }
-        };
-        node.on_ctb_done(self, rpc.stream, done, ());
+        node.on_ctb_done(self, rpc.stream, CtbDone::Written(rpc.k), ());
+        let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
+        let entries = rpc.best.into_iter().map(parse).collect();
+        node.on_ctb_done(self, rpc.stream, CtbDone::Read(rpc.k, entries), ());
     }
 }
 
@@ -490,32 +464,20 @@ impl Substrate for ReplicaThread {
         self.crypto.push(PoolJob::Verify { node, group, stream, tag, k, fp, sig });
     }
 
-    fn write_register(&mut self, stream: usize, slot: usize, k: SeqId, entry: RegEntry, _: ()) {
-        let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
-        let (bytes, reply_to) = (entry.to_bytes(), self.node_idx);
-        self.quorum_rpc(stream, k, None, |token| CtlMsg::WriteSlot {
-            key,
-            ts: k.0,
-            bytes: bytes.clone(),
-            token,
-            reply_to,
-        });
-    }
-
-    /// Sent right behind the slot's [`CtlMsg::WriteSlot`]s: each memory
-    /// node's mailbox is FIFO per sender, so every node that answers has
+    /// One [`CtlMsg::WriteRead`] to every memory node: each applies the
+    /// write before it reads the slot, so every node that answers has
     /// taken the write first.
-    fn read_slot(&mut self, stream: usize, slot: usize, k: SeqId, _: ()) {
-        let (group, owners, reply_to) = (self.g as u32, self.n as u32, self.node_idx);
-        let (stream32, slot) = (stream as u32, slot as u32);
-        self.quorum_rpc(stream, k, Some(vec![None; self.n]), |token| CtlMsg::ReadSlot {
-            group,
-            stream: stream32,
-            slot,
-            owners,
-            token,
-            reply_to,
-        });
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
+        let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
+        let (bytes, owners, reply_to) = (e.to_bytes(), self.n as u32, self.node_idx);
+        self.next_token += 1;
+        let token = self.next_token;
+        self.pending.insert(token, PendingRpc { stream, k, answers: 0, best: vec![None; self.n] });
+        for to in self.mem_nodes.clone() {
+            let msg =
+                CtlMsg::WriteRead { key, ts: k.0, bytes: bytes.clone(), owners, token, reply_to };
+            let _ = self.ep.router().send_ctl(to, msg);
+        }
     }
 
     /// Metered crypto accounting is the simulator's cost model; here real
@@ -616,16 +578,16 @@ impl ClientPort for DriverThread {
 // ----------------------------------------------------------------------
 
 /// Store key: `(group, stream, owner, slot)`.
-type SlotKey = (u32, u32, u32, u32);
+pub(crate) type SlotKey = (u32, u32, u32, u32);
 
 /// One passive memory node: a `(group, stream, owner, slot) → (ts, bytes)`
-/// store answering write/read RPCs. Replicas take `f_m + 1` of `2f_m + 1`
+/// store answering write-then-read RPCs. Replicas take `f_m + 1` of `2f_m + 1`
 /// such nodes as a quorum, exactly like the simulated register banks;
 /// message atomicity stands in for the regular register's checksummed
 /// sub-registers.
-struct MemThread {
-    ep: InProcEndpoint<CtlMsg>,
-    store: HashMap<SlotKey, (u64, Vec<u8>)>,
+pub(crate) struct MemThread {
+    pub(crate) ep: InProcEndpoint<CtlMsg>,
+    pub(crate) store: HashMap<SlotKey, (u64, Vec<u8>)>,
 }
 
 impl MemThread {
@@ -638,23 +600,18 @@ impl MemThread {
         );
     }
 
-    fn on_msg(&mut self, msg: InMsg<CtlMsg>) {
-        match msg {
-            InMsg::Ctl(CtlMsg::WriteSlot { key, ts, bytes, token, reply_to }) => {
-                let newer = self.store.get(&key).is_none_or(|(old, _)| ts >= *old);
-                if newer {
-                    self.store.insert(key, (ts, bytes));
-                }
-                let _ = self.ep.router().send_ctl(reply_to, CtlMsg::WriteAck { token });
-            }
-            InMsg::Ctl(CtlMsg::ReadSlot { group, stream, slot, owners, token, reply_to }) => {
-                let entries: SlotEntries = (0..owners)
-                    .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
-                    .collect();
-                let _ = self.ep.router().send_ctl(reply_to, CtlMsg::ReadResp { token, entries });
-            }
-            _ => {}
+    pub(crate) fn on_msg(&mut self, msg: InMsg<CtlMsg>) {
+        let InMsg::Ctl(CtlMsg::WriteRead { key, ts, bytes, owners, token, reply_to }) = msg else {
+            return;
+        };
+        if self.store.get(&key).is_none_or(|(old, _)| ts >= *old) {
+            self.store.insert(key, (ts, bytes));
         }
+        let (group, stream, _, slot) = key;
+        let entries: SlotEntries = (0..owners)
+            .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
+            .collect();
+        let _ = self.ep.router().send_ctl(reply_to, CtlMsg::ReadResp { token, entries });
     }
 }
 
