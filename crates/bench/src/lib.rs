@@ -23,7 +23,6 @@ use ubft_core::app::{App, NoopApp};
 use ubft_minbft::ClientAuth;
 use ubft_runtime::baselines;
 use ubft_runtime::cluster::{Cluster, RunReport};
-use ubft_runtime::memory::MemoryReport;
 use ubft_runtime::SimConfig;
 use ubft_sim::stats::LatencyStats;
 use ubft_types::{Duration, Time};
@@ -344,8 +343,9 @@ fn table2(_samples: u64) -> Table {
     for size in [64usize, 2048] {
         for tail in [16usize, 32, 64, 128] {
             let cfg = paper().fast_only().with_tail(tail).with_max_request(size);
-            let mem = MemoryReport::measure(&deploy(cfg, "noop", size));
-            t.push(&[&size, &tail], &[mem.replica_local_bytes, mem.disagg_bytes_per_node].map(kib));
+            let cluster = deploy(cfg, "noop", size);
+            let bytes = [cluster.replica_local_bytes(0), cluster.disagg_bytes_per_node()];
+            t.push(&[&size, &tail], &bytes.map(kib));
         }
     }
     t
@@ -507,7 +507,7 @@ fn shard_sweep(samples: u64) -> Table {
             row.push(per_shard.iter().copied().fold(f64::INFINITY, f64::min));
             row.push(per_shard.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         }
-        row.push(kib(MemoryReport::measure(cluster).disagg_bytes_per_node));
+        row.push(kib(cluster.disagg_bytes_per_node()));
         t.push(&[&g], &row);
     }
     t

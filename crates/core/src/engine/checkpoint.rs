@@ -178,7 +178,6 @@ impl Engine {
         let Some((&data, cert)) = self.cp_shares.get(&base).and_then(|s| s.agreed(quorum)) else {
             return;
         };
-        self.note_own_cert(&cert, &data.sign_bytes());
         self.verified_cp_data.insert(data);
         self.adopt_checkpoint(CheckpointCert { data, cert });
     }
@@ -211,6 +210,7 @@ impl Engine {
         self.cp_shares.retain(|b, _| *b > base);
         let window = self.window() as u64;
         self.verified_cp_data.retain(|d| d.base.0 + window >= base.0);
+        self.verified_certs.retain(|_, slot| slot.0 + window >= base.0);
         self.requests.reclaim();
         if self.exec_next < base {
             // We missed decided slots below the certified base (a
@@ -248,3 +248,6 @@ impl Engine {
         self.check_seal_ready();
     }
 }
+
+#[cfg(test)]
+mod tests;

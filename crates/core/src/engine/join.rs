@@ -179,7 +179,7 @@ impl Engine {
             // (once per distinct checkpoint data).
             let cp = cp.filter(|c| {
                 self.verified_cp_data.contains(&c.data)
-                    || self.verify_cert(&c.cert.clone(), &c.data.sign_bytes(), self.quorum())
+                    || self.verify_cert(&c.cert, &c.data.sign_bytes(), self.checkpoint.data.base)
             });
             if let Some(c) = &cp {
                 self.verified_cp_data.insert(c.data);
@@ -244,7 +244,7 @@ impl Engine {
             {
                 continue;
             }
-            if !self.verify_cert(&c.cert.clone(), &c.prepare.certify_bytes(), self.quorum()) {
+            if !self.verify_cert(&c.cert, &c.prepare.certify_bytes(), slot) {
                 continue;
             }
             let entry = self.slots.entry(slot).or_default();

@@ -52,9 +52,9 @@ mod view_change;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
+use ubft_crypto::{sha256::Sha256, Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::wire::Wire;
-use ubft_types::{FixedSet, ProcessId, ReplicaId, SeqId, Slot, View};
+use ubft_types::{FixedMap, FixedSet, ProcessId, ReplicaId, SeqId, Slot, View};
 
 use self::certify::ShareSet;
 use self::join::JoinState;
@@ -138,8 +138,11 @@ pub struct Engine {
     sealing: Option<View>,
     /// The view for which we (as leader) have broadcast NEW_VIEW.
     new_view_broadcast: Option<View>,
-    /// Certificates already verified (content digest), to avoid re-metering.
-    verified_certs: FixedSet<Digest>,
+    /// Certificates already verified (content digest), to avoid re-metering,
+    /// each filed under the slot it speaks for: a COMMIT's own slot, and the
+    /// stable base current when it was recorded for anything else. Kept
+    /// down to one window below the stable base, as `verified_cp_data` is.
+    verified_certs: FixedMap<Digest, Slot>,
     /// Checkpoint shares collected: base -> signer -> share. Each share
     /// carries the *full* signed data (base, app digest, exec digest), so
     /// shares over different exec tables never mix into one certificate.
@@ -222,7 +225,7 @@ impl Engine {
             vc_shares: BTreeMap::new(),
             sealing: None,
             new_view_broadcast: None,
-            verified_certs: FixedSet::with_hasher(hash_state),
+            verified_certs: FixedMap::with_hasher(hash_state),
             cp_shares: BTreeMap::new(),
             verified_cp_data: FixedSet::with_hasher(hash_state),
             decide_count: 0,
@@ -394,19 +397,19 @@ impl Engine {
         self.ring.verify(ProcessId::Replica(who), bytes, sig)
     }
 
-    /// Verifies a certificate once per content; repeated identical
-    /// certificates cost nothing (verification caching).
-    fn verify_cert(&mut self, cert: &Certificate, bytes: &[u8], quorum: usize) -> bool {
-        let digest = cert_key(cert, bytes);
-        if self.verified_certs.contains(&digest) {
-            return true;
+    /// Verifies an `f + 1` certificate once per content, filing it under
+    /// `slot`; repeated identical certificates cost nothing (verification
+    /// caching).
+    fn verify_cert(&mut self, cert: &Certificate, bytes: &[u8], slot: Slot) -> bool {
+        let key = cert_key(cert, bytes);
+        if !self.verified_certs.contains_key(&key) {
+            self.ops.verifies += cert.count() as u32;
+            if !cert.verify(&self.ring, bytes, self.quorum()) {
+                return false;
+            }
+            self.verified_certs.insert(key, slot);
         }
-        self.ops.verifies += cert.count() as u32;
-        let ok = cert.verify(&self.ring, bytes, quorum);
-        if ok {
-            self.verified_certs.insert(digest);
-        }
-        ok
+        true
     }
 
     /// Has the crypto worker sign `bytes`; the signature comes back under
@@ -423,9 +426,10 @@ impl Engine {
     }
 
     /// Registers a locally-built certificate as verified (it is made of
-    /// shares we already checked), so re-verification costs nothing.
-    fn note_own_cert(&mut self, cert: &Certificate, bytes: &[u8]) {
-        self.verified_certs.insert(cert_key(cert, bytes));
+    /// shares we already checked), filed under `slot`, so re-verification
+    /// costs nothing.
+    fn note_own_cert(&mut self, cert: &Certificate, bytes: &[u8], slot: Slot) {
+        self.verified_certs.insert(cert_key(cert, bytes), slot);
     }
     /// A timer armed via [`Effect::ArmTimer`] fired.
     pub fn on_timer(&mut self, kind: TimerKind) -> Vec<Effect> {
@@ -505,9 +509,11 @@ impl Engine {
 }
 
 /// What the verification cache ([`Engine::verify_cert`]) files a certificate
-/// under: the digest of the signed bytes followed by the certificate.
+/// under: the digest of the signed bytes followed by the certificate,
+/// hashed piecewise so that only the certificate's encoding takes a buffer.
 fn cert_key(cert: &Certificate, bytes: &[u8]) -> Digest {
-    let mut key = bytes.to_vec();
-    cert.encode(&mut key);
-    ubft_crypto::sha256(&key)
+    let mut key = Sha256::new();
+    key.update(bytes);
+    key.update(&cert.to_bytes());
+    key.finalize()
 }

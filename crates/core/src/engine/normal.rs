@@ -425,7 +425,7 @@ impl Engine {
         let Some(prepare) = entry.prepare.clone() else { return };
         let Some(cert) = entry.shares.certificate(&prepare, quorum) else { return };
         entry.sent_commit = true;
-        self.note_own_cert(&cert, &prepare.certify_bytes());
+        self.note_own_cert(&cert, &prepare.certify_bytes(), slot);
         self.emit_ctb(CtbMsg::Commit(CommitCert { prepare, cert }));
         self.check_seal_ready();
     }

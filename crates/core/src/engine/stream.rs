@@ -202,12 +202,11 @@ impl Engine {
                 // The certificate itself: f+1 valid signatures over the
                 // prepare. Verified lazily unless we certified it ourselves
                 // — checked f+1 shares over this very proposal one by one.
-                let bytes = c.prepare.certify_bytes();
                 let own = self
                     .slots
                     .get(&c.prepare.slot)
                     .is_some_and(|s| s.shares.verified(&c.prepare).count() >= self.quorum());
-                if !own && !self.verify_cert(&c.cert.clone(), &bytes, self.quorum()) {
+                if !own && !self.verify_cert(&c.cert, &c.prepare.certify_bytes(), c.prepare.slot) {
                     return Err("commit with invalid certificate".into());
                 }
                 Ok(())
@@ -247,7 +246,7 @@ impl Engine {
                     }
                     let digest = c.summary.digest();
                     let bytes = vc_sign_bytes(*view, c.about, &digest);
-                    if !self.verify_cert(&c.cert.clone(), &bytes, self.quorum()) {
+                    if !self.verify_cert(&c.cert, &bytes, self.checkpoint.data.base) {
                         return Err("new-view with invalid certificate".into());
                     }
                 }

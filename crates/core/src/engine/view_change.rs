@@ -179,10 +179,6 @@ impl Engine {
         if !entered {
             self.out.push(Effect::ViewChanged { view });
         }
-        for c in &certs {
-            let bytes = vc_sign_bytes(view, c.about, &c.summary.digest());
-            self.note_own_cert(&c.cert, &bytes);
-        }
         // A leader may reach this point on collected certificates alone,
         // without having sealed the view itself (its own watchdog never
         // fired): the seal goes out before the NEW_VIEW.
@@ -190,9 +186,12 @@ impl Engine {
         self.emit_ctb(CtbMsg::NewView { view, certs: certs.clone() });
         // Line 16: adopt the highest checkpoint in the certificates.
         self.adopt_highest_checkpoint(&certs);
+        let base = self.checkpoint.data.base;
+        for c in &certs {
+            self.note_own_cert(&c.cert, &vc_sign_bytes(view, c.about, &c.summary.digest()), base);
+        }
         // Lines 17–19: re-propose constrained slots across the open window,
         // up to the highest slot any certificate committed.
-        let base = self.checkpoint.data.base;
         let committed = highest_view_per_slot(commits_of(&certs));
         self.vc_shares.clear();
         if let Some((hi, _)) = committed.last_key_value() {

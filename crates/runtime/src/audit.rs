@@ -28,7 +28,9 @@
 //!    two-window bound of the decider's stable checkpoint, retained
 //!    state-transfer snapshots never exceed their cap, and the
 //!    disaggregated register footprint never grows past its build-time
-//!    size (what [`MemoryReport`](crate::memory::MemoryReport) accounts).
+//!    size (what
+//!    [`Cluster::disagg_bytes_per_node`](crate::Cluster::disagg_bytes_per_node)
+//!    accounts).
 //! 5. **Cross-shard containment** — every keyed request executes in the
 //!    group its key routes to ([`ShardRouter`]), so no request leaks
 //!    across shard boundaries.

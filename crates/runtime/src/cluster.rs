@@ -500,7 +500,13 @@ impl Cluster {
     /// full copy of every register, so this is independent of the
     /// replication factor; each group owns a partition of the space.
     pub fn disagg_bytes_per_node(&self) -> usize {
-        self.groups.iter().map(GroupRuntime::disagg_bytes_per_node).sum()
+        self.disagg_bytes_per_group().sum()
+    }
+
+    /// Group by group, the partition of one memory node's disaggregated
+    /// bytes that each group's register banks occupy.
+    pub fn disagg_bytes_per_group(&self) -> impl Iterator<Item = usize> + '_ {
+        self.groups.iter().map(GroupRuntime::disagg_bytes_per_node)
     }
 
     /// Approximate replica-local resident bytes: channel buffers replica
@@ -636,12 +642,12 @@ impl Cluster {
     /// when there are several.
     pub fn diag_lines(&self) -> String {
         if self.groups.len() == 1 {
-            return self.groups[0].diag_lines();
+            return self.groups[0].diag_lines(&self.fabric, self.now);
         }
         self.groups
             .iter()
             .enumerate()
-            .map(|(g, gr)| format!(" group {g}:\n{}", gr.diag_lines()))
+            .map(|(g, gr)| format!(" group {g}:\n{}", gr.diag_lines(&self.fabric, self.now)))
             .collect()
     }
 }

@@ -4,8 +4,8 @@
 //! A [`GroupRuntime`] is one `2f + 1` group in the simulator: its
 //! [`ReplicaNode`]s — the protocol stacks and the driver that interprets
 //! their effects, shared with the threaded backend — and the [`SimEnv`]
-//! they run in: the simulated machines (cost cursors, crash flags,
-//! retained snapshots), the channel lanes between them, the group's
+//! they run in: the simulated machines (host, cost cursors, retained
+//! snapshots), the channel lanes between them, the group's
 //! partition of the SWMR register banks and fault injection — beside the
 //! group's [`ClientLoop`], the closed-loop clients both backends share.
 //! [`SimSubstrate`] is the [`Substrate`] a node sees while one event is
@@ -28,8 +28,7 @@ use ubft_dmem::register::{
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
 use ubft_sim::{EventQueue, HostId};
-use ubft_transport::channel::ChannelSpec;
-use ubft_transport::net::SendReport;
+use ubft_transport::channel::{ChannelSpec, SendOutcome};
 use ubft_transport::sim_link::SimLinkTransport;
 use ubft_types::wire::Wire;
 use ubft_types::{Duration, ProcessId, ReplicaId, SeqId, Slot, Time};
@@ -89,18 +88,18 @@ pub(crate) enum Ev {
     /// (normally timed) message behind the future one.
     EngineFx {
         r: usize,
-        /// The node incarnation that scheduled the batch; a replacement
-        /// bumps it, so a dead incarnation's pending crypto never applies
-        /// to its successor.
-        epoch: u32,
+        /// The host the batch was scheduled on: a replacement moves the
+        /// replica to a fresh one, so a dead host's pending crypto never
+        /// applies to its successor.
+        host: HostId,
         fx: Vec<Effect>,
     },
     /// Replica `r`'s crypto pool finished an engine crypto job; the
     /// result re-enters the engine as an input of its own.
     EngineCrypto {
         r: usize,
-        /// As for `EngineFx`: a dead incarnation's jobs die with it.
-        epoch: u32,
+        /// As for `EngineFx`: a dead host's jobs die with it.
+        host: HostId,
         tag: CryptoTag,
         result: CryptoResult,
     },
@@ -155,7 +154,9 @@ struct Snapshot {
 /// per replica beside its protocol stack.
 struct Machine {
     /// `host_base + r` until a replacement moves the replica to a freshly
-    /// allocated host.
+    /// allocated host. The host is the replica's incarnation, and whether
+    /// the replica is up is whether the fabric's network model has this
+    /// host crashed ([`SimEnv::crashed`]).
     host: HostId,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     busy: Time,
@@ -174,11 +175,6 @@ struct Machine {
     /// requests first — at a boundary a request finds one worker free of
     /// bookkeeping, and at worst waits one operation for the other.
     job_busy: Time,
-    /// Whether a scheduled crash has taken effect.
-    crashed: bool,
-    /// Incarnation counter, bumped on replacement: deferred batches carry
-    /// the epoch that scheduled them and are dropped on mismatch.
-    epoch: u32,
     /// Engine-effect batches deferred behind crypto completion that have
     /// not been applied yet (see [`Ev::EngineFx`]).
     deferred_fx: u32,
@@ -207,16 +203,14 @@ impl Machine {
         }
     }
 
-    /// Incarnation `epoch` of a replica's machine, on `host`, idle as of
-    /// `at`; its bank writers are keyed in by the caller.
-    fn boot(host: HostId, at: Time, epoch: u32) -> Self {
+    /// A replica's machine on `host`, idle as of `at`; its bank writers
+    /// are keyed in by the caller.
+    fn boot(host: HostId, at: Time) -> Self {
         Machine {
             host,
             busy: at,
             crypto_busy: at,
             job_busy: at,
-            crashed: false,
-            epoch,
             deferred_fx: 0,
             deferred_until: Time::ZERO,
             reg_writers: Vec::new(),
@@ -248,12 +242,6 @@ pub(crate) struct SimEnv {
     /// is reset to before its state transfer.
     genesis_snapshot: Option<Vec<u8>>,
     ring: KeyRing,
-    /// Not-yet-applied scheduled crash times, one slot per replica
-    /// (precomputed from the fault plan so the hot event loop never
-    /// rescans it; an entry is cleared once the crash takes effect).
-    crash_times: Vec<Option<Time>>,
-    /// How many entries of `crash_times` are still pending.
-    pending_crashes: usize,
     /// Where a receiver poll copies the messages it finds, to be decoded in
     /// place — reused for every poll.
     poll_buf: Vec<u8>,
@@ -315,6 +303,11 @@ impl SimEnv {
             Some(m) => m.host,
             None => HostId(self.host_base + idx as u32),
         }
+    }
+
+    /// Whether replica `r`'s current host is down at `t`.
+    fn crashed(&self, fabric: &Fabric, r: usize, t: Time) -> bool {
+        fabric.net().is_crashed(self.machines[r].host, t)
     }
 
     fn push(&self, sh: &mut Shared<'_>, at: Time, ev: Ev) {
@@ -450,7 +443,7 @@ impl SimEnv {
     // Channels
     // ------------------------------------------------------------------
 
-    /// Sends `bytes` on `lane` and schedules what the report asks for.
+    /// Sends `bytes` on `lane` and schedules what the outcome asks for.
     /// Returns the fabric's verdict on the link: `Some(false)` when it
     /// refused a write (the destination is down or cut off), `Some(true)`
     /// when it put one on the wire, `None` when nothing was attempted (the
@@ -476,33 +469,33 @@ impl SimEnv {
             Some(ByzantineMode::Laggard) => at += Duration::from_micros(50),
             _ => {}
         }
-        let rep = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, bytes, at);
-        let verdict = if rep.refused > 0 {
+        let out = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, bytes, at);
+        let verdict = if out.refused > 0 {
             Some(false)
-        } else if rep.arrivals.is_empty() {
+        } else if out.issued.is_empty() {
             None
         } else {
             Some(true)
         };
-        self.schedule_send_report(sh, lane, from, to, at, rep);
+        self.schedule_send(sh, lane, from, to, at, out);
         verdict
     }
 
-    /// Turns a [`SendReport`] into virtual-time events: a receiver poll
-    /// per issued arrival, and a flush when data stayed staged.
-    fn schedule_send_report(
+    /// Turns a [`SendOutcome`] into virtual-time events: a receiver poll
+    /// per issued write's arrival, and a flush when data stayed staged.
+    fn schedule_send(
         &mut self,
         sh: &mut Shared<'_>,
         lane: Lane,
         from: usize,
         to: usize,
         at: Time,
-        rep: SendReport,
+        out: SendOutcome,
     ) {
-        for (_seq, arrival) in rep.arrivals {
+        for (_seq, arrival) in out.issued {
             self.push(sh, arrival + POLL_PICKUP, Ev::Poll { lane, from, to });
         }
-        if let Some(t) = rep.flush_at {
+        if let Some(t) = out.flush_at {
             let t = if t > at { t } else { at + Duration::from_nanos(1) };
             self.push(sh, t, Ev::Flush { lane, from, to });
         }
@@ -552,14 +545,15 @@ impl ClientPort for SimClientPort<'_, '_> {
 // The simulator's side of the node driver
 // ----------------------------------------------------------------------
 
-/// What replica `r`'s [`ReplicaNode`] sees of the simulator while one
-/// event is handled: a short-lived view over its group's environment and
-/// the deployment's shared fabric, queue and auditor. `At` is virtual
-/// time.
+/// What replica `r`'s [`ReplicaNode`] sees of the simulator while the
+/// event at virtual time `t` is handled: a short-lived view over its
+/// group's environment and the deployment's shared fabric, queue and
+/// auditor. `At` is virtual time.
 struct SimSubstrate<'a, 'b> {
     env: &'a mut SimEnv,
     sh: &'a mut Shared<'b>,
     r: usize,
+    t: Time,
 }
 
 impl SimSubstrate<'_, '_> {
@@ -692,28 +686,19 @@ impl Substrate for SimSubstrate<'_, '_> {
         };
         // Crypto jobs are work nothing in this call's effects depends on:
         // each comes back as an input of its own, delaying neither these
-        // effects nor any later batch. A slot's CERTIFY shares — our own
-        // signature, a peer's check — are as much on a request's path as
-        // ordered crypto is and take a worker the same way, in the order
-        // the engine queued them. Summary and checkpoint certification (§5.2 fn. 3) is not,
-        // and the pool serves the request path first: such a job is
-        // confined to the second worker, where it starts behind earlier
-        // work and once the ordered crypto queued so far — this call's
-        // included — has been served (so its result still follows this
-        // call's effects). It does not wait for a share check running on
-        // the other worker: a cursor cannot give back the gap that leaves,
-        // and the own-share signature that needs a worker 27 µs into a
-        // 45 µs check would queue behind bookkeeping that has not started
-        // (1 % of slow-path requests, so p99 sat on an edge: 158.7 µs on 22
-        // seeds, 167.0 on one). When everything shared one cursor, the
-        // share signed at a summary boundary sat between a slot's CERTIFY
-        // signature and the verification of the peer's, 17 µs on that
-        // request — on whichever boundaries a PREPARE happened to cross,
-        // which differs from seed to seed.
+        // effects nor any later batch. The pool serves requests first. A
+        // slot's CERTIFY shares are on a request's path and take whichever
+        // worker frees first, in the order the engine queued them. Summary
+        // and checkpoint certification (§5.2 fn. 3) is not: it runs on the
+        // second worker only, behind that worker's earlier work and the
+        // ordered crypto queued so far, this call's included, so its
+        // result still follows this call's effects. It does not wait for a
+        // share check on the other worker: a cursor cannot give back the
+        // gap that would leave.
         if jobs.len() > 0 {
             let me = ProcessId::Replica(ReplicaId(r as u32));
             let signer = env.ring.signer(me).expect("replica key");
-            let epoch = env.machines[r].epoch;
+            let host = env.machines[r].host;
             for job in jobs {
                 env.count_engine_crypto(job.ops());
                 let cost = env.crypto_cost(job.ops());
@@ -725,7 +710,7 @@ impl Substrate for SimSubstrate<'_, '_> {
                     worker_run(&mut m.job_busy, from, cost)
                 };
                 let result = job.run(&signer, &env.ring);
-                env.push(self.sh, fin, Ev::EngineCrypto { r, epoch, tag: job.tag, result });
+                env.push(self.sh, fin, Ev::EngineCrypto { r, host, tag: job.tag, result });
             }
         }
         let m = &mut env.machines[r];
@@ -750,8 +735,8 @@ impl Substrate for SimSubstrate<'_, '_> {
         };
         m.deferred_until = at_eff;
         m.deferred_fx += 1;
-        let epoch = m.epoch;
-        env.push(self.sh, at_eff, Ev::EngineFx { r, epoch, fx });
+        let host = m.host;
+        env.push(self.sh, at_eff, Ev::EngineFx { r, host, fx });
         None
     }
 
@@ -819,8 +804,9 @@ impl Substrate for SimSubstrate<'_, '_> {
         app_digest: Digest,
         exec_digest: Digest,
     ) -> Option<(Vec<u8>, ExecTable)> {
-        let r = self.r;
-        let donors = self.env.machines.iter().enumerate().filter(|(q, m)| *q != r && !m.crashed);
+        let (r, t, net) = (self.r, self.t, self.sh.fabric.net());
+        let live = |(q, m): &(usize, &Machine)| *q != r && !net.is_crashed(m.host, t);
+        let donors = self.env.machines.iter().enumerate().filter(live);
         donors
             .flat_map(|(_, m)| &m.snapshots)
             .find(|s| {
@@ -901,9 +887,7 @@ impl GroupRuntime {
         let genesis_snapshot = keep_snapshots.then(|| apps[0].snapshot_bytes());
 
         let machines =
-            (0..n as u32).map(|r| Machine::boot(HostId(host_base + r), Time::ZERO, 0)).collect();
-        let crash_times: Vec<Option<Time>> =
-            (0..n).map(|r| cfg.failures.replica_crash_time(r)).collect();
+            (0..n as u32).map(|r| Machine::boot(HostId(host_base + r), Time::ZERO)).collect();
         let nodes = apps
             .into_iter()
             .enumerate()
@@ -918,8 +902,6 @@ impl GroupRuntime {
             reg_readers: Vec::with_capacity(n),
             genesis_snapshot,
             ring,
-            pending_crashes: crash_times.iter().filter(|t| t.is_some()).count(),
-            crash_times,
             poll_buf: Vec::new(),
             reg_buf: Vec::new(),
             slot_reads: Vec::new(),
@@ -969,7 +951,9 @@ impl GroupRuntime {
         let mut group = GroupRuntime { nodes, clients, env };
         // Engine start-up (progress watchdogs).
         for r in 0..n {
-            group.on_node(sh, r, |nd, sub| nd.engine_call(sub, Time::ZERO, |e| e.start()));
+            group.on_node(sh, r, Time::ZERO, |nd, sub| {
+                nd.engine_call(sub, Time::ZERO, |e| e.start())
+            });
         }
         // TBcast retransmission ticks, staggered so replicas do not burst
         // in lockstep.
@@ -982,33 +966,16 @@ impl GroupRuntime {
     }
 
     /// Runs `f` on replica `r`'s protocol stack and the substrate it sees
-    /// while this event is handled — unless `r` has crashed.
+    /// while the event at `t` is handled — unless `r`'s host is down at `t`.
     fn on_node(
         &mut self,
         sh: &mut Shared<'_>,
         r: usize,
+        t: Time,
         f: impl FnOnce(&mut ReplicaNode, &mut SimSubstrate<'_, '_>),
     ) {
-        if !self.env.machines[r].crashed {
-            f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, r });
-        }
-    }
-
-    /// Applies scheduled replica crashes up to virtual time `t`. O(1) when
-    /// nothing is pending, which is every event of a failure-free run.
-    fn apply_scheduled_crashes(&mut self, t: Time) {
-        let env = &mut self.env;
-        if env.pending_crashes == 0 {
-            return;
-        }
-        for r in 0..env.machines.len() {
-            if let Some(ct) = env.crash_times[r] {
-                if t >= ct {
-                    env.machines[r].crashed = true;
-                    env.crash_times[r] = None;
-                    env.pending_crashes -= 1;
-                }
-            }
+        if !self.env.crashed(sh.fabric, r, t) {
+            f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, r, t });
         }
     }
 
@@ -1032,16 +999,15 @@ impl GroupRuntime {
         at: Time,
     ) {
         let env = &mut self.env;
-        assert!(env.machines[r].crashed, "replacement of a live replica {r}");
+        assert!(env.crashed(sh.fabric, r, at), "replacement of a live replica {r}");
         let n = env.n();
         if let Some(aud) = sh.audit.as_mut() {
             aud.on_replace(env.gid as usize, r);
         }
 
-        // The fresh machine: a new incarnation, idle, with re-keyed bank
-        // writers.
+        // The fresh machine: a new host, idle, with re-keyed bank writers.
         let m = &mut env.machines[r];
-        *m = Machine::boot(new_host, at, m.epoch + 1);
+        *m = Machine::boot(new_host, at);
         m.reg_writers = env.reg_banks.iter_mut().map(|banks| banks[r].rekey_writer()).collect();
 
         // Fresh links for every lane touching r, in both directions (the
@@ -1078,7 +1044,7 @@ impl GroupRuntime {
         env.machines[r].busy = done;
 
         // Step 2: the Join/JoinAck handshake (engine-driven from here).
-        self.on_node(sh, r, |nd, sub| nd.engine_call(sub, done, |e| e.begin_join(reg_floor)));
+        self.on_node(sh, r, at, |nd, sub| nd.engine_call(sub, done, |e| e.begin_join(reg_floor)));
     }
 
     // ------------------------------------------------------------------
@@ -1111,10 +1077,10 @@ impl GroupRuntime {
             + self.nodes[r].protocol_resident_bytes()
     }
 
-    /// Per-replica protocol diagnostics, one line each.
-    pub(crate) fn diag_lines(&self) -> String {
+    /// Per-replica protocol diagnostics as of `now`, one line each.
+    pub(crate) fn diag_lines(&self, fabric: &Fabric, now: Time) -> String {
         let mut s = String::new();
-        for (nd, m) in self.nodes.iter().zip(&self.env.machines) {
+        for (r, nd) in self.nodes.iter().enumerate() {
             let ctb: Vec<String> = (0..self.nodes.len())
                 .map(|st| {
                     format!(
@@ -1128,7 +1094,7 @@ impl GroupRuntime {
             s.push_str(&format!(
                 "  {} crashed={} [{}]\n",
                 nd.engine.diag(),
-                m.crashed,
+                self.env.crashed(fabric, r, now),
                 ctb.join(" ")
             ));
         }
@@ -1164,37 +1130,34 @@ impl GroupRuntime {
                 self.clients.on_reply(&mut SimClientPort { env: &mut self.env, sh, at }, payload);
             } else {
                 // (A crashed host's memory delivers nothing to poll.)
-                self.on_node(sh, to, |nd, sub| nd.on_inbound(sub, lane, from, payload, at));
+                self.on_node(sh, to, at, |nd, sub| nd.on_inbound(sub, lane, from, payload, at));
             }
         }
         self.env.poll_buf = buf;
     }
 
-    /// Handles one event popped from the shared queue. Scheduled crashes
-    /// are applied first and only here — another group's crash flags are
-    /// read only while handling its own events, so they catch up then —
-    /// which makes a replica's crash flag constant for everything one
-    /// event's handling nests.
+    /// Handles one event popped from the shared queue. Whether a replica
+    /// is up is asked at the event's time `t`, so the answer is constant
+    /// for everything one event's handling nests.
     pub(crate) fn handle(&mut self, sh: &mut Shared<'_>, ev: Ev, t: Time) {
-        self.apply_scheduled_crashes(t);
         match ev {
             Ev::Poll { lane, from, to } => self.on_poll(sh, lane, from, to, t),
             Ev::Flush { lane, from, to } => {
                 let env = &mut self.env;
-                let rep = env.transport.flush(sh.fabric, lane.id(), from as u32, to as u32, t);
-                env.schedule_send_report(sh, lane, from, to, t, rep);
+                let out = env.transport.flush(sh.fabric, lane.id(), from as u32, to as u32, t);
+                env.schedule_send(sh, lane, from, to, t, out);
             }
             Ev::Timer { r, timer } => {
                 // The retransmission tick outlives a crash: the replacement
                 // inherits it.
-                if self.env.machines[r].crashed && matches!(timer, NodeTimer::Retransmit) {
+                if self.env.crashed(sh.fabric, r, t) && matches!(timer, NodeTimer::Retransmit) {
                     let next = t + RETRANSMIT_PERIOD;
                     self.env.push(sh, next, Ev::Timer { r, timer });
                 }
-                self.on_node(sh, r, |nd, sub| nd.on_timer(sub, timer, t));
+                self.on_node(sh, r, t, |nd, sub| nd.on_timer(sub, timer, t));
             }
             Ev::CtbDone { r, stream, done } => {
-                self.on_node(sh, r, |nd, sub| nd.on_ctb_done(sub, stream, done, t));
+                self.on_node(sh, r, t, |nd, sub| nd.on_ctb_done(sub, stream, done, t));
             }
             Ev::RegSample { read, owner, answer } => {
                 self.env.on_register_sample(sh, read, owner, answer);
@@ -1205,18 +1168,18 @@ impl GroupRuntime {
             }
             Ev::Replace { r, host } => self.replace_replica(sh, r, host, t),
             // A deferred engine-effect batch's crypto completed: apply it
-            // now, unless a dead incarnation scheduled it or the node died
-            // with its crypto queue.
-            Ev::EngineFx { r, epoch, fx } => {
+            // now, unless a dead host scheduled it or the node died with
+            // its crypto queue.
+            Ev::EngineFx { r, host, fx } => {
                 let m = &mut self.env.machines[r];
-                if epoch == m.epoch {
+                if host == m.host {
                     m.deferred_fx = m.deferred_fx.saturating_sub(1);
-                    self.on_node(sh, r, |nd, sub| nd.apply_effects(sub, t, fx));
+                    self.on_node(sh, r, t, |nd, sub| nd.apply_effects(sub, t, fx));
                 }
             }
-            Ev::EngineCrypto { r, epoch, tag, result } => {
-                if epoch == self.env.machines[r].epoch {
-                    self.on_node(sh, r, |nd, sub| {
+            Ev::EngineCrypto { r, host, tag, result } => {
+                if host == self.env.machines[r].host {
+                    self.on_node(sh, r, t, |nd, sub| {
                         nd.engine_call(sub, t, |e| e.on_crypto_done(tag, result));
                     });
                 }

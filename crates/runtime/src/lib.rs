@@ -18,14 +18,11 @@
 //!   unreplicated execution, Mu, and MinBFT (vanilla + HMAC).
 //! * [`calibration`] — every latency/cost constant and protocol timeout in
 //!   one place (simulated Table 1), plus the shard/batch knobs.
-//! * [`memory`] — replica-local and disaggregated memory accounting
-//!   (Table 2), with per-group breakdowns.
 
 pub mod audit;
 pub mod baselines;
 pub mod calibration;
 pub mod cluster;
-pub mod memory;
 pub mod threads;
 
 mod client_loop;

@@ -1,9 +1,8 @@
 //! CPU and crypto cost model (virtual time charged per operation).
 //!
 //! Calibrated from the paper: ed25519-dalek-class signatures (§7.3 shows
-//! public-key crypto dominating the slow path), BLAKE3-class HMACs ("creating
-//! or verifying 256-bit HMACs takes ≈100 ns", §9), xxHash-class checksums,
-//! and SGX enclave accesses of 7–12.5 µs (§7.4).
+//! public-key crypto dominating the slow path), xxHash-class checksums, and
+//! SGX enclave accesses of 7–12.5 µs (§7.4).
 
 use ubft_types::Duration;
 
@@ -19,14 +18,10 @@ pub struct CostModel {
     /// Dispatch/synchronization overhead of handing an operation to the
     /// crypto thread pool and collecting the result (§7.3 footnote 5).
     pub crypto_dispatch: Duration,
-    /// Computing or verifying one HMAC.
-    pub hmac: Duration,
     /// Checksum cost per 8-byte word.
     pub checksum_per_word: Duration,
     /// Fixed cost of an event-loop dispatch (poll pickup, branch, copy).
     pub dispatch: Duration,
-    /// Cost of copying one KiB between buffers.
-    pub copy_per_kib: Duration,
     /// Lower and upper bounds of one SGX enclave access (MinBFT USIG).
     pub enclave_min: Duration,
     /// Upper bound of one SGX enclave access.
@@ -41,10 +36,8 @@ impl CostModel {
             sign: Duration::from_micros(17),
             verify: Duration::from_micros(45),
             crypto_dispatch: Duration::from_nanos(500),
-            hmac: Duration::from_nanos(100),
             checksum_per_word: Duration::from_nanos(2),
             dispatch: Duration::from_nanos(80),
-            copy_per_kib: Duration::from_nanos(40),
             enclave_min: Duration::from_micros(7),
             enclave_max: Duration::from_nanos(12_500),
         }
@@ -56,10 +49,8 @@ impl CostModel {
             sign: Duration::ZERO,
             verify: Duration::ZERO,
             crypto_dispatch: Duration::ZERO,
-            hmac: Duration::ZERO,
             checksum_per_word: Duration::ZERO,
             dispatch: Duration::ZERO,
-            copy_per_kib: Duration::ZERO,
             enclave_min: Duration::ZERO,
             enclave_max: Duration::ZERO,
         }
@@ -68,11 +59,6 @@ impl CostModel {
     /// Checksum cost for a payload of `bytes`.
     pub fn checksum(&self, bytes: usize) -> Duration {
         Duration::from_nanos(self.checksum_per_word.as_nanos() * (bytes as u64).div_ceil(8))
-    }
-
-    /// Buffer copy cost for `bytes`.
-    pub fn copy(&self, bytes: usize) -> Duration {
-        Duration::from_nanos((self.copy_per_kib.as_nanos() * bytes as u64) / 1024)
     }
 
     /// Samples one SGX enclave access (uniform in `[enclave_min, enclave_max]`).
@@ -137,15 +123,8 @@ mod tests {
         let c = CostModel::free();
         let mut r = SimRng::new(4);
         assert_eq!(c.checksum(1 << 20), Duration::ZERO);
-        assert_eq!(c.copy(1 << 20), Duration::ZERO);
         assert_eq!(c.enclave_access(&mut r), Duration::ZERO);
         assert_eq!(c.sign_total(), Duration::ZERO);
         assert_eq!(c.verify_total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn copy_scales_linearly() {
-        let c = CostModel::paper_testbed();
-        assert_eq!(c.copy(2048).as_nanos(), 2 * c.copy(1024).as_nanos());
     }
 }

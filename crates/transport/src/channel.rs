@@ -69,12 +69,12 @@ pub fn create_channel(
     (sender, receiver)
 }
 
-/// The writes issued by one send/flush call: `(sequence, arrival time at the
-/// receiver's memory)`. The runtime schedules a receiver poll at each
-/// arrival.
+/// What one send/flush call accomplished. The simulator schedules a
+/// receiver poll at each issued write's arrival and a flush at `flush_at`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SendOutcome {
-    /// Newly issued writes: one, except when a flush drains a staged burst.
+    /// Newly issued writes, as `(sequence, arrival time at the receiver's
+    /// memory)`: one, except when a flush drains a staged burst.
     pub issued: Few<(u64, Time)>,
     /// Messages evicted from the staging queue without ever being sent.
     pub evicted: u64,
@@ -82,6 +82,9 @@ pub struct SendOutcome {
     /// or cut off — what a broken RC queue pair reports. Nothing was put on
     /// the wire for them.
     pub refused: u64,
+    /// When the data still staged after the call can next be flushed
+    /// ([`ChannelSender::next_flush_at`]); `None` when nothing is staged.
+    pub flush_at: Option<Time>,
 }
 
 /// Sending endpoint: owns the write token and the local mirror bookkeeping.
@@ -151,6 +154,7 @@ impl ChannelSender {
             }
             self.staging.push_back((seq, payload.to_vec()));
         }
+        outcome.flush_at = self.next_flush_at();
         outcome
     }
 
@@ -169,6 +173,7 @@ impl ChannelSender {
                 None => outcome.refused += 1,
             }
         }
+        outcome.flush_at = self.next_flush_at();
         outcome
     }
 
@@ -439,9 +444,13 @@ mod tests {
         // Burst of 8 sends at the same instant: 4 go out, 4 stage (slots
         // busy until write completion ≈ 2 µs later).
         let mut arrivals = Vec::new();
+        let mut flush_at = None;
         for i in 0..8u8 {
             let out = tx.send(&mut f, t(0), &[i]);
             arrivals.extend(out.issued);
+            // The outcome says when staged data can leave, once there is any.
+            assert_eq!(out.flush_at.is_some(), i >= 4);
+            flush_at = out.flush_at;
         }
         assert_eq!(arrivals.len(), 4);
         assert_eq!(tx.staged_len(), 4);
@@ -450,15 +459,17 @@ mod tests {
         let polled = rx.poll(&mut f, first_wave);
         let seqs: Vec<u64> = polled.delivered.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
-        // Later, flushing at each slot-free time drains the staging queue.
+        // Later, flushing when each outcome says drains the staging queue.
         let mut last = Time::ZERO;
         let mut flushed = 0;
-        while let Some(flush_at) = tx.next_flush_at() {
-            let out = tx.flush(&mut f, flush_at);
+        while let Some(at) = flush_at {
+            let out = tx.flush(&mut f, at);
+            assert_eq!(out.flush_at, tx.next_flush_at());
             flushed += out.issued.len();
             for (_, a) in out.issued {
                 last = last.max(a);
             }
+            flush_at = out.flush_at;
         }
         assert_eq!(flushed, 4);
         assert_eq!(tx.staged_len(), 0);

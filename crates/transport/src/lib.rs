@@ -20,5 +20,5 @@ pub mod sim_link;
 
 pub use channel::{ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome};
 pub use inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
-pub use net::{Inbound, LaneId, SendReport};
+pub use net::{Inbound, LaneId};
 pub use sim_link::SimLinkTransport;

@@ -4,8 +4,8 @@
 //! The channel mechanics (staging, slot busy-until, incarnation-checked
 //! polls) are the channels' own; this is the map from `(lane, from, to)`
 //! to a link. The driver remains responsible for *scheduling*: it turns
-//! [`SendReport::arrivals`] into receiver-poll events (each a
-//! [`SimLinkTransport::poll`]) and [`SendReport::flush_at`] into flush
+//! a send's [`SendOutcome::issued`] writes into receiver-poll events (each
+//! a [`SimLinkTransport::poll`]) and [`SendOutcome::flush_at`] into flush
 //! events in its virtual-time queue.
 
 use std::ops::Range;
@@ -17,24 +17,11 @@ use ubft_types::{FixedMap, Time};
 use crate::channel::{
     create_channel, ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome,
 };
-use crate::net::{LaneId, SendReport};
+use crate::net::LaneId;
 
 struct Link {
     tx: ChannelSender,
     rx: ChannelReceiver,
-}
-
-impl Link {
-    /// The transport-level report of one send or flush on this link.
-    fn report(&self, out: SendOutcome) -> SendReport {
-        SendReport {
-            arrivals: out.issued,
-            // `next_flush_at` is `None` exactly when nothing is staged.
-            flush_at: self.tx.next_flush_at(),
-            evicted: out.evicted,
-            refused: out.refused,
-        }
-    }
 }
 
 /// Keyed collection of simulated circular-buffer links, one per
@@ -101,12 +88,11 @@ impl SimLinkTransport {
         to: u32,
         payload: &[u8],
         now: Time,
-    ) -> SendReport {
-        let Some(link) = self.links.get_mut(&(lane, from, to)) else {
-            return SendReport::default();
-        };
-        let out = link.tx.send(fabric, now, payload);
-        link.report(out)
+    ) -> SendOutcome {
+        match self.links.get_mut(&(lane, from, to)) {
+            Some(link) => link.tx.send(fabric, now, payload),
+            None => SendOutcome::default(),
+        }
     }
 
     /// Retries the data staged on one link.
@@ -117,12 +103,11 @@ impl SimLinkTransport {
         from: u32,
         to: u32,
         now: Time,
-    ) -> SendReport {
-        let Some(link) = self.links.get_mut(&(lane, from, to)) else {
-            return SendReport::default();
-        };
-        let out = link.tx.flush(fabric, now);
-        link.report(out)
+    ) -> SendOutcome {
+        match self.links.get_mut(&(lane, from, to)) {
+            Some(link) => link.tx.flush(fabric, now),
+            None => SendOutcome::default(),
+        }
     }
 
     /// Buffer bytes attributable to node `r`: receive buffers it hosts

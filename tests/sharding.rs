@@ -14,7 +14,6 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use ubft::runtime::cluster::Cluster;
-use ubft::runtime::memory::MemoryReport;
 use ubft::runtime::{RunReport, SimConfig};
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{KvApp, KvFrontend, KvOp, ShardRouter};
@@ -98,15 +97,15 @@ fn shard_memory_is_partitioned_on_shared_nodes() {
     let one = Cluster::new(SimConfig::paper_default(1), kv_apps(3), kv_workload(1));
     let four =
         Cluster::new(SimConfig::paper_default(1).with_shards(4), kv_apps(12), kv_workload(1));
-    let m1 = MemoryReport::measure(&one);
-    let m4 = MemoryReport::measure(&four);
-    assert_eq!(m1.disagg_bytes_per_shard.len(), 1);
-    assert_eq!(m4.disagg_bytes_per_shard.len(), 4);
-    assert_eq!(m4.disagg_bytes_per_node, 4 * m1.disagg_bytes_per_node);
-    assert!(m4.disagg_bytes_per_shard.iter().all(|&b| b == m1.disagg_bytes_per_node));
+    let per_group1: Vec<usize> = one.disagg_bytes_per_group().collect();
+    let per_group4: Vec<usize> = four.disagg_bytes_per_group().collect();
+    assert_eq!(per_group1.len(), 1);
+    assert_eq!(per_group4.len(), 4);
+    assert_eq!(four.disagg_bytes_per_node(), 4 * one.disagg_bytes_per_node());
+    assert!(per_group4.iter().all(|&b| b == one.disagg_bytes_per_node()));
     // Replica-local memory does not grow with the shard count: groups
     // stay small — that is the point of sharding.
-    assert_eq!(m4.replica_local_bytes, m1.replica_local_bytes);
+    assert_eq!(four.replica_local_bytes(0), one.replica_local_bytes(0));
 }
 
 fn us(n: u64) -> Time {
