@@ -251,7 +251,6 @@ impl Engine {
             if entry.prepare.is_none() {
                 entry.prepare = Some(c.prepare.clone());
             }
-            entry.commit_from.insert(c.prepare.view.leader(self.cfg.params.n()));
             let shares = c.cert.count();
             let batch = c.prepare.batch.clone();
             self.decide(slot, batch, DecisionEvidence::JoinReplay { shares });

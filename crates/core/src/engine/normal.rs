@@ -21,8 +21,8 @@ pub(super) struct SlotState {
     pub(super) prepare: Option<Prepare>,
     will_certify: BTreeSet<ReplicaId>,
     will_commit: BTreeSet<ReplicaId>,
-    sent_will_commit: bool,
-    /// View in which this replica promised WILL_COMMIT (view-change duty).
+    /// View in which this replica promised WILL_COMMIT (view-change duty):
+    /// set by the WILL_CERTIFY that completes `will_certify`.
     pub(super) promised_in: Option<View>,
     /// This view's CERTIFY shares, each over the proposal it arrived with
     /// — which may be ahead of ours ([`Engine::handle_certify_share`]).
@@ -31,8 +31,6 @@ pub(super) struct SlotState {
     /// CTBcast was asked to sign our COMMIT ahead ([`Engine::sign_commit_ahead`]).
     signed_ahead: bool,
     pub(super) sent_commit: bool,
-    /// Replicas whose COMMIT (with matching prepare) we delivered.
-    pub(super) commit_from: BTreeSet<ReplicaId>,
     pub(super) decided: Option<Batch>,
 }
 
@@ -317,9 +315,7 @@ impl Engine {
                 }
                 let n = self.n();
                 let entry = self.slots.entry(slot).or_default();
-                entry.will_certify.insert(from);
-                if entry.will_certify.len() == n && !entry.sent_will_commit {
-                    entry.sent_will_commit = true;
+                if entry.will_certify.insert(from) && entry.will_certify.len() == n {
                     entry.promised_in = Some(view);
                     self.out.push(Effect::TbBroadcast(TbMsg::WillCommit { view, slot }));
                 }
@@ -436,30 +432,24 @@ impl Engine {
         if !self.in_open_window(slot) {
             return;
         }
-        if c.prepare.view != self.view {
-            // A decided proposal stays decided after we left its view: f+1
-            // streams carrying a COMMIT for it decide it as they would have
-            // in its view — a stream's valid COMMITs of a view precede its
-            // SEAL of the next.
-            let carried = self.state.values().map(|ps| ps.commits.get(&slot));
-            let commits = carried.filter(|o| o.is_some_and(|o| o.prepare == c.prepare)).count();
-            if commits >= self.quorum() {
-                self.decide(slot, c.prepare.batch, DecisionEvidence::CommitQuorum { commits });
+        let current = c.prepare.view == self.view;
+        if current {
+            let entry = self.slots.entry(slot).or_default();
+            match &entry.prepare {
+                // A conflicting commit; the view change will sort it out.
+                Some(ours) if *ours != c.prepare => return,
+                Some(_) => {}
+                None => entry.prepare = Some(c.prepare.clone()),
             }
-            return;
         }
-        // Count COMMITs whose prepare matches; f+1 of them decide the slot
-        // (Algorithm 2 lines 38–41).
-        let entry = self.slots.entry(slot).or_default();
-        match &entry.prepare {
-            // A conflicting commit; the view change will sort it out.
-            Some(ours) if *ours != c.prepare => return,
-            Some(_) => {}
-            None => entry.prepare = Some(c.prepare.clone()),
-        }
-        entry.commit_from.insert(stream);
-        let commits = entry.commit_from.len();
-        if commits >= self.quorum() || (self.cfg.test_decide_early && commits >= 1) {
+        // f+1 streams carrying a COMMIT for one proposal decide it
+        // (Algorithm 2 lines 38–41). A decided proposal stays decided after
+        // we left its view: its COMMITs decide it as they would have in its
+        // view — a stream's valid COMMITs of a view precede its SEAL of the
+        // next.
+        let carried = self.state.values().map(|ps| ps.commits.get(&slot));
+        let commits = carried.filter(|o| o.is_some_and(|o| o.prepare == c.prepare)).count();
+        if commits >= self.quorum() || (self.cfg.test_decide_early && current) {
             self.decide(slot, c.prepare.batch, DecisionEvidence::CommitQuorum { commits });
         }
     }

@@ -10,14 +10,14 @@ use ubft_core::app::{App, NoopApp};
 // The variant one test compares against is imported, not spelled as a path:
 // CI's "Effect interpreters" step lists the files that spell it out.
 use ubft_core::engine::{
-    CryptoJob, CryptoOps, CryptoTag, CryptoWork,
+    CryptoJob, CryptoOps, CryptoTag, CryptoWork, DecisionEvidence,
     Effect::{self, RequestSnapshot},
     Engine, EngineConfig, PathMode, ShareOf, TimerKind,
 };
 use ubft_core::harness::{EngineNet, Move};
 use ubft_core::msg::{
     exec_table_digest, summary_sign_bytes, vc_sign_bytes, Batch, CheckpointCert, CheckpointData,
-    CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
+    CommitCert, CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
 };
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature};
 use ubft_types::wire::Wire;
@@ -2595,4 +2595,101 @@ fn a_choice_list_replays_to_the_same_run() {
         assert_eq!(a.executed, b.executed, "{path:?}");
         assert_eq!(a.ctb_log, b.ctb_log, "{path:?}");
     }
+}
+
+// ----------------------------------------------------------------------
+// One record per vote: COMMITs are counted off the streams, WILL_COMMIT is
+// promised by the vote that completes WILL_CERTIFY
+// ----------------------------------------------------------------------
+
+impl Lone {
+    /// `signers`' certificate over `bytes`.
+    fn cert(&self, signers: &[u32], bytes: &[u8]) -> Certificate {
+        let mut cert = Certificate::new();
+        for r in signers {
+            let id = ProcessId::Replica(ReplicaId(*r));
+            cert.add(id, self.ring.signer(id).unwrap().sign(bytes));
+        }
+        cert
+    }
+
+    /// Completes every crypto job `e` queues, those the completions queue
+    /// included; returns what the completions emitted.
+    fn complete_all(&self, e: &mut Engine) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        loop {
+            let jobs = queued_jobs(e);
+            if jobs.is_empty() {
+                return fx;
+            }
+            for job in &jobs {
+                fx.extend(self.complete(e, job));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_commit_from_a_gap_filling_summary_counts_toward_the_quorum() {
+    let mut lone = Lone::new();
+    lone.cfg.record_decisions = true;
+    let mut e = lone.engine(2);
+    let CtbMsg::Prepare(prepare) = Lone::prepare(1) else { unreachable!() };
+    let commit = CommitCert { cert: lone.cert(&[0, 1], &prepare.certify_bytes()), prepare };
+
+    // Stream 1's COMMIT for slot 0 reaches us only through the certified
+    // summary that fills our gap in that stream.
+    let summary = StateSummary { checkpoint: None, commits: vec![(Slot(0), commit.clone())] };
+    let bytes = summary_sign_bytes(ReplicaId(1), SeqId(2), &summary.digest());
+    let cert = lone.cert(&[0, 1], &bytes);
+    let _ = e.on_tb_deliver(ReplicaId(1), TbMsg::Summary { upto: SeqId(2), summary, cert });
+    let _ = lone.complete_all(&mut e);
+    assert_eq!(e.fifo_position(ReplicaId(1)), SeqId(3), "the summary was adopted");
+    assert!(e.take_decisions().is_empty(), "one COMMIT decides nothing");
+
+    // The leader's own COMMIT for the same proposal is the second vote.
+    let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(1), CtbMsg::Prepare(commit.prepare.clone()));
+    let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(2), CtbMsg::Commit(commit));
+    let decisions = e.take_decisions();
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(decisions[0].slot, Slot(0));
+    assert_eq!(decisions[0].evidence, DecisionEvidence::CommitQuorum { commits: 2 });
+}
+
+#[test]
+fn will_commit_is_promised_once_per_view_by_the_vote_completing_will_certify() {
+    let lone = Lone::new();
+    let mut e = lone.engine(2);
+    let CtbMsg::Prepare(prepare) = Lone::prepare(1) else { unreachable!() };
+    let _ = e.on_client_request(prepare.batch.requests()[0].clone());
+    let _ = e.on_ctb_deliver(ReplicaId(0), SeqId(1), CtbMsg::Prepare(prepare.clone()));
+
+    let promises = |fx: &[Effect], view: View| {
+        let promise = TbMsg::WillCommit { view, slot: Slot(0) };
+        fx.iter().filter(|e| matches!(e, Effect::TbBroadcast(m) if *m == promise)).count()
+    };
+    // Each replica's WILL_CERTIFY in `view`: how many promises each one made.
+    let votes = |e: &mut Engine, view: View| -> Vec<usize> {
+        let mut vote =
+            |r| e.on_tb_deliver(ReplicaId(r), TbMsg::WillCertify { view, slot: Slot(0) });
+        (0..3).map(|r| promises(&vote(r), view)).collect()
+    };
+    assert_eq!(votes(&mut e, View(0)), [0, 0, 1], "the third vote completes the set");
+    let again = e.on_tb_deliver(ReplicaId(1), TbMsg::WillCertify { view: View(0), slot: Slot(0) });
+    assert_eq!(promises(&again, View(0)), 0, "a repeated vote adds nothing");
+
+    // The watchdog seals the view: the promise is discharged by the slow
+    // path (our share and r1's certify the proposal, our COMMIT leaves)
+    // before the view ends. Nobody's COMMIT reaches us, so slot 0 enters
+    // view 1 undecided.
+    let _ = e.on_timer(TimerKind::Progress);
+    let _ = lone.complete_all(&mut e);
+    let signer = lone.ring.signer(ProcessId::Replica(ReplicaId(1))).unwrap();
+    let sig = signer.sign(&prepare.certify_bytes());
+    let _ = e.on_tb_deliver(ReplicaId(1), TbMsg::Certify { prepare, sig });
+    let _ = lone.complete_all(&mut e);
+    assert_eq!(e.view(), View(1));
+    assert_eq!(e.decided_count(), 0);
+
+    assert_eq!(votes(&mut e, View(1)), [0, 0, 1], "the new view's set promises anew");
 }

@@ -1,6 +1,6 @@
 //! The RDMA fabric: hosts, regions, permissions, and one-sided operations.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ubft_sim::net::{HopOutcome, NetworkModel};
 use ubft_sim::{HostId, SimRng};
@@ -79,27 +79,33 @@ struct RegionEntry {
     region: Region,
 }
 
+/// One (issuer, target) ordered channel, like a reliable-connection queue
+/// pair.
+#[derive(Default)]
+struct QueuePair {
+    /// When the last operation posted on the pair arrives: operations
+    /// arrive in issue order.
+    last_arrival: Time,
+    /// When every write posted on the pair that takes time to land word by
+    /// word has landed: a read on the pair executes no earlier, for the
+    /// responder's PCIe does not let a read pass an earlier write. A write
+    /// that lands at once leaves it alone — the FIFO already puts the read
+    /// behind its arrival — and at the testbed's 80 ps/B every write does,
+    /// so it stays at zero there.
+    landed: Time,
+}
+
 /// The simulated RDMA fabric. One instance models the whole cluster's
 /// NICs, switch, and exposed memory.
 pub struct Fabric {
     net: NetworkModel,
     rng: SimRng,
+    /// Every region ever registered (none is removed): a new one's id is
+    /// the count so far.
     regions: BTreeMap<RegionId, RegionEntry>,
-    next_region: u64,
     next_token: u64,
-    /// FIFO enforcement per (issuer, target) ordered channel, like a
-    /// reliable-connection queue pair: ops between the same pair of hosts
-    /// arrive in issue order.
-    last_arrival: BTreeMap<(HostId, HostId), Time>,
-    /// Per queue pair, when every write posted on it that takes time to
-    /// land word by word has landed: a read on the pair executes no
-    /// earlier, for the responder's PCIe does not let a read pass an
-    /// earlier write. A write that lands at once needs no entry — the FIFO
-    /// already puts the read behind its arrival — and at the testbed's
-    /// 80 ps/B every write does, so the map stays empty there.
-    landed: BTreeMap<(HostId, HostId), Time>,
-    /// Total region bytes registered per host (Table 2 accounting).
-    bytes_per_host: BTreeMap<HostId, usize>,
+    /// Every queue pair an operation was posted on.
+    pairs: BTreeMap<(HostId, HostId), QueuePair>,
     /// Spent in-flight write images, handed back by the regions as they
     /// fold writes in, for the next [`Fabric::write`] to copy into. Every
     /// buffer is in flight or here, and one is only made when this is
@@ -114,11 +120,8 @@ impl Fabric {
             net,
             rng,
             regions: BTreeMap::new(),
-            next_region: 0,
             next_token: 0xF00D,
-            last_arrival: BTreeMap::new(),
-            landed: BTreeMap::new(),
-            bytes_per_host: BTreeMap::new(),
+            pairs: BTreeMap::new(),
             spare: Vec::new(),
         }
     }
@@ -126,19 +129,17 @@ impl Fabric {
     /// Registers a `size`-byte region on `host`, returning its id and the
     /// unique write capability.
     pub fn create_region(&mut self, host: HostId, size: usize) -> (RegionId, AccessToken) {
-        let id = RegionId(self.next_region);
-        self.next_region += 1;
+        let id = RegionId(self.regions.len() as u64);
         let token = AccessToken(self.next_token);
         self.next_token = self.next_token.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         self.regions.insert(id, RegionEntry { host, writer: token, region: Region::new(size) });
-        *self.bytes_per_host.entry(host).or_insert(0) += size;
         (id, token)
     }
 
     /// Total registered region bytes on `host` (disaggregated-memory
     /// accounting for Table 2).
     pub fn host_bytes(&self, host: HostId) -> usize {
-        self.bytes_per_host.get(&host).copied().unwrap_or(0)
+        self.regions.values().filter(|e| e.host == host).map(|e| e.region.len()).sum()
     }
 
     /// Mutable access to the network model (crash/partition injection).
@@ -151,11 +152,13 @@ impl Fabric {
         &self.net
     }
 
+    /// Puts an operation proposed to arrive at `proposed` on the queue
+    /// pair `(src, dst)`, behind every one posted there before it.
     fn fifo_arrival(&mut self, src: HostId, dst: HostId, proposed: Time) -> Time {
-        let key = (src, dst);
-        let last = self.last_arrival.get(&key).copied().unwrap_or(Time::ZERO);
+        let pair = self.pairs.entry((src, dst)).or_default();
+        let last = pair.last_arrival;
         let arrival = if proposed <= last { last + Duration::from_nanos(1) } else { proposed };
-        self.last_arrival.insert(key, arrival);
+        pair.last_arrival = arrival;
         arrival
     }
 
@@ -205,8 +208,8 @@ impl Fabric {
         let entry = self.regions.get_mut(&region).expect("checked above");
         let landed = entry.region.begin_write(offset, image, arrival, spread);
         if landed > arrival {
-            let pair = self.landed.entry((issuer, target)).or_insert(landed);
-            *pair = landed.max(*pair);
+            let pair = self.pairs.entry((issuer, target)).or_default();
+            pair.landed = landed.max(pair.landed);
         }
         // Completion: the ack hop back. The visibility fence is the read a
         // register posts behind the write on this queue pair.
@@ -253,7 +256,7 @@ impl Fabric {
             HopOutcome::Delivered(d) => d,
             HopOutcome::Dropped => return Err(RdmaError::TargetUnavailable),
         };
-        let landed = self.landed.get(&(issuer, target)).copied().unwrap_or(Time::ZERO);
+        let landed = self.pairs.get(&(issuer, target)).map_or(Time::ZERO, |p| p.landed);
         let arrival = self.fifo_arrival(issuer, target, (now + req).max(landed));
         let resp = match self.net.hop(&mut self.rng, target, issuer, len, arrival) {
             HopOutcome::Delivered(d) => d,
@@ -327,7 +330,10 @@ impl core::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Fabric")
             .field("regions", &self.regions.len())
-            .field("hosts_with_memory", &self.bytes_per_host.len())
+            .field(
+                "hosts_with_memory",
+                &self.regions.values().map(|e| e.host).collect::<BTreeSet<_>>().len(),
+            )
             .finish()
     }
 }

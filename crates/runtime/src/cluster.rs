@@ -572,22 +572,25 @@ impl Cluster {
                 self.events.push(at, (g as u32, Ev::Client { c, timer }));
             }
         }
-        let max_events = 200_000_000u64;
-        while let Some((t, (gid, ev))) = self.events.pop() {
+        let target = requests + warmup;
+        self.handle_while(|c, t| c.completed < target && t <= deadline);
+        // The run ends at the first event it leaves queued (for `settle`).
+        if let Some(t) = self.events.peek_time() {
             self.now = t;
-            if self.completed >= requests + warmup || t > deadline {
-                break;
-            }
-            assert!(self.events.total_pushed() < max_events, "simulation diverged (event flood)");
-            self.dispatch(gid, ev, t);
         }
     }
 
-    /// Hands one popped event to its group.
-    fn dispatch(&mut self, gid: u32, ev: Ev, t: Time) {
-        let Cluster { fabric, events, completed, groups, audit, .. } = self;
-        let mut sh = Shared { fabric, events, completed, audit };
-        groups[gid as usize].handle(&mut sh, ev, t);
+    /// Handles queued events in time order while `go_on` accepts the next
+    /// one's time; the first it refuses stays queued.
+    fn handle_while(&mut self, go_on: impl Fn(&Self, Time) -> bool) {
+        while let Some(t) = self.events.peek_time().filter(|t| go_on(self, *t)) {
+            assert!(self.events.total_pushed() < 200_000_000, "simulation diverged (event flood)");
+            let (_, (gid, ev)) = self.events.pop().expect("peeked");
+            self.now = t;
+            let Cluster { fabric, events, completed, groups, audit, .. } = self;
+            let mut sh = Shared { fabric, events, completed, audit };
+            groups[gid as usize].handle(&mut sh, ev, t);
+        }
     }
 
     /// Drains in-flight work for `extra` more virtual time after a run:
@@ -601,14 +604,7 @@ impl Cluster {
     /// retransmitted, and counted if it completes.
     pub fn settle(&mut self, extra: Duration) {
         let deadline = self.now + extra;
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let Some((t, (gid, ev))) = self.events.pop() else { break };
-            self.now = t;
-            self.dispatch(gid, ev, t);
-        }
+        self.handle_while(|_, t| t <= deadline);
     }
 
     /// The safety auditor's verdict over everything observed so far
@@ -733,6 +729,14 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).0, run(8).0);
+    }
+
+    #[test]
+    fn a_run_leaves_the_event_that_ends_it_queued() {
+        let mut cluster =
+            Cluster::new(SimConfig::paper_default(42).fast_only(), flip_apps(3), payload32());
+        let report = cluster.run(20, 0);
+        assert_eq!(cluster.events.peek_time(), Some(report.end));
     }
 
     #[test]

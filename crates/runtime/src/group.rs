@@ -28,10 +28,11 @@ use ubft_dmem::register::{
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
 use ubft_sim::{EventQueue, HostId};
-use ubft_transport::channel::{ChannelSpec, SendOutcome};
-use ubft_transport::sim_link::SimLinkTransport;
+use ubft_transport::channel::{
+    create_channel, ChannelReceiver, ChannelSender, ChannelSpec, SendOutcome,
+};
 use ubft_types::wire::Wire;
-use ubft_types::{Duration, ProcessId, ReplicaId, SeqId, Slot, Time};
+use ubft_types::{Duration, FixedMap, ProcessId, ReplicaId, SeqId, Slot, Time};
 
 use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
@@ -227,9 +228,9 @@ pub(crate) struct SimEnv {
     /// First global host id of this group's `n + n_clients` host block.
     host_base: u32,
     machines: Vec<Machine>,
-    /// The group's message plane: simulated circular-buffer links in the
-    /// shared fabric.
-    transport: SimLinkTransport,
+    /// The group's message plane: one simulated circular-buffer channel
+    /// per `(lane, from, to)`, its receive buffer in `to`'s fabric memory.
+    links: FixedMap<(Lane, usize, usize), (ChannelSender, ChannelReceiver)>,
     /// `reg_banks[stream][owner]`: the SWMR banks themselves, retained so
     /// a replacement node can be re-keyed as a bank's writer.
     reg_banks: Vec<Vec<RegisterBank>>,
@@ -386,16 +387,12 @@ impl SimEnv {
                 ChannelSpec { slots: 64, slot_payload: self.cfg.slot_payload() }
             }
         };
-        let (from_host, to_host) = (self.host_of(from), self.host_of(to));
-        self.transport.open_link(
-            fabric,
-            lane.id(),
-            from as u32,
-            to as u32,
-            from_host,
-            to_host,
-            spec,
-        );
+        // The sender is bound to its host for crash and partition
+        // modelling; re-opening drops the old endpoints, as a replacement
+        // node's re-established connection does.
+        let (mut tx, rx) = create_channel(fabric, self.host_of(to), spec);
+        tx.bind_issuer(self.host_of(from));
+        self.links.insert((lane, from, to), (tx, rx));
     }
 
     /// Opens (or re-opens, dropping the old endpoints) every lane from
@@ -469,7 +466,8 @@ impl SimEnv {
             Some(ByzantineMode::Laggard) => at += Duration::from_micros(50),
             _ => {}
         }
-        let out = self.transport.send(sh.fabric, lane.id(), from as u32, to as u32, bytes, at);
+        let (tx, _) = self.links.get_mut(&(lane, from, to))?;
+        let out = tx.send(sh.fabric, at, bytes);
         let verdict = if out.refused > 0 {
             Some(false)
         } else if out.issued.is_empty() {
@@ -897,7 +895,7 @@ impl GroupRuntime {
             gid,
             host_base,
             machines,
-            transport: SimLinkTransport::new(),
+            links: FixedMap::default(),
             reg_banks: Vec::with_capacity(n),
             reg_readers: Vec::with_capacity(n),
             genesis_snapshot,
@@ -1073,8 +1071,13 @@ impl GroupRuntime {
     /// buffers it hosts, sender mirrors/staging, TB retransmission
     /// buffers, and CTBcast bookkeeping (Table 2).
     pub(crate) fn replica_local_bytes(&self, r: usize) -> usize {
-        self.env.transport.resident_bytes_touching(r as u32)
-            + self.nodes[r].protocol_resident_bytes()
+        // A link's buffer counts once at each end: the receive buffer it
+        // hosts, and the sender's mirror and staging.
+        let ends =
+            |(_, from, to): &(Lane, usize, usize)| (*from == r) as usize + (*to == r) as usize;
+        let links: usize =
+            self.env.links.iter().map(|(k, (tx, _))| tx.buffer_bytes() * ends(k)).sum();
+        links + self.nodes[r].protocol_resident_bytes()
     }
 
     /// Per-replica protocol diagnostics as of `now`, one line each.
@@ -1119,8 +1122,9 @@ impl GroupRuntime {
     fn on_poll(&mut self, sh: &mut Shared<'_>, lane: Lane, from: usize, to: usize, at: Time) {
         let mut buf = std::mem::take(&mut self.env.poll_buf);
         buf.clear();
-        let out =
-            self.env.transport.poll(sh.fabric, lane.id(), from as u32, to as u32, at, &mut buf);
+        // Every link is opened at build and re-opened, never removed.
+        let (_, rx) = self.env.links.get_mut(&(lane, from, to)).expect("an opened link");
+        let out = rx.poll_into(sh.fabric, at, &mut buf);
         if out.repoll {
             self.env.push(sh, at + Duration::from_nanos(200), Ev::Poll { lane, from, to });
         }
@@ -1143,9 +1147,9 @@ impl GroupRuntime {
         match ev {
             Ev::Poll { lane, from, to } => self.on_poll(sh, lane, from, to, t),
             Ev::Flush { lane, from, to } => {
-                let env = &mut self.env;
-                let out = env.transport.flush(sh.fabric, lane.id(), from as u32, to as u32, t);
-                env.schedule_send(sh, lane, from, to, t, out);
+                let (tx, _) = self.env.links.get_mut(&(lane, from, to)).expect("an opened link");
+                let out = tx.flush(sh.fabric, t);
+                self.env.schedule_send(sh, lane, from, to, t, out);
             }
             Ev::Timer { r, timer } => {
                 // The retransmission tick outlives a crash: the replacement

@@ -13,7 +13,6 @@ use ubft_types::Time;
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    pushed: u64,
 }
 
 #[derive(Debug)]
@@ -43,14 +42,13 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, pushed: 0 }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
@@ -76,7 +74,7 @@ impl<E> EventQueue<E> {
 
     /// Total events ever pushed (diagnostics / runaway detection).
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.next_seq
     }
 }
 

@@ -16,9 +16,7 @@
 pub mod channel;
 pub mod inproc;
 pub mod net;
-pub mod sim_link;
 
 pub use channel::{ChannelReceiver, ChannelSender, ChannelSpec, PollOutcome, SendOutcome};
 pub use inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 pub use net::{Inbound, LaneId};
-pub use sim_link::SimLinkTransport;

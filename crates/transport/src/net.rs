@@ -19,9 +19,9 @@
 //! backend's `Substrate` (`ubft_runtime`'s node driver is generic over
 //! that, not over a transport trait — the two planes share neither how
 //! bytes leave nor how a node learns that bytes arrived):
-//! [`SimLinkTransport`](crate::sim_link::SimLinkTransport) wraps the
-//! discrete-event fabric's channels — `send` / `flush` return the
-//! channel's outcome, whose *virtual-time* arrivals and flush time the
+//! the discrete-event fabric's [`channel`](crate::channel)s, one per
+//! `(lane, from, to)` in the simulator's own map — `send` / `flush` return
+//! the channel's outcome, whose *virtual-time* arrivals and flush time the
 //! runtime schedules, and a node polls one link's buffer at the virtual
 //! instant a write lands — and
 //! [`InProcRouter`](crate::inproc::InProcRouter) /
