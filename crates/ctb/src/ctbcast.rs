@@ -98,13 +98,11 @@ pub enum VerifyTag {
         /// Message id.
         k: SeqId,
     },
-    /// Verifying a conflicting register entry owned by `owner`, found while
-    /// slow-delivering id `k`.
+    /// Verifying a conflicting register entry, found while slow-delivering
+    /// id `k`.
     Entry {
         /// The id being delivered.
         k: SeqId,
-        /// The register's owner.
-        owner: ReplicaId,
         /// What the entry conflicts on: same id with a different message
         /// (equivocation, line 33) or a newer id aliasing the same slot
         /// (out of tail, line 35).
@@ -262,7 +260,9 @@ pub struct Ctb {
     locked: Vec<Vec<Option<(SeqId, Digest)>>>,
     /// `delivered` array (line 8).
     delivered: Vec<Option<SeqId>>,
-    /// Payload cache keyed by `(k, fp)`, pruned to the tail window.
+    /// Payload cache keyed by `(k, fp)`: the bodies a lock, a `LOCKED`, a
+    /// pending slow delivery or an own broadcast named, pruned to the tail
+    /// window.
     payloads: FixedMap<(u64, Digest), Vec<u8>>,
     /// Highest id seen on the stream (drives cache pruning).
     max_seen: SeqId,
@@ -336,10 +336,7 @@ impl Ctb {
         if next > self.next_k {
             self.next_k = next;
         }
-        let floor = SeqId(next.0.saturating_sub(1));
-        if floor > self.max_seen {
-            self.saw(floor);
-        }
+        self.saw(SeqId(next.0.saturating_sub(1)));
         // Per-ring-slot delivery floors: the highest id below `next` that
         // aliases each slot.
         for back in 1..=self.cfg.tail as u64 {
@@ -379,20 +376,37 @@ impl Ctb {
         self.payloads.get(&(k.0, own.fp))
     }
 
-    /// `k`, higher than any id seen so far, is on the stream: whatever is
-    /// `2t` or more below it goes.
+    /// `k` is on the stream: if no higher id was seen, whatever is `2t` or
+    /// more below it goes.
     fn saw(&mut self, k: SeqId) {
+        if k <= self.max_seen {
+            return;
+        }
         self.max_seen = k;
         let floor = k.0.saturating_sub(2 * self.cfg.tail as u64);
         self.payloads.retain(|(pk, _), _| *pk > floor);
         self.my_broadcasts.retain(|pk, _| *pk > floor);
     }
 
+    /// Keeps `m`, the body of `(k, fp)`, for a delivery that may need it.
+    /// Besides an own broadcast, only a frame that moved a lock, a
+    /// `LOCKED` or the slot's pending slow delivery to `(k, fp)` caches its
+    /// body: a Byzantine sender picks a fresh transport sequence number for
+    /// every frame, so caching any other would let it grow the cache
+    /// without bound.
     fn cache_payload(&mut self, k: SeqId, fp: Digest, m: &[u8]) {
-        if k > self.max_seen {
-            self.saw(k);
-        }
         self.payloads.entry((k.0, fp)).or_insert_with(|| m.to_vec());
+    }
+
+    /// Drops the pending slow delivery on `slot`. Its body goes with it
+    /// unless a lock, a `LOCKED` or an own broadcast still names it.
+    fn drop_pending(&mut self, slot: usize) {
+        let Some(p) = self.slow.remove(&slot) else { return };
+        let named = Some((p.k, p.fp));
+        let own = self.my_broadcasts.get(&p.k.0).is_some_and(|own| own.fp == p.fp);
+        if !own && self.locks[slot] != named && self.locked.iter().all(|row| row[slot] != named) {
+            self.payloads.remove(&(p.k.0, p.fp));
+        }
     }
 
     /// Broadcaster only: asks for the signature of own broadcast `k` unless
@@ -413,6 +427,7 @@ impl Ctb {
         let k = self.next_k;
         self.next_k = self.next_k.next();
         let fp = fingerprint(&m);
+        self.saw(k);
         self.cache_payload(k, fp, &m);
         // A signature asked for ahead serves this very message at this id
         // only; one for an id this broadcast reaches is moot otherwise.
@@ -547,11 +562,12 @@ impl Ctb {
             return Vec::new(); // only the broadcaster locks
         }
         let fp = fingerprint(&m);
-        self.cache_payload(k, fp, &m);
+        self.saw(k);
         let slot = self.slot(k);
         let newer = self.locks[slot].is_none_or(|(k2, _)| k > k2);
         let mut fx = Vec::new();
         if newer {
+            self.cache_payload(k, fp, &m);
             self.locks[slot] = Some((k, fp));
             if self.cfg.fast_enabled {
                 fx.push(CtbEffect::Broadcast(CtbWire::Locked { k, m }));
@@ -567,12 +583,13 @@ impl Ctb {
         };
         self.suspected.remove(&from);
         let fp = fingerprint(&m);
-        self.cache_payload(k, fp, &m);
+        self.saw(k);
         let slot = self.slot(k);
         let newer = self.locked[q][slot].is_none_or(|(k2, _)| k > k2);
         if !newer {
             return Vec::new();
         }
+        self.cache_payload(k, fp, &m);
         self.locked[q][slot] = Some((k, fp));
         // Line 22: unanimity across all n receivers.
         let unanimous = self.locked.iter().all(|row| row[slot] == Some((k, fp)));
@@ -599,7 +616,7 @@ impl Ctb {
             return Vec::new();
         }
         let fp = fingerprint(&m);
-        self.cache_payload(k, fp, &m);
+        self.saw(k);
         let slot = self.slot(k);
         if let Some(p) = self.slow.get(&slot) {
             if p.k >= k {
@@ -609,6 +626,7 @@ impl Ctb {
         if self.delivered[slot].is_some_and(|d| d >= k) {
             return Vec::new(); // already delivered (fast path)
         }
+        self.cache_payload(k, fp, &m);
         let stage = SlowStage::VerifyingSig;
         self.slow.insert(slot, SlowPending { k, fp, sig, stage, written: false });
         let own = self.my_broadcasts.get(&k.0);
@@ -622,7 +640,7 @@ impl Ctb {
     pub fn on_verify_done(&mut self, tag: VerifyTag, ok: bool) -> Vec<CtbEffect> {
         match tag {
             VerifyTag::Signed { k } => self.on_signed_verified(k, ok),
-            VerifyTag::Entry { k, owner, kind } => self.on_entry_verified(k, owner, kind, ok),
+            VerifyTag::Entry { k, kind } => self.on_entry_verified(k, kind, ok),
         }
     }
 
@@ -636,7 +654,7 @@ impl Ctb {
             return Vec::new();
         }
         if !ok {
-            self.slow.remove(&slot);
+            self.drop_pending(slot);
             return Vec::new();
         }
         let fp = p.fp;
@@ -648,7 +666,7 @@ impl Ctb {
             Some((k2, fp2)) => k > k2 || (k == k2 && fp == fp2),
         };
         if !proceed {
-            self.slow.remove(&slot);
+            self.drop_pending(slot);
             return Vec::new();
         }
         self.locks[slot] = Some((k, fp));
@@ -695,17 +713,15 @@ impl Ctb {
         }
         let fp = p.fp;
         let sig = p.sig;
-        let mut suspects: Vec<(ReplicaId, RegEntry, ConflictKind)> = Vec::new();
-        for (i, entry) in entries.into_iter().enumerate() {
-            let Some(e) = entry else { continue };
-            let owner = self.replicas[i];
+        let mut suspects: Vec<(RegEntry, ConflictKind)> = Vec::new();
+        for e in entries.into_iter().flatten() {
             if e.k == k && e.fp == fp && e.sig == sig {
                 continue; // our own message, already verified
             }
             if e.k == k && e.fp != fp {
-                suspects.push((owner, e, ConflictKind::SameId)); // line 33
+                suspects.push((e, ConflictKind::SameId)); // line 33
             } else if e.k > k && e.k.ring_index(self.cfg.tail) == self.slot(k) {
-                suspects.push((owner, e, ConflictKind::NewerId)); // line 35
+                suspects.push((e, ConflictKind::NewerId)); // line 35
             }
             // e.k < k: stale entry, ignore.
         }
@@ -720,8 +736,8 @@ impl Ctb {
         // each suspect before honouring it.
         suspects
             .into_iter()
-            .map(|(owner, e, kind)| CtbEffect::Verify {
-                tag: VerifyTag::Entry { k, owner, kind },
+            .map(|(e, kind)| CtbEffect::Verify {
+                tag: VerifyTag::Entry { k, kind },
                 k: e.k,
                 fp: e.fp,
                 sig: e.sig,
@@ -729,13 +745,7 @@ impl Ctb {
             .collect()
     }
 
-    fn on_entry_verified(
-        &mut self,
-        k: SeqId,
-        _owner: ReplicaId,
-        kind: ConflictKind,
-        ok: bool,
-    ) -> Vec<CtbEffect> {
+    fn on_entry_verified(&mut self, k: SeqId, kind: ConflictKind, ok: bool) -> Vec<CtbEffect> {
         let slot = self.slot(k);
         let Some(p) = self.slow.get_mut(&slot).filter(|p| p.k == k) else {
             return Vec::new();
@@ -762,11 +772,11 @@ impl Ctb {
         if *equivocated {
             // Deliver nothing; report proven equivocation for the
             // consensus layer's Byzantine bookkeeping.
-            self.slow.remove(&slot);
+            self.drop_pending(slot);
             return vec![CtbEffect::Equivocation { k }];
         }
         if *out_of_tail {
-            self.slow.remove(&slot);
+            self.drop_pending(slot);
             return Vec::new(); // skip delivery; a summary fills the gap
         }
         self.deliver_when_written(slot)
@@ -801,20 +811,17 @@ impl Ctb {
     }
 
     /// Approximate resident memory of this state machine in bytes
-    /// (Table 2 accounting): the bookkeeping arrays are O(n·t) and the
-    /// payload cache is bounded by `2t` messages.
+    /// (Table 2 accounting): the bookkeeping arrays are O(n·t), and the
+    /// payload cache holds what the locks, the `LOCKED`s, the pending slow
+    /// deliveries and the own broadcasts of the last `2t` ids name. An own
+    /// broadcast's body is in that cache; its record counts beside it.
     pub fn resident_bytes(&self) -> usize {
         let lock_entry = core::mem::size_of::<Option<(SeqId, Digest)>>();
         self.locks.len() * lock_entry
             + self.locked.len() * self.cfg.tail * lock_entry
             + self.delivered.len() * core::mem::size_of::<Option<SeqId>>()
             + self.payloads.values().map(|p| p.len() + 48).sum::<usize>()
-            + self
-                .my_broadcasts
-                .keys()
-                .filter_map(|k| self.my_broadcast_body(SeqId(*k)))
-                .map(|p| p.len() + 16)
-                .sum::<usize>()
+            + self.my_broadcasts.len() * core::mem::size_of::<(u64, OwnBroadcast)>()
     }
 }
 
@@ -1239,6 +1246,45 @@ mod tests {
         for r in 0..N {
             assert_eq!(h.delivered[r].len(), 200);
         }
+    }
+
+    /// A Byzantine sender can send any number of frames for one id, each
+    /// with a fresh body under a fresh transport sequence number: the
+    /// broadcaster `LOCK`s, a lying receiver `LOCKED`s, and the broadcaster
+    /// `SIGNED`s that fail the signature check or line 28. The receiver
+    /// keeps what its lock and the `LOCKED`s name, whatever the count.
+    #[test]
+    fn equivocating_frames_for_one_id_do_not_grow_the_payload_cache() {
+        let cfg = CtbConfig { n: N, tail: T, fast_enabled: true, slow: SlowMode::Always };
+        let mut h = CtbNet::new(cfg);
+        let k = SeqId(1);
+        let body = |i: u32| [b"equivocation ".as_slice(), &i.to_le_bytes()].concat();
+        let send = |h: &mut CtbNet, i: u32| {
+            let _ = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Lock { k, m: body(i) });
+            let _ = h.ctbs[1].on_tb_deliver(rid(2), CtbWire::Locked { k, m: body(i) });
+            let m = body(i + 1);
+            let sig = if i.is_multiple_of(2) { sign(h, k, &m) } else { Signature::garbage() };
+            deliver(h, 1, CtbWire::Signed { k, m, sig });
+        };
+        send(&mut h, 0);
+        let first = h.ctbs[1].resident_bytes();
+        for i in 1..2_000 {
+            send(&mut h, i);
+            let now = h.ctbs[1].resident_bytes();
+            assert!(now <= first, "after {i} rounds: {now} resident bytes, {first} after one");
+        }
+        assert!(h.delivered[1].is_empty(), "a body its lock refused was delivered");
+    }
+
+    /// The broadcaster holds its own body once, in the payload cache as
+    /// every receiver does; its own-broadcast record is what it keeps on
+    /// top.
+    #[test]
+    fn a_broadcaster_counts_its_own_body_once() {
+        let mut h = CtbNet::new(cfg_fast());
+        h.broadcast(b"counted once");
+        let own = core::mem::size_of::<(u64, OwnBroadcast)>();
+        assert_eq!(h.ctbs[0].resident_bytes(), h.ctbs[1].resident_bytes() + own);
     }
 
     #[test]

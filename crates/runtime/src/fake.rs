@@ -20,7 +20,7 @@ use std::rc::Rc;
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::Client;
-use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
+use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_core::msg::{CtbMsg, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
@@ -32,14 +32,8 @@ use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Tim
 
 use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 use crate::threads::{CtlMsg, MemThread};
-
-/// A completion waiting to re-enter the node that started the work.
-enum Completion {
-    Ctb { stream: usize, done: CtbDone },
-    Crypto { tag: CryptoTag, result: CryptoResult },
-}
 
 /// One direction of one pair: `(lane, frame)`s in send order.
 type Link = VecDeque<(Lane, Vec<u8>)>;
@@ -52,7 +46,7 @@ struct FakeNet {
     /// the pump visits pairs in the same order every run.
     links: BTreeMap<(usize, usize), Link>,
     /// Finished crypto and register work, per replica.
-    completions: Vec<VecDeque<Completion>>,
+    completions: Vec<VecDeque<NodeInput>>,
     /// Armed timers, per replica; a test fires the ones it wants.
     timers: Vec<Vec<NodeTimer>>,
     /// `(stream, owner, slot)` → the register's content.
@@ -138,7 +132,7 @@ impl Substrate for FakeSubstrate<'_> {
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
         let sig = sign_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp);
         let done = CtbDone::Signed(k, fp, sig);
-        self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
+        self.net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
     }
 
     fn ctb_verify(
@@ -153,7 +147,7 @@ impl Substrate for FakeSubstrate<'_> {
         self.net.verifies[0] += 1;
         let ok = verify_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp, &sig);
         let done = CtbDone::Verified(tag, ok);
-        self.net.completions[self.r].push_back(Completion::Ctb { stream, done });
+        self.net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
     }
 
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
@@ -163,7 +157,7 @@ impl Substrate for FakeSubstrate<'_> {
         let entries =
             (0..net.n).map(|owner| net.registers.get(&(stream, owner, slot)).cloned()).collect();
         for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
-            net.completions[self.r].push_back(Completion::Ctb { stream, done });
+            net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
         }
     }
 
@@ -179,7 +173,7 @@ impl Substrate for FakeSubstrate<'_> {
         for job in jobs {
             self.net.verifies[1] += job.ops().verifies;
             let result = job.run(&signer, &self.net.ring);
-            self.net.completions[self.r].push_back(Completion::Crypto { tag: job.tag, result });
+            self.net.completions[self.r].push_back(NodeInput::Crypto { tag: job.tag, result });
         }
         Some(((), fx))
     }
@@ -244,25 +238,20 @@ impl FakeCluster {
         loop {
             let mut idle = true;
             for r in 0..self.net.n {
-                while let Some(c) = self.net.completions[r].pop_front() {
+                while let Some(input) = self.net.completions[r].pop_front() {
                     idle = false;
                     self.net.signing =
-                        matches!(c, Completion::Ctb { done: CtbDone::Signed(..), .. });
-                    match c {
-                        Completion::Ctb { done: CtbDone::Written(_), .. } => {
+                        matches!(input, NodeInput::Ctb { done: CtbDone::Signed(..), .. });
+                    match input {
+                        NodeInput::Ctb { done: CtbDone::Written(_), .. } => {
                             self.net.round_trip_done[0] += 1;
                         }
-                        Completion::Ctb { done: CtbDone::Read(..), .. } => {
+                        NodeInput::Ctb { done: CtbDone::Read(..), .. } => {
                             self.net.round_trip_done[1] += 1;
                         }
                         _ => {}
                     }
-                    self.on_node(r, |nd, sub| match c {
-                        Completion::Ctb { stream, done } => nd.on_ctb_done(sub, stream, done, ()),
-                        Completion::Crypto { tag, result } => {
-                            nd.engine_call(sub, (), |e| e.on_crypto_done(tag, result));
-                        }
-                    });
+                    self.on_node(r, |nd, sub| nd.on_input(sub, input, ()));
                 }
             }
             let pairs: Vec<(usize, usize)> = self.net.links.keys().copied().collect();
@@ -303,7 +292,7 @@ impl FakeCluster {
         self.net.timers[r] = rest;
         let due: Vec<NodeTimer> = due;
         for timer in due {
-            self.on_node(r, |nd, sub| nd.on_timer(sub, timer, ()));
+            self.on_node(r, |nd, sub| nd.on_input(sub, NodeInput::Timer(timer), ()));
         }
         self.pump()
     }

@@ -17,7 +17,7 @@
 //! mapped into the global `HostId` space via each group's host-block base.
 
 use ubft_core::app::App;
-use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect};
+use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
@@ -38,7 +38,7 @@ use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::OpCounters;
-use crate::node::{CtbDone, ExecTable, Lane, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// Simulation events. All indices are group-local; the queue tags each
 /// event with its group id.
@@ -53,16 +53,19 @@ pub(crate) enum Ev {
         from: usize,
         to: usize,
     },
-    /// A timer replica `r` armed fired.
-    Timer {
-        r: usize,
-        timer: NodeTimer,
-    },
-    /// Work replica `r` started for `stream`'s CTBcast instance finished.
-    CtbDone {
-        r: usize,
-        stream: usize,
-        done: CtbDone,
+    /// `input` comes back to replica `r`: a timer it armed fired, or work
+    /// it started finished. Effects kept back behind crypto flow through
+    /// the queue too — applying them early would hand the fabric
+    /// out-of-order timestamps, and its per-host-pair FIFO would then pin
+    /// every later (normally timed) message behind the future one.
+    Node {
+        /// The group-local replica index (`u32` keeps `Ev` at 128 bytes).
+        r: u32,
+        /// The host that scheduled the input: a replacement moves the
+        /// replica to a fresh one, so nothing a dead host started acts on
+        /// its successor.
+        host: HostId,
+        input: NodeInput,
     },
     /// Answer `answer` of slot read `read`'s read of `owner`'s register
     /// reaches its memory node: what the node holds now is what it returns.
@@ -81,28 +84,6 @@ pub(crate) enum Ev {
     Replace {
         r: usize,
         host: HostId,
-    },
-    /// Apply an engine-effect batch whose crypto work finishes at this
-    /// event's time. Effects stamped in the future must flow through the
-    /// queue — applying them early would hand the fabric out-of-order
-    /// timestamps, and its per-host-pair FIFO would then pin every later
-    /// (normally timed) message behind the future one.
-    EngineFx {
-        r: usize,
-        /// The host the batch was scheduled on: a replacement moves the
-        /// replica to a fresh one, so a dead host's pending crypto never
-        /// applies to its successor.
-        host: HostId,
-        fx: Vec<Effect>,
-    },
-    /// Replica `r`'s crypto pool finished an engine crypto job; the
-    /// result re-enters the engine as an input of its own.
-    EngineCrypto {
-        r: usize,
-        /// As for `EngineFx`: a dead host's jobs die with it.
-        host: HostId,
-        tag: CryptoTag,
-        result: CryptoResult,
     },
 }
 
@@ -166,7 +147,7 @@ struct Machine {
     /// for — the engine's *ordered* signatures and verifications, whose
     /// effects act only once they finish, and a slow-path slot's CERTIFY
     /// shares, our own signed and a peer's checked
-    /// ([`CryptoTag::on_request_path`]) — serializes on whichever worker
+    /// ([`CryptoTag::on_request_path`](ubft_core::engine::CryptoTag::on_request_path)) — serializes on whichever worker
     /// frees first ([`Machine::free_worker`]) instead of on the main cursor.
     crypto_busy: Time,
     /// The second worker's cursor, and the only one background
@@ -177,7 +158,7 @@ struct Machine {
     /// bookkeeping, and at worst waits one operation for the other.
     job_busy: Time,
     /// Engine-effect batches deferred behind crypto completion that have
-    /// not been applied yet (see [`Ev::EngineFx`]).
+    /// not been applied yet ([`NodeInput::Effects`]).
     deferred_fx: u32,
     /// Scheduled time of the most recent deferred batch: later batches —
     /// even crypto-free ones — must apply after it to preserve the
@@ -315,6 +296,21 @@ impl SimEnv {
         sh.events.push(at, (self.gid, ev));
     }
 
+    /// Schedules `input` for replica `r` at `at`, stamped with `r`'s
+    /// current host.
+    fn push_input(&self, sh: &mut Shared<'_>, r: usize, at: Time, input: NodeInput) {
+        let host = self.machines[r].host;
+        self.push(sh, at, Ev::Node { r: r as u32, host, input });
+    }
+
+    /// Arms replica `r`'s TBcast retransmission tick for its current
+    /// incarnation, booted at `at`: each replica's chain is staggered so
+    /// that replicas do not burst in lockstep.
+    fn arm_retransmit(&self, sh: &mut Shared<'_>, r: usize, at: Time) {
+        let first = at + RETRANSMIT_PERIOD + Duration::from_nanos(1_000 * (r as u64 + 1));
+        self.push_input(sh, r, first, NodeInput::Timer(NodeTimer::Retransmit));
+    }
+
     /// The Byzantine behaviour of host `r` active at `at`, if `r` is a
     /// replica with a scheduled fault.
     fn byz_mode(&self, r: usize, at: Time) -> Option<ByzantineMode> {
@@ -371,7 +367,8 @@ impl SimEnv {
         read.unsettled -= 1;
         if read.unsettled == 0 {
             let done = CtbDone::Read(read.k, std::mem::take(&mut read.entries));
-            let ev = Ev::CtbDone { r: read.r, stream: read.stream, done };
+            let input = NodeInput::Ctb { stream: read.stream, done };
+            let ev = Ev::Node { r: read.r as u32, host: read.host, input };
             sh.events.push(read.completion, (self.gid, ev));
         }
     }
@@ -572,7 +569,7 @@ impl Substrate for SimSubstrate<'_, '_> {
     }
 
     fn arm(&mut self, timer: NodeTimer, after: Duration, at: Time) {
-        self.env.push(self.sh, at + after, Ev::Timer { r: self.r, timer });
+        self.env.push_input(self.sh, self.r, at + after, NodeInput::Timer(timer));
     }
 
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Time) {
@@ -581,8 +578,8 @@ impl Substrate for SimSubstrate<'_, '_> {
         let sig = sign_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp);
         // Only a stream's broadcaster signs for it.
         debug_assert_eq!(stream, r);
-        let done = at + env.cfg.cost.sign_total();
-        env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Signed(k, fp, sig) });
+        let (done, at) = (CtbDone::Signed(k, fp, sig), at + env.cfg.cost.sign_total());
+        env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
     }
 
     fn ctb_verify(
@@ -597,8 +594,8 @@ impl Substrate for SimSubstrate<'_, '_> {
         let (env, r) = (&mut *self.env, self.r);
         env.counters.ctb_verifies += 1;
         let ok = verify_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp, &sig);
-        let done = at + env.cfg.cost.verify_total();
-        env.push(self.sh, done, Ev::CtbDone { r, stream, done: CtbDone::Verified(tag, ok) });
+        let (done, at) = (CtbDone::Verified(tag, ok), at + env.cfg.cost.verify_total());
+        env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
     }
 
     /// Writes this replica's register `slot` of `stream`, then reads every
@@ -628,7 +625,8 @@ impl Substrate for SimSubstrate<'_, '_> {
         let writer = &mut env.machines[r].reg_writers[stream];
         match writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &env.reg_buf, at) {
             WriteOutcome::Done(at) => {
-                env.push(self.sh, at, Ev::CtbDone { r, stream, done: CtbDone::Written(k) });
+                let done = CtbDone::Written(k);
+                env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
             }
             // The writer died at a crash boundary (possibly via the
             // δ-cooldown deferring the start past its own crash):
@@ -696,7 +694,6 @@ impl Substrate for SimSubstrate<'_, '_> {
         if jobs.len() > 0 {
             let me = ProcessId::Replica(ReplicaId(r as u32));
             let signer = env.ring.signer(me).expect("replica key");
-            let host = env.machines[r].host;
             for job in jobs {
                 env.count_engine_crypto(job.ops());
                 let cost = env.crypto_cost(job.ops());
@@ -708,7 +705,7 @@ impl Substrate for SimSubstrate<'_, '_> {
                     worker_run(&mut m.job_busy, from, cost)
                 };
                 let result = job.run(&signer, &env.ring);
-                env.push(self.sh, fin, Ev::EngineCrypto { r, host, tag: job.tag, result });
+                env.push_input(self.sh, r, fin, NodeInput::Crypto { tag: job.tag, result });
             }
         }
         let m = &mut env.machines[r];
@@ -733,8 +730,7 @@ impl Substrate for SimSubstrate<'_, '_> {
         };
         m.deferred_until = at_eff;
         m.deferred_fx += 1;
-        let host = m.host;
-        env.push(self.sh, at_eff, Ev::EngineFx { r, host, fx });
+        env.push_input(self.sh, r, at_eff, NodeInput::Effects(fx));
         None
     }
 
@@ -953,12 +949,8 @@ impl GroupRuntime {
                 nd.engine_call(sub, Time::ZERO, |e| e.start())
             });
         }
-        // TBcast retransmission ticks, staggered so replicas do not burst
-        // in lockstep.
         for r in 0..n {
-            let offset = Duration::from_nanos(1_000 * (r as u64 + 1));
-            let first = Time::ZERO + RETRANSMIT_PERIOD + offset;
-            group.env.push(sh, first, Ev::Timer { r, timer: NodeTimer::Retransmit });
+            group.env.arm_retransmit(sh, r, Time::ZERO);
         }
         group
     }
@@ -1041,8 +1033,10 @@ impl GroupRuntime {
         }
         env.machines[r].busy = done;
 
-        // Step 2: the Join/JoinAck handshake (engine-driven from here).
+        // Step 2: the Join/JoinAck handshake (engine-driven from here), and
+        // the incarnation's own retransmission tick.
         self.on_node(sh, r, at, |nd, sub| nd.engine_call(sub, done, |e| e.begin_join(reg_floor)));
+        self.env.arm_retransmit(sh, r, at);
     }
 
     // ------------------------------------------------------------------
@@ -1151,18 +1145,16 @@ impl GroupRuntime {
                 let out = tx.flush(sh.fabric, t);
                 self.env.schedule_send(sh, lane, from, to, t, out);
             }
-            Ev::Timer { r, timer } => {
-                // The retransmission tick outlives a crash: the replacement
-                // inherits it.
-                if self.env.crashed(sh.fabric, r, t) && matches!(timer, NodeTimer::Retransmit) {
-                    let next = t + RETRANSMIT_PERIOD;
-                    self.env.push(sh, next, Ev::Timer { r, timer });
+            Ev::Node { r, host, input } if host == self.env.machines[r as usize].host => {
+                let r = r as usize;
+                if matches!(input, NodeInput::Effects(_)) {
+                    self.env.machines[r].deferred_fx -= 1;
                 }
-                self.on_node(sh, r, t, |nd, sub| nd.on_timer(sub, timer, t));
+                self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, input, t));
             }
-            Ev::CtbDone { r, stream, done } => {
-                self.on_node(sh, r, t, |nd, sub| nd.on_ctb_done(sub, stream, done, t));
-            }
+            // Whatever an earlier incarnation of the replica scheduled died
+            // with its host.
+            Ev::Node { .. } => {}
             Ev::RegSample { read, owner, answer } => {
                 self.env.on_register_sample(sh, read, owner, answer);
             }
@@ -1171,23 +1163,17 @@ impl GroupRuntime {
                 self.clients.on_timer(port, c, timer);
             }
             Ev::Replace { r, host } => self.replace_replica(sh, r, host, t),
-            // A deferred engine-effect batch's crypto completed: apply it
-            // now, unless a dead host scheduled it or the node died with
-            // its crypto queue.
-            Ev::EngineFx { r, host, fx } => {
-                let m = &mut self.env.machines[r];
-                if host == m.host {
-                    m.deferred_fx = m.deferred_fx.saturating_sub(1);
-                    self.on_node(sh, r, t, |nd, sub| nd.apply_effects(sub, t, fx));
-                }
-            }
-            Ev::EngineCrypto { r, host, tag, result } => {
-                if host == self.env.machines[r].host {
-                    self.on_node(sh, r, t, |nd, sub| {
-                        nd.engine_call(sub, t, |e| e.on_crypto_done(tag, result));
-                    });
-                }
-            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every simulated step is one `Ev` pushed to and popped from the
+    /// shared queue: a wider event costs every run, so it is pinned.
+    #[test]
+    fn an_event_is_at_most_128_bytes() {
+        let size = std::mem::size_of::<super::Ev>();
+        assert!(size <= 128, "Ev grew to {size} bytes");
     }
 }

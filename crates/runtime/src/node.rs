@@ -5,7 +5,7 @@
 //! interpretation of their [`Effect`]s and [`CtbEffect`]s in this crate,
 //! written once against [`Substrate`] — what a deployment backend does
 //! differently from the other: move bytes, arm timers, run crypto and
-//! register operations whose completions come back as inputs, decide
+//! register operations whose completions come back as [`NodeInput`]s, decide
 //! *when* a call's effects apply, serve state transfers, and observe. The
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
@@ -13,7 +13,8 @@
 
 use ubft_core::app::App;
 use ubft_core::engine::{
-    CryptoJob, CryptoOps, DecisionRecord, Effect, Engine, EngineConfig, PathMode, TimerKind,
+    CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect, Engine, EngineConfig,
+    PathMode, TimerKind,
 };
 use ubft_core::lru::LruMap;
 use ubft_core::msg::{exec_table_digest, Batch, CtbMsg, DirectMsg, Reply, Request, TbMsg};
@@ -78,8 +79,7 @@ impl Lane {
 /// sequence number per client.
 pub(crate) type ExecTable = Vec<(ClientId, u64)>;
 
-/// The timers a replica arms; each comes back through
-/// [`ReplicaNode::on_timer`].
+/// The timers a replica arms; each comes back as a [`NodeInput::Timer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum NodeTimer {
     /// One of the engine's own.
@@ -92,7 +92,7 @@ pub(crate) enum NodeTimer {
 }
 
 /// The completion of work a CTBcast instance asked the [`Substrate`] to
-/// start; comes back through [`ReplicaNode::on_ctb_done`].
+/// start; comes back as a [`NodeInput::Ctb`].
 pub(crate) enum CtbDone {
     /// [`Substrate::ctb_sign`]'s signature over message `k` with
     /// fingerprint `fp`.
@@ -105,6 +105,23 @@ pub(crate) enum CtbDone {
     /// [`Substrate::write_and_read_slot`]'s entries for message `k`, in
     /// replica order.
     Read(SeqId, Vec<Option<RegEntry>>),
+}
+
+/// Everything that comes back to a [`ReplicaNode`] from its [`Substrate`],
+/// messages apart: the one thing [`ReplicaNode::on_input`] takes. A
+/// backend queues these however it likes; the simulator stamps each with
+/// the host that scheduled it, so nothing a dead incarnation started acts
+/// on its replacement.
+pub(crate) enum NodeInput {
+    /// A timer armed through [`Substrate::arm`] fired.
+    Timer(NodeTimer),
+    /// Work started for `stream`'s CTBcast instance finished.
+    Ctb { stream: usize, done: CtbDone },
+    /// An engine crypto job finished.
+    Crypto { tag: CryptoTag, result: CryptoResult },
+    /// An engine call's effects the substrate kept back until the crypto
+    /// they wait for finished ([`Substrate::engine_call_done`]).
+    Effects(Vec<Effect>),
 }
 
 /// What a deployment backend provides to one [`ReplicaNode`]: exactly what
@@ -176,11 +193,11 @@ pub(crate) trait Substrate {
 
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and
     /// produced `fx`. The substrate starts the jobs — each result comes
-    /// back through [`Engine::on_crypto_done`] — and says when the effects
-    /// apply: `Some((at, fx))` for now, as of `at`; `None` when it keeps
-    /// them until the crypto they wait for has finished and then hands
-    /// them to [`ReplicaNode::apply_effects`]. The jobs are drained out of
-    /// the engine's own queue, which keeps its buffer.
+    /// back as a [`NodeInput::Crypto`] — and says when the effects apply:
+    /// `Some((at, fx))` for now, as of `at`; `None` when it keeps them
+    /// until the crypto they wait for has finished and then hands them
+    /// back as a [`NodeInput::Effects`]. The jobs are drained out of the
+    /// engine's own queue, which keeps its buffer.
     fn engine_call_done(
         &mut self,
         at: Self::At,
@@ -474,28 +491,27 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         }
     }
 
-    /// Work started for `stream`'s CTBcast instance finished.
-    pub fn on_ctb_done<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        stream: usize,
-        done: CtbDone,
-        at: S::At,
-    ) {
-        self.ctb_call(sub, stream, at, |c| match done {
-            CtbDone::Signed(k, fp, sig) => c.on_sign_done_over(k, fp, sig),
-            CtbDone::Verified(tag, ok) => c.on_verify_done(tag, ok),
-            CtbDone::Written(k) => c.on_register_written(k),
-            CtbDone::Read(k, entries) => c.on_registers_read(k, entries),
-        });
-    }
-
-    /// A timer armed through [`Substrate::arm`] fired.
-    pub fn on_timer<S: Substrate>(&mut self, sub: &mut S, timer: NodeTimer, at: S::At) {
-        match timer {
-            NodeTimer::Engine(kind) => self.engine_call(sub, at, |e| e.on_timer(kind)),
-            NodeTimer::CtbSlow(k) => self.ctb_call(sub, self.r, at, |c| c.on_slow_timeout(k)),
-            NodeTimer::Retransmit => self.on_retransmit_tick(sub, at),
+    /// What the substrate hands back: a timer, a completion, or effects it
+    /// kept back.
+    pub fn on_input<S: Substrate>(&mut self, sub: &mut S, input: NodeInput, at: S::At) {
+        match input {
+            NodeInput::Timer(NodeTimer::Engine(kind)) => {
+                self.engine_call(sub, at, |e| e.on_timer(kind))
+            }
+            NodeInput::Timer(NodeTimer::CtbSlow(k)) => {
+                self.ctb_call(sub, self.r, at, |c| c.on_slow_timeout(k))
+            }
+            NodeInput::Timer(NodeTimer::Retransmit) => self.on_retransmit_tick(sub, at),
+            NodeInput::Ctb { stream, done } => self.ctb_call(sub, stream, at, |c| match done {
+                CtbDone::Signed(k, fp, sig) => c.on_sign_done_over(k, fp, sig),
+                CtbDone::Verified(tag, ok) => c.on_verify_done(tag, ok),
+                CtbDone::Written(k) => c.on_register_written(k),
+                CtbDone::Read(k, entries) => c.on_registers_read(k, entries),
+            }),
+            NodeInput::Crypto { tag, result } => {
+                self.engine_call(sub, at, |e| e.on_crypto_done(tag, result))
+            }
+            NodeInput::Effects(fx) => self.apply_effects(sub, at, fx),
         }
     }
 
@@ -566,7 +582,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
     }
 
     /// Carries out one engine call's effects as of `at`.
-    pub fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, fx: Vec<Effect>) {
+    fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, fx: Vec<Effect>) {
         for e in fx {
             self.engine_effect(sub, at, e);
         }

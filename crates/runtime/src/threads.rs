@@ -48,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ubft_core::app::App;
-use ubft_core::engine::{CryptoJob, CryptoOps, CryptoResult, CryptoTag, Effect};
+use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast, TbWire};
@@ -61,7 +61,7 @@ use ubft_types::{ProcessId, ReplicaId, SeqId, Time};
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
-use crate::node::{CtbDone, Lane, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -121,11 +121,9 @@ pub(crate) type SlotEntries = Vec<Option<(u64, Vec<u8>)>>;
 
 /// Typed control frames riding each node's inbox next to protocol bytes.
 pub(crate) enum CtlMsg {
-    /// Crypto pool: a signature or verification `stream`'s CTBcast instance
-    /// asked for finished.
-    CtbDone { stream: usize, done: CtbDone },
-    /// Crypto pool: an engine crypto job finished.
-    EngineCryptoDone { tag: CryptoTag, result: CryptoResult },
+    /// Crypto pool → replica: a CTBcast signature or verification, or an
+    /// engine crypto job, finished.
+    Input(NodeInput),
     /// Replica → memory node: store `bytes` under `key` with register
     /// timestamp `ts`, then return the slot's entries of all `owners`
     /// (`key` with each owner in turn).
@@ -212,21 +210,21 @@ fn spawn_crypto_workers(
                     PoolJob::Sign { node, group, stream, k, fp } => {
                         let sig = sign_broadcast(&rings[group], ReplicaId(stream), k, &fp);
                         let stream = stream as usize;
-                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Signed(k, fp, sig) })
+                        (node, NodeInput::Ctb { stream, done: CtbDone::Signed(k, fp, sig) })
                     }
                     PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
                         let ok = verify_broadcast(&rings[group], ReplicaId(stream), k, &fp, &sig);
                         let stream = stream as usize;
-                        (node, CtlMsg::CtbDone { stream, done: CtbDone::Verified(tag, ok) })
+                        (node, NodeInput::Ctb { stream, done: CtbDone::Verified(tag, ok) })
                     }
                     PoolJob::Engine { node, group, replica, job } => {
                         let id = ProcessId::Replica(ReplicaId(replica));
                         let signer = rings[group].signer(id).expect("replica key");
                         let result = job.run(&signer, &rings[group]);
-                        (node, CtlMsg::EngineCryptoDone { tag: job.tag, result })
+                        (node, NodeInput::Crypto { tag: job.tag, result })
                     }
                 };
-                let _ = router.send_ctl(node, done);
+                let _ = router.send_ctl(node, CtlMsg::Input(done));
             })
         })
         .collect()
@@ -349,7 +347,7 @@ impl ReplicaThread {
         run_mailbox(
             &mut (self, &mut node),
             |(th, _)| (&th.ep, &mut th.timers),
-            |(th, node), timer| node.on_timer(th, timer, ()),
+            |(th, node), timer| node.on_input(th, NodeInput::Timer(timer), ()),
             |(th, node), m| match m {
                 InMsg::Net(inb) => {
                     // Group-local sender index (meaningful for replica
@@ -369,10 +367,7 @@ impl ReplicaThread {
     /// memory node's answer to a register round trip.
     fn on_ctl(&mut self, node: &mut ReplicaNode<dyn App + Send>, c: CtlMsg) {
         match c {
-            CtlMsg::CtbDone { stream, done } => node.on_ctb_done(self, stream, done, ()),
-            CtlMsg::EngineCryptoDone { tag, result } => {
-                node.engine_call(self, (), |e| e.on_crypto_done(tag, result));
-            }
+            CtlMsg::Input(input) => node.on_input(self, input, ()),
             CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
             // Register round trips target memory nodes; shutdown ends the
             // mailbox loop before this dispatch.
@@ -413,10 +408,11 @@ impl ReplicaThread {
             return;
         }
         let rpc = self.pending.remove(&token).expect("pending rpc");
-        node.on_ctb_done(self, rpc.stream, CtbDone::Written(rpc.k), ());
+        let (stream, k) = (rpc.stream, rpc.k);
+        node.on_input(self, NodeInput::Ctb { stream, done: CtbDone::Written(k) }, ());
         let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
         let entries = rpc.best.into_iter().map(parse).collect();
-        node.on_ctb_done(self, rpc.stream, CtbDone::Read(rpc.k, entries), ());
+        node.on_input(self, NodeInput::Ctb { stream, done: CtbDone::Read(k, entries) }, ());
     }
 }
 

@@ -408,3 +408,19 @@ fn hand_broken_plan_shrinks_to_its_core() {
     assert!(shrunk.failures.faults().contains(&culprit), "core lost the culprit");
     assert!(fails(&shrunk));
 }
+
+#[test]
+fn corpus_a_replacement_hears_none_of_its_predecessors_timers() {
+    // Chaos seed 744's plan. Replica 1's replacement boots while the
+    // partition still cuts it off from replica 2. When a progress watchdog
+    // its predecessor armed fired in the replacement, the run stalled at 21
+    // of 300 requests: nothing a dead incarnation scheduled may act on the
+    // node that takes over its identity.
+    let plan = hand_written(
+        FailurePlan::none()
+            .crash_mem_node(1, us(377))
+            .partition(2, 1, us(460), us(1_493))
+            .replace_replica(1, us(828), us(939)),
+    );
+    run_corpus_plan("replacement+inherited-timers", &plan);
+}
