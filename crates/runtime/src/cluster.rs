@@ -366,28 +366,9 @@ impl Cluster {
         // pre-allocated so the host count (and thus the deterministic
         // event schedule) is fixed at build time.
         let mut n_hosts = shards * block + n_mem;
-        let mut replacements: Vec<(Time, u32, usize, HostId)> = Vec::new();
-        for (g, cfg) in cfgs.iter().enumerate() {
-            for (r, _crash_at, rejoin_at) in cfg.failures.replacements() {
-                assert!(r < n, "group {g}: replacement victim {r} out of range");
-                let host = HostId(n_hosts as u32);
-                n_hosts += 1;
-                replacements.push((rejoin_at, g as u32, r, host));
-            }
-        }
-
-        let rng = SimRng::new(base.seed);
-        let mut net = NetworkModel::synchronous(base.latency.clone(), n_hosts)
+        let replaced: usize = cfgs.iter().map(|cfg| cfg.failures.replacements().count()).sum();
+        let mut net = NetworkModel::synchronous(base.latency.clone(), n_hosts + replaced)
             .with_gst(base.failures.gst, base.failures.pre_gst_extra);
-        // Apply crash schedules, mapped into the global host space.
-        for (g, cfg) in cfgs.iter().enumerate() {
-            let host_base = (g * block) as u32;
-            for i in 0..n {
-                if let Some(t) = cfg.failures.replica_crash_time(i) {
-                    net.crash_host(HostId(host_base + i as u32), t);
-                }
-            }
-        }
         // Memory nodes are shared; a crash scheduled by any group's plan
         // takes the earliest scheduled time.
         for i in 0..n_mem {
@@ -395,28 +376,29 @@ impl Cluster {
                 net.crash_host(HostId((shards * block + i) as u32), t);
             }
         }
+        // Each group's faults, mapped into the global host space. A replica
+        // occupies its own host and one per replacement; a crash takes the
+        // first, and a partition cuts them all.
+        let mut replacements: Vec<(Time, u32, usize, HostId)> = Vec::new();
         for (g, cfg) in cfgs.iter().enumerate() {
-            let host_base = (g * block) as u32;
+            let mut hosts: Vec<_> = (0..n).map(|r| vec![HostId((g * block + r) as u32)]).collect();
+            for (r, _crash_at, rejoin_at) in cfg.failures.replacements() {
+                assert!(r < n, "group {g}: replacement victim {r} out of range");
+                hosts[r].push(HostId(n_hosts as u32));
+                replacements.push((rejoin_at, g as u32, r, HostId(n_hosts as u32)));
+                n_hosts += 1;
+            }
+            for (r, t) in (0..n).filter_map(|r| Some((r, cfg.failures.replica_crash_time(r)?))) {
+                net.crash_host(hosts[r][0], t);
+            }
             for (a, b, from, until) in cfg.failures.partitions() {
-                // Partition endpoints are replica indices by contract
-                // (`FailurePlan::partition`). In a multi-group deployment
-                // an index beyond the group's host block would silently
-                // land inside the *next* group's block, so reject it
-                // loudly; single-group deployments keep the historical
-                // raw-host-id behavior.
-                assert!(
-                    shards == 1 || (a < block && b < block),
-                    "group {g}: partition endpoints ({a}, {b}) must be group-local (< {block})"
-                );
-                net.add_partition(
-                    HostId(host_base + a as u32),
-                    HostId(host_base + b as u32),
-                    from,
-                    until,
-                );
+                assert!(a < n && b < n, "group {g}: partition ({a}, {b}) names a non-replica");
+                for &ha in &hosts[a] {
+                    hosts[b].iter().for_each(|&hb| net.add_partition(ha, hb, from, until));
+                }
             }
         }
-        let mut fabric = Fabric::new(net, rng.fork(1));
+        let mut fabric = Fabric::new(net, SimRng::new(base.seed).fork(1));
         let mut events = EventQueue::new();
         let mut completed = 0;
         let mem_hosts: Vec<HostId> =
@@ -894,6 +876,21 @@ mod tests {
         assert!(large.replica_local_bytes(0) > small.replica_local_bytes(0));
         // Disaggregated memory is small: well under 1 MiB per node.
         assert!(large.disagg_bytes_per_node() < 1 << 20);
+    }
+
+    #[test]
+    fn a_partition_cuts_the_replacement_host_too() {
+        use ubft_sim::{failure::FailurePlan, net::HopOutcome};
+        let us = |n| Time::ZERO + Duration::from_micros(n);
+        let mut cfg = SimConfig::paper_default(1);
+        let plan = FailurePlan::none().replace_replica(1, us(300), us(900));
+        cfg.failures = plan.partition(1, 2, us(400), us(1_400));
+        // The replacement's host is the first one past the memory nodes.
+        let fresh = HostId((3 + cfg.n_clients.max(1) + cfg.params.n_mem()) as u32);
+        let cluster = Cluster::new(cfg, flip_apps(3), payload32());
+        let hop = |at| cluster.fabric.net().hop(&mut SimRng::new(0), fresh, HostId(2), 64, us(at));
+        assert_eq!(hop(1_000), HopOutcome::Dropped);
+        assert!(matches!(hop(1_500), HopOutcome::Delivered(_)));
     }
 
     #[test]

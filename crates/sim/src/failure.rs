@@ -21,8 +21,11 @@ pub enum ByzantineMode {
     /// A leader that never proposes client requests (censorship — must
     /// trigger a view change).
     CensorRequests,
-    /// Writes garbage checksums / violates the δ cooldown on its SWMR
-    /// registers (the §6.1 attack the register read path must detect).
+    /// Stores a garbled fingerprint under an honest checksum in its own
+    /// SWMR register entries, so readers must reject the entry by its
+    /// signature and deliver anyway. The §6.1 checksum attack (a writer
+    /// storing a bogus checksum) is exercised by `ubft_dmem`'s
+    /// `RegisterWriter::write_corrupt` tests instead.
     CorruptRegisters,
     /// Delays every outgoing message by a fixed amount (slow but correct —
     /// a gray failure).
@@ -68,7 +71,8 @@ pub enum Fault {
         /// Boot time of the replacement node (must be after `crash_at`).
         rejoin_at: Time,
     },
-    /// Replicas `a` and `b` cannot exchange messages during `[from, until)`.
+    /// Replicas `a` and `b` cannot exchange messages during `[from, until)`,
+    /// whichever hosts they run on (a replacement inherits the cut).
     Partition {
         /// One endpoint (replica index).
         a: usize,

@@ -5,6 +5,12 @@
 //! incarnation `n / t + 1`, so the receiver can tell "not yet written"
 //! (incarnation too low) from "overwritten" (incarnation too high) and
 //! recover the exact sequence number of whatever it finds.
+//!
+//! A message is numbered when its write is issued: the sender's one
+//! cursor counts the writes the fabric took. A write the fabric refuses
+//! and a staged message evicted before its turn take no number, so each
+//! is one dropped message and every number the receiver waits for is
+//! eventually written.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -60,12 +66,10 @@ pub fn create_channel(
         next_seq: 0,
         slot_busy_until: vec![Time::ZERO; spec.slots],
         staging: VecDeque::new(),
-        staged_dropped: 0,
         issuer: None,
         frame: Vec::new(),
     };
-    let receiver =
-        ChannelReceiver { spec, region, host: receiver_host, expected_seq: 0, skipped: 0 };
+    let receiver = ChannelReceiver { spec, region, host: receiver_host, expected_seq: 0 };
     (sender, receiver)
 }
 
@@ -76,11 +80,12 @@ pub struct SendOutcome {
     /// Newly issued writes, as `(sequence, arrival time at the receiver's
     /// memory)`: one, except when a flush drains a staged burst.
     pub issued: Few<(u64, Time)>,
-    /// Messages evicted from the staging queue without ever being sent.
+    /// Messages evicted from the staging queue without ever being sent (or
+    /// numbered).
     pub evicted: u64,
     /// Writes the fabric refused because the target (or this host) is down
     /// or cut off — what a broken RC queue pair reports. Nothing was put on
-    /// the wire for them.
+    /// the wire for them, and they took no sequence number.
     pub refused: u64,
     /// When the data still staged after the call can next be flushed
     /// ([`ChannelSender::next_flush_at`]); `None` when nothing is staged.
@@ -93,13 +98,13 @@ pub struct ChannelSender {
     spec: ChannelSpec,
     region: RegionId,
     token: AccessToken,
+    /// Sequence number of the next write the fabric takes.
     next_seq: u64,
     /// Per-slot time until which an RDMA write is outstanding (the slot is
     /// "unavailable" in the paper's terms).
     slot_busy_until: Vec<Time>,
-    /// Staging queue of `(seq, payload)` waiting for their slot.
-    staging: VecDeque<(u64, Vec<u8>)>,
-    staged_dropped: u64,
+    /// Payloads waiting for the cursor's slot, oldest first.
+    staging: VecDeque<Vec<u8>>,
     /// The host this sender runs on (late-bound by the runtime).
     issuer: Option<HostId>,
     /// Where [`ChannelSender::transmit`] builds each slot frame, kept from
@@ -108,14 +113,10 @@ pub struct ChannelSender {
 }
 
 impl ChannelSender {
-    /// Sequence number the next message will get.
+    /// Sequence number the next issued write will get: the number of
+    /// writes issued so far.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Messages ever evicted from staging (diagnostics).
-    pub fn evicted_total(&self) -> u64 {
-        self.staged_dropped
     }
 
     /// Number of messages currently staged.
@@ -136,42 +137,28 @@ impl ChannelSender {
             payload.len(),
             self.spec.slot_payload
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let mut outcome = self.flush(fabric, now);
-        if self.staging.is_empty() && self.slot_free(seq, now) {
-            match self.transmit(fabric, now, seq, payload) {
-                Some(arrival) => outcome.issued.push((seq, arrival)),
-                None => outcome.refused += 1,
-            }
+        if self.staging.is_empty() && self.slot_free(now) {
+            self.transmit(fabric, now, payload, &mut outcome);
         } else {
             // Stage it; evict the oldest staged message if full. The staging
             // buffer mirrors the main buffer's size.
             if self.staging.len() >= self.spec.slots {
                 self.staging.pop_front();
-                self.staged_dropped += 1;
                 outcome.evicted += 1;
             }
-            self.staging.push_back((seq, payload.to_vec()));
+            self.staging.push_back(payload.to_vec());
         }
         outcome.flush_at = self.next_flush_at();
         outcome
     }
 
-    /// Transmits staged messages whose slots are free, in order, stopping at
-    /// the first unavailable slot.
+    /// Transmits staged messages in order while the cursor's slot is free.
     pub fn flush(&mut self, fabric: &mut Fabric, now: Time) -> SendOutcome {
         let mut outcome = SendOutcome::default();
-        while let Some((seq, _)) = self.staging.front() {
-            let seq = *seq;
-            if !self.slot_free(seq, now) {
-                break;
-            }
-            let (_, payload) = self.staging.pop_front().expect("checked front");
-            match self.transmit(fabric, now, seq, &payload) {
-                Some(arrival) => outcome.issued.push((seq, arrival)),
-                None => outcome.refused += 1,
-            }
+        while !self.staging.is_empty() && self.slot_free(now) {
+            let payload = self.staging.pop_front().expect("checked non-empty");
+            self.transmit(fabric, now, &payload, &mut outcome);
         }
         outcome.flush_at = self.next_flush_at();
         outcome
@@ -180,25 +167,31 @@ impl ChannelSender {
     /// The earliest time at which `flush` could make progress, if any
     /// message is staged (for runtime re-flush scheduling).
     pub fn next_flush_at(&self) -> Option<Time> {
-        let (seq, _) = self.staging.front()?;
-        Some(self.slot_busy_until[(*seq % self.spec.slots as u64) as usize])
+        (!self.staging.is_empty()).then(|| self.slot_busy_until[self.slot()])
     }
 
-    fn slot_free(&self, seq: u64, now: Time) -> bool {
-        self.slot_busy_until[(seq % self.spec.slots as u64) as usize] <= now
+    /// The slot the cursor's message goes to.
+    fn slot(&self) -> usize {
+        (self.next_seq % self.spec.slots as u64) as usize
     }
 
-    /// Issues the RDMA write for `seq`; `None` when the fabric refused it.
-    /// The slot frame is built in the sender's own buffer; the fabric copies
-    /// it into the write's in-flight image.
+    fn slot_free(&self, now: Time) -> bool {
+        self.slot_busy_until[self.slot()] <= now
+    }
+
+    /// Issues the RDMA write of `payload` as message `next_seq`. When the
+    /// fabric takes it, the cursor advances and `outcome` records the
+    /// write; when it refuses, `outcome` counts the refusal and nothing
+    /// else changes. The slot frame is built in the sender's own buffer;
+    /// the fabric copies it into the write's in-flight image.
     fn transmit(
         &mut self,
         fabric: &mut Fabric,
         now: Time,
-        seq: u64,
         payload: &[u8],
-    ) -> Option<Time> {
-        let slot = (seq % self.spec.slots as u64) as usize;
+        outcome: &mut SendOutcome,
+    ) {
+        let (seq, slot) = (self.next_seq, self.slot());
         let inc = (seq / self.spec.slots as u64 + 1) as u32;
         let frame = &mut self.frame;
         frame.clear();
@@ -214,9 +207,12 @@ impl ChannelSender {
         match fabric.write(issuer, self.token, self.region, offset, frame, now) {
             Ok(ticket) => {
                 self.slot_busy_until[slot] = ticket.completion;
-                Some(ticket.arrival)
+                outcome.issued.push((seq, ticket.arrival));
+                self.next_seq += 1;
             }
-            Err(RdmaError::TargetUnavailable | RdmaError::IssuerUnavailable) => None,
+            Err(RdmaError::TargetUnavailable | RdmaError::IssuerUnavailable) => {
+                outcome.refused += 1;
+            }
             Err(e) => panic!("channel write failed: {e}"),
         }
     }
@@ -252,16 +248,9 @@ pub struct ChannelReceiver {
     region: RegionId,
     host: HostId,
     expected_seq: u64,
-    skipped: u64,
 }
 
 impl ChannelReceiver {
-    /// Total messages skipped due to overwrites (diagnostics; these are the
-    /// messages the tail guarantee allows to be lost).
-    pub fn skipped_total(&self) -> u64 {
-        self.skipped
-    }
-
     /// The host this receiver runs on.
     pub fn host(&self) -> HostId {
         self.host
@@ -312,7 +301,6 @@ impl ChannelReceiver {
                 let found_seq = (inc as u64 - 1) * self.spec.slots as u64 + slot as u64;
                 let oldest_live = found_seq + 1 - self.spec.slots as u64;
                 debug_assert!(oldest_live > self.expected_seq);
-                self.skipped += oldest_live - self.expected_seq;
                 self.expected_seq = oldest_live;
                 continue;
             }
@@ -433,7 +421,6 @@ mod tests {
         let polled = rx.poll(&mut f, last + Duration::from_micros(1));
         let seqs: Vec<u64> = polled.delivered.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![8, 9, 10, 11]);
-        assert_eq!(rx.skipped_total(), 8);
     }
 
     #[test]
@@ -491,7 +478,6 @@ mod tests {
         }
         // 4 transmitted, 4 staged capacity, 8 evicted.
         assert_eq!(evicted, 8);
-        assert_eq!(tx.evicted_total(), 8);
         assert_eq!(tx.staged_len(), 4);
     }
 
@@ -547,8 +533,25 @@ mod tests {
         }
         assert_eq!(refused, 8);
         assert_eq!(tx.slot_busy_until, busy_before);
+        assert_eq!(tx.next_seq(), 1);
         assert_eq!(tx.staged_len(), 0);
         assert_eq!(tx.next_flush_at(), None);
+    }
+
+    #[test]
+    fn a_write_refused_across_a_partition_leaves_no_hole() {
+        let mut f = fabric();
+        let (mut tx, mut rx) = create_channel(&mut f, HostId(1), spec());
+        tx.bind_issuer(HostId(0));
+        f.net_mut().add_partition(HostId(0), HostId(1), t(0), t(10));
+        assert_eq!(tx.send(&mut f, t(5), b"lost").refused, 1);
+        // After the heal the next write is message 0, so the receiver,
+        // waiting at sequence 0, delivers it.
+        let out = tx.send(&mut f, t(20), b"after");
+        let &(seq, arrival) = out.issued.last().expect("issued after the heal");
+        assert_eq!(seq, 0);
+        let polled = rx.poll(&mut f, arrival + Duration::from_micros(1));
+        assert_eq!(polled.delivered, Few::from_iter([(0, b"after".to_vec())]));
     }
 
     #[test]

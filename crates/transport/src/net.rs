@@ -9,8 +9,10 @@
 //!
 //! * **Per-pair FIFO**: of the messages a `(lane, from, to)` triple
 //!   delivers, delivery order equals send order. Messages may be *dropped*
-//!   (a slower receiver's buffer overwrites its tail) but never reordered
-//!   or duplicated.
+//!   (a slower receiver's buffer overwrites its tail, or the fabric refuses
+//!   a write to a destination that is down or cut off) but never reordered
+//!   or duplicated. A refused write is one dropped message: it takes no
+//!   sequence number, so the receiver never waits for it.
 //! * **Send never blocks**: a send either stages or overwrites. On the
 //!   simulated plane the sender learns what its write did from the
 //!   channel's own [`SendOutcome`](crate::channel::SendOutcome).

@@ -102,18 +102,40 @@ proptest! {
         }
     }
 
-    /// Sequence numbers assigned by the sender are dense (no gaps), no
-    /// matter how sends interleave with slot exhaustion.
+    /// The sequence numbers the sender issues are dense — 0, 1, 2, … in
+    /// issue order, and `next_seq()` is the count of writes issued — however
+    /// sends and flushes interleave with slot exhaustion, staging evictions
+    /// and a window in which the fabric refuses every write. The receiver
+    /// waits at each number in turn, so a number a message took without
+    /// being written would stall it until the ring wraps.
     #[test]
-    fn sender_sequences_are_dense(count in 1u64..200, slots in 2usize..8) {
-        let net = NetworkModel::synchronous(LatencyModel::paper_testbed(), 2);
+    fn sender_sequences_are_dense(
+        ops in proptest::collection::vec((any::<bool>(), 0u64..3), 1..200),
+        slots in 2usize..8,
+        refuse_from in 0u64..300,
+        refuse_for in 0u64..150,
+    ) {
+        let mut net = NetworkModel::synchronous(LatencyModel::paper_testbed(), 2);
+        let from = Time::ZERO + Duration::from_micros(refuse_from);
+        net.add_partition(HostId(0), HostId(1), from, from + Duration::from_micros(refuse_for));
         let mut fabric = Fabric::new(net, SimRng::new(1));
         let spec = ChannelSpec { slots, slot_payload: 8 };
         let (mut tx, _rx) = create_channel(&mut fabric, HostId(1), spec);
         tx.bind_issuer(HostId(0));
-        for i in 0..count {
-            prop_assert_eq!(tx.next_seq(), i);
-            let _ = tx.send(&mut fabric, Time::ZERO, &[0u8; 8]);
+        let mut now = Time::ZERO;
+        let mut issued = 0u64;
+        for (send, dt) in ops {
+            now += Duration::from_micros(dt);
+            let out = if send {
+                tx.send(&mut fabric, now, &[0u8; 8])
+            } else {
+                tx.flush(&mut fabric, now)
+            };
+            for (seq, _) in out.issued {
+                prop_assert_eq!(seq, issued);
+                issued += 1;
+            }
+            prop_assert_eq!(tx.next_seq(), issued);
         }
     }
 }

@@ -424,3 +424,20 @@ fn corpus_a_replacement_hears_none_of_its_predecessors_timers() {
     );
     run_corpus_plan("replacement+inherited-timers", &plan);
 }
+
+#[test]
+fn corpus_a_refused_write_leaves_no_hole_in_the_channel() {
+    // Chaos seed 457's plan. While the partition cuts replica 1 off from
+    // replica 0, every channel write between them is refused. When a
+    // refused write still took a sequence number, the receiver waited at
+    // that number until its ring wrapped, and the run stalled at 20 of 300
+    // requests once replica 0 fell silent.
+    let plan =
+        hand_written(FailurePlan::none().byzantine(0, ByzantineMode::Silent, us(1_354)).partition(
+            1,
+            0,
+            us(418),
+            us(1_076),
+        ));
+    run_corpus_plan("silent-leader+refused-writes", &plan);
+}
