@@ -72,9 +72,11 @@ impl Engine {
         }
     }
 
-    /// The request-dedup table (highest executed sequence per client) in
-    /// canonical (sorted) order — identical on every correct replica at a
-    /// given execution frontier, which is what lets checkpoints certify it.
+    /// The request-dedup table (highest executed sequence per client),
+    /// least recently written first — identical on every correct replica
+    /// at a given execution frontier, which is what lets checkpoints
+    /// certify it, and in the order a replica that adopts it must insert
+    /// it to evict what its peers evict.
     pub fn exec_table(&self) -> Vec<(ClientId, u64)> {
         self.requests.exec_table()
     }

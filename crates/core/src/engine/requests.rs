@@ -87,13 +87,13 @@ pub(super) struct Requests {
     /// (and hence the checkpoint-certified
     /// [`Engine::exec_table`](super::Engine::exec_table)) stays identical.
     /// Never pinned on anything local such as "still outstanding here",
-    /// which reflects receipt timing: the capacity floor is what protects a
-    /// request in flight, the same on every replica.
+    /// which reflects receipt timing: the bound is what protects a request
+    /// in flight, the same on every replica.
     executed: LruMap<ClientId, u64>,
 }
 
 impl Requests {
-    pub(super) fn new(client_table_cap: Option<usize>, hasher: FixedState) -> Self {
+    pub(super) fn new(client_table_cap: usize, hasher: FixedState) -> Self {
         Requests {
             records: FixedMap::with_hasher(hasher),
             queue: VecDeque::new(),
@@ -203,9 +203,11 @@ impl Requests {
         first
     }
 
-    /// Merges a certified dedup table (a state transfer's) into ours and
-    /// lets go of every request it proves executed — or a replacement node
-    /// would keep long-completed requests outstanding for good.
+    /// Merges a certified dedup table (a state transfer's) into ours, in
+    /// its order — least recently written first, so that from now on we
+    /// evict what its signers evict — and lets go of every request it
+    /// proves executed, or a replacement node would keep long-completed
+    /// requests outstanding for good.
     pub(super) fn adopt_exec_table(&mut self, table: Vec<(ClientId, u64)>) {
         for (client, seq) in table {
             let hi = self.executed.get(&client).copied().unwrap_or(0);
@@ -250,10 +252,10 @@ impl Requests {
         (self.live().count(), self.records.len(), self.queue.len())
     }
 
-    /// The dedup table in canonical (sorted) order.
+    /// The dedup table, least recently written first: its eviction order.
     pub(super) fn exec_table(&self) -> Vec<(ClientId, u64)> {
         let mut table: Vec<_> = self.executed.iter().map(|(c, s)| (*c, *s)).collect();
-        table.sort_unstable_by_key(|(c, _)| c.0);
+        table.sort_unstable_by_key(|(c, _)| self.executed.stamp(c));
         table
     }
 }

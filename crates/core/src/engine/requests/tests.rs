@@ -8,7 +8,7 @@ const SHARED: Stage = Stage::Queued { solo: false };
 const SOLO: Stage = Stage::Queued { solo: true };
 
 fn ledger() -> Requests {
-    Requests::new(None, FixedState::default())
+    Requests::new(16, FixedState::default())
 }
 
 fn id(client: u32, seq: u64) -> RequestId {

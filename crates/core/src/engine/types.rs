@@ -59,17 +59,6 @@ pub struct EngineConfig {
     /// configurations.
     #[doc(hidden)]
     pub test_decide_early: bool,
-    /// Capacity of the per-client request-dedup table (and, mirrored by
-    /// the runtime, the last-reply cache). `None` — the default — keeps
-    /// one entry per client forever, the paper prototype's unbounded
-    /// behavior. `Some(c)` bounds the table to `c` clients with
-    /// deterministic least-recently-executed eviction ([`crate::lru`]),
-    /// never below [`EngineConfig::client_table_cap`]'s floor. Like
-    /// PBFT's bounded last-reply table, a capped table trades memory for
-    /// exactly-once coverage: a client must retransmit before `c` *other*
-    /// clients execute, or its retransmission is ordered (and executed)
-    /// anew.
-    pub client_cache_cap: Option<usize>,
 }
 
 impl EngineConfig {
@@ -88,23 +77,22 @@ impl EngineConfig {
             pipeline_depth,
             record_decisions: false,
             test_decide_early: false,
-            client_cache_cap: None,
         }
     }
 
-    /// The capacity the per-client tables (the engine's dedup table, the
-    /// runtime's last-reply cache) actually run with:
-    /// [`EngineConfig::client_cache_cap`], floored. A request re-proposed
-    /// across a view change may occupy a second slot, and that slot must
-    /// land inside the acceptance window — within 2 windows of the first.
-    /// At most `2 · window · max_batch` distinct clients execute in that
-    /// span, so a table that large never evicts an in-flight request's
-    /// entry before its duplicate executes (nor a reply before its client
-    /// could need it again): eviction only forgets clients whose requests
-    /// are fully settled.
-    pub fn client_table_cap(&self) -> Option<usize> {
-        let floor = 2 * self.params.window * self.max_batch.max(1);
-        self.client_cache_cap.map(|c| c.max(floor))
+    /// The bound of the per-client tables (the engine's dedup table, the
+    /// runtime's last-reply cache), which evict the least recently written
+    /// entry beyond it ([`crate::lru`]). A request re-proposed across a view
+    /// change may occupy a second slot, and that slot must land inside the
+    /// acceptance window — within 2 windows of the first. At most
+    /// `2 · window · max_batch` distinct clients execute in that span, so a
+    /// table that large never evicts an in-flight request's entry before
+    /// its duplicate executes (nor a reply before its client could need it
+    /// again). Like PBFT's bounded last-reply table, it trades memory for
+    /// exactly-once coverage: a client that retransmits after more than
+    /// this many *other* clients executed is ordered (and executed) anew.
+    pub fn client_table_cap(&self) -> usize {
+        2 * self.params.window * self.max_batch.max(1)
     }
 }
 

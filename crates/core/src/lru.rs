@@ -1,17 +1,18 @@
 //! A deterministic bounded map with least-recently-*written* eviction.
 //!
 //! The engine's per-client bookkeeping (the request-dedup table, the
-//! runtime's last-reply cache) is unbounded in the paper prototype: one
-//! entry per client that ever issued a request. [`LruMap`] bounds it with
-//! a capacity knob while preserving the property the rest of the stack
-//! depends on: **eviction is a deterministic function of the insert
-//! sequence**. Every insert gets a unique monotone stamp; when the map
-//! exceeds its capacity the entry with the *smallest* stamp is evicted.
-//! Stamps are unique, so there are no ties —
-//! two replicas that perform the same inserts in the same order evict the
-//! same keys, regardless of hash-map iteration order. That is what keeps
-//! the checkpoint-certified dedup table identical across correct replicas
-//! when a cap is set.
+//! runtime's last-reply cache) is one entry per client in the paper
+//! prototype, and client ids are the clients' to choose. [`LruMap`] bounds
+//! it while preserving the property the rest of the stack depends on:
+//! **eviction is a deterministic function of the insert sequence**. Every
+//! insert gets a unique monotone stamp; when the map exceeds its bound the
+//! entry with the *smallest* stamp is evicted. Stamps are unique, so there
+//! are no ties — two replicas that perform the same inserts in the same
+//! order evict the same keys, regardless of hash-map iteration order.
+//! That is what keeps the checkpoint-certified dedup table identical
+//! across correct replicas: it is certified in stamp order
+//! ([`LruMap::stamp`]), so a replica that adopts it by inserting in that
+//! order evicts from then on exactly what its peers evict.
 //!
 //! Reads are deliberately *non-touching* (`get` does not refresh the
 //! stamp): a dedup lookup on a retransmitted request must not perturb the
@@ -27,16 +28,15 @@ use ubft_types::{FixedMap, FixedState};
 #[derive(Clone, Debug)]
 pub struct LruMap<K, V> {
     map: FixedMap<K, (V, u64)>,
-    cap: Option<usize>,
+    cap: usize,
     clock: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
-    /// An empty map. `cap = None` never evicts (today's unbounded
-    /// behavior); `Some(c)` holds at most `c` entries. The keys
-    /// are clients' to choose, so `hasher` should be keyed
+    /// An empty map that holds at most `cap` entries. The keys are
+    /// clients' to choose, so `hasher` should be keyed
     /// ([`FixedState::keyed`]).
-    pub fn new(cap: Option<usize>, hasher: FixedState) -> Self {
+    pub fn new(cap: usize, hasher: FixedState) -> Self {
         LruMap { map: FixedMap::with_hasher(hasher), cap, clock: 0 }
     }
 
@@ -55,7 +55,13 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.map.get(k).map(|(v, _)| v)
     }
 
-    /// Resident entries in arbitrary order (callers sort canonically).
+    /// When `k` was last written: a stamp unique in this map, larger for a
+    /// later write. Entries sorted by it come out in eviction order.
+    pub fn stamp(&self, k: &K) -> Option<u64> {
+        self.map.get(k).map(|(_, s)| *s)
+    }
+
+    /// Resident entries in arbitrary order (callers sort by [`LruMap::stamp`]).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.map.iter().map(|(k, (v, _))| (k, v))
     }
@@ -66,15 +72,14 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     }
 
     /// Inserts (or overwrites) `k`, stamping it most recent, then evicts
-    /// the least-recently-written entry if the map exceeds capacity.
+    /// the least-recently-written entry if the map exceeds its bound.
     /// Returns the evicted pair, if any. The freshly inserted key is never
     /// the eviction victim.
     pub fn insert(&mut self, k: K, v: V) -> Option<(K, V)> {
         self.clock += 1;
         let stamp = self.clock;
         self.map.insert(k.clone(), (v, stamp));
-        let cap = self.cap?;
-        if self.map.len() <= cap {
+        if self.map.len() <= self.cap {
             return None;
         }
         // Deterministic victim: unique stamps mean a unique minimum, so
@@ -95,7 +100,7 @@ mod tests {
 
     #[test]
     fn uncapped_never_evicts() {
-        let mut m = LruMap::new(None, FixedState::default());
+        let mut m = LruMap::new(10_001, FixedState::default());
         for i in 0..10_000u32 {
             assert!(m.insert(i, i).is_none());
         }
@@ -105,7 +110,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_written_first() {
-        let mut m = LruMap::new(Some(3), FixedState::default());
+        let mut m = LruMap::new(3, FixedState::default());
         for i in 0..3u32 {
             assert!(m.insert(i, i * 10).is_none());
         }
@@ -120,7 +125,7 @@ mod tests {
 
     #[test]
     fn get_does_not_touch() {
-        let mut m = LruMap::new(Some(2), FixedState::default());
+        let mut m = LruMap::new(2, FixedState::default());
         m.insert(1, 1);
         m.insert(2, 2);
         // Reading 1 must not save it: it is still the oldest write.
@@ -133,7 +138,7 @@ mod tests {
         // Two maps fed the same insert sequence evict identically, entry
         // for entry, regardless of internal hash ordering.
         let run = || {
-            let mut m = LruMap::new(Some(16), FixedState::default());
+            let mut m = LruMap::new(16, FixedState::default());
             let mut evictions = Vec::new();
             for i in 0..1000u32 {
                 let k = (i * 7) % 97;

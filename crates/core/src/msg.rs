@@ -237,8 +237,9 @@ impl CheckpointData {
     }
 }
 
-/// Canonical digest of a request-dedup table (sorted highest-executed
-/// sequence per client), as certified by [`CheckpointData::exec_digest`].
+/// Digest of a request-dedup table (highest executed sequence per client,
+/// least recently written first), as certified by
+/// [`CheckpointData::exec_digest`].
 pub fn exec_table_digest(table: &[(ClientId, u64)]) -> Digest {
     let domain = b"ubft-exec-table\0";
     let mut buf = Vec::with_capacity(domain.len() + 12 * table.len());

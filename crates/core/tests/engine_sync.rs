@@ -2693,3 +2693,71 @@ fn will_commit_is_promised_once_per_view_by_the_vote_completing_will_certify() {
 
     assert_eq!(votes(&mut e, View(1)), [0, 0, 1], "the new view's set promises anew");
 }
+
+/// `client`'s first request reaches every live replica, and the net runs.
+fn request_from(net: &mut Net, client: u32) {
+    let request = Request { id: RequestId::new(ClientId(client), 0), payload: vec![client as u8] };
+    for r in net.live_replicas().collect::<Vec<_>>() {
+        let fx = net.engines[r].on_client_request(request.clone());
+        net.emit(r, fx);
+    }
+    net.run();
+}
+
+#[test]
+fn a_flood_of_fresh_client_ids_leaves_the_dedup_table_at_its_bound() {
+    // Requests are unsigned, so a client names any id it likes: 2 000 ids
+    // must cost every replica the bound, not one entry each.
+    let mut net = new_net(PathMode::FastOnly);
+    let cap = net.cfg.client_table_cap();
+    assert_eq!(cap, 512, "2 · window · max_batch at paper_default");
+    for client in 0..2_000 {
+        request_from(&mut net, client);
+    }
+    for r in 0..3 {
+        assert_eq!(net.engines[r].exec_next(), Slot(2_000), "replica {r}");
+        assert_eq!(net.engines[r].exec_table().len(), cap, "replica {r}");
+    }
+    net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn a_replacement_evicts_what_its_peers_evict() {
+    // Window 16, so the bound is 32 and a checkpoint comes every 16 slots.
+    // 101 clients execute once each, in an order unrelated to their ids:
+    // a table certified and adopted in id order would make the replacement
+    // evict other clients than its peers from its next insert on.
+    let params = ClusterParams::paper_default().with_window(16);
+    let mut net = Net::new(EngineConfig::new(params, PathMode::FastWithFallback));
+    let mut clients = (0..101).map(|i| (i * 37 + 11) % 101);
+    for client in clients.by_ref().take(31) {
+        request_from(&mut net, client);
+    }
+    net.crashed[2] = true;
+    for client in clients.by_ref().take(30) {
+        request_from(&mut net, client);
+        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+        net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    }
+    net.replace(2);
+    assert!(net.engines[2].exec_next() >= Slot(48), "checkpoint not adopted");
+
+    // r2 lags until the checkpoint at 64 hands it what the join could not
+    // replay; from there on it executes in step with its peers.
+    let (mut shared, mut differing) = (0, Vec::new());
+    for client in clients {
+        request_from(&mut net, client);
+        let frontier = net.engines[2].exec_next();
+        if net.live_replicas().all(|r| net.engines[r].exec_next() == frontier) {
+            shared += 1;
+            let table = net.engines[2].exec_table();
+            if (0..2).any(|r| net.engines[r].exec_table() != table) {
+                differing.push(frontier);
+            }
+        }
+    }
+    assert!(shared >= 38, "only {shared} frontiers after the join are shared");
+    assert_eq!(differing, [], "the replacement's dedup table differs at these frontiers");
+    assert_eq!(net.engines[2].exec_table().len(), 32, "the table is at its bound");
+    assert!(net.brands.is_empty(), "spurious byzantine brands: {:?}", net.brands);
+}

@@ -13,8 +13,9 @@
 //! Invariants checked (uBFT extended version, §2/§5):
 //!
 //! 1. **Per-slot agreement** — no two correct replicas decide or execute
-//!    different batches at the same sequence number, and their per-request
-//!    responses match byte for byte.
+//!    different batches at the same sequence number, their per-request
+//!    responses match byte for byte, and at every checkpoint base they
+//!    certify the same application digest and the same dedup table.
 //! 2. **Certified-commit coverage** — every decision is backed by
 //!    sufficient evidence: all `n` WILL_COMMITs on the fast path, or an
 //!    `f + 1` certificate/COMMIT quorum otherwise
@@ -191,8 +192,9 @@ struct GroupAudit {
     model_digests: Vec<Digest>,
     canon: BTreeMap<Slot, CanonSlot>,
     canon_decisions: BTreeMap<Slot, Digest>,
-    /// First certified checkpoint digest seen per base (canonical).
-    checkpoint_digests: BTreeMap<Slot, Digest>,
+    /// First checkpoint digests seen per base (canonical): the
+    /// application's and the dedup table's.
+    checkpoint_digests: BTreeMap<Slot, (Digest, Digest)>,
     replicas: Vec<ReplicaAudit>,
     /// Register-bank bytes per memory node at build time; they may never
     /// grow (bounded disaggregated memory).
@@ -429,34 +431,34 @@ impl Auditor {
         }
     }
 
-    /// A replica computed its checkpoint digest at `base` (every slot
-    /// `< base` applied). All correct replicas must agree; the model is
+    /// A replica computed what its checkpoint at `base` certifies (every
+    /// slot `< base` applied): the application digest and the dedup
+    /// table's. All correct replicas must agree on both; the model is
     /// compared at finalize time.
     pub(crate) fn on_checkpoint_digest(
         &mut self,
         group: usize,
         replica: usize,
         base: Slot,
-        digest: Digest,
+        digests: (Digest, Digest),
     ) {
         let ga = &mut self.groups[group];
         if ga.replicas[replica].byzantine || ga.replicas[replica].transfer_miss {
             return;
         }
-        match ga.checkpoint_digests.get(&base) {
-            None => {
-                ga.checkpoint_digests.insert(base, digest);
-            }
-            Some(prev) if *prev != digest => {
+        let (app, exec) = *ga.checkpoint_digests.entry(base).or_insert(digests);
+        for (what, differs) in
+            [("checkpoint digest", app != digests.0), ("dedup table", exec != digests.1)]
+        {
+            if differs {
                 self.violate(
                     group,
                     Some(replica),
                     Some(base),
                     ViolationKind::SlotAgreement,
-                    format!("checkpoint digest at base {} differs across correct replicas", base.0),
+                    format!("{what} at base {} differs across correct replicas", base.0),
                 );
             }
-            Some(_) => {}
         }
     }
 
@@ -569,7 +571,7 @@ impl Auditor {
             }
             // Checkpoint digests vs the model.
             let ga = &self.groups[g];
-            for (base, digest) in &ga.checkpoint_digests {
+            for (base, (digest, _)) in &ga.checkpoint_digests {
                 let b = base.0 as usize;
                 if b < ga.model_digests.len() && ga.model_digests[b] != *digest {
                     report.violations.push(AuditViolation {

@@ -92,13 +92,6 @@ pub struct SimConfig {
     /// ([`SimConfig::with_audit_mutation`]); never set in production
     /// configurations.
     pub audit_mutation: Option<AuditMutation>,
-    /// Capacity of the per-client dedup table and last-reply cache
-    /// ([`EngineConfig::client_cache_cap`](ubft_core::engine::EngineConfig)).
-    /// `None` — the default — keeps one entry per client forever (the
-    /// paper prototype's unbounded tables); `Some(c)` bounds both with
-    /// deterministic LRU eviction. The engine floors the effective cap so
-    /// in-flight requests can never be evicted into re-execution.
-    pub client_cache_cap: Option<usize>,
     /// Which deployment backend runs this configuration. The
     /// discrete-event simulator ([`Backend::Sim`], the default) is
     /// deterministic virtual time; [`Backend::Threads`]
@@ -157,7 +150,6 @@ impl SimConfig {
             shards: 1,
             audit: false,
             audit_mutation: None,
-            client_cache_cap: None,
             backend: Backend::Sim,
             crypto_workers: 2,
             time_scale: 20,
@@ -212,15 +204,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_clients(mut self, n: usize) -> Self {
         self.n_clients = n.max(1);
-        self
-    }
-
-    /// Bounds the per-client dedup table and last-reply cache to `cap`
-    /// entries with deterministic LRU eviction (subject to the engine's
-    /// in-flight safety floor). The default (`None`) is unbounded.
-    #[must_use]
-    pub fn with_client_cache_cap(mut self, cap: usize) -> Self {
-        self.client_cache_cap = Some(cap);
         self
     }
 

@@ -468,10 +468,10 @@ impl Cluster {
         g.nodes[r].engine.decided_count()
     }
 
-    /// Resident entries in replica `i`'s request-dedup table. Unbounded
-    /// runs grow one entry per client; runs with
-    /// [`SimConfig::with_client_cache_cap`] stay at the (floored) cap —
-    /// tests use this to prove eviction actually occurred.
+    /// Resident entries in replica `i`'s request-dedup table: one per
+    /// client executed, up to
+    /// [`EngineConfig::client_table_cap`](ubft_core::engine::EngineConfig::client_table_cap)
+    /// — tests use this to prove eviction actually occurred.
     pub fn dedup_entries(&self, i: usize) -> usize {
         let (g, r) = self.locate(i);
         g.nodes[r].engine.exec_table().len()

@@ -774,7 +774,10 @@ impl Substrate for SimSubstrate<'_, '_> {
         exec_table: ExecTable,
         app: &A,
     ) {
-        self.audit(|aud, g, r| aud.on_checkpoint_digest(g, r, base, app_digest));
+        self.audit(|aud, g, r| {
+            let digests = (app_digest, exec_table_digest(&exec_table));
+            aud.on_checkpoint_digest(g, r, base, digests);
+        });
         if self.env.genesis_snapshot.is_some() {
             // Retain the serialized state for serving lagging replicas'
             // transfers (bounded history).

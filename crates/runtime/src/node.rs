@@ -255,8 +255,7 @@ pub(crate) trait Substrate {
     /// A state transfer restored and verified `Some(bytes)`, or missed.
     fn on_transfer(&mut self, _restored: Option<usize>, _at: Self::At) {}
 
-    /// A protocol message (acknowledgements excepted) went out on, or a
-    /// client request came in from, `lane`.
+    /// A protocol message (acknowledgements excepted) went out on `lane`.
     fn count_msg(&mut self, _lane: Lane) {}
 
     /// The engine decided a slot (recorded only in an audited deployment).
@@ -316,9 +315,9 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     /// retransmitted request that already executed is answered from here —
     /// the engine's dedup cannot re-execute it, and without the cached
     /// reply a client whose response was lost would stall forever.
-    /// Bounded alongside the engine's dedup table by
-    /// [`SimConfig::client_cache_cap`]: replica-local, so eviction needs no
-    /// cross-replica agreement.
+    /// Bounded like the engine's dedup table, by
+    /// [`EngineConfig::client_table_cap`]: replica-local, so eviction needs
+    /// no cross-replica agreement.
     reply_cache: LruMap<ClientId, Reply>,
     /// Every non-noop request this replica executed, in execution order.
     /// Pure observation, recorded so the backend-equivalence suite can
@@ -357,7 +356,6 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             ecfg.pipeline_depth = depth.max(1);
         }
         ecfg.record_decisions = cfg.audit;
-        ecfg.client_cache_cap = cfg.client_cache_cap;
         if let Some(AuditMutation::DecideEarly { replica: target }) = cfg.audit_mutation {
             ecfg.test_decide_early = target == r;
         }
@@ -387,7 +385,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             cons_rx: receivers(),
             tb_window: cap,
             summary_stall_ticks: 0,
-            // The engine's in-flight floor: an entry evicted before its
+            // The engine's in-flight bound: an entry evicted before its
             // client could possibly need a re-reply would stall that
             // client forever.
             reply_cache: LruMap::new(reply_cache_cap, hash_state),
@@ -467,7 +465,6 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             }
             Lane::ClientReq => {
                 if let Ok(req) = Request::from_bytes(payload) {
-                    sub.count_msg(Lane::ClientReq);
                     if sub.byz_mode(at) == Some(ByzantineMode::CensorRequests) {
                         return;
                     }

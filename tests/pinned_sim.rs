@@ -79,6 +79,13 @@
 //! tallying the frames each 150 µs tick resends (206 → 202 / 158 → 164
 //! and 2 636 → 2 546 / 2 000 → 1 970); the frames sent first are the
 //! same. The five fast-path pins passed untouched.
+//!
+//! The `rpc_msgs` field of all seven pins was re-captured when a client
+//! request came to be counted once, where the client sends it, instead of
+//! a second time where a replica receives it: a fault-free request is 3
+//! sends and 3 replies, not 9 messages (990 → 660, 495 → 330, 5 940 →
+//! 3 960, 1 233 → 819, 1 994 → 1 329). Digests, times and every other
+//! counter did not move.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
@@ -121,31 +128,31 @@ fn fingerprint(cfg: SimConfig, requests: u64, warmup: u64) -> String {
 #[test]
 fn fast_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(42).fast_only(), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=963603 mean=8749 p50=8745 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=963603 mean=8749 p50=8745 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn slow_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(43).slow_only(), 50, 5);
-    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=6577391 mean=119568 p50=119562 counters=OpCounters { rpc_msgs: 495, ctb_msgs: 642, cons_msgs: 496, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 440, engine_signs: 168, engine_verifies: 166, reg_writes: 658, reg_reads: 658 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=ab6eb7e3868e84bd8e40dde4f910ae1738298c00e83a112b8ed8831b0d6da6a3 completed=55 end=6577391 mean=119568 p50=119562 counters=OpCounters { rpc_msgs: 330, ctb_msgs: 642, cons_msgs: 496, direct_msgs: 112, ctb_signs: 220, ctb_verifies: 440, engine_signs: 168, engine_verifies: 166, reg_writes: 658, reg_reads: 658 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn default_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(7), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=966193 mean=8778 p50=8768 counters=OpCounters { rpc_msgs: 990, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=966193 mean=8778 p50=8768 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn fast_path_run_across_checkpoints_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(44).fast_only(), 600, 60);
-    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=5779541 mean=8756 p50=8759 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 5360, cons_msgs: 7952, direct_msgs: 1340, ctb_signs: 0, ctb_verifies: 0, engine_signs: 36, engine_verifies: 16, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=5779541 mean=8756 p50=8759 counters=OpCounters { rpc_msgs: 3960, ctb_msgs: 5360, cons_msgs: 7952, direct_msgs: 1340, ctb_signs: 0, ctb_verifies: 0, engine_signs: 36, engine_verifies: 16, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn slow_path_run_across_checkpoints_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(45).slow_only(), 600, 60);
-    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=79114837 mean=119900 p50=119559 counters=OpCounters { rpc_msgs: 5940, ctb_msgs: 7838, cons_msgs: 6022, direct_msgs: 1400, ctb_signs: 2649, ctb_verifies: 5292, engine_signs: 2106, engine_verifies: 2026, reg_writes: 7936, reg_reads: 7936 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=79114837 mean=119900 p50=119559 counters=OpCounters { rpc_msgs: 3960, ctb_msgs: 7838, cons_msgs: 6022, direct_msgs: 1400, ctb_signs: 2649, ctb_verifies: 5292, engine_signs: 2106, engine_verifies: 2026, reg_writes: 7936, reg_reads: 7936 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -156,7 +163,7 @@ fn batched_multiclient_run_is_pinned() {
         .with_pipeline_depth(2)
         .with_batch(4);
     let got = fingerprint(cfg, 120, 12);
-    assert_eq!(got, "digest=447390a4e7949a383bf6861de15e796d96c632806400ac45495d8bbf2bafede6 completed=132 end=174449 mean=9956 p50=9919 counters=OpCounters { rpc_msgs: 1233, ctb_msgs: 440, cons_msgs: 648, direct_msgs: 276, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=447390a4e7949a383bf6861de15e796d96c632806400ac45495d8bbf2bafede6 completed=132 end=174449 mean=9956 p50=9919 counters=OpCounters { rpc_msgs: 819, ctb_msgs: 440, cons_msgs: 648, direct_msgs: 276, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -172,5 +179,5 @@ fn sharded_run_is_pinned() {
         report.end.since(Time::ZERO).as_nanos(),
         report.counters,
     );
-    assert_eq!(got, "digests=[\"0f0e7d028dcdd24b217a9584c805799e694c1fbf5387a29a7b13b9cf6ad6a358\", \"8efaf11b7774fe29158960b9b050881a33f5ca12d5606b8042afff3d9075ec21\", \"8d9cde770fc930b8c9e4ed4e1493f5df4e19f683a1dc77f23880e708126d0276\", \"3d811869f014b4ffb870318609363503337e4a29dd93ec35f5c871e11f368f1b\"] completed=220 end=483524 counters=OpCounters { rpc_msgs: 1994, ctb_msgs: 1760, cons_msgs: 2640, direct_msgs: 443, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 }");
+    assert_eq!(got, "digests=[\"0f0e7d028dcdd24b217a9584c805799e694c1fbf5387a29a7b13b9cf6ad6a358\", \"8efaf11b7774fe29158960b9b050881a33f5ca12d5606b8042afff3d9075ec21\", \"8d9cde770fc930b8c9e4ed4e1493f5df4e19f683a1dc77f23880e708126d0276\", \"3d811869f014b4ffb870318609363503337e4a29dd93ec35f5c871e11f368f1b\"] completed=220 end=483524 counters=OpCounters { rpc_msgs: 1329, ctb_msgs: 1760, cons_msgs: 2640, direct_msgs: 443, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 }");
 }
