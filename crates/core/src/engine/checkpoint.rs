@@ -108,15 +108,21 @@ impl Engine {
 
     /// A state transfer delivered the donor's request-dedup table for the
     /// checkpoint at `base`. Adopted only when it hashes to the *certified*
-    /// [`CheckpointData::exec_digest`] (the donor is untrusted). Adoption
-    /// also lets go of every request the table proves executed — without
-    /// this, a replacement node keeps long-completed requests outstanding
-    /// forever, its progress watchdog spirals through views, and it ends
-    /// up isolated (a cascade the chaos explorer found).
+    /// [`CheckpointData::exec_digest`] (the donor is untrusted); execution,
+    /// paused at `base` since [`Effect::StateTransfer`], then resumes, so
+    /// every slot from `base` on executes against the certified table.
+    /// Adoption also lets go of every request the table proves executed —
+    /// without this, a replacement node keeps long-completed requests
+    /// outstanding forever, its progress watchdog spirals through views,
+    /// and it ends up isolated (a cascade the chaos explorer found).
     pub fn on_exec_table(&mut self, base: Slot, table: Vec<(ClientId, u64)>) -> Vec<Effect> {
         let certified = &self.checkpoint.data;
         if certified.base == base && exec_table_digest(&table) == certified.exec_digest {
             self.requests.adopt_exec_table(table);
+            if self.snapshot_pending == Some(base) {
+                self.snapshot_pending = None;
+                self.try_execute();
+            }
             self.propose_ready();
         }
         std::mem::take(&mut self.out)
@@ -221,7 +227,9 @@ impl Engine {
             // a snapshot transfer — verified against the certified digests,
             // so the serving peer is not trusted — then resume from `base`.
             // The transferred state stands in for the snapshot we never
-            // took: the next one is due a window later.
+            // took: execution waits at `base` for it as for one of ours
+            // ([`Engine::on_exec_table`]), and the next is due a window
+            // later.
             self.out.push(Effect::StateTransfer {
                 base,
                 app_digest: c.data.app_digest,
@@ -229,7 +237,7 @@ impl Engine {
             });
             self.exec_next = base;
             self.snapshot_base = base;
-            self.snapshot_pending = None;
+            self.snapshot_pending = Some(base);
         }
         if self.next_slot < base {
             self.next_slot = base;

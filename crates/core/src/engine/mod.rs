@@ -96,18 +96,21 @@ pub struct Engine {
     /// past it for the next one.
     snapshot_base: Slot,
     /// The base of a snapshot requested and not yet answered: execution is
-    /// paused there until [`Engine::on_snapshot`].
+    /// paused there until [`Engine::on_snapshot`] — or, for a state
+    /// transfer's, until [`Engine::on_exec_table`] adopts its dedup table.
     snapshot_pending: Option<Slot>,
     state: BTreeMap<ReplicaId, PeerState>,
     slots: BTreeMap<Slot, SlotState>,
     byzantine: BTreeSet<ReplicaId>,
     /// Client requests, from receipt to reclaim (§5.4).
     requests: Requests,
-    /// Slots whose PREPARE on the current leader's stream we hold back until
-    /// its requests arrive directly (§5.4). The PREPARE itself lives in
-    /// that stream's [`PeerState::prepares`] and nowhere else; this only
-    /// says where to look, so a request with nothing held costs one empty
-    /// check.
+    /// Slots whose PREPARE on the current leader's stream we hold back, in
+    /// any view, because some request of it is not held here and its
+    /// leader's NEW_VIEW does not force it (§5.4). Only the arrival of its
+    /// requests releases it; a peer's CERTIFY share does not. The PREPARE
+    /// itself lives in that stream's [`PeerState::prepares`] and nowhere
+    /// else; this only says where to look, so a request with nothing held
+    /// costs one empty check.
     held: BTreeSet<Slot>,
     /// Summary gating (Algorithm 4).
     my_ctb_sent: u64,

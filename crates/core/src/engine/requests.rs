@@ -1,8 +1,10 @@
 //! §5.4, a client request's life at one replica: the client sends to every
 //! replica, followers echo to the leader, the leader proposes once everybody
-//! holds the request (or the echo round times out), a follower endorses a
-//! PREPARE only for requests it holds itself, and execution answers the
-//! first occurrence only. One record per request says where it is:
+//! holds the request (or the echo round times out with `f` echoes), a
+//! follower endorses a PREPARE only for requests it holds itself — in every
+//! view, unless the leader's NEW_VIEW forces the batch — and execution
+//! answers the first occurrence only. One record per request says where it
+//! is:
 //!
 //! ```text
 //!            receive / echo          queue             next_batch          execute
@@ -16,7 +18,7 @@
 //! |---|---|
 //! | `receive` | `on_client_request` |
 //! | `echo` | `on_echo`, at the leader |
-//! | `queue` | `on_client_request` and `on_echo` once enough followers echoed; `echo_timeout`, solo |
+//! | `queue` | `on_client_request` and `on_echo` once enough followers echoed; `echo_timeout`, solo, once `f` did |
 //! | `queue_outstanding` | `enter_view_as_leader`, `reecho_outstanding` |
 //! | `next_batch` | `propose_ready` |
 //! | `execute` | `try_execute` |
@@ -203,15 +205,16 @@ impl Requests {
         first
     }
 
-    /// Merges a certified dedup table (a state transfer's) into ours, in
+    /// Replaces our dedup table by a certified one (a state transfer's), in
     /// its order — least recently written first, so that from now on we
-    /// evict what its signers evict — and lets go of every request it
-    /// proves executed, or a replacement node would keep long-completed
-    /// requests outstanding for good.
+    /// evict what its signers evict. Execution waited at the table's base
+    /// for it, so it covers everything we executed. Then lets go of every
+    /// request the table proves executed, or a replacement node would keep
+    /// long-completed requests outstanding for good.
     pub(super) fn adopt_exec_table(&mut self, table: Vec<(ClientId, u64)>) {
+        self.executed.clear();
         for (client, seq) in table {
-            let hi = self.executed.get(&client).copied().unwrap_or(0);
-            self.executed.insert(client, hi.max(seq));
+            self.executed.insert(client, seq);
         }
         let executed = &self.executed;
         self.records.retain(|id, _| executed.get(&id.client).is_none_or(|hi| *hi <= id.seq));
@@ -238,9 +241,11 @@ impl Requests {
         self.records.get(&id).map(|r| r.request(id))
     }
 
-    /// Whether anything held is still waiting to execute — whoever leads.
-    pub(super) fn has_pending(&self) -> bool {
-        self.live().next().is_some()
+    /// Whether anything held is still waiting to execute — whoever leads —
+    /// leaving out a request not yet proposed that fewer than `vouched`
+    /// followers echoed.
+    pub(super) fn has_pending(&self, vouched: usize) -> bool {
+        self.live().any(|(_, r)| r.stage != Stage::Seen || r.echoed.len() >= vouched)
     }
 
     fn live(&self) -> impl Iterator<Item = (&RequestId, &Record)> {

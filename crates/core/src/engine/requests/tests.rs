@@ -33,9 +33,10 @@ fn a_request_walks_every_stage_once() {
     let a = id(1, 0);
     assert_eq!(l.receive(req(1, 0)), None);
     assert_eq!(stage(&l, a), Some(Stage::Seen));
-    assert!(l.has_pending());
+    assert!(l.has_pending(0) && !l.has_pending(1));
     // One echo of two: not ready. Twice the same follower is one echo.
     assert!(l.echo(R1, req(1, 0)) && l.echo(R1, req(1, 0)));
+    assert!(l.has_pending(1) && !l.has_pending(2));
     assert!(!l.queue(a, false, 2));
     assert!(l.echo(R2, req(1, 0)));
     assert!(l.queue(a, false, 2));
@@ -46,7 +47,7 @@ fn a_request_walks_every_stage_once() {
     assert_eq!(l.counts(), (1, 1, 0));
     assert!(l.execute(a));
     assert_eq!(stage(&l, a), Some(Stage::Executed));
-    assert!(!l.has_pending());
+    assert!(!l.has_pending(0));
     // Still held, so a PREPARE that re-proposes it can be endorsed.
     assert!(l.endorsed(&Batch::single(req(1, 0))));
     l.reclaim();
@@ -173,13 +174,17 @@ fn a_certified_table_lets_go_of_what_it_proves_executed() {
         l.receive(req(client, seq));
         l.queue(id(client, seq), false, 0);
     }
-    l.execute(id(3, 5));
+    // Executed here below the table's base, where execution waited for it:
+    // the table accounts for it.
+    l.execute(id(5, 0));
     // Client 1 executed up to sequence 0, client 2 nothing we hold, and
-    // the table never lowers what we executed ourselves.
-    l.adopt_exec_table(vec![(ClientId(1), 1), (ClientId(3), 2), (ClientId(4), 7)]);
+    // client 3 up to sequence 5.
+    let table = vec![(ClientId(1), 1), (ClientId(3), 6), (ClientId(4), 7), (ClientId(5), 1)];
+    l.adopt_exec_table(table.clone());
     assert_eq!(ids(l.next_batch(8)), [id(1, 1), id(2, 0)]);
     assert_eq!(l.counts(), (2, 2, 0));
-    assert_eq!(l.exec_table(), [(ClientId(1), 1), (ClientId(3), 6), (ClientId(4), 7)]);
+    // The table replaces ours, in its own order.
+    assert_eq!(l.exec_table(), table);
     assert_eq!(l.receive(req(4, 6)), Some(Stage::Executed));
     assert_eq!(l.receive(req(4, 7)), None);
 }

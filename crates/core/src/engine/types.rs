@@ -268,8 +268,8 @@ pub struct EngineDiag {
     pub in_flight: u64,
     /// Stable checkpoint base.
     pub checkpoint_base: Slot,
-    /// A snapshot requested and not yet answered: execution is paused at
-    /// this slot.
+    /// A snapshot requested, or a state transfer asked for, and not yet
+    /// answered: execution is paused at this slot.
     pub snapshot_pending: Option<Slot>,
     /// Streams whose head is a `CHECKPOINT` still waiting for the proof of
     /// its certificate.

@@ -27,8 +27,13 @@ impl Engine {
         self.out.push(Effect::ArmTimer { kind: TimerKind::Progress });
     }
 
+    /// A leader leaves out a request fewer than `f` followers vouched for
+    /// by their echoes: it will not propose that one ([`Engine::echo_timeout`]),
+    /// and a view change is no remedy for a client that sent it to the
+    /// leader alone.
     fn has_pending_work(&self) -> bool {
-        self.requests.has_pending()
+        let vouched = if self.is_leader() { self.quorum() - 1 } else { 0 };
+        self.requests.has_pending(vouched)
             || self.slots.values().any(|s| s.prepare.is_some() && s.decided.is_none())
     }
 

@@ -24,12 +24,12 @@ impl Request {
     /// The no-op request a new leader proposes for slots it must fill but
     /// for which no request may have been applied.
     pub fn noop(slot: Slot) -> Self {
-        Request { id: RequestId::new(ClientId(u32::MAX), slot.0), payload: Vec::new() }
+        Request { id: RequestId::new(ClientId::NOOP, slot.0), payload: Vec::new() }
     }
 
     /// Whether this is a view-change filler no-op.
     pub fn is_noop(&self) -> bool {
-        self.id.client == ClientId(u32::MAX)
+        self.id.client == ClientId::NOOP
     }
 
     /// Content digest used in certificates and response matching.

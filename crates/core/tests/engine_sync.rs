@@ -14,7 +14,7 @@ use ubft_core::engine::{
     Effect::{self, RequestSnapshot},
     Engine, EngineConfig, PathMode, ShareOf, TimerKind,
 };
-use ubft_core::harness::{EngineNet, Move};
+use ubft_core::harness::{EngineNet, Lane, Move};
 use ubft_core::msg::{
     exec_table_digest, summary_sign_bytes, vc_sign_bytes, Batch, CheckpointCert, CheckpointData,
     CommitCert, CtbMsg, DirectMsg, Prepare, Request, StateSummary, TbMsg,
@@ -536,51 +536,74 @@ fn batched_decisions_survive_view_change() {
 
 #[test]
 fn echo_timeout_requests_are_batched_alone() {
-    // A Byzantine client sends its request only to the leader, so the echo
-    // round never completes and the EchoFallback timer proposes it. That
-    // request must get a slot of its own: co-batching it with fully-echoed
-    // honest requests would make followers hold the whole prepare (§5.4)
-    // and knock the honest requests off the fast path as collateral.
-    let mut net = Net::new(batched_config(PathMode::FastOnly, 8, 1));
-    // Honest request 0 reaches everyone and decides (fills the pipeline is
-    // not an issue: it executes within the drain).
+    // A Byzantine client sends its request to the leader and r1 only, so the
+    // echo round never completes and the EchoFallback timer proposes it: `f`
+    // followers echoed it. That request must get a slot of its own:
+    // co-batching it with fully-echoed honest requests would make r2 hold
+    // the whole prepare (§5.4) and knock the honest requests off the fast
+    // path as collateral.
+    let mut net = Net::new(batched_config(PathMode::FastWithFallback, 8, 1));
+    // Honest request 0 reaches everyone and decides.
     net.client_request(0, b"honest-0");
-    // Byzantine client: request seen by the leader only.
-    let byz = Request { id: RequestId::new(ClientId(2), 0), payload: b"leader-only".to_vec() };
-    let fx = net.engines[0].on_client_request(byz);
-    net.emit(0, fx);
+    let byz = Request { id: RequestId::new(ClientId(2), 0), payload: b"r0-and-r1".to_vec() };
+    for r in [0, 1] {
+        let fx = net.engines[r].on_client_request(byz.clone());
+        net.emit(r, fx);
+    }
     net.run();
     // Two more honest requests queue up behind it.
     net.client_request_no_drain(1, b"honest-1");
     net.client_request_no_drain(2, b"honest-2");
     net.run();
-    // The leader proposes the Byzantine request on fallback.
+    // The leader proposes the Byzantine request on fallback; r0 and r1
+    // certify it on the slow path while r2 holds its PREPARE.
     net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
-    // Every honest request executed everywhere — none were trapped in a
-    // held batch with the leader-only request.
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     for r in 0..3 {
-        let payloads: Vec<&[u8]> = net.executed[r].iter().map(|(_, q)| &q.payload[..]).collect();
-        assert!(payloads.contains(&b"honest-0".as_slice()), "replica {r}");
-        assert!(payloads.contains(&b"honest-1".as_slice()), "replica {r}");
-        assert!(payloads.contains(&b"honest-2".as_slice()), "replica {r}");
+        let payloads = payloads(&net.executed[r]);
+        assert_eq!(payloads, [&b"honest-0"[..], b"honest-1", b"honest-2", b"r0-and-r1"], "r{r}");
     }
-    // The leader-only request rode in a singleton batch (held at followers,
-    // so it never executed on the fast path — but it stalled only itself).
-    let solo_batches: Vec<usize> = net
+    // The Byzantine request rode a singleton batch and stalled only itself.
+    let byz_batches: Vec<usize> = net
         .ctb_log
         .iter()
-        .filter(|(s, _)| *s == 0)
-        .filter_map(|(_, m)| match m {
-            CtbMsg::Prepare(p)
-                if p.batch.requests().iter().any(|q| q.payload == b"leader-only") =>
-            {
+        .filter_map(|(s, m)| match m {
+            CtbMsg::Prepare(p) if *s == 0 && p.batch.requests().contains(&byz) => {
                 Some(p.batch.len())
             }
             _ => None,
         })
         .collect();
-    assert_eq!(solo_batches, vec![1], "leader-only request must be proposed alone");
+    assert_eq!(byz_batches, [1], "the fallback request must be proposed alone");
     net.assert_executed_prefix_agreement();
+}
+
+#[test]
+fn a_request_sent_to_the_leader_alone_blocks_no_slot() {
+    // A Byzantine client sends one request to r0 only and never retransmits.
+    // No follower echoes it, so its echo fallback does not propose it: a
+    // slot for it could never gather the f + 1 endorsements it needs, and
+    // every later slot would wait behind it. Nor does r0's watchdog count it.
+    let mut net = new_net(PathMode::FastWithFallback);
+    let byz = Request { id: RequestId::new(ClientId(2), 0), payload: b"leader-only".to_vec() };
+    let fx = net.engines[0].on_client_request(byz);
+    net.emit(0, fx);
+    net.run();
+    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    let honest: Vec<Vec<u8>> = (0..4).map(|i| format!("honest-{i}").into_bytes()).collect();
+    for (seq, payload) in honest.iter().enumerate() {
+        net.client_request(seq as u64, payload);
+        net.fire_timers(|k| !matches!(k, TimerKind::Progress));
+    }
+    for _ in 0..3 {
+        net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    }
+    for r in 0..3 {
+        assert_eq!(payloads(&net.executed[r]), honest, "r{r}");
+        assert_eq!(net.engines[r].view(), View(0), "r{r} changed view");
+    }
+    assert_eq!(net.engines[0].diag().outstanding, 1, "r0 still holds it, unproposed");
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
 }
 
 #[test]
@@ -643,11 +666,13 @@ fn batch_flush_stops_before_solo_requests() {
     // h0 fills the single pipeline slot.
     let fx = echoed(&mut leader, mk(1, 0, b"h0"));
     assert_eq!(batches_in(&mut leader, fx), vec![vec![b"h0".to_vec()]]);
-    // h1 queues (pipeline full), then byz via echo timeout, then h2.
+    // h1 queues (pipeline full), then byz via echo timeout — r1 echoed it,
+    // r2 did not — then h2.
     let byz = mk(2, 0, b"byz");
     let fx = echoed(&mut leader, mk(1, 1, b"h1"));
     assert!(batches_in(&mut leader, fx).is_empty());
     let mut fx = leader.on_client_request(byz.clone());
+    fx.extend(leader.on_echo(ReplicaId(1), byz.clone()));
     fx.extend(leader.on_timer(TimerKind::EchoFallback(byz.id)));
     assert!(batches_in(&mut leader, fx).is_empty());
     let fx = echoed(&mut leader, mk(1, 2, b"h2"));
@@ -2427,6 +2452,65 @@ fn a_held_prepare_does_not_outlive_its_view() {
     net.assert_executed_prefix_agreement();
 }
 
+// ---- One endorsement rule for every view ---------------------------------
+
+/// Executed requests of clients `from..` at replica `r`.
+fn executed_from(net: &Net, r: usize, from: u32) -> usize {
+    net.executed[r].iter().filter(|(_, q)| !q.is_noop() && q.id.client.0 >= from).count()
+}
+
+#[test]
+fn a_leader_in_a_later_view_gets_no_request_executed_that_no_follower_holds() {
+    // Requests are unsigned (§5.4): a leader could name any it likes. View 1
+    // after r0 crashed, led by r1.
+    let mut net = new_net(PathMode::FastWithFallback);
+    net.client_request(0, b"first");
+    net.crashed[0] = true;
+    net.client_request(1, b"second");
+    net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    assert_eq!(net.engines[2].view(), View(1));
+    assert_eq!(net.executed[2].len(), 2);
+    // 50 requests that r1 alone is handed, each with fresh client ids, and
+    // every timer that could carry them fired after each.
+    for client in 100..150 {
+        let req = Request { id: RequestId::new(ClientId(client), 0), payload: vec![client as u8] };
+        let fx = net.engines[1].on_client_request(req);
+        net.emit(1, fx);
+        net.run();
+        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+        net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    }
+    for r in 1..3 {
+        assert_eq!(executed_from(&net, r, 100), 0, "replica {r} executed fabricated requests");
+    }
+    assert!(net.engines[2].diag().request_entries <= 2, "r2 never held them");
+}
+
+#[test]
+fn a_request_only_the_leader_holds_waits_for_the_clients_retransmission() {
+    // r2 has crashed, and the client's first send reaches the leader alone.
+    // Its echo round times out with no follower vouching for it, so r0 does
+    // not propose it: r1 could not endorse it.
+    let mut net = new_net(PathMode::FastWithFallback);
+    net.crashed[2] = true;
+    request_to(&mut net, &[0], 0, b"leader only");
+    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    assert!(!net.ctb_log.iter().any(|(_, m)| matches!(m, CtbMsg::Prepare(_))), "proposed");
+    // The client retransmits to every replica (`client_loop.rs`). r1 echoes
+    // it, the retransmission armed r0's fallback again, and with `f` echoes
+    // r0 proposes it in a slot of its own; r0 and r1 certify it.
+    request_to(&mut net, &[0, 1], 0, b"leader only");
+    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    for r in 0..2 {
+        assert_eq!(payloads(&net.executed[r]), [b"leader only"], "replica {r}");
+    }
+    assert_eq!(net.engines[0].view(), View(0), "no view change was needed");
+    assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+}
+
 // ---- The view change and the proposal queue ------------------------------
 
 /// Applies the oldest pending move that `held` does not keep back, until
@@ -2721,12 +2805,11 @@ fn a_flood_of_fresh_client_ids_leaves_the_dedup_table_at_its_bound() {
     net.assert_executed_prefix_agreement();
 }
 
-#[test]
-fn a_replacement_evicts_what_its_peers_evict() {
-    // Window 16, so the bound is 32 and a checkpoint comes every 16 slots.
-    // 101 clients execute once each, in an order unrelated to their ids:
-    // a table certified and adopted in id order would make the replacement
-    // evict other clients than its peers from its next insert on.
+/// Window 16, so the bound is 32 and a checkpoint comes every 16 slots.
+/// 101 clients execute once each, in an order unrelated to their ids: 31
+/// with every replica up, 30 while r2 is down, and r2 is replaced. Returns
+/// the clients left.
+fn replaced_after_a_churned_window() -> (Net, impl Iterator<Item = u32>) {
     let params = ClusterParams::paper_default().with_window(16);
     let mut net = Net::new(EngineConfig::new(params, PathMode::FastWithFallback));
     let mut clients = (0..101).map(|i| (i * 37 + 11) % 101);
@@ -2740,13 +2823,18 @@ fn a_replacement_evicts_what_its_peers_evict() {
         net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     }
     net.replace(2);
-    assert!(net.engines[2].exec_next() >= Slot(48), "checkpoint not adopted");
+    (net, clients)
+}
 
-    // r2 lags until the checkpoint at 64 hands it what the join could not
-    // replay; from there on it executes in step with its peers.
+/// Runs `clients`' requests; returns how many frontiers all three replicas
+/// shared, and those at which r2's dedup table differed from a peer's.
+fn tables_at_shared_frontiers(
+    net: &mut Net,
+    clients: impl Iterator<Item = u32>,
+) -> (usize, Vec<Slot>) {
     let (mut shared, mut differing) = (0, Vec::new());
     for client in clients {
-        request_from(&mut net, client);
+        request_from(net, client);
         let frontier = net.engines[2].exec_next();
         if net.live_replicas().all(|r| net.engines[r].exec_next() == frontier) {
             shared += 1;
@@ -2756,8 +2844,54 @@ fn a_replacement_evicts_what_its_peers_evict() {
             }
         }
     }
+    (shared, differing)
+}
+
+#[test]
+fn a_replacement_evicts_what_its_peers_evict() {
+    // A table certified and adopted in id order would make the replacement
+    // evict other clients than its peers from its next insert on.
+    let (mut net, clients) = replaced_after_a_churned_window();
+    assert!(net.engines[2].exec_next() >= Slot(48), "checkpoint not adopted");
+
+    // r2 lags until the checkpoint at 64 hands it what the join could not
+    // replay; from there on it executes in step with its peers.
+    let (shared, differing) = tables_at_shared_frontiers(&mut net, clients);
     assert!(shared >= 38, "only {shared} frontiers after the join are shared");
     assert_eq!(differing, [], "the replacement's dedup table differs at these frontiers");
     assert_eq!(net.engines[2].exec_table().len(), 32, "the table is at its bound");
+    assert!(net.brands.is_empty(), "spurious byzantine brands: {:?}", net.brands);
+}
+
+#[test]
+fn a_replacement_waits_at_its_state_transfers_base_for_the_certified_table() {
+    // As above, but the replacement's own effects — the state transfer to
+    // the checkpoint at 64 first among them — wait while its peers execute
+    // past 64. Were r2 to execute past 64 meanwhile, the certified table
+    // would arrive older than what it wrote, and its order would differ.
+    let (mut net, mut clients) = replaced_after_a_churned_window();
+    assert_eq!(net.engines[2].exec_next(), Slot(48), "r2 lags until the checkpoint at 64");
+
+    // Slots 61 to 70, with r2's effects kept back: the peers' snapshot at 64
+    // is still the one a transfer is served from.
+    let r2_local = |m: &Move| m.to == 2 && m.lane == Lane::Local;
+    for client in clients.by_ref().take(10) {
+        let request =
+            Request { id: RequestId::new(ClientId(client), 0), payload: vec![client as u8] };
+        for r in 0..3 {
+            let fx = net.engines[r].on_client_request(request.clone());
+            net.emit(r, fx);
+        }
+        run_except(&mut net, r2_local);
+    }
+    let transfer = |m: &Move| matches!(m.effect, Effect::StateTransfer { base: Slot(64), .. });
+    assert!(net.pending.iter().any(transfer), "r2's transfer to 64 waits");
+    assert_eq!(net.engines[2].exec_next(), Slot(64), "r2 executed past 64 without the table");
+    assert_eq!(net.engines[2].diag().snapshot_pending, Some(Slot(64)));
+    net.run();
+
+    let (shared, differing) = tables_at_shared_frontiers(&mut net, clients);
+    assert_eq!(shared, 30, "every frontier after the transfer is shared");
+    assert_eq!(differing, [], "the replacement's dedup table differs at these frontiers");
     assert!(net.brands.is_empty(), "spurious byzantine brands: {:?}", net.brands);
 }

@@ -35,19 +35,23 @@
 //! 5. **Cross-shard containment** — every keyed request executes in the
 //!    group its key routes to ([`ShardRouter`]), so no request leaks
 //!    across shard boundaries.
+//! 6. **Validity** — every request a correct replica executes, no-ops
+//!    aside, was sent by one of its group's clients (§5.4: requests are
+//!    unsigned, so only the followers' endorsement keeps a Byzantine
+//!    leader from inventing one).
 //!
 //! The auditor is an observer: it charges no virtual time, emits no
 //! events, and consumes no randomness, so an audited run is bit-for-bit
 //! identical to an unaudited one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ubft_apps::ShardRouter;
 use ubft_core::app::App;
 use ubft_core::engine::{DecisionEvidence, DecisionRecord};
 use ubft_crypto::{sha256, Digest};
 use ubft_sim::failure::Fault;
-use ubft_types::{RequestId, Slot};
+use ubft_types::{ClientId, RequestId, Slot};
 
 use crate::group::{GroupRuntime, SNAPSHOT_RETAIN};
 
@@ -82,6 +86,10 @@ pub enum AuditMutation {
         /// The sabotaged replica.
         replica: usize,
     },
+    /// Every replica of the group is handed one request, under a client id
+    /// the group does not have, that no client port sent. Caught by the
+    /// validity invariant.
+    UnsentRequest,
 }
 
 /// Which invariant a violation breaks.
@@ -98,6 +106,8 @@ pub enum ViolationKind {
     BoundedMemory,
     /// A request executed in a group its key does not route to.
     ShardContainment,
+    /// A request executed that no client sent.
+    Validity,
 }
 
 /// One invariant violation, locatable enough to debug from the report.
@@ -199,6 +209,8 @@ struct GroupAudit {
     /// Register-bank bytes per memory node at build time; they may never
     /// grow (bounded disaggregated memory).
     disagg_bytes_at_build: usize,
+    /// Every request the group's client ports sent.
+    sent: BTreeSet<RequestId>,
 }
 
 /// The omniscient auditor: one per deployment, observing every group.
@@ -241,6 +253,7 @@ impl Auditor {
                     checkpoint_digests: BTreeMap::new(),
                     replicas,
                     disagg_bytes_at_build: g.disagg_bytes_per_node(),
+                    sent: BTreeSet::new(),
                 }
             })
             .collect();
@@ -339,6 +352,11 @@ impl Auditor {
         }
     }
 
+    /// A client port of `group` sent request `id`.
+    pub(crate) fn on_send(&mut self, group: usize, id: RequestId) {
+        self.groups[group].sent.insert(id);
+    }
+
     /// A replica executed one request of a slot (in intra-slot order).
     /// `payload` is the bytes actually applied to the application and
     /// `response` the bytes it returned.
@@ -376,6 +394,16 @@ impl Auditor {
                     );
                 }
             }
+        }
+        // Validity: what executes was sent, no-ops aside.
+        if id.client != ClientId::NOOP && !self.groups[group].sent.contains(&id) {
+            self.violate(
+                group,
+                Some(replica),
+                Some(slot),
+                ViolationKind::Validity,
+                format!("executed request {id:?}, which no client sent"),
+            );
         }
         // Certified-commit coverage: an execution without a recorded
         // decision is a slot that was never decided on this replica.

@@ -35,9 +35,9 @@ pub(crate) enum ClientTimer {
 
 /// What a deployment backend provides to its group's [`ClientLoop`].
 pub(crate) trait ClientPort {
-    /// Puts `bytes`, client `c`'s encoded in-flight request, on
+    /// Puts `bytes`, client `c`'s encoded in-flight request `id`, on
     /// `Lane::ClientReq` toward each of `replicas`.
-    fn send(&mut self, c: usize, bytes: &[u8], replicas: &[ReplicaId]);
+    fn send(&mut self, c: usize, id: RequestId, bytes: &[u8], replicas: &[ReplicaId]);
 
     /// Arms `timer` for client `c` to fire `after` from now.
     fn arm(&mut self, c: usize, timer: ClientTimer, after: Duration);
@@ -176,7 +176,7 @@ impl<W: FnMut(u64) -> Option<Vec<u8>> + ?Sized> ClientLoop<W> {
         if let Some(req) = client.request() {
             self.scratch.clear();
             req.encode(&mut self.scratch);
-            port.send(c, &self.scratch, client.replicas());
+            port.send(c, id, &self.scratch, client.replicas());
         }
         port.arm(c, ClientTimer::Retry(id), client_retry_period());
     }

@@ -454,9 +454,9 @@ struct FakePort {
 }
 
 impl ClientPort for FakePort {
-    fn send(&mut self, c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
-        let req = Request::from_bytes(bytes).expect("an encoded request");
-        self.sent.push((c, req.id, replicas.len()));
+    fn send(&mut self, c: usize, id: RequestId, bytes: &[u8], replicas: &[ReplicaId]) {
+        assert_eq!(Request::from_bytes(bytes).map(|req| req.id), Ok(id), "the encoded request");
+        self.sent.push((c, id, replicas.len()));
     }
 
     fn arm(&mut self, c: usize, timer: ClientTimer, after: Duration) {

@@ -32,7 +32,9 @@ use ubft_transport::channel::{
     create_channel, ChannelReceiver, ChannelSender, ChannelSpec, SendOutcome,
 };
 use ubft_types::wire::Wire;
-use ubft_types::{Duration, FixedMap, ProcessId, ReplicaId, SeqId, Slot, Time};
+use ubft_types::{
+    ClientId, Duration, FixedMap, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time,
+};
 
 use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
@@ -510,11 +512,26 @@ struct SimClientPort<'a, 'b> {
 }
 
 impl ClientPort for SimClientPort<'_, '_> {
-    fn send(&mut self, c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
+    fn send(&mut self, c: usize, id: RequestId, bytes: &[u8], replicas: &[ReplicaId]) {
         let env = &mut *self.env;
+        if let Some(aud) = self.sh.audit.as_mut() {
+            aud.on_send(env.gid as usize, id);
+        }
+        // Auditor self-test: the first request of the run brings along one
+        // that no port sent, named after a client the group does not have.
+        let unsent = (env.cfg.audit_mutation == Some(AuditMutation::UnsentRequest)
+            && id == RequestId::new(ClientId(0), 0))
+        .then(|| {
+            let req = Request::from_bytes(bytes).expect("an encoded request");
+            let id = RequestId::new(ClientId(env.cfg.n_clients as u32), 0);
+            Request { id, ..req }.to_bytes()
+        });
         env.counters.rpc_msgs += replicas.len() as u64;
         for to in replicas {
-            env.channel_send(self.sh, Lane::ClientReq, env.n() + c, to.0 as usize, bytes, self.at);
+            for bytes in std::iter::once(bytes).chain(unsent.as_deref()) {
+                let to = to.0 as usize;
+                env.channel_send(self.sh, Lane::ClientReq, env.n() + c, to, bytes, self.at);
+            }
         }
     }
 

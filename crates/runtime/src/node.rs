@@ -675,8 +675,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         // The restored state must hash to the *certified* digest, or the
         // transfer is treated as missed (the next checkpoint retries from
         // another source) — as it is when there was nothing to restore
-        // from (no snapshots retained, or extreme lag). The engine
-        // fast-forwards regardless, so the application may have diverged.
+        // from (no snapshots retained, or extreme lag). The engine waits
+        // at `base` until then: it executes nothing on a state it could
+        // not verify.
         let Some((bytes, table)) = fetched.filter(|_| self.app.snapshot_digest() == app_digest)
         else {
             self.transfer_misses += 1;

@@ -56,7 +56,7 @@ use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
-use ubft_types::{ProcessId, ReplicaId, SeqId, Time};
+use ubft_types::{ProcessId, ReplicaId, RequestId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
@@ -544,7 +544,7 @@ impl DriverThread {
 impl ClientPort for DriverThread {
     /// Copied once into one shared buffer that each replica's inbox gets
     /// a handle on.
-    fn send(&mut self, _c: usize, bytes: &[u8], replicas: &[ReplicaId]) {
+    fn send(&mut self, _c: usize, _id: RequestId, bytes: &[u8], replicas: &[ReplicaId]) {
         let bytes: Arc<[u8]> = bytes.into();
         for to in replicas {
             let node = self.replicas + to.0;

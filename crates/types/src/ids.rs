@@ -14,6 +14,12 @@ pub struct ReplicaId(pub u32);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
+impl ClientId {
+    /// The client no-op requests are filed under: a new leader's filler
+    /// for a slot it must close, which no client sends.
+    pub const NOOP: ClientId = ClientId(u32::MAX);
+}
+
 /// Identifier of a passive disaggregated-memory node (one of `2f_m + 1`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemNodeId(pub u32);

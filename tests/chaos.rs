@@ -343,6 +343,17 @@ fn auditor_catches_corrupted_execution() {
 }
 
 #[test]
+fn auditor_catches_an_executed_request_no_client_sent() {
+    // Every replica is handed one request that no client port sent: the
+    // followers hold it, so it is endorsed and executes everywhere, in
+    // agreement and replayed by the model — validity is what must flag it.
+    let audit = mutated_audit(AuditMutation::UnsentRequest);
+    assert!(!audit.is_clean(), "auditor missed the unsent request");
+    let kinds: Vec<ViolationKind> = audit.violations.iter().map(|v| v.kind).collect();
+    assert_eq!(kinds, [ViolationKind::Validity; 3], "{:#?}", audit.violations);
+}
+
+#[test]
 fn auditor_does_not_cry_wolf() {
     // The exact configuration of the mutation tests, minus the mutation:
     // a clean bill, or the three tests above prove nothing.
