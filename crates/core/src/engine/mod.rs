@@ -439,7 +439,7 @@ impl Engine {
         match kind {
             TimerKind::Progress => self.progress_timeout(),
             TimerKind::SlotSlowTrigger(slot) => self.slot_slow_trigger(slot),
-            TimerKind::EchoFallback(id) => self.echo_timeout(id),
+            TimerKind::EchoFallback => self.echo_sweep(),
         }
         std::mem::take(&mut self.out)
     }

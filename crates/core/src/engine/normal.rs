@@ -65,11 +65,11 @@ impl Engine {
                 let req = self.requests.get(id).expect("just received");
                 let msg = DirectMsg::Echo { req };
                 self.out.push(Effect::SendReplica { to: self.leader(), msg });
-            } else if !self.queue_if_echoed(id) && matches!(before, None | Some(Stage::Seen)) {
-                // Armed again by a retransmission, which the followers get
-                // too: their echoes may be what [`Engine::echo_timeout`]
-                // was missing.
-                self.out.push(Effect::ArmTimer { kind: TimerKind::EchoFallback(id) });
+            } else if !self.queue_if_echoed(id) && self.requests.await_echoes(id) {
+                // Marked again by a retransmission, which the followers get
+                // too: their echoes may be what [`Engine::echo_sweep`] was
+                // missing.
+                self.out.push(Effect::ArmTimer { kind: TimerKind::EchoFallback });
             }
             if before.is_none() {
                 // A held prepare may now be acceptable.
@@ -93,22 +93,25 @@ impl Engine {
         std::mem::take(&mut self.out)
     }
 
-    /// The echo-fallback timer for `id` fired: propose without full echoes,
-    /// but only once `f` followers echoed it. With the leader those are the
-    /// `f + 1` holders its slot needs to be endorsed (§5.4); a request fewer
-    /// hold is not proposed, so a client that sends to the leader alone
-    /// blocks no slot. A correct client's retransmission brings the echoes.
-    /// Some follower may never have seen the request (that is why the timer
-    /// fired), so it goes into a slot of its own.
-    pub(super) fn echo_timeout(&mut self, id: RequestId) {
-        if self.is_leader() {
-            self.requests.queue(id, true, self.quorum() - 1);
+    /// The echo-fallback sweep fired: propose without full echoes what has
+    /// waited since the previous firing, but only once `f` followers echoed
+    /// it. With the leader those are the `f + 1` holders its slot needs to
+    /// be endorsed (§5.4); a request fewer hold is not proposed, so a
+    /// client that sends to the leader alone blocks no slot. A correct
+    /// client's retransmission brings the echoes. Some follower may never
+    /// have seen the request (that is why it waited), so it goes into a
+    /// slot of its own. One timer serves every waiting request, and it is
+    /// armed again only while one waits; a deposed leader stops it.
+    pub(super) fn echo_sweep(&mut self) {
+        let leading = self.is_leader().then(|| self.quorum() - 1);
+        if self.requests.sweep_echo_waits(leading) {
+            self.out.push(Effect::ArmTimer { kind: TimerKind::EchoFallback });
         }
         self.propose_ready();
     }
 
     /// Echo round: all followers must have echoed (they hold the request)
-    /// before the leader proposes; the EchoFallback timer covers Byzantine
+    /// before the leader proposes; the echo-fallback sweep covers Byzantine
     /// silence. After a view change the echo requirement is dropped: the
     /// old leader, likely the reason for the change, would never echo, and
     /// waiting out the fallback for it cost a degraded group 100 µs per

@@ -18,7 +18,9 @@
 //! |---|---|
 //! | `receive` | `on_client_request` |
 //! | `echo` | `on_echo`, at the leader |
-//! | `queue` | `on_client_request` and `on_echo` once enough followers echoed; `echo_timeout`, solo, once `f` did |
+//! | `await_echoes` | `on_client_request`, at the leader, for a `Seen` request its followers have not all echoed (a retransmission marks it again) |
+//! | `queue` | `on_client_request` and `on_echo` once enough followers echoed |
+//! | `sweep_echo_waits` | `echo_sweep`: queues, solo, a request that waited a whole sweep period and `f` followers echoed; lets every wait go at a replica that no longer leads |
 //! | `queue_outstanding` | `enter_view_as_leader`, `reecho_outstanding` |
 //! | `next_batch` | `propose_ready` |
 //! | `execute` | `try_execute` |
@@ -33,6 +35,12 @@
 //! (a leader that leads again does not propose the request a second time),
 //! and an `Executed` record stays until the next checkpoint so that a
 //! PREPARE re-proposing it can still be endorsed.
+//!
+//! A leader's echo fallback is one sweep, not one timer per request: a
+//! `Seen` request that waits for echoes carries a mark (`EchoWait`), each
+//! firing of the one armed timer falls back on the requests it found
+//! marked at the previous firing and marks those waiting now, and the
+//! timer is armed again only while some request still waits.
 
 use std::collections::VecDeque;
 
@@ -57,6 +65,19 @@ pub(super) enum Stage {
     Executed,
 }
 
+/// Leader: how long a `Seen` request has waited for its echo round, in
+/// firings of the fallback sweep ([`Requests::sweep_echo_waits`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EchoWait {
+    /// Not waiting: fully echoed, at a replica that does not lead, or given
+    /// up on by a sweep until its client retransmits.
+    No,
+    /// Started waiting after the last firing.
+    Fresh,
+    /// Already waiting at the last firing: the next one falls back.
+    Due,
+}
+
 /// What is held about one request, filed under its id.
 #[derive(Debug)]
 struct Record {
@@ -64,6 +85,8 @@ struct Record {
     /// Leader: the followers that echoed it, each once.
     echoed: Vec<ReplicaId>,
     stage: Stage,
+    /// Leader: meaningful while the stage is `Seen`.
+    wait: EchoWait,
 }
 
 impl Record {
@@ -92,6 +115,8 @@ pub(super) struct Requests {
     /// which reflects receipt timing: the bound is what protects a request
     /// in flight, the same on every replica.
     executed: LruMap<ClientId, u64>,
+    /// Leader: the echo-fallback sweep's timer is armed.
+    sweeping: bool,
 }
 
 impl Requests {
@@ -100,6 +125,7 @@ impl Requests {
             records: FixedMap::with_hasher(hasher),
             queue: VecDeque::new(),
             executed: LruMap::new(client_table_cap, hasher),
+            sweeping: false,
         }
     }
 
@@ -118,7 +144,8 @@ impl Requests {
         }
         let before = self.records.get(&id).map(|r| r.stage);
         if before.is_none() {
-            let record = Record { payload, echoed: Vec::new(), stage: Stage::Seen };
+            let record =
+                Record { payload, echoed: Vec::new(), stage: Stage::Seen, wait: EchoWait::No };
             self.records.insert(id, record);
         }
         before
@@ -137,6 +164,47 @@ impl Requests {
             }
         }
         live
+    }
+
+    /// Leader: `id` waits for its echo round, if it is held and not
+    /// proposed yet (nor queued). A request that waits already keeps its
+    /// mark, however often its client retransmits; one a sweep gave up on
+    /// waits again. Says whether the sweep's timer must be armed: it was
+    /// idle.
+    pub(super) fn await_echoes(&mut self, id: RequestId) -> bool {
+        let Some(r) = self.records.get_mut(&id).filter(|r| r.stage == Stage::Seen) else {
+            return false;
+        };
+        if r.wait == EchoWait::No {
+            r.wait = EchoWait::Fresh;
+        }
+        !std::mem::replace(&mut self.sweeping, true)
+    }
+
+    /// The echo-fallback sweep's timer fired. At the leader, `echoes_needed`
+    /// is `Some(f)`: queues, solo and in [`RequestId`] order, every request
+    /// still waiting since the previous firing that at least `f` followers
+    /// echoed (a request fewer echoed waits no longer: its client's
+    /// retransmission marks it again), and marks the requests that wait
+    /// now for the next firing. At a replica that no longer leads it is
+    /// `None`: nothing waits there any more. Says whether anything waits,
+    /// that is whether to arm the timer again.
+    pub(super) fn sweep_echo_waits(&mut self, echoes_needed: Option<usize>) -> bool {
+        let (mut due, mut waiting) = (Vec::new(), false);
+        for (id, r) in self.records.iter_mut().filter(|(_, r)| r.wait != EchoWait::No) {
+            let waits = r.stage == Stage::Seen && echoes_needed.is_some();
+            if waits && r.wait == EchoWait::Due {
+                due.push(*id);
+            }
+            r.wait = if waits && r.wait == EchoWait::Fresh { EchoWait::Due } else { EchoWait::No };
+            waiting |= r.wait == EchoWait::Due;
+        }
+        due.sort_unstable();
+        for id in due {
+            self.queue(id, true, echoes_needed.expect("a request is due only at the leader"));
+        }
+        self.sweeping = waiting;
+        waiting
     }
 
     /// Leader: queues `id` if it is held, not proposed yet (nor queued) and

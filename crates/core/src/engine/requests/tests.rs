@@ -188,3 +188,55 @@ fn a_certified_table_lets_go_of_what_it_proves_executed() {
     assert_eq!(l.receive(req(4, 6)), Some(Stage::Executed));
     assert_eq!(l.receive(req(4, 7)), None);
 }
+
+fn wait_marks(l: &Requests) -> usize {
+    l.records.values().filter(|r| r.wait != EchoWait::No).count()
+}
+
+#[test]
+fn a_retransmitted_request_carries_one_wait_mark() {
+    let mut l = ledger();
+    let a = id(1, 0);
+    l.receive(req(1, 0));
+    assert!(l.await_echoes(a), "the first wait arms the sweep");
+    for _ in 0..1_000 {
+        assert_eq!(l.receive(req(1, 0)), Some(Stage::Seen));
+        assert!(!l.await_echoes(a));
+    }
+    assert_eq!(wait_marks(&l), 1);
+    // Marked at the first firing, and retransmissions do not postpone its
+    // fallback: with `f` echoes the second firing queues it, alone.
+    assert!(l.sweep_echo_waits(Some(1)), "armed again while it waits");
+    for _ in 0..1_000 {
+        l.receive(req(1, 0));
+        assert!(!l.await_echoes(a));
+    }
+    assert!(l.echo(R1, req(1, 0)));
+    assert!(!l.sweep_echo_waits(Some(1)), "armed again with nothing waiting");
+    assert_eq!(stage(&l, a), Some(SOLO));
+    assert_eq!((wait_marks(&l), l.counts()), (0, (1, 1, 1)));
+}
+
+#[test]
+fn a_sweep_gives_up_on_a_request_short_of_f_echoes_until_it_is_retransmitted() {
+    let mut l = ledger();
+    let (a, b) = (id(1, 0), id(2, 0));
+    l.receive(req(1, 0));
+    l.receive(req(2, 0));
+    assert!(l.await_echoes(a) && !l.await_echoes(b));
+    // b is fully echoed and queued before the first firing; a is not.
+    assert!(l.echo(R1, req(2, 0)) && l.echo(R2, req(2, 0)) && l.queue(b, false, 2));
+    assert!(l.sweep_echo_waits(Some(1)) && !l.sweep_echo_waits(Some(1)));
+    assert_eq!((stage(&l, a), stage(&l, b)), (Some(Stage::Seen), Some(SHARED)));
+    // The sweep stopped; a retransmission makes a wait again and arms it.
+    assert!(l.await_echoes(a));
+    assert!(l.echo(R1, req(1, 0)));
+    assert!(l.sweep_echo_waits(Some(1)) && !l.sweep_echo_waits(Some(1)));
+    assert_eq!(stage(&l, a), Some(SOLO));
+    // Nothing waits at a replica that stops leading, and its sweep stops.
+    l.receive(req(3, 0));
+    assert!(l.await_echoes(id(3, 0)));
+    assert!(!l.sweep_echo_waits(None));
+    assert_eq!(wait_marks(&l), 0);
+    assert!(l.await_echoes(id(3, 0)), "the sweep did not stop");
+}

@@ -2,7 +2,7 @@
 //! driver to execute, the timers it arms, and what it reports about itself.
 
 use ubft_crypto::Digest;
-use ubft_types::{ClusterParams, ReplicaId, RequestId, SeqId, Slot, View};
+use ubft_types::{ClusterParams, ReplicaId, SeqId, Slot, View};
 
 #[cfg(doc)]
 use super::Engine;
@@ -103,8 +103,10 @@ pub enum TimerKind {
     Progress,
     /// Fast-path timeout for one slot; starts the slow path.
     SlotSlowTrigger(Slot),
-    /// Echo-round fallback: propose even without all echoes.
-    EchoFallback(RequestId),
+    /// The leader's echo-fallback sweep: propose what waited a whole
+    /// period for its echoes even without all of them. One for all
+    /// requests, armed while any waits.
+    EchoFallback,
 }
 
 /// Metered crypto work, converted to virtual time by the runtime.

@@ -28,7 +28,7 @@ impl Engine {
     }
 
     /// A leader leaves out a request fewer than `f` followers vouched for
-    /// by their echoes: it will not propose that one ([`Engine::echo_timeout`]),
+    /// by their echoes: it will not propose that one ([`Engine::echo_sweep`]),
     /// and a view change is no remedy for a client that sent it to the
     /// leader alone.
     fn has_pending_work(&self) -> bool {

@@ -34,6 +34,14 @@ fn queued_jobs(e: &mut Engine) -> Vec<CryptoJob> {
     e.take_crypto_jobs().collect()
 }
 
+/// Fires the leader's echo-fallback sweep twice: a request that waits for
+/// its echoes is marked at the first firing and falls back at the second.
+fn fire_echo_fallback(net: &mut Net) {
+    for _ in 0..2 {
+        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback));
+    }
+}
+
 fn is_checkpoint_job(job: &CryptoJob) -> bool {
     matches!(
         job.tag,
@@ -127,7 +135,7 @@ fn fallback_timer_completes_via_slow_path_when_fast_path_stalls() {
     net.client_request(0, b"degraded");
     // Echo round incomplete (only 1 of 2 followers alive): leader proposes
     // after the echo-fallback timer.
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     // Fast path cannot reach unanimity (only 2 of 3 alive).
     assert!(net.executed[0].is_empty());
     net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
@@ -254,7 +262,7 @@ fn five_replica_slow_path_with_two_crashes() {
     for i in 0..5u64 {
         net.client_request(i, &i.to_le_bytes());
         // Two followers are dead, so the echo round never completes.
-        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+        fire_echo_fallback(&mut net);
     }
     for r in 0..3 {
         assert_eq!(net.executed[r].len(), 5, "replica {r}");
@@ -537,7 +545,7 @@ fn batched_decisions_survive_view_change() {
 #[test]
 fn echo_timeout_requests_are_batched_alone() {
     // A Byzantine client sends its request to the leader and r1 only, so the
-    // echo round never completes and the EchoFallback timer proposes it: `f`
+    // echo round never completes and the echo-fallback sweep proposes it: `f`
     // followers echoed it. That request must get a slot of its own:
     // co-batching it with fully-echoed honest requests would make r2 hold
     // the whole prepare (§5.4) and knock the honest requests off the fast
@@ -557,7 +565,7 @@ fn echo_timeout_requests_are_batched_alone() {
     net.run();
     // The leader proposes the Byzantine request on fallback; r0 and r1
     // certify it on the slow path while r2 holds its PREPARE.
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     for r in 0..3 {
         let payloads = payloads(&net.executed[r]);
@@ -589,7 +597,7 @@ fn a_request_sent_to_the_leader_alone_blocks_no_slot() {
     let fx = net.engines[0].on_client_request(byz);
     net.emit(0, fx);
     net.run();
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     let honest: Vec<Vec<u8>> = (0..4).map(|i| format!("honest-{i}").into_bytes()).collect();
     for (seq, payload) in honest.iter().enumerate() {
         net.client_request(seq as u64, payload);
@@ -673,7 +681,9 @@ fn batch_flush_stops_before_solo_requests() {
     assert!(batches_in(&mut leader, fx).is_empty());
     let mut fx = leader.on_client_request(byz.clone());
     fx.extend(leader.on_echo(ReplicaId(1), byz.clone()));
-    fx.extend(leader.on_timer(TimerKind::EchoFallback(byz.id)));
+    // The sweep marks it at its first firing and falls back at its second.
+    fx.extend(leader.on_timer(TimerKind::EchoFallback));
+    fx.extend(leader.on_timer(TimerKind::EchoFallback));
     assert!(batches_in(&mut leader, fx).is_empty());
     let fx = echoed(&mut leader, mk(1, 2, b"h2"));
     assert!(batches_in(&mut leader, fx).is_empty());
@@ -730,7 +740,7 @@ fn fast_path_is_signature_free() {
 /// timers carry the slot.
 fn decide_degraded(net: &mut Net, seq: u64, payload: &[u8]) {
     net.client_request(seq, payload);
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(net);
     net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
 }
 
@@ -752,7 +762,7 @@ fn slot_trigger_suspects_the_silent_replica_and_its_join_clears_it() {
     // slot decides with no slow trigger armed, let alone fired. (The echo
     // round still waits for the dead follower; that wait is out of scope.)
     net.client_request(1, b"degraded");
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     for r in 0..2 {
         assert_eq!(net.executed[r].len(), 2, "replica {r} waited for a timer");
         assert_eq!(slot_triggers_armed(&net, r), 0, "replica {r} armed a slow trigger");
@@ -2422,7 +2432,7 @@ fn a_held_prepare_does_not_outlive_its_view() {
     // X reaches r0 and r1 only; the echo round times out and r0 proposes it
     // anyway. r2 has not seen X and holds PREPARE(view 0, slot 0) (§5.4).
     request_to(&mut net, &[0, 1], 0, b"X");
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     assert!(matches!(net.ctb_log.last(), Some((0, CtbMsg::Prepare(p))) if p.slot == Slot(0)));
     // r0 crashes, Y reaches the survivors, and r2 — alone so far — times out
     // and seals view 1.
@@ -2479,7 +2489,7 @@ fn a_leader_in_a_later_view_gets_no_request_executed_that_no_follower_holds() {
         let fx = net.engines[1].on_client_request(req);
         net.emit(1, fx);
         net.run();
-        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+        fire_echo_fallback(&mut net);
         net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     }
     for r in 1..3 {
@@ -2496,19 +2506,111 @@ fn a_request_only_the_leader_holds_waits_for_the_clients_retransmission() {
     let mut net = new_net(PathMode::FastWithFallback);
     net.crashed[2] = true;
     request_to(&mut net, &[0], 0, b"leader only");
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     assert!(!net.ctb_log.iter().any(|(_, m)| matches!(m, CtbMsg::Prepare(_))), "proposed");
     // The client retransmits to every replica (`client_loop.rs`). r1 echoes
-    // it, the retransmission armed r0's fallback again, and with `f` echoes
+    // it, the retransmission marked it waiting at r0 again, and with `f` echoes
     // r0 proposes it in a slot of its own; r0 and r1 certify it.
     request_to(&mut net, &[0, 1], 0, b"leader only");
-    net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+    fire_echo_fallback(&mut net);
     net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     for r in 0..2 {
         assert_eq!(payloads(&net.executed[r]), [b"leader only"], "replica {r}");
     }
     assert_eq!(net.engines[0].view(), View(0), "no view change was needed");
     assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
+}
+
+// ---- The echo-fallback sweep ----------------------------------------------
+
+fn is_echo_sweep(k: &TimerKind) -> bool {
+    *k == TimerKind::EchoFallback
+}
+
+/// The batches of r0's PREPAREs that carry `id`.
+fn batches_with(net: &Net, id: RequestId) -> Vec<Vec<RequestId>> {
+    let ids = |p: &Prepare| p.batch.requests().iter().map(|q| q.id).collect::<Vec<_>>();
+    let of_r0 = net.ctb_log.iter().filter(|(s, _)| *s == 0);
+    of_r0
+        .filter_map(|(_, m)| match m {
+            CtbMsg::Prepare(p) if ids(p).contains(&id) => Some(ids(p)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_request_short_of_echoes_falls_back_at_the_second_sweep_not_the_first() {
+    // X reaches r0 and r1: `f` followers echo it, not `n - 1`.
+    let mut net = new_net(PathMode::FastWithFallback);
+    request_to(&mut net, &[0, 1], 0, b"X");
+    let x = RequestId::new(ClientId(1), 0);
+    assert_eq!(net.fire_timers(is_echo_sweep), 1);
+    assert_eq!(batches_with(&net, x), Vec::<Vec<RequestId>>::new(), "fell back at the first");
+    assert_eq!(net.fire_timers(is_echo_sweep), 1);
+    assert_eq!(batches_with(&net, x), [[x]], "the second firing proposes it, alone");
+    // Nothing waits any more: the sweep is not armed again.
+    assert_eq!(net.fire_timers(is_echo_sweep), 0);
+}
+
+#[test]
+fn a_request_echoed_between_two_sweeps_is_proposed_once_in_a_shared_batch() {
+    // One slot in flight. H, X and Y reach everybody; the leader's sweep
+    // fires before any echo arrives, so all three are marked to fall back
+    // at the next firing. The echoes then queue them the ordinary way: H
+    // goes first, X and Y share the slot that follows.
+    let mut net = Net::new(batched_config(PathMode::FastWithFallback, 8, 1));
+    let [h, x, y] = [0, 1, 2].map(|seq| net.client_request_no_drain(seq, b"r"));
+    fire_at(&mut net, &[0], is_echo_sweep);
+    net.run();
+    assert_eq!(batches_with(&net, h), [[h]]);
+    assert_eq!(batches_with(&net, x), [[x, y]]);
+    // The second firing finds nothing still waiting: no second proposal.
+    assert_eq!(net.fire_timers(is_echo_sweep), 1);
+    assert_eq!(net.fire_timers(is_echo_sweep), 0, "armed again with nothing waiting");
+    assert_eq!(batches_with(&net, x), [[x, y]], "proposed twice");
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 3, "replica {r}");
+    }
+}
+
+#[test]
+fn an_idle_echo_sweep_is_armed_once_per_wait() {
+    // Every request reaches the leader before its echoes, so every one of
+    // them waits — but only the first of each busy spell arms the sweep.
+    let mut net = new_net(PathMode::FastOnly);
+    let armed = |net: &Net, r: usize| net.timers[r].iter().filter(|k| is_echo_sweep(k)).count();
+    for spell in 0..3u64 {
+        for seq in 10 * spell..10 * spell + 10 {
+            net.client_request(seq, b"r");
+            assert_eq!((armed(&net, 0), armed(&net, 1), armed(&net, 2)), (1, 0, 0), "{seq}");
+        }
+        // Everything executed: the firing arms nothing.
+        assert_eq!(net.fire_timers(is_echo_sweep), 1);
+        assert_eq!(armed(&net, 0), 0, "an idle sweep was armed again");
+    }
+    assert_eq!(net.executed[0].len(), 30);
+}
+
+#[test]
+fn a_deposed_leaders_echo_sweep_queues_nothing_and_stops() {
+    // X reaches r0 and r1, and r0's first firing marks it due. Then the
+    // group moves to view 1, which r1 leads: r0's next firing finds X
+    // still waiting and `f`-echoed, but r0 no longer leads.
+    let mut net = new_net(PathMode::FastWithFallback);
+    request_to(&mut net, &[0, 1], 0, b"X");
+    assert_eq!(net.fire_timers(is_echo_sweep), 1);
+    assert!(net.timers[0].iter().any(is_echo_sweep), "not armed again while X waits");
+    progress_until_view(&mut net, View(1));
+    assert!(!net.engines[0].is_leader());
+    assert_eq!(net.engines[0].diag().outstanding, 1, "X is held at r0, unexecuted");
+    net.timers[0].retain(|k| !is_echo_sweep(k));
+    let fx = net.engines[0].on_timer(TimerKind::EchoFallback);
+    assert_eq!(fx, [], "a deposed leader's sweep acted");
+    assert_eq!(net.engines[0].diag().propose_queue, 0);
+    // X's retransmission reaches r0 as a follower: echoed, not awaited.
+    request_to(&mut net, &[0], 0, b"X");
+    assert!(!net.timers[0].iter().any(is_echo_sweep), "a follower armed the sweep");
 }
 
 // ---- The view change and the proposal queue ------------------------------
@@ -2819,7 +2921,7 @@ fn replaced_after_a_churned_window() -> (Net, impl Iterator<Item = u32>) {
     net.crashed[2] = true;
     for client in clients.by_ref().take(30) {
         request_from(&mut net, client);
-        net.fire_timers(|k| matches!(k, TimerKind::EchoFallback(_)));
+        fire_echo_fallback(&mut net);
         net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
     }
     net.replace(2);

@@ -31,7 +31,11 @@ pub const SLOW_TRIGGER: Duration = Duration::from_micros(200);
 /// calibrated against this value.
 pub const PROGRESS_TIMEOUT: Duration = Duration::from_micros(2_500);
 
-/// Echo-round fallback timeout.
+/// The longest a request waits at the leader for its echo round (§5.4)
+/// before it is proposed without all of them. At most, not exactly: one
+/// sweep per leader, armed at half this period while any request waits,
+/// falls back on what already waited at its previous firing — exactly
+/// this long for a request that found the sweep idle.
 pub const ECHO_FALLBACK: Duration = Duration::from_micros(100);
 
 /// Receiver poll pickup delay (buffer scan granularity).

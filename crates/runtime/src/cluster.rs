@@ -98,6 +98,25 @@ pub struct ReplicaReport {
     pub transfer_misses: u64,
     /// Peers this replica branded Byzantine: (culprit, why).
     pub branded: Vec<(u32, String)>,
+    /// The timers this incarnation handled, by kind.
+    pub timers: TimerInputs,
+}
+
+/// Timer inputs one replica handled since it booted, by the kind of timer
+/// (the replica driver counts them where every input arrives, so both
+/// backends do).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TimerInputs {
+    /// The leader-progress watchdog.
+    pub progress: u64,
+    /// A slot's fast-path timeout.
+    pub slot_slow_trigger: u64,
+    /// The leader's echo-fallback sweep.
+    pub echo_fallback: u64,
+    /// CTBcast's fast-path timeout for one own-stream message.
+    pub ctb_slow: u64,
+    /// The TBcast retransmission tick.
+    pub retransmit: u64,
 }
 
 impl ReplicaReport {
@@ -110,6 +129,7 @@ impl ReplicaReport {
             final_view: node.engine.view().0,
             transfer_misses: node.transfer_misses,
             branded: node.branded.clone(),
+            timers: node.timers,
         }
     }
 }

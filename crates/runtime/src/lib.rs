@@ -31,7 +31,7 @@ mod node;
 
 pub use audit::{AuditMutation, AuditReport, AuditViolation, Auditor, ViolationKind};
 pub use calibration::{Backend, SimConfig};
-pub use cluster::{Cluster, GroupReport, OpCounters, ReplicaReport, RunReport};
+pub use cluster::{Cluster, GroupReport, OpCounters, ReplicaReport, RunReport, TimerInputs};
 pub use threads::{run_backend, run_wallclock, ThreadWorkload, WallOptions};
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use crate::audit::AuditMutation;
 use crate::calibration::{
     SimConfig, ECHO_FALLBACK, PROGRESS_TIMEOUT, RETRANSMIT_PERIOD, SLOW_TRIGGER,
 };
+use crate::cluster::TimerInputs;
 
 /// Message lanes between nodes of one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -329,6 +330,8 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     pub transfer_misses: u64,
     /// Peers this replica's engine branded Byzantine: (culprit, why).
     pub branded: Vec<(u32, String)>,
+    /// The timers handled so far, by kind.
+    pub timers: TimerInputs,
     /// Where outgoing messages are encoded before the bytes are copied
     /// into a slot frame or a shared TBcast frame — reused for every send,
     /// so encoding allocates nothing.
@@ -392,6 +395,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             exec_log: Vec::new(),
             transfer_misses: 0,
             branded: Vec::new(),
+            timers: TimerInputs::default(),
             scratch: Vec::new(),
             ctb_ahead: None,
         }
@@ -491,6 +495,16 @@ impl<A: App + ?Sized> ReplicaNode<A> {
     /// What the substrate hands back: a timer, a completion, or effects it
     /// kept back.
     pub fn on_input<S: Substrate>(&mut self, sub: &mut S, input: NodeInput, at: S::At) {
+        if let NodeInput::Timer(timer) = &input {
+            let t = &mut self.timers;
+            *match timer {
+                NodeTimer::Engine(TimerKind::Progress) => &mut t.progress,
+                NodeTimer::Engine(TimerKind::SlotSlowTrigger(_)) => &mut t.slot_slow_trigger,
+                NodeTimer::Engine(TimerKind::EchoFallback) => &mut t.echo_fallback,
+                NodeTimer::CtbSlow(_) => &mut t.ctb_slow,
+                NodeTimer::Retransmit => &mut t.retransmit,
+            } += 1;
+        }
         match input {
             NodeInput::Timer(NodeTimer::Engine(kind)) => {
                 self.engine_call(sub, at, |e| e.on_timer(kind))
@@ -642,7 +656,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                         PROGRESS_TIMEOUT * u64::from(self.engine.progress_backoff())
                     }
                     TimerKind::SlotSlowTrigger(_) => SLOW_TRIGGER,
-                    TimerKind::EchoFallback(_) => ECHO_FALLBACK,
+                    // Every firing falls back on what waited since the
+                    // one before: a request waits at most ECHO_FALLBACK.
+                    TimerKind::EchoFallback => ECHO_FALLBACK / 2,
                 };
                 sub.arm(NodeTimer::Engine(kind), after, at);
             }

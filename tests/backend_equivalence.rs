@@ -114,6 +114,10 @@ fn assert_equivalent(sim: &RunReport, thr: &RunReport, total: u64) {
         for (r, (rs, rt)) in gs.replicas.iter().zip(&gt.replicas).enumerate() {
             assert_healthy(sim, g, r);
             assert_healthy(thr, g, r);
+            // The shared driver counts the timers a replica handles, on
+            // either backend.
+            assert!(rs.timers.retransmit > 0, "sim group {g} replica {r}: no timer counted");
+            assert!(rt.timers.retransmit > 0, "threads group {g} replica {r}: no timer counted");
             assert_eq!(rs.executed, rt.executed, "group {g} replica {r}: execution logs diverge");
             assert_eq!(
                 rs.app_digest, rt.app_digest,

@@ -86,6 +86,24 @@
 //! sends and 3 replies, not 9 messages (990 → 660, 495 → 330, 5 940 →
 //! 3 960, 1 233 → 819, 1 994 → 1 329). Digests, times and every other
 //! counter did not move.
+//!
+//! The five fast-path pins were re-captured when the leader's echo-round
+//! fallback became one sweep instead of one timer per request: a
+//! fault-free request no longer costs the leader's main core a timer
+//! dispatch 100 µs after it was proposed, so what that dispatch used to
+//! delay runs sooner. `end`, `mean` and `p50` moved and nothing else did
+//! in four of them (`fast_path_run` end 963 603 → 963 294, mean 8 749 →
+//! 8 746, p50 8 745 → 8 731 ns; `default_path_run` 966 193 → 965 877,
+//! 8 778 → 8 775, 8 768 → 8 770; `fast_path_run_across_checkpoints`
+//! 5 779 541 → 5 777 614, 8 756 → 8 753, 8 759 → 8 757;
+//! `batched_multiclient_run` 174 449 → 174 136, 9 956 → 9 919, 9 919 →
+//! 9 893). `sharded_run` ends at 483 366 ns instead of 483 524, and its
+//! `ctb_msgs` rise 1 760 → 1 764: group 0's leader makes two more
+//! broadcasts on its CTBcast stream (two frames each) at 483 158 ns, before
+//! the run's last completion, where the parent made them after it (counted
+//! on a copy of the driver that logs every CTBcast frame; no frame was
+//! retransmitted or refused in either run). Digests, completions and every other counter did not
+//! move, and the two slow-path pins passed untouched.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
@@ -128,7 +146,7 @@ fn fingerprint(cfg: SimConfig, requests: u64, warmup: u64) -> String {
 #[test]
 fn fast_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(42).fast_only(), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=963603 mean=8749 p50=8745 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=963294 mean=8746 p50=8731 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -140,13 +158,13 @@ fn slow_path_run_is_pinned() {
 #[test]
 fn default_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(7), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=966193 mean=8778 p50=8768 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=965877 mean=8775 p50=8770 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
 fn fast_path_run_across_checkpoints_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(44).fast_only(), 600, 60);
-    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=5779541 mean=8756 p50=8759 counters=OpCounters { rpc_msgs: 3960, ctb_msgs: 5360, cons_msgs: 7952, direct_msgs: 1340, ctb_signs: 0, ctb_verifies: 0, engine_signs: 36, engine_verifies: 16, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=5b76fe46d2093b24f80366c20b510b78a6c174c296f4fd32631c774966e01bbc completed=660 end=5777614 mean=8753 p50=8757 counters=OpCounters { rpc_msgs: 3960, ctb_msgs: 5360, cons_msgs: 7952, direct_msgs: 1340, ctb_signs: 0, ctb_verifies: 0, engine_signs: 36, engine_verifies: 16, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -163,7 +181,7 @@ fn batched_multiclient_run_is_pinned() {
         .with_pipeline_depth(2)
         .with_batch(4);
     let got = fingerprint(cfg, 120, 12);
-    assert_eq!(got, "digest=447390a4e7949a383bf6861de15e796d96c632806400ac45495d8bbf2bafede6 completed=132 end=174449 mean=9956 p50=9919 counters=OpCounters { rpc_msgs: 819, ctb_msgs: 440, cons_msgs: 648, direct_msgs: 276, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=447390a4e7949a383bf6861de15e796d96c632806400ac45495d8bbf2bafede6 completed=132 end=174136 mean=9919 p50=9893 counters=OpCounters { rpc_msgs: 819, ctb_msgs: 440, cons_msgs: 648, direct_msgs: 276, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
@@ -179,5 +197,5 @@ fn sharded_run_is_pinned() {
         report.end.since(Time::ZERO).as_nanos(),
         report.counters,
     );
-    assert_eq!(got, "digests=[\"0f0e7d028dcdd24b217a9584c805799e694c1fbf5387a29a7b13b9cf6ad6a358\", \"8efaf11b7774fe29158960b9b050881a33f5ca12d5606b8042afff3d9075ec21\", \"8d9cde770fc930b8c9e4ed4e1493f5df4e19f683a1dc77f23880e708126d0276\", \"3d811869f014b4ffb870318609363503337e4a29dd93ec35f5c871e11f368f1b\"] completed=220 end=483524 counters=OpCounters { rpc_msgs: 1329, ctb_msgs: 1760, cons_msgs: 2640, direct_msgs: 443, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 }");
+    assert_eq!(got, "digests=[\"0f0e7d028dcdd24b217a9584c805799e694c1fbf5387a29a7b13b9cf6ad6a358\", \"8efaf11b7774fe29158960b9b050881a33f5ca12d5606b8042afff3d9075ec21\", \"8d9cde770fc930b8c9e4ed4e1493f5df4e19f683a1dc77f23880e708126d0276\", \"3d811869f014b4ffb870318609363503337e4a29dd93ec35f5c871e11f368f1b\"] completed=220 end=483366 counters=OpCounters { rpc_msgs: 1329, ctb_msgs: 1764, cons_msgs: 2640, direct_msgs: 443, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 }");
 }
