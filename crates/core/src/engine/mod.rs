@@ -450,10 +450,12 @@ impl Engine {
         if self.byzantine.contains(&from) {
             return std::mem::take(&mut self.out);
         }
-        // Echo, Join and JoinAck are public inputs of their own; whichever
-        // input runs last hands over the outbox, the effects above included.
+        // The echoes (either tag), Join and JoinAck are public inputs of
+        // their own; whichever input runs last hands over the outbox, the
+        // effects above included.
         match msg {
-            DirectMsg::Echo { req } => return self.on_echo(from, req),
+            DirectMsg::Echo { req } => return self.on_echo(from, [req]),
+            DirectMsg::Echoes { reqs } => return self.on_echo(from, reqs),
             DirectMsg::CertifyVc { view, about, summary, sig } => {
                 self.certify_vc(from, view, about, summary, sig)
             }

@@ -80,13 +80,23 @@ impl Engine {
         std::mem::take(&mut self.out)
     }
 
-    /// A follower echoed a client request to us (we may be the leader).
-    pub fn on_echo(&mut self, from: ReplicaId, req: Request) -> Vec<Effect> {
+    /// A follower echoed client requests to us (we may be the leader): one
+    /// [`DirectMsg::Echo`] or the several of one [`DirectMsg::Echoes`],
+    /// which a busy follower sends once its backlog is worked off. Every
+    /// request counts as echoed before anything is proposed, so the
+    /// requests one message completes share the slots it opens.
+    pub fn on_echo(
+        &mut self,
+        from: ReplicaId,
+        reqs: impl IntoIterator<Item = Request>,
+    ) -> Vec<Effect> {
         self.suspected.remove(&from);
         if self.is_leader() {
-            let id = req.id;
-            if self.requests.echo(from, req) {
-                self.queue_if_echoed(id);
+            for req in reqs {
+                let id = req.id;
+                if self.requests.echo(from, req) {
+                    self.queue_if_echoed(id);
+                }
             }
             self.propose_ready();
         }

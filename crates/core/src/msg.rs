@@ -455,6 +455,14 @@ pub enum DirectMsg {
         /// The echoed request.
         req: Request,
     },
+    /// A follower's echoes of several requests at once: the ones that
+    /// queued while its core worked off a backlog, at most `max_batch`,
+    /// so they fit the slot a batch fits. The leader takes them as one
+    /// input; they mean what as many [`DirectMsg::Echo`]s would.
+    Echoes {
+        /// The echoed requests, in the order the follower received them.
+        reqs: Vec<Request>,
+    },
     /// A view-change certificate share sent to the incoming leader
     /// (Algorithm 3 line 11).
     CertifyVc {
@@ -505,13 +513,15 @@ pub enum DirectMsg {
     },
 }
 
-// `CertifySummary` is declared last but tagged 2.
+// `CertifySummary` is declared last but tagged 2, and `Echoes` second but
+// tagged 5.
 ubft_types::wire!(DirectMsg {
     0 => Echo { req },
     1 => CertifyVc { view, about, summary, sig },
     2 => CertifySummary { stream, upto, digest, sig },
     3 => Join { reg_floor },
     4 => JoinAck { view, streams, commits },
+    5 => Echoes { reqs },
 });
 
 #[cfg(test)]
@@ -624,6 +634,7 @@ mod tests {
             cert: Certificate::new(),
         });
         roundtrip(&DirectMsg::Echo { req: req() });
+        roundtrip(&DirectMsg::Echoes { reqs: reqs(16) });
         roundtrip(&DirectMsg::Join { reg_floor: SeqId(17) });
         roundtrip(&DirectMsg::JoinAck {
             view: View(2),
@@ -687,6 +698,8 @@ mod tests {
             format!("02{prepare_hex}{sig_hex}")
         );
         assert_eq!(hex(&DirectMsg::Echo { req: req() }.to_bytes()), format!("00{req_hex}"));
+        let echoes = DirectMsg::Echoes { reqs: vec![req(), req()] };
+        assert_eq!(hex(&echoes.to_bytes()), format!("0502000000{req_hex}{req_hex}"));
         let join_ack = DirectMsg::JoinAck {
             view: View(2),
             streams: vec![JoinStream {

@@ -653,8 +653,8 @@ fn batch_flush_stops_before_solo_requests() {
     };
     let echoed = |leader: &mut Engine, req: Request| -> Vec<Effect> {
         let mut fx = leader.on_client_request(req.clone());
-        fx.extend(leader.on_echo(ReplicaId(1), req.clone()));
-        fx.extend(leader.on_echo(ReplicaId(2), req));
+        fx.extend(leader.on_echo(ReplicaId(1), [req.clone()]));
+        fx.extend(leader.on_echo(ReplicaId(2), [req]));
         fx
     };
     // Decides `slot` on the leader by injecting both fast-path rounds.
@@ -680,7 +680,7 @@ fn batch_flush_stops_before_solo_requests() {
     let fx = echoed(&mut leader, mk(1, 1, b"h1"));
     assert!(batches_in(&mut leader, fx).is_empty());
     let mut fx = leader.on_client_request(byz.clone());
-    fx.extend(leader.on_echo(ReplicaId(1), byz.clone()));
+    fx.extend(leader.on_echo(ReplicaId(1), [byz.clone()]));
     // The sweep marks it at its first firing and falls back at its second.
     fx.extend(leader.on_timer(TimerKind::EchoFallback));
     fx.extend(leader.on_timer(TimerKind::EchoFallback));
@@ -2611,6 +2611,107 @@ fn a_deposed_leaders_echo_sweep_queues_nothing_and_stops() {
     // X's retransmission reaches r0 as a follower: echoed, not awaited.
     request_to(&mut net, &[0], 0, b"X");
     assert!(!net.timers[0].iter().any(is_echo_sweep), "a follower armed the sweep");
+}
+
+// ---- Coalesced echoes ------------------------------------------------------
+
+/// A leader (r0) of `max_batch` 8 with two slots in flight.
+fn batched_leader() -> Engine {
+    let ring = KeyRing::generate(5, (0..3u32).map(|i| ProcessId::Replica(ReplicaId(i))));
+    let mut leader = Engine::new(ReplicaId(0), batched_config(PathMode::FastOnly, 8, 2), ring);
+    let _ = leader.start();
+    leader
+}
+
+/// A [`batched_leader`] holding the requests `0..k` from their client and
+/// r1's echo of each: r2's echoes complete their echo rounds.
+fn leader_echoed_by_r1(k: u64) -> (Engine, Vec<Request>) {
+    let mut leader = batched_leader();
+    let reqs: Vec<Request> = (0..k)
+        .map(|seq| Request { id: RequestId::new(ClientId(1), seq), payload: vec![seq as u8] })
+        .collect();
+    for req in &reqs {
+        let _ = leader.on_client_request(req.clone());
+        let fx = leader.on_direct(ReplicaId(1), DirectMsg::Echo { req: req.clone() });
+        assert_eq!(proposed(&fx), Vec::<Vec<RequestId>>::new(), "proposed before r2 echoed");
+    }
+    (leader, reqs)
+}
+
+/// The batches of the PREPAREs among `fx`.
+fn proposed(fx: &[Effect]) -> Vec<Vec<RequestId>> {
+    fx.iter()
+        .filter_map(|e| match e {
+            Effect::CtbBroadcast(CtbMsg::Prepare(p)) => {
+                Some(p.batch.requests().iter().map(|q| q.id).collect())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn one_echoes_message_completes_its_requests_into_one_prepare() {
+    // Four single echoes from r2: the first completes request 0 while both
+    // pipeline slots are free, so it is proposed alone, and so is request
+    // 1; 2 and 3 wait for a slot.
+    let (mut leader, reqs) = leader_echoed_by_r1(4);
+    let ids: Vec<RequestId> = reqs.iter().map(|q| q.id).collect();
+    let mut fx = Vec::new();
+    for req in reqs {
+        fx.extend(leader.on_direct(ReplicaId(2), DirectMsg::Echo { req }));
+    }
+    assert_eq!(proposed(&fx), [vec![ids[0]], vec![ids[1]]]);
+    // The same four echoes as one message: all four in one PREPARE.
+    let (mut leader, reqs) = leader_echoed_by_r1(4);
+    let fx = leader.on_direct(ReplicaId(2), DirectMsg::Echoes { reqs });
+    assert_eq!(proposed(&fx), [ids]);
+    assert_eq!(leader.diag().in_flight, 1);
+}
+
+#[test]
+fn an_echoes_message_at_a_follower_changes_nothing() {
+    let mut net = new_net(PathMode::FastOnly);
+    let reqs = (0..3)
+        .map(|seq| Request { id: RequestId::new(ClientId(1), seq), payload: vec![1] })
+        .collect();
+    let before = net.engines[1].diag();
+    let fx = net.engines[1].on_direct(ReplicaId(2), DirectMsg::Echoes { reqs });
+    assert_eq!(fx, []);
+    let after = net.engines[1].diag();
+    assert_eq!(
+        (after.outstanding, after.request_entries, after.propose_queue),
+        (before.outstanding, before.request_entries, before.propose_queue)
+    );
+}
+
+#[test]
+fn an_echoes_message_from_a_branded_replica_is_ignored() {
+    let (mut leader, reqs) = leader_echoed_by_r1(3);
+    let fx = leader.on_ctb_equivocation(ReplicaId(2), SeqId(1));
+    assert!(matches!(fx[..], [Effect::ByzantineDetected { replica: ReplicaId(2), .. }]));
+    let fx = leader.on_direct(ReplicaId(2), DirectMsg::Echoes { reqs });
+    assert_eq!(proposed(&fx), Vec::<Vec<RequestId>>::new(), "a branded replica's echoes counted");
+    assert_eq!(leader.diag().propose_queue, 0);
+}
+
+#[test]
+fn a_held_request_echoed_in_an_echoes_message_is_recorded_once() {
+    // The leader holds X from its client. r1's one message echoes X and Y,
+    // which only it has sent so far: X is not recorded a second time, Y
+    // is recorded from the echo.
+    let mut leader = batched_leader();
+    let [x, y] =
+        [0, 1].map(|seq| Request { id: RequestId::new(ClientId(1), seq), payload: vec![7] });
+    let _ = leader.on_client_request(x.clone());
+    assert_eq!(leader.diag().request_entries, 1);
+    let fx = leader.on_direct(ReplicaId(1), DirectMsg::Echoes { reqs: vec![x.clone(), y] });
+    assert_eq!(proposed(&fx), Vec::<Vec<RequestId>>::new());
+    assert_eq!(leader.diag().request_entries, 2, "X recorded twice, or Y not at all");
+    // r1's echo of X counted: r2's completes the round.
+    let fx = leader.on_direct(ReplicaId(2), DirectMsg::Echo { req: x.clone() });
+    assert_eq!(proposed(&fx), [[x.id]]);
+    assert_eq!(leader.diag().request_entries, 2);
 }
 
 // ---- The view change and the proposal queue ------------------------------

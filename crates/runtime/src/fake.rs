@@ -21,7 +21,7 @@ use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::Client;
 use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
-use ubft_core::msg::{CtbMsg, Reply, Request};
+use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
@@ -72,6 +72,8 @@ struct FakeNet {
     /// `SIGNED` frames of COMMITs sent so far: `[by the call that
     /// broadcast the COMMIT, by a signature's completion after it]`.
     signed_commits: [u32; 2],
+    /// Every dispatch works off a backlog ([`Substrate::idle_later`]).
+    backlog: bool,
 }
 
 impl FakeNet {
@@ -181,6 +183,10 @@ impl Substrate for FakeSubstrate<'_> {
     fn byz_mode(&self, _: ()) -> Option<ByzantineMode> {
         (self.net.equivocator == Some(self.r)).then_some(ByzantineMode::EquivocateProposals)
     }
+
+    fn idle_later(&mut self, _: ()) -> bool {
+        self.net.backlog
+    }
 }
 
 /// Three Flip replicas on a [`FakeNet`], and one client.
@@ -217,6 +223,7 @@ impl FakeCluster {
             round_trip_done: [0; 2],
             signing: false,
             signed_commits: [0; 2],
+            backlog: false,
         };
         let client = Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum());
         let mut cluster = FakeCluster { nodes, net, client };
@@ -404,6 +411,38 @@ fn an_equivocating_lock_is_branded() {
         assert!(why.contains("equivocation"), "branded for {why}");
     }
     assert!(cluster.nodes[1..].iter().all(|nd| nd.exec_log.is_empty()));
+}
+
+/// Behind a backlog a follower's echoes wait for the idle input and leave
+/// as one message; early, once `max_batch` wait or an echo to another
+/// replica comes. With `max_batch` 1 none waits.
+#[test]
+fn waiting_echoes_leave_at_max_batch_and_when_the_leader_changes() {
+    let req = |seq: u64| Request { id: RequestId::new(ClientId(0), seq), payload: vec![1] };
+    let echo = |to: u32, seq: u64| {
+        let msg = DirectMsg::Echo { req: req(seq) };
+        Effect::SendReplica { to: ReplicaId(to), msg }
+    };
+    // What r1 sent `to` since the last look.
+    let sent = |cluster: &mut FakeCluster, to: usize| -> Vec<DirectMsg> {
+        let link = cluster.net.links.entry((1, to)).or_default();
+        link.drain(..).map(|(_, bytes)| DirectMsg::from_bytes(&bytes).expect("direct")).collect()
+    };
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5).with_batch(3));
+    cluster.net.backlog = true;
+    let fx = [echo(0, 0), echo(0, 1), echo(0, 2), echo(0, 3), echo(2, 4), echo(2, 5)];
+    cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Effects(fx.to_vec()), ()));
+    let first = DirectMsg::Echoes { reqs: (0..3).map(req).collect() };
+    assert_eq!(sent(&mut cluster, 0), [first, DirectMsg::Echo { req: req(3) }]);
+    assert_eq!(sent(&mut cluster, 2), []);
+    cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Idle, ()));
+    assert_eq!(sent(&mut cluster, 2), [DirectMsg::Echoes { reqs: vec![req(4), req(5)] }]);
+
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5));
+    cluster.net.backlog = true;
+    cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Effects(fx[..2].to_vec()), ()));
+    let single = (0..2).map(|seq| DirectMsg::Echo { req: req(seq) });
+    assert_eq!(sent(&mut cluster, 0), single.collect::<Vec<_>>());
 }
 
 /// The threaded backend's memory node: a `WriteRead` applies its write

@@ -144,6 +144,11 @@ struct Machine {
     host: HostId,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     busy: Time,
+    /// The dispatch under way started behind `busy`: it works off a
+    /// backlog ([`Substrate::idle_later`]).
+    behind: bool,
+    /// A [`NodeInput::Idle`] is queued for the backlog under way.
+    idle_pending: bool,
     /// Busy-until cursor of the first of the replica's two crypto workers
     /// (the paper's background crypto pool, §5.4). Crypto a request waits
     /// for — the engine's *ordered* signatures and verifications, whose
@@ -193,6 +198,8 @@ impl Machine {
         Machine {
             host,
             busy: at,
+            behind: false,
+            idle_pending: false,
             crypto_busy: at,
             job_busy: at,
             deferred_fx: 0,
@@ -419,6 +426,7 @@ impl SimEnv {
 
     fn charge(&mut self, r: usize, at: Time, extra: Duration) -> Time {
         let m = &mut self.machines[r];
+        m.behind |= at < m.busy;
         m.busy = at.max(m.busy) + self.cfg.cost.dispatch + extra;
         m.busy
     }
@@ -676,6 +684,20 @@ impl Substrate for SimSubstrate<'_, '_> {
 
     fn charge(&mut self, at: Time, extra: Duration) -> Time {
         self.env.charge(self.r, at, extra)
+    }
+
+    /// Yes when the dispatch under way started behind the main core's busy
+    /// cursor. The idle input is scheduled at the cursor, once per backlog;
+    /// [`GroupRuntime::handle`] defers it while later inputs keep the core
+    /// busy, and hands it over early, once the core is done with it, after
+    /// an input that is not a client request.
+    fn idle_later(&mut self, _at: Time) -> bool {
+        let m = &mut self.env.machines[self.r];
+        let (behind, busy) = (m.behind, m.busy);
+        if behind && !std::mem::replace(&mut m.idle_pending, true) {
+            self.env.push_input(self.sh, self.r, busy, NodeInput::Idle);
+        }
+        behind
     }
 
     fn engine_call_done(
@@ -985,6 +1007,8 @@ impl GroupRuntime {
         f: impl FnOnce(&mut ReplicaNode, &mut SimSubstrate<'_, '_>),
     ) {
         if !self.env.crashed(sh.fabric, r, t) {
+            // A dispatch is behind if its first charge is (`SimEnv::charge`).
+            self.env.machines[r].behind = false;
             f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, r, t });
         }
     }
@@ -1142,6 +1166,9 @@ impl GroupRuntime {
         if out.repoll {
             self.env.push(sh, at + Duration::from_nanos(200), Ev::Poll { lane, from, to });
         }
+        // Replica lanes only: a client request extends the run of requests.
+        let other =
+            !matches!(lane, Lane::ClientReq | Lane::ClientResp) && !out.delivered.is_empty();
         for (_seq, payload) in out.delivered {
             let payload = &buf[payload];
             if lane == Lane::ClientResp {
@@ -1152,6 +1179,22 @@ impl GroupRuntime {
             }
         }
         self.env.poll_buf = buf;
+        if other {
+            self.after_other_input(sh, to, at);
+        }
+    }
+
+    /// Replica `r`'s core has taken an input that is not a client request:
+    /// the echoes of the requests before it stop waiting and leave when
+    /// the core is done with it ([`Substrate::idle_later`]). The idle
+    /// event that was scheduled for them stays queued for the requests
+    /// that may follow.
+    fn after_other_input(&mut self, sh: &mut Shared<'_>, r: usize, t: Time) {
+        let m = &self.env.machines[r];
+        if m.idle_pending {
+            let at = m.busy.max(t);
+            self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, NodeInput::Idle, at));
+        }
     }
 
     /// Handles one event popped from the shared queue. Whether a replica
@@ -1167,10 +1210,23 @@ impl GroupRuntime {
             }
             Ev::Node { r, host, input } if host == self.env.machines[r as usize].host => {
                 let r = r as usize;
-                if matches!(input, NodeInput::Effects(_)) {
-                    self.env.machines[r].deferred_fx -= 1;
+                let m = &mut self.env.machines[r];
+                match input {
+                    NodeInput::Effects(_) => m.deferred_fx -= 1,
+                    // The core is idle once nothing it took meanwhile keeps
+                    // it busy. Idle ends a loop iteration: no dispatch.
+                    NodeInput::Idle if m.busy > t => {
+                        let busy = m.busy;
+                        return self.env.push_input(sh, r, busy, NodeInput::Idle);
+                    }
+                    NodeInput::Idle => m.idle_pending = false,
+                    _ => {}
                 }
+                let other = !matches!(input, NodeInput::Idle);
                 self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, input, t));
+                if other {
+                    self.after_other_input(sh, r, t);
+                }
             }
             // Whatever an earlier incarnation of the replica scheduled died
             // with its host.

@@ -123,6 +123,9 @@ pub(crate) enum NodeInput {
     /// An engine call's effects the substrate kept back until the crypto
     /// they wait for finished ([`Substrate::engine_call_done`]).
     Effects(Vec<Effect>),
+    /// The run of client requests that made [`Substrate::idle_later`]
+    /// say yes has ended: the echoes that waited for it leave.
+    Idle,
 }
 
 /// What a deployment backend provides to one [`ReplicaNode`]: exactly what
@@ -207,9 +210,19 @@ pub(crate) trait Substrate {
         fx: Vec<Effect>,
     ) -> Option<(Self::At, Vec<Effect>)>;
 
-    // What only a modelled deployment has — a cost model, a state-transfer
-    // service, an observer, injected faults: a substrate with none of them
-    // leaves the defaults.
+    // What only a modelled deployment has — a cost model, a backlog, a
+    // state-transfer service, an observer, injected faults: a substrate
+    // with none of them leaves the defaults.
+
+    /// Whether the dispatch under way works off a backlog — inputs queued
+    /// behind the replica's busy core — and the substrate hands the node
+    /// [`NodeInput::Idle`] once the run of client requests it belongs to
+    /// ends: once the core has handled an input of any other kind, or has
+    /// worked the backlog off. Echoes then wait for it and leave as one
+    /// message. No, by default: they leave at once.
+    fn idle_later(&mut self, _at: Self::At) -> bool {
+        false
+    }
 
     /// Occupies the replica's event loop for one dispatch plus `extra`
     /// from `at`; returns when it is free again.
@@ -340,6 +353,16 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     /// ([`Engine::take_ctb_ahead`]), encoded once: its broadcast sends
     /// these bytes.
     ctb_ahead: Option<(CtbMsg, Vec<u8>)>,
+    /// Echoes to replica `echo_to` that wait for the run of client
+    /// requests they queued in to end ([`Substrate::idle_later`]), to
+    /// leave as one message. Kept across flushes, so coalescing allocates
+    /// no buffer.
+    echoes: Vec<Request>,
+    echo_to: usize,
+    /// The most echoes one message carries: `max_batch`, so the requests
+    /// of a coalesced echo fit the slot a batch fits, and an unbatched
+    /// group never coalesces.
+    echo_cap: usize,
 }
 
 impl<A: App + ?Sized> ReplicaNode<A> {
@@ -398,6 +421,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             timers: TimerInputs::default(),
             scratch: Vec::new(),
             ctb_ahead: None,
+            echoes: Vec::new(),
+            echo_to: 0,
+            echo_cap: cfg.max_batch.max(1),
         }
     }
 
@@ -458,7 +484,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                     // A censoring leader pretends it never saw the request:
                     // it drops follower echoes (and client requests below)
                     // but participates in everything else.
-                    if matches!(msg, DirectMsg::Echo { .. })
+                    if matches!(msg, DirectMsg::Echo { .. } | DirectMsg::Echoes { .. })
                         && sub.byz_mode(at) == Some(ByzantineMode::CensorRequests)
                     {
                         return;
@@ -523,6 +549,7 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 self.engine_call(sub, at, |e| e.on_crypto_done(tag, result))
             }
             NodeInput::Effects(fx) => self.apply_effects(sub, at, fx),
+            NodeInput::Idle => self.flush_echoes(sub, at),
         }
     }
 
@@ -609,6 +636,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 self.ctb_effects(sub, r, at, cfx);
             }
             Effect::TbBroadcast(msg) => self.tb_broadcast(sub, Lane::ConsTb, &msg, at),
+            Effect::SendReplica { to, msg: DirectMsg::Echo { req } } => {
+                self.echo(sub, to.0 as usize, req, at)
+            }
             Effect::SendReplica { to, msg } => {
                 sub.count_msg(Lane::Direct);
                 self.send_msg(sub, Lane::Direct, to.0 as usize, &msg, at);
@@ -667,6 +697,38 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             }
             Effect::CheckpointAdopted { base } => sub.on_checkpoint_adopted(base),
             Effect::ViewChanged { .. } => {}
+        }
+    }
+
+    /// Echoes `req` to replica `to`: at once, or once the run of client
+    /// requests this dispatch works through ends, together with the
+    /// echoes of the requests that follow it. What waits leaves early when
+    /// the buffer holds `echo_cap` requests or an echo to another replica
+    /// comes.
+    fn echo<S: Substrate>(&mut self, sub: &mut S, to: usize, req: Request, at: S::At) {
+        if to != self.echo_to {
+            self.flush_echoes(sub, at);
+            self.echo_to = to;
+        }
+        self.echoes.push(req);
+        if self.echoes.len() >= self.echo_cap || !sub.idle_later(at) {
+            self.flush_echoes(sub, at);
+        }
+    }
+
+    /// Sends the echoes that wait, if any: one as an [`DirectMsg::Echo`],
+    /// several as one [`DirectMsg::Echoes`], whose buffer comes back.
+    fn flush_echoes<S: Substrate>(&mut self, sub: &mut S, at: S::At) {
+        let msg = match self.echoes.len() {
+            0 => return,
+            1 => DirectMsg::Echo { req: self.echoes.pop().expect("one echo") },
+            _ => DirectMsg::Echoes { reqs: std::mem::take(&mut self.echoes) },
+        };
+        sub.count_msg(Lane::Direct);
+        self.send_msg(sub, Lane::Direct, self.echo_to, &msg, at);
+        if let DirectMsg::Echoes { reqs: mut buf } = msg {
+            buf.clear();
+            self.echoes = buf;
         }
     }
 

@@ -276,12 +276,15 @@ const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 /// The loop every replica, driver and memory-node thread lives in: fire the
 /// timers that are due, wait on the inbox no longer than the next one,
 /// handle what is queued, until a [`CtlMsg::Shutdown`] arrives. `inbox`
-/// finds the thread's endpoint and timer heap in its state `s`.
+/// finds the thread's endpoint and timer heap in its state `s`. `on_msg`
+/// learns how many drained messages still follow the one it is handed, and
+/// `on_idle` runs once they are all handled, before the thread blocks.
 fn run_mailbox<S, T: Ord>(
     s: &mut S,
     inbox: fn(&mut S) -> (&InProcEndpoint<CtlMsg>, &mut TimerWheel<T>),
     mut on_timer: impl FnMut(&mut S, T),
-    mut on_msg: impl FnMut(&mut S, InMsg<CtlMsg>),
+    mut on_msg: impl FnMut(&mut S, InMsg<CtlMsg>, usize),
+    mut on_idle: impl FnMut(&mut S),
 ) {
     loop {
         let now = Instant::now();
@@ -297,12 +300,15 @@ fn run_mailbox<S, T: Ord>(
         while let Some(m) = ep.try_recv() {
             batch.push(m);
         }
+        let mut queued = batch.len();
         for m in batch {
             if matches!(m, InMsg::Ctl(CtlMsg::Shutdown)) {
                 return;
             }
-            on_msg(s, m);
+            queued -= 1;
+            on_msg(s, m, queued);
         }
+        on_idle(s);
     }
 }
 
@@ -338,6 +344,9 @@ struct ReplicaThread {
     timers: TimerWheel<NodeTimer>,
     pending: HashMap<u64, PendingRpc>,
     next_token: u64,
+    /// Drained messages still to be handled after the one under way: a
+    /// backlog ([`Substrate::idle_later`]).
+    queued: usize,
 }
 
 impl ReplicaThread {
@@ -348,17 +357,30 @@ impl ReplicaThread {
             &mut (self, &mut node),
             |(th, _)| (&th.ep, &mut th.timers),
             |(th, node), timer| node.on_input(th, NodeInput::Timer(timer), ()),
-            |(th, node), m| match m {
-                InMsg::Net(inb) => {
-                    // Group-local sender index (meaningful for replica
-                    // lanes; the driver's requests name their client).
-                    let from = inb.from as usize % th.n;
-                    if let Some(lane) = Lane::from_id(inb.lane, th.n) {
-                        node.on_inbound(th, lane, from, &inb.payload, ());
+            |(th, node), m, queued| {
+                th.queued = queued;
+                let request = match m {
+                    InMsg::Net(inb) => {
+                        // Group-local sender index (meaningful for replica
+                        // lanes; the driver's requests name their client).
+                        let from = inb.from as usize % th.n;
+                        let lane = Lane::from_id(inb.lane, th.n);
+                        if let Some(lane) = lane {
+                            node.on_inbound(th, lane, from, &inb.payload, ());
+                        }
+                        lane == Some(Lane::ClientReq)
                     }
+                    InMsg::Ctl(c) => {
+                        th.on_ctl(node, c);
+                        false
+                    }
+                };
+                // Echoes wait only behind client requests.
+                if !request {
+                    node.on_input(th, NodeInput::Idle, ());
                 }
-                InMsg::Ctl(c) => th.on_ctl(node, c),
             },
+            |(th, node)| node.on_input(th, NodeInput::Idle, ()),
         );
         ReplicaReport::of(&mut node)
     }
@@ -496,6 +518,13 @@ impl Substrate for ReplicaThread {
         }
         Some(((), fx))
     }
+
+    /// Yes while the drained batch holds messages after this one: the
+    /// mailbox loop hands the node its idle input once they are handled,
+    /// or once it has handled a message that is not a client request.
+    fn idle_later(&mut self, _: ()) -> bool {
+        self.queued > 0
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -530,12 +559,13 @@ impl DriverThread {
             &mut (self, &mut clients),
             |(th, _)| (&th.ep, &mut th.timers),
             |(th, clients), (c, timer)| clients.on_timer(th, c, timer),
-            |(th, clients), m| match m {
+            |(th, clients), m, _| match m {
                 InMsg::Net(inb) if inb.lane == LANE_CLIENT_RESP => {
                     clients.on_reply(th, &inb.payload)
                 }
                 _ => {}
             },
+            |_| {},
         );
         (clients.completed, clients.latency)
     }
@@ -592,7 +622,8 @@ impl MemThread {
             &mut (self, TimerWheel::<()>::new()),
             |(th, no_timers)| (&th.ep, no_timers),
             |_, ()| {},
-            |(th, _), m| th.on_msg(m),
+            |(th, _), m, _| th.on_msg(m),
+            |_| {},
         );
     }
 
@@ -686,6 +717,7 @@ pub fn run_wallclock(
                 timers,
                 pending: HashMap::new(),
                 next_token: 0,
+                queued: 0,
             };
             replica_handles.push(std::thread::spawn(move || thread.run(node)));
         }

@@ -104,6 +104,18 @@
 //! on a copy of the driver that logs every CTBcast frame; no frame was
 //! retransmitted or refused in either run). Digests, completions and every other counter did not
 //! move, and the two slow-path pins passed untouched.
+//!
+//! `batched_multiclient_run` was re-captured when a busy follower came to
+//! send the echoes of a run of client requests as one message
+//! (`DirectMsg::Echoes`, at most `max_batch` requests) and the leader to
+//! take them as one input: `direct_msgs` 276 → 242. The requests one
+//! message completes share a PREPARE, so batches form differently
+//! (`ctb_msgs` 440 → 448, `cons_msgs` unchanged at 648) and this small
+//! run ends at 174 715 ns instead of 174 136 (mean 9 919 → 9 967, p50
+//! 9 893 → 9 942). The digest moves (`447390…` → `1f1dd0…`) because
+//! execution order does; every replica executed the same 134 requests as
+//! before. The six unbatched pins passed untouched: with `max_batch` 1 no
+//! echo waits.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
@@ -181,7 +193,7 @@ fn batched_multiclient_run_is_pinned() {
         .with_pipeline_depth(2)
         .with_batch(4);
     let got = fingerprint(cfg, 120, 12);
-    assert_eq!(got, "digest=447390a4e7949a383bf6861de15e796d96c632806400ac45495d8bbf2bafede6 completed=132 end=174136 mean=9919 p50=9893 counters=OpCounters { rpc_msgs: 819, ctb_msgs: 440, cons_msgs: 648, direct_msgs: 276, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=1f1dd0c421b269142dc9b1d323e4c21952dd1ab59e5a6121767b7e9adcd9853e completed=132 end=174715 mean=9967 p50=9942 counters=OpCounters { rpc_msgs: 819, ctb_msgs: 448, cons_msgs: 648, direct_msgs: 242, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
