@@ -5,6 +5,7 @@
 //! return matching payloads.
 
 use ubft_crypto::{sha256, Digest};
+use ubft_types::wire::{Wire, WireReader};
 use ubft_types::{ClientId, ReplicaId, RequestId};
 
 use crate::msg::{Reply, Request};
@@ -80,21 +81,35 @@ impl Client {
     /// when this reply completes the request: `f + 1` matching replies
     /// arrived.
     pub fn on_reply(&mut self, reply: Reply) -> Option<Vec<u8>> {
-        if self.in_flight() != Some(reply.id) {
-            return None;
+        self.vote(reply.id, reply.replica, &reply.payload).then_some(reply.payload)
+    }
+
+    /// [`Client::on_reply`] for a reply read in place ([`read_reply`]): the
+    /// payload is hashed, not copied. Says whether this reply completes
+    /// the request.
+    pub fn vote(&mut self, id: RequestId, replica: ReplicaId, payload: &[u8]) -> bool {
+        if self.in_flight() != Some(id) || self.votes.iter().any(|(r, _)| *r == replica) {
+            return false;
         }
-        if self.votes.iter().any(|(r, _)| *r == reply.replica) {
-            return None;
-        }
-        let digest = sha256(&reply.payload);
-        self.votes.push((reply.replica, digest));
+        let digest = sha256(payload);
+        self.votes.push((replica, digest));
         let matching = self.votes.iter().filter(|(_, d)| *d == digest).count();
         if matching < self.quorum {
-            return None;
+            return false;
         }
         self.current = None;
-        Some(reply.payload)
+        true
     }
+}
+
+/// Reads an encoded [`Reply`] without copying its payload out: `(id,
+/// replica, payload)`, or `None` for bytes that are not one.
+pub fn read_reply(bytes: &[u8]) -> Option<(RequestId, ReplicaId, &[u8])> {
+    let mut r = WireReader::new(bytes);
+    let id = RequestId::decode(&mut r).ok()?;
+    let replica = ReplicaId::decode(&mut r).ok()?;
+    let payload = r.take_bytes().ok()?;
+    (r.remaining() == 0).then_some((id, replica, payload))
 }
 
 #[cfg(test)]
@@ -107,6 +122,15 @@ mod tests {
 
     fn reply(c: &Client, replica: u32, payload: &[u8]) -> Reply {
         Reply { id: c.in_flight().unwrap(), replica: ReplicaId(replica), payload: payload.to_vec() }
+    }
+
+    #[test]
+    fn a_reply_is_read_in_place_and_nothing_else_is() {
+        let id = RequestId::new(ClientId(7), 3);
+        let bytes = Reply { id, replica: ReplicaId(2), payload: b"ok".to_vec() }.to_bytes();
+        assert_eq!(read_reply(&bytes), Some((id, ReplicaId(2), &b"ok"[..])));
+        assert_eq!(read_reply(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(read_reply(&[bytes.as_slice(), &[0]].concat()), None);
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl Engine {
         // same in every run of a seed (`ubft_types::hash`), under a key only
         // this replica holds.
         let hash_state = signer.hash_state();
-        let requests = Requests::new(cfg.client_table_cap(), hash_state);
+        let requests = Requests::new(cfg.client_table_cap(), cfg.params.quorum(), hash_state);
         Engine {
             me,
             cfg,

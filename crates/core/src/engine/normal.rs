@@ -82,7 +82,7 @@ impl Engine {
 
     /// A follower echoed client requests to us (we may be the leader): one
     /// [`DirectMsg::Echo`] or the several of one [`DirectMsg::Echoes`],
-    /// which a busy follower sends once its backlog is worked off. Every
+    /// which a follower sends once the slot it accepted decides. Every
     /// request counts as echoed before anything is proposed, so the
     /// requests one message completes share the slots it opens.
     pub fn on_echo(
@@ -126,16 +126,41 @@ impl Engine {
     /// old leader, likely the reason for the change, would never echo, and
     /// waiting out the fallback for it cost a degraded group 100 µs per
     /// request (`leader_crash` p50 165.1 → 265.2 µs). Followers still
-    /// endorse only what they hold; the clients have sent it to them.
+    /// endorse only what they hold; the clients have sent it to them. What
+    /// only echoes brought us is waived nothing: `f + 1` followers must
+    /// have echoed it ([`Requests::queue`](super::requests::Requests)), or
+    /// one faulty follower and the leader would be the `f + 1` that decide
+    /// a request no client sent.
     fn queue_if_echoed(&mut self, id: RequestId) -> bool {
         let waived = !self.cfg.echo_round || self.view > View(0);
         self.requests.queue(id, false, if waived { 0 } else { self.n() - 1 })
     }
 
-    /// Slots this leader has proposed but not yet executed — the pipeline
-    /// fill the `pipeline_depth` gate bounds.
+    /// Slots this leader has proposed that have not decided — the pipeline
+    /// fill the `pipeline_depth` gate bounds. A decided slot that waits at
+    /// a checkpoint boundary for its execution is out of it: the pipeline
+    /// bounds agreement, and execution runs beside it.
     pub(super) fn in_flight_slots(&self) -> u64 {
-        self.next_slot.0.saturating_sub(self.exec_next.0)
+        if self.next_slot <= self.exec_next {
+            return 0;
+        }
+        let open = self.slots.range(self.exec_next..self.next_slot);
+        let decided = open.filter(|(_, s)| s.decided.is_some()).count() as u64;
+        self.next_slot.0 - self.exec_next.0 - decided
+    }
+
+    /// The first slot whose PREPARE this replica accepted and that has not
+    /// decided, if any. A follower's echoes wait while it stays the same
+    /// (the driver's rule, `ReplicaNode::echo` in `ubft-runtime`).
+    pub fn accepted_undecided(&self) -> Option<Slot> {
+        let mut open = self.slots.range(self.exec_next..);
+        open.find(|(_, s)| s.prepare.is_some() && s.decided.is_none()).map(|(slot, _)| *slot)
+    }
+
+    /// Whether request `id` has been handed to execution: a retransmission
+    /// of it is answered from the last-reply table, not ordered again.
+    pub fn executed(&self, id: RequestId) -> bool {
+        self.requests.executed(&id)
     }
 
     pub(super) fn propose_ready(&mut self) {

@@ -36,6 +36,11 @@
 //! and an `Executed` record stays until the next checkpoint so that a
 //! PREPARE re-proposing it can still be endorsed.
 //!
+//! A record knows whether a client handed the request to this replica. One
+//! that only echoes brought is queued once `f + 1` followers echoed it,
+//! whatever the echo round asks — where the round is waived (views > 0) too,
+//! and when an incoming leader queues what it holds.
+//!
 //! A leader's echo fallback is one sweep, not one timer per request: a
 //! `Seen` request that waits for echoes carries a mark (`EchoWait`), each
 //! firing of the one armed timer falls back on the requests it found
@@ -87,6 +92,8 @@ struct Record {
     stage: Stage,
     /// Leader: meaningful while the stage is `Seen`.
     wait: EchoWait,
+    /// A client handed it to this replica; otherwise only echoes did.
+    from_client: bool,
 }
 
 impl Record {
@@ -117,15 +124,20 @@ pub(super) struct Requests {
     executed: LruMap<ClientId, u64>,
     /// Leader: the echo-fallback sweep's timer is armed.
     sweeping: bool,
+    /// The echoes a request no client handed this replica needs before it
+    /// is queued, whatever the round asks: `f + 1`, so that no request a
+    /// faulty follower made up is proposed (§5.4, validity).
+    vouched: usize,
 }
 
 impl Requests {
-    pub(super) fn new(client_table_cap: usize, hasher: FixedState) -> Self {
+    pub(super) fn new(client_table_cap: usize, vouched: usize, hasher: FixedState) -> Self {
         Requests {
             records: FixedMap::with_hasher(hasher),
             queue: VecDeque::new(),
             executed: LruMap::new(client_table_cap, hasher),
             sweeping: false,
+            vouched,
         }
     }
 
@@ -133,20 +145,35 @@ impl Requests {
         self.executed.get(&id.client).is_some_and(|hi| *hi > id.seq)
     }
 
-    /// The request arrived, from its client or in an echo: it is held from
-    /// now on. Says where it was before — `None` if this is the first the
-    /// replica hears of it, anything else makes it a retransmission, and an
-    /// executed request (by the dedup table or by its record) is not taken
-    /// again: the runtime's last-reply cache answers it.
-    pub(super) fn receive(&mut self, Request { id, payload }: Request) -> Option<Stage> {
-        if self.already_executed(&id) {
+    /// Executed, by the dedup table or by its record.
+    pub(super) fn executed(&self, id: &RequestId) -> bool {
+        self.already_executed(id)
+            || self.records.get(id).is_some_and(|r| r.stage == Stage::Executed)
+    }
+
+    /// The request arrived from its client: it is held from now on. Says
+    /// where it was before — `None` if this is the first the replica hears
+    /// of it, anything else makes it a retransmission, and an executed
+    /// request (by the dedup table or by its record) is not taken again:
+    /// the runtime's last-reply cache answers it.
+    pub(super) fn receive(&mut self, request: Request) -> Option<Stage> {
+        let id = request.id;
+        let before = self.hold(request);
+        if let Some(r) = self.records.get_mut(&id) {
+            r.from_client = true;
+        }
+        before
+    }
+
+    /// [`Requests::receive`] for a request from its client or in an echo.
+    fn hold(&mut self, Request { id, payload }: Request) -> Option<Stage> {
+        if self.executed(&id) {
             return Some(Stage::Executed);
         }
         let before = self.records.get(&id).map(|r| r.stage);
         if before.is_none() {
-            let record =
-                Record { payload, echoed: Vec::new(), stage: Stage::Seen, wait: EchoWait::No };
-            self.records.insert(id, record);
+            let (echoed, stage, wait) = (Vec::new(), Stage::Seen, EchoWait::No);
+            self.records.insert(id, Record { payload, echoed, stage, wait, from_client: false });
         }
         before
     }
@@ -156,7 +183,7 @@ impl Requests {
     /// request.
     pub(super) fn echo(&mut self, from: ReplicaId, request: Request) -> bool {
         let id = request.id;
-        let live = self.receive(request) != Some(Stage::Executed);
+        let live = self.hold(request) != Some(Stage::Executed);
         if live {
             let echoed = &mut self.records.get_mut(&id).expect("just received").echoed;
             if !echoed.contains(&from) {
@@ -208,11 +235,17 @@ impl Requests {
     }
 
     /// Leader: queues `id` if it is held, not proposed yet (nor queued) and
-    /// at least `echoes_needed` followers echoed it; `solo` when the echo
-    /// round timed out instead. Says whether it went in.
+    /// at least `echoes_needed` followers echoed it — `f + 1` at least if
+    /// no client handed it to us; `solo` when the echo round timed out
+    /// instead. Says whether it went in.
     pub(super) fn queue(&mut self, id: RequestId, solo: bool, echoes_needed: usize) -> bool {
+        let vouched = self.vouched;
         match self.records.get_mut(&id) {
-            Some(r) if r.stage == Stage::Seen && r.echoed.len() >= echoes_needed => {
+            Some(r)
+                if r.stage == Stage::Seen
+                    && r.echoed.len()
+                        >= echoes_needed.max(if r.from_client { 0 } else { vouched }) =>
+            {
                 r.stage = Stage::Queued { solo };
                 self.queue.push_back(id);
                 true

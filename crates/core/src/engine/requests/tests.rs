@@ -8,7 +8,7 @@ const SHARED: Stage = Stage::Queued { solo: false };
 const SOLO: Stage = Stage::Queued { solo: true };
 
 fn ledger() -> Requests {
-    Requests::new(16, FixedState::default())
+    Requests::new(16, 2, FixedState::default())
 }
 
 fn id(client: u32, seq: u64) -> RequestId {
@@ -96,6 +96,21 @@ fn an_echo_alone_makes_the_request_known() {
     assert_eq!(l.receive(req(1, 0)), Some(Stage::Seen));
     assert!(!l.queue(id(1, 0), false, 2));
     assert!(l.echo(R2, req(1, 0)) && l.queue(id(1, 0), false, 2));
+}
+
+#[test]
+fn a_request_no_client_handed_us_waits_for_f_plus_1_echoes() {
+    let mut l = ledger();
+    // Echoed by one follower only: queued neither where the round is
+    // waived nor by an incoming leader.
+    assert!(l.echo(R1, req(1, 0)));
+    assert!(!l.queue(id(1, 0), false, 0));
+    l.queue_outstanding();
+    assert_eq!(l.counts().2, 0);
+    assert!(l.echo(R2, req(1, 0)) && l.queue(id(1, 0), false, 0));
+    // From its client, a request needs no echo where the round is waived.
+    l.receive(req(2, 0));
+    assert!(l.queue(id(2, 0), false, 0));
 }
 
 #[test]

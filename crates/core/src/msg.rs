@@ -456,7 +456,7 @@ pub enum DirectMsg {
         req: Request,
     },
     /// A follower's echoes of several requests at once: the ones that
-    /// queued while its core worked off a backlog, at most `max_batch`,
+    /// waited while a slot it accepted was undecided, at most `max_batch`,
     /// so they fit the slot a batch fits. The leader takes them as one
     /// input; they mean what as many [`DirectMsg::Echo`]s would.
     Echoes {

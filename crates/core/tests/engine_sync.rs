@@ -2499,6 +2499,35 @@ fn a_leader_in_a_later_view_gets_no_request_executed_that_no_follower_holds() {
 }
 
 #[test]
+fn a_leader_in_a_later_view_queues_no_request_only_one_follower_echoed() {
+    // View 1 after r0 crashed, led by r1, as above. The echo round is
+    // waived in views > 0, but an echo alone is no client's word: r2, acting
+    // Byzantine, echoes r1 a request no client sent, and r1 must neither
+    // queue nor propose it — `f + 1` replicas have to vouch for it first.
+    let mut net = new_net(PathMode::FastWithFallback);
+    net.client_request(0, b"first");
+    net.crashed[0] = true;
+    net.client_request(1, b"second");
+    progress_until_view(&mut net, View(1));
+    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    assert_eq!(net.engines[1].view(), View(1));
+    let forged = Request { id: RequestId::new(ClientId(100), 0), payload: b"forged".to_vec() };
+    let fx = net.engines[1].on_direct(ReplicaId(2), DirectMsg::Echo { req: forged.clone() });
+    assert_eq!(proposed(&fx), Vec::<Vec<RequestId>>::new(), "proposed on one echo");
+    assert_eq!(net.engines[1].diag().propose_queue, 0, "queued on one echo");
+    net.emit(1, fx);
+    net.run();
+    for r in 1..3 {
+        assert_eq!(executed_from(&net, r, 100), 0, "replica {r} executed the forged request");
+    }
+    // A request the leader holds from its client keeps the waiver: it goes
+    // out at once, echoed or not.
+    let sent = Request { id: RequestId::new(ClientId(101), 0), payload: b"sent".to_vec() };
+    let fx = net.engines[1].on_client_request(sent.clone());
+    assert_eq!(proposed(&fx), [[sent.id]]);
+}
+
+#[test]
 fn a_request_only_the_leader_holds_waits_for_the_clients_retransmission() {
     // r2 has crashed, and the client's first send reaches the leader alone.
     // Its echo round times out with no follower vouching for it, so r0 does

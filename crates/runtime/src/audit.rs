@@ -108,6 +108,8 @@ pub enum ViolationKind {
     ShardContainment,
     /// A request executed that no client sent.
     Validity,
+    /// A correct replica executed one request twice.
+    DuplicateExecution,
 }
 
 /// One invariant violation, locatable enough to debug from the report.
@@ -188,6 +190,8 @@ struct ReplicaAudit {
     /// the runtime's documented fast-forward fallback applies and this
     /// replica's state is unaccounted — skip its model comparison.
     transfer_miss: bool,
+    /// The non-noop requests this incarnation executed.
+    executed: BTreeSet<RequestId>,
 }
 
 /// One group's audit state.
@@ -232,7 +236,7 @@ impl Auditor {
             .iter()
             .map(|g| {
                 let n = g.env.cfg.params.n();
-                let genesis: Vec<Digest> = vec![g.nodes[0].app.snapshot_digest()];
+                let genesis: Vec<Digest> = vec![g.execs[0].app.snapshot_digest()];
                 let mut replicas: Vec<ReplicaAudit> =
                     (0..n).map(|_| ReplicaAudit::default()).collect();
                 for (_, f) in g.env.cfg.failures.faults() {
@@ -246,7 +250,7 @@ impl Auditor {
                     n,
                     quorum: g.env.cfg.params.quorum(),
                     window: g.env.cfg.params.window,
-                    model: g.nodes[0].app.sequential_model(),
+                    model: g.execs[0].app.sequential_model(),
                     model_digests: genesis,
                     canon: BTreeMap::new(),
                     canon_decisions: BTreeMap::new(),
@@ -395,6 +399,18 @@ impl Auditor {
                 }
             }
         }
+        // Exactly once: a correct replica applies a request one time; a
+        // retransmission is answered from its last-reply table.
+        let executed = &mut self.groups[group].replicas[replica].executed;
+        if id.client != ClientId::NOOP && !executed.insert(id) {
+            self.violate(
+                group,
+                Some(replica),
+                Some(slot),
+                ViolationKind::DuplicateExecution,
+                format!("executed request {id:?} a second time"),
+            );
+        }
         // Validity: what executes was sent, no-ops aside.
         if id.client != ClientId::NOOP && !self.groups[group].sent.contains(&id) {
             self.violate(
@@ -518,6 +534,7 @@ impl Auditor {
         let ra = &mut self.groups[group].replicas[replica];
         ra.decided.clear();
         ra.exec_pos.clear();
+        ra.executed.clear();
         ra.adopted_base = Slot(0);
         ra.transfer_miss = false;
     }
@@ -572,7 +589,7 @@ impl Auditor {
                 // few slots behind `exec_next` — but never off the
                 // canonical sequence.
                 let frontier = gr.nodes[r].engine.exec_next().0 as usize;
-                let got = gr.nodes[r].app.snapshot_digest();
+                let got = gr.execs[r].app.snapshot_digest();
                 let replayed = ga.model_digests.len() - 1;
                 let upto = frontier.min(replayed);
                 let on_prefix = ga.model_digests[..=upto].iter().rev().any(|d| *d == got);
@@ -676,5 +693,62 @@ impl Auditor {
             }
         }
         self.violations.extend(found);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An auditor of one three-replica group with no sequential model,
+    /// where replica 0 decided slots 0 and 1 and a client sent `id`.
+    fn auditor(id: RequestId) -> Auditor {
+        let mut replicas: Vec<ReplicaAudit> = (0..3).map(|_| ReplicaAudit::default()).collect();
+        for slot in [Slot(0), Slot(1)] {
+            replicas[0].decided.insert(slot, Digest::ZERO);
+        }
+        let group = GroupAudit {
+            n: 3,
+            quorum: 2,
+            window: 256,
+            model: None,
+            model_digests: Vec::new(),
+            canon: BTreeMap::new(),
+            canon_decisions: BTreeMap::new(),
+            checkpoint_digests: BTreeMap::new(),
+            replicas,
+            disagg_bytes_at_build: 0,
+            sent: BTreeSet::from([id]),
+        };
+        Auditor {
+            groups: vec![group],
+            router: ShardRouter::new(1),
+            violations: Vec::new(),
+            decisions_checked: 0,
+            executions_checked: 0,
+        }
+    }
+
+    #[test]
+    fn a_request_a_correct_replica_executes_twice_is_reported() {
+        let id = RequestId::new(ClientId(0), 0);
+        let mut aud = auditor(id);
+        aud.on_execute(0, 0, Slot(0), id, b"x", b"y");
+        assert!(aud.violations.is_empty(), "{:?}", aud.violations);
+        aud.on_execute(0, 0, Slot(1), id, b"x", b"y");
+        let kinds: Vec<ViolationKind> = aud.violations.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [ViolationKind::DuplicateExecution]);
+
+        // No-ops repeat by design, and a replacement starts over.
+        let mut aud = auditor(id);
+        let noop = RequestId::new(ClientId::NOOP, 0);
+        for _ in 0..2 {
+            aud.on_execute(0, 0, Slot(1), noop, b"", b"");
+        }
+        aud.on_execute(0, 0, Slot(0), id, b"x", b"y");
+        aud.on_replace(0, 0);
+        aud.groups[0].replicas[0].decided.insert(Slot(0), Digest::ZERO);
+        aud.on_execute(0, 0, Slot(0), id, b"x", b"y");
+        assert!(aud.violations.is_empty(), "{:?}", aud.violations);
     }
 }

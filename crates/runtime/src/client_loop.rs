@@ -10,8 +10,7 @@
 //! do differently. It also derives the group's key ring, so the two
 //! backends key a group identically by construction.
 
-use ubft_core::client::Client;
-use ubft_core::msg::Reply;
+use ubft_core::client::{read_reply, Client};
 use ubft_crypto::KeyRing;
 use ubft_sim::stats::LatencyStats;
 use ubft_types::wire::Wire;
@@ -185,9 +184,9 @@ impl<W: FnMut(u64) -> Option<Vec<u8>> + ?Sized> ClientLoop<W> {
     /// one the group does not have, a stale id and a replica's second vote
     /// complete nothing.
     pub(crate) fn on_reply(&mut self, port: &mut impl ClientPort, bytes: &[u8]) {
-        let Ok(reply) = Reply::from_bytes(bytes) else { return };
-        let c = reply.id.client.0 as usize;
-        if self.clients.get_mut(c).and_then(|client| client.on_reply(reply)).is_none() {
+        let Some((id, replica, payload)) = read_reply(bytes) else { return };
+        let c = id.client.0 as usize;
+        if !self.clients.get_mut(c).is_some_and(|client| client.vote(id, replica, payload)) {
             return;
         }
         let done = port.complete();

@@ -100,6 +100,44 @@ pub struct ReplicaReport {
     pub branded: Vec<(u32, String)>,
     /// The timers this incarnation handled, by kind.
     pub timers: TimerInputs,
+    /// Where this incarnation's cores spent their time (simulator only:
+    /// zero on [`Backend::Threads`], which meters nothing).
+    pub core: CoreTime,
+}
+
+/// One simulated replica's busy time: its main core's by the kind of
+/// input that caused it, and its execution core's.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreTime {
+    /// Main core: client requests.
+    pub client_requests: Duration,
+    /// Main core: messages on the direct lane (echoes, shares, view-change
+    /// messages).
+    pub direct_msgs: Duration,
+    /// Main core: frames of the consensus TBcast lane.
+    pub consensus_frames: Duration,
+    /// Main core: frames of the CTBcast lanes.
+    pub ctb_frames: Duration,
+    /// Main core: timers.
+    pub timers: Duration,
+    /// Main core: everything else — completions of crypto, register round
+    /// trips and the executor's work, effects kept back behind crypto, and
+    /// the replica's boot.
+    pub completions: Duration,
+    /// The execution core: every request the application ran.
+    pub execution: Duration,
+}
+
+impl CoreTime {
+    /// The main core's busy time, whatever caused it.
+    pub fn main(&self) -> Duration {
+        self.client_requests
+            + self.direct_msgs
+            + self.consensus_frames
+            + self.ctb_frames
+            + self.timers
+            + self.completions
+    }
 }
 
 /// Timer inputs one replica handled since it booted, by the kind of timer
@@ -120,16 +158,23 @@ pub struct TimerInputs {
 }
 
 impl ReplicaReport {
-    /// What `node` has to report; takes its execution log.
-    pub(crate) fn of<A: App + ?Sized>(node: &mut ReplicaNode<A>) -> Self {
+    /// What `node` has to report, with its executor's application digest
+    /// and execution log ([`Executor::report`]) and the simulated cores'
+    /// busy time `core`.
+    pub(crate) fn of(
+        node: &ReplicaNode,
+        (app_digest, executed): (Digest, Vec<(ClientId, u64)>),
+        core: CoreTime,
+    ) -> Self {
         ReplicaReport {
             decided: node.engine.decided_count(),
-            app_digest: node.app.snapshot_digest(),
-            executed: std::mem::take(&mut node.exec_log),
+            app_digest,
+            executed,
             final_view: node.engine.view().0,
             transfer_misses: node.transfer_misses,
             branded: node.branded.clone(),
             timers: node.timers,
+            core,
         }
     }
 }
@@ -466,7 +511,7 @@ impl Cluster {
     /// tests: correct replicas that executed the same prefix must agree).
     pub fn app_digest(&self, i: usize) -> Digest {
         let (g, r) = self.locate(i);
-        g.nodes[r].app.snapshot_digest()
+        g.execs[r].app.snapshot_digest()
     }
 
     /// First slot replica `i` has not executed.
@@ -630,7 +675,7 @@ impl Cluster {
             counters: gr.env.counters,
             views: Vec::new(),
             audit: audit.as_ref().map(|a| a.for_group(g)),
-            replicas: gr.nodes.iter_mut().map(ReplicaReport::of).collect(),
+            replicas: gr.replica_reports(),
         };
         let groups = self.groups.iter_mut().enumerate().map(group).collect();
         RunReport::of_groups(groups, self.now, audit, Backend::Sim)

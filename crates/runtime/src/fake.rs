@@ -1,7 +1,8 @@
 //! A scripted in-memory [`Substrate`], and the node driver tested against
 //! it: three [`ReplicaNode`]s joined by per-pair FIFO queues, crypto and
 //! registers completed on the spot (their results queued as the inputs they
-//! are), timers collected and fired only when a test asks. No clock, no
+//! are), each replica's [`Executor`] run inline, timers collected and fired
+//! only when a test asks. No clock, no
 //! fabric, no threads — what is left is the driver, which is the code both
 //! real backends run. Below it, the other thing both backends run — a
 //! group's `ClientLoop` — on a scripted `ClientPort` of its own.
@@ -28,10 +29,11 @@ use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbF
 use ubft_sim::failure::ByzantineMode;
 use ubft_transport::inproc::{inproc_mesh, InMsg};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Time};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
 
 use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
+use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 use crate::threads::{CtlMsg, MemThread};
 
@@ -53,8 +55,14 @@ struct FakeNet {
     registers: HashMap<(usize, usize, usize), RegEntry>,
     /// Replies that reached the client.
     replies: Vec<Reply>,
-    /// Loses the next frame sent on this `(lane, from, to)`.
+    /// Every replica's execution core.
+    execs: Vec<Executor>,
+    /// Every direct-lane message sent: `(from, to, message)`.
+    direct: Vec<(usize, usize, DirectMsg)>,
+    /// Loses the next frame sent on this `(lane, from, to)`, once `pass`
+    /// more have gone through.
     drop_next: Option<(Lane, usize, usize)>,
+    pass: u32,
     /// The replica that equivocates on its own CTBcast stream: the driver
     /// sends odd receivers a poisoned `LOCK`; the net below keeps the lie up
     /// on the slow path by signing each receiver what it was told.
@@ -72,8 +80,6 @@ struct FakeNet {
     /// `SIGNED` frames of COMMITs sent so far: `[by the call that
     /// broadcast the COMMIT, by a signature's completion after it]`.
     signed_commits: [u32; 2],
-    /// Every dispatch works off a backlog ([`Substrate::idle_later`]).
-    backlog: bool,
 }
 
 impl FakeNet {
@@ -110,11 +116,17 @@ impl Substrate for FakeSubstrate<'_> {
 
     fn send(&mut self, lane: Lane, to: usize, bytes: &[u8], _: ()) -> Option<bool> {
         let (net, from) = (&mut *self.net, self.r);
+        if lane == Lane::Direct {
+            net.direct.push((from, to, DirectMsg::from_bytes(bytes).expect("a direct message")));
+        }
         if to >= net.n {
             net.replies.push(Reply::from_bytes(bytes).expect("a reply"));
-        } else if net.drop_next == Some((lane, from, to)) {
+        } else if net.drop_next == Some((lane, from, to)) && net.pass == 0 {
             net.drop_next = None; // on the wire, and lost
         } else {
+            if net.drop_next == Some((lane, from, to)) {
+                net.pass -= 1;
+            }
             let lie = (net.equivocator == Some(from) && lane == Lane::CtbTb { stream: from })
                 .then(|| net.keep_lying(from, to, bytes))
                 .flatten();
@@ -180,12 +192,33 @@ impl Substrate for FakeSubstrate<'_> {
         Some(((), fx))
     }
 
+    /// Runs the job at once: the replies reach the client, the answers
+    /// queue with the other completions.
+    fn exec(&mut self, job: ExecJob, _: ()) {
+        let net = &mut *self.net;
+        let port =
+            &mut FakeExec { replies: &mut net.replies, inputs: &mut net.completions[self.r] };
+        net.execs[self.r].run(job, port);
+    }
+
     fn byz_mode(&self, _: ()) -> Option<ByzantineMode> {
         (self.net.equivocator == Some(self.r)).then_some(ByzantineMode::EquivocateProposals)
     }
+}
 
-    fn idle_later(&mut self, _: ()) -> bool {
-        self.net.backlog
+/// Where replica `r`'s executor's output goes in a [`FakeNet`].
+struct FakeExec<'a> {
+    replies: &'a mut Vec<Reply>,
+    inputs: &'a mut VecDeque<NodeInput>,
+}
+
+impl ExecPort<dyn App> for FakeExec<'_> {
+    fn reply(&mut self, _to: usize, bytes: &[u8]) {
+        self.replies.push(Reply::from_bytes(bytes).expect("a reply"));
+    }
+
+    fn input(&mut self, input: NodeInput) {
+        self.inputs.push_back(input);
     }
 }
 
@@ -201,10 +234,9 @@ impl FakeCluster {
         let n = cfg.params.n();
         let ids = cfg.params.replicas().map(ProcessId::Replica);
         let ring = KeyRing::generate(cfg.seed, ids.chain([ProcessId::Client(ClientId(0))]));
-        let nodes = (0..n)
-            .map(|r| {
-                ReplicaNode::new(r, cfg, ring.clone(), Box::new(FlipApp::new()) as Box<dyn App>)
-            })
+        let nodes = (0..n).map(|r| ReplicaNode::new(r, cfg, ring.clone())).collect();
+        let execs = (0..n)
+            .map(|r| Executor::new(r, cfg, &ring, Box::new(FlipApp::new()) as Box<dyn App>))
             .collect();
         let net = FakeNet {
             n,
@@ -215,7 +247,10 @@ impl FakeCluster {
             timers: vec![vec![NodeTimer::Retransmit]; n],
             registers: HashMap::new(),
             replies: Vec::new(),
+            execs,
+            direct: Vec::new(),
             drop_next: None,
+            pass: 0,
             equivocator: None,
             told: HashMap::new(),
             verifies: [0; 2],
@@ -223,7 +258,6 @@ impl FakeCluster {
             round_trip_done: [0; 2],
             signing: false,
             signed_commits: [0; 2],
-            backlog: false,
         };
         let client = Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum());
         let mut cluster = FakeCluster { nodes, net, client };
@@ -305,13 +339,23 @@ impl FakeCluster {
     }
 
     fn assert_replicas_agree(&self, executed: usize) {
-        for nd in &self.nodes {
-            assert_eq!(nd.exec_log.len(), executed);
-            assert_eq!(nd.exec_log, self.nodes[0].exec_log);
-            assert_eq!(nd.app.snapshot_digest(), self.nodes[0].app.snapshot_digest());
+        let first = &self.net.execs[0];
+        for (nd, exec) in self.nodes.iter().zip(&self.net.execs) {
+            assert_eq!(exec.exec_log.len(), executed);
+            assert_eq!(exec.exec_log, first.exec_log);
+            assert_eq!(exec.app.snapshot_digest(), first.app.snapshot_digest());
             assert!(nd.branded.is_empty(), "an honest run branded {:?}", nd.branded);
             assert_eq!(nd.transfer_misses, 0);
         }
+    }
+
+    /// The direct messages replica `from` sent `to` since the last look.
+    fn sent(&mut self, from: usize, to: usize) -> Vec<DirectMsg> {
+        let (sent, rest) = std::mem::take(&mut self.net.direct)
+            .into_iter()
+            .partition(|(f, t, _)| (*f, *t) == (from, to));
+        self.net.direct = rest;
+        sent.into_iter().map(|(_, _, msg)| msg).collect()
     }
 }
 
@@ -410,39 +454,111 @@ fn an_equivocating_lock_is_branded() {
         assert_eq!(*culprit, 0);
         assert!(why.contains("equivocation"), "branded for {why}");
     }
-    assert!(cluster.nodes[1..].iter().all(|nd| nd.exec_log.is_empty()));
+    assert!(cluster.net.execs[1..].iter().all(|exec| exec.exec_log.is_empty()));
 }
 
-/// Behind a backlog a follower's echoes wait for the idle input and leave
-/// as one message; early, once `max_batch` wait or an echo to another
-/// replica comes. With `max_batch` 1 none waits.
+/// Request `seq` of client `c`, with [`payload`] `seq`.
+fn req_of(c: u32, seq: u64) -> Request {
+    Request { id: RequestId::new(ClientId(c), seq), payload: payload(seq) }
+}
+
+/// A request of a client the replicas do not answer, which the tests below
+/// hand the replicas themselves.
+fn req(seq: u64) -> Request {
+    req_of(1, seq)
+}
+
+/// `cfg`'s three replicas, where r1 has accepted slot 0 and cannot decide
+/// it: r2's second vote on it, its `WILL_COMMIT`, is lost on the way to r1
+/// until r2's retransmission tick repairs it ([`repair_slot_0`]). r0 and
+/// r2 answer request 0.
+fn slot_0_in_flight_at_r1(cfg: &SimConfig) -> FakeCluster {
+    let mut cluster = FakeCluster::new(cfg);
+    (cluster.net.drop_next, cluster.net.pass) = (Some((Lane::ConsTb, 2, 1)), 1);
+    assert!(cluster.request(payload(0)));
+    assert_eq!(cluster.nodes[1].engine.accepted_undecided(), Some(Slot(0)));
+    // Nothing was in flight when r1 echoed request 0: it left at once.
+    assert_eq!(cluster.sent(1, 0), [DirectMsg::Echo { req: req_of(0, 0) }]);
+    cluster.net.direct.clear();
+    cluster
+}
+
+/// r2 retransmits the vote r1 lost (a frame is stale after a full period,
+/// so on the second tick), and r1 executes what it has decided.
+fn repair_slot_0(cluster: &mut FakeCluster) {
+    for _ in 0..2 {
+        cluster.fire(2, |t| matches!(t, NodeTimer::Retransmit));
+    }
+    assert_eq!(cluster.nodes[1].engine.accepted_undecided(), None);
+}
+
+/// While a slot it accepted is in flight, a follower's echoes wait; they
+/// leave early once `max_batch` wait or an echo to another replica comes.
+/// With `max_batch` 1 none waits.
 #[test]
 fn waiting_echoes_leave_at_max_batch_and_when_the_leader_changes() {
-    let req = |seq: u64| Request { id: RequestId::new(ClientId(0), seq), payload: vec![1] };
     let echo = |to: u32, seq: u64| {
         let msg = DirectMsg::Echo { req: req(seq) };
         Effect::SendReplica { to: ReplicaId(to), msg }
     };
-    // What r1 sent `to` since the last look.
-    let sent = |cluster: &mut FakeCluster, to: usize| -> Vec<DirectMsg> {
-        let link = cluster.net.links.entry((1, to)).or_default();
-        link.drain(..).map(|(_, bytes)| DirectMsg::from_bytes(&bytes).expect("direct")).collect()
-    };
-    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5).with_batch(3));
-    cluster.net.backlog = true;
-    let fx = [echo(0, 0), echo(0, 1), echo(0, 2), echo(0, 3), echo(2, 4), echo(2, 5)];
+    let mut cluster = slot_0_in_flight_at_r1(&SimConfig::paper_default(5).with_batch(3));
+    let fx = [echo(0, 10), echo(0, 11), echo(0, 12), echo(0, 13), echo(2, 14), echo(2, 15)];
     cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Effects(fx.to_vec()), ()));
-    let first = DirectMsg::Echoes { reqs: (0..3).map(req).collect() };
-    assert_eq!(sent(&mut cluster, 0), [first, DirectMsg::Echo { req: req(3) }]);
-    assert_eq!(sent(&mut cluster, 2), []);
-    cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Idle, ()));
-    assert_eq!(sent(&mut cluster, 2), [DirectMsg::Echoes { reqs: vec![req(4), req(5)] }]);
+    let first = DirectMsg::Echoes { reqs: (10..13).map(req).collect() };
+    assert_eq!(cluster.sent(1, 0), [first, DirectMsg::Echo { req: req(13) }]);
+    assert_eq!(cluster.sent(1, 2), []);
+    // The slot decides: nothing is in flight, and what waited leaves.
+    repair_slot_0(&mut cluster);
+    assert_eq!(cluster.sent(1, 2), [DirectMsg::Echoes { reqs: vec![req(14), req(15)] }]);
 
-    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5));
-    cluster.net.backlog = true;
+    let mut cluster = slot_0_in_flight_at_r1(&SimConfig::paper_default(5));
     cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Effects(fx[..2].to_vec()), ()));
-    let single = (0..2).map(|seq| DirectMsg::Echo { req: req(seq) });
-    assert_eq!(sent(&mut cluster, 0), single.collect::<Vec<_>>());
+    let single = (10..12).map(|seq| DirectMsg::Echo { req: req(seq) });
+    assert_eq!(cluster.sent(1, 0), single.collect::<Vec<_>>());
+}
+
+/// A follower's echoes wait while a slot it accepted has not decided — the
+/// leader's later PREPAREs it accepts meanwhile let none go — and leave
+/// together once that slot decides; with nothing in flight an echo leaves
+/// at once, and with `max_batch` 1 none waits.
+#[test]
+fn echoes_wait_for_the_followers_next_decision_while_a_slot_is_in_flight() {
+    let mut cfg = SimConfig::paper_default(5).with_batch(4);
+    // The leader proposes what its client sends it at once, so its next
+    // PREPAREs do not wait for r1's echoes.
+    cfg.echo_round = false;
+    let mut cluster = slot_0_in_flight_at_r1(&cfg);
+    // Two requests reach every replica, and r0 proposes each as it comes.
+    // r1 accepts both PREPAREs and holds both echoes; r2, with nothing in
+    // flight, echoes each at once.
+    let n = cluster.net.n;
+    for seq in [1, 2] {
+        for to in 0..n {
+            let bytes = (Lane::ClientReq, req(seq).to_bytes());
+            cluster.net.links.entry((n, to)).or_default().push_back(bytes);
+        }
+    }
+    cluster.pump();
+    assert_eq!(cluster.nodes[1].engine.accepted_undecided(), Some(Slot(0)));
+    assert_eq!(cluster.sent(1, 0), []);
+    assert_eq!(cluster.sent(2, 0), [1, 2].map(|seq| DirectMsg::Echo { req: req(seq) }));
+
+    repair_slot_0(&mut cluster);
+    assert_eq!(cluster.sent(1, 0), [DirectMsg::Echoes { reqs: vec![req(1), req(2)] }]);
+    assert!(cluster.request(payload(3)));
+    let next = Request { id: RequestId::new(ClientId(0), 1), payload: payload(3) };
+    assert_eq!(cluster.sent(1, 0), [DirectMsg::Echo { req: next }]);
+    cluster.assert_replicas_agree(4);
+
+    // Unbatched, r1 echoes each request at once, slot in flight or not.
+    cfg.max_batch = 1;
+    let mut cluster = slot_0_in_flight_at_r1(&cfg);
+    let fx = [1, 2].map(|seq| Effect::SendReplica {
+        to: ReplicaId(0),
+        msg: DirectMsg::Echo { req: req(seq) },
+    });
+    cluster.on_node(1, |nd, sub| nd.on_input(sub, NodeInput::Effects(fx.to_vec()), ()));
+    assert_eq!(cluster.sent(1, 0), [1, 2].map(|seq| DirectMsg::Echo { req: req(seq) }));
 }
 
 /// The threaded backend's memory node: a `WriteRead` applies its write

@@ -3,13 +3,15 @@
 //!
 //! A [`GroupRuntime`] is one `2f + 1` group in the simulator: its
 //! [`ReplicaNode`]s — the protocol stacks and the driver that interprets
-//! their effects, shared with the threaded backend — and the [`SimEnv`]
-//! they run in: the simulated machines (host, cost cursors, retained
-//! snapshots), the channel lanes between them, the group's
-//! partition of the SWMR register banks and fault injection — beside the
-//! group's [`ClientLoop`], the closed-loop clients both backends share.
-//! [`SimSubstrate`] is the [`Substrate`] a node sees while one event is
-//! handled, [`SimClientPort`] the [`ClientPort`] the clients see. The fabric and the event queue are *not*
+//! their effects, shared with the threaded backend — and their
+//! [`Executor`]s, and the [`SimEnv`] they run in: the simulated machines
+//! (host, cost cursors, retained snapshots), the channel lanes between
+//! them, the group's partition of the SWMR register banks and fault
+//! injection — beside the group's [`ClientLoop`], the closed-loop clients
+//! both backends share. [`SimSubstrate`] is the [`Substrate`] a node sees
+//! while one event is handled, [`SimExecPort`] the [`ExecPort`] its
+//! executor sees, [`SimClientPort`] the [`ClientPort`] the clients see.
+//! The fabric and the event queue are *not*
 //! the group's: those are shared deployment-wide so that many groups can
 //! ride one RDMA network and one set of passive memory nodes (the paper's
 //! scale-out story). Every event in the shared queue is tagged with the
@@ -39,7 +41,8 @@ use ubft_types::{
 use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::OpCounters;
+use crate::cluster::{CoreTime, OpCounters, ReplicaReport};
+use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// Simulation events. All indices are group-local; the queue tags each
@@ -112,6 +115,16 @@ pub(crate) struct Shared<'a> {
     pub audit: &'a mut Option<Auditor>,
 }
 
+impl Shared<'_> {
+    /// Tells the auditor, if the deployment has one, about replica `r` of
+    /// group `gid` (`f` gets the group and replica indices).
+    fn tell_auditor(&mut self, gid: u32, r: usize, f: impl FnOnce(&mut Auditor, usize, usize)) {
+        if let Some(aud) = self.audit.as_mut() {
+            f(aud, gid as usize, r);
+        }
+    }
+}
+
 /// How many recent checkpoint snapshots a machine retains for serving
 /// state transfers to replacement nodes. The joiner always asks for a
 /// *recent* stable checkpoint (its `f + 1` join acks name one), so a short
@@ -134,8 +147,43 @@ struct Snapshot {
     exec_table: ExecTable,
 }
 
+/// What caused a main-core dispatch: where [`CoreTime`] files its time.
+#[derive(Clone, Copy)]
+enum Input {
+    ClientRequest,
+    Direct,
+    Consensus,
+    Ctb,
+    Timer,
+    /// Everything that is neither a message nor a timer.
+    Completion,
+}
+
+impl Input {
+    fn of_lane(lane: Lane) -> Self {
+        match lane {
+            Lane::ClientReq | Lane::ClientResp => Input::ClientRequest,
+            Lane::Direct => Input::Direct,
+            Lane::ConsTb => Input::Consensus,
+            Lane::CtbTb { .. } => Input::Ctb,
+        }
+    }
+
+    /// The main-core figure of `core` this kind of input is filed under.
+    fn file(self, core: &mut CoreTime) -> &mut Duration {
+        match self {
+            Input::ClientRequest => &mut core.client_requests,
+            Input::Direct => &mut core.direct_msgs,
+            Input::Consensus => &mut core.consensus_frames,
+            Input::Ctb => &mut core.ctb_frames,
+            Input::Timer => &mut core.timers,
+            Input::Completion => &mut core.completions,
+        }
+    }
+}
+
 /// The simulated machine one replica runs on: what the simulator keeps
-/// per replica beside its protocol stack.
+/// per replica beside its protocol stack and its executor.
 struct Machine {
     /// `host_base + r` until a replacement moves the replica to a freshly
     /// allocated host. The host is the replica's incarnation, and whether
@@ -144,11 +192,13 @@ struct Machine {
     host: HostId,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     busy: Time,
-    /// The dispatch under way started behind `busy`: it works off a
-    /// backlog ([`Substrate::idle_later`]).
-    behind: bool,
-    /// A [`NodeInput::Idle`] is queued for the backlog under way.
-    idle_pending: bool,
+    /// What the dispatch under way was caused by.
+    input: Input,
+    /// Execution-core busy-until cursor: the executor's jobs run here, in
+    /// the order the main core handed them over.
+    exec_busy: Time,
+    /// Both cores' busy time so far.
+    core: CoreTime,
     /// Busy-until cursor of the first of the replica's two crypto workers
     /// (the paper's background crypto pool, §5.4). Crypto a request waits
     /// for — the engine's *ordered* signatures and verifications, whose
@@ -198,8 +248,9 @@ impl Machine {
         Machine {
             host,
             busy: at,
-            behind: false,
-            idle_pending: false,
+            input: Input::Completion,
+            exec_busy: at,
+            core: CoreTime::default(),
             crypto_busy: at,
             job_busy: at,
             deferred_fx: 0,
@@ -271,6 +322,8 @@ struct SlotRead {
 /// and the simulated environment both run in.
 pub(crate) struct GroupRuntime {
     pub(crate) nodes: Vec<ReplicaNode>,
+    /// The replicas' execution cores, in replica order.
+    pub(crate) execs: Vec<Executor>,
     pub(crate) clients: ClientLoop,
     pub(crate) env: SimEnv,
 }
@@ -426,8 +479,9 @@ impl SimEnv {
 
     fn charge(&mut self, r: usize, at: Time, extra: Duration) -> Time {
         let m = &mut self.machines[r];
-        m.behind |= at < m.busy;
-        m.busy = at.max(m.busy) + self.cfg.cost.dispatch + extra;
+        let spent = self.cfg.cost.dispatch + extra;
+        *m.input.file(&mut m.core) += spent;
+        m.busy = at.max(m.busy) + spent;
         m.busy
     }
 
@@ -572,18 +626,9 @@ impl ClientPort for SimClientPort<'_, '_> {
 struct SimSubstrate<'a, 'b> {
     env: &'a mut SimEnv,
     sh: &'a mut Shared<'b>,
+    exec: &'a mut Executor,
     r: usize,
     t: Time,
-}
-
-impl SimSubstrate<'_, '_> {
-    /// Tells the auditor, if the deployment has one, about this replica
-    /// (`f` gets the group and replica indices).
-    fn audit(&mut self, f: impl FnOnce(&mut Auditor, usize, usize)) {
-        if let Some(aud) = self.sh.audit.as_mut() {
-            f(aud, self.env.gid as usize, self.r);
-        }
-    }
 }
 
 impl Substrate for SimSubstrate<'_, '_> {
@@ -686,18 +731,12 @@ impl Substrate for SimSubstrate<'_, '_> {
         self.env.charge(self.r, at, extra)
     }
 
-    /// Yes when the dispatch under way started behind the main core's busy
-    /// cursor. The idle input is scheduled at the cursor, once per backlog;
-    /// [`GroupRuntime::handle`] defers it while later inputs keep the core
-    /// busy, and hands it over early, once the core is done with it, after
-    /// an input that is not a client request.
-    fn idle_later(&mut self, _at: Time) -> bool {
-        let m = &mut self.env.machines[self.r];
-        let (behind, busy) = (m.behind, m.busy);
-        if behind && !std::mem::replace(&mut m.idle_pending, true) {
-            self.env.push_input(self.sh, self.r, busy, NodeInput::Idle);
-        }
-        behind
+    /// Runs `job` on the replica's execution core: as of `at`, or once the
+    /// core is done with the jobs before it.
+    fn exec(&mut self, job: ExecJob, at: Time) {
+        let t = at.max(self.env.machines[self.r].exec_busy);
+        let port = &mut SimExecPort { env: &mut *self.env, sh: &mut *self.sh, r: self.r, t };
+        self.exec.run(job, port);
     }
 
     fn engine_call_done(
@@ -773,66 +812,6 @@ impl Substrate for SimSubstrate<'_, '_> {
         None
     }
 
-    fn execute<A: App + ?Sized>(
-        &mut self,
-        app: &mut A,
-        slot: Slot,
-        req: &Request,
-        at: Time,
-    ) -> (Vec<u8>, Time) {
-        let r = self.r;
-        // Auditor self-test mutations: deliberately corrupt this
-        // replica's execution so the auditor can be shown to catch
-        // it. Never active outside mutation tests.
-        let corrupted = match self.env.cfg.audit_mutation {
-            Some(AuditMutation::CorruptExecution { replica })
-                if replica == r && !req.payload.is_empty() =>
-            {
-                let mut p = req.payload.clone();
-                p[0] ^= 0xFF;
-                Some(p)
-            }
-            _ => None,
-        };
-        let applied: &[u8] = corrupted.as_deref().unwrap_or(&req.payload);
-        let cost = app.execute_cost(applied);
-        let payload = app.execute(applied);
-        if let Some(AuditMutation::DoubleExecute { replica }) = self.env.cfg.audit_mutation {
-            if replica == r {
-                let _ = app.execute(applied);
-            }
-        }
-        self.audit(|aud, g, r| aud.on_execute(g, r, slot, req.id, applied, &payload));
-        (payload, self.env.charge(r, at, cost))
-    }
-
-    fn on_snapshot<A: App + ?Sized>(
-        &mut self,
-        base: Slot,
-        app_digest: Digest,
-        exec_table: ExecTable,
-        app: &A,
-    ) {
-        self.audit(|aud, g, r| {
-            let digests = (app_digest, exec_table_digest(&exec_table));
-            aud.on_checkpoint_digest(g, r, base, digests);
-        });
-        if self.env.genesis_snapshot.is_some() {
-            // Retain the serialized state for serving lagging replicas'
-            // transfers (bounded history).
-            let snapshots = &mut self.env.machines[self.r].snapshots;
-            snapshots.push(Snapshot {
-                base,
-                app_digest,
-                app_bytes: app.snapshot_bytes(),
-                exec_table,
-            });
-            if snapshots.len() > SNAPSHOT_RETAIN {
-                snapshots.remove(0);
-            }
-        }
-    }
-
     /// Served from any live peer's retained checkpoint snapshot.
     fn fetch_snapshot(
         &mut self,
@@ -861,13 +840,16 @@ impl Substrate for SimSubstrate<'_, '_> {
                 // A successful transfer puts the replica back on certified
                 // state: the auditor can vouch for it again even if an
                 // earlier transfer missed.
-                self.audit(|aud, g, r| aud.on_transfer_restored(g, r));
+                self.sh
+                    .tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_transfer_restored(g, r));
                 let cost = self.env.cfg.latency.worst_case(bytes);
                 let _ = self.env.charge(self.r, at, cost);
             }
             // The auditor stops vouching for the replica's application
             // state.
-            None => self.audit(|aud, g, r| aud.on_transfer_miss(g, r)),
+            None => {
+                self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_transfer_miss(g, r))
+            }
         }
     }
 
@@ -882,15 +864,69 @@ impl Substrate for SimSubstrate<'_, '_> {
     }
 
     fn on_decision(&mut self, rec: DecisionRecord) {
-        self.audit(|aud, g, r| aud.on_decision(g, r, rec));
+        self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_decision(g, r, rec));
     }
 
     fn on_checkpoint_adopted(&mut self, base: Slot) {
-        self.audit(|aud, g, r| aud.on_checkpoint_adopted(g, r, base));
+        self.sh
+            .tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_checkpoint_adopted(g, r, base));
     }
 
     fn byz_mode(&self, at: Time) -> Option<ByzantineMode> {
         self.env.byz_mode(self.r, at)
+    }
+}
+
+/// What replica `r`'s [`Executor`] sees of the simulator while it runs one
+/// job: its execution core's clock `t`, which each request it runs
+/// advances by one dispatch and the application's cost.
+struct SimExecPort<'a, 'b> {
+    env: &'a mut SimEnv,
+    sh: &'a mut Shared<'b>,
+    r: usize,
+    t: Time,
+}
+
+impl<A: App + ?Sized> ExecPort<A> for SimExecPort<'_, '_> {
+    fn reply(&mut self, to: usize, bytes: &[u8]) {
+        self.env.counters.rpc_msgs += 1;
+        self.env.channel_send(self.sh, Lane::ClientResp, self.r, to, bytes, self.t);
+    }
+
+    fn input(&mut self, input: NodeInput) {
+        self.env.push_input(self.sh, self.r, self.t, input);
+    }
+
+    fn executed(&mut self, slot: Slot, id: RequestId, applied: &[u8], resp: &[u8], cost: Duration) {
+        self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| {
+            aud.on_execute(g, r, slot, id, applied, resp)
+        });
+        let spent = self.env.cfg.cost.dispatch + cost;
+        let m = &mut self.env.machines[self.r];
+        m.core.execution += spent;
+        self.t += spent;
+        m.exec_busy = self.t;
+    }
+
+    fn snapshot(&mut self, base: Slot, app_digest: Digest, exec_table: ExecTable, app: &A) {
+        self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| {
+            let digests = (app_digest, exec_table_digest(&exec_table));
+            aud.on_checkpoint_digest(g, r, base, digests);
+        });
+        if self.env.genesis_snapshot.is_some() {
+            // Retain the serialized state for serving lagging replicas'
+            // transfers (bounded history).
+            let snapshots = &mut self.env.machines[self.r].snapshots;
+            snapshots.push(Snapshot {
+                base,
+                app_digest,
+                app_bytes: app.snapshot_bytes(),
+                exec_table,
+            });
+            if snapshots.len() > SNAPSHOT_RETAIN {
+                snapshots.remove(0);
+            }
+        }
     }
 }
 
@@ -924,10 +960,11 @@ impl GroupRuntime {
 
         let machines =
             (0..n as u32).map(|r| Machine::boot(HostId(host_base + r), Time::ZERO)).collect();
-        let nodes = apps
+        let nodes = (0..n).map(|r| ReplicaNode::new(r, &cfg, ring.clone())).collect();
+        let execs = apps
             .into_iter()
             .enumerate()
-            .map(|(r, app)| ReplicaNode::new(r, &cfg, ring.clone(), app))
+            .map(|(r, app)| Executor::new(r, &cfg, &ring, app))
             .collect();
         let mut env = SimEnv {
             gid,
@@ -984,10 +1021,10 @@ impl GroupRuntime {
             m.reg_writers = env.reg_banks.iter().map(|banks| banks[owner].writer()).collect();
         }
 
-        let mut group = GroupRuntime { nodes, clients, env };
+        let mut group = GroupRuntime { nodes, execs, clients, env };
         // Engine start-up (progress watchdogs).
         for r in 0..n {
-            group.on_node(sh, r, Time::ZERO, |nd, sub| {
+            group.on_node(sh, r, Time::ZERO, Input::Completion, |nd, sub| {
                 nd.engine_call(sub, Time::ZERO, |e| e.start())
             });
         }
@@ -998,18 +1035,20 @@ impl GroupRuntime {
     }
 
     /// Runs `f` on replica `r`'s protocol stack and the substrate it sees
-    /// while the event at `t` is handled — unless `r`'s host is down at `t`.
+    /// while the event at `t`, an `input`, is handled — unless `r`'s host
+    /// is down at `t`.
     fn on_node(
         &mut self,
         sh: &mut Shared<'_>,
         r: usize,
         t: Time,
+        input: Input,
         f: impl FnOnce(&mut ReplicaNode, &mut SimSubstrate<'_, '_>),
     ) {
         if !self.env.crashed(sh.fabric, r, t) {
-            // A dispatch is behind if its first charge is (`SimEnv::charge`).
-            self.env.machines[r].behind = false;
-            f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, r, t });
+            self.env.machines[r].input = input;
+            let exec = &mut self.execs[r];
+            f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, exec, r, t });
         }
     }
 
@@ -1055,11 +1094,13 @@ impl GroupRuntime {
             env.open_client_links(sh.fabric, c, r);
         }
 
-        // The fresh node itself: a new protocol stack around the genesis
-        // application state.
-        let mut node = self.nodes.remove(r).replaced(&env.cfg, env.ring.clone());
-        node.app.restore_bytes(env.genesis_snapshot.as_deref().expect("a replacement is a fault"));
+        // The fresh node itself: a new protocol stack, and an executor
+        // around the genesis application state.
+        let node = self.nodes.remove(r).replaced(&env.cfg, env.ring.clone());
         self.nodes.insert(r, node);
+        let mut exec = self.execs.remove(r).replaced(&env.cfg, &env.ring);
+        exec.app.restore_bytes(env.genesis_snapshot.as_deref().expect("a replacement is a fault"));
+        self.execs.insert(r, exec);
 
         // Step 1 of the join: recover the own-stream tail high-water mark
         // directly from the memory nodes (no replica trusted) — every
@@ -1079,13 +1120,22 @@ impl GroupRuntime {
 
         // Step 2: the Join/JoinAck handshake (engine-driven from here), and
         // the incarnation's own retransmission tick.
-        self.on_node(sh, r, at, |nd, sub| nd.engine_call(sub, done, |e| e.begin_join(reg_floor)));
+        self.on_node(sh, r, at, Input::Completion, |nd, sub| {
+            nd.engine_call(sub, done, |e| e.begin_join(reg_floor))
+        });
         self.env.arm_retransmit(sh, r, at);
     }
 
     // ------------------------------------------------------------------
     // Observers
     // ------------------------------------------------------------------
+
+    /// Every replica's report; takes the execution logs.
+    pub(crate) fn replica_reports(&mut self) -> Vec<ReplicaReport> {
+        let (nodes, machines) = (&self.nodes, &self.env.machines);
+        let each = nodes.iter().zip(&mut self.execs).zip(machines);
+        each.map(|((nd, exec), m)| ReplicaReport::of(nd, exec.report(), m.core)).collect()
+    }
 
     /// Disaggregated bytes this group's register banks occupy on one
     /// memory node.
@@ -1166,35 +1216,19 @@ impl GroupRuntime {
         if out.repoll {
             self.env.push(sh, at + Duration::from_nanos(200), Ev::Poll { lane, from, to });
         }
-        // Replica lanes only: a client request extends the run of requests.
-        let other =
-            !matches!(lane, Lane::ClientReq | Lane::ClientResp) && !out.delivered.is_empty();
         for (_seq, payload) in out.delivered {
             let payload = &buf[payload];
             if lane == Lane::ClientResp {
                 self.clients.on_reply(&mut SimClientPort { env: &mut self.env, sh, at }, payload);
             } else {
                 // (A crashed host's memory delivers nothing to poll.)
-                self.on_node(sh, to, at, |nd, sub| nd.on_inbound(sub, lane, from, payload, at));
+                let kind = Input::of_lane(lane);
+                self.on_node(sh, to, at, kind, |nd, sub| {
+                    nd.on_inbound(sub, lane, from, payload, at)
+                });
             }
         }
         self.env.poll_buf = buf;
-        if other {
-            self.after_other_input(sh, to, at);
-        }
-    }
-
-    /// Replica `r`'s core has taken an input that is not a client request:
-    /// the echoes of the requests before it stop waiting and leave when
-    /// the core is done with it ([`Substrate::idle_later`]). The idle
-    /// event that was scheduled for them stays queued for the requests
-    /// that may follow.
-    fn after_other_input(&mut self, sh: &mut Shared<'_>, r: usize, t: Time) {
-        let m = &self.env.machines[r];
-        if m.idle_pending {
-            let at = m.busy.max(t);
-            self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, NodeInput::Idle, at));
-        }
     }
 
     /// Handles one event popped from the shared queue. Whether a replica
@@ -1210,23 +1244,14 @@ impl GroupRuntime {
             }
             Ev::Node { r, host, input } if host == self.env.machines[r as usize].host => {
                 let r = r as usize;
-                let m = &mut self.env.machines[r];
-                match input {
-                    NodeInput::Effects(_) => m.deferred_fx -= 1,
-                    // The core is idle once nothing it took meanwhile keeps
-                    // it busy. Idle ends a loop iteration: no dispatch.
-                    NodeInput::Idle if m.busy > t => {
-                        let busy = m.busy;
-                        return self.env.push_input(sh, r, busy, NodeInput::Idle);
-                    }
-                    NodeInput::Idle => m.idle_pending = false,
-                    _ => {}
+                if let NodeInput::Effects(_) = input {
+                    self.env.machines[r].deferred_fx -= 1;
                 }
-                let other = !matches!(input, NodeInput::Idle);
-                self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, input, t));
-                if other {
-                    self.after_other_input(sh, r, t);
-                }
+                let kind = match input {
+                    NodeInput::Timer(_) => Input::Timer,
+                    _ => Input::Completion,
+                };
+                self.on_node(sh, r, t, kind, |nd, sub| nd.on_input(sub, input, t));
             }
             // Whatever an earlier incarnation of the replica scheduled died
             // with its host.

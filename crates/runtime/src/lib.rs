@@ -9,9 +9,10 @@
 //!   closed-loop clients, over one fabric and one event queue, with
 //!   requests routed per key by [`ubft_apps::ShardRouter`] when there are
 //!   several groups. Built on the private `node` (a replica's protocol
-//!   stack and its one driver), `client_loop` (a group's closed-loop
-//!   clients) and `group` (one group's simulator `Substrate` and
-//!   `ClientPort` for the two) modules.
+//!   stack and its one driver), `exec` (a replica's execution core: its
+//!   application and last-reply table), `client_loop` (a group's
+//!   closed-loop clients) and `group` (one group's simulator `Substrate`,
+//!   `ExecPort` and `ClientPort` for the three) modules.
 //! * [`threads`] — the same `node` driver on OS threads
 //!   ([`Backend::Threads`]): wall-clock time instead of virtual time.
 //! * [`baselines`] — the comparison systems measured the same way:
@@ -26,12 +27,15 @@ pub mod cluster;
 pub mod threads;
 
 mod client_loop;
+mod exec;
 mod group;
 mod node;
 
 pub use audit::{AuditMutation, AuditReport, AuditViolation, Auditor, ViolationKind};
 pub use calibration::{Backend, SimConfig};
-pub use cluster::{Cluster, GroupReport, OpCounters, ReplicaReport, RunReport, TimerInputs};
+pub use cluster::{
+    Cluster, CoreTime, GroupReport, OpCounters, ReplicaReport, RunReport, TimerInputs,
+};
 pub use threads::{run_backend, run_wallclock, ThreadWorkload, WallOptions};
 
 #[cfg(test)]

@@ -6,18 +6,17 @@
 //! written once against [`Substrate`] — what a deployment backend does
 //! differently from the other: move bytes, arm timers, run crypto and
 //! register operations whose completions come back as [`NodeInput`]s, decide
-//! *when* a call's effects apply, serve state transfers, and observe. The
+//! *when* a call's effects apply, hand decided requests to the replica's
+//! executor (`exec.rs`), serve state transfers, and observe. The
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
 //! mesh, crypto pool and memory-node threads.
 
-use ubft_core::app::App;
 use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect, Engine, EngineConfig,
     PathMode, TimerKind,
 };
-use ubft_core::lru::LruMap;
-use ubft_core::msg::{exec_table_digest, Batch, CtbMsg, DirectMsg, Reply, Request, TbMsg};
+use ubft_core::msg::{Batch, CtbMsg, DirectMsg, Request, TbMsg};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
@@ -25,13 +24,14 @@ use ubft_ctb::wire::{CtbWire, TbAck, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
+use ubft_types::{ClientId, Duration, ReplicaId, SeqId, Slot};
 
 use crate::audit::AuditMutation;
 use crate::calibration::{
     SimConfig, ECHO_FALLBACK, PROGRESS_TIMEOUT, RETRANSMIT_PERIOD, SLOW_TRIGGER,
 };
 use crate::cluster::TimerInputs;
+use crate::exec::ExecJob;
 
 /// Message lanes between nodes of one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -123,9 +123,13 @@ pub(crate) enum NodeInput {
     /// An engine call's effects the substrate kept back until the crypto
     /// they wait for finished ([`Substrate::engine_call_done`]).
     Effects(Vec<Effect>),
-    /// The run of client requests that made [`Substrate::idle_later`]
-    /// say yes has ended: the echoes that waited for it leave.
-    Idle,
+    /// The executor took the checkpoint snapshot at `base`
+    /// ([`ExecJob::Snapshot`]).
+    Snapshot { base: Slot, app_digest: Digest, exec_digest: Digest },
+    /// The executor restored a state transfer at `base`: `Some((bytes,
+    /// dedup table))` when it verified, `None` when it did not
+    /// ([`ExecJob::Restore`]).
+    Restored { base: Slot, restored: Option<(usize, ExecTable)> },
 }
 
 /// What a deployment backend provides to one [`ReplicaNode`]: exactly what
@@ -210,36 +214,20 @@ pub(crate) trait Substrate {
         fx: Vec<Effect>,
     ) -> Option<(Self::At, Vec<Effect>)>;
 
-    // What only a modelled deployment has — a cost model, a backlog, a
+    /// Hands `job` to the replica's executor, which runs its jobs in the
+    /// order they are handed over, answers clients itself, and hands what
+    /// the event loop needs back as a [`NodeInput`]. Handing a job over
+    /// costs the event loop nothing beyond the dispatch under way.
+    fn exec(&mut self, job: ExecJob, at: Self::At);
+
+    // What only a modelled deployment has — a cost model, a
     // state-transfer service, an observer, injected faults: a substrate
     // with none of them leaves the defaults.
-
-    /// Whether the dispatch under way works off a backlog — inputs queued
-    /// behind the replica's busy core — and the substrate hands the node
-    /// [`NodeInput::Idle`] once the run of client requests it belongs to
-    /// ends: once the core has handled an input of any other kind, or has
-    /// worked the backlog off. Echoes then wait for it and leave as one
-    /// message. No, by default: they leave at once.
-    fn idle_later(&mut self, _at: Self::At) -> bool {
-        false
-    }
 
     /// Occupies the replica's event loop for one dispatch plus `extra`
     /// from `at`; returns when it is free again.
     fn charge(&mut self, at: Self::At, _extra: Duration) -> Self::At {
         at
-    }
-
-    /// Runs `req`, decided in `slot`, on `app`; returns the reply payload
-    /// and when the reply leaves.
-    fn execute<A: App + ?Sized>(
-        &mut self,
-        app: &mut A,
-        _slot: Slot,
-        req: &Request,
-        at: Self::At,
-    ) -> (Vec<u8>, Self::At) {
-        (app.execute(&req.payload), at)
     }
 
     /// Fetches the snapshot at `base` with the certified digests from
@@ -252,18 +240,6 @@ pub(crate) trait Substrate {
         _exec_digest: Digest,
     ) -> Option<(Vec<u8>, ExecTable)> {
         None
-    }
-
-    /// The replica took its checkpoint snapshot at `base`: `app` hashes to
-    /// `app_digest`, and `exec_table` is the dedup table of that instant.
-    /// A substrate that serves state transfers retains both.
-    fn on_snapshot<A: App + ?Sized>(
-        &mut self,
-        _base: Slot,
-        _app_digest: Digest,
-        _exec_table: ExecTable,
-        _app: &A,
-    ) {
     }
 
     /// A state transfer restored and verified `Some(bytes)`, or missed.
@@ -290,23 +266,37 @@ pub(crate) trait Substrate {
 /// summary round trip, so failure-free runs never pay a signature).
 const SUMMARY_STALL_TICKS: u32 = 4;
 
-/// One replica's complete protocol stack.
+/// The engine configuration `cfg` prescribes for replica `r`.
+pub(crate) fn engine_config(r: usize, cfg: &SimConfig) -> EngineConfig {
+    let mut ecfg = EngineConfig::new(cfg.params.clone(), cfg.path);
+    ecfg.echo_round = cfg.echo_round;
+    if let Some(every) = cfg.summary_every {
+        ecfg.summary_half = every;
+    }
+    ecfg.max_batch = cfg.max_batch.max(1);
+    if let Some(depth) = cfg.pipeline_depth {
+        ecfg.pipeline_depth = depth.max(1);
+    }
+    ecfg.record_decisions = cfg.audit;
+    if let Some(AuditMutation::DecideEarly { replica: target }) = cfg.audit_mutation {
+        ecfg.test_decide_early = target == r;
+    }
+    ecfg
+}
+
+/// One replica's complete protocol stack: its event loop.
 ///
-/// A replica owns its consensus engine, its replicated application
-/// instance, one CTBcast instance per stream (its own stream as
-/// broadcaster, every peer's as receiver) and the TBcast endpoints those
-/// streams and the consensus lane ride on. Everything with a clock, a
-/// wire or a key store in it belongs to the [`Substrate`].
-pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
+/// A replica owns its consensus engine, one CTBcast instance per stream
+/// (its own stream as broadcaster, every peer's as receiver) and the
+/// TBcast endpoints those streams and the consensus lane ride on. Its
+/// application runs beside it, on the executor the [`Substrate`] hands
+/// decided requests to; everything with a clock, a wire or a key store in
+/// it belongs to the substrate too.
+pub(crate) struct ReplicaNode {
     /// This replica's index in its group.
     r: usize,
-    /// Clients of the group: requests from anyone else execute but are
-    /// not answered.
-    n_clients: usize,
     /// The consensus state machine (Algorithms 2–5).
     pub engine: Engine,
-    /// The replicated application.
-    pub app: Box<A>,
     /// CTBcast instances, one per stream: `ctbs[s]` handles stream `s`.
     pub ctbs: Vec<Ctb>,
     /// TBcast broadcasters for this replica's side of each CTBcast stream.
@@ -325,19 +315,6 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     /// unsummarized tail to the signed slow path so receivers whose
     /// fast-path unanimity a dead peer broke can still deliver.
     summary_stall_ticks: u32,
-    /// The last reply sent to each client (PBFT's last-reply table): a
-    /// retransmitted request that already executed is answered from here —
-    /// the engine's dedup cannot re-execute it, and without the cached
-    /// reply a client whose response was lost would stall forever.
-    /// Bounded like the engine's dedup table, by
-    /// [`EngineConfig::client_table_cap`]: replica-local, so eviction needs
-    /// no cross-replica agreement.
-    reply_cache: LruMap<ClientId, Reply>,
-    /// Every non-noop request this replica executed, in execution order.
-    /// Pure observation, recorded so the backend-equivalence suite can
-    /// compare decided sequences between the two backends request by
-    /// request.
-    pub exec_log: Vec<(ClientId, u64)>,
     /// State transfers that found no (verifiable) snapshot: the replica
     /// fast-forwarded, so its application state may have diverged.
     pub transfer_misses: u64,
@@ -353,38 +330,27 @@ pub(crate) struct ReplicaNode<A: App + ?Sized = dyn App> {
     /// ([`Engine::take_ctb_ahead`]), encoded once: its broadcast sends
     /// these bytes.
     ctb_ahead: Option<(CtbMsg, Vec<u8>)>,
-    /// Echoes to replica `echo_to` that wait for the run of client
-    /// requests they queued in to end ([`Substrate::idle_later`]), to
-    /// leave as one message. Kept across flushes, so coalescing allocates
-    /// no buffer.
+    /// Echoes to replica `echo_to` that wait to leave as one message, and
+    /// the first slot the engine had accepted and not decided when the
+    /// first of them came ([`Engine::accepted_undecided`]). Kept across
+    /// flushes, so coalescing allocates no buffer.
     echoes: Vec<Request>,
     echo_to: usize,
+    echo_mark: Option<Slot>,
     /// The most echoes one message carries: `max_batch`, so the requests
     /// of a coalesced echo fit the slot a batch fits, and an unbatched
     /// group never coalesces.
     echo_cap: usize,
 }
 
-impl<A: App + ?Sized> ReplicaNode<A> {
+impl ReplicaNode {
     /// Builds replica `r`'s protocol stack as `cfg` prescribes: the one
     /// place a deployment's boot, a replacement's boot and a replica
     /// thread get theirs, so the three can never drift.
-    pub fn new(r: usize, cfg: &SimConfig, ring: KeyRing, app: Box<A>) -> Self {
+    pub fn new(r: usize, cfg: &SimConfig, ring: KeyRing) -> Self {
         let n = cfg.params.n();
         let tail = cfg.params.tail;
-        let mut ecfg = EngineConfig::new(cfg.params.clone(), cfg.path);
-        ecfg.echo_round = cfg.echo_round;
-        if let Some(every) = cfg.summary_every {
-            ecfg.summary_half = every;
-        }
-        ecfg.max_batch = cfg.max_batch.max(1);
-        if let Some(depth) = cfg.pipeline_depth {
-            ecfg.pipeline_depth = depth.max(1);
-        }
-        ecfg.record_decisions = cfg.audit;
-        if let Some(AuditMutation::DecideEarly { replica: target }) = cfg.audit_mutation {
-            ecfg.test_decide_early = target == r;
-        }
+        let ecfg = engine_config(r, cfg);
         let ctb_cfg = match cfg.path {
             PathMode::FastOnly => CtbConfig { n, tail, fast_enabled: true, slow: SlowMode::Never },
             PathMode::SlowOnly => {
@@ -397,13 +363,9 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         let peers: Vec<ReplicaId> = replicas.iter().copied().filter(|p| *p != me).collect();
         let cap = 2 * tail;
         let receivers = || (0..n).map(|_sender| TailReceiver::new(cap)).collect::<Vec<_>>();
-        let hash_state = ring.signer(ProcessId::Replica(me)).expect("replica key").hash_state();
-        let reply_cache_cap = ecfg.client_table_cap();
         ReplicaNode {
             r,
-            n_clients: cfg.n_clients.max(1),
             engine: Engine::new(me, ecfg, ring),
-            app,
             ctbs: replicas.iter().map(|s| Ctb::new(me, *s, replicas.clone(), ctb_cfg)).collect(),
             ctb_tx: (0..n).map(|_s| TailBroadcaster::new(peers.clone(), cap)).collect(),
             ctb_rx: (0..n).map(|_s| receivers()).collect(),
@@ -411,11 +373,6 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             cons_rx: receivers(),
             tb_window: cap,
             summary_stall_ticks: 0,
-            // The engine's in-flight bound: an entry evicted before its
-            // client could possibly need a re-reply would stall that
-            // client forever.
-            reply_cache: LruMap::new(reply_cache_cap, hash_state),
-            exec_log: Vec::new(),
             transfer_misses: 0,
             branded: Vec::new(),
             timers: TimerInputs::default(),
@@ -423,20 +380,18 @@ impl<A: App + ?Sized> ReplicaNode<A> {
             ctb_ahead: None,
             echoes: Vec::new(),
             echo_to: 0,
+            echo_mark: None,
             echo_cap: cfg.max_batch.max(1),
         }
     }
 
-    /// The replacement for this replica on a fresh host: a new stack
-    /// around the same application instance (the caller resets it to
-    /// genesis), with what the run has observed of the replica carried
-    /// over.
+    /// The replacement for this replica on a fresh host: a new stack,
+    /// with what the run has observed of the replica carried over.
     pub fn replaced(self, cfg: &SimConfig, ring: KeyRing) -> Self {
         ReplicaNode {
-            exec_log: self.exec_log,
             transfer_misses: self.transfer_misses,
             branded: self.branded,
-            ..ReplicaNode::new(self.r, cfg, ring, self.app)
+            ..ReplicaNode::new(self.r, cfg, ring)
         }
     }
 
@@ -498,17 +453,11 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                     if sub.byz_mode(at) == Some(ByzantineMode::CensorRequests) {
                         return;
                     }
-                    // A retransmission of an already-executed request is
-                    // answered from the last-reply table — the engine's
+                    // A retransmission of a request handed to the executor
+                    // is answered from its last-reply table — the engine's
                     // dedup cannot re-execute it (PBFT's classic re-reply).
-                    let cached = self
-                        .reply_cache
-                        .get(&req.id.client)
-                        .filter(|reply| reply.id == req.id)
-                        .cloned();
-                    if let Some(reply) = cached {
-                        self.send_reply(sub, &reply, at);
-                        return;
+                    if self.engine.executed(req.id) {
+                        return sub.exec(ExecJob::Reanswer(req.id), at);
                     }
                     self.engine_call(sub, at, |e| e.on_client_request(req));
                 }
@@ -549,7 +498,20 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 self.engine_call(sub, at, |e| e.on_crypto_done(tag, result))
             }
             NodeInput::Effects(fx) => self.apply_effects(sub, at, fx),
-            NodeInput::Idle => self.flush_echoes(sub, at),
+            NodeInput::Snapshot { base, app_digest, exec_digest } => {
+                self.engine_call(sub, at, |e| e.on_snapshot(base, app_digest, exec_digest))
+            }
+            NodeInput::Restored { restored: None, .. } => {
+                self.transfer_misses += 1;
+                sub.on_transfer(None, at);
+            }
+            NodeInput::Restored { base, restored: Some((bytes, table)) } => {
+                sub.on_transfer(Some(bytes), at);
+                // The certified dedup table goes to the engine, which
+                // re-verifies it against the checkpoint's exec_digest and
+                // prunes bookkeeping the table proves executed.
+                self.engine_call(sub, at, |e| e.on_exec_table(base, table));
+            }
         }
     }
 
@@ -619,10 +581,14 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         }
     }
 
-    /// Carries out one engine call's effects as of `at`.
+    /// Carries out one engine call's effects as of `at`. Echoes that wait
+    /// leave once the slot they wait on has decided ([`ReplicaNode::echo`]).
     fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, fx: Vec<Effect>) {
         for e in fx {
             self.engine_effect(sub, at, e);
+        }
+        if !self.echoes.is_empty() && self.engine.accepted_undecided() != self.echo_mark {
+            self.flush_echoes(sub, at);
         }
     }
 
@@ -643,32 +609,16 @@ impl<A: App + ?Sized> ReplicaNode<A> {
                 sub.count_msg(Lane::Direct);
                 self.send_msg(sub, Lane::Direct, to.0 as usize, &msg, at);
             }
-            Effect::Execute { slot, req } => {
-                let (payload, done) = sub.execute(&mut *self.app, slot, &req, at);
-                if !req.is_noop() {
-                    self.exec_log.push((req.id.client, req.id.seq));
-                }
-                if !req.is_noop() && (req.id.client.0 as usize) < self.n_clients {
-                    let reply = Reply { id: req.id, replica: ReplicaId(self.r as u32), payload };
-                    self.send_reply(sub, &reply, done);
-                    // Last-reply table (one entry per client, LRU-bounded
-                    // when capped), so a retransmitted already-executed
-                    // request can be re-answered.
-                    let _ = self.reply_cache.insert(req.id.client, reply);
-                }
-            }
+            Effect::Execute { slot, req } => sub.exec(ExecJob::Execute { slot, req }, at),
             Effect::RequestSnapshot { base } => {
-                let digest = self.app.snapshot_digest();
-                // The dedup table is captured at the same instant as the
-                // application digest, so the certified checkpoint covers
-                // the *whole* decision-relevant state. The engine paused
-                // execution at `base` for this and resumes inside the
-                // `on_snapshot` call below: both are the state after slot
-                // `base - 1` exactly, and the pause costs no time.
+                // The dedup table goes with the job, so the certified
+                // checkpoint covers the *whole* decision-relevant state:
+                // the engine paused execution at `base` for this and
+                // resumes once the executor's digest comes back as a
+                // `NodeInput::Snapshot` — both are the state after slot
+                // `base - 1` exactly.
                 let table = self.engine.exec_table();
-                let exec_digest = exec_table_digest(&table);
-                sub.on_snapshot(base, digest, table, &*self.app);
-                self.engine_call(sub, at, |e| e.on_snapshot(base, digest, exec_digest));
+                sub.exec(ExecJob::Snapshot { base, table }, at);
             }
             Effect::StateTransfer { base, app_digest, exec_digest } => {
                 self.state_transfer(sub, base, app_digest, exec_digest, at);
@@ -700,18 +650,23 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         }
     }
 
-    /// Echoes `req` to replica `to`: at once, or once the run of client
-    /// requests this dispatch works through ends, together with the
-    /// echoes of the requests that follow it. What waits leaves early when
-    /// the buffer holds `echo_cap` requests or an echo to another replica
-    /// comes.
+    /// Echoes `req` to replica `to`. While a slot this follower accepted
+    /// has not decided, the echo waits, with the ones that follow it, for
+    /// that slot's decision: they leave together once it has decided (the
+    /// leader's pipeline has freed a slot too), checked after every engine
+    /// call ([`ReplicaNode::apply_effects`]), and early when the buffer
+    /// holds `echo_cap` requests or an echo to another replica comes. With
+    /// nothing in flight an echo leaves at once.
     fn echo<S: Substrate>(&mut self, sub: &mut S, to: usize, req: Request, at: S::At) {
         if to != self.echo_to {
             self.flush_echoes(sub, at);
             self.echo_to = to;
         }
+        if self.echoes.is_empty() {
+            self.echo_mark = self.engine.accepted_undecided();
+        }
         self.echoes.push(req);
-        if self.echoes.len() >= self.echo_cap || !sub.idle_later(at) {
+        if self.echoes.len() >= self.echo_cap || self.echo_mark.is_none() {
             self.flush_echoes(sub, at);
         }
     }
@@ -733,8 +688,12 @@ impl<A: App + ?Sized> ReplicaNode<A> {
     }
 
     /// Restores the application to the certified state at `base` from
-    /// whatever the substrate can fetch, verified against the certified
-    /// `app_digest` — the source is not trusted.
+    /// whatever the substrate can fetch: the executor verifies it against
+    /// the certified `app_digest` — the source is not trusted — and its
+    /// verdict comes back as a [`NodeInput::Restored`]. A transfer with
+    /// nothing to restore from (no snapshots retained, or extreme lag) is
+    /// missed at once. The engine waits at `base` until then: it executes
+    /// nothing on a state it could not verify.
     fn state_transfer<S: Substrate>(
         &mut self,
         sub: &mut S,
@@ -746,26 +705,12 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         if base == Slot(0) {
             return; // genesis: a replica boots with it
         }
-        let fetched = sub.fetch_snapshot(base, app_digest, exec_digest);
-        if let Some((bytes, _)) = &fetched {
-            self.app.restore_bytes(bytes);
+        match sub.fetch_snapshot(base, app_digest, exec_digest) {
+            Some((bytes, table)) => {
+                sub.exec(ExecJob::Restore { base, app_digest, bytes, table }, at)
+            }
+            None => self.on_input(sub, NodeInput::Restored { base, restored: None }, at),
         }
-        // The restored state must hash to the *certified* digest, or the
-        // transfer is treated as missed (the next checkpoint retries from
-        // another source) — as it is when there was nothing to restore
-        // from (no snapshots retained, or extreme lag). The engine waits
-        // at `base` until then: it executes nothing on a state it could
-        // not verify.
-        let Some((bytes, table)) = fetched.filter(|_| self.app.snapshot_digest() == app_digest)
-        else {
-            self.transfer_misses += 1;
-            return sub.on_transfer(None, at);
-        };
-        sub.on_transfer(Some(bytes.len()), at);
-        // Hand the certified dedup table to the engine (it re-verifies
-        // against the checkpoint's exec_digest and prunes bookkeeping the
-        // table proves executed).
-        self.engine_call(sub, at, |e| e.on_exec_table(base, table));
     }
 
     // ------------------------------------------------------------------
@@ -993,12 +938,5 @@ impl<A: App + ?Sized> ReplicaNode<A> {
         self.scratch.clear();
         msg.encode(&mut self.scratch);
         sub.send(lane, to, &self.scratch, at);
-    }
-
-    /// Sends `reply` to the client it answers.
-    fn send_reply<S: Substrate>(&mut self, sub: &mut S, reply: &Reply, at: S::At) {
-        sub.count_msg(Lane::ClientResp);
-        let c_node = self.ctbs.len() + reply.id.client.0 as usize;
-        self.send_msg(sub, Lane::ClientResp, c_node, reply, at);
     }
 }

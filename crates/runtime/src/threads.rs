@@ -1,8 +1,9 @@
 //! The wall-clock deployment backend ([`Backend::Threads`]): every replica,
 //! client driver, and memory node of a deployment runs on its own OS
 //! thread, connected by the lock-free in-process channel transport
-//! ([`InProcEndpoint`]), with CTBcast signature/digest work and the
-//! engine's crypto jobs offloaded to a sized crypto worker pool.
+//! ([`InProcEndpoint`]), with each replica's application on an executor
+//! thread of its own, and CTBcast signature/digest work and the engine's
+//! crypto jobs offloaded to a sized crypto worker pool.
 //!
 //! The protocol stack *and its driver* are the simulator's: a replica
 //! thread owns a `ReplicaNode` (`node.rs`) — the same sans-IO state
@@ -44,7 +45,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ubft_core::app::App;
@@ -56,11 +57,12 @@ use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
-use ubft_types::{ProcessId, ReplicaId, RequestId, SeqId, Time};
+use ubft_types::{ClientId, ProcessId, ReplicaId, RequestId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
+use crate::cluster::{Cluster, CoreTime, GroupReport, ReplicaReport, RunReport};
+use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
@@ -276,15 +278,12 @@ const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 /// The loop every replica, driver and memory-node thread lives in: fire the
 /// timers that are due, wait on the inbox no longer than the next one,
 /// handle what is queued, until a [`CtlMsg::Shutdown`] arrives. `inbox`
-/// finds the thread's endpoint and timer heap in its state `s`. `on_msg`
-/// learns how many drained messages still follow the one it is handed, and
-/// `on_idle` runs once they are all handled, before the thread blocks.
+/// finds the thread's endpoint and timer heap in its state `s`.
 fn run_mailbox<S, T: Ord>(
     s: &mut S,
     inbox: fn(&mut S) -> (&InProcEndpoint<CtlMsg>, &mut TimerWheel<T>),
     mut on_timer: impl FnMut(&mut S, T),
-    mut on_msg: impl FnMut(&mut S, InMsg<CtlMsg>, usize),
-    mut on_idle: impl FnMut(&mut S),
+    mut on_msg: impl FnMut(&mut S, InMsg<CtlMsg>),
 ) {
     loop {
         let now = Instant::now();
@@ -300,15 +299,12 @@ fn run_mailbox<S, T: Ord>(
         while let Some(m) = ep.try_recv() {
             batch.push(m);
         }
-        let mut queued = batch.len();
         for m in batch {
             if matches!(m, InMsg::Ctl(CtlMsg::Shutdown)) {
                 return;
             }
-            queued -= 1;
-            on_msg(s, m, queued);
+            on_msg(s, m);
         }
-        on_idle(s);
     }
 }
 
@@ -344,50 +340,38 @@ struct ReplicaThread {
     timers: TimerWheel<NodeTimer>,
     pending: HashMap<u64, PendingRpc>,
     next_token: u64,
-    /// Drained messages still to be handled after the one under way: a
-    /// backlog ([`Substrate::idle_later`]).
-    queued: usize,
+    /// Where decided requests go: the replica's executor thread.
+    exec: mpsc::Sender<ExecJob>,
 }
 
 impl ReplicaThread {
-    /// The replica thread's loop: runs `node` until shutdown.
-    fn run(mut self, mut node: ReplicaNode<dyn App + Send>) -> ReplicaReport {
+    /// The replica thread's loop: runs `node` until shutdown, then lets go
+    /// of its executor thread `exec` and waits for it to finish the jobs
+    /// it was handed.
+    fn run(mut self, mut node: ReplicaNode, exec: ExecHandle) -> ReplicaReport {
         node.engine_call(&mut self, (), |e| e.start());
         run_mailbox(
             &mut (self, &mut node),
             |(th, _)| (&th.ep, &mut th.timers),
             |(th, node), timer| node.on_input(th, NodeInput::Timer(timer), ()),
-            |(th, node), m, queued| {
-                th.queued = queued;
-                let request = match m {
-                    InMsg::Net(inb) => {
-                        // Group-local sender index (meaningful for replica
-                        // lanes; the driver's requests name their client).
-                        let from = inb.from as usize % th.n;
-                        let lane = Lane::from_id(inb.lane, th.n);
-                        if let Some(lane) = lane {
-                            node.on_inbound(th, lane, from, &inb.payload, ());
-                        }
-                        lane == Some(Lane::ClientReq)
+            |(th, node), m| match m {
+                InMsg::Net(inb) => {
+                    // Group-local sender index (meaningful for replica
+                    // lanes; the driver's requests name their client).
+                    let from = inb.from as usize % th.n;
+                    if let Some(lane) = Lane::from_id(inb.lane, th.n) {
+                        node.on_inbound(th, lane, from, &inb.payload, ());
                     }
-                    InMsg::Ctl(c) => {
-                        th.on_ctl(node, c);
-                        false
-                    }
-                };
-                // Echoes wait only behind client requests.
-                if !request {
-                    node.on_input(th, NodeInput::Idle, ());
                 }
+                InMsg::Ctl(c) => th.on_ctl(node, c),
             },
-            |(th, node)| node.on_input(th, NodeInput::Idle, ()),
         );
-        ReplicaReport::of(&mut node)
+        ReplicaReport::of(&node, exec.join().expect("executor thread"), CoreTime::default())
     }
 
-    /// A completion arrived: from the crypto pool, or one more
-    /// memory node's answer to a register round trip.
-    fn on_ctl(&mut self, node: &mut ReplicaNode<dyn App + Send>, c: CtlMsg) {
+    /// A completion arrived: from the crypto pool, the executor, or one
+    /// more memory node's answer to a register round trip.
+    fn on_ctl(&mut self, node: &mut ReplicaNode, c: CtlMsg) {
         match c {
             CtlMsg::Input(input) => node.on_input(self, input, ()),
             CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
@@ -411,12 +395,7 @@ impl ReplicaThread {
     /// `entries`, per owner. At the quorum the write has completed and the
     /// read returned: the round trip completes into its CTBcast instance,
     /// the write first; a surplus answer past it finds nothing pending.
-    fn on_rpc_answer(
-        &mut self,
-        node: &mut ReplicaNode<dyn App + Send>,
-        token: u64,
-        entries: SlotEntries,
-    ) {
+    fn on_rpc_answer(&mut self, node: &mut ReplicaNode, token: u64, entries: SlotEntries) {
         let Some(rpc) = self.pending.get_mut(&token) else { return };
         rpc.answers += 1;
         for (best, got) in rpc.best.iter_mut().zip(entries) {
@@ -519,11 +498,54 @@ impl Substrate for ReplicaThread {
         Some(((), fx))
     }
 
-    /// Yes while the drained batch holds messages after this one: the
-    /// mailbox loop hands the node its idle input once they are handled,
-    /// or once it has handled a message that is not a client request.
-    fn idle_later(&mut self, _: ()) -> bool {
-        self.queued > 0
+    fn exec(&mut self, job: ExecJob, _: ()) {
+        let _ = self.exec.send(job);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Executor threads
+// ----------------------------------------------------------------------
+
+/// A replica's executor thread, which hands back what its [`Executor`] has
+/// to report when it ends.
+type ExecHandle = std::thread::JoinHandle<(Digest, Vec<(ClientId, u64)>)>;
+
+/// One replica's execution core on a thread of its own: where its
+/// [`Executor`]'s replies and answers go.
+struct ExecThread {
+    router: InProcRouter<CtlMsg>,
+    /// Mesh index of the replica thread it serves.
+    node_idx: u32,
+    /// Mesh index of the group's driver thread, where every client lives.
+    driver_idx: u32,
+}
+
+impl ExecThread {
+    /// Spawns the thread: it runs the jobs `jobs` hands it, in order, until
+    /// the replica thread lets go of the sending end.
+    fn spawn(
+        self,
+        mut exec: Executor<dyn App + Send>,
+        jobs: mpsc::Receiver<ExecJob>,
+    ) -> ExecHandle {
+        let mut port = self;
+        std::thread::spawn(move || {
+            for job in jobs {
+                exec.run(job, &mut port);
+            }
+            exec.report()
+        })
+    }
+}
+
+impl ExecPort<dyn App + Send> for ExecThread {
+    fn reply(&mut self, _to: usize, bytes: &[u8]) {
+        let _ = self.router.send_net(LANE_CLIENT_RESP, self.node_idx, self.driver_idx, bytes);
+    }
+
+    fn input(&mut self, input: NodeInput) {
+        let _ = self.router.send_ctl(self.node_idx, CtlMsg::Input(input));
     }
 }
 
@@ -559,13 +581,12 @@ impl DriverThread {
             &mut (self, &mut clients),
             |(th, _)| (&th.ep, &mut th.timers),
             |(th, clients), (c, timer)| clients.on_timer(th, c, timer),
-            |(th, clients), m, _| match m {
+            |(th, clients), m| match m {
                 InMsg::Net(inb) if inb.lane == LANE_CLIENT_RESP => {
                     clients.on_reply(th, &inb.payload)
                 }
                 _ => {}
             },
-            |_| {},
         );
         (clients.completed, clients.latency)
     }
@@ -622,8 +643,7 @@ impl MemThread {
             &mut (self, TimerWheel::<()>::new()),
             |(th, no_timers)| (&th.ep, no_timers),
             |_, ()| {},
-            |(th, _), m, _| th.on_msg(m),
-            |_| {},
+            |(th, _), m| th.on_msg(m),
         );
     }
 
@@ -647,7 +667,8 @@ impl MemThread {
 // ----------------------------------------------------------------------
 
 /// Runs a wall-clock threaded deployment: `shards` groups of `n` replica
-/// threads each, one client-driver thread per group, `2f_m + 1` memory
+/// threads each and an executor thread beside each replica, one
+/// client-driver thread per group, `2f_m + 1` memory
 /// node threads, and a crypto worker pool of [`SimConfig::crypto_workers`]
 /// threads. `make_apps(g)` yields group `g`'s `n` application instances;
 /// `make_workload(g)` its request source.
@@ -702,14 +723,18 @@ pub fn run_wallclock(
         for (r, app) in apps.into_iter().enumerate() {
             let mut timers = TimerWheel::new();
             timers.arm(wall(RETRANSMIT_PERIOD, scale), NodeTimer::Retransmit);
-            let node = ReplicaNode::new(r, cfg, rings[g].clone(), app);
+            let node = ReplicaNode::new(r, cfg, rings[g].clone());
+            let (node_idx, driver_idx) = (replica_node(g, n, r), driver_node(shards, n, g));
+            let (exec, jobs) = mpsc::channel();
+            let port = ExecThread { router: router.clone(), node_idx, driver_idx };
+            let executor = Executor::new(r, cfg, &rings[g], app);
             let thread = ReplicaThread {
                 g,
                 r,
                 n,
                 mem_quorum: cfg.params.mem_quorum(),
-                node_idx: replica_node(g, n, r),
-                driver_idx: driver_node(shards, n, g),
+                node_idx,
+                driver_idx,
                 mem_nodes: mem_node(shards, n, 0)..mem_node(shards, n, n_mem),
                 scale,
                 ep: take_ep(replica_node(g, n, r)),
@@ -717,9 +742,11 @@ pub fn run_wallclock(
                 timers,
                 pending: HashMap::new(),
                 next_token: 0,
-                queued: 0,
+                exec,
             };
-            replica_handles.push(std::thread::spawn(move || thread.run(node)));
+            // The replica thread starts its executor thread and joins it.
+            let run = move || thread.run(node, port.spawn(executor, jobs));
+            replica_handles.push(std::thread::spawn(run));
         }
     }
 
