@@ -8,7 +8,7 @@ use ubft_crypto::{sha256, Digest};
 use ubft_types::wire::{Wire, WireReader};
 use ubft_types::{ClientId, ReplicaId, RequestId};
 
-use crate::msg::{Reply, Request};
+use crate::msg::Request;
 
 /// A closed-loop uBFT client: one outstanding request at a time.
 ///
@@ -77,16 +77,9 @@ impl Client {
         id
     }
 
-    /// Feeds a reply from a replica. Returns the agreed response payload
-    /// when this reply completes the request: `f + 1` matching replies
-    /// arrived.
-    pub fn on_reply(&mut self, reply: Reply) -> Option<Vec<u8>> {
-        self.vote(reply.id, reply.replica, &reply.payload).then_some(reply.payload)
-    }
-
-    /// [`Client::on_reply`] for a reply read in place ([`read_reply`]): the
-    /// payload is hashed, not copied. Says whether this reply completes
-    /// the request.
+    /// Counts replica `replica`'s reply to `id`, read in place
+    /// ([`read_reply`]): the payload is hashed, not copied. Says whether
+    /// this reply completes the request: `f + 1` matching replies arrived.
     pub fn vote(&mut self, id: RequestId, replica: ReplicaId, payload: &[u8]) -> bool {
         if self.in_flight() != Some(id) || self.votes.iter().any(|(r, _)| *r == replica) {
             return false;
@@ -102,8 +95,9 @@ impl Client {
     }
 }
 
-/// Reads an encoded [`Reply`] without copying its payload out: `(id,
-/// replica, payload)`, or `None` for bytes that are not one.
+/// Reads an encoded [`Reply`](crate::msg::Reply) without copying its
+/// payload out: `(id, replica, payload)`, or `None` for bytes that are not
+/// one.
 pub fn read_reply(bytes: &[u8]) -> Option<(RequestId, ReplicaId, &[u8])> {
     let mut r = WireReader::new(bytes);
     let id = RequestId::decode(&mut r).ok()?;
@@ -115,6 +109,22 @@ pub fn read_reply(bytes: &[u8]) -> Option<(RequestId, ReplicaId, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Reply;
+
+    /// A reply's way into a client, as the runtime's client loop takes it:
+    /// read in place from its bytes, then counted.
+    trait Deliver {
+        /// The agreed payload, once `reply` completes the request.
+        fn deliver(&mut self, reply: Reply) -> Option<Vec<u8>>;
+    }
+
+    impl Deliver for Client {
+        fn deliver(&mut self, reply: Reply) -> Option<Vec<u8>> {
+            let bytes = reply.to_bytes();
+            let (id, replica, payload) = read_reply(&bytes)?;
+            self.vote(id, replica, payload).then(|| payload.to_vec())
+        }
+    }
 
     fn client() -> Client {
         Client::new(ClientId(7), vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)], 2)
@@ -147,8 +157,8 @@ mod tests {
     fn completes_on_quorum() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
-        assert_eq!(c.on_reply(reply(&c, 1, b"out")), Some(b"out".to_vec()));
+        assert_eq!(c.deliver(reply(&c, 0, b"out")), None);
+        assert_eq!(c.deliver(reply(&c, 1, b"out")), Some(b"out".to_vec()));
         assert!(c.is_idle());
         assert_eq!((c.request(), c.in_flight()), (None, None));
     }
@@ -157,17 +167,17 @@ mod tests {
     fn byzantine_reply_cannot_win() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert_eq!(c.on_reply(reply(&c, 0, b"WRONG")), None);
-        assert_eq!(c.on_reply(reply(&c, 1, b"right")), None);
-        assert_eq!(c.on_reply(reply(&c, 2, b"right")), Some(b"right".to_vec()));
+        assert_eq!(c.deliver(reply(&c, 0, b"WRONG")), None);
+        assert_eq!(c.deliver(reply(&c, 1, b"right")), None);
+        assert_eq!(c.deliver(reply(&c, 2, b"right")), Some(b"right".to_vec()));
     }
 
     #[test]
     fn duplicate_replica_replies_ignored() {
         let mut c = client();
         c.issue(b"req".to_vec());
-        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
-        assert_eq!(c.on_reply(reply(&c, 0, b"out")), None);
+        assert_eq!(c.deliver(reply(&c, 0, b"out")), None);
+        assert_eq!(c.deliver(reply(&c, 0, b"out")), None);
         assert!(!c.is_idle());
     }
 
@@ -180,15 +190,15 @@ mod tests {
             replica: ReplicaId(0),
             payload: b"x".to_vec(),
         };
-        assert_eq!(c.on_reply(stale), None);
+        assert_eq!(c.deliver(stale), None);
     }
 
     #[test]
     fn sequence_numbers_increase() {
         let mut c = client();
         let id0 = c.issue(b"a".to_vec());
-        c.on_reply(reply(&c, 0, b"r"));
-        c.on_reply(reply(&c, 1, b"r"));
+        c.deliver(reply(&c, 0, b"r"));
+        c.deliver(reply(&c, 1, b"r"));
         let id1 = c.issue(b"b".to_vec());
         assert_eq!(id0.seq + 1, id1.seq);
     }

@@ -20,14 +20,13 @@ use std::rc::Rc;
 
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
-use ubft_core::client::Client;
+use ubft_core::client::{read_reply, Client};
 use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
-use ubft_transport::inproc::{inproc_mesh, InMsg};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
 
@@ -35,7 +34,7 @@ use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
-use crate::threads::{CtlMsg, MemThread};
+use crate::threads::MemNode;
 
 /// One direction of one pair: `(lane, frame)`s in send order.
 type Link = VecDeque<(Lane, Vec<u8>)>;
@@ -53,8 +52,8 @@ struct FakeNet {
     timers: Vec<Vec<NodeTimer>>,
     /// `(stream, owner, slot)` → the register's content.
     registers: HashMap<(usize, usize, usize), RegEntry>,
-    /// Replies that reached the client.
-    replies: Vec<Reply>,
+    /// Encoded replies that reached the client.
+    replies: Vec<Vec<u8>>,
     /// Every replica's execution core.
     execs: Vec<Executor>,
     /// Every direct-lane message sent: `(from, to, message)`.
@@ -120,7 +119,7 @@ impl Substrate for FakeSubstrate<'_> {
             net.direct.push((from, to, DirectMsg::from_bytes(bytes).expect("a direct message")));
         }
         if to >= net.n {
-            net.replies.push(Reply::from_bytes(bytes).expect("a reply"));
+            net.replies.push(bytes.to_vec());
         } else if net.drop_next == Some((lane, from, to)) && net.pass == 0 {
             net.drop_next = None; // on the wire, and lost
         } else {
@@ -208,13 +207,13 @@ impl Substrate for FakeSubstrate<'_> {
 
 /// Where replica `r`'s executor's output goes in a [`FakeNet`].
 struct FakeExec<'a> {
-    replies: &'a mut Vec<Reply>,
+    replies: &'a mut Vec<Vec<u8>>,
     inputs: &'a mut VecDeque<NodeInput>,
 }
 
 impl ExecPort<dyn App> for FakeExec<'_> {
     fn reply(&mut self, _to: usize, bytes: &[u8]) {
-        self.replies.push(Reply::from_bytes(bytes).expect("a reply"));
+        self.replies.push(bytes.to_vec());
     }
 
     fn input(&mut self, input: NodeInput) {
@@ -306,7 +305,8 @@ impl FakeCluster {
                 self.on_node(to, |nd, sub| nd.on_inbound(sub, lane, from, &bytes, ()));
             }
             for reply in std::mem::take(&mut self.net.replies) {
-                completed |= self.client.on_reply(reply).is_some();
+                let (id, replica, payload) = read_reply(&reply).expect("a reply");
+                completed |= self.client.vote(id, replica, payload);
             }
             if idle {
                 return completed;
@@ -561,34 +561,38 @@ fn echoes_wait_for_the_followers_next_decision_while_a_slot_is_in_flight() {
     assert_eq!(cluster.sent(1, 0), [1, 2].map(|seq| DirectMsg::Echo { req: req(seq) }));
 }
 
-/// The threaded backend's memory node: a `WriteRead` applies its write
-/// unless the register holds a newer timestamp, then answers with the
-/// slot's entry of every owner, in owner order, the write included.
+/// The threaded backend's memory node: a write lands unless the register
+/// holds a newer timestamp, and the read behind it returns the slot's
+/// entry of every owner, in owner order, the write included.
 #[test]
 fn a_memory_node_answers_a_write_with_the_slot_it_reads_back() {
-    let (_router, mut eps) = inproc_mesh::<CtlMsg>(2);
-    let replica = eps.pop().expect("two endpoints");
-    let mut mem = MemThread { ep: eps.pop().expect("two endpoints"), store: HashMap::new() };
+    let mem = MemNode::default();
     // Owner `owner` writes `byte`s at `ts` to slot `slot` of group 0's
-    // stream 1; returns the node's answer.
-    let mut write_read = |owner: u32, slot: u32, ts: u64, byte: u8| {
-        let (key, bytes, token) = ((0, 1, owner, slot), vec![byte; 4], ts);
-        let msg = CtlMsg::WriteRead { key, ts, bytes, owners: 3, token, reply_to: 1 };
-        mem.on_msg(InMsg::Ctl(msg));
-        match replica.try_recv() {
-            Some(InMsg::Ctl(CtlMsg::ReadResp { token: t, entries })) if t == token => entries,
-            _ => panic!("no answer to round trip {token}"),
-        }
+    // stream 1; returns what the node reads back.
+    let write_read = |owner: u32, slot: u32, ts: u64, byte: u8| {
+        let mut entries = vec![None; 3];
+        mem.write_read((0, 1, owner, slot), ts, &[byte; 4], &mut entries);
+        entries
     };
     let entry = |ts: u64, byte: u8| Some((ts, vec![byte; 4]));
     assert_eq!(write_read(1, 2, 5, 0xB1), [None, entry(5, 0xB1), None]);
-    // An older write leaves the newer entry in place, and is answered.
+    // An older write leaves the newer entry in place, and reads it back.
     assert_eq!(write_read(1, 2, 3, 0xB0), [None, entry(5, 0xB1), None]);
     // Another slot is another register.
     assert_eq!(write_read(0, 3, 9, 0xA9), [entry(9, 0xA9), None, None]);
     // Written in the order 1, 2, 0; read back in owner order.
     assert_eq!(write_read(2, 2, 4, 0xC2), [None, entry(5, 0xB1), entry(4, 0xC2)]);
     assert_eq!(write_read(0, 2, 6, 0xA0), [entry(6, 0xA0), entry(5, 0xB1), entry(4, 0xC2)]);
+    // Another group's stream is another register too.
+    let mut other_group = vec![None; 3];
+    mem.write_read((1, 1, 1, 2), 8, &[0xD1; 4], &mut other_group);
+    assert_eq!(other_group, [None, entry(8, 0xD1), None]);
+    // Read across two nodes, each owner's newest entry wins; group 1's
+    // write left group 0's entry of owner 1 as it was.
+    let (other, mut merged) = (MemNode::default(), vec![None; 3]);
+    other.write_read((0, 1, 0, 2), 7, &[0xA7; 4], &mut merged);
+    mem.write_read((0, 1, 1, 2), 5, &[0xB1; 4], &mut merged);
+    assert_eq!(merged, [entry(7, 0xA7), entry(5, 0xB1), entry(4, 0xC2)]);
 }
 
 // ----------------------------------------------------------------------

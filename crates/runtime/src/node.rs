@@ -10,7 +10,7 @@
 //! executor (`exec.rs`), serve state transfers, and observe. The
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
-//! mesh, crypto pool and memory-node threads.
+//! mesh, crypto pool and the memory nodes' shared stores.
 
 use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect, Engine, EngineConfig,

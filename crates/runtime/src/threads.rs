@@ -1,9 +1,10 @@
-//! The wall-clock deployment backend ([`Backend::Threads`]): every replica,
-//! client driver, and memory node of a deployment runs on its own OS
-//! thread, connected by the lock-free in-process channel transport
-//! ([`InProcEndpoint`]), with each replica's application on an executor
-//! thread of its own, and CTBcast signature/digest work and the engine's
-//! crypto jobs offloaded to a sized crypto worker pool.
+//! The wall-clock deployment backend ([`Backend::Threads`]): every replica
+//! and client driver of a deployment runs on its own OS thread, connected
+//! by the lock-free in-process channel transport ([`InProcEndpoint`]), with
+//! each replica's application on an executor thread of its own, and
+//! CTBcast signature/digest work and the engine's crypto jobs offloaded to
+//! a sized crypto worker pool. Memory nodes are passive memory, as in the
+//! paper: no thread, only a store each that replicas write and read.
 //!
 //! The protocol stack *and its driver* are the simulator's: a replica
 //! thread owns a `ReplicaNode` (`node.rs`) — the same sans-IO state
@@ -11,10 +12,10 @@
 //! `Substrate` beneath it differs. Where the simulator's turns a node's
 //! requests into virtual-time events on a shared queue, `ReplicaThread`
 //! here turns them into real sends on the in-process mesh, real
-//! `Instant`-based timers, jobs on the crypto pool, and one quorum RPC
-//! per register round trip to memory-node threads. That is the whole
-//! point of the effect-based design: one protocol implementation, one
-//! driver, two execution substrates.
+//! `Instant`-based timers, jobs on the crypto pool, and register round
+//! trips it carries out on the memory nodes' stores itself. That is the
+//! whole point of the effect-based design: one protocol implementation,
+//! one driver, two execution substrates.
 //!
 //! What this backend deliberately does **not** model:
 //!
@@ -28,12 +29,13 @@
 //!   metered [`CryptoOps`] accounting is discarded; CTBcast slow-path
 //!   signatures and verifications, and the engine's summary crypto jobs,
 //!   run on the worker pool for real.
-//! * **Torn register reads.** The SWMR register banks become memory-node
-//!   threads holding a `(group, stream, owner, slot) → (ts, bytes)` store
-//!   behind one typed control-frame RPC that writes a slot and reads it
-//!   back, with a real `f_m + 1` quorum and max-timestamp merge. Message
-//!   atomicity makes the regular register's checksummed sub-register
-//!   dance unnecessary; quorum intersection still provides regularity.
+//! * **Torn register reads.** The SWMR register banks become one
+//!   `(group, stream, owner, slot) → (ts, bytes)` store per memory node
+//!   behind a lock. A replica writes a slot and reads it back on every
+//!   node under that node's lock and keeps each owner's highest-timestamp
+//!   entry. The lock's atomicity makes the regular register's checksummed
+//!   sub-register dance unnecessary, and every node taking the write
+//!   before its read still provides regularity.
 //!
 //! **Timers and `time_scale`.** Protocol timeouts are calibrated in
 //! microseconds of virtual time; a preempted OS thread can easily be late
@@ -112,27 +114,12 @@ fn driver_node(shards: usize, n: usize, g: usize) -> u32 {
     (shards * n + g) as u32
 }
 
-/// Mesh node index of memory node `m`.
-fn mem_node(shards: usize, n: usize, m: usize) -> u32 {
-    (shards * n + shards + m) as u32
-}
-
-/// A register slot per owner, each entry `(ts, bytes)`: one memory node's
-/// view, or a reader's merge of several.
-pub(crate) type SlotEntries = Vec<Option<(u64, Vec<u8>)>>;
-
-/// Typed control frames riding each node's inbox next to protocol bytes.
-pub(crate) enum CtlMsg {
-    /// Crypto pool → replica: a CTBcast signature or verification, or an
-    /// engine crypto job, finished.
+/// Typed control frames riding each thread's inbox next to protocol bytes.
+enum CtlMsg {
+    /// Crypto pool, executor or the replica thread itself → replica: a
+    /// CTBcast signature, verification or register round trip, an engine
+    /// crypto job, or an executor's answer, finished.
     Input(NodeInput),
-    /// Replica → memory node: store `bytes` under `key` with register
-    /// timestamp `ts`, then return the slot's entries of all `owners`
-    /// (`key` with each owner in turn).
-    WriteRead { key: SlotKey, ts: u64, bytes: Vec<u8>, owners: u32, token: u64, reply_to: u32 },
-    /// Memory node → replica: one node's view of a slot, per owner, with
-    /// the write applied.
-    ReadResp { token: u64, entries: SlotEntries },
     /// Exit the thread's loop and report.
     Shutdown,
 }
@@ -275,7 +262,7 @@ fn wall(d: ubft_types::Duration, scale: u64) -> std::time::Duration {
 /// Longest a thread blocks on its inbox with no timer pending.
 const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// The loop every replica, driver and memory-node thread lives in: fire the
+/// The loop every replica and driver thread lives in: fire the
 /// timers that are due, wait on the inbox no longer than the next one,
 /// handle what is queued, until a [`CtlMsg::Shutdown`] arrives. `inbox`
 /// finds the thread's endpoint and timer heap in its state `s`.
@@ -312,34 +299,21 @@ fn run_mailbox<S, T: Ord>(
 // Replica threads
 // ----------------------------------------------------------------------
 
-/// A register round trip fanned out to every memory node, complete at
-/// `mem_quorum` answers.
-struct PendingRpc {
-    stream: usize,
-    k: SeqId,
-    answers: usize,
-    /// The per-owner best (max-timestamp) raw entry seen so far.
-    best: SlotEntries,
-}
-
 /// One replica thread's side of its [`ReplicaNode`]: the mesh endpoint, the
-/// crypto pool, an `Instant` timer heap and the register round trips to
-/// memory-node threads. Everything happens now, so `At` is `()`.
+/// crypto pool, an `Instant` timer heap and the memory nodes' stores.
+/// Everything happens now, so `At` is `()`.
 struct ReplicaThread {
     g: usize,
     r: usize,
     n: usize,
-    mem_quorum: usize,
     node_idx: u32,
     driver_idx: u32,
-    /// Mesh indices of the memory nodes.
-    mem_nodes: std::ops::Range<u32>,
     scale: u64,
     ep: InProcEndpoint<CtlMsg>,
     crypto: Arc<CryptoPool>,
     timers: TimerWheel<NodeTimer>,
-    pending: HashMap<u64, PendingRpc>,
-    next_token: u64,
+    /// Every memory node of the deployment.
+    mem: Arc<[MemNode]>,
     /// Where decided requests go: the replica's executor thread.
     exec: mpsc::Sender<ExecJob>,
 }
@@ -363,22 +337,12 @@ impl ReplicaThread {
                         node.on_inbound(th, lane, from, &inb.payload, ());
                     }
                 }
-                InMsg::Ctl(c) => th.on_ctl(node, c),
+                InMsg::Ctl(CtlMsg::Input(input)) => node.on_input(th, input, ()),
+                // Shutdown ends the mailbox loop before this dispatch.
+                InMsg::Ctl(CtlMsg::Shutdown) => {}
             },
         );
         ReplicaReport::of(&node, exec.join().expect("executor thread"), CoreTime::default())
-    }
-
-    /// A completion arrived: from the crypto pool, the executor, or one
-    /// more memory node's answer to a register round trip.
-    fn on_ctl(&mut self, node: &mut ReplicaNode, c: CtlMsg) {
-        match c {
-            CtlMsg::Input(input) => node.on_input(self, input, ()),
-            CtlMsg::ReadResp { token, entries } => self.on_rpc_answer(node, token, entries),
-            // Register round trips target memory nodes; shutdown ends the
-            // mailbox loop before this dispatch.
-            CtlMsg::WriteRead { .. } | CtlMsg::Shutdown => {}
-        }
     }
 
     /// Mesh index of group-local node `to`: a replica's own thread, or —
@@ -389,31 +353,6 @@ impl ReplicaThread {
         } else {
             self.driver_idx
         }
-    }
-
-    /// One more memory node answered register round trip `token` with its
-    /// `entries`, per owner. At the quorum the write has completed and the
-    /// read returned: the round trip completes into its CTBcast instance,
-    /// the write first; a surplus answer past it finds nothing pending.
-    fn on_rpc_answer(&mut self, node: &mut ReplicaNode, token: u64, entries: SlotEntries) {
-        let Some(rpc) = self.pending.get_mut(&token) else { return };
-        rpc.answers += 1;
-        for (best, got) in rpc.best.iter_mut().zip(entries) {
-            if let Some((ts, bytes)) = got {
-                if best.as_ref().is_none_or(|(b_ts, _)| ts > *b_ts) {
-                    *best = Some((ts, bytes));
-                }
-            }
-        }
-        if rpc.answers < self.mem_quorum {
-            return;
-        }
-        let rpc = self.pending.remove(&token).expect("pending rpc");
-        let (stream, k) = (rpc.stream, rpc.k);
-        node.on_input(self, NodeInput::Ctb { stream, done: CtbDone::Written(k) }, ());
-        let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
-        let entries = rpc.best.into_iter().map(parse).collect();
-        node.on_input(self, NodeInput::Ctb { stream, done: CtbDone::Read(k, entries) }, ());
     }
 }
 
@@ -461,19 +400,23 @@ impl Substrate for ReplicaThread {
         self.crypto.push(PoolJob::Verify { node, group, stream, tag, k, fp, sig });
     }
 
-    /// One [`CtlMsg::WriteRead`] to every memory node: each applies the
-    /// write before it reads the slot, so every node that answers has
-    /// taken the write first.
+    /// The round trip on every memory node, each under its lock: the write
+    /// lands before the slot is read back, and the read keeps each owner's
+    /// highest-timestamp entry across nodes. Its completions, the write
+    /// first, reach the node through the thread's own inbox, as the crypto
+    /// pool's and the executor's do.
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
-        let (bytes, owners, reply_to) = (e.to_bytes(), self.n as u32, self.node_idx);
-        self.next_token += 1;
-        let token = self.next_token;
-        self.pending.insert(token, PendingRpc { stream, k, answers: 0, best: vec![None; self.n] });
-        for to in self.mem_nodes.clone() {
-            let msg =
-                CtlMsg::WriteRead { key, ts: k.0, bytes: bytes.clone(), owners, token, reply_to };
-            let _ = self.ep.router().send_ctl(to, msg);
+        let bytes = e.to_bytes();
+        let mut best = vec![None; self.n];
+        for node in self.mem.iter() {
+            node.write_read(key, k.0, &bytes, &mut best);
+        }
+        let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
+        let entries = best.into_iter().map(parse).collect();
+        for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
+            let input = CtlMsg::Input(NodeInput::Ctb { stream, done });
+            let _ = self.ep.router().send_ctl(self.node_idx, input);
         }
     }
 
@@ -621,44 +564,45 @@ impl ClientPort for DriverThread {
 }
 
 // ----------------------------------------------------------------------
-// Memory-node threads
+// Memory nodes
 // ----------------------------------------------------------------------
 
 /// Store key: `(group, stream, owner, slot)`.
-pub(crate) type SlotKey = (u32, u32, u32, u32);
+type SlotKey = (u32, u32, u32, u32);
 
 /// One passive memory node: a `(group, stream, owner, slot) → (ts, bytes)`
-/// store answering write-then-read RPCs. Replicas take `f_m + 1` of `2f_m + 1`
-/// such nodes as a quorum, exactly like the simulated register banks;
-/// message atomicity stands in for the regular register's checksummed
-/// sub-registers.
-pub(crate) struct MemThread {
-    pub(crate) ep: InProcEndpoint<CtlMsg>,
-    pub(crate) store: HashMap<SlotKey, (u64, Vec<u8>)>,
-}
+/// store that replicas write and read themselves, as they would its memory
+/// over one-sided RDMA. Its lock makes a write and the read behind it one
+/// step, so any two receivers' round trips share a node where one's write
+/// lands before the other's read.
+#[derive(Default)]
+pub(crate) struct MemNode(Mutex<HashMap<SlotKey, (u64, Vec<u8>)>>);
 
-impl MemThread {
-    fn run(self) {
-        run_mailbox(
-            &mut (self, TimerWheel::<()>::new()),
-            |(th, no_timers)| (&th.ep, no_timers),
-            |_, ()| {},
-            |(th, _), m| th.on_msg(m),
-        );
-    }
-
-    pub(crate) fn on_msg(&mut self, msg: InMsg<CtlMsg>) {
-        let InMsg::Ctl(CtlMsg::WriteRead { key, ts, bytes, owners, token, reply_to }) = msg else {
-            return;
-        };
-        if self.store.get(&key).is_none_or(|(old, _)| ts >= *old) {
-            self.store.insert(key, (ts, bytes));
+impl MemNode {
+    /// Stores `bytes` under `key` at register timestamp `ts` unless the
+    /// register holds a newer one, then reads the slot of every owner of
+    /// `best` into it, in owner order, where the node's entry is newer
+    /// than the one `best` holds.
+    pub(crate) fn write_read(
+        &self,
+        key: SlotKey,
+        ts: u64,
+        bytes: &[u8],
+        best: &mut [Option<(u64, Vec<u8>)>],
+    ) {
+        let mut store = self.0.lock().expect("a replica thread panicked holding a memory node");
+        if store.get(&key).is_none_or(|(old, _)| ts >= *old) {
+            store.insert(key, (ts, bytes.to_vec()));
         }
         let (group, stream, _, slot) = key;
-        let entries: SlotEntries = (0..owners)
-            .map(|owner| self.store.get(&(group, stream, owner, slot)).cloned())
-            .collect();
-        let _ = self.ep.router().send_ctl(reply_to, CtlMsg::ReadResp { token, entries });
+        for (owner, best) in best.iter_mut().enumerate() {
+            let Some((ts, bytes)) = store.get(&(group, stream, owner as u32, slot)) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(b_ts, _)| ts > b_ts) {
+                *best = Some((*ts, bytes.clone()));
+            }
+        }
     }
 }
 
@@ -668,9 +612,10 @@ impl MemThread {
 
 /// Runs a wall-clock threaded deployment: `shards` groups of `n` replica
 /// threads each and an executor thread beside each replica, one
-/// client-driver thread per group, `2f_m + 1` memory
-/// node threads, and a crypto worker pool of [`SimConfig::crypto_workers`]
-/// threads. `make_apps(g)` yields group `g`'s `n` application instances;
+/// client-driver thread per group, and a crypto worker pool of
+/// [`SimConfig::crypto_workers`] threads; the `2f_m + 1` memory nodes are
+/// stores the replica threads share, with no thread of their own.
+/// `make_apps(g)` yields group `g`'s `n` application instances;
 /// `make_workload(g)` its request source.
 ///
 /// # Panics
@@ -692,10 +637,9 @@ pub fn run_wallclock(
 
     let shards = cfg.shards.max(1);
     let n = cfg.params.n();
-    let n_mem = cfg.params.n_mem();
     let scale = cfg.time_scale.max(1) as u64;
     let workers = cfg.crypto_workers.max(1);
-    let total_nodes = shards * n + shards + n_mem;
+    let total_nodes = shards * n + shards;
 
     let (router, eps) = inproc_mesh::<CtlMsg>(total_nodes);
     let mut eps: Vec<Option<InProcEndpoint<CtlMsg>>> = eps.into_iter().map(Some).collect();
@@ -709,12 +653,7 @@ pub fn run_wallclock(
     let pool = Arc::new(CryptoPool::new());
     let crypto_handles = spawn_crypto_workers(workers, &pool, &rings, &router);
 
-    let mem_handles: Vec<_> = (0..n_mem)
-        .map(|m| {
-            let t = MemThread { ep: take_ep(mem_node(shards, n, m)), store: HashMap::new() };
-            std::thread::spawn(move || t.run())
-        })
-        .collect();
+    let mem: Arc<[MemNode]> = (0..cfg.params.n_mem()).map(|_| MemNode::default()).collect();
 
     let mut replica_handles = Vec::with_capacity(shards * n);
     for g in 0..shards {
@@ -732,16 +671,13 @@ pub fn run_wallclock(
                 g,
                 r,
                 n,
-                mem_quorum: cfg.params.mem_quorum(),
                 node_idx,
                 driver_idx,
-                mem_nodes: mem_node(shards, n, 0)..mem_node(shards, n, n_mem),
                 scale,
                 ep: take_ep(replica_node(g, n, r)),
                 crypto: Arc::clone(&pool),
                 timers,
-                pending: HashMap::new(),
-                next_token: 0,
+                mem: Arc::clone(&mem),
                 exec,
             };
             // The replica thread starts its executor thread and joins it.
@@ -788,8 +724,8 @@ pub fn run_wallclock(
         driver_handles.into_iter().map(|h| h.join().expect("driver thread")).collect();
     let mut replicas: Vec<ReplicaReport> =
         replica_handles.into_iter().map(|h| h.join().expect("replica thread")).collect();
-    for h in mem_handles.into_iter().chain(crypto_handles) {
-        h.join().expect("memory or crypto thread");
+    for h in crypto_handles {
+        h.join().expect("crypto thread");
     }
 
     let groups = (drivers.into_iter())

@@ -142,13 +142,23 @@ fn threads_match_sim_single_group_fast_path() {
 }
 
 /// Single group forced onto the signed slow path: every broadcast runs
-/// sign → SWMR register write quorum → verify, so this exercises the
-/// crypto worker pool and the memory-node threads' read/write quorums —
-/// none of which exist in the simulator's cost-model form.
+/// sign → SWMR register round trip → verify, so this exercises the crypto
+/// worker pool and the replica threads' round trips on the memory nodes'
+/// shared stores — neither of which exists in the simulator's cost-model
+/// form.
 #[test]
 fn threads_match_sim_single_group_slow_path() {
     let cfg = SimConfig::paper_default(13).slow_only().with_time_scale(SCALE);
     let (sim, thr) = run_both(&cfg, 60, 1);
+    assert_equivalent(&sim, &thr, 60);
+}
+
+/// Two groups on the slow path: both write the same memory nodes, whose
+/// stores tell the groups' registers apart by the group in their key.
+#[test]
+fn threads_match_sim_two_groups_slow_path() {
+    let cfg = SimConfig::paper_default(17).slow_only().with_shards(2).with_time_scale(SCALE);
+    let (sim, thr) = run_both(&cfg, 30, 2);
     assert_equivalent(&sim, &thr, 60);
 }
 
