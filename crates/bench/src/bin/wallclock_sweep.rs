@@ -7,11 +7,13 @@
 //! (default `ubft_bench::SAMPLES`), so every group does the same work at
 //! every `G` and the throughput column shows scale-out; `--smoke` runs a
 //! smaller grid at 60 requests per shard at most. The table prints like the
-//! `experiments` tables, with the host's core count in its title.
+//! `experiments` tables, with the host's core count in its title. A second
+//! table counts each grid point's operations per request, on the threads
+//! and on the simulator twin of the same configuration.
 use ubft_apps::{workload, FlipApp};
 use ubft_bench::{one_count, parse_args, Table, SAMPLES, SEED, WARMUP};
 use ubft_core::app::App;
-use ubft_runtime::threads::{run_wallclock, ThreadWorkload, WallOptions};
+use ubft_runtime::threads::{run_backend, ThreadWorkload, WallOptions};
 use ubft_runtime::{Backend, SimConfig};
 
 fn main() -> Result<(), String> {
@@ -28,6 +30,11 @@ fn main() -> Result<(), String> {
         ),
         "crypto workers | shards | kreq/s:1 | p50 µs:1 | p99 µs:1 | completed:0",
     );
+    let mut ops = Table::new(
+        "Operations per request: messages by lane, signatures, verifications, register operations",
+        "backend | crypto workers | shards | rpc:2 | ctb:2 | cons:2 | direct:2 | signs:2 | \
+         verifies:2 | reg writes:2 | reg reads:2",
+    );
     for &w in workers {
         for &g in shards {
             let cfg = SimConfig::paper_default(SEED).fast_only().with_backend(Backend::Threads);
@@ -36,19 +43,30 @@ fn main() -> Result<(), String> {
             let n = cfg.params.n();
             let warmup = (samples / 10).min(WARMUP) * g as u64;
             let opts = WallOptions { requests: samples * g as u64, warmup, ..Default::default() };
-            let mut report = run_wallclock(
-                &cfg,
-                |_| (0..n).map(|_| Box::new(FlipApp::new()) as Box<dyn App + Send>).collect(),
-                |gi| -> ThreadWorkload {
-                    let mut rng = workload::WorkloadRng::new(SEED ^ 0x77 ^ gi as u64);
-                    Box::new(move |_| Some(workload::flip_request(&mut rng, 32)))
-                },
-                &opts,
-            );
+            let run = |backend| {
+                run_backend(
+                    &cfg.clone().with_backend(backend),
+                    |_| (0..n).map(|_| Box::new(FlipApp::new()) as Box<dyn App + Send>).collect(),
+                    |gi| -> ThreadWorkload {
+                        let mut rng = workload::WorkloadRng::new(SEED ^ 0x77 ^ gi as u64);
+                        Box::new(move |_| Some(workload::flip_request(&mut rng, 32)))
+                    },
+                    &opts,
+                )
+            };
+            let mut report = run(Backend::Threads);
             let [p50, p99] = [50.0, 99.0].map(|q| report.latency.percentile(q).as_micros_f64());
             t.push(&[&w, &g], &[report.kreq_per_sec(), p50, p99, report.completed as f64]);
+            for r in [report, run(Backend::Sim)] {
+                let c = r.counters;
+                let counts = [c.rpc_msgs, c.ctb_msgs, c.cons_msgs, c.direct_msgs];
+                let crypto = [c.ctb_signs + c.engine_signs, c.ctb_verifies + c.engine_verifies];
+                let counts = counts.into_iter().chain(crypto).chain([c.reg_writes, c.reg_reads]);
+                let per_request = counts.map(|n| n as f64 / r.completed as f64);
+                ops.push(&[&format!("{:?}", r.backend), &w, &g], &per_request.collect::<Vec<_>>());
+            }
         }
     }
-    print!("{t}");
+    print!("{t}\n{ops}");
     Ok(())
 }

@@ -130,9 +130,10 @@ pub enum Backend {
     /// Deterministic discrete-event simulation in virtual time — every
     /// existing test and calibration figure runs here, bit-for-bit.
     Sim,
-    /// Wall-clock execution: one OS thread per replica, client driver,
-    /// and memory node, connected by in-process queues
-    /// ([`crate::threads`]).
+    /// Wall-clock execution: one OS thread per replica, per replica's
+    /// executor and per group's client driver, connected by in-process
+    /// queues, beside a crypto worker pool; memory nodes are stores the
+    /// replica threads share, with no thread ([`crate::threads`]).
     Threads,
 }
 

@@ -87,6 +87,8 @@ pub(crate) struct ClientLoop<W: ?Sized = dyn FnMut(u64) -> Option<Vec<u8>>> {
     pub(crate) latency: LatencyStats,
     /// Requests this group's clients completed.
     pub(crate) completed: u64,
+    /// Requests put on the wire, one per replica addressed.
+    pub(crate) sent: u64,
     /// Where a request is encoded, once for all replicas and every time it
     /// is sent.
     scratch: Vec<u8>,
@@ -118,6 +120,7 @@ impl<W: FnMut(u64) -> Option<Vec<u8>> + ?Sized> ClientLoop<W> {
             warmup: 0,
             latency: LatencyStats::new(),
             completed: 0,
+            sent: 0,
             scratch: Vec::new(),
             workload,
         };
@@ -175,6 +178,7 @@ impl<W: FnMut(u64) -> Option<Vec<u8>> + ?Sized> ClientLoop<W> {
         if let Some(req) = client.request() {
             self.scratch.clear();
             req.encode(&mut self.scratch);
+            self.sent += client.replicas().len() as u64;
             port.send(c, id, &self.scratch, client.replicas());
         }
         port.arm(c, ClientTimer::Retry(id), client_retry_period());

@@ -100,8 +100,11 @@ pub struct ReplicaReport {
     pub branded: Vec<(u32, String)>,
     /// The timers this incarnation handled, by kind.
     pub timers: TimerInputs,
+    /// The operations the replica started, its executor's replies
+    /// included, over every incarnation.
+    pub counters: OpCounters,
     /// Where this incarnation's cores spent their time (simulator only:
-    /// zero on [`Backend::Threads`], which meters nothing).
+    /// zero on [`Backend::Threads`], which times no dispatch).
     pub core: CoreTime,
 }
 
@@ -158,12 +161,12 @@ pub struct TimerInputs {
 }
 
 impl ReplicaReport {
-    /// What `node` has to report, with its executor's application digest
-    /// and execution log ([`Executor::report`]) and the simulated cores'
-    /// busy time `core`.
+    /// What `node` has to report, with its executor's application digest,
+    /// execution log and replies sent ([`Executor::report`]) and the
+    /// simulated cores' busy time `core`.
     pub(crate) fn of(
         node: &ReplicaNode,
-        (app_digest, executed): (Digest, Vec<(ClientId, u64)>),
+        (app_digest, executed, replies): (Digest, Vec<(ClientId, u64)>, u64),
         core: CoreTime,
     ) -> Self {
         ReplicaReport {
@@ -174,6 +177,7 @@ impl ReplicaReport {
             transfer_misses: node.transfer_misses,
             branded: node.branded.clone(),
             timers: node.timers,
+            counters: OpCounters { rpc_msgs: node.counters.rpc_msgs + replies, ..node.counters },
             core,
         }
     }
@@ -186,8 +190,8 @@ pub struct GroupReport {
     pub completed: u64,
     /// Latency samples of this group's measured completions.
     pub latency: LatencyStats,
-    /// Primitive operation counts (all zero on [`Backend::Threads`], which
-    /// meters nothing).
+    /// Primitive operation counts: the replicas' summed, and the requests
+    /// the clients sent.
     pub counters: OpCounters,
     /// Final view of each replica: `replicas[r].final_view` as a [`View`],
     /// under the name `bench/` reads ([`RunReport`]'s constructor fills it
@@ -198,6 +202,21 @@ pub struct GroupReport {
     pub audit: Option<AuditReport>,
     /// Per-replica state, in replica order.
     pub replicas: Vec<ReplicaReport>,
+}
+
+impl GroupReport {
+    /// The report of a group whose clients are `clients` and whose
+    /// replicas reported `replicas`; takes the clients' latency samples.
+    pub(crate) fn of<W: ?Sized>(
+        clients: &mut ClientLoop<W>,
+        replicas: Vec<ReplicaReport>,
+        audit: Option<AuditReport>,
+    ) -> Self {
+        let mut counters = OpCounters { rpc_msgs: clients.sent, ..OpCounters::default() };
+        replicas.iter().for_each(|r| counters.merge(&r.counters));
+        let (completed, latency) = (clients.completed, std::mem::take(&mut clients.latency));
+        GroupReport { completed, latency, counters, views: Vec::new(), audit, replicas }
+    }
 }
 
 /// The outcome of a run, on either backend.
@@ -669,13 +688,9 @@ impl Cluster {
     /// samples and each replica's execution log.
     pub(crate) fn report(&mut self) -> RunReport {
         let audit = self.audit_report();
-        let group = |(g, gr): (usize, &mut GroupRuntime)| GroupReport {
-            completed: gr.clients.completed,
-            latency: std::mem::take(&mut gr.clients.latency),
-            counters: gr.env.counters,
-            views: Vec::new(),
-            audit: audit.as_ref().map(|a| a.for_group(g)),
-            replicas: gr.replica_reports(),
+        let group = |(g, gr): (usize, &mut GroupRuntime)| {
+            let replicas = gr.replica_reports();
+            GroupReport::of(&mut gr.clients, replicas, audit.as_ref().map(|a| a.for_group(g)))
         };
         let groups = self.groups.iter_mut().enumerate().map(group).collect();
         RunReport::of_groups(groups, self.now, audit, Backend::Sim)

@@ -97,6 +97,8 @@ pub(crate) struct Executor<A: App + ?Sized = dyn App> {
     /// compare decided sequences between the two backends request by
     /// request.
     pub exec_log: Vec<(ClientId, u64)>,
+    /// Replies sent so far, the predecessors' included.
+    replies: u64,
     /// An auditor self-test that sabotages this replica's execution.
     mutation: Option<AuditMutation>,
     /// Where replies are encoded: reused for every one.
@@ -120,23 +122,24 @@ impl<A: App + ?Sized> Executor<A> {
             app,
             reply_cache: LruMap::new(engine_config(r, cfg).client_table_cap(), hash_state),
             exec_log: Vec::new(),
+            replies: 0,
             mutation,
             scratch: Vec::new(),
         }
     }
 
     /// The replacement's execution core on a fresh host: the same
-    /// application instance (the caller resets it to genesis) and the
-    /// execution log so far, an empty last-reply table.
+    /// application instance (the caller resets it to genesis), the
+    /// execution log and the reply count so far, an empty last-reply table.
     pub fn replaced(self, cfg: &SimConfig, ring: &KeyRing) -> Self {
-        let r = self.me.0 as usize;
-        Executor { exec_log: self.exec_log, ..Executor::new(r, cfg, ring, self.app) }
+        let (r, exec_log, replies) = (self.me.0 as usize, self.exec_log, self.replies);
+        Executor { exec_log, replies, ..Executor::new(r, cfg, ring, self.app) }
     }
 
-    /// What the executor has to report: the application's digest, and the
-    /// execution log so far, which it hands over.
-    pub fn report(&mut self) -> (Digest, Vec<(ClientId, u64)>) {
-        (self.app.snapshot_digest(), std::mem::take(&mut self.exec_log))
+    /// What the executor has to report: the application's digest, the
+    /// execution log so far, which it hands over, and the replies sent.
+    pub fn report(&mut self) -> (Digest, Vec<(ClientId, u64)>, u64) {
+        (self.app.snapshot_digest(), std::mem::take(&mut self.exec_log), self.replies)
     }
 
     /// Carries out `job` through `port`.
@@ -164,6 +167,7 @@ impl<A: App + ?Sized> Executor<A> {
                 };
                 self.scratch.clear();
                 reply.encode(&mut self.scratch);
+                self.replies += 1;
                 port.reply(self.n + id.client.0 as usize, &self.scratch);
             }
         }
@@ -196,6 +200,7 @@ impl<A: App + ?Sized> Executor<A> {
             let reply = Reply { id: req.id, replica: self.me, payload };
             self.scratch.clear();
             reply.encode(&mut self.scratch);
+            self.replies += 1;
             port.reply(self.n + req.id.client.0 as usize, &self.scratch);
             // Last-reply table (one entry per client, LRU-bounded), so a
             // retransmitted already-executed request can be re-answered.

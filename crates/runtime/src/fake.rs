@@ -32,6 +32,7 @@ use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slo
 
 use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
+use crate::cluster::OpCounters;
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 use crate::threads::MemNode;
@@ -68,12 +69,9 @@ struct FakeNet {
     equivocator: Option<usize>,
     /// `(to, k)` → the payload the equivocator's `LOCK` told `to`.
     told: HashMap<(usize, SeqId), Vec<u8>>,
-    /// Signatures verified so far: `[for CTBcast, by engine crypto jobs]`.
-    verifies: [u32; 2],
-    /// Register round trips started so far.
-    round_trips: u32,
-    /// Their completions handed back to the nodes: `[writes, reads]`.
-    round_trip_done: [u32; 2],
+    /// Register round trips' completions handed back to the nodes:
+    /// `[writes, reads]`.
+    round_trip_done: [u64; 2],
     /// Whether a node is being handed a CTBcast signature that finished.
     signing: bool,
     /// `SIGNED` frames of COMMITs sent so far: `[by the call that
@@ -157,7 +155,6 @@ impl Substrate for FakeSubstrate<'_> {
         sig: Signature,
         _: (),
     ) {
-        self.net.verifies[0] += 1;
         let ok = verify_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp, &sig);
         let done = CtbDone::Verified(tag, ok);
         self.net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
@@ -165,7 +162,6 @@ impl Substrate for FakeSubstrate<'_> {
 
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let net = &mut *self.net;
-        net.round_trips += 1;
         net.registers.insert((stream, self.r, slot), e);
         let entries =
             (0..net.n).map(|owner| net.registers.get(&(stream, owner, slot)).cloned()).collect();
@@ -184,7 +180,6 @@ impl Substrate for FakeSubstrate<'_> {
         let me = ProcessId::Replica(ReplicaId(self.r as u32));
         let signer = self.net.ring.signer(me).expect("replica key");
         for job in jobs {
-            self.net.verifies[1] += job.ops().verifies;
             let result = job.run(&signer, &self.net.ring);
             self.net.completions[self.r].push_back(NodeInput::Crypto { tag: job.tag, result });
         }
@@ -252,8 +247,6 @@ impl FakeCluster {
             pass: 0,
             equivocator: None,
             told: HashMap::new(),
-            verifies: [0; 2],
-            round_trips: 0,
             round_trip_done: [0; 2],
             signing: false,
             signed_commits: [0; 2],
@@ -387,19 +380,22 @@ fn three_nodes_decide_on_the_fast_and_the_forced_slow_path() {
         cluster.assert_replicas_agree(requests as usize);
         let slow_path_ran = !cluster.net.registers.is_empty();
         assert_eq!(slow_path_ran, cfg.path == ubft_core::engine::PathMode::SlowOnly);
+        let mut sum = OpCounters::default();
+        cluster.nodes.iter().for_each(|nd| sum.merge(&nd.counters));
         // What a slow-path slot verifies: each of its four signed
         // broadcasts (PREPARE, three COMMITs) at the two receivers that did
         // not sign it, and at each replica the one peer share that
         // completes its certificate. (20 slots reach no summary boundary.)
         if slow_path_ran {
-            assert_eq!(cluster.net.verifies, [4 * 2, 3].map(|v| v * requests as u32));
+            let verifies = [sum.ctb_verifies, sum.engine_verifies];
+            assert_eq!(verifies, [4 * 2, 3].map(|v| v * requests));
         }
         // And its register round trips: one per signed broadcast at each of
         // the three receivers, its broadcaster included, which writes its
         // register and reads the slot like any other. None on the fast
         // path. Each round trip hands back its write and its read.
-        let round_trips = if slow_path_ran { 4 * 3 * requests as u32 } else { 0 };
-        assert_eq!(cluster.net.round_trips, round_trips);
+        let round_trips = if slow_path_ran { 4 * 3 * requests } else { 0 };
+        assert_eq!(sum.reg_writes, round_trips);
         assert_eq!(cluster.net.round_trip_done, [round_trips; 2]);
     }
 }

@@ -41,7 +41,7 @@ use ubft_types::{
 use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{CoreTime, OpCounters, ReplicaReport};
+use crate::cluster::{CoreTime, ReplicaReport};
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
@@ -292,7 +292,6 @@ pub(crate) struct SimEnv {
     /// Slot reads, by the index their [`Ev::RegSample`]s carry: the ones in
     /// flight, and settled ones whose buffers serve the next.
     slot_reads: Vec<SlotRead>,
-    pub(crate) counters: OpCounters,
 }
 
 /// One replica's read of one slot of a stream's bank — every owner's
@@ -492,11 +491,6 @@ impl SimEnv {
         )
     }
 
-    fn count_engine_crypto(&mut self, ops: CryptoOps) {
-        self.counters.engine_signs += ops.signs as u64;
-        self.counters.engine_verifies += ops.verifies as u64;
-    }
-
     // ------------------------------------------------------------------
     // Channels
     // ------------------------------------------------------------------
@@ -588,7 +582,6 @@ impl ClientPort for SimClientPort<'_, '_> {
             let id = RequestId::new(ClientId(env.cfg.n_clients as u32), 0);
             Request { id, ..req }.to_bytes()
         });
-        env.counters.rpc_msgs += replicas.len() as u64;
         for to in replicas {
             for bytes in std::iter::once(bytes).chain(unsent.as_deref()) {
                 let to = to.0 as usize;
@@ -644,7 +637,6 @@ impl Substrate for SimSubstrate<'_, '_> {
 
     fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
-        env.counters.ctb_signs += 1;
         let sig = sign_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp);
         // Only a stream's broadcaster signs for it.
         debug_assert_eq!(stream, r);
@@ -662,7 +654,6 @@ impl Substrate for SimSubstrate<'_, '_> {
         at: Time,
     ) {
         let (env, r) = (&mut *self.env, self.r);
-        env.counters.ctb_verifies += 1;
         let ok = verify_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp, &sig);
         let (done, at) = (CtbDone::Verified(tag, ok), at + env.cfg.cost.verify_total());
         env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
@@ -677,7 +668,6 @@ impl Substrate for SimSubstrate<'_, '_> {
     /// when the last answer does.
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
-        env.counters.reg_writes += 1;
         let host = env.host_of(r);
         let mut entry = e;
         // A register-corrupting replica stores a garbled fingerprint
@@ -708,7 +698,6 @@ impl Substrate for SimSubstrate<'_, '_> {
             WriteOutcome::NoQuorum => {}
         }
 
-        env.counters.reg_reads += 1;
         let write = env.machines[r].reg_writers[stream].last_write(RegisterId(slot));
         let at = at.max(write.start);
         let id = env.slot_reads.iter().position(|read| read.unsettled == 0).unwrap_or_else(|| {
@@ -751,7 +740,6 @@ impl Substrate for SimSubstrate<'_, '_> {
         // runs on the replica's crypto pool (§5.4), two workers: what a
         // request waits for takes whichever frees first.
         let done = env.charge(r, at, Duration::ZERO);
-        env.count_engine_crypto(ops);
         let effect_at = if ops.is_zero() {
             done
         } else {
@@ -773,7 +761,6 @@ impl Substrate for SimSubstrate<'_, '_> {
             let me = ProcessId::Replica(ReplicaId(r as u32));
             let signer = env.ring.signer(me).expect("replica key");
             for job in jobs {
-                env.count_engine_crypto(job.ops());
                 let cost = env.crypto_cost(job.ops());
                 let m = &mut env.machines[r];
                 let fin = if job.tag.on_request_path() {
@@ -853,16 +840,6 @@ impl Substrate for SimSubstrate<'_, '_> {
         }
     }
 
-    fn count_msg(&mut self, lane: Lane) {
-        let c = &mut self.env.counters;
-        match lane {
-            Lane::CtbTb { .. } => c.ctb_msgs += 1,
-            Lane::ConsTb => c.cons_msgs += 1,
-            Lane::Direct => c.direct_msgs += 1,
-            Lane::ClientReq | Lane::ClientResp => c.rpc_msgs += 1,
-        }
-    }
-
     fn on_decision(&mut self, rec: DecisionRecord) {
         self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_decision(g, r, rec));
     }
@@ -889,7 +866,6 @@ struct SimExecPort<'a, 'b> {
 
 impl<A: App + ?Sized> ExecPort<A> for SimExecPort<'_, '_> {
     fn reply(&mut self, to: usize, bytes: &[u8]) {
-        self.env.counters.rpc_msgs += 1;
         self.env.channel_send(self.sh, Lane::ClientResp, self.r, to, bytes, self.t);
     }
 
@@ -978,7 +954,6 @@ impl GroupRuntime {
             poll_buf: Vec::new(),
             reg_buf: Vec::new(),
             slot_reads: Vec::new(),
-            counters: OpCounters::default(),
             cfg,
         };
 
@@ -1105,11 +1080,11 @@ impl GroupRuntime {
         // Step 1 of the join: recover the own-stream tail high-water mark
         // directly from the memory nodes (no replica trusted) — every
         // owner's bank of stream r can witness ids the crashed node
-        // slow-pathed.
+        // slow-pathed. Its reads are the new incarnation's.
         let mut reg_floor = SeqId(0);
         let mut done = at;
         for reader in &env.reg_readers[r] {
-            env.counters.reg_reads += reader.len() as u64;
+            self.nodes[r].counters.reg_reads += reader.len() as u64;
             let scan = reader.scan_tail(sh.fabric, new_host, at);
             if let Some(ts) = scan.max_ts {
                 reg_floor = reg_floor.max(SeqId(ts));

@@ -30,7 +30,7 @@ use crate::audit::AuditMutation;
 use crate::calibration::{
     SimConfig, ECHO_FALLBACK, PROGRESS_TIMEOUT, RETRANSMIT_PERIOD, SLOW_TRIGGER,
 };
-use crate::cluster::TimerInputs;
+use crate::cluster::{OpCounters, TimerInputs};
 use crate::exec::ExecJob;
 
 /// Message lanes between nodes of one group.
@@ -72,6 +72,16 @@ impl Lane {
             LANE_CLIENT_RESP => Some(Lane::ClientResp),
             s if (s as usize) < n => Some(Lane::CtbTb { stream: s as usize }),
             _ => None,
+        }
+    }
+
+    /// Where `c` counts the messages sent on this lane.
+    fn msgs(self, c: &mut OpCounters) -> &mut u64 {
+        match self {
+            Lane::CtbTb { .. } => &mut c.ctb_msgs,
+            Lane::ConsTb => &mut c.cons_msgs,
+            Lane::Direct => &mut c.direct_msgs,
+            Lane::ClientReq | Lane::ClientResp => &mut c.rpc_msgs,
         }
     }
 }
@@ -245,9 +255,6 @@ pub(crate) trait Substrate {
     /// A state transfer restored and verified `Some(bytes)`, or missed.
     fn on_transfer(&mut self, _restored: Option<usize>, _at: Self::At) {}
 
-    /// A protocol message (acknowledgements excepted) went out on `lane`.
-    fn count_msg(&mut self, _lane: Lane) {}
-
     /// The engine decided a slot (recorded only in an audited deployment).
     fn on_decision(&mut self, _rec: DecisionRecord) {}
 
@@ -322,6 +329,10 @@ pub(crate) struct ReplicaNode {
     pub branded: Vec<(u32, String)>,
     /// The timers handled so far, by kind.
     pub timers: TimerInputs,
+    /// The operations started so far, by kind, the predecessors' included:
+    /// protocol messages (acknowledgements excepted), CTBcast signatures
+    /// and verifications, register round trips and the engine's crypto.
+    pub counters: OpCounters,
     /// Where outgoing messages are encoded before the bytes are copied
     /// into a slot frame or a shared TBcast frame — reused for every send,
     /// so encoding allocates nothing.
@@ -376,6 +387,7 @@ impl ReplicaNode {
             transfer_misses: 0,
             branded: Vec::new(),
             timers: TimerInputs::default(),
+            counters: OpCounters::default(),
             scratch: Vec::new(),
             ctb_ahead: None,
             echoes: Vec::new(),
@@ -391,6 +403,7 @@ impl ReplicaNode {
         ReplicaNode {
             transfer_misses: self.transfer_misses,
             branded: self.branded,
+            counters: self.counters,
             ..ReplicaNode::new(self.r, cfg, ring)
         }
     }
@@ -574,8 +587,12 @@ impl ReplicaNode {
         for rec in self.engine.take_decisions() {
             sub.on_decision(rec);
         }
-        let ops = self.engine.take_crypto_ops();
-        let applied = sub.engine_call_done(at, ops, self.engine.take_crypto_jobs(), fx);
+        let (ops, jobs) = (self.engine.take_crypto_ops(), self.engine.take_crypto_jobs());
+        for job in jobs.as_slice().iter().map(CryptoJob::ops).chain([ops]) {
+            self.counters.engine_signs += u64::from(job.signs);
+            self.counters.engine_verifies += u64::from(job.verifies);
+        }
+        let applied = sub.engine_call_done(at, ops, jobs, fx);
         if let Some((at, fx)) = applied {
             self.apply_effects(sub, at, fx);
         }
@@ -606,8 +623,7 @@ impl ReplicaNode {
                 self.echo(sub, to.0 as usize, req, at)
             }
             Effect::SendReplica { to, msg } => {
-                sub.count_msg(Lane::Direct);
-                self.send_msg(sub, Lane::Direct, to.0 as usize, &msg, at);
+                self.send_msg(sub, Lane::Direct, to.0 as usize, &msg, at)
             }
             Effect::Execute { slot, req } => sub.exec(ExecJob::Execute { slot, req }, at),
             Effect::RequestSnapshot { base } => {
@@ -679,7 +695,6 @@ impl ReplicaNode {
             1 => DirectMsg::Echo { req: self.echoes.pop().expect("one echo") },
             _ => DirectMsg::Echoes { reqs: std::mem::take(&mut self.echoes) },
         };
-        sub.count_msg(Lane::Direct);
         self.send_msg(sub, Lane::Direct, self.echo_to, &msg, at);
         if let DirectMsg::Echoes { reqs: mut buf } = msg {
             buf.clear();
@@ -753,12 +768,18 @@ impl ReplicaNode {
                     }
                     self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at);
                 }
-                CtbEffect::Sign { k, fp } => sub.ctb_sign(stream, k, fp, at),
+                CtbEffect::Sign { k, fp } => {
+                    self.counters.ctb_signs += 1;
+                    sub.ctb_sign(stream, k, fp, at);
+                }
                 CtbEffect::Verify { tag, k, fp, sig } => {
-                    sub.ctb_verify(stream, tag, k, fp, sig, at)
+                    self.counters.ctb_verifies += 1;
+                    sub.ctb_verify(stream, tag, k, fp, sig, at);
                 }
                 CtbEffect::WriteRegister { slot, k, entry } => match fx.next() {
                     Some(CtbEffect::ReadSlot { slot: s, k: j }) if (s, j) == (slot, k) => {
+                        self.counters.reg_writes += 1;
+                        self.counters.reg_reads += 1;
                         sub.write_and_read_slot(stream, slot, k, entry, at);
                     }
                     e => panic!("register write {k:?} of slot {slot} is followed by {e:?}"),
@@ -817,7 +838,7 @@ impl ReplicaNode {
         let alt_wire = CtbWire::Lock { k: honest.k, m: CtbMsg::Prepare(alt).to_bytes() };
         let poisoned = TbWire::encode(honest.k, &alt_wire, &mut self.scratch);
         for to in (0..self.ctbs.len()).filter(|to| *to != r) {
-            sub.count_msg(lane);
+            *lane.msgs(&mut self.counters) += 1;
             let tb = if to % 2 == 1 { &poisoned } else { &honest };
             sub.send(lane, to, tb.frame(), at);
         }
@@ -858,7 +879,7 @@ impl ReplicaNode {
         wire: &TbWire,
         at: S::At,
     ) {
-        sub.count_msg(lane);
+        *lane.msgs(&mut self.counters) += 1;
         // The broadcaster that caused the send learns whether the fabric
         // took the write; an accepted probe releases the tail it was
         // holding back from `to`.
@@ -935,6 +956,7 @@ impl ReplicaNode {
         msg: &impl Wire,
         at: S::At,
     ) {
+        *lane.msgs(&mut self.counters) += 1;
         self.scratch.clear();
         msg.encode(&mut self.scratch);
         sub.send(lane, to, &self.scratch, at);

@@ -26,9 +26,9 @@
 //!   deterministically by the simulator backend, which remains bit-for-bit
 //!   pinned (`tests/pinned_sim.rs`).
 //! * **Calibrated costs.** Real time is the cost model. The engine's
-//!   metered [`CryptoOps`] accounting is discarded; CTBcast slow-path
-//!   signatures and verifications, and the engine's summary crypto jobs,
-//!   run on the worker pool for real.
+//!   metered [`CryptoOps`] are counted, as on the simulator, but charged
+//!   nothing; CTBcast slow-path signatures and verifications, and the
+//!   engine's crypto jobs, run on the worker pool for real.
 //! * **Torn register reads.** The SWMR register banks become one
 //!   `(group, stream, owner, slot) → (ts, bytes)` store per memory node
 //!   behind a lock. A replica writes a slot and reads it back on every
@@ -55,7 +55,6 @@ use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast, TbWire};
-use ubft_sim::stats::LatencyStats;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
@@ -452,7 +451,7 @@ impl Substrate for ReplicaThread {
 
 /// A replica's executor thread, which hands back what its [`Executor`] has
 /// to report when it ends.
-type ExecHandle = std::thread::JoinHandle<(Digest, Vec<(ClientId, u64)>)>;
+type ExecHandle = std::thread::JoinHandle<(Digest, Vec<(ClientId, u64)>, u64)>;
 
 /// One replica's execution core on a thread of its own: where its
 /// [`Executor`]'s replies and answers go.
@@ -515,8 +514,9 @@ struct DriverThread {
 
 impl DriverThread {
     /// The driver thread's loop: every client asks for its first request,
-    /// then `clients` runs on replies and timers until shutdown.
-    fn run(mut self, mut clients: DriverLoop) -> (u64, LatencyStats) {
+    /// then `clients` runs on replies and timers until shutdown, and is
+    /// handed back.
+    fn run(mut self, mut clients: DriverLoop) -> DriverLoop {
         for c in 0..clients.len() {
             clients.on_timer(&mut self, c, ClientTimer::Issue);
         }
@@ -531,7 +531,7 @@ impl DriverThread {
                 _ => {}
             },
         );
-        (clients.completed, clients.latency)
+        clients
     }
 }
 
@@ -720,7 +720,7 @@ pub fn run_wallclock(
         pool.push(PoolJob::Stop);
     }
 
-    let drivers: Vec<(u64, LatencyStats)> =
+    let drivers: Vec<DriverLoop> =
         driver_handles.into_iter().map(|h| h.join().expect("driver thread")).collect();
     let mut replicas: Vec<ReplicaReport> =
         replica_handles.into_iter().map(|h| h.join().expect("replica thread")).collect();
@@ -729,12 +729,7 @@ pub fn run_wallclock(
     }
 
     let groups = (drivers.into_iter())
-        .map(|(completed, latency)| GroupReport {
-            completed,
-            latency,
-            replicas: replicas.drain(..n).collect(),
-            ..GroupReport::default()
-        })
+        .map(|mut clients| GroupReport::of(&mut clients, replicas.drain(..n).collect(), None))
         .collect();
     let end = Time::from_nanos(elapsed.as_nanos() as u64);
     RunReport::of_groups(groups, end, None, Backend::Threads)

@@ -10,7 +10,9 @@
 //! every replica must end with the same application digest and the same
 //! non-noop execution log, request for request. `FlipApp`'s digest chains
 //! execution order, so a single reordered, dropped, or double-executed
-//! request diverges it.
+//! request diverges it. Both count operations in that driver, the executor
+//! and the client loop, so each replica's counts agree too, wherever
+//! scheduling cannot move them.
 //!
 //! Workloads here are deliberately *finite and per-group* (each group's
 //! source yields exactly its share and then dries up, ignoring the global
@@ -25,7 +27,7 @@
 //! digests for a reason that has nothing to do with protocol equivalence.
 
 use ubft::runtime::threads::{run_backend, ThreadWorkload, WallOptions};
-use ubft::runtime::{Backend, RunReport, SimConfig};
+use ubft::runtime::{Backend, OpCounters, RunReport, SimConfig};
 use ubft_core::app::App;
 use ubft_types::{ClientId, View};
 
@@ -95,9 +97,46 @@ fn assert_healthy(report: &RunReport, g: usize, r: usize) {
     assert!(rep.branded.is_empty(), "{backend:?} group {g} replica {r} branded {:?}", rep.branded);
 }
 
-/// Every replica of every group: same digest, same execution log, and the
-/// threaded run actually finished its closed loop.
-fn assert_equivalent(sim: &RunReport, thr: &RunReport, total: u64) {
+/// Asserts that one replica's operation counts agree between the simulator
+/// (`s`) and the threads (`t`) wherever scheduling cannot move them. A
+/// TBcast lane's messages include retransmissions, so they are not
+/// compared. On the `slow` path neither are signatures and engine
+/// verifications: a COMMIT signed ahead may be signed again, and a third
+/// CERTIFY share may be checked. Nor do CTBcast verifications and register
+/// operations agree exactly there: a replica that learns a slot's proposal
+/// from a peer's COMMIT before CTBcast delivers it the PREPARE takes it
+/// from the COMMIT and starts no slow path of its own for the slot, so it
+/// broadcasts no COMMIT: one broadcast fewer verified and round-tripped at
+/// every replica (one threaded run in twenty, up to five broadcasts of
+/// sixty on a loaded host). In the simulator none is skipped: each replica
+/// round-trips every broadcast and verifies every peer's once. So the
+/// threads' counts are at most the simulator's, and at least half of them;
+/// more verifications would be register entries no broadcast of the group
+/// wrote, as a store that mixed up two groups' registers hands out.
+fn assert_counts_agree(s: &OpCounters, t: &OpCounters, slow: bool, who: &str) {
+    let exact = |c: &OpCounters| match slow {
+        false => OpCounters { ctb_msgs: 0, cons_msgs: 0, ..*c },
+        true => {
+            OpCounters { rpc_msgs: c.rpc_msgs, direct_msgs: c.direct_msgs, ..Default::default() }
+        }
+    };
+    assert_eq!(exact(s), exact(t), "{who}: operation counts differ");
+    if slow {
+        let near = [
+            ("CTBcast verifications", s.ctb_verifies, t.ctb_verifies),
+            ("register writes", s.reg_writes, t.reg_writes),
+            ("register reads", s.reg_reads, t.reg_reads),
+        ];
+        for (what, s, t) in near {
+            assert!(t <= s && t * 2 >= s, "{who}: {what}: {s} simulated, {t} threaded");
+        }
+    }
+}
+
+/// Every replica of every group: same digest, same execution log, the same
+/// operation counts ([`assert_counts_agree`]), and the threaded run
+/// actually finished its closed loop.
+fn assert_equivalent(sim: &RunReport, thr: &RunReport, total: u64, slow: bool) {
     assert_eq!(sim.backend, Backend::Sim);
     assert_eq!(thr.backend, Backend::Threads);
     assert_eq!(sim.completed, total, "simulator did not complete the workload");
@@ -119,6 +158,8 @@ fn assert_equivalent(sim: &RunReport, thr: &RunReport, total: u64) {
             assert!(rs.timers.retransmit > 0, "sim group {g} replica {r}: no timer counted");
             assert!(rt.timers.retransmit > 0, "threads group {g} replica {r}: no timer counted");
             assert_eq!(rs.executed, rt.executed, "group {g} replica {r}: execution logs diverge");
+            let who = format!("group {g} replica {r}");
+            assert_counts_agree(&rs.counters, &rt.counters, slow, &who);
             assert_eq!(
                 rs.app_digest, rt.app_digest,
                 "group {g} replica {r}: application digests diverge"
@@ -133,7 +174,7 @@ fn threads_match_sim_single_group_fast_path() {
     for seed in [7u64, 21] {
         let cfg = SimConfig::paper_default(seed).with_time_scale(SCALE);
         let (sim, thr) = run_both(&cfg, 120, 1);
-        assert_equivalent(&sim, &thr, 120);
+        assert_equivalent(&sim, &thr, 120, false);
         // The fast path decides without a single signature; the pinned
         // simulator digest suite guards *its* exact values, here we only
         // need agreement.
@@ -150,16 +191,18 @@ fn threads_match_sim_single_group_fast_path() {
 fn threads_match_sim_single_group_slow_path() {
     let cfg = SimConfig::paper_default(13).slow_only().with_time_scale(SCALE);
     let (sim, thr) = run_both(&cfg, 60, 1);
-    assert_equivalent(&sim, &thr, 60);
+    assert_equivalent(&sim, &thr, 60, true);
 }
 
 /// Two groups on the slow path: both write the same memory nodes, whose
-/// stores tell the groups' registers apart by the group in their key.
+/// stores tell the groups' registers apart by the group in their key. A
+/// store that mixed them up would hand a group the other's entries, which
+/// fail verification as forged: the CTBcast verification counts show it.
 #[test]
 fn threads_match_sim_two_groups_slow_path() {
     let cfg = SimConfig::paper_default(17).slow_only().with_shards(2).with_time_scale(SCALE);
     let (sim, thr) = run_both(&cfg, 30, 2);
-    assert_equivalent(&sim, &thr, 60);
+    assert_equivalent(&sim, &thr, 60, true);
 }
 
 /// Four shards, each with its own finite workload: per-group splits and
@@ -168,7 +211,7 @@ fn threads_match_sim_two_groups_slow_path() {
 fn threads_match_sim_four_shards() {
     let cfg = SimConfig::paper_default(42).with_shards(4).with_time_scale(SCALE);
     let (sim, thr) = run_both(&cfg, 40, 4);
-    assert_equivalent(&sim, &thr, 160);
+    assert_equivalent(&sim, &thr, 160, false);
 }
 
 /// The execution logs the equivalence above leans on are themselves
