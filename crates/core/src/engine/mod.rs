@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ubft_crypto::{sha256::Sha256, Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::wire::Wire;
-use ubft_types::{FixedMap, FixedSet, ProcessId, ReplicaId, SeqId, Slot, View};
+use ubft_types::{FixedMap, FixedSet, ProcessId, ReplicaId, SeqId, Slot, Sweep, View};
 
 use self::certify::ShareSet;
 use self::join::JoinState;
@@ -173,12 +173,18 @@ pub struct Engine {
     join: Option<JoinState>,
     /// Proven CTBcast equivocations, one per branded stream.
     equivocations: Vec<(ReplicaId, SeqId)>,
-    /// Replicas whose WILL_COMMIT was missing when a slot's fast-path
-    /// timeout fired. While anyone is suspected the fast path cannot reach
-    /// unanimity, so a newly accepted prepare starts the slow path at once
-    /// instead of waiting out the timeout again; any consensus frame from
-    /// the replica (a [`TbMsg`](crate::msg::TbMsg), an echo, a join) clears it.
+    /// Replicas found silent when a fast path timed out — their WILL_COMMIT
+    /// for a slot ([`Engine::slow_sweep`]) or, fed by the driver through
+    /// [`Engine::suspect`], their CTBcast `LOCKED` for one of our
+    /// broadcasts — and the leader of the view we sealed. While anyone is
+    /// suspected the fast path cannot reach unanimity, so a newly accepted
+    /// prepare starts the slow path at once instead of waiting out the
+    /// timeout again, and so does every broadcast of ours
+    /// ([`Engine::suspects_anyone`]); any consensus frame from the replica
+    /// (a [`TbMsg`](crate::msg::TbMsg), an echo, a join) clears it.
     suspected: BTreeSet<ReplicaId>,
+    /// The fast path's sweep ([`TimerKind::SlowSweep`]).
+    slow_sweep: Sweep,
     /// Decisions recorded for the auditor (only when
     /// [`EngineConfig::record_decisions`] is set).
     decisions: Vec<DecisionRecord>,
@@ -237,6 +243,7 @@ impl Engine {
             join: None,
             equivocations: Vec::new(),
             suspected: BTreeSet::new(),
+            slow_sweep: Sweep::default(),
             decisions: Vec::new(),
             ops: CryptoOps::default(),
         }
@@ -438,7 +445,7 @@ impl Engine {
     pub fn on_timer(&mut self, kind: TimerKind) -> Vec<Effect> {
         match kind {
             TimerKind::Progress => self.progress_timeout(),
-            TimerKind::SlotSlowTrigger(slot) => self.slot_slow_trigger(slot),
+            TimerKind::SlowSweep => self.slow_sweep(),
             TimerKind::EchoFallback => self.echo_sweep(),
         }
         std::mem::take(&mut self.out)
@@ -503,6 +510,19 @@ impl Engine {
             // bug; there is no step to continue.
             _ => {}
         }
+    }
+
+    /// Suspects `peers`, which a timed-out fast path found silent: the
+    /// driver hands over the receivers CTBcast's own sweep (`Ctb::sweep` in
+    /// `ubft-ctb`) found silent. This replica never suspects itself.
+    pub fn suspect(&mut self, peers: impl IntoIterator<Item = ReplicaId>) {
+        self.suspected.extend(peers.into_iter().filter(|r| *r != self.me));
+    }
+
+    /// Whether some replica is suspected of silence: the driver then starts
+    /// the slow path of each broadcast of ours beside its fast path.
+    pub fn suspects_anyone(&self) -> bool {
+        !self.suspected.is_empty()
     }
 
     /// Initialization effects: the progress watchdog.

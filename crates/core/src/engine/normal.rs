@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use ubft_crypto::Signature;
-use ubft_types::{ReplicaId, RequestId, SeqId, Slot, View};
+use ubft_types::{Deadline, ReplicaId, RequestId, SeqId, Slot, View};
 
 use super::certify::ShareSet;
 use super::requests::Stage;
@@ -33,6 +33,9 @@ pub(super) struct SlotState {
     signed_ahead: bool,
     pub(super) sent_commit: bool,
     pub(super) decided: Option<Batch>,
+    /// How long the accepted PREPARE has waited for its fast path, in
+    /// firings of [`Engine::slow_sweep`] (`FastWithFallback` only).
+    fast_wait: Deadline,
 }
 
 impl SlotState {
@@ -262,20 +265,18 @@ impl Engine {
         // can never count, and one over this very proposal means a peer is
         // on the slow path already and waits for our share.
         let solicited = entry.shares.keep_only(&prep);
-        match self.cfg.path {
-            PathMode::FastOnly | PathMode::FastWithFallback => {
-                self.out.push(Effect::TbBroadcast(TbMsg::WillCertify { view: prep.view, slot }));
-                if self.cfg.path == PathMode::FastWithFallback {
-                    if self.suspected.is_empty() && !solicited {
-                        self.out.push(Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(slot) });
-                    } else {
-                        // A replica is known to be silent: the timeout
-                        // would only re-discover it.
-                        self.start_slow_path(slot);
-                    }
-                }
-            }
-            PathMode::SlowOnly => self.start_slow_path(slot),
+        let fallback = self.cfg.path == PathMode::FastWithFallback;
+        let fast = fallback && self.suspected.is_empty() && !solicited;
+        let arm = fast && self.slow_sweep.start(&mut entry.fast_wait);
+        if self.cfg.path != PathMode::SlowOnly {
+            self.out.push(Effect::TbBroadcast(TbMsg::WillCertify { view: prep.view, slot }));
+        }
+        if arm {
+            self.out.push(Effect::ArmTimer { kind: TimerKind::SlowSweep });
+        } else if self.cfg.path != PathMode::FastOnly && !fast {
+            // Slow only, or a replica is known to be silent: the timeout
+            // would only re-discover it.
+            self.start_slow_path(slot);
         }
     }
 
@@ -340,17 +341,24 @@ impl Engine {
         self.ctb_ahead = Some((k, CtbMsg::Commit(CommitCert { prepare, cert })));
     }
 
-    /// The fast-path timeout fired for `slot`: if it is still undecided,
-    /// start the slow path and suspect every replica whose WILL_COMMIT is
-    /// missing.
-    pub(super) fn slot_slow_trigger(&mut self, slot: Slot) {
-        let Some(state) = self.slots.get(&slot).filter(|s| s.decided.is_none()) else {
-            return;
-        };
-        let silent =
-            self.cfg.params.replicas().filter(|r| *r != self.me && !state.will_commit.contains(r));
-        self.suspected.extend(silent);
-        self.start_slow_path(slot);
+    /// The fast path's sweep fired: every slot accepted before the previous
+    /// firing and still undecided starts the slow path, and every replica
+    /// whose WILL_COMMIT it misses is suspected. The slots accepted since
+    /// are marked for the next firing: a slot waits at least one period of
+    /// the sweep and less than two. One timer serves every slot, and it is
+    /// armed again only while one waits.
+    pub(super) fn slow_sweep(&mut self) {
+        let marks = self.slots.iter_mut().map(|(k, s)| (*k, s.decided.is_none(), &mut s.fast_wait));
+        let (due, waiting) = self.slow_sweep.fire(marks);
+        for slot in due {
+            let (me, votes) = (self.me, &self.slots[&slot].will_commit);
+            self.suspected
+                .extend(self.cfg.params.replicas().filter(|r| *r != me && !votes.contains(r)));
+            self.start_slow_path(slot);
+        }
+        if waiting {
+            self.out.push(Effect::ArmTimer { kind: TimerKind::SlowSweep });
+        }
     }
 
     /// A consensus TBcast message arrived from `from`.

@@ -42,14 +42,14 @@
 //! and when an incoming leader queues what it holds.
 //!
 //! A leader's echo fallback is one sweep, not one timer per request: a
-//! `Seen` request that waits for echoes carries a mark (`EchoWait`), each
+//! `Seen` request that waits for echoes carries a mark (a `Deadline`), each
 //! firing of the one armed timer falls back on the requests it found
 //! marked at the previous firing and marks those waiting now, and the
 //! timer is armed again only while some request still waits.
 
 use std::collections::VecDeque;
 
-use ubft_types::{ClientId, FixedMap, FixedState, ReplicaId, RequestId};
+use ubft_types::{ClientId, Deadline, FixedMap, FixedState, ReplicaId, RequestId, Sweep};
 
 use crate::lru::LruMap;
 use crate::msg::{Batch, Request};
@@ -70,19 +70,6 @@ pub(super) enum Stage {
     Executed,
 }
 
-/// Leader: how long a `Seen` request has waited for its echo round, in
-/// firings of the fallback sweep ([`Requests::sweep_echo_waits`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EchoWait {
-    /// Not waiting: fully echoed, at a replica that does not lead, or given
-    /// up on by a sweep until its client retransmits.
-    No,
-    /// Started waiting after the last firing.
-    Fresh,
-    /// Already waiting at the last firing: the next one falls back.
-    Due,
-}
-
 /// What is held about one request, filed under its id.
 #[derive(Debug)]
 struct Record {
@@ -90,8 +77,10 @@ struct Record {
     /// Leader: the followers that echoed it, each once.
     echoed: Vec<ReplicaId>,
     stage: Stage,
-    /// Leader: meaningful while the stage is `Seen`.
-    wait: EchoWait,
+    /// Leader: how long a `Seen` request has waited for its echo round, in
+    /// firings of the fallback sweep ([`Requests::sweep_echo_waits`]). A
+    /// request a sweep gave up on waits again once its client retransmits.
+    wait: Deadline,
     /// A client handed it to this replica; otherwise only echoes did.
     from_client: bool,
 }
@@ -122,8 +111,8 @@ pub(super) struct Requests {
     /// which reflects receipt timing: the bound is what protects a request
     /// in flight, the same on every replica.
     executed: LruMap<ClientId, u64>,
-    /// Leader: the echo-fallback sweep's timer is armed.
-    sweeping: bool,
+    /// Leader: the echo-fallback sweep.
+    echo_sweep: Sweep,
     /// The echoes a request no client handed this replica needs before it
     /// is queued, whatever the round asks: `f + 1`, so that no request a
     /// faulty follower made up is proposed (§5.4, validity).
@@ -136,7 +125,7 @@ impl Requests {
             records: FixedMap::with_hasher(hasher),
             queue: VecDeque::new(),
             executed: LruMap::new(client_table_cap, hasher),
-            sweeping: false,
+            echo_sweep: Sweep::default(),
             vouched,
         }
     }
@@ -172,7 +161,7 @@ impl Requests {
         }
         let before = self.records.get(&id).map(|r| r.stage);
         if before.is_none() {
-            let (echoed, stage, wait) = (Vec::new(), Stage::Seen, EchoWait::No);
+            let (echoed, stage, wait) = (Vec::new(), Stage::Seen, Deadline::Unset);
             self.records.insert(id, Record { payload, echoed, stage, wait, from_client: false });
         }
         before
@@ -202,10 +191,7 @@ impl Requests {
         let Some(r) = self.records.get_mut(&id).filter(|r| r.stage == Stage::Seen) else {
             return false;
         };
-        if r.wait == EchoWait::No {
-            r.wait = EchoWait::Fresh;
-        }
-        !std::mem::replace(&mut self.sweeping, true)
+        self.echo_sweep.start(&mut r.wait)
     }
 
     /// The echo-fallback sweep's timer fired. At the leader, `echoes_needed`
@@ -217,20 +203,13 @@ impl Requests {
     /// `None`: nothing waits there any more. Says whether anything waits,
     /// that is whether to arm the timer again.
     pub(super) fn sweep_echo_waits(&mut self, echoes_needed: Option<usize>) -> bool {
-        let (mut due, mut waiting) = (Vec::new(), false);
-        for (id, r) in self.records.iter_mut().filter(|(_, r)| r.wait != EchoWait::No) {
-            let waits = r.stage == Stage::Seen && echoes_needed.is_some();
-            if waits && r.wait == EchoWait::Due {
-                due.push(*id);
-            }
-            r.wait = if waits && r.wait == EchoWait::Fresh { EchoWait::Due } else { EchoWait::No };
-            waiting |= r.wait == EchoWait::Due;
-        }
+        let seen = |r: &Record| echoes_needed.is_some() && r.stage == Stage::Seen;
+        let marks = self.records.iter_mut().map(|(id, r)| (*id, seen(r), &mut r.wait));
+        let (mut due, waiting) = self.echo_sweep.fire(marks);
         due.sort_unstable();
         for id in due {
             self.queue(id, true, echoes_needed.expect("a request is due only at the leader"));
         }
-        self.sweeping = waiting;
         waiting
     }
 

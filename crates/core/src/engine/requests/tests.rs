@@ -205,7 +205,7 @@ fn a_certified_table_lets_go_of_what_it_proves_executed() {
 }
 
 fn wait_marks(l: &Requests) -> usize {
-    l.records.values().filter(|r| r.wait != EchoWait::No).count()
+    l.records.values().filter(|r| r.wait != Deadline::Unset).count()
 }
 
 #[test]

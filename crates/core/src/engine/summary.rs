@@ -206,8 +206,14 @@ impl Engine {
             return;
         }
         let ps = self.state.get_mut(&stream).expect("known");
-        if ps.fifo_next > upto {
-            return; // the gap closed while the certificate was checked
+        // The gap closed while the certificate was checked: everything up
+        // to `upto` was interpreted, or has been delivered and waits —
+        // behind a head parked since, say — to be interpreted in order.
+        // Skipping it would lose what the summary does not carry, a view
+        // change on the stream among it.
+        let held = |k: u64| ps.pending.contains_key(&SeqId(k));
+        if ps.fifo_next > upto || (ps.fifo_next.0..=upto.0).all(held) {
+            return;
         }
         ps.apply_summary(&summary);
         ps.fifo_next = upto.next();

@@ -101,8 +101,10 @@ impl EngineConfig {
 pub enum TimerKind {
     /// Leader-progress watchdog; fires a view change when stuck.
     Progress,
-    /// Fast-path timeout for one slot; starts the slow path.
-    SlotSlowTrigger(Slot),
+    /// The fast path's sweep: a slot accepted before its previous firing
+    /// and still undecided starts the slow path. One for all slots, armed
+    /// while any waits.
+    SlowSweep,
     /// The leader's echo-fallback sweep: propose what waited a whole
     /// period for its echoes even without all of them. One for all
     /// requests, armed while any waits.

@@ -85,7 +85,11 @@ impl Engine {
         if self.undischarged_promises().next().is_some() {
             return;
         }
-        // Seal: enter the next view.
+        // Seal: enter the next view, suspecting the leader of the one we
+        // leave — its silence is what ended it. Until a frame from it clears
+        // that, the next view's slots and broadcasts start the slow path at
+        // once instead of timing out on it again.
+        self.suspect([self.leader()]);
         self.view = next;
         self.sealing = None;
         self.out.push(Effect::ViewChanged { view: self.view });

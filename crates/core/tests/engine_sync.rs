@@ -42,6 +42,18 @@ fn fire_echo_fallback(net: &mut Net) {
     }
 }
 
+fn is_slow_sweep(k: &TimerKind) -> bool {
+    *k == TimerKind::SlowSweep
+}
+
+/// Fires the fast path's sweep twice: a slot accepted before the first
+/// firing and still undecided starts its slow path at the second.
+fn fire_slow_sweep(net: &mut Net) {
+    for _ in 0..2 {
+        net.fire_timers(is_slow_sweep);
+    }
+}
+
 fn is_checkpoint_job(job: &CryptoJob) -> bool {
     matches!(
         job.tag,
@@ -138,7 +150,7 @@ fn fallback_timer_completes_via_slow_path_when_fast_path_stalls() {
     fire_echo_fallback(&mut net);
     // Fast path cannot reach unanimity (only 2 of 3 alive).
     assert!(net.executed[0].is_empty());
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 0..2 {
         assert_eq!(net.executed[r].len(), 1, "replica {r}");
         assert_eq!(net.executed[r][0].1.payload, b"degraded");
@@ -161,7 +173,7 @@ fn view_change_elects_next_leader_and_recovers() {
     assert_eq!(net.engines[1].leader(), ReplicaId(1));
     // With replica 0 dead the fast path cannot reach unanimity in view 1
     // either; the slow-path trigger completes the slot.
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     // The new leader re-proposed the echoed request.
     for r in 1..3 {
         assert_eq!(net.executed[r].len(), 1, "replica {r}");
@@ -185,7 +197,7 @@ fn view_change_preserves_decided_requests() {
     // arming; the second detects the stall and seals the view.
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 1..3 {
         assert_eq!(net.executed[r].len(), 2, "replica {r}");
         assert_eq!(net.executed[r][0].1.payload, b"first");
@@ -418,7 +430,7 @@ fn leader_entering_view_on_certificates_seals_first() {
     assert!(seal < nv, "NEW_VIEW emitted before SEAL_VIEW on the leader's stream");
     assert!(net.brands.is_empty(), "honest replicas branded: {:?}", net.brands);
     // The orphaned request survives into the new view.
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 1..5 {
         assert_eq!(net.executed[r].len(), 1, "replica {r}");
     }
@@ -431,15 +443,18 @@ fn progress_backoff_doubles_per_view_change_and_resets_on_decide() {
     assert_eq!(net.engines[1].progress_backoff(), 1);
     net.crashed[0] = true;
     net.client_request(0, b"stall");
-    // Nothing decided since the watchdog was armed: one firing seals.
-    net.fire_timers(|k| matches!(k, TimerKind::Progress));
+    // Nothing decided since the watchdog was armed: one firing seals. The
+    // survivors' consensus frames are held, so view 1 decides nothing yet
+    // (they suspect r0 and would otherwise decide on the slow path at once).
+    fire_at(&mut net, &[1, 2], |k| matches!(k, TimerKind::Progress));
+    run_except(&mut net, |m| m.lane == Lane::Tb);
     assert_eq!(net.engines[1].view(), View(1));
     assert!(
         net.engines[1].progress_backoff() >= 2,
         "a fruitless view change must widen the watchdog"
     );
     // Deciding the request resets the backoff.
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     assert_eq!(net.executed[1].len(), 1);
     assert_eq!(net.engines[1].progress_backoff(), 1);
 }
@@ -532,7 +547,7 @@ fn batched_decisions_survive_view_change() {
     net.client_request(7, b"after-crash-b");
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     assert_eq!(net.engines[1].view(), View(1));
     for r in 1..3 {
         assert_eq!(net.executed[r].len(), 8, "replica {r} post-view-change");
@@ -566,7 +581,7 @@ fn echo_timeout_requests_are_batched_alone() {
     // The leader proposes the Byzantine request on fallback; r0 and r1
     // certify it on the slow path while r2 holds its PREPARE.
     fire_echo_fallback(&mut net);
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 0..3 {
         let payloads = payloads(&net.executed[r]);
         assert_eq!(payloads, [&b"honest-0"[..], b"honest-1", b"honest-2", b"r0-and-r1"], "r{r}");
@@ -741,11 +756,11 @@ fn fast_path_is_signature_free() {
 fn decide_degraded(net: &mut Net, seq: u64, payload: &[u8]) {
     net.client_request(seq, payload);
     fire_echo_fallback(net);
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(net);
 }
 
-fn slot_triggers_armed(net: &Net, r: usize) -> usize {
-    net.timers[r].iter().filter(|k| matches!(k, TimerKind::SlotSlowTrigger(_))).count()
+fn slow_sweeps_armed(net: &Net, r: usize) -> usize {
+    net.timers[r].iter().filter(|k| is_slow_sweep(k)).count()
 }
 
 #[test]
@@ -759,16 +774,16 @@ fn slot_trigger_suspects_the_silent_replica_and_its_join_clears_it() {
         assert_eq!(net.executed[r].len(), 1, "replica {r}");
     }
     // From then on an accepted prepare starts the slow path at once: the
-    // slot decides with no slow trigger armed, let alone fired. (The echo
+    // slot decides with the fast path's sweep idle, let alone fired. (The echo
     // round still waits for the dead follower; that wait is out of scope.)
     net.client_request(1, b"degraded");
     fire_echo_fallback(&mut net);
     for r in 0..2 {
         assert_eq!(net.executed[r].len(), 2, "replica {r} waited for a timer");
-        assert_eq!(slot_triggers_armed(&net, r), 0, "replica {r} armed a slow trigger");
+        assert_eq!(slow_sweeps_armed(&net, r), 0, "replica {r} armed the slow sweep");
     }
     // The replacement's Join is its first word: suspicion clears, so the
-    // next slot runs the signature-free fast path and arms the trigger.
+    // next slot runs the signature-free fast path and arms the sweep.
     net.replace(2);
     for r in 0..3 {
         let _ = net.engines[r].take_crypto_ops();
@@ -776,7 +791,7 @@ fn slot_trigger_suspects_the_silent_replica_and_its_join_clears_it() {
     net.client_request(2, b"healed");
     for r in 0..2 {
         assert_eq!(net.executed[r].len(), 3, "replica {r}");
-        assert_eq!(slot_triggers_armed(&net, r), 1, "replica {r} still suspects the joiner");
+        assert_eq!(slow_sweeps_armed(&net, r), 1, "replica {r} still suspects the joiner");
         assert_eq!(net.engines[r].take_crypto_ops(), CryptoOps::default(), "replica {r}");
     }
     net.assert_executed_prefix_agreement();
@@ -786,12 +801,76 @@ fn slot_trigger_suspects_the_silent_replica_and_its_join_clears_it() {
 fn slot_trigger_on_a_decided_slot_suspects_nobody() {
     let mut net = new_net(PathMode::FastWithFallback);
     net.client_request(0, b"fast");
-    // The fast path won; the trigger armed for the slot fires afterwards.
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    // The fast path won; the sweep armed for the slot fires afterwards.
+    fire_slow_sweep(&mut net);
     net.client_request(1, b"still fast");
     for r in 0..3 {
         assert_eq!(net.executed[r].len(), 2, "replica {r}");
-        assert_eq!(slot_triggers_armed(&net, r), 1, "replica {r} went straight to the slow path");
+        assert_eq!(slow_sweeps_armed(&net, r), 1, "replica {r} went straight to the slow path");
+    }
+}
+
+#[test]
+fn an_undecided_slot_goes_slow_at_the_second_sweep_after_its_acceptance_not_the_first() {
+    let mut net = new_net(PathMode::FastWithFallback);
+    net.crashed[2] = true;
+    net.client_request(0, b"X");
+    fire_echo_fallback(&mut net);
+    // r0 and r1 accepted slot 0, and each armed its sweep.
+    assert_eq!(net.fire_timers(is_slow_sweep), 2);
+    for r in 0..2 {
+        assert!(net.executed[r].is_empty(), "replica {r} went slow at the first firing");
+        assert!(!net.engines[r].suspects_anyone(), "replica {r}");
+    }
+    assert_eq!(net.fire_timers(is_slow_sweep), 2);
+    for r in 0..2 {
+        assert_eq!(net.executed[r].len(), 1, "replica {r}");
+        assert!(net.engines[r].suspects_anyone(), "replica {r} suspects nobody");
+    }
+    // Nothing waits any more: the sweep is not armed again.
+    assert_eq!(net.fire_timers(is_slow_sweep), 0);
+}
+
+#[test]
+fn an_idle_slow_sweep_is_armed_once_per_busy_spell() {
+    // Every slot is accepted while one is marked, or finds the sweep idle
+    // and arms it — once per busy spell, not once per slot.
+    let mut net = new_net(PathMode::FastWithFallback);
+    for spell in 0..3u64 {
+        for seq in 10 * spell..10 * spell + 10 {
+            net.client_request(seq, b"r");
+            for r in 0..3 {
+                assert_eq!(slow_sweeps_armed(&net, r), 1, "replica {r}, request {seq}");
+            }
+        }
+        // Every slot decided: the firing arms nothing.
+        assert_eq!(net.fire_timers(is_slow_sweep), 3);
+        for r in 0..3 {
+            assert_eq!(slow_sweeps_armed(&net, r), 0, "replica {r}: an idle sweep armed again");
+        }
+    }
+    assert_eq!(net.executed[0].len(), 30);
+}
+
+#[test]
+fn a_slot_that_decides_between_two_sweeps_suspects_nobody() {
+    let mut net = new_net(PathMode::FastWithFallback);
+    // r2's consensus votes are held back past the first firing.
+    let r2_votes = |m: &Move| m.from == 2 && m.lane == Lane::Tb;
+    net.client_request_no_drain(0, b"late");
+    run_except(&mut net, r2_votes);
+    assert!(net.executed[0].is_empty());
+    fire_at(&mut net, &[0, 1, 2], is_slow_sweep);
+    run_except(&mut net, r2_votes);
+    net.run();
+    for r in 0..3 {
+        assert_eq!(net.executed[r].len(), 1, "replica {r}");
+    }
+    // The second firing finds the slot decided, and the sweep stops.
+    assert_eq!(net.fire_timers(is_slow_sweep), 3);
+    for r in 0..3 {
+        assert!(!net.engines[r].suspects_anyone(), "replica {r}");
+        assert_eq!(slow_sweeps_armed(&net, r), 0, "replica {r}");
     }
 }
 
@@ -849,7 +928,7 @@ fn replacement_leader_is_replaced_and_group_reelects() {
     net.client_request(1, b"during");
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     assert_eq!(net.engines[1].view(), View(1));
 
     net.replace(0);
@@ -1749,12 +1828,14 @@ fn a_leader_crash_seals_on_one_checkpoint_and_the_cadence_stays_on_the_window() 
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     // Both survivors sealed on the checkpoint at 5: no promised slot took
-    // the slow path, and the new leader carried it into view 1.
+    // the slow path, and the new leader carried it into view 1. (The
+    // stalled request's slot in view 1 does: the sealers suspect r0.)
     for r in 1..3 {
         assert_eq!(net.engines[r].view(), View(1), "replica {r}");
         assert_eq!(net.engines[r].diag().checkpoint_base, Slot(5), "replica {r}");
     }
-    assert!(!net.ctb_log.iter().any(|(_, m)| matches!(m, CtbMsg::Commit(_))), "a slow path ran");
+    let in_view_0 = |m: &CtbMsg| matches!(m, CtbMsg::Commit(c) if c.prepare.view == View(0));
+    assert!(!net.ctb_log.iter().any(|(_, m)| in_view_0(m)), "a slow path ran");
     // The next snapshot is due at 16, not at 5 + 16.
     for i in 5..20u64 {
         decide_degraded(&mut net, i, &i.to_le_bytes());
@@ -2094,13 +2175,15 @@ fn a_decided_fast_path_slot_still_hands_a_soliciting_peer_our_share() {
     assert_eq!(commit_signers(&c, &fx), vec![replicas(&[1, 2])]);
     // A share that arrives ahead of a PREPARE recruits too, at acceptance:
     // slot 1 starts its slow path beside the fast one, with no timer armed.
+    // (Slot 0's sweep finds it decided and stops.)
+    assert_eq!(c.e.on_timer(TimerKind::SlowSweep), []);
     let p1 = Certify::prepare(1, 1);
     let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &p1, false));
     assert_eq!(c.checks().len(), 1);
     assert!(c.sign_own().is_empty());
     let fx = c.deliver_prepare(1);
     assert_eq!(certifies(&fx), 1, "{fx:?}");
-    let trigger = Effect::ArmTimer { kind: TimerKind::SlotSlowTrigger(Slot(1)) };
+    let trigger = Effect::ArmTimer { kind: TimerKind::SlowSweep };
     assert!(!fx.contains(&trigger), "{fx:?}");
 }
 
@@ -2407,7 +2490,7 @@ fn view_change_share_flood_buys_one_verification_per_subject() {
         of_stream.filter(|(_, m)| matches!(m, CtbMsg::NewView { view, .. } if *view == v)).count()
     };
     assert_eq!(new_views(&net, 1, View(1)), 1, "r1 announces view 1");
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 0..3 {
         assert_eq!(net.engines[r].view(), View(1), "replica {r}");
         assert_eq!(net.executed[r].len(), 1, "replica {r}");
@@ -2453,7 +2536,7 @@ fn a_held_prepare_does_not_outlive_its_view() {
     // r1 times out too and leads view 1: slot 0 is free at r2 for its
     // PREPARE, and both requests execute without another view change.
     fire_progress(&mut net, 1);
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 1..3 {
         assert_eq!(net.engines[r].view(), View(1), "replica {r}");
         let payloads: Vec<&[u8]> = net.executed[r].iter().map(|(_, q)| &q.payload[..]).collect();
@@ -2479,7 +2562,7 @@ fn a_leader_in_a_later_view_gets_no_request_executed_that_no_follower_holds() {
     net.client_request(1, b"second");
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     assert_eq!(net.engines[2].view(), View(1));
     assert_eq!(net.executed[2].len(), 2);
     // 50 requests that r1 alone is handed, each with fresh client ids, and
@@ -2490,7 +2573,7 @@ fn a_leader_in_a_later_view_gets_no_request_executed_that_no_follower_holds() {
         net.emit(1, fx);
         net.run();
         fire_echo_fallback(&mut net);
-        net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+        fire_slow_sweep(&mut net);
     }
     for r in 1..3 {
         assert_eq!(executed_from(&net, r, 100), 0, "replica {r} executed fabricated requests");
@@ -2509,7 +2592,7 @@ fn a_leader_in_a_later_view_queues_no_request_only_one_follower_echoed() {
     net.crashed[0] = true;
     net.client_request(1, b"second");
     progress_until_view(&mut net, View(1));
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     assert_eq!(net.engines[1].view(), View(1));
     let forged = Request { id: RequestId::new(ClientId(100), 0), payload: b"forged".to_vec() };
     let fx = net.engines[1].on_direct(ReplicaId(2), DirectMsg::Echo { req: forged.clone() });
@@ -2542,7 +2625,7 @@ fn a_request_only_the_leader_holds_waits_for_the_clients_retransmission() {
     // r0 proposes it in a slot of its own; r0 and r1 certify it.
     request_to(&mut net, &[0, 1], 0, b"leader only");
     fire_echo_fallback(&mut net);
-    net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    fire_slow_sweep(&mut net);
     for r in 0..2 {
         assert_eq!(payloads(&net.executed[r]), [b"leader only"], "replica {r}");
     }
@@ -2786,9 +2869,10 @@ fn deposed_leader_with_a_queued_request() -> Net {
 
     fire_at(&mut net, &[1, 2], |k| matches!(k, TimerKind::Progress));
     run_except(&mut net, r0_is_mute);
-    // Unanimity is out of reach without r0's votes: one slow trigger per slot.
-    for _ in 0..2 {
-        fire_at(&mut net, &[1, 2], |k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+    // Unanimity is out of reach without r0's votes: two firings of the
+    // fast path's sweep per slot.
+    for _ in 0..4 {
+        fire_at(&mut net, &[1, 2], |k| *k == TimerKind::SlowSweep);
         run_except(&mut net, r0_is_mute);
     }
     net.run();
@@ -2845,8 +2929,10 @@ fn a_deposed_leader_that_leads_again_proposes_nothing_that_executed() {
     time_out(&mut net, [0, 2], &[1, 2], View(2));
     time_out(&mut net, [0, 1], &[2], View(3));
     assert!(net.engines[0].is_leader());
-    fire_at(&mut net, &[0, 1], |k| matches!(k, TimerKind::SlotSlowTrigger(_)));
-    net.run();
+    for _ in 0..2 {
+        fire_at(&mut net, &[0, 1], |k| *k == TimerKind::SlowSweep);
+        net.run();
+    }
     // What r0 had queued in view 0 executed long ago; view 3 carries C and
     // nothing else.
     let of_r0_in_view_3 = net.ctb_log.iter().filter_map(|(stream, m)| match m {
@@ -3052,7 +3138,7 @@ fn replaced_after_a_churned_window() -> (Net, impl Iterator<Item = u32>) {
     for client in clients.by_ref().take(30) {
         request_from(&mut net, client);
         fire_echo_fallback(&mut net);
-        net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_)));
+        fire_slow_sweep(&mut net);
     }
     net.replace(2);
     (net, clients)

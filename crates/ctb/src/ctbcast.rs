@@ -20,11 +20,9 @@
 //! the other's read arrives, and at least one of them reads the other's
 //! entry: the guarantee two sequential round trips gave.
 
-use std::collections::BTreeSet;
-
 use ubft_crypto::{Digest, Signature};
 use ubft_types::wire::Wire;
-use ubft_types::{FixedMap, FixedState, ReplicaId, SeqId};
+use ubft_types::{Deadline, FixedMap, FixedState, ReplicaId, SeqId, Sweep};
 
 use crate::wire::{fingerprint, CtbWire};
 
@@ -34,8 +32,9 @@ pub enum SlowMode {
     /// Sign and send immediately alongside the fast path (Algorithm 1's
     /// pedagogical presentation).
     Always,
-    /// Only after the runtime's fast-path timeout fires (the deployed
-    /// configuration, §4.2).
+    /// Only once the fast path has not delivered for a timeout (the
+    /// deployed configuration, §4.2): the broadcaster's sweep
+    /// ([`Ctb::sweep`]) signs what has waited that long.
     OnTimeout,
     /// Never (fast-path-only experiments).
     Never,
@@ -181,13 +180,11 @@ pub enum CtbEffect {
         /// The id with conflicting signed messages.
         k: SeqId,
     },
-    /// Ask the runtime to arm the fast-path timeout for `(k, m)`; if it
-    /// fires before delivery, feed [`Ctb::on_slow_timeout`] (broadcaster
-    /// only, [`SlowMode::OnTimeout`]).
-    ArmSlowTimer {
-        /// Message id.
-        k: SeqId,
-    },
+    /// Ask the runtime to arm the fast path's sweep, one timer for all own
+    /// broadcasts, which calls [`Ctb::sweep`] one period later
+    /// (broadcaster only, [`SlowMode::OnTimeout`]). Emitted only while no
+    /// sweep is armed.
+    ArmSlowTimer,
 }
 
 #[derive(Clone, Debug)]
@@ -226,6 +223,9 @@ enum SlowStage {
 struct OwnBroadcast {
     fp: Digest,
     sign: SignState,
+    /// How long it has waited for its fast path, in firings of
+    /// [`Ctb::sweep`] ([`SlowMode::OnTimeout`] only).
+    fast_wait: Deadline,
 }
 
 /// How far the slow path's signature of an own broadcast has got.
@@ -268,12 +268,8 @@ pub struct Ctb {
     max_seen: SeqId,
     /// In-flight slow-path deliveries, keyed by ring slot.
     slow: FixedMap<usize, SlowPending>,
-    /// Broadcaster only: receivers whose `LOCKED` was missing when a
-    /// fast-path timeout fired. While anyone is suspected the fast path
-    /// cannot reach unanimity, so [`Ctb::broadcast`] signs at once instead
-    /// of waiting out the timeout again; a `LOCKED` from the receiver
-    /// clears it.
-    suspected: BTreeSet<ReplicaId>,
+    /// Broadcaster only: the fast path's sweep ([`Ctb::sweep`]).
+    fast_sweep: Sweep,
 }
 
 impl Ctb {
@@ -306,7 +302,7 @@ impl Ctb {
             payloads: FixedMap::with_hasher(hash_state),
             max_seen: SeqId(0),
             slow: FixedMap::with_hasher(hash_state),
-            suspected: BTreeSet::new(),
+            fast_sweep: Sweep::default(),
         }
     }
 
@@ -435,7 +431,10 @@ impl Ctb {
             Some((ahead_k, own)) if ahead_k == k && own.fp == fp => own.sign,
             _ => SignState::NotAsked,
         };
-        self.my_broadcasts.insert(k.0, OwnBroadcast { fp, sign });
+        let mut own = OwnBroadcast { fp, sign, fast_wait: Deadline::Unset };
+        let on_timeout = self.cfg.slow == SlowMode::OnTimeout && sign == SignState::NotAsked;
+        let arm = on_timeout && self.fast_sweep.start(&mut own.fast_wait);
+        self.my_broadcasts.insert(k.0, own);
         let mut fx = Vec::new();
         if let SignState::Done(sig) = sign {
             if self.cfg.fast_enabled {
@@ -447,38 +446,42 @@ impl Ctb {
         if self.cfg.fast_enabled {
             fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
         }
-        match self.cfg.slow {
-            // Signed ahead: `SIGNED` leaves when the signer answers.
-            _ if sign == SignState::Asked => {}
-            SlowMode::OnTimeout if self.suspected.is_empty() => {
-                fx.push(CtbEffect::ArmSlowTimer { k });
-            }
-            // `OnTimeout` with a receiver known to be silent: the timeout
-            // would only re-discover it, so the slow path starts beside
-            // the fast one.
-            SlowMode::Always | SlowMode::OnTimeout => fx.extend(self.request_sign(k)),
-            SlowMode::Never => {}
+        if arm {
+            fx.push(CtbEffect::ArmSlowTimer);
+        } else if self.cfg.slow == SlowMode::Always {
+            // Unless it was signed ahead: `SIGNED` leaves when the signer
+            // answers then.
+            fx.extend(self.request_sign(k));
         }
         (k, fx)
     }
 
-    /// The runtime's fast-path timeout for `k` fired without delivery:
-    /// trigger the slow path (broadcaster only) and suspect every receiver
-    /// whose `LOCKED` for `k` is missing.
-    pub fn on_slow_timeout(&mut self, k: SeqId) -> Vec<CtbEffect> {
-        let slot = self.slot(k);
-        if self.me != self.stream || self.delivered[slot].is_some_and(|d| d >= k) {
-            return Vec::new(); // not ours to sign, or fast path already delivered
+    /// The fast path's sweep fired (broadcaster only): every own broadcast
+    /// made before the previous firing that is neither delivered here nor
+    /// signed yet is signed now, for the slow path, and the broadcasts made
+    /// since are marked for the next firing — a broadcast waits at least one
+    /// period of the sweep and less than two. Each receiver whose
+    /// `LOCKED` of a broadcast signed here is missing is handed to
+    /// `suspect`: this machine keeps no record of who is silent. Arms the
+    /// sweep again only while a broadcast waits.
+    pub fn sweep(&mut self, mut suspect: impl FnMut(ReplicaId)) -> Vec<CtbEffect> {
+        let marks = self.my_broadcasts.iter_mut().map(|(&k, own)| {
+            let fast = self.delivered[SeqId(k).ring_index(self.cfg.tail)].is_some_and(|d| d.0 >= k);
+            (SeqId(k), !fast && own.sign == SignState::NotAsked, &mut own.fast_wait)
+        });
+        let (mut due, waiting) = self.fast_sweep.fire(marks);
+        due.sort_unstable();
+        let mut fx = Vec::new();
+        for k in due {
+            let Some(sign @ CtbEffect::Sign { fp, .. }) = self.request_sign(k) else { continue };
+            let unlocked = |q: &usize| self.locked[*q][self.slot(k)] != Some((k, fp));
+            (0..self.cfg.n).filter(unlocked).for_each(|q| suspect(self.replicas[q]));
+            fx.push(sign);
         }
-        let sign = self.request_sign(k);
-        if let Some(CtbEffect::Sign { fp, .. }) = &sign {
-            for (q, row) in self.locked.iter().enumerate() {
-                if row[slot] != Some((k, *fp)) {
-                    self.suspected.insert(self.replicas[q]);
-                }
-            }
+        if waiting {
+            fx.push(CtbEffect::ArmSlowTimer);
         }
-        sign.into_iter().collect()
+        fx
     }
 
     /// Forces the slow path for `k` *even if we fast-delivered it
@@ -513,7 +516,8 @@ impl Ctb {
         if self.ahead.is_some_and(|(ahead_k, own)| ahead_k == k && own.fp == fp) {
             return None;
         }
-        self.ahead = Some((k, OwnBroadcast { fp, sign: SignState::Asked }));
+        let fast_wait = Deadline::Unset;
+        self.ahead = Some((k, OwnBroadcast { fp, sign: SignState::Asked, fast_wait }));
         Some(CtbEffect::Sign { k, fp })
     }
 
@@ -581,7 +585,6 @@ impl Ctb {
         let Some(q) = self.index_of(from) else {
             return Vec::new();
         };
-        self.suspected.remove(&from);
         let fp = fingerprint(&m);
         self.saw(k);
         let slot = self.slot(k);
@@ -1146,7 +1149,9 @@ mod tests {
             let (_, fx) = h.ctbs[0].broadcast(m.clone());
             let lock = CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() });
             assert_eq!(fx, if cfg.fast_enabled { vec![lock] } else { vec![] }, "{cfg:?}");
-            assert!(h.ctbs[0].on_slow_timeout(k).is_empty(), "a second signature");
+            for _ in 0..2 {
+                assert_eq!(sweep(&mut h), (vec![], vec![]), "a second signature");
+            }
             let sig = sign(&h, k, &m);
             let signed = CtbEffect::Broadcast(CtbWire::Signed { k, m, sig });
             assert_eq!(h.ctbs[0].on_sign_done_over(k, fp, sig), vec![signed]);
@@ -1384,38 +1389,60 @@ mod tests {
     }
 
     fn arms(fx: &[CtbEffect]) -> usize {
-        fx.iter().filter(|e| matches!(e, CtbEffect::ArmSlowTimer { .. })).count()
+        fx.iter().filter(|e| matches!(e, CtbEffect::ArmSlowTimer)).count()
+    }
+
+    /// Fires the broadcaster's sweep once: its effects, and whom it
+    /// suspects.
+    fn sweep(h: &mut CtbNet) -> (Vec<CtbEffect>, Vec<ReplicaId>) {
+        let mut silent = Vec::new();
+        let fx = h.ctbs[0].sweep(|r| silent.push(r));
+        (fx, silent)
     }
 
     #[test]
-    fn timeout_with_a_silent_receiver_signs_later_broadcasts_at_once() {
+    fn an_undelivered_broadcast_is_signed_at_the_second_firing_after_it_not_the_first() {
         let mut h = CtbNet::new(CtbConfig::deployed(N, T));
         let (k1, fx) = h.ctbs[0].broadcast(b"one".to_vec());
         assert_eq!((signs(&fx), arms(&fx)), (0, 1));
-        // r2 is silent: no unanimity, the timeout fires and r2 is suspected.
+        // r2 is silent: no unanimity.
         assert!(lock_round(&mut h, k1, b"one", &[0, 1]).is_empty());
-        assert_eq!(signs(&h.ctbs[0].on_slow_timeout(k1)), 1);
-        // The next broadcast runs both paths at once and arms nothing.
+        assert_eq!(sweep(&mut h), (vec![CtbEffect::ArmSlowTimer], vec![]), "at the first");
+        // A broadcast made between the two firings waits for the third.
         let (k2, fx) = h.ctbs[0].broadcast(b"two".to_vec());
-        assert!(fx.contains(&CtbEffect::Broadcast(CtbWire::Lock { k: k2, m: b"two".to_vec() })));
-        assert_eq!((signs(&fx), arms(&fx)), (1, 0));
-        // A timer left over from before is a no-op: the sign was requested.
-        assert!(h.ctbs[0].on_slow_timeout(k2).is_empty());
-        // r2 speaks again (a LOCKED for anything): back to the timer.
-        lock_round(&mut h, k2, b"two", &[2]);
-        let (_, fx) = h.ctbs[0].broadcast(b"three".to_vec());
-        assert_eq!((signs(&fx), arms(&fx)), (0, 1));
+        assert_eq!((signs(&fx), arms(&fx)), (0, 0), "the armed sweep was armed again");
+        assert!(lock_round(&mut h, k2, b"two", &[0, 1]).is_empty());
+        let one = CtbEffect::Sign { k: k1, fp: fingerprint(b"one") };
+        assert_eq!(sweep(&mut h), (vec![one, CtbEffect::ArmSlowTimer], vec![rid(2)]));
+        let two = CtbEffect::Sign { k: k2, fp: fingerprint(b"two") };
+        assert_eq!(sweep(&mut h), (vec![two], vec![rid(2)]));
+        assert_eq!(sweep(&mut h), (vec![], vec![]), "signed twice");
     }
 
     #[test]
-    fn timer_firing_after_fast_delivery_suspects_nobody() {
+    fn an_idle_broadcast_sweep_is_armed_once_per_busy_spell() {
         let mut h = CtbNet::new(CtbConfig::deployed(N, T));
-        let (k1, _) = h.ctbs[0].broadcast(b"one".to_vec());
-        let fx = lock_round(&mut h, k1, b"one", &[0, 1, 2]);
-        assert_eq!(fx, vec![CtbEffect::Deliver { k: k1, payload: b"one".to_vec() }]);
-        assert!(h.ctbs[0].on_slow_timeout(k1).is_empty());
-        let (_, fx) = h.ctbs[0].broadcast(b"two".to_vec());
-        assert_eq!((signs(&fx), arms(&fx)), (0, 1));
+        for spell in 0..3u8 {
+            for i in 0..5u8 {
+                let (k, fx) = h.ctbs[0].broadcast(vec![spell, i]);
+                assert_eq!((signs(&fx), arms(&fx)), (0, usize::from(i == 0)), "{spell}/{i}");
+                assert_eq!(lock_round(&mut h, k, &[spell, i], &[0, 1, 2]).len(), 1, "delivered");
+            }
+            // Everything was delivered: the firing arms nothing.
+            assert_eq!(sweep(&mut h), (vec![], vec![]), "spell {spell}");
+        }
+    }
+
+    #[test]
+    fn a_broadcast_delivered_before_the_second_firing_suspects_nobody() {
+        let mut h = CtbNet::new(CtbConfig::deployed(N, T));
+        let (k, _) = h.ctbs[0].broadcast(b"one".to_vec());
+        assert!(lock_round(&mut h, k, b"one", &[0, 1]).is_empty());
+        assert_eq!(sweep(&mut h), (vec![CtbEffect::ArmSlowTimer], vec![]));
+        // r2's LOCKED comes between the two firings.
+        let fx = lock_round(&mut h, k, b"one", &[2]);
+        assert_eq!(fx, vec![CtbEffect::Deliver { k, payload: b"one".to_vec() }]);
+        assert_eq!(sweep(&mut h), (vec![], vec![]));
     }
 
     #[test]

@@ -101,8 +101,8 @@ impl CtbNet {
             }
             CtbEffect::Deliver { k, payload } => return self.delivered[to].push((k, payload)),
             CtbEffect::Equivocation { k } => return self.equivocations[to].push(k),
-            // The fast-path timeout fires when a test feeds `on_slow_timeout`.
-            CtbEffect::ArmSlowTimer { .. } => return,
+            // The fast path's sweep fires when a test calls `Ctb::sweep`.
+            CtbEffect::ArmSlowTimer => return,
         };
         self.emit(to, fx);
     }

@@ -16,11 +16,17 @@ use ubft_types::{ClusterParams, Duration, Time};
 use crate::audit::AuditMutation;
 
 /// Fast-path *detection* timeout: how long a CTBcast broadcaster waits for
-/// every `LOCKED`, and a replica for a slot's WILL_* rounds, before starting
-/// the slow path. Paid once per silent peer, not per message: the timeout
-/// that fires marks the peers whose contribution is missing as suspected,
-/// and while anyone is suspected new broadcasts and slots start the slow
-/// path at once, until the peer is heard from again.
+/// every `LOCKED`, and a replica for a slot's WILL_* rounds, before
+/// starting the slow path. At least, not exactly: one sweep per replica for
+/// slots and one for its own broadcasts, each armed at this period while
+/// anything waits, start the slow path for what already waited at their
+/// previous firing — exactly this long for what found its sweep idle, less
+/// than twice as long for anything else. (A half period, at most this long,
+/// stalled more chaos plans: 9 instead of 6 of 800.) Paid once per silent
+/// peer, not per message: a sweep that starts a slow path suspects the
+/// peers whose contribution is missing, and while anyone is suspected new
+/// broadcasts and slots start the slow path at once, until the peer is
+/// heard from again.
 pub const SLOW_TRIGGER: Duration = Duration::from_micros(200);
 
 /// Leader-progress watchdog period. An order of magnitude above a slow-path

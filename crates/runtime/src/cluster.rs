@@ -150,12 +150,12 @@ impl CoreTime {
 pub struct TimerInputs {
     /// The leader-progress watchdog.
     pub progress: u64,
-    /// A slot's fast-path timeout.
-    pub slot_slow_trigger: u64,
+    /// The fast path's sweep over slots.
+    pub slow_sweep: u64,
     /// The leader's echo-fallback sweep.
     pub echo_fallback: u64,
-    /// CTBcast's fast-path timeout for one own-stream message.
-    pub ctb_slow: u64,
+    /// The fast path's sweep over the replica's own CTBcast broadcasts.
+    pub ctb_sweep: u64,
     /// The TBcast retransmission tick.
     pub retransmit: u64,
 }

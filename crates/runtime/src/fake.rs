@@ -21,7 +21,7 @@ use std::rc::Rc;
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::{read_reply, Client};
-use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
+use ubft_core::engine::{CryptoJob, CryptoOps, Effect, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
@@ -63,6 +63,8 @@ struct FakeNet {
     /// more have gone through.
     drop_next: Option<(Lane, usize, usize)>,
     pass: u32,
+    /// Loses everything this replica sends: it is silent, not down.
+    mute: Option<usize>,
     /// The replica that equivocates on its own CTBcast stream: the driver
     /// sends odd receivers a poisoned `LOCK`; the net below keeps the lie up
     /// on the slow path by signing each receiver what it was told.
@@ -118,6 +120,8 @@ impl Substrate for FakeSubstrate<'_> {
         }
         if to >= net.n {
             net.replies.push(bytes.to_vec());
+        } else if net.mute == Some(from) {
+            // On the wire, and lost.
         } else if net.drop_next == Some((lane, from, to)) && net.pass == 0 {
             net.drop_next = None; // on the wire, and lost
         } else {
@@ -245,6 +249,7 @@ impl FakeCluster {
             direct: Vec::new(),
             drop_next: None,
             pass: 0,
+            mute: None,
             equivocator: None,
             told: HashMap::new(),
             round_trip_done: [0; 2],
@@ -441,8 +446,8 @@ fn an_equivocating_lock_is_branded() {
     cluster.net.equivocator = Some(0);
     assert!(!cluster.request(payload(0)), "conflicting LOCKs reached unanimity");
     assert!(cluster.nodes.iter().all(|nd| nd.branded.is_empty()), "a LOCK alone proves nothing");
-    // The broadcaster's fast-path timeout starts the signed slow path.
-    cluster.fire(0, |t| matches!(t, NodeTimer::CtbSlow(_)));
+    // The broadcaster's fast-path sweep starts the signed slow path.
+    fire_twice(&mut cluster, 0, NodeTimer::CtbSweep);
     let brands: Vec<&(u32, String)> =
         cluster.nodes[1..].iter().flat_map(|nd| &nd.branded).collect();
     assert!(!brands.is_empty(), "no follower found the proof");
@@ -451,6 +456,70 @@ fn an_equivocating_lock_is_branded() {
         assert!(why.contains("equivocation"), "branded for {why}");
     }
     assert!(cluster.net.execs[1..].iter().all(|exec| exec.exec_log.is_empty()));
+}
+
+/// Fires replica `r`'s armed `timer` twice — a sweep acts at its second
+/// firing on what was pending at its first —; returns whether the client's
+/// request completed on the way.
+fn fire_twice(cluster: &mut FakeCluster, r: usize, timer: NodeTimer) -> bool {
+    let first = cluster.fire(r, |t| *t == timer);
+    cluster.fire(r, |t| *t == timer) || first
+}
+
+/// A silent receiver costs one fast-path timeout, not one per broadcast:
+/// once the leader's CTBcast sweep has found r2's `LOCKED` missing, the
+/// engine suspects r2, and every later broadcast of the leader's asks for
+/// its signature in the call that sends its `LOCK` — the next request
+/// completes with no sweep fired. A frame from r2 ends that.
+#[test]
+fn timeout_with_a_silent_receiver_signs_later_broadcasts_at_once() {
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5));
+    assert!(cluster.request(payload(0)));
+    cluster.net.mute = Some(2);
+    let echo_sweep = NodeTimer::Engine(TimerKind::EchoFallback);
+    // r2's echo is lost too: the leader proposes on its echo fallback.
+    assert!(!cluster.request(payload(1)));
+    fire_twice(&mut cluster, 0, echo_sweep);
+    assert!(!cluster.nodes[0].engine.suspects_anyone(), "suspected before any sweep");
+    assert!(fire_twice(&mut cluster, 0, NodeTimer::CtbSweep), "no slow path");
+    assert!(cluster.nodes[0].engine.suspects_anyone(), "r2 is not suspected");
+
+    // The next PREPARE's signature is asked for beside its LOCK.
+    assert!(!cluster.request(payload(2)));
+    cluster.fire(0, |t| *t == echo_sweep);
+    let signs = cluster.nodes[0].counters.ctb_signs;
+    let timer = NodeInput::Timer(echo_sweep);
+    cluster.on_node(0, |nd, sub| nd.on_input(sub, timer, ()));
+    assert_eq!(cluster.nodes[0].counters.ctb_signs, signs + 1, "the PREPARE was not signed");
+    assert!(cluster.pump(), "the request waited for a sweep");
+
+    // r2 speaks again: its retransmitted frames reach r0, and the next
+    // request runs the signature-free fast path.
+    cluster.net.mute = None;
+    fire_twice(&mut cluster, 2, NodeTimer::Retransmit);
+    assert!(!cluster.nodes[0].engine.suspects_anyone(), "r2's frames cleared nothing");
+    let signs = cluster.nodes[0].counters.ctb_signs;
+    assert!(cluster.request(payload(3)));
+    assert_eq!(cluster.nodes[0].counters.ctb_signs, signs, "signed with nobody suspected");
+    cluster.assert_replicas_agree(4);
+}
+
+/// A sweep that finds every broadcast of the leader's delivered on the
+/// fast path signs nothing and suspects nobody.
+#[test]
+fn timer_firing_after_fast_delivery_suspects_nobody() {
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5));
+    assert!(cluster.request(payload(0)));
+    for r in 0..cluster.net.n {
+        fire_twice(&mut cluster, r, NodeTimer::CtbSweep);
+        fire_twice(&mut cluster, r, NodeTimer::Engine(TimerKind::SlowSweep));
+    }
+    assert!(cluster.request(payload(1)));
+    for nd in &cluster.nodes {
+        assert!(!nd.engine.suspects_anyone());
+        assert_eq!(nd.counters.ctb_signs, 0);
+    }
+    cluster.assert_replicas_agree(2);
 }
 
 /// Request `seq` of client `c`, with [`payload`] `seq`.

@@ -95,8 +95,9 @@ pub(crate) type ExecTable = Vec<(ClientId, u64)>;
 pub(crate) enum NodeTimer {
     /// One of the engine's own.
     Engine(TimerKind),
-    /// CTBcast's fast-path timeout for own-stream message `k`.
-    CtbSlow(SeqId),
+    /// The fast path's sweep over this replica's own CTBcast broadcasts
+    /// ([`CtbEffect::ArmSlowTimer`]).
+    CtbSweep,
     /// The periodic TBcast retransmission tick (§4.2: the broadcaster
     /// retransmits its buffered tail until acknowledged).
     Retransmit,
@@ -316,12 +317,13 @@ pub(crate) struct ReplicaNode {
     cons_rx: Vec<TailReceiver>,
     /// `2t`: what every TBcast endpoint above buffers (Algorithm 1).
     tb_window: usize,
-    /// Consecutive retransmission ticks during which this node's own
-    /// CTBcast summary stayed stalled (a boundary crossed but not
-    /// certified); past a threshold the tick force-converts the
-    /// unsummarized tail to the signed slow path so receivers whose
-    /// fast-path unanimity a dead peer broke can still deliver.
-    summary_stall_ticks: u32,
+    /// Where this node's own CTBcast summary last stalled — the id its
+    /// last certified summary covers, a boundary past it crossed but not
+    /// certified — and for how many consecutive retransmission ticks; past
+    /// a threshold the tick force-converts the unsummarized tail to the
+    /// signed slow path so receivers whose fast-path unanimity a dead peer
+    /// broke can still deliver.
+    summary_stall: (u64, u32),
     /// State transfers that found no (verifiable) snapshot: the replica
     /// fast-forwarded, so its application state may have diverged.
     pub transfer_misses: u64,
@@ -383,7 +385,7 @@ impl ReplicaNode {
             cons_tx: TailBroadcaster::new(peers, cap),
             cons_rx: receivers(),
             tb_window: cap,
-            summary_stall_ticks: 0,
+            summary_stall: (0, 0),
             transfer_misses: 0,
             branded: Vec::new(),
             timers: TimerInputs::default(),
@@ -487,9 +489,9 @@ impl ReplicaNode {
             let t = &mut self.timers;
             *match timer {
                 NodeTimer::Engine(TimerKind::Progress) => &mut t.progress,
-                NodeTimer::Engine(TimerKind::SlotSlowTrigger(_)) => &mut t.slot_slow_trigger,
+                NodeTimer::Engine(TimerKind::SlowSweep) => &mut t.slow_sweep,
                 NodeTimer::Engine(TimerKind::EchoFallback) => &mut t.echo_fallback,
-                NodeTimer::CtbSlow(_) => &mut t.ctb_slow,
+                NodeTimer::CtbSweep => &mut t.ctb_sweep,
                 NodeTimer::Retransmit => &mut t.retransmit,
             } += 1;
         }
@@ -497,8 +499,11 @@ impl ReplicaNode {
             NodeInput::Timer(NodeTimer::Engine(kind)) => {
                 self.engine_call(sub, at, |e| e.on_timer(kind))
             }
-            NodeInput::Timer(NodeTimer::CtbSlow(k)) => {
-                self.ctb_call(sub, self.r, at, |c| c.on_slow_timeout(k))
+            // The receivers it finds silent are suspected by the engine,
+            // which keeps the replica's one record of who is silent.
+            NodeInput::Timer(NodeTimer::CtbSweep) => {
+                let fx = self.ctbs[self.r].sweep(|silent| self.engine.suspect([silent]));
+                self.ctb_call(sub, self.r, at, |_| fx)
             }
             NodeInput::Timer(NodeTimer::Retransmit) => self.on_retransmit_tick(sub, at),
             NodeInput::Ctb { stream, done } => self.ctb_call(sub, stream, at, |c| match done {
@@ -543,21 +548,21 @@ impl ReplicaNode {
             }
         }
 
-        let sent = self.engine.ctb_sent_count();
-        let done = self.engine.ctb_summarized_upto();
-        if sent >= done + self.engine.summary_half() {
-            self.summary_stall_ticks += 1;
-            if self.summary_stall_ticks >= SUMMARY_STALL_TICKS {
-                self.summary_stall_ticks = 0;
-                let r = self.r;
-                let mut fx = Vec::new();
-                for k in done + 1..=sent {
-                    fx.extend(self.ctbs[r].force_slow(SeqId(k)));
-                }
-                self.ctb_effects(sub, r, at, fx);
-            }
+        let (sent, done) = (self.engine.ctb_sent_count(), self.engine.ctb_summarized_upto());
+        // The ticks count while one boundary stays uncertified: a summary
+        // that completes starts them over, so a broadcaster that is a half
+        // ahead of its summaries only because it broadcasts fast never
+        // signs its tail.
+        let ticks = if self.summary_stall.0 == done { self.summary_stall.1 + 1 } else { 1 };
+        if sent < done + self.engine.summary_half() {
+            self.summary_stall = (done, 0);
+        } else if ticks < SUMMARY_STALL_TICKS {
+            self.summary_stall = (done, ticks);
         } else {
-            self.summary_stall_ticks = 0;
+            self.summary_stall = (done, 0);
+            let fx: Vec<_> =
+                (done + 1..=sent).flat_map(|k| self.ctbs[self.r].force_slow(SeqId(k))).collect();
+            self.ctb_effects(sub, self.r, at, fx);
         }
         sub.arm(NodeTimer::Retransmit, RETRANSMIT_PERIOD, at);
     }
@@ -615,8 +620,11 @@ impl ReplicaNode {
                 let r = self.r;
                 let ahead = self.ctb_ahead.take_if(|(ahead, _)| *ahead == msg);
                 let bytes = ahead.map_or_else(|| msg.to_bytes(), |(_, bytes)| bytes);
-                let (_k, cfx) = self.ctbs[r].broadcast(bytes);
-                self.ctb_effects(sub, r, at, cfx);
+                let (k, cfx) = self.ctbs[r].broadcast(bytes);
+                // A peer known to be silent breaks the fast path's
+                // unanimity: the slow path starts beside it.
+                let slow = self.engine.suspects_anyone().then(|| self.ctbs[r].force_slow(k));
+                self.ctb_effects(sub, r, at, cfx.into_iter().chain(slow.unwrap_or_default()));
             }
             Effect::TbBroadcast(msg) => self.tb_broadcast(sub, Lane::ConsTb, &msg, at),
             Effect::SendReplica { to, msg: DirectMsg::Echo { req } } => {
@@ -651,9 +659,11 @@ impl ReplicaNode {
                     TimerKind::Progress => {
                         PROGRESS_TIMEOUT * u64::from(self.engine.progress_backoff())
                     }
-                    TimerKind::SlotSlowTrigger(_) => SLOW_TRIGGER,
-                    // Every firing falls back on what waited since the
-                    // one before: a request waits at most ECHO_FALLBACK.
+                    // Every firing of a sweep acts on what waited since the
+                    // one before: a slot waits at least SLOW_TRIGGER for its
+                    // fast path, a request at most ECHO_FALLBACK for its
+                    // echoes.
+                    TimerKind::SlowSweep => SLOW_TRIGGER,
                     TimerKind::EchoFallback => ECHO_FALLBACK / 2,
                 };
                 sub.arm(NodeTimer::Engine(kind), after, at);
@@ -798,7 +808,7 @@ impl ReplicaNode {
                     let s = ReplicaId(stream as u32);
                     self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k));
                 }
-                CtbEffect::ArmSlowTimer { k } => sub.arm(NodeTimer::CtbSlow(k), SLOW_TRIGGER, at),
+                CtbEffect::ArmSlowTimer => sub.arm(NodeTimer::CtbSweep, SLOW_TRIGGER, at),
             }
         }
     }

@@ -19,6 +19,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod deadline;
 pub mod error;
 pub mod few;
 pub mod hash;
@@ -27,6 +28,7 @@ pub mod time;
 pub mod wire;
 
 pub use config::ClusterParams;
+pub use deadline::{Deadline, Sweep};
 pub use error::{CodecError, ProtocolError};
 pub use few::Few;
 pub use hash::{FixedMap, FixedSet, FixedState};

@@ -85,9 +85,10 @@ fn run_with_view_change(n_requests: u64, max_batch: usize, pipeline_depth: usize
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     net.fire_timers(|k| matches!(k, TimerKind::Progress));
     // Each decided slot lets the bounded pipeline propose the next batch,
-    // which arms a fresh fast-path timeout — keep firing until quiescent.
+    // which waits for the fast path's sweep — keep firing it until it is
+    // no longer armed.
     for _ in 0..200 {
-        if net.fire_timers(|k| matches!(k, TimerKind::SlotSlowTrigger(_))) == 0 {
+        if net.fire_timers(|k| *k == TimerKind::SlowSweep) == 0 {
             break;
         }
     }

@@ -138,6 +138,17 @@
 //!   the first 132 of them (134 each before).
 //!
 //! The five other pins passed untouched.
+//!
+//! `default_path_run` was re-captured when the fast path's timeouts became
+//! two sweeps per replica — one over its slots, one over its own CTBcast
+//! broadcasts, each armed while something waits and firing every 100 µs —
+//! instead of one timer per slot and one per broadcast, each firing 200 µs
+//! after it was armed: a fault-free request no longer costs every replica
+//! a timer dispatch, and the leader a second one, long after it decided,
+//! so what those dispatches used to delay runs sooner. `end` 965 877 → 965 807 and `p50` 8 770 →
+//! 8 768 ns; `mean` (8 775), the digest, every counter and the views did
+//! not move. The six other pins run fast only or slow only, arm none of
+//! the removed timers and passed untouched.
 
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
@@ -192,7 +203,7 @@ fn slow_path_run_is_pinned() {
 #[test]
 fn default_path_run_is_pinned() {
     let got = fingerprint(SimConfig::paper_default(7), 100, 10);
-    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=965877 mean=8775 p50=8770 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=988e13629eb4fdf6e90745cae887a8509c215729319f72e2d4101a3724265381 completed=110 end=965807 mean=8775 p50=8768 counters=OpCounters { rpc_msgs: 660, ctb_msgs: 880, cons_msgs: 1322, direct_msgs: 222, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 1, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
