@@ -9,7 +9,10 @@
 //! smaller grid at 60 requests per shard at most. The table prints like the
 //! `experiments` tables, with the host's core count in its title. A second
 //! table counts each grid point's operations per request, on the threads
-//! and on the simulator twin of the same configuration.
+//! and on the simulator twin of the same configuration, and a third times
+//! the groups' leaders per request on both: the main core by the kind of
+//! input, and the execution core. The threads' times are wall time, the
+//! twin's virtual time charged.
 use ubft_apps::{workload, FlipApp};
 use ubft_bench::{one_count, parse_args, Table, SAMPLES, SEED, WARMUP};
 use ubft_core::app::App;
@@ -34,6 +37,12 @@ fn main() -> Result<(), String> {
         "Operations per request: messages by lane, signatures, verifications, register operations",
         "backend | crypto workers | shards | rpc:2 | ctb:2 | cons:2 | direct:2 | signs:2 | \
          verifies:2 | reg writes:2 | reg reads:2",
+    );
+    let mut core = Table::new(
+        "Leader core time per request, ns: main core by input kind (client requests, direct \
+         messages, consensus and CTBcast frames, timers, completions), and execution core",
+        "backend | crypto workers | shards | client:0 | direct:0 | cons:0 | ctb:0 | timers:0 | \
+         completions:0 | exec:0",
     );
     for &w in workers {
         for &g in shards {
@@ -63,10 +72,19 @@ fn main() -> Result<(), String> {
                 let crypto = [c.ctb_signs + c.engine_signs, c.ctb_verifies + c.engine_verifies];
                 let counts = counts.into_iter().chain(crypto).chain([c.reg_writes, c.reg_reads]);
                 let per_request = counts.map(|n| n as f64 / r.completed as f64);
-                ops.push(&[&format!("{:?}", r.backend), &w, &g], &per_request.collect::<Vec<_>>());
+                let backend = format!("{:?}", r.backend);
+                ops.push(&[&backend, &w, &g], &per_request.collect::<Vec<_>>());
+                let mut ns = [0.0; 7];
+                for c in r.groups.iter().map(|group| group.replicas[0].core) {
+                    let lanes = [c.client_requests, c.direct_msgs, c.consensus_frames];
+                    let kinds = lanes.into_iter().chain([c.ctb_frames, c.timers, c.completions]);
+                    let kinds = kinds.chain([c.execution]);
+                    ns.iter_mut().zip(kinds).for_each(|(ns, d)| *ns += d.as_nanos() as f64);
+                }
+                core.push(&[&backend, &w, &g], &ns.map(|ns| ns / r.completed as f64));
             }
         }
     }
-    print!("{t}\n{ops}");
+    print!("{t}\n{ops}\n{core}");
     Ok(())
 }

@@ -419,6 +419,13 @@ impl Ctb {
     ///
     /// Panics if `me` is not the stream's broadcaster.
     pub fn broadcast(&mut self, m: Vec<u8>) -> (SeqId, Vec<CtbEffect>) {
+        self.broadcast_as(m, false)
+    }
+
+    /// [`Ctb::broadcast`], told whether its fast path is known not to
+    /// complete — a receiver is silent. A `slow` broadcast asks for its
+    /// signature at once ([`SlowMode::OnTimeout`]) and waits for no sweep.
+    pub fn broadcast_as(&mut self, m: Vec<u8>, slow: bool) -> (SeqId, Vec<CtbEffect>) {
         assert_eq!(self.me, self.stream, "only the broadcaster may broadcast");
         let k = self.next_k;
         self.next_k = self.next_k.next();
@@ -433,7 +440,8 @@ impl Ctb {
         };
         let mut own = OwnBroadcast { fp, sign, fast_wait: Deadline::Unset };
         let on_timeout = self.cfg.slow == SlowMode::OnTimeout && sign == SignState::NotAsked;
-        let arm = on_timeout && self.fast_sweep.start(&mut own.fast_wait);
+        let slow = self.cfg.slow == SlowMode::Always || on_timeout && slow;
+        let arm = on_timeout && !slow && self.fast_sweep.start(&mut own.fast_wait);
         self.my_broadcasts.insert(k.0, own);
         let mut fx = Vec::new();
         if let SignState::Done(sig) = sign {
@@ -448,7 +456,7 @@ impl Ctb {
         }
         if arm {
             fx.push(CtbEffect::ArmSlowTimer);
-        } else if self.cfg.slow == SlowMode::Always {
+        } else if slow {
             // Unless it was signed ahead: `SIGNED` leaves when the signer
             // answers then.
             fx.extend(self.request_sign(k));

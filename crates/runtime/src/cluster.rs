@@ -33,6 +33,7 @@ use ubft_types::{ClientId, Duration, Time, View};
 use crate::audit::{AuditReport, Auditor};
 use crate::calibration::{Backend, SimConfig};
 use crate::client_loop::{ClientLoop, ClientTimer};
+use crate::exec::Executor;
 use crate::group::{Ev, GroupEv, GroupRuntime, GroupWorkload, Shared};
 use crate::node::ReplicaNode;
 
@@ -103,13 +104,17 @@ pub struct ReplicaReport {
     /// The operations the replica started, its executor's replies
     /// included, over every incarnation.
     pub counters: OpCounters,
-    /// Where this incarnation's cores spent their time (simulator only:
-    /// zero on [`Backend::Threads`], which times no dispatch).
+    /// Where this incarnation's cores spent their time: virtual time
+    /// charged on [`Backend::Sim`], wall time on [`Backend::Threads`].
     pub core: CoreTime,
 }
 
-/// One simulated replica's busy time: its main core's by the kind of
-/// input that caused it, and its execution core's.
+/// One replica incarnation's busy time: its main core's by the kind of
+/// input that caused it, and its execution core's. The replica driver
+/// files the main core's once per input a substrate hands it, and the
+/// executor its jobs', on the clock each backend supplies: the dispatch and
+/// application costs the simulator charges, the wall clock (`Instant`) on
+/// threads, preemption included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreTime {
     /// Main core: client requests.
@@ -127,7 +132,8 @@ pub struct CoreTime {
     /// trips and the executor's work, effects kept back behind crypto, and
     /// the replica's boot.
     pub completions: Duration,
-    /// The execution core: every request the application ran.
+    /// The execution core: every job it ran (in the simulator only the
+    /// requests the application ran cost anything).
     pub execution: Duration,
 }
 
@@ -161,14 +167,10 @@ pub struct TimerInputs {
 }
 
 impl ReplicaReport {
-    /// What `node` has to report, with its executor's application digest,
-    /// execution log and replies sent ([`Executor::report`]) and the
-    /// simulated cores' busy time `core`.
-    pub(crate) fn of(
-        node: &ReplicaNode,
-        (app_digest, executed, replies): (Digest, Vec<(ClientId, u64)>, u64),
-        core: CoreTime,
-    ) -> Self {
+    /// What `node` and its executor `exec` have to report; takes the
+    /// execution log ([`Executor::report`]).
+    pub(crate) fn of<A: App + ?Sized>(node: &ReplicaNode, exec: &mut Executor<A>) -> Self {
+        let (app_digest, executed, replies) = exec.report();
         ReplicaReport {
             decided: node.engine.decided_count(),
             app_digest,
@@ -178,7 +180,7 @@ impl ReplicaReport {
             branded: node.branded.clone(),
             timers: node.timers,
             counters: OpCounters { rpc_msgs: node.counters.rpc_msgs + replies, ..node.counters },
-            core,
+            core: CoreTime { execution: exec.busy, ..node.core },
         }
     }
 }

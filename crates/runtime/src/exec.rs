@@ -14,9 +14,10 @@
 //!
 //! [`Executor::run`] is the one interpretation of a job; each backend
 //! supplies an [`ExecPort`] — where replies go, when results come back, what
-//! is observed — and runs it where its execution core is: the simulator on
-//! a third cost cursor per replica, the threaded backend on one thread per
-//! replica, the scripted test substrate inline.
+//! is observed, the execution core's clock — and runs it where its
+//! execution core is: the simulator on a third cost cursor per replica, the
+//! threaded backend on one thread per replica, the scripted test substrate
+//! inline.
 
 use ubft_core::app::App;
 use ubft_core::lru::LruMap;
@@ -54,6 +55,13 @@ pub(crate) trait ExecPort<A: App + ?Sized> {
 
     /// Hands `input` back to the replica's event loop.
     fn input(&mut self, input: NodeInput);
+
+    /// The execution core's time so far, on the backend's clock: what
+    /// [`ExecPort::executed`] charged in the simulator, the wall clock on
+    /// threads; zero where there is none.
+    fn clock(&self) -> Duration {
+        Duration::ZERO
+    }
 
     /// The application ran the request `id` of `slot` on `applied`, which
     /// cost `cost`, and answered `response`. Called before the reply leaves.
@@ -99,6 +107,8 @@ pub(crate) struct Executor<A: App + ?Sized = dyn App> {
     pub exec_log: Vec<(ClientId, u64)>,
     /// Replies sent so far, the predecessors' included.
     replies: u64,
+    /// This incarnation's time on its jobs, on its port's clock.
+    pub busy: Duration,
     /// An auditor self-test that sabotages this replica's execution.
     mutation: Option<AuditMutation>,
     /// Where replies are encoded: reused for every one.
@@ -123,6 +133,7 @@ impl<A: App + ?Sized> Executor<A> {
             reply_cache: LruMap::new(engine_config(r, cfg).client_table_cap(), hash_state),
             exec_log: Vec::new(),
             replies: 0,
+            busy: Duration::ZERO,
             mutation,
             scratch: Vec::new(),
         }
@@ -130,7 +141,8 @@ impl<A: App + ?Sized> Executor<A> {
 
     /// The replacement's execution core on a fresh host: the same
     /// application instance (the caller resets it to genesis), the
-    /// execution log and the reply count so far, an empty last-reply table.
+    /// execution log and the reply count so far, an empty last-reply table
+    /// and no time spent.
     pub fn replaced(self, cfg: &SimConfig, ring: &KeyRing) -> Self {
         let (r, exec_log, replies) = (self.me.0 as usize, self.exec_log, self.replies);
         Executor { exec_log, replies, ..Executor::new(r, cfg, ring, self.app) }
@@ -142,8 +154,9 @@ impl<A: App + ?Sized> Executor<A> {
         (self.app.snapshot_digest(), std::mem::take(&mut self.exec_log), self.replies)
     }
 
-    /// Carries out `job` through `port`.
+    /// Carries out `job` through `port`, and files the time it took.
     pub fn run(&mut self, job: ExecJob, port: &mut impl ExecPort<A>) {
+        let start = port.clock();
         match job {
             ExecJob::Execute { slot, req } => self.execute(slot, req, port),
             ExecJob::Snapshot { base, table } => {
@@ -162,15 +175,15 @@ impl<A: App + ?Sized> Executor<A> {
                 port.input(NodeInput::Restored { base, restored });
             }
             ExecJob::Reanswer(id) => {
-                let Some(reply) = self.reply_cache.get(&id.client).filter(|r| r.id == id) else {
-                    return;
-                };
-                self.scratch.clear();
-                reply.encode(&mut self.scratch);
-                self.replies += 1;
-                port.reply(self.n + id.client.0 as usize, &self.scratch);
+                if let Some(reply) = self.reply_cache.get(&id.client).filter(|r| r.id == id) {
+                    self.scratch.clear();
+                    reply.encode(&mut self.scratch);
+                    self.replies += 1;
+                    port.reply(self.n + id.client.0 as usize, &self.scratch);
+                }
             }
         }
+        self.busy += port.clock() - start;
     }
 
     fn execute(&mut self, slot: Slot, req: Request, port: &mut impl ExecPort<A>) {

@@ -1,8 +1,9 @@
 //! A scripted in-memory [`Substrate`], and the node driver tested against
 //! it: three [`ReplicaNode`]s joined by per-pair FIFO queues, crypto and
 //! registers completed on the spot (their results queued as the inputs they
-//! are), each replica's [`Executor`] run inline, timers collected and fired
-//! only when a test asks. No clock, no
+//! are; the registers are the threaded backend's memory nodes), each
+//! replica's [`Executor`] run inline, timers collected and fired only when
+//! a test asks. No clock, no
 //! fabric, no threads — what is left is the driver, which is the code both
 //! real backends run. Below it, the other thing both backends run — a
 //! group's `ClientLoop` — on a scripted `ClientPort` of its own.
@@ -23,9 +24,9 @@ use ubft_core::app::App;
 use ubft_core::client::{read_reply, Client};
 use ubft_core::engine::{CryptoJob, CryptoOps, Effect, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
-use ubft_crypto::{Digest, KeyRing, Signature};
-use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::{fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbFrame, TbWire};
+use ubft_crypto::KeyRing;
+use ubft_ctb::ctbcast::RegEntry;
+use ubft_ctb::wire::{fingerprint, sign_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
@@ -34,8 +35,8 @@ use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::OpCounters;
 use crate::exec::{ExecJob, ExecPort, Executor};
-use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
-use crate::threads::MemNode;
+use crate::node::{CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
+use crate::threads::{round_trip, MemNode};
 
 /// One direction of one pair: `(lane, frame)`s in send order.
 type Link = VecDeque<(Lane, Vec<u8>)>;
@@ -51,8 +52,8 @@ struct FakeNet {
     completions: Vec<VecDeque<NodeInput>>,
     /// Armed timers, per replica; a test fires the ones it wants.
     timers: Vec<Vec<NodeTimer>>,
-    /// `(stream, owner, slot)` → the register's content.
-    registers: HashMap<(usize, usize, usize), RegEntry>,
+    /// The memory nodes the registers live on.
+    mem: Vec<MemNode>,
     /// Encoded replies that reached the client.
     replies: Vec<Vec<u8>>,
     /// Every replica's execution core.
@@ -144,31 +145,14 @@ impl Substrate for FakeSubstrate<'_> {
         self.net.timers[self.r].push(timer);
     }
 
-    fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
-        let sig = sign_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp);
-        let done = CtbDone::Signed(k, fp, sig);
-        self.net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
-    }
-
-    fn ctb_verify(
-        &mut self,
-        stream: usize,
-        tag: VerifyTag,
-        k: SeqId,
-        fp: Digest,
-        sig: Signature,
-        _: (),
-    ) {
-        let ok = verify_broadcast(&self.net.ring, ReplicaId(stream as u32), k, &fp, &sig);
-        let done = CtbDone::Verified(tag, ok);
-        self.net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
+    fn crypto(&mut self, task: CryptoTask, _: ()) {
+        self.net.completions[self.r].push_back(task.run(self.r, &self.net.ring));
     }
 
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let net = &mut *self.net;
-        net.registers.insert((stream, self.r, slot), e);
-        let entries =
-            (0..net.n).map(|owner| net.registers.get(&(stream, owner, slot)).cloned()).collect();
+        let key = (0, stream as u32, self.r as u32, slot as u32);
+        let entries = round_trip(&net.mem, key, k, &e, net.n);
         for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
             net.completions[self.r].push_back(NodeInput::Ctb { stream, done });
         }
@@ -181,11 +165,8 @@ impl Substrate for FakeSubstrate<'_> {
         jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<((), Vec<Effect>)> {
-        let me = ProcessId::Replica(ReplicaId(self.r as u32));
-        let signer = self.net.ring.signer(me).expect("replica key");
         for job in jobs {
-            let result = job.run(&signer, &self.net.ring);
-            self.net.completions[self.r].push_back(NodeInput::Crypto { tag: job.tag, result });
+            self.crypto(CryptoTask::Engine(job), ());
         }
         Some(((), fx))
     }
@@ -243,7 +224,7 @@ impl FakeCluster {
             completions: (0..n).map(|_| VecDeque::new()).collect(),
             // As both backends do at boot: the retransmission tick is armed.
             timers: vec![vec![NodeTimer::Retransmit]; n],
-            registers: HashMap::new(),
+            mem: (0..cfg.params.n_mem()).map(|_| MemNode::default()).collect(),
             replies: Vec::new(),
             execs,
             direct: Vec::new(),
@@ -259,7 +240,7 @@ impl FakeCluster {
         let client = Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum());
         let mut cluster = FakeCluster { nodes, net, client };
         for r in 0..n {
-            cluster.on_node(r, |nd, sub| nd.engine_call(sub, (), |e| e.start()));
+            cluster.on_node(r, |nd, sub| nd.boot(sub, (), None));
         }
         cluster
     }
@@ -383,7 +364,7 @@ fn three_nodes_decide_on_the_fast_and_the_forced_slow_path() {
             assert!(cluster.request(payload(i)), "{:?} request {i} stalled", cfg.path);
         }
         cluster.assert_replicas_agree(requests as usize);
-        let slow_path_ran = !cluster.net.registers.is_empty();
+        let slow_path_ran = cluster.net.round_trip_done[0] > 0;
         assert_eq!(slow_path_ran, cfg.path == ubft_core::engine::PathMode::SlowOnly);
         let mut sum = OpCounters::default();
         cluster.nodes.iter().for_each(|nd| sum.merge(&nd.counters));
@@ -502,6 +483,37 @@ fn timeout_with_a_silent_receiver_signs_later_broadcasts_at_once() {
     assert!(cluster.request(payload(3)));
     assert_eq!(cluster.nodes[0].counters.ctb_signs, signs, "signed with nobody suspected");
     cluster.assert_replicas_agree(4);
+}
+
+/// While a receiver is suspected, a broadcast of the leader's asks for its
+/// signature in the call that sends its `LOCK`, and arms no fast-path
+/// sweep: there would be nothing for it to find.
+#[test]
+fn a_broadcast_made_while_a_receiver_is_suspected_arms_no_sweep() {
+    let mut cluster = FakeCluster::new(&SimConfig::paper_default(5));
+    assert!(cluster.request(payload(0)));
+    cluster.net.mute = Some(2);
+    let echo_sweep = NodeTimer::Engine(TimerKind::EchoFallback);
+    assert!(!cluster.request(payload(1)));
+    fire_twice(&mut cluster, 0, echo_sweep);
+    assert!(fire_twice(&mut cluster, 0, NodeTimer::CtbSweep), "no slow path");
+    assert!(cluster.nodes[0].engine.suspects_anyone(), "r2 is not suspected");
+    // The sweep runs until it finds nothing waiting, and disarms.
+    let ctb_sweep = |t: &NodeTimer| *t == NodeTimer::CtbSweep;
+    for _ in 0..3 {
+        cluster.fire(0, ctb_sweep);
+    }
+    assert!(!cluster.net.timers[0].iter().any(ctb_sweep), "the sweep stays armed");
+
+    // The next PREPARE leaves with its signature asked for, and no sweep.
+    assert!(!cluster.request(payload(2)));
+    cluster.fire(0, |t| *t == echo_sweep);
+    let signs = cluster.nodes[0].counters.ctb_signs;
+    cluster.on_node(0, |nd, sub| nd.on_input(sub, NodeInput::Timer(echo_sweep), ()));
+    assert_eq!(cluster.nodes[0].counters.ctb_signs, signs + 1, "the PREPARE was not signed");
+    assert!(!cluster.net.timers[0].iter().any(ctb_sweep), "the broadcast armed the sweep");
+    assert!(cluster.pump(), "the request waited for a sweep");
+    assert!(!cluster.net.timers[0].iter().any(ctb_sweep), "the slow path armed the sweep");
 }
 
 /// A sweep that finds every broadcast of the leader's delivered on the
@@ -658,6 +670,20 @@ fn a_memory_node_answers_a_write_with_the_slot_it_reads_back() {
     other.write_read((0, 1, 0, 2), 7, &[0xA7; 4], &mut merged);
     mem.write_read((0, 1, 1, 2), 5, &[0xB1; 4], &mut merged);
     assert_eq!(merged, [entry(7, 0xA7), entry(5, 0xB1), entry(4, 0xC2)]);
+
+    // The round trip both untimed substrates make, on three nodes: a
+    // register entry older than the slot's is refused on every node, and
+    // the newer one comes back.
+    let nodes: Vec<MemNode> = (0..3).map(|_| MemNode::default()).collect();
+    let reg = |k: u64, byte: u8| RegEntry {
+        k: SeqId(k),
+        fp: ubft_crypto::Digest::from_bytes([byte; 32]),
+        sig: ubft_crypto::Signature::garbage(),
+    };
+    let round_trip = |owner: u32, e: &RegEntry| round_trip(&nodes, (0, 1, owner, 2), e.k, e, 3);
+    assert_eq!(round_trip(1, &reg(5, 0xB1)), [None, Some(reg(5, 0xB1)), None]);
+    assert_eq!(round_trip(1, &reg(3, 0xB0)), [None, Some(reg(5, 0xB1)), None]);
+    assert_eq!(round_trip(0, &reg(6, 0xA0)), [Some(reg(6, 0xA0)), Some(reg(5, 0xB1)), None]);
 }
 
 // ----------------------------------------------------------------------

@@ -21,9 +21,8 @@
 use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
-use ubft_crypto::{Digest, KeyRing, Signature};
-use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::{sign_broadcast, verify_broadcast};
+use ubft_crypto::{Digest, KeyRing};
+use ubft_ctb::ctbcast::RegEntry;
 use ubft_dmem::register::{
     Found, PostedRead, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
@@ -34,16 +33,16 @@ use ubft_transport::channel::{
     create_channel, ChannelReceiver, ChannelSender, ChannelSpec, SendOutcome,
 };
 use ubft_types::wire::Wire;
-use ubft_types::{
-    ClientId, Duration, FixedMap, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time,
-};
+use ubft_types::{ClientId, Duration, FixedMap, ReplicaId, RequestId, SeqId, Slot, Time};
 
 use crate::audit::{AuditMutation, Auditor};
 use crate::calibration::{SimConfig, POLL_PICKUP, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{CoreTime, ReplicaReport};
+use crate::cluster::ReplicaReport;
 use crate::exec::{ExecJob, ExecPort, Executor};
-use crate::node::{CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{
+    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate,
+};
 
 /// Simulation events. All indices are group-local; the queue tags each
 /// event with its group id.
@@ -147,41 +146,6 @@ struct Snapshot {
     exec_table: ExecTable,
 }
 
-/// What caused a main-core dispatch: where [`CoreTime`] files its time.
-#[derive(Clone, Copy)]
-enum Input {
-    ClientRequest,
-    Direct,
-    Consensus,
-    Ctb,
-    Timer,
-    /// Everything that is neither a message nor a timer.
-    Completion,
-}
-
-impl Input {
-    fn of_lane(lane: Lane) -> Self {
-        match lane {
-            Lane::ClientReq | Lane::ClientResp => Input::ClientRequest,
-            Lane::Direct => Input::Direct,
-            Lane::ConsTb => Input::Consensus,
-            Lane::CtbTb { .. } => Input::Ctb,
-        }
-    }
-
-    /// The main-core figure of `core` this kind of input is filed under.
-    fn file(self, core: &mut CoreTime) -> &mut Duration {
-        match self {
-            Input::ClientRequest => &mut core.client_requests,
-            Input::Direct => &mut core.direct_msgs,
-            Input::Consensus => &mut core.consensus_frames,
-            Input::Ctb => &mut core.ctb_frames,
-            Input::Timer => &mut core.timers,
-            Input::Completion => &mut core.completions,
-        }
-    }
-}
-
 /// The simulated machine one replica runs on: what the simulator keeps
 /// per replica beside its protocol stack and its executor.
 struct Machine {
@@ -192,13 +156,9 @@ struct Machine {
     host: HostId,
     /// Main-core busy-until cursor (event-loop dispatch serializes here).
     busy: Time,
-    /// What the dispatch under way was caused by.
-    input: Input,
     /// Execution-core busy-until cursor: the executor's jobs run here, in
     /// the order the main core handed them over.
     exec_busy: Time,
-    /// Both cores' busy time so far.
-    core: CoreTime,
     /// Busy-until cursor of the first of the replica's two crypto workers
     /// (the paper's background crypto pool, §5.4). Crypto a request waits
     /// for — the engine's *ordered* signatures and verifications, whose
@@ -248,9 +208,7 @@ impl Machine {
         Machine {
             host,
             busy: at,
-            input: Input::Completion,
             exec_busy: at,
-            core: CoreTime::default(),
             crypto_busy: at,
             job_busy: at,
             deferred_fx: 0,
@@ -472,18 +430,6 @@ impl SimEnv {
         self.open_link(fabric, Lane::ClientResp, r, c_node);
     }
 
-    // ------------------------------------------------------------------
-    // Cost charging
-    // ------------------------------------------------------------------
-
-    fn charge(&mut self, r: usize, at: Time, extra: Duration) -> Time {
-        let m = &mut self.machines[r];
-        let spent = self.cfg.cost.dispatch + extra;
-        *m.input.file(&mut m.core) += spent;
-        m.busy = at.max(m.busy) + spent;
-        m.busy
-    }
-
     fn crypto_cost(&self, ops: CryptoOps) -> Duration {
         Duration::from_nanos(
             self.cfg.cost.sign_total().as_nanos() * ops.signs as u64
@@ -615,13 +561,15 @@ impl ClientPort for SimClientPort<'_, '_> {
 /// What replica `r`'s [`ReplicaNode`] sees of the simulator while the
 /// event at virtual time `t` is handled: a short-lived view over its
 /// group's environment and the deployment's shared fabric, queue and
-/// auditor. `At` is virtual time.
+/// auditor. `At` is virtual time; the clock is the main core's time
+/// charged so far (`spent`).
 struct SimSubstrate<'a, 'b> {
     env: &'a mut SimEnv,
     sh: &'a mut Shared<'b>,
     exec: &'a mut Executor,
     r: usize,
     t: Time,
+    spent: Duration,
 }
 
 impl Substrate for SimSubstrate<'_, '_> {
@@ -635,28 +583,11 @@ impl Substrate for SimSubstrate<'_, '_> {
         self.env.push_input(self.sh, self.r, at + after, NodeInput::Timer(timer));
     }
 
-    fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Time) {
+    /// Completes `task` its calibrated cost after `at`, on no cursor.
+    fn crypto(&mut self, task: CryptoTask, at: Time) {
         let (env, r) = (&mut *self.env, self.r);
-        let sig = sign_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp);
-        // Only a stream's broadcaster signs for it.
-        debug_assert_eq!(stream, r);
-        let (done, at) = (CtbDone::Signed(k, fp, sig), at + env.cfg.cost.sign_total());
-        env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
-    }
-
-    fn ctb_verify(
-        &mut self,
-        stream: usize,
-        tag: VerifyTag,
-        k: SeqId,
-        fp: Digest,
-        sig: Signature,
-        at: Time,
-    ) {
-        let (env, r) = (&mut *self.env, self.r);
-        let ok = verify_broadcast(&env.ring, ReplicaId(stream as u32), k, &fp, &sig);
-        let (done, at) = (CtbDone::Verified(tag, ok), at + env.cfg.cost.verify_total());
-        env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
+        let at = at + env.crypto_cost(task.ops());
+        env.push_input(self.sh, r, at, task.run(r, &env.ring));
     }
 
     /// Writes this replica's register `slot` of `stream`, then reads every
@@ -716,8 +647,15 @@ impl Substrate for SimSubstrate<'_, '_> {
         }
     }
 
+    fn clock(&self) -> Duration {
+        self.spent
+    }
+
     fn charge(&mut self, at: Time, extra: Duration) -> Time {
-        self.env.charge(self.r, at, extra)
+        let (m, spent) = (&mut self.env.machines[self.r], self.env.cfg.cost.dispatch + extra);
+        self.spent += spent;
+        m.busy = at.max(m.busy) + spent;
+        m.busy
     }
 
     /// Runs `job` on the replica's execution core: as of `at`, or once the
@@ -735,11 +673,11 @@ impl Substrate for SimSubstrate<'_, '_> {
         jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
     ) -> Option<(Time, Vec<Effect>)> {
-        let (env, r) = (&mut *self.env, self.r);
         // The event-loop dispatch runs on the replica's main core; crypto
         // runs on the replica's crypto pool (§5.4), two workers: what a
         // request waits for takes whichever frees first.
-        let done = env.charge(r, at, Duration::ZERO);
+        let done = self.charge(at, Duration::ZERO);
+        let (env, r) = (&mut *self.env, self.r);
         let effect_at = if ops.is_zero() {
             done
         } else {
@@ -757,21 +695,16 @@ impl Substrate for SimSubstrate<'_, '_> {
         // result still follows this call's effects. It does not wait for a
         // share check on the other worker: a cursor cannot give back the
         // gap that would leave.
-        if jobs.len() > 0 {
-            let me = ProcessId::Replica(ReplicaId(r as u32));
-            let signer = env.ring.signer(me).expect("replica key");
-            for job in jobs {
-                let cost = env.crypto_cost(job.ops());
-                let m = &mut env.machines[r];
-                let fin = if job.tag.on_request_path() {
-                    worker_run(m.free_worker(), done, cost)
-                } else {
-                    let from = effect_at.max(m.deferred_until);
-                    worker_run(&mut m.job_busy, from, cost)
-                };
-                let result = job.run(&signer, &env.ring);
-                env.push_input(self.sh, r, fin, NodeInput::Crypto { tag: job.tag, result });
-            }
+        for job in jobs {
+            let cost = env.crypto_cost(job.ops());
+            let m = &mut env.machines[r];
+            let fin = if job.tag.on_request_path() {
+                worker_run(m.free_worker(), done, cost)
+            } else {
+                let from = effect_at.max(m.deferred_until);
+                worker_run(&mut m.job_busy, from, cost)
+            };
+            env.push_input(self.sh, r, fin, CryptoTask::Engine(job).run(r, &env.ring));
         }
         let m = &mut env.machines[r];
         if ops.is_zero() && m.deferred_fx == 0 {
@@ -830,7 +763,7 @@ impl Substrate for SimSubstrate<'_, '_> {
                 self.sh
                     .tell_auditor(self.env.gid, self.r, |aud, g, r| aud.on_transfer_restored(g, r));
                 let cost = self.env.cfg.latency.worst_case(bytes);
-                let _ = self.env.charge(self.r, at, cost);
+                let _ = self.charge(at, cost);
             }
             // The auditor stops vouching for the replica's application
             // state.
@@ -873,15 +806,16 @@ impl<A: App + ?Sized> ExecPort<A> for SimExecPort<'_, '_> {
         self.env.push_input(self.sh, self.r, self.t, input);
     }
 
+    fn clock(&self) -> Duration {
+        self.t - Time::ZERO
+    }
+
     fn executed(&mut self, slot: Slot, id: RequestId, applied: &[u8], resp: &[u8], cost: Duration) {
         self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| {
             aud.on_execute(g, r, slot, id, applied, resp)
         });
-        let spent = self.env.cfg.cost.dispatch + cost;
-        let m = &mut self.env.machines[self.r];
-        m.core.execution += spent;
-        self.t += spent;
-        m.exec_busy = self.t;
+        self.t += self.env.cfg.cost.dispatch + cost;
+        self.env.machines[self.r].exec_busy = self.t;
     }
 
     fn snapshot(&mut self, base: Slot, app_digest: Digest, exec_table: ExecTable, app: &A) {
@@ -999,9 +933,7 @@ impl GroupRuntime {
         let mut group = GroupRuntime { nodes, execs, clients, env };
         // Engine start-up (progress watchdogs).
         for r in 0..n {
-            group.on_node(sh, r, Time::ZERO, Input::Completion, |nd, sub| {
-                nd.engine_call(sub, Time::ZERO, |e| e.start())
-            });
+            group.on_node(sh, r, Time::ZERO, |nd, sub| nd.boot(sub, Time::ZERO, None));
         }
         for r in 0..n {
             group.env.arm_retransmit(sh, r, Time::ZERO);
@@ -1010,20 +942,18 @@ impl GroupRuntime {
     }
 
     /// Runs `f` on replica `r`'s protocol stack and the substrate it sees
-    /// while the event at `t`, an `input`, is handled — unless `r`'s host
-    /// is down at `t`.
+    /// while the event at `t` is handled — unless `r`'s host is down at
+    /// `t`.
     fn on_node(
         &mut self,
         sh: &mut Shared<'_>,
         r: usize,
         t: Time,
-        input: Input,
         f: impl FnOnce(&mut ReplicaNode, &mut SimSubstrate<'_, '_>),
     ) {
         if !self.env.crashed(sh.fabric, r, t) {
-            self.env.machines[r].input = input;
-            let exec = &mut self.execs[r];
-            f(&mut self.nodes[r], &mut SimSubstrate { env: &mut self.env, sh, exec, r, t });
+            let (env, exec, spent) = (&mut self.env, &mut self.execs[r], Duration::ZERO);
+            f(&mut self.nodes[r], &mut SimSubstrate { env, sh, exec, r, t, spent });
         }
     }
 
@@ -1095,9 +1025,7 @@ impl GroupRuntime {
 
         // Step 2: the Join/JoinAck handshake (engine-driven from here), and
         // the incarnation's own retransmission tick.
-        self.on_node(sh, r, at, Input::Completion, |nd, sub| {
-            nd.engine_call(sub, done, |e| e.begin_join(reg_floor))
-        });
+        self.on_node(sh, r, at, |nd, sub| nd.boot(sub, done, Some(reg_floor)));
         self.env.arm_retransmit(sh, r, at);
     }
 
@@ -1107,9 +1035,8 @@ impl GroupRuntime {
 
     /// Every replica's report; takes the execution logs.
     pub(crate) fn replica_reports(&mut self) -> Vec<ReplicaReport> {
-        let (nodes, machines) = (&self.nodes, &self.env.machines);
-        let each = nodes.iter().zip(&mut self.execs).zip(machines);
-        each.map(|((nd, exec), m)| ReplicaReport::of(nd, exec.report(), m.core)).collect()
+        let each = self.nodes.iter().zip(&mut self.execs);
+        each.map(|(nd, exec)| ReplicaReport::of(nd, exec)).collect()
     }
 
     /// Disaggregated bytes this group's register banks occupy on one
@@ -1197,10 +1124,7 @@ impl GroupRuntime {
                 self.clients.on_reply(&mut SimClientPort { env: &mut self.env, sh, at }, payload);
             } else {
                 // (A crashed host's memory delivers nothing to poll.)
-                let kind = Input::of_lane(lane);
-                self.on_node(sh, to, at, kind, |nd, sub| {
-                    nd.on_inbound(sub, lane, from, payload, at)
-                });
+                self.on_node(sh, to, at, |nd, sub| nd.on_inbound(sub, lane, from, payload, at));
             }
         }
         self.env.poll_buf = buf;
@@ -1222,11 +1146,7 @@ impl GroupRuntime {
                 if let NodeInput::Effects(_) = input {
                     self.env.machines[r].deferred_fx -= 1;
                 }
-                let kind = match input {
-                    NodeInput::Timer(_) => Input::Timer,
-                    _ => Input::Completion,
-                };
-                self.on_node(sh, r, t, kind, |nd, sub| nd.on_input(sub, input, t));
+                self.on_node(sh, r, t, |nd, sub| nd.on_input(sub, input, t));
             }
             // Whatever an earlier incarnation of the replica scheduled died
             // with its host.

@@ -7,7 +7,8 @@
 //! differently from the other: move bytes, arm timers, run crypto and
 //! register operations whose completions come back as [`NodeInput`]s, decide
 //! *when* a call's effects apply, hand decided requests to the replica's
-//! executor (`exec.rs`), serve state transfers, and observe. The
+//! executor (`exec.rs`), serve state transfers, keep a clock, and observe.
+//! What offloaded crypto computes is [`CryptoTask::run`]'s, here too. The
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
 //! mesh, crypto pool and the memory nodes' shared stores.
@@ -20,17 +21,17 @@ use ubft_core::msg::{Batch, CtbMsg, DirectMsg, Request, TbMsg};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
-use ubft_ctb::wire::{CtbWire, TbAck, TbFrame, TbWire};
+use ubft_ctb::wire::{sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ReplicaId, SeqId, Slot};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
 
 use crate::audit::AuditMutation;
 use crate::calibration::{
     SimConfig, ECHO_FALLBACK, PROGRESS_TIMEOUT, RETRANSMIT_PERIOD, SLOW_TRIGGER,
 };
-use crate::cluster::{OpCounters, TimerInputs};
+use crate::cluster::{CoreTime, OpCounters, TimerInputs};
 use crate::exec::ExecJob;
 
 /// Message lanes between nodes of one group.
@@ -84,6 +85,16 @@ impl Lane {
             Lane::ClientReq | Lane::ClientResp => &mut c.rpc_msgs,
         }
     }
+
+    /// Where `c` files the main core's time on a message of this lane.
+    fn core(self, c: &mut CoreTime) -> &mut Duration {
+        match self {
+            Lane::CtbTb { .. } => &mut c.ctb_frames,
+            Lane::ConsTb => &mut c.consensus_frames,
+            Lane::Direct => &mut c.direct_msgs,
+            Lane::ClientReq | Lane::ClientResp => &mut c.client_requests,
+        }
+    }
 }
 
 /// A request-dedup table as a checkpoint certifies it: the last executed
@@ -106,10 +117,10 @@ pub(crate) enum NodeTimer {
 /// The completion of work a CTBcast instance asked the [`Substrate`] to
 /// start; comes back as a [`NodeInput::Ctb`].
 pub(crate) enum CtbDone {
-    /// [`Substrate::ctb_sign`]'s signature over message `k` with
+    /// A [`CryptoTask::CtbSign`]'s signature over message `k` with
     /// fingerprint `fp`.
     Signed(SeqId, Digest, Signature),
-    /// [`Substrate::ctb_verify`]'s verdict.
+    /// A [`CryptoTask::CtbVerify`]'s verdict.
     Verified(VerifyTag, bool),
     /// [`Substrate::write_and_read_slot`]'s write reached its quorum for
     /// message `k`.
@@ -143,6 +154,50 @@ pub(crate) enum NodeInput {
     Restored { base: Slot, restored: Option<(usize, ExecTable)> },
 }
 
+/// Crypto a replica hands off its event loop: a CTBcast signature or
+/// verification, or one of the engine's jobs. A substrate decides where and
+/// when it runs; what it computes is [`CryptoTask::run`]'s alone.
+pub(crate) enum CryptoTask {
+    /// `stream`'s broadcaster's signature over message `k` with fingerprint
+    /// `fp`.
+    CtbSign { stream: usize, k: SeqId, fp: Digest },
+    /// The check of `sig` over `(stream, k, fp)`.
+    CtbVerify { stream: usize, tag: VerifyTag, k: SeqId, fp: Digest, sig: Signature },
+    /// An engine crypto job.
+    Engine(CryptoJob),
+}
+
+impl CryptoTask {
+    /// The public-key operations it costs.
+    pub fn ops(&self) -> CryptoOps {
+        match self {
+            CryptoTask::CtbSign { .. } => CryptoOps { signs: 1, verifies: 0 },
+            CryptoTask::CtbVerify { .. } => CryptoOps { signs: 0, verifies: 1 },
+            CryptoTask::Engine(job) => job.ops(),
+        }
+    }
+
+    /// Carries the task out for replica `r` of the group whose keys are
+    /// `ring`: the input it completes with.
+    pub fn run(self, r: usize, ring: &KeyRing) -> NodeInput {
+        match self {
+            CryptoTask::CtbSign { stream, k, fp } => {
+                let sig = sign_broadcast(ring, ReplicaId(stream as u32), k, &fp);
+                NodeInput::Ctb { stream, done: CtbDone::Signed(k, fp, sig) }
+            }
+            CryptoTask::CtbVerify { stream, tag, k, fp, sig } => {
+                let ok = verify_broadcast(ring, ReplicaId(stream as u32), k, &fp, &sig);
+                NodeInput::Ctb { stream, done: CtbDone::Verified(tag, ok) }
+            }
+            CryptoTask::Engine(job) => {
+                let me = ProcessId::Replica(ReplicaId(r as u32));
+                let result = job.run(&ring.signer(me).expect("replica key"), ring);
+                NodeInput::Crypto { tag: job.tag, result }
+            }
+        }
+    }
+}
+
 /// What a deployment backend provides to one [`ReplicaNode`]: exactly what
 /// the simulator and the threaded backend do differently, and no more.
 ///
@@ -174,21 +229,10 @@ pub(crate) trait Substrate {
     /// Arms `timer` to fire `after` from `at`.
     fn arm(&mut self, timer: NodeTimer, after: Duration, at: Self::At);
 
-    /// Starts `stream`'s broadcaster's signature over `(k, fp)`
-    /// ([`CtbDone::Signed`]).
-    fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, at: Self::At);
-
-    /// Starts the verification of `sig` over `(stream, k, fp)`
-    /// ([`CtbDone::Verified`]).
-    fn ctb_verify(
-        &mut self,
-        stream: usize,
-        tag: VerifyTag,
-        k: SeqId,
-        fp: Digest,
-        sig: Signature,
-        at: Self::At,
-    );
+    /// Starts `task`, a CTBcast signature or verification; it comes back
+    /// as the input [`CryptoTask::run`] returns. (An engine call's jobs
+    /// come with [`Substrate::engine_call_done`].)
+    fn crypto(&mut self, task: CryptoTask, at: Self::At);
 
     /// Writes `entry` to this replica's SWMR register `slot` in `stream`'s
     /// bank, with register timestamp `k`, and reads every replica's
@@ -211,8 +255,8 @@ pub(crate) trait Substrate {
     );
 
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and
-    /// produced `fx`. The substrate starts the jobs — each result comes
-    /// back as a [`NodeInput::Crypto`] — and says when the effects apply:
+    /// produced `fx`. The substrate starts the jobs — each comes back as
+    /// [`CryptoTask::Engine`]'s input — and says when the effects apply:
     /// `Some((at, fx))` for now, as of `at`; `None` when it keeps them
     /// until the crypto they wait for has finished and then hands them
     /// back as a [`NodeInput::Effects`]. The jobs are drained out of the
@@ -231,9 +275,17 @@ pub(crate) trait Substrate {
     /// costs the event loop nothing beyond the dispatch under way.
     fn exec(&mut self, job: ExecJob, at: Self::At);
 
-    // What only a modelled deployment has — a cost model, a
+    // What only a modelled deployment has — a clock, a cost model, a
     // state-transfer service, an observer, injected faults: a substrate
     // with none of them leaves the defaults.
+
+    /// The replica's main-core time so far, on the substrate's clock: the
+    /// dispatch costs charged in the simulator, the wall clock on threads.
+    /// The driver files what passes between two reads under the kind of
+    /// input it was handling ([`ReplicaNode::core`]).
+    fn clock(&self) -> Duration {
+        Duration::ZERO
+    }
 
     /// Occupies the replica's event loop for one dispatch plus `extra`
     /// from `at`; returns when it is free again.
@@ -329,8 +381,12 @@ pub(crate) struct ReplicaNode {
     pub transfer_misses: u64,
     /// Peers this replica's engine branded Byzantine: (culprit, why).
     pub branded: Vec<(u32, String)>,
-    /// The timers handled so far, by kind.
+    /// The timers this incarnation handled, by kind.
     pub timers: TimerInputs,
+    /// This incarnation's main-core time on the substrate's clock, filed
+    /// once per input the substrate hands over, under its kind. (Its
+    /// `execution` is the executor's: [`Executor::busy`](crate::exec::Executor).)
+    pub core: CoreTime,
     /// The operations started so far, by kind, the predecessors' included:
     /// protocol messages (acknowledgements excepted), CTBcast signatures
     /// and verifications, register round trips and the engine's crypto.
@@ -389,6 +445,7 @@ impl ReplicaNode {
             transfer_misses: 0,
             branded: Vec::new(),
             timers: TimerInputs::default(),
+            core: CoreTime::default(),
             counters: OpCounters::default(),
             scratch: Vec::new(),
             ctb_ahead: None,
@@ -438,8 +495,34 @@ impl ReplicaNode {
     // Inputs
     // ------------------------------------------------------------------
 
-    /// A message from node `from` arrived on `lane`.
+    /// Starts the engine — a replacement's in the join state, above the
+    /// register timestamps its scan found — as one input of the replica's.
+    pub fn boot<S: Substrate>(&mut self, sub: &mut S, at: S::At, join: Option<SeqId>) {
+        let start = sub.clock();
+        self.engine_call(sub, at, |e| match join {
+            None => e.start(),
+            Some(floor) => e.begin_join(floor),
+        });
+        self.core.completions += sub.clock() - start;
+    }
+
+    /// A message from node `from` arrived on `lane`: one input, whose
+    /// main-core time is filed under its lane.
     pub fn on_inbound<S: Substrate>(
+        &mut self,
+        sub: &mut S,
+        lane: Lane,
+        from: usize,
+        payload: &[u8],
+        at: S::At,
+    ) {
+        let start = sub.clock();
+        self.receive(sub, lane, from, payload, at);
+        *lane.core(&mut self.core) += sub.clock() - start;
+    }
+
+    /// [`ReplicaNode::on_inbound`]'s dispatch.
+    fn receive<S: Substrate>(
         &mut self,
         sub: &mut S,
         lane: Lane,
@@ -483,8 +566,10 @@ impl ReplicaNode {
     }
 
     /// What the substrate hands back: a timer, a completion, or effects it
-    /// kept back.
+    /// kept back. One input: its main-core time is filed under timers or
+    /// completions.
     pub fn on_input<S: Substrate>(&mut self, sub: &mut S, input: NodeInput, at: S::At) {
+        let (start, is_timer) = (sub.clock(), matches!(input, NodeInput::Timer(_)));
         if let NodeInput::Timer(timer) = &input {
             let t = &mut self.timers;
             *match timer {
@@ -495,6 +580,13 @@ impl ReplicaNode {
                 NodeTimer::Retransmit => &mut t.retransmit,
             } += 1;
         }
+        self.handle(sub, input, at);
+        let core = &mut self.core;
+        *if is_timer { &mut core.timers } else { &mut core.completions } += sub.clock() - start;
+    }
+
+    /// [`ReplicaNode::on_input`]'s dispatch.
+    fn handle<S: Substrate>(&mut self, sub: &mut S, input: NodeInput, at: S::At) {
         match input {
             NodeInput::Timer(NodeTimer::Engine(kind)) => {
                 self.engine_call(sub, at, |e| e.on_timer(kind))
@@ -572,7 +664,7 @@ impl ReplicaNode {
     // ------------------------------------------------------------------
 
     /// Feeds the engine one input and carries out what it asks for.
-    pub fn engine_call<S: Substrate>(
+    fn engine_call<S: Substrate>(
         &mut self,
         sub: &mut S,
         at: S::At,
@@ -620,11 +712,10 @@ impl ReplicaNode {
                 let r = self.r;
                 let ahead = self.ctb_ahead.take_if(|(ahead, _)| *ahead == msg);
                 let bytes = ahead.map_or_else(|| msg.to_bytes(), |(_, bytes)| bytes);
-                let (k, cfx) = self.ctbs[r].broadcast(bytes);
                 // A peer known to be silent breaks the fast path's
                 // unanimity: the slow path starts beside it.
-                let slow = self.engine.suspects_anyone().then(|| self.ctbs[r].force_slow(k));
-                self.ctb_effects(sub, r, at, cfx.into_iter().chain(slow.unwrap_or_default()));
+                let (_, cfx) = self.ctbs[r].broadcast_as(bytes, self.engine.suspects_anyone());
+                self.ctb_effects(sub, r, at, cfx);
             }
             Effect::TbBroadcast(msg) => self.tb_broadcast(sub, Lane::ConsTb, &msg, at),
             Effect::SendReplica { to, msg: DirectMsg::Echo { req } } => {
@@ -734,7 +825,8 @@ impl ReplicaNode {
             Some((bytes, table)) => {
                 sub.exec(ExecJob::Restore { base, app_digest, bytes, table }, at)
             }
-            None => self.on_input(sub, NodeInput::Restored { base, restored: None }, at),
+            // Part of the input under way, not one of its own.
+            None => self.handle(sub, NodeInput::Restored { base, restored: None }, at),
         }
     }
 
@@ -780,11 +872,11 @@ impl ReplicaNode {
                 }
                 CtbEffect::Sign { k, fp } => {
                     self.counters.ctb_signs += 1;
-                    sub.ctb_sign(stream, k, fp, at);
+                    sub.crypto(CryptoTask::CtbSign { stream, k, fp }, at);
                 }
                 CtbEffect::Verify { tag, k, fp, sig } => {
                     self.counters.ctb_verifies += 1;
-                    sub.ctb_verify(stream, tag, k, fp, sig, at);
+                    sub.crypto(CryptoTask::CtbVerify { stream, tag, k, fp, sig }, at);
                 }
                 CtbEffect::WriteRegister { slot, k, entry } => match fx.next() {
                     Some(CtbEffect::ReadSlot { slot: s, k: j }) if (s, j) == (slot, k) => {

@@ -28,7 +28,11 @@
 //! * **Calibrated costs.** Real time is the cost model. The engine's
 //!   metered [`CryptoOps`] are counted, as on the simulator, but charged
 //!   nothing; CTBcast slow-path signatures and verifications, and the
-//!   engine's crypto jobs, run on the worker pool for real.
+//!   engine's crypto jobs, run on the worker pool for real, each a
+//!   `CryptoTask` that the node driver interprets. Real time is the clock
+//!   too: a replica's `ReplicaReport::core` holds the wall time (`Instant`)
+//!   its thread spent on each input, filed by the driver under the input's
+//!   kind, and its executor thread's on its jobs, preemption included.
 //! * **Torn register reads.** The SWMR register banks become one
 //!   `(group, stream, owner, slot) → (ts, bytes)` store per memory node
 //!   behind a lock. A replica writes a slot and reads it back on every
@@ -52,19 +56,19 @@ use std::time::Instant;
 
 use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
-use ubft_crypto::{Digest, KeyRing, Signature};
-use ubft_ctb::ctbcast::{RegEntry, VerifyTag};
-use ubft_ctb::wire::{sign_broadcast, verify_broadcast, TbWire};
+use ubft_crypto::KeyRing;
+use ubft_ctb::ctbcast::RegEntry;
+use ubft_ctb::wire::TbWire;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, ProcessId, ReplicaId, RequestId, SeqId, Time};
+use ubft_types::{ReplicaId, RequestId, SeqId, Time};
 
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::{Cluster, CoreTime, GroupReport, ReplicaReport, RunReport};
+use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
 use crate::exec::{ExecJob, ExecPort, Executor};
-use crate::node::{CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -127,36 +131,18 @@ enum CtlMsg {
 // Crypto worker pool
 // ----------------------------------------------------------------------
 
-enum PoolJob {
-    Sign {
-        node: u32,
-        group: usize,
-        stream: u32,
-        k: SeqId,
-        fp: Digest,
-    },
-    Verify {
-        node: u32,
-        group: usize,
-        stream: u32,
-        tag: VerifyTag,
-        k: SeqId,
-        fp: Digest,
-        sig: Signature,
-    },
-    /// An engine crypto job of replica `replica` of `group`.
-    Engine {
-        node: u32,
-        group: usize,
-        replica: u32,
-        job: CryptoJob,
-    },
-    Stop,
+/// `task` of replica `r` of `group`, whose thread is mesh node `node`.
+struct PoolJob {
+    node: u32,
+    group: usize,
+    r: usize,
+    task: CryptoTask,
 }
 
-/// A plain condvar-signalled job queue shared by the sized worker pool.
+/// A plain condvar-signalled job queue shared by the sized worker pool;
+/// `None` stops a worker.
 struct CryptoPool {
-    q: Mutex<VecDeque<PoolJob>>,
+    q: Mutex<VecDeque<Option<PoolJob>>>,
     cv: Condvar,
 }
 
@@ -165,12 +151,12 @@ impl CryptoPool {
         CryptoPool { q: Mutex::new(VecDeque::new()), cv: Condvar::new() }
     }
 
-    fn push(&self, job: PoolJob) {
+    fn push(&self, job: Option<PoolJob>) {
         self.q.lock().expect("crypto queue").push_back(job);
         self.cv.notify_one();
     }
 
-    fn pop(&self) -> PoolJob {
+    fn pop(&self) -> Option<PoolJob> {
         let mut q = self.q.lock().expect("crypto queue");
         loop {
             if let Some(j) = q.pop_front() {
@@ -192,27 +178,10 @@ fn spawn_crypto_workers(
             let pool = Arc::clone(pool);
             let rings = Arc::clone(rings);
             let router = router.clone();
-            std::thread::spawn(move || loop {
-                let (node, done) = match pool.pop() {
-                    PoolJob::Stop => break,
-                    PoolJob::Sign { node, group, stream, k, fp } => {
-                        let sig = sign_broadcast(&rings[group], ReplicaId(stream), k, &fp);
-                        let stream = stream as usize;
-                        (node, NodeInput::Ctb { stream, done: CtbDone::Signed(k, fp, sig) })
-                    }
-                    PoolJob::Verify { node, group, stream, tag, k, fp, sig } => {
-                        let ok = verify_broadcast(&rings[group], ReplicaId(stream), k, &fp, &sig);
-                        let stream = stream as usize;
-                        (node, NodeInput::Ctb { stream, done: CtbDone::Verified(tag, ok) })
-                    }
-                    PoolJob::Engine { node, group, replica, job } => {
-                        let id = ProcessId::Replica(ReplicaId(replica));
-                        let signer = rings[group].signer(id).expect("replica key");
-                        let result = job.run(&signer, &rings[group]);
-                        (node, NodeInput::Crypto { tag: job.tag, result })
-                    }
-                };
-                let _ = router.send_ctl(node, CtlMsg::Input(done));
+            std::thread::spawn(move || {
+                while let Some(PoolJob { node, group, r, task }) = pool.pop() {
+                    let _ = router.send_ctl(node, CtlMsg::Input(task.run(r, &rings[group])));
+                }
             })
         })
         .collect()
@@ -258,6 +227,11 @@ fn wall(d: ubft_types::Duration, scale: u64) -> std::time::Duration {
     std::time::Duration::from_nanos(d.as_nanos().saturating_mul(scale))
 }
 
+/// The time since `epoch`, as a core's clock.
+fn since(epoch: Instant) -> ubft_types::Duration {
+    ubft_types::Duration::from_nanos(epoch.elapsed().as_nanos() as u64)
+}
+
 /// Longest a thread blocks on its inbox with no timer pending.
 const MAX_IDLE_WAIT: std::time::Duration = std::time::Duration::from_millis(5);
 
@@ -299,8 +273,8 @@ fn run_mailbox<S, T: Ord>(
 // ----------------------------------------------------------------------
 
 /// One replica thread's side of its [`ReplicaNode`]: the mesh endpoint, the
-/// crypto pool, an `Instant` timer heap and the memory nodes' stores.
-/// Everything happens now, so `At` is `()`.
+/// crypto pool, an `Instant` timer heap and clock, and the memory nodes'
+/// stores. Everything happens now, so `At` is `()`.
 struct ReplicaThread {
     g: usize,
     r: usize,
@@ -308,8 +282,9 @@ struct ReplicaThread {
     node_idx: u32,
     driver_idx: u32,
     scale: u64,
+    epoch: Instant,
     ep: InProcEndpoint<CtlMsg>,
-    crypto: Arc<CryptoPool>,
+    pool: Arc<CryptoPool>,
     timers: TimerWheel<NodeTimer>,
     /// Every memory node of the deployment.
     mem: Arc<[MemNode]>,
@@ -322,7 +297,7 @@ impl ReplicaThread {
     /// of its executor thread `exec` and waits for it to finish the jobs
     /// it was handed.
     fn run(mut self, mut node: ReplicaNode, exec: ExecHandle) -> ReplicaReport {
-        node.engine_call(&mut self, (), |e| e.start());
+        node.boot(&mut self, (), None);
         run_mailbox(
             &mut (self, &mut node),
             |(th, _)| (&th.ep, &mut th.timers),
@@ -341,7 +316,7 @@ impl ReplicaThread {
                 InMsg::Ctl(CtlMsg::Shutdown) => {}
             },
         );
-        ReplicaReport::of(&node, exec.join().expect("executor thread"), CoreTime::default())
+        ReplicaReport::of(&node, &mut exec.join().expect("executor thread"))
     }
 
     /// Mesh index of group-local node `to`: a replica's own thread, or —
@@ -381,38 +356,17 @@ impl Substrate for ReplicaThread {
         self.timers.arm(wall(after, self.scale), timer);
     }
 
-    fn ctb_sign(&mut self, stream: usize, k: SeqId, fp: Digest, _: ()) {
-        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
-        self.crypto.push(PoolJob::Sign { node, group, stream, k, fp });
+    fn crypto(&mut self, task: CryptoTask, _: ()) {
+        let (node, group, r) = (self.node_idx, self.g, self.r);
+        self.pool.push(Some(PoolJob { node, group, r, task }));
     }
 
-    fn ctb_verify(
-        &mut self,
-        stream: usize,
-        tag: VerifyTag,
-        k: SeqId,
-        fp: Digest,
-        sig: Signature,
-        _: (),
-    ) {
-        let (node, group, stream) = (self.node_idx, self.g, stream as u32);
-        self.crypto.push(PoolJob::Verify { node, group, stream, tag, k, fp, sig });
-    }
-
-    /// The round trip on every memory node, each under its lock: the write
-    /// lands before the slot is read back, and the read keeps each owner's
-    /// highest-timestamp entry across nodes. Its completions, the write
+    /// [`round_trip`] on every memory node. Its completions, the write
     /// first, reach the node through the thread's own inbox, as the crypto
     /// pool's and the executor's do.
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
-        let bytes = e.to_bytes();
-        let mut best = vec![None; self.n];
-        for node in self.mem.iter() {
-            node.write_read(key, k.0, &bytes, &mut best);
-        }
-        let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
-        let entries = best.into_iter().map(parse).collect();
+        let entries = round_trip(&self.mem, key, k, &e, self.n);
         for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
             let input = CtlMsg::Input(NodeInput::Ctb { stream, done });
             let _ = self.ep.router().send_ctl(self.node_idx, input);
@@ -430,12 +384,7 @@ impl Substrate for ReplicaThread {
         fx: Vec<Effect>,
     ) -> Option<((), Vec<Effect>)> {
         for job in jobs {
-            self.crypto.push(PoolJob::Engine {
-                node: self.node_idx,
-                group: self.g,
-                replica: self.r as u32,
-                job,
-            });
+            self.crypto(CryptoTask::Engine(job), ());
         }
         Some(((), fx))
     }
@@ -443,20 +392,25 @@ impl Substrate for ReplicaThread {
     fn exec(&mut self, job: ExecJob, _: ()) {
         let _ = self.exec.send(job);
     }
+
+    fn clock(&self) -> ubft_types::Duration {
+        since(self.epoch)
+    }
 }
 
 // ----------------------------------------------------------------------
 // Executor threads
 // ----------------------------------------------------------------------
 
-/// A replica's executor thread, which hands back what its [`Executor`] has
-/// to report when it ends.
-type ExecHandle = std::thread::JoinHandle<(Digest, Vec<(ClientId, u64)>, u64)>;
+/// A replica's executor thread, which hands its [`Executor`] back when it
+/// ends.
+type ExecHandle = std::thread::JoinHandle<Executor<dyn App + Send>>;
 
 /// One replica's execution core on a thread of its own: where its
-/// [`Executor`]'s replies and answers go.
+/// [`Executor`]'s replies and answers go, and its clock.
 struct ExecThread {
     router: InProcRouter<CtlMsg>,
+    epoch: Instant,
     /// Mesh index of the replica thread it serves.
     node_idx: u32,
     /// Mesh index of the group's driver thread, where every client lives.
@@ -476,7 +430,7 @@ impl ExecThread {
             for job in jobs {
                 exec.run(job, &mut port);
             }
-            exec.report()
+            exec
         })
     }
 }
@@ -488,6 +442,10 @@ impl ExecPort<dyn App + Send> for ExecThread {
 
     fn input(&mut self, input: NodeInput) {
         let _ = self.router.send_ctl(self.node_idx, CtlMsg::Input(input));
+    }
+
+    fn clock(&self) -> ubft_types::Duration {
+        since(self.epoch)
     }
 }
 
@@ -606,6 +564,26 @@ impl MemNode {
     }
 }
 
+/// `key`'s owner writes `entry` at register timestamp `k` to every node of
+/// `mem` and reads the slot back, on each node under its lock: the write
+/// lands before the read, and an entry older than the slot's is refused
+/// ([`MemNode::write_read`]). Returns each of the `n` owners' entry of the
+/// highest timestamp across the nodes, in owner order.
+pub(crate) fn round_trip(
+    mem: &[MemNode],
+    key: SlotKey,
+    k: SeqId,
+    entry: &RegEntry,
+    n: usize,
+) -> Vec<Option<RegEntry>> {
+    let (bytes, mut best) = (entry.to_bytes(), vec![None; n]);
+    for node in mem {
+        node.write_read(key, k.0, &bytes, &mut best);
+    }
+    let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
+    best.into_iter().map(parse).collect()
+}
+
 // ----------------------------------------------------------------------
 // Deployment entry points
 // ----------------------------------------------------------------------
@@ -652,6 +630,7 @@ pub fn run_wallclock(
 
     let pool = Arc::new(CryptoPool::new());
     let crypto_handles = spawn_crypto_workers(workers, &pool, &rings, &router);
+    let epoch = Instant::now();
 
     let mem: Arc<[MemNode]> = (0..cfg.params.n_mem()).map(|_| MemNode::default()).collect();
 
@@ -665,7 +644,7 @@ pub fn run_wallclock(
             let node = ReplicaNode::new(r, cfg, rings[g].clone());
             let (node_idx, driver_idx) = (replica_node(g, n, r), driver_node(shards, n, g));
             let (exec, jobs) = mpsc::channel();
-            let port = ExecThread { router: router.clone(), node_idx, driver_idx };
+            let port = ExecThread { router: router.clone(), epoch, node_idx, driver_idx };
             let executor = Executor::new(r, cfg, &rings[g], app);
             let thread = ReplicaThread {
                 g,
@@ -674,8 +653,9 @@ pub fn run_wallclock(
                 node_idx,
                 driver_idx,
                 scale,
+                epoch,
                 ep: take_ep(replica_node(g, n, r)),
-                crypto: Arc::clone(&pool),
+                pool: Arc::clone(&pool),
                 timers,
                 mem: Arc::clone(&mem),
                 exec,
@@ -717,7 +697,7 @@ pub fn run_wallclock(
         let _ = router.send_ctl(node, CtlMsg::Shutdown);
     }
     for _ in 0..workers {
-        pool.push(PoolJob::Stop);
+        pool.push(None);
     }
 
     let drivers: Vec<DriverLoop> =

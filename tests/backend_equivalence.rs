@@ -29,7 +29,7 @@
 use ubft::runtime::threads::{run_backend, ThreadWorkload, WallOptions};
 use ubft::runtime::{Backend, OpCounters, RunReport, SimConfig};
 use ubft_core::app::App;
-use ubft_types::{ClientId, View};
+use ubft_types::{ClientId, Duration, View};
 
 /// Stretch factor making a 1 ms progress timeout ≈ 2 s of wall time.
 /// Generous on purpose: `cargo test` runs many test binaries concurrently,
@@ -212,6 +212,31 @@ fn threads_match_sim_four_shards() {
     let cfg = SimConfig::paper_default(42).with_shards(4).with_time_scale(SCALE);
     let (sim, thr) = run_both(&cfg, 40, 4);
     assert_equivalent(&sim, &thr, 160, false);
+}
+
+/// Both backends time a replica's cores in the code they share — the
+/// driver files its main core's time under the kind of each input, the
+/// executor its jobs' — so a threaded run's report is not zeros: every
+/// replica spent wall time on client requests, CTBcast frames and
+/// execution.
+#[test]
+fn threads_time_every_replicas_cores_by_input_kind() {
+    let cfg = SimConfig::paper_default(7).fast_only().with_time_scale(SCALE);
+    let opts = WallOptions { requests: 60, warmup: 0, ..WallOptions::default() };
+    let thr = run_backend(
+        &cfg.with_backend(Backend::Threads),
+        |_| flip_apps(3),
+        |g| finite_workload(g, 60),
+        &opts,
+    );
+    assert_eq!(thr.completed, 60);
+    for (r, rep) in thr.groups[0].replicas.iter().enumerate() {
+        let c = rep.core;
+        let kinds = [("client", c.client_requests), ("ctb", c.ctb_frames), ("exec", c.execution)];
+        for (kind, spent) in kinds {
+            assert!(spent > Duration::ZERO, "replica {r}: no {kind} time in {c:?}");
+        }
+    }
 }
 
 /// The execution logs the equivalence above leans on are themselves

@@ -159,3 +159,17 @@ fn the_batched_leader_executes_on_a_core_of_its_own() {
     let main = leader.core.main().as_nanos() as f64 / report.completed as f64;
     assert!(main < 250.0, "{main:.1} ns of main-core time per request ({:?})", leader.core);
 }
+
+#[test]
+fn the_batched_leaders_main_core_time_is_filed_by_input_kind() {
+    // The replica driver files its main core's time, input by input, on
+    // the clock its substrate supplies: in the simulator, the dispatch
+    // costs charged. These are the figures the simulator's substrate filed
+    // by its own classification of each dispatch before it.
+    let report = run(flip_batched());
+    let c = report.groups[0].replicas[0].core;
+    let main = [c.client_requests, c.direct_msgs, c.consensus_frames, c.ctb_frames];
+    let main = main.into_iter().chain([c.timers, c.completions]).map(Duration::as_nanos);
+    let expected = [652_720, 254_160, 407_840, 235_040, 2_960, 3_680];
+    assert_eq!(main.collect::<Vec<_>>(), expected, "{c:?}");
+}
