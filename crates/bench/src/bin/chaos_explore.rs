@@ -3,8 +3,9 @@
 //!
 //! `chaos_explore [PLANS] [--max-stalled N] [--smoke]` exits
 //! non-zero on any audit violation and, with `--max-stalled`, when more
-//! than `N` plans stall at the deadline — the liveness budget CI ratchets
-//! toward zero.
+//! than `N` plans stall — the audit's progress verdict holds a request —
+//! which is the liveness budget CI ratchets toward zero. Each stalled seed
+//! is printed with the class of its stall report.
 use ubft_bench::{one_count, parse_args};
 
 fn main() -> Result<(), String> {

@@ -8,13 +8,15 @@
 //! through [`ubft_runtime::audit`]. Any violating plan is greedily shrunk
 //! to its smallest still-violating core and printed as a copy-pasteable
 //! [`FailurePlan`](ubft_sim::failure::FailurePlan) builder chain, ready to
-//! become a regression test in `tests/chaos.rs`.
+//! become a regression test in `tests/chaos.rs`. A plan stalls when the
+//! audit's progress verdict holds a request; it is printed with the class
+//! of its stall report ([`ubft_runtime::stall`]).
 //!
 //! Everything is deterministic: seed `i` of a run with base seed `B`
 //! always draws the same plan and replays the same schedule, so a
 //! violation found in CI reproduces on a laptop from two numbers.
 
-use ubft_runtime::audit::AuditReport;
+use ubft_runtime::audit::{progress_deadline, AuditReport};
 use ubft_runtime::{Cluster, SimConfig};
 use ubft_sim::chaos::{shrink, ChaosPlan, ChaosSpace};
 use ubft_types::{Duration, Time};
@@ -51,9 +53,10 @@ fn space_for(seed: u64) -> ChaosSpace {
     }
 }
 
-/// One audited chaos run. Small tail/window keep checkpoints — and thus
-/// the checkpoint-digest and state-transfer invariants — inside the run.
-fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
+/// One audited chaos run, up to `deadline`. Small tail/window keep
+/// checkpoints — and thus the checkpoint-digest and state-transfer
+/// invariants — inside the run.
+fn run_plan_until(plan: &ChaosPlan, seed: u64, deadline: Time) -> (Cluster, u64) {
     let app = app_for(seed);
     let groups = space_for(seed).groups;
     let cfg = SimConfig::paper_default(SEED ^ seed)
@@ -64,17 +67,32 @@ fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
         .with_chaos(plan);
     let apps = make_apps(app, cfg.params.n() * cfg.shards);
     let mut cluster = Cluster::new(cfg, apps, make_workload(app, 32));
-    let report = cluster.run_until(REQUESTS, 0, run_deadline());
+    let completed = cluster.run_until(REQUESTS, 0, deadline).completed;
+    (cluster, completed)
+}
+
+/// One audited chaos run to the run's deadline, settled.
+fn run_plan(plan: &ChaosPlan, seed: u64) -> (AuditReport, u64) {
+    let (mut cluster, completed) = run_plan_until(plan, seed, run_deadline());
     cluster.settle(Duration::from_millis(3));
-    let audit = cluster.audit_report().expect("audited run");
-    (audit, report.completed)
+    (cluster.audit_report().expect("audited run"), completed)
+}
+
+/// The class of a stalled plan: its stall report's, taken at the
+/// progress deadline, where its first unanswered request starts to count
+/// (a replay: runs are deterministic). By the run's deadline the cause
+/// may be gone and only its consequence left, such as a backoff that
+/// outgrew the run.
+fn stall_class(plan: &ChaosPlan, seed: u64) -> String {
+    run_plan_until(plan, seed, progress_deadline(&plan.failures)).0.stall_report().class()
 }
 
 /// What one exploration found.
 pub struct ChaosOutcome {
     /// The exploration record (EXPERIMENTS.md keeps a sample).
     pub record: String,
-    /// Plans that gave up at the deadline: liveness, not safety.
+    /// Plans whose audit's progress verdict holds a request: liveness, not
+    /// safety.
     pub stalled: u64,
     /// Plans with an audit violation.
     pub violating: u64,
@@ -88,7 +106,7 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
     let started = std::time::Instant::now();
     let mut distinct = std::collections::BTreeSet::new();
     let (mut clean, mut violating) = (0u64, 0u64);
-    let mut stalled: Vec<(u64, u64)> = Vec::new();
+    let mut stalled: Vec<String> = Vec::new();
     let (mut decisions, mut executions, mut faults_total) = (0u64, 0u64, 0u64);
     for seed in 0..plans {
         let space = space_for(seed);
@@ -116,10 +134,12 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
                 shrunk.failures.faults().len(),
                 shrunk.repro_string()
             ));
-        } else if completed < REQUESTS {
-            // Liveness, not safety: the run gave up at the deadline. The
-            // audit above still checked everything it did execute.
-            stalled.push((seed, completed));
+        } else if !audit.made_progress() {
+            // Liveness, not safety. The audit above still checked
+            // everything the run did execute.
+            let class = stall_class(&plan, seed);
+            stalled
+                .push(format!("stalled seed {seed} ({completed}/{REQUESTS} completed): {class}\n"));
         } else {
             clean += 1;
         }
@@ -134,11 +154,7 @@ pub fn chaos_explore(plans: u64) -> ChaosOutcome {
         "clean: {clean}  stalled-at-deadline: {}  violating: {violating}\n",
         stalled.len()
     ));
-    if !stalled.is_empty() {
-        let seeds: Vec<String> =
-            stalled.iter().map(|(s, c)| format!("{s} ({c}/{REQUESTS})")).collect();
-        out.push_str(&format!("stalled seeds (completed): {}\n", seeds.join(", ")));
-    }
+    out.extend(stalled.iter().map(String::as_str));
     out.push_str(&format!(
         "decisions audited: {decisions}  executions audited: {executions}  wall: {:.1}s\n",
         started.elapsed().as_secs_f64()

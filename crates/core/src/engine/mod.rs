@@ -62,8 +62,8 @@ use self::normal::SlotState;
 use self::requests::Requests;
 use self::stream::PeerState;
 pub use self::types::{
-    CryptoOps, DecisionEvidence, DecisionRecord, Effect, EngineConfig, EngineDiag, PathMode,
-    TimerKind,
+    CryptoOps, DecisionEvidence, DecisionRecord, Effect, EngineConfig, EngineDiag, Gate, OwnShare,
+    PathMode, SlotDiag, StreamDiag, TimerKind,
 };
 pub use self::view_change::must_propose;
 pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork, ShareOf};
@@ -290,17 +290,37 @@ impl Engine {
         self.state.get(&stream).map_or(SeqId(1), |ps| ps.fifo_next)
     }
 
-    /// Snapshots the protocol state for diagnostics.
+    /// The engine's explanation of itself: what keeps it from progress.
+    /// Its gate is the first of these that is shut: a join under way, a
+    /// seal waiting on a promise, a snapshot, a parked stream, the CTBcast
+    /// summary gate, a full pipeline.
     pub fn diag(&self) -> EngineDiag {
         let (outstanding, request_entries, propose_queue) = self.requests.counts();
+        let in_flight = self.in_flight_slots();
+        let known = self.slots.keys().chain(&self.held).filter(|k| **k >= self.exec_next);
+        let undecided = |k: &&Slot| self.slots.get(k).is_none_or(|s| s.decided.is_none());
+        let oldest = known.filter(undecided).min().copied();
+        let stream = |ps: &PeerState| StreamDiag {
+            view: ps.view,
+            fifo_next: ps.fifo_next,
+            commit_view: ps.commits.values().map(|c| c.prepare.view).max(),
+        };
+        let full = self.is_leader() && propose_queue > 0;
+        let parked = self.state.iter().find(|(_, ps)| ps.parked.is_some()).map(|(r, _)| *r);
+        let queued = self.queued_ctb.len();
+        let gates = [
+            self.join.as_ref().map(|_| Gate::Joining),
+            self.sealing.and(self.undischarged_promises().next()).map(Gate::Sealing),
+            self.snapshot_pending.map(Gate::Snapshot),
+            parked.map(Gate::Parked),
+            (queued > 0).then_some(Gate::Summary(self.my_ctb_sent, self.summary_done_upto, queued)),
+            (full && in_flight >= self.cfg.pipeline_depth as u64).then_some(Gate::Pipeline),
+        ];
         EngineDiag {
-            me: self.me,
             view: self.view,
             sealing: self.sealing,
-            decided: self.decide_count,
             exec_next: self.exec_next,
-            next_slot: self.next_slot,
-            in_flight: self.in_flight_slots(),
+            in_flight,
             checkpoint_base: self.checkpoint.data.base,
             snapshot_pending: self.snapshot_pending,
             parked_streams: self.state.values().filter(|ps| ps.parked.is_some()).count(),
@@ -308,17 +328,31 @@ impl Engine {
             outstanding,
             request_entries,
             propose_queue,
-            open_prepares: self
-                .slots
-                .values()
-                .filter(|s| s.prepare.is_some() && s.decided.is_none())
-                .count(),
             ctb_sent: self.my_ctb_sent,
-            summary_done: self.summary_done_upto,
-            ctb_queued: self.queued_ctb.len(),
-            byzantine: self.byzantine.len(),
             equivocations: self.equivocations.clone(),
             joining: self.join.is_some(),
+            has_pending_work: self.has_pending_work(),
+            suspected: self.suspected.iter().copied().collect(),
+            oldest: oldest.map(|slot| self.slot_diag(slot)),
+            streams: self.state.values().map(stream).collect(),
+            gate: gates.into_iter().flatten().next(),
+        }
+    }
+
+    fn slot_diag(&self, slot: Slot) -> SlotDiag {
+        let s = self.slots.get(&slot).cloned().unwrap_or_default();
+        SlotDiag {
+            slot,
+            accepted: s.prepare.is_some(),
+            held: self.held.contains(&slot),
+            promised_in: s.promised_in,
+            share: s.shares.ours(self.me).map(|(_, sig)| match sig {
+                _ if s.sent_certify => OwnShare::Sent,
+                Some(_) => OwnShare::Signed,
+                None => OwnShare::Signing,
+            }),
+            commit_sent: s.sent_commit,
+            commits: self.state.values().filter(|ps| ps.commits.contains_key(&slot)).count(),
         }
     }
 

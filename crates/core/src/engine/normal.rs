@@ -28,7 +28,7 @@ pub(super) struct SlotState {
     /// This view's CERTIFY shares, each over the proposal it arrived with
     /// — which may be ahead of ours ([`Engine::handle_certify_share`]).
     pub(super) shares: ShareSet<Prepare>,
-    sent_certify: bool,
+    pub(super) sent_certify: bool,
     /// CTBcast was asked to sign our COMMIT ahead ([`Engine::sign_commit_ahead`]).
     signed_ahead: bool,
     pub(super) sent_commit: bool,

@@ -252,23 +252,21 @@ pub struct DecisionRecord {
     pub evidence: DecisionEvidence,
 }
 
-/// A point-in-time snapshot of an engine's protocol state, for operator
-/// dashboards and stall diagnosis (see [`Engine::diag`]).
+/// The engine's explanation of itself, for stall diagnosis (see
+/// [`Engine::diag`]): its view and cursors, the oldest slot it has not
+/// decided with its own evidence for it, each stream's view and FIFO head,
+/// and the first gate that is shut. Its `Display` names the gate and the
+/// evidence; the runtime's stall report joins one per replica with what
+/// only the driver knows (what CTBcast delivered, who crashed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineDiag {
-    /// The replica.
-    pub me: ReplicaId,
     /// Current view.
     pub view: View,
     /// View being sealed, if a view change is in progress.
     pub sealing: Option<View>,
-    /// Requests decided so far.
-    pub decided: u64,
     /// First slot not yet executed.
     pub exec_next: Slot,
-    /// Leader only: next proposal slot.
-    pub next_slot: Slot,
-    /// Leader only: slots proposed but not yet executed (pipeline fill).
+    /// Leader only: slots proposed but not yet decided (pipeline fill).
     pub in_flight: u64,
     /// Stable checkpoint base.
     pub checkpoint_base: Slot,
@@ -287,59 +285,99 @@ pub struct EngineDiag {
     pub request_entries: usize,
     /// Leader: requests queued for proposal.
     pub propose_queue: usize,
-    /// Undecided slots with an accepted prepare.
-    pub open_prepares: usize,
     /// CTBcast messages sent on our own stream.
     pub ctb_sent: u64,
-    /// Highest summarized CTBcast id on our own stream.
-    pub summary_done: u64,
-    /// CTBcast messages blocked behind the summary gate.
-    pub ctb_queued: usize,
-    /// Peers branded Byzantine.
-    pub byzantine: usize,
     /// Proven CTBcast equivocations: `(stream, sequence id)` of the first
     /// conflicting broadcast per branded stream.
     pub equivocations: Vec<(ReplicaId, SeqId)>,
     /// Whether the engine is a replacement node still completing its join.
     pub joining: bool,
+    /// Whether the progress watchdog counts this replica as owing progress:
+    /// a replica without pending work never starts a view change, nor
+    /// seals beside a peer that does.
+    pub has_pending_work: bool,
+    /// Peers this replica suspects of silence.
+    pub suspected: Vec<ReplicaId>,
+    /// The oldest slot at or past `exec_next` that this replica has not
+    /// decided but knows of (a PREPARE accepted or held, a promise, a share
+    /// or a COMMIT), with its evidence for it.
+    pub oldest: Option<SlotDiag>,
+    /// Every stream as this replica interprets it, by replica index.
+    pub streams: Vec<StreamDiag>,
+    /// The first gate that is shut, if any.
+    pub gate: Option<Gate>,
+}
+
+/// What a replica holds toward deciding one slot.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SlotDiag {
+    /// The slot.
+    pub slot: Slot,
+    /// Its PREPARE is accepted.
+    pub accepted: bool,
+    /// Its PREPARE is held for requests this replica lacks (§5.4).
+    pub held: bool,
+    /// The view in which this replica promised WILL_COMMIT for it.
+    pub promised_in: Option<View>,
+    /// This replica's own CERTIFY share for it, if it asked for one.
+    pub share: Option<OwnShare>,
+    /// This replica's COMMIT for it is out.
+    pub commit_sent: bool,
+    /// Streams that carry a COMMIT for it (`f + 1` decide).
+    pub commits: usize,
+}
+
+/// Where a replica's own CERTIFY share for a slot stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OwnShare {
+    /// With the crypto worker.
+    Signing,
+    /// Signed, not broadcast.
+    Signed,
+    /// Broadcast.
+    Sent,
+}
+
+/// One CTBcast stream as a replica interprets it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StreamDiag {
+    /// The stream's view: the last SEAL_VIEW interpreted on it.
+    pub view: View,
+    /// The next CTBcast id FIFO interpretation expects.
+    pub fifo_next: SeqId,
+    /// The highest view of a COMMIT the stream carries here. Above
+    /// [`StreamDiag::view`] only when a gap-filling summary skipped the
+    /// stream's SEAL_VIEW.
+    pub commit_view: Option<View>,
+}
+
+/// A gate that keeps a replica from its next step, in the order the
+/// engine's explanation looks for them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Gate {
+    /// A replacement node still completing its join.
+    Joining,
+    /// Sealing the next view waits for the COMMIT of the WILL_COMMIT
+    /// promise at this slot.
+    Sealing(Slot),
+    /// Execution paused here for a snapshot or a state transfer.
+    Snapshot(Slot),
+    /// This stream's head is a `CHECKPOINT` whose certificate is not proven.
+    Parked(ReplicaId),
+    /// Our own CTBcast broadcasts queue at the summary gate: sent ran
+    /// `tail` past the boundary the last certified summary covers; the
+    /// three numbers are sent, summarized and queued.
+    Summary(u64, u64, usize),
+    /// Leader: `pipeline_depth` slots are undecided and requests queue.
+    Pipeline,
 }
 
 impl std::fmt::Display for EngineDiag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "r{} view={} sealing={:?} decided={} exec_next={} next_slot={} in_flight={} cp={} \
-             outstanding={} tracked={} queue={} open_prepares={} \
-             ctb sent/summarized/queued={}/{}/{} byz={}",
-            self.me.0,
-            self.view.0,
-            self.sealing.map(|v| v.0),
-            self.decided,
-            self.exec_next.0,
-            self.next_slot.0,
-            self.in_flight,
-            self.checkpoint_base.0,
-            self.outstanding,
-            self.request_entries,
-            self.propose_queue,
-            self.open_prepares,
-            self.ctb_sent,
-            self.summary_done,
-            self.ctb_queued,
-            self.byzantine,
-        )?;
-        for (stream, k) in &self.equivocations {
-            write!(f, " equiv=r{}@k{}", stream.0, k.0)?;
-        }
-        if let Some(base) = self.snapshot_pending {
-            write!(f, " snapshot-pending={}", base.0)?;
-        }
-        if self.parked_streams > 0 {
-            write!(f, " parked-streams={}", self.parked_streams)?;
-        }
-        if self.joining {
-            write!(f, " joining")?;
-        }
-        Ok(())
+        let (view, exec, suspects) = (self.view.0, self.exec_next.0, &self.suspected);
+        let sealing = self.sealing.map_or(String::new(), |v| format!(" sealing v{}", v.0));
+        let work = if self.has_pending_work { "work pending" } else { "nothing pending" };
+        write!(f, "v{view}{sealing}, exec {exec}, {work}, suspects {suspects:?}")?;
+        write!(f, "; oldest undecided {:?}; shut gate {:?}", self.oldest, self.gate)
     }
 }

@@ -31,7 +31,7 @@ impl Engine {
     /// by their echoes: it will not propose that one ([`Engine::echo_sweep`]),
     /// and a view change is no remedy for a client that sent it to the
     /// leader alone.
-    fn has_pending_work(&self) -> bool {
+    pub(super) fn has_pending_work(&self) -> bool {
         let vouched = if self.is_leader() { self.quorum() - 1 } else { 0 };
         self.requests.has_pending(vouched)
             || self.slots.values().any(|s| s.prepare.is_some() && s.decided.is_none())
@@ -73,7 +73,7 @@ impl Engine {
 
     /// Slots with an outstanding WILL_COMMIT promise of this view, which
     /// block our SEAL_VIEW until their COMMIT is out.
-    fn undischarged_promises(&self) -> impl Iterator<Item = Slot> + '_ {
+    pub(super) fn undischarged_promises(&self) -> impl Iterator<Item = Slot> + '_ {
         self.slots
             .iter()
             .filter(move |(_, s)| s.promised_in == Some(self.view) && !s.sent_commit)

@@ -175,6 +175,10 @@ pub struct Receipt {
     pub ack: Option<SeqId>,
 }
 
+/// Deliveries between two acknowledgements a [`TailReceiver`] sends
+/// unasked.
+const ACK_EVERY: u64 = 16;
+
 /// The receiving side of one TBcast stream (one per remote broadcaster).
 #[derive(Clone, Debug)]
 pub struct TailReceiver {
@@ -190,7 +194,6 @@ pub struct TailReceiver {
     /// delivered. Consecutive ids never share an index, and an id's flag is
     /// recycled for `k + window` exactly when `k` falls out of the tail.
     seen: Vec<bool>,
-    ack_every: u64,
     delivered_since_ack: u64,
 }
 
@@ -203,16 +206,8 @@ impl TailReceiver {
             hi: SeqId(0),
             prefix: SeqId(0),
             seen: vec![false; window],
-            ack_every: 16,
             delivered_since_ack: 0,
         }
-    }
-
-    /// Sets how many deliveries happen between acknowledgements.
-    #[must_use]
-    pub fn with_ack_every(mut self, n: u64) -> Self {
-        self.ack_every = n.max(1);
-        self
     }
 
     fn floor(&self) -> SeqId {
@@ -255,7 +250,7 @@ impl TailReceiver {
             self.prefix = self.prefix.next();
         }
         self.delivered_since_ack += 1;
-        let ack = (self.delivered_since_ack >= self.ack_every).then(|| self.ack_now());
+        let ack = (self.delivered_since_ack >= ACK_EVERY).then(|| self.ack_now());
         Receipt { deliver: true, ack }
     }
 
@@ -265,11 +260,6 @@ impl TailReceiver {
     pub fn ack_now(&mut self) -> SeqId {
         self.delivered_since_ack = 0;
         self.prefix
-    }
-
-    /// Highest sequence number delivered so far.
-    pub fn high_watermark(&self) -> SeqId {
-        self.hi
     }
 }
 
@@ -382,7 +372,7 @@ mod tests {
         for k in [2u64, 1, 3] {
             assert_eq!(r.on_wire(SeqId(k)), DELIVERED);
         }
-        assert_eq!(r.high_watermark(), SeqId(3));
+        assert_eq!(r.hi, SeqId(3));
     }
 
     #[test]
@@ -475,7 +465,7 @@ mod tests {
         for k in [1u64, 2, 6] {
             r.on_wire(SeqId(k));
         }
-        assert_eq!(r.high_watermark(), SeqId(6));
+        assert_eq!(r.hi, SeqId(6));
         let upto = r.ack_now();
         assert_eq!(upto, SeqId(2));
         b.on_ack(ReplicaId(1), upto);
@@ -501,10 +491,10 @@ mod tests {
 
     #[test]
     fn acks_emitted_periodically() {
-        let mut r = TailReceiver::new(64).with_ack_every(3);
-        let acks: Vec<_> = (1..=9u64).filter_map(|k| r.on_wire(SeqId(k)).ack).collect();
-        assert_eq!(acks, vec![SeqId(3), SeqId(6), SeqId(9)]);
-        assert_eq!(r.ack_now(), SeqId(9));
+        let mut r = TailReceiver::new(64);
+        let acks: Vec<_> = (1..=50u64).filter_map(|k| r.on_wire(SeqId(k)).ack).collect();
+        assert_eq!(acks, vec![SeqId(16), SeqId(32), SeqId(48)]);
+        assert_eq!(r.ack_now(), SeqId(50));
     }
 
     #[test]
@@ -576,12 +566,11 @@ mod tests {
         #[test]
         fn ring_receiver_matches_the_set_model(
             window in (0usize..4),
-            ack_every in 1u64..5,
             steps in proptest::collection::vec((0u8..8, 0u64..600), 1..200),
         ) {
             let window = [1usize, 2, 16, 256][window];
-            let mut ring = TailReceiver::new(window).with_ack_every(ack_every);
-            let mut model = SetReceiver::new(window, ack_every);
+            let mut ring = TailReceiver::new(window);
+            let mut model = SetReceiver::new(window, ACK_EVERY);
             for (kind, x) in steps {
                 let (hi, w) = (model.hi.0, window as u64);
                 let k = match kind {

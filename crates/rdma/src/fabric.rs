@@ -136,12 +136,6 @@ impl Fabric {
         (id, token)
     }
 
-    /// Total registered region bytes on `host` (disaggregated-memory
-    /// accounting for Table 2).
-    pub fn host_bytes(&self, host: HostId) -> usize {
-        self.regions.values().filter(|e| e.host == host).map(|e| e.region.len()).sum()
-    }
-
     /// Mutable access to the network model (crash/partition injection).
     pub fn net_mut(&mut self) -> &mut NetworkModel {
         &mut self.net
@@ -319,11 +313,6 @@ impl Fabric {
         entry.region.sample_into(offset, out, now, &mut self.spare);
         Ok(())
     }
-
-    /// Test helper: the settled contents of a region (all writes applied).
-    pub fn settled_region(&mut self, region: RegionId) -> Option<Vec<u8>> {
-        self.regions.get_mut(&region).map(|e| e.region.settled())
-    }
 }
 
 impl core::fmt::Debug for Fabric {
@@ -444,7 +433,7 @@ mod tests {
             prev = w.arrival;
         }
         // Last writer wins.
-        assert_eq!(f.settled_region(r).unwrap(), vec![19u8; 8]);
+        assert_eq!(f.regions.get_mut(&r).unwrap().region.settled(), vec![19u8; 8]);
     }
 
     #[test]
@@ -557,16 +546,5 @@ mod tests {
             }
         }
         assert!(longer_reused > 0, "no write reused a longer pooled image");
-    }
-
-    #[test]
-    fn host_byte_accounting() {
-        let mut f = fabric();
-        f.create_region(HostId(3), 100);
-        f.create_region(HostId(3), 28);
-        f.create_region(HostId(1), 7);
-        assert_eq!(f.host_bytes(HostId(3)), 128);
-        assert_eq!(f.host_bytes(HostId(1)), 7);
-        assert_eq!(f.host_bytes(HostId(0)), 0);
     }
 }

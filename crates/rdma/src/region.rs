@@ -142,13 +142,14 @@ impl Region {
     /// Samples `len` bytes at `offset` as they appear at time `t`, applying
     /// the torn-word model for any in-flight writes (test/debug helper: the
     /// buffers of the writes it folds are dropped).
+    #[cfg(test)]
     pub(crate) fn sample(&mut self, offset: usize, len: usize, t: Time) -> Vec<u8> {
         let mut out = vec![0u8; len];
         self.sample_into(offset, &mut out, t, &mut Vec::new());
         out
     }
 
-    /// [`Region::sample`] into a caller-provided buffer (`out.len()` bytes
+    /// Samples into a caller-provided buffer (`out.len()` bytes
     /// at `offset`), so a reader that only wants a header allocates nothing.
     /// The buffers of the writes that have landed by `t` go onto `spent`.
     pub(crate) fn sample_into(
@@ -191,6 +192,7 @@ impl Region {
 
     /// The final contents once every in-flight write has landed (test/debug
     /// helper; equivalent to sampling the whole region at `Time::MAX`).
+    #[cfg(test)]
     pub(crate) fn settled(&mut self) -> Vec<u8> {
         self.sample(0, self.size, Time::MAX)
     }

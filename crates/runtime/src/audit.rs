@@ -40,6 +40,11 @@
 //!    unsigned, so only the followers' endorsement keeps a Byzantine
 //!    leader from inventing one).
 //!
+//! Beside them, not among them, it gives a progress verdict
+//! ([`AuditReport::stalled`]): the requests still unanswered past
+//! [`progress_deadline`], which is how a run that stalls is told from one
+//! that finished.
+//!
 //! The auditor is an observer: it charges no virtual time, emits no
 //! events, and consumes no randomness, so an audited run is bit-for-bit
 //! identical to an unaudited one.
@@ -50,10 +55,30 @@ use ubft_apps::ShardRouter;
 use ubft_core::app::App;
 use ubft_core::engine::{DecisionEvidence, DecisionRecord};
 use ubft_crypto::{sha256, Digest};
-use ubft_sim::failure::Fault;
-use ubft_types::{ClientId, RequestId, Slot};
+#[cfg(doc)]
+use ubft_sim::failure::ByzantineMode;
+use ubft_sim::failure::{FailurePlan, Fault};
+use ubft_types::{ClientId, Duration, RequestId, Slot, Time};
 
+use crate::calibration::PROGRESS_TIMEOUT;
 use crate::group::{GroupRuntime, SNAPSHOT_RETAIN};
+
+/// What a fault leaves to repair once it ends: a replacement's join and
+/// state transfer, a healed partition's retransmission backlog.
+pub const HEAL: Duration = Duration::from_millis(1);
+
+/// How many [`PROGRESS_TIMEOUT`]s a request may stay unanswered past the
+/// heal before it counts against progress. The watchdog doubles its period
+/// with each fruitless view change, so 16 periods (40 ms) cover four of
+/// them back to back.
+pub const PATIENCE: u32 = 16;
+
+/// The instant from which a run under `plan` owes every request progress:
+/// the last fault's end ([`FailurePlan::last_fault_end`]), plus [`HEAL`],
+/// plus [`PATIENCE`] watchdog periods.
+pub fn progress_deadline(plan: &FailurePlan) -> Time {
+    plan.last_fault_end() + HEAL + PROGRESS_TIMEOUT * u64::from(PATIENCE)
+}
 
 /// A deliberately injected bug for auditor self-tests: an auditor that
 /// cannot fail is untested, so these mutations break one safety mechanism
@@ -90,6 +115,11 @@ pub enum AuditMutation {
     /// the group does not have, that no client port sent. Caught by the
     /// validity invariant.
     UnsentRequest,
+    /// Every replica drops client requests and echoes, as a leader that
+    /// censors them does ([`ByzantineMode::CensorRequests`]): no leader
+    /// ever proposes. Caught by the progress verdict, not by a safety
+    /// invariant.
+    NoProposals,
 }
 
 /// Which invariant a violation breaks.
@@ -110,6 +140,22 @@ pub enum ViolationKind {
     Validity,
     /// A correct replica executed one request twice.
     DuplicateExecution,
+}
+
+/// A request that made no progress: taken past the progress deadline
+/// ([`progress_deadline`]), it had been in flight for [`PATIENCE`] watchdog
+/// periods or more and fewer than `f + 1` replicas had executed it, which
+/// is what its client waits for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StalledRequest {
+    /// The group it was sent to.
+    pub group: usize,
+    /// The request.
+    pub id: RequestId,
+    /// When its client first sent it.
+    pub sent: Time,
+    /// How many replicas executed it.
+    pub executed_by: u32,
 }
 
 /// One invariant violation, locatable enough to debug from the report.
@@ -144,19 +190,30 @@ pub struct AuditReport {
     /// Replicas excluded from state comparison (Byzantine by plan, or a
     /// recorded state-transfer miss left their state unaccounted).
     pub replicas_skipped: usize,
+    /// The progress verdict, beside the violations and not among them:
+    /// every request that made no progress (empty for a run that did).
+    pub stalled: Vec<StalledRequest>,
 }
 
 impl AuditReport {
-    /// Whether the run satisfied every audited invariant.
+    /// Whether the run satisfied every audited safety invariant. Progress
+    /// is [`AuditReport::made_progress`].
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 
-    /// This report restricted to one group's violations (the global check
-    /// counters are kept as-is; they describe the whole run).
+    /// Whether every request was answered in time ([`StalledRequest`]).
+    pub fn made_progress(&self) -> bool {
+        self.stalled.is_empty()
+    }
+
+    /// This report restricted to one group's violations and stalled
+    /// requests (the global check counters are kept as-is; they describe
+    /// the whole run).
     pub fn for_group(&self, group: usize) -> AuditReport {
         let mut r = self.clone();
         r.violations.retain(|v| v.group == group);
+        r.stalled.retain(|s| s.group == group);
         r
     }
 }
@@ -213,8 +270,9 @@ struct GroupAudit {
     /// Register-bank bytes per memory node at build time; they may never
     /// grow (bounded disaggregated memory).
     disagg_bytes_at_build: usize,
-    /// Every request the group's client ports sent.
-    sent: BTreeSet<RequestId>,
+    /// Every request the group's client ports sent: when it was first
+    /// sent, and a bit per replica that executed it.
+    sent: BTreeMap<RequestId, (Time, u64)>,
 }
 
 /// The omniscient auditor: one per deployment, observing every group.
@@ -224,6 +282,8 @@ pub struct Auditor {
     violations: Vec<AuditViolation>,
     decisions_checked: u64,
     executions_checked: u64,
+    /// [`progress_deadline`] of the deployment's plan.
+    progress_deadline: Time,
 }
 
 impl Auditor {
@@ -257,16 +317,18 @@ impl Auditor {
                     checkpoint_digests: BTreeMap::new(),
                     replicas,
                     disagg_bytes_at_build: g.disagg_bytes_per_node(),
-                    sent: BTreeSet::new(),
+                    sent: BTreeMap::new(),
                 }
             })
             .collect();
+        let deadlines = groups.iter().map(|g| progress_deadline(&g.env.cfg.failures));
         Auditor {
             router: ShardRouter::new(groups.len()),
             groups: audits,
             violations: Vec::new(),
             decisions_checked: 0,
             executions_checked: 0,
+            progress_deadline: deadlines.max().unwrap_or(Time::ZERO),
         }
     }
 
@@ -356,9 +418,9 @@ impl Auditor {
         }
     }
 
-    /// A client port of `group` sent request `id`.
-    pub(crate) fn on_send(&mut self, group: usize, id: RequestId) {
-        self.groups[group].sent.insert(id);
+    /// A client port of `group` sent request `id` at `at`.
+    pub(crate) fn on_send(&mut self, group: usize, id: RequestId, at: Time) {
+        self.groups[group].sent.entry(id).or_insert((at, 0));
     }
 
     /// A replica executed one request of a slot (in intra-slot order).
@@ -374,6 +436,9 @@ impl Auditor {
         response: &[u8],
     ) {
         self.executions_checked += 1;
+        if let Some((_, by)) = self.groups[group].sent.get_mut(&id) {
+            *by |= 1 << replica;
+        }
         {
             let ra = &self.groups[group].replicas[replica];
             // Byzantine replicas may legally diverge; a transfer-missed
@@ -412,7 +477,7 @@ impl Auditor {
             );
         }
         // Validity: what executes was sent, no-ops aside.
-        if id.client != ClientId::NOOP && !self.groups[group].sent.contains(&id) {
+        if id.client != ClientId::NOOP && !self.groups[group].sent.contains_key(&id) {
             self.violate(
                 group,
                 Some(replica),
@@ -558,8 +623,9 @@ impl Auditor {
     /// group's sequential model (incrementally — repeated calls replay only
     /// new slots), compares every correct replica's digest at its
     /// execution frontier, re-checks checkpoint digests against the model,
-    /// and audits the memory bounds. Idempotent.
-    pub(crate) fn report(&mut self, groups: &[GroupRuntime]) -> AuditReport {
+    /// and audits the memory bounds. Taken at `now`, past the progress
+    /// deadline, it also gives the progress verdict. Idempotent.
+    pub(crate) fn report(&mut self, groups: &[GroupRuntime], now: Time) -> AuditReport {
         // Replay first: response-mismatch violations found during replay
         // land in the persistent list (incrementally, so repeated reports
         // never duplicate them) and must be part of this report.
@@ -572,6 +638,16 @@ impl Auditor {
             executions_checked: self.executions_checked,
             ..AuditReport::default()
         };
+        let patience = PROGRESS_TIMEOUT * u64::from(PATIENCE);
+        for (g, ga) in self.groups.iter().enumerate().filter(|_| now >= self.progress_deadline) {
+            let due = |(_, (sent, by)): &(_, &(Time, u64))| {
+                (by.count_ones() as usize) < ga.quorum && now >= *sent + patience
+            };
+            for (&id, &(sent, by)) in ga.sent.iter().filter(due) {
+                let executed_by = by.count_ones();
+                report.stalled.push(StalledRequest { group: g, id, sent, executed_by });
+            }
+        }
         for (g, gr) in groups.iter().enumerate() {
             let ga = &self.groups[g];
             report.model_slots_replayed += (ga.model_digests.len() - 1) as u64;
@@ -718,7 +794,7 @@ mod tests {
             checkpoint_digests: BTreeMap::new(),
             replicas,
             disagg_bytes_at_build: 0,
-            sent: BTreeSet::from([id]),
+            sent: BTreeMap::from([(id, (Time::ZERO, 0))]),
         };
         Auditor {
             groups: vec![group],
@@ -726,6 +802,7 @@ mod tests {
             violations: Vec::new(),
             decisions_checked: 0,
             executions_checked: 0,
+            progress_deadline: Time::ZERO,
         }
     }
 

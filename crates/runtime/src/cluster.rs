@@ -36,6 +36,7 @@ use crate::client_loop::{ClientLoop, ClientTimer};
 use crate::exec::Executor;
 use crate::group::{Ev, GroupEv, GroupRuntime, GroupWorkload, Shared};
 use crate::node::ReplicaNode;
+use crate::stall::StallReport;
 
 /// Counts of primitive operations during a run (drives the Figure 9
 /// breakdown and sanity assertions like "the fast path signs nothing").
@@ -681,8 +682,8 @@ impl Cluster {
     /// incrementally, so asking again after [`Cluster::settle`] audits the
     /// drained tail too.
     pub fn audit_report(&mut self) -> Option<AuditReport> {
-        let Cluster { audit, groups, .. } = self;
-        audit.as_mut().map(|a| a.report(groups))
+        let Cluster { audit, groups, now, .. } = self;
+        audit.as_mut().map(|a| a.report(groups, *now))
     }
 
     /// The report of everything run so far, stamped with the current
@@ -698,17 +699,18 @@ impl Cluster {
         RunReport::of_groups(groups, self.now, audit, Backend::Sim)
     }
 
-    /// Per-replica protocol diagnostics, one line each, grouped by group
-    /// when there are several.
-    pub fn diag_lines(&self) -> String {
-        if self.groups.len() == 1 {
-            return self.groups[0].diag_lines(&self.fabric, self.now);
+    /// Why the deployment is where it is: every replica's explanation of
+    /// itself joined with the driver's facts, each group classified by
+    /// the catalogued liveness corners ([`crate::stall`]).
+    pub fn stall_report(&self) -> StallReport {
+        StallReport {
+            groups: self.groups.iter().map(|g| g.stall(&self.fabric, self.now)).collect(),
         }
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(g, gr)| format!(" group {g}:\n{}", gr.diag_lines(&self.fabric, self.now)))
-            .collect()
+    }
+
+    /// The stall report, printed ([`Cluster::stall_report`]).
+    pub fn diag_lines(&self) -> String {
+        self.stall_report().to_string()
     }
 }
 

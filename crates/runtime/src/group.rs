@@ -22,7 +22,7 @@ use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing};
-use ubft_ctb::ctbcast::RegEntry;
+use ubft_ctb::ctbcast::{Ctb, RegEntry};
 use ubft_dmem::register::{
     Found, PostedRead, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
@@ -43,6 +43,7 @@ use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{
     CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate,
 };
+use crate::stall::ReplicaStall;
 
 /// Simulation events. All indices are group-local; the queue tags each
 /// event with its group id.
@@ -331,12 +332,15 @@ impl SimEnv {
     }
 
     /// The Byzantine behaviour of host `r` active at `at`, if `r` is a
-    /// replica with a scheduled fault.
+    /// replica with a scheduled fault (every replica censors under
+    /// [`AuditMutation::NoProposals`]).
     fn byz_mode(&self, r: usize, at: Time) -> Option<ByzantineMode> {
-        if r < self.n() {
-            self.cfg.failures.byzantine_mode(r, at)
-        } else {
+        if r >= self.n() {
             None
+        } else if self.cfg.audit_mutation == Some(AuditMutation::NoProposals) {
+            Some(ByzantineMode::CensorRequests)
+        } else {
+            self.cfg.failures.byzantine_mode(r, at)
         }
     }
 
@@ -517,7 +521,7 @@ impl ClientPort for SimClientPort<'_, '_> {
     fn send(&mut self, c: usize, id: RequestId, bytes: &[u8], replicas: &[ReplicaId]) {
         let env = &mut *self.env;
         if let Some(aud) = self.sh.audit.as_mut() {
-            aud.on_send(env.gid as usize, id);
+            aud.on_send(env.gid as usize, id, self.at);
         }
         // Auditor self-test: the first request of the run brings along one
         // that no port sent, named after a client the group does not have.
@@ -1070,39 +1074,21 @@ impl GroupRuntime {
         links + self.nodes[r].protocol_resident_bytes()
     }
 
-    /// Per-replica protocol diagnostics as of `now`, one line each.
-    pub(crate) fn diag_lines(&self, fabric: &Fabric, now: Time) -> String {
-        let mut s = String::new();
-        for (r, nd) in self.nodes.iter().enumerate() {
-            let ctb: Vec<String> = (0..self.nodes.len())
-                .map(|st| {
-                    format!(
-                        "s{}:dlv{}/fifo{}",
-                        st,
-                        nd.ctbs[st].max_delivered().0,
-                        nd.engine.fifo_position(ReplicaId(st as u32)).0,
-                    )
-                })
-                .collect();
-            s.push_str(&format!(
-                "  {} crashed={} [{}]\n",
-                nd.engine.diag(),
-                self.env.crashed(fabric, r, now),
-                ctb.join(" ")
-            ));
-        }
-        for (detector, nd) in self.nodes.iter().enumerate() {
-            for (culprit, why) in &nd.branded {
-                s.push_str(&format!("  r{detector} branded r{culprit} byzantine: {why}\n"));
-            }
-        }
-        let transfer_misses: u64 = self.nodes.iter().map(|nd| nd.transfer_misses).sum();
-        if transfer_misses > 0 {
-            s.push_str(&format!(
-                "  {transfer_misses} state transfer(s) found no donor snapshot (state may have diverged)\n",
-            ));
-        }
-        s
+    /// Every replica's row of the stall report as of `now`: its engine's
+    /// explanation joined with the driver's facts.
+    pub(crate) fn stall(&self, fabric: &Fabric, now: Time) -> Vec<ReplicaStall> {
+        let plan = &self.env.cfg.failures;
+        let row = |(r, nd): (usize, &ReplicaNode)| ReplicaStall {
+            diag: nd.engine.diag(),
+            faulty: self.env.crashed(fabric, r, now) || plan.byzantine_mode(r, now).is_some(),
+            replaced: plan.replacements().any(|(i, _, rejoin)| i == r && rejoin <= now),
+            delivered: nd.ctbs.iter().map(Ctb::max_delivered).collect(),
+            watchdog_ticks: nd.summary_stall.1,
+            summary_half: nd.engine.summary_half(),
+            branded: nd.branded.clone(),
+            transfer_misses: nd.transfer_misses,
+        };
+        self.nodes.iter().enumerate().map(row).collect()
     }
 
     // ------------------------------------------------------------------

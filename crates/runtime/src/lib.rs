@@ -19,11 +19,15 @@
 //!   unreplicated execution, Mu, and MinBFT (vanilla + HMAC).
 //! * [`calibration`] — every latency/cost constant and protocol timeout in
 //!   one place (simulated Table 1), plus the shard/batch knobs.
+//! * [`audit`] — the omniscient safety auditor and its progress verdict;
+//!   [`stall`] — why a run stalled, each group classified by the
+//!   catalogued liveness corners.
 
 pub mod audit;
 pub mod baselines;
 pub mod calibration;
 pub mod cluster;
+pub mod stall;
 pub mod threads;
 
 mod client_loop;

@@ -375,7 +375,7 @@ pub(crate) struct ReplicaNode {
     /// a threshold the tick force-converts the unsummarized tail to the
     /// signed slow path so receivers whose fast-path unanimity a dead peer
     /// broke can still deliver.
-    summary_stall: (u64, u32),
+    pub summary_stall: (u64, u32),
     /// State transfers that found no (verifiable) snapshot: the replica
     /// fast-forwarded, so its application state may have diverged.
     pub transfer_misses: u64,

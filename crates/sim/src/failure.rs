@@ -195,6 +195,19 @@ impl FailurePlan {
         &self.faults
     }
 
+    /// When the plan's last fault takes effect or ends, in any group: a
+    /// crash, a Byzantine activation, a replacement's boot, the end of a
+    /// partition, or GST, whichever is latest.
+    pub fn last_fault_end(&self) -> Time {
+        let ends = self.faults.iter().map(|(_, f)| match *f {
+            Fault::ReplicaCrash { at, .. } | Fault::MemNodeCrash { at, .. } => at,
+            Fault::Byzantine { from, .. } => from,
+            Fault::Replace { rejoin_at, .. } => rejoin_at,
+            Fault::Partition { until, .. } => until,
+        });
+        ends.fold(self.gst, Time::max)
+    }
+
     /// Group 0's faults, in schedule order.
     fn local(&self) -> impl DoubleEndedIterator<Item = &Fault> {
         self.faults.iter().filter(|(g, _)| *g == 0).map(|(_, f)| f)

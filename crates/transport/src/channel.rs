@@ -119,11 +119,6 @@ impl ChannelSender {
         self.next_seq
     }
 
-    /// Number of messages currently staged.
-    pub fn staged_len(&self) -> usize {
-        self.staging.len()
-    }
-
     /// Sends `payload`. First flushes any staged messages whose slots have
     /// freed up, then transmits or stages the new message.
     ///
@@ -440,7 +435,7 @@ mod tests {
             flush_at = out.flush_at;
         }
         assert_eq!(arrivals.len(), 4);
-        assert_eq!(tx.staged_len(), 4);
+        assert_eq!(tx.staging.len(), 4);
         // A receiver polling promptly sees the first wave before overwrite.
         let first_wave = arrivals.iter().map(|(_, a)| *a).max().unwrap();
         let polled = rx.poll(&mut f, first_wave);
@@ -459,7 +454,7 @@ mod tests {
             flush_at = out.flush_at;
         }
         assert_eq!(flushed, 4);
-        assert_eq!(tx.staged_len(), 0);
+        assert_eq!(tx.staging.len(), 0);
         let polled = rx.poll(&mut f, last + Duration::from_micros(1));
         // The staged wave arrives in order too: staging preserved FIFO.
         let seqs: Vec<u64> = polled.delivered.iter().map(|(s, _)| *s).collect();
@@ -478,7 +473,7 @@ mod tests {
         }
         // 4 transmitted, 4 staged capacity, 8 evicted.
         assert_eq!(evicted, 8);
-        assert_eq!(tx.staged_len(), 4);
+        assert_eq!(tx.staging.len(), 4);
     }
 
     #[test]
@@ -534,7 +529,7 @@ mod tests {
         assert_eq!(refused, 8);
         assert_eq!(tx.slot_busy_until, busy_before);
         assert_eq!(tx.next_seq(), 1);
-        assert_eq!(tx.staged_len(), 0);
+        assert_eq!(tx.staging.len(), 0);
         assert_eq!(tx.next_flush_at(), None);
     }
 

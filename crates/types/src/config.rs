@@ -62,11 +62,6 @@ impl ClusterParams {
         self.f + 1
     }
 
-    /// Size of a memory-node quorum (`f_m + 1`, a majority).
-    pub fn mem_quorum(&self) -> usize {
-        self.f_m + 1
-    }
-
     /// Iterator over all replica ids.
     pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> {
         (0..self.n() as u32).map(ReplicaId)
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(p.n(), 3);
         assert_eq!(p.n_mem(), 3);
         assert_eq!(p.quorum(), 2);
-        assert_eq!(p.mem_quorum(), 2);
         assert_eq!(p.tail, 128);
         assert_eq!(p.window, 256);
     }

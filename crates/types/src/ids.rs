@@ -36,24 +36,6 @@ pub enum ProcessId {
     Client(ClientId),
 }
 
-impl ProcessId {
-    /// Returns the replica id if this process is a replica.
-    pub fn as_replica(self) -> Option<ReplicaId> {
-        match self {
-            ProcessId::Replica(r) => Some(r),
-            ProcessId::Client(_) => None,
-        }
-    }
-
-    /// Returns the client id if this process is a client.
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            ProcessId::Client(c) => Some(c),
-            ProcessId::Replica(_) => None,
-        }
-    }
-}
-
 impl From<ReplicaId> for ProcessId {
     fn from(r: ReplicaId) -> Self {
         ProcessId::Replica(r)
@@ -226,11 +208,9 @@ mod tests {
     #[test]
     fn process_id_conversions() {
         let p: ProcessId = ReplicaId(3).into();
-        assert_eq!(p.as_replica(), Some(ReplicaId(3)));
-        assert_eq!(p.as_client(), None);
+        assert_eq!(p, ProcessId::Replica(ReplicaId(3)));
         let q: ProcessId = ClientId(9).into();
-        assert_eq!(q.as_client(), Some(ClientId(9)));
-        assert_eq!(q.as_replica(), None);
+        assert_eq!(q, ProcessId::Client(ClientId(9)));
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl Time {
         assert!(earlier.0 <= self.0, "time went backwards: {earlier} > {self}");
         Duration(self.0 - earlier.0)
     }
-
-    /// Saturating duration since `earlier`; zero if `earlier` is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -177,11 +171,6 @@ mod tests {
     #[should_panic(expected = "time went backwards")]
     fn since_panics_backwards() {
         let _ = Time::ZERO.since(Time::from_nanos(1));
-    }
-
-    #[test]
-    fn saturating_since() {
-        assert_eq!(Time::ZERO.saturating_since(Time::from_nanos(5)), Duration::ZERO);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use ubft::runtime::audit::{AuditMutation, ViolationKind};
+use ubft::runtime::audit::{progress_deadline, AuditMutation, AuditReport, ViolationKind};
 use ubft::runtime::cluster::Cluster;
 use ubft::runtime::SimConfig;
 use ubft_apps::workload::{kv_request, WorkloadRng};
@@ -354,6 +354,37 @@ fn auditor_catches_an_executed_request_no_client_sent() {
 }
 
 #[test]
+fn auditor_catches_a_leader_that_never_proposes() {
+    // Every replica drops client requests as a censoring leader does: no
+    // slot is ever proposed. Safety holds; the progress verdict must hold
+    // the one request the closed loop sent.
+    let cfg = SimConfig::paper_default(77).with_window(32);
+    let cfg = cfg.with_audit_mutation(AuditMutation::NoProposals);
+    let mut cluster = Cluster::new(cfg, flip_apps(3), flip_payload());
+    let report = cluster.run_until(60, 0, progress_deadline(&FailurePlan::none()));
+    assert_eq!(report.completed, 0);
+    let audit = report.audit.expect("audited");
+    assert!(audit.is_clean(), "{:#?}", audit.violations);
+    assert_eq!(audit.stalled.len(), 1, "{:#?}", audit.stalled);
+    assert_eq!(audit.stalled[0].executed_by, 0);
+}
+
+#[test]
+fn a_fault_free_batched_run_makes_progress() {
+    // The control for requests still in flight when a run ends: with 8
+    // clients the other seven are when the last counted request
+    // completes. Settled past the progress deadline, each is answered, and
+    // the verdict holds nothing.
+    let cfg = SimConfig::paper_default(77).with_window(32).with_clients(8).with_batch(4);
+    let mut cluster = Cluster::new(cfg.with_audit(), flip_apps(3), flip_payload());
+    assert_eq!(cluster.run(600, 0).completed, 600);
+    cluster.settle(progress_deadline(&FailurePlan::none()).since(Time::ZERO));
+    let audit = cluster.audit_report().expect("audited");
+    assert!(audit.is_clean(), "{:#?}", audit.violations);
+    assert!(audit.made_progress(), "{:#?}", audit.stalled);
+}
+
+#[test]
 fn auditor_does_not_cry_wolf() {
     // The exact configuration of the mutation tests, minus the mutation:
     // a clean bill, or the three tests above prove nothing.
@@ -364,6 +395,7 @@ fn auditor_does_not_cry_wolf() {
     cluster.settle(Duration::from_millis(2));
     let audit = cluster.audit_report().expect("audited");
     assert!(audit.is_clean(), "false positives: {:#?}", audit.violations);
+    assert!(audit.made_progress(), "{:#?}", audit.stalled);
     assert!(audit.replicas_compared >= 3);
 }
 
@@ -451,4 +483,71 @@ fn corpus_a_refused_write_leaves_no_hole_in_the_channel() {
             us(1_076),
         ));
     run_corpus_plan("silent-leader+refused-writes", &plan);
+}
+
+// ----------------------------------------------------------------------
+// Stalled plans of `chaos_explore 800`, one per class its stall report
+// prints: each stays until its corner of ROADMAP item 1 is closed.
+// ----------------------------------------------------------------------
+
+/// Runs a plan `chaos_explore` drew for `seed` on the explorer's
+/// deployment for that seed, to the progress deadline; returns the class
+/// the stall report prints there and the audit.
+fn explored_plan_at_progress_deadline(seed: u64, failures: FailurePlan) -> (String, AuditReport) {
+    let app = ["flip", "redis", "noop", "liquibook"][(seed % 4) as usize];
+    let deadline = progress_deadline(&failures);
+    let cfg = SimConfig::paper_default(ubft_bench::SEED ^ seed).with_tail(16).with_window(32);
+    let cfg = cfg.with_audit().with_chaos(&hand_written(failures));
+    let apps = ubft_bench::make_apps(app, 3);
+    let mut cluster = Cluster::new(cfg, apps, ubft_bench::make_workload(app, 32));
+    let report = cluster.run_until(60, 0, deadline);
+    assert!(report.completed < 60);
+    let audit = report.audit.expect("audited");
+    assert!(audit.is_clean(), "{:#?}", audit.violations);
+    assert!(!audit.made_progress(), "the verdict must hold the stalled request");
+    (cluster.stall_report().class(), audit)
+}
+
+#[test]
+fn stalled_seed_134_is_corner_b_with_h() {
+    // r1 decided everything and has nothing pending, so it never seals
+    // beside r0 (1(b)); r0 is held at FIFO id 1 of r1's stream, which
+    // CTBcast delivered up to 4 and which is short of its first summary
+    // boundary (1(h)); r2 crashed.
+    let failures = FailurePlan::none()
+        .partition(0, 2, us(1251), us(1378))
+        .partition(0, 2, us(298), us(1231))
+        .crash_replica(2, us(1404));
+    let (class, audit) = explored_plan_at_progress_deadline(134, failures);
+    assert_eq!(class, "1(b)+(h)");
+    assert_eq!(audit.stalled.len(), 1);
+}
+
+#[test]
+fn stalled_seed_500_is_corner_b() {
+    // r0 crashed; r1 has nothing pending and stays in view 1 while r2
+    // spirals through views alone.
+    let failures = FailurePlan::none()
+        .crash_replica(0, us(1325))
+        .partition(2, 0, us(472), us(1315))
+        .with_asynchrony(us(331), Duration::from_micros(167));
+    let (class, _) = explored_plan_at_progress_deadline(500, failures);
+    assert_eq!(class, "1(b)");
+}
+
+#[test]
+fn stalled_seed_614_is_corner_h() {
+    // r1 crashed. r2 is held at FIFO id 1 of r0's stream, whose first
+    // message (r0's PREPARE) the partition cost it, while CTBcast delivered
+    // the seals behind it: with fewer than 8 messages on the stream the
+    // summary-stall watchdog never fires, and no view change completes
+    // until r0's seals fill the stream past its first boundary.
+    let failures = FailurePlan::none()
+        .crash_replica(1, us(1137))
+        .crash_mem_node(1, us(81))
+        .partition(2, 1, us(76), us(907))
+        .partition(1, 0, us(915), us(1103))
+        .with_asynchrony(us(847), Duration::from_micros(74));
+    let (class, _) = explored_plan_at_progress_deadline(614, failures);
+    assert_eq!(class, "1(h)");
 }
