@@ -210,6 +210,10 @@ impl Engine {
         if prep.view != self.view || !self.in_open_window(prep.slot) {
             return;
         }
+        // A slot accepts one PREPARE, so `held` never names an accepted slot.
+        if self.slots.get(&prep.slot).is_some_and(|s| s.prepare.is_some()) {
+            return;
+        }
         // §5.4, in every view: endorse only requests received directly from
         // the client. No-ops are exempt, and so is the batch the leader's
         // NEW_VIEW forces for the slot — `check_valid` branded any PREPARE
@@ -491,7 +495,12 @@ impl Engine {
                 // A conflicting commit; the view change will sort it out.
                 Some(ours) if *ours != c.prepare => return,
                 Some(_) => {}
-                None => entry.prepare = Some(c.prepare.clone()),
+                // Accepted from its COMMIT: a PREPARE held for the slot
+                // waits no more.
+                None => {
+                    entry.prepare = Some(c.prepare.clone());
+                    self.held.remove(&slot);
+                }
             }
         }
         // f+1 streams carrying a COMMIT for one proposal decide it
@@ -576,3 +585,6 @@ impl Engine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -22,7 +22,7 @@ use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing};
-use ubft_ctb::ctbcast::{Ctb, RegEntry};
+use ubft_ctb::ctbcast::RegEntry;
 use ubft_dmem::register::{
     Found, PostedRead, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
 };
@@ -1078,16 +1078,9 @@ impl GroupRuntime {
     /// explanation joined with the driver's facts.
     pub(crate) fn stall(&self, fabric: &Fabric, now: Time) -> Vec<ReplicaStall> {
         let plan = &self.env.cfg.failures;
-        let row = |(r, nd): (usize, &ReplicaNode)| ReplicaStall {
-            diag: nd.engine.diag(),
-            faulty: self.env.crashed(fabric, r, now) || plan.byzantine_mode(r, now).is_some(),
-            replaced: plan.replacements().any(|(i, _, rejoin)| i == r && rejoin <= now),
-            delivered: nd.ctbs.iter().map(Ctb::max_delivered).collect(),
-            watchdog_ticks: nd.summary_stall.1,
-            summary_half: nd.engine.summary_half(),
-            branded: nd.branded.clone(),
-            transfer_misses: nd.transfer_misses,
-        };
+        let faulty = |r| self.env.crashed(fabric, r, now) || plan.byzantine_mode(r, now).is_some();
+        let replaced = |r| plan.replacements().any(|(i, _, rejoin)| i == r && rejoin <= now);
+        let row = |(r, nd)| ReplicaStall::of(nd, faulty(r), replaced(r));
         self.nodes.iter().enumerate().map(row).collect()
     }
 

@@ -22,11 +22,14 @@
 //! * [`audit`] — the omniscient safety auditor and its progress verdict;
 //!   [`stall`] — why a run stalled, each group classified by the
 //!   catalogued liveness corners.
+//! * [`harness`] — the same `node` event loop on a scripted net
+//!   ([`harness::NodeNet`]), every step a move a test picks by index.
 
 pub mod audit;
 pub mod baselines;
 pub mod calibration;
 pub mod cluster;
+pub mod harness;
 pub mod stall;
 pub mod threads;
 
@@ -42,5 +45,9 @@ pub use cluster::{
 };
 pub use threads::{run_backend, run_wallclock, ThreadWorkload, WallOptions};
 
+/// The event loop's tests on [`harness::NodeNet`], and the client loop's on a
+/// scripted port. The module keeps the name of the test-only net they ran
+/// on before `NodeNet`, so the suite names each test as it did then.
 #[cfg(test)]
+#[path = "harness/tests.rs"]
 mod fake;

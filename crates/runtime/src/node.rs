@@ -36,7 +36,7 @@ use crate::exec::ExecJob;
 
 /// Message lanes between nodes of one group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Lane {
+pub enum Lane {
     /// TBcast traffic of CTBcast stream `stream`.
     CtbTb { stream: usize },
     /// Consensus-level TBcast traffic.
@@ -101,9 +101,9 @@ impl Lane {
 /// sequence number per client.
 pub(crate) type ExecTable = Vec<(ClientId, u64)>;
 
-/// The timers a replica arms; each comes back as a [`NodeInput::Timer`].
+/// The timers a replica arms; each comes back as a `NodeInput::Timer`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum NodeTimer {
+pub enum NodeTimer {
     /// One of the engine's own.
     Engine(TimerKind),
     /// The fast path's sweep over this replica's own CTBcast broadcasts

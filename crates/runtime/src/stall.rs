@@ -40,6 +40,23 @@ pub struct ReplicaStall {
     pub transfer_misses: u64,
 }
 
+impl ReplicaStall {
+    /// `node`'s row: its engine's explanation, what its event loop knows, and
+    /// the two facts only a deployment knows.
+    pub(crate) fn of(node: &crate::node::ReplicaNode, faulty: bool, replaced: bool) -> Self {
+        ReplicaStall {
+            diag: node.engine.diag(),
+            faulty,
+            replaced,
+            delivered: node.ctbs.iter().map(|ctb| ctb.max_delivered()).collect(),
+            watchdog_ticks: node.summary_stall.1,
+            summary_half: node.engine.summary_half(),
+            branded: node.branded.clone(),
+            transfer_misses: node.transfer_misses,
+        }
+    }
+}
+
 /// A catalogued liveness corner of ROADMAP item 1, by its letter. Each
 /// variant's rule holds for a group when some correct replica's row
 /// matches it.

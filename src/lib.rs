@@ -174,9 +174,16 @@ pub use ubft_sim as sim;
 pub use ubft_transport as transport;
 pub use ubft_types as types;
 
-/// The scripted harness: `n` engines ([`harness::EngineNet`]) or `n` CTBcast
-/// receivers ([`harness::CtbNet`]), every step a pending move somebody picks.
+/// The scripted harness: `n` engines ([`harness::EngineNet`]), `n` CTBcast
+/// receivers ([`harness::CtbNet`]) or `n` whole replicas
+/// ([`harness::node::NodeNet`]), every step a pending move somebody picks.
 pub mod harness {
     pub use ubft_core::harness::*;
     pub use ubft_ctb::harness::*;
+
+    /// Whole replicas — engine, CTBcast, frames and the event loop both
+    /// backends run — on a scripted net.
+    pub mod node {
+        pub use ubft_runtime::harness::*;
+    }
 }

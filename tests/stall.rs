@@ -1,14 +1,20 @@
-//! The stall report's corners on the scripted engine harness: each test
-//! drives three engines into a catalogued liveness corner of ROADMAP
-//! item 1 and checks that their explanations, classified, name it. Each
-//! pins today's behaviour, not a fix: it stays as the corner's regression
-//! test until the corner is closed, and then flips.
+//! The stall report's corners on the scripted harness: each test drives
+//! three replicas into a catalogued liveness corner of ROADMAP item 1 and
+//! checks that their explanations, classified, name it — engines alone
+//! (`EngineNet`) for the engine's corners, whole replicas (`NodeNet`) for
+//! those below the engine. Each pins today's behaviour, not a fix: it
+//! stays as the corner's regression test until the corner is closed, and
+//! then flips.
 
+use ubft::harness::node::{self, NodeNet, NodeTimer};
 use ubft::harness::{EngineNet, Lane, Move};
 use ubft::runtime::stall::{classify, Corner, ReplicaStall};
+use ubft::runtime::SimConfig;
 use ubft_core::app::NoopApp;
 use ubft_core::engine::{Effect, EngineConfig, PathMode, TimerKind};
 use ubft_core::msg::{CtbMsg, Request, TbMsg};
+use ubft_ctb::wire::{CtbWire, TbFrame};
+use ubft_types::wire::Wire;
 use ubft_types::{ClientId, ClusterParams, RequestId, SeqId, View};
 
 type Net = EngineNet<NoopApp>;
@@ -120,4 +126,47 @@ fn a_summary_that_skips_a_seal_leaves_the_stream_view_behind() {
     assert_eq!(r1_at_r2.view, View(0), "{}", rows[2].diag);
     assert_eq!(r1_at_r2.commit_view, Some(View(2)), "{}", rows[2].diag);
     assert_eq!(classify(&rows), [Corner::G].into());
+}
+
+/// Whether `frame` is a TBcast data frame carrying a `LOCKED` of CTBcast
+/// id `k`.
+fn locked(frame: &[u8], k: u64) -> bool {
+    let Ok(TbFrame::Data { payload, .. }) = TbFrame::decode(frame) else { return false };
+    matches!(CtbWire::from_bytes(payload), Ok(CtbWire::Locked { k: id, .. }) if id == SeqId(k))
+}
+
+/// Fires r0's armed `timer` twice — a sweep acts at its second firing on
+/// what was pending at its first — and runs after each.
+fn sweep_r0(net: &mut NodeNet, timer: NodeTimer) {
+    for _ in 0..2 {
+        net.fire_timers(0, |t| *t == timer);
+        net.run();
+    }
+}
+
+#[test]
+fn a_fast_delivery_missed_short_of_the_first_summary_boundary_is_never_repaired() {
+    // Corner 1(h), below the engine. r1's LOCKED of r0's CTBcast id 1 (the
+    // PREPARE of slot 0) is lost on its way to r2: r0 and r1 deliver id 1
+    // on the fast path, r2 does not. r0 fast-delivered its own broadcast,
+    // so its sweep never signs it, and the summary-stall watchdog waits for
+    // `summary_half` messages on the stream. Then r1 crashes. Client 1's
+    // request reaches r0 and r2; r0 proposes it at id 2 on its echo sweep,
+    // finds r1's LOCKED missing on its CTBcast sweep and signs id 2, which
+    // r2 delivers on the slow path — and holds behind id 1 for good.
+    let mut net = NodeNet::new(&SimConfig::paper_default(5));
+    let lane = node::Lane::CtbTb { stream: 0 };
+    let r1_to_r2 = node::Move::Frame { from: 1, to: 2, lane };
+    net.issue(vec![1]);
+    assert!(!net.run_losing(|m, frame| *m == r1_to_r2 && locked(frame, 1)));
+    net.crashed[1] = true;
+    net.send_request(&Request { id: RequestId::new(ClientId(1), 0), payload: vec![2] });
+    net.run();
+    sweep_r0(&mut net, NodeTimer::Engine(TimerKind::EchoFallback));
+    sweep_r0(&mut net, NodeTimer::CtbSweep);
+    let rows = net.stall();
+    let (r0_at_r2, delivered) = (rows[2].diag.streams[0], rows[2].delivered[0]);
+    assert_eq!((r0_at_r2.fifo_next, delivered), (SeqId(1), SeqId(2)), "{}", rows[2].diag);
+    assert!(delivered.0 < rows[2].summary_half, "{}", rows[2].diag);
+    assert_eq!(classify(&rows), [Corner::H].into());
 }
