@@ -55,6 +55,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("batch_sweep", batch_sweep),
     ("shard_sweep", shard_sweep),
     ("churn_sweep", churn_sweep),
+    ("load_curve", load_curve),
 ];
 
 /// Builds `n` fresh instances of an app by name.
@@ -509,6 +510,39 @@ fn shard_sweep(samples: u64) -> Table {
         }
         row.push(kib(cluster.disagg_bytes_per_node()));
         t.push(&[&g], &row);
+    }
+    t
+}
+
+/// The closed loop's load curve: requests/sec, p50 and p99 of the batched
+/// fast path at every client count and batch size, each the median of ten
+/// seeds with the quartiles around it, so a point that settles into one of
+/// two rhythms by seed shows as a wide spread.
+fn load_curve(samples: u64) -> Table {
+    let mut t = Table::new(
+        "Load curve: fast path, 32 B Flip, pipeline 2; each cell the median over seeds 1–10, \
+         with its quartiles",
+        "clients | batch | kreq/s q1:1 | kreq/s:1 | kreq/s q3:1 | p50 q1 µs:2 | p50 µs:2 | \
+         p50 q3 µs:2 | p99 q1 µs:2 | p99 µs:2 | p99 q3 µs:2",
+    );
+    for clients in [1, 2, 4, 8, 16, 32, 64] {
+        for batch in [1, 4, 16] {
+            let mut runs: [Vec<f64>; 3] = Default::default();
+            for seed in 1..=10 {
+                let cfg = SimConfig::paper_default(seed).fast_only().with_max_request(64);
+                let cfg = cfg.with_clients(clients).with_pipeline_depth(2).with_batch(batch);
+                let mut p = measure(System::Ubft, cfg, "flip", 32, samples);
+                let [p50, p99] = p.pcts(&[50.0, 99.0])[..] else { unreachable!() };
+                for (run, v) in runs.iter_mut().zip([p.ubft().1.kreq_per_sec(), p50, p99]) {
+                    run.push(v);
+                }
+            }
+            let quartiles = runs.iter_mut().flat_map(|run| {
+                run.sort_by(f64::total_cmp);
+                [run[2], (run[4] + run[5]) / 2.0, run[7]]
+            });
+            t.push(&[&clients, &batch], &quartiles.collect::<Vec<_>>());
+        }
     }
     t
 }

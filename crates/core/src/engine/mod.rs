@@ -99,6 +99,10 @@ pub struct Engine {
     /// paused there until [`Engine::on_snapshot`] — or, for a state
     /// transfer's, until [`Engine::on_exec_table`] adopts its dedup table.
     snapshot_pending: Option<Slot>,
+    /// Leader: a decision freed a slot of a full pipeline, and the slot
+    /// waits for the echoes the followers sent at that decision
+    /// (`propose_ready`) until something is proposed into it.
+    echo_wait: bool,
     state: BTreeMap<ReplicaId, PeerState>,
     slots: BTreeMap<Slot, SlotState>,
     byzantine: BTreeSet<ReplicaId>,
@@ -218,6 +222,7 @@ impl Engine {
             exec_next: Slot(0),
             snapshot_base: Slot(0),
             snapshot_pending: None,
+            echo_wait: false,
             state,
             slots: BTreeMap::new(),
             byzantine: BTreeSet::new(),

@@ -186,7 +186,19 @@ impl Engine {
         // pipeline is full the queue keeps growing, so under load batches
         // widen toward `max_batch` on their own.
         while self.in_open_window(self.next_slot) && self.in_flight_slots() < depth {
+            // A slot a decision freed from a full pipeline, with another in
+            // flight, does not take a batch that is not full while fewer
+            // requests are ready than some follower has echoed and another
+            // not yet: the followers sent what they held at that decision,
+            // and the rest are on their way. Proposed now, those would wait
+            // out the next slot's round.
+            let (ready, echoing) = (self.requests.queued(), self.requests.echoing());
+            let in_flight = self.in_flight_slots() > 0;
+            if self.echo_wait && in_flight && ready < max_batch && ready < echoing {
+                break;
+            }
             let Some(batch) = self.requests.next_batch(max_batch) else { break };
+            self.echo_wait = false;
             let slot = self.next_slot;
             self.next_slot = self.next_slot.next();
             let prepare = Prepare { view: self.view, slot, batch };
@@ -520,6 +532,7 @@ impl Engine {
     // ------------------------------------------------------------------
 
     pub(super) fn decide(&mut self, slot: Slot, batch: Batch, evidence: DecisionEvidence) {
+        let full = self.in_flight_slots() >= self.cfg.pipeline_depth.max(1) as u64;
         let view = self.view;
         let base = self.checkpoint.data.base;
         let record = self.cfg.record_decisions;
@@ -541,6 +554,7 @@ impl Engine {
         // across batch sizes.
         self.decide_count += batch.len() as u64;
         entry.decided = Some(batch);
+        self.echo_wait |= full;
         self.vc_streak = 0;
         self.try_execute();
         // Executed slots leave the pipeline; the gate may have reopened.

@@ -1,10 +1,11 @@
 //! Proposals on the scripted fabric: what a follower holds and accepts.
 
-use ubft_types::{ClientId, ClusterParams, RequestId, Slot};
+use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, Slot};
 
 use crate::app::NoopApp;
-use crate::engine::{EngineConfig, PathMode, TimerKind};
+use crate::engine::{DecisionEvidence, Effect, EngineConfig, PathMode, TimerKind};
 use crate::harness::EngineNet;
+use crate::msg::{Batch, CtbMsg};
 use crate::Request;
 
 /// A follower that never received the request holds the leader's PREPARE;
@@ -30,4 +31,41 @@ fn a_prepare_accepted_from_its_commits_is_no_longer_held() {
     let accepted = |slot: &&Slot| r1.slots.get(slot).is_some_and(|s| s.prepare.is_some());
     let stale: Vec<&Slot> = r1.held.iter().filter(accepted).collect();
     assert!(stale.is_empty(), "held names accepted slots {stale:?}");
+}
+
+/// A slot a decision frees from a full pipeline does not take a batch
+/// that is not full while fewer requests are ready than one follower has
+/// echoed and the other not yet: the leader proposes them together once
+/// the second follower's echoes are in. A slot free from the start does not
+/// wait.
+#[test]
+fn a_slot_a_decision_frees_waits_for_the_echoes_under_way() {
+    let mut cfg = EngineConfig::new(ClusterParams::paper_default(), PathMode::FastOnly);
+    (cfg.max_batch, cfg.pipeline_depth) = (4, 2);
+    let mut net = EngineNet::<NoopApp>::new(cfg);
+    let leader = &mut net.engines[0];
+    let (r1, r2) = (ReplicaId(1), ReplicaId(2));
+    let req = |c: u32| Request { id: RequestId::new(ClientId(c), 0), payload: vec![c as u8] };
+    let proposed = |fx: Vec<Effect>| -> Vec<Vec<RequestId>> {
+        let batches = fx.into_iter().filter_map(|e| match e {
+            Effect::CtbBroadcast(CtbMsg::Prepare(p)) => Some(p.batch),
+            _ => None,
+        });
+        batches.map(|b| b.requests().iter().map(|r| r.id).collect()).collect()
+    };
+    let ids = |cs: &[u32]| vec![cs.iter().map(|c| req(*c).id).collect::<Vec<_>>()];
+    for c in 1..=5 {
+        let _ = leader.on_client_request(req(c));
+    }
+    // Both slots are free: each request goes as its echoes complete it,
+    // though r1 has echoed the next ones already.
+    let _ = leader.on_echo(r1, (1..=5).map(req));
+    assert_eq!(proposed(leader.on_echo(r2, [req(1)])), ids(&[1]));
+    assert_eq!(proposed(leader.on_echo(r2, [req(2)])), ids(&[2]));
+    // Slot 0 decides and frees a slot of the full pipeline. r2's echoes of
+    // three more requests are under way: one is in.
+    assert!(proposed(leader.on_echo(r2, [req(3)])).is_empty());
+    leader.decide(Slot(0), Batch::single(req(1)), DecisionEvidence::FastQuorum { votes: 3 });
+    assert!(proposed(std::mem::take(&mut leader.out)).is_empty(), "cut a batch of 1 of 3");
+    assert_eq!(proposed(leader.on_echo(r2, [4, 5].map(req))), ids(&[3, 4, 5]));
 }

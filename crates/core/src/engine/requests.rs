@@ -117,6 +117,9 @@ pub(super) struct Requests {
     /// is queued, whatever the round asks: `f + 1`, so that no request a
     /// faulty follower made up is proposed (§5.4, validity).
     vouched: usize,
+    /// Leader: the `Seen` records some follower has echoed — requests
+    /// whose echo round is under way.
+    echoing: usize,
 }
 
 impl Requests {
@@ -127,6 +130,7 @@ impl Requests {
             executed: LruMap::new(client_table_cap, hasher),
             echo_sweep: Sweep::default(),
             vouched,
+            echoing: 0,
         }
     }
 
@@ -174,12 +178,19 @@ impl Requests {
         let id = request.id;
         let live = self.hold(request) != Some(Stage::Executed);
         if live {
-            let echoed = &mut self.records.get_mut(&id).expect("just received").echoed;
-            if !echoed.contains(&from) {
-                echoed.push(from);
+            let r = self.records.get_mut(&id).expect("just received");
+            if !r.echoed.contains(&from) {
+                self.echoing += usize::from(r.stage == Stage::Seen && r.echoed.is_empty());
+                r.echoed.push(from);
             }
         }
         live
+    }
+
+    /// Leader: how many requests some follower has echoed that are not
+    /// queued or proposed yet.
+    pub(super) fn echoing(&self) -> usize {
+        self.echoing
     }
 
     /// Leader: `id` waits for its echo round, if it is held and not
@@ -225,6 +236,7 @@ impl Requests {
                     && r.echoed.len()
                         >= echoes_needed.max(if r.from_client { 0 } else { vouched }) =>
             {
+                self.echoing -= usize::from(!r.echoed.is_empty());
                 r.stage = Stage::Queued { solo };
                 self.queue.push_back(id);
                 true
@@ -276,6 +288,7 @@ impl Requests {
             if matches!(record.stage, Stage::Queued { .. }) {
                 self.queue.retain(|queued| *queued != id);
             }
+            self.echoing -= usize::from(record.stage == Stage::Seen && !record.echoed.is_empty());
             record.stage = Stage::Executed;
         }
         let first = !self.already_executed(&id);
@@ -301,6 +314,8 @@ impl Requests {
         let records = &self.records;
         self.queue.retain(|id| records.contains_key(id));
         self.reclaim();
+        let echoing = |r: &&Record| r.stage == Stage::Seen && !r.echoed.is_empty();
+        self.echoing = self.records.values().filter(echoing).count();
     }
 
     /// A checkpoint became stable: executed requests go. A retransmission
@@ -330,6 +345,11 @@ impl Requests {
 
     fn live(&self) -> impl Iterator<Item = (&RequestId, &Record)> {
         self.records.iter().filter(|(_, r)| r.stage != Stage::Executed)
+    }
+
+    /// Leader: how many requests are queued for the next slots.
+    pub(super) fn queued(&self) -> usize {
+        self.queue.len()
     }
 
     /// `(outstanding, records held, queued)` for diagnostics.

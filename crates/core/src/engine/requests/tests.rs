@@ -255,3 +255,34 @@ fn a_sweep_gives_up_on_a_request_short_of_f_echoes_until_it_is_retransmitted() {
     assert_eq!(wait_marks(&l), 0);
     assert!(l.await_echoes(id(3, 0)), "the sweep did not stop");
 }
+
+/// `echoing` counts the requests some follower echoed that are neither
+/// queued nor proposed: the first echo adds one, a second follower's does
+/// not, and queuing, executing or a certified table's pruning takes it
+/// away.
+#[test]
+fn echoing_counts_the_requests_whose_echo_round_is_under_way() {
+    let mut l = ledger();
+    for seq in 0..3 {
+        l.receive(req(1, seq));
+    }
+    assert_eq!(l.echoing(), 0);
+    for seq in 0..3 {
+        assert!(l.echo(R1, req(1, seq)));
+    }
+    assert!(l.echo(R1, req(1, 0)) && l.echo(R2, req(1, 0)));
+    assert_eq!(l.echoing(), 3);
+    assert!(l.queue(id(1, 0), false, 2));
+    assert_eq!((l.echoing(), l.queued()), (2, 1));
+    // Echoing a queued request changes nothing; executing one that waits
+    // for its round ends it.
+    assert!(l.echo(R2, req(1, 0)));
+    assert!(l.execute(id(1, 1)));
+    assert_eq!(l.echoing(), 1);
+    // A request only echoes brought counts too.
+    assert!(l.echo(R2, req(2, 0)));
+    assert_eq!(l.echoing(), 2);
+    // A certified table that proves client 1's requests executed prunes them.
+    l.adopt_exec_table(vec![(ClientId(1), 3)]);
+    assert_eq!((l.echoing(), l.queued()), (1, 0));
+}

@@ -33,7 +33,7 @@ use ubft_types::{ClientId, Duration, Time, View};
 use crate::audit::{AuditReport, Auditor};
 use crate::calibration::{Backend, SimConfig};
 use crate::client_loop::{ClientLoop, ClientTimer};
-use crate::exec::Executor;
+use crate::exec::ExecReport;
 use crate::group::{Ev, GroupEv, GroupRuntime, GroupWorkload, Shared};
 use crate::node::ReplicaNode;
 use crate::stall::StallReport;
@@ -168,21 +168,28 @@ pub struct TimerInputs {
 }
 
 impl ReplicaReport {
-    /// What `node` and its executor `exec` have to report; takes the
-    /// execution log ([`Executor::report`]).
-    pub(crate) fn of<A: App + ?Sized>(node: &ReplicaNode, exec: &mut Executor<A>) -> Self {
-        let (app_digest, executed, replies) = exec.report();
+    /// What `node` has to report; its executor's share comes with
+    /// [`ReplicaReport::with_exec`].
+    pub(crate) fn of(node: &ReplicaNode) -> Self {
         ReplicaReport {
             decided: node.engine.decided_count(),
-            app_digest,
-            executed,
+            app_digest: Digest::ZERO,
+            executed: Vec::new(),
             final_view: node.engine.view().0,
             transfer_misses: node.transfer_misses,
             branded: node.branded.clone(),
             timers: node.timers,
-            counters: OpCounters { rpc_msgs: node.counters.rpc_msgs + replies, ..node.counters },
-            core: CoreTime { execution: exec.busy, ..node.core },
+            counters: node.counters,
+            core: node.core,
         }
+    }
+
+    /// Adds what the replica's executor reported
+    /// ([`Executor::report`](crate::exec::Executor::report)).
+    pub(crate) fn with_exec(mut self, (app_digest, executed, replies, busy): ExecReport) -> Self {
+        self.counters.rpc_msgs += replies;
+        self.core.execution = busy;
+        ReplicaReport { app_digest, executed, ..self }
     }
 }
 

@@ -1,16 +1,17 @@
 //! A replica's execution core: the replicated application, the last-reply
 //! table and the execution log, beside the event loop that orders requests.
 //!
-//! The event loop hands each decided request over in slot order, as one
-//! [`ExecJob`], and goes on with consensus: the application's time — up to
-//! 20 µs a request for the paper's Memcached, Redis and Liquibook — holds up
-//! no protocol message. The [`Executor`] runs its jobs in the order it was
-//! handed them and answers each client itself. What the event loop needs
-//! back — a checkpoint's digests, a state transfer's verdict — comes back
-//! to the replica as a [`NodeInput`]. A job is handed over only once
-//! everything before it has been, so a snapshot at `base` is taken after
-//! slot `base − 1` ran and nothing later, and a retransmission is answered
-//! no earlier than the reply it repeats.
+//! The event loop hands each decided slot over in slot order, as one
+//! [`ExecJob`] that carries the slot's requests in batch order, and goes on
+//! with consensus: the application's time — up to 20 µs a request for the
+//! paper's Memcached, Redis and Liquibook — holds up no protocol message.
+//! The [`Executor`] runs its jobs in the order it was handed them, a slot's
+//! requests under one dispatch, and answers each client itself. What the
+//! event loop needs back — a checkpoint's digests, a state transfer's
+//! verdict — comes back to the replica as a [`NodeInput`]. A job is handed
+//! over only once everything before it has been, so a snapshot at `base`
+//! is taken after slot `base − 1` ran and nothing later, and a
+//! retransmission is answered no earlier than the reply it repeats.
 //!
 //! [`Executor::run`] is the one interpretation of a job; each backend
 //! supplies an [`ExecPort`] — where replies go, when results come back, what
@@ -30,10 +31,14 @@ use crate::audit::AuditMutation;
 use crate::calibration::SimConfig;
 use crate::node::{engine_config, ExecTable, NodeInput};
 
+/// What an [`Executor`] reports ([`Executor::report`]).
+pub(crate) type ExecReport = (Digest, Vec<(ClientId, u64)>, u64, Duration);
+
 /// What a replica's event loop hands its executor, in the engine's order.
 pub(crate) enum ExecJob {
-    /// Run `req`, decided in `slot`, and answer its client.
-    Execute { slot: Slot, req: Request },
+    /// Run `reqs`, the requests decided in `slot` that execute, in batch
+    /// order, under one dispatch, and answer their clients.
+    Slot { slot: Slot, reqs: Vec<Request> },
     /// Take the checkpoint snapshot at `base`: the jobs before this one are
     /// every slot below it. `table` is the dedup table the engine paused
     /// with there. Answered with [`NodeInput::Snapshot`].
@@ -57,11 +62,14 @@ pub(crate) trait ExecPort<A: App + ?Sized> {
     fn input(&mut self, input: NodeInput);
 
     /// The execution core's time so far, on the backend's clock: what
-    /// [`ExecPort::executed`] charged in the simulator, the wall clock on
-    /// threads; zero where there is none.
+    /// [`ExecPort::dispatch`] and [`ExecPort::executed`] charged in the
+    /// simulator, the wall clock on threads; zero where there is none.
     fn clock(&self) -> Duration {
         Duration::ZERO
     }
+
+    /// The job of `slot` starts: one dispatch, whatever its requests.
+    fn dispatch(&mut self, _slot: Slot) {}
 
     /// The application ran the request `id` of `slot` on `applied`, which
     /// cost `cost`, and answered `response`. Called before the reply leaves.
@@ -149,16 +157,24 @@ impl<A: App + ?Sized> Executor<A> {
     }
 
     /// What the executor has to report: the application's digest, the
-    /// execution log so far, which it hands over, and the replies sent.
-    pub fn report(&mut self) -> (Digest, Vec<(ClientId, u64)>, u64) {
-        (self.app.snapshot_digest(), std::mem::take(&mut self.exec_log), self.replies)
+    /// execution log so far, which it hands over, the replies sent and the
+    /// time on its jobs.
+    pub fn report(&mut self) -> ExecReport {
+        let log = std::mem::take(&mut self.exec_log);
+        (self.app.snapshot_digest(), log, self.replies, self.busy)
     }
 
     /// Carries out `job` through `port`, and files the time it took.
-    pub fn run(&mut self, job: ExecJob, port: &mut impl ExecPort<A>) {
+    /// Returns a slot job's request buffer, emptied, for the next one.
+    pub fn run(&mut self, job: ExecJob, port: &mut impl ExecPort<A>) -> Vec<Request> {
         let start = port.clock();
+        let mut spare = Vec::new();
         match job {
-            ExecJob::Execute { slot, req } => self.execute(slot, req, port),
+            ExecJob::Slot { slot, mut reqs } => {
+                port.dispatch(slot);
+                reqs.drain(..).for_each(|req| self.execute(slot, req, port));
+                spare = reqs;
+            }
             ExecJob::Snapshot { base, table } => {
                 let app_digest = self.app.snapshot_digest();
                 let exec_digest = exec_table_digest(&table);
@@ -184,6 +200,7 @@ impl<A: App + ?Sized> Executor<A> {
             }
         }
         self.busy += port.clock() - start;
+        spare
     }
 
     fn execute(&mut self, slot: Slot, req: Request, port: &mut impl ExecPort<A>) {

@@ -664,10 +664,10 @@ impl Substrate for SimSubstrate<'_, '_> {
 
     /// Runs `job` on the replica's execution core: as of `at`, or once the
     /// core is done with the jobs before it.
-    fn exec(&mut self, job: ExecJob, at: Time) {
+    fn exec(&mut self, job: ExecJob, at: Time) -> Vec<Request> {
         let t = at.max(self.env.machines[self.r].exec_busy);
         let port = &mut SimExecPort { env: &mut *self.env, sh: &mut *self.sh, r: self.r, t };
-        self.exec.run(job, port);
+        self.exec.run(job, port)
     }
 
     fn engine_call_done(
@@ -792,8 +792,8 @@ impl Substrate for SimSubstrate<'_, '_> {
 }
 
 /// What replica `r`'s [`Executor`] sees of the simulator while it runs one
-/// job: its execution core's clock `t`, which each request it runs
-/// advances by one dispatch and the application's cost.
+/// job: its execution core's clock `t`, which a slot's job advances by one
+/// dispatch and each request it runs by the application's cost.
 struct SimExecPort<'a, 'b> {
     env: &'a mut SimEnv,
     sh: &'a mut Shared<'b>,
@@ -814,11 +814,16 @@ impl<A: App + ?Sized> ExecPort<A> for SimExecPort<'_, '_> {
         self.t - Time::ZERO
     }
 
+    fn dispatch(&mut self, _slot: Slot) {
+        self.t += self.env.cfg.cost.dispatch;
+        self.env.machines[self.r].exec_busy = self.t;
+    }
+
     fn executed(&mut self, slot: Slot, id: RequestId, applied: &[u8], resp: &[u8], cost: Duration) {
         self.sh.tell_auditor(self.env.gid, self.r, |aud, g, r| {
             aud.on_execute(g, r, slot, id, applied, resp)
         });
-        self.t += self.env.cfg.cost.dispatch + cost;
+        self.t += cost;
         self.env.machines[self.r].exec_busy = self.t;
     }
 
@@ -1040,7 +1045,7 @@ impl GroupRuntime {
     /// Every replica's report; takes the execution logs.
     pub(crate) fn replica_reports(&mut self) -> Vec<ReplicaReport> {
         let each = self.nodes.iter().zip(&mut self.execs);
-        each.map(|(nd, exec)| ReplicaReport::of(nd, exec)).collect()
+        each.map(|(nd, exec)| ReplicaReport::of(nd).with_exec(exec.report())).collect()
     }
 
     /// Disaggregated bytes this group's register banks occupy on one

@@ -31,7 +31,7 @@ use ubft_ctb::ctbcast::RegEntry;
 use ubft_ctb::wire::{fingerprint, sign_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Time};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
 
 use crate::calibration::SimConfig;
 use crate::exec::{ExecJob, ExecPort, Executor};
@@ -102,8 +102,12 @@ pub struct NodeNet {
     pub crashed: Vec<bool>,
     /// The timers each replica armed; [`NodeNet::fire_timers`] fires them.
     pub(crate) timers: Vec<Vec<NodeTimer>>,
-    /// Every call into a replica, in order, with the frames it sent.
+    /// Every call into a replica, in order, with the frames it sent, its
+    /// executor's replies included.
     pub(crate) record: Vec<Step>,
+    /// Every slot's job an executor ran, in order: the replica, the slot,
+    /// and the requests its `executed` hook heard.
+    pub(crate) jobs: Vec<(usize, Slot, Vec<RequestId>)>,
     pub(crate) n: usize,
     ring: KeyRing,
     client: Client,
@@ -141,6 +145,7 @@ impl NodeNet {
             crashed: vec![false; n],
             timers: vec![vec![NodeTimer::Retransmit]; n],
             record: Vec::new(),
+            jobs: Vec::new(),
             n,
             client: Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum()),
             links: BTreeMap::new(),
@@ -383,10 +388,11 @@ impl Substrate for NodeNet {
 
     /// Runs the job at once: the replies head for the client, the answers
     /// queue with the other completions.
-    fn exec(&mut self, job: ExecJob, _: ()) {
+    fn exec(&mut self, job: ExecJob, _: ()) -> Vec<Request> {
         let mut execs = std::mem::take(&mut self.execs);
-        execs[self.calling].run(job, self);
+        let spare = execs[self.calling].run(job, self);
         self.execs = execs;
+        spare
     }
 
     fn byz_mode(&self, _: ()) -> Option<ByzantineMode> {
@@ -396,8 +402,18 @@ impl Substrate for NodeNet {
 
 /// Where the executor of the replica a call is under way at answers.
 impl ExecPort<dyn App> for NodeNet {
-    fn reply(&mut self, _to: usize, bytes: &[u8]) {
+    fn reply(&mut self, to: usize, bytes: &[u8]) {
+        let step = self.record.last_mut().expect("a call under way");
+        step.sent.push((Lane::ClientResp, to, bytes.to_vec()));
         self.replies.push(bytes.to_vec());
+    }
+
+    fn dispatch(&mut self, slot: Slot) {
+        self.jobs.push((self.calling, slot, Vec::new()));
+    }
+
+    fn executed(&mut self, _slot: Slot, id: RequestId, _: &[u8], _: &[u8], _: Duration) {
+        self.jobs.last_mut().expect("a job under way").2.push(id);
     }
 
     fn input(&mut self, input: NodeInput) {

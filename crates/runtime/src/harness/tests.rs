@@ -412,6 +412,58 @@ fn echoes_wait_for_the_followers_next_decision_while_a_slot_is_in_flight() {
     assert_eq!(sent(&mut net, 1, 0), [1, 2].map(|seq| DirectMsg::Echo { req: req(seq) }));
 }
 
+/// The replies replica `from` sent since the last look, decoded: the look
+/// takes them out of the record.
+fn replies_from(net: &mut NodeNet, from: usize) -> Vec<Reply> {
+    let mut replies = Vec::new();
+    for step in net.record.iter_mut().filter(|s| s.node == from) {
+        step.sent.retain(|(lane, _, frame)| {
+            let hit = *lane == Lane::ClientResp;
+            if hit {
+                replies.push(Reply::from_bytes(frame).expect("a reply"));
+            }
+            !hit
+        });
+    }
+    replies
+}
+
+/// A decided slot of several requests reaches each replica's executor as
+/// one job, whose `executed` hook hears them in batch order, and their
+/// replies leave in that order. A retransmission of one of them is
+/// answered again from the last-reply table, with no job.
+#[test]
+fn a_decided_slot_reaches_the_executor_as_one_job() {
+    let mut cfg = SimConfig::paper_default(5).with_batch(4).with_pipeline_depth(1);
+    // The leader proposes each request as it comes while its one slot is
+    // free, so the requests that come while slot 0 is in flight share
+    // slot 1. Clients 1 to 3 are answered too.
+    cfg.echo_round = false;
+    cfg.n_clients = 4;
+    let mut net = NodeNet::new(&cfg);
+    for c in 1..=3 {
+        net.send_request(&req_of(c, 0));
+    }
+    net.run();
+    let ids = |cs: &[u32]| cs.iter().map(|c| RequestId::new(ClientId(*c), 0)).collect::<Vec<_>>();
+    let jobs: Vec<_> = [(Slot(0), ids(&[1])), (Slot(1), ids(&[2, 3]))].into();
+    for r in 0..3 {
+        let own = net.jobs.iter().filter(|(node, ..)| *node == r);
+        assert_eq!(own.map(|(_, slot, ids)| (*slot, ids.clone())).collect::<Vec<_>>(), jobs);
+        let replies: Vec<_> = replies_from(&mut net, r).iter().map(|reply| reply.id).collect();
+        assert_eq!(replies, ids(&[1, 2, 3]), "replica {r}'s replies");
+    }
+    assert_replicas_agree(&net, 3);
+
+    net.send_request(&req_of(3, 0));
+    net.run();
+    assert_eq!(net.jobs.len(), 6, "a retransmission ran a job");
+    for r in 0..3 {
+        let replies: Vec<_> = replies_from(&mut net, r).iter().map(|reply| reply.id).collect();
+        assert_eq!(replies, ids(&[3]), "replica {r} answers the retransmission");
+    }
+}
+
 /// One scripted step of a [`NodeNet`] run.
 #[derive(Clone, Copy, Debug)]
 enum Act {

@@ -272,8 +272,10 @@ pub(crate) trait Substrate {
     /// Hands `job` to the replica's executor, which runs its jobs in the
     /// order they are handed over, answers clients itself, and hands what
     /// the event loop needs back as a [`NodeInput`]. Handing a job over
-    /// costs the event loop nothing beyond the dispatch under way.
-    fn exec(&mut self, job: ExecJob, at: Self::At);
+    /// costs the event loop nothing beyond the dispatch under way. Returns
+    /// a buffer for the next slot's requests: a slot job's own, emptied,
+    /// where the job ran at once.
+    fn exec(&mut self, job: ExecJob, at: Self::At) -> Vec<Request>;
 
     // What only a modelled deployment has — a clock, a cost model, a
     // state-transfer service, an observer, injected faults: a substrate
@@ -410,6 +412,11 @@ pub(crate) struct ReplicaNode {
     /// of a coalesced echo fit the slot a batch fits, and an unbatched
     /// group never coalesces.
     echo_cap: usize,
+    /// The requests of slot `exec_slot` that wait to reach the executor as
+    /// one job ([`ReplicaNode::apply_effects`]). The buffer comes back from
+    /// a substrate that runs the job at once, so gathering allocates none.
+    exec_reqs: Vec<Request>,
+    exec_slot: Slot,
 }
 
 impl ReplicaNode {
@@ -453,6 +460,8 @@ impl ReplicaNode {
             echo_to: 0,
             echo_mark: None,
             echo_cap: cfg.max_batch.max(1),
+            exec_reqs: Vec::new(),
+            exec_slot: Slot(0),
         }
     }
 
@@ -555,9 +564,10 @@ impl ReplicaNode {
                     // is answered from its last-reply table — the engine's
                     // dedup cannot re-execute it (PBFT's classic re-reply).
                     if self.engine.executed(req.id) {
-                        return sub.exec(ExecJob::Reanswer(req.id), at);
+                        sub.exec(ExecJob::Reanswer(req.id), at);
+                    } else {
+                        self.engine_call(sub, at, |e| e.on_client_request(req));
                     }
-                    self.engine_call(sub, at, |e| e.on_client_request(req));
                 }
             }
             // Replies go to clients, which live on the substrate's side.
@@ -695,12 +705,18 @@ impl ReplicaNode {
         }
     }
 
-    /// Carries out one engine call's effects as of `at`. Echoes that wait
+    /// Carries out one engine call's effects as of `at`. A slot's
+    /// consecutive `Execute`s reach the executor as one job, handed over
+    /// before the next effect that is not one of them. Echoes that wait
     /// leave once the slot they wait on has decided ([`ReplicaNode::echo`]).
     fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, fx: Vec<Effect>) {
         for e in fx {
+            if !matches!(e, Effect::Execute { slot, .. } if slot == self.exec_slot) {
+                self.flush_exec(sub, at);
+            }
             self.engine_effect(sub, at, e);
         }
+        self.flush_exec(sub, at);
         if !self.echoes.is_empty() && self.engine.accepted_undecided() != self.echo_mark {
             self.flush_echoes(sub, at);
         }
@@ -724,7 +740,10 @@ impl ReplicaNode {
             Effect::SendReplica { to, msg } => {
                 self.send_msg(sub, Lane::Direct, to.0 as usize, &msg, at)
             }
-            Effect::Execute { slot, req } => sub.exec(ExecJob::Execute { slot, req }, at),
+            Effect::Execute { slot, req } => {
+                self.exec_slot = slot;
+                self.exec_reqs.push(req);
+            }
             Effect::RequestSnapshot { base } => {
                 // The dedup table goes with the job, so the certified
                 // checkpoint covers the *whole* decision-relevant state:
@@ -803,6 +822,16 @@ impl ReplicaNode {
         }
     }
 
+    /// Hands the requests gathered for `exec_slot`, if any, to the executor
+    /// as one job.
+    fn flush_exec<S: Substrate>(&mut self, sub: &mut S, at: S::At) {
+        if !self.exec_reqs.is_empty() {
+            let job =
+                ExecJob::Slot { slot: self.exec_slot, reqs: std::mem::take(&mut self.exec_reqs) };
+            self.exec_reqs = sub.exec(job, at);
+        }
+    }
+
     /// Restores the application to the certified state at `base` from
     /// whatever the substrate can fetch: the executor verifies it against
     /// the certified `app_digest` — the source is not trusted — and its
@@ -823,7 +852,7 @@ impl ReplicaNode {
         }
         match sub.fetch_snapshot(base, app_digest, exec_digest) {
             Some((bytes, table)) => {
-                sub.exec(ExecJob::Restore { base, app_digest, bytes, table }, at)
+                sub.exec(ExecJob::Restore { base, app_digest, bytes, table }, at);
             }
             // Part of the input under way, not one of its own.
             None => self.handle(sub, NodeInput::Restored { base, restored: None }, at),

@@ -56,6 +56,7 @@ use std::time::Instant;
 
 use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
+use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
 use ubft_ctb::wire::TbWire;
@@ -67,7 +68,7 @@ use ubft_types::{ReplicaId, RequestId, SeqId, Time};
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
-use crate::exec::{ExecJob, ExecPort, Executor};
+use crate::exec::{ExecJob, ExecPort, ExecReport, Executor};
 use crate::node::{CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
 
 /// A threaded-deployment workload source for one group: `None` means "no
@@ -294,9 +295,9 @@ struct ReplicaThread {
 
 impl ReplicaThread {
     /// The replica thread's loop: runs `node` until shutdown, then lets go
-    /// of its executor thread `exec` and waits for it to finish the jobs
-    /// it was handed.
-    fn run(mut self, mut node: ReplicaNode, exec: ExecHandle) -> ReplicaReport {
+    /// of its executor thread `exec`, which finishes the jobs it was handed,
+    /// and hands it back with its own report.
+    fn run(mut self, mut node: ReplicaNode, exec: ExecHandle) -> (ReplicaReport, ExecHandle) {
         node.boot(&mut self, (), None);
         run_mailbox(
             &mut (self, &mut node),
@@ -316,7 +317,7 @@ impl ReplicaThread {
                 InMsg::Ctl(CtlMsg::Shutdown) => {}
             },
         );
-        ReplicaReport::of(&node, &mut exec.join().expect("executor thread"))
+        (ReplicaReport::of(&node), exec)
     }
 
     /// Mesh index of group-local node `to`: a replica's own thread, or —
@@ -389,8 +390,9 @@ impl Substrate for ReplicaThread {
         Some(((), fx))
     }
 
-    fn exec(&mut self, job: ExecJob, _: ()) {
+    fn exec(&mut self, job: ExecJob, _: ()) -> Vec<Request> {
         let _ = self.exec.send(job);
+        Vec::new()
     }
 
     fn clock(&self) -> ubft_types::Duration {
@@ -402,9 +404,8 @@ impl Substrate for ReplicaThread {
 // Executor threads
 // ----------------------------------------------------------------------
 
-/// A replica's executor thread, which hands its [`Executor`] back when it
-/// ends.
-type ExecHandle = std::thread::JoinHandle<Executor<dyn App + Send>>;
+/// A replica's executor thread, which hands its report back when it ends.
+type ExecHandle = std::thread::JoinHandle<ExecReport>;
 
 /// One replica's execution core on a thread of its own: where its
 /// [`Executor`]'s replies and answers go, and its clock.
@@ -428,9 +429,9 @@ impl ExecThread {
         let mut port = self;
         std::thread::spawn(move || {
             for job in jobs {
-                exec.run(job, &mut port);
+                let _ = exec.run(job, &mut port);
             }
-            exec
+            exec.report()
         })
     }
 }
@@ -660,7 +661,7 @@ pub fn run_wallclock(
                 mem: Arc::clone(&mem),
                 exec,
             };
-            // The replica thread starts its executor thread and joins it.
+            // The replica thread starts its executor thread.
             let run = move || thread.run(node, port.spawn(executor, jobs));
             replica_handles.push(std::thread::spawn(run));
         }
@@ -693,6 +694,9 @@ pub fn run_wallclock(
     // Let lagging replicas drain (a completion only proves f + 1 executed).
     std::thread::sleep(opts.settle);
 
+    // Every thread is told to stop before any is waited for: the replicas
+    // and drivers by a control frame, the crypto pool by an empty job, and
+    // each executor as its replica lets go of it.
     for node in 0..total_nodes as u32 {
         let _ = router.send_ctl(node, CtlMsg::Shutdown);
     }
@@ -702,8 +706,11 @@ pub fn run_wallclock(
 
     let drivers: Vec<DriverLoop> =
         driver_handles.into_iter().map(|h| h.join().expect("driver thread")).collect();
-    let mut replicas: Vec<ReplicaReport> =
+    let replicas: Vec<_> =
         replica_handles.into_iter().map(|h| h.join().expect("replica thread")).collect();
+    let mut replicas: Vec<ReplicaReport> = (replicas.into_iter())
+        .map(|(replica, exec)| replica.with_exec(exec.join().expect("executor thread")))
+        .collect();
     for h in crypto_handles {
         h.join().expect("crypto thread");
     }

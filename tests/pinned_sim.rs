@@ -139,6 +139,20 @@
 //!
 //! The five other pins passed untouched.
 //!
+//! `batched_multiclient_run` was re-captured when a decided slot came to
+//! reach the executor as one job, one dispatch on the execution core
+//! instead of one per request, and a leader with a slot in flight came to
+//! wait, before it cuts a batch that is not full, for the echoes one
+//! follower has sent and the other has not yet: mean 10 638 → 10 307, p50
+//! 10 402 → 10 154, end 183 544 → 178 698 ns. (The job alone read mean
+//! 10 751, p50 10 701: the requests whose second echo was on its way
+//! waited out a slot's round.) Slots carry more requests (`ctb_msgs`
+//! 532 → 504, `cons_msgs` 780 → 750), so the leader's stream no longer
+//! crosses a summary boundary (`engine_signs` 3 → 0); `direct_msgs` falls
+//! 148 → 135, and the clients sent one more request by the end
+//! (`rpc_msgs` 815 → 816). The digest moves with the execution order. The six other pins passed untouched: a one-request slot is one
+//! job as before, and with `max_batch` 1 no echo waits.
+//!
 //! `default_path_run` was re-captured when the fast path's timeouts became
 //! two sweeps per replica — one over its slots, one over its own CTBcast
 //! broadcasts, each armed while something waits and firing every 100 µs —
@@ -226,7 +240,7 @@ fn batched_multiclient_run_is_pinned() {
         .with_pipeline_depth(2)
         .with_batch(4);
     let got = fingerprint(cfg, 120, 12);
-    assert_eq!(got, "digest=55b910f2ed427cf5e44d2f0c09918e4e0699ec9ca0cf0f5564e4533b5f63b361 completed=132 end=183544 mean=10638 p50=10402 counters=OpCounters { rpc_msgs: 815, ctb_msgs: 532, cons_msgs: 780, direct_msgs: 148, ctb_signs: 0, ctb_verifies: 0, engine_signs: 3, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
+    assert_eq!(got, "digest=0be51df7428a8d4709f5098b1ce91d8027f3a4467c51959600d65963bbe6f766 completed=132 end=178698 mean=10307 p50=10154 counters=OpCounters { rpc_msgs: 816, ctb_msgs: 504, cons_msgs: 750, direct_msgs: 135, ctb_signs: 0, ctb_verifies: 0, engine_signs: 0, engine_verifies: 0, reg_writes: 0, reg_reads: 0 } views=[View(0), View(0), View(0)]");
 }
 
 #[test]
