@@ -103,7 +103,7 @@ impl Engine {
             self.try_execute();
             self.propose_ready();
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A state transfer delivered the donor's request-dedup table for the
@@ -125,7 +125,7 @@ impl Engine {
             }
             self.propose_ready();
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A `CERTIFY_CHECKPOINT` share arrived: reject what is cheap to reject,

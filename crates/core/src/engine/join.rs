@@ -52,7 +52,7 @@ impl Engine {
         self.armed_marker = self.decide_count;
         self.out.push(Effect::ArmTimer { kind: TimerKind::Progress });
         self.announce_join();
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// Sends [`DirectMsg::Join`] to every peer that has not acked yet.
@@ -84,7 +84,7 @@ impl Engine {
     pub fn on_join(&mut self, from: ReplicaId) -> Vec<Effect> {
         self.suspected.remove(&from);
         if from == self.me || self.join.is_some() {
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         }
         // Our own stream is reported as *emitted*, not as self-delivered
         // (self-delivery lags emission while an effect batch waits for its
@@ -121,7 +121,7 @@ impl Engine {
         let commits = merged.into_iter().skip(skip).map(|(slot, c)| (slot, c.clone())).collect();
         let msg = DirectMsg::JoinAck { view: self.view, streams, commits };
         self.out.push(Effect::SendReplica { to: from, msg });
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A peer answered our [`DirectMsg::Join`].
@@ -133,13 +133,13 @@ impl Engine {
         commits: Vec<(Slot, CommitCert)>,
     ) -> Vec<Effect> {
         let Some(join) = self.join.as_mut().filter(|_| from != self.me) else {
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         };
         join.acks.insert(from, JoinAckData { view, streams, commits });
         if join.acks.len() >= self.cfg.params.quorum() {
             self.complete_join();
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// `f + 1` acks arrived: adopt the group's coordinates and go live.

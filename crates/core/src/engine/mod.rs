@@ -19,6 +19,8 @@
 //! (`on_*`, [`Engine::start`], [`Engine::begin_join`]) returns the effects
 //! it caused, in order: handlers push onto one outbox and the input hands
 //! it over, the way crypto jobs leave through [`Engine::take_crypto_jobs`].
+//! A driver that hands the drained vector back ([`Engine::recycle`]) has
+//! the next input's effects built in it.
 //!
 //! Crypto comes in two
 //! kinds. The verification of a foreign commit certificate and view-change
@@ -54,7 +56,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ubft_crypto::{sha256::Sha256, Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::wire::Wire;
-use ubft_types::{FixedMap, FixedSet, ProcessId, ReplicaId, SeqId, Slot, Sweep, View};
+use ubft_types::{FixedMap, FixedSet, Outbox, ProcessId, ReplicaId, SeqId, Slot, Sweep, View};
 
 use self::certify::ShareSet;
 use self::join::JoinState;
@@ -134,8 +136,9 @@ pub struct Engine {
     /// will get ([`Engine::take_ctb_ahead`]).
     ctb_ahead: Option<(SeqId, CtbMsg)>,
     /// Effects of the input being handled, in emission order; every public
-    /// input hands them over on return (`std::mem::take`).
-    out: Vec<Effect>,
+    /// input hands them over on return ([`Engine::take_out`]), and the
+    /// vectors a driver hands back ([`Engine::recycle`]) hold the next ones.
+    out: Outbox<Effect>,
     /// View-change shares collected (as incoming leader), keyed by
     /// `(view, about)` — shares signed in different views cover different
     /// bytes and must never be merged into one certificate — one per
@@ -235,7 +238,7 @@ impl Engine {
             summary_checks: BTreeMap::new(),
             crypto_jobs: Vec::new(),
             ctb_ahead: None,
-            out: Vec::new(),
+            out: Outbox::new(),
             vc_shares: BTreeMap::new(),
             sealing: None,
             new_view_broadcast: None,
@@ -399,6 +402,25 @@ impl Engine {
         }
     }
 
+    /// Hands over the effects of the input under way: the one place a
+    /// public input's effects leave.
+    fn take_out(&mut self) -> Vec<Effect> {
+        self.out.take()
+    }
+
+    /// Takes back a vector of effects an input returned, once the driver
+    /// has carried them out: a later input's effects are built in it. A
+    /// driver that never hands one back only allocates a vector per input.
+    pub fn recycle(&mut self, fx: Vec<Effect>) {
+        self.out.recycle(fx);
+    }
+
+    /// How many handed-back effect vectors wait for reuse (at most
+    /// [`ubft_types::outbox::SPARES`]).
+    pub fn spare_effect_vecs(&self) -> usize {
+        self.out.spares()
+    }
+
     /// Drains the decision records accumulated since the last call (always
     /// empty unless [`EngineConfig::record_decisions`] is set).
     pub fn take_decisions(&mut self) -> Vec<DecisionRecord> {
@@ -487,14 +509,14 @@ impl Engine {
             TimerKind::SlowSweep => self.slow_sweep(),
             TimerKind::EchoFallback => self.echo_sweep(),
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A direct message arrived.
     pub fn on_direct(&mut self, from: ReplicaId, msg: DirectMsg) -> Vec<Effect> {
         self.run_unclaimed_jobs();
         if self.byzantine.contains(&from) {
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         }
         // The echoes (either tag), Join and JoinAck are public inputs of
         // their own; whichever input runs last hands over the outbox, the
@@ -513,7 +535,7 @@ impl Engine {
                 return self.on_join_ack(from, view, streams, commits)
             }
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A crypto job finished: continue the protocol step its tag names.
@@ -522,7 +544,7 @@ impl Engine {
     /// filled) is a no-op.
     pub fn on_crypto_done(&mut self, tag: CryptoTag, result: CryptoResult) -> Vec<Effect> {
         self.crypto_done(tag, result);
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     fn crypto_done(&mut self, tag: CryptoTag, result: CryptoResult) {
@@ -568,7 +590,7 @@ impl Engine {
     pub fn start(&mut self) -> Vec<Effect> {
         self.armed_marker = self.decide_count;
         self.out.push(Effect::ArmTimer { kind: TimerKind::Progress });
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 }
 

@@ -80,7 +80,7 @@ impl Engine {
             }
             self.propose_ready();
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A follower echoed client requests to us (we may be the leader): one
@@ -103,7 +103,7 @@ impl Engine {
             }
             self.propose_ready();
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// The echo-fallback sweep fired: propose without full echoes what has
@@ -382,12 +382,12 @@ impl Engine {
         self.run_unclaimed_jobs();
         self.suspected.remove(&from);
         if self.byzantine.contains(&from) {
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         }
         match msg {
             TbMsg::WillCertify { view, slot } => {
                 if view != self.view || !self.in_open_window(slot) {
-                    return std::mem::take(&mut self.out);
+                    return self.take_out();
                 }
                 let n = self.n();
                 let entry = self.slots.entry(slot).or_default();
@@ -398,7 +398,7 @@ impl Engine {
             }
             TbMsg::WillCommit { view, slot } => {
                 if view != self.view || !self.in_open_window(slot) {
-                    return std::mem::take(&mut self.out);
+                    return self.take_out();
                 }
                 let entry = self.slots.entry(slot).or_default();
                 entry.will_commit.insert(from);
@@ -424,7 +424,7 @@ impl Engine {
                 self.handle_summary(from, upto, summary, cert)
             }
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// A CERTIFY share arrived. It is admitted — one per signer per slot per

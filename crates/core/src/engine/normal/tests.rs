@@ -1,9 +1,13 @@
-//! Proposals on the scripted fabric: what a follower holds and accepts.
+//! Proposals on the scripted fabric: what a follower holds and accepts,
+//! and the vectors its effects leave in.
 
-use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, Slot};
+use ubft_types::outbox::SPARES;
+use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, Slot, View};
 
 use crate::app::NoopApp;
-use crate::engine::{DecisionEvidence, Effect, EngineConfig, PathMode, TimerKind};
+use crate::engine::{
+    CryptoResult, CryptoTag, DecisionEvidence, Effect, Engine, EngineConfig, PathMode, TimerKind,
+};
 use crate::harness::EngineNet;
 use crate::msg::{Batch, CtbMsg};
 use crate::Request;
@@ -66,6 +70,45 @@ fn a_slot_a_decision_frees_waits_for_the_echoes_under_way() {
     // three more requests are under way: one is in.
     assert!(proposed(leader.on_echo(r2, [req(3)])).is_empty());
     leader.decide(Slot(0), Batch::single(req(1)), DecisionEvidence::FastQuorum { votes: 3 });
-    assert!(proposed(std::mem::take(&mut leader.out)).is_empty(), "cut a batch of 1 of 3");
+    assert!(proposed(leader.take_out()).is_empty(), "cut a batch of 1 of 3");
     assert_eq!(proposed(leader.on_echo(r2, [4, 5].map(req))), ids(&[3, 4, 5]));
+}
+
+/// Replica 1 of a fast-path group, a follower.
+fn follower() -> Engine {
+    let cfg = EngineConfig::new(ClusterParams::paper_default(), PathMode::FastOnly);
+    EngineNet::<NoopApp>::new(cfg).engines.swap_remove(1)
+}
+
+/// Client `c`'s request reaches the follower, which echoes it.
+fn echoed(e: &mut Engine, c: u32) -> Vec<Effect> {
+    let fx = e.on_client_request(Request { id: RequestId::new(ClientId(c), 0), payload: vec![] });
+    assert!(fx.iter().any(|e| matches!(e, Effect::SendReplica { .. })), "{fx:?}");
+    fx
+}
+
+/// A vector handed back holds the effects of the next input that has any:
+/// the same buffer, at the same capacity. An input with none returns a
+/// vector that owns nothing and leaves the spare where it is.
+#[test]
+fn the_next_input_builds_its_effects_in_the_vector_handed_back() {
+    let mut e = follower();
+    let fx = echoed(&mut e, 1);
+    let (ptr, cap) = (fx.as_ptr(), fx.capacity());
+    e.recycle(fx);
+    // A result of the wrong kind for its tag continues nothing.
+    let tag = CryptoTag::SlotShare { slot: Slot(0), view: View(0) };
+    assert_eq!(e.on_crypto_done(tag, CryptoResult::Verified(true)).capacity(), 0);
+    let fx = echoed(&mut e, 2);
+    assert_eq!((fx.as_ptr(), fx.capacity()), (ptr, cap));
+}
+
+/// Inputs nested deeper than the pool holds, each returning its own
+/// vector, leave no more than `SPARES` behind once all are handed back.
+#[test]
+fn nested_inputs_never_grow_the_pool_past_its_bound() {
+    let mut e = follower();
+    let held: Vec<_> = (1..=SPARES as u32 + 2).map(|c| echoed(&mut e, c)).collect();
+    held.into_iter().for_each(|fx| e.recycle(fx));
+    assert_eq!(e.spare_effect_vecs(), SPARES);
 }

@@ -74,22 +74,22 @@ impl Engine {
     pub fn on_ctb_deliver(&mut self, stream: ReplicaId, k: SeqId, msg: CtbMsg) -> Vec<Effect> {
         self.run_unclaimed_jobs();
         if self.byzantine.contains(&stream) {
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         }
         let ps = self.state.get_mut(&stream).expect("known replica");
         if k < ps.fifo_next {
-            return std::mem::take(&mut self.out); // duplicate
+            return self.take_out(); // duplicate
         }
         if k > ps.fifo_next || ps.parked.is_some() {
             // A gap (wait for predecessors or a summary), or the head
             // of the stream is parked: FIFO interpretation is strict,
             // so everything behind it waits too.
             ps.pending.insert(k, msg);
-            return std::mem::take(&mut self.out);
+            return self.take_out();
         }
         self.process_ctb_in_order(stream, k, msg);
         self.drain_pending(stream);
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// CTBcast reported proof of equivocation on `stream` at sequence `k`.
@@ -101,7 +101,7 @@ impl Engine {
             self.equivocations.push((stream, k));
         }
         self.brand_byzantine(stream, format!("ctbcast equivocation at k={}", k.0));
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     fn brand_byzantine(&mut self, who: ReplicaId, reason: String) {

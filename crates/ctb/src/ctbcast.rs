@@ -22,7 +22,7 @@
 
 use ubft_crypto::{Digest, Signature};
 use ubft_types::wire::Wire;
-use ubft_types::{Deadline, FixedMap, FixedState, ReplicaId, SeqId, Sweep};
+use ubft_types::{Deadline, FixedMap, FixedState, Outbox, ReplicaId, SeqId, Sweep};
 
 use crate::wire::{fingerprint, CtbWire};
 
@@ -270,6 +270,10 @@ pub struct Ctb {
     slow: FixedMap<usize, SlowPending>,
     /// Broadcaster only: the fast path's sweep ([`Ctb::sweep`]).
     fast_sweep: Sweep,
+    /// Effects of the input being handled, in emission order; every public
+    /// input hands them over on return ([`Ctb::take_out`]), and the vectors
+    /// a driver hands back ([`Ctb::recycle`]) hold the next ones.
+    out: Outbox<CtbEffect>,
 }
 
 impl Ctb {
@@ -303,6 +307,7 @@ impl Ctb {
             max_seen: SeqId(0),
             slow: FixedMap::with_hasher(hash_state),
             fast_sweep: Sweep::default(),
+            out: Outbox::new(),
         }
     }
 
@@ -413,6 +418,32 @@ impl Ctb {
         Some(CtbEffect::Sign { k, fp: own.fp })
     }
 
+    /// [`Ctb::request_sign`], onto the input's effects.
+    fn push_sign(&mut self, k: SeqId) {
+        if let Some(sign) = self.request_sign(k) {
+            self.out.push(sign);
+        }
+    }
+
+    /// Hands over the effects of the input under way: the one place a
+    /// public input's effects leave.
+    fn take_out(&mut self) -> Vec<CtbEffect> {
+        self.out.take()
+    }
+
+    /// Takes back a vector of effects an input returned, once the driver
+    /// has carried them out: a later input's effects are built in it. A
+    /// driver that never hands one back only allocates a vector per input.
+    pub fn recycle(&mut self, fx: Vec<CtbEffect>) {
+        self.out.recycle(fx);
+    }
+
+    /// How many handed-back effect vectors wait for reuse (at most
+    /// [`ubft_types::outbox::SPARES`]).
+    pub fn spare_effect_vecs(&self) -> usize {
+        self.out.spares()
+    }
+
     /// Broadcasts `m` on this stream (Algorithm 1, lines 2–4).
     ///
     /// # Panics
@@ -443,25 +474,24 @@ impl Ctb {
         let slow = self.cfg.slow == SlowMode::Always || on_timeout && slow;
         let arm = on_timeout && !slow && self.fast_sweep.start(&mut own.fast_wait);
         self.my_broadcasts.insert(k.0, own);
-        let mut fx = Vec::new();
         if let SignState::Done(sig) = sign {
             if self.cfg.fast_enabled {
-                fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() }));
+                self.out.push(CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() }));
             }
-            fx.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
-            return (k, fx);
+            self.out.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
+            return (k, self.take_out());
         }
         if self.cfg.fast_enabled {
-            fx.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
+            self.out.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
         }
         if arm {
-            fx.push(CtbEffect::ArmSlowTimer);
+            self.out.push(CtbEffect::ArmSlowTimer);
         } else if slow {
             // Unless it was signed ahead: `SIGNED` leaves when the signer
             // answers then.
-            fx.extend(self.request_sign(k));
+            self.push_sign(k);
         }
-        (k, fx)
+        (k, self.take_out())
     }
 
     /// The fast path's sweep fired (broadcaster only): every own broadcast
@@ -479,17 +509,16 @@ impl Ctb {
         });
         let (mut due, waiting) = self.fast_sweep.fire(marks);
         due.sort_unstable();
-        let mut fx = Vec::new();
         for k in due {
             let Some(sign @ CtbEffect::Sign { fp, .. }) = self.request_sign(k) else { continue };
             let unlocked = |q: &usize| self.locked[*q][self.slot(k)] != Some((k, fp));
             (0..self.cfg.n).filter(unlocked).for_each(|q| suspect(self.replicas[q]));
-            fx.push(sign);
+            self.out.push(sign);
         }
         if waiting {
-            fx.push(CtbEffect::ArmSlowTimer);
+            self.out.push(CtbEffect::ArmSlowTimer);
         }
-        fx
+        self.take_out()
     }
 
     /// Forces the slow path for `k` *even if we fast-delivered it
@@ -503,10 +532,10 @@ impl Ctb {
     /// calls this for the unsummarized tail when a summary boundary stays
     /// uncertified suspiciously long.
     pub fn force_slow(&mut self, k: SeqId) -> Vec<CtbEffect> {
-        if self.me != self.stream || self.cfg.slow == SlowMode::Never {
-            return Vec::new();
+        if self.me == self.stream && self.cfg.slow != SlowMode::Never {
+            self.push_sign(k);
         }
-        self.request_sign(k).into_iter().collect()
+        self.take_out()
     }
 
     /// Broadcaster only: asks for the signature of `m` at id `k` before
@@ -538,24 +567,27 @@ impl Ctb {
         let waiting = |own: &OwnBroadcast| own.fp == fp && own.sign == SignState::Asked;
         match &mut self.ahead {
             Some((ahead_k, own)) if *ahead_k == k && own.fp == fp => {
-                own.sign = SignState::Done(sig);
-                Vec::new()
+                own.sign = SignState::Done(sig)
             }
-            _ if self.my_broadcasts.get(&k.0).is_some_and(waiting) => self.on_sign_done(k, sig),
-            _ => Vec::new(),
+            _ if self.my_broadcasts.get(&k.0).is_some_and(waiting) => self.sign_done(k, sig),
+            _ => {}
         }
+        self.take_out()
     }
 
     /// The crypto pool finished signing `(stream, k, fp)`. The signature is
     /// remembered: when the `SIGNED` below comes back to us as a receiver of
     /// our own stream, what our own signer produced needs no verification.
     pub fn on_sign_done(&mut self, k: SeqId, sig: Signature) -> Vec<CtbEffect> {
-        let Some(m) = self.my_broadcast_body(k).cloned() else {
-            return Vec::new();
-        };
+        self.sign_done(k, sig);
+        self.take_out()
+    }
+
+    fn sign_done(&mut self, k: SeqId, sig: Signature) {
+        let Some(m) = self.my_broadcast_body(k).cloned() else { return };
         let own = self.my_broadcasts.get_mut(&k.0).expect("its body is held");
         own.sign = SignState::Done(sig);
-        vec![CtbEffect::Broadcast(CtbWire::Signed { k, m, sig })]
+        self.out.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
     }
 
     /// A TBcast frame of this stream was delivered from `from` (which the
@@ -566,48 +598,42 @@ impl Ctb {
             CtbWire::Locked { k, m } => self.on_locked(from, k, m),
             CtbWire::Signed { k, m, sig } => self.on_signed(from, k, m, sig),
         }
+        self.take_out()
     }
 
     /// Lines 12–16.
-    fn on_lock(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) -> Vec<CtbEffect> {
+    fn on_lock(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) {
         if from != self.stream {
-            return Vec::new(); // only the broadcaster locks
+            return; // only the broadcaster locks
         }
         let fp = fingerprint(&m);
         self.saw(k);
         let slot = self.slot(k);
         let newer = self.locks[slot].is_none_or(|(k2, _)| k > k2);
-        let mut fx = Vec::new();
         if newer {
             self.cache_payload(k, fp, &m);
             self.locks[slot] = Some((k, fp));
             if self.cfg.fast_enabled {
-                fx.push(CtbEffect::Broadcast(CtbWire::Locked { k, m }));
+                self.out.push(CtbEffect::Broadcast(CtbWire::Locked { k, m }));
             }
         }
-        fx
     }
 
     /// Lines 18–23.
-    fn on_locked(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) -> Vec<CtbEffect> {
-        let Some(q) = self.index_of(from) else {
-            return Vec::new();
-        };
+    fn on_locked(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) {
+        let Some(q) = self.index_of(from) else { return };
         let fp = fingerprint(&m);
         self.saw(k);
         let slot = self.slot(k);
         let newer = self.locked[q][slot].is_none_or(|(k2, _)| k > k2);
         if !newer {
-            return Vec::new();
+            return;
         }
         self.cache_payload(k, fp, &m);
         self.locked[q][slot] = Some((k, fp));
         // Line 22: unanimity across all n receivers.
-        let unanimous = self.locked.iter().all(|row| row[slot] == Some((k, fp)));
-        if unanimous {
-            self.deliver_once(k, fp)
-        } else {
-            Vec::new()
+        if self.locked.iter().all(|row| row[slot] == Some((k, fp))) {
+            self.deliver_once(k, fp);
         }
     }
 
@@ -616,26 +642,20 @@ impl Ctb {
     /// writes its register and reads everyone's — but line 26 asks whether
     /// the broadcaster signed `(k, m)`, and of the very signature its own
     /// signer returned for that message it knows. Anything else is verified.
-    fn on_signed(
-        &mut self,
-        from: ReplicaId,
-        k: SeqId,
-        m: Vec<u8>,
-        sig: Signature,
-    ) -> Vec<CtbEffect> {
+    fn on_signed(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>, sig: Signature) {
         if from != self.stream {
-            return Vec::new();
+            return;
         }
         let fp = fingerprint(&m);
         self.saw(k);
         let slot = self.slot(k);
         if let Some(p) = self.slow.get(&slot) {
             if p.k >= k {
-                return Vec::new(); // duplicate or superseded
+                return; // duplicate or superseded
             }
         }
         if self.delivered[slot].is_some_and(|d| d >= k) {
-            return Vec::new(); // already delivered (fast path)
+            return; // already delivered (fast path)
         }
         self.cache_payload(k, fp, &m);
         let stage = SlowStage::VerifyingSig;
@@ -644,7 +664,7 @@ impl Ctb {
         if own.is_some_and(|own| own.fp == fp && own.sign == SignState::Done(sig)) {
             return self.on_signed_verified(k, true);
         }
-        vec![CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig }]
+        self.out.push(CtbEffect::Verify { tag: VerifyTag::Signed { k }, k, fp, sig });
     }
 
     /// A verification requested by this machine completed.
@@ -653,20 +673,18 @@ impl Ctb {
             VerifyTag::Signed { k } => self.on_signed_verified(k, ok),
             VerifyTag::Entry { k, kind } => self.on_entry_verified(k, kind, ok),
         }
+        self.take_out()
     }
 
     /// Lines 27–30 (after the line-26 signature check).
-    fn on_signed_verified(&mut self, k: SeqId, ok: bool) -> Vec<CtbEffect> {
+    fn on_signed_verified(&mut self, k: SeqId, ok: bool) {
         let slot = self.slot(k);
-        let Some(p) = self.slow.get_mut(&slot) else {
-            return Vec::new();
-        };
+        let Some(p) = self.slow.get_mut(&slot) else { return };
         if p.k != k || p.stage != SlowStage::VerifyingSig {
-            return Vec::new();
+            return;
         }
         if !ok {
-            self.drop_pending(slot);
-            return Vec::new();
+            return self.drop_pending(slot);
         }
         let fp = p.fp;
         let sig = p.sig;
@@ -677,33 +695,28 @@ impl Ctb {
             Some((k2, fp2)) => k > k2 || (k == k2 && fp == fp2),
         };
         if !proceed {
-            self.drop_pending(slot);
-            return Vec::new();
+            return self.drop_pending(slot);
         }
         self.locks[slot] = Some((k, fp));
         let p = self.slow.get_mut(&slot).expect("just checked");
         p.stage = SlowStage::Reading;
-        vec![
-            CtbEffect::WriteRegister { slot, k, entry: RegEntry { k, fp, sig } },
-            CtbEffect::ReadSlot { slot, k },
-        ]
+        self.out.push(CtbEffect::WriteRegister { slot, k, entry: RegEntry { k, fp, sig } });
+        self.out.push(CtbEffect::ReadSlot { slot, k });
     }
 
     /// The register write for `k` completed at a quorum of memory nodes —
     /// before the slot read emitted with it returned, or after.
     pub fn on_register_written(&mut self, k: SeqId) -> Vec<CtbEffect> {
         let slot = self.slot(k);
-        let Some(p) = self.slow.get_mut(&slot) else {
-            return Vec::new();
-        };
-        if p.k != k || p.stage == SlowStage::VerifyingSig || p.written {
-            return Vec::new();
+        if let Some(p) = self.slow.get_mut(&slot) {
+            if p.k == k && p.stage != SlowStage::VerifyingSig && !p.written {
+                p.written = true;
+                if p.stage == SlowStage::AwaitingWrite {
+                    self.deliver_when_written(slot);
+                }
+            }
         }
-        p.written = true;
-        if p.stage == SlowStage::AwaitingWrite {
-            return self.deliver_when_written(slot);
-        }
-        Vec::new()
+        self.take_out()
     }
 
     /// Lines 31–37: the quorum read of everyone's register slot returned.
@@ -715,12 +728,15 @@ impl Ctb {
         k: SeqId,
         entries: Vec<Option<RegEntry>>,
     ) -> Vec<CtbEffect> {
+        self.registers_read(k, entries);
+        self.take_out()
+    }
+
+    fn registers_read(&mut self, k: SeqId, entries: Vec<Option<RegEntry>>) {
         let slot = self.slot(k);
-        let Some(p) = self.slow.get_mut(&slot) else {
-            return Vec::new();
-        };
+        let Some(p) = self.slow.get_mut(&slot) else { return };
         if p.k != k || p.stage != SlowStage::Reading {
-            return Vec::new();
+            return;
         }
         let fp = p.fp;
         let sig = p.sig;
@@ -745,25 +761,18 @@ impl Ctb {
             SlowStage::VerifyingEntries { outstanding, equivocated: false, out_of_tail: false };
         // A forged entry (bad signature) must not block delivery: verify
         // each suspect before honouring it.
-        suspects
-            .into_iter()
-            .map(|(e, kind)| CtbEffect::Verify {
-                tag: VerifyTag::Entry { k, kind },
-                k: e.k,
-                fp: e.fp,
-                sig: e.sig,
-            })
-            .collect()
+        for (e, kind) in suspects {
+            let tag = VerifyTag::Entry { k, kind };
+            self.out.push(CtbEffect::Verify { tag, k: e.k, fp: e.fp, sig: e.sig });
+        }
     }
 
-    fn on_entry_verified(&mut self, k: SeqId, kind: ConflictKind, ok: bool) -> Vec<CtbEffect> {
+    fn on_entry_verified(&mut self, k: SeqId, kind: ConflictKind, ok: bool) {
         let slot = self.slot(k);
-        let Some(p) = self.slow.get_mut(&slot).filter(|p| p.k == k) else {
-            return Vec::new();
-        };
+        let Some(p) = self.slow.get_mut(&slot).filter(|p| p.k == k) else { return };
         let SlowStage::VerifyingEntries { outstanding, equivocated, out_of_tail } = &mut p.stage
         else {
-            return Vec::new();
+            return;
         };
         *outstanding -= 1;
         if ok {
@@ -778,47 +787,44 @@ impl Ctb {
             }
         }
         if *outstanding > 0 {
-            return Vec::new();
+            return;
         }
         if *equivocated {
             // Deliver nothing; report proven equivocation for the
             // consensus layer's Byzantine bookkeeping.
             self.drop_pending(slot);
-            return vec![CtbEffect::Equivocation { k }];
+            return self.out.push(CtbEffect::Equivocation { k });
         }
         if *out_of_tail {
-            self.drop_pending(slot);
-            return Vec::new(); // skip delivery; a summary fills the gap
+            return self.drop_pending(slot); // skip delivery; a summary fills the gap
         }
-        self.deliver_when_written(slot)
+        self.deliver_when_written(slot);
     }
 
     /// The read found nothing against delivering the pending message on
     /// `slot`: it is delivered now if the register write has completed,
     /// else when it does.
-    fn deliver_when_written(&mut self, slot: usize) -> Vec<CtbEffect> {
+    fn deliver_when_written(&mut self, slot: usize) {
         let p = self.slow.get_mut(&slot).expect("pending");
         if !p.written {
             p.stage = SlowStage::AwaitingWrite;
-            return Vec::new();
+            return;
         }
         let (k, fp) = (p.k, p.fp);
         self.slow.remove(&slot);
-        self.deliver_once(k, fp)
+        self.deliver_once(k, fp);
     }
 
     /// Lines 39–42.
-    fn deliver_once(&mut self, k: SeqId, fp: Digest) -> Vec<CtbEffect> {
+    fn deliver_once(&mut self, k: SeqId, fp: Digest) {
         let slot = self.slot(k);
         if self.delivered[slot].is_some_and(|d| d >= k) {
-            return Vec::new();
+            return;
         }
-        let Some(payload) = self.payloads.get(&(k.0, fp)).cloned() else {
-            // Payload unknown (should not happen: every path caches it).
-            return Vec::new();
-        };
+        // The payload is always known: every path caches it.
+        let Some(payload) = self.payloads.get(&(k.0, fp)).cloned() else { return };
         self.delivered[slot] = Some(k);
-        vec![CtbEffect::Deliver { k, payload }]
+        self.out.push(CtbEffect::Deliver { k, payload });
     }
 
     /// Approximate resident memory of this state machine in bytes
@@ -841,6 +847,7 @@ mod tests {
     use super::*;
     use crate::harness::CtbNet;
     use crate::wire::sign_broadcast;
+    use ubft_types::outbox::SPARES;
 
     const N: usize = 3;
     const T: usize = 4;
@@ -1466,5 +1473,36 @@ mod tests {
     fn non_broadcaster_cannot_broadcast() {
         let mut h = CtbNet::new(cfg_fast());
         let _ = h.ctbs[1].broadcast(b"nope".to_vec());
+    }
+
+    /// A receiver's `LOCK` of id `k`: it answers with its `LOCKED`.
+    fn lock(ctb: &mut Ctb, k: u64) -> Vec<CtbEffect> {
+        let fx = ctb.on_tb_deliver(rid(0), CtbWire::Lock { k: SeqId(k), m: vec![k as u8] });
+        assert!(matches!(fx[..], [CtbEffect::Broadcast(CtbWire::Locked { .. })]), "{fx:?}");
+        fx
+    }
+
+    /// A vector handed back holds the effects of the next input that has
+    /// any: the same buffer, at the same capacity. An input with none
+    /// returns a vector that owns nothing and leaves the spare where it is.
+    #[test]
+    fn the_next_input_builds_its_effects_in_the_vector_handed_back() {
+        let mut ctb = CtbNet::new(cfg_fast()).ctbs.swap_remove(1);
+        let fx = lock(&mut ctb, 1);
+        let (ptr, cap) = (fx.as_ptr(), fx.capacity());
+        ctb.recycle(fx);
+        assert_eq!(ctb.on_register_written(SeqId(1)).capacity(), 0);
+        let fx = lock(&mut ctb, 2);
+        assert_eq!((fx.as_ptr(), fx.capacity()), (ptr, cap));
+    }
+
+    /// Inputs nested deeper than the pool holds, each returning its own
+    /// vector, leave no more than `SPARES` behind once all are handed back.
+    #[test]
+    fn nested_inputs_never_grow_the_pool_past_its_bound() {
+        let mut ctb = CtbNet::new(cfg_fast()).ctbs.swap_remove(1);
+        let held: Vec<_> = (1..=SPARES as u64 + 2).map(|k| lock(&mut ctb, k)).collect();
+        held.into_iter().for_each(|fx| ctb.recycle(fx));
+        assert_eq!(ctb.spare_effect_vecs(), SPARES);
     }
 }

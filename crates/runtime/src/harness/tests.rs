@@ -6,11 +6,13 @@ use std::rc::Rc;
 
 use ubft_core::engine::{Effect, EngineDiag, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
+use ubft_crypto::sha256::Sha256;
 use ubft_crypto::Digest;
-use ubft_ctb::ctbcast::RegEntry;
+use ubft_ctb::ctbcast::{Ctb, RegEntry};
 use ubft_ctb::wire::{CtbWire, TbFrame};
 use ubft_sim::failure::{ByzantineMode, FailurePlan};
 use ubft_sim::rng::SimRng;
+use ubft_types::outbox::SPARES;
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ReplicaId, RequestId, SeqId, Slot, Time};
 
@@ -801,4 +803,38 @@ fn stray_replies_complete_nothing() {
     assert_eq!((rig.clients.completed, rig.port.completed), (1, 1));
     rig.reply(id, 1);
     assert_eq!(rig.clients.completed, 1, "a reply to a completed request counted");
+}
+
+/// The driver hands every effect vector back to the engine or CTBcast
+/// instance that returned it, and that changes nothing a run does: a
+/// fault-free run on either path records the same calls and frames and
+/// executes the same requests as it did while every input allocated its
+/// own vector (digests taken then). No layer keeps more vectors than it
+/// may, and the engine and the leader's stream, which every replica
+/// receives, keep one for their next input.
+#[test]
+fn handing_effect_vectors_back_changes_no_run_and_keeps_each_pool_bounded() {
+    let fast = SimConfig::paper_default(5).fast_only();
+    let slow = SimConfig::paper_default(5).slow_only();
+    for (cfg, steps, pinned) in [
+        (fast, 1051, "875c728ca119765149366cac1c3fff2f8ce3103d7003af053e000ac828c294e8"),
+        (slow, 2481, "885d549d5d43d3fde1e5f7a91ed65ff754a2f0f4a585a6d88ea4b2ddb36287d2"),
+    ] {
+        let mut net = NodeNet::new(&cfg);
+        for i in 0..40 {
+            assert!(net.request(payload(i)), "{:?} request {i} stalled", cfg.path);
+        }
+        assert_replicas_agree(&net, 40);
+        let mut h = Sha256::new();
+        net.record.iter().for_each(|step| h.update(format!("{step:?}").as_bytes()));
+        net.execs.iter().for_each(|exec| h.update(format!("{:?}", exec.exec_log).as_bytes()));
+        assert_eq!((net.record.len(), h.finalize().to_hex().as_str()), (steps, pinned));
+        for (r, nd) in net.nodes.iter().enumerate() {
+            let ctbs = nd.ctbs.iter().map(Ctb::spare_effect_vecs);
+            let pools: Vec<usize> =
+                [nd.engine.spare_effect_vecs()].into_iter().chain(ctbs).collect();
+            assert!(pools.iter().all(|p| *p <= SPARES), "replica {r}: {pools:?}");
+            assert!(pools[0] >= 1 && pools[1] >= 1, "replica {r}: {pools:?}");
+        }
+    }
 }

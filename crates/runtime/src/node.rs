@@ -662,9 +662,10 @@ impl ReplicaNode {
             self.summary_stall = (done, ticks);
         } else {
             self.summary_stall = (done, 0);
-            let fx: Vec<_> =
-                (done + 1..=sent).flat_map(|k| self.ctbs[self.r].force_slow(SeqId(k))).collect();
-            self.ctb_effects(sub, self.r, at, fx);
+            for k in done + 1..=sent {
+                let fx = self.ctbs[self.r].force_slow(SeqId(k));
+                self.ctb_effects(sub, self.r, at, fx);
+            }
         }
         sub.arm(NodeTimer::Retransmit, RETRANSMIT_PERIOD, at);
     }
@@ -685,8 +686,10 @@ impl ReplicaNode {
         // is signed meanwhile, from the call that learned them.
         if let Some((k, msg)) = self.engine.take_ctb_ahead() {
             let (r, bytes) = (self.r, msg.to_bytes());
-            let sign = self.ctbs[r].sign_ahead(k, &bytes);
-            self.ctb_effects(sub, r, at, sign);
+            if let Some(CtbEffect::Sign { k, fp }) = self.ctbs[r].sign_ahead(k, &bytes) {
+                self.counters.ctb_signs += 1;
+                sub.crypto(CryptoTask::CtbSign { stream: r, k, fp }, at);
+            }
             self.ctb_ahead = Some((msg, bytes));
         }
         // Freshly recorded decisions reach the observer *before* their
@@ -705,17 +708,19 @@ impl ReplicaNode {
         }
     }
 
-    /// Carries out one engine call's effects as of `at`. A slot's
+    /// Carries out one engine call's effects as of `at`, and hands the
+    /// drained vector back to the engine ([`Engine::recycle`]). A slot's
     /// consecutive `Execute`s reach the executor as one job, handed over
     /// before the next effect that is not one of them. Echoes that wait
     /// leave once the slot they wait on has decided ([`ReplicaNode::echo`]).
-    fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, fx: Vec<Effect>) {
-        for e in fx {
+    fn apply_effects<S: Substrate>(&mut self, sub: &mut S, at: S::At, mut fx: Vec<Effect>) {
+        for e in fx.drain(..) {
             if !matches!(e, Effect::Execute { slot, .. } if slot == self.exec_slot) {
                 self.flush_exec(sub, at);
             }
             self.engine_effect(sub, at, e);
         }
+        self.engine.recycle(fx);
         self.flush_exec(sub, at);
         if !self.echoes.is_empty() && self.engine.accepted_undecided() != self.echo_mark {
             self.flush_echoes(sub, at);
@@ -877,7 +882,8 @@ impl ReplicaNode {
         self.ctb_effects(sub, stream, done, fx);
     }
 
-    /// Carries out what `stream`'s CTBcast instance asked for, in order. A
+    /// Carries out what `stream`'s CTBcast instance asked for, in order,
+    /// and hands the drained vector back to it ([`Ctb::recycle`]). A
     /// register write takes the slot read that follows it, and the two
     /// leave as one substrate call.
     fn ctb_effects<S: Substrate>(
@@ -885,10 +891,10 @@ impl ReplicaNode {
         sub: &mut S,
         stream: usize,
         at: S::At,
-        fx: impl IntoIterator<Item = CtbEffect>,
+        mut fx: Vec<CtbEffect>,
     ) {
-        let mut fx = fx.into_iter();
-        while let Some(e) = fx.next() {
+        let mut drain = fx.drain(..);
+        while let Some(e) = drain.next() {
             match e {
                 CtbEffect::Broadcast(wire) => {
                     if stream == self.r
@@ -907,7 +913,7 @@ impl ReplicaNode {
                     self.counters.ctb_verifies += 1;
                     sub.crypto(CryptoTask::CtbVerify { stream, tag, k, fp, sig }, at);
                 }
-                CtbEffect::WriteRegister { slot, k, entry } => match fx.next() {
+                CtbEffect::WriteRegister { slot, k, entry } => match drain.next() {
                     Some(CtbEffect::ReadSlot { slot: s, k: j }) if (s, j) == (slot, k) => {
                         self.counters.reg_writes += 1;
                         self.counters.reg_reads += 1;
@@ -932,6 +938,8 @@ impl ReplicaNode {
                 CtbEffect::ArmSlowTimer => sub.arm(NodeTimer::CtbSweep, SLOW_TRIGGER, at),
             }
         }
+        drop(drain);
+        self.ctbs[stream].recycle(fx);
     }
 
     /// Byzantine equivocation: this broadcaster sends *different* proposals

@@ -24,6 +24,7 @@ pub mod error;
 pub mod few;
 pub mod hash;
 pub mod ids;
+pub mod outbox;
 pub mod time;
 pub mod wire;
 
@@ -33,5 +34,6 @@ pub use error::{CodecError, ProtocolError};
 pub use few::Few;
 pub use hash::{FixedMap, FixedSet, FixedState};
 pub use ids::{ClientId, MemNodeId, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
+pub use outbox::Outbox;
 pub use time::{Duration, Time};
 pub use wire::{Wire, WireReader};
