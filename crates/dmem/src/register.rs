@@ -5,9 +5,10 @@
 //! register is one such pair on each of the `2f_m + 1` memory nodes.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use ubft_crypto::checksum64;
-use ubft_rdma::{AccessToken, Fabric, RdmaError, RegionId};
+use ubft_rdma::{AccessToken, Memory, RdmaError, RegionId};
 use ubft_sim::HostId;
 use ubft_types::{Duration, Time};
 
@@ -21,15 +22,28 @@ const HEADER: usize = 16; // checksum + timestamp
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegisterId(pub usize);
 
-/// One replica's view of a register replicated across memory nodes: the
-/// region ids of its copies, in memory-node order.
+/// Where a bank's registers are: every register's copy on each memory
+/// node, and the value size. The bank and each of its handles share one.
 #[derive(Clone, Debug)]
-struct Replicas {
-    regions: Vec<RegionId>,
+struct Layout {
+    /// Register-major: register `reg`'s copy on node `i` is
+    /// `regions[reg * nodes + i]`.
+    regions: Arc<[RegionId]>,
+    /// Memory nodes per register.
+    nodes: usize,
     value_size: usize,
 }
 
-impl Replicas {
+impl Layout {
+    fn copies(&self, reg: RegisterId) -> &[RegionId] {
+        &self.regions[reg.0 * self.nodes..][..self.nodes]
+    }
+    fn len(&self) -> usize {
+        self.regions.len() / self.nodes.max(1)
+    }
+    fn quorum(&self) -> usize {
+        self.nodes / 2 + 1
+    }
     fn sub_size(&self) -> usize {
         HEADER + self.value_size
     }
@@ -42,8 +56,9 @@ impl Replicas {
 /// memory nodes. Produces the writer handle and any number of reader handles.
 #[derive(Clone, Debug)]
 pub struct RegisterBank {
-    replicas: Vec<Replicas>,
-    tokens: Vec<Vec<AccessToken>>,
+    layout: Layout,
+    /// The write capability of each of `layout.regions`, in its order.
+    tokens: Arc<[AccessToken]>,
     delta: Duration,
 }
 
@@ -53,40 +68,36 @@ impl RegisterBank {
     ///
     /// The paper stores only a message id and a 32-byte fingerprint per
     /// register (§7.6), so `value_size` is typically ~40 bytes.
-    pub fn create(
-        fabric: &mut Fabric,
+    pub fn create<M: Memory>(
+        mem: &mut M,
         mem_hosts: &[HostId],
         count: usize,
         value_size: usize,
         delta: Duration,
     ) -> Self {
         assert!(mem_hosts.len() <= 64, "a node set is one bit per memory node");
-        let mut replicas = Vec::with_capacity(count);
-        let mut tokens = Vec::with_capacity(count);
+        let nodes = mem_hosts.len();
+        let mut regions = Vec::with_capacity(count * nodes);
+        let mut tokens = Vec::with_capacity(count * nodes);
+        let reg_size = 2 * (HEADER + value_size);
         for _ in 0..count {
-            let mut regions = Vec::with_capacity(mem_hosts.len());
-            let mut toks = Vec::with_capacity(mem_hosts.len());
-            let reg_size = 2 * (HEADER + value_size);
             for &host in mem_hosts {
-                let (region, tok) = fabric.create_region(host, reg_size);
+                let (region, tok) = mem.create_region(host, reg_size);
                 regions.push(region);
-                toks.push(tok);
+                tokens.push(tok);
             }
-            replicas.push(Replicas { regions, value_size });
-            tokens.push(toks);
         }
-        RegisterBank { replicas, tokens, delta }
+        let layout = Layout { regions: regions.into(), nodes, value_size };
+        RegisterBank { layout, tokens: tokens.into(), delta }
     }
 
     /// The writer handle (held only by the owning replica).
     pub fn writer(&self) -> RegisterWriter {
         RegisterWriter {
-            replicas: self.replicas.clone(),
+            layout: self.layout.clone(),
             tokens: self.tokens.clone(),
             delta: self.delta,
-            next_sub: vec![0; self.replicas.len()],
-            ready_at: vec![Time::ZERO; self.replicas.len()],
-            last: vec![WritePost::default(); self.replicas.len()],
+            cursors: vec![Cursor::default(); self.layout.len()],
             frame: Vec::new(),
             completions: Vec::new(),
         }
@@ -95,42 +106,37 @@ impl RegisterBank {
     /// A reader handle (any replica may hold one).
     pub fn reader(&self) -> RegisterReader {
         RegisterReader {
-            replicas: self.replicas.clone(),
+            layout: self.layout.clone(),
             delta: self.delta,
             scratch: RefCell::default(),
         }
     }
 
-    /// Re-keys the bank to a *replacement* writer: a fresh node taking
-    /// over the crashed owner's identity gets a writer whose double-buffer
-    /// cursors and δ cooldowns restart from scratch (the old node's cursor
-    /// positions died with it). This is safe with concurrent readers: the
-    /// replacement writes strictly fresher timestamps, sub-registers are
-    /// still alternated per register from the restart point, and readers
-    /// take the highest valid timestamp — a restarted cursor can at worst
-    /// overwrite the *older* of the two sub-registers' values, which
-    /// regular-register semantics already permit.
-    pub fn rekey_writer(&self) -> RegisterWriter {
-        self.writer()
-    }
-
     /// Total bytes this bank occupies on **one** memory node (Table 2
     /// accounting).
     pub fn bytes_per_node(&self) -> usize {
-        self.replicas.iter().map(|r| r.reg_size()).sum()
+        self.layout.len() * self.layout.reg_size()
     }
+}
+
+/// A writer's state of one register.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    /// The sub-register the next write goes to.
+    next_sub: usize,
+    /// The earliest time the next write may start.
+    ready_at: Time,
+    /// Where the last write went.
+    last: WritePost,
 }
 
 /// The single writer of a bank of registers.
 #[derive(Clone, Debug)]
 pub struct RegisterWriter {
-    replicas: Vec<Replicas>,
-    tokens: Vec<Vec<AccessToken>>,
+    layout: Layout,
+    tokens: Arc<[AccessToken]>,
     delta: Duration,
-    next_sub: Vec<usize>,
-    ready_at: Vec<Time>,
-    /// Per register, where its last write went.
-    last: Vec<WritePost>,
+    cursors: Vec<Cursor>,
     /// Where a write builds its sub-register frame, kept from one write to
     /// the next.
     frame: Vec<u8>,
@@ -154,36 +160,36 @@ impl RegisterWriter {
     /// # Panics
     ///
     /// Panics if `value` exceeds the register's value size.
-    pub fn write(
+    pub fn write<M: Memory>(
         &mut self,
-        fabric: &mut Fabric,
+        mem: &mut M,
         issuer: HostId,
         reg: RegisterId,
         ts: u64,
         value: &[u8],
         now: Time,
     ) -> WriteOutcome {
-        self.write_internal(fabric, issuer, reg, ts, value, now, true)
+        self.write_internal(mem, issuer, reg, ts, value, now, true)
     }
 
     /// Byzantine variant: writes a bogus checksum (a writer "writing bogus
     /// data", §6.1). Readers must detect this.
-    pub fn write_corrupt(
+    pub fn write_corrupt<M: Memory>(
         &mut self,
-        fabric: &mut Fabric,
+        mem: &mut M,
         issuer: HostId,
         reg: RegisterId,
         ts: u64,
         value: &[u8],
         now: Time,
     ) -> WriteOutcome {
-        self.write_internal(fabric, issuer, reg, ts, value, now, false)
+        self.write_internal(mem, issuer, reg, ts, value, now, false)
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn write_internal(
+    fn write_internal<M: Memory>(
         &mut self,
-        fabric: &mut Fabric,
+        mem: &mut M,
         issuer: HostId,
         reg: RegisterId,
         ts: u64,
@@ -191,10 +197,11 @@ impl RegisterWriter {
         now: Time,
         honest_checksum: bool,
     ) -> WriteOutcome {
-        let r = &self.replicas[reg.0];
+        let r = &self.layout;
         assert!(value.len() <= r.value_size, "value exceeds register size");
 
-        let start = now.max(self.ready_at[reg.0]);
+        let cursor = &mut self.cursors[reg.0];
+        let start = now.max(cursor.ready_at);
 
         // A δ-cooldown-deferred write can *start* after the issuer's own
         // scheduled crash. That used to surface as per-region
@@ -202,8 +209,8 @@ impl RegisterWriter {
         // outcome indistinguishable from a crashed memory-node majority.
         // The issuer's liveness at the start time is a deterministic fact
         // of the fault schedule — check it once, up front.
-        self.last[reg.0] = WritePost { start, took: 0 };
-        if fabric.net().is_crashed(issuer, start) {
+        cursor.last = WritePost { start, took: 0 };
+        if mem.is_crashed(issuer, start) {
             return WriteOutcome::IssuerCrashed;
         }
 
@@ -221,47 +228,48 @@ impl RegisterWriter {
         };
         frame[..8].copy_from_slice(&csum.to_le_bytes());
 
-        let sub = self.next_sub[reg.0];
-        self.next_sub[reg.0] = (sub + 1) % 2;
+        let sub = cursor.next_sub;
+        cursor.next_sub = (sub + 1) % 2;
         let offset = sub * r.sub_size();
 
         let completions = &mut self.completions;
         completions.clear();
-        for (node, (region, tok)) in r.regions.iter().zip(&self.tokens[reg.0]).enumerate() {
-            match fabric.write(issuer, *tok, *region, offset, frame, start) {
+        let tokens = &self.tokens[reg.0 * r.nodes..][..r.nodes];
+        for (node, (region, tok)) in r.copies(reg).iter().zip(tokens).enumerate() {
+            match mem.write(issuer, *tok, *region, offset, frame, start) {
                 Ok(ticket) => {
                     completions.push(ticket.completion);
-                    self.last[reg.0].took |= 1 << node;
+                    cursor.last.took |= 1 << node;
                 }
                 Err(RdmaError::TargetUnavailable) => {} // crashed node: no completion
                 // Issuer liveness at `start` was established above, and
-                // the fabric checks the same instant for every region.
+                // the memory checks the same instant for every region.
                 Err(RdmaError::IssuerUnavailable) => {
                     unreachable!("issuer liveness pre-checked at start time")
                 }
                 Err(e) => panic!("register write failed: {e}"),
             }
         }
-        let quorum = r.regions.len() / 2 + 1;
+        let quorum = r.quorum();
         if completions.len() < quorum {
             return WriteOutcome::NoQuorum;
         }
         completions.sort_unstable();
         let done = completions[quorum - 1];
-        self.ready_at[reg.0] = start + self.delta;
+        cursor.ready_at = start + self.delta;
         WriteOutcome::Done(done)
     }
 
     /// The earliest time the next write to `reg` may start.
     pub fn ready_at(&self, reg: RegisterId) -> Time {
-        self.ready_at[reg.0]
+        self.cursors[reg.0].ready_at
     }
 
     /// Where the last write to `reg` went: a read that must find it is
     /// posted at its start, behind it on every queue pair, and counts the
     /// nodes that took it ([`RegisterReader::post`]).
     pub fn last_write(&self, reg: RegisterId) -> WritePost {
-        self.last[reg.0]
+        self.cursors[reg.0].last
     }
 }
 
@@ -416,7 +424,7 @@ pub struct TailScan {
 /// A reader of a bank of registers.
 #[derive(Clone, Debug)]
 pub struct RegisterReader {
-    replicas: Vec<Replicas>,
+    layout: Layout,
     delta: Duration,
     /// The read [`RegisterReader::read`] posts, kept from one read to the
     /// next.
@@ -426,12 +434,12 @@ pub struct RegisterReader {
 impl RegisterReader {
     /// Number of registers in the bank.
     pub fn len(&self) -> usize {
-        self.replicas.len()
+        self.layout.len()
     }
 
     /// Whether the bank is empty.
     pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
+        self.layout.regions.is_empty()
     }
 
     /// Reads register `reg`: both sub-registers from every memory node,
@@ -440,9 +448,9 @@ impl RegisterReader {
     /// [`RegisterReader::post`] to every node, each answer sampled as soon
     /// as it is posted — so a write posted after this call never shows —
     /// and [`RegisterReader::found`].
-    pub fn read(
+    pub fn read<M: Memory>(
         &self,
-        fabric: &mut Fabric,
+        mem: &mut M,
         issuer: HostId,
         reg: RegisterId,
         now: Time,
@@ -454,15 +462,15 @@ impl RegisterReader {
         // memory-node majority. The issuer's liveness at `now` is a
         // deterministic fact of the fault schedule: report it as its own
         // outcome.
-        if fabric.net().is_crashed(issuer, now) {
+        if mem.is_crashed(issuer, now) {
             return ReadOutcome::IssuerCrashed;
         }
         let mut read = self.scratch.borrow_mut();
-        if !self.post(fabric, issuer, reg, u64::MAX, now, &mut read) {
+        if !self.post(mem, issuer, reg, u64::MAX, now, &mut read) {
             return ReadOutcome::NoQuorum;
         }
         for i in 0..read.answers.len() {
-            self.sample(fabric, &mut read, i);
+            self.sample(mem, &mut read, i);
         }
         let completion = read.completion();
         match self.found(&read) {
@@ -484,24 +492,24 @@ impl RegisterReader {
     /// [`PostedRead::arrivals`]), so a write posted after this call that
     /// lands first is seen. `false` when nothing is in flight: the issuer
     /// is down or no majority answers.
-    pub fn post(
+    pub fn post<M: Memory>(
         &self,
-        fabric: &mut Fabric,
+        mem: &mut M,
         issuer: HostId,
         reg: RegisterId,
         nodes: u64,
         now: Time,
         read: &mut PostedRead,
     ) -> bool {
-        let r = &self.replicas[reg.0];
+        let r = &self.layout;
         read.answers.clear();
-        if fabric.net().is_crashed(issuer, now) {
+        if mem.is_crashed(issuer, now) {
             return false;
         }
         for (node, region) in
-            r.regions.iter().enumerate().filter(|(node, _)| nodes >> node & 1 == 1)
+            r.copies(reg).iter().enumerate().filter(|(node, _)| nodes >> node & 1 == 1)
         {
-            match fabric.post_read(issuer, *region, 0, r.reg_size(), now) {
+            match mem.post_read(issuer, *region, 0, r.reg_size(), now) {
                 Ok(post) => read.answers.push((post.completion, post.arrival, node)),
                 Err(RdmaError::TargetUnavailable) => {}
                 Err(RdmaError::IssuerUnavailable) => {
@@ -510,7 +518,7 @@ impl RegisterReader {
                 Err(e) => panic!("register read failed: {e}"),
             }
         }
-        let quorum = r.regions.len() / 2 + 1;
+        let quorum = r.quorum();
         if read.answers.len() < quorum {
             read.answers.clear();
             return false;
@@ -528,11 +536,11 @@ impl RegisterReader {
     /// reads, as its memory node holds it when the read arrives. Call it at
     /// that instant, once every write that lands before then is posted.
     /// Whether every answer of the read is in now.
-    pub fn sample(&self, fabric: &mut Fabric, read: &mut PostedRead, i: usize) -> bool {
-        let r = &self.replicas[read.reg.0];
+    pub fn sample<M: Memory>(&self, mem: &mut M, read: &mut PostedRead, i: usize) -> bool {
+        let r = &self.layout;
         let (_, arrival, node) = read.answers[i];
         let image = &mut read.images[i * r.reg_size()..][..r.reg_size()];
-        fabric.sample_into(r.regions[node], 0, image, arrival).expect("a region of the bank");
+        mem.sample_into(r.copies(read.reg)[node], 0, image, arrival).expect("a region of the bank");
         read.unsampled -= 1;
         read.unsampled == 0
     }
@@ -542,7 +550,7 @@ impl RegisterReader {
     /// borrowed from the read's buffers — unless a node shows the writer
     /// broke the round-robin discipline.
     pub fn found<'a>(&self, read: &'a PostedRead) -> Found<'a> {
-        let r = &self.replicas[read.reg.0];
+        let r = &self.layout;
         let mut best: Option<(u64, &[u8])> = None;
         let mut byzantine_evidence = false;
         for image in read.images.chunks_exact(r.reg_size()) {
@@ -580,13 +588,13 @@ impl RegisterReader {
     /// §replacement). A read that overlaps a half-written frame retries
     /// once (the §6.1 torn-write rule); a slot that stays torn is skipped
     /// — the join handshake's `f + 1` acks cover whatever the scan missed.
-    pub fn scan_tail(&self, fabric: &mut Fabric, issuer: HostId, now: Time) -> TailScan {
+    pub fn scan_tail<M: Memory>(&self, mem: &mut M, issuer: HostId, now: Time) -> TailScan {
         let mut max_ts = None;
         let mut completion = now;
-        for reg in 0..self.replicas.len() {
+        for reg in 0..self.len() {
             let mut at = now;
             for _attempt in 0..2 {
-                match self.read(fabric, issuer, RegisterId(reg), at) {
+                match self.read(mem, issuer, RegisterId(reg), at) {
                     ReadOutcome::Value { ts, completion: c, .. } => {
                         completion = completion.max(c);
                         if max_ts.is_none_or(|m| ts > m) {
@@ -634,6 +642,7 @@ impl RegisterReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ubft_rdma::Fabric;
     use ubft_sim::net::{LatencyModel, NetworkModel};
     use ubft_sim::SimRng;
 
@@ -849,7 +858,8 @@ mod tests {
             Time,
         ) -> WriteOutcome;
         let long = [0xA5u8; 40];
-        for long_write in [RegisterWriter::write as Write, RegisterWriter::write_corrupt] {
+        for long_write in [RegisterWriter::write::<Fabric> as Write, RegisterWriter::write_corrupt]
+        {
             let (mut f, bank) = setup();
             let mut w = bank.writer();
             let reg = RegisterId(0);

@@ -1,9 +1,11 @@
 //! Property-based tests of the SWMR regular register: regularity must hold
-//! under arbitrary write histories and read times.
+//! under arbitrary write histories and read times. The properties that
+//! depend on neither virtual time nor crashes hold on both memories the
+//! register runs on: the simulated fabric and passive in-process memory.
 
 use proptest::prelude::*;
 use ubft_dmem::register::{ReadOutcome, RegisterBank, RegisterId};
-use ubft_rdma::Fabric;
+use ubft_rdma::{Fabric, InProcMemory, Memory};
 use ubft_sim::net::{LatencyModel, NetworkModel};
 use ubft_sim::{HostId, SimRng};
 use ubft_types::{Duration, Time};
@@ -16,37 +18,126 @@ fn setup(seed: u64) -> (Fabric, RegisterBank) {
     (fabric, bank)
 }
 
+/// `setup`'s bank, on memory nodes 3, 4 and 5 in the process.
+fn in_process() -> (InProcMemory, RegisterBank) {
+    let mem = InProcMemory::new(6);
+    let mems = [HostId(3), HostId(4), HostId(5)];
+    let bank = RegisterBank::create(&mut &mem, &mems, 2, 16, Duration::from_micros(10));
+    (mem, bank)
+}
+
+/// After a sequence of honest writes, any read that starts after the
+/// last write completed returns the *latest* value — never an older one,
+/// never garbage (regularity in the quiescent case).
+fn quiescent_read_returns_latest_on<M: Memory>(
+    mut fabric: M,
+    bank: RegisterBank,
+    n_writes: u64,
+    gap_us: u64,
+) {
+    let mut w = bank.writer();
+    let r = bank.reader();
+    let mut now = Time::ZERO;
+    let mut done = now;
+    for ts in 1..=n_writes {
+        done = w
+            .write(&mut fabric, HostId(0), RegisterId(0), ts, &ts.to_le_bytes(), now)
+            .expect("quorum write");
+        now += Duration::from_micros(gap_us);
+    }
+    let read_at = done + Duration::from_micros(gap_us);
+    match r.read(&mut fabric, HostId(1), RegisterId(0), read_at) {
+        ReadOutcome::Value { ts, value, .. } => {
+            prop_assert_eq!(ts, n_writes);
+            prop_assert_eq!(&value[..8], &n_writes.to_le_bytes()[..]);
+        }
+        other => prop_assert!(false, "unexpected outcome {:?}", other),
+    }
+}
+
+/// A replacement node's bank scan recovers the tail high-water mark:
+/// after honest writes settle, `scan_tail` reports the highest
+/// timestamp; an unwritten bank (`fresh_bank` on `fresh_fabric`) reports
+/// none.
+fn tail_scan_recovers_high_water_mark_on<M: Memory>(
+    [(mut fabric, bank), (mut fresh_fabric, fresh_bank)]: [(M, RegisterBank); 2],
+    n_writes: u64,
+    gap_us: u64,
+) {
+    let mut w = bank.writer();
+    let r = bank.reader();
+    let mut now = Time::ZERO;
+    let mut done = now;
+    // Alternate between the two registers so the maximum is not
+    // always in the last-written one.
+    for ts in 1..=n_writes {
+        let reg = RegisterId((ts % 2) as usize);
+        done =
+            w.write(&mut fabric, HostId(0), reg, ts, &ts.to_le_bytes(), now).expect("quorum write");
+        now += Duration::from_micros(gap_us);
+    }
+    let scan = r.scan_tail(&mut fabric, HostId(1), done + Duration::from_micros(gap_us));
+    prop_assert_eq!(scan.max_ts, Some(n_writes));
+    prop_assert!(scan.completion > done);
+    // A bank nobody ever wrote scans to nothing.
+    let scan = fresh_bank.reader().scan_tail(&mut fresh_fabric, HostId(1), Time::ZERO);
+    prop_assert_eq!(scan.max_ts, None);
+}
+
+/// A fresh writer of the bank, as a replacement node gets, preserves
+/// regularity: once the replacement's first (fresher-timestamped) write
+/// settles, readers never again return the dead writer's values.
+fn rekeyed_writer_supersedes_predecessor_on<M: Memory>(
+    mut fabric: M,
+    bank: RegisterBank,
+    predecessor_writes: u64,
+) {
+    let mut old_w = bank.writer();
+    let mut now = Time::ZERO;
+    let mut done = now;
+    for ts in 1..=predecessor_writes {
+        done = old_w
+            .write(&mut fabric, HostId(0), RegisterId(0), ts, b"old-incarnation", now)
+            .expect("quorum write");
+        now += Duration::from_micros(12);
+    }
+    drop(old_w); // the node is dead; its cursor positions are gone
+    let mut new_w = bank.writer();
+    let new_ts = predecessor_writes + 10;
+    let done2 = new_w
+        .write(
+            &mut fabric,
+            HostId(1),
+            RegisterId(0),
+            new_ts,
+            b"new-incarnation",
+            done + Duration::from_micros(12),
+        )
+        .expect("quorum write");
+    let r = bank.reader();
+    match r.read(&mut fabric, HostId(2), RegisterId(0), done2 + Duration::from_micros(12)) {
+        ReadOutcome::Value { ts, value, .. } => {
+            prop_assert_eq!(ts, new_ts);
+            prop_assert_eq!(&value[..15], b"new-incarnation");
+        }
+        other => prop_assert!(false, "unexpected outcome {:?}", other),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After a sequence of honest writes, any read that starts after the
-    /// last write completed returns the *latest* value — never an older one,
-    /// never garbage (regularity in the quiescent case).
+    /// [`quiescent_read_returns_latest_on`] on both memories.
     #[test]
     fn quiescent_read_returns_latest(
         n_writes in 1u64..8,
         gap_us in 12u64..40,
         seed in any::<u64>(),
     ) {
-        let (mut fabric, bank) = setup(seed);
-        let mut w = bank.writer();
-        let r = bank.reader();
-        let mut now = Time::ZERO;
-        let mut done = now;
-        for ts in 1..=n_writes {
-            done = w
-                .write(&mut fabric, HostId(0), RegisterId(0), ts, &ts.to_le_bytes(), now)
-                .expect("quorum write");
-            now += Duration::from_micros(gap_us);
-        }
-        let read_at = done + Duration::from_micros(gap_us);
-        match r.read(&mut fabric, HostId(1), RegisterId(0), read_at) {
-            ReadOutcome::Value { ts, value, .. } => {
-                prop_assert_eq!(ts, n_writes);
-                prop_assert_eq!(&value[..8], &n_writes.to_le_bytes()[..]);
-            }
-            other => prop_assert!(false, "unexpected outcome {:?}", other),
-        }
+        let (fabric, bank) = setup(seed);
+        quiescent_read_returns_latest_on(fabric, bank, n_writes, gap_us);
+        let (mem, bank) = in_process();
+        quiescent_read_returns_latest_on(&mem, bank, n_writes, gap_us);
     }
 
     /// A read concurrent with a write returns either the old or the new
@@ -80,36 +171,16 @@ proptest! {
         }
     }
 
-    /// A replacement node's bank scan recovers the tail high-water mark:
-    /// after honest writes settle, `scan_tail` reports the highest
-    /// timestamp; an unwritten bank reports none.
+    /// [`tail_scan_recovers_high_water_mark_on`] on both memories.
     #[test]
     fn tail_scan_recovers_high_water_mark(
         n_writes in 1u64..6,
         gap_us in 12u64..40,
         seed in any::<u64>(),
     ) {
-        let (mut fabric, bank) = setup(seed);
-        let mut w = bank.writer();
-        let r = bank.reader();
-        let mut now = Time::ZERO;
-        let mut done = now;
-        // Alternate between the two registers so the maximum is not
-        // always in the last-written one.
-        for ts in 1..=n_writes {
-            let reg = RegisterId((ts % 2) as usize);
-            done = w
-                .write(&mut fabric, HostId(0), reg, ts, &ts.to_le_bytes(), now)
-                .expect("quorum write");
-            now += Duration::from_micros(gap_us);
-        }
-        let scan = r.scan_tail(&mut fabric, HostId(1), done + Duration::from_micros(gap_us));
-        prop_assert_eq!(scan.max_ts, Some(n_writes));
-        prop_assert!(scan.completion > done);
-        // A bank nobody ever wrote scans to nothing.
-        let (mut fresh_fabric, fresh_bank) = setup(seed ^ 1);
-        let scan = fresh_bank.reader().scan_tail(&mut fresh_fabric, HostId(1), Time::ZERO);
-        prop_assert_eq!(scan.max_ts, None);
+        tail_scan_recovers_high_water_mark_on([setup(seed), setup(seed ^ 1)], n_writes, gap_us);
+        let [(a, bank), (b, fresh_bank)] = [in_process(), in_process()];
+        tail_scan_recovers_high_water_mark_on([(&a, bank), (&b, fresh_bank)], n_writes, gap_us);
     }
 
     /// A joiner scanning while the (about-to-die) writer is mid-write — a
@@ -138,38 +209,16 @@ proptest! {
         }
     }
 
-    /// Re-keying the bank to a replacement writer preserves regularity:
-    /// once the replacement's first (fresher-timestamped) write settles,
-    /// readers never again return the dead writer's values.
+    /// [`rekeyed_writer_supersedes_predecessor_on`] on both memories.
     #[test]
     fn rekeyed_writer_supersedes_predecessor(
         predecessor_writes in 1u64..5,
         seed in any::<u64>(),
     ) {
-        let (mut fabric, bank) = setup(seed);
-        let mut old_w = bank.writer();
-        let mut now = Time::ZERO;
-        let mut done = now;
-        for ts in 1..=predecessor_writes {
-            done = old_w
-                .write(&mut fabric, HostId(0), RegisterId(0), ts, b"old-incarnation", now)
-                .expect("quorum write");
-            now += Duration::from_micros(12);
-        }
-        drop(old_w); // the node is dead; its cursor positions are gone
-        let mut new_w = bank.rekey_writer();
-        let new_ts = predecessor_writes + 10;
-        let done2 = new_w
-            .write(&mut fabric, HostId(1), RegisterId(0), new_ts, b"new-incarnation", done + Duration::from_micros(12))
-            .expect("quorum write");
-        let r = bank.reader();
-        match r.read(&mut fabric, HostId(2), RegisterId(0), done2 + Duration::from_micros(12)) {
-            ReadOutcome::Value { ts, value, .. } => {
-                prop_assert_eq!(ts, new_ts);
-                prop_assert_eq!(&value[..15], b"new-incarnation");
-            }
-            other => prop_assert!(false, "unexpected outcome {:?}", other),
-        }
+        let (fabric, bank) = setup(seed);
+        rekeyed_writer_supersedes_predecessor_on(fabric, bank, predecessor_writes);
+        let (mem, bank) = in_process();
+        rekeyed_writer_supersedes_predecessor_on(&mem, bank, predecessor_writes);
     }
 
     /// Crashing any single memory node never affects safety or liveness.

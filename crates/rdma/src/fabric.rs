@@ -16,7 +16,7 @@ pub struct RegionId(pub u64);
 /// remote-write permission). Readers do not need a token: every region is
 /// world-readable, matching the paper's chunk model (§2.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct AccessToken(u64);
+pub struct AccessToken(pub(crate) u64);
 
 /// Why an RDMA operation could not be issued or will not complete.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -21,8 +21,15 @@
 //! Host crashes make a host's regions permanently unavailable; ops targeting
 //! them report [`RdmaError::TargetUnavailable`] and *never complete*, which
 //! is how the replicated register layer exercises its majority quorums.
+//!
+//! The registers reach memory through the [`Memory`] trait: the fabric is
+//! one implementation, and [`InProcMemory`] — passive memory behind a lock
+//! per node, with no time and no failures — the other, which the threaded
+//! backend and the scripted node-level net use.
 
 pub mod fabric;
+pub mod memory;
 pub mod region;
 
 pub use fabric::{AccessToken, Fabric, RdmaError, ReadPost, RegionId, WriteTicket};
+pub use memory::{InProcMemory, Memory};

@@ -138,8 +138,9 @@ pub enum Backend {
     Sim,
     /// Wall-clock execution: one OS thread per replica, per replica's
     /// executor and per group's client driver, connected by in-process
-    /// queues, beside a crypto worker pool; memory nodes are stores the
-    /// replica threads share, with no thread ([`crate::threads`]).
+    /// queues, beside a crypto worker pool; memory nodes are passive
+    /// in-process memory the replica threads share, with no thread
+    /// ([`crate::threads`]).
     Threads,
 }
 

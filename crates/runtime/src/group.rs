@@ -23,9 +23,7 @@ use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing};
 use ubft_ctb::ctbcast::RegEntry;
-use ubft_dmem::register::{
-    Found, PostedRead, RegisterBank, RegisterId, RegisterReader, RegisterWriter, WriteOutcome,
-};
+use ubft_dmem::{Found, PostedRead, RegisterBank, RegisterId, WriteOutcome};
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
 use ubft_sim::{EventQueue, HostId};
@@ -41,7 +39,7 @@ use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::ReplicaReport;
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{
-    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate,
+    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, Registers, ReplicaNode, Substrate,
 };
 use crate::stall::ReplicaStall;
 
@@ -182,9 +180,8 @@ struct Machine {
     /// even crypto-free ones — must apply after it to preserve the
     /// engine's emission order.
     deferred_until: Time,
-    /// SWMR register writers this replica owns: `reg_writers[stream]` is
-    /// the writer for this replica's slots in `stream`'s bank.
-    reg_writers: Vec<RegisterWriter>,
+    /// The replica's handles on the group's SWMR register banks.
+    regs: Registers,
     /// Recent checkpoint snapshots, oldest first, retained to serve
     /// certified state transfers — to replacement nodes and to replicas
     /// that lagged a whole window behind a partition or asynchrony. Empty
@@ -214,7 +211,7 @@ impl Machine {
             job_busy: at,
             deferred_fx: 0,
             deferred_until: Time::ZERO,
-            reg_writers: Vec::new(),
+            regs: Registers::default(),
             snapshots: Vec::new(),
         }
     }
@@ -234,9 +231,6 @@ pub(crate) struct SimEnv {
     /// `reg_banks[stream][owner]`: the SWMR banks themselves, retained so
     /// a replacement node can be re-keyed as a bank's writer.
     reg_banks: Vec<Vec<RegisterBank>>,
-    /// `reg_readers[stream][owner]`: shared read endpoints (readers are
-    /// host-agnostic; writers live with their owning machine).
-    reg_readers: Vec<Vec<RegisterReader>>,
     /// `Some` when the fault plan schedules anything: machines then retain
     /// checkpoint snapshots (failure-free runs pay nothing), and this is
     /// the serialized genesis application state a replacement node's app
@@ -349,9 +343,9 @@ impl SimEnv {
     /// nothing in flight settles at once, on nothing.
     fn post_register_read(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, at: Time) {
         let read = &mut self.slot_reads[id];
-        let (reader, reg) = (&self.reg_readers[read.stream][owner], RegisterId(read.slot));
+        let reader = &self.machines[read.r].regs.readers[read.stream][owner];
         let posted = &mut read.owners[owner].0;
-        if !reader.post(sh.fabric, read.host, reg, read.took, at, posted) {
+        if !reader.post(sh.fabric, read.host, RegisterId(read.slot), read.took, at, posted) {
             return self.settle_read(sh, id, owner, None);
         }
         read.completion = read.completion.max(posted.completion());
@@ -365,7 +359,7 @@ impl SimEnv {
     /// is posted again, once, at its completion if it overlapped a write.
     fn on_register_sample(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, answer: usize) {
         let read = &mut self.slot_reads[id];
-        let reader = &self.reg_readers[read.stream][owner];
+        let reader = &self.machines[read.r].regs.readers[read.stream][owner];
         let (posted, again) = &mut read.owners[owner];
         if !reader.sample(sh.fabric, posted, answer) {
             return;
@@ -617,23 +611,20 @@ impl Substrate for SimSubstrate<'_, '_> {
         }
         env.reg_buf.clear();
         entry.encode(&mut env.reg_buf);
-        let writer = &mut env.machines[r].reg_writers[stream];
-        match writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &env.reg_buf, at) {
-            WriteOutcome::Done(at) => {
-                let done = CtbDone::Written(k);
-                env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
-            }
-            // The writer died at a crash boundary (possibly via the
-            // δ-cooldown deferring the start past its own crash):
-            // its continuation events are dropped by the crash
-            // checks, so there is nothing to schedule.
-            WriteOutcome::IssuerCrashed => {}
-            // Outside the fault model (> f_m memory nodes down);
-            // the slow path simply cannot complete.
-            WriteOutcome::NoQuorum => {}
+        let writer = &mut env.machines[r].regs.writers[stream];
+        // Only a write that reached its quorum completes. A writer that died
+        // at a crash boundary (possibly via the δ-cooldown deferring the
+        // start past its own crash) has its continuation events dropped by
+        // the crash checks, so there is nothing to schedule; with more than
+        // f_m memory nodes down (outside the fault model) the slow path
+        // simply cannot complete.
+        let outcome = writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &env.reg_buf, at);
+        if let WriteOutcome::Done(at) = outcome {
+            let done = CtbDone::Written(k);
+            env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
         }
 
-        let write = env.machines[r].reg_writers[stream].last_write(RegisterId(slot));
+        let write = env.machines[r].regs.writers[stream].last_write(RegisterId(slot));
         let at = at.max(write.start);
         let id = env.slot_reads.iter().position(|read| read.unsettled == 0).unwrap_or_else(|| {
             env.slot_reads.push(SlotRead::default());
@@ -890,8 +881,7 @@ impl GroupRuntime {
             host_base,
             machines,
             links: FixedMap::default(),
-            reg_banks: Vec::with_capacity(n),
-            reg_readers: Vec::with_capacity(n),
+            reg_banks: Vec::new(),
             genesis_snapshot,
             ring,
             poll_buf: Vec::new(),
@@ -912,31 +902,14 @@ impl GroupRuntime {
             }
         }
 
-        // SWMR register banks: banks[stream][owner], replicated on the
-        // shared memory nodes; only `owner` holds the writer. Each group
-        // creates its own banks, so the memory nodes' space is partitioned
-        // per group. The banks themselves are retained (not just their
-        // endpoints): a replacement node is re-keyed as its predecessor's
-        // banks' writer.
-        for _s in 0..n {
-            let mut banks = Vec::with_capacity(n);
-            let mut rs = Vec::with_capacity(n);
-            for _owner in 0..n {
-                let bank = RegisterBank::create(
-                    sh.fabric,
-                    mem_hosts,
-                    env.cfg.params.tail,
-                    RegEntry::encoded_size(),
-                    env.cfg.params.delta,
-                );
-                rs.push(bank.reader());
-                banks.push(bank);
-            }
-            env.reg_readers.push(rs);
-            env.reg_banks.push(banks);
-        }
-        for (owner, m) in env.machines.iter_mut().enumerate() {
-            m.reg_writers = env.reg_banks.iter().map(|banks| banks[owner].writer()).collect();
+        // SWMR register banks, replicated on the shared memory nodes; only
+        // `owner` holds the writer. Each group creates its own banks, so the
+        // memory nodes' space is partitioned per group. The banks themselves
+        // are retained (not just their handles): a replacement node is
+        // re-keyed as its predecessor's banks' writer.
+        env.reg_banks = Registers::banks(sh.fabric, mem_hosts, &env.cfg);
+        for (r, m) in env.machines.iter_mut().enumerate() {
+            m.regs = Registers::of(&env.reg_banks, r);
         }
 
         let mut group = GroupRuntime { nodes, execs, clients, env };
@@ -992,10 +965,17 @@ impl GroupRuntime {
             aud.on_replace(env.gid as usize, r);
         }
 
-        // The fresh machine: a new host, idle, with re-keyed bank writers.
+        // The fresh machine: a new host, idle, with fresh writers of its
+        // predecessor's banks, whose double-buffer cursors and δ cooldowns
+        // restart from scratch (the old node's died with it). Concurrent
+        // readers stay safe: the replacement writes strictly fresher
+        // timestamps, still alternating each register's sub-registers from
+        // the restart point, and readers take the highest valid timestamp,
+        // so a restarted cursor can at worst overwrite the *older* of the
+        // two sub-registers' values, which regular semantics permit.
         let m = &mut env.machines[r];
         *m = Machine::boot(new_host, at);
-        m.reg_writers = env.reg_banks.iter_mut().map(|banks| banks[r].rekey_writer()).collect();
+        m.regs = Registers::of(&env.reg_banks, r);
 
         // Fresh links for every lane touching r, in both directions (the
         // old node's sender cursors and in-flight slots died with it).
@@ -1022,7 +1002,7 @@ impl GroupRuntime {
         // slow-pathed. Its reads are the new incarnation's.
         let mut reg_floor = SeqId(0);
         let mut done = at;
-        for reader in &env.reg_readers[r] {
+        for reader in &env.machines[r].regs.readers[r] {
             self.nodes[r].counters.reg_reads += reader.len() as u64;
             let scan = reader.scan_tail(sh.fabric, new_host, at);
             if let Some(ts) = scan.max_ts {

@@ -2,10 +2,10 @@
 //! CTBcast, TBcast frames and the event loop both real backends run — and one
 //! client, joined by one FIFO link per `(from, to)` pair. Crypto and
 //! register work completes on the spot (its result queued as the input it
-//! is; the registers are the threaded backend's memory nodes), each
-//! replica's `Executor` runs inline, and timers are collected and fired
-//! only on request ([`NodeNet::fire_timers`]). No clock, no fabric, no
-//! threads.
+//! is; the registers are §6.1's, on in-process memory, as the threaded
+//! backend runs them), each replica's `Executor` runs inline, and timers
+//! are collected and fired only on request ([`NodeNet::fire_timers`]). No
+//! clock, no fabric, no threads.
 //!
 //! This is `ubft::harness::EngineNet`'s vocabulary one layer up. Every
 //! step is a [`Move`] on [`NodeNet::pending`] — the head frame of a link or
@@ -29,6 +29,7 @@ use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
 use ubft_ctb::wire::{fingerprint, sign_broadcast, CtbWire, TbFrame, TbWire};
+use ubft_rdma::InProcMemory;
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
@@ -38,7 +39,7 @@ use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CryptoTask, CtbDone, NodeInput, ReplicaNode, Substrate};
 pub use crate::node::{Lane, NodeTimer};
 use crate::stall::ReplicaStall;
-use crate::threads::{round_trip, MemNode};
+use crate::threads::SlotRegisters;
 
 /// What `from` sent `to`, in order.
 type Link = VecDeque<(Lane, Vec<u8>)>;
@@ -116,8 +117,8 @@ pub struct NodeNet {
     links: BTreeMap<(usize, usize), Link>,
     /// Finished crypto, register and executor work, per replica.
     completions: Vec<VecDeque<NodeInput>>,
-    /// The memory nodes the registers live on.
-    mem: Vec<MemNode>,
+    /// Each replica's handles on the register banks.
+    regs: Vec<SlotRegisters>,
     /// Encoded replies on their way to the client.
     replies: Vec<Vec<u8>>,
     /// Each replica's Byzantine behaviour, as `cfg`'s plan has it at time
@@ -150,7 +151,7 @@ impl NodeNet {
             client: Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum()),
             links: BTreeMap::new(),
             completions: (0..n).map(|_| VecDeque::new()).collect(),
-            mem: (0..cfg.params.n_mem()).map(|_| MemNode::default()).collect(),
+            regs: SlotRegisters::group(&InProcMemory::new(cfg.params.n_mem()), cfg),
             replies: Vec::new(),
             byz: (0..n).map(|r| cfg.failures.byzantine_mode(r, Time::ZERO)).collect(),
             told: HashMap::new(),
@@ -366,9 +367,7 @@ impl Substrate for NodeNet {
 
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
         let r = self.calling;
-        let key = (0, stream as u32, r as u32, slot as u32);
-        let entries = round_trip(&self.mem, key, k, &e, self.n);
-        for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
+        for done in self.regs[r].write_and_read(stream, slot, k, &e) {
             self.completions[r].push_back(NodeInput::Ctb { stream, done });
         }
     }

@@ -10,6 +10,7 @@ use ubft_crypto::sha256::Sha256;
 use ubft_crypto::Digest;
 use ubft_ctb::ctbcast::{Ctb, RegEntry};
 use ubft_ctb::wire::{CtbWire, TbFrame};
+use ubft_rdma::InProcMemory;
 use ubft_sim::failure::{ByzantineMode, FailurePlan};
 use ubft_sim::rng::SimRng;
 use ubft_types::outbox::SPARES;
@@ -21,8 +22,9 @@ use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::OpCounters;
 use crate::exec::Executor;
 use crate::harness::{Done, Lane, Move, NodeNet, NodeTimer, Step};
+use crate::node::CtbDone;
 use crate::node::{NodeInput, ReplicaNode};
-use crate::threads::{round_trip, MemNode};
+use crate::threads::SlotRegisters;
 
 /// Loses nothing.
 fn keep(_: &Move, _: &[u8]) -> bool {
@@ -548,52 +550,89 @@ fn replaying_the_same_moves_repeats_the_run() {
     assert!(executed > 0, "no explored run executed anything");
 }
 
-/// The threaded backend's memory node: a write lands unless the register
-/// holds a newer timestamp, and the read behind it returns the slot's
-/// entry of every owner, in owner order, the write included.
-#[test]
-fn a_memory_node_answers_a_write_with_the_slot_it_reads_back() {
-    let mem = MemNode::default();
-    // Owner `owner` writes `byte`s at `ts` to slot `slot` of group 0's
-    // stream 1; returns what the node reads back.
-    let write_read = |owner: u32, slot: u32, ts: u64, byte: u8| {
-        let mut entries = vec![None; 3];
-        mem.write_read((0, 1, owner, slot), ts, &[byte; 4], &mut entries);
-        entries
-    };
-    let entry = |ts: u64, byte: u8| Some((ts, vec![byte; 4]));
-    assert_eq!(write_read(1, 2, 5, 0xB1), [None, entry(5, 0xB1), None]);
-    // An older write leaves the newer entry in place, and reads it back.
-    assert_eq!(write_read(1, 2, 3, 0xB0), [None, entry(5, 0xB1), None]);
-    // Another slot is another register.
-    assert_eq!(write_read(0, 3, 9, 0xA9), [entry(9, 0xA9), None, None]);
-    // Written in the order 1, 2, 0; read back in owner order.
-    assert_eq!(write_read(2, 2, 4, 0xC2), [None, entry(5, 0xB1), entry(4, 0xC2)]);
-    assert_eq!(write_read(0, 2, 6, 0xA0), [entry(6, 0xA0), entry(5, 0xB1), entry(4, 0xC2)]);
-    // Another group's stream is another register too.
-    let mut other_group = vec![None; 3];
-    mem.write_read((1, 1, 1, 2), 8, &[0xD1; 4], &mut other_group);
-    assert_eq!(other_group, [None, entry(8, 0xD1), None]);
-    // Read across two nodes, each owner's newest entry wins; group 1's
-    // write left group 0's entry of owner 1 as it was.
-    let (other, mut merged) = (MemNode::default(), vec![None; 3]);
-    other.write_read((0, 1, 0, 2), 7, &[0xA7; 4], &mut merged);
-    mem.write_read((0, 1, 1, 2), 5, &[0xB1; 4], &mut merged);
-    assert_eq!(merged, [entry(7, 0xA7), entry(5, 0xB1), entry(4, 0xC2)]);
-
-    // The round trip both untimed substrates make, on three nodes: a
-    // register entry older than the slot's is refused on every node, and
-    // the newer one comes back.
-    let nodes: Vec<MemNode> = (0..3).map(|_| MemNode::default()).collect();
-    let reg = |k: u64, byte: u8| RegEntry {
+/// A register entry of message `k`, its fingerprint all `byte`.
+fn reg(k: u64, byte: u8) -> RegEntry {
+    RegEntry {
         k: SeqId(k),
         fp: ubft_crypto::Digest::from_bytes([byte; 32]),
         sig: ubft_crypto::Signature::garbage(),
-    };
-    let round_trip = |owner: u32, e: &RegEntry| round_trip(&nodes, (0, 1, owner, 2), e.k, e, 3);
-    assert_eq!(round_trip(1, &reg(5, 0xB1)), [None, Some(reg(5, 0xB1)), None]);
-    assert_eq!(round_trip(1, &reg(3, 0xB0)), [None, Some(reg(5, 0xB1)), None]);
-    assert_eq!(round_trip(0, &reg(6, 0xA0)), [Some(reg(6, 0xA0)), Some(reg(5, 0xB1)), None]);
+    }
+}
+
+/// The owner of `regs` writes `e` to its register `slot` of `stream` and
+/// reads that slot back: every owner's entry, in owner order.
+fn round_trip(
+    regs: &mut SlotRegisters,
+    stream: usize,
+    slot: usize,
+    e: &RegEntry,
+) -> Vec<Option<RegEntry>> {
+    match regs.write_and_read(stream, slot, e.k, e) {
+        [CtbDone::Written(w), CtbDone::Read(k, entries)] if w == e.k && k == e.k => entries,
+        _ => panic!("a write's completion, then its read's"),
+    }
+}
+
+/// The round trip both untimed substrates make, §6.1's register protocol
+/// on in-process memory: a write older than the register's newest reads
+/// the newest back, every slot of every stream of every group is a
+/// register of its own, and the read returns each owner's entry of the
+/// slot, in owner order, the write included.
+#[test]
+fn a_register_round_trip_on_in_process_memory_reads_back_each_owners_entry() {
+    let cfg = SimConfig::paper_default(1);
+    let mem = InProcMemory::new(cfg.params.n_mem());
+    let mut regs = SlotRegisters::group(&mem, &cfg);
+    let mut rt =
+        |owner: usize, stream, slot, e: &RegEntry| round_trip(&mut regs[owner], stream, slot, e);
+    assert_eq!(rt(1, 1, 2, &reg(5, 0xB1)), [None, Some(reg(5, 0xB1)), None]);
+    // A stale write (3 after 5) reads 5 back.
+    assert_eq!(rt(1, 1, 2, &reg(3, 0xB0)), [None, Some(reg(5, 0xB1)), None]);
+    // Another slot and another stream are other registers.
+    assert_eq!(rt(0, 1, 3, &reg(9, 0xA9)), [Some(reg(9, 0xA9)), None, None]);
+    assert_eq!(rt(2, 0, 2, &reg(8, 0xC8)), [None, None, Some(reg(8, 0xC8))]);
+    // Written in the order 1, 2, 0; read back in owner order.
+    assert_eq!(rt(2, 1, 2, &reg(4, 0xC2)), [None, Some(reg(5, 0xB1)), Some(reg(4, 0xC2))]);
+    let all = [Some(reg(6, 0xA0)), Some(reg(5, 0xB1)), Some(reg(4, 0xC2))];
+    assert_eq!(rt(0, 1, 2, &reg(6, 0xA0)), all);
+    // Another group's banks on the same memory nodes are other registers
+    // too, and a write there leaves this group's as they were.
+    let mut other_group = SlotRegisters::group(&mem, &cfg);
+    let theirs = round_trip(&mut other_group[1], 1, 2, &reg(7, 0xD1));
+    assert_eq!(theirs, [None, Some(reg(7, 0xD1)), None]);
+    assert_eq!(round_trip(&mut regs[2], 1, 2, &reg(10, 0xC3))[..2], all[..2]);
+}
+
+/// Two owners on two OS threads, a thousand times: each writes its
+/// register of one slot and then reads the other's. In every trial at
+/// least one of them finds the other's write — the regularity the slow
+/// path rests on: both round trips share a memory node, and there one
+/// owner's write comes before the other's read.
+#[test]
+fn of_two_owners_writing_then_reading_at_once_one_sees_the_other() {
+    const TRIALS: u64 = 1_000;
+    let cfg = SimConfig::paper_default(1);
+    let tail = cfg.params.tail;
+    let mut regs = SlotRegisters::group(&InProcMemory::new(cfg.params.n_mem()), &cfg);
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let owners: Vec<_> = regs
+        .drain(..2)
+        .enumerate()
+        .map(|(me, mut regs)| {
+            let barrier = std::sync::Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let saw = |k: u64| {
+                    barrier.wait();
+                    let entries = round_trip(&mut regs, 0, k as usize % tail, &reg(k, me as u8));
+                    entries[1 - me].as_ref().is_some_and(|e| e.k == SeqId(k))
+                };
+                (1..=TRIALS).map(saw).collect::<Vec<bool>>()
+            })
+        })
+        .collect();
+    let saw: Vec<Vec<bool>> = owners.into_iter().map(|t| t.join().expect("an owner")).collect();
+    let missed = (0..TRIALS as usize).filter(|&t| !saw[0][t] && !saw[1][t]).count();
+    assert_eq!(missed, 0, "trials of {TRIALS} where neither owner saw the other's write");
 }
 
 // ----------------------------------------------------------------------

@@ -11,7 +11,8 @@
 //! What offloaded crypto computes is [`CryptoTask::run`]'s, here too. The
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
-//! mesh, crypto pool and the memory nodes' shared stores.
+//! mesh, crypto pool and in-process memory. Both lay out a group's SWMR
+//! registers as [`Registers`] says.
 
 use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect, Engine, EngineConfig,
@@ -22,7 +23,10 @@ use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire};
+use ubft_dmem::{RegisterBank, RegisterReader, RegisterWriter};
+use ubft_rdma::Memory;
 use ubft_sim::failure::ByzantineMode;
+use ubft_sim::HostId;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
@@ -112,6 +116,40 @@ pub enum NodeTimer {
     /// The periodic TBcast retransmission tick (§4.2: the broadcaster
     /// retransmits its buffered tail until acknowledged).
     Retransmit,
+}
+
+/// One replica's handles on its group's SWMR register banks: the writer of
+/// its own bank in each CTBcast stream and a reader of every bank.
+#[derive(Default)]
+pub(crate) struct Registers {
+    /// `writers[stream]`.
+    pub writers: Vec<RegisterWriter>,
+    /// `readers[stream][owner]`.
+    pub readers: Vec<Vec<RegisterReader>>,
+}
+
+impl Registers {
+    /// Lays a group's banks out on the memory nodes `hosts` of `mem`, as
+    /// every substrate does: `banks[stream][owner]`, one register per slot
+    /// of the CTBcast tail, each holding a [`RegEntry`].
+    pub(crate) fn banks<M: Memory>(
+        mem: &mut M,
+        hosts: &[HostId],
+        cfg: &SimConfig,
+    ) -> Vec<Vec<RegisterBank>> {
+        let (n, p) = (cfg.params.n(), &cfg.params);
+        let mut bank =
+            || RegisterBank::create(mem, hosts, p.tail, RegEntry::encoded_size(), p.delta);
+        (0..n).map(|_| (0..n).map(|_| bank()).collect()).collect()
+    }
+
+    /// Replica `r`'s handles on `banks`.
+    pub(crate) fn of(banks: &[Vec<RegisterBank>], r: usize) -> Self {
+        Registers {
+            writers: banks.iter().map(|owners| owners[r].writer()).collect(),
+            readers: banks.iter().map(|s| s.iter().map(RegisterBank::reader).collect()).collect(),
+        }
+    }
 }
 
 /// The completion of work a CTBcast instance asked the [`Substrate`] to

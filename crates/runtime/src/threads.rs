@@ -4,7 +4,7 @@
 //! each replica's application on an executor thread of its own, and
 //! CTBcast signature/digest work and the engine's crypto jobs offloaded to
 //! a sized crypto worker pool. Memory nodes are passive memory, as in the
-//! paper: no thread, only a store each that replicas write and read.
+//! paper: no thread, only bytes that replicas write and read.
 //!
 //! The protocol stack *and its driver* are the simulator's: a replica
 //! thread owns a `ReplicaNode` (`node.rs`) — the same sans-IO state
@@ -13,9 +13,9 @@
 //! requests into virtual-time events on a shared queue, `ReplicaThread`
 //! here turns them into real sends on the in-process mesh, real
 //! `Instant`-based timers, jobs on the crypto pool, and register round
-//! trips it carries out on the memory nodes' stores itself. That is the
-//! whole point of the effect-based design: one protocol implementation,
-//! one driver, two execution substrates.
+//! trips it carries out on the memory nodes itself. That is the whole
+//! point of the effect-based design: one protocol implementation, one
+//! driver, two execution substrates.
 //!
 //! What this backend deliberately does **not** model:
 //!
@@ -33,13 +33,14 @@
 //!   too: a replica's `ReplicaReport::core` holds the wall time (`Instant`)
 //!   its thread spent on each input, filed by the driver under the input's
 //!   kind, and its executor thread's on its jobs, preemption included.
-//! * **Torn register reads.** The SWMR register banks become one
-//!   `(group, stream, owner, slot) → (ts, bytes)` store per memory node
-//!   behind a lock. A replica writes a slot and reads it back on every
-//!   node under that node's lock and keeps each owner's highest-timestamp
-//!   entry. The lock's atomicity makes the regular register's checksummed
-//!   sub-register dance unnecessary, and every node taking the write
-//!   before its read still provides regularity.
+//! * **Torn register reads and memory-node crashes.** The SWMR registers
+//!   are §6.1's, the simulator's code: checksummed, timestamped
+//!   sub-registers replicated on `2f_m + 1` memory nodes with majority
+//!   quorums. Only the memory under them differs: [`InProcMemory`], one
+//!   zeroed arena per memory node behind a lock, where a write and a
+//!   read's sample each copy under the node's lock, so no read tears, and
+//!   no node is ever down. A replica writes a slot and reads every
+//!   owner's copy back itself (`SlotRegisters::write_and_read`).
 //!
 //! **Timers and `time_scale`.** Protocol timeouts are calibrated in
 //! microseconds of virtual time; a preempted OS thread can easily be late
@@ -49,7 +50,7 @@
 //! disappears into the slack.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -60,6 +61,9 @@ use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
 use ubft_ctb::wire::TbWire;
+use ubft_dmem::{ReadOutcome, RegisterId, RegisterReader};
+use ubft_rdma::InProcMemory;
+use ubft_sim::HostId;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
 use ubft_types::wire::Wire;
@@ -69,7 +73,9 @@ use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
 use crate::exec::{ExecJob, ExecPort, ExecReport, Executor};
-use crate::node::{CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
+use crate::node::{
+    CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, Registers, ReplicaNode, Substrate,
+};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -274,8 +280,8 @@ fn run_mailbox<S, T: Ord>(
 // ----------------------------------------------------------------------
 
 /// One replica thread's side of its [`ReplicaNode`]: the mesh endpoint, the
-/// crypto pool, an `Instant` timer heap and clock, and the memory nodes'
-/// stores. Everything happens now, so `At` is `()`.
+/// crypto pool, an `Instant` timer heap and clock, and its handles on the
+/// register banks. Everything happens now, so `At` is `()`.
 struct ReplicaThread {
     g: usize,
     r: usize,
@@ -287,8 +293,8 @@ struct ReplicaThread {
     ep: InProcEndpoint<CtlMsg>,
     pool: Arc<CryptoPool>,
     timers: TimerWheel<NodeTimer>,
-    /// Every memory node of the deployment.
-    mem: Arc<[MemNode]>,
+    /// The replica's handles on its group's register banks.
+    regs: SlotRegisters,
     /// Where decided requests go: the replica's executor thread.
     exec: mpsc::Sender<ExecJob>,
 }
@@ -362,13 +368,11 @@ impl Substrate for ReplicaThread {
         self.pool.push(Some(PoolJob { node, group, r, task }));
     }
 
-    /// [`round_trip`] on every memory node. Its completions, the write
-    /// first, reach the node through the thread's own inbox, as the crypto
-    /// pool's and the executor's do.
+    /// [`SlotRegisters::write_and_read`] on the memory nodes. Its
+    /// completions, the write first, reach the node through the thread's
+    /// own inbox, as the crypto pool's and the executor's do.
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
-        let key = (self.g as u32, stream as u32, self.r as u32, slot as u32);
-        let entries = round_trip(&self.mem, key, k, &e, self.n);
-        for done in [CtbDone::Written(k), CtbDone::Read(k, entries)] {
+        for done in self.regs.write_and_read(stream, slot, k, &e) {
             let input = CtlMsg::Input(NodeInput::Ctb { stream, done });
             let _ = self.ep.router().send_ctl(self.node_idx, input);
         }
@@ -523,66 +527,57 @@ impl ClientPort for DriverThread {
 }
 
 // ----------------------------------------------------------------------
-// Memory nodes
+// Registers on in-process memory
 // ----------------------------------------------------------------------
 
-/// Store key: `(group, stream, owner, slot)`.
-type SlotKey = (u32, u32, u32, u32);
-
-/// One passive memory node: a `(group, stream, owner, slot) → (ts, bytes)`
-/// store that replicas write and read themselves, as they would its memory
-/// over one-sided RDMA. Its lock makes a write and the read behind it one
-/// step, so any two receivers' round trips share a node where one's write
-/// lands before the other's read.
-#[derive(Default)]
-pub(crate) struct MemNode(Mutex<HashMap<SlotKey, (u64, Vec<u8>)>>);
-
-impl MemNode {
-    /// Stores `bytes` under `key` at register timestamp `ts` unless the
-    /// register holds a newer one, then reads the slot of every owner of
-    /// `best` into it, in owner order, where the node's entry is newer
-    /// than the one `best` holds.
-    pub(crate) fn write_read(
-        &self,
-        key: SlotKey,
-        ts: u64,
-        bytes: &[u8],
-        best: &mut [Option<(u64, Vec<u8>)>],
-    ) {
-        let mut store = self.0.lock().expect("a replica thread panicked holding a memory node");
-        if store.get(&key).is_none_or(|(old, _)| ts >= *old) {
-            store.insert(key, (ts, bytes.to_vec()));
-        }
-        let (group, stream, _, slot) = key;
-        for (owner, best) in best.iter_mut().enumerate() {
-            let Some((ts, bytes)) = store.get(&(group, stream, owner as u32, slot)) else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|(b_ts, _)| ts > b_ts) {
-                *best = Some((*ts, bytes.clone()));
-            }
-        }
-    }
+/// One replica's [`Registers`] on in-process memory, for the untimed
+/// substrates.
+pub(crate) struct SlotRegisters {
+    /// The memory nodes of the deployment.
+    mem: InProcMemory,
+    regs: Registers,
 }
 
-/// `key`'s owner writes `entry` at register timestamp `k` to every node of
-/// `mem` and reads the slot back, on each node under its lock: the write
-/// lands before the read, and an entry older than the slot's is refused
-/// ([`MemNode::write_read`]). Returns each of the `n` owners' entry of the
-/// highest timestamp across the nodes, in owner order.
-pub(crate) fn round_trip(
-    mem: &[MemNode],
-    key: SlotKey,
-    k: SeqId,
-    entry: &RegEntry,
-    n: usize,
-) -> Vec<Option<RegEntry>> {
-    let (bytes, mut best) = (entry.to_bytes(), vec![None; n]);
-    for node in mem {
-        node.write_read(key, k.0, &bytes, &mut best);
+impl SlotRegisters {
+    /// Every replica's handles, in replica order, on a group's banks laid
+    /// out on `mem`'s memory nodes ([`Registers::banks`]).
+    pub(crate) fn group(mem: &InProcMemory, cfg: &SimConfig) -> Vec<Self> {
+        let hosts: Vec<HostId> = (0..cfg.params.n_mem() as u32).map(HostId).collect();
+        let banks = Registers::banks(&mut { mem }, &hosts, cfg);
+        let handles = |r| SlotRegisters { mem: mem.clone(), regs: Registers::of(&banks, r) };
+        (0..banks.len()).map(handles).collect()
     }
-    let parse = |e: Option<(u64, Vec<u8>)>| RegEntry::from_bytes(&e?.1).ok();
-    best.into_iter().map(parse).collect()
+
+    /// [`Substrate::write_and_read_slot`], carried out at once — §6.1's
+    /// protocol, as the simulator runs it on the fabric: the replica's
+    /// quorum write of `e` at register timestamp `k` to its register
+    /// `slot` of `stream`, then a quorum read of every owner's register
+    /// `slot` of `stream` from the write's start. Returns the two
+    /// completions, the write's first; the read's holds each owner's
+    /// entry, in owner order. Every operation is given time zero:
+    /// in-process memory completes at once, and a δ-deferred write only
+    /// starts at a later label. Every node takes every write here, so a
+    /// read posted to all of them ([`RegisterReader::read`]) counts exactly
+    /// the nodes that took the write.
+    pub(crate) fn write_and_read(
+        &mut self,
+        stream: usize,
+        slot: usize,
+        k: SeqId,
+        e: &RegEntry,
+    ) -> [CtbDone; 2] {
+        // In-process memory does not look at an operation's issuer.
+        let (mut mem, issuer, reg) = (&self.mem, HostId(0), RegisterId(slot));
+        let writer = &mut self.regs.writers[stream];
+        writer.write(&mut mem, issuer, reg, k.0, &e.to_bytes(), Time::ZERO).expect("no node down");
+        let at = writer.last_write(reg).start;
+        let read = |reader: &RegisterReader| match reader.read(&mut mem, issuer, reg, at) {
+            ReadOutcome::Value { value, .. } => RegEntry::from_bytes(&value).ok(),
+            _ => None,
+        };
+        let entries = self.regs.readers[stream].iter().map(read).collect();
+        [CtbDone::Written(k), CtbDone::Read(k, entries)]
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -593,7 +588,8 @@ pub(crate) fn round_trip(
 /// threads each and an executor thread beside each replica, one
 /// client-driver thread per group, and a crypto worker pool of
 /// [`SimConfig::crypto_workers`] threads; the `2f_m + 1` memory nodes are
-/// stores the replica threads share, with no thread of their own.
+/// passive in-process memory the replica threads share, with no thread of
+/// their own.
 /// `make_apps(g)` yields group `g`'s `n` application instances;
 /// `make_workload(g)` its request source.
 ///
@@ -630,16 +626,16 @@ pub fn run_wallclock(
     let rings = Arc::new(rings);
 
     let pool = Arc::new(CryptoPool::new());
+    let mem = InProcMemory::new(cfg.params.n_mem());
     let crypto_handles = spawn_crypto_workers(workers, &pool, &rings, &router);
     let epoch = Instant::now();
-
-    let mem: Arc<[MemNode]> = (0..cfg.params.n_mem()).map(|_| MemNode::default()).collect();
 
     let mut replica_handles = Vec::with_capacity(shards * n);
     for g in 0..shards {
         let apps = make_apps(g);
         assert_eq!(apps.len(), n, "one app instance per replica");
-        for (r, app) in apps.into_iter().enumerate() {
+        let regs = SlotRegisters::group(&mem, cfg);
+        for ((r, app), regs) in apps.into_iter().enumerate().zip(regs) {
             let mut timers = TimerWheel::new();
             timers.arm(wall(RETRANSMIT_PERIOD, scale), NodeTimer::Retransmit);
             let node = ReplicaNode::new(r, cfg, rings[g].clone());
@@ -658,7 +654,7 @@ pub fn run_wallclock(
                 ep: take_ep(replica_node(g, n, r)),
                 pool: Arc::clone(&pool),
                 timers,
-                mem: Arc::clone(&mem),
+                regs,
                 exec,
             };
             // The replica thread starts its executor thread.
