@@ -6,6 +6,7 @@ use ubft_sim::net::{HopOutcome, NetworkModel};
 use ubft_sim::{HostId, SimRng};
 use ubft_types::{Duration, Time};
 
+use crate::memory::Memory;
 use crate::region::Region;
 
 /// Globally unique identifier of a registered memory region.
@@ -58,16 +59,16 @@ pub struct WriteTicket {
     /// and nothing more. The read-after-write PCIe fence the paper issues
     /// to guarantee visibility (§6.2 footnote 4) is not a round trip of its
     /// own here: a register's slot read, posted behind the write on the
-    /// same queue pair ([`Fabric::post_read`]), acts as that fence on each
+    /// same queue pair ([`Memory::post_read`]), acts as that fence on each
     /// pair.
     pub completion: Time,
 }
 
-/// A READ posted with [`Fabric::post_read`], its hops drawn.
+/// A READ posted with [`Memory::post_read`], its hops drawn.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadPost {
     /// When the read reaches the target: the instant whose bytes it
-    /// returns ([`Fabric::sample_into`]).
+    /// returns ([`Memory::sample_into`]).
     pub arrival: Time,
     /// When the issuer receives the data.
     pub completion: Time,
@@ -107,7 +108,7 @@ pub struct Fabric {
     /// Every queue pair an operation was posted on.
     pairs: BTreeMap<(HostId, HostId), QueuePair>,
     /// Spent in-flight write images, handed back by the regions as they
-    /// fold writes in, for the next [`Fabric::write`] to copy into. Every
+    /// fold writes in, for the next [`Memory::write`] to copy into. Every
     /// buffer is in flight or here, and one is only made when this is
     /// empty, so it never holds more than the most writes ever in flight.
     spare: Vec<Vec<u8>>,
@@ -124,16 +125,6 @@ impl Fabric {
             pairs: BTreeMap::new(),
             spare: Vec::new(),
         }
-    }
-
-    /// Registers a `size`-byte region on `host`, returning its id and the
-    /// unique write capability.
-    pub fn create_region(&mut self, host: HostId, size: usize) -> (RegionId, AccessToken) {
-        let id = RegionId(self.regions.len() as u64);
-        let token = AccessToken(self.next_token);
-        self.next_token = self.next_token.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        self.regions.insert(id, RegionEntry { host, writer: token, region: Region::new(size) });
-        (id, token)
     }
 
     /// Mutable access to the network model (crash/partition injection).
@@ -156,6 +147,52 @@ impl Fabric {
         arrival
     }
 
+    /// Reads a region that lives on the issuer's own host into `out`
+    /// (`out.len()` bytes at `offset`): no network hops, no allocation, the
+    /// bytes are sampled as they appear at `now`. This is how a receiver
+    /// polls its RDMA-exposed circular buffer (§6.2) — local RAM access,
+    /// with any CPU cost charged by the caller's cost model.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`RdmaError`] if the region is unknown, not local to
+    /// `issuer`, out of bounds, or the host has crashed.
+    pub fn local_read_into(
+        &mut self,
+        issuer: HostId,
+        region: RegionId,
+        offset: usize,
+        out: &mut [u8],
+        now: Time,
+    ) -> Result<(), RdmaError> {
+        let entry = self.regions.get_mut(&region).ok_or(RdmaError::UnknownRegion)?;
+        if entry.host != issuer {
+            return Err(RdmaError::PermissionDenied);
+        }
+        if offset + out.len() > entry.region.len() {
+            return Err(RdmaError::OutOfBounds);
+        }
+        if self.net.is_crashed(issuer, now) {
+            return Err(RdmaError::IssuerUnavailable);
+        }
+        entry.region.sample_into(offset, out, now, &mut self.spare);
+        Ok(())
+    }
+}
+
+/// The fabric's one-sided operations, which the SWMR registers of
+/// `ubft-dmem` and the channels of `ubft-transport` issue.
+impl Memory for Fabric {
+    /// Registers a `size`-byte region on `host`, returning its id and the
+    /// unique write capability.
+    fn create_region(&mut self, host: HostId, size: usize) -> (RegionId, AccessToken) {
+        let id = RegionId(self.regions.len() as u64);
+        let token = AccessToken(self.next_token);
+        self.next_token = self.next_token.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        self.regions.insert(id, RegionEntry { host, writer: token, region: Region::new(size) });
+        (id, token)
+    }
+
     /// Issues a one-sided WRITE of `data` into `region` at `offset`. The
     /// bytes are copied once, into a spent in-flight image the fabric keeps
     /// for reuse, so the caller keeps its buffer and a steady stream of
@@ -167,7 +204,7 @@ impl Fabric {
     /// Returns an [`RdmaError`] if permissions, bounds, or host liveness
     /// checks fail. A `TargetUnavailable` error means the op will never
     /// complete; callers model this as a lost completion.
-    pub fn write(
+    fn write(
         &mut self,
         issuer: HostId,
         token: AccessToken,
@@ -223,13 +260,13 @@ impl Fabric {
     /// operation posted on that pair before it, and not before every
     /// write posted before it on that pair — to any region — has fully
     /// landed. What it reads is left to the caller, who samples the region
-    /// at [`ReadPost::arrival`] with [`Fabric::sample_into`], once every
+    /// at [`ReadPost::arrival`] with [`Memory::sample_into`], once every
     /// write that arrives before then has been posted.
     ///
     /// # Errors
     ///
     /// Returns an [`RdmaError`] if bounds or host liveness checks fail.
-    pub fn post_read(
+    fn post_read(
         &mut self,
         issuer: HostId,
         region: RegionId,
@@ -260,14 +297,14 @@ impl Fabric {
     }
 
     /// Copies `out.len()` bytes of `region` at `offset` as they are at `at`
-    /// into `out`: what a read posted with [`Fabric::post_read`] finds when
+    /// into `out`: what a read posted with [`Memory::post_read`] finds when
     /// it arrives at `at`. No hops and no allocation.
     ///
     /// # Errors
     ///
     /// Returns an [`RdmaError`] if the region is unknown or the bytes are
     /// out of its bounds.
-    pub fn sample_into(
+    fn sample_into(
         &mut self,
         region: RegionId,
         offset: usize,
@@ -282,36 +319,8 @@ impl Fabric {
         Ok(())
     }
 
-    /// Reads a region that lives on the issuer's own host into `out`
-    /// (`out.len()` bytes at `offset`): no network hops, no allocation, the
-    /// bytes are sampled as they appear at `now`. This is how a receiver
-    /// polls its RDMA-exposed circular buffer (§6.2) — local RAM access,
-    /// with any CPU cost charged by the caller's cost model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`RdmaError`] if the region is unknown, not local to
-    /// `issuer`, out of bounds, or the host has crashed.
-    pub fn local_read_into(
-        &mut self,
-        issuer: HostId,
-        region: RegionId,
-        offset: usize,
-        out: &mut [u8],
-        now: Time,
-    ) -> Result<(), RdmaError> {
-        let entry = self.regions.get_mut(&region).ok_or(RdmaError::UnknownRegion)?;
-        if entry.host != issuer {
-            return Err(RdmaError::PermissionDenied);
-        }
-        if offset + out.len() > entry.region.len() {
-            return Err(RdmaError::OutOfBounds);
-        }
-        if self.net.is_crashed(issuer, now) {
-            return Err(RdmaError::IssuerUnavailable);
-        }
-        entry.region.sample_into(offset, out, now, &mut self.spare);
-        Ok(())
+    fn is_crashed(&self, host: HostId, at: Time) -> bool {
+        self.net.is_crashed(host, at)
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper's prototype exposes memory over RDMA on InfiniBand (§2.3, §6).
 //! This crate reproduces the four properties the protocols rely on:
 //!
-//! 1. **One-sided access** — a [`Fabric::write`]/[`Fabric::post_read`] completes
+//! 1. **One-sided access** — a [`Memory::write`]/[`Memory::post_read`] completes
 //!    without involving the target host's CPU; the target may be a passive
 //!    memory node.
 //! 2. **Access permissions** — each region has a single writer capability

@@ -1,5 +1,5 @@
 //! The memory a register lives in: the one-sided operations the SWMR
-//! registers of `ubft-dmem` issue, on the simulated [`Fabric`] or on
+//! registers of `ubft-dmem` issue, on the simulated [`Fabric`](crate::Fabric) or on
 //! passive memory in the process ([`InProcMemory`]).
 
 use std::ops::Range;
@@ -9,20 +9,23 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use ubft_sim::HostId;
 use ubft_types::Time;
 
-use crate::fabric::{AccessToken, Fabric, RdmaError, ReadPost, RegionId, WriteTicket};
+use crate::fabric::{AccessToken, RdmaError, ReadPost, RegionId, WriteTicket};
 
-/// Memory nodes exposing regions to one-sided writes and reads, as
-/// [`Fabric`]'s methods of the same names define them.
+/// Memory nodes exposing regions to one-sided writes and reads: the
+/// simulated [`Fabric`](crate::Fabric), or [`InProcMemory`].
 pub trait Memory {
     /// Registers a `size`-byte region on memory node `host`, returning its
     /// id and the unique write capability.
     fn create_region(&mut self, host: HostId, size: usize) -> (RegionId, AccessToken);
 
-    /// Issues a one-sided WRITE of `data` into `region` at `offset`.
+    /// Issues a one-sided WRITE of `data` into `region` at `offset`; the
+    /// issuer keeps its buffer.
     ///
     /// # Errors
     ///
-    /// As [`Fabric::write`].
+    /// Returns an [`RdmaError`] if the region is unknown, `token` is not
+    /// its write capability, the bytes are out of its bounds, or a host is
+    /// down. `TargetUnavailable` means the write will never complete.
     fn write(
         &mut self,
         issuer: HostId,
@@ -38,7 +41,9 @@ pub trait Memory {
     ///
     /// # Errors
     ///
-    /// As [`Fabric::post_read`].
+    /// Returns an [`RdmaError`] if the region is unknown, the bytes are out
+    /// of its bounds, or a host is down. `TargetUnavailable` means the read
+    /// will never complete.
     fn post_read(
         &mut self,
         issuer: HostId,
@@ -52,7 +57,8 @@ pub trait Memory {
     ///
     /// # Errors
     ///
-    /// As [`Fabric::sample_into`].
+    /// Returns an [`RdmaError`] if the region is unknown or the bytes are
+    /// out of its bounds.
     fn sample_into(
         &mut self,
         region: RegionId,
@@ -63,49 +69,6 @@ pub trait Memory {
 
     /// Whether `host` is down at `at`.
     fn is_crashed(&self, host: HostId, at: Time) -> bool;
-}
-
-impl Memory for Fabric {
-    fn create_region(&mut self, host: HostId, size: usize) -> (RegionId, AccessToken) {
-        Fabric::create_region(self, host, size)
-    }
-
-    fn write(
-        &mut self,
-        issuer: HostId,
-        token: AccessToken,
-        region: RegionId,
-        offset: usize,
-        data: &[u8],
-        now: Time,
-    ) -> Result<WriteTicket, RdmaError> {
-        Fabric::write(self, issuer, token, region, offset, data, now)
-    }
-
-    fn post_read(
-        &mut self,
-        issuer: HostId,
-        region: RegionId,
-        offset: usize,
-        len: usize,
-        now: Time,
-    ) -> Result<ReadPost, RdmaError> {
-        Fabric::post_read(self, issuer, region, offset, len, now)
-    }
-
-    fn sample_into(
-        &mut self,
-        region: RegionId,
-        offset: usize,
-        out: &mut [u8],
-        at: Time,
-    ) -> Result<(), RdmaError> {
-        Fabric::sample_into(self, region, offset, out, at)
-    }
-
-    fn is_crashed(&self, host: HostId, at: Time) -> bool {
-        self.net().is_crashed(host, at)
-    }
 }
 
 /// Passive memory in the process, which a clone shares, across threads too:

@@ -18,12 +18,14 @@
 //! owning group's id; all indices inside a group are group-local and
 //! mapped into the global `HostId` space via each group's host-block base.
 
+use std::ops::Range;
+
 use ubft_core::app::App;
 use ubft_core::engine::{CryptoJob, CryptoOps, DecisionRecord, Effect};
 use ubft_core::msg::{exec_table_digest, Request};
 use ubft_crypto::{Digest, KeyRing};
 use ubft_ctb::ctbcast::RegEntry;
-use ubft_dmem::{Found, PostedRead, RegisterBank, RegisterId, WriteOutcome};
+use ubft_dmem::{RegisterBank, WriteOutcome};
 use ubft_rdma::Fabric;
 use ubft_sim::failure::ByzantineMode;
 use ubft_sim::{EventQueue, HostId};
@@ -39,8 +41,9 @@ use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::ReplicaReport;
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{
-    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, Registers, ReplicaNode, Substrate,
+    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate,
 };
+use crate::registers::{Registers, SlotRead};
 use crate::stall::ReplicaStall;
 
 /// Simulation events. All indices are group-local; the queue tags each
@@ -242,32 +245,10 @@ pub(crate) struct SimEnv {
     poll_buf: Vec<u8>,
     /// Where a register write encodes its [`RegEntry`] — reused likewise.
     reg_buf: Vec<u8>,
-    /// Slot reads, by the index their [`Ev::RegSample`]s carry: the ones in
-    /// flight, and settled ones whose buffers serve the next.
-    slot_reads: Vec<SlotRead>,
-}
-
-/// One replica's read of one slot of a stream's bank — every owner's
-/// register — posted behind its own write of that slot.
-#[derive(Default)]
-struct SlotRead {
-    r: usize,
-    /// The reader's host when the read was posted: a retry leaves from it.
-    host: HostId,
-    stream: usize,
-    slot: usize,
-    k: SeqId,
-    /// The memory nodes that took the write: the only ones the read counts.
-    took: u64,
-    /// Per owner, the quorum read of its register, and whether it was
-    /// posted again.
-    owners: Vec<(PostedRead, bool)>,
-    /// What each owner's register holds, as its read settles.
-    entries: Vec<Option<RegEntry>>,
-    /// Owners whose read has not settled.
-    unsettled: usize,
-    /// When the last answer reaches the reader.
-    completion: Time,
+    /// Register round trips and the replica making each, by the index
+    /// their [`Ev::RegSample`]s carry: the ones in flight, and settled ones
+    /// whose buffers serve the next.
+    slot_reads: Vec<(usize, SlotRead)>,
 }
 
 /// One consensus group: `2f + 1` [`ReplicaNode`]s, its closed-loop clients,
@@ -338,55 +319,20 @@ impl SimEnv {
         }
     }
 
-    /// Posts slot read `id`'s read of `owner`'s register at `at`, with an
-    /// [`Ev::RegSample`] at each answering node's arrival; a read with
-    /// nothing in flight settles at once, on nothing.
-    fn post_register_read(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, at: Time) {
-        let read = &mut self.slot_reads[id];
-        let reader = &self.machines[read.r].regs.readers[read.stream][owner];
-        let posted = &mut read.owners[owner].0;
-        if !reader.post(sh.fabric, read.host, RegisterId(read.slot), read.took, at, posted) {
-            return self.settle_read(sh, id, owner, None);
+    /// Schedules what slot read `id` waits for next: once every owner's
+    /// read has settled, the entries, at the read's completion; otherwise
+    /// an [`Ev::RegSample`] at each arrival of the reads of `owners`, just
+    /// posted.
+    fn await_read(&mut self, sh: &mut Shared<'_>, id: usize, owners: Range<usize>) {
+        let (r, read) = &mut self.slot_reads[id];
+        if let Some(input) = read.settled() {
+            let ev = Ev::Node { r: *r as u32, host: read.host, input };
+            return sh.events.push(read.completion, (self.gid, ev));
         }
-        read.completion = read.completion.max(posted.completion());
-        for (answer, arrival) in posted.arrivals().enumerate() {
-            sh.events.push(arrival, (self.gid, Ev::RegSample { read: id, owner, answer }));
-        }
-    }
-
-    /// [`Ev::RegSample`]: samples one answer of slot read `id`'s read of
-    /// `owner`'s register; with its last answer in, the read settles — or
-    /// is posted again, once, at its completion if it overlapped a write.
-    fn on_register_sample(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, answer: usize) {
-        let read = &mut self.slot_reads[id];
-        let reader = &self.machines[read.r].regs.readers[read.stream][owner];
-        let (posted, again) = &mut read.owners[owner];
-        if !reader.sample(sh.fabric, posted, answer) {
-            return;
-        }
-        let entry = match reader.found(posted) {
-            Found::Value { value, .. } => RegEntry::from_bytes(value).ok(),
-            Found::Retry if !*again => {
-                *again = true;
-                let at = posted.completion();
-                return self.post_register_read(sh, id, owner, at);
+        for owner in owners {
+            for (answer, arrival) in read.owners[owner].arrivals().enumerate() {
+                sh.events.push(arrival, (self.gid, Ev::RegSample { read: id, owner, answer }));
             }
-            Found::WriterByzantine | Found::Retry => None,
-        };
-        self.settle_read(sh, id, owner, entry);
-    }
-
-    /// Slot read `id`'s read of `owner`'s register found `entry`; with every
-    /// owner's in, the entries go to the reader's CTBcast instance.
-    fn settle_read(&mut self, sh: &mut Shared<'_>, id: usize, owner: usize, e: Option<RegEntry>) {
-        let read = &mut self.slot_reads[id];
-        (read.entries[owner], read.owners[owner].1) = (e, false);
-        read.unsettled -= 1;
-        if read.unsettled == 0 {
-            let done = CtbDone::Read(read.k, std::mem::take(&mut read.entries));
-            let input = NodeInput::Ctb { stream: read.stream, done };
-            let ev = Ev::Node { r: read.r as u32, host: read.host, input };
-            sh.events.push(read.completion, (self.gid, ev));
         }
     }
 
@@ -588,58 +534,31 @@ impl Substrate for SimSubstrate<'_, '_> {
         env.push_input(self.sh, r, at, task.run(r, &env.ring));
     }
 
-    /// Writes this replica's register `slot` of `stream`, then reads every
-    /// receiver's register `slot`, posted at the start of the write —
-    /// behind it on every memory node's queue pair — and counting only the
-    /// nodes that took it. Each node is sampled when the read reaches it
-    /// ([`Ev::RegSample`]); an owner's read that overlapped a write is
-    /// posted once more (§6.1). The entries come back, in replica order,
-    /// when the last answer does.
-    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, at: Time) {
-        let (env, r) = (&mut *self.env, self.r);
-        let host = env.host_of(r);
-        let mut entry = e;
-        // A register-corrupting replica stores a garbled fingerprint
-        // in its own SWMR slot. Readers must treat the entry as a
-        // suspect, fail its signature check, and deliver anyway
-        // (§6.1: forged entries cannot block delivery).
-        if env.byz_mode(r, at) == Some(ByzantineMode::CorruptRegisters) {
-            let mut fp = *entry.fp.as_bytes();
-            fp[0] ^= 0xFF;
-            fp[31] ^= 0xFF;
-            entry.fp = Digest::from_bytes(fp);
-        }
+    /// The round trip on the fabric ([`SlotRead`]): each answer is sampled
+    /// when the read reaches its memory node ([`Ev::RegSample`]). The
+    /// write's quorum and then the entries, in replica order, come back
+    /// when they reach the replica.
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, e: RegEntry, at: Time) {
+        let (env, r, sh) = (&mut *self.env, self.r, &mut *self.sh);
         env.reg_buf.clear();
-        entry.encode(&mut env.reg_buf);
-        let writer = &mut env.machines[r].regs.writers[stream];
+        e.encode(&mut env.reg_buf);
+        let id = env.slot_reads.iter().position(|(_, rd)| rd.unsettled == 0).unwrap_or_else(|| {
+            env.slot_reads.push(Default::default());
+            env.slot_reads.len() - 1
+        });
+        let (m, (reader, read)) = (&mut env.machines[r], &mut env.slot_reads[id]);
+        *reader = r;
+        let out = read.start(&mut m.regs, sh.fabric, m.host, stream, slot, e.k, &env.reg_buf, at);
         // Only a write that reached its quorum completes. A writer that died
         // at a crash boundary (possibly via the δ-cooldown deferring the
         // start past its own crash) has its continuation events dropped by
         // the crash checks, so there is nothing to schedule; with more than
         // f_m memory nodes down (outside the fault model) the slow path
         // simply cannot complete.
-        let outcome = writer.write(self.sh.fabric, host, RegisterId(slot), k.0, &env.reg_buf, at);
-        if let WriteOutcome::Done(at) = outcome {
-            let done = CtbDone::Written(k);
-            env.push_input(self.sh, r, at, NodeInput::Ctb { stream, done });
+        if let WriteOutcome::Done(at) = out {
+            env.push_input(sh, r, at, NodeInput::Ctb { stream, done: CtbDone::Written(e.k) });
         }
-
-        let write = env.machines[r].regs.writers[stream].last_write(RegisterId(slot));
-        let at = at.max(write.start);
-        let id = env.slot_reads.iter().position(|read| read.unsettled == 0).unwrap_or_else(|| {
-            env.slot_reads.push(SlotRead::default());
-            env.slot_reads.len() - 1
-        });
-        let n = env.n();
-        let read = &mut env.slot_reads[id];
-        (read.r, read.host, read.stream, read.slot, read.k) = (r, host, stream, slot, k);
-        read.took = write.took;
-        read.owners.resize_with(n, Default::default);
-        read.entries = vec![None; n];
-        (read.unsettled, read.completion) = (n, at);
-        for owner in 0..n {
-            env.post_register_read(self.sh, id, owner, at);
-        }
+        env.await_read(sh, id, 0..env.n());
     }
 
     fn clock(&self) -> Duration {
@@ -1115,8 +1034,10 @@ impl GroupRuntime {
             // Whatever an earlier incarnation of the replica scheduled died
             // with its host.
             Ev::Node { .. } => {}
-            Ev::RegSample { read, owner, answer } => {
-                self.env.on_register_sample(sh, read, owner, answer);
+            Ev::RegSample { read: id, owner, answer } => {
+                let (r, read) = &mut self.env.slot_reads[id];
+                let again = read.sample(&self.env.machines[*r].regs, sh.fabric, owner, answer);
+                self.env.await_read(sh, id, if again { owner..owner + 1 } else { 0..0 });
             }
             Ev::Client { c, timer } => {
                 let port = &mut SimClientPort { env: &mut self.env, sh, at: t };

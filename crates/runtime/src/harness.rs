@@ -24,7 +24,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
 use ubft_core::client::{read_reply, Client};
-use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
@@ -38,8 +37,8 @@ use crate::calibration::SimConfig;
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{CryptoTask, CtbDone, NodeInput, ReplicaNode, Substrate};
 pub use crate::node::{Lane, NodeTimer};
+use crate::registers::{Registers, SlotRead};
 use crate::stall::ReplicaStall;
-use crate::threads::SlotRegisters;
 
 /// What `from` sent `to`, in order.
 type Link = VecDeque<(Lane, Vec<u8>)>;
@@ -117,8 +116,11 @@ pub struct NodeNet {
     links: BTreeMap<(usize, usize), Link>,
     /// Finished crypto, register and executor work, per replica.
     completions: Vec<VecDeque<NodeInput>>,
-    /// Each replica's handles on the register banks.
-    regs: Vec<SlotRegisters>,
+    /// The memory nodes, each replica's handles on the register banks, and
+    /// the round trip a call under way makes on them.
+    mem: InProcMemory,
+    regs: Vec<Registers>,
+    read: SlotRead,
     /// Encoded replies on their way to the client.
     replies: Vec<Vec<u8>>,
     /// Each replica's Byzantine behaviour, as `cfg`'s plan has it at time
@@ -140,6 +142,7 @@ impl NodeNet {
         let ids = cfg.params.replicas().map(ProcessId::Replica);
         let ring = KeyRing::generate(cfg.seed, ids.chain([ProcessId::Client(ClientId(0))]));
         let flip = || Box::new(FlipApp::new()) as Box<dyn App>;
+        let mem = InProcMemory::new(cfg.params.n_mem());
         let mut net = NodeNet {
             nodes: (0..n).map(|r| ReplicaNode::new(r, cfg, ring.clone())).collect(),
             execs: (0..n).map(|r| Executor::new(r, cfg, &ring, flip())).collect(),
@@ -151,7 +154,9 @@ impl NodeNet {
             client: Client::new(ClientId(0), cfg.params.replicas().collect(), cfg.params.quorum()),
             links: BTreeMap::new(),
             completions: (0..n).map(|_| VecDeque::new()).collect(),
-            regs: SlotRegisters::group(&InProcMemory::new(cfg.params.n_mem()), cfg),
+            regs: Registers::in_process(&mem, cfg),
+            mem,
+            read: SlotRead::default(),
             replies: Vec::new(),
             byz: (0..n).map(|r| cfg.failures.byzantine_mode(r, Time::ZERO)).collect(),
             told: HashMap::new(),
@@ -365,24 +370,10 @@ impl Substrate for NodeNet {
         self.completions[r].push_back(task.run(r, &self.ring));
     }
 
-    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, e: RegEntry, _: ()) {
         let r = self.calling;
-        for done in self.regs[r].write_and_read(stream, slot, k, &e) {
-            self.completions[r].push_back(NodeInput::Ctb { stream, done });
-        }
-    }
-
-    fn engine_call_done(
-        &mut self,
-        _: (),
-        _ops: CryptoOps,
-        jobs: std::vec::Drain<'_, CryptoJob>,
-        fx: Vec<Effect>,
-    ) -> Option<((), Vec<Effect>)> {
-        for job in jobs {
-            self.crypto(CryptoTask::Engine(job), ());
-        }
-        Some(((), fx))
+        let inputs = self.read.now(&mut self.regs[r], &self.mem, stream, slot, &e);
+        self.completions[r].extend(inputs);
     }
 
     /// Runs the job at once: the replies head for the client, the answers

@@ -24,7 +24,7 @@ use crate::exec::Executor;
 use crate::harness::{Done, Lane, Move, NodeNet, NodeTimer, Step};
 use crate::node::CtbDone;
 use crate::node::{NodeInput, ReplicaNode};
-use crate::threads::SlotRegisters;
+use crate::registers::{Registers, SlotRead};
 
 /// Loses nothing.
 fn keep(_: &Move, _: &[u8]) -> bool {
@@ -204,6 +204,37 @@ fn an_equivocating_lock_is_branded() {
         assert!(why.contains("equivocation"), "branded for {why}");
     }
     assert!(net.execs[1..].iter().all(|exec| exec.exec_log.is_empty()));
+}
+
+/// A register-corrupting replica garbles the fingerprint of each entry it
+/// writes, in the driver both real backends run. On the slow path each
+/// correct receiver then meets replica 1's entry under the id it is
+/// delivering, checks its signature, rejects it and delivers anyway
+/// (§6.1: a forged entry cannot block delivery), so the correct replicas
+/// verify more than in an honest run, brand nobody, and execute the same
+/// log as there.
+#[test]
+fn a_garbled_register_entry_is_checked_rejected_and_delivered_past() {
+    let requests = 20;
+    let run = |failures| {
+        let mut net =
+            NodeNet::new(&SimConfig { failures, ..SimConfig::paper_default(5).slow_only() });
+        for i in 0..requests {
+            assert!(net.request(payload(i)), "request {i} stalled");
+        }
+        net
+    };
+    let honest = run(FailurePlan::none());
+    let corrupt = FailurePlan::none().byzantine(1, ByzantineMode::CorruptRegisters, Time::ZERO);
+    let corrupt = run(corrupt);
+    for r in [0, 2] {
+        let (nd, exec) = (&corrupt.nodes[r], &corrupt.execs[r]);
+        let verifies = [honest.nodes[r].counters.ctb_verifies, nd.counters.ctb_verifies];
+        assert!(verifies[1] > verifies[0], "replica {r} checked no garbled entry: {verifies:?}");
+        assert!(nd.branded.is_empty(), "replica {r} branded {:?}", nd.branded);
+        assert_eq!(exec.exec_log.len(), requests as usize);
+        assert_eq!(exec.exec_log, honest.execs[r].exec_log);
+    }
 }
 
 /// Fires replica `r`'s armed `timer` twice — a sweep acts at its second
@@ -559,15 +590,26 @@ fn reg(k: u64, byte: u8) -> RegEntry {
     }
 }
 
+/// Every replica's handles, in replica order, on a group's banks laid out
+/// on `mem`, each with the memory it is on.
+fn group(mem: &InProcMemory, cfg: &SimConfig) -> Vec<(InProcMemory, Registers)> {
+    Registers::in_process(mem, cfg).into_iter().map(|regs| (mem.clone(), regs)).collect()
+}
+
 /// The owner of `regs` writes `e` to its register `slot` of `stream` and
-/// reads that slot back: every owner's entry, in owner order.
+/// reads that slot back, in the round trip both untimed substrates make:
+/// every owner's entry, in owner order.
 fn round_trip(
-    regs: &mut SlotRegisters,
+    (mem, regs): &mut (InProcMemory, Registers),
     stream: usize,
     slot: usize,
     e: &RegEntry,
 ) -> Vec<Option<RegEntry>> {
-    match regs.write_and_read(stream, slot, e.k, e) {
+    let ctb = |input| match input {
+        NodeInput::Ctb { stream: s, done } if s == stream => done,
+        _ => panic!("a completion of stream {stream}'s register round trip"),
+    };
+    match SlotRead::default().now(regs, mem, stream, slot, e).map(ctb) {
         [CtbDone::Written(w), CtbDone::Read(k, entries)] if w == e.k && k == e.k => entries,
         _ => panic!("a write's completion, then its read's"),
     }
@@ -582,7 +624,7 @@ fn round_trip(
 fn a_register_round_trip_on_in_process_memory_reads_back_each_owners_entry() {
     let cfg = SimConfig::paper_default(1);
     let mem = InProcMemory::new(cfg.params.n_mem());
-    let mut regs = SlotRegisters::group(&mem, &cfg);
+    let mut regs = group(&mem, &cfg);
     let mut rt =
         |owner: usize, stream, slot, e: &RegEntry| round_trip(&mut regs[owner], stream, slot, e);
     assert_eq!(rt(1, 1, 2, &reg(5, 0xB1)), [None, Some(reg(5, 0xB1)), None]);
@@ -597,7 +639,7 @@ fn a_register_round_trip_on_in_process_memory_reads_back_each_owners_entry() {
     assert_eq!(rt(0, 1, 2, &reg(6, 0xA0)), all);
     // Another group's banks on the same memory nodes are other registers
     // too, and a write there leaves this group's as they were.
-    let mut other_group = SlotRegisters::group(&mem, &cfg);
+    let mut other_group = group(&mem, &cfg);
     let theirs = round_trip(&mut other_group[1], 1, 2, &reg(7, 0xD1));
     assert_eq!(theirs, [None, Some(reg(7, 0xD1)), None]);
     assert_eq!(round_trip(&mut regs[2], 1, 2, &reg(10, 0xC3))[..2], all[..2]);
@@ -613,7 +655,7 @@ fn of_two_owners_writing_then_reading_at_once_one_sees_the_other() {
     const TRIALS: u64 = 1_000;
     let cfg = SimConfig::paper_default(1);
     let tail = cfg.params.tail;
-    let mut regs = SlotRegisters::group(&InProcMemory::new(cfg.params.n_mem()), &cfg);
+    let mut regs = group(&InProcMemory::new(cfg.params.n_mem()), &cfg);
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
     let owners: Vec<_> = regs
         .drain(..2)

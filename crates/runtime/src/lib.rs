@@ -9,10 +9,12 @@
 //!   closed-loop clients, over one fabric and one event queue, with
 //!   requests routed per key by [`ubft_apps::ShardRouter`] when there are
 //!   several groups. Built on the private `node` (a replica's protocol
-//!   stack and its one driver), `exec` (a replica's execution core: its
-//!   application and last-reply table), `client_loop` (a group's
-//!   closed-loop clients) and `group` (one group's simulator `Substrate`,
-//!   `ExecPort` and `ClientPort` for the three) modules.
+//!   stack and its one driver), `registers` (a group's SWMR register
+//!   banks and the one register round trip every substrate runs), `exec`
+//!   (a replica's execution core: its application and last-reply table),
+//!   `client_loop` (a group's closed-loop clients) and `group` (one
+//!   group's simulator `Substrate`, `ExecPort` and `ClientPort` for the
+//!   three) modules.
 //! * [`threads`] — the same `node` driver on OS threads
 //!   ([`Backend::Threads`]): wall-clock time instead of virtual time.
 //! * [`baselines`] — the comparison systems measured the same way:
@@ -37,6 +39,7 @@ mod client_loop;
 mod exec;
 mod group;
 mod node;
+mod registers;
 
 pub use audit::{AuditMutation, AuditReport, AuditViolation, Auditor, ViolationKind};
 pub use calibration::{Backend, SimConfig};

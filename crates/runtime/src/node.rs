@@ -12,7 +12,8 @@
 //! simulator (`group.rs`) implements it over the event queue, fabric and
 //! cost cursors; the threaded backend (`threads.rs`) over the in-process
 //! mesh, crypto pool and in-process memory. Both lay out a group's SWMR
-//! registers as [`Registers`] says.
+//! registers as [`Registers`](crate::registers::Registers) says, and run
+//! one round trip on them ([`SlotRead`](crate::registers::SlotRead)).
 
 use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoResult, CryptoTag, DecisionRecord, Effect, Engine, EngineConfig,
@@ -23,10 +24,7 @@ use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
 use ubft_ctb::wire::{sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire};
-use ubft_dmem::{RegisterBank, RegisterReader, RegisterWriter};
-use ubft_rdma::Memory;
 use ubft_sim::failure::ByzantineMode;
-use ubft_sim::HostId;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
 use ubft_types::wire::Wire;
 use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
@@ -116,40 +114,6 @@ pub enum NodeTimer {
     /// The periodic TBcast retransmission tick (§4.2: the broadcaster
     /// retransmits its buffered tail until acknowledged).
     Retransmit,
-}
-
-/// One replica's handles on its group's SWMR register banks: the writer of
-/// its own bank in each CTBcast stream and a reader of every bank.
-#[derive(Default)]
-pub(crate) struct Registers {
-    /// `writers[stream]`.
-    pub writers: Vec<RegisterWriter>,
-    /// `readers[stream][owner]`.
-    pub readers: Vec<Vec<RegisterReader>>,
-}
-
-impl Registers {
-    /// Lays a group's banks out on the memory nodes `hosts` of `mem`, as
-    /// every substrate does: `banks[stream][owner]`, one register per slot
-    /// of the CTBcast tail, each holding a [`RegEntry`].
-    pub(crate) fn banks<M: Memory>(
-        mem: &mut M,
-        hosts: &[HostId],
-        cfg: &SimConfig,
-    ) -> Vec<Vec<RegisterBank>> {
-        let (n, p) = (cfg.params.n(), &cfg.params);
-        let mut bank =
-            || RegisterBank::create(mem, hosts, p.tail, RegEntry::encoded_size(), p.delta);
-        (0..n).map(|_| (0..n).map(|_| bank()).collect()).collect()
-    }
-
-    /// Replica `r`'s handles on `banks`.
-    pub(crate) fn of(banks: &[Vec<RegisterBank>], r: usize) -> Self {
-        Registers {
-            writers: banks.iter().map(|owners| owners[r].writer()).collect(),
-            readers: banks.iter().map(|s| s.iter().map(RegisterBank::reader).collect()).collect(),
-        }
-    }
 }
 
 /// The completion of work a CTBcast instance asked the [`Substrate`] to
@@ -273,8 +237,9 @@ pub(crate) trait Substrate {
     fn crypto(&mut self, task: CryptoTask, at: Self::At);
 
     /// Writes `entry` to this replica's SWMR register `slot` in `stream`'s
-    /// bank, with register timestamp `k`, and reads every replica's
-    /// register `slot` of `stream` behind it: one round trip. The read
+    /// bank, its message id the register timestamp, and reads every
+    /// replica's register `slot` of `stream` behind it: one round trip
+    /// ([`SlotRead`](crate::registers::SlotRead)). The read
     /// leaves behind the write on every memory node's queue pair, counting
     /// only the nodes that took the write, and executes only once the
     /// writes before it on its queue pair have landed. Any two replicas'
@@ -283,14 +248,7 @@ pub(crate) trait Substrate {
     /// guarantee. Two completions come back, in either order: the write's
     /// quorum ([`CtbDone::Written`]) and the entries read
     /// ([`CtbDone::Read`]).
-    fn write_and_read_slot(
-        &mut self,
-        stream: usize,
-        slot: usize,
-        k: SeqId,
-        entry: RegEntry,
-        at: Self::At,
-    );
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, entry: RegEntry, at: Self::At);
 
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and
     /// produced `fx`. The substrate starts the jobs — each comes back as
@@ -298,14 +256,19 @@ pub(crate) trait Substrate {
     /// `Some((at, fx))` for now, as of `at`; `None` when it keeps them
     /// until the crypto they wait for has finished and then hands them
     /// back as a [`NodeInput::Effects`]. The jobs are drained out of the
-    /// engine's own queue, which keeps its buffer.
+    /// engine's own queue, which keeps its buffer. Unless a substrate
+    /// models what crypto costs, each job goes to [`Substrate::crypto`] and
+    /// nothing waits for it: the effects apply as of `at`.
     fn engine_call_done(
         &mut self,
         at: Self::At,
-        ops: CryptoOps,
+        _ops: CryptoOps,
         jobs: std::vec::Drain<'_, CryptoJob>,
         fx: Vec<Effect>,
-    ) -> Option<(Self::At, Vec<Effect>)>;
+    ) -> Option<(Self::At, Vec<Effect>)> {
+        jobs.for_each(|job| self.crypto(CryptoTask::Engine(job), at));
+        Some((at, fx))
+    }
 
     /// Hands `job` to the replica's executor, which runs its jobs in the
     /// order they are handed over, answers clients itself, and hands what
@@ -951,11 +914,21 @@ impl ReplicaNode {
                     self.counters.ctb_verifies += 1;
                     sub.crypto(CryptoTask::CtbVerify { stream, tag, k, fp, sig }, at);
                 }
-                CtbEffect::WriteRegister { slot, k, entry } => match drain.next() {
+                CtbEffect::WriteRegister { slot, k, mut entry } => match drain.next() {
                     Some(CtbEffect::ReadSlot { slot: s, k: j }) if (s, j) == (slot, k) => {
                         self.counters.reg_writes += 1;
                         self.counters.reg_reads += 1;
-                        sub.write_and_read_slot(stream, slot, k, entry, at);
+                        // A register-corrupting replica stores a garbled
+                        // fingerprint in its own SWMR slot. Readers must treat
+                        // the entry as a suspect, fail its signature check,
+                        // and deliver anyway (§6.1: forged entries cannot
+                        // block delivery).
+                        if sub.byz_mode(at) == Some(ByzantineMode::CorruptRegisters) {
+                            let mut fp = *entry.fp.as_bytes();
+                            (fp[0], fp[31]) = (fp[0] ^ 0xFF, fp[31] ^ 0xFF);
+                            entry.fp = Digest::from_bytes(fp);
+                        }
+                        sub.write_and_read_slot(stream, slot, entry, at);
                     }
                     e => panic!("register write {k:?} of slot {slot} is followed by {e:?}"),
                 },

@@ -26,8 +26,10 @@
 //!   deterministically by the simulator backend, which remains bit-for-bit
 //!   pinned (`tests/pinned_sim.rs`).
 //! * **Calibrated costs.** Real time is the cost model. The engine's
-//!   metered [`CryptoOps`] are counted, as on the simulator, but charged
-//!   nothing; CTBcast slow-path signatures and verifications, and the
+//!   metered [`CryptoOps`](ubft_core::engine::CryptoOps) are counted, as
+//!   on the simulator, but charged nothing (`engine_call_done` is the
+//!   trait's default: each job to the pool, nothing waits for it);
+//!   CTBcast slow-path signatures and verifications, and the
 //!   engine's crypto jobs, run on the worker pool for real, each a
 //!   `CryptoTask` that the node driver interprets. Real time is the clock
 //!   too: a replica's `ReplicaReport::core` holds the wall time (`Instant`)
@@ -40,7 +42,9 @@
 //!   zeroed arena per memory node behind a lock, where a write and a
 //!   read's sample each copy under the node's lock, so no read tears, and
 //!   no node is ever down. A replica writes a slot and reads every
-//!   owner's copy back itself (`SlotRegisters::write_and_read`).
+//!   owner's copy back itself, in the round trip the simulator runs
+//!   (`SlotRead`, `registers.rs`), each answer sampled as soon as its read
+//!   is posted.
 //!
 //! **Timers and `time_scale`.** Protocol timeouts are calibrated in
 //! microseconds of virtual time; a preempted OS thread can easily be late
@@ -56,26 +60,21 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use ubft_core::app::App;
-use ubft_core::engine::{CryptoJob, CryptoOps, Effect};
 use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
 use ubft_ctb::wire::TbWire;
-use ubft_dmem::{ReadOutcome, RegisterId, RegisterReader};
 use ubft_rdma::InProcMemory;
-use ubft_sim::HostId;
 use ubft_transport::inproc::{inproc_mesh, InMsg, InProcEndpoint, InProcRouter};
 use ubft_transport::net::{LANE_CLIENT_REQ, LANE_CLIENT_RESP};
-use ubft_types::wire::Wire;
-use ubft_types::{ReplicaId, RequestId, SeqId, Time};
+use ubft_types::{ReplicaId, RequestId, Time};
 
 use crate::calibration::{Backend, SimConfig, RETRANSMIT_PERIOD};
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::{Cluster, GroupReport, ReplicaReport, RunReport};
 use crate::exec::{ExecJob, ExecPort, ExecReport, Executor};
-use crate::node::{
-    CryptoTask, CtbDone, Lane, NodeInput, NodeTimer, Registers, ReplicaNode, Substrate,
-};
+use crate::node::{CryptoTask, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate};
+use crate::registers::{Registers, SlotRead};
 
 /// A threaded-deployment workload source for one group: `None` means "no
 /// request available right now" (the driver re-asks with backoff). Must be
@@ -293,8 +292,11 @@ struct ReplicaThread {
     ep: InProcEndpoint<CtlMsg>,
     pool: Arc<CryptoPool>,
     timers: TimerWheel<NodeTimer>,
-    /// The replica's handles on its group's register banks.
-    regs: SlotRegisters,
+    /// The memory nodes, its handles on its group's register banks, and
+    /// its round trip on them.
+    mem: InProcMemory,
+    regs: Registers,
+    read: SlotRead,
     /// Where decided requests go: the replica's executor thread.
     exec: mpsc::Sender<ExecJob>,
 }
@@ -368,30 +370,13 @@ impl Substrate for ReplicaThread {
         self.pool.push(Some(PoolJob { node, group, r, task }));
     }
 
-    /// [`SlotRegisters::write_and_read`] on the memory nodes. Its
+    /// The round trip at once on the memory nodes ([`SlotRead::now`]). Its
     /// completions, the write first, reach the node through the thread's
     /// own inbox, as the crypto pool's and the executor's do.
-    fn write_and_read_slot(&mut self, stream: usize, slot: usize, k: SeqId, e: RegEntry, _: ()) {
-        for done in self.regs.write_and_read(stream, slot, k, &e) {
-            let input = CtlMsg::Input(NodeInput::Ctb { stream, done });
-            let _ = self.ep.router().send_ctl(self.node_idx, input);
+    fn write_and_read_slot(&mut self, stream: usize, slot: usize, e: RegEntry, _: ()) {
+        for input in self.read.now(&mut self.regs, &self.mem, stream, slot, &e) {
+            let _ = self.ep.router().send_ctl(self.node_idx, CtlMsg::Input(input));
         }
-    }
-
-    /// Metered crypto accounting is the simulator's cost model; here real
-    /// time is the cost. Crypto jobs go to the pool, their results come
-    /// back as control frames, and nothing waits for them.
-    fn engine_call_done(
-        &mut self,
-        _: (),
-        _ops: CryptoOps,
-        jobs: std::vec::Drain<'_, CryptoJob>,
-        fx: Vec<Effect>,
-    ) -> Option<((), Vec<Effect>)> {
-        for job in jobs {
-            self.crypto(CryptoTask::Engine(job), ());
-        }
-        Some(((), fx))
     }
 
     fn exec(&mut self, job: ExecJob, _: ()) -> Vec<Request> {
@@ -527,60 +512,6 @@ impl ClientPort for DriverThread {
 }
 
 // ----------------------------------------------------------------------
-// Registers on in-process memory
-// ----------------------------------------------------------------------
-
-/// One replica's [`Registers`] on in-process memory, for the untimed
-/// substrates.
-pub(crate) struct SlotRegisters {
-    /// The memory nodes of the deployment.
-    mem: InProcMemory,
-    regs: Registers,
-}
-
-impl SlotRegisters {
-    /// Every replica's handles, in replica order, on a group's banks laid
-    /// out on `mem`'s memory nodes ([`Registers::banks`]).
-    pub(crate) fn group(mem: &InProcMemory, cfg: &SimConfig) -> Vec<Self> {
-        let hosts: Vec<HostId> = (0..cfg.params.n_mem() as u32).map(HostId).collect();
-        let banks = Registers::banks(&mut { mem }, &hosts, cfg);
-        let handles = |r| SlotRegisters { mem: mem.clone(), regs: Registers::of(&banks, r) };
-        (0..banks.len()).map(handles).collect()
-    }
-
-    /// [`Substrate::write_and_read_slot`], carried out at once — §6.1's
-    /// protocol, as the simulator runs it on the fabric: the replica's
-    /// quorum write of `e` at register timestamp `k` to its register
-    /// `slot` of `stream`, then a quorum read of every owner's register
-    /// `slot` of `stream` from the write's start. Returns the two
-    /// completions, the write's first; the read's holds each owner's
-    /// entry, in owner order. Every operation is given time zero:
-    /// in-process memory completes at once, and a δ-deferred write only
-    /// starts at a later label. Every node takes every write here, so a
-    /// read posted to all of them ([`RegisterReader::read`]) counts exactly
-    /// the nodes that took the write.
-    pub(crate) fn write_and_read(
-        &mut self,
-        stream: usize,
-        slot: usize,
-        k: SeqId,
-        e: &RegEntry,
-    ) -> [CtbDone; 2] {
-        // In-process memory does not look at an operation's issuer.
-        let (mut mem, issuer, reg) = (&self.mem, HostId(0), RegisterId(slot));
-        let writer = &mut self.regs.writers[stream];
-        writer.write(&mut mem, issuer, reg, k.0, &e.to_bytes(), Time::ZERO).expect("no node down");
-        let at = writer.last_write(reg).start;
-        let read = |reader: &RegisterReader| match reader.read(&mut mem, issuer, reg, at) {
-            ReadOutcome::Value { value, .. } => RegEntry::from_bytes(&value).ok(),
-            _ => None,
-        };
-        let entries = self.regs.readers[stream].iter().map(read).collect();
-        [CtbDone::Written(k), CtbDone::Read(k, entries)]
-    }
-}
-
-// ----------------------------------------------------------------------
 // Deployment entry points
 // ----------------------------------------------------------------------
 
@@ -634,8 +565,7 @@ pub fn run_wallclock(
     for g in 0..shards {
         let apps = make_apps(g);
         assert_eq!(apps.len(), n, "one app instance per replica");
-        let regs = SlotRegisters::group(&mem, cfg);
-        for ((r, app), regs) in apps.into_iter().enumerate().zip(regs) {
+        for ((r, app), regs) in apps.into_iter().enumerate().zip(Registers::in_process(&mem, cfg)) {
             let mut timers = TimerWheel::new();
             timers.arm(wall(RETRANSMIT_PERIOD, scale), NodeTimer::Retransmit);
             let node = ReplicaNode::new(r, cfg, rings[g].clone());
@@ -654,7 +584,9 @@ pub fn run_wallclock(
                 ep: take_ep(replica_node(g, n, r)),
                 pool: Arc::clone(&pool),
                 timers,
+                mem: mem.clone(),
                 regs,
+                read: SlotRead::default(),
                 exec,
             };
             // The replica thread starts its executor thread.

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use ubft_crypto::checksum64;
-use ubft_rdma::{AccessToken, Fabric, RdmaError, RegionId};
+use ubft_rdma::{AccessToken, Fabric, Memory, RdmaError, RegionId};
 use ubft_sim::HostId;
 use ubft_types::{Few, Time};
 

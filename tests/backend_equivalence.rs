@@ -185,8 +185,8 @@ fn threads_match_sim_single_group_fast_path() {
 /// Single group forced onto the signed slow path: every broadcast runs
 /// sign → SWMR register round trip → verify, so this exercises the crypto
 /// worker pool and the replica threads' round trips on the memory nodes'
-/// shared stores — neither of which exists in the simulator's cost-model
-/// form.
+/// in-process memory — the simulator's round trip and registers, on
+/// passive memory of one `InProcMemory` instead of the fabric.
 #[test]
 fn threads_match_sim_single_group_slow_path() {
     let cfg = SimConfig::paper_default(13).slow_only().with_time_scale(SCALE);
@@ -194,10 +194,11 @@ fn threads_match_sim_single_group_slow_path() {
     assert_equivalent(&sim, &thr, 60, true);
 }
 
-/// Two groups on the slow path: both write the same memory nodes, whose
-/// stores tell the groups' registers apart by the group in their key. A
-/// store that mixed them up would hand a group the other's entries, which
-/// fail verification as forged: the CTBcast verification counts show it.
+/// Two groups on the slow path: both write the same memory nodes, where
+/// each group's register banks are regions of their own in the one
+/// `InProcMemory`. Banks that overlapped would hand a group the other's
+/// entries, which fail verification as forged: the CTBcast verification
+/// counts show it.
 #[test]
 fn threads_match_sim_two_groups_slow_path() {
     let cfg = SimConfig::paper_default(17).slow_only().with_shards(2).with_time_scale(SCALE);
