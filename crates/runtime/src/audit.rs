@@ -116,9 +116,9 @@ pub enum AuditMutation {
     /// validity invariant.
     UnsentRequest,
     /// Every replica drops client requests and echoes, as a leader that
-    /// censors them does ([`ByzantineMode::CensorRequests`]): no leader
-    /// ever proposes. Caught by the progress verdict, not by a safety
-    /// invariant.
+    /// censors them does (each runs [`ByzantineMode`]'s `CensorRequests`):
+    /// no leader ever proposes. Caught by the progress verdict, not by a
+    /// safety invariant.
     NoProposals,
 }
 

@@ -41,7 +41,8 @@ use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
 use crate::cluster::ReplicaReport;
 use crate::exec::{ExecJob, ExecPort, Executor};
 use crate::node::{
-    CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode, Substrate,
+    byzantine_mode, CryptoTask, CtbDone, ExecTable, Lane, NodeInput, NodeTimer, ReplicaNode,
+    Substrate,
 };
 use crate::registers::{Registers, SlotRead};
 use crate::stall::ReplicaStall;
@@ -306,19 +307,6 @@ impl SimEnv {
         self.push_input(sh, r, first, NodeInput::Timer(NodeTimer::Retransmit));
     }
 
-    /// The Byzantine behaviour of host `r` active at `at`, if `r` is a
-    /// replica with a scheduled fault (every replica censors under
-    /// [`AuditMutation::NoProposals`]).
-    fn byz_mode(&self, r: usize, at: Time) -> Option<ByzantineMode> {
-        if r >= self.n() {
-            None
-        } else if self.cfg.audit_mutation == Some(AuditMutation::NoProposals) {
-            Some(ByzantineMode::CensorRequests)
-        } else {
-            self.cfg.failures.byzantine_mode(r, at)
-        }
-    }
-
     /// Schedules what slot read `id` waits for next: once every owner's
     /// read has settled, the entries, at the read's completion; otherwise
     /// an [`Ev::RegSample`] at each arrival of the reads of `owners`, just
@@ -400,7 +388,7 @@ impl SimEnv {
         at: Time,
     ) -> Option<bool> {
         let mut at = at;
-        match self.byz_mode(from, at) {
+        match byzantine_mode(&self.cfg, from, at) {
             // A silent replica stops transmitting entirely; it keeps
             // receiving, which is what distinguishes it from a crash in the
             // logs but not in effect.
@@ -697,7 +685,7 @@ impl Substrate for SimSubstrate<'_, '_> {
     }
 
     fn byz_mode(&self, at: Time) -> Option<ByzantineMode> {
-        self.env.byz_mode(self.r, at)
+        byzantine_mode(&self.env.cfg, self.r, at)
     }
 }
 

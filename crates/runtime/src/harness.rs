@@ -15,11 +15,14 @@
 //! comes back. A crashed replica's moves are lost, whichever end of them it
 //! is. Unlike `EngineNet`, the net interprets no effect: the replica's
 //! event loop under test does, and the net sees only what leaves it
-//! through its `Substrate`. [`NodeNet::run`] visits the replicas and then
-//! the links round-robin, not in emission order; exact counts of a run
-//! assume that order.
+//! through its `Substrate`, which forwards every frame as the replica sent
+//! it. A Byzantine replica is the driver's doing too (an equivocator's lies
+//! included), as in the simulator; the net only loses a silent replica's
+//! frames and replies. [`NodeNet::run`] visits the replicas and then the
+//! links round-robin, not in emission order; exact counts of a run assume
+//! that order.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use ubft_apps::FlipApp;
 use ubft_core::app::App;
@@ -27,15 +30,14 @@ use ubft_core::client::{read_reply, Client};
 use ubft_core::msg::Request;
 use ubft_crypto::KeyRing;
 use ubft_ctb::ctbcast::RegEntry;
-use ubft_ctb::wire::{fingerprint, sign_broadcast, CtbWire, TbFrame, TbWire};
 use ubft_rdma::InProcMemory;
 use ubft_sim::failure::ByzantineMode;
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, RequestId, SeqId, Slot, Time};
+use ubft_types::{ClientId, Duration, ProcessId, RequestId, Slot, Time};
 
 use crate::calibration::SimConfig;
 use crate::exec::{ExecJob, ExecPort, Executor};
-use crate::node::{CryptoTask, CtbDone, NodeInput, ReplicaNode, Substrate};
+use crate::node::{byzantine_mode, CryptoTask, CtbDone, NodeInput, ReplicaNode, Substrate};
 pub use crate::node::{Lane, NodeTimer};
 use crate::registers::{Registers, SlotRead};
 use crate::stall::ReplicaStall;
@@ -123,13 +125,14 @@ pub struct NodeNet {
     read: SlotRead,
     /// Encoded replies on their way to the client.
     replies: Vec<Vec<u8>>,
-    /// Each replica's Byzantine behaviour, as `cfg`'s plan has it at time
-    /// zero. An equivocator's `LOCK`s differ by receiver (the node's
-    /// doing); the net keeps the lie up on the slow path by signing each
-    /// receiver what it was told.
+    /// Each replica's Byzantine behaviour as of time zero
+    /// ([`byzantine_mode`]), which the net answers [`Substrate::byz_mode`]
+    /// with. The driver carries out every mode that changes what a replica
+    /// says; the net carries out `Silent`, losing the replica's frames and
+    /// replies as the simulator does. `Laggard` delays a replica's frames,
+    /// and the net has no clock to delay them on: it is the simulator's
+    /// alone.
     byz: Vec<Option<ByzantineMode>>,
-    /// `(to, k)` → the payload an equivocator's `LOCK` told `to`.
-    told: HashMap<(usize, SeqId), Vec<u8>>,
     /// The replica a call is under way at: the substrate's `self`.
     calling: usize,
 }
@@ -158,8 +161,7 @@ impl NodeNet {
             mem,
             read: SlotRead::default(),
             replies: Vec::new(),
-            byz: (0..n).map(|r| cfg.failures.byzantine_mode(r, Time::ZERO)).collect(),
-            told: HashMap::new(),
+            byz: (0..n).map(|r| byzantine_mode(cfg, r, Time::ZERO)).collect(),
             calling: 0,
             ring,
         };
@@ -321,43 +323,21 @@ impl NodeNet {
         let row = |(r, nd): (usize, &ReplicaNode)| ReplicaStall::of(nd, faulty(r), false);
         self.nodes.iter().enumerate().map(row).collect()
     }
-
-    /// The equivocator's frame to `to`, as a Byzantine broadcaster that
-    /// signs both versions would send it: a `SIGNED` carries what `to`'s
-    /// `LOCK` said, under a valid signature.
-    fn keep_lying(&mut self, from: usize, to: usize, frame: &[u8]) -> Option<Vec<u8>> {
-        let Ok(TbFrame::Data { k: seq, payload }) = TbFrame::decode(frame) else { return None };
-        match CtbWire::from_bytes(payload).ok()? {
-            CtbWire::Lock { k, m } => {
-                self.told.insert((to, k), m);
-                None
-            }
-            CtbWire::Signed { k, m, .. } => {
-                let told = self.told.get(&(to, k)).filter(|told| **told != m)?.clone();
-                let sig =
-                    sign_broadcast(&self.ring, ReplicaId(from as u32), k, &fingerprint(&told));
-                let forged = CtbWire::Signed { k, m: told, sig };
-                Some(TbWire::encode(seq, &forged, &mut Vec::new()).frame().to_vec())
-            }
-            CtbWire::Locked { .. } => None,
-        }
-    }
 }
 
 /// The replica a call is under way at sees the net as its substrate.
 impl Substrate for NodeNet {
     type At = ();
 
+    /// Queues `bytes` on the link to `to`, unless the sender is silent.
     fn send(&mut self, lane: Lane, to: usize, bytes: &[u8], _: ()) -> Option<bool> {
         let from = self.calling;
-        let lies = self.byz[from] == Some(ByzantineMode::EquivocateProposals);
-        let lie = (lies && lane == Lane::CtbTb { stream: from })
-            .then(|| self.keep_lying(from, to, bytes))
-            .flatten();
-        let frame = lie.unwrap_or_else(|| bytes.to_vec());
+        if self.byz[from] == Some(ByzantineMode::Silent) {
+            return None;
+        }
         let step = self.record.last_mut().expect("a call under way");
-        step.sent.push((lane, to, frame.clone()));
-        self.links.entry((from, to)).or_default().push_back((lane, frame));
+        step.sent.push((lane, to, bytes.to_vec()));
+        self.links.entry((from, to)).or_default().push_back((lane, bytes.to_vec()));
         Some(true)
     }
 
@@ -392,7 +372,11 @@ impl Substrate for NodeNet {
 
 /// Where the executor of the replica a call is under way at answers.
 impl ExecPort<dyn App> for NodeNet {
+    /// Sends the reply toward the client, unless the replica is silent.
     fn reply(&mut self, to: usize, bytes: &[u8]) {
+        if self.byz[self.calling] == Some(ByzantineMode::Silent) {
+            return;
+        }
         let step = self.record.last_mut().expect("a call under way");
         step.sent.push((Lane::ClientResp, to, bytes.to_vec()));
         self.replies.push(bytes.to_vec());

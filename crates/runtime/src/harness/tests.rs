@@ -206,6 +206,91 @@ fn an_equivocating_lock_is_branded() {
     assert!(net.execs[1..].iter().all(|exec| exec.exec_log.is_empty()));
 }
 
+/// Replica 0 equivocates from the start.
+fn equivocator() -> FailurePlan {
+    FailurePlan::none().byzantine(0, ByzantineMode::EquivocateProposals, Time::ZERO)
+}
+
+/// The `PREPARE` a TBcast data frame carries in a `LOCK` or a `SIGNED`:
+/// the frame's TBcast sequence number, the message's CTBcast id and its
+/// bytes.
+fn prepare_in(frame: &[u8]) -> Option<(SeqId, SeqId, Vec<u8>)> {
+    let Ok(TbFrame::Data { k: seq, payload }) = TbFrame::decode(frame) else { return None };
+    let (CtbWire::Lock { k, m } | CtbWire::Signed { k, m, .. }) =
+        CtbWire::from_bytes(payload).ok()?
+    else {
+        return None;
+    };
+    matches!(CtbMsg::from_bytes(&m), Ok(CtbMsg::Prepare(_))).then_some((seq, k, m))
+}
+
+/// An equivocator tells r1 and r2 different `PREPARE`s under one TBcast
+/// sequence number, and every lie names the CTBcast id of the message it
+/// stands for, on the fast path's `LOCK` and on the slow path's `SIGNED`
+/// alike — also past the stream's first message, where the broadcaster's
+/// own `LOCKED` frames have moved its sequence numbers off its ids.
+#[test]
+fn an_equivocators_lie_lands_at_the_id_it_claims() {
+    let mut net =
+        NodeNet::new(&SimConfig { failures: equivocator(), ..SimConfig::paper_default(7) });
+    for c in 1..4 {
+        net.send_request(&req_of(c, 0));
+        net.run();
+        fire_twice(&mut net, 0, NodeTimer::CtbSweep, keep);
+    }
+    // What r0 told r1 and r2 on its stream: (receiver, sequence number,
+    // id, PREPARE).
+    let mut heard = Vec::new();
+    for step in net.record.iter().filter(|s| s.node == 0) {
+        for (lane, to, frame) in &step.sent {
+            if let (Lane::CtbTb { stream: 0 }, Some((seq, k, m))) = (lane, prepare_in(frame)) {
+                heard.push((*to, seq, k, m));
+            }
+        }
+    }
+    let (lies, truths): (Vec<_>, Vec<_>) = heard.iter().partition(|(to, ..)| *to == 1);
+    let mut compared = 0;
+    for (_, seq, k, lie) in &lies {
+        for (_, _, id, truth) in truths.iter().filter(|(_, at, ..)| at == seq) {
+            assert_eq!(k, id, "the lie at sequence number {seq:?} names another id");
+            assert_ne!(lie, truth, "no lie at sequence number {seq:?}");
+            compared += usize::from(k != seq);
+        }
+    }
+    assert!(compared > 0, "no PREPARE past the stream's first message: {heard:?}");
+}
+
+/// On the slow path alone an equivocator's lie rides on its signed
+/// message, and a follower finds the proof in the registers and brands
+/// it.
+#[test]
+fn an_equivocator_on_the_slow_path_alone_is_branded() {
+    let slow = SimConfig { failures: equivocator(), ..SimConfig::paper_default(7).slow_only() };
+    let mut net = NodeNet::new(&slow);
+    net.request(payload(0));
+    let brands: Vec<&(u32, String)> = net.nodes[1..].iter().flat_map(|nd| &nd.branded).collect();
+    assert!(!brands.is_empty(), "no follower found the proof");
+    for (culprit, why) in brands {
+        assert_eq!(*culprit, 0);
+        assert!(why.contains("equivocation"), "branded for {why}");
+    }
+}
+
+/// A silent replica keeps receiving and sends nothing: the net loses its
+/// frames and its replies, as the simulator's channels do. The other two
+/// complete the request on the slow path.
+#[test]
+fn a_silent_replica_sends_no_frame_and_no_reply() {
+    let silent = FailurePlan::none().byzantine(2, ByzantineMode::Silent, Time::ZERO);
+    let mut net = NodeNet::new(&SimConfig { failures: silent, ..SimConfig::paper_default(5) });
+    assert!(!net.request(payload(0)), "completed without r2's echo");
+    fire_twice(&mut net, 0, NodeTimer::Engine(TimerKind::EchoFallback), keep);
+    assert!(fire_twice(&mut net, 0, NodeTimer::CtbSweep, keep), "no slow path");
+    assert!(net.record.iter().filter(|s| s.node == 2).all(|s| s.sent.is_empty()));
+    assert!(net.pending().iter().all(|m| !matches!(m, Move::Frame { from: 2, .. })));
+    assert!(net.stall()[2].faulty);
+}
+
 /// A register-corrupting replica garbles the fingerprint of each entry it
 /// writes, in the driver both real backends run. On the slow path each
 /// correct receiver then meets replica 1's entry under the id it is

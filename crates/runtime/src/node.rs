@@ -23,11 +23,13 @@ use ubft_core::msg::{Batch, CtbMsg, DirectMsg, Request, TbMsg};
 use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
-use ubft_ctb::wire::{sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire};
+use ubft_ctb::wire::{
+    fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire,
+};
 use ubft_sim::failure::ByzantineMode;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
 use ubft_types::wire::Wire;
-use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot};
+use ubft_types::{ClientId, Duration, ProcessId, ReplicaId, SeqId, Slot, Time};
 
 use crate::audit::AuditMutation;
 use crate::calibration::{
@@ -347,6 +349,18 @@ pub(crate) fn engine_config(r: usize, cfg: &SimConfig) -> EngineConfig {
     ecfg
 }
 
+/// The Byzantine behaviour `cfg` injects into replica `r` as of `at`: its
+/// fault plan's, or a censor's on every replica under
+/// [`AuditMutation::NoProposals`]. Every substrate answers
+/// [`Substrate::byz_mode`] with it; the driver carries each mode out.
+pub(crate) fn byzantine_mode(cfg: &SimConfig, r: usize, at: Time) -> Option<ByzantineMode> {
+    if cfg.audit_mutation == Some(AuditMutation::NoProposals) {
+        Some(ByzantineMode::CensorRequests)
+    } else {
+        cfg.failures.byzantine_mode(r, at)
+    }
+}
+
 /// One replica's complete protocol stack: its event loop.
 ///
 /// A replica owns its consensus engine, one CTBcast instance per stream
@@ -358,6 +372,9 @@ pub(crate) fn engine_config(r: usize, cfg: &SimConfig) -> EngineConfig {
 pub(crate) struct ReplicaNode {
     /// This replica's index in its group.
     r: usize,
+    /// The group's keys: an equivocator signs its lies with its own
+    /// ([`ReplicaNode::equivocation`]).
+    ring: KeyRing,
     /// The consensus state machine (Algorithms 2–5).
     pub engine: Engine,
     /// CTBcast instances, one per stream: `ctbs[s]` handles stream `s`.
@@ -442,7 +459,8 @@ impl ReplicaNode {
         let receivers = || (0..n).map(|_sender| TailReceiver::new(cap)).collect::<Vec<_>>();
         ReplicaNode {
             r,
-            engine: Engine::new(me, ecfg, ring),
+            engine: Engine::new(me, ecfg, ring.clone()),
+            ring,
             ctbs: replicas.iter().map(|s| Ctb::new(me, *s, replicas.clone(), ctb_cfg)).collect(),
             ctb_tx: (0..n).map(|_s| TailBroadcaster::new(peers.clone(), cap)).collect(),
             ctb_rx: (0..n).map(|_s| receivers()).collect(),
@@ -898,13 +916,7 @@ impl ReplicaNode {
         while let Some(e) = drain.next() {
             match e {
                 CtbEffect::Broadcast(wire) => {
-                    if stream == self.r
-                        && sub.byz_mode(at) == Some(ByzantineMode::EquivocateProposals)
-                        && self.equivocate_broadcast(sub, at, &wire)
-                    {
-                        continue;
-                    }
-                    self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at);
+                    self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at)
                 }
                 CtbEffect::Sign { k, fp } => {
                     self.counters.ctb_signs += 1;
@@ -953,49 +965,6 @@ impl ReplicaNode {
         self.ctbs[stream].recycle(fx);
     }
 
-    /// Byzantine equivocation: this broadcaster sends *different* proposals
-    /// to different receivers under the same CTBcast id — the exact attack
-    /// CTBcast exists to stop. Returns `true` when the frame was handled
-    /// (it carried a fast-path `LOCK` of a `PREPARE`); other frames fall
-    /// through to the honest path so the Byzantine replica still
-    /// participates in the rest of the protocol.
-    fn equivocate_broadcast<S: Substrate>(
-        &mut self,
-        sub: &mut S,
-        at: S::At,
-        wire: &CtbWire,
-    ) -> bool {
-        let CtbWire::Lock { m, .. } = wire else {
-            return false;
-        };
-        let Ok(CtbMsg::Prepare(prep)) = CtbMsg::from_bytes(m) else {
-            return false;
-        };
-        // Register the broadcast with the honest TailBroadcaster (sequence
-        // numbers, retransmission buffer, self-delivery) but send odd
-        // receivers a hand-crafted poisoned variant under the same id.
-        let r = self.r;
-        let lane = Lane::CtbTb { stream: r };
-        let honest = self.ctb_tx[r].broadcast(wire, &mut self.scratch);
-        let mut alt = prep.clone();
-        let mut reqs = alt.batch.requests().to_vec();
-        if reqs[0].payload.is_empty() {
-            reqs[0].payload.push(0xFF);
-        } else {
-            reqs[0].payload[0] ^= 0xFF;
-        }
-        alt.batch = Batch::new(reqs);
-        let alt_wire = CtbWire::Lock { k: honest.k, m: CtbMsg::Prepare(alt).to_bytes() };
-        let poisoned = TbWire::encode(honest.k, &alt_wire, &mut self.scratch);
-        for to in (0..self.ctbs.len()).filter(|to| *to != r) {
-            *lane.msgs(&mut self.counters) += 1;
-            let tb = if to % 2 == 1 { &poisoned } else { &honest };
-            sub.send(lane, to, tb.frame(), at);
-        }
-        self.deliver_tb_payload(sub, lane, ReplicaId(r as u32), honest.payload(), at);
-        true
-    }
-
     // ------------------------------------------------------------------
     // TBcast plumbing
     // ------------------------------------------------------------------
@@ -1030,14 +999,56 @@ impl ReplicaNode {
         at: S::At,
     ) {
         *lane.msgs(&mut self.counters) += 1;
+        // An equivocating broadcaster lies to odd receivers on its stream.
+        let lie = (lane == Lane::CtbTb { stream: self.r }
+            && to.0 % 2 == 1
+            && sub.byz_mode(at) == Some(ByzantineMode::EquivocateProposals))
+        .then(|| self.equivocation(wire))
+        .flatten();
         // The broadcaster that caused the send learns whether the fabric
         // took the write; an accepted probe releases the tail it was
         // holding back from `to`.
-        if let Some(accepted) = sub.send_frame(lane, to.0 as usize, wire, at) {
+        if let Some(accepted) =
+            sub.send_frame(lane, to.0 as usize, lie.as_ref().unwrap_or(wire), at)
+        {
             for (to, wire) in self.tb_tx(lane).on_send_result(to, accepted) {
                 self.send_tb_frame(sub, lane, to, &wire, at);
             }
         }
+    }
+
+    /// What an equivocating broadcaster tells an odd receiver in place of
+    /// `wire`, a frame of its own CTBcast stream — the exact attack CTBcast
+    /// exists to stop: a `PREPARE` whose first request is poisoned, at the
+    /// message's own CTBcast id, both in the fast path's `LOCK` and in the
+    /// slow path's `SIGNED`, which carries the broadcaster's valid
+    /// signature over the lie. `None` for any other frame: it goes as it
+    /// is. The lie is made where every frame leaves
+    /// ([`ReplicaNode::send_tb_frame`]), so retransmissions repeat it; the
+    /// forged signature costs no time (what a Byzantine replica spends is
+    /// not what the model measures).
+    fn equivocation(&mut self, wire: &TbWire) -> Option<TbWire> {
+        let poison = |m: &[u8]| {
+            let Ok(CtbMsg::Prepare(mut prep)) = CtbMsg::from_bytes(m) else { return None };
+            let mut reqs = prep.batch.requests().to_vec();
+            let first = &mut reqs.first_mut()?.payload;
+            match first.first_mut() {
+                Some(byte) => *byte ^= 0xFF,
+                None => first.push(0xFF),
+            }
+            prep.batch = Batch::new(reqs);
+            Some(CtbMsg::Prepare(prep).to_bytes())
+        };
+        let lie = match CtbWire::from_bytes(wire.payload()).ok()? {
+            CtbWire::Lock { k, m } => CtbWire::Lock { k, m: poison(&m)? },
+            CtbWire::Signed { k, m, .. } => {
+                let m = poison(&m)?;
+                let sig = sign_broadcast(&self.ring, ReplicaId(self.r as u32), k, &fingerprint(&m));
+                CtbWire::Signed { k, m, sig }
+            }
+            CtbWire::Locked { .. } => return None,
+        };
+        Some(TbWire::encode(wire.k, &lie, &mut self.scratch))
     }
 
     /// Hands a TBcast payload to the layer the lane carries: decoded here,

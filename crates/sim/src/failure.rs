@@ -13,10 +13,17 @@ use ubft_types::{Duration, Time};
 /// The kind of misbehaviour a Byzantine replica exhibits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ByzantineMode {
-    /// Sends different proposals to different receivers (the attack CTBcast
-    /// exists to stop).
+    /// Sends different proposals to different receivers under one CTBcast
+    /// id (the attack CTBcast exists to stop): every odd receiver is told
+    /// one poisoned `PREPARE` in place of each of the replica's own, at
+    /// that message's id, in the fast path's `LOCK` and in the slow path's
+    /// `SIGNED` alike, the latter under the replica's valid signature;
+    /// retransmissions repeat the lie. The replica driver rewrites each
+    /// frame where it sends it, so the simulator and the scripted
+    /// node-level net run the one adversary.
     EquivocateProposals,
-    /// Stops participating entirely (indistinguishable from a crash).
+    /// Stops transmitting entirely but keeps receiving (indistinguishable
+    /// from a crash to its peers): its frames and replies are lost.
     Silent,
     /// A leader that never proposes client requests (censorship — must
     /// trigger a view change).

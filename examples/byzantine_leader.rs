@@ -1,8 +1,11 @@
 //! A Byzantine leader equivocates: it proposes *different* requests to
 //! different replicas under the same CTBcast identifier — the exact attack
-//! Consistent Tail Broadcast exists to stop. Watch the fast path refuse to
-//! deliver, the slow path certify a single value, and the correct replicas
-//! stay in agreement while the client keeps completing requests.
+//! Consistent Tail Broadcast exists to stop. Replica 1 is told a poisoned
+//! `PREPARE` on both paths, in the fast path's `LOCK` and in a validly
+//! signed `SIGNED`. Watch the fast path refuse to deliver, the followers
+//! catch the signed lie in the SWMR registers and brand the leader, a view
+//! change depose it, and every replica, the one lied to included, execute
+//! every request in agreement.
 //!
 //! ```sh
 //! cargo run --release --example byzantine_leader
@@ -70,7 +73,10 @@ fn main() {
     println!("final views: {:?}", report.views);
     println!(
         "p50 {:>9}  p99 {:>9}  (the equivocating fast path never reaches unanimity,\n\
-         so every request pays the signed slow path or a view change)",
+         and its signed lie is caught in the registers: the followers brand the\n\
+         leader and a view change deposes it, which the slowest requests wait for.\n\
+         Under the new leader a request still waits for the fast-path vote of the\n\
+         branded replica, which its peers ignore, until the slow-path sweep fires)",
         lat.median(),
         lat.percentile(99.0)
     );
