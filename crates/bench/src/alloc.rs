@@ -113,10 +113,12 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 
 /// Allocator calls per completed request a debug or release build may
 /// spend on the named configuration over 500 + 50 requests: 10 % above
-/// what the tree measures (`flip_fast` 72.0, `flip_slow` 220.7,
-/// `flip_batched` 40.3, `leader_crash` 147.4). Before the driver handed
-/// the engine's and CTBcast's effect vectors back for reuse the four cost
-/// 91.3, 271.0, 44.6 and 175.0. Before a slow-path slot
+/// what the tree measures (`flip_fast` 56.9, `flip_slow` 208.7,
+/// `flip_batched` 38.9, `leader_crash` 129.4). Before CTBcast read a
+/// message in the TBcast frame it arrived in, and the engine counted a
+/// slot's fast-path votes in a bitset, the four cost 72.0, 220.7, 40.3 and
+/// 147.4; before the driver handed the engine's and CTBcast's effect
+/// vectors back for reuse, 91.3, 271.0, 44.6 and 175.0. Before a slow-path slot
 /// read decoded each register entry straight out of the bytes its memory
 /// nodes returned, instead of out of a copy per owner, and left in one
 /// effect batch with the register write, `flip_slow` cost 334.5 and
@@ -128,7 +130,7 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 /// and 371.5; before messages were encoded once into shared buffers
 /// `flip_fast`, `flip_slow` and `leader_crash` cost 570, 1 500 and 1 270.
 pub const BUDGETS: [(&str, f64); 4] =
-    [("flip_fast", 79.0), ("flip_slow", 243.0), ("flip_batched", 44.0), ("leader_crash", 162.0)];
+    [("flip_fast", 63.0), ("flip_slow", 230.0), ("flip_batched", 43.0), ("leader_crash", 142.0)];
 
 fn config(name: &str) -> Option<SimConfig> {
     let base = SimConfig::paper_default(SEED);

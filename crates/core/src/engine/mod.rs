@@ -203,9 +203,11 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `ring` has no key for `me`.
+    /// Panics if `ring` has no key for `me`, or if there are more replicas
+    /// than a slot's vote sets hold ([`ubft_types::ReplicaSet::CAPACITY`]).
     pub fn new(me: ReplicaId, cfg: EngineConfig, ring: KeyRing) -> Self {
         let signer = ring.signer(ProcessId::Replica(me)).expect("key for me");
+        assert!(cfg.params.n() <= ubft_types::ReplicaSet::CAPACITY);
         let state = cfg.params.replicas().map(|r| (r, PeerState::new())).collect();
         // The hash maps below whose keys clients or peers choose hash the
         // same in every run of a seed (`ubft_types::hash`), under a key only

@@ -2,10 +2,8 @@
 //! the leader's proposals, the signature-less fast path, the certified
 //! slow path, decision and in-order execution.
 
-use std::collections::BTreeSet;
-
 use ubft_crypto::Signature;
-use ubft_types::{Deadline, ReplicaId, RequestId, SeqId, Slot, View};
+use ubft_types::{Deadline, ReplicaId, ReplicaSet, RequestId, SeqId, Slot, View};
 
 use super::certify::ShareSet;
 use super::requests::Stage;
@@ -20,8 +18,8 @@ use crate::msg::{Batch, CommitCert, CtbMsg, DirectMsg, Prepare, Request, TbMsg};
 pub(super) struct SlotState {
     /// The accepted proposal (from the current leader's stream).
     pub(super) prepare: Option<Prepare>,
-    will_certify: BTreeSet<ReplicaId>,
-    will_commit: BTreeSet<ReplicaId>,
+    will_certify: ReplicaSet,
+    will_commit: ReplicaSet,
     /// View in which this replica promised WILL_COMMIT (view-change duty):
     /// set by the WILL_CERTIFY that completes `will_certify`.
     pub(super) promised_in: Option<View>,
@@ -367,9 +365,9 @@ impl Engine {
         let marks = self.slots.iter_mut().map(|(k, s)| (*k, s.decided.is_none(), &mut s.fast_wait));
         let (due, waiting) = self.slow_sweep.fire(marks);
         for slot in due {
-            let (me, votes) = (self.me, &self.slots[&slot].will_commit);
+            let (me, votes) = (self.me, self.slots[&slot].will_commit);
             self.suspected
-                .extend(self.cfg.params.replicas().filter(|r| *r != me && !votes.contains(r)));
+                .extend(self.cfg.params.replicas().filter(|r| *r != me && !votes.contains(*r)));
             self.start_slow_path(slot);
         }
         if waiting {

@@ -24,7 +24,7 @@ use ubft_crypto::{Digest, Signature};
 use ubft_types::wire::Wire;
 use ubft_types::{Deadline, FixedMap, FixedState, Outbox, ReplicaId, SeqId, Sweep};
 
-use crate::wire::{fingerprint, CtbWire};
+use crate::wire::{fingerprint, CtbWire, CtbWireRef};
 
 /// When the broadcaster emits the slow-path `SIGNED` message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +123,7 @@ pub enum ConflictKind {
 pub enum CtbEffect {
     /// TBcast-broadcast this frame on the stream (the runtime routes it
     /// through this replica's [`crate::TailBroadcaster`], whose self-delivery
-    /// feeds back into [`Ctb::on_tb_deliver`]).
+    /// feeds back into [`Ctb::on_wire`]).
     Broadcast(CtbWire),
     /// Request an asynchronous signature over
     /// [`crate::wire::signed_bytes`]`(stream, k, fp)` (broadcaster only).
@@ -590,46 +590,54 @@ impl Ctb {
         self.out.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
     }
 
-    /// A TBcast frame of this stream was delivered from `from` (which the
-    /// authenticated transport guarantees is the true sender).
+    /// [`Ctb::on_wire`] for a message held in its own buffers (`bench/`'s
+    /// probes and the unit tests build them).
     pub fn on_tb_deliver(&mut self, from: ReplicaId, wire: CtbWire) -> Vec<CtbEffect> {
+        self.on_wire(from, wire.view())
+    }
+
+    /// A TBcast frame of this stream was delivered from `from` (which the
+    /// authenticated transport guarantees is the true sender), read in the
+    /// buffer it arrived in: a body is copied only where it is kept, into
+    /// the payload cache once per `(k, fp)` and into a `LOCK`'s echo.
+    pub fn on_wire(&mut self, from: ReplicaId, wire: CtbWireRef<'_>) -> Vec<CtbEffect> {
         match wire {
-            CtbWire::Lock { k, m } => self.on_lock(from, k, m),
-            CtbWire::Locked { k, m } => self.on_locked(from, k, m),
-            CtbWire::Signed { k, m, sig } => self.on_signed(from, k, m, sig),
+            CtbWireRef::Lock { k, m } => self.on_lock(from, k, m),
+            CtbWireRef::Locked { k, m } => self.on_locked(from, k, m),
+            CtbWireRef::Signed { k, m, sig } => self.on_signed(from, k, m, sig),
         }
         self.take_out()
     }
 
     /// Lines 12–16.
-    fn on_lock(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) {
+    fn on_lock(&mut self, from: ReplicaId, k: SeqId, m: &[u8]) {
         if from != self.stream {
             return; // only the broadcaster locks
         }
-        let fp = fingerprint(&m);
+        let fp = fingerprint(m);
         self.saw(k);
         let slot = self.slot(k);
         let newer = self.locks[slot].is_none_or(|(k2, _)| k > k2);
         if newer {
-            self.cache_payload(k, fp, &m);
+            self.cache_payload(k, fp, m);
             self.locks[slot] = Some((k, fp));
             if self.cfg.fast_enabled {
-                self.out.push(CtbEffect::Broadcast(CtbWire::Locked { k, m }));
+                self.out.push(CtbEffect::Broadcast(CtbWire::Locked { k, m: m.to_vec() }));
             }
         }
     }
 
     /// Lines 18–23.
-    fn on_locked(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>) {
+    fn on_locked(&mut self, from: ReplicaId, k: SeqId, m: &[u8]) {
         let Some(q) = self.index_of(from) else { return };
-        let fp = fingerprint(&m);
+        let fp = fingerprint(m);
         self.saw(k);
         let slot = self.slot(k);
         let newer = self.locked[q][slot].is_none_or(|(k2, _)| k > k2);
         if !newer {
             return;
         }
-        self.cache_payload(k, fp, &m);
+        self.cache_payload(k, fp, m);
         self.locked[q][slot] = Some((k, fp));
         // Line 22: unanimity across all n receivers.
         if self.locked.iter().all(|row| row[slot] == Some((k, fp))) {
@@ -642,11 +650,11 @@ impl Ctb {
     /// writes its register and reads everyone's — but line 26 asks whether
     /// the broadcaster signed `(k, m)`, and of the very signature its own
     /// signer returned for that message it knows. Anything else is verified.
-    fn on_signed(&mut self, from: ReplicaId, k: SeqId, m: Vec<u8>, sig: Signature) {
+    fn on_signed(&mut self, from: ReplicaId, k: SeqId, m: &[u8], sig: Signature) {
         if from != self.stream {
             return;
         }
-        let fp = fingerprint(&m);
+        let fp = fingerprint(m);
         self.saw(k);
         let slot = self.slot(k);
         if let Some(p) = self.slow.get(&slot) {
@@ -657,7 +665,7 @@ impl Ctb {
         if self.delivered[slot].is_some_and(|d| d >= k) {
             return; // already delivered (fast path)
         }
-        self.cache_payload(k, fp, &m);
+        self.cache_payload(k, fp, m);
         let stage = SlowStage::VerifyingSig;
         self.slow.insert(slot, SlowPending { k, fp, sig, stage, written: false });
         let own = self.my_broadcasts.get(&k.0);
@@ -1012,6 +1020,49 @@ mod tests {
         let bad = CtbWire::Signed { k: SeqId(1), m: b"bad".to_vec(), sig: Signature::garbage() };
         deliver(&mut h, 1, bad);
         assert!(h.delivered[1].is_empty());
+    }
+
+    /// Why a receiver writes its register only once a `SIGNED` checks out.
+    /// r1 slow-delivers `(k, m1)`; a forged `SIGNED` for `k + t` then
+    /// reaches it. Had r1 written that entry while checking it, its valid
+    /// entry for `k` would be gone, and r2, checking an equivocated
+    /// `(k, m2)`, would read r1's slot as a newer id, find the signature
+    /// bad and ignore it (`registers_read`), and deliver `m2`.
+    #[test]
+    fn a_forged_signed_writes_no_register_entry() {
+        let (k, m1, m2) = (SeqId(1), b"m1".to_vec(), b"m2".to_vec());
+        let (slot, later) = (k.ring_index(T), SeqId(k.0 + T as u64));
+        let signed =
+            |h: &CtbNet, m: &[u8]| CtbWire::Signed { k, m: m.to_vec(), sig: sign(h, k, m) };
+        let r1_delivered_m1 = || {
+            let mut h = CtbNet::new(cfg_slow());
+            let wire = signed(&h, &m1);
+            deliver(&mut h, 1, wire);
+            assert_eq!(h.delivered[1], vec![(k, m1.clone())]);
+            h
+        };
+        let mut h = r1_delivered_m1();
+        let own = h.registers[1][slot].clone();
+        assert_eq!(own.as_ref().map(|e| e.k), Some(k));
+        let (forged, garbage) = (b"forged".to_vec(), Signature::garbage());
+        let fx =
+            h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Signed { k: later, m: forged, sig: garbage });
+        let [CtbEffect::Verify { tag, .. }] = fx[..] else { panic!("{fx:?}") };
+        assert_eq!(h.ctbs[1].on_verify_done(tag, false), vec![]);
+        assert_eq!(h.registers[1][slot], own);
+        let wire = signed(&h, &m2);
+        deliver(&mut h, 2, wire);
+        assert!(h.delivered[2].is_empty());
+        assert_eq!(h.equivocations[2], vec![k]);
+
+        // The write the check holds back, and the disagreement it would let
+        // through.
+        let mut h = r1_delivered_m1();
+        let fp = fingerprint(b"forged");
+        h.registers[1][slot] = Some(RegEntry { k: later, fp, sig: garbage });
+        let wire = signed(&h, &m2);
+        deliver(&mut h, 2, wire);
+        assert_eq!(h.delivered[2], vec![(k, m2)]);
     }
 
     /// The broadcaster's own `SIGNED`, carrying what `on_sign_done` was

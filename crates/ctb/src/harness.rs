@@ -76,7 +76,7 @@ impl CtbNet {
         let CtbMove { from, to, effect } = self.drop_move(i);
         let (ctb, ring, stream) = (&mut self.ctbs[to], &self.ring, ReplicaId(0));
         let fx = match effect {
-            CtbEffect::Broadcast(wire) => ctb.on_tb_deliver(ReplicaId(from as u32), wire),
+            CtbEffect::Broadcast(wire) => ctb.on_wire(ReplicaId(from as u32), wire.view()),
             CtbEffect::Sign { k, fp } => ctb.on_sign_done(k, sign_broadcast(ring, stream, k, &fp)),
             CtbEffect::Verify { tag, k, fp, sig } => {
                 ctb.on_verify_done(tag, verify_broadcast(ring, stream, k, &fp, &sig))

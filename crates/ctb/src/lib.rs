@@ -30,4 +30,4 @@ pub mod wire;
 
 pub use ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 pub use tbcast::{Receipt, TailBroadcaster, TailReceiver};
-pub use wire::{CtbWire, TbWire};
+pub use wire::{CtbWire, CtbWireRef, TbWire};

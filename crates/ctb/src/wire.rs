@@ -136,6 +136,75 @@ pub enum CtbWire {
 
 ubft_types::wire!(CtbWire { 0 => Lock { k, m }, 1 => Locked { k, m }, 2 => Signed { k, m, sig } });
 
+impl CtbWire {
+    /// This message as a view of its own fields.
+    pub fn view(&self) -> CtbWireRef<'_> {
+        match self {
+            CtbWire::Lock { k, m } => CtbWireRef::Lock { k: *k, m },
+            CtbWire::Locked { k, m } => CtbWireRef::Locked { k: *k, m },
+            CtbWire::Signed { k, m, sig } => CtbWireRef::Signed { k: *k, m, sig: *sig },
+        }
+    }
+}
+
+/// A [`CtbWire`] as a view into the buffer it arrived in, as [`TbFrame`] is
+/// a TBcast frame's: the body is borrowed, so a receiver copies it only
+/// where it keeps it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CtbWireRef<'a> {
+    /// [`CtbWire::Lock`].
+    Lock {
+        /// Broadcast identifier.
+        k: SeqId,
+        /// Message payload.
+        m: &'a [u8],
+    },
+    /// [`CtbWire::Locked`].
+    Locked {
+        /// Broadcast identifier.
+        k: SeqId,
+        /// Message payload.
+        m: &'a [u8],
+    },
+    /// [`CtbWire::Signed`].
+    Signed {
+        /// Broadcast identifier.
+        k: SeqId,
+        /// Message payload.
+        m: &'a [u8],
+        /// Signature over `(stream, k, fingerprint(m))`.
+        sig: Signature,
+    },
+}
+
+impl<'a> CtbWireRef<'a> {
+    /// Decodes what [`CtbWire`] encodes (the tags of its `wire!` line),
+    /// borrowing the body.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncation, an unknown tag, or bytes left
+    /// over after the message.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = WireReader::new(bytes);
+        // Field initialisers run in the order written: wire order.
+        let wire = match u8::decode(&mut r)? {
+            0 => CtbWireRef::Lock { k: SeqId::decode(&mut r)?, m: r.take_bytes()? },
+            1 => CtbWireRef::Locked { k: SeqId::decode(&mut r)?, m: r.take_bytes()? },
+            2 => CtbWireRef::Signed {
+                k: SeqId::decode(&mut r)?,
+                m: r.take_bytes()?,
+                sig: Signature::decode(&mut r)?,
+            },
+            tag => return Err(CodecError::BadTag { ty: "CtbWire", tag }),
+        };
+        if r.remaining() != 0 {
+            return Err(CodecError::TrailingBytes { remaining: r.remaining() });
+        }
+        Ok(wire)
+    }
+}
+
 /// The fingerprint of a CTBcast message body (what gets signed and what the
 /// SWMR registers store, §7.6).
 pub fn fingerprint(m: &[u8]) -> Digest {
@@ -191,6 +260,8 @@ impl Wire for Raw<'_> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use ubft_types::wire::roundtrip;
 
@@ -270,6 +341,49 @@ mod tests {
             CtbWire::from_bytes(&[0xff]),
             Err(CodecError::BadTag { ty: "CtbWire", tag: 0xff })
         );
+    }
+
+    fn ctb_wire(tag: u8, k: u64, m: Vec<u8>, sig: &[u8]) -> CtbWire {
+        let k = SeqId(k);
+        match tag {
+            0 => CtbWire::Lock { k, m },
+            1 => CtbWire::Locked { k, m },
+            _ => CtbWire::Signed { k, m, sig: Signature::from_bytes(sig).expect("32 bytes") },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The view read out of a message's bytes is the message, borrowed;
+        /// and the view refuses, with the same error, what the owned decoder
+        /// refuses: every truncation, a byte left over and an unknown tag.
+        #[test]
+        fn the_view_reads_what_the_owned_decoder_reads(
+            tag in 0u8..3,
+            k in any::<u64>(),
+            m in proptest::collection::vec(any::<u8>(), 0..48),
+            sig in proptest::collection::vec(any::<u8>(), 32..33),
+            bad in 3u8..=255,
+        ) {
+            let wire = ctb_wire(tag, k, m, &sig);
+            let bytes = wire.to_bytes();
+            prop_assert_eq!(CtbWireRef::decode(&bytes), Ok(wire.view()));
+            for cut in 0..bytes.len() {
+                let owned = CtbWire::from_bytes(&bytes[..cut]).expect_err("truncated");
+                prop_assert_eq!(CtbWireRef::decode(&bytes[..cut]), Err(owned));
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            let trailing = || CodecError::TrailingBytes { remaining: 1 };
+            prop_assert_eq!(CtbWire::from_bytes(&long), Err(trailing()));
+            prop_assert_eq!(CtbWireRef::decode(&long), Err(trailing()));
+            let mut tagged = bytes;
+            tagged[0] = bad;
+            let refused = || CodecError::BadTag { ty: "CtbWire", tag: bad };
+            prop_assert_eq!(CtbWire::from_bytes(&tagged), Err(refused()));
+            prop_assert_eq!(CtbWireRef::decode(&tagged), Err(refused()));
+        }
     }
 
     #[test]

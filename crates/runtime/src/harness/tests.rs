@@ -9,7 +9,7 @@ use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
 use ubft_crypto::sha256::Sha256;
 use ubft_crypto::Digest;
 use ubft_ctb::ctbcast::{Ctb, RegEntry};
-use ubft_ctb::wire::{CtbWire, TbFrame};
+use ubft_ctb::wire::{CtbWireRef, TbFrame};
 use ubft_rdma::InProcMemory;
 use ubft_sim::failure::{ByzantineMode, FailurePlan};
 use ubft_sim::rng::SimRng;
@@ -101,8 +101,8 @@ fn assert_replicas_agree(net: &NodeNet, executed: usize) {
 /// Whether `frame` is a TBcast data frame carrying a `SIGNED` COMMIT.
 fn carries_signed_commit(frame: &[u8]) -> bool {
     let Ok(TbFrame::Data { payload, .. }) = TbFrame::decode(frame) else { return false };
-    let Ok(CtbWire::Signed { m, .. }) = CtbWire::from_bytes(payload) else { return false };
-    matches!(CtbMsg::from_bytes(&m), Ok(CtbMsg::Commit(_)))
+    let Ok(CtbWireRef::Signed { m, .. }) = CtbWireRef::decode(payload) else { return false };
+    matches!(CtbMsg::from_bytes(m), Ok(CtbMsg::Commit(_)))
 }
 
 fn payload(i: u64) -> Vec<u8> {
@@ -216,12 +216,12 @@ fn equivocator() -> FailurePlan {
 /// bytes.
 fn prepare_in(frame: &[u8]) -> Option<(SeqId, SeqId, Vec<u8>)> {
     let Ok(TbFrame::Data { k: seq, payload }) = TbFrame::decode(frame) else { return None };
-    let (CtbWire::Lock { k, m } | CtbWire::Signed { k, m, .. }) =
-        CtbWire::from_bytes(payload).ok()?
+    let (CtbWireRef::Lock { k, m } | CtbWireRef::Signed { k, m, .. }) =
+        CtbWireRef::decode(payload).ok()?
     else {
         return None;
     };
-    matches!(CtbMsg::from_bytes(&m), Ok(CtbMsg::Prepare(_))).then_some((seq, k, m))
+    matches!(CtbMsg::from_bytes(m), Ok(CtbMsg::Prepare(_))).then_some((seq, k, m.to_vec()))
 }
 
 /// An equivocator tells r1 and r2 different `PREPARE`s under one TBcast

@@ -24,7 +24,7 @@ use ubft_crypto::{Digest, KeyRing, Signature};
 use ubft_ctb::ctbcast::{Ctb, CtbConfig, CtbEffect, RegEntry, SlowMode, VerifyTag};
 use ubft_ctb::tbcast::{TailBroadcaster, TailReceiver};
 use ubft_ctb::wire::{
-    fingerprint, sign_broadcast, verify_broadcast, CtbWire, TbAck, TbFrame, TbWire,
+    fingerprint, sign_broadcast, verify_broadcast, CtbWire, CtbWireRef, TbAck, TbFrame, TbWire,
 };
 use ubft_sim::failure::ByzantineMode;
 use ubft_transport::net::{LaneId, LANE_CLIENT_REQ, LANE_CLIENT_RESP, LANE_CONS_TB, LANE_DIRECT};
@@ -1039,14 +1039,14 @@ impl ReplicaNode {
             prep.batch = Batch::new(reqs);
             Some(CtbMsg::Prepare(prep).to_bytes())
         };
-        let lie = match CtbWire::from_bytes(wire.payload()).ok()? {
-            CtbWire::Lock { k, m } => CtbWire::Lock { k, m: poison(&m)? },
-            CtbWire::Signed { k, m, .. } => {
-                let m = poison(&m)?;
+        let lie = match CtbWireRef::decode(wire.payload()).ok()? {
+            CtbWireRef::Lock { k, m } => CtbWire::Lock { k, m: poison(m)? },
+            CtbWireRef::Signed { k, m, .. } => {
+                let m = poison(m)?;
                 let sig = sign_broadcast(&self.ring, ReplicaId(self.r as u32), k, &fingerprint(&m));
                 CtbWire::Signed { k, m, sig }
             }
-            CtbWire::Locked { .. } => return None,
+            CtbWireRef::Locked { .. } => return None,
         };
         Some(TbWire::encode(wire.k, &lie, &mut self.scratch))
     }
@@ -1063,8 +1063,8 @@ impl ReplicaNode {
     ) {
         match lane {
             Lane::CtbTb { stream } => {
-                if let Ok(wire) = CtbWire::from_bytes(payload) {
-                    self.ctb_call(sub, stream, at, |c| c.on_tb_deliver(from, wire));
+                if let Ok(wire) = CtbWireRef::decode(payload) {
+                    self.ctb_call(sub, stream, at, |c| c.on_wire(from, wire));
                 }
             }
             Lane::ConsTb => {

@@ -10,6 +10,43 @@ use core::fmt;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(pub u32);
 
+/// A set of replicas `r0`–`r63`, one bit each: counting votes in it takes no
+/// heap, and copying it is copying a word.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaSet(u64);
+
+impl ReplicaSet {
+    /// One more than the highest replica index a set can hold.
+    pub const CAPACITY: usize = 64;
+
+    /// Adds `r`; whether it was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is outside the set's [`ReplicaSet::CAPACITY`].
+    pub fn insert(&mut self, r: ReplicaId) -> bool {
+        assert!((r.0 as usize) < Self::CAPACITY, "{r} is outside a replica set");
+        let absent = !self.contains(r);
+        self.0 |= 1 << r.0;
+        absent
+    }
+
+    /// Whether `r` is in the set.
+    pub fn contains(&self, r: ReplicaId) -> bool {
+        self.0.checked_shr(r.0).is_some_and(|bits| bits & 1 == 1)
+    }
+
+    /// How many replicas are in the set.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set holds no replica.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+}
+
 /// Identifier of an external client issuing requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
@@ -203,6 +240,18 @@ mod tests {
         assert_eq!(Slot(4).next(), Slot(5));
         assert_eq!(View(4).next(), View(5));
         assert_eq!(SeqId(4).next(), SeqId(5));
+    }
+
+    #[test]
+    fn a_replica_set_counts_each_replica_once() {
+        let mut set = ReplicaSet::default();
+        assert!(set.is_empty());
+        assert!(set.insert(ReplicaId(0)) && set.insert(ReplicaId(63)));
+        assert!(!set.insert(ReplicaId(63)));
+        assert_eq!(set.len(), 2);
+        assert!(set.contains(ReplicaId(0)) && set.contains(ReplicaId(63)));
+        assert!(!set.contains(ReplicaId(1)) && !set.contains(ReplicaId(64)));
+        assert!(std::panic::catch_unwind(|| ReplicaSet::default().insert(ReplicaId(64))).is_err());
     }
 
     #[test]

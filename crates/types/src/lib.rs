@@ -33,7 +33,9 @@ pub use deadline::{Deadline, Sweep};
 pub use error::{CodecError, ProtocolError};
 pub use few::Few;
 pub use hash::{FixedMap, FixedSet, FixedState};
-pub use ids::{ClientId, MemNodeId, ProcessId, ReplicaId, RequestId, SeqId, Slot, View};
+pub use ids::{
+    ClientId, MemNodeId, ProcessId, ReplicaId, ReplicaSet, RequestId, SeqId, Slot, View,
+};
 pub use outbox::Outbox;
 pub use time::{Duration, Time};
 pub use wire::{Wire, WireReader};
