@@ -15,6 +15,8 @@
 //! while the PREPARE they certify is still being verified
 //! ([`CryptoTag::on_request_path`] tells the two kinds apart).
 
+use std::sync::Arc;
+
 use ubft_crypto::{Certificate, Digest, KeyRing, Signature, Signer};
 use ubft_types::{ProcessId, ReplicaId, SeqId, Slot, View};
 
@@ -115,20 +117,22 @@ impl CryptoTag {
     }
 }
 
-/// The operation a job performs.
+/// The operation a job performs. The bytes are shared: the jobs that sign
+/// and check one slot's CERTIFY shares all hold the one buffer the engine
+/// built for that slot and view.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CryptoWork {
     /// Sign `bytes` as this replica.
     Sign {
         /// The bytes to sign.
-        bytes: Vec<u8>,
+        bytes: Arc<[u8]>,
     },
     /// Check that `sig` is `who`'s signature over `bytes`.
     Verify {
         /// The claimed signer.
         who: ReplicaId,
         /// The signed bytes.
-        bytes: Vec<u8>,
+        bytes: Arc<[u8]>,
         /// The signature to check.
         sig: Signature,
     },
@@ -137,7 +141,7 @@ pub enum CryptoWork {
         /// The certificate to check.
         cert: Certificate,
         /// The signed bytes.
-        bytes: Vec<u8>,
+        bytes: Arc<[u8]>,
         /// Distinct valid signers required.
         quorum: usize,
     },
@@ -207,14 +211,15 @@ mod tests {
     fn sign_then_verify_roundtrip_and_cost() {
         let ring = ring();
         let me = ring.signer(ProcessId::Replica(ReplicaId(1))).unwrap();
-        let sign = job(CryptoWork::Sign { bytes: b"m".to_vec() });
+        let sign = job(CryptoWork::Sign { bytes: b"m"[..].into() });
         assert_eq!(sign.ops(), CryptoOps { signs: 1, verifies: 0 });
         let CryptoResult::Signed(sig) = sign.run(&me, &ring) else { panic!("sign job signs") };
 
-        let good = job(CryptoWork::Verify { who: ReplicaId(1), bytes: b"m".to_vec(), sig });
+        let good = job(CryptoWork::Verify { who: ReplicaId(1), bytes: b"m"[..].into(), sig });
         assert_eq!(good.ops(), CryptoOps { signs: 0, verifies: 1 });
         assert_eq!(good.run(&me, &ring), CryptoResult::Verified(true));
-        let wrong_signer = job(CryptoWork::Verify { who: ReplicaId(2), bytes: b"m".to_vec(), sig });
+        let wrong_signer =
+            job(CryptoWork::Verify { who: ReplicaId(2), bytes: b"m"[..].into(), sig });
         assert_eq!(wrong_signer.run(&me, &ring), CryptoResult::Verified(false));
     }
 
@@ -228,10 +233,10 @@ mod tests {
             cert.add(id, ring.signer(id).unwrap().sign(b"m"));
         }
         let ok =
-            job(CryptoWork::VerifyCert { cert: cert.clone(), bytes: b"m".to_vec(), quorum: 2 });
+            job(CryptoWork::VerifyCert { cert: cert.clone(), bytes: b"m"[..].into(), quorum: 2 });
         assert_eq!(ok.ops(), CryptoOps { signs: 0, verifies: 2 });
         assert_eq!(ok.run(&me, &ring), CryptoResult::Verified(true));
-        let short = job(CryptoWork::VerifyCert { cert, bytes: b"m".to_vec(), quorum: 3 });
+        let short = job(CryptoWork::VerifyCert { cert, bytes: b"m"[..].into(), quorum: 3 });
         assert_eq!(short.run(&me, &ring), CryptoResult::Verified(false));
     }
 }

@@ -8,12 +8,13 @@
 //! to); the view change verifies inline, as ordered crypto.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ubft_crypto::{Certificate, Signature};
-use ubft_types::{ProcessId, ReplicaId};
+use ubft_types::{ProcessId, ReplicaId, ReplicaSet};
 
 use super::{CryptoJob, CryptoTag, CryptoWork, Engine, ShareOf};
-use crate::msg::{summary_sign_bytes, CheckpointData, Prepare};
+use crate::msg::summary_sign_bytes;
 
 /// One replica's signature share over `about`.
 #[derive(Clone, Debug)]
@@ -89,29 +90,34 @@ impl<K: Clone + PartialEq> ShareSet<K> {
         self.by_signer.get(&me).map(|s| (&s.about, signed(s)))
     }
 
+    /// What the shares held attest, whatever their state.
+    pub(super) fn abouts(&self) -> impl Iterator<Item = &K> {
+        self.by_signer.values().map(|s| &s.about)
+    }
+
     /// Shares held, whatever their state.
     pub(super) fn len(&self) -> usize {
         self.by_signer.len()
     }
 
     /// Picks the parked shares to verify now, marking them `Checking` and
-    /// returning each with the bytes it signs — but only as many as could
+    /// queueing a check of each toward `of` on `jobs`, in signer order,
+    /// over the bytes `sign_bytes` gives for it — but only as many as could
     /// still complete a certificate. While `quorum` shares over the same
     /// thing are verified or being checked, a further one stays parked and
     /// is looked at again only if one of those checks fails.
     fn take_to_check(
         &mut self,
+        of: ShareOf,
         quorum: usize,
-        sign_bytes: impl Fn(&K) -> Vec<u8>,
-    ) -> Vec<(ReplicaId, Vec<u8>, Signature)> {
-        let parked: Vec<ReplicaId> = self
-            .by_signer
-            .iter()
-            .filter(|(_, s)| s.state == ShareState::Parked)
-            .map(|(from, _)| *from)
-            .collect();
-        let mut check = Vec::new();
-        for from in parked {
+        jobs: &mut Vec<CryptoJob>,
+        mut sign_bytes: impl FnMut(&K) -> Arc<[u8]>,
+    ) {
+        let mut parked = ReplicaSet::default();
+        for (from, _) in self.by_signer.iter().filter(|(_, s)| s.state == ShareState::Parked) {
+            parked.insert(*from);
+        }
+        for from in parked.iter() {
             let about = &self.by_signer[&from].about;
             let live = self
                 .by_signer
@@ -122,10 +128,14 @@ impl<K: Clone + PartialEq> ShareSet<K> {
             if live < quorum {
                 let share = self.by_signer.get_mut(&from).expect("listed above");
                 share.state = ShareState::Checking;
-                check.push((from, sign_bytes(&share.about), share.sig));
+                let work = CryptoWork::Verify {
+                    who: from,
+                    bytes: sign_bytes(&share.about),
+                    sig: share.sig,
+                };
+                jobs.push(CryptoJob { tag: CryptoTag::ShareCheck { of, from }, work });
             }
         }
-        check
     }
 
     /// Records the verdict on `from`'s share, if it awaits one — a job
@@ -186,14 +196,17 @@ impl<K: Clone + PartialEq> ShareSet<K> {
         self.cert_of(about, quorum, &[ShareState::Verified, ShareState::Checking])
     }
 
+    /// Counts before it builds: most asks find too few shares.
     fn cert_of(&self, about: &K, quorum: usize, of: &[ShareState]) -> Option<Certificate> {
-        let mut cert = Certificate::new();
-        for (who, share) in &self.by_signer {
-            if of.contains(&share.state) && share.about == *about {
-                cert.add(ProcessId::Replica(*who), share.sig);
-            }
+        let counted = |(_, s): &(&ReplicaId, &Share<K>)| of.contains(&s.state) && s.about == *about;
+        if self.by_signer.iter().filter(counted).count() < quorum {
+            return None;
         }
-        (cert.count() >= quorum).then_some(cert)
+        let mut cert = Certificate::new();
+        for (who, share) in self.by_signer.iter().filter(counted) {
+            cert.add(ProcessId::Replica(*who), share.sig);
+        }
+        Some(cert)
     }
 
     /// What `quorum` verified shares agree on, with the certificate they
@@ -211,27 +224,21 @@ impl Engine {
     /// Starts verifying the parked shares of the collection `of` names that
     /// could still complete its certificate ([`ShareSet::take_to_check`]).
     pub(super) fn check_parked(&mut self, of: ShareOf) {
-        let (me, quorum) = (self.me, self.quorum());
-        let to_check = match of {
+        let (me, quorum, jobs) = (self.me, self.quorum(), &mut self.crypto_jobs);
+        let certify = &mut self.certify_bytes;
+        match of {
             ShareOf::Slot { slot, .. } => self
                 .slots
                 .get_mut(&slot)
-                .map(|s| s.shares.take_to_check(quorum, Prepare::certify_bytes)),
+                .map(|s| s.shares.take_to_check(of, quorum, jobs, |p| certify.of(p))),
             ShareOf::Checkpoint { base } => self
                 .cp_shares
                 .get_mut(&base)
-                .map(|s| s.take_to_check(quorum, CheckpointData::sign_bytes)),
-            ShareOf::Summary { upto } => self
-                .summary_shares
-                .get_mut(&upto.0)
-                .map(|s| s.take_to_check(quorum, |digest| summary_sign_bytes(me, upto, digest))),
+                .map(|s| s.take_to_check(of, quorum, jobs, |d| d.sign_bytes().into())),
+            ShareOf::Summary { upto } => self.summary_shares.get_mut(&upto.0).map(|s| {
+                s.take_to_check(of, quorum, jobs, |d| summary_sign_bytes(me, upto, d).into())
+            }),
         };
-        for (from, bytes, sig) in to_check.into_iter().flatten() {
-            self.crypto_jobs.push(CryptoJob {
-                tag: CryptoTag::ShareCheck { of, from },
-                work: CryptoWork::Verify { who: from, bytes, sig },
-            });
-        }
     }
 
     /// The check of `from`'s share toward `of` came back: a signature that

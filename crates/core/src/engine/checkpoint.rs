@@ -99,7 +99,7 @@ impl Engine {
             if base > self.checkpoint.data.base {
                 self.cp_shares.entry(base).or_default().begin_own(self.me, data);
             }
-            self.sign_job(CryptoTag::CheckpointShare { data }, data.sign_bytes());
+            self.sign_job(CryptoTag::CheckpointShare { data }, data.sign_bytes().into());
             self.try_execute();
             self.propose_ready();
         }
@@ -214,6 +214,7 @@ impl Engine {
         let base = c.data.base;
         // Forget decided state below the checkpoint (finite memory!).
         self.slots.retain(|s, _| *s >= base);
+        self.certify_bytes.prune(base);
         self.held.retain(|s| *s >= base);
         self.cp_shares.retain(|b, _| *b > base);
         let window = self.window() as u64;

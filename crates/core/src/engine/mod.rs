@@ -52,15 +52,17 @@ mod summary;
 mod types;
 mod view_change;
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use ubft_crypto::{sha256::Sha256, Certificate, Digest, KeyRing, Signature, Signer};
-use ubft_types::wire::Wire;
+use ubft_types::wire::{Held, Wire};
 use ubft_types::{FixedMap, FixedSet, Outbox, ProcessId, ReplicaId, SeqId, Slot, Sweep, View};
 
 use self::certify::ShareSet;
 use self::join::JoinState;
-use self::normal::SlotState;
+use self::normal::{CertifyBytes, SlotState};
 use self::requests::Requests;
 use self::stream::PeerState;
 pub use self::types::{
@@ -107,6 +109,8 @@ pub struct Engine {
     echo_wait: bool,
     state: BTreeMap<ReplicaId, PeerState>,
     slots: BTreeMap<Slot, SlotState>,
+    /// What CERTIFY shares over each slot's proposal sign.
+    certify_bytes: CertifyBytes,
     byzantine: BTreeSet<ReplicaId>,
     /// Client requests, from receipt to reclaim (§5.4).
     requests: Requests,
@@ -196,6 +200,8 @@ pub struct Engine {
     /// [`EngineConfig::record_decisions`] is set).
     decisions: Vec<DecisionRecord>,
     ops: CryptoOps,
+    /// The buffer [`cert_key`] encodes certificates in, reused.
+    scratch: Vec<u8>,
 }
 
 impl Engine {
@@ -230,6 +236,7 @@ impl Engine {
             echo_wait: false,
             state,
             slots: BTreeMap::new(),
+            certify_bytes: CertifyBytes::default(),
             byzantine: BTreeSet::new(),
             requests,
             held: BTreeSet::new(),
@@ -256,6 +263,7 @@ impl Engine {
             slow_sweep: Sweep::default(),
             decisions: Vec::new(),
             ops: CryptoOps::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -474,7 +482,7 @@ impl Engine {
     /// `slot`; repeated identical certificates cost nothing (verification
     /// caching).
     fn verify_cert(&mut self, cert: &Certificate, bytes: &[u8], slot: Slot) -> bool {
-        let key = cert_key(cert, bytes);
+        let key = cert_key(cert, bytes, &mut self.scratch);
         if !self.verified_certs.contains_key(&key) {
             self.ops.verifies += cert.count() as u32;
             if !cert.verify(&self.ring, bytes, self.quorum()) {
@@ -487,13 +495,13 @@ impl Engine {
 
     /// Has the crypto worker sign `bytes`; the signature comes back under
     /// `tag`.
-    fn sign_job(&mut self, tag: CryptoTag, bytes: Vec<u8>) {
+    fn sign_job(&mut self, tag: CryptoTag, bytes: Arc<[u8]>) {
         self.crypto_jobs.push(CryptoJob { tag, work: CryptoWork::Sign { bytes } });
     }
 
     /// Has the crypto worker check that `cert` carries `f + 1` signatures
     /// over `bytes`; the verdict comes back under `tag`.
-    fn check_cert(&mut self, tag: CryptoTag, cert: Certificate, bytes: Vec<u8>) {
+    fn check_cert(&mut self, tag: CryptoTag, cert: Certificate, bytes: Arc<[u8]>) {
         let work = CryptoWork::VerifyCert { cert, bytes, quorum: self.quorum() };
         self.crypto_jobs.push(CryptoJob { tag, work });
     }
@@ -502,7 +510,8 @@ impl Engine {
     /// shares we already checked), filed under `slot`, so re-verification
     /// costs nothing.
     fn note_own_cert(&mut self, cert: &Certificate, bytes: &[u8], slot: Slot) {
-        self.verified_certs.insert(cert_key(cert, bytes), slot);
+        let key = cert_key(cert, bytes, &mut self.scratch);
+        self.verified_certs.insert(key, slot);
     }
     /// A timer armed via [`Effect::ArmTimer`] fired.
     pub fn on_timer(&mut self, kind: TimerKind) -> Vec<Effect> {
@@ -596,12 +605,22 @@ impl Engine {
     }
 }
 
+/// A replica's decoder shares the batches its engine holds
+/// ([`Engine::held_batch`]).
+impl Held for Engine {
+    fn held(&self, view: View, slot: Slot) -> Option<&dyn Any> {
+        self.held_batch(view, slot).map(|b| b as &dyn Any)
+    }
+}
+
 /// What the verification cache ([`Engine::verify_cert`]) files a certificate
 /// under: the digest of the signed bytes followed by the certificate,
-/// hashed piecewise so that only the certificate's encoding takes a buffer.
-fn cert_key(cert: &Certificate, bytes: &[u8]) -> Digest {
+/// hashed piecewise, the certificate encoded in `scratch`.
+fn cert_key(cert: &Certificate, bytes: &[u8], scratch: &mut Vec<u8>) -> Digest {
+    scratch.clear();
+    cert.encode(scratch);
     let mut key = Sha256::new();
     key.update(bytes);
-    key.update(&cert.to_bytes());
+    key.update(scratch);
     key.finalize()
 }

@@ -2,6 +2,9 @@
 //! the leader's proposals, the signature-less fast path, the certified
 //! slow path, decision and in-order execution.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use ubft_crypto::Signature;
 use ubft_types::{Deadline, ReplicaId, ReplicaSet, RequestId, SeqId, Slot, View};
 
@@ -43,6 +46,31 @@ impl SlotState {
         if self.decided.is_none() {
             *self = SlotState { promised_in: self.promised_in, ..SlotState::default() };
         }
+    }
+}
+
+/// The bytes CERTIFY shares sign, per slot: built once per slot and view
+/// and shared by every job that signs or checks a share over the slot's
+/// proposal and by the verification cache. Kept beside the slots, not in
+/// [`SlotState`], so a fast-path slot does not carry the room for them.
+#[derive(Debug, Default)]
+pub(super) struct CertifyBytes(BTreeMap<Slot, (Prepare, Arc<[u8]>)>);
+
+impl CertifyBytes {
+    /// The bytes a share over `about` signs: those built for it, or built
+    /// now in place of another proposal's for its slot.
+    pub(super) fn of(&mut self, about: &Prepare) -> Arc<[u8]> {
+        if let Some((_, bytes)) = self.0.get(&about.slot).filter(|(p, _)| p == about) {
+            return bytes.clone();
+        }
+        let bytes: Arc<[u8]> = about.certify_bytes().into();
+        self.0.insert(about.slot, (about.clone(), bytes.clone()));
+        bytes
+    }
+
+    /// Forgets the slots below `base`, as the slots themselves are.
+    pub(super) fn prune(&mut self, base: Slot) {
+        self.0.retain(|s, _| *s >= base);
     }
 }
 
@@ -156,6 +184,21 @@ impl Engine {
     pub fn accepted_undecided(&self) -> Option<Slot> {
         let mut open = self.slots.range(self.exec_next..);
         open.find(|(_, s)| s.prepare.is_some() && s.decided.is_none()).map(|(slot, _)| *slot)
+    }
+
+    /// The batch this replica holds for `slot` in `view`, if any: the
+    /// PREPARE it accepted, the proposal a CERTIFY share it holds is over,
+    /// or the PREPARE the view's leader sent, held back or not. The driver
+    /// decodes a message that carries the proposal against it
+    /// ([`Wire::from_bytes_holding`](ubft_types::wire::Wire::from_bytes_holding)),
+    /// so a batch is built once per replica, not once per message.
+    pub fn held_batch(&self, view: View, slot: Slot) -> Option<&Batch> {
+        let of_view = |p: &&Prepare| p.view == view;
+        let s = self.slots.get(&slot);
+        let accepted = s.and_then(|s| s.prepare.as_ref()).filter(of_view);
+        let shared = || s.and_then(|s| s.shares.abouts().find(of_view));
+        let sent = || self.state.get(&view.leader(self.n()))?.prepares.get(&slot).filter(of_view);
+        accepted.or_else(shared).or_else(sent).map(|p| &p.batch)
     }
 
     /// Whether request `id` has been handed to execution: a retransmission
@@ -317,7 +360,7 @@ impl Engine {
     /// toward the certificate from now on ([`ShareSet::begin_own`]).
     fn sign_share(&mut self, prep: Prepare) {
         let tag = CryptoTag::SlotShare { slot: prep.slot, view: prep.view };
-        let bytes = prep.certify_bytes();
+        let bytes = self.certify_bytes.of(&prep);
         self.slots.entry(prep.slot).or_default().shares.begin_own(self.me, prep);
         self.sign_job(tag, bytes);
     }
@@ -487,7 +530,8 @@ impl Engine {
         let Some(prepare) = entry.prepare.clone() else { return };
         let Some(cert) = entry.shares.certificate(&prepare, quorum) else { return };
         entry.sent_commit = true;
-        self.note_own_cert(&cert, &prepare.certify_bytes(), slot);
+        let bytes = self.certify_bytes.of(&prepare);
+        self.note_own_cert(&cert, &bytes, slot);
         self.emit_ctb(CtbMsg::Commit(CommitCert { prepare, cert }));
         self.check_seal_ready();
     }

@@ -206,8 +206,11 @@ impl Engine {
                     .slots
                     .get(&c.prepare.slot)
                     .is_some_and(|s| s.shares.verified(&c.prepare).count() >= self.quorum());
-                if !own && !self.verify_cert(&c.cert, &c.prepare.certify_bytes(), c.prepare.slot) {
-                    return Err("commit with invalid certificate".into());
+                if !own {
+                    let bytes = self.certify_bytes.of(&c.prepare);
+                    if !self.verify_cert(&c.cert, &bytes, c.prepare.slot) {
+                        return Err("commit with invalid certificate".into());
+                    }
                 }
                 Ok(())
             }
@@ -275,7 +278,7 @@ impl Engine {
         self.check_cert(
             CryptoTag::CheckpointCert { stream, k },
             c.cert.clone(),
-            c.data.sign_bytes(),
+            c.data.sign_bytes().into(),
         );
         AwaitedProof::Job
     }

@@ -90,7 +90,7 @@ impl Engine {
         if stream == self.me && upto.0 > self.summary_done_upto {
             self.summary_shares.entry(upto.0).or_default().begin_own(self.me, digest);
         }
-        let bytes = summary_sign_bytes(stream, upto, &digest);
+        let bytes = summary_sign_bytes(stream, upto, &digest).into();
         self.sign_job(CryptoTag::SummaryShare { stream, upto, digest }, bytes);
     }
 
@@ -190,7 +190,7 @@ impl Engine {
             let oldest = *self.summary_checks.range(of_stream).next().expect("counted").0;
             self.summary_checks.remove(&oldest);
         }
-        let bytes = summary_sign_bytes(from, upto, &summary.digest());
+        let bytes = summary_sign_bytes(from, upto, &summary.digest()).into();
         self.summary_checks.insert((from, upto), summary);
         self.check_cert(CryptoTag::SummaryCert { stream: from, upto }, cert, bytes);
     }

@@ -117,6 +117,17 @@ impl Batch {
     pub fn digest(&self) -> Digest {
         sha256(&self.to_bytes())
     }
+
+    /// Whether `bytes` begin with this batch's encoding. It is read back
+    /// field by field with the decoders, so nothing is built: integers
+    /// have one fixed-width encoding each, so equal fields are equal bytes.
+    fn encodes_prefix_of(&self, bytes: &[u8]) -> bool {
+        let mut r = WireReader::new(bytes);
+        u32::decode(&mut r) == Ok(self.reqs.len() as u32)
+            && self.reqs.iter().all(|req| {
+                RequestId::decode(&mut r) == Ok(req.id) && r.take_bytes() == Ok(&req.payload[..])
+            })
+    }
 }
 
 /// Encodes as a `Vec<Request>` would; `decode` is by hand.
@@ -196,7 +207,33 @@ impl Prepare {
     }
 }
 
-ubft_types::wire!(Prepare { view, slot, batch });
+/// Encodes as `wire!(Prepare { view, slot, batch })` would; `decode` asks
+/// what the receiver holds for `(view, slot)` ([`WireReader::held`]) and
+/// shares that batch when the input encodes it, byte for byte. Every
+/// message that carries a proposal — a `PREPARE`, a `CERTIFY` share, a
+/// `COMMIT` — decodes it here, so a replica builds each batch once.
+impl Wire for Prepare {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.view.encode(buf);
+        self.slot.encode(buf);
+        self.batch.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.view.encoded_len() + self.slot.encoded_len() + self.batch.encoded_len()
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        let (view, slot) = (View::decode(r)?, Slot::decode(r)?);
+        let held = r.held().and_then(|h| h.held(view, slot)?.downcast_ref::<Batch>());
+        let batch = match held.filter(|b| b.encodes_prefix_of(r.rest())) {
+            Some(b) => {
+                r.take(b.encoded_len())?;
+                b.clone()
+            }
+            None => Batch::decode(r)?,
+        };
+        Ok(Prepare { view, slot, batch })
+    }
+}
 
 /// An unforgeable proof that the leader proposed `prepare`: `f + 1`
 /// signatures over [`Prepare::certify_bytes`].
@@ -526,8 +563,10 @@ ubft_types::wire!(DirectMsg {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use ubft_types::wire::roundtrip;
+    use ubft_types::wire::{roundtrip, Held};
 
     fn req() -> Request {
         Request { id: RequestId::new(ClientId(1), 2), payload: vec![1, 2, 3] }
@@ -823,6 +862,98 @@ mod tests {
         let p = prepare();
         let q = p.clone();
         assert!(std::ptr::eq(p.batch.requests(), q.batch.requests()));
+    }
+
+    /// What a receiver holds in the tests below: one batch, for one
+    /// proposal.
+    struct HeldOne(View, Slot, Batch);
+
+    impl Held for HeldOne {
+        fn held(&self, view: View, slot: Slot) -> Option<&dyn std::any::Any> {
+            ((view, slot) == (self.0, self.1)).then_some(&self.2 as &dyn std::any::Any)
+        }
+    }
+
+    /// A batch of the given requests: ids drawn from a few clients and
+    /// sequence numbers, so that two batches often share some.
+    fn batch_of(parts: &[(u32, u64, Vec<u8>)]) -> Batch {
+        let reqs = parts.iter().map(|(c, s, p)| Request {
+            id: RequestId::new(ClientId(*c % 4), *s % 8),
+            payload: p.clone(),
+        });
+        Batch::new(reqs.collect())
+    }
+
+    /// A copy of `b` as a peer's message might carry it instead: equal, or
+    /// one payload byte, one request id or the request count apart.
+    fn variant(b: &Batch, kind: u8, at: usize) -> Batch {
+        let mut reqs = b.requests().to_vec();
+        let i = at % reqs.len();
+        match kind {
+            0 => {}
+            1 => match reqs[i].payload.get_mut(at % 5) {
+                Some(byte) => *byte ^= 1,
+                None => reqs[i].payload.push(0),
+            },
+            2 => reqs[i].id.seq ^= 1,
+            3 => reqs.push(reqs[i].clone()),
+            _ if reqs.len() > 1 => drop(reqs.pop()),
+            _ => reqs.push(Request::noop(Slot(1))),
+        }
+        Batch::new(reqs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoding with a held batch returns what `from_bytes` returns, for
+        /// every message that carries a proposal, every held batch — the
+        /// carried one, one a byte, an id or a request away from it, one
+        /// held for another slot — every truncation of the input, one
+        /// trailing byte and an unknown tag; and the carried batch itself is
+        /// shared, not rebuilt.
+        #[test]
+        fn a_held_batch_decodes_as_from_bytes_does(
+            parts in proptest::collection::vec(
+                (0u32..8, 0u64..16, proptest::collection::vec(0u8..4, 0..5)),
+                1..5,
+            ),
+            (kind, at, other_slot) in (0u8..6, 0usize..64, any::<bool>()),
+            msg in 0u8..3,
+        ) {
+            let (view, slot) = (View(2), Slot(7));
+            let prepare = Prepare { view, slot, batch: batch_of(&parts) };
+            let held_slot = if other_slot { Slot(8) } else { slot };
+            let held = HeldOne(view, held_slot, variant(&prepare.batch, kind, at));
+            let bytes = match msg {
+                0 => CtbMsg::Prepare(prepare.clone()).to_bytes(),
+                1 => CtbMsg::Commit(CommitCert { prepare: prepare.clone(), cert: Certificate::new() })
+                    .to_bytes(),
+                _ => TbMsg::Certify { prepare: prepare.clone(), sig: Signature::garbage() }.to_bytes(),
+            };
+            let mut inputs: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            inputs.push([&bytes[..], &[at as u8]].concat());
+            inputs.push([&[0xF0 | kind][..], &bytes[1..]].concat());
+            inputs.push(bytes.clone());
+            for input in &inputs {
+                if msg < 2 {
+                    let shared = CtbMsg::from_bytes_holding(input, &held);
+                    prop_assert_eq!(&shared, &CtbMsg::from_bytes(input), "{:?}", input);
+                } else {
+                    let shared = TbMsg::from_bytes_holding(input, &held);
+                    prop_assert_eq!(&shared, &TbMsg::from_bytes(input), "{:?}", input);
+                }
+            }
+            let decoded = match CtbMsg::from_bytes_holding(&bytes, &held) {
+                Ok(CtbMsg::Prepare(p) | CtbMsg::Commit(CommitCert { prepare: p, .. })) => p,
+                _ => match TbMsg::from_bytes_holding(&bytes, &held) {
+                    Ok(TbMsg::Certify { prepare, .. }) => prepare,
+                    other => panic!("{other:?}"),
+                },
+            };
+            let shares = std::ptr::eq(decoded.batch.requests(), held.2.requests());
+            prop_assert_eq!(shares, kind == 0 && !other_slot);
+        }
     }
 
     #[test]

@@ -2198,7 +2198,10 @@ fn a_slow_path_leader_signs_its_share_in_the_call_that_proposes() {
     assert!(fx.contains(&Effect::CtbBroadcast(CtbMsg::Prepare(p.clone()))), "{fx:?}");
     let jobs = queued_jobs(&mut c.e);
     let tag = CryptoTag::SlotShare { slot: Slot(0), view: View(0) };
-    assert_eq!(jobs, vec![CryptoJob { tag, work: CryptoWork::Sign { bytes: p.certify_bytes() } }]);
+    assert_eq!(
+        jobs,
+        vec![CryptoJob { tag, work: CryptoWork::Sign { bytes: p.certify_bytes().into() } }]
+    );
     assert_eq!(certifies(&c.complete(&jobs[0])), 0, "a share left before its PREPARE");
     let fx = c.e.on_ctb_deliver(ReplicaId(0), SeqId(1), CtbMsg::Prepare(p));
     assert_eq!(certifies(&fx), 1, "{fx:?}");
@@ -2333,7 +2336,7 @@ fn a_share_signed_over_the_leaders_early_proposal_never_leaves_for_another() {
         let _ = c.e.on_tb_deliver(ReplicaId(0), c.share(0, &x, false));
         let leaders = c.checks();
         let over_x = c.own.remove(0);
-        assert_eq!(over_x.work, CryptoWork::Sign { bytes: x.certify_bytes() });
+        assert_eq!(over_x.work, CryptoWork::Sign { bytes: x.certify_bytes().into() });
         let mut fx = Vec::new();
         if x_signed_first {
             fx.extend(c.complete(&over_x));
@@ -2346,7 +2349,7 @@ fn a_share_signed_over_the_leaders_early_proposal_never_leaves_for_another() {
         }
         assert_eq!(certifies(&fx), 0, "the signature over X left: {fx:?}");
         assert!(c.checks().is_empty());
-        assert_eq!(c.own[0].work, CryptoWork::Sign { bytes: y.certify_bytes() });
+        assert_eq!(c.own[0].work, CryptoWork::Sign { bytes: y.certify_bytes().into() });
         let fx = c.sign_own();
         let me = ProcessId::Replica(ReplicaId(1));
         assert!(

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ubft_types::wire::Wire;
-use ubft_types::{ReplicaId, SeqId};
+use ubft_types::{ReplicaId, ReplicaSet, SeqId};
 
 use crate::wire::TbWire;
 
@@ -97,16 +97,16 @@ impl TailBroadcaster {
     /// ack — a probe; the rest of its stale tail is held back until a write
     /// to it is accepted again.
     ///
-    /// Returns the frames to send, each with its destination; they are
-    /// handles on the buffered frames, not copies.
-    pub fn retransmit_stale(&mut self) -> Vec<(ReplicaId, TbWire)> {
+    /// Appends the frames to send to `sends`, each with its destination;
+    /// they are handles on the buffered frames, not copies. A driver that
+    /// reuses the buffer allocates nothing per tick.
+    pub fn retransmit_stale(&mut self, sends: &mut Vec<(ReplicaId, TbWire)>) {
         self.gen += 1;
         for held in self.unreachable.values_mut() {
             held.clear();
         }
         let min_unacked = self.acked.values().copied().min().unwrap_or(SeqId(0));
-        let mut probed: Vec<ReplicaId> = Vec::new();
-        let mut sends = Vec::new();
+        let mut probed = ReplicaSet::default();
         for (wire, last_gen) in &mut self.buffer {
             let k = wire.k;
             if k <= min_unacked || *last_gen + 1 >= self.gen {
@@ -119,16 +119,14 @@ impl TailBroadcaster {
                     continue;
                 }
                 if let Some(held) = self.unreachable.get_mut(&p) {
-                    if probed.contains(&p) {
+                    if !probed.insert(p) {
                         held.push(k);
                         continue;
                     }
-                    probed.push(p);
                 }
                 sends.push((p, wire.clone()));
             }
         }
-        sends
     }
 
     /// The transport's verdict on a data frame this broadcaster sent to
@@ -284,6 +282,13 @@ mod tests {
         TailBroadcaster::new(peers.iter().map(|p| ReplicaId(*p)).collect(), capacity)
     }
 
+    /// One retransmission tick's sends.
+    fn tick(b: &mut TailBroadcaster) -> Vec<(ReplicaId, TbWire)> {
+        let mut sends = Vec::new();
+        b.retransmit_stale(&mut sends);
+        sends
+    }
+
     /// `(peer, id)` of every frame in `sends`.
     fn sends(sends: &[(ReplicaId, TbWire)]) -> Vec<(u32, u64)> {
         sends.iter().map(|(to, wire)| (to.0, wire.k.0)).collect()
@@ -292,8 +297,8 @@ mod tests {
     /// What is resent once everything buffered so far has gone a full
     /// period unacknowledged: two ticks.
     fn stale_tail(b: &mut TailBroadcaster) -> Vec<(u32, u64)> {
-        assert!(b.retransmit_stale().is_empty());
-        sends(&b.retransmit_stale())
+        assert!(tick(b).is_empty());
+        sends(&tick(b))
     }
 
     const DELIVERED: Receipt = Receipt { deliver: true, ack: None };
@@ -320,8 +325,8 @@ mod tests {
         // The caller's handle and the retransmission buffer's.
         assert_eq!(std::sync::Arc::strong_count(wire.frame()), 2);
         // A retransmission hands out the buffered frame, not a copy of it.
-        assert!(b.retransmit_stale().is_empty());
-        let resent = b.retransmit_stale();
+        assert!(tick(&mut b).is_empty());
+        let resent = tick(&mut b);
         assert_eq!(sends(&resent), vec![(1, 1), (2, 1)]);
         assert!(resent.iter().all(|(_, w)| std::sync::Arc::ptr_eq(w.frame(), wire.frame())));
     }
@@ -391,15 +396,15 @@ mod tests {
         broadcast(&mut b, &payload(0));
         // First tick after the broadcast: the message may have been sent
         // moments ago — no duplicate traffic yet.
-        assert!(b.retransmit_stale().is_empty());
+        assert!(tick(&mut b).is_empty());
         // Second tick: a full period elapsed without an ack — resend.
-        let resent = b.retransmit_stale();
+        let resent = tick(&mut b);
         assert_eq!(sends(&resent), vec![(1, 1)]);
         assert_eq!(resent[0].1.payload(), &payload(0)[..]);
         // Third tick: it was just resent — quiet again.
-        assert!(b.retransmit_stale().is_empty());
+        assert!(tick(&mut b).is_empty());
         // Fourth: still unacked, resend again.
-        assert_eq!(b.retransmit_stale().len(), 1);
+        assert_eq!(tick(&mut b).len(), 1);
     }
 
     #[test]
@@ -407,15 +412,15 @@ mod tests {
         let mut b = broadcaster(&[1, 2], 8);
         broadcast(&mut b, &payload(0));
         broadcast(&mut b, &payload(1));
-        b.retransmit_stale();
+        tick(&mut b);
         // Peer 1 acks everything; peer 2 acks only k=1.
         b.on_ack(ReplicaId(1), SeqId(2));
         b.on_ack(ReplicaId(2), SeqId(1));
         // Only k=2 to peer 2 is still outstanding.
-        assert_eq!(sends(&b.retransmit_stale()), vec![(2, 2)]);
+        assert_eq!(sends(&tick(&mut b)), vec![(2, 2)]);
         b.on_ack(ReplicaId(2), SeqId(2));
-        assert!(b.retransmit_stale().is_empty());
-        assert!(b.retransmit_stale().is_empty());
+        assert!(tick(&mut b).is_empty());
+        assert!(tick(&mut b).is_empty());
     }
 
     #[test]

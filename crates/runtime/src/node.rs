@@ -415,6 +415,8 @@ pub(crate) struct ReplicaNode {
     /// into a slot frame or a shared TBcast frame — reused for every send,
     /// so encoding allocates nothing.
     scratch: Vec<u8>,
+    /// The frames a retransmission tick resends, reused every tick.
+    resend: Vec<(ReplicaId, TbWire)>,
     /// The COMMIT our own stream's CTBcast signs ahead
     /// ([`Engine::take_ctb_ahead`]), encoded once: its broadcast sends
     /// these bytes.
@@ -474,6 +476,7 @@ impl ReplicaNode {
             core: CoreTime::default(),
             counters: OpCounters::default(),
             scratch: Vec::new(),
+            resend: Vec::new(),
             ctb_ahead: None,
             echoes: Vec::new(),
             echo_to: 0,
@@ -663,11 +666,14 @@ impl ReplicaNode {
     /// evidence, because the summary itself needs that receiver's share.
     fn on_retransmit_tick<S: Substrate>(&mut self, sub: &mut S, at: S::At) {
         let lanes = (0..self.ctbs.len()).map(|stream| Lane::CtbTb { stream }).chain([Lane::ConsTb]);
+        let mut resend = std::mem::take(&mut self.resend);
         for lane in lanes {
-            for (to, wire) in self.tb_tx(lane).retransmit_stale() {
+            self.tb_tx(lane).retransmit_stale(&mut resend);
+            for (to, wire) in resend.drain(..) {
                 self.send_tb_frame(sub, lane, to, &wire, at);
             }
         }
+        self.resend = resend;
 
         let (sent, done) = (self.engine.ctb_sent_count(), self.engine.ctb_summarized_upto());
         // The ticks count while one boundary stays uncertified: a summary
@@ -949,7 +955,7 @@ impl ReplicaNode {
                 }
                 CtbEffect::Deliver { k, payload } => {
                     let s = ReplicaId(stream as u32);
-                    match CtbMsg::from_bytes(&payload) {
+                    match CtbMsg::from_bytes_holding(&payload, &self.engine) {
                         Ok(msg) => self.engine_call(sub, at, |e| e.on_ctb_deliver(s, k, msg)),
                         Err(_) => self.engine_call(sub, at, |e| e.on_ctb_equivocation(s, k)),
                     }
@@ -1029,7 +1035,9 @@ impl ReplicaNode {
     /// not what the model measures).
     fn equivocation(&mut self, wire: &TbWire) -> Option<TbWire> {
         let poison = |m: &[u8]| {
-            let Ok(CtbMsg::Prepare(mut prep)) = CtbMsg::from_bytes(m) else { return None };
+            let Ok(CtbMsg::Prepare(mut prep)) = CtbMsg::from_bytes_holding(m, &self.engine) else {
+                return None;
+            };
             let mut reqs = prep.batch.requests().to_vec();
             let first = &mut reqs.first_mut()?.payload;
             match first.first_mut() {
@@ -1068,7 +1076,7 @@ impl ReplicaNode {
                 }
             }
             Lane::ConsTb => {
-                if let Ok(msg) = TbMsg::from_bytes(payload) {
+                if let Ok(msg) = TbMsg::from_bytes_holding(payload, &self.engine) {
                     self.engine_call(sub, at, |e| e.on_tb_deliver(from, msg));
                 }
             }

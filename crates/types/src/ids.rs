@@ -45,6 +45,16 @@ impl ReplicaSet {
     pub fn is_empty(&self) -> bool {
         self.0 == 0
     }
+
+    /// The replicas in the set, lowest index first.
+    pub fn iter(self) -> impl Iterator<Item = ReplicaId> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let r = (rest != 0).then(|| ReplicaId(rest.trailing_zeros()))?;
+            rest &= rest - 1;
+            Some(r)
+        })
+    }
 }
 
 /// Identifier of an external client issuing requests.
@@ -252,6 +262,8 @@ mod tests {
         assert!(set.contains(ReplicaId(0)) && set.contains(ReplicaId(63)));
         assert!(!set.contains(ReplicaId(1)) && !set.contains(ReplicaId(64)));
         assert!(std::panic::catch_unwind(|| ReplicaSet::default().insert(ReplicaId(64))).is_err());
+        assert_eq!(set.iter().collect::<Vec<_>>(), [ReplicaId(0), ReplicaId(63)]);
+        assert_eq!(ReplicaSet::default().iter().next(), None);
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //!
 //! A message type states its layout once, with [`wire!`](crate::wire!):
 //! its fields in wire order, and for an enum the tag of each variant.
+//!
+//! A receiver that already holds a value a message carries can offer it to
+//! the decoder ([`Held`], [`Wire::from_bytes_holding`]): a type whose
+//! decoder looks there shares the held value when the bytes match it,
+//! instead of building an equal one.
 
-use crate::CodecError;
+use std::any::Any;
+
+use crate::{CodecError, Slot, View};
 
 /// Types that can be encoded to and decoded from the deterministic wire
 /// format.
@@ -57,12 +64,19 @@ pub trait Wire: Sized {
     /// Returns [`CodecError::TrailingBytes`] if input remains after decoding,
     /// or any error from [`Wire::decode`].
     fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = WireReader::new(bytes);
-        let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(CodecError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(v)
+        decode_whole(WireReader::new(bytes))
+    }
+
+    /// [`Wire::from_bytes`], with what the receiver holds offered to the
+    /// decoders that look for it ([`WireReader::held`]). It returns what
+    /// `from_bytes` returns — the same value or the same error — and only
+    /// shares what it can instead of building it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wire::from_bytes`].
+    fn from_bytes_holding(bytes: &[u8], held: &dyn Held) -> Result<Self, CodecError> {
+        decode_whole(WireReader { held: Some(held), ..WireReader::new(bytes) })
     }
 
     /// The elements of a `Vec<Self>`, after its count. `u8` copies them as
@@ -196,24 +210,55 @@ macro_rules! wire {
     };
 }
 
+/// Decodes one `T` from `r`, requiring full consumption.
+fn decode_whole<T: Wire>(mut r: WireReader<'_>) -> Result<T, CodecError> {
+    let v = T::decode(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(CodecError::TrailingBytes { remaining: r.remaining() });
+    }
+    Ok(v)
+}
+
+/// What a receiver holds of a proposal, offered to a decoder so that an
+/// equal value is shared instead of decoded anew
+/// ([`Wire::from_bytes_holding`]). The decoder downcasts the value to the
+/// type it decodes and compares its encoding with the input; a value it
+/// cannot use is ignored.
+pub trait Held {
+    /// The value held for the proposal at `slot` in `view`, if any.
+    fn held(&self, view: View, slot: Slot) -> Option<&dyn Any>;
+}
+
 /// A bounds-checked cursor over a byte slice.
-#[derive(Debug)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    held: Option<&'a dyn Held>,
 }
 
 impl<'a> WireReader<'a> {
     /// Creates a reader over `buf`.
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader { buf, pos: 0, held: None }
     }
 
     /// Bytes not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not yet consumed, left in place.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// What the receiver holds, if the decode was offered it.
+    #[inline]
+    pub fn held(&self) -> Option<&'a dyn Held> {
+        self.held
     }
 
     /// Takes exactly `n` bytes.
