@@ -113,13 +113,17 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 
 /// Allocator calls per completed request a debug or release build may
 /// spend on the named configuration over 500 + 50 requests: 10 % above
-/// what the tree measures (`flip_fast` 56.9, `flip_slow` 148.3,
-/// `flip_batched` 38.9, `leader_crash` 102.7). Before a replica decoded a
-/// proposal it already held by comparing its bytes and sharing the held
-/// batch, built each slot's signing bytes once, counted a certificate's
-/// shares before building it and retransmitted into a reused buffer,
-/// `flip_slow` cost 208.7 and `leader_crash` 129.4 (budgets 230 and 142).
-/// Before CTBcast read a
+/// what the tree measures (`flip_fast` 40.7, `flip_slow` 129.0,
+/// `flip_batched` 37.0, `leader_crash` 79.9). Before TBcast's ring wrote a
+/// broadcast into a frame it evicted, CTBcast delivered its cached body
+/// and built its bodies in ones the driver handed back, and the leader
+/// decoded its own PREPARE against the batch it proposed, the four cost
+/// 56.9, 148.3, 38.9 and 102.7 (budgets 63, 163, 43 and 113). Before a
+/// replica decoded a proposal it already held by comparing its bytes and
+/// sharing the held batch, built each slot's signing bytes once, counted a
+/// certificate's shares before building it and retransmitted into a
+/// reused buffer, `flip_slow` cost 208.7 and `leader_crash` 129.4 (budgets
+/// 230 and 142). Before CTBcast read a
 /// message in the TBcast frame it arrived in, and the engine counted a
 /// slot's fast-path votes in a bitset, the four cost 72.0, 220.7, 40.3 and
 /// 147.4; before the driver handed the engine's and CTBcast's effect
@@ -135,7 +139,7 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 /// and 371.5; before messages were encoded once into shared buffers
 /// `flip_fast`, `flip_slow` and `leader_crash` cost 570, 1 500 and 1 270.
 pub const BUDGETS: [(&str, f64); 4] =
-    [("flip_fast", 63.0), ("flip_slow", 163.0), ("flip_batched", 43.0), ("leader_crash", 113.0)];
+    [("flip_fast", 45.0), ("flip_slow", 142.0), ("flip_batched", 41.0), ("leader_crash", 88.0)];
 
 fn config(name: &str) -> Option<SimConfig> {
     let base = SimConfig::paper_default(SEED);

@@ -71,7 +71,7 @@ pub use self::types::{
 };
 pub use self::view_change::must_propose;
 pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork, ShareOf};
-use crate::msg::{CheckpointCert, CheckpointData, CtbMsg, DirectMsg, StateSummary};
+use crate::msg::{CheckpointCert, CheckpointData, CtbMsg, DirectMsg, Prepare, StateSummary};
 
 /// The uBFT replica state machine.
 pub struct Engine {
@@ -139,6 +139,9 @@ pub struct Engine {
     /// The COMMIT CTBcast may sign before it is broadcast, and the id it
     /// will get ([`Engine::take_ctb_ahead`]).
     ctb_ahead: Option<(SeqId, CtbMsg)>,
+    /// Leader: the PREPAREs it proposed whose CTBcast delivery here has not
+    /// come yet (at most a pipeline's worth), for [`Engine::held_batch`].
+    proposed: VecDeque<Prepare>,
     /// Effects of the input being handled, in emission order; every public
     /// input hands them over on return ([`Engine::take_out`]), and the
     /// vectors a driver hands back ([`Engine::recycle`]) hold the next ones.
@@ -247,6 +250,7 @@ impl Engine {
             summary_checks: BTreeMap::new(),
             crypto_jobs: Vec::new(),
             ctb_ahead: None,
+            proposed: VecDeque::new(),
             out: Outbox::new(),
             vc_shares: BTreeMap::new(),
             sealing: None,

@@ -188,7 +188,8 @@ impl Engine {
 
     /// The batch this replica holds for `slot` in `view`, if any: the
     /// PREPARE it accepted, the proposal a CERTIFY share it holds is over,
-    /// or the PREPARE the view's leader sent, held back or not. The driver
+    /// the PREPARE the view's leader sent, held back or not, or — on the
+    /// leader — the one it proposed, until its CTBcast delivery. The driver
     /// decodes a message that carries the proposal against it
     /// ([`Wire::from_bytes_holding`](ubft_types::wire::Wire::from_bytes_holding)),
     /// so a batch is built once per replica, not once per message.
@@ -198,7 +199,8 @@ impl Engine {
         let accepted = s.and_then(|s| s.prepare.as_ref()).filter(of_view);
         let shared = || s.and_then(|s| s.shares.abouts().find(of_view));
         let sent = || self.state.get(&view.leader(self.n()))?.prepares.get(&slot).filter(of_view);
-        accepted.or_else(shared).or_else(sent).map(|p| &p.batch)
+        let proposed = || self.proposed.iter().find(|p| p.slot == slot).filter(of_view);
+        accepted.or_else(shared).or_else(sent).or_else(proposed).map(|p| &p.batch)
     }
 
     /// Whether request `id` has been handed to execution: a retransmission
@@ -249,6 +251,10 @@ impl Engine {
             if self.cfg.path == PathMode::SlowOnly || (fallback && !self.suspected.is_empty()) {
                 self.sign_share(prepare.clone());
             }
+            if self.proposed.len() as u64 == depth {
+                self.proposed.pop_front();
+            }
+            self.proposed.push_back(prepare.clone());
             self.emit_ctb(CtbMsg::Prepare(prepare));
         }
     }
@@ -258,6 +264,9 @@ impl Engine {
     // ------------------------------------------------------------------
 
     pub(super) fn handle_prepare(&mut self, stream: ReplicaId, prep: Prepare) {
+        if stream == self.me {
+            self.proposed.retain(|p| (p.view, p.slot) > (prep.view, prep.slot));
+        }
         let ps = self.state.get_mut(&stream).expect("known");
         ps.prepares.insert(prep.slot, prep.clone());
         if prep.view != self.view || !self.in_open_window(prep.slot) {

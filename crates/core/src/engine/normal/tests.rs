@@ -2,7 +2,8 @@
 //! and the vectors its effects leave in.
 
 use ubft_types::outbox::SPARES;
-use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, Slot, View};
+use ubft_types::wire::Wire;
+use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, SeqId, Slot, View};
 
 use crate::app::NoopApp;
 use crate::engine::{
@@ -72,6 +73,33 @@ fn a_slot_a_decision_frees_waits_for_the_echoes_under_way() {
     leader.decide(Slot(0), Batch::single(req(1)), DecisionEvidence::FastQuorum { votes: 3 });
     assert!(proposed(leader.take_out()).is_empty(), "cut a batch of 1 of 3");
     assert_eq!(proposed(leader.on_echo(r2, [4, 5].map(req))), ids(&[3, 4, 5]));
+}
+
+/// The leader decodes the CTBcast delivery of its own PREPARE against the
+/// batch it proposed: the two share one request slice. The delivery is
+/// accepted like any other — the proposal is not a second PREPARE for the
+/// slot — and the leader keeps nothing of it beyond `PeerState::prepares`.
+#[test]
+fn the_leader_decodes_its_own_prepare_against_the_batch_it_proposed() {
+    let cfg = EngineConfig::new(ClusterParams::paper_default(), PathMode::FastOnly);
+    let mut leader = EngineNet::<NoopApp>::new(cfg).engines.swap_remove(0);
+    let req = Request { id: RequestId::new(ClientId(1), 0), payload: vec![1] };
+    let _ = leader.on_client_request(req.clone());
+    let _ = leader.on_echo(ReplicaId(1), [req.clone()]);
+    let fx = leader.on_echo(ReplicaId(2), [req]);
+    let Some(Effect::CtbBroadcast(msg @ CtbMsg::Prepare(_))) =
+        fx.into_iter().find(|e| matches!(e, Effect::CtbBroadcast(_)))
+    else {
+        panic!("the leader proposed nothing")
+    };
+    let CtbMsg::Prepare(proposed) = &msg else { unreachable!() };
+    let decoded = CtbMsg::from_bytes_holding(&msg.to_bytes(), &leader).expect("own encoding");
+    let CtbMsg::Prepare(delivered) = &decoded else { panic!("{decoded:?}") };
+    assert!(std::ptr::eq(delivered.batch.requests(), proposed.batch.requests()));
+    let fx = leader.on_ctb_deliver(ReplicaId(0), SeqId(1), decoded.clone());
+    assert!(!fx.iter().any(|e| matches!(e, Effect::ByzantineDetected { .. })), "{fx:?}");
+    assert!(leader.slots[&proposed.slot].prepare.is_some(), "its own PREPARE was not accepted");
+    assert!(leader.proposed.is_empty());
 }
 
 /// Replica 1 of a fast-path group, a follower.

@@ -20,7 +20,10 @@
 //! the other's read arrives, and at least one of them reads the other's
 //! entry: the guarantee two sequential round trips gave.
 
+use std::sync::Arc;
+
 use ubft_crypto::{Digest, Signature};
+use ubft_types::outbox::SPARES;
 use ubft_types::wire::Wire;
 use ubft_types::{Deadline, FixedMap, FixedState, Outbox, ReplicaId, SeqId, Sweep};
 
@@ -171,8 +174,8 @@ pub enum CtbEffect {
     Deliver {
         /// Message id.
         k: SeqId,
-        /// Message body.
-        payload: Vec<u8>,
+        /// Message body: the buffer the payload cache holds it in.
+        payload: Arc<[u8]>,
     },
     /// Proof was found that the broadcaster equivocated on `k`; the layer
     /// above must stop interpreting this stream (Algorithm 2, line 1).
@@ -262,8 +265,8 @@ pub struct Ctb {
     delivered: Vec<Option<SeqId>>,
     /// Payload cache keyed by `(k, fp)`: the bodies a lock, a `LOCKED`, a
     /// pending slow delivery or an own broadcast named, pruned to the tail
-    /// window.
-    payloads: FixedMap<(u64, Digest), Vec<u8>>,
+    /// window. A delivery hands out the cached buffer itself.
+    payloads: FixedMap<(u64, Digest), Arc<[u8]>>,
     /// Highest id seen on the stream (drives cache pruning).
     max_seen: SeqId,
     /// In-flight slow-path deliveries, keyed by ring slot.
@@ -274,6 +277,11 @@ pub struct Ctb {
     /// input hands them over on return ([`Ctb::take_out`]), and the vectors
     /// a driver hands back ([`Ctb::recycle`]) hold the next ones.
     out: Outbox<CtbEffect>,
+    /// Bodies of broadcast messages the driver has sent and handed back
+    /// ([`Ctb::recycle_body`]), emptied: a `LOCKED` echo, a `SIGNED`
+    /// message or the driver's next broadcast ([`Ctb::encode_body`]) is
+    /// built in one of them.
+    bodies: Vec<Vec<u8>>,
 }
 
 impl Ctb {
@@ -308,6 +316,7 @@ impl Ctb {
             slow: FixedMap::with_hasher(hash_state),
             fast_sweep: Sweep::default(),
             out: Outbox::new(),
+            bodies: Vec::new(),
         }
     }
 
@@ -372,7 +381,7 @@ impl Ctb {
     }
 
     /// Broadcaster only: the body of own broadcast `k`, while in the tail.
-    fn my_broadcast_body(&self, k: SeqId) -> Option<&Vec<u8>> {
+    fn my_broadcast_body(&self, k: SeqId) -> Option<&Arc<[u8]>> {
         let own = self.my_broadcasts.get(&k.0)?;
         self.payloads.get(&(k.0, own.fp))
     }
@@ -396,7 +405,24 @@ impl Ctb {
     /// every frame, so caching any other would let it grow the cache
     /// without bound.
     fn cache_payload(&mut self, k: SeqId, fp: Digest, m: &[u8]) {
-        self.payloads.entry((k.0, fp)).or_insert_with(|| m.to_vec());
+        self.payloads.entry((k.0, fp)).or_insert_with(|| Arc::from(m));
+    }
+
+    /// A copy of `m` to broadcast, in a body handed back earlier if one
+    /// waits.
+    fn body(&mut self, m: &[u8]) -> Vec<u8> {
+        let mut body = self.bodies.pop().unwrap_or_default();
+        body.extend_from_slice(m);
+        body
+    }
+
+    /// `msg` encoded, in a body handed back earlier if one waits: the body
+    /// a driver passes to [`Ctb::broadcast`] or [`Ctb::sign_ahead`].
+    pub fn encode_body(&mut self, msg: &impl Wire) -> Vec<u8> {
+        let mut body = self.bodies.pop().unwrap_or_default();
+        body.reserve(msg.encoded_len());
+        msg.encode(&mut body);
+        body
     }
 
     /// Drops the pending slow delivery on `slot`. Its body goes with it
@@ -439,9 +465,21 @@ impl Ctb {
     }
 
     /// How many handed-back effect vectors wait for reuse (at most
-    /// [`ubft_types::outbox::SPARES`]).
+    /// [`SPARES`]).
     pub fn spare_effect_vecs(&self) -> usize {
         self.out.spares()
+    }
+
+    /// Takes back the body of a [`CtbEffect::Broadcast`] this instance
+    /// emitted, once the driver has encoded and sent it: a later `LOCKED`
+    /// echo, `SIGNED` message or [`Ctb::encode_body`] is built in it. At
+    /// most [`SPARES`] are kept; a driver that never hands one back
+    /// allocates a body per echo.
+    pub fn recycle_body(&mut self, mut m: Vec<u8>) {
+        if m.capacity() > 0 && self.bodies.len() < SPARES {
+            m.clear();
+            self.bodies.push(m);
+        }
     }
 
     /// Broadcasts `m` on this stream (Algorithm 1, lines 2–4).
@@ -476,7 +514,8 @@ impl Ctb {
         self.my_broadcasts.insert(k.0, own);
         if let SignState::Done(sig) = sign {
             if self.cfg.fast_enabled {
-                self.out.push(CtbEffect::Broadcast(CtbWire::Lock { k, m: m.clone() }));
+                let m = self.body(&m);
+                self.out.push(CtbEffect::Broadcast(CtbWire::Lock { k, m }));
             }
             self.out.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
             return (k, self.take_out());
@@ -585,6 +624,7 @@ impl Ctb {
 
     fn sign_done(&mut self, k: SeqId, sig: Signature) {
         let Some(m) = self.my_broadcast_body(k).cloned() else { return };
+        let m = self.body(&m);
         let own = self.my_broadcasts.get_mut(&k.0).expect("its body is held");
         own.sign = SignState::Done(sig);
         self.out.push(CtbEffect::Broadcast(CtbWire::Signed { k, m, sig }));
@@ -599,7 +639,8 @@ impl Ctb {
     /// A TBcast frame of this stream was delivered from `from` (which the
     /// authenticated transport guarantees is the true sender), read in the
     /// buffer it arrived in: a body is copied only where it is kept, into
-    /// the payload cache once per `(k, fp)` and into a `LOCK`'s echo.
+    /// the payload cache once per `(k, fp)` and into a `LOCK`'s echo, a
+    /// body handed back earlier ([`Ctb::recycle_body`]).
     pub fn on_wire(&mut self, from: ReplicaId, wire: CtbWireRef<'_>) -> Vec<CtbEffect> {
         match wire {
             CtbWireRef::Lock { k, m } => self.on_lock(from, k, m),
@@ -622,7 +663,8 @@ impl Ctb {
             self.cache_payload(k, fp, m);
             self.locks[slot] = Some((k, fp));
             if self.cfg.fast_enabled {
-                self.out.push(CtbEffect::Broadcast(CtbWire::Locked { k, m: m.to_vec() }));
+                let m = self.body(m);
+                self.out.push(CtbEffect::Broadcast(CtbWire::Locked { k, m }));
             }
         }
     }
@@ -1507,7 +1549,7 @@ mod tests {
         assert_eq!(sweep(&mut h), (vec![CtbEffect::ArmSlowTimer], vec![]));
         // r2's LOCKED comes between the two firings.
         let fx = lock_round(&mut h, k, b"one", &[2]);
-        assert_eq!(fx, vec![CtbEffect::Deliver { k, payload: b"one".to_vec() }]);
+        assert_eq!(fx, vec![CtbEffect::Deliver { k, payload: b"one"[..].into() }]);
         assert_eq!(sweep(&mut h), (vec![], vec![]));
     }
 
@@ -1555,5 +1597,51 @@ mod tests {
         let held: Vec<_> = (1..=SPARES as u64 + 2).map(|k| lock(&mut ctb, k)).collect();
         held.into_iter().for_each(|fx| ctb.recycle(fx));
         assert_eq!(ctb.spare_effect_vecs(), SPARES);
+    }
+
+    /// A body is one buffer per replica: the fast path delivers the buffer
+    /// the payload cache holds, and a `LOCKED` echo is built in a body the
+    /// driver handed back after sending an earlier broadcast — as are the
+    /// broadcaster's `SIGNED` and the body the driver encodes its next
+    /// broadcast into. At most `SPARES` bodies wait.
+    #[test]
+    fn a_delivery_lends_the_cached_body_and_an_echo_takes_a_recycled_one() {
+        let mut h = CtbNet::new(CtbConfig::deployed(N, T));
+        let (k, m) = (SeqId(1), b"body".to_vec());
+        let spare = Vec::with_capacity(16);
+        let ptr = spare.as_ptr();
+        h.ctbs[1].recycle_body(spare);
+        let fx = h.ctbs[1].on_tb_deliver(rid(0), CtbWire::Lock { k, m: m.clone() });
+        let [CtbEffect::Broadcast(CtbWire::Locked { m: echo, .. })] = &fx[..] else {
+            panic!("{fx:?}")
+        };
+        assert_eq!((echo.as_ptr(), &echo[..]), (ptr, &m[..]), "the echo's body is the spare");
+        let mut delivered = Vec::new();
+        for from in 0..N as u32 {
+            let locked = CtbWire::Locked { k, m: m.clone() };
+            delivered.extend(h.ctbs[1].on_tb_deliver(rid(from), locked));
+        }
+        let [CtbEffect::Deliver { payload, .. }] = &delivered[..] else { panic!("{delivered:?}") };
+        let cached = &h.ctbs[1].payloads[&(k.0, fingerprint(&m))];
+        assert!(Arc::ptr_eq(payload, cached), "the delivery copied the cached body");
+
+        let spare = Vec::with_capacity(16);
+        let ptr = spare.as_ptr();
+        h.ctbs[0].recycle_body(spare);
+        let (k, _) = h.ctbs[0].broadcast(m.clone());
+        let sig = sign(&h, k, &m);
+        let fx = h.ctbs[0].on_sign_done(k, sig);
+        let [CtbEffect::Broadcast(CtbWire::Signed { m: signed, .. })] = &fx[..] else {
+            panic!("{fx:?}")
+        };
+        assert_eq!(signed.as_ptr(), ptr, "the SIGNED body is the spare");
+        let spare = Vec::with_capacity(16);
+        let ptr = spare.as_ptr();
+        h.ctbs[0].recycle_body(spare);
+        let body = h.ctbs[0].encode_body(&k);
+        assert_eq!((body.as_ptr(), body), (ptr, k.to_bytes()), "the encoding is in the spare");
+        (0..SPARES + 2).for_each(|_| h.ctbs[0].recycle_body(vec![0; 8]));
+        assert_eq!(h.ctbs[0].bodies.len(), SPARES);
+        assert!(h.ctbs[0].bodies.iter().all(Vec::is_empty), "a spare body is emptied");
     }
 }

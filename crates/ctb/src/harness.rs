@@ -99,7 +99,9 @@ impl CtbNet {
                 let entries = self.registers.iter().map(|bank| bank[slot].clone()).collect();
                 ctb.on_registers_read(k, entries)
             }
-            CtbEffect::Deliver { k, payload } => return self.delivered[to].push((k, payload)),
+            CtbEffect::Deliver { k, payload } => {
+                return self.delivered[to].push((k, payload.to_vec()))
+            }
             CtbEffect::Equivocation { k } => return self.equivocations[to].push(k),
             // The fast path's sweep fires when a test calls `Ctb::sweep`.
             CtbEffect::ArmSlowTimer => return,

@@ -8,7 +8,9 @@
 //! guaranteed.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
+use ubft_types::outbox::SPARES;
 use ubft_types::wire::Wire;
 use ubft_types::{ReplicaId, ReplicaSet, SeqId};
 
@@ -23,6 +25,10 @@ pub struct TailBroadcaster {
     /// Last `2t` frames in sequence order, each with the retransmission
     /// generation it was last sent in.
     buffer: VecDeque<(TbWire, u64)>,
+    /// The buffers of the last frames evicted from `buffer` (at most
+    /// [`SPARES`]), which a broadcast of their length reuses once nothing
+    /// else holds them ([`TbWire::encode_reusing`]).
+    spares: Vec<Arc<[u8]>>,
     /// Highest ack received per peer.
     acked: BTreeMap<ReplicaId, SeqId>,
     /// Retransmission generation: bumped by [`Self::retransmit_stale`].
@@ -45,6 +51,7 @@ impl TailBroadcaster {
             capacity,
             next: SeqId(1),
             buffer: VecDeque::new(),
+            spares: Vec::new(),
             acked,
             gen: 0,
             unreachable: BTreeMap::new(),
@@ -66,13 +73,19 @@ impl TailBroadcaster {
     /// evicting the oldest if full. The caller carries the broadcast out:
     /// it sends the returned frame to every one of [`Self::peers`], then
     /// delivers its payload locally. The buffer and all of those share the
-    /// one encoded buffer.
+    /// one encoded buffer. Once the buffer is full, the frame is written
+    /// into an evicted frame's buffer of its length that nothing else holds
+    /// any more, so a stream of like-sized messages allocates nothing.
     pub fn broadcast(&mut self, payload: &impl Wire, scratch: &mut Vec<u8>) -> TbWire {
-        let wire = TbWire::encode(self.next, payload, scratch);
-        self.next = self.next.next();
         if self.buffer.len() == self.capacity {
-            self.buffer.pop_front();
+            let (evicted, _) = self.buffer.pop_front().expect("full");
+            if self.spares.len() == SPARES {
+                self.spares.remove(0);
+            }
+            self.spares.push(evicted.into_frame());
         }
+        let wire = TbWire::encode_reusing(self.next, payload, scratch, &mut self.spares);
+        self.next = self.next.next();
         self.buffer.push_back((wire.clone(), self.gen));
         wire
     }
@@ -561,8 +574,80 @@ mod tests {
         }
     }
 
+    /// The address of a frame's buffer.
+    fn addr(wire: &TbWire) -> *const u8 {
+        Arc::as_ptr(wire.frame()) as *const u8
+    }
+
+    #[test]
+    fn a_full_ring_writes_a_broadcast_into_the_frame_it_evicts() {
+        let mut b = broadcaster(&[1, 2], 2);
+        broadcast(&mut b, &payload(1));
+        broadcast(&mut b, &payload(2));
+        let oldest = addr(&b.buffer[0].0);
+        let wire = broadcast(&mut b, &payload(3));
+        assert_eq!((addr(&wire), wire.payload()), (oldest, &payload(3)[..]));
+        // A frame of another length is a buffer of its own.
+        let oldest = addr(&b.buffer[0].0);
+        assert_ne!(addr(&broadcast(&mut b, &[4, 4])), oldest);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over any interleaving of broadcasts, retransmission ticks and
+        /// handles taken and let go outside the broadcaster, a frame
+        /// somebody else holds never changes its bytes. A frame only the
+        /// broadcaster held is not thrown away when the full ring evicts
+        /// it: the broadcast that evicts it, if of its length, is written
+        /// into the buffer of a frame evicted before.
+        #[test]
+        fn a_held_frame_never_changes_and_a_free_one_is_reused(
+            capacity in 1usize..6,
+            steps in proptest::collection::vec((0u8..4, 0usize..8), 0..40),
+        ) {
+            let mut b = broadcaster(&[1, 2], capacity);
+            // Handles held outside the broadcaster, each with its bytes
+            // when it was taken.
+            let mut held: Vec<(TbWire, Vec<u8>)> = Vec::new();
+            let mut evicted = BTreeSet::new();
+            let mut sent = 0;
+            let steps = steps.into_iter().chain((0..3 * capacity).map(|i| (0, i)));
+            for (kind, x) in steps {
+                match kind {
+                    0 if sent < 3 * capacity => {
+                        let len = 1 + x % 2;
+                        let full = b.buffer.len() == capacity;
+                        let oldest = b.buffer.front().map(|(w, _)| (addr(w), w.payload().len()));
+                        let free = full && held.iter().all(|(w, _)| addr(w) != oldest.unwrap().0);
+                        if let Some((a, _)) = oldest.filter(|_| full) {
+                            evicted.insert(a);
+                        }
+                        let wire = broadcast(&mut b, &vec![sent as u8; len]);
+                        sent += 1;
+                        if free && oldest.unwrap().1 == len {
+                            prop_assert!(evicted.contains(&addr(&wire)), "broadcast {} allocated", sent);
+                        }
+                        if x % 3 == 0 {
+                            held.push((wire.clone(), wire.frame().to_vec()));
+                        }
+                    }
+                    0 | 1 => {
+                        for (_, wire) in tick(&mut b).into_iter().filter(|_| x % 2 == 0) {
+                            held.push((wire.clone(), wire.frame().to_vec()));
+                        }
+                    }
+                    _ if !held.is_empty() => {
+                        held.swap_remove(x % held.len());
+                    }
+                    _ => {}
+                }
+                for (wire, bytes) in &held {
+                    prop_assert_eq!(&wire.frame()[..], &bytes[..], "a held frame was written");
+                }
+            }
+            prop_assert_eq!(sent, 3 * capacity);
+        }
 
         /// The ring receiver and the set receiver agree on every frame:
         /// same delivery, same ack, same prefix and high-water mark — over

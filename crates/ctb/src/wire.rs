@@ -31,13 +31,36 @@ impl TbWire {
     /// keeps one around pays no allocation for it) and copied once into the
     /// shared buffer.
     pub fn encode(k: SeqId, payload: &impl Wire, scratch: &mut Vec<u8>) -> Self {
+        Self::encode_reusing(k, payload, scratch, &mut Vec::new())
+    }
+
+    /// [`TbWire::encode`] into the buffer of one of `spares`, frames their
+    /// holder has done with: the first that is the frame's length and that
+    /// nothing else holds (`Arc::get_mut`) is taken out and overwritten. A
+    /// frame some other handle still holds is never written. Allocates
+    /// when no spare fits.
+    pub(crate) fn encode_reusing(
+        k: SeqId,
+        payload: &impl Wire,
+        scratch: &mut Vec<u8>,
+        spares: &mut Vec<Arc<[u8]>>,
+    ) -> Self {
         scratch.clear();
         TAG_DATA.encode(scratch);
         k.encode(scratch);
         (payload.encoded_len() as u32).encode(scratch);
         payload.encode(scratch);
         debug_assert_eq!(scratch.len(), DATA_HEADER + payload.encoded_len());
-        TbWire { k, frame: Arc::from(&scratch[..]) }
+        let fits = |f: &mut Arc<[u8]>| f.len() == scratch.len() && Arc::get_mut(f).is_some();
+        let frame = match spares.iter_mut().position(fits) {
+            Some(i) => {
+                let mut frame = spares.swap_remove(i);
+                Arc::get_mut(&mut frame).expect("held nowhere else").copy_from_slice(scratch);
+                frame
+            }
+            None => Arc::from(&scratch[..]),
+        };
+        TbWire { k, frame }
     }
 
     /// The opaque payload (an encoded [`CtbWire`] or a consensus message).
@@ -48,6 +71,11 @@ impl TbWire {
     /// The whole encoded frame: what goes on the wire.
     pub fn frame(&self) -> &Arc<[u8]> {
         &self.frame
+    }
+
+    /// The frame's buffer, for a later [`TbWire::encode_reusing`].
+    pub(crate) fn into_frame(self) -> Arc<[u8]> {
+        self.frame
     }
 }
 

@@ -710,7 +710,7 @@ impl ReplicaNode {
         // A COMMIT whose bytes are known before its certificate is verified
         // is signed meanwhile, from the call that learned them.
         if let Some((k, msg)) = self.engine.take_ctb_ahead() {
-            let (r, bytes) = (self.r, msg.to_bytes());
+            let (r, bytes) = (self.r, self.ctbs[self.r].encode_body(&msg));
             if let Some(CtbEffect::Sign { k, fp }) = self.ctbs[r].sign_ahead(k, &bytes) {
                 self.counters.ctb_signs += 1;
                 sub.crypto(CryptoTask::CtbSign { stream: r, k, fp }, at);
@@ -757,7 +757,7 @@ impl ReplicaNode {
             Effect::CtbBroadcast(msg) => {
                 let r = self.r;
                 let ahead = self.ctb_ahead.take_if(|(ahead, _)| *ahead == msg);
-                let bytes = ahead.map_or_else(|| msg.to_bytes(), |(_, bytes)| bytes);
+                let bytes = ahead.map_or_else(|| self.ctbs[r].encode_body(&msg), |(_, b)| b);
                 // A peer known to be silent breaks the fast path's
                 // unanimity: the slow path starts beside it.
                 let (_, cfx) = self.ctbs[r].broadcast_as(bytes, self.engine.suspects_anyone());
@@ -908,7 +908,8 @@ impl ReplicaNode {
     }
 
     /// Carries out what `stream`'s CTBcast instance asked for, in order,
-    /// and hands the drained vector back to it ([`Ctb::recycle`]). A
+    /// and hands the drained vector back to it ([`Ctb::recycle`]), and each
+    /// broadcast's body once its frame is encoded ([`Ctb::recycle_body`]). A
     /// register write takes the slot read that follows it, and the two
     /// leave as one substrate call.
     fn ctb_effects<S: Substrate>(
@@ -922,7 +923,11 @@ impl ReplicaNode {
         while let Some(e) = drain.next() {
             match e {
                 CtbEffect::Broadcast(wire) => {
-                    self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at)
+                    self.tb_broadcast(sub, Lane::CtbTb { stream }, &wire, at);
+                    let (CtbWire::Lock { m, .. }
+                    | CtbWire::Locked { m, .. }
+                    | CtbWire::Signed { m, .. }) = wire;
+                    self.ctbs[stream].recycle_body(m);
                 }
                 CtbEffect::Sign { k, fp } => {
                     self.counters.ctb_signs += 1;
