@@ -240,9 +240,7 @@ impl Engine {
             self.snapshot_base = base;
             self.snapshot_pending = Some(base);
         }
-        if self.next_slot < base {
-            self.next_slot = base;
-        }
+        self.next_slot = self.next_slot.max(base);
         self.out.push(Effect::CheckpointAdopted { base });
         // Announce the adoption on our own stream before proposing into the
         // window it opens: peers validate PREPAREs against the checkpoint

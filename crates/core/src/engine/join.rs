@@ -82,7 +82,7 @@ impl Engine {
     /// A replacement node announced itself: answer with our protocol
     /// coordinates (any replica may serve; the joiner cross-checks).
     pub fn on_join(&mut self, from: ReplicaId) -> Vec<Effect> {
-        self.suspected.remove(&from);
+        self.heard_from(from);
         if from == self.me || self.join.is_some() {
             return self.take_out();
         }

@@ -67,7 +67,7 @@ use self::requests::Requests;
 use self::stream::PeerState;
 pub use self::types::{
     CryptoOps, DecisionEvidence, DecisionRecord, Effect, EngineConfig, EngineDiag, Gate, OwnShare,
-    PathMode, SlotDiag, StreamDiag, TimerKind,
+    PathMode, SlotDiag, Standing, StreamDiag, TimerKind,
 };
 pub use self::view_change::must_propose;
 pub use crate::crypto_job::{CryptoJob, CryptoResult, CryptoTag, CryptoWork, ShareOf};
@@ -111,7 +111,6 @@ pub struct Engine {
     slots: BTreeMap<Slot, SlotState>,
     /// What CERTIFY shares over each slot's proposal sign.
     certify_bytes: CertifyBytes,
-    byzantine: BTreeSet<ReplicaId>,
     /// Client requests, from receipt to reclaim (§5.4).
     requests: Requests,
     /// Slots whose PREPARE on the current leader's stream we hold back, in
@@ -185,18 +184,6 @@ pub struct Engine {
     vc_streak: u32,
     /// Replacement-node join in progress ([`Engine::begin_join`]).
     join: Option<JoinState>,
-    /// Proven CTBcast equivocations, one per branded stream.
-    equivocations: Vec<(ReplicaId, SeqId)>,
-    /// Replicas found silent when a fast path timed out — their WILL_COMMIT
-    /// for a slot ([`Engine::slow_sweep`]) or, fed by the driver through
-    /// [`Engine::suspect`], their CTBcast `LOCKED` for one of our
-    /// broadcasts — and the leader of the view we sealed. While anyone is
-    /// suspected the fast path cannot reach unanimity, so a newly accepted
-    /// prepare starts the slow path at once instead of waiting out the
-    /// timeout again, and so does every broadcast of ours
-    /// ([`Engine::suspects_anyone`]); any consensus frame from the replica
-    /// (a [`TbMsg`](crate::msg::TbMsg), an echo, a join) clears it.
-    suspected: BTreeSet<ReplicaId>,
     /// The fast path's sweep ([`TimerKind::SlowSweep`]).
     slow_sweep: Sweep,
     /// Decisions recorded for the auditor (only when
@@ -240,7 +227,6 @@ impl Engine {
             state,
             slots: BTreeMap::new(),
             certify_bytes: CertifyBytes::default(),
-            byzantine: BTreeSet::new(),
             requests,
             held: BTreeSet::new(),
             my_ctb_sent: 0,
@@ -262,8 +248,6 @@ impl Engine {
             armed_marker: 0,
             vc_streak: 0,
             join: None,
-            equivocations: Vec::new(),
-            suspected: BTreeSet::new(),
             slow_sweep: Sweep::default(),
             decisions: Vec::new(),
             ops: CryptoOps::default(),
@@ -301,11 +285,6 @@ impl Engine {
         self.exec_next
     }
 
-    /// Replicas this engine has branded Byzantine.
-    pub fn byzantine_peers(&self) -> impl Iterator<Item = ReplicaId> + '_ {
-        self.byzantine.iter().copied()
-    }
-
     /// The next CTBcast id this engine expects from `stream`'s broadcast
     /// sequence (FIFO interpretation position; diagnostics).
     pub fn fifo_position(&self, stream: ReplicaId) -> SeqId {
@@ -323,6 +302,7 @@ impl Engine {
         let undecided = |k: &&Slot| self.slots.get(k).is_none_or(|s| s.decided.is_none());
         let oldest = known.filter(undecided).min().copied();
         let stream = |ps: &PeerState| StreamDiag {
+            standing: ps.standing,
             view: ps.view,
             fifo_next: ps.fifo_next,
             commit_view: ps.commits.values().map(|c| c.prepare.view).max(),
@@ -351,10 +331,18 @@ impl Engine {
             request_entries,
             propose_queue,
             ctb_sent: self.my_ctb_sent,
-            equivocations: self.equivocations.clone(),
+            equivocations: (self.state.iter())
+                .filter_map(|(r, ps)| match ps.standing {
+                    Standing::Branded(Some(k)) => Some((*r, k)),
+                    _ => None,
+                })
+                .collect(),
             joining: self.join.is_some(),
             has_pending_work: self.has_pending_work(),
-            suspected: self.suspected.iter().copied().collect(),
+            suspected: (self.state.iter())
+                .filter(|(_, ps)| ps.standing != Standing::Trusted)
+                .map(|(r, _)| *r)
+                .collect(),
             oldest: oldest.map(|slot| self.slot_diag(slot)),
             streams: self.state.values().map(stream).collect(),
             gate: gates.into_iter().flatten().next(),
@@ -530,7 +518,7 @@ impl Engine {
     /// A direct message arrived.
     pub fn on_direct(&mut self, from: ReplicaId, msg: DirectMsg) -> Vec<Effect> {
         self.run_unclaimed_jobs();
-        if self.byzantine.contains(&from) {
+        if self.branded(from) {
             return self.take_out();
         }
         // The echoes (either tag), Join and JoinAck are public inputs of
@@ -590,15 +578,24 @@ impl Engine {
 
     /// Suspects `peers`, which a timed-out fast path found silent: the
     /// driver hands over the receivers CTBcast's own sweep (`Ctb::sweep` in
-    /// `ubft-ctb`) found silent. This replica never suspects itself.
+    /// `ubft-ctb`) found silent. This replica never suspects itself, and a
+    /// branded peer stays branded.
     pub fn suspect(&mut self, peers: impl IntoIterator<Item = ReplicaId>) {
-        self.suspected.extend(peers.into_iter().filter(|r| *r != self.me));
+        for r in peers.into_iter().filter(|r| *r != self.me) {
+            let ps = self.state.get_mut(&r).expect("known replica");
+            if ps.standing == Standing::Trusted {
+                ps.standing = Standing::Suspected;
+            }
+        }
     }
 
-    /// Whether some replica is suspected of silence: the driver then starts
-    /// the slow path of each broadcast of ours beside its fast path.
+    /// Whether some peer is not [`Standing::Trusted`]: the fast path cannot
+    /// reach unanimity, so a newly accepted PREPARE starts the slow path at
+    /// once instead of waiting out the sweep, the leader signs its share as
+    /// it proposes, and the driver starts the slow path of each broadcast
+    /// of ours beside its fast path.
     pub fn suspects_anyone(&self) -> bool {
-        !self.suspected.is_empty()
+        self.state.values().any(|ps| ps.standing != Standing::Trusted)
     }
 
     /// Initialization effects: the progress watchdog.

@@ -119,7 +119,7 @@ impl Engine {
         from: ReplicaId,
         reqs: impl IntoIterator<Item = Request>,
     ) -> Vec<Effect> {
-        self.suspected.remove(&from);
+        self.heard_from(from);
         if self.is_leader() {
             for req in reqs {
                 let id = req.id;
@@ -220,9 +220,7 @@ impl Engine {
         }
         // Algorithm 2 line 15: only into open slots; NEW_VIEW must have been
         // broadcast first in views > 0 (ensured by `enter_view_as_leader`).
-        if self.next_slot < self.checkpoint.data.base {
-            self.next_slot = self.checkpoint.data.base;
-        }
+        self.next_slot = self.next_slot.max(self.checkpoint.data.base);
         let depth = self.cfg.pipeline_depth.max(1) as u64;
         let max_batch = self.cfg.max_batch.max(1);
         // Flush up to `max_batch` queued requests into one slot. While the
@@ -248,7 +246,7 @@ impl Engine {
             // Accepting it will start the slow path: our share is signed
             // beside the PREPARE's own signature and leaves at its delivery.
             let fallback = self.cfg.path == PathMode::FastWithFallback;
-            if self.cfg.path == PathMode::SlowOnly || (fallback && !self.suspected.is_empty()) {
+            if self.cfg.path == PathMode::SlowOnly || (fallback && self.suspects_anyone()) {
                 self.sign_share(prepare.clone());
             }
             if self.proposed.len() as u64 == depth {
@@ -320,7 +318,7 @@ impl Engine {
     }
 
     fn accept_prepare(&mut self, prep: Prepare) {
-        let slot = prep.slot;
+        let (slot, unanimous) = (prep.slot, !self.suspects_anyone());
         self.held.remove(&slot);
         let entry = self.slots.entry(slot).or_default();
         if entry.prepare.is_some() {
@@ -332,7 +330,7 @@ impl Engine {
         // on the slow path already and waits for our share.
         let solicited = entry.shares.keep_only(&prep);
         let fallback = self.cfg.path == PathMode::FastWithFallback;
-        let fast = fallback && self.suspected.is_empty() && !solicited;
+        let fast = fallback && unanimous && !solicited;
         let arm = fast && self.slow_sweep.start(&mut entry.fast_wait);
         if self.cfg.path != PathMode::SlowOnly {
             self.out.push(Effect::TbBroadcast(TbMsg::WillCertify { view: prep.view, slot }));
@@ -340,8 +338,8 @@ impl Engine {
         if arm {
             self.out.push(Effect::ArmTimer { kind: TimerKind::SlowSweep });
         } else if self.cfg.path != PathMode::FastOnly && !fast {
-            // Slow only, or a replica is known to be silent: the timeout
-            // would only re-discover it.
+            // Slow only, or a peer is suspected or branded: the timeout
+            // would only re-discover that unanimity cannot come.
             self.start_slow_path(slot);
         }
     }
@@ -417,9 +415,8 @@ impl Engine {
         let marks = self.slots.iter_mut().map(|(k, s)| (*k, s.decided.is_none(), &mut s.fast_wait));
         let (due, waiting) = self.slow_sweep.fire(marks);
         for slot in due {
-            let (me, votes) = (self.me, self.slots[&slot].will_commit);
-            self.suspected
-                .extend(self.cfg.params.replicas().filter(|r| *r != me && !votes.contains(*r)));
+            let votes = self.slots[&slot].will_commit;
+            self.suspect(self.cfg.params.replicas().filter(|r| !votes.contains(*r)));
             self.start_slow_path(slot);
         }
         if waiting {
@@ -430,10 +427,10 @@ impl Engine {
     /// A consensus TBcast message arrived from `from`.
     pub fn on_tb_deliver(&mut self, from: ReplicaId, msg: TbMsg) -> Vec<Effect> {
         self.run_unclaimed_jobs();
-        self.suspected.remove(&from);
-        if self.byzantine.contains(&from) {
+        if self.branded(from) {
             return self.take_out();
         }
+        self.heard_from(from);
         match msg {
             TbMsg::WillCertify { view, slot } => {
                 if view != self.view || !self.in_open_window(slot) {
@@ -458,12 +455,8 @@ impl Engine {
                 // that check so the auditor's coverage invariant can be
                 // demonstrated to catch the resulting unsafe decision.
                 if votes == self.n() || (self.cfg.test_decide_early && votes >= 1) {
-                    let leader_prep = self
-                        .state
-                        .get(&view.leader(self.n()))
-                        .and_then(|ps| ps.prepares.get(&slot))
-                        .cloned();
-                    if let Some(prep) = leader_prep {
+                    let leader = self.state.get(&view.leader(self.n()));
+                    if let Some(prep) = leader.and_then(|ps| ps.prepares.get(&slot)).cloned() {
                         self.decide(slot, prep.batch, DecisionEvidence::FastQuorum { votes });
                     }
                 }
@@ -592,13 +585,8 @@ impl Engine {
             return;
         }
         if record {
-            self.decisions.push(DecisionRecord {
-                slot,
-                view,
-                batch_digest: batch.digest(),
-                base,
-                evidence,
-            });
+            let batch_digest = batch.digest();
+            self.decisions.push(DecisionRecord { slot, view, batch_digest, base, evidence });
         }
         // `decide_count` counts individual requests, not slots, so batching
         // leaves the progress-watchdog and throughput accounting comparable

@@ -7,10 +7,11 @@ use ubft_types::{ClientId, ClusterParams, ReplicaId, RequestId, SeqId, Slot, Vie
 
 use crate::app::NoopApp;
 use crate::engine::{
-    CryptoResult, CryptoTag, DecisionEvidence, Effect, Engine, EngineConfig, PathMode, TimerKind,
+    CryptoResult, CryptoTag, DecisionEvidence, Effect, Engine, EngineConfig, PathMode, Standing,
+    TimerKind,
 };
 use crate::harness::EngineNet;
-use crate::msg::{Batch, CtbMsg};
+use crate::msg::{Batch, CtbMsg, TbMsg};
 use crate::Request;
 
 /// A follower that never received the request holds the leader's PREPARE;
@@ -139,4 +140,40 @@ fn nested_inputs_never_grow_the_pool_past_its_bound() {
     let held: Vec<_> = (1..=SPARES as u32 + 2).map(|c| echoed(&mut e, c)).collect();
     held.into_iter().for_each(|fx| e.recycle(fx));
     assert_eq!(e.spare_effect_vecs(), SPARES);
+}
+
+/// A brand is for good: the branded peer's WILL_CERTIFY, echo and join, and
+/// a later suspicion, each leave it branded, and the fast path counts it
+/// out throughout. A suspected peer is trusted again at its first frame.
+#[test]
+fn a_brand_outlives_every_frame_and_a_suspicion_ends_at_the_first() {
+    let mut e = follower();
+    let (r0, r2) = (ReplicaId(0), ReplicaId(2));
+    let standing = |e: &Engine, r: ReplicaId| e.state[&r].standing;
+    let will_certify = TbMsg::WillCertify { view: View(0), slot: Slot(0) };
+    let req = Request { id: RequestId::new(ClientId(1), 0), payload: vec![] };
+    assert!(!e.suspects_anyone());
+    e.suspect([r2]);
+    assert_eq!(standing(&e, r2), Standing::Suspected);
+    let fx = e.on_ctb_equivocation(r0, SeqId(3));
+    assert!(matches!(fx[..], [Effect::ByzantineDetected { replica: ReplicaId(0), .. }]), "{fx:?}");
+    let branded = Standing::Branded(Some(SeqId(3)));
+    let _ = e.on_tb_deliver(r0, will_certify.clone());
+    assert!(e.slots.get(&Slot(0)).is_none_or(|s| !s.will_certify.contains(r0)), "vote counted");
+    assert_eq!(standing(&e, r0), branded, "after its WILL_CERTIFY");
+    let _ = e.on_echo(r0, [req]);
+    assert_eq!(standing(&e, r0), branded, "after its echo");
+    let _ = e.on_join(r0);
+    assert_eq!(standing(&e, r0), branded, "after its join");
+    e.suspect([r0]);
+    assert_eq!(standing(&e, r0), branded, "after a suspicion");
+    assert!(e.on_ctb_equivocation(r0, SeqId(4)).is_empty(), "branded twice");
+    assert_eq!(standing(&e, r0), branded, "after a second equivocation");
+    // r2 speaks: its suspicion ends, r0's brand does not.
+    let _ = e.on_tb_deliver(r2, will_certify);
+    assert_eq!(standing(&e, r2), Standing::Trusted);
+    assert!(e.suspects_anyone(), "a branded peer counts as suspected");
+    let diag = e.diag();
+    assert_eq!((diag.suspected, diag.equivocations), (vec![r0], vec![(r0, SeqId(3))]));
+    assert_eq!(diag.streams[0].standing, branded);
 }

@@ -9,13 +9,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use ubft_types::{ReplicaId, SeqId, Slot, View};
 
 use super::checkpoint::open_end;
-use super::{must_propose, CryptoTag, Effect, Engine};
+use super::{must_propose, CryptoTag, Effect, Engine, Standing};
 use crate::msg::{vc_sign_bytes, CheckpointCert, CommitCert, CtbMsg, Prepare, VcCert};
 
 /// Per-peer consensus bookkeeping (Algorithm 2 lines 7–12), interpreted
-/// strictly in CTBcast-FIFO order.
+/// strictly in CTBcast-FIFO order, and what this replica holds of the peer.
 #[derive(Clone, Debug)]
 pub(super) struct PeerState {
+    pub(super) standing: Standing,
     pub(super) view: View,
     pub(super) seal_view: Option<View>,
     pub(super) new_view: Option<Vec<VcCert>>,
@@ -44,6 +45,7 @@ pub(super) enum AwaitedProof {
 impl PeerState {
     pub(super) fn new() -> Self {
         PeerState {
+            standing: Standing::Trusted,
             view: View(0),
             seal_view: None,
             new_view: None,
@@ -73,7 +75,7 @@ impl Engine {
     /// A CTBcast message `(k, msg)` was delivered from `stream`.
     pub fn on_ctb_deliver(&mut self, stream: ReplicaId, k: SeqId, msg: CtbMsg) -> Vec<Effect> {
         self.run_unclaimed_jobs();
-        if self.byzantine.contains(&stream) {
+        if self.branded(stream) {
             return self.take_out();
         }
         let ps = self.state.get_mut(&stream).expect("known replica");
@@ -94,25 +96,38 @@ impl Engine {
 
     /// CTBcast reported proof of equivocation on `stream` at sequence `k`.
     pub fn on_ctb_equivocation(&mut self, stream: ReplicaId, k: SeqId) -> Vec<Effect> {
-        if stream != self.me && !self.byzantine.contains(&stream) {
-            // The first proven conflict per stream is the evidence an
-            // operator wants; later ones add nothing (the stream is
-            // already blocked).
-            self.equivocations.push((stream, k));
-        }
-        self.brand_byzantine(stream, format!("ctbcast equivocation at k={}", k.0));
+        self.brand_byzantine(stream, Some(k), format!("ctbcast equivocation at k={}", k.0));
         self.take_out()
     }
 
-    fn brand_byzantine(&mut self, who: ReplicaId, reason: String) {
-        if who != self.me && self.byzantine.insert(who) {
+    /// Brands `who` on proof, for good; `at` is the CTBcast id of an
+    /// equivocation. Only the first proof per peer is kept: it is the
+    /// evidence an operator wants, and later ones add nothing (the stream
+    /// is already blocked).
+    fn brand_byzantine(&mut self, who: ReplicaId, at: Option<SeqId>, reason: String) {
+        let ps = self.state.get_mut(&who).expect("known replica");
+        if who != self.me && !matches!(ps.standing, Standing::Branded(_)) {
+            ps.standing = Standing::Branded(at);
             self.out.push(Effect::ByzantineDetected { replica: who, reason });
+        }
+    }
+
+    /// Whether `who` is branded: nothing it says counts.
+    pub(super) fn branded(&self, who: ReplicaId) -> bool {
+        self.state.get(&who).is_some_and(|ps| matches!(ps.standing, Standing::Branded(_)))
+    }
+
+    /// A consensus frame, an echo or a join came from `who`: a suspicion of
+    /// silence ends, a brand does not.
+    pub(super) fn heard_from(&mut self, who: ReplicaId) {
+        if let Some(ps) = self.state.get_mut(&who).filter(|ps| ps.standing == Standing::Suspected) {
+            ps.standing = Standing::Trusted;
         }
     }
 
     pub(super) fn drain_pending(&mut self, stream: ReplicaId) {
         loop {
-            if self.byzantine.contains(&stream) {
+            if self.branded(stream) {
                 return;
             }
             let ps = self.state.get_mut(&stream).expect("known");
@@ -144,7 +159,7 @@ impl Engine {
         ps.fifo_next = k.next();
         // Algorithm 5 validity checks; a failure brands the stream.
         if let Err(reason) = self.check_valid(stream, &msg) {
-            self.brand_byzantine(stream, reason);
+            self.brand_byzantine(stream, None, reason);
             return;
         }
         match msg {
@@ -321,7 +336,7 @@ impl Engine {
         if !ok {
             ps.parked = None;
             ps.pending.remove(&k);
-            self.brand_byzantine(stream, "checkpoint with invalid certificate".into());
+            self.brand_byzantine(stream, None, "checkpoint with invalid certificate".into());
             return;
         }
         self.verified_cp_data.insert(c.data);

@@ -202,7 +202,7 @@ impl Engine {
         let Some(summary) = self.summary_checks.remove(&(stream, upto)).filter(|_| ok) else {
             return;
         };
-        if self.byzantine.contains(&stream) {
+        if self.branded(stream) {
             return;
         }
         let ps = self.state.get_mut(&stream).expect("known");

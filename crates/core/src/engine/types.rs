@@ -288,7 +288,7 @@ pub struct EngineDiag {
     /// CTBcast messages sent on our own stream.
     pub ctb_sent: u64,
     /// Proven CTBcast equivocations: `(stream, sequence id)` of the first
-    /// conflicting broadcast per branded stream.
+    /// conflicting broadcast of each stream whose first proof was one.
     pub equivocations: Vec<(ReplicaId, SeqId)>,
     /// Whether the engine is a replacement node still completing its join.
     pub joining: bool,
@@ -296,7 +296,8 @@ pub struct EngineDiag {
     /// a replica without pending work never starts a view change, nor
     /// seals beside a peer that does.
     pub has_pending_work: bool,
-    /// Peers this replica suspects of silence.
+    /// Peers this replica does not trust, suspected of silence or branded
+    /// ([`Engine::suspects_anyone`]).
     pub suspected: Vec<ReplicaId>,
     /// The oldest slot at or past `exec_next` that this replica has not
     /// decided but knows of (a PREPARE accepted or held, a promise, a share
@@ -341,6 +342,8 @@ pub enum OwnShare {
 /// One CTBcast stream as a replica interprets it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamDiag {
+    /// What the replica holds of the stream's broadcaster.
+    pub standing: Standing,
     /// The stream's view: the last SEAL_VIEW interpreted on it.
     pub view: View,
     /// The next CTBcast id FIFO interpretation expects.
@@ -349,6 +352,23 @@ pub struct StreamDiag {
     /// [`StreamDiag::view`] only when a gap-filling summary skipped the
     /// stream's SEAL_VIEW.
     pub commit_view: Option<View>,
+}
+
+/// What a replica holds of a peer: the one record that every check of a
+/// peer's trustworthiness reads. Only `Trusted` peers can make up the fast
+/// path's unanimity ([`Engine::suspects_anyone`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Standing {
+    /// Nothing is held against it.
+    Trusted,
+    /// Found silent: its vote was missing when a fast path timed out, or it
+    /// led the view this replica sealed. Any consensus frame, echo or join
+    /// from it makes it `Trusted` again.
+    Suspected,
+    /// Proven Byzantine, for good: its stream is blocked and nothing it
+    /// says counts. Carries the CTBcast id of the first conflicting
+    /// broadcast when the first proof was an equivocation.
+    Branded(Option<SeqId>),
 }
 
 /// A gate that keeps a replica from its next step, in the order the

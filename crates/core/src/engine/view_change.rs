@@ -214,25 +214,15 @@ impl Engine {
                     None => Batch::noop(slot),
                 };
                 self.emit_ctb(CtbMsg::Prepare(Prepare { view, slot, batch }));
-                if self.next_slot <= slot {
-                    self.next_slot = slot.next();
-                }
+                self.next_slot = self.next_slot.max(slot.next());
             }
         }
-        if self.next_slot < base {
-            self.next_slot = base;
-        }
+        self.next_slot = self.next_slot.max(base);
         // Never propose into slots already occupied locally.
-        let occupied = self
-            .slots
-            .iter()
-            .filter(|(_, st)| st.prepare.is_some() || st.decided.is_some())
-            .map(|(s, _)| *s)
-            .max();
-        if let Some(hi) = occupied {
-            if self.next_slot <= hi {
-                self.next_slot = hi.next();
-            }
+        let mut occupied =
+            self.slots.iter().filter(|(_, s)| s.prepare.is_some() || s.decided.is_some());
+        if let Some((hi, _)) = occupied.next_back() {
+            self.next_slot = self.next_slot.max(hi.next());
         }
         // Adopt responsibility for every request still outstanding.
         self.requests.queue_outstanding();

@@ -12,7 +12,7 @@ use ubft_core::app::{App, NoopApp};
 use ubft_core::engine::{
     CryptoJob, CryptoOps, CryptoTag, CryptoWork, DecisionEvidence,
     Effect::{self, RequestSnapshot},
-    Engine, EngineConfig, PathMode, ShareOf, TimerKind,
+    Engine, EngineConfig, PathMode, ShareOf, Standing, TimerKind,
 };
 use ubft_core::harness::{EngineNet, Lane, Move};
 use ubft_core::msg::{
@@ -1597,7 +1597,7 @@ fn lagging_replica_adopts_from_a_peers_checkpoint_via_the_certificate_job() {
         "the PREPARE behind it is interpreted against the new window, got {fx:?}"
     );
     assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(3));
-    assert!(cp.e.byzantine_peers().next().is_none());
+    assert!(cp.e.diag().streams.iter().all(|s| !matches!(s.standing, Standing::Branded(_))));
 }
 
 #[test]
@@ -1632,7 +1632,7 @@ fn parked_stream_falls_back_to_the_job_when_our_certification_ends_elsewhere() {
     let _ = cp.complete(&jobs[0]);
     assert_eq!(cp.e.diag().parked_streams, 0);
     assert_eq!(cp.e.fifo_position(ReplicaId(0)), SeqId(6));
-    assert!(cp.e.byzantine_peers().next().is_none());
+    assert!(cp.e.diag().streams.iter().all(|s| !matches!(s.standing, Standing::Branded(_))));
 }
 
 #[test]

@@ -144,8 +144,9 @@ pub enum ViolationKind {
 
 /// A request that made no progress: taken past the progress deadline
 /// ([`progress_deadline`]), it had been in flight for [`PATIENCE`] watchdog
-/// periods or more and fewer than `f + 1` replicas had executed it, which
-/// is what its client waits for.
+/// periods or more and fewer than `f + 1` correct replicas had executed
+/// it, which is what its client waits for: a Byzantine replica's execution
+/// does not count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StalledRequest {
     /// The group it was sent to.
@@ -154,7 +155,7 @@ pub struct StalledRequest {
     pub id: RequestId,
     /// When its client first sent it.
     pub sent: Time,
-    /// How many replicas executed it.
+    /// How many correct replicas executed it.
     pub executed_by: u32,
 }
 
@@ -271,7 +272,7 @@ struct GroupAudit {
     /// grow (bounded disaggregated memory).
     disagg_bytes_at_build: usize,
     /// Every request the group's client ports sent: when it was first
-    /// sent, and a bit per replica that executed it.
+    /// sent, and a bit per correct replica that executed it.
     sent: BTreeMap<RequestId, (Time, u64)>,
 }
 
@@ -436,17 +437,18 @@ impl Auditor {
         response: &[u8],
     ) {
         self.executions_checked += 1;
-        if let Some((_, by)) = self.groups[group].sent.get_mut(&id) {
+        let ga = &mut self.groups[group];
+        let ra = &ga.replicas[replica];
+        // A request is served once enough correct replicas executed it: what
+        // a Byzantine one claims to have executed answers no client.
+        if let Some((_, by)) = ga.sent.get_mut(&id).filter(|_| !ra.byzantine) {
             *by |= 1 << replica;
         }
-        {
-            let ra = &self.groups[group].replicas[replica];
-            // Byzantine replicas may legally diverge; a transfer-missed
-            // replica runs on unaccounted state (documented fallback), so
-            // neither may seed or be judged against the canonical record.
-            if ra.byzantine || ra.transfer_miss {
-                return;
-            }
+        // Byzantine replicas may legally diverge; a transfer-missed replica
+        // runs on unaccounted state (documented fallback), so neither may
+        // seed or be judged against the canonical record.
+        if ra.byzantine || ra.transfer_miss {
+            return;
         }
         // Cross-shard containment: a keyed request may only execute in the
         // group its key hashes to.
@@ -501,12 +503,9 @@ impl Auditor {
         // Per-slot execution agreement: every correct replica must apply
         // the same payloads in the same order and see the same responses.
         let ga = &mut self.groups[group];
-        let pos = {
-            let e = ga.replicas[replica].exec_pos.entry(slot).or_insert(0);
-            let pos = *e;
-            *e += 1;
-            pos
-        };
+        let exec_pos = ga.replicas[replica].exec_pos.entry(slot).or_insert(0);
+        let pos = *exec_pos;
+        *exec_pos += 1;
         let canon = ga.canon.entry(slot).or_default();
         let resp_digest = sha256(response);
         if pos < canon.payloads.len() {
@@ -691,7 +690,6 @@ impl Auditor {
                 }
             }
             // Checkpoint digests vs the model.
-            let ga = &self.groups[g];
             for (base, (digest, _)) in &ga.checkpoint_digests {
                 let b = base.0 as usize;
                 if b < ga.model_digests.len() && ga.model_digests[b] != *digest {

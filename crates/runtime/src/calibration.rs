@@ -24,9 +24,10 @@ use crate::audit::AuditMutation;
 /// than twice as long for anything else. (A half period, at most this long,
 /// stalled more chaos plans: 9 instead of 6 of 800.) Paid once per silent
 /// peer, not per message: a sweep that starts a slow path suspects the
-/// peers whose contribution is missing, and while anyone is suspected new
-/// broadcasts and slots start the slow path at once, until the peer is
-/// heard from again.
+/// peers whose contribution is missing, and while any peer is suspected
+/// or branded new broadcasts and slots start the slow path at once. A
+/// suspected peer is trusted again when it is heard from; a branded one,
+/// proven Byzantine, never is, and costs no sweep once branded.
 pub const SLOW_TRIGGER: Duration = Duration::from_micros(200);
 
 /// Leader-progress watchdog period. An order of magnitude above a slow-path

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use ubft_core::engine::{EngineDiag, Gate};
+use ubft_core::engine::{EngineDiag, Gate, Standing};
 use ubft_types::{SeqId, View};
 
 /// One replica's row: its engine's explanation and the driver's facts.
@@ -144,7 +144,12 @@ impl fmt::Display for StallReport {
                     .map(|(s, d)| {
                         let commits =
                             s.commit_view.map_or(String::new(), |v| format!(" commits v{}", v.0));
-                        format!("v{} fifo {} dlv {}{commits}", s.view.0, s.fifo_next.0, d.0)
+                        let st = match s.standing {
+                            Standing::Trusted => "",
+                            Standing::Suspected => " suspected",
+                            Standing::Branded(_) => " branded",
+                        };
+                        format!("v{} fifo {} dlv {}{commits}{st}", s.view.0, s.fifo_next.0, d.0)
                     })
                     .collect();
                 let ticks = row.watchdog_ticks;

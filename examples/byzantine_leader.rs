@@ -75,8 +75,9 @@ fn main() {
         "p50 {:>9}  p99 {:>9}  (the equivocating fast path never reaches unanimity,\n\
          and its signed lie is caught in the registers: the followers brand the\n\
          leader and a view change deposes it, which the slowest requests wait for.\n\
-         Under the new leader a request still waits for the fast-path vote of the\n\
-         branded replica, which its peers ignore, until the slow-path sweep fires)",
+         Under the new leader the branded replica counts as suspected: the fast\n\
+         path cannot reach unanimity without it, so every request starts the\n\
+         slow path at once instead of waiting out the fast path's sweep)",
         lat.median(),
         lat.percentile(99.0)
     );

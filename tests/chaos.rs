@@ -494,18 +494,47 @@ fn corpus_a_refused_write_leaves_no_hole_in_the_channel() {
 /// deployment for that seed, to the progress deadline; returns the class
 /// the stall report prints there and the audit.
 fn explored_plan_at_progress_deadline(seed: u64, failures: FailurePlan) -> (String, AuditReport) {
-    let app = ["flip", "redis", "noop", "liquibook"][(seed % 4) as usize];
     let deadline = progress_deadline(&failures);
+    explored_plan_until(seed, failures, 60, deadline)
+}
+
+/// Runs `failures` on the explorer's deployment for `seed` with `requests`
+/// requests until `deadline`, which they must not all reach; returns the
+/// class the stall report prints there and the audit, which must be clean
+/// and hold a stalled request.
+fn explored_plan_until(
+    seed: u64,
+    failures: FailurePlan,
+    requests: u64,
+    deadline: Time,
+) -> (String, AuditReport) {
+    let app = ["flip", "redis", "noop", "liquibook"][(seed % 4) as usize];
     let cfg = SimConfig::paper_default(ubft_bench::SEED ^ seed).with_tail(16).with_window(32);
     let cfg = cfg.with_audit().with_chaos(&hand_written(failures));
     let apps = ubft_bench::make_apps(app, 3);
     let mut cluster = Cluster::new(cfg, apps, ubft_bench::make_workload(app, 32));
-    let report = cluster.run_until(60, 0, deadline);
-    assert!(report.completed < 60);
+    let report = cluster.run_until(requests, 0, deadline);
+    assert!(report.completed < requests);
     let audit = report.audit.expect("audited");
     assert!(audit.is_clean(), "{:#?}", audit.violations);
     assert!(!audit.made_progress(), "the verdict must hold the stalled request");
     (cluster.stall_report().class(), audit)
+}
+
+/// The progress verdict counts correct replicas only. r0 equivocates from
+/// 238 µs, as in the plan `chaos_explore` drew for seed 437, and falls
+/// silent at 8 ms. r1, the replica it lied to, falls behind for good, so
+/// most requests are executed by r0 and r2 alone: two replicas, but one
+/// correct one, and no client gets the `f + 1` replies it waits for. Only
+/// a few of the 200 requests complete by 400 ms, and the verdict must say
+/// so, though r0's executions would make up the quorum.
+#[test]
+fn executions_by_a_byzantine_replica_are_no_progress() {
+    let failures = FailurePlan::none()
+        .byzantine(0, ByzantineMode::EquivocateProposals, us(238))
+        .byzantine(0, ByzantineMode::Silent, us(8_000));
+    let (_, audit) = explored_plan_until(437, failures, 200, us(400_000));
+    assert!(audit.stalled.iter().all(|s| s.executed_by < 2), "{:?}", audit.stalled);
 }
 
 #[test]

@@ -19,7 +19,8 @@ use ubft::runtime::cluster::{Cluster, RunReport};
 use ubft::runtime::SimConfig;
 use ubft_apps::workload::{kv_request, WorkloadRng};
 use ubft_apps::{KvApp, KvFrontend};
-use ubft_sim::failure::FailurePlan;
+use ubft_core::PathMode;
+use ubft_sim::failure::{ByzantineMode, FailurePlan};
 use ubft_types::{Duration, Time};
 
 const SEED: u64 = 0xDE64;
@@ -214,4 +215,28 @@ fn a_replacement_clears_suspicion_and_the_fast_path_returns() {
 fn a_fault_free_run_suspects_nobody() {
     let report = run_flip(SimConfig::paper_default(SEED), REQUESTS);
     assert_eq!(report.counters.ctb_signs, 0, "a CTBcast was signed with every replica up");
+    for (r, replica) in report.groups[0].replicas.iter().enumerate() {
+        assert!(replica.branded.is_empty(), "replica {r} branded {:?}", replica.branded);
+    }
+}
+
+#[test]
+fn a_branded_leader_counts_as_suspected_and_no_request_waits_out_the_sweep() {
+    // `examples/byzantine_leader`: r0, the leader of view 0, equivocates
+    // from the start; the followers brand it and a view change deposes it.
+    // A branded replica is never part of the fast path's unanimity, so
+    // under the new leader every slot and every broadcast starts the slow
+    // path at once. While a frame from the branded replica still cleared
+    // its suspicion, each request waited out the fast path's sweep: p50
+    // 471.9 us, and 50 sweep inputs on each follower for 50 requests.
+    let mut cfg = SimConfig::paper_default(13);
+    cfg.path = PathMode::FastWithFallback;
+    cfg.failures = FailurePlan::none().byzantine(0, ByzantineMode::EquivocateProposals, Time::ZERO);
+    let mut report = run_flip(cfg, 50);
+    let p50 = report.latency.median();
+    assert!(p50 <= Duration::from_micros(170), "p50 {p50}: requests wait out the sweep again");
+    for r in 1..3 {
+        let sweeps = report.groups[0].replicas[r].timers.slow_sweep;
+        assert_eq!(sweeps, 0, "replica {r} fired the fast path's sweep {sweeps} times");
+    }
 }
