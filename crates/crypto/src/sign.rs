@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ubft_types::wire::Wire;
-use ubft_types::{FixedState, ProcessId};
+use ubft_types::{FixedState, Inline, ProcessId};
 
 use crate::hmac::{digest_eq, hmac_sha256};
 use crate::sha256::Digest;
@@ -110,16 +110,21 @@ impl KeyRing {
 
 /// An aggregated certificate: `count` distinct processes' signatures over the
 /// same byte string (the paper's `f + 1`-signed proofs, e.g. COMMIT
-/// certificates, checkpoint certificates, and CTBcast summaries).
+/// certificates, checkpoint certificates, and CTBcast summaries). It
+/// encodes as the `Vec` of its shares and keeps two in place: `f + 1` at
+/// `f = 1`, where building, cloning and decoding one allocates nothing. A
+/// third share moves them to the heap. Room for a third in place would
+/// make every message that carries a certificate, and so every engine
+/// effect, 40 bytes wider.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Certificate {
-    shares: Vec<(ProcessId, Signature)>,
+    shares: Inline<(ProcessId, Signature), 2>,
 }
 
 impl Certificate {
     /// Creates an empty certificate.
     pub fn new() -> Self {
-        Certificate { shares: Vec::new() }
+        Certificate { shares: Inline::default() }
     }
 
     /// Adds a share; returns `false` (and ignores it) if the signer is
@@ -143,16 +148,12 @@ impl Certificate {
     }
 
     /// Verifies that the certificate carries at least `quorum` valid
-    /// signatures from distinct processes over `msg`.
+    /// signatures from distinct processes over `msg`. A signer counts at
+    /// its first share only, as [`Certificate::add`] keeps it.
     pub fn verify(&self, ring: &KeyRing, msg: &[u8], quorum: usize) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut valid = 0usize;
-        for (p, sig) in &self.shares {
-            if seen.insert(*p) && ring.verify(*p, msg, sig) {
-                valid += 1;
-            }
-        }
-        valid >= quorum
+        let first = |i: usize, p: &ProcessId| !self.signers().take(i).any(|q| q == *p);
+        let shares = self.shares.iter().enumerate();
+        shares.filter(|(i, (p, sig))| first(*i, p) && ring.verify(*p, msg, sig)).count() >= quorum
     }
 }
 
@@ -252,7 +253,7 @@ mod tests {
         assert_eq!(cert.count(), 1);
         // Even a hand-built certificate with duplicate shares only counts
         // distinct valid signers.
-        let dup = Certificate { shares: vec![(p, sig), (p, sig)] };
+        let dup = Certificate { shares: [(p, sig), (p, sig)].into_iter().collect() };
         assert!(!dup.verify(&ring, b"m", 2));
     }
 

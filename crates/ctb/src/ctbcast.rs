@@ -778,11 +778,17 @@ impl Ctb {
         k: SeqId,
         entries: Vec<Option<RegEntry>>,
     ) -> Vec<CtbEffect> {
+        self.on_slot_read(k, &entries)
+    }
+
+    /// [`Ctb::on_registers_read`] on entries the caller keeps: a driver
+    /// reads each slot read's into the buffer of the one before.
+    pub fn on_slot_read(&mut self, k: SeqId, entries: &[Option<RegEntry>]) -> Vec<CtbEffect> {
         self.registers_read(k, entries);
         self.take_out()
     }
 
-    fn registers_read(&mut self, k: SeqId, entries: Vec<Option<RegEntry>>) {
+    fn registers_read(&mut self, k: SeqId, entries: &[Option<RegEntry>]) {
         let slot = self.slot(k);
         let Some(p) = self.slow.get_mut(&slot) else { return };
         if p.k != k || p.stage != SlowStage::Reading {
@@ -791,14 +797,14 @@ impl Ctb {
         let fp = p.fp;
         let sig = p.sig;
         let mut suspects: Vec<(RegEntry, ConflictKind)> = Vec::new();
-        for e in entries.into_iter().flatten() {
+        for e in entries.iter().flatten() {
             if e.k == k && e.fp == fp && e.sig == sig {
                 continue; // our own message, already verified
             }
             if e.k == k && e.fp != fp {
-                suspects.push((e, ConflictKind::SameId)); // line 33
+                suspects.push((e.clone(), ConflictKind::SameId)); // line 33
             } else if e.k > k && e.k.ring_index(self.cfg.tail) == self.slot(k) {
-                suspects.push((e, ConflictKind::NewerId)); // line 35
+                suspects.push((e.clone(), ConflictKind::NewerId)); // line 35
             }
             // e.k < k: stale entry, ignore.
         }

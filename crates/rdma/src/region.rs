@@ -63,27 +63,46 @@ fn page_spans(offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, 
     })
 }
 
-/// A byte region of host memory exposed over the fabric.
+/// A region's settled image and its size. Until the first write lands in
+/// it, it holds nothing and reads as zeros.
 #[derive(Clone, Debug)]
-pub(crate) struct Region {
-    size: usize,
-    /// The settled image, one entry per [`PAGE`] bytes. A page exists from
-    /// the first write that touches it; until then it reads as zeros. A
+enum Image {
+    /// A region of at most one [`PAGE`] (every SWMR register): its bytes,
+    /// one buffer of its size.
+    Whole { size: u32, bytes: Vec<u8> },
+    /// A larger one, one entry per [`PAGE`] bytes. A page exists from the
+    /// first write that touches it; until then it reads as zeros. A
     /// deployment registers tens of MiB of channel buffers and writes a
     /// small part of each, so neither registering a region nor its first
     /// write zero-fills it. The table itself is empty until the first write.
-    pages: Vec<Option<Box<[u8; PAGE]>>>,
-    /// Writes not yet folded into `pages`, in arrival order.
+    Paged { size: u32, pages: Vec<Option<Box<[u8; PAGE]>>> },
+}
+
+/// A byte region of host memory exposed over the fabric. The size lives in
+/// the image, whose padding holds it: a deployment registers thousands of
+/// regions, and each byte of one is copied as it is registered.
+#[derive(Clone, Debug)]
+pub(crate) struct Region {
+    image: Image,
+    /// Writes not yet folded into the image, in arrival order.
     inflight: VecDeque<InflightWrite>,
 }
 
 impl Region {
     pub(crate) fn new(size: usize) -> Self {
-        Region { size, pages: Vec::new(), inflight: VecDeque::new() }
+        let (size, small) = (u32::try_from(size).expect("a region under 4 GiB"), size <= PAGE);
+        let image = if small {
+            Image::Whole { size, bytes: Vec::new() }
+        } else {
+            Image::Paged { size, pages: Vec::new() }
+        };
+        Region { image, inflight: VecDeque::new() }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.size
+        match self.image {
+            Image::Whole { size, .. } | Image::Paged { size, .. } => size as usize,
+        }
     }
 
     /// Begins applying `data` at `offset` starting at time `start`, taking
@@ -106,7 +125,7 @@ impl Region {
         start: Time,
         spread: Duration,
     ) -> Time {
-        debug_assert!(offset + data.len() <= self.size);
+        debug_assert!(offset + data.len() <= self.len());
         let n_words = data.len().div_ceil(8).max(1) as u64;
         let word_gap = Duration::from_nanos(spread.as_nanos() / n_words);
         let write = InflightWrite { offset, data, start, word_gap };
@@ -127,15 +146,23 @@ impl Region {
         }
     }
 
-    /// Copies `data` into the settled image at `offset`, creating the pages
-    /// it touches.
+    /// Copies `data` into the settled image at `offset`, creating what of
+    /// it the bytes touch.
     fn settle(&mut self, offset: usize, data: &[u8]) {
-        if self.pages.is_empty() {
-            self.pages.resize_with(self.size.div_ceil(PAGE), || None);
-        }
-        for (page, at, span) in page_spans(offset, data.len()) {
-            let page = self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]));
-            page[at..at + span.len()].copy_from_slice(&data[span]);
+        match &mut self.image {
+            Image::Whole { size, bytes } => {
+                bytes.resize(*size as usize, 0);
+                bytes[offset..offset + data.len()].copy_from_slice(data);
+            }
+            Image::Paged { size, pages } => {
+                if pages.is_empty() {
+                    pages.resize_with((*size as usize).div_ceil(PAGE), || None);
+                }
+                for (page, at, span) in page_spans(offset, data.len()) {
+                    let page = pages[page].get_or_insert_with(|| Box::new([0; PAGE]));
+                    page[at..at + span.len()].copy_from_slice(&data[span]);
+                }
+            }
         }
     }
 
@@ -161,10 +188,20 @@ impl Region {
     ) {
         self.compact(t, spent);
         let len = out.len();
-        for (page, at, span) in page_spans(offset, len) {
-            match self.pages.get(page) {
-                Some(Some(page)) => out[span.clone()].copy_from_slice(&page[at..at + span.len()]),
-                _ => out[span].fill(0), // never written
+        match &self.image {
+            Image::Whole { bytes, .. } if !bytes.is_empty() => {
+                out.copy_from_slice(&bytes[offset..offset + len])
+            }
+            Image::Whole { .. } => out.fill(0), // never written
+            Image::Paged { pages, .. } => {
+                for (page, at, span) in page_spans(offset, len) {
+                    match pages.get(page) {
+                        Some(Some(page)) => {
+                            out[span.clone()].copy_from_slice(&page[at..at + span.len()])
+                        }
+                        _ => out[span].fill(0), // never written
+                    }
+                }
             }
         }
         for w in self.inflight.iter() {
@@ -184,6 +221,15 @@ impl Region {
         }
     }
 
+    /// A paged region's page table (test helper).
+    #[cfg(test)]
+    pub(crate) fn pages(&self) -> &[Option<Box<[u8; PAGE]>>] {
+        match &self.image {
+            Image::Paged { pages, .. } => pages,
+            Image::Whole { .. } => &[],
+        }
+    }
+
     /// Number of writes not yet folded into the settled image.
     #[cfg(test)]
     pub(crate) fn inflight_len(&self) -> usize {
@@ -194,7 +240,7 @@ impl Region {
     /// helper; equivalent to sampling the whole region at `Time::MAX`).
     #[cfg(test)]
     pub(crate) fn settled(&mut self) -> Vec<u8> {
-        self.sample(0, self.size, Time::MAX)
+        self.sample(0, self.len(), Time::MAX)
     }
 }
 
@@ -505,13 +551,46 @@ pub(crate) mod tests {
     #[test]
     fn only_touched_pages_exist() {
         let mut r = Region::new(64 * PAGE);
-        assert!(r.pages.is_empty(), "an unwritten region holds no page table");
+        assert!(r.pages().is_empty(), "an unwritten region holds no page table");
         r.begin_write(5 * PAGE - 8, vec![7u8; 16], t(0), Duration::ZERO);
         assert_eq!(r.sample(5 * PAGE - 8, 16, t(1)), vec![7u8; 16]);
         let touched: Vec<usize> =
-            r.pages.iter().enumerate().filter_map(|(i, p)| p.as_ref().map(|_| i)).collect();
+            r.pages().iter().enumerate().filter_map(|(i, p)| p.as_ref().map(|_| i)).collect();
         assert_eq!(touched, vec![4, 5]);
         assert_eq!(r.len(), 64 * PAGE);
+    }
+
+    /// A region of at most one page — an SWMR register's, 176 bytes —
+    /// reads what a paged one does, mid-write and settled, and keeps its
+    /// image in one buffer of its size, made at the first write that lands.
+    #[test]
+    fn a_region_of_one_page_reads_as_a_paged_one_from_one_buffer() {
+        const SIZE: usize = 176;
+        let (mut whole, mut paged) = (Region::new(SIZE), Region::new(2 * PAGE));
+        let writes = [(0, 0x11, 0, 0), (88, 0x22, 50, 40), (0, 0x33, 60, 200), (40, 0x44, 100, 0)];
+        for (offset, fill, at, spread) in writes {
+            for r in [&mut whole, &mut paged] {
+                r.begin_write(offset, vec![fill; 88], t(at), Duration::from_nanos(spread));
+            }
+        }
+        let image = |r: &Region| match &r.image {
+            Image::Whole { bytes, .. } => (bytes.len(), bytes.capacity()),
+            Image::Paged { .. } => panic!("a region of one page is paged"),
+        };
+        assert_eq!(image(&whole), (0, 0), "nothing has landed");
+        for at in (0..320).step_by(5) {
+            for (offset, len) in [(0, SIZE), (4, 12), (84, 16), (170, 6)] {
+                let mid = whole.sample(offset, len, t(at));
+                assert_eq!(
+                    mid,
+                    paged.sample(offset, len, t(at)),
+                    "{len} bytes at {offset}, t={at}"
+                );
+            }
+        }
+        assert_eq!(whole.settled(), paged.sample(0, SIZE, Time::MAX));
+        assert_eq!(image(&whole), (SIZE, SIZE));
+        assert!(size_of::<Region>() <= 64, "thousands of regions are registered");
     }
 
     #[test]

@@ -247,9 +247,10 @@ pub(crate) struct SimEnv {
     /// Where a register write encodes its [`RegEntry`] — reused likewise.
     reg_buf: Vec<u8>,
     /// Register round trips and the replica making each, by the index
-    /// their [`Ev::RegSample`]s carry: the ones in flight, and settled ones
-    /// whose buffers serve the next.
-    slot_reads: Vec<(usize, SlotRead)>,
+    /// their [`Ev::RegSample`]s carry: the ones in flight, settled ones
+    /// whose entries are still on their way to CTBcast, and free ones whose
+    /// buffers serve the next.
+    pub(crate) slot_reads: Vec<(usize, SlotRead)>,
 }
 
 /// One consensus group: `2f + 1` [`ReplicaNode`]s, its closed-loop clients,
@@ -530,7 +531,10 @@ impl Substrate for SimSubstrate<'_, '_> {
         let (env, r, sh) = (&mut *self.env, self.r, &mut *self.sh);
         env.reg_buf.clear();
         e.encode(&mut env.reg_buf);
-        let id = env.slot_reads.iter().position(|(_, rd)| rd.unsettled == 0).unwrap_or_else(|| {
+        // A round trip is free for the next once it has settled and its
+        // entries' buffer is back.
+        let free = |(_, rd): &(usize, SlotRead)| rd.unsettled == 0 && !rd.lacks_buffer();
+        let id = env.slot_reads.iter().position(free).unwrap_or_else(|| {
             env.slot_reads.push(Default::default());
             env.slot_reads.len() - 1
         });
@@ -547,6 +551,14 @@ impl Substrate for SimSubstrate<'_, '_> {
             env.push_input(sh, r, at, NodeInput::Ctb { stream, done: CtbDone::Written(e.k) });
         }
         env.await_read(sh, id, 0..env.n());
+    }
+
+    /// Back to a slot read whose entries are out, which frees it.
+    fn recycle_read(&mut self, entries: Vec<Option<RegEntry>>) {
+        let reads = &mut self.env.slot_reads;
+        if let Some((_, read)) = reads.iter_mut().find(|(_, read)| read.lacks_buffer()) {
+            read.recycle(entries);
+        }
     }
 
     fn clock(&self) -> Duration {

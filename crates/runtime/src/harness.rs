@@ -117,12 +117,12 @@ pub struct NodeNet {
     /// run visits the links in the same order every time.
     links: BTreeMap<(usize, usize), Link>,
     /// Finished crypto, register and executor work, per replica.
-    completions: Vec<VecDeque<NodeInput>>,
+    pub(crate) completions: Vec<VecDeque<NodeInput>>,
     /// The memory nodes, each replica's handles on the register banks, and
     /// the round trip a call under way makes on them.
     mem: InProcMemory,
     regs: Vec<Registers>,
-    read: SlotRead,
+    pub(crate) read: SlotRead,
     /// Encoded replies on their way to the client.
     replies: Vec<Vec<u8>>,
     /// Each replica's Byzantine behaviour as of time zero
@@ -354,6 +354,10 @@ impl Substrate for NodeNet {
         let r = self.calling;
         let inputs = self.read.now(&mut self.regs[r], &self.mem, stream, slot, &e);
         self.completions[r].extend(inputs);
+    }
+
+    fn recycle_read(&mut self, entries: Vec<Option<RegEntry>>) {
+        self.read.recycle(entries);
     }
 
     /// Runs the job at once: the replies head for the client, the answers

@@ -4,6 +4,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use ubft_apps::FlipApp;
+use ubft_core::app::App;
 use ubft_core::engine::{Effect, EngineDiag, TimerKind};
 use ubft_core::msg::{CtbMsg, DirectMsg, Reply, Request};
 use ubft_crypto::sha256::Sha256;
@@ -19,7 +21,7 @@ use ubft_types::{ClientId, Duration, ReplicaId, RequestId, SeqId, Slot, Time};
 
 use crate::calibration::SimConfig;
 use crate::client_loop::{ClientLoop, ClientPort, ClientTimer};
-use crate::cluster::OpCounters;
+use crate::cluster::{Cluster, OpCounters};
 use crate::exec::Executor;
 use crate::harness::{Done, Lane, Move, NodeNet, NodeTimer, Step};
 use crate::node::CtbDone;
@@ -698,6 +700,49 @@ fn round_trip(
         [CtbDone::Written(w), CtbDone::Read(k, entries)] if w == e.k && k == e.k => entries,
         _ => panic!("a write's completion, then its read's"),
     }
+}
+
+/// A slot read on an untimed substrate fills the entry buffer of the one
+/// before it: the driver hands each back once CTBcast has read it
+/// (`Substrate::recycle_read`), and the next round trip's entries come
+/// back in it.
+#[test]
+fn a_slot_read_reuses_the_entry_buffer_of_the_one_before() {
+    let mut net = NodeNet::new(&SimConfig::paper_default(5).slow_only());
+    assert!(net.request(payload(0)));
+    assert!(net.read.entries.capacity() >= 3, "the last round trip's buffer came back");
+    let buffer = net.read.entries.as_ptr();
+    let read = |net: &NodeNet| {
+        net.completions.iter().flatten().find_map(|input| match input {
+            NodeInput::Ctb { done: CtbDone::Read(_, entries), .. } => Some(entries.as_ptr()),
+            _ => None,
+        })
+    };
+    net.issue(payload(1));
+    while read(&net).is_none() {
+        net.apply(0);
+    }
+    assert_eq!(read(&net), Some(buffer));
+}
+
+/// The same on the simulator, where a replica's round trips overlap: every
+/// slot read's buffer comes back once CTBcast has read the entries, and 20
+/// slow-path requests — over 200 round trips — make do with the buffers
+/// of the few round trips that were ever under way at once.
+#[test]
+fn a_simulated_slot_read_reuses_the_entry_buffer_of_one_before() {
+    let cfg = SimConfig::paper_default(5).slow_only();
+    let apps = (0..3).map(|_| Box::new(FlipApp::new()) as Box<dyn App>).collect();
+    let mut cluster = Cluster::new(cfg, apps, Box::new(payload));
+    let report = cluster.run(20, 0);
+    assert!(report.counters.reg_writes > 200, "{:?}", report.counters);
+    cluster.settle(Duration::from_millis(1));
+    let reads = &cluster.groups[0].env.slot_reads;
+    for (r, read) in reads {
+        assert_eq!(read.unsettled, 0, "replica {r}'s read");
+        assert!(read.entries.capacity() >= 3, "replica {r}'s read holds no buffer");
+    }
+    assert!(reads.len() <= 6, "{} slot reads", reads.len());
 }
 
 /// The round trip both untimed substrates make, §6.1's register protocol

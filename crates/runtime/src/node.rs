@@ -252,6 +252,11 @@ pub(crate) trait Substrate {
     /// ([`CtbDone::Read`]).
     fn write_and_read_slot(&mut self, stream: usize, slot: usize, entry: RegEntry, at: Self::At);
 
+    /// Takes back the buffer of a [`CtbDone::Read`]'s entries once CTBcast
+    /// has read them, for a later round trip to fill
+    /// ([`SlotRead::recycle`](crate::registers::SlotRead::recycle)).
+    fn recycle_read(&mut self, entries: Vec<Option<RegEntry>>);
+
     /// One engine call metered `ops` of ordered crypto, queued `jobs` and
     /// produced `fx`. The substrate starts the jobs — each comes back as
     /// [`CryptoTask::Engine`]'s input — and says when the effects apply:
@@ -630,11 +635,15 @@ impl ReplicaNode {
                 self.ctb_call(sub, self.r, at, |_| fx)
             }
             NodeInput::Timer(NodeTimer::Retransmit) => self.on_retransmit_tick(sub, at),
+            NodeInput::Ctb { stream, done: CtbDone::Read(k, entries) } => {
+                self.ctb_call(sub, stream, at, |c| c.on_slot_read(k, &entries));
+                sub.recycle_read(entries);
+            }
             NodeInput::Ctb { stream, done } => self.ctb_call(sub, stream, at, |c| match done {
                 CtbDone::Signed(k, fp, sig) => c.on_sign_done_over(k, fp, sig),
                 CtbDone::Verified(tag, ok) => c.on_verify_done(tag, ok),
                 CtbDone::Written(k) => c.on_register_written(k),
-                CtbDone::Read(k, entries) => c.on_registers_read(k, entries),
+                CtbDone::Read(..) => unreachable!("handled above"),
             }),
             NodeInput::Crypto { tag, result } => {
                 self.engine_call(sub, at, |e| e.on_crypto_done(tag, result))

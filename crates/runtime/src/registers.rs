@@ -85,8 +85,10 @@ pub(crate) struct SlotRead {
     /// The owners whose read was posted again, one bit each (a group's
     /// replicas fit a `u64`, as in the auditor's per-request masks).
     again: u64,
-    /// What each owner's register holds, as its read settles.
-    entries: Vec<Option<RegEntry>>,
+    /// What each owner's register holds, as its read settles. Once settled
+    /// they are out ([`SlotRead::settled`]) until their buffer is back
+    /// ([`SlotRead::recycle`]).
+    pub entries: Vec<Option<RegEntry>>,
     /// Owners whose read has not settled: none when the round trip is free
     /// for the next.
     pub unsettled: usize,
@@ -117,7 +119,8 @@ impl SlotRead {
         let (readers, at) = (&regs.readers[stream], at.max(write.start));
         (self.host, self.stream, self.slot, self.k, self.completion) = (host, stream, slot, k, at);
         self.owners.resize_with(readers.len(), Default::default);
-        self.entries = vec![None; readers.len()];
+        self.entries.clear();
+        self.entries.resize(readers.len(), None);
         (self.took, self.unsettled, self.again) = (write.took, readers.len(), 0);
         for (owner, reader) in readers.iter().enumerate() {
             self.post(reader, mem, owner, at);
@@ -161,11 +164,26 @@ impl SlotRead {
     }
 
     /// Once every owner's read has settled, and only once: the entries,
-    /// in owner order, as the reader's CTBcast instance takes them.
+    /// in owner order, as the reader's CTBcast instance takes them. Their
+    /// buffer comes back through [`SlotRead::recycle`].
     pub fn settled(&mut self) -> Option<NodeInput> {
         let entries = (self.unsettled == 0).then(|| std::mem::take(&mut self.entries));
         let done = CtbDone::Read(self.k, entries.filter(|entries| !entries.is_empty())?);
         Some(NodeInput::Ctb { stream: self.stream, done })
+    }
+
+    /// Takes back the buffer of the entries [`SlotRead::settled`] handed
+    /// out, for the next round trip, unless it holds one already.
+    pub fn recycle(&mut self, mut entries: Vec<Option<RegEntry>>) {
+        if self.entries.capacity() == 0 {
+            entries.clear();
+            self.entries = entries;
+        }
+    }
+
+    /// Whether it holds no buffer for its entries: its last ones are out.
+    pub fn lacks_buffer(&self) -> bool {
+        self.entries.capacity() == 0
     }
 
     /// The round trip of the replica whose handles are `regs`, carried out

@@ -379,6 +379,10 @@ impl Substrate for ReplicaThread {
         }
     }
 
+    fn recycle_read(&mut self, entries: Vec<Option<RegEntry>>) {
+        self.read.recycle(entries);
+    }
+
     fn exec(&mut self, job: ExecJob, _: ()) -> Vec<Request> {
         let _ = self.exec.send(job);
         Vec::new()

@@ -24,6 +24,7 @@ pub mod error;
 pub mod few;
 pub mod hash;
 pub mod ids;
+pub mod inline;
 pub mod outbox;
 pub mod time;
 pub mod wire;
@@ -36,6 +37,7 @@ pub use hash::{FixedMap, FixedSet, FixedState};
 pub use ids::{
     ClientId, MemNodeId, ProcessId, ReplicaId, ReplicaSet, RequestId, SeqId, Slot, View,
 };
+pub use inline::Inline;
 pub use outbox::Outbox;
 pub use time::{Duration, Time};
 pub use wire::{Wire, WireReader};

@@ -16,7 +16,7 @@
 
 use std::any::Any;
 
-use crate::{CodecError, Slot, View};
+use crate::{CodecError, Inline, Slot, View};
 
 /// Types that can be encoded to and decoded from the deterministic wire
 /// format.
@@ -371,6 +371,25 @@ impl<T: Wire> Wire for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let len = u32::decode(r)? as usize;
         T::decode_elems(r, len)
+    }
+}
+
+/// An [`Inline`] list is the `Vec` of its elements on the wire, count cap
+/// included: only where a decoded value keeps them differs.
+impl<T: Wire, const N: usize> Wire for Inline<T, N> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).encode(buf);
+        self.iter().for_each(|it| it.encode(buf));
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        let len = u32::decode(r)? as usize;
+        if len > MAX_WIRE_ELEMS {
+            return Err(CodecError::LengthOverflow { len });
+        }
+        (0..len).map(|_| T::decode(r)).collect()
     }
 }
 

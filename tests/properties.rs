@@ -4,11 +4,21 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use ubft::harness::CtbNet;
-use ubft_crypto::checksum64;
+use ubft_crypto::{checksum64, Signature};
 use ubft_ctb::ctbcast::{CtbConfig, CtbEffect, SlowMode};
 use ubft_ctb::wire::CtbWire;
-use ubft_types::wire::Wire;
-use ubft_types::{ReplicaId, SeqId, Slot, View};
+use ubft_types::wire::{Wire, MAX_WIRE_ELEMS};
+use ubft_types::{ClientId, CodecError, Inline, ProcessId, ReplicaId, SeqId, Slot, View};
+
+/// A certificate's share as it is kept and sent.
+type Share = (ProcessId, Signature);
+
+/// What a certificate's [`Inline`] share list and a `Vec` of shares decode
+/// `bytes` to, the first as the `Vec` of its elements.
+fn share_lists_decode(bytes: &[u8]) -> [Result<Vec<Share>, CodecError>; 2] {
+    let inline = Inline::<Share, 2>::from_bytes(bytes).map(|list| list.iter().copied().collect());
+    [inline, Vec::<Share>::from_bytes(bytes)]
+}
 
 /// Drives `N` CTBcast receivers through an adversarially scheduled run:
 /// the pending moves are applied in an order chosen by `choices`,
@@ -73,6 +83,46 @@ proptest! {
         let bytes = items.to_bytes();
         prop_assert_eq!(bytes.len(), 4 + 8 * items.len());
         prop_assert_eq!(Vec::<u64>::from_bytes(&bytes).unwrap(), items);
+    }
+
+    /// A certificate's inline share list is the `Vec` of its shares on the
+    /// wire: for 0–8 shares it encodes to the same bytes, and every cut of
+    /// them, a count over the cap and a trailing byte decode to the same
+    /// value or the same error.
+    #[test]
+    fn an_inline_share_list_is_the_vec_of_its_shares_on_the_wire(
+        raw in proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u64>()), 0..9),
+        extra in any::<u8>(),
+    ) {
+        let shares: Vec<Share> = raw
+            .iter()
+            .map(|&(replica, id, fill)| {
+                let p = if replica { ProcessId::Replica(ReplicaId(id)) } else { ProcessId::Client(ClientId(id)) };
+                let sig: Vec<u8> = (0..32).map(|i| (fill >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                (p, Signature::from_bytes(&sig).expect("32 bytes"))
+            })
+            .collect();
+        let bytes = shares.to_bytes();
+        let inline: Inline<Share, 2> = shares.iter().copied().collect();
+        prop_assert_eq!(inline.encoded_len(), bytes.len());
+        prop_assert_eq!(inline.to_bytes(), bytes.clone());
+        let [decoded, want] = share_lists_decode(&bytes);
+        prop_assert_eq!(decoded, Ok(shares.clone()));
+        prop_assert_eq!(want, Ok(shares));
+        for cut in 0..bytes.len() {
+            let [decoded, want] = share_lists_decode(&bytes[..cut]);
+            prop_assert!(want.is_err());
+            prop_assert_eq!(decoded, want, "cut at {}", cut);
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(extra);
+        let [decoded, want] = share_lists_decode(&trailing);
+        prop_assert_eq!(decoded, want);
+        let mut over = ((MAX_WIRE_ELEMS + 1) as u32).to_bytes();
+        over.extend_from_slice(&bytes[4..]);
+        let [decoded, want] = share_lists_decode(&over);
+        prop_assert_eq!(decoded, want.clone());
+        prop_assert_eq!(want, Err(CodecError::LengthOverflow { len: MAX_WIRE_ELEMS + 1 }));
     }
 
     /// Decoding arbitrary garbage never panics.
