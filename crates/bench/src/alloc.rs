@@ -117,8 +117,8 @@ pub const CONFIGS: [(&str, u64, u64); 4] = [
 /// `flip_batched` 37.0, `leader_crash` 61.0). Before a certificate kept its
 /// shares inline, a slot read filled the entry buffer of the one before and
 /// a register's settled image was one buffer of its size, `flip_slow` cost
-/// 129.0 and `leader_crash` 79.9 (budgets 142 and 88). Before TBcast's ring wrote a
-/// broadcast into a frame it evicted, CTBcast delivered its cached body
+/// 129.0 and `leader_crash` 79.9 (budgets 142 and 88). Before TBcast's ring
+/// wrote a broadcast into a frame it evicted, CTBcast delivered its cached body
 /// and built its bodies in ones the driver handed back, and the leader
 /// decoded its own PREPARE against the batch it proposed, the four cost
 /// 56.9, 148.3, 38.9 and 102.7 (budgets 63, 163, 43 and 113). Before a

@@ -175,7 +175,7 @@ impl SlotRead {
     /// Takes back the buffer of the entries [`SlotRead::settled`] handed
     /// out, for the next round trip, unless it holds one already.
     pub fn recycle(&mut self, mut entries: Vec<Option<RegEntry>>) {
-        if self.entries.capacity() == 0 {
+        if self.lacks_buffer() {
             entries.clear();
             self.entries = entries;
         }
